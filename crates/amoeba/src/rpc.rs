@@ -9,6 +9,8 @@
 //!   and dispatches incoming requests on a dedicated thread.
 //! * [`rpc_call`] sends a request to `(node, port)` and blocks until the
 //!   reply arrives.
+//! * [`rpc_notify`] sends a request nobody waits for: the handler runs
+//!   exactly as for a call, but the server puts no reply on the wire.
 //!
 //! Requests and replies are carried over the *reliable* point-to-point
 //! primitive of the network, mirroring the at-most-once, reliable semantics
@@ -30,7 +32,8 @@ use crate::node::{NodeId, Port};
 pub struct RpcRequest {
     /// Identifier chosen by the client, echoed in the reply.
     pub request_id: u64,
-    /// Ephemeral port on the client node where the reply is expected.
+    /// Ephemeral port on the client node where the reply is expected;
+    /// [`NOTIFY_PORT`] marks a notification, which is never answered.
     pub reply_port: Port,
     /// Serialized request body (interpreted by the service).
     pub body: Vec<u8>,
@@ -117,6 +120,33 @@ impl From<NetError> for RpcError {
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(10);
 
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
+
+/// `reply_port` of a notification. No client ever binds port 0 (well-known
+/// ports start at 1, ephemeral ones at [`crate::node::ports::EPHEMERAL_BASE`]),
+/// so a server that sees it knows nobody is waiting and sends no reply.
+pub const NOTIFY_PORT: Port = 0;
+
+/// Send a one-way notification to `(dst, service_port)`: the service's
+/// handler runs on the request like on any call, but its return value is
+/// discarded and no [`RpcReply`] travels back — one message on the wire
+/// instead of two. Delivery is reliable (the same primitive requests and
+/// replies use); what the caller gives up is learning *when* — or, if
+/// `dst` crashes first, whether — the handler ran.
+pub fn rpc_notify(
+    handle: &NetworkHandle,
+    dst: NodeId,
+    service_port: Port,
+    body: Vec<u8>,
+) -> Result<(), RpcError> {
+    let request = RpcRequest {
+        request_id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
+        reply_port: NOTIFY_PORT,
+        body,
+        trace: trace::current(),
+    };
+    handle.send_reliable(dst, service_port, request.to_bytes())?;
+    Ok(())
+}
 
 /// Perform a blocking RPC to `(dst, service_port)` with the default timeout.
 pub fn rpc_call(
@@ -320,6 +350,25 @@ impl MultiRpc {
     }
 }
 
+/// Run `handler` on one request under the request's trace and send its
+/// reply — unless the request is a notification ([`NOTIFY_PORT`]), whose
+/// sender is not listening.
+fn answer<F>(handle: &NetworkHandle, handler: &F, request: RpcRequest, src: NodeId)
+where
+    F: Fn(&[u8], NodeId) -> Vec<u8>,
+{
+    let _span = trace::enter(request.trace);
+    let body = handler(&request.body, src);
+    if request.reply_port == NOTIFY_PORT {
+        return;
+    }
+    let reply = RpcReply {
+        request_id: request.request_id,
+        body,
+    };
+    let _ = handle.send_reliable(src, request.reply_port, reply.to_bytes());
+}
+
 /// A running RPC service on one node. Stops and joins its dispatch thread
 /// (and worker pool, if any) when [`RpcServer::shutdown`] is called or the
 /// server is dropped.
@@ -399,12 +448,7 @@ impl RpcServer {
                     .name(format!("rpc-pool-{node}-{service_port}-{w}"))
                     .spawn(move || {
                         while let Ok((request, src)) = work_rx.recv() {
-                            let _span = trace::enter(request.trace);
-                            let reply = RpcReply {
-                                request_id: request.request_id,
-                                body: handler(&request.body, src),
-                            };
-                            let _ = handle.send_reliable(src, request.reply_port, reply.to_bytes());
+                            answer(&handle, handler.as_ref(), request, src);
                         }
                     })
                     .expect("spawn rpc pool worker")
@@ -479,25 +523,10 @@ impl RpcServer {
                         let src = msg.src;
                         std::thread::Builder::new()
                             .name(format!("rpc-worker-{node}-{service_port}"))
-                            .spawn(move || {
-                                let _span = trace::enter(request.trace);
-                                let reply_body = handler(&request.body, src);
-                                let reply = RpcReply {
-                                    request_id: request.request_id,
-                                    body: reply_body,
-                                };
-                                let _ =
-                                    handle.send_reliable(src, request.reply_port, reply.to_bytes());
-                            })
+                            .spawn(move || answer(&handle, handler.as_ref(), request, src))
                             .expect("spawn rpc worker thread");
                     } else {
-                        let _span = trace::enter(request.trace);
-                        let reply_body = handler(&request.body, msg.src);
-                        let reply = RpcReply {
-                            request_id: request.request_id,
-                            body: reply_body,
-                        };
-                        let _ = handle.send_reliable(msg.src, request.reply_port, reply.to_bytes());
+                        answer(&handle, handler.as_ref(), request, msg.src);
                     }
                 }
             })

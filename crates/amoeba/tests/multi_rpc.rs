@@ -11,17 +11,24 @@
 //!   timed-out earlier call on the reused port can never satisfy a newer
 //!   request.
 //!
+//! The one-way half of the layer is pinned here too: an `rpc_notify` runs
+//! its handler exactly once and is never answered, under all three server
+//! flavours, and a versioned notification that a worker pool handles late
+//! is recognisably stale.
+//!
 //! Reordering is produced deterministically by handler-side delays (a slow
 //! first request, fast later ones), and each scenario runs on both the
 //! simulated network and a real loopback socket cluster — the socket path
 //! adds genuine cross-thread asynchrony.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use orca_amoeba::network::{Network, NetworkHandle};
 use orca_amoeba::node::{ports, NodeId};
-use orca_amoeba::rpc::{MultiRpc, RpcError, RpcServer};
+use orca_amoeba::rpc::{rpc_call, rpc_notify, MultiRpc, RpcError, RpcServer};
 use orca_amoeba::transport::SocketTransport;
 
 const SERVICE: u64 = ports::USER_BASE + 50;
@@ -147,4 +154,129 @@ fn interleaved_rounds_keep_ids_straight_across_destinations() {
     for server in servers {
         server.shutdown();
     }
+}
+
+/// Messages sent so far by the client (node 0) and the server (node 1).
+/// Reads each node's own row, which both backends fill in.
+fn messages_sent(client: &NetworkHandle, server: &NetworkHandle) -> u64 {
+    client.stats().node(NodeId(0)).messages_sent() + server.stats().node(NodeId(1)).messages_sent()
+}
+
+#[test]
+fn notification_is_handled_once_and_never_answered() {
+    type Serve = fn(NetworkHandle, Arc<AtomicU64>) -> RpcServer;
+    fn count(handled: Arc<AtomicU64>) -> impl Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync {
+        move |body, _src| {
+            handled.fetch_add(1, Ordering::SeqCst);
+            body.to_vec()
+        }
+    }
+    let flavours: [Serve; 3] = [
+        |h, n| RpcServer::serve(h, SERVICE, count(n)),
+        |h, n| RpcServer::serve_concurrent(h, SERVICE, count(n)),
+        |h, n| RpcServer::serve_pooled(h, SERVICE, count(n), 2),
+    ];
+    for serve in flavours {
+        both_backends(|client, server| {
+            let handled = Arc::new(AtomicU64::new(0));
+            let rpc_server = serve(server.clone(), Arc::clone(&handled));
+            let before = messages_sent(&client, &server);
+            rpc_notify(&client, NodeId(1), SERVICE, b"note".to_vec()).unwrap();
+            let deadline = Instant::now() + DEADLINE;
+            while handled.load(Ordering::SeqCst) == 0 {
+                assert!(Instant::now() < deadline, "notification never handled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The handler has returned or is about to; give a (wrong)
+            // reply the time to leave before counting.
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                messages_sent(&client, &server) - before,
+                1,
+                "a notification is one message: the request, no reply"
+            );
+            // A call on the same service still costs two and is answered.
+            assert_eq!(
+                rpc_call(&client, NodeId(1), SERVICE, b"call".to_vec()).unwrap(),
+                b"call"
+            );
+            assert_eq!(messages_sent(&client, &server) - before, 3);
+            assert_eq!(
+                handled.load(Ordering::SeqCst),
+                2,
+                "handled exactly once each"
+            );
+            rpc_server.shutdown();
+        });
+    }
+}
+
+#[test]
+fn stale_versioned_unlock_after_the_next_update_leaves_the_copy_locked() {
+    // The shape of the runtime systems' phase 2: `U v` (acked) applies
+    // update `v` and locks the copy, `L v` (one-way) unlocks it. A worker
+    // pool may handle `L 1` after `U 2`; the version it carries is what
+    // lets the holder see that the lock it would release is not its own.
+    both_backends(|client, server| {
+        // (version, locked)
+        let copy = Arc::new(Mutex::new((0u8, false)));
+        let (unlock_seen_tx, unlock_seen) = channel::<()>();
+        let (update_done_tx, update_done) = channel::<()>();
+        let (stale_handled_tx, stale_handled) = channel::<()>();
+        let unlock_seen_tx = Mutex::new(unlock_seen_tx);
+        let stale_handled_tx = Mutex::new(stale_handled_tx);
+        let update_done = Mutex::new(update_done);
+        let update_done_tx = Mutex::new(update_done_tx);
+        let holder = Arc::clone(&copy);
+        let rpc_server = RpcServer::serve_pooled(
+            server,
+            SERVICE,
+            move |body, _src| {
+                let version = body[1];
+                match body[0] {
+                    b'U' => {
+                        *holder.lock().unwrap() = (version, true);
+                        if version == 2 {
+                            update_done_tx.lock().unwrap().send(()).unwrap();
+                        }
+                    }
+                    _ => {
+                        if version == 1 {
+                            // Hold `L 1` in its worker until `U 2` is in.
+                            unlock_seen_tx.lock().unwrap().send(()).unwrap();
+                            update_done.lock().unwrap().recv().unwrap();
+                        }
+                        let mut copy = holder.lock().unwrap();
+                        if version >= copy.0 {
+                            copy.1 = false;
+                        }
+                        drop(copy);
+                        if version == 1 {
+                            stale_handled_tx.lock().unwrap().send(()).unwrap();
+                        }
+                    }
+                }
+                Vec::new()
+            },
+            2,
+        );
+        rpc_call(&client, NodeId(1), SERVICE, vec![b'U', 1]).unwrap();
+        rpc_notify(&client, NodeId(1), SERVICE, vec![b'L', 1]).unwrap();
+        unlock_seen.recv_timeout(DEADLINE).expect("L 1 delivered");
+        rpc_call(&client, NodeId(1), SERVICE, vec![b'U', 2]).unwrap();
+        // `L 1` now runs against a copy locked by update 2.
+        stale_handled.recv_timeout(DEADLINE).expect("L 1 handled");
+        assert_eq!(
+            *copy.lock().unwrap(),
+            (2, true),
+            "stale unlock must not release update 2"
+        );
+        rpc_notify(&client, NodeId(1), SERVICE, vec![b'L', 2]).unwrap();
+        let deadline = Instant::now() + DEADLINE;
+        while copy.lock().unwrap().1 {
+            assert!(Instant::now() < deadline, "L 2 never unlocked the copy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        rpc_server.shutdown();
+    });
 }

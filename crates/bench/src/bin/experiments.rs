@@ -1,5 +1,5 @@
 //! Run every experiment of the paper's evaluation section and print the
-//! regenerated tables (the numbers recorded in EXPERIMENTS.md).
+//! regenerated tables.
 //!
 //! ```text
 //! cargo run --release -p orca-bench --bin experiments

@@ -7,7 +7,9 @@
 //! latency histograms — then writes `Registry::snapshot().to_json()` to the
 //! given path (default `target/telemetry_smoke.json`). A second, leased
 //! primary-copy runtime contributes the `rts.lease.*` counters (grants and
-//! zero-message local reads) merged into the same document.
+//! zero-message local reads) and the `rts.update.*` counters (where a
+//! replicated write's messages went: pushes, one-way unlocks, writes
+//! installed from their own reply) merged into the same document.
 //! `scripts/check_telemetry.py` validates the emitted document.
 //!
 //! Usage: `telemetry_smoke [output.json]`
@@ -46,9 +48,10 @@ fn main() {
     }
     assert_eq!(drained, 16, "smoke workload lost jobs");
     let mut snapshot = runtime.telemetry().registry().snapshot();
-    // The broadcast runtime grants no read leases; a tiny leased
-    // primary-copy phase populates the `rts.lease.*` counters, merged into
-    // the same document for the validator.
+    // The broadcast runtime grants no read leases and pushes no updates; a
+    // tiny leased primary-copy phase populates the `rts.lease.*` and
+    // `rts.update.*` counters, merged into the same document for the
+    // validator.
     let lease_cfg = OrcaConfig {
         strategy: RtsStrategy::PrimaryCopy {
             policy: WritePolicy::Update,
@@ -68,13 +71,15 @@ fn main() {
     for _ in 0..8 {
         reader.invoke(counter, &IntOp::Value).unwrap();
     }
+    // One write pushed to the reader's copy, one written through it.
     leased.main().invoke(counter, &IntOp::Add(1)).unwrap();
+    reader.invoke(counter, &IntOp::Add(1)).unwrap();
     for _ in 0..8 {
-        reader.invoke(counter, &IntOp::Value).unwrap();
+        assert_eq!(reader.invoke(counter, &IntOp::Value).unwrap(), 2);
     }
     let lease_snap = leased.telemetry().registry().snapshot();
     for (name, value) in &lease_snap.counters {
-        if name.starts_with("rts.lease.") {
+        if name.starts_with("rts.lease.") || name.starts_with("rts.update.") {
             *snapshot.counters.entry(name.clone()).or_insert(0) += value;
         }
     }

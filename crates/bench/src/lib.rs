@@ -2,7 +2,7 @@
 //!
 //! Each experiment of §3–§4 has one module here and one `cargo bench` target
 //! in `benches/`; `src/bin/experiments.rs` runs everything and prints the
-//! tables recorded in `EXPERIMENTS.md`.
+//! regenerated tables.
 //!
 //! | Experiment | Paper | Module |
 //! |------------|-------|--------|

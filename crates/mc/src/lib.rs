@@ -38,6 +38,7 @@ pub use engine::{
 };
 pub use invariants::{check_counter, check_jobs, WorkerOutcome};
 pub use scenarios::{
-    all_scenarios, AdaptiveRegimeSwitch, BroadcastEraReplay, BroadcastOrdering, PrimaryFetchRace,
-    PrimaryLeaseRevoke, PrimaryPromotion, ShardedHandoff,
+    all_scenarios, AdaptiveRegimeSwitch, AdaptiveWriteThroughMirror, BroadcastEraReplay,
+    BroadcastOrdering, PrimaryFetchRace, PrimaryLeaseRevoke, PrimaryPromotion,
+    PrimaryWriteThroughCopy, ShardedHandoff,
 };

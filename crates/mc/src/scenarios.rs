@@ -12,9 +12,12 @@
 //!
 //! Scenario-design rules learned the hard way (see each type's docs):
 //!
-//! * **One worker per node.** Canonical message identities number each
-//!   (src, dst, lane) stream; two application threads on one node would
-//!   race for sequence numbers and make schedules non-replayable.
+//! * **One *sending* worker per node.** Canonical message identities number
+//!   each (src, dst, lane) stream; two application threads sending from one
+//!   node would race for sequence numbers and make schedules
+//!   non-replayable. A second process may share the node as long as the
+//!   honest protocol never makes it send (the write-through scenarios'
+//!   readers only ever read their node's local copy).
 //! * **Object creation and priming run before the scheduler installs.**
 //!   Creation traffic is not what we're checking, and priming (fetching
 //!   secondary copies, accruing usage counts) sets up the protocol state
@@ -25,10 +28,11 @@
 //!   horizon, and the one that does (sequencer failover) switches to
 //!   real-time passthrough at the crash.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use orca_amoeba::network::Network;
 use orca_amoeba::process::ProcessHandle;
 use orca_amoeba::NodeId;
 use orca_core::objects::{IntObject, IntOp, JobQueue};
@@ -54,7 +58,19 @@ fn counter_worker(
     steps: Vec<Step>,
 ) -> WorkerOutcome {
     let mut out = WorkerOutcome::default();
-    for step in steps {
+    counter_steps(&ctx, handle, &steps, &mut out);
+    out
+}
+
+/// Run `steps` in order, appending to `out` (a worker that pauses between
+/// two stretches of its program calls this once per stretch).
+fn counter_steps(
+    ctx: &OrcaNode,
+    handle: ObjectHandle<IntObject>,
+    steps: &[Step],
+    out: &mut WorkerOutcome,
+) {
+    for &step in steps {
         match step {
             Step::Write(delta) => match ctx.invoke(handle, &IntOp::Add(delta)) {
                 Ok(sum) => out.acked_write(delta, sum),
@@ -67,7 +83,6 @@ fn counter_worker(
             }
         }
     }
-    out
 }
 
 /// Read the final value on every live node, polling until they agree (or a
@@ -333,7 +348,7 @@ impl Default for PrimaryFetchRace {
     fn default() -> Self {
         PrimaryFetchRace {
             budget: McConfig {
-                max_schedules: 512,
+                max_schedules: 768,
                 max_depth: 56,
                 quiesce_idle: Duration::from_millis(10),
                 ..McConfig::default()
@@ -368,6 +383,8 @@ impl Scenario for PrimaryFetchRace {
         // the snapshot install is still in flight and the writes push
         // updates that race it.
         let probe = Arc::clone(&rt);
+        let pushed = Arc::new(AtomicBool::new(false));
+        let done = Arc::clone(&pushed);
         let w0 = rt.fork_on(0, "mc-w0", move |ctx| {
             let deadline = Instant::now() + Duration::from_secs(5);
             while probe
@@ -377,16 +394,28 @@ impl Scenario for PrimaryFetchRace {
             {
                 std::thread::sleep(Duration::from_micros(200));
             }
-            counter_worker(ctx, handle, vec![Step::Write(1), Step::Write(1 << 2)])
+            let out = counter_worker(ctx, handle, vec![Step::Write(1), Step::Write(1 << 2)]);
+            done.store(true, Ordering::SeqCst);
+            out
         });
-        // Node 1: the first read triggers the eager fetch; the write then
-        // rides the update push; the final read must see it.
+        // Node 1: the first read triggers the eager fetch, whose install
+        // races both pushes and both one-way unlocks. Its write waits for
+        // node 0's second acknowledgement — the unlocks may still be in
+        // flight — because a write shipped earlier parks on the primary's
+        // object lock, and whether it or node 0's next write gets the lock
+        // node 0 frees between its two writes is the operating system's
+        // choice, not the scheduler's: schedules would stop replaying. It
+        // goes through the copy if the fetch left one; the final read must
+        // see it.
         let w1 = rt.fork_on(1, "mc-w1", move |ctx| {
-            counter_worker(
-                ctx,
-                handle,
-                vec![Step::Read, Step::Write(1 << 4), Step::Read],
-            )
+            let mut out = WorkerOutcome::default();
+            counter_steps(&ctx, handle, &[Step::Read], &mut out);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !pushed.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            counter_steps(&ctx, handle, &[Step::Write(1 << 4), Step::Read], &mut out);
+            out
         });
         let workers = vec![w0, w1];
         let driven = exec.drive(rt.network(), || all_finished(&workers));
@@ -891,7 +920,333 @@ impl Scenario for AdaptiveRegimeSwitch {
     }
 }
 
-/// All seven scenarios, one per protocol family plus the three crash lanes.
+// ---------------------------------------------------------------------------
+// 8 + 9. Writing through the writer's own copy (primary-copy and adaptive).
+// ---------------------------------------------------------------------------
+
+/// Failure-detector timing of the write-through scenarios, the crash lanes'
+/// own: detection well inside the settle budget, attempt slices short
+/// enough to notice it.
+fn mc_recovery() -> RecoveryConfig {
+    RecoveryConfig {
+        heartbeat_every: Duration::from_millis(25),
+        suspect_after: 12,
+        attempt_timeout: Duration::from_millis(250),
+        rehome_wait: Duration::from_secs(10),
+        ..RecoveryConfig::enabled()
+    }
+}
+
+/// What the processes of a write-through scenario share: the real-time
+/// floor of the counter, and the first observation that fell below it.
+///
+/// The workload only adds positive deltas, so the counter's value orders
+/// its states. Two-phase update promises that once *anyone* has observed a
+/// value — a read returned it, or a write was acknowledged with it — no
+/// copy serves an older one: every other copy applied the update before
+/// the first was unlocked, and the writer's own copy is pending until it
+/// has. Sequential consistency of one object cannot see a violation of
+/// that (each copy still walks the same history), but processes that talk
+/// through a second object, or this atomic, can; so every observation
+/// checks the floor it started above and then raises it.
+#[derive(Clone)]
+struct Witness {
+    floor: Arc<AtomicI64>,
+    stale: Arc<Mutex<Option<String>>>,
+    net: Network,
+}
+
+impl Witness {
+    fn new(net: &Network) -> Self {
+        Witness {
+            floor: Arc::new(AtomicI64::new(0)),
+            stale: Arc::new(Mutex::new(None)),
+            net: net.clone(),
+        }
+    }
+
+    /// Fail-stop: once `node` has crashed its processes no longer exist.
+    /// The simulation keeps their threads running against the node's
+    /// (now isolated, soon self-promoted) runtime, so whatever they
+    /// observe from the crash on is void.
+    fn crashed(&self, node: NodeId) -> bool {
+        self.net.is_crashed(node)
+    }
+
+    /// The floor an observation about to start must not fall below.
+    fn floor(&self) -> i64 {
+        self.floor.load(Ordering::SeqCst)
+    }
+
+    /// An observation that started above `floor` returned `value`.
+    fn observed(&self, node: NodeId, floor: i64, value: i64) {
+        if value < floor {
+            self.stale.lock().unwrap().get_or_insert_with(|| {
+                format!(
+                    "stale observation on {node}: {value:#x} after {floor:#x} had \
+                     already been observed elsewhere"
+                )
+            });
+        }
+        self.floor.fetch_max(value, Ordering::SeqCst);
+    }
+}
+
+/// [`counter_worker`] for a node the search may crash, reporting to a
+/// [`Witness`]: stops at the crash, and a write it cannot vouch for (it
+/// returned after the crash) counts as maybe-applied.
+fn witnessed_worker(
+    ctx: OrcaNode,
+    handle: ObjectHandle<IntObject>,
+    steps: Vec<Step>,
+    witness: Witness,
+) -> WorkerOutcome {
+    let me = ctx.node();
+    let mut out = WorkerOutcome::default();
+    for step in steps {
+        if witness.crashed(me) {
+            break;
+        }
+        let floor = witness.floor();
+        match step {
+            Step::Write(delta) => match ctx.invoke(handle, &IntOp::Add(delta)) {
+                Ok(sum) if !witness.crashed(me) => {
+                    out.acked_write(delta, sum);
+                    witness.observed(me, floor, sum);
+                }
+                _ => out.maybe_write(delta),
+            },
+            Step::Read => {
+                if let Ok(value) = ctx.invoke(handle, &IntOp::Value) {
+                    if !witness.crashed(me) {
+                        out.read(value);
+                        witness.observed(me, floor, value);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A process that does nothing but read its node's copy until told to
+/// stop (or its node crashes). Runs of equal values collapse to one
+/// history entry, which loses nothing for the consistency check and keeps
+/// its search small.
+fn witnessed_reader(
+    ctx: OrcaNode,
+    handle: ObjectHandle<IntObject>,
+    witness: Witness,
+    stop: Arc<AtomicBool>,
+) -> WorkerOutcome {
+    let me = ctx.node();
+    let mut out = WorkerOutcome::default();
+    while !stop.load(Ordering::SeqCst) && !witness.crashed(me) {
+        let floor = witness.floor();
+        if let Ok(value) = ctx.invoke(handle, &IntOp::Value) {
+            if witness.crashed(me) {
+                break;
+            }
+            if out.ops.last().map(|op| op.reply) != Some(value) {
+                out.read(value);
+            }
+            witness.observed(me, floor, value);
+        }
+        std::thread::sleep(Duration::from_micros(300));
+    }
+    out
+}
+
+/// The workload both write-through scenarios run once their runtime is
+/// primed (node 0 authoritative, copies on nodes 1 and 2): a writer on
+/// each copy holder — every write goes through the writer's own copy —
+/// and a reader beside each writer, reading that same copy while the
+/// write is in flight.
+fn run_write_through(
+    exec: &mut Execution<'_>,
+    rt: &OrcaRuntime,
+    handle: ObjectHandle<IntObject>,
+) -> Result<(), String> {
+    let witness = Witness::new(rt.network());
+    let stop = Arc::new(AtomicBool::new(false));
+    rt.network().set_scheduler(Some(exec.scheduler()));
+    let writers: Vec<_> = [1usize, 2]
+        .iter()
+        .map(|&node| {
+            let base = 4 * (node - 1) as i64;
+            let steps = vec![
+                Step::Write(1 << base),
+                Step::Read,
+                Step::Write(1 << (base + 2)),
+                Step::Read,
+            ];
+            let witness = witness.clone();
+            rt.fork_on(node, &format!("mc-w{node}"), move |ctx| {
+                witnessed_worker(ctx, handle, steps, witness)
+            })
+        })
+        .collect();
+    let readers: Vec<_> = [1usize, 2]
+        .iter()
+        .map(|&node| {
+            let (witness, stop) = (witness.clone(), Arc::clone(&stop));
+            rt.fork_on(node, &format!("mc-r{node}"), move |ctx| {
+                witnessed_reader(ctx, handle, witness, stop)
+            })
+        })
+        .collect();
+    let driven = exec.drive(rt.network(), || all_finished(&writers));
+    rt.network().set_scheduler(None);
+    if driven.is_ok() {
+        exec.settle(|| all_finished(&writers));
+    }
+    stop.store(true, Ordering::SeqCst);
+    driven?;
+    let processes = writers.into_iter().chain(readers).collect();
+    finish_counter(exec, rt, processes, handle)?;
+    let stale = witness.stale.lock().unwrap().take();
+    stale.map_or(Ok(()), Err)
+}
+
+/// Three nodes, primary-copy with two-phase updates: node 0 holds the
+/// primary, nodes 1 and 2 hold eagerly fetched copies (primed before the
+/// scheduler installs) and each runs a writer and a reader. Every write is
+/// shipped *through* the writer's copy — marked pending, left out of the
+/// primary's push, brought up to date from the acknowledgement — so the
+/// search interleaves each acknowledgement with the other holder's push
+/// and one-way unlock, the other writer's own write-through, and the
+/// reader polling the pending copy. It may crash node 2 (a copy holder,
+/// writer and reader with it) at any point: the primary's push to it then
+/// fails into the failure detector and the survivors carry on.
+///
+/// Checked: sequential consistency over writers *and* readers, no acked
+/// write lost, none applied twice, convergence of the live nodes,
+/// liveness, and the real-time floor of [`Witness`]. The
+/// `SKIP_WRITER_PENDING_MARK` mutation lets node 1's reader see the old
+/// value after node 2 has been unlocked on the new one; only the floor
+/// catches that.
+pub struct PrimaryWriteThroughCopy {
+    /// Exploration budgets.
+    pub budget: McConfig,
+}
+
+impl Default for PrimaryWriteThroughCopy {
+    fn default() -> Self {
+        PrimaryWriteThroughCopy {
+            budget: McConfig {
+                max_schedules: 64,
+                max_depth: 72,
+                quiesce_idle: Duration::from_millis(10),
+                crash_candidates: vec![NodeId(2)],
+                max_crashes: 1,
+                // Budget-capped: the interesting branches reorder the
+                // first write's acknowledgement, push and unlock.
+                shallow_first: true,
+                ..McConfig::default()
+            },
+        }
+    }
+}
+
+impl Scenario for PrimaryWriteThroughCopy {
+    fn name(&self) -> &'static str {
+        "primary_write_through_copy"
+    }
+
+    fn config(&self) -> McConfig {
+        self.budget.clone()
+    }
+
+    fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
+        let mut cfg = OrcaConfig::primary_copy(3, WritePolicy::Update);
+        cfg.strategy = RtsStrategy::PrimaryCopy {
+            policy: WritePolicy::Update,
+            replication: eager_replication(),
+        };
+        cfg.recovery = mc_recovery();
+        let rt = OrcaRuntime::start(cfg, standard_registry());
+        let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
+        for node in [1, 2] {
+            rt.context(node)
+                .invoke(handle, &IntOp::Value)
+                .map_err(|e| format!("priming read failed: {e}"))?;
+        }
+        run_write_through(exec, &rt, handle)
+    }
+}
+
+/// The same workload and checks as [`PrimaryWriteThroughCopy`] against the
+/// adaptive runtime's replicated regime: the counter is switched to
+/// `Replicated` and both mirrors primed before the scheduler installs, and
+/// usage reporting is off, so the regime stays put and every message in
+/// the schedule belongs to a write.
+pub struct AdaptiveWriteThroughMirror {
+    /// Exploration budgets.
+    pub budget: McConfig,
+}
+
+impl Default for AdaptiveWriteThroughMirror {
+    fn default() -> Self {
+        AdaptiveWriteThroughMirror {
+            budget: PrimaryWriteThroughCopy::default().budget,
+        }
+    }
+}
+
+impl Scenario for AdaptiveWriteThroughMirror {
+    fn name(&self) -> &'static str {
+        "adaptive_write_through_mirror"
+    }
+
+    fn config(&self) -> McConfig {
+        self.budget.clone()
+    }
+
+    fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
+        let mut cfg = OrcaConfig::adaptive(3);
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy {
+                // Evidence reaches the home only when `propose_regime`
+                // flushes it below; nothing reports or evaluates mid-run.
+                report_every: u64::MAX,
+                evaluate_every: u64::MAX,
+                min_accesses: 4,
+                replicate_ratio: 1.5,
+                regime_lease: Duration::from_secs(60),
+                stale_retry_delay: Duration::from_millis(300),
+                blocked_retry_delay: Duration::from_millis(300),
+                // Bounds what the crashed node's processes can spend on
+                // their way out.
+                op_timeout: Duration::from_secs(3),
+                read_lease_ms: 0,
+                ..AdaptivePolicy::default()
+            },
+        };
+        cfg.recovery = mc_recovery();
+        let rt = OrcaRuntime::start(cfg, standard_registry());
+        let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
+        let prime = |what: &str| -> Result<(), String> {
+            for node in [1, 2] {
+                for _ in 0..4 {
+                    rt.context(node)
+                        .invoke(handle, &IntOp::Value)
+                        .map_err(|e| format!("{what} read failed: {e}"))?;
+                }
+            }
+            Ok(())
+        };
+        prime("usage-priming")?;
+        if rt.propose_regime(handle.id()) != Some(orca_rts::RegimeKind::Replicated) {
+            return Err("priming did not switch the counter to the replicated regime".into());
+        }
+        // Warm each writer node's table cache and mirror.
+        prime("mirror-priming")?;
+        run_write_through(exec, &rt, handle)
+    }
+}
+
+/// All nine scenarios: one per protocol family, the three crash lanes, and
+/// the two write-through lanes.
 pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(BroadcastOrdering::default()),
@@ -901,5 +1256,7 @@ pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
         Box::new(PrimaryLeaseRevoke::default()),
         Box::new(ShardedHandoff::default()),
         Box::new(AdaptiveRegimeSwitch::default()),
+        Box::new(PrimaryWriteThroughCopy::default()),
+        Box::new(AdaptiveWriteThroughMirror::default()),
     ]
 }

@@ -14,7 +14,9 @@
 use std::sync::Mutex;
 
 use orca_mc::{explore, replay_trace, Scenario, Violation};
-use orca_rts::sabotage::{SabotageGuard, NO_VERSION_GATING, REHOME_KEEPS_STALE_COPIES};
+use orca_rts::sabotage::{
+    SabotageGuard, NO_VERSION_GATING, REHOME_KEEPS_STALE_COPIES, SKIP_WRITER_PENDING_MARK,
+};
 
 static LANE: Mutex<()> = Mutex::new(());
 
@@ -67,4 +69,21 @@ fn skipping_era_replay_is_caught_and_replays() {
     let mut scenario = orca_mc::BroadcastEraReplay::default();
     scenario.budget.max_schedules = 384;
     expect_caught(&scenario);
+}
+
+#[test]
+fn skipped_writer_pending_mark_is_caught_and_replays() {
+    let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _sabotage = SabotageGuard::enable(&SKIP_WRITER_PENDING_MARK);
+    for scenario in [
+        &orca_mc::PrimaryWriteThroughCopy::default() as &dyn Scenario,
+        &orca_mc::AdaptiveWriteThroughMirror::default(),
+    ] {
+        let violation = expect_caught(scenario);
+        assert!(
+            violation.message.contains("stale observation"),
+            "caught for the wrong reason: {}",
+            violation.message
+        );
+    }
 }

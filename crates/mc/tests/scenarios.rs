@@ -3,7 +3,7 @@
 //!
 //! The four crash-free scenarios (one per runtime-system family) must
 //! explore their full interleaving tree — `complete` in the report — within
-//! the state budget; the three crash scenarios may legitimately hit their
+//! the state budget; the five crash scenarios may legitimately hit their
 //! schedule budgets (crash-at-every-point multiplies the tree) and only
 //! assert no violation.
 //!
@@ -82,4 +82,14 @@ fn primary_promotion_survives_home_crash_everywhere() {
 #[test]
 fn primary_lease_revoke_keeps_leased_reads_linearizable() {
     run(&orca_mc::PrimaryLeaseRevoke::default(), false);
+}
+
+#[test]
+fn primary_write_through_copy_never_serves_a_stale_copy() {
+    run(&orca_mc::PrimaryWriteThroughCopy::default(), false);
+}
+
+#[test]
+fn adaptive_write_through_mirror_never_serves_a_stale_mirror() {
+    run(&orca_mc::AdaptiveWriteThroughMirror::default(), false);
 }

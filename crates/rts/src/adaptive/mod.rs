@@ -10,9 +10,10 @@
 //!
 //! * **Replicated** — one authoritative copy at the object's home node plus
 //!   a read mirror on every node. Writes execute at home, which pushes
-//!   sequence-numbered updates to all mirrors (two-phase lock/unlock, like
-//!   the primary-copy update protocol); reads are local. For
-//!   read-dominated objects.
+//!   sequence-numbered updates to all mirrors (two-phase lock/unlock — the
+//!   primary-copy update protocol's fan-out, shared in the `update`
+//!   module); a writer that holds a mirror writes *through* it and is left
+//!   out of the push. Reads are local. For read-dominated objects.
 //! * **Primary** — a single copy at the home node, all remote operations
 //!   shipped by RPC. For mixed or low-traffic objects (and the regime
 //!   every object starts in).
@@ -90,12 +91,13 @@ use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
 use orca_telemetry::{trace, FlightKind};
 use orca_wire::{BatchOp, BatchOutcome, DedupWindow, LeaseGrant, OpStamp, Wire};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
 use crate::primary::LeaseCounters;
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
+use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use policy::{pick_regime, UsageAggregate};
@@ -154,29 +156,15 @@ struct SlotLeases {
     fence: Option<Instant>,
 }
 
-/// One node's read mirror of a replicated-regime object.
-#[derive(Default)]
-struct MirrorState {
-    copy: Option<Box<dyn AnyReplica>>,
-    /// Epoch the mirror belongs to.
-    epoch: u64,
-    /// Sequence number of the last update applied to `copy`.
-    seq: u64,
-    /// Highest update sequence number *observed* for this epoch, applied
-    /// or not. A fetch that returns state older than this raced a
-    /// concurrent update and is retried instead of installed.
-    seen_seq: u64,
-    /// True between the update and unlock phases of a push; reads wait.
-    locked: bool,
-    /// Dedup window mirroring the home's, kept as fresh as `copy` by the
-    /// stamped piggyback on update pushes — what lets an adopted home
-    /// answer retries of writes the dead home already applied.
-    dedup: DedupWindow,
-    /// Read lease over `copy`, when the home grants leases. Reads serve
-    /// locally only while it is valid; a lapsed lease forces a re-sync
-    /// from the home (which doubles as the renewal).
-    lease: Option<MirrorLease>,
-}
+/// One node's read mirror of a replicated-regime object: the copy the
+/// update protocol keeps current (its version is the sequence number of
+/// the last update applied), under this runtime's lease record. Reads
+/// serve locally only while the lease is valid; a lapsed lease forces a
+/// re-sync from the home (which doubles as the renewal).
+type MirrorState = CopyState<MirrorLease>;
+
+/// A mirror with the condition variable its readers and writers park on.
+type Mirror = HeldCopy<MirrorLease>;
 
 /// Holder-side record of the lease covering the local mirror.
 struct MirrorLease {
@@ -186,11 +174,6 @@ struct MirrorLease {
     detector_epoch: u64,
     /// Expiry on the holder's clock (`valid_ms` from receipt).
     expires: Instant,
-}
-
-struct Mirror {
-    state: Mutex<MirrorState>,
-    unlocked: Condvar,
 }
 
 /// Home-node record of one object this node created.
@@ -249,6 +232,8 @@ struct Inner {
     /// Cached `rts.lease.*` telemetry counters (shared names with the
     /// primary-copy RTS).
     lease_counters: LeaseCounters,
+    /// This node's end of the two-phase update fan-out.
+    updates: UpdateChannel,
     /// Batching knobs of the asynchronous path.
     batch_policy: Arc<Mutex<BatchPolicy>>,
 }
@@ -289,17 +274,15 @@ impl Inner {
     }
 }
 
-/// Install a received grant as the mirror-side lease (validity counted
-/// from receipt, on the holder's own clock and detector epoch).
-fn install_mirror_lease(inner: &Inner, state: &mut MirrorState, grant: &LeaseGrant) {
-    // A grant for a different regime epoch covers a copy this mirror does
-    // not hold; never let it bless the current one.
-    if grant.epoch == state.epoch {
-        state.lease = Some(MirrorLease {
-            detector_epoch: inner.detector_epoch(),
-            expires: Instant::now() + Duration::from_millis(grant.valid_ms),
-        });
-    }
+/// The mirror-side lease a received grant amounts to for a mirror of regime
+/// `epoch` (validity counted from receipt, on the holder's own clock and
+/// detector epoch). A grant for a different regime epoch covers a copy this
+/// mirror does not hold and must never bless the current one.
+fn mirror_lease(inner: &Inner, grant: &LeaseGrant, epoch: u64) -> Option<MirrorLease> {
+    (grant.epoch == epoch).then(|| MirrorLease {
+        detector_epoch: inner.detector_epoch(),
+        expires: Instant::now() + Duration::from_millis(grant.valid_ms),
+    })
 }
 
 /// True while the mirror-side lease permits zero-message local reads.
@@ -379,6 +362,7 @@ impl AdaptiveRts {
             next_async: AtomicU64::new(1),
             next_stamp: AtomicU64::new(1),
             lease_counters: LeaseCounters::from_handle(&handle),
+            updates: UpdateChannel::new(&handle, ports::RTS_ADAPTIVE),
             batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
         });
         let service_inner = Arc::clone(&inner);
@@ -869,6 +853,7 @@ impl AdaptiveRts {
                 op,
                 stamp,
                 self.inner.node,
+                false,
             )
         } else {
             self.rpc(
@@ -928,8 +913,9 @@ impl AdaptiveRts {
                 }
                 continue;
             }
-            if state.locked {
-                // A two-phase update is in flight; wait for its unlock. A
+            if state.reads_blocked() {
+                // A two-phase update (or a write of this node through the
+                // mirror) is in flight; wait for its unlock. A
                 // lock that never clears (the unlock was lost to a crash
                 // mid-push) must not wedge this mirror forever: once the
                 // deadline passes, discard the copy — the next read
@@ -964,6 +950,99 @@ impl AdaptiveRts {
         }
     }
 
+    /// Ship a replicated-regime write *through* this node's mirror: mark it
+    /// pending, send [`RegimeMsg::WriteThrough`] — the home then pushes the
+    /// update to the other mirrors only — and apply the operation here from
+    /// the acknowledgement ([`finish_write_through`]). `None` when this node
+    /// is the home or holds no installed mirror of the table's epoch; the
+    /// write then ships as a plain [`RegimeMsg::Op`]. The mark lasts one
+    /// attempt: a guard-blocked write retries through the invocation loop
+    /// and must not keep this node's readers waiting meanwhile.
+    fn write_through(
+        &self,
+        table: &RegimeTable,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        deadline: Instant,
+    ) -> Option<Result<PartOutcome, RtsError>> {
+        let home = NodeId(table.owners[0]);
+        if home == self.inner.node {
+            return None;
+        }
+        let object = table_object(table);
+        let mirror = mirror_entry(&self.inner, object);
+        if !mirror.mark_pending(table.epoch) {
+            return None;
+        }
+        let msg = RegimeMsg::WriteThrough {
+            object: object.0,
+            epoch: table.epoch,
+            op: op.to_vec(),
+            trace: trace::current(),
+            stamp,
+        };
+        let answer = self.rpc(home, &msg, deadline);
+        Some(self.finish_write_through(&mirror, table.epoch, op, stamp, home, answer))
+    }
+
+    /// Close one write-through attempt: tell the mirror what the home's
+    /// answer means for it ([`WriteAck`]) — which also clears the attempt's
+    /// pending mark — and turn the answer into the attempt's outcome.
+    ///
+    /// * `Installed` — the mirror applies the operation bytes still in hand
+    ///   at the sequence number the home applied them at.
+    /// * `Blocked` / `StaleRegime` — nothing was applied under this epoch;
+    ///   the mirror is as current as it was (a retired regime's mirror goes
+    ///   with its `DropMirror`).
+    /// * A plain `Done` — the home answered a retry from its dedup window
+    ///   (or serves no mirrors): the mirror may have missed the write and
+    ///   is dropped.
+    /// * An error or a timeout — the write may or may not have been
+    ///   applied. With the home alive the mirror is dropped; with the home
+    ///   dead and re-homing on it is left *locked*, like a mirror caught
+    ///   mid-push: it still answers the adopter's `MirrorQuery` and may be
+    ///   the freshest state alive.
+    fn finish_write_through(
+        &self,
+        mirror: &Mirror,
+        epoch: u64,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        home: NodeId,
+        answer: Result<RegimeReply, RtsError>,
+    ) -> Result<PartOutcome, RtsError> {
+        let inner = &self.inner;
+        let (ack, outcome) = match answer {
+            Ok(RegimeReply::Installed { reply, seq, lease }) => {
+                let ack = WriteAck::Installed {
+                    version: seq,
+                    stamped: stamp.map(|stamp| (stamp, reply.clone())),
+                    lease: lease.and_then(|grant| mirror_lease(inner, &grant, epoch)),
+                };
+                (ack, Ok(PartOutcome::Done(reply)))
+            }
+            Ok(RegimeReply::Blocked) => (WriteAck::NotApplied, Ok(PartOutcome::Blocked)),
+            Ok(RegimeReply::StaleRegime) => (WriteAck::NotApplied, Ok(PartOutcome::Stale)),
+            Ok(RegimeReply::Done(reply)) => (WriteAck::Unsynced, Ok(PartOutcome::Done(reply))),
+            Ok(RegimeReply::Error(msg)) => (WriteAck::Unsynced, Err(RtsError::Communication(msg))),
+            Ok(other) => (
+                WriteAck::Unsynced,
+                Err(RtsError::Communication(format!(
+                    "unexpected WriteThrough reply {other:?}"
+                ))),
+            ),
+            Err(err) => {
+                if inner.recovery.rehome && is_dead(&inner.detector, home) {
+                    (WriteAck::AuthorityLost, Err(err))
+                } else {
+                    (WriteAck::Unsynced, Err(err))
+                }
+            }
+        };
+        mirror.finish_write_through(&inner.updates, epoch, op, ack, inner.policy.op_timeout);
+        outcome
+    }
+
     /// Fetch a fresh mirror state from the home. Returns false when the
     /// home says the epoch is stale (caller re-fetches the table).
     fn fetch_mirror(
@@ -993,24 +1072,13 @@ impl AdaptiveRts {
                     // would regress it. Treat the fetch as stale.
                     return Ok(false);
                 }
-                if guard.epoch == table.epoch && guard.seen_seq > seq {
-                    // An update raced ahead of this snapshot; fetch again.
-                    return Ok(true);
+                guard.enter_epoch(table.epoch);
+                let lease = lease.and_then(|grant| mirror_lease(&self.inner, &grant, table.epoch));
+                // A snapshot an update raced ahead of is not installed; the
+                // caller fetches again.
+                if guard.install_snapshot(replica, seq, dedup, lease) {
+                    RtsStats::bump(&self.inner.stats.copies_fetched);
                 }
-                if guard.epoch != table.epoch {
-                    guard.seen_seq = seq;
-                }
-                guard.epoch = table.epoch;
-                guard.copy = Some(replica);
-                guard.seq = seq;
-                guard.seen_seq = guard.seen_seq.max(seq);
-                guard.locked = false;
-                guard.dedup = dedup;
-                guard.lease = None;
-                if let Some(grant) = &lease {
-                    install_mirror_lease(&self.inner, &mut guard, grant);
-                }
-                RtsStats::bump(&self.inner.stats.copies_fetched);
                 Ok(true)
             }
             RegimeReply::StaleRegime => Ok(false),
@@ -1123,7 +1191,10 @@ impl AdaptiveRts {
                 }
                 OpKind::Write => {
                     self.record_invocation(table.owners[0] == me, kind);
-                    self.slot_op(table, 0, op, stamp, deadline)
+                    match self.write_through(table, op, stamp, deadline) {
+                        Some(outcome) => outcome,
+                        None => self.slot_op(table, 0, op, stamp, deadline),
+                    }
                 }
             },
             RegimeKind::Sharded => {
@@ -1411,7 +1482,18 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
                 &op,
                 stamp,
                 caller,
+                false,
             )
+        }
+        RegimeMsg::WriteThrough {
+            object,
+            epoch,
+            op,
+            trace,
+            stamp,
+        } => {
+            let _span = trace::enter(trace);
+            apply_at_slot(inner, ObjectId(object), 0, epoch, &op, stamp, caller, true)
         }
         RegimeMsg::OpBatch { ops } => RegimeReply::Batch(apply_op_batch(inner, &ops, caller)),
         RegimeMsg::OpAll { object, op, trace } => {
@@ -1503,10 +1585,7 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             if let Some(mirror) = mirror {
                 let mut state = mirror.state.lock();
                 if state.epoch <= epoch {
-                    state.copy = None;
-                    state.locked = false;
-                    state.lease = None;
-                    state.dedup = DedupWindow::new();
+                    state.discard();
                     mirror.unlocked.notify_all();
                 }
             }
@@ -1518,7 +1597,7 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             seq,
             op,
             stamped,
-        } => apply_update(inner, ObjectId(object), epoch, seq, &op, stamped),
+        } => apply_update(inner, ObjectId(object), epoch, seq, op, stamped),
         RegimeMsg::Unlock {
             object,
             epoch,
@@ -1527,19 +1606,11 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
         } => {
             let mirror = inner.mirrors.read().get(&ObjectId(object)).cloned();
             if let Some(mirror) = mirror {
-                let mut state = mirror.state.lock();
-                if state.epoch == epoch && state.seq <= seq {
-                    state.locked = false;
-                    // The unlock doubles as the lease renewal: the mirror
-                    // is current again (or will re-sync on its next read
-                    // if it dropped the copy on a gap).
-                    if let Some(grant) = &lease {
-                        if state.copy.is_some() {
-                            install_mirror_lease(inner, &mut state, grant);
-                        }
-                    }
-                }
-                mirror.unlocked.notify_all();
+                // The unlock doubles as the lease renewal: the mirror is
+                // current again (or will re-sync on its next read if it
+                // dropped the copy on a gap).
+                let lease = lease.and_then(|grant| mirror_lease(inner, &grant, epoch));
+                mirror.unlock(epoch, seq, lease);
             }
             RegimeReply::Ack
         }
@@ -1563,7 +1634,7 @@ fn serve_mirror_query(inner: &Arc<Inner>, object: ObjectId) -> RegimeReply {
         Some(copy) => RegimeReply::MirrorReport {
             mirror: Some((
                 state.epoch,
-                state.seq,
+                state.version,
                 copy.type_name().to_string(),
                 copy.state_bytes(),
             )),
@@ -1704,6 +1775,7 @@ fn apply_op_batch(inner: &Arc<Inner>, ops: &[BatchOp], caller: NodeId) -> Vec<Ba
                 &op.op,
                 None,
                 inner.node,
+                false,
             ) {
                 RegimeReply::Done(reply) => BatchOutcome::Done(reply),
                 RegimeReply::Blocked => BatchOutcome::Blocked,
@@ -1719,7 +1791,12 @@ fn apply_op_batch(inner: &Arc<Inner>, ops: &[BatchOp], caller: NodeId) -> Vec<Ba
 /// the epoch and withdrawn-mark discipline. For the home copy of a
 /// replicated-regime object, completed writes are pushed to every mirror
 /// while the replica mutex is still held, which keeps the update stream in
-/// sequence order.
+/// sequence order. `through` marks a write the caller ships through its own
+/// mirror: when it is freshly applied on a pushing slot, the caller is left
+/// out of the push and answered [`RegimeReply::Installed`]; in every other
+/// case (retry answered from the dedup window, slot without mirrors) the
+/// plain reply tells the caller its mirror is not being kept current.
+#[allow(clippy::too_many_arguments)]
 fn apply_at_slot(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -1728,6 +1805,7 @@ fn apply_at_slot(
     op: &[u8],
     stamp: Option<OpStamp>,
     caller: NodeId,
+    through: bool,
 ) -> RegimeReply {
     let slot = inner.slots.read().get(&(object, partition)).cloned();
     let Some(slot) = slot else {
@@ -1785,7 +1863,17 @@ fn apply_at_slot(
                 }
                 if slot.push_updates {
                     let seq = replica.version();
-                    push_update(inner, &slot, object, epoch, seq, op, stamped);
+                    let skip = through.then_some(caller);
+                    push_update(inner, &slot, object, epoch, seq, op, stamped, skip);
+                    if through {
+                        // The writer's renewal rides the acknowledgement,
+                        // booked like the others when it is sent.
+                        let lease = inner.leases_enabled().then(|| {
+                            renew_mirror_grant(inner, &slot, caller);
+                            inner.lease_grant(object, epoch, seq)
+                        });
+                        return RegimeReply::Installed { reply, seq, lease };
+                    }
                 }
             }
             RegimeReply::Done(reply)
@@ -1795,14 +1883,16 @@ fn apply_at_slot(
     }
 }
 
-/// Push one committed write to every mirror (two-phase: update-and-lock,
-/// then unlock). Without read leases this is best-effort under crashes: a
-/// mirror that misses an update detects the sequence gap on the next one
-/// and re-syncs from the home. With leases enabled the unlock doubles as
-/// the lease renewal, and a mirror a push could not reach has its
-/// outstanding grant *settled* — the write waits out the grant's
-/// conservative expiry before it is acknowledged, so no node can still be
-/// serving leased reads of the pre-write state when the writer continues.
+/// Push one committed write to every mirror but `skip` — a writer bringing
+/// its own mirror up to date from the acknowledgement — in two phases:
+/// update-and-lock, then a one-way unlock ([`UpdateChannel::two_phase`]). Without
+/// read leases this is best-effort under crashes: a mirror that misses an
+/// update detects the sequence gap on the next one and re-syncs from the
+/// home. With leases enabled the unlock doubles as the lease renewal, and
+/// a mirror a push could not reach has its outstanding grant *settled* —
+/// the write waits out the grant's conservative expiry before it is
+/// acknowledged, so no node can still be serving leased reads of the
+/// pre-write state when the writer continues.
 ///
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
@@ -1810,6 +1900,7 @@ fn apply_at_slot(
 /// rest of the push is skipped, and the home still answers the writer
 /// before *its* deadline expires — a committed write must not be reported
 /// as a timeout just because a mirror is unreachable.
+#[allow(clippy::too_many_arguments)]
 fn push_update(
     inner: &Arc<Inner>,
     slot: &Slot,
@@ -1818,61 +1909,57 @@ fn push_update(
     seq: u64,
     op: &[u8],
     stamped: Option<(OpStamp, Vec<u8>)>,
+    skip: Option<NodeId>,
 ) {
     let deadline = Instant::now() + inner.policy.op_timeout / 2;
     let others: Vec<NodeId> = (0..inner.num_nodes)
         .map(NodeId::from)
-        .filter(|n| *n != inner.node && !is_dead(&inner.detector, *n))
+        .filter(|n| *n != inner.node && Some(*n) != skip && !is_dead(&inner.detector, *n))
         .collect();
-    // Encode each phase once and fan the bytes out; the per-destination
-    // copy is unavoidable (the transport owns its buffer) but the encoding
-    // work is not.
-    let mut buf = Vec::new();
-    RegimeMsg::Update {
+    // Each phase is encoded once and the bytes fanned out. The grant is
+    // identical for all holders (validity counts from each holder's own
+    // receipt), so that holds for the unlock too.
+    let update = RegimeMsg::Update {
         object: object.0,
         epoch,
         seq,
         op: op.to_vec(),
         stamped,
     }
-    .encode_into(&mut buf);
-    let mut failed: Vec<NodeId> = Vec::new();
-    for node in &others {
-        if regime_rpc_raw(inner, *node, buf.clone(), deadline).is_err() {
-            failed.push(*node);
-        }
-    }
-    // The unlock renews every reachable mirror's lease. The grant is
-    // identical for all holders (validity counts from each holder's own
-    // receipt), so one encoding serves the whole fan-out here too.
+    .to_bytes();
     let lease = inner
         .leases_enabled()
         .then(|| inner.lease_grant(object, epoch, seq));
-    buf.clear();
-    RegimeMsg::Unlock {
+    let unlock = RegimeMsg::Unlock {
         object: object.0,
         epoch,
         seq,
         lease,
     }
-    .encode_into(&mut buf);
-    for node in &others {
-        if failed.contains(node) {
-            continue;
-        }
-        if regime_rpc_raw(inner, *node, buf.clone(), deadline).is_ok() {
-            if inner.leases_enabled() {
-                slot.leases
-                    .lock()
-                    .grants
-                    .insert(node.0, Instant::now() + inner.grant_span());
-                inner.lease_counters.renewals.inc();
+    .to_bytes();
+    let failed = inner.updates.two_phase(
+        &others,
+        &update,
+        |node, body| regime_rpc_raw(inner, node, body, deadline).is_ok(),
+        |node| {
+            if lease.is_some() {
+                renew_mirror_grant(inner, slot, node);
             }
-        } else {
-            failed.push(*node);
-        }
-    }
+            unlock.clone()
+        },
+    );
     settle_failed_mirror_leases(inner, slot, &failed);
+}
+
+/// Book a renewed lease for `holder`'s mirror, as it is sent: the holder
+/// counts validity from receipt, so the grantor's conservative expiry can
+/// only outlast it.
+fn renew_mirror_grant(inner: &Inner, slot: &Slot, holder: NodeId) {
+    slot.leases
+        .lock()
+        .grants
+        .insert(holder.0, Instant::now() + inner.grant_span());
+    inner.lease_counters.renewals.inc();
 }
 
 /// Wait out the outstanding read-lease grants of mirrors an update push
@@ -1931,12 +2018,11 @@ fn mirror_entry(inner: &Arc<Inner>, object: ObjectId) -> Arc<Mirror> {
         return Arc::clone(entry);
     }
     let mut mirrors = inner.mirrors.write();
-    Arc::clone(mirrors.entry(object).or_insert_with(|| {
-        Arc::new(Mirror {
-            state: Mutex::new(MirrorState::default()),
-            unlocked: Condvar::new(),
-        })
-    }))
+    Arc::clone(
+        mirrors
+            .entry(object)
+            .or_insert_with(|| Arc::new(Mirror::default())),
+    )
 }
 
 /// Apply one sequence-numbered update to the local mirror. Out-of-order
@@ -1949,56 +2035,13 @@ fn apply_update(
     object: ObjectId,
     epoch: u64,
     seq: u64,
-    op: &[u8],
+    op: Vec<u8>,
     stamped: Option<(OpStamp, Vec<u8>)>,
 ) -> RegimeReply {
     let mirror = mirror_entry(inner, object);
-    let mut state = mirror.state.lock();
-    if epoch < state.epoch {
-        return RegimeReply::Ack;
-    }
-    if epoch > state.epoch {
-        state.epoch = epoch;
-        state.copy = None;
-        state.seq = 0;
-        state.seen_seq = 0;
-        state.lease = None;
-        state.dedup = DedupWindow::new();
-    }
-    state.seen_seq = state.seen_seq.max(seq);
-    let applied_seq = state.seq;
-    if state.copy.is_some() {
-        if seq == applied_seq + 1 {
-            let outcome = state
-                .copy
-                .as_mut()
-                .expect("checked above")
-                .apply_encoded(op);
-            match outcome {
-                Ok(_) => {
-                    state.seq = seq;
-                    state.locked = true;
-                    // The window stays exactly as fresh as the copy: both
-                    // advance in the same critical section.
-                    if let Some((stamp, reply)) = stamped {
-                        state.dedup.record(stamp, reply);
-                    }
-                    RtsStats::bump(&inner.stats.updates_applied);
-                }
-                Err(_) => {
-                    state.copy = None;
-                    state.lease = None;
-                    state.dedup = DedupWindow::new();
-                }
-            }
-        } else if seq > applied_seq + 1 {
-            // Gap: an update was lost; drop the copy and re-sync on the
-            // next read.
-            state.copy = None;
-            state.lease = None;
-            state.dedup = DedupWindow::new();
-        }
-        // seq <= state.seq: duplicate, ignore.
+    let budget = inner.policy.op_timeout;
+    if mirror.apply_pushed(epoch, seq, &[op], stamped, budget) > 0 {
+        RtsStats::bump(&inner.stats.updates_applied);
     }
     RegimeReply::Ack
 }
@@ -2023,30 +2066,16 @@ fn install_mirror(
     if epoch < state.epoch {
         return RegimeReply::Ack;
     }
-    if epoch > state.epoch {
-        state.epoch = epoch;
-        state.seq = 0;
-        state.seen_seq = 0;
-        state.lease = None;
-    }
-    if state.seen_seq > seq {
+    state.enter_epoch(epoch);
+    let lease = lease.and_then(|grant| mirror_lease(inner, &grant, epoch));
+    if state.install_snapshot(replica, seq, dedup, lease) {
+        RtsStats::bump(&inner.stats.copies_fetched);
+    } else {
         // An update for this epoch raced ahead of the snapshot; leave the
         // copy absent so the first read fetches a fresh one.
-        state.copy = None;
-        state.lease = None;
-        state.dedup = DedupWindow::new();
-        return RegimeReply::Ack;
-    }
-    state.copy = Some(replica);
-    state.seq = seq;
-    state.seen_seq = state.seen_seq.max(seq);
-    state.locked = false;
-    state.dedup = dedup;
-    if let Some(grant) = &lease {
-        install_mirror_lease(inner, &mut state, grant);
+        state.discard();
     }
     mirror.unlocked.notify_all();
-    RtsStats::bump(&inner.stats.copies_fetched);
     RegimeReply::Ack
 }
 
@@ -2113,7 +2142,7 @@ fn serve_op_all(inner: &Arc<Inner>, object: ObjectId, op: &[u8], caller: NodeId)
             // applies directly. All-routed ops stay unstamped — their
             // shares would need per-partition stamps minted here, not at
             // the client, to dedup safely.
-            apply_at_slot(inner, object, 0, table.epoch, op, None, caller)
+            apply_at_slot(inner, object, 0, table.epoch, op, None, caller, false)
         }
         RegimeKind::Sharded => {
             let Some(logic) = inner.registry.shard_logic(&table.type_name) else {
@@ -2128,7 +2157,16 @@ fn serve_op_all(inner: &Arc<Inner>, object: ObjectId, op: &[u8], caller: NodeId)
                 };
                 let owner = NodeId(table.owners[partition as usize]);
                 let reply = if owner == inner.node {
-                    apply_at_slot(inner, object, partition, table.epoch, &share, None, caller)
+                    apply_at_slot(
+                        inner,
+                        object,
+                        partition,
+                        table.epoch,
+                        &share,
+                        None,
+                        caller,
+                        false,
+                    )
                 } else {
                     match regime_rpc(
                         inner,
@@ -3188,8 +3226,26 @@ mod tests {
             .unwrap();
         let stamp = OpStamp { origin: 1, seq: 77 };
         let op = AccumulatorOp::Add(5).to_bytes();
-        let first = apply_at_slot(&rtses[0].inner, id, 0, 0, &op, Some(stamp), NodeId(1));
-        let retry = apply_at_slot(&rtses[0].inner, id, 0, 0, &op, Some(stamp), NodeId(1));
+        let first = apply_at_slot(
+            &rtses[0].inner,
+            id,
+            0,
+            0,
+            &op,
+            Some(stamp),
+            NodeId(1),
+            false,
+        );
+        let retry = apply_at_slot(
+            &rtses[0].inner,
+            id,
+            0,
+            0,
+            &op,
+            Some(stamp),
+            NodeId(1),
+            false,
+        );
         let RegimeReply::Done(first) = first else {
             panic!("first apply failed");
         };
@@ -3222,17 +3278,31 @@ mod tests {
             .unwrap();
         let stamp = OpStamp { origin: 1, seq: 3 };
         let op = AccumulatorOp::Add(9).to_bytes();
-        let RegimeReply::Done(_) =
-            apply_at_slot(&rtses[0].inner, id, 0, 0, &op, Some(stamp), NodeId(1))
-        else {
+        let RegimeReply::Done(_) = apply_at_slot(
+            &rtses[0].inner,
+            id,
+            0,
+            0,
+            &op,
+            Some(stamp),
+            NodeId(1),
+            false,
+        ) else {
             panic!("stamped write failed");
         };
         let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
         switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
         let (_, epoch) = rtses[0].regime_of(id).unwrap();
-        let RegimeReply::Done(reply) =
-            apply_at_slot(&rtses[0].inner, id, 0, epoch, &op, Some(stamp), NodeId(1))
-        else {
+        let RegimeReply::Done(reply) = apply_at_slot(
+            &rtses[0].inner,
+            id,
+            0,
+            epoch,
+            &op,
+            Some(stamp),
+            NodeId(1),
+            false,
+        ) else {
             panic!("re-presented write was not answered");
         };
         assert_eq!(i64::from_bytes(&reply).unwrap(), 9);
@@ -3320,6 +3390,125 @@ mod tests {
             slot.leases.lock().fence.is_none(),
             "the write consumed the fence"
         );
+        shutdown_all(&rtses);
+    }
+    /// Three nodes, `id` in the replicated regime with long-leased mirrors
+    /// everywhere and every node's table cache warm; no usage reports.
+    fn replicated_cluster(net: &Network, op_timeout: Duration) -> (Vec<AdaptiveRts>, ObjectId) {
+        let policy = AdaptivePolicy {
+            op_timeout,
+            report_every: u64::MAX,
+            regime_lease: Duration::from_secs(10),
+            read_lease_ms: 10_000,
+            ..AdaptivePolicy::eager()
+        };
+        let rtses = start_all(net, policy);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
+        switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
+        for rts in &rtses {
+            assert_eq!(read(rts, id), 0);
+        }
+        (rtses, id)
+    }
+
+    /// The tentpole's cost claim for the replicated regime, counted on the
+    /// wire: with mirrors on both other nodes and the writer one of them a
+    /// write is WriteThrough + Update + ack + Unlock + Installed; under the
+    /// primary regime (no mirrors) it is the request and the reply.
+    #[test]
+    fn replicated_write_costs_five_messages_and_a_primary_regime_write_two() {
+        let net = Network::reliable(3);
+        let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
+        let counters = &rtses[0].inner.updates;
+        let renewals = rtses[0].inner.lease_counters.renewals.get();
+        let before = net.stats();
+        assert_eq!(add(&rtses[1], id, 3), 3);
+        assert_eq!(net.stats().since(&before).total_messages(), 5);
+        assert_eq!(counters.pushes.get(), 1);
+        assert_eq!(counters.unlock_notifies.get(), 1);
+        assert_eq!(counters.reply_installs.get(), 1);
+        assert_eq!(
+            rtses[0].inner.lease_counters.renewals.get(),
+            renewals + 2,
+            "both mirrors' leases are renewed: one by the unlock, one by the reply"
+        );
+        // Both mirrors are current and serve reads locally.
+        let before = net.stats();
+        assert_eq!(read(&rtses[1], id), 3);
+        assert_eq!(read(&rtses[2], id), 3);
+        assert_eq!(net.stats().since(&before).total_messages(), 0);
+
+        let lonely = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(add(&rtses[1], lonely, 1), 1); // fetches the table
+        let before = net.stats();
+        assert_eq!(add(&rtses[1], lonely, 1), 2);
+        assert_eq!(net.stats().since(&before).total_messages(), 2);
+        shutdown_all(&rtses);
+    }
+
+    /// Two writers on one mirror-holding node, racing a writer on another:
+    /// acknowledgements and pushed updates that arrive ahead of their
+    /// predecessor wait for it, and no mirror is ever re-fetched.
+    #[test]
+    fn concurrent_write_throughs_keep_every_mirror_and_converge() {
+        let net = Network::reliable(3);
+        let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
+        let fetched: Vec<u64> = rtses.iter().map(|r| r.stats().copies_fetched).collect();
+        const PER_WRITER: i64 = 40;
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let writers: Vec<_> = [1usize, 1, 2]
+            .into_iter()
+            .map(|node| {
+                let rts = rtses[node].clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_WRITER {
+                        add(&rts, id, 1);
+                        // Read-your-writes on the local mirror, every time.
+                        assert!(read(&rts, id) >= 1);
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        for (rts, fetched) in rtses.iter().zip(fetched) {
+            assert_eq!(read(rts, id), 3 * PER_WRITER);
+            assert_eq!(rts.stats().copies_fetched, fetched, "mirror re-fetched");
+        }
+        assert_eq!(
+            rtses[0].inner.updates.reply_installs.get(),
+            3 * PER_WRITER as u64
+        );
+        shutdown_all(&rtses);
+    }
+
+    /// A write-through whose acknowledgement does not arrive in time may
+    /// have been applied: the writer's mirror must stop serving reads.
+    #[test]
+    fn timed_out_write_through_drops_the_mirror() {
+        let net = Network::reliable(3);
+        let (rtses, id) = replicated_cluster(&net, Duration::from_millis(200));
+        // The home never answers; the write times out at the writer.
+        net.crash(NodeId(0));
+        let write = rtses[1].invoke(
+            id,
+            Accumulator::TYPE_NAME,
+            OpKind::Write,
+            &AccumulatorOp::Add(9).to_bytes(),
+        );
+        assert_eq!(write, Err(RtsError::Timeout));
+        let mirror = mirror_entry(&rtses[1].inner, id);
+        let state = mirror.state.lock();
+        assert!(state.copy.is_none() && state.pending_writes == 0);
+        drop(state);
         shutdown_all(&rtses);
     }
 }

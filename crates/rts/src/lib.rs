@@ -72,6 +72,7 @@ pub mod recovery;
 pub mod sabotage;
 pub mod sharded;
 pub mod stats;
+mod update;
 
 pub use adaptive::{AdaptivePolicy, AdaptiveRts};
 pub use broadcast_rts::BroadcastRts;

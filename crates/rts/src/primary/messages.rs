@@ -35,8 +35,9 @@ fn decode_stamped(dec: &mut Decoder<'_>) -> WireResult<Option<StampedReply>> {
 
 /// Requests sent to a node's primary-copy RTS service.
 ///
-/// The first four are client → primary requests; the rest are
-/// primary → secondary requests used by the write and lease protocols.
+/// `ReadAt`, `WriteAt`, `WriteThrough`, `FetchCopy`, `DropCopy` and
+/// `WriteBatch` are client → primary requests; the rest are primary →
+/// secondary requests used by the write and lease protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrimaryMsg {
     /// Execute a read operation at the primary copy (the caller holds no
@@ -57,6 +58,21 @@ pub enum PrimaryMsg {
         /// Exactly-once identity of the write; a retry after a timeout or a
         /// re-homing re-sends the same stamp and is answered from the
         /// primary's [`DedupWindow`] instead of being applied again.
+        stamp: Option<OpStamp>,
+    },
+    /// [`PrimaryMsg::WriteAt`] from a writer that holds an installed copy
+    /// and has marked it pending: the primary leaves the caller out of both
+    /// phases of the update protocol and answers
+    /// [`PrimaryReply::Installed`], from which the writer brings its own
+    /// copy up to date — it already has the operation bytes in hand. A
+    /// caller the primary does not list as a holder is answered like a
+    /// plain `WriteAt` and drops its copy.
+    WriteThrough {
+        /// Target object.
+        object: ObjectId,
+        /// Encoded operation.
+        op: Vec<u8>,
+        /// Exactly-once identity of the write (see [`PrimaryMsg::WriteAt`]).
         stamp: Option<OpStamp>,
     },
     /// Register the caller as a copy holder and return the current state.
@@ -101,9 +117,15 @@ pub enum PrimaryMsg {
         stamped: Option<StampedReply>,
     },
     /// Primary → secondary: unlock the object (update protocol, phase 2).
+    /// A one-way notification — nothing is sent back.
     Unlock {
         /// Target object.
         object: ObjectId,
+        /// Version of the update this unlock completes. A holder that has
+        /// since applied a later update (its `UpdateOp` can be handled
+        /// before this message is) ignores the unlock: that later update's
+        /// own unlock is still to come.
+        version: u64,
         /// Renewed read lease, when leases are enabled: the holder's copy
         /// is current again as of this unlock, so the primary re-arms its
         /// permission to serve local reads.
@@ -179,9 +201,14 @@ impl Wire for PrimaryMsg {
                 version.encode(enc);
                 encode_stamped(enc, stamped);
             }
-            PrimaryMsg::Unlock { object, lease } => {
+            PrimaryMsg::Unlock {
+                object,
+                version,
+                lease,
+            } => {
                 enc.put_u8(6);
                 object.encode(enc);
+                version.encode(enc);
                 lease.encode(enc);
             }
             PrimaryMsg::WriteBatch { ops } => {
@@ -201,6 +228,12 @@ impl Wire for PrimaryMsg {
             PrimaryMsg::Lease(msg) => {
                 enc.put_u8(9);
                 msg.encode(enc);
+            }
+            PrimaryMsg::WriteThrough { object, op, stamp } => {
+                enc.put_u8(10);
+                object.encode(enc);
+                enc.put_bytes(op);
+                stamp.encode(enc);
             }
         }
     }
@@ -234,6 +267,7 @@ impl Wire for PrimaryMsg {
             }),
             6 => Ok(PrimaryMsg::Unlock {
                 object: Wire::decode(dec)?,
+                version: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
             }),
             7 => Ok(PrimaryMsg::WriteBatch {
@@ -245,6 +279,11 @@ impl Wire for PrimaryMsg {
                 first_version: Wire::decode(dec)?,
             }),
             9 => Ok(PrimaryMsg::Lease(Wire::decode(dec)?)),
+            10 => Ok(PrimaryMsg::WriteThrough {
+                object: Wire::decode(dec)?,
+                op: dec.get_bytes()?,
+                stamp: Wire::decode(dec)?,
+            }),
             tag => Err(WireError::InvalidTag {
                 type_name: "PrimaryMsg",
                 tag: u64::from(tag),
@@ -284,6 +323,18 @@ pub enum PrimaryReply {
     Batch(Vec<BatchOutcome>),
     /// Lease sub-protocol reply (a [`LeaseMsg::RevokeAck`]).
     Lease(LeaseMsg),
+    /// A [`PrimaryMsg::WriteThrough`] was applied and every *other* copy
+    /// holder brought up to date: the writer applies its own operation at
+    /// `version`.
+    Installed {
+        /// Encoded reply of the write.
+        reply: Vec<u8>,
+        /// The primary replica's version after the write.
+        version: u64,
+        /// Renewed read lease over the writer's copy, when leases are
+        /// enabled.
+        lease: Option<LeaseGrant>,
+    },
 }
 
 impl Wire for PrimaryReply {
@@ -321,6 +372,16 @@ impl Wire for PrimaryReply {
                 enc.put_u8(6);
                 msg.encode(enc);
             }
+            PrimaryReply::Installed {
+                reply,
+                version,
+                lease,
+            } => {
+                enc.put_u8(7);
+                enc.put_bytes(reply);
+                version.encode(enc);
+                lease.encode(enc);
+            }
         }
     }
 
@@ -339,6 +400,11 @@ impl Wire for PrimaryReply {
             4 => Ok(PrimaryReply::Error(Wire::decode(dec)?)),
             5 => Ok(PrimaryReply::Batch(Wire::decode(dec)?)),
             6 => Ok(PrimaryReply::Lease(Wire::decode(dec)?)),
+            7 => Ok(PrimaryReply::Installed {
+                reply: dec.get_bytes()?,
+                version: Wire::decode(dec)?,
+                lease: Wire::decode(dec)?,
+            }),
             tag => Err(WireError::InvalidTag {
                 type_name: "PrimaryReply",
                 tag: u64::from(tag),
@@ -369,6 +435,11 @@ mod tests {
                 op: vec![2, 3],
                 stamp: None,
             },
+            PrimaryMsg::WriteThrough {
+                object,
+                op: vec![2, 3],
+                stamp: Some(OpStamp { origin: 2, seq: 9 }),
+            },
             PrimaryMsg::FetchCopy { object },
             PrimaryMsg::DropCopy { object },
             PrimaryMsg::Invalidate { object, version: 6 },
@@ -386,6 +457,7 @@ mod tests {
             },
             PrimaryMsg::Unlock {
                 object,
+                version: 5,
                 lease: Some(LeaseGrant {
                     object: object.0,
                     epoch: 3,
@@ -395,6 +467,7 @@ mod tests {
             },
             PrimaryMsg::Unlock {
                 object,
+                version: 6,
                 lease: None,
             },
             PrimaryMsg::WriteBatch {
@@ -456,6 +529,16 @@ mod tests {
                 BatchOutcome::Failed("no".into()),
             ]),
             PrimaryReply::Lease(LeaseMsg::RevokeAck { object: 4, seq: 1 }),
+            PrimaryReply::Installed {
+                reply: vec![3],
+                version: 8,
+                lease: Some(LeaseGrant {
+                    object: 4,
+                    epoch: 0,
+                    seq: 2,
+                    valid_ms: 25,
+                }),
+            },
         ];
         for reply in replies {
             assert_eq!(PrimaryReply::from_bytes(&reply.to_bytes()).unwrap(), reply);

@@ -13,10 +13,14 @@
 //! * **Two-phase update** ([`WritePolicy::Update`]): the primary ships the
 //!   *operation* to every copy holder (phase 1); each holder locks its copy,
 //!   applies the operation and acknowledges while keeping the copy locked;
-//!   once all acknowledgements are in, the primary sends unlock messages
-//!   (phase 2). Reads attempted while a copy is locked wait until it is
-//!   unlocked, which is what makes concurrent updates sequentially
-//!   consistent.
+//!   once all acknowledgements are in, the primary sends one-way unlock
+//!   notifications (phase 2). Reads attempted while a copy is locked wait
+//!   until it is unlocked, which is what makes concurrent updates
+//!   sequentially consistent. A writer that itself holds a copy is not in
+//!   the fan-out: it marks its copy *pending* (reads wait, as on a locked
+//!   copy) before it sends the write, and applies its own operation from the
+//!   primary's acknowledgement — `2 + 3·(other holders)` messages per write
+//!   (see the `update` module).
 //!
 //! Whether a node holds a copy at all is decided dynamically
 //! ([`ReplicationPolicy`]): each node keeps per-object read/write counters;
@@ -43,11 +47,12 @@ use orca_wire::{
     BatchOp, BatchOutcome, CopyInfo, DedupWindow, LeaseGrant, LeaseMsg, OpStamp, RecoveryMsg,
     RecoveryReply, Wire,
 };
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
+use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 use messages::{PrimaryMsg, PrimaryReply};
 
@@ -202,37 +207,14 @@ struct PrimaryObject {
     type_name: String,
 }
 
+/// Secondary-side state of one object on one node: the copy the update
+/// protocol keeps current, under this runtime's lease record.
+type SecondaryState = CopyState<HeldLease>;
+
 /// Secondary-side record of one object on one node.
 #[derive(Default)]
-struct SecondaryState {
-    /// Valid local copy, if any.
-    copy: Option<Box<dyn AnyReplica>>,
-    /// True between phase 1 (update applied) and phase 2 (unlock) of the
-    /// update protocol; local reads wait while this is set.
-    locked: bool,
-    /// Version of `copy`: the primary replica's version the state
-    /// corresponds to. Updates apply strictly in version order, so a copy
-    /// of version `v` provably contains every write up to `v` — the
-    /// property crash recovery's freshest-copy promotion relies on.
-    version: u64,
-    /// Highest update version *observed* for the object (applied or not).
-    /// A fetched snapshot older than this raced a concurrent update past
-    /// it and is discarded instead of installed — the fix for the stale
-    /// fetch/write race.
-    seen: u64,
-    /// Read lease over `copy`, when leases are enabled. Kept even after
-    /// expiry (an expired lease is the token a renewal request presents);
-    /// cleared only when the copy itself goes.
-    lease: Option<HeldLease>,
-    /// Dedup window mirroring the primary's, kept as fresh as `copy` by
-    /// the stamped piggyback on update pushes — what lets a promoted copy
-    /// answer retries of writes the dead primary already applied.
-    dedup: DedupWindow,
-}
-
 struct SecondaryObject {
-    state: Mutex<SecondaryState>,
-    unlocked: Condvar,
+    held: HeldCopy<HeldLease>,
     access: AccessStats,
 }
 
@@ -254,6 +236,8 @@ struct Inner {
     next_stamp: AtomicU64,
     /// Cached `rts.lease.*` telemetry counters.
     lease_counters: LeaseCounters,
+    /// This node's end of the two-phase update fan-out.
+    updates: UpdateChannel,
     /// Per-invocation RPC deadline in milliseconds.
     op_timeout_ms: AtomicU64,
     /// Batching knobs of the asynchronous path.
@@ -347,14 +331,14 @@ fn lease_valid(inner: &Inner, state: &SecondaryState) -> bool {
     }
 }
 
-/// Install a received grant as the holder-side lease (validity counted from
+/// The holder-side lease a received grant amounts to (validity counted from
 /// receipt, on the holder's own clock).
-fn install_lease(state: &mut SecondaryState, grant: &LeaseGrant) {
-    state.lease = Some(HeldLease {
+fn held_lease(grant: &LeaseGrant) -> HeldLease {
+    HeldLease {
         seq: grant.seq,
         epoch: grant.epoch,
         expires: Instant::now() + Duration::from_millis(grant.valid_ms),
-    });
+    }
 }
 
 /// Handle to one node's primary-copy runtime system. Cheap to clone.
@@ -412,6 +396,7 @@ impl PrimaryCopyRts {
     ) -> Self {
         let detector = crate::recovery::ensure_detector(&handle, &recovery, detector);
         let lease_counters = LeaseCounters::from_handle(&handle);
+        let updates = UpdateChannel::new(&handle, ports::RTS_PRIMARY);
         let inner = Arc::new(Inner {
             node: handle.node(),
             num_nodes: handle.num_nodes(),
@@ -425,6 +410,7 @@ impl PrimaryCopyRts {
             next_async: AtomicU64::new(1),
             next_stamp: AtomicU64::new(1),
             lease_counters,
+            updates,
             op_timeout_ms: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_millis() as u64),
             batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
             stats: RtsStats::new_shared(),
@@ -675,9 +661,9 @@ impl PrimaryCopyRts {
         let entry = self.secondary_entry(op.object);
         entry.access.record_read();
         {
-            let mut state = entry.state.lock();
+            let mut state = entry.held.state.lock();
             let leased = !self.inner.leases_enabled() || lease_valid(&self.inner, &state);
-            if !state.locked && leased {
+            if !state.reads_blocked() && leased {
                 if let Some(copy) = state.copy.as_mut() {
                     match copy.apply_encoded(&op.op) {
                         Ok(AppliedOutcome::Done(reply)) => {
@@ -692,9 +678,9 @@ impl PrimaryCopyRts {
                     }
                 }
             }
-            // Locked (an update push is in flight), lease lapsed, or no
-            // copy: read at the primary, whose object lock serializes
-            // against the push.
+            // Locked or pending (an update is in flight), lease lapsed, or
+            // no copy: read at the primary, whose object lock serializes
+            // against the update.
         }
         RtsStats::bump(&self.inner.stats.remote_reads);
         let msg = PrimaryMsg::ReadAt {
@@ -736,7 +722,7 @@ impl PrimaryCopyRts {
         let secondaries = self.inner.secondaries.read();
         secondaries
             .get(&object)
-            .map(|entry| entry.state.lock().copy.is_some())
+            .map(|entry| entry.held.state.lock().copy.is_some())
             .unwrap_or(false)
     }
 
@@ -767,13 +753,11 @@ impl PrimaryCopyRts {
             }
         }
         let mut secondaries = self.inner.secondaries.write();
-        Arc::clone(secondaries.entry(object).or_insert_with(|| {
-            Arc::new(SecondaryObject {
-                state: Mutex::new(SecondaryState::default()),
-                unlocked: Condvar::new(),
-                access: AccessStats::default(),
-            })
-        }))
+        Arc::clone(
+            secondaries
+                .entry(object)
+                .or_insert_with(|| Arc::new(SecondaryObject::default())),
+        )
     }
 
     fn invoke_at_primary_local(
@@ -792,7 +776,7 @@ impl PrimaryCopyRts {
                 }
                 OpKind::Write => {
                     RtsStats::bump(&self.inner.stats.writes);
-                    primary_write(&self.inner, object, op, stamp)?
+                    primary_write(&self.inner, object, op, stamp, None)?.0
                 }
             };
             match outcome {
@@ -884,32 +868,121 @@ impl PrimaryCopyRts {
                     Ok(reply)
                 } else {
                     RtsStats::bump(&self.inner.stats.remote_reads);
-                    self.remote_op(
-                        primary,
-                        PrimaryMsg::ReadAt {
-                            object,
-                            op: op.to_vec(),
-                        },
-                        deadline,
-                    )
+                    let msg = PrimaryMsg::ReadAt {
+                        object,
+                        op: op.to_vec(),
+                    };
+                    self.remote_op(|| self.plain_attempt(primary, &msg, deadline))
                 }
             }
             OpKind::Write => {
                 RtsStats::bump(&self.inner.stats.writes);
                 RtsStats::bump(&self.inner.stats.remote_writes);
-                self.remote_op(
-                    primary,
-                    PrimaryMsg::WriteAt {
-                        object,
-                        op: op.to_vec(),
-                        stamp,
-                    },
-                    deadline,
-                )
+                self.remote_write(object, &entry, op, primary, deadline, stamp)
             }
         };
         self.maybe_adjust_replication(object, type_name, primary, &entry, deadline)?;
         result
+    }
+
+    /// Ship a write to the primary, retrying while its guard is false.
+    ///
+    /// Under the update policy a writer that holds an installed copy writes
+    /// *through* it: the copy is marked pending before the request leaves,
+    /// the primary runs the update protocol against the other holders only,
+    /// and this node applies its own operation from the acknowledgement
+    /// ([`PrimaryCopyRts::finish_write_through`]). The mark is per attempt —
+    /// a write parked on a false guard must not keep this node's readers
+    /// waiting, one of them may be what makes the guard true.
+    fn remote_write(
+        &self,
+        object: ObjectId,
+        entry: &SecondaryObject,
+        op: &[u8],
+        primary: NodeId,
+        deadline: Instant,
+        stamp: Option<OpStamp>,
+    ) -> Result<Vec<u8>, RtsError> {
+        self.remote_op(|| {
+            if self.inner.write_policy != WritePolicy::Update || !entry.held.mark_pending(0) {
+                let msg = PrimaryMsg::WriteAt {
+                    object,
+                    op: op.to_vec(),
+                    stamp,
+                };
+                return self.plain_attempt(primary, &msg, deadline);
+            }
+            let msg = PrimaryMsg::WriteThrough {
+                object,
+                op: op.to_vec(),
+                stamp,
+            };
+            let answer = self.rpc(primary, &msg, deadline);
+            self.finish_write_through(entry, op, stamp, primary, answer)
+        })
+    }
+
+    /// Close one write-through attempt: tell the copy what the primary's
+    /// answer means for it ([`WriteAck`]) — which also clears the attempt's
+    /// pending mark — and turn the answer into the attempt's outcome.
+    ///
+    /// * `Installed` — the copy applies the operation bytes still in hand
+    ///   at the version the primary applied them at.
+    /// * A plain reply — the primary does not list this node as a holder
+    ///   (or answered a retry from its dedup window, without a version):
+    ///   the copy may have missed this or an earlier write and is dropped.
+    /// * An error or a timeout — the write may or may not have been
+    ///   applied. With the primary alive the copy is dropped; with the
+    ///   primary dead and re-homing on it is left *locked* instead
+    ///   (`promote_local` clears the lock, `apply_rehome` drops the copy).
+    fn finish_write_through(
+        &self,
+        entry: &SecondaryObject,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        primary: NodeId,
+        answer: Result<PrimaryReply, RtsError>,
+    ) -> Result<Option<Vec<u8>>, RtsError> {
+        let inner = &self.inner;
+        let (ack, outcome) = match answer {
+            Ok(PrimaryReply::Installed {
+                reply,
+                version,
+                lease,
+            }) => {
+                let ack = WriteAck::Installed {
+                    version,
+                    stamped: stamp.map(|stamp| (stamp, reply.clone())),
+                    lease: lease.as_ref().map(held_lease),
+                };
+                (ack, Ok(Some(reply)))
+            }
+            Ok(PrimaryReply::Blocked) => (WriteAck::NotApplied, Ok(None)),
+            Ok(PrimaryReply::Reply(reply)) => (WriteAck::Unsynced, Ok(Some(reply))),
+            Ok(PrimaryReply::Error(msg)) => (WriteAck::Unsynced, Err(RtsError::Communication(msg))),
+            Ok(other) => (
+                WriteAck::Unsynced,
+                Err(RtsError::Communication(format!(
+                    "unexpected WriteThrough reply {other:?}"
+                ))),
+            ),
+            Err(err) => {
+                let rehoming = inner.recovery.enabled && inner.recovery.rehome;
+                if rehoming && is_dead(&inner.detector, primary) {
+                    (WriteAck::AuthorityLost, Err(err))
+                } else {
+                    (WriteAck::Unsynced, Err(err))
+                }
+            }
+        };
+        let budget = inner.op_timeout();
+        if entry
+            .held
+            .finish_write_through(&inner.updates, 0, op, ack, budget)
+        {
+            RtsStats::bump(&inner.stats.copies_dropped);
+        }
+        outcome
     }
 
     /// Ask the primary for a fresh lease over the local copy, presenting the
@@ -929,7 +1002,7 @@ impl PrimaryCopyRts {
             return false;
         }
         let request = {
-            let state = entry.state.lock();
+            let state = entry.held.state.lock();
             if state.copy.is_none() || lease_valid(&self.inner, &state) {
                 return false;
             }
@@ -949,9 +1022,9 @@ impl PrimaryCopyRts {
             deadline,
         ) {
             Ok(PrimaryReply::Lease(LeaseMsg::Renew(grant))) => {
-                let mut state = entry.state.lock();
+                let mut state = entry.held.state.lock();
                 if state.copy.is_some() {
-                    install_lease(&mut state, &grant);
+                    state.lease = Some(held_lease(&grant));
                     return true;
                 }
                 false
@@ -959,13 +1032,13 @@ impl PrimaryCopyRts {
             Ok(_) => {
                 // Denied: the copy is (or may be) stale. Drop it and let the
                 // next access re-fetch.
-                let mut state = entry.state.lock();
+                let mut state = entry.held.state.lock();
                 if state.copy.take().is_some() {
                     RtsStats::bump(&self.inner.stats.copies_dropped);
                 }
                 state.lease = None;
                 state.locked = false;
-                entry.unlocked.notify_all();
+                entry.held.unlocked.notify_all();
                 false
             }
             Err(_) => false,
@@ -1019,14 +1092,16 @@ impl PrimaryCopyRts {
         entry: &SecondaryObject,
         op: &[u8],
     ) -> Result<Option<Vec<u8>>, RtsError> {
-        let mut state = entry.state.lock();
+        let mut state = entry.held.state.lock();
         loop {
-            while state.locked {
+            while state.reads_blocked() {
                 entry
+                    .held
                     .unlocked
                     .wait_for(&mut state, Duration::from_millis(100));
                 // A lock that never clears means the primary died between
-                // the update and unlock phases; once the detector confirms
+                // the update and unlock phases (a pending mark clears by
+                // itself: its writer's call fails); once the detector confirms
                 // it, fall through to the remote path (which rides the
                 // re-homing machinery) instead of waiting on a corpse
                 // forever. With re-homing enabled the copy itself must
@@ -1038,7 +1113,9 @@ impl PrimaryCopyRts {
                 // clears it, apply_rehome drops the copy). Without
                 // re-homing nothing ever would, so drop the copy rather
                 // than leave a permanently locked zombie behind.
-                if state.locked && is_dead(&self.inner.detector, self.inner.primary_node(object)) {
+                if state.reads_blocked()
+                    && is_dead(&self.inner.detector, self.inner.primary_node(object))
+                {
                     if !(self.inner.recovery.enabled && self.inner.recovery.rehome) {
                         state.copy = None;
                         state.locked = false;
@@ -1071,6 +1148,7 @@ impl PrimaryCopyRts {
                     // periodic retry.
                     RtsStats::bump(&self.inner.stats.guard_retries);
                     entry
+                        .held
                         .unlocked
                         .wait_for(&mut state, Duration::from_millis(100));
                 }
@@ -1078,29 +1156,36 @@ impl PrimaryCopyRts {
         }
     }
 
-    /// Send a read/write to the primary, retrying while the guard is false.
-    fn remote_op(
+    /// One attempt of a read, or of a write that does not go through a local
+    /// copy, at the primary; `None` when the guard was false.
+    fn plain_attempt(
         &self,
         primary: NodeId,
-        msg: PrimaryMsg,
+        msg: &PrimaryMsg,
         deadline: Instant,
+    ) -> Result<Option<Vec<u8>>, RtsError> {
+        match self.rpc(primary, msg, deadline)? {
+            PrimaryReply::Reply(bytes) => Ok(Some(bytes)),
+            PrimaryReply::Blocked => Ok(None),
+            PrimaryReply::Error(msg) => Err(RtsError::Communication(msg)),
+            other => Err(RtsError::Communication(format!(
+                "unexpected reply {other:?}"
+            ))),
+        }
+    }
+
+    /// Run `attempt` against the primary until it yields a reply, sleeping
+    /// out each false guard.
+    fn remote_op(
+        &self,
+        mut attempt: impl FnMut() -> Result<Option<Vec<u8>>, RtsError>,
     ) -> Result<Vec<u8>, RtsError> {
         loop {
-            match self.rpc(primary, &msg, deadline)? {
-                PrimaryReply::Reply(bytes) => return Ok(bytes),
-                PrimaryReply::Blocked => {
-                    RtsStats::bump(&self.inner.stats.guard_retries);
-                    std::thread::sleep(BLOCKED_RETRY_DELAY);
-                }
-                PrimaryReply::Error(msg) => {
-                    return Err(RtsError::Communication(msg));
-                }
-                other => {
-                    return Err(RtsError::Communication(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
+            if let Some(reply) = attempt()? {
+                return Ok(reply);
             }
+            RtsStats::bump(&self.inner.stats.guard_retries);
+            std::thread::sleep(BLOCKED_RETRY_DELAY);
         }
     }
 
@@ -1120,7 +1205,7 @@ impl PrimaryCopyRts {
             return Ok(());
         }
         let ratio = entry.access.read_write_ratio();
-        let has_copy = entry.state.lock().copy.is_some();
+        let has_copy = entry.held.state.lock().copy.is_some();
         if !has_copy && ratio >= self.inner.replication.fetch_ratio {
             self.fetch_copy(object, primary, entry, deadline)?;
         } else if has_copy && ratio <= self.inner.replication.drop_ratio {
@@ -1146,24 +1231,17 @@ impl PrimaryCopyRts {
                 dedup,
             } => {
                 let replica = self.inner.registry.instantiate(&type_name, &state)?;
-                let mut guard = entry.state.lock();
-                if guard.seen > version && !crate::sabotage::no_version_gating() {
-                    // An update overtook this snapshot in flight; holding
-                    // on to the older state would serve stale reads (and
-                    // could be promoted by recovery). Stay copyless; the
-                    // next access re-fetches.
-                    return Ok(());
+                let lease = lease.as_ref().map(held_lease);
+                // A snapshot an update overtook in flight is not installed:
+                // stay copyless; the next access re-fetches.
+                if entry
+                    .held
+                    .state
+                    .lock()
+                    .install_snapshot(replica, version, dedup, lease)
+                {
+                    RtsStats::bump(&self.inner.stats.copies_fetched);
                 }
-                guard.copy = Some(replica);
-                guard.version = version;
-                guard.seen = guard.seen.max(version);
-                guard.locked = false;
-                guard.dedup = dedup;
-                guard.lease = None;
-                if let Some(grant) = lease {
-                    install_lease(&mut guard, &grant);
-                }
-                RtsStats::bump(&self.inner.stats.copies_fetched);
                 Ok(())
             }
             PrimaryReply::Error(msg) => Err(RtsError::Communication(msg)),
@@ -1181,7 +1259,7 @@ impl PrimaryCopyRts {
         deadline: Instant,
     ) -> Result<(), RtsError> {
         let _ = self.rpc(primary, &PrimaryMsg::DropCopy { object }, deadline)?;
-        let mut guard = entry.state.lock();
+        let mut guard = entry.held.state.lock();
         guard.copy = None;
         guard.locked = false;
         guard.lease = None;
@@ -1396,10 +1474,10 @@ fn settle_failed_leases(
 }
 
 /// Run the two-phase update protocol for one already-applied write (or run
-/// of writes): ship `phase1` to every holder, then unlock everyone with a
-/// renewed lease piggybacked, and settle the leases of holders that could
-/// not be reached. The phase-1 message is encoded once and fanned out from
-/// one scratch buffer.
+/// of writes) that left the primary replica at `version`: push `phase1` to
+/// every holder, notify everyone who acknowledged to unlock — renewed lease
+/// piggybacked — and settle the leases of holders that could not be
+/// reached. The fan-out itself is [`UpdateChannel::two_phase`].
 fn propagate_update(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -1407,31 +1485,24 @@ fn propagate_update(
     leases: &mut LeaseTable,
     holders: &[NodeId],
     phase1: &PrimaryMsg,
+    version: u64,
 ) {
-    let mut scratch = Vec::new();
-    phase1.encode_into(&mut scratch);
-    let mut failed: Vec<NodeId> = Vec::new();
-    for holder in holders {
-        if send_to_secondary_bytes(inner, *holder, scratch.clone()).is_err() {
-            failed.push(*holder);
-        }
-    }
-    for holder in holders {
-        if failed.contains(holder) {
-            continue;
-        }
-        let lease = inner
-            .leases_enabled()
-            .then(|| inner.mint_grant(object, leases, *holder, true));
-        let unlock = PrimaryMsg::Unlock { object, lease };
-        scratch.clear();
-        unlock.encode_into(&mut scratch);
-        if send_to_secondary_bytes(inner, *holder, scratch.clone()).is_err() {
-            // The holder applied the update but never got the unlock; its
-            // fresh grant must not outlive this write unsettled.
-            failed.push(*holder);
-        }
-    }
+    let failed = inner.updates.two_phase(
+        holders,
+        &phase1.to_bytes(),
+        |holder, body| send_to_secondary_bytes(inner, holder, body).is_ok(),
+        |holder| {
+            let lease = inner
+                .leases_enabled()
+                .then(|| inner.mint_grant(object, leases, holder, true));
+            PrimaryMsg::Unlock {
+                object,
+                version,
+                lease,
+            }
+            .to_bytes()
+        },
+    );
     settle_failed_leases(inner, object, entry, leases, &failed);
 }
 
@@ -1461,14 +1532,26 @@ fn propagate_invalidate(
     settle_failed_leases(inner, object, entry, leases, &failed);
 }
 
+/// What a write-through is acknowledged with besides its reply.
+struct ThroughAck {
+    /// Primary replica version the write was applied at.
+    version: u64,
+    /// Renewed lease over the writer's copy.
+    lease: Option<LeaseGrant>,
+}
+
 /// Execute a write at the primary copy and run the configured propagation
-/// protocol against all copy holders.
+/// protocol against all copy holders. `writer` names a caller that writes
+/// through its own copy; when it is a registered holder and the write is
+/// freshly applied under the update policy, it is left out of the protocol
+/// and acknowledged with a [`ThroughAck`] instead.
 fn primary_write(
     inner: &Arc<Inner>,
     object: ObjectId,
     op: &[u8],
     stamp: Option<OpStamp>,
-) -> Result<AppliedOutcome, RtsError> {
+    writer: Option<NodeId>,
+) -> Result<(AppliedOutcome, Option<ThroughAck>), RtsError> {
     let entry = {
         let primaries = inner.primaries.read();
         primaries
@@ -1485,13 +1568,20 @@ fn primary_write(
         if let Some(reply) = core.dedup.lookup(stamp) {
             // A retry of a write this replica (or the replica it was
             // promoted from) already applied: answer with the original
-            // reply instead of applying twice.
-            return Ok(AppliedOutcome::Done(reply.to_vec()));
+            // reply instead of applying twice. A caller writing through
+            // its copy drops it on this plain reply (the window keeps no
+            // version to install at), so stop pushing to that copy.
+            let reply = reply.to_vec();
+            if let Some(writer) = writer {
+                core.leases.grants.remove(&writer);
+                entry.copy_holders.lock().remove(&writer);
+            }
+            return Ok((AppliedOutcome::Done(reply), None));
         }
     }
     let outcome = core.replica.apply_encoded(op)?;
     let AppliedOutcome::Done(reply) = outcome else {
-        return Ok(AppliedOutcome::Blocked);
+        return Ok((AppliedOutcome::Blocked, None));
     };
     if let Some(stamp) = stamp {
         core.dedup.record(stamp, reply.clone());
@@ -1501,7 +1591,7 @@ fn primary_write(
     // Copy holders the failure detector has declared dead are dropped from
     // the protocol (and the holder set): waiting on them would stall every
     // write at this primary for the full push deadline, forever.
-    let holders: Vec<NodeId> = {
+    let mut holders: Vec<NodeId> = {
         let mut holders = entry.copy_holders.lock();
         holders.retain(|h| !is_dead(&inner.detector, *h));
         holders
@@ -1510,21 +1600,36 @@ fn primary_write(
             .filter(|h| *h != inner.node)
             .collect()
     };
+    // The set iterates in a per-process random order; the fan-out is
+    // sequential, so fix its order (replayable schedules depend on it).
+    holders.sort_unstable();
+    let mut ack = None;
     match inner.write_policy {
         WritePolicy::Invalidate => {
             propagate_invalidate(inner, object, &entry, &mut core.leases, &holders, version);
         }
         WritePolicy::Update => {
+            let through = writer.filter(|w| holders.contains(w));
+            holders.retain(|h| Some(*h) != through);
             let phase1 = PrimaryMsg::UpdateOp {
                 object,
                 op: op.to_vec(),
                 version,
                 stamped: stamp.map(|s| (s, reply.clone())),
             };
-            propagate_update(inner, object, &entry, &mut core.leases, &holders, &phase1);
+            let leases = &mut core.leases;
+            propagate_update(inner, object, &entry, leases, &holders, &phase1, version);
+            // The writer's renewal rides the acknowledgement, booked like
+            // the others when it is sent.
+            ack = through.map(|writer| ThroughAck {
+                version,
+                lease: inner
+                    .leases_enabled()
+                    .then(|| inner.mint_grant(object, leases, writer, true)),
+            });
         }
     }
-    Ok(AppliedOutcome::Done(reply))
+    Ok((AppliedOutcome::Done(reply), ack))
 }
 
 /// Apply a run of consecutive writes on one object at the primary, under
@@ -1532,7 +1637,8 @@ fn primary_write(
 /// for the whole run: update-policy secondaries receive a single
 /// [`PrimaryMsg::UpdateBatch`] (plus one unlock) instead of one
 /// update/unlock pair per write — the per-secondary coalescing of the
-/// pipelined path.
+/// pipelined path. Batches are never written through the sender's copy: a
+/// sender that holds one is pushed to like any other holder.
 fn primary_write_many(inner: &Arc<Inner>, object: ObjectId, ops: &[&[u8]]) -> Vec<BatchOutcome> {
     let entry = {
         let primaries = inner.primaries.read();
@@ -1581,7 +1687,7 @@ fn primary_write_many(inner: &Arc<Inner>, object: ObjectId, ops: &[&[u8]]) -> Ve
     }
     if !applied.is_empty() {
         prune_grants(inner, &mut core.leases);
-        let holders: Vec<NodeId> = {
+        let mut holders: Vec<NodeId> = {
             let mut holders = entry.copy_holders.lock();
             holders.retain(|h| !is_dead(&inner.detector, *h));
             holders
@@ -1590,18 +1696,29 @@ fn primary_write_many(inner: &Arc<Inner>, object: ObjectId, ops: &[&[u8]]) -> Ve
                 .filter(|h| *h != inner.node)
                 .collect()
         };
+        holders.sort_unstable();
         match inner.write_policy {
             WritePolicy::Invalidate => {
                 let version = core.replica.version();
                 propagate_invalidate(inner, object, &entry, &mut core.leases, &holders, version);
             }
             WritePolicy::Update => {
+                let last_version = core.replica.version();
                 let update = PrimaryMsg::UpdateBatch {
                     object,
                     ops: applied,
                     first_version,
                 };
-                propagate_update(inner, object, &entry, &mut core.leases, &holders, &update);
+                let leases = &mut core.leases;
+                propagate_update(
+                    inner,
+                    object,
+                    &entry,
+                    leases,
+                    &holders,
+                    &update,
+                    last_version,
+                );
             }
         }
     }
@@ -1647,6 +1764,35 @@ fn serve_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> Vec<u8> {
     reply.to_bytes()
 }
 
+/// Serve a shipped write: plain, or — `writer` set — through the caller's
+/// own copy.
+fn serve_write(
+    inner: &Arc<Inner>,
+    object: ObjectId,
+    op: &[u8],
+    stamp: Option<OpStamp>,
+    writer: Option<NodeId>,
+    caller: NodeId,
+) -> PrimaryReply {
+    match primary_write(inner, object, op, stamp, writer) {
+        Ok((AppliedOutcome::Done(reply), ack)) => {
+            if caller != inner.node {
+                RtsStats::bump(&inner.stats.updates_applied);
+            }
+            match ack {
+                Some(ThroughAck { version, lease }) => PrimaryReply::Installed {
+                    reply,
+                    version,
+                    lease,
+                },
+                None => PrimaryReply::Reply(reply),
+            }
+        }
+        Ok((AppliedOutcome::Blocked, _)) => PrimaryReply::Blocked,
+        Err(err) => PrimaryReply::Error(err.to_string()),
+    }
+}
+
 fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply {
     match msg {
         PrimaryMsg::ReadAt { object, op } => match primary_read(inner, object, &op) {
@@ -1665,16 +1811,10 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             Err(err) => PrimaryReply::Error(err.to_string()),
         },
         PrimaryMsg::WriteAt { object, op, stamp } => {
-            match primary_write(inner, object, &op, stamp) {
-                Ok(AppliedOutcome::Done(reply)) => {
-                    if caller != inner.node {
-                        RtsStats::bump(&inner.stats.updates_applied);
-                    }
-                    PrimaryReply::Reply(reply)
-                }
-                Ok(AppliedOutcome::Blocked) => PrimaryReply::Blocked,
-                Err(err) => PrimaryReply::Error(err.to_string()),
-            }
+            serve_write(inner, object, &op, stamp, None, caller)
+        }
+        PrimaryMsg::WriteThrough { object, op, stamp } => {
+            serve_write(inner, object, &op, stamp, Some(caller), caller)
         }
         PrimaryMsg::FetchCopy { object } => {
             let primaries = inner.primaries.read();
@@ -1720,7 +1860,7 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
         PrimaryMsg::Invalidate { object, version } => {
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
+                let mut state = entry.held.state.lock();
                 // Record the version floor even when no copy is installed
                 // yet: an invalidation that overtakes the fetch reply it
                 // races must still poison that older snapshot, or the late
@@ -1731,7 +1871,7 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
                 state.locked = false;
                 state.lease = None;
                 state.dedup = DedupWindow::new();
-                entry.unlocked.notify_all();
+                entry.held.unlocked.notify_all();
                 RtsStats::bump(&inner.stats.invalidations_received);
             }
             PrimaryReply::Ack
@@ -1742,64 +1882,28 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             version,
             stamped,
         } => {
-            let secondaries = inner.secondaries.read();
-            if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                state.seen = state.seen.max(version);
-                if state.copy.is_some() {
-                    if version == state.version + 1 || crate::sabotage::no_version_gating() {
-                        match state
-                            .copy
-                            .as_mut()
-                            .expect("checked above")
-                            .apply_encoded(&op)
-                        {
-                            Ok(_) => {
-                                state.version = version;
-                                state.locked = true;
-                                if let Some((stamp, reply)) = stamped {
-                                    // Keep the window as fresh as the copy:
-                                    // if this copy is promoted, it answers
-                                    // retries of this write from here.
-                                    state.dedup.record(stamp, reply);
-                                }
-                                RtsStats::bump(&inner.stats.updates_applied);
-                            }
-                            Err(_) => {
-                                // A copy we cannot update is discarded; the
-                                // next access will fetch a fresh one.
-                                state.copy = None;
-                                state.locked = false;
-                                state.lease = None;
-                            }
-                        }
-                    } else if version > state.version + 1 {
-                        // Gap: an update went missing; drop the copy and
-                        // re-sync on the next access rather than diverge.
-                        state.copy = None;
-                        state.locked = false;
-                        state.lease = None;
-                    }
-                    // version <= state.version: duplicate push, ignore.
+            // The map guard is released before the version gate can wait.
+            let entry = inner.secondaries.read().get(&object).cloned();
+            if let Some(entry) = entry {
+                let ops = std::slice::from_ref(&op);
+                let budget = inner.op_timeout();
+                if entry.held.apply_pushed(0, version, ops, stamped, budget) > 0 {
+                    RtsStats::bump(&inner.stats.updates_applied);
                 }
             }
             PrimaryReply::Ack
         }
-        PrimaryMsg::Unlock { object, lease } => {
-            let secondaries = inner.secondaries.read();
-            if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                state.locked = false;
-                if let Some(grant) = lease {
-                    // Renewal piggyback: the copy is current again as of
-                    // this unlock. Install only over a live copy — a grant
-                    // for a copy that was dropped mid-protocol must not
-                    // authorize anything.
-                    if state.copy.is_some() {
-                        install_lease(&mut state, &grant);
-                    }
-                }
-                entry.unlocked.notify_all();
+        PrimaryMsg::Unlock {
+            object,
+            version,
+            lease,
+        } => {
+            let entry = inner.secondaries.read().get(&object).cloned();
+            if let Some(entry) = entry {
+                // Renewal piggyback: the copy is current again as of this
+                // unlock.
+                let lease = lease.as_ref().map(held_lease);
+                entry.held.unlock(0, version, lease);
             }
             PrimaryReply::Ack
         }
@@ -1810,13 +1914,13 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             let id = ObjectId(object);
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&id) {
-                let mut state = entry.state.lock();
+                let mut state = entry.held.state.lock();
                 state.lease = None;
                 if state.copy.take().is_some() {
                     RtsStats::bump(&inner.stats.copies_dropped);
                 }
                 state.locked = false;
-                entry.unlocked.notify_all();
+                entry.held.unlocked.notify_all();
             }
             PrimaryReply::Lease(LeaseMsg::RevokeAck { object, seq })
         }
@@ -1885,53 +1989,18 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             ops,
             first_version,
         } => {
-            if ops.is_empty() {
-                return PrimaryReply::Ack;
-            }
-            let last_version = first_version + ops.len() as u64 - 1;
-            let secondaries = inner.secondaries.read();
-            if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                state.seen = state.seen.max(last_version);
-                if state.copy.is_some() {
-                    if first_version > state.version + 1 {
-                        // Gap before the run: an earlier update went
-                        // missing; drop the copy and re-sync on the next
-                        // access rather than diverge.
-                        state.copy = None;
-                        state.locked = false;
-                        state.lease = None;
-                    } else if last_version > state.version {
-                        // Apply exactly the unseen suffix, in order (the
-                        // prefix up to `state.version` is a duplicate).
-                        let start = (state.version + 1 - first_version) as usize;
-                        RtsStats::bump(&inner.stats.updates_applied);
-                        for op in &ops[start..] {
-                            match state
-                                .copy
-                                .as_mut()
-                                .expect("checked above")
-                                .apply_encoded(op)
-                            {
-                                Ok(_) => {
-                                    state.version += 1;
-                                    RtsStats::bump(&inner.stats.batch_ops_applied);
-                                }
-                                Err(_) => {
-                                    // A copy we cannot update is discarded;
-                                    // the next access fetches a fresh one.
-                                    state.copy = None;
-                                    state.locked = false;
-                                    state.lease = None;
-                                    break;
-                                }
-                            }
-                        }
-                        if state.copy.is_some() {
-                            state.locked = true;
-                        }
-                    }
-                    // last_version <= state.version: whole run duplicate.
+            let entry = inner.secondaries.read().get(&object).cloned();
+            if let Some(entry) = entry {
+                let budget = inner.op_timeout();
+                let applied = entry
+                    .held
+                    .apply_pushed(0, first_version, &ops, None, budget);
+                if applied > 0 {
+                    RtsStats::bump(&inner.stats.updates_applied);
+                    inner
+                        .stats
+                        .batch_ops_applied
+                        .fetch_add(applied as u64, Ordering::Relaxed);
                 }
             }
             PrimaryReply::Ack
@@ -1991,7 +2060,7 @@ fn local_copy_report(inner: &Arc<Inner>, dead: &[NodeId]) -> Vec<CopyInfo> {
         .iter()
         .filter(|(object, _)| dead.contains(&inner.primary_node(**object)))
         .filter_map(|(object, entry)| {
-            let state = entry.state.lock();
+            let state = entry.held.state.lock();
             state.copy.as_ref().map(|_| CopyInfo {
                 object: object.0,
                 // The update-version of the copy (primary-era absolute),
@@ -2011,7 +2080,7 @@ fn promote_local(inner: &Arc<Inner>, object: ObjectId) -> RecoveryReply {
         return RecoveryReply::Error(format!("no copy of {object}"));
     };
     let (copy, dedup) = {
-        let mut state = entry.state.lock();
+        let mut state = entry.held.state.lock();
         state.locked = false;
         state.version = 0;
         state.seen = 0;
@@ -2062,14 +2131,14 @@ fn apply_rehome(inner: &Arc<Inner>, object: ObjectId, new_home: NodeId, lost: bo
         // next access re-fetches. The version counters reset with it —
         // the new primary starts a fresh version era.
         if let Some(entry) = inner.secondaries.read().get(&object) {
-            let mut state = entry.state.lock();
+            let mut state = entry.held.state.lock();
             state.copy = None;
             state.locked = false;
             state.version = 0;
             state.seen = 0;
             state.lease = None;
             state.dedup = DedupWindow::new();
-            entry.unlocked.notify_all();
+            entry.held.unlocked.notify_all();
         }
     }
 }
@@ -2842,6 +2911,265 @@ mod tests {
             "write must wait out grants issued by the dead primary"
         );
         assert_eq!(read(&rtses[1], id), 6);
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+    /// Eager replication with long leases: every node that reads holds a
+    /// copy and keeps it.
+    fn sticky_copies() -> ReplicationPolicy {
+        ReplicationPolicy {
+            fetch_ratio: 0.0,
+            drop_ratio: -1.0,
+            window: 1,
+            read_lease_ms: 10_000,
+            ..ReplicationPolicy::default()
+        }
+    }
+
+    /// The tentpole's cost claim, counted on the wire: with two holders and
+    /// the writer one of them a write is WriteThrough + UpdateOp + ack +
+    /// Unlock + Installed; with none it is the request and the reply.
+    #[test]
+    fn replicated_write_costs_five_messages_with_two_holders_and_two_with_none() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, WritePolicy::Update, sticky_copies());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        assert_eq!(read(&rtses[2], id), 0);
+        assert_eq!(rtses[0].copy_holders(id), vec![NodeId(1), NodeId(2)]);
+        let counters = &rtses[0].inner.updates;
+        let renewals = rtses[0].inner.lease_counters.renewals.get();
+        let before = net.stats();
+        assert_eq!(add(&rtses[1], id, 3), 3);
+        assert_eq!(net.stats().since(&before).total_messages(), 5);
+        // The simulated network shares one registry, so these are cluster
+        // totals: one push and one unlock (to node 2), one install (node 1).
+        assert_eq!(counters.pushes.get(), 1);
+        assert_eq!(counters.unlock_notifies.get(), 1);
+        assert_eq!(counters.reply_installs.get(), 1);
+        assert_eq!(
+            rtses[0].inner.lease_counters.renewals.get(),
+            renewals + 2,
+            "both holders' leases are renewed: one by the unlock, one by the reply"
+        );
+        // Both copies are current, still held, and serve reads locally.
+        let before = net.stats();
+        assert_eq!(read(&rtses[1], id), 3);
+        assert_eq!(read(&rtses[2], id), 3);
+        assert_eq!(net.stats().since(&before).total_messages(), 0);
+
+        let lonely = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let before = net.stats();
+        let plain = PrimaryMsg::WriteAt {
+            object: lonely,
+            op: AccumulatorOp::Add(1).to_bytes(),
+            stamp: None,
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert!(matches!(
+            rtses[1].rpc(NodeId(0), &plain, deadline),
+            Ok(PrimaryReply::Reply(_))
+        ));
+        assert_eq!(net.stats().since(&before).total_messages(), 2);
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+
+    /// Two writers on one copy-holding node, racing a writer on another:
+    /// acknowledgements that arrive ahead of their predecessor wait for it,
+    /// pushed updates that arrive ahead of an acknowledgement do too, and
+    /// nobody's copy is ever dropped as "gapped".
+    #[test]
+    fn concurrent_write_throughs_keep_every_copy_and_converge() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, WritePolicy::Update, sticky_copies());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        assert_eq!(read(&rtses[2], id), 0);
+        const PER_WRITER: i64 = 40;
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let writers: Vec<_> = [1usize, 1, 2]
+            .into_iter()
+            .map(|node| {
+                let rts = rtses[node].clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_WRITER {
+                        add(&rts, id, 1);
+                        // Read-your-writes on the local copy, every time.
+                        assert!(read(&rts, id) >= 1);
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        for rts in &rtses {
+            assert_eq!(read(rts, id), 3 * PER_WRITER);
+        }
+        for holder in [1, 2] {
+            assert!(rtses[holder].has_local_copy(id));
+            let stats = rtses[holder].stats();
+            assert_eq!((stats.copies_fetched, stats.copies_dropped), (1, 0));
+        }
+        assert_eq!(
+            rtses[0].inner.updates.reply_installs.get(),
+            3 * PER_WRITER as u64
+        );
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+
+    /// A writer the primary no longer lists as a holder is answered like a
+    /// plain write; its copy may have missed writes and must go.
+    #[test]
+    fn retried_write_through_is_answered_plainly_and_deregisters_the_writer() {
+        let net = Network::reliable(2);
+        let rtses = start_all(&net, WritePolicy::Update, sticky_copies());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        let through = PrimaryMsg::WriteThrough {
+            object: id,
+            op: AccumulatorOp::Add(4).to_bytes(),
+            stamp: Some(OpStamp { origin: 1, seq: 77 }),
+        };
+        let first = dispatch(&rtses[0].inner, through.clone(), NodeId(1));
+        assert!(matches!(first, PrimaryReply::Installed { version: 1, .. }));
+        assert_eq!(rtses[0].copy_holders(id), vec![NodeId(1)]);
+        // The retry carries no version to install at: the writer will drop
+        // its copy on the plain reply, so the primary stops pushing to it.
+        let retry = dispatch(&rtses[0].inner, through, NodeId(1));
+        assert!(matches!(retry, PrimaryReply::Reply(_)));
+        assert!(rtses[0].copy_holders(id).is_empty());
+        assert_eq!(read(&rtses[0], id), 4);
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+
+    #[test]
+    fn deregistered_writer_gets_a_plain_reply_and_drops_its_copy() {
+        let net = Network::reliable(2);
+        let rtses = start_all(&net, WritePolicy::Update, sticky_copies());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        let primary = rtses[0].inner.primaries.read().get(&id).cloned().unwrap();
+        primary.copy_holders.lock().remove(&NodeId(1));
+        // Node 1 never hears of this one.
+        assert_eq!(add(&rtses[0], id, 5), 5);
+
+        assert_eq!(add(&rtses[1], id, 1), 6);
+        assert_eq!(rtses[0].inner.updates.reply_installs.get(), 0);
+        // The stale copy went; the eager policy fetched a fresh one right
+        // after the write, which holds both.
+        let stats = rtses[1].stats();
+        assert_eq!((stats.copies_dropped, stats.copies_fetched), (1, 2));
+        assert_eq!(
+            rtses[1]
+                .secondary_entry(id)
+                .held
+                .state
+                .lock()
+                .pending_writes,
+            0
+        );
+        let before = net.stats();
+        assert_eq!(read(&rtses[1], id), 6);
+        assert_eq!(net.stats().since(&before).total_messages(), 0);
+        assert_eq!(rtses[0].copy_holders(id), vec![NodeId(1)]);
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+
+    /// A write-through whose acknowledgement does not arrive in time may
+    /// have been applied: the writer's copy must stop serving reads rather
+    /// than serve the old value.
+    #[test]
+    fn timed_out_write_through_never_leaves_a_readable_stale_copy() {
+        let net = Network::reliable(3);
+        // Short leases: the primary sleeps out the crashed holder's grant.
+        let replication = ReplicationPolicy {
+            read_lease_ms: 50,
+            ..sticky_copies()
+        };
+        let rtses = start_all(&net, WritePolicy::Update, replication);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        assert_eq!(read(&rtses[2], id), 0);
+        // The primary applies the write, then stalls on the push to the
+        // crashed holder for longer than the writer is willing to wait.
+        net.crash(NodeId(2));
+        rtses[0].set_op_timeout(Duration::from_millis(400));
+        rtses[1].set_op_timeout(Duration::from_millis(80));
+        let write = rtses[1].invoke(
+            id,
+            Accumulator::TYPE_NAME,
+            OpKind::Write,
+            &AccumulatorOp::Add(9).to_bytes(),
+        );
+        assert_eq!(write, Err(RtsError::Timeout));
+        let entry = rtses[1].secondary_entry(id);
+        {
+            let state = entry.held.state.lock();
+            assert!(state.copy.is_none() && state.pending_writes == 0);
+        }
+        // The read goes to the primary, queues behind the stalled write and
+        // observes it.
+        rtses[1].set_op_timeout(Duration::from_secs(10));
+        assert_eq!(read(&rtses[1], id), 9);
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+
+    /// The unlock is one-way, so it can be handled after the next update:
+    /// the version it carries keeps it from releasing that update's lock.
+    #[test]
+    fn stale_unlock_after_the_next_update_leaves_the_copy_locked() {
+        let net = Network::reliable(2);
+        let rtses = start_all(&net, WritePolicy::Update, sticky_copies());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        let holder = &rtses[1].inner;
+        let update = |version| PrimaryMsg::UpdateOp {
+            object: id,
+            op: AccumulatorOp::Add(1).to_bytes(),
+            version,
+            stamped: None,
+        };
+        let unlock = |version| PrimaryMsg::Unlock {
+            object: id,
+            version,
+            lease: None,
+        };
+        let entry = rtses[1].secondary_entry(id);
+        let base = entry.held.state.lock().version;
+        dispatch(holder, update(base + 1), NodeId(0));
+        dispatch(holder, update(base + 2), NodeId(0));
+        dispatch(holder, unlock(base + 1), NodeId(0));
+        assert!(entry.held.state.lock().locked, "unlock of an older update");
+        dispatch(holder, unlock(base + 2), NodeId(0));
+        assert!(!entry.held.state.lock().locked);
         for rts in &rtses {
             rts.shutdown();
         }

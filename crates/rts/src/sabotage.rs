@@ -9,16 +9,22 @@
 //!
 //! Each sabotage re-introduces a real bug class:
 //!
-//! * [`NO_VERSION_GATING`] — the primary-copy secondary protocol stops
-//!   checking update versions: a stale `FetchCopy` snapshot is installed
-//!   even when a newer update overtook it in flight, and pushed updates
-//!   are applied regardless of gaps. This is the pre-fix behavior of the
-//!   fetch/update race (a permanently stale secondary serving local
-//!   reads).
+//! * [`NO_VERSION_GATING`] — copies (primary-copy secondaries; adaptive
+//!   mirrors run the same gate) stop checking update versions: a stale
+//!   fetched snapshot is installed even when a newer update overtook it
+//!   in flight, and updates — pushed ones and a writer's own acknowledged
+//!   write — are applied regardless of gaps. This is the pre-fix behavior
+//!   of the fetch/update race (a permanently stale secondary serving
+//!   local reads).
 //! * [`REHOME_KEEPS_STALE_COPIES`] — after a crash, survivors that are
 //!   not the new home keep their secondary copies instead of dropping
 //!   them; such a copy is frozen at the moment of the crash and serves
 //!   reads that miss every post-promotion write.
+//! * [`SKIP_WRITER_PENDING_MARK`] — a writer's pending mark on its own copy
+//!   (primary-copy secondary or adaptive mirror) no longer holds back local
+//!   reads while its write-through is in flight. The home left that copy
+//!   out of the two-phase update, so it keeps serving the old value after
+//!   every other copy has been unlocked on the new one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -29,6 +35,13 @@ pub static NO_VERSION_GATING: AtomicBool = AtomicBool::new(false);
 /// Survivors keep (instead of drop) their stale secondary copies when an
 /// object is re-homed after a crash.
 pub static REHOME_KEEPS_STALE_COPIES: AtomicBool = AtomicBool::new(false);
+
+/// Local reads ignore the pending mark of an in-flight write-through.
+pub static SKIP_WRITER_PENDING_MARK: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn skip_writer_pending_mark() -> bool {
+    SKIP_WRITER_PENDING_MARK.load(Ordering::SeqCst)
+}
 
 pub(crate) fn no_version_gating() -> bool {
     NO_VERSION_GATING.load(Ordering::SeqCst)

@@ -1,0 +1,473 @@
+//! The two-phase update protocol, shared by the primary-copy runtime system
+//! (update policy) and the adaptive one (replicated regime): the fan-out the
+//! authoritative copy runs ([`UpdateChannel`]) and the state machine of
+//! every other copy ([`HeldCopy`]).
+//!
+//! A write that executed at the authoritative copy reaches every other
+//! copy in two phases (§3.2.2 of the paper): phase 1 ships the operation
+//! and each holder applies it and *locks* its copy; phase 2 unlocks. Reads
+//! wait on a locked copy, so nobody observes the new value while another
+//! copy could still serve the old one.
+//!
+//! Phase 1 is an acknowledged RPC — the write may only complete once every
+//! copy has the operation. Phase 2 is a one-way notification
+//! ([`orca_amoeba::rpc::rpc_notify`]): nothing the writer waits for depends
+//! on *when* a holder unlocks, only on the unlock being on its way after
+//! every phase-1 acknowledgement is in. A notification can be handled
+//! after the next write's phase 1, so it names the version it unlocks and
+//! the holder ignores it when its copy has moved past that.
+//!
+//! The writer itself is never in the fan-out when it holds a copy: it marks
+//! its copy pending before sending ([`HeldCopy::mark_pending`]) and brings
+//! it up to date from the acknowledgement of its own write
+//! ([`HeldCopy::finish_write_through`]), so a write costs
+//! `2 + 3·(other holders)` messages.
+//!
+//! Copies apply updates strictly in version order. An update — pushed, or a
+//! writer's own acknowledged one — that arrives *ahead* waits, bounded, for
+//! its predecessor as long as a write-through of this node is in flight
+//! (its acknowledgement carries the missing version); otherwise a gap drops
+//! the copy, which re-syncs on the next access.
+
+use std::time::{Duration, Instant};
+
+use orca_amoeba::network::NetworkHandle;
+use orca_amoeba::node::Port;
+use orca_amoeba::rpc::rpc_notify;
+use orca_amoeba::NodeId;
+use orca_object::AnyReplica;
+use orca_telemetry::Counter;
+use orca_wire::{DedupWindow, OpStamp};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+
+use crate::sabotage;
+
+/// The authoritative side's handle on the protocol: where its messages go
+/// and the `rts.update.*` counters that say where a write's messages went.
+pub(crate) struct UpdateChannel {
+    handle: NetworkHandle,
+    /// Service port of the backend's copies.
+    port: Port,
+    /// Acknowledged phase-1 pushes sent to other copy holders.
+    pub(crate) pushes: Counter,
+    /// One-way phase-2 unlock notifications sent.
+    pub(crate) unlock_notifies: Counter,
+    /// Own writes this node installed into its copy from the write's
+    /// acknowledgement (the push and unlock that did not have to be sent).
+    pub(crate) reply_installs: Counter,
+}
+
+impl UpdateChannel {
+    /// Bind `handle` and `port`, resolving (or creating) the counters in
+    /// the node's telemetry registry.
+    pub(crate) fn new(handle: &NetworkHandle, port: Port) -> Self {
+        let reg = handle.telemetry().registry();
+        UpdateChannel {
+            handle: handle.clone(),
+            port,
+            pushes: reg.counter("rts.update.pushes"),
+            unlock_notifies: reg.counter("rts.update.unlock_notifies"),
+            reply_installs: reg.counter("rts.update.reply_installs"),
+        }
+    }
+
+    /// Run both phases for one already-applied write against `holders`
+    /// (which excludes a writer that writes through its own copy) and
+    /// return the holders that could not be reached, whose leases the
+    /// caller must settle before the write completes.
+    ///
+    /// `push` performs the acknowledged phase-1 RPC with the caller's
+    /// deadline rules and says whether the holder acknowledged. `unlock`
+    /// builds one holder's phase-2 message and books whatever lease it
+    /// renews *now*, at send time: the holder will count the lease from
+    /// receipt, so booking before sending can only make the grantor's
+    /// record outlast the holder's.
+    pub(crate) fn two_phase(
+        &self,
+        holders: &[NodeId],
+        phase1: &[u8],
+        push: impl Fn(NodeId, Vec<u8>) -> bool,
+        mut unlock: impl FnMut(NodeId) -> Vec<u8>,
+    ) -> Vec<NodeId> {
+        let mut failed: Vec<NodeId> = Vec::new();
+        for holder in holders {
+            self.pushes.inc();
+            if !push(*holder, phase1.to_vec()) {
+                failed.push(*holder);
+            }
+        }
+        for holder in holders {
+            if failed.contains(holder) {
+                continue;
+            }
+            self.unlock_notifies.inc();
+            if rpc_notify(&self.handle, *holder, self.port, unlock(*holder)).is_err() {
+                // The holder applied the update but the unlock never left;
+                // the grant just booked for it must not outlive this write
+                // unsettled.
+                failed.push(*holder);
+            }
+        }
+        failed
+    }
+}
+
+/// One node's copy of an object as the update protocol sees it: the
+/// primary-copy runtime's secondary copy, the adaptive runtime's mirror.
+/// `L` is the backend's holder-side lease record.
+pub(crate) struct CopyState<L> {
+    /// Valid local copy, if any.
+    pub(crate) copy: Option<Box<dyn AnyReplica>>,
+    /// Regime epoch the copy belongs to. Versions restart with each epoch,
+    /// and messages of another epoch never touch the copy. Primary-copy
+    /// objects live in one regime and stay at 0.
+    pub(crate) epoch: u64,
+    /// Version of `copy`: the authoritative replica's version the state
+    /// corresponds to. Updates apply strictly in version order, so a copy
+    /// of version `v` provably contains every write up to `v` — the
+    /// property crash recovery's freshest-copy promotion relies on.
+    pub(crate) version: u64,
+    /// Highest update version *observed* in this epoch, applied or not. A
+    /// fetched snapshot older than this raced a concurrent update past it
+    /// and is discarded instead of installed.
+    pub(crate) seen: u64,
+    /// True between phase 1 (update applied) and phase 2 (unlock); local
+    /// reads wait while this is set.
+    pub(crate) locked: bool,
+    /// Writes of this node currently being written *through* `copy`: sent
+    /// to the authoritative copy, not yet installed here from its
+    /// acknowledgement. Local reads wait while any is in flight, exactly as
+    /// on `locked` — this node was left out of the fan-out, so the mark is
+    /// all that keeps the copy from serving the old value once other copies
+    /// show the new one. Counts marks, not copies: it survives the copy
+    /// being dropped and re-fetched under an in-flight write.
+    pub(crate) pending_writes: u32,
+    /// Dedup window mirroring the authoritative one, kept exactly as fresh
+    /// as `copy` by the stamped piggyback on updates — what lets a promoted
+    /// copy answer retries of writes the dead authority already applied.
+    pub(crate) dedup: DedupWindow,
+    /// Read lease over `copy`, when leases are enabled; goes with the copy.
+    pub(crate) lease: Option<L>,
+}
+
+impl<L> Default for CopyState<L> {
+    fn default() -> Self {
+        CopyState {
+            copy: None,
+            epoch: 0,
+            version: 0,
+            seen: 0,
+            locked: false,
+            pending_writes: 0,
+            dedup: DedupWindow::new(),
+            lease: None,
+        }
+    }
+}
+
+impl<L> CopyState<L> {
+    /// Local reads must wait: an update's unlock is outstanding, or a write
+    /// of this node is being written through the copy.
+    pub(crate) fn reads_blocked(&self) -> bool {
+        self.locked || (self.pending_writes > 0 && !sabotage::skip_writer_pending_mark())
+    }
+
+    /// Give up the copy (it can no longer be kept current) and what went
+    /// with it; true when there was one. The next access re-syncs.
+    pub(crate) fn discard(&mut self) -> bool {
+        self.locked = false;
+        self.lease = None;
+        self.dedup = DedupWindow::new();
+        self.copy.take().is_some()
+    }
+
+    /// Move on to regime `epoch` if it is newer than the copy's: whatever
+    /// the retired regime left here is gone and versions start over.
+    pub(crate) fn enter_epoch(&mut self, epoch: u64) {
+        if epoch > self.epoch {
+            self.discard();
+            self.epoch = epoch;
+            self.version = 0;
+            self.seen = 0;
+        }
+    }
+
+    /// Install a fetched snapshot of the current epoch as the copy, unless
+    /// an update overtook it in flight (`seen` is past it): holding on to
+    /// the older state would serve stale reads and could be promoted by
+    /// recovery. False — and nothing changed — in that case.
+    pub(crate) fn install_snapshot(
+        &mut self,
+        replica: Box<dyn AnyReplica>,
+        version: u64,
+        dedup: DedupWindow,
+        lease: Option<L>,
+    ) -> bool {
+        if self.seen > version && !sabotage::no_version_gating() {
+            return false;
+        }
+        self.copy = Some(replica);
+        self.version = version;
+        self.seen = self.seen.max(version);
+        self.locked = false;
+        self.dedup = dedup;
+        self.lease = lease;
+        true
+    }
+}
+
+/// How the authoritative copy answered a write shipped through this node's
+/// copy, reduced to what the copy must do about it.
+pub(crate) enum WriteAck<L> {
+    /// Applied at `version`, every other copy has it: apply the operation
+    /// bytes still in hand, record the stamped reply, install the lease.
+    Installed {
+        version: u64,
+        stamped: Option<(OpStamp, Vec<u8>)>,
+        lease: Option<L>,
+    },
+    /// Nothing was applied (false guard, retired regime): the copy is as
+    /// current as it was.
+    NotApplied,
+    /// The write may have been applied without this copy being kept
+    /// current — a plain reply (this node is not listed as a holder, or a
+    /// retry was answered from the dedup window, without a version), an
+    /// error or a timeout with the authority alive: the copy is dropped.
+    Unsynced,
+    /// The authority died under the write and re-homing is on: the copy is
+    /// left *locked*, the rule for a copy caught mid-push — it may be the
+    /// freshest one alive, and recovery resolves the lock either way.
+    AuthorityLost,
+}
+
+/// A [`CopyState`] with the condition variable its waiters park on.
+pub(crate) struct HeldCopy<L> {
+    pub(crate) state: Mutex<CopyState<L>>,
+    /// Signalled whenever `state` changes in a way a waiter may care about:
+    /// unlock, install, copy dropped, pending mark cleared.
+    pub(crate) unlocked: Condvar,
+}
+
+impl<L> Default for HeldCopy<L> {
+    fn default() -> Self {
+        HeldCopy {
+            state: Mutex::new(CopyState::default()),
+            unlocked: Condvar::new(),
+        }
+    }
+}
+
+impl<L> HeldCopy<L> {
+    /// Mark the copy pending for a write about to be shipped through it;
+    /// false when there is no installed copy of `epoch` to write through.
+    /// Every mark is cleared by one [`HeldCopy::finish_write_through`].
+    pub(crate) fn mark_pending(&self, epoch: u64) -> bool {
+        let mut state = self.state.lock();
+        if state.epoch != epoch || state.copy.is_none() {
+            return false;
+        }
+        state.pending_writes += 1;
+        true
+    }
+
+    /// The version gate's bounded wait: an update for `version` that finds
+    /// the copy more than one version behind waits for the predecessors to
+    /// be installed instead of declaring a gap — as long as they can still
+    /// come, i.e. the copy is there and a write-through of this node other
+    /// than the caller's own `own_marks` is in flight (its acknowledgement
+    /// carries the missing version; pushed predecessors were acknowledged
+    /// before the authority moved on, so they are never what is missing).
+    fn await_predecessor(
+        &self,
+        state: &mut MutexGuard<'_, CopyState<L>>,
+        epoch: u64,
+        version: u64,
+        own_marks: u32,
+        budget: Duration,
+    ) {
+        let deadline = Instant::now() + budget;
+        while state.epoch == epoch
+            && state.copy.is_some()
+            && version > state.version + 1
+            && state.pending_writes > own_marks
+        {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return;
+            }
+            self.unlocked.wait_for(state, remaining);
+        }
+    }
+
+    /// Phase 1 at a holder: apply the pushed run `ops`, whose first
+    /// operation left the authoritative replica at `first_version`, and
+    /// lock the copy. Exactly the unseen suffix is applied (a prefix up to
+    /// the copy's version is a duplicate); a gap, or an operation the copy
+    /// cannot apply, drops it. An update that beats the snapshot install
+    /// still raises `seen`, so the older snapshot is not installed as
+    /// current. Returns how many operations were applied.
+    pub(crate) fn apply_pushed(
+        &self,
+        epoch: u64,
+        first_version: u64,
+        ops: &[Vec<u8>],
+        stamped: Option<(OpStamp, Vec<u8>)>,
+        budget: Duration,
+    ) -> usize {
+        let mut state = self.state.lock();
+        if ops.is_empty() || epoch < state.epoch {
+            return 0;
+        }
+        state.enter_epoch(epoch);
+        let last_version = first_version + ops.len() as u64 - 1;
+        state.seen = state.seen.max(last_version);
+        self.await_predecessor(&mut state, epoch, first_version, 0, budget);
+        let mut applied = 0;
+        // The copy may have moved on to a newer regime during the wait.
+        if state.epoch == epoch && state.copy.is_some() {
+            let gated = !sabotage::no_version_gating();
+            if gated && first_version > state.version + 1 {
+                state.discard();
+            } else if !gated || last_version > state.version {
+                let start = if gated {
+                    (state.version + 1 - first_version) as usize
+                } else {
+                    0
+                };
+                let copy = state.copy.as_mut().expect("checked above");
+                let failed = ops[start..].iter().any(|op| {
+                    let ok = copy.apply_encoded(op).is_ok();
+                    applied += usize::from(ok);
+                    !ok
+                });
+                if failed {
+                    state.discard();
+                } else {
+                    state.version = last_version;
+                    state.locked = true;
+                    if let Some((stamp, reply)) = stamped {
+                        state.dedup.record(stamp, reply);
+                    }
+                }
+            }
+            // Otherwise the whole run is a duplicate push; ignore it.
+        }
+        // A write-through acknowledgement may be waiting for this install.
+        self.unlocked.notify_all();
+        applied
+    }
+
+    /// Phase 2 at a holder: release the lock of the update that left the
+    /// copy at `version`, installing the renewed lease that rides it. The
+    /// notification is one-way, so it may be handled after a later update
+    /// locked the copy again; that update's own unlock is still to come
+    /// (and its lease supersedes this one), so a stale unlock is ignored.
+    /// A lease is installed only over a live copy — a grant for a copy that
+    /// was dropped mid-protocol must not authorize anything.
+    pub(crate) fn unlock(&self, epoch: u64, version: u64, lease: Option<L>) {
+        let mut state = self.state.lock();
+        if state.epoch == epoch && version >= state.version {
+            state.locked = false;
+            if state.copy.is_some() && lease.is_some() {
+                state.lease = lease;
+            }
+        }
+        self.unlocked.notify_all();
+    }
+
+    /// Close one write-through attempt for operation `op`, shipped under
+    /// `epoch`: act on the acknowledgement as [`WriteAck`] describes, then
+    /// clear the attempt's pending mark — only then, so the mark covers the
+    /// predecessor wait inside the install and no reader slips in on the
+    /// old value. Leaves the copy either current or not serving reads;
+    /// true when it had to be dropped.
+    pub(crate) fn finish_write_through(
+        &self,
+        channel: &UpdateChannel,
+        epoch: u64,
+        op: &[u8],
+        ack: WriteAck<L>,
+        budget: Duration,
+    ) -> bool {
+        let mut state = self.state.lock();
+        let dropped = match ack {
+            WriteAck::Installed {
+                version,
+                stamped,
+                lease,
+            } => {
+                // An acknowledgement that is ahead belongs to the later of
+                // two writers on this node; the earlier one's install is on
+                // its way.
+                self.await_predecessor(&mut state, epoch, version, 1, budget);
+                if state.epoch != epoch {
+                    false
+                } else {
+                    match install_own_write(&mut state, op, version, stamped, lease) {
+                        Ok(applied) => {
+                            if applied {
+                                channel.reply_installs.inc();
+                            }
+                            false
+                        }
+                        Err(Unappliable) => state.discard(),
+                    }
+                }
+            }
+            WriteAck::NotApplied => false,
+            WriteAck::Unsynced => state.epoch == epoch && state.discard(),
+            WriteAck::AuthorityLost => {
+                if state.epoch == epoch {
+                    state.locked = state.copy.is_some();
+                }
+                false
+            }
+        };
+        state.pending_writes -= 1;
+        self.unlocked.notify_all();
+        dropped
+    }
+}
+
+/// A copy that cannot take an update it must take: a gap (the predecessor
+/// never arrived) or an operation it fails to apply.
+struct Unappliable;
+
+/// Apply this node's own acknowledged write to its copy at `version`, under
+/// the same strict gate as a pushed update; `Ok(false)` when there is
+/// nothing to apply it to or the copy already contains it. On
+/// [`Unappliable`] the caller drops the copy rather than let it diverge.
+fn install_own_write<L>(
+    state: &mut CopyState<L>,
+    op: &[u8],
+    version: u64,
+    stamped: Option<(OpStamp, Vec<u8>)>,
+    lease: Option<L>,
+) -> Result<bool, Unappliable> {
+    state.seen = state.seen.max(version);
+    if version <= state.version {
+        // The copy was re-fetched meanwhile, from a snapshot that already
+        // contains this write.
+        return Ok(false);
+    }
+    let Some(copy) = state.copy.as_mut() else {
+        return Ok(false);
+    };
+    let in_order = version == state.version + 1 || sabotage::no_version_gating();
+    if !in_order || copy.apply_encoded(op).is_err() {
+        return Err(Unappliable);
+    }
+    state.version = version;
+    // The authority serializes writes: every earlier one had its unlocks
+    // sent before this one was applied, and this one is acknowledged only
+    // after every other copy has it. An unlock still in flight to this node
+    // is for an older version and will be ignored as stale.
+    state.locked = false;
+    if let Some((stamp, reply)) = stamped {
+        state.dedup.record(stamp, reply);
+    }
+    if lease.is_some() {
+        state.lease = lease;
+    }
+    Ok(true)
+}

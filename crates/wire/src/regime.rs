@@ -260,7 +260,28 @@ pub enum RegimeMsg {
         /// its copy.
         stamped: Option<(OpStamp, Vec<u8>)>,
     },
-    /// Home → mirror holder: release the mirror locked by `seq`.
+    /// Mirror-holding client → home node: a replicated-regime write whose
+    /// sender holds an installed mirror and has marked it pending. The home
+    /// executes it like a partition-0 [`RegimeMsg::Op`] but leaves the
+    /// sender out of both phases of the mirror push and answers
+    /// [`RegimeReply::Installed`], from which the sender brings its own
+    /// mirror up to date — it already has the operation bytes in hand.
+    WriteThrough {
+        /// Raw object id.
+        object: u64,
+        /// Epoch of the regime table the client routed under.
+        epoch: u64,
+        /// Encoded write operation.
+        op: Vec<u8>,
+        /// Causal identity of the originating invocation.
+        trace: TraceId,
+        /// Exactly-once identity of the write (see [`RegimeMsg::Op`]).
+        stamp: Option<OpStamp>,
+    },
+    /// Home → mirror holder: release the mirror locked by `seq`. A one-way
+    /// notification — nothing is sent back — so it can be handled after a
+    /// later [`RegimeMsg::Update`]; `seq` is what lets the holder ignore it
+    /// then.
     Unlock {
         /// Raw object id.
         object: u64,
@@ -419,6 +440,20 @@ impl Wire for RegimeMsg {
                 enc.put_u8(13);
                 ops.encode(enc);
             }
+            RegimeMsg::WriteThrough {
+                object,
+                epoch,
+                op,
+                trace,
+                stamp,
+            } => {
+                enc.put_u8(14);
+                object.encode(enc);
+                epoch.encode(enc);
+                enc.put_bytes(op);
+                trace.encode(enc);
+                stamp.encode(enc);
+            }
             RegimeMsg::MirrorQuery { object } => {
                 enc.put_u8(12);
                 object.encode(enc);
@@ -501,6 +536,13 @@ impl Wire for RegimeMsg {
             12 => Ok(RegimeMsg::MirrorQuery {
                 object: Wire::decode(dec)?,
             }),
+            14 => Ok(RegimeMsg::WriteThrough {
+                object: Wire::decode(dec)?,
+                epoch: Wire::decode(dec)?,
+                op: dec.get_bytes()?,
+                trace: Wire::decode(dec)?,
+                stamp: Wire::decode(dec)?,
+            }),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeMsg",
                 tag: u64::from(tag),
@@ -562,6 +604,17 @@ pub enum RegimeReply {
     ObjectLost,
     /// Per-operation outcomes of a [`RegimeMsg::OpBatch`], in batch order.
     Batch(Vec<crate::batch::BatchOutcome>),
+    /// A [`RegimeMsg::WriteThrough`] was applied and every *other* mirror
+    /// brought up to date: the sender applies its own operation at `seq`.
+    Installed {
+        /// Encoded reply of the write.
+        reply: Vec<u8>,
+        /// Update sequence number the write was applied at.
+        seq: u64,
+        /// Renewed read lease over the sender's mirror, when the home
+        /// grants leases.
+        lease: Option<LeaseGrant>,
+    },
 }
 
 impl Wire for RegimeReply {
@@ -609,6 +662,12 @@ impl Wire for RegimeReply {
                 enc.put_u8(10);
                 outcomes.encode(enc);
             }
+            RegimeReply::Installed { reply, seq, lease } => {
+                enc.put_u8(11);
+                enc.put_bytes(reply);
+                seq.encode(enc);
+                lease.encode(enc);
+            }
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
@@ -635,6 +694,11 @@ impl Wire for RegimeReply {
             }),
             9 => Ok(RegimeReply::ObjectLost),
             10 => Ok(RegimeReply::Batch(Wire::decode(dec)?)),
+            11 => Ok(RegimeReply::Installed {
+                reply: dec.get_bytes()?,
+                seq: Wire::decode(dec)?,
+                lease: Wire::decode(dec)?,
+            }),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeReply",
                 tag: u64::from(tag),
@@ -740,6 +804,13 @@ mod tests {
                 lease: Some(grant()),
             },
             RegimeMsg::MirrorQuery { object: 9 },
+            RegimeMsg::WriteThrough {
+                object: 9,
+                epoch: 3,
+                op: vec![1, 2],
+                trace: TraceId::mint(2, 5),
+                stamp: Some(OpStamp { origin: 2, seq: 41 }),
+            },
             RegimeMsg::OpBatch {
                 ops: vec![crate::batch::BatchOp {
                     id: 4,
@@ -786,6 +857,11 @@ mod tests {
                 dedup: window(),
             },
             RegimeReply::ObjectLost,
+            RegimeReply::Installed {
+                reply: vec![5],
+                seq: 14,
+                lease: Some(grant()),
+            },
             RegimeReply::Batch(vec![
                 crate::batch::BatchOutcome::Done(vec![1]),
                 crate::batch::BatchOutcome::Stale,

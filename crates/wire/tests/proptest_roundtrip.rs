@@ -469,8 +469,15 @@ fn regime_messages_round_trip() {
     for case in 0..CASES {
         let object = gen.next_u64();
         let epoch = gen.next_u64();
-        let msg = match gen.below(14) {
+        let msg = match gen.below(15) {
             0 => RegimeMsg::Route { object },
+            14 => RegimeMsg::WriteThrough {
+                object,
+                epoch,
+                op: gen.bytes(48),
+                trace: random_trace(&mut gen),
+                stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
+            },
             12 => RegimeMsg::MirrorQuery { object },
             13 => RegimeMsg::OpBatch {
                 ops: (0..gen.below(6))
@@ -536,7 +543,12 @@ fn regime_messages_round_trip() {
             },
         };
         assert_roundtrip(&msg, case);
-        let reply = match gen.below(11) {
+        let reply = match gen.below(12) {
+            11 => RegimeReply::Installed {
+                reply: gen.bytes(48),
+                seq: gen.next_u64(),
+                lease: (gen.below(2) == 0).then(|| random_lease(&mut gen)),
+            },
             10 => RegimeReply::Batch(
                 (0..gen.below(6))
                     .map(|_| match gen.below(4) {

@@ -13,7 +13,11 @@ with the instruments the runtime promises to keep populated:
   percentile ranks (count > 0, p50 <= p90 <= p99 <= p999);
 * the read-lease protocol counters (`rts.lease.*`): all four present,
   with grants and zero-message local reads actually recorded by the
-  smoke workload's leased primary-copy phase.
+  smoke workload's leased primary-copy phase;
+* the replicated-write counters (`rts.update.*`): all three present and
+  non-zero — that phase pushes one write to a copy holder (a push and a
+  one-way unlock) and writes one through the holder's own copy (an
+  install from the reply).
 
 Usage: check_telemetry.py <snapshot.json>
 """
@@ -39,6 +43,15 @@ LEASE_COUNTERS = [
     "rts.lease.local_reads",
 ]
 LEASE_NONZERO = ["rts.lease.grants", "rts.lease.local_reads"]
+
+# Where a replicated write's messages went. `reply_installs` is the one
+# that proves the write-through path ran: a writer holding a copy updated
+# it from its own write's acknowledgement instead of being pushed to.
+UPDATE_COUNTERS = [
+    "rts.update.pushes",
+    "rts.update.unlock_notifies",
+    "rts.update.reply_installs",
+]
 
 
 def fail(message):
@@ -74,6 +87,12 @@ def main():
     for name in LEASE_NONZERO:
         if counters[name] == 0:
             fail(f"lease counter {name!r} is zero: the leased phase never ran")
+
+    for name in UPDATE_COUNTERS:
+        if name not in counters:
+            fail(f"update counter {name!r} missing (got {sorted(counters)})")
+        if counters[name] == 0:
+            fail(f"update counter {name!r} is zero: no write took that path")
 
     hists = doc["histograms"]
     for name in REQUIRED_HISTOGRAMS:
