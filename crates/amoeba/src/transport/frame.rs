@@ -16,8 +16,12 @@ use crate::node::{NodeId, Port};
 /// `"ORCA"` in big-endian bytes.
 pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 
-/// Current frame format version.
-pub const FRAME_VERSION: u8 = 1;
+/// Current frame format version. Bumped whenever a payload codec changes
+/// incompatibly, so that a mixed-version cluster refuses the other
+/// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
+/// them: version 2 carries the delta-coded operation batches and the
+/// two-varint trace ids of `orca-wire`.
+pub const FRAME_VERSION: u8 = 2;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).
@@ -89,9 +93,19 @@ impl Frame {
     /// Decode a frame from a full buffer (one TCP message body or one UDP
     /// datagram).
     pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
-        if bytes.len() < FRAME_HEADER_BYTES {
+        let Some((header, payload)) = bytes.split_first_chunk() else {
             return Err(FrameError::Truncated);
-        }
+        };
+        Frame::from_parts(header, payload.to_vec())
+    }
+
+    /// Build a frame from its header bytes and an already-owned payload:
+    /// the stream reader reads the payload straight into the buffer it
+    /// hands over here, so the bytes are never copied again.
+    pub fn from_parts(
+        bytes: &[u8; FRAME_HEADER_BYTES],
+        payload: Vec<u8>,
+    ) -> Result<Frame, FrameError> {
         let magic = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         if magic != FRAME_MAGIC {
             return Err(FrameError::BadMagic(magic));
@@ -115,7 +129,7 @@ impl Frame {
             dst,
             port,
             delivery,
-            payload: bytes[FRAME_HEADER_BYTES..].to_vec(),
+            payload,
         })
     }
 
@@ -182,5 +196,23 @@ mod tests {
         bytes[4] = FRAME_VERSION;
         bytes[5] = 7;
         assert_eq!(Frame::decode(&bytes), Err(FrameError::BadDelivery(7)));
+    }
+
+    #[test]
+    fn owned_payload_is_moved_not_copied() {
+        let frame = Frame {
+            src: NodeId(2),
+            dst: NodeId(0),
+            port: 9,
+            delivery: Delivery::PointToPoint,
+            payload: vec![6; 40],
+        };
+        let bytes = frame.encode();
+        let (header, payload) = bytes.split_first_chunk().unwrap();
+        let payload = payload.to_vec();
+        let at = payload.as_ptr();
+        let decoded = Frame::from_parts(header, payload).unwrap();
+        assert_eq!(decoded, frame);
+        assert_eq!(decoded.payload.as_ptr(), at);
     }
 }

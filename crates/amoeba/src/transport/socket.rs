@@ -22,7 +22,7 @@
 //! (`orca-node`); [`SocketTransport::start_loopback_cluster`] builds an
 //! N-node cluster inside a single process for tests and benches.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +36,7 @@ use crate::message::Delivery;
 use crate::network::{packets_for, NetError, PortReceiver, DEFAULT_PACKET_PAYLOAD};
 use crate::node::{ports, NodeId, Port};
 use crate::stats::{NetStats, NetStatsSnapshot};
-use crate::transport::{Frame, PortDemux, Transport, TransportKind};
+use crate::transport::{Frame, PortDemux, Transport, TransportKind, FRAME_HEADER_BYTES};
 
 /// Largest payload routed over UDP; bigger frames fall back to framed TCP
 /// (a UDP datagram tops out at 65507 bytes, minus our frame header and
@@ -47,8 +47,13 @@ pub const MAX_UDP_PAYLOAD: usize = 60_000;
 /// protocol corruption and the connection is dropped.
 const MAX_TCP_FRAME: usize = 256 * 1024 * 1024;
 
-/// How often blocking accept/receive loops re-check the shutdown flag.
+/// How often the datagram receive loop re-checks the shutdown flag (and how
+/// long the accept loop backs off after a failed `accept`).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Read-buffer size per accepted connection: a burst of small frames costs
+/// one `read` per buffer-full instead of two per frame.
+const TCP_READ_BUFFER: usize = 64 * 1024;
 
 /// Static cluster bootstrap configuration: who am I, where does everybody
 /// (including me) listen.
@@ -94,6 +99,8 @@ struct TransportCounters {
 struct SocketInner {
     node: NodeId,
     peers: Vec<SocketAddr>,
+    /// Where shutdown connects to wake the accept loop out of `accept()`.
+    wake_addr: SocketAddr,
     udp: UdpSocket,
     demux: PortDemux,
     /// Cached outbound TCP connection per peer.
@@ -352,9 +359,21 @@ impl BoundSocket {
                 );
             });
         }
+        let mut wake_addr = self
+            .listener
+            .local_addr()
+            .expect("bound listener has an address");
+        if wake_addr.ip().is_unspecified() {
+            // Bound to every interface: reach it over loopback.
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let inner = Arc::new(SocketInner {
             node,
             peers,
+            wake_addr,
             udp: self.udp,
             demux: PortDemux::new(),
             conns: (0..nodes).map(|_| Mutex::new(None)).collect(),
@@ -374,9 +393,6 @@ impl BoundSocket {
 
         let accept_inner = Arc::clone(&inner);
         let listener = self.listener;
-        listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
         std::thread::Builder::new()
             .name(format!("orca-accept-{}", node.index()))
             .spawn(move || accept_loop(listener, accept_inner))
@@ -392,31 +408,42 @@ impl BoundSocket {
     }
 }
 
+/// Accept connections until shutdown. The loop blocks in `accept()`, so a
+/// peer's first frame is served the moment it connects;
+/// [`SocketTransport::shutdown`] wakes it with a connection of its own.
 fn accept_loop(listener: TcpListener, inner: Arc<SocketInner>) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
                 inner.counters.tcp_accepts.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
                     inner.accepted.lock().push(clone);
+                }
+                if inner.shutdown.load(Ordering::SeqCst) {
+                    // Shutdown drained `accepted` before the push above.
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return;
                 }
                 let reader_inner = Arc::clone(&inner);
                 let _ = std::thread::Builder::new()
                     .name(format!("orca-tcp-{}", reader_inner.node.index()))
                     .spawn(move || tcp_reader(stream, reader_inner));
             }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            // Out of descriptors, or the like: do not spin on it.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }
 
-fn tcp_reader(mut stream: TcpStream, inner: Arc<SocketInner>) {
+fn tcp_reader(stream: TcpStream, inner: Arc<SocketInner>) {
+    let mut stream = BufReader::with_capacity(TCP_READ_BUFFER, stream);
     let mut len_buf = [0u8; 4];
+    let mut header = [0u8; FRAME_HEADER_BYTES];
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -425,15 +452,16 @@ fn tcp_reader(mut stream: TcpStream, inner: Arc<SocketInner>) {
             return; // peer closed or died
         }
         let len = u32::from_be_bytes(len_buf) as usize;
-        if len > MAX_TCP_FRAME {
+        if !(FRAME_HEADER_BYTES..=MAX_TCP_FRAME).contains(&len) {
             inner.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
             return; // protocol corruption: drop the connection
         }
-        let mut body = vec![0u8; len];
-        if stream.read_exact(&mut body).is_err() {
+        // The payload is read into the buffer the frame will own.
+        let mut payload = vec![0u8; len - FRAME_HEADER_BYTES];
+        if stream.read_exact(&mut header).is_err() || stream.read_exact(&mut payload).is_err() {
             return;
         }
-        match Frame::decode(&body) {
+        match Frame::from_parts(&header, payload) {
             Ok(frame) => {
                 inner
                     .counters
@@ -563,6 +591,9 @@ impl SocketTransport {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        // The accept loop sees the flag as soon as this connection wakes
+        // it, and exits (closing the listener) without serving it.
+        let _ = TcpStream::connect_timeout(&self.inner.wake_addr, self.inner.connect_timeout);
         for stream in self.inner.accepted.lock().drain(..) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
@@ -800,6 +831,62 @@ mod tests {
                 .load(Ordering::Relaxed)
                 >= 1
         );
+    }
+
+    #[test]
+    fn frames_of_another_version_are_refused_not_misdecoded() {
+        use crate::transport::{FrameError, FRAME_VERSION};
+        let cluster = SocketTransport::start_loopback_cluster(2).unwrap();
+        let h = handles(&cluster);
+        let rx = h[1].bind(11);
+        // What a node built before the version bump would put on the wire.
+        let mut old = Frame {
+            src: NodeId(0),
+            dst: NodeId(1),
+            port: 11,
+            delivery: Delivery::PointToPoint,
+            payload: vec![1, 2, 3],
+        }
+        .encode();
+        old[4] = FRAME_VERSION - 1;
+        assert_eq!(
+            Frame::decode(&old),
+            Err(FrameError::BadVersion(FRAME_VERSION - 1))
+        );
+        let mut peer = TcpStream::connect(cluster[1].peer_addrs()[1]).unwrap();
+        peer.write_all(&(old.len() as u32).to_be_bytes()).unwrap();
+        peer.write_all(&old).unwrap();
+        // The receiver counts the frame as undecodable and delivers nothing.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let errors = &cluster[1].inner.counters.decode_errors;
+        while errors.load(Ordering::Relaxed) == 0 {
+            assert!(std::time::Instant::now() < deadline, "frame never read");
+            std::thread::yield_now();
+        }
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        // A current-version frame on a fresh connection still gets through.
+        h[0].send_reliable(NodeId(1), 11, vec![4]).unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap().payload,
+            vec![4]
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocked_accept_loop_and_frees_the_port() {
+        let cluster = SocketTransport::start_loopback_cluster(1).unwrap();
+        let addr = cluster[0].peer_addrs()[0];
+        cluster[0].shutdown();
+        // The accept thread exits on the wake-up connection and drops the
+        // listener; until it has, the bind below fails with AddrInUse.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while TcpListener::bind(addr).is_err() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "listener still bound after shutdown"
+            );
+            std::thread::yield_now();
+        }
     }
 
     #[test]

@@ -90,10 +90,12 @@ use orca_object::shard::spread_owner;
 use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
 use orca_telemetry::{trace, FlightKind};
-use orca_wire::{BatchOp, BatchOutcome, DedupWindow, LeaseGrant, OpStamp, Wire};
+use orca_wire::{BatchOutcome, DedupWindow, LeaseGrant, OpBatchView, OpStamp, Wire};
 use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
+use crate::pipeline::{
+    pending_pair, resolve_round, BatchPolicy, PendingBatches, Pipeline, QueuedOp, RoundSlot,
+};
 use crate::primary::LeaseCounters;
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
@@ -223,9 +225,6 @@ struct Inner {
     lost: RwLock<HashSet<ObjectId>>,
     /// Serializes home adoptions on this node.
     adoption: Mutex<()>,
-    /// Ids for batched asynchronous operations (wire-level only; replies
-    /// are matched by batch order).
-    next_async: AtomicU64,
     /// Per-node monotonic sequence stamping synchronously-invoked writes
     /// with an exactly-once identity (see [`OpStamp`]).
     next_stamp: AtomicU64,
@@ -359,7 +358,6 @@ impl AdaptiveRts {
             detector,
             lost: RwLock::new(HashSet::new()),
             adoption: Mutex::new(()),
-            next_async: AtomicU64::new(1),
             next_stamp: AtomicU64::new(1),
             lease_counters: LeaseCounters::from_handle(&handle),
             updates: UpdateChannel::new(&handle, ports::RTS_ADAPTIVE),
@@ -598,7 +596,7 @@ impl AdaptiveRts {
     /// through the regime each object currently delegates to: slot-addressed
     /// operations (the primary regime's home copy, replicated-regime
     /// writes, `One`-routed sharded operations) coalesce into one
-    /// epoch-stamped [`RegimeMsg::OpBatch`] per destination node; mirror
+    /// epoch-stamped operation-batch request per destination node; mirror
     /// reads stay local; `All`/`Any` fan-outs act as barriers. Operations
     /// bounced by a regime switch (`Stale`) retry in a follow-up pass.
     /// Every handle resolves in issue order at the end of the round.
@@ -633,8 +631,7 @@ impl AdaptiveRts {
         deadline: Instant,
     ) -> Vec<usize> {
         let mut stale: Vec<usize> = Vec::new();
-        // Per-destination pending (index, op) batches, in first-touch order.
-        let mut batches: Vec<(NodeId, Vec<(usize, BatchOp)>)> = Vec::new();
+        let mut batches = PendingBatches::new(RegimeMsg::OP_BATCH_TAG, ops);
         for &i in todo {
             let op = &ops[i];
             // An earlier operation on this object bounced in this pass;
@@ -653,7 +650,11 @@ impl AdaptiveRts {
             let me = self.inner.node.0;
             match table.regime {
                 RegimeKind::Primary => {
-                    self.push_batched(&mut batches, &table, i, op, 0, &op.op);
+                    batches.push(
+                        NodeId(table.owners[0]),
+                        i,
+                        op.batched(0, table.epoch, &op.op),
+                    );
                 }
                 RegimeKind::Replicated => {
                     if op.kind == OpKind::Read && table.owners[0] != me {
@@ -678,7 +679,11 @@ impl AdaptiveRts {
                             Err(err) => RoundSlot::Ready(Err(err)),
                         };
                     } else {
-                        self.push_batched(&mut batches, &table, i, op, 0, &op.op);
+                        batches.push(
+                            NodeId(table.owners[0]),
+                            i,
+                            op.batched(0, table.epoch, &op.op),
+                        );
                     }
                 }
                 RegimeKind::Sharded => {
@@ -702,7 +707,11 @@ impl AdaptiveRts {
                             });
                     match routed {
                         Ok((ShardRoute::One(_), Some((partition, part_op)))) => {
-                            self.push_batched(&mut batches, &table, i, op, partition, &part_op);
+                            batches.push(
+                                NodeId(table.owners[partition as usize]),
+                                i,
+                                op.batched(partition, table.epoch, &part_op),
+                            );
                         }
                         Ok((route, _)) => {
                             // Barrier: whole-object operations must order
@@ -753,38 +762,12 @@ impl AdaptiveRts {
         stale
     }
 
-    /// Append one slot-addressed op to its serving node's pending batch,
-    /// stamped with the epoch the current table carries.
-    fn push_batched(
-        &self,
-        batches: &mut Vec<(NodeId, Vec<(usize, BatchOp)>)>,
-        table: &RegimeTable,
-        index: usize,
-        op: &QueuedOp,
-        partition: u32,
-        part_op: &[u8],
-    ) {
-        let owner = NodeId(table.owners[partition as usize]);
-        let batch_op = BatchOp {
-            id: self.inner.next_async.fetch_add(1, Ordering::Relaxed),
-            object: op.object.0,
-            partition,
-            epoch: table.epoch,
-            trace: op.trace,
-            op: part_op.to_vec(),
-        };
-        match batches.iter_mut().find(|(dest, _)| *dest == owner) {
-            Some((_, list)) => list.push((index, batch_op)),
-            None => batches.push((owner, vec![(index, batch_op)])),
-        }
-    }
-
     /// Ship every pending per-destination batch through the shared
     /// reply-demultiplexing flusher (see
     /// [`crate::pipeline::flush_op_batches`] for the failure contract).
     fn flush_batches(
         &self,
-        batches: &mut Vec<(NodeId, Vec<(usize, BatchOp)>)>,
+        batches: &mut PendingBatches,
         stale: &mut Vec<usize>,
         slots: &mut [RoundSlot],
         deadline: Instant,
@@ -801,10 +784,9 @@ impl AdaptiveRts {
             slots,
             deadline,
             &|ops| apply_op_batch(inner, ops, inner.node),
-            &|ops| RegimeMsg::OpBatch { ops }.to_bytes(),
             &|bytes| match RegimeReply::from_bytes(bytes) {
                 Ok(RegimeReply::Batch(outcomes)) => Ok(outcomes),
-                Ok(other) => Err(format!("unexpected OpBatch reply {other:?}")),
+                Ok(other) => Err(format!("unexpected batch reply {other:?}")),
                 Err(err) => Err(format!("bad reply: {err}")),
             },
         );
@@ -1424,10 +1406,13 @@ fn current_home(inner: &Arc<Inner>, object: ObjectId) -> NodeId {
 
 /// RPC dispatch: the service side of the regime protocol, on every node.
 fn serve_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> Vec<u8> {
-    let reply = match RegimeMsg::from_bytes(body) {
-        Ok(msg) => dispatch(inner, msg, caller),
-        Err(err) => RegimeReply::Error(format!("bad request: {err}")),
-    };
+    // An operation batch is applied straight from the request bytes;
+    // everything else decodes into an owned message first.
+    let reply = match OpBatchView::from_request(RegimeMsg::OP_BATCH_TAG, body) {
+        Some(ops) => ops.map(|ops| RegimeReply::Batch(apply_op_batch(inner, &ops, caller))),
+        None => RegimeMsg::from_bytes(body).map(|msg| dispatch(inner, msg, caller)),
+    }
+    .unwrap_or_else(|err| RegimeReply::Error(format!("bad request: {err}")));
     reply.to_bytes()
 }
 
@@ -1495,7 +1480,6 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             let _span = trace::enter(trace);
             apply_at_slot(inner, ObjectId(object), 0, epoch, &op, stamp, caller, true)
         }
-        RegimeMsg::OpBatch { ops } => RegimeReply::Batch(apply_op_batch(inner, &ops, caller)),
         RegimeMsg::OpAll { object, op, trace } => {
             let _span = trace::enter(trace);
             serve_op_all(inner, ObjectId(object), &op, caller)
@@ -1748,7 +1732,7 @@ fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>,
 /// the same epoch-checked slot path as single operations. Replicated-
 /// regime writes push their mirror updates per op (the slot's ordered
 /// update stream), so batching never reorders the mirror sequence.
-fn apply_op_batch(inner: &Arc<Inner>, ops: &[BatchOp], caller: NodeId) -> Vec<BatchOutcome> {
+fn apply_op_batch(inner: &Arc<Inner>, ops: &OpBatchView<'_>, caller: NodeId) -> Vec<BatchOutcome> {
     // One protocol-handling event for the whole message, one apply per op
     // — the accounting split the cost model relies on.
     if caller != inner.node {
@@ -1772,7 +1756,7 @@ fn apply_op_batch(inner: &Arc<Inner>, ops: &[BatchOp], caller: NodeId) -> Vec<Ba
                 ObjectId(op.object),
                 op.partition,
                 op.epoch,
-                &op.op,
+                op.op,
                 None,
                 inner.node,
                 false,

@@ -28,10 +28,10 @@ use orca_object::{
     AnyReplica, AppliedOutcome, ObjectDescriptor, ObjectError, ObjectId, ObjectRegistry, OpKind,
 };
 use orca_telemetry::{trace, Telemetry};
-use orca_wire::{BatchOp, Decoder, Encoder, OpBatch, Wire, WireError, WireResult};
+use orca_wire::{Decoder, Encoder, OpBatchEncoder, OpBatchView, Wire, WireError, WireResult};
 use parking_lot::{Condvar, Mutex};
 
-use crate::pipeline::{pending_pair, BatchPolicy, Pipeline, QueuedOp};
+use crate::pipeline::{batch_capacity, pending_pair, BatchPolicy, Pipeline, QueuedOp};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 
@@ -65,11 +65,34 @@ enum RtsBroadcastMsg {
         /// Invocation (or batch) id being withdrawn.
         invocation: u64,
     },
-    /// Apply a *batch* of write operations in one total-order slot: every
-    /// manager applies the ops in batch order, back to back, so the batch
-    /// occupies one slot of the global order and either applies as a whole
-    /// or (when its withdraw was ordered first) not at all.
-    WriteBatch(OpBatch),
+}
+
+impl RtsBroadcastMsg {
+    /// Tag byte of the *write batch* message: a batch of write operations
+    /// in one total-order slot. Every manager applies the ops in batch
+    /// order, back to back, so the batch occupies one slot of the global
+    /// order and either applies as a whole or (when its withdraw was
+    /// ordered first) not at all.
+    ///
+    /// The message is this byte followed by an [`orca_wire::OpBatch`]
+    /// encoding (batch id, then operations) and is never an owned
+    /// `RtsBroadcastMsg`: the origin streams it out of its submission
+    /// queue ([`BroadcastRts::send_write_batch`]), managers apply it in
+    /// place ([`write_batch_of`]).
+    const WRITE_BATCH_TAG: u8 = 3;
+}
+
+/// The batch id and operations of a delivered write batch, read in place;
+/// `None` when `payload` is some other message.
+fn write_batch_of(payload: &[u8]) -> Option<WireResult<(u64, OpBatchView<'_>)>> {
+    let (&tag, batch) = payload.split_first()?;
+    (tag == RtsBroadcastMsg::WRITE_BATCH_TAG).then(|| {
+        let mut dec = Decoder::new(batch);
+        let id = dec.get_uvarint()?;
+        let ops = OpBatchView::parse(&mut dec)?;
+        dec.finish()?;
+        Ok((id, ops))
+    })
 }
 
 impl Wire for RtsBroadcastMsg {
@@ -97,10 +120,6 @@ impl Wire for RtsBroadcastMsg {
                 enc.put_u8(2);
                 invocation.encode(enc);
             }
-            RtsBroadcastMsg::WriteBatch(batch) => {
-                enc.put_u8(3);
-                batch.encode(enc);
-            }
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
@@ -117,7 +136,6 @@ impl Wire for RtsBroadcastMsg {
             2 => Ok(RtsBroadcastMsg::Withdraw {
                 invocation: Wire::decode(dec)?,
             }),
-            3 => Ok(RtsBroadcastMsg::WriteBatch(Wire::decode(dec)?)),
             tag => Err(WireError::InvalidTag {
                 type_name: "RtsBroadcastMsg",
                 tag: u64::from(tag),
@@ -372,9 +390,13 @@ impl BroadcastRts {
     }
 
     fn broadcast(&self, msg: &RtsBroadcastMsg) -> Result<(), RtsError> {
+        self.broadcast_bytes(msg.to_bytes())
+    }
+
+    fn broadcast_bytes(&self, msg: Vec<u8>) -> Result<(), RtsError> {
         self.inner
             .sender
-            .broadcast(msg.to_bytes())
+            .broadcast(msg)
             .map_err(|err| RtsError::Communication(err.to_string()))
     }
 
@@ -481,7 +503,7 @@ impl BroadcastRts {
     }
 
     /// Execute one flusher round: consecutive writes coalesce into one
-    /// [`RtsBroadcastMsg::WriteBatch`] (one total-order slot); a read waits
+    /// write-batch message (one total-order slot); a read waits
     /// for the preceding writes' slot to be consumed locally, then executes
     /// on the local replica — so every operation of the round completes in
     /// issue order.
@@ -535,17 +557,13 @@ impl BroadcastRts {
             return fail_all(&writes, RtsError::Terminated);
         }
         let batch_id = self.inner.next_invocation.fetch_add(1, Ordering::Relaxed);
-        let ops: Vec<BatchOp> = writes
-            .iter()
-            .map(|write| BatchOp {
-                id: self.inner.next_invocation.fetch_add(1, Ordering::Relaxed),
-                object: write.object.0,
-                partition: 0,
-                epoch: 0,
-                trace: write.trace,
-                op: write.op.clone(),
-            })
-            .collect();
+        let mut msg = Vec::with_capacity(batch_capacity(&writes));
+        msg.push(RtsBroadcastMsg::WRITE_BATCH_TAG);
+        batch_id.encode_into(&mut msg);
+        let mut msg = OpBatchEncoder::new(msg);
+        for write in &writes {
+            msg.push(write.batched(0, 0, &write.op));
+        }
         let (tx, rx) = bounded(1);
         self.inner.pending_batches.lock().insert(batch_id, tx);
         // Re-check after the insert so a racing shutdown's drain cannot
@@ -560,11 +578,7 @@ impl BroadcastRts {
             .stats
             .ops_batched
             .fetch_add(writes.len() as u64, Ordering::Relaxed);
-        let msg = RtsBroadcastMsg::WriteBatch(OpBatch {
-            batch: batch_id,
-            ops,
-        });
-        if let Err(err) = self.broadcast(&msg) {
+        if let Err(err) = self.broadcast_bytes(msg.finish()) {
             self.inner.pending_batches.lock().remove(&batch_id);
             return fail_all(&writes, err);
         }
@@ -834,11 +848,18 @@ fn manager_loop(inner: Arc<Inner>, member: GroupMember) {
 }
 
 fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
+    let origin = delivered.id.origin;
+    // A write batch is applied straight from the delivered bytes;
+    // everything else decodes into an owned message first.
+    match write_batch_of(&delivered.payload) {
+        Some(Ok((batch, ops))) => return apply_write_batch(inner, origin, batch, &ops),
+        Some(Err(_)) => return, // corrupted: ignore
+        None => {}
+    }
     let msg = match RtsBroadcastMsg::from_bytes(&delivered.payload) {
         Ok(msg) => msg,
         Err(_) => return, // not ours / corrupted: ignore
     };
-    let origin = delivered.id.origin;
     match msg {
         RtsBroadcastMsg::Create {
             invocation,
@@ -878,31 +899,32 @@ fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
                 complete_batch(inner, invocation, BatchDelivery::Withdrawn);
             }
         }
-        RtsBroadcastMsg::WriteBatch(batch) => {
-            if inner.withdrawn.lock().take(&(origin.0, batch.batch)) {
-                // Withdrawn before delivery: the whole batch is dropped by
-                // every manager — no partial application anywhere.
-                if origin == inner.node {
-                    complete_batch(inner, batch.batch, BatchDelivery::Withdrawn);
-                }
-                return;
-            }
-            // One protocol-handling event for the whole slot, then one
-            // apply per op — the accounting split the cost model relies
-            // on (`updates_applied` per message, `batch_ops_applied` per
-            // op).
-            if origin != inner.node {
-                RtsStats::bump(&inner.stats.updates_applied);
-            }
-            let mut results = Vec::with_capacity(batch.ops.len());
-            for op in &batch.ops {
-                RtsStats::bump(&inner.stats.batch_ops_applied);
-                results.push(apply_batch_op(inner, ObjectId(op.object), &op.op));
-            }
-            if origin == inner.node {
-                complete_batch(inner, batch.batch, BatchDelivery::Applied(results));
-            }
+    }
+}
+
+/// Apply one delivered write batch (or drop it whole, if withdrawn).
+fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBatchView<'_>) {
+    if inner.withdrawn.lock().take(&(origin.0, batch)) {
+        // Withdrawn before delivery: the whole batch is dropped by
+        // every manager — no partial application anywhere.
+        if origin == inner.node {
+            complete_batch(inner, batch, BatchDelivery::Withdrawn);
         }
+        return;
+    }
+    // One protocol-handling event for the whole slot, then one apply per
+    // op — the accounting split the cost model relies on
+    // (`updates_applied` per message, `batch_ops_applied` per op).
+    if origin != inner.node {
+        RtsStats::bump(&inner.stats.updates_applied);
+    }
+    let mut results = Vec::with_capacity(ops.len());
+    for op in ops {
+        RtsStats::bump(&inner.stats.batch_ops_applied);
+        results.push(apply_batch_op(inner, ObjectId(op.object), op.op));
+    }
+    if origin == inner.node {
+        complete_batch(inner, batch, BatchDelivery::Applied(results));
     }
 }
 

@@ -51,7 +51,7 @@ use orca_amoeba::{NodeId, Port};
 use orca_group::FailureDetector;
 use orca_object::{ObjectId, OpKind};
 use orca_telemetry::{FlightKind, Telemetry};
-use orca_wire::{BatchOp, BatchOutcome, TraceId};
+use orca_wire::{BatchOutcome, OpBatchEncoder, OpBatchView, OpRef, TraceId};
 use parking_lot::{Condvar, Mutex};
 
 use crate::recovery::is_dead;
@@ -294,12 +294,72 @@ fn fail_indices(slots: &mut [RoundSlot], indices: &[usize], err: RtsError) {
     }
 }
 
+/// Size of a request that batches all of `ops`: their bytes, the codec's
+/// two bytes per operation and one to spare, and a first operation's
+/// unpredicted fields.
+pub(crate) fn batch_capacity<'a>(ops: impl IntoIterator<Item = &'a QueuedOp>) -> usize {
+    32 + ops.into_iter().map(|op| op.op.len() + 3).sum::<usize>()
+}
+
+/// One destination's share of a pass: the round indices of its operations
+/// and the request message they are being encoded into.
+struct DestBatch {
+    dest: NodeId,
+    indices: Vec<usize>,
+    request: OpBatchEncoder,
+}
+
+/// The per-destination batch requests of one pass, in first-touch order.
+/// Operations are encoded as they are routed — out of the submission queue
+/// into the message that ships them — so nothing is cloned on the way.
+pub(crate) struct PendingBatches {
+    /// The backend's batch-request tag byte.
+    tag: u8,
+    /// Operations in the round, and the size of a request that held them
+    /// all: what each destination's buffers are created with, so that
+    /// they do not regrow op by op.
+    round_ops: usize,
+    round_bytes: usize,
+    list: Vec<DestBatch>,
+}
+
+impl PendingBatches {
+    /// No batches yet, for a pass over (some of) the operations of `round`.
+    pub(crate) fn new(tag: u8, round: &[QueuedOp]) -> Self {
+        PendingBatches {
+            tag,
+            round_ops: round.len(),
+            round_bytes: batch_capacity(round),
+            list: Vec::new(),
+        }
+    }
+
+    /// Append round operation `index` to `dest`'s request.
+    pub(crate) fn push(&mut self, dest: NodeId, index: usize, op: OpRef<'_>) {
+        let pos = match self.list.iter().position(|batch| batch.dest == dest) {
+            Some(pos) => pos,
+            None => {
+                self.list.push(DestBatch {
+                    dest,
+                    indices: Vec::with_capacity(self.round_ops),
+                    request: OpBatchEncoder::request(self.tag, self.round_bytes),
+                });
+                self.list.len() - 1
+            }
+        };
+        let batch = &mut self.list[pos];
+        batch.indices.push(index);
+        batch.request.push(op);
+    }
+}
+
 /// Ship every pending per-destination batch — all in flight at once
 /// through one reply-demultiplexing RPC client — and record the per-op
 /// outcomes (`Stale` outcomes land in `stale` for the next pass). Generic
 /// over the backend's protocol: `apply_local` executes a batch addressed
-/// to this very node, `encode` wraps a batch into the backend's request
-/// message, `decode` extracts the per-op outcomes from its reply.
+/// to this very node (read back from its own encoding, the same way a
+/// remote receiver reads it), `decode` extracts the per-op outcomes from a
+/// reply.
 ///
 /// A batch whose destination dies reports a per-operation outcome
 /// (`NodeDown` once the failure detector confirms the death, `Timeout`
@@ -312,32 +372,37 @@ pub(crate) fn flush_op_batches(
     port: Port,
     stats: &RtsStats,
     detector: &Option<Arc<FailureDetector>>,
-    batches: &mut Vec<(NodeId, Vec<(usize, BatchOp)>)>,
+    batches: &mut PendingBatches,
     stale: &mut Vec<usize>,
     slots: &mut [RoundSlot],
     deadline: Instant,
-    apply_local: &dyn Fn(&[BatchOp]) -> Vec<BatchOutcome>,
-    encode: &dyn Fn(Vec<BatchOp>) -> Vec<u8>,
+    apply_local: &dyn Fn(&OpBatchView<'_>) -> Vec<BatchOutcome>,
     decode: BatchDecodeFn<'_>,
 ) {
-    if batches.is_empty() {
+    if batches.list.is_empty() {
         return;
     }
     let mut multi = MultiRpc::new(handle);
     let mut waits: Vec<(NodeId, Vec<usize>, u64)> = Vec::new();
-    for (owner, list) in batches.drain(..) {
+    for DestBatch {
+        dest: owner,
+        indices,
+        request,
+    } in batches.list.drain(..)
+    {
         RtsStats::bump(&stats.batches_sent);
         stats
             .ops_batched
-            .fetch_add(list.len() as u64, Ordering::Relaxed);
-        let indices: Vec<usize> = list.iter().map(|(i, _)| *i).collect();
-        let wire_ops: Vec<BatchOp> = list.into_iter().map(|(_, op)| op).collect();
+            .fetch_add(indices.len() as u64, Ordering::Relaxed);
+        let request = request.finish();
         if owner == node {
-            let outcomes = apply_local(&wire_ops);
-            record_batch_outcomes(&indices, outcomes, slots, stale);
+            let ops = OpBatchView::from_request(batches.tag, &request)
+                .expect("request begins with its tag")
+                .expect("a batch this node just encoded");
+            record_batch_outcomes(&indices, apply_local(&ops), slots, stale);
         } else {
             RtsStats::bump(&stats.remote_writes);
-            match multi.send(owner, port, encode(wire_ops)) {
+            match multi.send(owner, port, request) {
                 Ok(request) => waits.push((owner, indices, request)),
                 Err(err) => fail_indices(slots, &indices, RtsError::Communication(err.to_string())),
             }
@@ -387,6 +452,21 @@ pub(crate) struct QueuedOp {
     pub submitted: Instant,
     /// Resolving end of the caller's handle.
     pub completer: Completer,
+}
+
+impl QueuedOp {
+    /// This operation as a batch entry addressed to `partition` at
+    /// `epoch`; `bytes` is its encoded form, possibly narrowed to that
+    /// partition.
+    pub(crate) fn batched<'a>(&self, partition: u32, epoch: u64, bytes: &'a [u8]) -> OpRef<'a> {
+        OpRef {
+            object: self.object.0,
+            partition,
+            epoch,
+            trace: self.trace,
+            op: bytes,
+        }
+    }
 }
 
 struct PipelineInner {

@@ -2,8 +2,8 @@
 
 use orca_object::ObjectId;
 use orca_wire::{
-    BatchOp, BatchOutcome, Decoder, DedupWindow, Encoder, LeaseGrant, LeaseMsg, OpStamp, Wire,
-    WireError, WireResult,
+    BatchOutcome, Decoder, DedupWindow, Encoder, LeaseGrant, LeaseMsg, OpStamp, Wire, WireError,
+    WireResult,
 };
 
 /// A stamped write's identity plus the reply it produced, piggybacked on
@@ -35,9 +35,10 @@ fn decode_stamped(dec: &mut Decoder<'_>) -> WireResult<Option<StampedReply>> {
 
 /// Requests sent to a node's primary-copy RTS service.
 ///
-/// `ReadAt`, `WriteAt`, `WriteThrough`, `FetchCopy`, `DropCopy` and
-/// `WriteBatch` are client → primary requests; the rest are primary →
-/// secondary requests used by the write and lease protocols.
+/// `ReadAt`, `WriteAt`, `WriteThrough`, `FetchCopy`, `DropCopy` and the
+/// write batch ([`PrimaryMsg::WRITE_BATCH_TAG`]) are client → primary
+/// requests; the rest are primary → secondary requests used by the write
+/// and lease protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrimaryMsg {
     /// Execute a read operation at the primary copy (the caller holds no
@@ -131,15 +132,6 @@ pub enum PrimaryMsg {
         /// permission to serve local reads.
         lease: Option<LeaseGrant>,
     },
-    /// Client → primary: execute a *batch* of write operations, in order
-    /// (the pipelined asynchronous path). Each operation runs the full
-    /// write protocol semantics; consecutive operations on one object are
-    /// applied under one object lock and their update pushes to each
-    /// secondary coalesce into a single [`PrimaryMsg::UpdateBatch`].
-    WriteBatch {
-        /// The operations, in issue order (`partition`/`epoch` unused).
-        ops: Vec<BatchOp>,
-    },
     /// Primary → secondary: apply a run of consecutive update operations to
     /// your copy, in order, and keep the object locked until
     /// [`PrimaryMsg::Unlock`] — the batched form of
@@ -160,6 +152,22 @@ pub enum PrimaryMsg {
     /// piggyback on [`PrimaryReply::State`] and [`PrimaryMsg::Unlock`], so
     /// only explicit revocations travel as this message.
     Lease(LeaseMsg),
+}
+
+impl PrimaryMsg {
+    /// Tag byte of the client → primary *write batch* request (the
+    /// pipelined asynchronous path): write operations executed in order
+    /// (`partition`/`epoch` unused). Each runs the full write protocol
+    /// semantics; consecutive operations on one object are applied under
+    /// one object lock and their update pushes to each secondary coalesce
+    /// into a single [`PrimaryMsg::UpdateBatch`]. The primary answers
+    /// [`PrimaryReply::Batch`].
+    ///
+    /// The request is this byte followed by an [`orca_wire::batch`]
+    /// encoding and is never an owned `PrimaryMsg`: senders stream it with
+    /// [`orca_wire::OpBatchEncoder::request`], the primary applies it in
+    /// place through [`orca_wire::OpBatchView::from_request`].
+    pub const WRITE_BATCH_TAG: u8 = 7;
 }
 
 impl Wire for PrimaryMsg {
@@ -210,10 +218,6 @@ impl Wire for PrimaryMsg {
                 object.encode(enc);
                 version.encode(enc);
                 lease.encode(enc);
-            }
-            PrimaryMsg::WriteBatch { ops } => {
-                enc.put_u8(7);
-                ops.encode(enc);
             }
             PrimaryMsg::UpdateBatch {
                 object,
@@ -270,9 +274,6 @@ impl Wire for PrimaryMsg {
                 version: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
             }),
-            7 => Ok(PrimaryMsg::WriteBatch {
-                ops: Wire::decode(dec)?,
-            }),
             8 => Ok(PrimaryMsg::UpdateBatch {
                 object: Wire::decode(dec)?,
                 ops: Wire::decode(dec)?,
@@ -318,8 +319,8 @@ pub enum PrimaryReply {
     Ack,
     /// The request failed.
     Error(String),
-    /// Per-operation outcomes of a [`PrimaryMsg::WriteBatch`], in batch
-    /// order.
+    /// Per-operation outcomes of a write batch
+    /// ([`PrimaryMsg::WRITE_BATCH_TAG`]), in batch order.
     Batch(Vec<BatchOutcome>),
     /// Lease sub-protocol reply (a [`LeaseMsg::RevokeAck`]).
     Lease(LeaseMsg),
@@ -469,16 +470,6 @@ mod tests {
                 object,
                 version: 6,
                 lease: None,
-            },
-            PrimaryMsg::WriteBatch {
-                ops: vec![BatchOp {
-                    id: 8,
-                    object: object.0,
-                    partition: 0,
-                    epoch: 0,
-                    trace: orca_wire::TraceId::mint(1, 9),
-                    op: vec![1, 2],
-                }],
             },
             PrimaryMsg::UpdateBatch {
                 object,

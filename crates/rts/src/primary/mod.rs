@@ -44,12 +44,14 @@ use orca_group::{FailureDetector, ViewSnapshot};
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
 use orca_telemetry::{trace, Counter, FlightKind};
 use orca_wire::{
-    BatchOp, BatchOutcome, CopyInfo, DedupWindow, LeaseGrant, LeaseMsg, OpStamp, RecoveryMsg,
-    RecoveryReply, Wire,
+    BatchOutcome, CopyInfo, DedupWindow, LeaseGrant, LeaseMsg, OpBatchEncoder, OpBatchView,
+    OpStamp, RecoveryMsg, RecoveryReply, Wire,
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
+use crate::pipeline::{
+    batch_capacity, pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot,
+};
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
@@ -228,9 +230,6 @@ struct Inner {
     primaries: RwLock<HashMap<ObjectId, Arc<PrimaryObject>>>,
     secondaries: RwLock<HashMap<ObjectId, Arc<SecondaryObject>>>,
     next_object: AtomicU64,
-    /// Ids for batched asynchronous operations (wire-level only; replies
-    /// are matched by batch order).
-    next_async: AtomicU64,
     /// Per-node monotonic sequence stamping synchronously-invoked writes
     /// with an exactly-once identity (see [`OpStamp`]).
     next_stamp: AtomicU64,
@@ -407,7 +406,6 @@ impl PrimaryCopyRts {
             primaries: RwLock::new(HashMap::new()),
             secondaries: RwLock::new(HashMap::new()),
             next_object: AtomicU64::new(1),
-            next_async: AtomicU64::new(1),
             next_stamp: AtomicU64::new(1),
             lease_counters,
             updates,
@@ -532,7 +530,7 @@ impl PrimaryCopyRts {
     }
 
     /// Execute one flusher round: writes coalesce into one
-    /// [`PrimaryMsg::WriteBatch`] per destination primary; a read flushes
+    /// write-batch request per destination primary; a read flushes
     /// its destination's pending writes first (its object's earlier writes
     /// all sit there), then executes once. Every handle resolves in issue
     /// order at the end of the round.
@@ -569,7 +567,7 @@ impl PrimaryCopyRts {
     }
 
     /// Ship one destination's pending writes as a single
-    /// [`PrimaryMsg::WriteBatch`] (or apply them locally when this node is
+    /// write-batch request (or apply them locally when this node is
     /// the primary) and record the per-op outcomes.
     fn flush_write_batch(
         &self,
@@ -607,27 +605,20 @@ impl PrimaryCopyRts {
             return;
         }
         RtsStats::bump(&self.inner.stats.remote_writes);
-        let msg = PrimaryMsg::WriteBatch {
-            ops: indices
-                .iter()
-                .map(|&i| BatchOp {
-                    id: self.inner.next_async.fetch_add(1, Ordering::Relaxed),
-                    object: ops[i].object.0,
-                    partition: 0,
-                    epoch: 0,
-                    trace: ops[i].trace,
-                    op: ops[i].op.clone(),
-                })
-                .collect(),
-        };
-        match self.rpc(dest, &msg, deadline) {
+        let capacity = batch_capacity(indices.iter().map(|&i| &ops[i]));
+        let mut request = OpBatchEncoder::request(PrimaryMsg::WRITE_BATCH_TAG, capacity);
+        for &i in indices {
+            request.push(ops[i].batched(0, 0, &ops[i].op));
+        }
+        match self.rpc_bytes(dest, request.finish(), deadline) {
             Ok(PrimaryReply::Batch(outcomes)) if outcomes.len() == indices.len() => {
                 for (&i, outcome) in indices.iter().zip(outcomes) {
                     slots[i] = outcome_slot(outcome);
                 }
             }
             Ok(other) => {
-                let err = RtsError::Communication(format!("unexpected WriteBatch reply {other:?}"));
+                let err =
+                    RtsError::Communication(format!("unexpected write-batch reply {other:?}"));
                 for &i in indices {
                     slots[i] = RoundSlot::Ready(Err(err.clone()));
                 }
@@ -732,13 +723,23 @@ impl PrimaryCopyRts {
         msg: &PrimaryMsg,
         deadline: Instant,
     ) -> Result<PrimaryReply, RtsError> {
+        self.rpc_bytes(dst, msg.to_bytes(), deadline)
+    }
+
+    /// [`Self::rpc`] for a request that is already encoded.
+    fn rpc_bytes(
+        &self,
+        dst: NodeId,
+        request: Vec<u8>,
+        deadline: Instant,
+    ) -> Result<PrimaryReply, RtsError> {
         let reply = recovery_rpc(
             &self.inner.handle,
             &self.inner.detector,
             &self.inner.recovery,
             dst,
             ports::RTS_PRIMARY,
-            msg.to_bytes(),
+            request,
             deadline,
         )?;
         PrimaryReply::from_bytes(&reply)
@@ -1757,11 +1758,43 @@ fn send_to_secondary_by(
 
 /// RPC dispatch: the service side of the protocol, running on every node.
 fn serve_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> Vec<u8> {
-    let reply = match PrimaryMsg::from_bytes(body) {
-        Ok(msg) => dispatch(inner, msg, caller),
-        Err(err) => PrimaryReply::Error(format!("bad request: {err}")),
-    };
+    // A write batch is applied straight from the request bytes; everything
+    // else decodes into an owned message first.
+    let reply = match OpBatchView::from_request(PrimaryMsg::WRITE_BATCH_TAG, body) {
+        Some(ops) => ops.map(|ops| serve_write_batch(inner, &ops, caller)),
+        None => PrimaryMsg::from_bytes(body).map(|msg| dispatch(inner, msg, caller)),
+    }
+    .unwrap_or_else(|err| PrimaryReply::Error(format!("bad request: {err}")));
     reply.to_bytes()
+}
+
+/// Serve a client's write batch, in order: each run of consecutive
+/// operations on one object goes through [`primary_write_many`].
+fn serve_write_batch(inner: &Arc<Inner>, ops: &OpBatchView<'_>, caller: NodeId) -> PrimaryReply {
+    // One protocol-handling event for the whole message, one apply per op
+    // — the accounting split the cost model relies on.
+    if caller != inner.node {
+        RtsStats::bump(&inner.stats.updates_applied);
+    }
+    let mut outcomes = Vec::with_capacity(ops.len());
+    let mut ops = ops.iter().peekable();
+    let mut run: Vec<&[u8]> = Vec::new();
+    while let Some(first) = ops.peek().copied() {
+        run.clear();
+        while let Some(op) = ops.next_if(|op| op.object == first.object) {
+            RtsStats::bump(&inner.stats.batch_ops_applied);
+            inner.handle.telemetry().record(
+                inner.node.0,
+                FlightKind::Apply,
+                op.trace,
+                op.object,
+                0,
+            );
+            run.push(op.op);
+        }
+        outcomes.extend(primary_write_many(inner, ObjectId(first.object), &run));
+    }
+    PrimaryReply::Batch(outcomes)
 }
 
 /// Serve a shipped write: plain, or — `writer` set — through the caller's
@@ -1953,36 +1986,6 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
         }
         PrimaryMsg::Lease(other) => {
             PrimaryReply::Error(format!("unexpected lease message {other:?}"))
-        }
-        PrimaryMsg::WriteBatch { ops } => {
-            // One protocol-handling event for the whole message, one apply
-            // per op — the accounting split the cost model relies on.
-            if caller != inner.node {
-                RtsStats::bump(&inner.stats.updates_applied);
-            }
-            let mut outcomes = Vec::with_capacity(ops.len());
-            let mut i = 0;
-            while i < ops.len() {
-                let object = ObjectId(ops[i].object);
-                let mut j = i;
-                while j < ops.len() && ops[j].object == ops[i].object {
-                    j += 1;
-                }
-                for op in &ops[i..j] {
-                    RtsStats::bump(&inner.stats.batch_ops_applied);
-                    inner.handle.telemetry().record(
-                        inner.node.0,
-                        FlightKind::Apply,
-                        op.trace,
-                        op.object,
-                        0,
-                    );
-                }
-                let run: Vec<&[u8]> = ops[i..j].iter().map(|op| op.op.as_slice()).collect();
-                outcomes.extend(primary_write_many(inner, object, &run));
-                i = j;
-            }
-            PrimaryReply::Batch(outcomes)
         }
         PrimaryMsg::UpdateBatch {
             object,

@@ -55,10 +55,12 @@ use orca_object::shard::spread_owner;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
 use orca_object::{ShardLogic, ShardRoute};
 use orca_telemetry::{trace, FlightKind};
-use orca_wire::{BatchOp, BatchOutcome, DedupWindow, OpStamp, Wire};
+use orca_wire::{BatchOutcome, DedupWindow, OpBatchView, OpRef, OpStamp, Wire};
 use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
+use crate::pipeline::{
+    pending_pair, resolve_round, BatchPolicy, PendingBatches, Pipeline, QueuedOp, RoundSlot,
+};
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
@@ -251,9 +253,6 @@ struct Inner {
     lost: RwLock<HashSet<ObjectId>>,
     /// Serializes home adoptions on this node.
     adoption: Mutex<()>,
-    /// Ids for batched asynchronous operations (wire-level only; replies
-    /// are matched by batch order).
-    next_async: AtomicU64,
     /// Batching knobs of the asynchronous path.
     batch_policy: Arc<Mutex<BatchPolicy>>,
     /// Set by [`ShardedRts::shutdown`]; the asynchronous round executor's
@@ -326,7 +325,6 @@ impl ShardedRts {
             detector,
             lost: RwLock::new(HashSet::new()),
             adoption: Mutex::new(()),
-            next_async: AtomicU64::new(1),
             batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
             stopped: AtomicBool::new(false),
         });
@@ -782,7 +780,7 @@ impl ShardedRts {
     }
 
     /// Execute one flusher round: partition-narrowed (`One`-routed)
-    /// operations coalesce into one [`ShardMsg::OpBatch`] per owner node,
+    /// operations coalesce into one operation-batch request per owner node,
     /// shipped concurrently through one reply-demultiplexing client;
     /// `All`/`Any`-routed operations act as barriers (their effects must
     /// order against earlier batched operations on the same object).
@@ -822,8 +820,7 @@ impl ShardedRts {
         deadline: Instant,
     ) -> Vec<usize> {
         let mut stale: Vec<usize> = Vec::new();
-        // Per-owner pending (index, op) batches, in first-touch order.
-        let mut batches: Vec<(NodeId, Vec<(usize, BatchOp)>)> = Vec::new();
+        let mut batches = PendingBatches::new(ShardMsg::OP_BATCH_TAG, ops);
         for &i in todo {
             let op = &ops[i];
             // An earlier operation on this object bounced in this pass;
@@ -841,7 +838,7 @@ impl ShardedRts {
             };
             if !table.sharded {
                 let owner = NodeId(table.owners[0]);
-                self.push_batched(&mut batches, owner, i, op, 0, &op.op);
+                batches.push(owner, i, op.batched(0, 0, &op.op));
                 continue;
             }
             let logic = match self.inner.registry.shard_logic(&table.type_name) {
@@ -864,7 +861,7 @@ impl ShardedRts {
             match routed {
                 Ok((ShardRoute::One(_), Some((partition, part_op)))) => {
                     let owner = NodeId(table.owners[partition as usize]);
-                    self.push_batched(&mut batches, owner, i, op, partition, &part_op);
+                    batches.push(owner, i, op.batched(partition, 0, &part_op));
                 }
                 Ok((route, _)) => {
                     // Barrier: whole-object operations must order against
@@ -915,36 +912,12 @@ impl ShardedRts {
         stale
     }
 
-    /// Append one partition-narrowed op to its owner's pending batch.
-    fn push_batched(
-        &self,
-        batches: &mut Vec<(NodeId, Vec<(usize, BatchOp)>)>,
-        owner: NodeId,
-        index: usize,
-        op: &QueuedOp,
-        partition: u32,
-        part_op: &[u8],
-    ) {
-        let batch_op = BatchOp {
-            id: self.inner.next_async.fetch_add(1, Ordering::Relaxed),
-            object: op.object.0,
-            partition,
-            epoch: 0,
-            trace: op.trace,
-            op: part_op.to_vec(),
-        };
-        match batches.iter_mut().find(|(dest, _)| *dest == owner) {
-            Some((_, list)) => list.push((index, batch_op)),
-            None => batches.push((owner, vec![(index, batch_op)])),
-        }
-    }
-
     /// Ship every pending per-owner batch through the shared
     /// reply-demultiplexing flusher (see
     /// [`crate::pipeline::flush_op_batches`] for the failure contract).
     fn flush_batches(
         &self,
-        batches: &mut Vec<(NodeId, Vec<(usize, BatchOp)>)>,
+        batches: &mut PendingBatches,
         stale: &mut Vec<usize>,
         slots: &mut [RoundSlot],
         deadline: Instant,
@@ -961,10 +934,9 @@ impl ShardedRts {
             slots,
             deadline,
             &|ops| apply_op_batch(inner, ops, inner.node),
-            &|ops| ShardMsg::OpBatch { ops }.to_bytes(),
             &|bytes| match ShardReply::from_bytes(bytes) {
                 Ok(ShardReply::Batch(outcomes)) => Ok(outcomes),
-                Ok(other) => Err(format!("unexpected OpBatch reply {other:?}")),
+                Ok(other) => Err(format!("unexpected batch reply {other:?}")),
                 Err(err) => Err(format!("bad reply: {err}")),
             },
         );
@@ -1236,10 +1208,13 @@ impl RuntimeSystem for ShardedRts {
 
 /// RPC dispatch: the service side of the shard protocol, on every node.
 fn serve_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> Vec<u8> {
-    let reply = match ShardMsg::from_bytes(body) {
-        Ok(msg) => dispatch(inner, msg, caller),
-        Err(err) => ShardReply::Error(format!("bad request: {err}")),
-    };
+    // An operation batch is applied straight from the request bytes;
+    // everything else decodes into an owned message first.
+    let reply = match OpBatchView::from_request(ShardMsg::OP_BATCH_TAG, body) {
+        Some(ops) => ops.map(|ops| ShardReply::Batch(apply_op_batch(inner, &ops, caller))),
+        None => ShardMsg::from_bytes(body).map(|msg| dispatch(inner, msg, caller)),
+    }
+    .unwrap_or_else(|err| ShardReply::Error(format!("bad request: {err}")));
     reply.to_bytes()
 }
 
@@ -1283,7 +1258,6 @@ fn dispatch(inner: &Arc<Inner>, msg: ShardMsg, caller: NodeId) -> ShardReply {
             let _span = trace::enter(trace);
             serve_op(inner, &shard, &op, stamp, caller)
         }
-        ShardMsg::OpBatch { ops } => ShardReply::Batch(apply_op_batch(inner, &ops, caller)),
         ShardMsg::Install {
             shard,
             type_name,
@@ -1331,23 +1305,20 @@ fn dispatch(inner: &Arc<Inner>, msg: ShardMsg, caller: NodeId) -> ShardReply {
 /// partition execute under a single hold of that partition's replica lock,
 /// and each run's completed writes ship to the backup as **one**
 /// [`ShardMsg::BackupBatch`] before the run is acknowledged.
-fn apply_op_batch(inner: &Arc<Inner>, ops: &[BatchOp], caller: NodeId) -> Vec<BatchOutcome> {
+fn apply_op_batch(inner: &Arc<Inner>, ops: &OpBatchView<'_>, caller: NodeId) -> Vec<BatchOutcome> {
     // One protocol-handling event for the whole message, one apply per op
     // — the accounting split the cost model relies on.
     if caller != inner.node {
         RtsStats::bump(&inner.stats.updates_applied);
     }
     let mut outcomes = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        let mut j = i;
-        while j < ops.len()
-            && ops[j].object == ops[i].object
-            && ops[j].partition == ops[i].partition
-        {
-            j += 1;
-        }
-        for op in &ops[i..j] {
+    let mut ops = ops.iter().peekable();
+    while let Some(first) = ops.peek().copied() {
+        let key = (ObjectId(first.object), first.partition);
+        let run = std::iter::from_fn(|| {
+            ops.next_if(|op| op.object == first.object && op.partition == first.partition)
+        })
+        .inspect(|op| {
             inner.handle.telemetry().record(
                 inner.node.0,
                 FlightKind::Apply,
@@ -1355,31 +1326,34 @@ fn apply_op_batch(inner: &Arc<Inner>, ops: &[BatchOp], caller: NodeId) -> Vec<Ba
                 op.object,
                 u64::from(op.partition),
             );
-        }
-        outcomes.extend(apply_partition_run(inner, &ops[i..j], caller));
-        i = j;
+        });
+        apply_partition_run(inner, key, run, &mut outcomes);
     }
     outcomes
 }
 
-/// Apply a run of consecutive batch ops addressed to one partition.
-fn apply_partition_run(inner: &Arc<Inner>, run: &[BatchOp], _caller: NodeId) -> Vec<BatchOutcome> {
-    let key = (ObjectId(run[0].object), run[0].partition);
+/// Apply a run of consecutive batch ops addressed to one partition,
+/// appending one outcome per op (the run is always consumed whole).
+fn apply_partition_run<'a>(
+    inner: &Arc<Inner>,
+    key: (ObjectId, u32),
+    run: impl Iterator<Item = OpRef<'a>>,
+    outcomes: &mut Vec<BatchOutcome>,
+) {
     let slot = inner.owned.read().get(&key).cloned();
     let Some(slot) = slot else {
-        return run.iter().map(|_| BatchOutcome::Stale).collect();
+        return outcomes.extend(run.map(|_| BatchOutcome::Stale));
     };
     let mut replica = slot.replica.lock();
     if slot.withdrawn.load(Ordering::Relaxed) {
         // A hand-off serialized this replica's state while we were waiting
         // for the lock; applying now would lose the writes.
-        return run.iter().map(|_| BatchOutcome::Stale).collect();
+        return outcomes.extend(run.map(|_| BatchOutcome::Stale));
     }
-    let mut outcomes = Vec::with_capacity(run.len());
     let mut applied: Vec<Vec<u8>> = Vec::new();
     let mut first_version = 0;
     for op in run {
-        let kind = match replica.op_kind(&op.op) {
+        let kind = match replica.op_kind(op.op) {
             Ok(kind) => kind,
             Err(err) => {
                 outcomes.push(BatchOutcome::Failed(err.to_string()));
@@ -1391,13 +1365,13 @@ fn apply_partition_run(inner: &Arc<Inner>, run: &[BatchOp], _caller: NodeId) -> 
             OpKind::Write => slot.access.record_write(),
         }
         RtsStats::bump(&inner.stats.batch_ops_applied);
-        match replica.apply_encoded(&op.op) {
+        match replica.apply_encoded(op.op) {
             Ok(AppliedOutcome::Done(reply)) => {
                 if kind == OpKind::Write {
                     if applied.is_empty() {
                         first_version = slot.version_base + replica.version();
                     }
-                    applied.push(op.op.clone());
+                    applied.push(op.op.to_vec());
                 }
                 outcomes.push(BatchOutcome::Done(reply));
             }
@@ -1418,7 +1392,6 @@ fn apply_partition_run(inner: &Arc<Inner>, run: &[BatchOp], _caller: NodeId) -> 
             first_version,
         );
     }
-    outcomes
 }
 
 /// Ship a run of completed writes to the partition's backup node as one

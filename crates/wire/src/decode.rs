@@ -126,8 +126,15 @@ impl<'a> Decoder<'a> {
 
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> WireResult<Vec<u8>> {
+        Ok(self.get_bytes_ref()?.to_vec())
+    }
+
+    /// Read a length-prefixed byte string without copying it: the slice
+    /// borrows the decoder's input, so a receiver can hand it on (to a
+    /// replica's `apply_encoded`, say) straight from the receive buffer.
+    pub fn get_bytes_ref(&mut self) -> WireResult<&'a [u8]> {
         let len = self.get_len()?;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -178,6 +185,21 @@ mod tests {
     fn bool_rejects_other_tags() {
         let mut dec = Decoder::new(&[7]);
         assert!(matches!(dec.get_bool(), Err(WireError::InvalidTag { .. })));
+    }
+
+    #[test]
+    fn borrowed_bytes_alias_the_input() {
+        let mut enc = Encoder::new();
+        enc.put_bytes(&[7, 8, 9]);
+        enc.put_u8(1);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let slice = dec.get_bytes_ref().unwrap();
+        assert_eq!(slice, &[7, 8, 9]);
+        assert!(std::ptr::eq(slice.as_ptr(), bytes[1..].as_ptr()));
+        assert_eq!(dec.remaining(), 1);
+        // A length that overruns the input is an error, not a short slice.
+        assert!(Decoder::new(&[5, 1, 2]).get_bytes_ref().is_err());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod regime;
 pub mod shard;
 pub mod trace;
 
-pub use batch::{BatchOp, BatchOutcome, BatchReply, OpBatch};
+pub use batch::{BatchOp, BatchOutcome, OpBatch, OpBatchEncoder, OpBatchIter, OpBatchView, OpRef};
 pub use decode::{Decoder, MAX_LEN};
 pub use encode::{uvarint_len, Encoder};
 pub use error::{WireError, WireResult};

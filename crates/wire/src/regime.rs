@@ -300,15 +300,20 @@ pub enum RegimeMsg {
         /// Raw object id.
         object: u64,
     },
-    /// Client → slot server: execute a *batch* of operations, in order —
+}
+
+impl RegimeMsg {
+    /// Tag byte of the client → slot server *operation batch* request —
     /// the pipelined asynchronous path. Each op carries the epoch its
-    /// sender believed current and the partition it addresses
-    /// ([`crate::batch::BatchOp`]); an op whose epoch is stale answers
-    /// `Stale` in its outcome without affecting the rest of the batch.
-    OpBatch {
-        /// The operations, in issue order.
-        ops: Vec<crate::batch::BatchOp>,
-    },
+    /// sender believed current and the partition it addresses; an op whose
+    /// epoch is stale answers `Stale` in its outcome without affecting the
+    /// rest of the batch ([`RegimeReply::Batch`]).
+    ///
+    /// The request is this byte followed by a [`crate::batch`] encoding
+    /// and is never an owned `RegimeMsg`: senders stream it with
+    /// [`crate::OpBatchEncoder::request`], servers apply it in place
+    /// through [`crate::OpBatchView::from_request`].
+    pub const OP_BATCH_TAG: u8 = 13;
 }
 
 impl Wire for RegimeMsg {
@@ -436,10 +441,6 @@ impl Wire for RegimeMsg {
                 seq.encode(enc);
                 lease.encode(enc);
             }
-            RegimeMsg::OpBatch { ops } => {
-                enc.put_u8(13);
-                ops.encode(enc);
-            }
             RegimeMsg::WriteThrough {
                 object,
                 epoch,
@@ -530,9 +531,6 @@ impl Wire for RegimeMsg {
                 seq: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
             }),
-            13 => Ok(RegimeMsg::OpBatch {
-                ops: Wire::decode(dec)?,
-            }),
             12 => Ok(RegimeMsg::MirrorQuery {
                 object: Wire::decode(dec)?,
             }),
@@ -602,7 +600,8 @@ pub enum RegimeReply {
     /// The object's state did not survive the failure (no authoritative
     /// copy and no mirror left); operations on it can never succeed.
     ObjectLost,
-    /// Per-operation outcomes of a [`RegimeMsg::OpBatch`], in batch order.
+    /// Per-operation outcomes of an operation batch
+    /// ([`RegimeMsg::OP_BATCH_TAG`]), in batch order.
     Batch(Vec<crate::batch::BatchOutcome>),
     /// A [`RegimeMsg::WriteThrough`] was applied and every *other* mirror
     /// brought up to date: the sender applies its own operation at `seq`.
@@ -810,16 +809,6 @@ mod tests {
                 op: vec![1, 2],
                 trace: TraceId::mint(2, 5),
                 stamp: Some(OpStamp { origin: 2, seq: 41 }),
-            },
-            RegimeMsg::OpBatch {
-                ops: vec![crate::batch::BatchOp {
-                    id: 4,
-                    object: 9,
-                    partition: 1,
-                    epoch: 3,
-                    op: vec![2],
-                    trace: TraceId::mint(1, 4),
-                }],
             },
         ];
         for msg in msgs {

@@ -11,7 +11,7 @@
 //! as their raw `u64` representation (exactly the encoding `ObjectId` in
 //! `orca-object` uses on the wire).
 
-use crate::batch::{BatchOp, BatchOutcome};
+use crate::batch::BatchOutcome;
 use crate::lease::{DedupWindow, OpStamp};
 use crate::{Decoder, Encoder, TraceId, Wire, WireError, WireResult};
 
@@ -198,17 +198,6 @@ pub enum ShardMsg {
         /// Raw object id.
         object: u64,
     },
-    /// Client → partition owner: execute a *batch* of (already
-    /// partition-narrowed) operations, in order, on the partitions named
-    /// per op — the pipelined asynchronous path's one-RPC-per-owner
-    /// shipping. The owner answers [`ShardReply::Batch`] with one outcome
-    /// per op, and ships each partition's applied writes to its backup as
-    /// a single [`ShardMsg::BackupBatch`].
-    OpBatch {
-        /// The operations, in issue order (`BatchOp::partition` addresses
-        /// the partition; `epoch` unused).
-        ops: Vec<BatchOp>,
-    },
     /// Owner → backup node: apply a run of consecutive completed write
     /// operations to the backup replica of the partition — the batched
     /// form of [`ShardMsg::Backup`], one message per partition per batch.
@@ -223,6 +212,22 @@ pub enum ShardMsg {
         /// suffix, or asks for a reinstall on a gap.
         first_version: u64,
     },
+}
+
+impl ShardMsg {
+    /// Tag byte of the client → partition owner *operation batch* request,
+    /// the pipelined asynchronous path's one-RPC-per-owner shipping:
+    /// (already partition-narrowed) operations, executed in order on the
+    /// partition each one names (`epoch` unused). The owner answers
+    /// [`ShardReply::Batch`] with one outcome per op, and ships each
+    /// partition's applied writes to its backup as a single
+    /// [`ShardMsg::BackupBatch`].
+    ///
+    /// The request is this byte followed by a [`crate::batch`] encoding
+    /// and is never an owned `ShardMsg`: senders stream it with
+    /// [`crate::OpBatchEncoder::request`], owners apply it in place
+    /// through [`crate::OpBatchView::from_request`].
+    pub const OP_BATCH_TAG: u8 = 9;
 }
 
 impl Wire for ShardMsg {
@@ -302,10 +307,6 @@ impl Wire for ShardMsg {
                 enc.put_u8(8);
                 object.encode(enc);
             }
-            ShardMsg::OpBatch { ops } => {
-                enc.put_u8(9);
-                ops.encode(enc);
-            }
             ShardMsg::BackupBatch {
                 shard,
                 ops,
@@ -363,9 +364,6 @@ impl Wire for ShardMsg {
             8 => Ok(ShardMsg::ReportOwned {
                 object: Wire::decode(dec)?,
             }),
-            9 => Ok(ShardMsg::OpBatch {
-                ops: Wire::decode(dec)?,
-            }),
             10 => Ok(ShardMsg::BackupBatch {
                 shard: Wire::decode(dec)?,
                 ops: Wire::decode(dec)?,
@@ -409,7 +407,8 @@ pub enum ShardReply {
     /// The object's state did not survive the failure (no authoritative
     /// copy and no backup left); operations on it can never succeed.
     ObjectLost,
-    /// Per-operation outcomes of a [`ShardMsg::OpBatch`], in batch order.
+    /// Per-operation outcomes of an operation batch
+    /// ([`ShardMsg::OP_BATCH_TAG`]), in batch order.
     Batch(Vec<BatchOutcome>),
 }
 
@@ -526,16 +525,6 @@ mod tests {
             },
             ShardMsg::PromoteBackup { shard: shard() },
             ShardMsg::ReportOwned { object: 77 },
-            ShardMsg::OpBatch {
-                ops: vec![BatchOp {
-                    id: 5,
-                    object: 9,
-                    partition: 2,
-                    epoch: 0,
-                    op: vec![1],
-                    trace: TraceId::NONE,
-                }],
-            },
             ShardMsg::BackupBatch {
                 shard: shard(),
                 ops: vec![vec![1], vec![2, 3]],

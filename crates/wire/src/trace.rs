@@ -8,13 +8,28 @@
 //! operation back into a single causal span tree: origin → sequencer /
 //! primary / owner → secondaries / backups / mirrors.
 //!
-//! The id is a single `u64`: the high 16 bits hold `origin node + 1`, the
-//! low 48 bits a per-origin counter. Zero is reserved for *untraced*
-//! traffic (background protocol work such as heartbeats), which keeps the
-//! encoding one byte on every message that does not belong to an
-//! invocation.
+//! In memory the id is a single `u64`: the high 16 bits hold
+//! `origin node + 1`, the low 48 bits a per-origin counter. Zero is
+//! reserved for *untraced* traffic (background protocol work such as
+//! heartbeats).
+//!
+//! On the wire the two halves travel as two varints — `origin + 1`, then
+//! the counter — so a traced message pays for the digits its origin and
+//! counter actually have (3–5 bytes in practice) instead of the 8 bytes a
+//! varint of the packed `u64` always costs. [`TraceId::NONE`] is the single
+//! byte `0`.
 
-use crate::{Decoder, Encoder, Wire, WireResult};
+use crate::{Decoder, Encoder, Wire, WireError, WireResult};
+
+/// Bits of the packed id that hold the per-origin counter.
+const SEQ_BITS: u32 = 48;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
+/// Wire value of the first varint for an id whose high half is zero but
+/// whose counter is not. [`TraceId::mint`] never produces one (only the
+/// out-of-range origin `u16::MAX` wraps there), but the field is a public
+/// `u64`, so the codec keeps every value lossless.
+const BARE_SEQ: u64 = 1 << 16;
 
 /// Compact causal identity of one invocation (0 = untraced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -30,7 +45,7 @@ impl TraceId {
     /// can never collide and node 0's ids are still distinguishable from
     /// [`TraceId::NONE`].
     pub fn mint(origin: u16, seq: u64) -> TraceId {
-        TraceId((u64::from(origin) + 1) << 48 | (seq & ((1 << 48) - 1)))
+        TraceId((u64::from(origin) + 1) << SEQ_BITS | (seq & SEQ_MASK))
     }
 
     /// True when this id names a real invocation.
@@ -43,13 +58,13 @@ impl TraceId {
         if self.0 == 0 {
             None
         } else {
-            Some(((self.0 >> 48) - 1) as u16)
+            Some(((self.0 >> SEQ_BITS).wrapping_sub(1)) as u16)
         }
     }
 
     /// The per-origin invocation counter.
     pub fn seq(self) -> u64 {
-        self.0 & ((1 << 48) - 1)
+        self.0 & SEQ_MASK
     }
 }
 
@@ -64,10 +79,36 @@ impl std::fmt::Display for TraceId {
 
 impl Wire for TraceId {
     fn encode(&self, enc: &mut Encoder) {
-        self.0.encode(enc);
+        if self.0 == 0 {
+            return enc.put_u8(0);
+        }
+        match self.0 >> SEQ_BITS {
+            0 => enc.put_uvarint(BARE_SEQ),
+            high => enc.put_uvarint(high),
+        }
+        enc.put_uvarint(self.seq());
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(TraceId(Wire::decode(dec)?))
+        let high = match dec.get_uvarint()? {
+            0 => return Ok(TraceId::NONE),
+            BARE_SEQ => 0,
+            high if high < BARE_SEQ => high,
+            tag => {
+                return Err(WireError::InvalidTag {
+                    type_name: "TraceId",
+                    tag,
+                })
+            }
+        };
+        let seq = dec.get_uvarint()?;
+        // A zero `BARE_SEQ` id would alias `NONE`'s one-byte form.
+        if seq > SEQ_MASK || (high == 0 && seq == 0) {
+            return Err(WireError::InvalidTag {
+                type_name: "TraceId",
+                tag: seq,
+            });
+        }
+        Ok(TraceId(high << SEQ_BITS | seq))
     }
 }
 
@@ -94,11 +135,50 @@ mod tests {
         for id in [
             TraceId::NONE,
             TraceId::mint(0, 0),
-            TraceId::mint(65535, (1 << 48) - 1),
+            TraceId::mint(u16::MAX - 1, SEQ_MASK),
+            // Never minted, still lossless: a bare counter, every bit set.
+            TraceId::mint(u16::MAX, SEQ_MASK),
+            TraceId(1),
+            TraceId(u64::MAX),
         ] {
             assert_eq!(TraceId::from_bytes(&id.to_bytes()).unwrap(), id);
         }
-        // Untraced costs one byte on the wire.
+        // Untraced costs one byte on the wire; a traced id pays for its
+        // digits, not for its position in the packed word.
         assert_eq!(TraceId::NONE.encoded_len(), 1);
+        assert_eq!(TraceId::mint(0, 0).encoded_len(), 2);
+        assert_eq!(TraceId::mint(2, 16_383).encoded_len(), 3);
+        assert_eq!(TraceId::mint(2, 2_000_000).encoded_len(), 4);
+        assert_eq!(TraceId::mint(u16::MAX - 1, SEQ_MASK).encoded_len(), 10);
+    }
+
+    #[test]
+    fn rejects_encodings_outside_the_format() {
+        // High half beyond 16 bits, counter beyond 48, and the two-byte
+        // spelling of NONE.
+        for bytes in [
+            {
+                let mut enc = Encoder::new();
+                enc.put_uvarint(BARE_SEQ + 1);
+                enc.put_uvarint(1);
+                enc.into_bytes()
+            },
+            {
+                let mut enc = Encoder::new();
+                enc.put_uvarint(1);
+                enc.put_uvarint(SEQ_MASK + 1);
+                enc.into_bytes()
+            },
+            {
+                let mut enc = Encoder::new();
+                enc.put_uvarint(BARE_SEQ);
+                enc.put_uvarint(0);
+                enc.into_bytes()
+            },
+        ] {
+            assert!(TraceId::from_bytes(&bytes).is_err(), "{bytes:?}");
+        }
+        // A traced id cut after its first varint is an error.
+        assert!(TraceId::from_bytes(&[3]).is_err());
     }
 }

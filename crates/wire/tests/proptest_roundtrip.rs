@@ -10,7 +10,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use orca_wire::{Decoder, Encoder, Wire, WireResult};
 
-const CASES: usize = 512;
+/// Cases per property: 512, or `ORCA_PROPTEST_CASES` (CI raises it).
+static CASES: std::sync::LazyLock<usize> = std::sync::LazyLock::new(|| {
+    std::env::var("ORCA_PROPTEST_CASES")
+        .ok()
+        .and_then(|cases| cases.parse().ok())
+        .unwrap_or(512)
+});
 
 /// Minimal deterministic generator, kept local so this test needs no deps.
 struct Gen {
@@ -74,7 +80,7 @@ fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T, case: usiz
 #[test]
 fn unsigned_ints_round_trip() {
     let mut gen = Gen::new(0xDEC0DE01);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let raw = gen.next_u64();
         assert_roundtrip(&(raw as u8), case);
         assert_roundtrip(&(raw as u16), case);
@@ -90,7 +96,7 @@ fn unsigned_ints_round_trip() {
 #[test]
 fn signed_ints_round_trip() {
     let mut gen = Gen::new(0xDEC0DE02);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let raw = gen.next_u64() as i64;
         assert_roundtrip(&(raw as i8), case);
         assert_roundtrip(&(raw as i16), case);
@@ -105,7 +111,7 @@ fn signed_ints_round_trip() {
 #[test]
 fn floats_round_trip() {
     let mut gen = Gen::new(0xDEC0DE03);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let v = f64::from_bits(gen.next_u64());
         let back = f64::from_bytes(&v.to_bytes()).unwrap();
         if v.is_nan() {
@@ -135,7 +141,7 @@ fn bool_unit_string_round_trip() {
     assert_roundtrip(&true, 0);
     assert_roundtrip(&false, 0);
     assert_roundtrip(&(), 0);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         assert_roundtrip(&gen.string(), case);
     }
     assert_roundtrip(&String::new(), usize::MAX);
@@ -144,7 +150,7 @@ fn bool_unit_string_round_trip() {
 #[test]
 fn options_and_results_round_trip() {
     let mut gen = Gen::new(0xDEC0DE05);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let opt = if gen.below(2) == 0 {
             None
         } else {
@@ -165,7 +171,7 @@ fn options_and_results_round_trip() {
 #[test]
 fn sequences_round_trip() {
     let mut gen = Gen::new(0xDEC0DE06);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let v: Vec<i32> = (0..gen.below(32)).map(|_| gen.next_u64() as i32).collect();
         assert_roundtrip(&v, case);
         let dq: VecDeque<u16> = (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect();
@@ -185,7 +191,7 @@ fn sequences_round_trip() {
 #[test]
 fn maps_and_sets_round_trip() {
     let mut gen = Gen::new(0xDEC0DE07);
-    for case in 0..CASES / 4 {
+    for case in 0..*CASES / 4 {
         let btree: BTreeMap<u16, String> = (0..gen.below(8))
             .map(|_| (gen.next_u64() as u16, gen.string()))
             .collect();
@@ -210,7 +216,7 @@ fn maps_and_sets_round_trip() {
 #[test]
 fn tuples_round_trip() {
     let mut gen = Gen::new(0xDEC0DE08);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         assert_roundtrip(&(gen.next_u64(),), case);
         assert_roundtrip(&(gen.next_u64(), gen.string()), case);
         assert_roundtrip(
@@ -287,7 +293,7 @@ fn random_nested(gen: &mut Gen) -> Nested {
 #[test]
 fn nested_struct_round_trip() {
     let mut gen = Gen::new(0xDEC0DE09);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let value = random_nested(&mut gen);
         assert_roundtrip(&value, case);
     }
@@ -311,7 +317,7 @@ fn decoding_random_garbage_never_panics() {
 #[test]
 fn truncated_encodings_never_equal_original() {
     let mut gen = Gen::new(0xDEC0DE0B);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let value = random_nested(&mut gen);
         let bytes = value.to_bytes();
         if bytes.is_empty() {
@@ -352,7 +358,7 @@ fn random_route_table(gen: &mut Gen) -> orca_wire::ShardRouteTable {
 fn shard_messages_round_trip() {
     use orca_wire::{ShardMsg, ShardPartId, ShardReply};
     let mut gen = Gen::new(0xDEC0DE0C);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let shard = ShardPartId {
             object: gen.next_u64(),
             partition: gen.next_u64() as u32,
@@ -360,11 +366,6 @@ fn shard_messages_round_trip() {
         let msg = match gen.below(11) {
             0 => ShardMsg::Route {
                 object: gen.next_u64(),
-            },
-            9 => ShardMsg::OpBatch {
-                ops: (0..gen.below(6))
-                    .map(|_| random_batch_op(&mut gen))
-                    .collect(),
             },
             10 => ShardMsg::BackupBatch {
                 shard,
@@ -416,12 +417,7 @@ fn shard_messages_round_trip() {
             1 => ShardReply::Blocked,
             8 => ShardReply::Batch(
                 (0..gen.below(6))
-                    .map(|_| match gen.below(4) {
-                        0 => orca_wire::BatchOutcome::Done(gen.bytes(24)),
-                        1 => orca_wire::BatchOutcome::Blocked,
-                        2 => orca_wire::BatchOutcome::Stale,
-                        _ => orca_wire::BatchOutcome::Failed(gen.string()),
-                    })
+                    .map(|_| random_outcome(&mut gen))
                     .collect(),
             ),
             2 => ShardReply::Route(random_route_table(&mut gen)),
@@ -466,7 +462,7 @@ fn random_regime_table(gen: &mut Gen) -> orca_wire::RegimeTable {
 fn regime_messages_round_trip() {
     use orca_wire::{RegimeMsg, RegimeReply};
     let mut gen = Gen::new(0xAD0BE0C5);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let object = gen.next_u64();
         let epoch = gen.next_u64();
         let msg = match gen.below(15) {
@@ -479,11 +475,6 @@ fn regime_messages_round_trip() {
                 stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
             },
             12 => RegimeMsg::MirrorQuery { object },
-            13 => RegimeMsg::OpBatch {
-                ops: (0..gen.below(6))
-                    .map(|_| random_batch_op(&mut gen))
-                    .collect(),
-            },
             1 => RegimeMsg::Op {
                 object,
                 epoch,
@@ -551,12 +542,7 @@ fn regime_messages_round_trip() {
             },
             10 => RegimeReply::Batch(
                 (0..gen.below(6))
-                    .map(|_| match gen.below(4) {
-                        0 => orca_wire::BatchOutcome::Done(gen.bytes(24)),
-                        1 => orca_wire::BatchOutcome::Blocked,
-                        2 => orca_wire::BatchOutcome::Stale,
-                        _ => orca_wire::BatchOutcome::Failed(gen.string()),
-                    })
+                    .map(|_| random_outcome(&mut gen))
                     .collect(),
             ),
             0 => RegimeReply::Done(gen.bytes(48)),
@@ -597,7 +583,7 @@ fn regime_messages_round_trip() {
 fn recovery_messages_round_trip() {
     use orca_wire::{CopyInfo, MembershipView, RecoveryMsg, RecoveryReply};
     let mut gen = Gen::new(0x0EC0_4E11);
-    for case in 0..CASES {
+    for case in 0..*CASES {
         let view = MembershipView {
             epoch: gen.next_u64(),
             alive: (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect(),
@@ -682,21 +668,76 @@ fn random_lease(gen: &mut Gen) -> orca_wire::LeaseGrant {
 }
 
 fn random_trace(gen: &mut Gen) -> orca_wire::TraceId {
-    match gen.below(3) {
-        0 => orca_wire::TraceId::NONE,
+    match gen.below(8) {
+        0 | 1 => orca_wire::TraceId::NONE,
+        // Never minted, still a `TraceId`: any bit pattern.
+        2 => orca_wire::TraceId(gen.next_u64()),
+        3 => orca_wire::TraceId::mint(u16::MAX - 1, (1 << 48) - 1),
         _ => orca_wire::TraceId::mint(gen.next_u64() as u16, gen.next_u64() & ((1 << 48) - 1)),
+    }
+}
+
+/// A value at an edge of its range, small, or anything.
+fn edgy_u64(gen: &mut Gen) -> u64 {
+    match gen.below(4) {
+        0 => u64::MAX - gen.below(2) as u64,
+        1 => gen.below(4) as u64,
+        _ => gen.next_u64(),
     }
 }
 
 fn random_batch_op(gen: &mut Gen) -> orca_wire::BatchOp {
     let trace = random_trace(gen);
     orca_wire::BatchOp {
-        id: gen.next_u64(),
-        object: gen.next_u64(),
-        partition: gen.next_u64() as u32,
-        epoch: gen.next_u64(),
+        id: edgy_u64(gen),
+        object: edgy_u64(gen),
+        partition: edgy_u64(gen) as u32,
+        epoch: edgy_u64(gen),
         op: gen.bytes(48),
         trace,
+    }
+}
+
+/// A batch in which each field of each op either follows the codec's
+/// prediction from the previous op (consecutive id and trace, same object,
+/// partition and epoch) or does not — so every flag combination, and the
+/// wrap of `u64::MAX + 1`, turns up.
+fn random_batch(gen: &mut Gen) -> orca_wire::OpBatch {
+    let mut ops: Vec<orca_wire::BatchOp> = Vec::new();
+    for _ in 0..gen.below(10) {
+        let mut op = random_batch_op(gen);
+        if let Some(prev) = ops.last() {
+            if gen.below(2) == 0 {
+                op.id = prev.id.wrapping_add(1);
+            }
+            if gen.below(2) == 0 {
+                op.object = prev.object;
+            }
+            if gen.below(2) == 0 {
+                op.partition = prev.partition;
+            }
+            if gen.below(2) == 0 {
+                op.epoch = prev.epoch;
+            }
+            if gen.below(2) == 0 {
+                op.trace = orca_wire::TraceId(prev.trace.0.wrapping_add(1));
+            }
+        }
+        ops.push(op);
+    }
+    orca_wire::OpBatch {
+        batch: edgy_u64(gen),
+        ops,
+    }
+}
+
+fn random_outcome(gen: &mut Gen) -> orca_wire::BatchOutcome {
+    use orca_wire::BatchOutcome;
+    match gen.below(4) {
+        0 => BatchOutcome::Done(gen.bytes(200)),
+        1 => BatchOutcome::Blocked,
+        2 => BatchOutcome::Stale,
+        _ => BatchOutcome::Failed(gen.string()),
     }
 }
 
@@ -704,65 +745,166 @@ fn random_batch_op(gen: &mut Gen) -> orca_wire::BatchOp {
 fn trace_ids_round_trip_and_survive_garbage() {
     use orca_wire::TraceId;
     let mut gen = Gen::new(0x7 * 0xACE1D);
-    for case in 0..CASES {
+    assert_eq!(TraceId::NONE.to_bytes(), [0]);
+    for case in 0..*CASES {
         let id = random_trace(&mut gen);
         assert_roundtrip(&id, case);
         // Mint/unpack agree with the wire form.
         if let Some(origin) = id.origin() {
             assert_eq!(TraceId::mint(origin, id.seq()), id, "case {case}");
         }
-        // Truncated encodings are errors, garbage never panics.
+        // Only the untraced id is a single zero byte.
         let bytes = id.to_bytes();
-        if bytes.len() > 1 {
+        assert_eq!(bytes == [0], id == TraceId::NONE, "case {case}");
+        // Truncated encodings are errors, garbage never panics.
+        for cut in 1..bytes.len() {
             assert!(
-                TraceId::from_bytes(&bytes[..bytes.len() - 1]).is_err(),
-                "case {case}: truncated trace id decoded"
+                TraceId::from_bytes(&bytes[..cut]).is_err(),
+                "case {case}: trace id cut to {cut} bytes decoded"
             );
         }
         let _ = TraceId::from_bytes(&gen.bytes(16));
     }
 }
 
+/// What an [`orca_wire::OpBatchView`] over `bytes` (one `OpBatch`
+/// encoding) yields, or the error it reports.
+fn viewed(bytes: &[u8]) -> WireResult<(u64, Vec<orca_wire::OpRef<'_>>)> {
+    let mut dec = Decoder::new(bytes);
+    let batch = u64::decode(&mut dec)?;
+    let view = orca_wire::OpBatchView::parse(&mut dec)?;
+    dec.finish()?;
+    assert_eq!(view.len(), view.iter().len());
+    Ok((batch, view.iter().collect()))
+}
+
 #[test]
-fn batch_messages_round_trip() {
-    use orca_wire::{BatchOutcome, BatchReply, OpBatch};
+fn batch_codec_round_trips_and_the_view_matches_the_owned_decode() {
+    use orca_wire::{BatchOp, OpBatch, OpBatchEncoder};
     let mut gen = Gen::new(0xBA7C_4ED0);
-    for case in 0..CASES {
-        let batch = OpBatch {
-            batch: gen.next_u64(),
-            ops: (0..gen.below(8))
-                .map(|_| random_batch_op(&mut gen))
-                .collect(),
-        };
+    for case in 0..*CASES {
+        let batch = random_batch(&mut gen);
         assert_roundtrip(&batch, case);
-        let reply = BatchReply {
-            batch: batch.batch,
-            outcomes: batch
-                .ops
-                .iter()
-                .map(|op| {
-                    let outcome = match gen.below(4) {
-                        0 => BatchOutcome::Done(gen.bytes(32)),
-                        1 => BatchOutcome::Blocked,
-                        2 => BatchOutcome::Stale,
-                        _ => BatchOutcome::Failed(gen.string()),
-                    };
-                    (op.id, outcome)
-                })
-                .collect(),
-        };
-        assert_roundtrip(&reply, case);
-        // Truncation is an error, never a silently shortened batch.
+        for op in &batch.ops {
+            assert_roundtrip(op, case);
+        }
         let bytes = batch.to_bytes();
-        if bytes.len() > 1 {
-            let cut = 1 + gen.below(bytes.len() - 1);
-            if let Ok(decoded) = OpBatch::from_bytes(&bytes[..bytes.len() - cut]) {
-                assert_ne!(decoded, batch, "case {case}: truncated decode == original");
+
+        // The borrowed view yields exactly the owned decode's operations.
+        let (id, seen) = viewed(&bytes).unwrap_or_else(|err| panic!("case {case}: {err}"));
+        let want: Vec<_> = batch.ops.iter().map(BatchOp::as_op_ref).collect();
+        assert_eq!((id, seen), (batch.batch, want), "case {case}");
+
+        // The streaming encoder writes the same operations; only the ids,
+        // which it leaves to their prediction, differ.
+        let mut enc = OpBatchEncoder::new(batch.batch.to_bytes());
+        for op in &batch.ops {
+            enc.push(op.as_op_ref());
+        }
+        let streamed = OpBatch::from_bytes(&enc.finish())
+            .unwrap_or_else(|err| panic!("case {case}: streamed batch: {err}"));
+        let mut renumbered = batch.clone();
+        for (i, op) in renumbered.ops.iter_mut().enumerate() {
+            op.id = i as u64 + 1;
+        }
+        assert_eq!(streamed, renumbered, "case {case}");
+
+        // Truncation is an error for both readers, never a shorter batch.
+        for cut in 0..bytes.len() {
+            assert!(
+                OpBatch::from_bytes(&bytes[..cut]).is_err(),
+                "case {case}: batch cut to {cut} bytes decoded"
+            );
+            assert!(viewed(&bytes[..cut]).is_err(), "case {case}: cut {cut}");
+        }
+
+        // Garbage never panics, and the two readers agree on it.
+        let mut garbage = gen.bytes(48);
+        if gen.below(2) == 0 {
+            // Corrupt a real encoding instead: far likelier to get past
+            // the first few fields.
+            garbage = bytes.clone();
+            if !garbage.is_empty() {
+                let at = gen.below(garbage.len());
+                garbage[at] = gen.next_u64() as u8;
             }
         }
-        // Garbage decoding must error out, never panic.
+        match (OpBatch::from_bytes(&garbage), viewed(&garbage)) {
+            (Ok(owned), Ok((id, seen))) => {
+                let want: Vec<_> = owned.ops.iter().map(BatchOp::as_op_ref).collect();
+                assert_eq!((id, seen), (owned.batch, want), "case {case}");
+            }
+            (Err(_), Err(_)) => {}
+            (owned, seen) => panic!("case {case}: readers disagree: {owned:?} vs {seen:?}"),
+        }
+        let _ = BatchOp::from_bytes(&garbage);
+    }
+}
+
+#[test]
+fn batch_requests_are_recognised_by_their_tag() {
+    use orca_wire::{OpBatchEncoder, OpBatchView, RegimeMsg, ShardMsg};
+    let mut gen = Gen::new(0x0B5E_55ED);
+    for case in 0..*CASES {
+        let batch = random_batch(&mut gen);
+        let tag = [ShardMsg::OP_BATCH_TAG, RegimeMsg::OP_BATCH_TAG][gen.below(2)];
+        let mut enc = OpBatchEncoder::request(tag, gen.below(64));
+        for op in &batch.ops {
+            enc.push(op.as_op_ref());
+        }
+        let request = enc.finish();
+        let view = OpBatchView::from_request(tag, &request)
+            .expect("tagged")
+            .unwrap_or_else(|err| panic!("case {case}: {err}"));
+        assert!(view.iter().eq(batch.ops.iter().map(|op| op.as_op_ref())));
+        assert!(OpBatchView::from_request(tag ^ 1, &request).is_none());
+        // A batch request is not an owned message of either protocol.
+        assert!(ShardMsg::from_bytes(&request).is_err() || tag != ShardMsg::OP_BATCH_TAG);
+        assert!(RegimeMsg::from_bytes(&request).is_err() || tag != RegimeMsg::OP_BATCH_TAG);
+        // A truncated or trailing-garbage request is refused whole.
+        if request.len() > 1 {
+            let cut = 1 + gen.below(request.len() - 1);
+            assert!(OpBatchView::from_request(tag, &request[..cut])
+                .expect("tagged")
+                .is_err());
+        }
+        let mut longer = request.clone();
+        longer.push(gen.next_u64() as u8);
+        assert!(OpBatchView::from_request(tag, &longer)
+            .expect("tagged")
+            .is_err());
+    }
+}
+
+#[test]
+fn batch_outcomes_round_trip_and_survive_garbage() {
+    use orca_wire::BatchOutcome;
+    let mut gen = Gen::new(0x0C0_FFEE);
+    for case in 0..*CASES {
+        let outcomes: Vec<BatchOutcome> = (0..gen.below(8))
+            .map(|_| random_outcome(&mut gen))
+            .collect();
+        assert_roundtrip(&outcomes, case);
+        for outcome in &outcomes {
+            assert_roundtrip(outcome, case);
+            if let BatchOutcome::Done(reply) = outcome {
+                // The tag rides in the length: no byte of its own.
+                let len_bytes = orca_wire::uvarint_len(reply.len() as u64 + 3);
+                assert_eq!(outcome.encoded_len(), reply.len() + len_bytes);
+            }
+        }
+        let bytes = outcomes.to_bytes();
+        if bytes.len() > 1 {
+            let cut = 1 + gen.below(bytes.len() - 1);
+            if let Ok(decoded) = Vec::<BatchOutcome>::from_bytes(&bytes[..bytes.len() - cut]) {
+                assert_ne!(
+                    decoded, outcomes,
+                    "case {case}: truncated decode == original"
+                );
+            }
+        }
         let garbage = gen.bytes(32);
-        let _ = OpBatch::from_bytes(&garbage);
-        let _ = BatchReply::from_bytes(&garbage);
+        let _ = BatchOutcome::from_bytes(&garbage);
+        let _ = Vec::<BatchOutcome>::from_bytes(&garbage);
     }
 }
