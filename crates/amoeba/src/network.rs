@@ -596,6 +596,10 @@ pub fn packets_for(payload_len: usize, packet_payload: usize) -> usize {
 #[derive(Clone)]
 pub struct NetworkHandle {
     inner: Arc<dyn Transport>,
+    /// Reply mailboxes — bound ephemeral ports — that no RPC is waiting on,
+    /// kept bound for the next call through this handle or a clone of it
+    /// (see [`crate::rpc`]). They unbind when the last clone goes.
+    idle_mailboxes: Arc<Mutex<Vec<PortReceiver>>>,
 }
 
 impl std::fmt::Debug for NetworkHandle {
@@ -610,7 +614,10 @@ impl std::fmt::Debug for NetworkHandle {
 impl NetworkHandle {
     /// Wrap a transport backend in the handle type every layer above uses.
     pub fn from_transport(inner: Arc<dyn Transport>) -> Self {
-        NetworkHandle { inner }
+        NetworkHandle {
+            inner,
+            idle_mailboxes: Arc::default(),
+        }
     }
 
     /// The transport backend behind this handle.
@@ -673,6 +680,20 @@ impl NetworkHandle {
     /// delivered immediately, in arrival order.
     pub fn bind(&self, port: Port) -> PortReceiver {
         self.inner.bind(port)
+    }
+
+    /// A bound ephemeral port to receive RPC replies on: one an earlier
+    /// call parked, or — when every mailbox is in use — a fresh one.
+    pub(crate) fn take_mailbox(&self) -> PortReceiver {
+        let parked = self.idle_mailboxes.lock().pop();
+        parked.unwrap_or_else(|| self.bind(self.alloc_ephemeral_port()))
+    }
+
+    /// Keep `mailbox` bound for a later call. Only a mailbox that nothing
+    /// can still be sent to may be parked: every request that named it has
+    /// been answered and the answer taken off it.
+    pub(crate) fn park_mailbox(&self, mailbox: PortReceiver) {
+        self.idle_mailboxes.lock().push(mailbox);
     }
 
     /// Reliable point-to-point send (models Amoeba RPC transport).

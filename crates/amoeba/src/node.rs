@@ -75,10 +75,9 @@ pub mod ports {
     /// RPC service port of the crash-recovery protocol (copy queries,
     /// promotions, re-home announcements).
     pub const RECOVERY: Port = 7;
-    /// RPC service port for sharded-partition backup traffic. Separate
-    /// from [`RTS_SHARD`] so backup application — which never performs a
-    /// nested RPC — cannot be starved by (or deadlock with) the bounded
-    /// worker pool serving owner-shipped operations.
+    /// RPC service port for sharded-partition backup and recovery
+    /// traffic. Separate from [`RTS_SHARD`] so a backup apply never queues
+    /// behind the owner-shipped operations that wait for it.
     pub const RTS_SHARD_BACKUP: Port = 8;
     /// First port usable by applications and tests.
     pub const USER_BASE: Port = 1000;

@@ -1,86 +1,64 @@
-//! Remote procedure calls over the simulated network.
+//! Remote procedure calls over the network.
 //!
 //! Amoeba's microkernel offers RPC between arbitrary threads as its basic
 //! point-to-point communication primitive; the point-to-point runtime system
 //! of the paper is built entirely from RPCs (write to primary, invalidate
 //! copy, fetch copy, ...). This module provides the same shape:
 //!
-//! * [`RpcServer::serve`] registers a handler on a well-known port of a node
-//!   and dispatches incoming requests on a dedicated thread.
+//! * [`RpcServer`] registers a handler on a well-known port of a node and
+//!   answers requests on worker threads it keeps.
 //! * [`rpc_call`] sends a request to `(node, port)` and blocks until the
-//!   reply arrives.
+//!   reply arrives; [`MultiRpc`] keeps several requests in flight at once.
 //! * [`rpc_notify`] sends a request nobody waits for: the handler runs
 //!   exactly as for a call, but the server puts no reply on the wire.
 //!
 //! Requests and replies are carried over the *reliable* point-to-point
 //! primitive of the network, mirroring the at-most-once, reliable semantics
-//! Amoeba RPC presents to its users.
+//! Amoeba RPC presents to its users. On the wire they are a body inside the
+//! envelope of [`orca_wire::envelope`]: a request names the caller's reply
+//! *mailbox*, the call within it and the invocation's trace; a reply names
+//! the call. A typical call costs its body plus six bytes.
+//!
+//! # The mailbox rule
+//!
+//! A mailbox is a bound ephemeral port. A caller does not bind one per
+//! call: it takes an idle mailbox of its [`NetworkHandle`] (binding a
+//! fresh one only when all are in use) and parks it again when the call
+//! is over. Delivery is reliable and at-most-once, so a mailbox is clean
+//! — nothing can still arrive on it — exactly when every request that
+//! named it has been answered and the answer taken off it. That is the
+//! one rule: **a client that ends with a reply still owed retires its
+//! mailbox** (unbinds it, never to be named again) instead of parking it.
+//! The late reply then finds no port, and the next call cannot mistake it
+//! for its own. Port numbers are never reused, so neither can a call made
+//! much later.
+//!
+//! # The server loop
+//!
+//! Amoeba server threads are created once and block in `get_request`. So
+//! do these: every worker of a service blocks on the service port itself
+//! — there is no dispatcher to hand requests over — and the worker that
+//! takes a request stops listening while its handler runs. When it was the
+//! last one listening it first starts another, so a handler that performs
+//! nested RPCs (even into its own service) can never leave the port
+//! unattended, and a service that has reached the high-water mark of its
+//! concurrent handlers starts nothing more. Workers never retire before
+//! shutdown.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use orca_telemetry::trace;
-use orca_wire::{Decoder, Encoder, TraceId, Wire, WireResult};
+use crossbeam::channel::Receiver;
+use orca_telemetry::{trace, Counter, Gauge};
+use orca_wire::envelope::{frame_reply, split_reply, NOTIFICATION};
+use orca_wire::RequestHead;
+use parking_lot::Mutex;
 
-use crate::network::{NetError, NetworkHandle};
-use crate::node::{NodeId, Port};
-
-/// Wire format of an RPC request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcRequest {
-    /// Identifier chosen by the client, echoed in the reply.
-    pub request_id: u64,
-    /// Ephemeral port on the client node where the reply is expected;
-    /// [`NOTIFY_PORT`] marks a notification, which is never answered.
-    pub reply_port: Port,
-    /// Serialized request body (interpreted by the service).
-    pub body: Vec<u8>,
-    /// Causal trace of the invocation this request belongs to, captured
-    /// from the calling thread and re-installed around the handler — so
-    /// nested RPCs issued from inside a handler inherit it.
-    pub trace: TraceId,
-}
-
-impl Wire for RpcRequest {
-    fn encode(&self, enc: &mut Encoder) {
-        self.request_id.encode(enc);
-        self.reply_port.encode(enc);
-        enc.put_bytes(&self.body);
-        self.trace.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(RpcRequest {
-            request_id: Wire::decode(dec)?,
-            reply_port: Wire::decode(dec)?,
-            body: dec.get_bytes()?,
-            trace: Wire::decode(dec)?,
-        })
-    }
-}
-
-/// Wire format of an RPC reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcReply {
-    /// Echo of the request id.
-    pub request_id: u64,
-    /// Serialized reply body.
-    pub body: Vec<u8>,
-}
-
-impl Wire for RpcReply {
-    fn encode(&self, enc: &mut Encoder) {
-        self.request_id.encode(enc);
-        enc.put_bytes(&self.body);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(RpcReply {
-            request_id: Wire::decode(dec)?,
-            body: dec.get_bytes()?,
-        })
-    }
-}
+use crate::message::NetMessage;
+use crate::network::{NetError, NetworkHandle, PortReceiver};
+use crate::node::{ports, NodeId, Port};
 
 /// Errors surfaced by the RPC layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,32 +97,48 @@ impl From<NetError> for RpcError {
 /// Default deadline for a blocking RPC.
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(10);
 
-static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
+/// Registry counter: requests (calls and notifications) RPC services have
+/// taken off their ports.
+pub const REQUESTS: &str = "amoeba.rpc.requests";
 
-/// `reply_port` of a notification. No client ever binds port 0 (well-known
-/// ports start at 1, ephemeral ones at [`crate::node::ports::EPHEMERAL_BASE`]),
-/// so a server that sees it knows nobody is waiting and sends no reply.
-pub const NOTIFY_PORT: Port = 0;
+/// Registry counter: worker threads RPC services have started. Next to
+/// [`REQUESTS`] it says whether requests cost threads.
+pub const WORKERS_SPAWNED: &str = "amoeba.rpc.workers_spawned";
+
+/// Registry counter: reply mailboxes unbound because a reply was still
+/// owed on them (a timed-out or aborted call).
+pub const MAILBOXES_RETIRED: &str = "amoeba.rpc.mailboxes_retired";
+
+/// Registry gauge of node `node`: RPC worker threads alive on it, parked
+/// and busy, over all its services.
+pub fn workers_gauge(node: NodeId) -> String {
+    format!("amoeba.rpc.node{}.workers", node.index())
+}
+
+/// The envelope's name for reply port `port`: its distance from the first
+/// ephemeral port, plus one (0 is taken by notifications).
+fn mailbox_number(port: Port) -> u64 {
+    port - ports::EPHEMERAL_BASE + 1
+}
 
 /// Send a one-way notification to `(dst, service_port)`: the service's
 /// handler runs on the request like on any call, but its return value is
-/// discarded and no [`RpcReply`] travels back — one message on the wire
-/// instead of two. Delivery is reliable (the same primitive requests and
-/// replies use); what the caller gives up is learning *when* — or, if
-/// `dst` crashes first, whether — the handler ran.
+/// discarded and no reply travels back — one message on the wire instead
+/// of two. Delivery is reliable (the same primitive requests and replies
+/// use); what the caller gives up is learning *when* — or, if `dst`
+/// crashes first, whether — the handler ran.
 pub fn rpc_notify(
     handle: &NetworkHandle,
     dst: NodeId,
     service_port: Port,
     body: Vec<u8>,
 ) -> Result<(), RpcError> {
-    let request = RpcRequest {
-        request_id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
-        reply_port: NOTIFY_PORT,
-        body,
+    let head = RequestHead {
+        mailbox: NOTIFICATION,
+        call: 0,
         trace: trace::current(),
     };
-    handle.send_reliable(dst, service_port, request.to_bytes())?;
+    handle.send_reliable(dst, service_port, head.frame(&body))?;
     Ok(())
 }
 
@@ -166,30 +160,7 @@ pub fn rpc_call_timeout(
     body: Vec<u8>,
     timeout: Duration,
 ) -> Result<Vec<u8>, RpcError> {
-    let reply_port = handle.alloc_ephemeral_port();
-    let reply_rx = handle.bind(reply_port);
-    let request_id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
-    let request = RpcRequest {
-        request_id,
-        reply_port,
-        body,
-        trace: trace::current(),
-    };
-    handle.send_reliable(dst, service_port, request.to_bytes())?;
-    loop {
-        let msg = reply_rx.recv_timeout(timeout).map_err(|err| match err {
-            NetError::Timeout => RpcError::Timeout,
-            other => RpcError::Net(other),
-        })?;
-        let reply: RpcReply = msg
-            .decode_payload()
-            .map_err(|err| RpcError::BadReply(err.to_string()))?;
-        if reply.request_id == request_id {
-            return Ok(reply.body);
-        }
-        // A stale reply for a previous (timed-out) call on a reused port;
-        // ignore and keep waiting.
-    }
+    rpc_call_abortable(handle, dst, service_port, body, timeout, timeout, &|| false)
 }
 
 /// Like [`rpc_call_timeout`], but the wait is sliced into `poll`-sized
@@ -207,175 +178,229 @@ pub fn rpc_call_abortable(
     poll: Duration,
     should_abort: &dyn Fn() -> bool,
 ) -> Result<Vec<u8>, RpcError> {
-    let reply_port = handle.alloc_ephemeral_port();
-    let reply_rx = handle.bind(reply_port);
-    let request_id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
-    let request = RpcRequest {
-        request_id,
-        reply_port,
-        body,
-        trace: trace::current(),
-    };
-    handle.send_reliable(dst, service_port, request.to_bytes())?;
-    let deadline = std::time::Instant::now() + timeout;
-    loop {
-        if should_abort() {
-            return Err(RpcError::Aborted);
-        }
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            return Err(RpcError::Timeout);
-        }
-        let slice = remaining.min(poll.max(Duration::from_millis(1)));
-        match reply_rx.recv_timeout(slice) {
-            Ok(msg) => {
-                let reply: RpcReply = msg
-                    .decode_payload()
-                    .map_err(|err| RpcError::BadReply(err.to_string()))?;
-                if reply.request_id == request_id {
-                    return Ok(reply.body);
-                }
-                // Stale reply for an earlier call on a reused port; ignore.
-            }
-            Err(NetError::Timeout) => continue,
-            Err(other) => return Err(RpcError::Net(other)),
-        }
-    }
+    // A plain call is a client of one request; dropping it parks the
+    // mailbox, or retires it when the wait ended without the reply.
+    let mut rpc = MultiRpc::new(handle);
+    let call = rpc.send(dst, service_port, body)?;
+    rpc.wait_abortable(call, Instant::now() + timeout, poll, should_abort)
 }
 
-/// A client for *multiple outstanding* RPCs sharing one reply port.
+/// A client for *multiple outstanding* RPCs sharing one reply mailbox.
 ///
 /// The batched (pipelined) runtime-system paths ship one operation batch
 /// per destination and want all of a round's batches in flight at once.
-/// `MultiRpc` binds a single ephemeral reply port, issues any number of
-/// requests, and demultiplexes the interleaved replies by request id: a
-/// reply that arrives while the caller is waiting for a different request
-/// is stashed and handed out when its own `wait` comes around.
+/// `MultiRpc` holds one mailbox, numbers its requests 0, 1, 2, …, and
+/// demultiplexes the interleaved replies by that number: a reply that
+/// arrives while the caller is waiting for a different request is stashed
+/// and handed out when its own `wait` comes around. A request given up on
+/// (timeout, abort) keeps its number, so its late reply can satisfy no
+/// other; the client keeps its mailbox until it is dropped, and only then
+/// does the mailbox rule decide between parking and retiring it.
 pub struct MultiRpc {
-    handle: crate::network::NetworkHandle,
-    reply_port: Port,
-    rx: crate::network::PortReceiver,
-    stash: std::collections::HashMap<u64, Vec<u8>>,
+    handle: NetworkHandle,
+    /// Taken in `new`, given up in `drop`.
+    mailbox: Option<PortReceiver>,
+    /// Requests sent so far; the next request's call id.
+    sent: u64,
+    /// Replies taken off the mailbox so far, handed out or stashed.
+    received: u64,
+    /// Replies that arrived ahead of their `wait`.
+    stash: Vec<(u64, Vec<u8>)>,
 }
 
 impl std::fmt::Debug for MultiRpc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiRpc")
             .field("node", &self.handle.node())
-            .field("reply_port", &self.reply_port)
+            .field("mailbox", &self.mailbox().port())
+            .field("owed", &(self.sent - self.received))
             .field("stashed", &self.stash.len())
             .finish()
     }
 }
 
 impl MultiRpc {
-    /// Bind a fresh reply port on the node owning `handle`.
-    pub fn new(handle: &crate::network::NetworkHandle) -> MultiRpc {
-        let reply_port = handle.alloc_ephemeral_port();
-        let rx = handle.bind(reply_port);
+    /// Take a reply mailbox on the node owning `handle`.
+    pub fn new(handle: &NetworkHandle) -> MultiRpc {
         MultiRpc {
             handle: handle.clone(),
-            reply_port,
-            rx,
-            stash: std::collections::HashMap::new(),
+            mailbox: Some(handle.take_mailbox()),
+            sent: 0,
+            received: 0,
+            stash: Vec::new(),
         }
+    }
+
+    fn mailbox(&self) -> &PortReceiver {
+        self.mailbox.as_ref().expect("held until drop")
     }
 
     /// Send one request; returns its id for a later [`MultiRpc::wait`].
     /// The request goes out exactly once (never re-sent), so
     /// non-idempotent bodies are safe.
-    pub fn send(&self, dst: NodeId, service_port: Port, body: Vec<u8>) -> Result<u64, RpcError> {
-        let request_id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
-        let request = RpcRequest {
-            request_id,
-            reply_port: self.reply_port,
-            body,
+    pub fn send(
+        &mut self,
+        dst: NodeId,
+        service_port: Port,
+        body: Vec<u8>,
+    ) -> Result<u64, RpcError> {
+        let call = self.sent;
+        let head = RequestHead {
+            mailbox: mailbox_number(self.mailbox().port()),
+            call,
             trace: trace::current(),
         };
         self.handle
-            .send_reliable(dst, service_port, request.to_bytes())?;
-        Ok(request_id)
+            .send_reliable(dst, service_port, head.frame(&body))?;
+        self.sent += 1;
+        Ok(call)
     }
 
-    /// Wait for the reply to `request_id`, slicing the wait into
-    /// `poll`-sized chunks and consulting `should_abort` between slices
-    /// (mirrors [`rpc_call_abortable`]). Replies to *other* outstanding
-    /// requests that arrive meanwhile are stashed, not lost.
+    /// Wait for the reply to request `call`, slicing the wait into
+    /// `poll`-sized chunks and consulting `should_abort` between slices.
+    /// Replies to *other* outstanding requests that arrive meanwhile are
+    /// stashed, not lost. This is the one wait loop of the RPC layer.
     pub fn wait_abortable(
         &mut self,
-        request_id: u64,
-        deadline: std::time::Instant,
+        call: u64,
+        deadline: Instant,
         poll: Duration,
         should_abort: &dyn Fn() -> bool,
     ) -> Result<Vec<u8>, RpcError> {
-        if let Some(body) = self.stash.remove(&request_id) {
-            return Ok(body);
+        if let Some(at) = self.stash.iter().position(|(id, _)| *id == call) {
+            return Ok(self.stash.swap_remove(at).1);
         }
         loop {
             if should_abort() {
                 return Err(RpcError::Aborted);
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(RpcError::Timeout);
             }
             let slice = remaining.min(poll.max(Duration::from_millis(1)));
-            match self.rx.recv_timeout(slice) {
-                Ok(msg) => {
-                    let reply: RpcReply = match msg.decode_payload() {
-                        Ok(reply) => reply,
-                        Err(err) => return Err(RpcError::BadReply(err.to_string())),
-                    };
-                    if reply.request_id == request_id {
-                        return Ok(reply.body);
-                    }
-                    // A reply for another outstanding request of this
-                    // client (or a stale one from a timed-out call on the
-                    // reused port): stash it — `wait` for it may come later.
-                    self.stash.insert(reply.request_id, reply.body);
-                }
+            let mut payload = match self.mailbox().recv_timeout(slice) {
+                Ok(msg) => msg.payload,
                 Err(NetError::Timeout) => continue,
                 Err(other) => return Err(RpcError::Net(other)),
+            };
+            let (id, body) =
+                split_reply(&payload).map_err(|err| RpcError::BadReply(err.to_string()))?;
+            // The body is the payload's tail: shed the head in place.
+            let head = payload.len() - body.len();
+            payload.drain(..head);
+            self.received += 1;
+            if id == call {
+                return Ok(payload);
             }
+            self.stash.push((id, payload));
         }
     }
 
-    /// Wait for the reply to `request_id` until `deadline`.
-    pub fn wait(
-        &mut self,
-        request_id: u64,
-        deadline: std::time::Instant,
-    ) -> Result<Vec<u8>, RpcError> {
-        self.wait_abortable(request_id, deadline, Duration::from_millis(25), &|| false)
+    /// Wait for the reply to request `call` until `deadline`.
+    pub fn wait(&mut self, call: u64, deadline: Instant) -> Result<Vec<u8>, RpcError> {
+        self.wait_abortable(call, deadline, Duration::from_millis(25), &|| false)
     }
 }
 
-/// Run `handler` on one request under the request's trace and send its
-/// reply — unless the request is a notification ([`NOTIFY_PORT`]), whose
-/// sender is not listening.
-fn answer<F>(handle: &NetworkHandle, handler: &F, request: RpcRequest, src: NodeId)
+impl Drop for MultiRpc {
+    fn drop(&mut self) {
+        let mailbox = self.mailbox.take().expect("held until drop");
+        if self.received == self.sent {
+            self.handle.park_mailbox(mailbox);
+        } else {
+            // A reply is still owed: it must find no port.
+            drop(mailbox);
+            let registry = self.handle.telemetry().registry();
+            registry.counter(MAILBOXES_RETIRED).inc();
+        }
+    }
+}
+
+/// What the workers of one service share.
+struct Service<F> {
+    handle: NetworkHandle,
+    /// The service port's queue; every listening worker blocks on it. It
+    /// disconnects when the [`RpcServer`] unbinds the port, which is how
+    /// shutdown wakes the workers.
+    requests: Receiver<NetMessage>,
+    handler: F,
+    /// Thread name of the workers.
+    name: String,
+    /// Workers listening on `requests`, or on their way back to it.
+    listening: AtomicUsize,
+    /// Most workers the service may have.
+    cap: usize,
+    /// Every worker started so far.
+    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    requests_taken: Counter,
+    spawned: Counter,
+    alive: Gauge,
+}
+
+impl<F> Service<F>
 where
-    F: Fn(&[u8], NodeId) -> Vec<u8>,
+    F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
 {
-    let _span = trace::enter(request.trace);
-    let body = handler(&request.body, src);
-    if request.reply_port == NOTIFY_PORT {
-        return;
+    /// Put one more worker on the port, unless the service is at its cap.
+    fn add_worker(self: &Arc<Self>) {
+        let mut workers = self.workers.lock();
+        if workers.len() >= self.cap {
+            return;
+        }
+        self.listening.fetch_add(1, Ordering::SeqCst);
+        self.spawned.inc();
+        self.alive.add(1);
+        let service = Arc::clone(self);
+        let worker = std::thread::Builder::new()
+            .name(self.name.clone())
+            .spawn(move || service.work())
+            .expect("spawn rpc worker thread");
+        workers.push(worker);
     }
-    let reply = RpcReply {
-        request_id: request.request_id,
-        body,
-    };
-    let _ = handle.send_reliable(src, request.reply_port, reply.to_bytes());
+
+    /// The server loop, run by every worker: take a request off the port,
+    /// make sure someone is still listening, answer, listen again.
+    fn work(self: Arc<Self>) {
+        while let Ok(msg) = self.requests.recv() {
+            if self.listening.fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.add_worker();
+            }
+            self.requests_taken.inc();
+            let reply = self.handle(&msg);
+            // Listening again from *before* the reply leaves: the caller's
+            // next request can be here before the send returns, and must
+            // not find the service one listener short and start another.
+            // Nothing below waits on a handler, so the count stays honest.
+            self.listening.fetch_add(1, Ordering::SeqCst);
+            if let Some((reply_port, payload)) = reply {
+                let _ = self.handle.send_reliable(msg.src, reply_port, payload);
+            }
+        }
+        self.alive.add(-1);
+    }
+
+    /// Run the handler on one request, under the request's trace and on
+    /// the body as it lies in the received payload. Returns the reply and
+    /// the port it goes to — nothing for a notification, whose sender is
+    /// not listening, and for a request that cannot be parsed.
+    fn handle(&self, msg: &NetMessage) -> Option<(Port, Vec<u8>)> {
+        let (head, body) = RequestHead::split(&msg.payload).ok()?;
+        let _span = trace::enter(head.trace);
+        let reply = (self.handler)(body, msg.src);
+        // Mailbox `n` is the n-th ephemeral port; `NOTIFICATION`, 0, is none.
+        let reply_port = ports::EPHEMERAL_BASE.checked_add(head.mailbox.checked_sub(1)?)?;
+        Some((reply_port, frame_reply(head.call, &reply)))
+    }
 }
 
-/// A running RPC service on one node. Stops and joins its dispatch thread
-/// (and worker pool, if any) when [`RpcServer::shutdown`] is called or the
-/// server is dropped.
+/// A running RPC service on one node. Stops and joins its workers when
+/// [`RpcServer::shutdown`] is called or the server is dropped.
 pub struct RpcServer {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The bound service port. Dropping it unbinds the port, and with the
+    /// port gone the workers' queue disconnects.
+    bound: Option<PortReceiver>,
+    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     node: NodeId,
     port: Port,
 }
@@ -390,39 +415,40 @@ impl std::fmt::Debug for RpcServer {
 }
 
 impl RpcServer {
-    /// Start serving `service_port` on the node owning `handle`.
+    /// Start serving `service_port` on the node owning `handle`, one
+    /// request at a time.
     ///
     /// The handler receives the request body and the caller's node id and
-    /// returns the reply body. It runs on the dispatch thread, so a slow
-    /// handler delays subsequent requests to the same service (as it would on
-    /// a single-threaded Amoeba server thread).
+    /// returns the reply body. The service has a single worker and never
+    /// grows, so requests are handled in arrival order and a slow handler
+    /// delays subsequent requests to the same service (as it would on a
+    /// single-threaded Amoeba server thread). A handler that calls back
+    /// into its own service would wait for itself: use
+    /// [`RpcServer::serve_concurrent`] for those.
     pub fn serve<F>(handle: NetworkHandle, service_port: Port, handler: F) -> RpcServer
     where
         F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
     {
-        Self::serve_inner(handle, service_port, handler, false)
+        Self::start(handle, service_port, handler, 1, 1)
     }
 
-    /// Like [`RpcServer::serve`], but each request is handled on its own
-    /// thread so that a handler which itself performs (nested) RPCs cannot
-    /// stall unrelated requests. The primary-copy runtime system uses this:
-    /// its write protocol issues update/invalidate RPCs to other nodes from
-    /// inside a handler.
+    /// Like [`RpcServer::serve`], but with as many workers as there are
+    /// handlers running at once, so that a handler which itself performs
+    /// (nested) RPCs cannot stall unrelated requests — nor, calling back
+    /// into this service, itself. The primary-copy and adaptive runtime
+    /// systems need this: their write protocols issue update/invalidate
+    /// RPCs to other nodes from inside a handler. One worker is started
+    /// now; see the module documentation for when more are.
     pub fn serve_concurrent<F>(handle: NetworkHandle, service_port: Port, handler: F) -> RpcServer
     where
         F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
     {
-        Self::serve_inner(handle, service_port, handler, true)
+        Self::serve_pooled(handle, service_port, handler, 1)
     }
 
-    /// Like [`RpcServer::serve_concurrent`], but requests are handled by a
-    /// fixed pool of `workers` threads created once at start-up, instead of
-    /// one freshly spawned thread per request. Thread creation serializes
-    /// process-wide, so a high-rate service (the sharded runtime system's
-    /// owner-shipped operations) must not pay it per request. Handlers may
-    /// still perform nested RPCs — they occupy one pool worker for the
-    /// duration — so size the pool for the expected concurrency of such
-    /// handlers.
+    /// [`RpcServer::serve_concurrent`] with `workers` threads started up
+    /// front, for a service that knows its concurrency and would rather
+    /// not grow into it request by request.
     pub fn serve_pooled<F>(
         handle: NetworkHandle,
         service_port: Port,
@@ -432,109 +458,45 @@ impl RpcServer {
     where
         F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
     {
-        assert!(workers > 0, "worker pool must not be empty");
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let node = handle.node();
-        let rx = handle.bind(service_port);
-        let handler = Arc::new(handler);
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<(RpcRequest, NodeId)>();
-        let worker_threads: Vec<JoinHandle<()>> = (0..workers)
-            .map(|w| {
-                let work_rx = work_rx.clone();
-                let handler = Arc::clone(&handler);
-                let handle = handle.clone();
-                std::thread::Builder::new()
-                    .name(format!("rpc-pool-{node}-{service_port}-{w}"))
-                    .spawn(move || {
-                        while let Ok((request, src)) = work_rx.recv() {
-                            answer(&handle, handler.as_ref(), request, src);
-                        }
-                    })
-                    .expect("spawn rpc pool worker")
-            })
-            .collect();
-        let thread = std::thread::Builder::new()
-            .name(format!("rpc-{node}-{service_port}"))
-            .spawn(move || {
-                // work_tx lives (only) here: returning drops it, which
-                // disconnects the pool and lets the workers exit.
-                loop {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let msg = match rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok(msg) => msg,
-                        Err(NetError::Timeout) => continue,
-                        Err(_) => return,
-                    };
-                    let request: RpcRequest = match msg.decode_payload() {
-                        Ok(req) => req,
-                        Err(_) => continue, // malformed request: drop it
-                    };
-                    if work_tx.send((request, msg.src)).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn rpc dispatch thread");
-        RpcServer {
-            stop,
-            thread: Some(thread),
-            workers: worker_threads,
-            node,
-            port: service_port,
-        }
+        assert!(workers > 0, "a service needs a worker to listen");
+        Self::start(handle, service_port, handler, workers, usize::MAX)
     }
 
-    fn serve_inner<F>(
+    fn start<F>(
         handle: NetworkHandle,
         service_port: Port,
         handler: F,
-        concurrent: bool,
+        up_front: usize,
+        cap: usize,
     ) -> RpcServer
     where
         F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
     {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
         let node = handle.node();
-        let rx = handle.bind(service_port);
-        let handler = Arc::new(handler);
-        let thread = std::thread::Builder::new()
-            .name(format!("rpc-{node}-{service_port}"))
-            .spawn(move || {
-                loop {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let msg = match rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok(msg) => msg,
-                        Err(NetError::Timeout) => continue,
-                        Err(_) => return,
-                    };
-                    let request: RpcRequest = match msg.decode_payload() {
-                        Ok(req) => req,
-                        Err(_) => continue, // malformed request: drop it
-                    };
-                    if concurrent {
-                        let handler = Arc::clone(&handler);
-                        let handle = handle.clone();
-                        let src = msg.src;
-                        std::thread::Builder::new()
-                            .name(format!("rpc-worker-{node}-{service_port}"))
-                            .spawn(move || answer(&handle, handler.as_ref(), request, src))
-                            .expect("spawn rpc worker thread");
-                    } else {
-                        answer(&handle, handler.as_ref(), request, msg.src);
-                    }
-                }
-            })
-            .expect("spawn rpc dispatch thread");
+        let bound = handle.bind(service_port);
+        let workers = Arc::new(Mutex::new(Vec::new()));
+        let registry = handle.telemetry().registry();
+        // Clients count retirements as they happen; naming the counter here
+        // puts the whole census in a snapshot, zeros included.
+        registry.counter(MAILBOXES_RETIRED);
+        let service = Arc::new(Service {
+            requests: bound.receiver().clone(),
+            handler,
+            name: format!("rpc-{node}-{service_port}"),
+            listening: AtomicUsize::new(0),
+            cap,
+            workers: Arc::clone(&workers),
+            requests_taken: registry.counter(REQUESTS),
+            spawned: registry.counter(WORKERS_SPAWNED),
+            alive: registry.gauge(&workers_gauge(node)),
+            handle,
+        });
+        for _ in 0..up_front {
+            service.add_worker();
+        }
         RpcServer {
-            stop,
-            thread: Some(thread),
-            workers: Vec::new(),
+            bound: Some(bound),
+            workers,
             node,
             port: service_port,
         }
@@ -550,20 +512,25 @@ impl RpcServer {
         self.port
     }
 
-    /// Stop the dispatch thread and wait for it to exit.
+    /// Stop the service and wait for its workers to exit. Requests already
+    /// queued on the port are still answered.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-        // The dispatch thread held the work sender; with it gone the pool
-        // drains and disconnects.
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        drop(self.bound.take());
+        // A worker that took one of the last requests may have started
+        // another before it exits; that one is in the list by the time its
+        // starter is joined, so go round until the list stays empty.
+        loop {
+            let batch = std::mem::take(&mut *self.workers.lock());
+            if batch.is_empty() {
+                return;
+            }
+            for worker in batch {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -576,9 +543,12 @@ impl Drop for RpcServer {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
+
+    use orca_wire::Wire;
+
     use super::*;
     use crate::network::Network;
-    use crate::node::ports;
 
     #[test]
     fn echo_rpc_round_trip() {
@@ -648,7 +618,7 @@ mod tests {
             thread.join().unwrap();
         }
         assert_eq!(served.load(Ordering::Relaxed), 150);
-        // Shutdown joins the dispatch thread and the whole pool.
+        // Shutdown joins every worker.
         server.shutdown();
     }
 
@@ -714,18 +684,39 @@ mod tests {
     }
 
     #[test]
-    fn request_reply_wire_round_trip() {
-        let req = RpcRequest {
-            request_id: 9,
-            reply_port: 1 << 40,
-            body: vec![1, 2, 3],
-            trace: TraceId::mint(3, 41),
+    fn a_call_names_its_mailbox_and_the_server_finds_the_port() {
+        // What the server does with the number is the inverse of what the
+        // client did to the port, wherever the port sits.
+        for port in [ports::EPHEMERAL_BASE, ports::EPHEMERAL_BASE + 130] {
+            let number = mailbox_number(port);
+            assert_ne!(number, NOTIFICATION);
+            assert_eq!(ports::EPHEMERAL_BASE + (number - 1), port);
+        }
+        // The first mailboxes of a node are one byte on the wire.
+        assert_eq!(mailbox_number(ports::EPHEMERAL_BASE + 126), 127);
+    }
+
+    #[test]
+    fn a_malformed_request_is_dropped_and_the_service_lives_on() {
+        let net = Network::reliable(2);
+        let _server = RpcServer::serve(net.handle(NodeId(1)), ports::USER_BASE, |body, _| {
+            body.to_vec()
+        });
+        let client = net.handle(NodeId(0));
+        // A head cut short, and a mailbox number that overflows the port
+        // space: neither is answered, neither takes the worker down.
+        client
+            .send_reliable(NodeId(1), ports::USER_BASE, vec![0x80])
+            .unwrap();
+        let overflow = RequestHead {
+            mailbox: u64::MAX,
+            call: 0,
+            trace: orca_wire::TraceId::NONE,
         };
-        assert_eq!(RpcRequest::from_bytes(&req.to_bytes()).unwrap(), req);
-        let rep = RpcReply {
-            request_id: 9,
-            body: vec![],
-        };
-        assert_eq!(RpcReply::from_bytes(&rep.to_bytes()).unwrap(), rep);
+        client
+            .send_reliable(NodeId(1), ports::USER_BASE, overflow.frame(&[]))
+            .unwrap();
+        let reply = rpc_call(&client, NodeId(1), ports::USER_BASE, vec![5]).unwrap();
+        assert_eq!(reply, vec![5]);
     }
 }

@@ -15,12 +15,14 @@
 //! across repeated executions of the same program under the same schedule
 //! prefix. Two things are deliberately excluded from the identity:
 //!
-//! * **Payload bytes.** RPC request ids come from a process-global counter,
-//!   so payloads differ between two executions inside one test process even
-//!   when the runs are behaviourally identical.
-//! * **Raw ephemeral port numbers.** Ephemeral (RPC reply) ports are also
-//!   allocated from a process-global counter; all of them collapse onto one
-//!   [`EPHEMERAL_LANE`] per (src, dst) pair.
+//! * **Payload bytes.** An RPC request names its caller's reply mailbox,
+//!   and which mailbox a call gets — a parked one or a fresh one, and in
+//!   what order fresh ones were bound — depends on how the caller's
+//!   threads raced, so payloads can differ between two behaviourally
+//!   identical executions.
+//! * **Raw ephemeral port numbers**, for the same reason: every ephemeral
+//!   (RPC reply) port collapses onto one [`EPHEMERAL_LANE`] per (src, dst)
+//!   pair.
 //!
 //! This makes a recorded schedule (a list of `MsgId`s plus crash points)
 //! replayable: re-running the same scenario and applying the same choices

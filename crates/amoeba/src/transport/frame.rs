@@ -19,9 +19,10 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: version 2 carries the delta-coded operation batches and the
-/// two-varint trace ids of `orca-wire`.
-pub const FRAME_VERSION: u8 = 2;
+/// them: version 3 carries the RPC envelope of `orca_wire::envelope` and
+/// the single-operation messages whose operation is their tail (version 2
+/// brought the delta-coded operation batches and two-varint trace ids).
+pub const FRAME_VERSION: u8 = 3;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

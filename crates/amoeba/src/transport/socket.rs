@@ -384,10 +384,10 @@ impl BoundSocket {
             stats: Arc::new(NetStats::new(nodes)),
             telemetry,
             counters,
-            // Offset per node so log lines never show two nodes using the
-            // same ephemeral port number (only per-node uniqueness is
-            // required for correctness: ports are per-node namespaces).
-            next_ephemeral: AtomicU64::new(ports::EPHEMERAL_BASE + ((node.index() as u64) << 20)),
+            // Ports are per-node namespaces, so every node counts from the
+            // base: an RPC request names its reply port by its distance
+            // from there, and a small distance is a one-byte varint.
+            next_ephemeral: AtomicU64::new(ports::EPHEMERAL_BASE),
             connect_timeout,
         });
 
@@ -839,7 +839,8 @@ mod tests {
         let cluster = SocketTransport::start_loopback_cluster(2).unwrap();
         let h = handles(&cluster);
         let rx = h[1].bind(11);
-        // What a node built before the version bump would put on the wire.
+        // What a node built before the version bump (the previous RPC
+        // envelope) would put on the wire.
         let mut old = Frame {
             src: NodeId(0),
             dst: NodeId(1),

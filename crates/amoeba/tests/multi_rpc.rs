@@ -1,20 +1,24 @@
-//! `MultiRpc` demultiplexing under reordered delivery.
+//! `MultiRpc` demultiplexing under reordered delivery, and the mailbox rule.
 //!
 //! The pipelined runtime-system paths keep many RPCs in flight on one
-//! shared reply port, so replies routinely arrive in a different order
+//! shared reply mailbox, so replies routinely arrive in a different order
 //! than the caller waits for them. These tests pin the two properties the
 //! batching layers depend on:
 //!
 //! * a reply for a *different* outstanding request is stashed, never
 //!   dropped, and handed out when its own `wait` comes around;
-//! * replies are matched strictly by request id, so a stale reply from a
-//!   timed-out earlier call on the reused port can never satisfy a newer
-//!   request.
+//! * replies are matched strictly by call id, so a stale reply from a
+//!   timed-out earlier request of the same client can never satisfy a
+//!   newer one.
 //!
-//! The one-way half of the layer is pinned here too: an `rpc_notify` runs
-//! its handler exactly once and is never answered, under all three server
-//! flavours, and a versioned notification that a worker pool handles late
-//! is recognisably stale.
+//! Plain calls reuse mailboxes *between* clients, where every call has id
+//! 0; what keeps a late reply from a later call there is that a call which
+//! ends without its reply retires its mailbox. That is pinned here too.
+//!
+//! So is the one-way half of the layer: an `rpc_notify` runs its handler
+//! exactly once and is never answered, under all three server flavours,
+//! and a versioned notification that a worker handles late is recognisably
+//! stale.
 //!
 //! Reordering is produced deterministically by handler-side delays (a slow
 //! first request, fast later ones), and each scenario runs on both the
@@ -28,7 +32,9 @@ use std::time::{Duration, Instant};
 
 use orca_amoeba::network::{Network, NetworkHandle};
 use orca_amoeba::node::{ports, NodeId};
-use orca_amoeba::rpc::{rpc_call, rpc_notify, MultiRpc, RpcError, RpcServer};
+use orca_amoeba::rpc::{
+    rpc_call, rpc_call_timeout, rpc_notify, MultiRpc, RpcError, RpcServer, MAILBOXES_RETIRED,
+};
 use orca_amoeba::transport::SocketTransport;
 
 const SERVICE: u64 = ports::USER_BASE + 50;
@@ -116,6 +122,104 @@ fn stale_reply_from_a_timed_out_call_never_satisfies_a_newer_request() {
         assert_eq!(rpc.wait(stale, deadline).unwrap(), b"S-stale");
         server.shutdown();
     });
+}
+
+#[test]
+fn a_timed_out_call_retires_its_mailbox_and_its_late_reply_meets_no_later_call() {
+    both_backends(|client, server| {
+        // `S…` requests wait for the test's go-ahead before answering.
+        let (release, held) = channel::<()>();
+        let held = Mutex::new(held);
+        let rpc_server = RpcServer::serve_concurrent(server.clone(), SERVICE, move |body, _src| {
+            if body.first() == Some(&b'S') {
+                held.lock().unwrap().recv().unwrap();
+            }
+            body.to_vec()
+        });
+        let retired = client.telemetry().registry().counter(MAILBOXES_RETIRED);
+        let retired_before = retired.get();
+        // Warm a mailbox, so the call below reuses a parked one.
+        assert_eq!(
+            rpc_call(&client, NodeId(1), SERVICE, b"warm".to_vec()).unwrap(),
+            b"warm"
+        );
+        let result = rpc_call_timeout(
+            &client,
+            NodeId(1),
+            SERVICE,
+            b"S-late".to_vec(),
+            Duration::from_millis(50),
+        );
+        assert_eq!(result, Err(RpcError::Timeout));
+        assert_eq!(
+            retired.get(),
+            retired_before + 1,
+            "the owed mailbox is gone"
+        );
+        // While the reply is still owed, a call from the same thread binds
+        // a fresh mailbox and is answered on it.
+        assert_eq!(
+            rpc_call(&client, NodeId(1), SERVICE, b"fresh".to_vec()).unwrap(),
+            b"fresh"
+        );
+        // Let the late reply go out and wait until it is on the wire. Had
+        // the timed-out call parked its mailbox, `fresh` would have taken
+        // it, parked it again, and the late reply (call id 0, like every
+        // plain call's) would now be sitting in it for the next call.
+        let sent_before = server.stats().node(NodeId(1)).messages_sent();
+        release.send(()).unwrap();
+        let deadline = Instant::now() + DEADLINE;
+        while server.stats().node(NodeId(1)).messages_sent() == sent_before {
+            assert!(Instant::now() < deadline, "late reply never sent");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for round in 0..3u8 {
+            // On sockets the late reply precedes these replies on the same
+            // connection, so it has arrived by the time they do.
+            let body = vec![b'r', round];
+            assert_eq!(
+                rpc_call(&client, NodeId(1), SERVICE, body.clone()).unwrap(),
+                body
+            );
+        }
+        assert_eq!(retired.get(), retired_before + 1);
+        rpc_server.shutdown();
+    });
+}
+
+#[test]
+fn a_client_dropped_with_every_reply_in_parks_its_mailbox_for_the_next() {
+    // Observable as bytes: the request names the mailbox by its distance
+    // from the first ephemeral port, so as long as calls reuse the first
+    // mailboxes a request stays at body + 3 (mailbox, call, no trace).
+    let net = Network::reliable(2);
+    let (client, server) = (net.handle(NodeId(0)), net.handle(NodeId(1)));
+    let rpc_server = RpcServer::serve(server, SERVICE, |body, _src| body.to_vec());
+    for round in 0..300u32 {
+        let before = net.stats();
+        let mut rpc = MultiRpc::new(&client);
+        let a = rpc.send(NodeId(1), SERVICE, vec![1; 10]).unwrap();
+        let b = rpc.send(NodeId(1), SERVICE, vec![2; 10]).unwrap();
+        let deadline = Instant::now() + DEADLINE;
+        assert_eq!(rpc.wait(b, deadline).unwrap(), vec![2; 10]);
+        assert_eq!(rpc.wait(a, deadline).unwrap(), vec![1; 10]);
+        drop(rpc);
+        assert_eq!(
+            rpc_call(&client, NodeId(1), SERVICE, vec![3; 10]).unwrap(),
+            vec![3; 10]
+        );
+        let spent = net.stats().since(&before);
+        assert_eq!(spent.total_messages(), 6);
+        let payload = spent.total_wire_bytes() - 6 * orca_amoeba::message::WIRE_HEADER_BYTES as u64;
+        assert_eq!(
+            payload,
+            3 * (10 + 3) + 3 * (10 + 1),
+            "round {round}: three requests at body + 3, three replies at body + 1"
+        );
+    }
+    let retired = client.telemetry().registry().counter(MAILBOXES_RETIRED);
+    assert_eq!(retired.get(), 0);
+    rpc_server.shutdown();
 }
 
 #[test]

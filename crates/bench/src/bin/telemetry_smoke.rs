@@ -9,7 +9,9 @@
 //! primary-copy runtime contributes the `rts.lease.*` counters (grants and
 //! zero-message local reads) and the `rts.update.*` counters (where a
 //! replicated write's messages went: pushes, one-way unlocks, writes
-//! installed from their own reply) merged into the same document.
+//! installed from their own reply) and the RPC layer's thread census
+//! (`amoeba.rpc.*`: a few hundred requests served by the handful of
+//! workers the services keep) merged into the same document.
 //! `scripts/check_telemetry.py` validates the emitted document.
 //!
 //! Usage: `telemetry_smoke [output.json]`
@@ -77,10 +79,25 @@ fn main() {
     for _ in 0..8 {
         assert_eq!(reader.invoke(counter, &IntOp::Value).unwrap(), 2);
     }
+    // Every further write-through is one RPC: enough of them that the
+    // census shows requests outnumbering the workers that served them.
+    for _ in 0..300 {
+        reader.invoke(counter, &IntOp::Add(1)).unwrap();
+    }
     let lease_snap = leased.telemetry().registry().snapshot();
+    let merged = |name: &str| {
+        ["rts.lease.", "rts.update.", "amoeba.rpc."]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+    };
     for (name, value) in &lease_snap.counters {
-        if name.starts_with("rts.lease.") || name.starts_with("rts.update.") {
+        if merged(name) {
             *snapshot.counters.entry(name.clone()).or_insert(0) += value;
+        }
+    }
+    for (name, value) in &lease_snap.gauges {
+        if merged(name) {
+            *snapshot.gauges.entry(name.clone()).or_insert(0) += value;
         }
     }
     leased.shutdown();

@@ -50,6 +50,17 @@ const COUNT_BITS: u32 = 30;
 const FIELD_BITS: u32 = 4;
 const MAX_COUNTER_NODES: usize = 8;
 
+/// How long [`invoke_until`] sleeps between attempts.
+const RETRY_EVERY: Duration = Duration::from_millis(20);
+
+/// How long a node of the counter workload stays up after it has seen
+/// every live node finish. Its peers find that out on their own next poll,
+/// up to [`RETRY_EVERY`] (plus a round trip) later, and that poll may need
+/// this node — the counter's primary, if nobody else holds a copy. A node
+/// that exited the moment *it* was done would turn its peers' last read
+/// into a re-homing of an object without surviving copies.
+const EXIT_GRACE: Duration = Duration::from_millis(500);
+
 fn field_shift(node: usize) -> u32 {
     COUNT_BITS + FIELD_BITS * node as u32
 }
@@ -233,7 +244,7 @@ fn invoke_until<T>(
             Ok(value) => return Ok(value),
             Err(e) => last_err = Some(e),
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(RETRY_EVERY);
     }
     Err(format!("timed out waiting for {what}: {last_err:?}"))
 }
@@ -314,6 +325,7 @@ fn run_counter_workload(
         }
     })?;
     println!("FINAL {value}");
+    std::thread::sleep(EXIT_GRACE);
     Ok(())
 }
 

@@ -364,9 +364,8 @@ impl AdaptiveRts {
             batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
         });
         let service_inner = Arc::clone(&inner);
-        // Spawn-per-request service: regime switches and `All` fan-outs
-        // hold a handler across nested RPCs, which would deadlock a small
-        // fixed pool.
+        // Regime switches and `All` fan-outs hold a handler across nested
+        // RPCs, some of them back into this service.
         let server =
             RpcServer::serve_concurrent(handle, ports::RTS_ADAPTIVE, move |body, caller| {
                 serve_request(&service_inner, body, caller)
@@ -845,7 +844,6 @@ impl AdaptiveRts {
                     epoch: table.epoch,
                     partition,
                     op: op.to_vec(),
-                    trace: trace::current(),
                     stamp,
                 },
                 deadline,
@@ -960,7 +958,6 @@ impl AdaptiveRts {
             object: object.0,
             epoch: table.epoch,
             op: op.to_vec(),
-            trace: trace::current(),
             stamp,
         };
         let answer = self.rpc(home, &msg, deadline);
@@ -1130,7 +1127,6 @@ impl AdaptiveRts {
                 &RegimeMsg::OpAll {
                     object: object.0,
                     op: op.to_vec(),
-                    trace: trace::current(),
                 },
                 deadline,
             )?
@@ -1455,35 +1451,24 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             epoch,
             partition,
             op,
-            trace,
             stamp,
-        } => {
-            let _span = trace::enter(trace);
-            apply_at_slot(
-                inner,
-                ObjectId(object),
-                partition,
-                epoch,
-                &op,
-                stamp,
-                caller,
-                false,
-            )
-        }
+        } => apply_at_slot(
+            inner,
+            ObjectId(object),
+            partition,
+            epoch,
+            &op,
+            stamp,
+            caller,
+            false,
+        ),
         RegimeMsg::WriteThrough {
             object,
             epoch,
             op,
-            trace,
             stamp,
-        } => {
-            let _span = trace::enter(trace);
-            apply_at_slot(inner, ObjectId(object), 0, epoch, &op, stamp, caller, true)
-        }
-        RegimeMsg::OpAll { object, op, trace } => {
-            let _span = trace::enter(trace);
-            serve_op_all(inner, ObjectId(object), &op, caller)
-        }
+        } => apply_at_slot(inner, ObjectId(object), 0, epoch, &op, stamp, caller, true),
+        RegimeMsg::OpAll { object, op } => serve_op_all(inner, ObjectId(object), &op, caller),
         RegimeMsg::Propose { object } => {
             let object = ObjectId(object);
             let entry = inner.homes.read().get(&object).cloned();
@@ -2160,7 +2145,6 @@ fn serve_op_all(inner: &Arc<Inner>, object: ObjectId, op: &[u8], caller: NodeId)
                             epoch: table.epoch,
                             partition,
                             op: share,
-                            trace: trace::current(),
                             stamp: None,
                         },
                     ) {

@@ -39,6 +39,12 @@ fn decode_stamped(dec: &mut Decoder<'_>) -> WireResult<Option<StampedReply>> {
 /// write batch ([`PrimaryMsg::WRITE_BATCH_TAG`]) are client → primary
 /// requests; the rest are primary → secondary requests used by the write
 /// and lease protocols.
+///
+/// The three requests that ship one operation (`ReadAt`, `WriteAt`,
+/// `WriteThrough`) and the two replies that carry one result
+/// ([`PrimaryReply::Reply`], [`PrimaryReply::Installed`]) put it last on
+/// the wire, as the message's *tail*: no length prefix, it runs to the end
+/// of the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrimaryMsg {
     /// Execute a read operation at the primary copy (the caller holds no
@@ -176,13 +182,13 @@ impl Wire for PrimaryMsg {
             PrimaryMsg::ReadAt { object, op } => {
                 enc.put_u8(0);
                 object.encode(enc);
-                enc.put_bytes(op);
+                enc.put_raw(op);
             }
             PrimaryMsg::WriteAt { object, op, stamp } => {
                 enc.put_u8(1);
                 object.encode(enc);
-                enc.put_bytes(op);
                 stamp.encode(enc);
+                enc.put_raw(op);
             }
             PrimaryMsg::FetchCopy { object } => {
                 enc.put_u8(2);
@@ -236,8 +242,8 @@ impl Wire for PrimaryMsg {
             PrimaryMsg::WriteThrough { object, op, stamp } => {
                 enc.put_u8(10);
                 object.encode(enc);
-                enc.put_bytes(op);
                 stamp.encode(enc);
+                enc.put_raw(op);
             }
         }
     }
@@ -246,12 +252,12 @@ impl Wire for PrimaryMsg {
         match dec.get_u8()? {
             0 => Ok(PrimaryMsg::ReadAt {
                 object: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
+                op: dec.get_rest().to_vec(),
             }),
             1 => Ok(PrimaryMsg::WriteAt {
                 object: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
                 stamp: Wire::decode(dec)?,
+                op: dec.get_rest().to_vec(),
             }),
             2 => Ok(PrimaryMsg::FetchCopy {
                 object: Wire::decode(dec)?,
@@ -282,8 +288,8 @@ impl Wire for PrimaryMsg {
             9 => Ok(PrimaryMsg::Lease(Wire::decode(dec)?)),
             10 => Ok(PrimaryMsg::WriteThrough {
                 object: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
                 stamp: Wire::decode(dec)?,
+                op: dec.get_rest().to_vec(),
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "PrimaryMsg",
@@ -343,7 +349,7 @@ impl Wire for PrimaryReply {
         match self {
             PrimaryReply::Reply(bytes) => {
                 enc.put_u8(0);
-                enc.put_bytes(bytes);
+                enc.put_raw(bytes);
             }
             PrimaryReply::Blocked => enc.put_u8(1),
             PrimaryReply::State {
@@ -379,16 +385,16 @@ impl Wire for PrimaryReply {
                 lease,
             } => {
                 enc.put_u8(7);
-                enc.put_bytes(reply);
                 version.encode(enc);
                 lease.encode(enc);
+                enc.put_raw(reply);
             }
         }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         match dec.get_u8()? {
-            0 => Ok(PrimaryReply::Reply(dec.get_bytes()?)),
+            0 => Ok(PrimaryReply::Reply(dec.get_rest().to_vec())),
             1 => Ok(PrimaryReply::Blocked),
             2 => Ok(PrimaryReply::State {
                 type_name: Wire::decode(dec)?,
@@ -402,9 +408,9 @@ impl Wire for PrimaryReply {
             5 => Ok(PrimaryReply::Batch(Wire::decode(dec)?)),
             6 => Ok(PrimaryReply::Lease(Wire::decode(dec)?)),
             7 => Ok(PrimaryReply::Installed {
-                reply: dec.get_bytes()?,
                 version: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
+                reply: dec.get_rest().to_vec(),
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "PrimaryReply",
@@ -534,5 +540,56 @@ mod tests {
         for reply in replies {
             assert_eq!(PrimaryReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
         }
+    }
+
+    #[test]
+    fn operations_and_results_are_tails() {
+        let object = ObjectId::compose(2, 5);
+        let op = vec![9u8; 27];
+        let stamp = Some(OpStamp { origin: 2, seq: 8 });
+        let requests = [
+            PrimaryMsg::ReadAt {
+                object,
+                op: op.clone(),
+            },
+            PrimaryMsg::WriteAt {
+                object,
+                op: op.clone(),
+                stamp,
+            },
+            PrimaryMsg::WriteThrough {
+                object,
+                op: op.clone(),
+                stamp,
+            },
+        ];
+        for msg in requests {
+            let bytes = msg.to_bytes();
+            assert!(bytes.ends_with(&op), "{msg:?}");
+            // A cut inside the head is an error; a cut at its end leaves an
+            // empty operation, which is legal (the tail has no length of
+            // its own — the payload's end is its end).
+            let head = bytes.len() - op.len();
+            for cut in 0..head {
+                assert!(PrimaryMsg::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            }
+            assert!(PrimaryMsg::from_bytes(&bytes[..head]).is_ok());
+        }
+        assert_eq!(
+            PrimaryReply::Reply(op.clone()).to_bytes().len(),
+            1 + op.len()
+        );
+        assert_eq!(
+            PrimaryReply::from_bytes(&[0]).unwrap(),
+            PrimaryReply::Reply(vec![])
+        );
+        let installed = PrimaryReply::Installed {
+            reply: op.clone(),
+            version: 8,
+            lease: None,
+        }
+        .to_bytes();
+        assert_eq!(installed.len(), 3 + op.len());
+        assert!(installed.ends_with(&op));
     }
 }

@@ -1612,14 +1612,19 @@ fn primary_write(
         WritePolicy::Update => {
             let through = writer.filter(|w| holders.contains(w));
             holders.retain(|h| Some(*h) != through);
-            let phase1 = PrimaryMsg::UpdateOp {
-                object,
-                op: op.to_vec(),
-                version,
-                stamped: stamp.map(|s| (s, reply.clone())),
-            };
             let leases = &mut core.leases;
-            propagate_update(inner, object, &entry, leases, &holders, &phase1, version);
+            // With nobody to push to — an object without copies, or one
+            // whose only copy is the writer's own — there is no phase 1 to
+            // build.
+            if !holders.is_empty() {
+                let phase1 = PrimaryMsg::UpdateOp {
+                    object,
+                    op: op.to_vec(),
+                    version,
+                    stamped: stamp.map(|s| (s, reply.clone())),
+                };
+                propagate_update(inner, object, &entry, leases, &holders, &phase1, version);
+            }
             // The writer's renewal rides the acknowledgement, booked like
             // the others when it is sent.
             ack = through.map(|writer| ThroughAck {

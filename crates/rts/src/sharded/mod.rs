@@ -133,13 +133,6 @@ const STALE_RETRY_DELAY: Duration = Duration::from_millis(5);
 /// owner's backups are being promoted.
 const DEAD_OWNER_RETRY_DELAY: Duration = Duration::from_millis(20);
 
-/// Size of the per-node RPC worker pool. Owner-shipped operations are
-/// short and never block a worker (guard failures answer `Blocked`
-/// immediately), so the pool mainly sizes how many co-located partitions
-/// serve in parallel; migration coordination (`Migrate`/`HandOff`) holds a
-/// worker across a nested RPC, and the pool leaves headroom for that.
-const SERVICE_POOL_WORKERS: usize = 4;
-
 /// One partition replica held by its owner node.
 struct PartitionSlot {
     replica: Mutex<Box<dyn AnyReplica>>,
@@ -213,9 +206,8 @@ struct HomeObject {
     /// updates — never across an RPC, so `Route` requests cannot pile up
     /// on a worker that is mid-migration.
     table: Mutex<ShardRouteTable>,
-    /// Serializes migrations of this object. Held across the hand-off RPC
-    /// (occupying one pool worker), which is why it is separate from
-    /// `table`.
+    /// Serializes migrations of this object. Held across the hand-off
+    /// RPC, which is why it is separate from `table`.
     migration: Mutex<()>,
 }
 
@@ -329,20 +321,13 @@ impl ShardedRts {
             stopped: AtomicBool::new(false),
         });
         let service_inner = Arc::clone(&inner);
-        // Pooled (not spawn-per-request) service: owner-shipped operations
-        // arrive at a high rate and thread creation serializes
-        // process-wide, which would cap throughput regardless of how many
-        // partition owners exist.
-        let server = RpcServer::serve_pooled(
-            handle.clone(),
-            ports::RTS_SHARD,
-            move |body, caller| serve_request(&service_inner, body, caller),
-            SERVICE_POOL_WORKERS,
-        );
-        // Backup and recovery traffic lives on its own spawn-per-request
-        // port: backup application never performs a nested RPC, so it can
-        // always be served — a pool-sized service here could deadlock with
-        // owners waiting on backup acks while serving operations.
+        let server =
+            RpcServer::serve_concurrent(handle.clone(), ports::RTS_SHARD, move |body, caller| {
+                serve_request(&service_inner, body, caller)
+            });
+        // Backup and recovery traffic lives on its own port, so a backup
+        // apply never queues behind the operations whose owners are
+        // waiting for its acknowledgement.
         let backup_server = if recovery.enabled {
             let backup_inner = Arc::clone(&inner);
             Some(RpcServer::serve_concurrent(
@@ -648,7 +633,6 @@ impl ShardedRts {
             let msg = ShardMsg::Op {
                 shard: part(object, partition),
                 op: op.to_vec(),
-                trace: trace::current(),
                 stamp,
             };
             match self.rpc(owner, &msg, deadline)? {
@@ -1249,15 +1233,7 @@ fn dispatch(inner: &Arc<Inner>, msg: ShardMsg, caller: NodeId) -> ShardReply {
                 }
             }
         }
-        ShardMsg::Op {
-            shard,
-            op,
-            trace,
-            stamp,
-        } => {
-            let _span = trace::enter(trace);
-            serve_op(inner, &shard, &op, stamp, caller)
-        }
+        ShardMsg::Op { shard, op, stamp } => serve_op(inner, &shard, &op, stamp, caller),
         ShardMsg::Install {
             shard,
             type_name,
@@ -1289,8 +1265,7 @@ fn dispatch(inner: &Arc<Inner>, msg: ShardMsg, caller: NodeId) -> ShardReply {
         ShardMsg::Migrate { shard, dst } => migrate_at_home(inner, &shard, dst),
         ShardMsg::HandOff { shard, dst } => hand_off(inner, &shard, dst),
         // Backup and recovery traffic is served on its own port (see
-        // `serve_backup_request`); answering it here would tie up pooled
-        // operation workers behind nested backup RPCs.
+        // `serve_backup_request`).
         ShardMsg::Backup { .. }
         | ShardMsg::BackupBatch { .. }
         | ShardMsg::InstallBackup { .. }
@@ -1494,7 +1469,7 @@ fn serve_op(
 /// the new owner assignment. The routing-table mutex itself is held only
 /// for the reads and the final publish — never across the hand-off RPC —
 /// so concurrent `Route` requests are answered immediately instead of
-/// piling up on pool workers behind an in-flight migration.
+/// piling up behind an in-flight migration.
 fn migrate_at_home(inner: &Arc<Inner>, shard: &ShardPartId, dst: u16) -> ShardReply {
     if usize::from(dst) >= inner.num_nodes {
         return ShardReply::Error(format!("no such node {}", NodeId(dst)));
@@ -1621,8 +1596,7 @@ fn shard_rpc(inner: &Arc<Inner>, dst: NodeId, msg: &ShardMsg) -> Result<ShardRep
 // Crash recovery: partition backups, promotion, and home adoption.
 // ---------------------------------------------------------------------------
 
-/// RPC dispatch of backup and recovery traffic (port `RTS_SHARD_BACKUP`;
-/// spawn-per-request, never starved by the operation worker pool).
+/// RPC dispatch of backup and recovery traffic (port `RTS_SHARD_BACKUP`).
 fn serve_backup_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> Vec<u8> {
     let reply = match ShardMsg::from_bytes(body) {
         Ok(msg) => dispatch_backup(inner, msg, caller),

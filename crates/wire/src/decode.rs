@@ -137,6 +137,16 @@ impl<'a> Decoder<'a> {
         self.take(len)
     }
 
+    /// Take everything not yet consumed, without copying it. A message
+    /// whose last field is a byte string carries it this way — as its
+    /// *tail*, with no length prefix: the enclosing payload's end is the
+    /// field's end. An empty tail is legal.
+    pub fn get_rest(&mut self) -> &'a [u8] {
+        let slice = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        slice
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> WireResult<String> {
         let bytes = self.get_bytes()?;
@@ -200,6 +210,16 @@ mod tests {
         assert_eq!(dec.remaining(), 1);
         // A length that overruns the input is an error, not a short slice.
         assert!(Decoder::new(&[5, 1, 2]).get_bytes_ref().is_err());
+    }
+
+    #[test]
+    fn rest_takes_the_tail_and_leaves_nothing() {
+        let mut dec = Decoder::new(&[3, 7, 8, 9]);
+        assert_eq!(dec.get_u8().unwrap(), 3);
+        let tail = dec.get_rest();
+        assert_eq!(tail, &[7, 8, 9]);
+        dec.finish().unwrap();
+        assert!(dec.get_rest().is_empty());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * unsigned integers are LEB128 varints,
 //! * signed integers are zig-zag encoded varints,
 //! * floats are little-endian IEEE-754,
-//! * byte strings and UTF-8 strings are length-prefixed,
+//! * byte strings and UTF-8 strings are length-prefixed — except a byte
+//!   string that is the *last* field of a top-level message, which is its
+//!   tail: it runs to the end of the payload ([`Decoder::get_rest`]),
 //! * sequences and maps are length-prefixed element lists,
 //! * `Option<T>` is a one-byte tag followed by the payload.
 //!
@@ -48,6 +50,7 @@
 pub mod batch;
 mod decode;
 mod encode;
+pub mod envelope;
 mod error;
 mod impls;
 pub mod lease;
@@ -59,6 +62,7 @@ pub mod trace;
 pub use batch::{BatchOp, BatchOutcome, OpBatch, OpBatchEncoder, OpBatchIter, OpBatchView, OpRef};
 pub use decode::{Decoder, MAX_LEN};
 pub use encode::{uvarint_len, Encoder};
+pub use envelope::RequestHead;
 pub use error::{WireError, WireResult};
 pub use lease::{DedupWindow, LeaseGrant, LeaseMsg, OpStamp, DEDUP_WINDOW_PER_ORIGIN};
 pub use recovery::{CopyInfo, MembershipView, RecoveryMsg, RecoveryReply};

@@ -15,7 +15,7 @@
 //! (exactly the encoding `ObjectId` in `orca-object` uses on the wire).
 
 use crate::lease::{DedupWindow, LeaseGrant, OpStamp};
-use crate::{Decoder, Encoder, TraceId, Wire, WireError, WireResult};
+use crate::{Decoder, Encoder, Wire, WireError, WireResult};
 
 /// Which synchronization regime currently serves an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,7 +124,10 @@ pub enum RegimeMsg {
     /// Client → authoritative owner: execute an encoded operation on one
     /// partition (partition 0 under the primary/replicated regimes). The
     /// epoch pins the regime the client routed under; a mismatch is
-    /// answered [`RegimeReply::StaleRegime`].
+    /// answered [`RegimeReply::StaleRegime`]. Like every request that
+    /// ships one operation, it carries the operation as its tail (after
+    /// every other field, to the end of the payload) and no trace — that
+    /// rides the RPC envelope.
     Op {
         /// Raw object id.
         object: u64,
@@ -134,9 +137,6 @@ pub enum RegimeMsg {
         partition: u32,
         /// Encoded (already partition-narrowed) operation.
         op: Vec<u8>,
-        /// Causal identity of the originating invocation
-        /// ([`TraceId::NONE`] when untraced).
-        trace: TraceId,
         /// Exactly-once identity of a synchronously invoked write, reused
         /// verbatim across client retries so a slot that already applied
         /// the op answers its recorded reply instead of applying again.
@@ -152,9 +152,6 @@ pub enum RegimeMsg {
         object: u64,
         /// Encoded whole-object operation.
         op: Vec<u8>,
-        /// Causal identity of the originating invocation
-        /// ([`TraceId::NONE`] when untraced).
-        trace: TraceId,
     },
     /// Any node → home node: re-evaluate the object's regime now from the
     /// usage evidence accumulated so far (a regime-change *proposal*). The
@@ -273,8 +270,6 @@ pub enum RegimeMsg {
         epoch: u64,
         /// Encoded write operation.
         op: Vec<u8>,
-        /// Causal identity of the originating invocation.
-        trace: TraceId,
         /// Exactly-once identity of the write (see [`RegimeMsg::Op`]).
         stamp: Option<OpStamp>,
     },
@@ -328,22 +323,19 @@ impl Wire for RegimeMsg {
                 epoch,
                 partition,
                 op,
-                trace,
                 stamp,
             } => {
                 enc.put_u8(1);
                 object.encode(enc);
                 epoch.encode(enc);
                 partition.encode(enc);
-                enc.put_bytes(op);
-                trace.encode(enc);
                 stamp.encode(enc);
+                enc.put_raw(op);
             }
-            RegimeMsg::OpAll { object, op, trace } => {
+            RegimeMsg::OpAll { object, op } => {
                 enc.put_u8(2);
                 object.encode(enc);
-                enc.put_bytes(op);
-                trace.encode(enc);
+                enc.put_raw(op);
             }
             RegimeMsg::Propose { object } => {
                 enc.put_u8(3);
@@ -445,15 +437,13 @@ impl Wire for RegimeMsg {
                 object,
                 epoch,
                 op,
-                trace,
                 stamp,
             } => {
                 enc.put_u8(14);
                 object.encode(enc);
                 epoch.encode(enc);
-                enc.put_bytes(op);
-                trace.encode(enc);
                 stamp.encode(enc);
+                enc.put_raw(op);
             }
             RegimeMsg::MirrorQuery { object } => {
                 enc.put_u8(12);
@@ -470,14 +460,12 @@ impl Wire for RegimeMsg {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 partition: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
-                trace: Wire::decode(dec)?,
                 stamp: Wire::decode(dec)?,
+                op: dec.get_rest().to_vec(),
             }),
             2 => Ok(RegimeMsg::OpAll {
                 object: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
-                trace: Wire::decode(dec)?,
+                op: dec.get_rest().to_vec(),
             }),
             3 => Ok(RegimeMsg::Propose {
                 object: Wire::decode(dec)?,
@@ -537,9 +525,8 @@ impl Wire for RegimeMsg {
             14 => Ok(RegimeMsg::WriteThrough {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
-                trace: Wire::decode(dec)?,
                 stamp: Wire::decode(dec)?,
+                op: dec.get_rest().to_vec(),
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeMsg",
@@ -552,7 +539,8 @@ impl Wire for RegimeMsg {
 /// Replies of the adaptive runtime-system service.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegimeReply {
-    /// Encoded reply of a completed operation.
+    /// Encoded reply of a completed operation (on the wire, the tail of the
+    /// message).
     Done(Vec<u8>),
     /// The operation's guard was false; the caller should retry later.
     Blocked,
@@ -606,7 +594,8 @@ pub enum RegimeReply {
     /// A [`RegimeMsg::WriteThrough`] was applied and every *other* mirror
     /// brought up to date: the sender applies its own operation at `seq`.
     Installed {
-        /// Encoded reply of the write.
+        /// Encoded reply of the write (on the wire, the tail of the
+        /// message).
         reply: Vec<u8>,
         /// Update sequence number the write was applied at.
         seq: u64,
@@ -621,7 +610,7 @@ impl Wire for RegimeReply {
         match self {
             RegimeReply::Done(bytes) => {
                 enc.put_u8(0);
-                enc.put_bytes(bytes);
+                enc.put_raw(bytes);
             }
             RegimeReply::Blocked => enc.put_u8(1),
             RegimeReply::Route(table) => {
@@ -663,15 +652,15 @@ impl Wire for RegimeReply {
             }
             RegimeReply::Installed { reply, seq, lease } => {
                 enc.put_u8(11);
-                enc.put_bytes(reply);
                 seq.encode(enc);
                 lease.encode(enc);
+                enc.put_raw(reply);
             }
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         match dec.get_u8()? {
-            0 => Ok(RegimeReply::Done(dec.get_bytes()?)),
+            0 => Ok(RegimeReply::Done(dec.get_rest().to_vec())),
             1 => Ok(RegimeReply::Blocked),
             2 => Ok(RegimeReply::Route(Wire::decode(dec)?)),
             3 => Ok(RegimeReply::StaleRegime),
@@ -694,9 +683,9 @@ impl Wire for RegimeReply {
             9 => Ok(RegimeReply::ObjectLost),
             10 => Ok(RegimeReply::Batch(Wire::decode(dec)?)),
             11 => Ok(RegimeReply::Installed {
-                reply: dec.get_bytes()?,
                 seq: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
+                reply: dec.get_rest().to_vec(),
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeReply",
@@ -744,13 +733,11 @@ mod tests {
                 epoch: 2,
                 partition: 3,
                 op: vec![1, 2, 3],
-                trace: TraceId::mint(0, 3),
                 stamp: Some(OpStamp { origin: 2, seq: 40 }),
             },
             RegimeMsg::OpAll {
                 object: 9,
                 op: vec![4, 5],
-                trace: TraceId::NONE,
             },
             RegimeMsg::Propose { object: 9 },
             RegimeMsg::Report {
@@ -807,7 +794,6 @@ mod tests {
                 object: 9,
                 epoch: 3,
                 op: vec![1, 2],
-                trace: TraceId::mint(2, 5),
                 stamp: Some(OpStamp { origin: 2, seq: 41 }),
             },
         ];
@@ -876,13 +862,10 @@ mod tests {
 
     #[test]
     fn truncated_messages_are_errors() {
-        let bytes = RegimeMsg::Op {
+        let bytes = RegimeMsg::Drain {
             object: 1,
             epoch: 1,
             partition: 1,
-            op: vec![1, 2, 3],
-            trace: TraceId::NONE,
-            stamp: None,
         }
         .to_bytes();
         assert!(RegimeMsg::from_bytes(&bytes[..bytes.len() - 1]).is_err());

@@ -13,7 +13,7 @@
 
 use crate::batch::BatchOutcome;
 use crate::lease::{DedupWindow, OpStamp};
-use crate::{Decoder, Encoder, TraceId, Wire, WireError, WireResult};
+use crate::{Decoder, Encoder, Wire, WireError, WireResult};
 
 /// Identifies one partition of one sharded object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,14 +100,13 @@ pub enum ShardMsg {
     /// partition. The owner replies [`ShardReply::Done`] or, if the
     /// operation's guard is false, [`ShardReply::Blocked`]; if the owner no
     /// longer holds the partition it replies [`ShardReply::StaleRoute`].
+    /// The invocation's trace rides the RPC envelope, not this message.
     Op {
         /// Target partition.
         shard: ShardPartId,
-        /// Encoded operation.
+        /// Encoded operation. On the wire it is the message's tail: it
+        /// follows the stamp and runs to the end of the payload.
         op: Vec<u8>,
-        /// Causal identity of the originating invocation
-        /// ([`TraceId::NONE`] when untraced).
-        trace: TraceId,
         /// Dedup stamp of the originating *write* invocation (`None` for
         /// reads). Minted once per invocation and reused verbatim on every
         /// retry, so an owner (or the backup promoted in its place) that
@@ -237,17 +236,11 @@ impl Wire for ShardMsg {
                 enc.put_u8(0);
                 object.encode(enc);
             }
-            ShardMsg::Op {
-                shard,
-                op,
-                trace,
-                stamp,
-            } => {
+            ShardMsg::Op { shard, op, stamp } => {
                 enc.put_u8(1);
                 shard.encode(enc);
-                enc.put_bytes(op);
-                trace.encode(enc);
                 stamp.encode(enc);
+                enc.put_raw(op);
             }
             ShardMsg::Install {
                 shard,
@@ -326,9 +319,8 @@ impl Wire for ShardMsg {
             }),
             1 => Ok(ShardMsg::Op {
                 shard: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
-                trace: Wire::decode(dec)?,
                 stamp: Wire::decode(dec)?,
+                op: dec.get_rest().to_vec(),
             }),
             2 => Ok(ShardMsg::Install {
                 shard: Wire::decode(dec)?,
@@ -380,7 +372,8 @@ impl Wire for ShardMsg {
 /// Replies of the sharded runtime-system service.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardReply {
-    /// Encoded reply of a completed operation.
+    /// Encoded reply of a completed operation (on the wire, the tail of the
+    /// message).
     Done(Vec<u8>),
     /// The operation's guard was false; the caller should retry later.
     Blocked,
@@ -417,7 +410,7 @@ impl Wire for ShardReply {
         match self {
             ShardReply::Done(bytes) => {
                 enc.put_u8(0);
-                enc.put_bytes(bytes);
+                enc.put_raw(bytes);
             }
             ShardReply::Blocked => enc.put_u8(1),
             ShardReply::Route(table) => {
@@ -449,7 +442,7 @@ impl Wire for ShardReply {
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         match dec.get_u8()? {
-            0 => Ok(ShardReply::Done(dec.get_bytes()?)),
+            0 => Ok(ShardReply::Done(dec.get_rest().to_vec())),
             1 => Ok(ShardReply::Blocked),
             2 => Ok(ShardReply::Route(Wire::decode(dec)?)),
             3 => Ok(ShardReply::StaleRoute),
@@ -488,7 +481,6 @@ mod tests {
             ShardMsg::Op {
                 shard: shard(),
                 op: vec![1, 2, 3],
-                trace: TraceId::mint(2, 11),
                 stamp: Some(OpStamp { origin: 2, seq: 40 }),
             },
             ShardMsg::Install {
@@ -572,11 +564,9 @@ mod tests {
 
     #[test]
     fn truncated_messages_are_errors() {
-        let bytes = ShardMsg::Op {
+        let bytes = ShardMsg::Migrate {
             shard: shard(),
-            op: vec![1, 2, 3],
-            trace: TraceId::NONE,
-            stamp: None,
+            dst: 5,
         }
         .to_bytes();
         assert!(ShardMsg::from_bytes(&bytes[..bytes.len() - 1]).is_err());

@@ -375,7 +375,6 @@ fn shard_messages_round_trip() {
             1 => ShardMsg::Op {
                 shard,
                 op: gen.bytes(48),
-                trace: random_trace(&mut gen),
                 stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
             },
             2 => ShardMsg::Install {
@@ -471,7 +470,6 @@ fn regime_messages_round_trip() {
                 object,
                 epoch,
                 op: gen.bytes(48),
-                trace: random_trace(&mut gen),
                 stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
             },
             12 => RegimeMsg::MirrorQuery { object },
@@ -480,13 +478,11 @@ fn regime_messages_round_trip() {
                 epoch,
                 partition: gen.next_u64() as u32,
                 op: gen.bytes(48),
-                trace: random_trace(&mut gen),
                 stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
             },
             2 => RegimeMsg::OpAll {
                 object,
                 op: gen.bytes(48),
-                trace: random_trace(&mut gen),
             },
             3 => RegimeMsg::Propose { object },
             4 => RegimeMsg::Report {
@@ -638,6 +634,109 @@ fn recovery_messages_round_trip() {
         let bytes = gen.bytes(32);
         let _ = RecoveryMsg::from_bytes(&bytes);
         let _ = RecoveryReply::from_bytes(&bytes);
+    }
+}
+
+/// `bytes` encodes a message whose last field is the byte string `tail`,
+/// carried without a length: it must sit at the very end, every cut into
+/// the head before it must fail to decode, and a cut exactly at the head's
+/// end must decode (an empty tail is legal — the payload's end is the
+/// tail's end, so a shortened tail is not detectable at this layer and
+/// the transport's frame length is what guards it).
+fn assert_tail<T: Wire + std::fmt::Debug>(bytes: &[u8], tail: &[u8], case: usize) {
+    assert!(bytes.ends_with(tail), "case {case}: tail is not last");
+    let head = bytes.len() - tail.len();
+    for cut in 0..head {
+        assert!(
+            T::from_bytes(&bytes[..cut]).is_err(),
+            "case {case}: head cut to {cut} of {head} bytes decoded"
+        );
+    }
+    assert!(
+        T::from_bytes(&bytes[..head]).is_ok(),
+        "case {case}: empty tail refused"
+    );
+}
+
+#[test]
+fn envelopes_and_tail_bodied_messages_round_trip() {
+    use orca_wire::envelope::{frame_reply, split_reply};
+    use orca_wire::{RegimeMsg, RegimeReply, RequestHead, ShardMsg, ShardPartId, ShardReply};
+    let mut gen = Gen::new(0x7A11_B0D1);
+    for case in 0..*CASES {
+        // The RPC envelope: head, then the body to the end, borrowed.
+        let head = RequestHead {
+            mailbox: edgy_u64(&mut gen),
+            call: edgy_u64(&mut gen),
+            trace: random_trace(&mut gen),
+        };
+        let body = gen.bytes(64);
+        let request = head.frame(&body);
+        let (back, tail) = RequestHead::split(&request).expect("framed request splits");
+        assert_eq!((back, tail), (head, &body[..]), "case {case}");
+        for cut in 0..request.len() - body.len() {
+            assert!(
+                RequestHead::split(&request[..cut]).is_err(),
+                "case {case}: request head cut to {cut} bytes split"
+            );
+        }
+        let call = edgy_u64(&mut gen);
+        let reply = frame_reply(call, &body);
+        assert_eq!(
+            split_reply(&reply).unwrap(),
+            (call, &body[..]),
+            "case {case}"
+        );
+        for cut in 0..reply.len() - body.len() {
+            assert!(
+                split_reply(&reply[..cut]).is_err(),
+                "case {case}: cut {cut}"
+            );
+        }
+        let garbage = gen.bytes(16);
+        let _ = RequestHead::split(&garbage);
+        let _ = split_reply(&garbage);
+
+        // The single-operation messages and their results.
+        let op = gen.bytes(48);
+        let stamp = (gen.below(2) == 0).then(|| random_stamp(&mut gen));
+        let (object, epoch) = (gen.next_u64(), gen.next_u64());
+        let partition = gen.next_u64() as u32;
+        let shard_op = ShardMsg::Op {
+            shard: ShardPartId { object, partition },
+            op: op.clone(),
+            stamp,
+        };
+        assert_tail::<ShardMsg>(&shard_op.to_bytes(), &op, case);
+        for msg in [
+            RegimeMsg::Op {
+                object,
+                epoch,
+                partition,
+                op: op.clone(),
+                stamp,
+            },
+            RegimeMsg::OpAll {
+                object,
+                op: op.clone(),
+            },
+            RegimeMsg::WriteThrough {
+                object,
+                epoch,
+                op: op.clone(),
+                stamp,
+            },
+        ] {
+            assert_tail::<RegimeMsg>(&msg.to_bytes(), &op, case);
+        }
+        assert_tail::<ShardReply>(&ShardReply::Done(op.clone()).to_bytes(), &op, case);
+        assert_tail::<RegimeReply>(&RegimeReply::Done(op.clone()).to_bytes(), &op, case);
+        let installed = RegimeReply::Installed {
+            reply: op.clone(),
+            seq: gen.next_u64(),
+            lease: (gen.below(2) == 0).then(|| random_lease(&mut gen)),
+        };
+        assert_tail::<RegimeReply>(&installed.to_bytes(), &op, case);
     }
 }
 

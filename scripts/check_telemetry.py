@@ -17,7 +17,13 @@ with the instruments the runtime promises to keep populated:
 * the replicated-write counters (`rts.update.*`): all three present and
   non-zero — that phase pushes one write to a copy holder (a push and a
   one-way unlock) and writes one through the holder's own copy (an
-  install from the reply).
+  install from the reply);
+* the RPC layer's thread census (`amoeba.rpc.*`): requests served, worker
+  threads started, mailboxes retired and the per-node gauges of workers
+  alive. Services keep their workers, so a few hundred requests must have
+  cost a handful of threads — `workers_spawned` at least 1 and at most a
+  tenth of `requests` — every worker started must still be alive in the
+  gauges, and the happy-path run must have retired no mailbox.
 
 Usage: check_telemetry.py <snapshot.json>
 """
@@ -52,6 +58,12 @@ UPDATE_COUNTERS = [
     "rts.update.unlock_notifies",
     "rts.update.reply_installs",
 ]
+
+# The RPC thread census.
+RPC_REQUESTS = "amoeba.rpc.requests"
+RPC_WORKERS_SPAWNED = "amoeba.rpc.workers_spawned"
+RPC_MAILBOXES_RETIRED = "amoeba.rpc.mailboxes_retired"
+RPC_WORKER_GAUGE = ("amoeba.rpc.node", ".workers")
 
 
 def fail(message):
@@ -93,6 +105,31 @@ def main():
             fail(f"update counter {name!r} missing (got {sorted(counters)})")
         if counters[name] == 0:
             fail(f"update counter {name!r} is zero: no write took that path")
+
+    for name in (RPC_REQUESTS, RPC_WORKERS_SPAWNED, RPC_MAILBOXES_RETIRED):
+        if name not in counters:
+            fail(f"rpc counter {name!r} missing (got {sorted(counters)})")
+    requests = counters[RPC_REQUESTS]
+    spawned = counters[RPC_WORKERS_SPAWNED]
+    if spawned < 1:
+        fail("no rpc worker was ever started, yet requests were served")
+    if spawned * 10 > requests:
+        fail(
+            f"{spawned} rpc workers for {requests} requests: "
+            "a request must not cost a thread"
+        )
+    if counters[RPC_MAILBOXES_RETIRED] != 0:
+        fail("a reply mailbox was retired: some call ended without its reply")
+    prefix, suffix = RPC_WORKER_GAUGE
+    alive = {
+        k: v
+        for k, v in doc["gauges"].items()
+        if k.startswith(prefix) and k.endswith(suffix)
+    }
+    if not alive:
+        fail(f"no {prefix}N{suffix} gauge (got {sorted(doc['gauges'])})")
+    if sum(alive.values()) != spawned:
+        fail(f"rpc workers alive {alive} do not add up to the {spawned} started")
 
     hists = doc["histograms"]
     for name in REQUIRED_HISTOGRAMS:
