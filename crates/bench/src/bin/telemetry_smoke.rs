@@ -11,15 +11,37 @@
 //! replicated write's messages went: pushes, one-way unlocks, writes
 //! installed from their own reply) and the RPC layer's thread census
 //! (`amoeba.rpc.*`: a few hundred requests served by the handful of
-//! workers the services keep) merged into the same document.
-//! `scripts/check_telemetry.py` validates the emitted document.
+//! workers the services keep) merged into the same document. A third,
+//! adaptive runtime — two of three nodes writing a table the third created
+//! — contributes `rts.node*.regime_switches` and
+//! `rts.adaptive.replacements` (the table shards, and its partitions move
+//! to the writers). `scripts/check_telemetry.py` validates the emitted
+//! document.
 //!
 //! Usage: `telemetry_smoke [output.json]`
 
-use orca_core::objects::{IntObject, IntOp, JobQueue, JobQueueOp};
+use std::collections::BTreeMap;
+
+use orca_amoeba::NodeId;
+use orca_core::objects::{
+    IntObject, IntOp, JobQueue, JobQueueOp, KvTableObject, KvTableOp, TableEntry,
+};
 use orca_core::{standard_registry, BatchPolicy, OrcaConfig, OrcaRuntime, RtsStrategy};
-use orca_rts::{ReplicationPolicy, WritePolicy};
+use orca_rts::{AdaptivePolicy, RegimeKind, ReplicationPolicy, WritePolicy};
 use orca_wire::Wire;
+
+/// Add the counters of `from` that `keep` selects onto those of `into`.
+fn merge_counters(
+    into: &mut BTreeMap<String, u64>,
+    from: &BTreeMap<String, u64>,
+    keep: impl Fn(&str) -> bool,
+) {
+    for (name, value) in from {
+        if keep(name) {
+            *into.entry(name.clone()).or_insert(0) += value;
+        }
+    }
+}
 
 fn main() {
     let out = std::env::args()
@@ -90,17 +112,55 @@ fn main() {
             .iter()
             .any(|prefix| name.starts_with(prefix))
     };
-    for (name, value) in &lease_snap.counters {
-        if merged(name) {
-            *snapshot.counters.entry(name.clone()).or_insert(0) += value;
-        }
-    }
+    merge_counters(&mut snapshot.counters, &lease_snap.counters, merged);
     for (name, value) in &lease_snap.gauges {
         if merged(name) {
             *snapshot.gauges.entry(name.clone()).or_insert(0) += value;
         }
     }
     leased.shutdown();
+    // Neither runtime above ever switches a regime. Two of three nodes
+    // writing a table the third created make the adaptive runtime shard it
+    // and place the partitions on the writers — on node 1 alone at first,
+    // whose reports fill the first evaluation window, then re-placed over
+    // both.
+    let adaptive_cfg = OrcaConfig {
+        strategy: RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::eager(),
+        },
+        ..OrcaConfig::adaptive(3)
+    };
+    let adaptive = OrcaRuntime::start(adaptive_cfg, standard_registry());
+    let table = adaptive
+        .create::<KvTableObject>(&Default::default())
+        .unwrap();
+    for key in 0..256u64 {
+        let entry = TableEntry {
+            depth: 1,
+            value: 0,
+            aux: key,
+        };
+        let writer = if key < 16 { 1 } else { 1 + (key % 2) as usize };
+        adaptive
+            .context(writer)
+            .invoke(table, &KvTableOp::Put { key, entry })
+            .unwrap();
+    }
+    assert_eq!(
+        adaptive.object_regime(table.id()),
+        Some(RegimeKind::Sharded)
+    );
+    let placement = adaptive.object_placement(table.id()).unwrap();
+    assert!(
+        !placement.contains(&NodeId(0)),
+        "the idle creator owns a partition: {placement:?}"
+    );
+    assert!(placement.contains(&NodeId(1)) && placement.contains(&NodeId(2)));
+    let adaptive_snap = adaptive.telemetry().registry().snapshot();
+    merge_counters(&mut snapshot.counters, &adaptive_snap.counters, |name| {
+        name.starts_with("rts.adaptive.") || name.ends_with(".regime_switches")
+    });
+    adaptive.shutdown();
     let events = runtime.telemetry().flight_events().len();
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).unwrap();

@@ -615,6 +615,17 @@ impl OrcaRuntime {
         }
     }
 
+    /// The node owning each authoritative replica of `object` under the
+    /// adaptive runtime system — one per partition in the sharded regime,
+    /// the home otherwise (freshly read from the object's home node) — or
+    /// `None` when another strategy is running.
+    pub fn object_placement(&self, object: ObjectId) -> Option<Vec<NodeId>> {
+        match self.live_rts() {
+            NodeRts::Adaptive(rts) => rts.placement_of(object).ok().map(|(_, _, owners)| owners),
+            _ => None,
+        }
+    }
+
     /// Ask the home node of `object` to re-evaluate its regime now, after
     /// flushing every node's unreported usage (adaptive strategy only).
     /// Returns the — possibly freshly switched — regime.

@@ -19,8 +19,8 @@
 //!   every object starts in).
 //! * **Sharded** — the object is split with its type's partitioning logic
 //!   ([`orca_object::shard`]) into hash-partitioned slices spread over the
-//!   nodes, operations shipped point-to-point to partition owners. For
-//!   write-hot shardable objects.
+//!   nodes that use it, operations shipped point-to-point to partition
+//!   owners. For write-hot shardable objects.
 //!
 //! ## Who decides, and how nodes agree
 //!
@@ -34,6 +34,11 @@
 //! nodes cache it with a lease ([`AdaptivePolicy::regime_lease`]) and carry
 //! its epoch in every shipped operation — a server that sees an outdated
 //! epoch answers `StaleRegime` and the client re-fetches.
+//!
+//! The per-node counts also decide *where* a sharded-regime object lives:
+//! its partitions are spread over the nodes that use it (the rule is in
+//! the `policy` module), and when those change the partitions are
+//! re-placed by a switch to the same regime.
 //!
 //! ## The switch protocol (drain → merge → install → publish)
 //!
@@ -86,10 +91,9 @@ use orca_amoeba::node::ports;
 use orca_amoeba::rpc::RpcServer;
 use orca_amoeba::NodeId;
 use orca_group::FailureDetector;
-use orca_object::shard::spread_owner;
 use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
-use orca_telemetry::{trace, FlightKind};
+use orca_telemetry::{trace, Counter, FlightKind};
 use orca_wire::{BatchOutcome, DedupWindow, LeaseGrant, OpBatchView, OpStamp, Wire};
 use parking_lot::{Mutex, RwLock};
 
@@ -102,7 +106,7 @@ use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
-use policy::{pick_regime, UsageAggregate};
+use policy::{pick_regime, place, UsageAggregate};
 
 pub use policy::AdaptivePolicy;
 
@@ -231,6 +235,9 @@ struct Inner {
     /// Cached `rts.lease.*` telemetry counters (shared names with the
     /// primary-copy RTS).
     lease_counters: LeaseCounters,
+    /// `rts.adaptive.replacements`: switches that kept the sharded regime
+    /// and moved its partitions (a subset of `regime_switches`).
+    replacements: Counter,
     /// This node's end of the two-phase update fan-out.
     updates: UpdateChannel,
     /// Batching knobs of the asynchronous path.
@@ -360,6 +367,10 @@ impl AdaptiveRts {
             adoption: Mutex::new(()),
             next_stamp: AtomicU64::new(1),
             lease_counters: LeaseCounters::from_handle(&handle),
+            replacements: handle
+                .telemetry()
+                .registry()
+                .counter("rts.adaptive.replacements"),
             updates: UpdateChannel::new(&handle, ports::RTS_ADAPTIVE),
             batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
         });
@@ -402,10 +413,23 @@ impl AdaptiveRts {
     /// The regime currently serving `object` and its epoch, freshly fetched
     /// from the home node (bypassing this node's cache).
     pub fn regime_of(&self, object: ObjectId) -> Result<(RegimeKind, u64), RtsError> {
+        self.placement_of(object)
+            .map(|(regime, epoch, _)| (regime, epoch))
+    }
+
+    /// The regime currently serving `object`, its epoch and the owner of
+    /// each of its authoritative replicas (one per partition under the
+    /// sharded regime, the home otherwise), freshly fetched from the home
+    /// node (bypassing this node's cache).
+    pub fn placement_of(
+        &self,
+        object: ObjectId,
+    ) -> Result<(RegimeKind, u64, Vec<NodeId>), RtsError> {
         self.inner.routes.lock().remove(&object);
         let deadline = Instant::now() + self.inner.policy.op_timeout;
         let table = self.route_for(object, deadline)?;
-        Ok((table.regime, table.epoch))
+        let owners = table.owners.iter().map(|&owner| NodeId(owner)).collect();
+        Ok((table.regime, table.epoch, owners))
     }
 
     /// Ask the object's home node to re-evaluate its regime right now from
@@ -484,8 +508,14 @@ impl AdaptiveRts {
             return Err(RtsError::Object(ObjectError::NoSuchObject(object)));
         }
         if let Some((table, fetched)) = self.inner.routes.lock().get(&object) {
+            // Owners are chosen by use, so no slot is special: an operation
+            // for any partition whose owner died must re-fetch, not time
+            // out against a corpse for a whole lease.
             if fetched.elapsed() < self.inner.policy.regime_lease
-                && !is_dead(&self.inner.detector, NodeId(table.owners[0]))
+                && !table
+                    .owners
+                    .iter()
+                    .any(|&owner| is_dead(&self.inner.detector, NodeId(owner)))
             {
                 return Ok(Arc::clone(table));
             }
@@ -2279,7 +2309,8 @@ fn regime_rpc_raw(
 }
 
 /// Close a usage window at the home and switch the regime if the decayed
-/// evidence says a different one fits.
+/// evidence says a different one fits — or, for the sharded regime, the
+/// same one over different owners.
 fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>) {
     let (reads, writes) = {
         let mut usage = entry.usage.lock();
@@ -2296,7 +2327,10 @@ fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>
     };
     let shardable = inner.registry.shard_logic(&type_name).is_some();
     let target = pick_regime(reads, writes, shardable, inner.num_nodes, &inner.policy);
-    if target != current {
+    // Only the sharded regime places by use, so only it is worth a second
+    // look when the regime itself fits: the switch returns early unless the
+    // owners moved.
+    if target != current || target == RegimeKind::Sharded {
         // A failed switch (crashed peer) leaves the old regime in place;
         // the next evaluation window simply proposes it again.
         let _ = switch_regime(inner, object, entry, target);
@@ -2305,6 +2339,10 @@ fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>
 
 /// Execute a regime switch: drain the old regime's replicas, merge their
 /// states, install the new regime under the next epoch, publish the table.
+/// The only path that changes an owner: moving a sharded object's
+/// partitions to the nodes that use it now is a switch to the same regime
+/// (partitions that stay are re-installed where they were — handing single
+/// partitions over would be a second mechanism for a state this small).
 fn switch_regime(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -2313,12 +2351,42 @@ fn switch_regime(
 ) -> Result<(), RtsError> {
     let _switch = entry.switch.lock();
     let old = RegimeTable::clone(&entry.table.lock());
-    if old.regime == target {
-        return Ok(());
-    }
     let logic = inner.registry.shard_logic(&old.type_name);
     if target == RegimeKind::Sharded && logic.is_none() {
         return Ok(());
+    }
+    let owners: Vec<u16> = match target {
+        RegimeKind::Sharded => {
+            let owned: &[u16] = match old.regime {
+                RegimeKind::Sharded => &old.owners,
+                _ => &[],
+            };
+            // An owner that has been quiet for less than a regime lease —
+            // the time scale on which nodes learn of a placement at all —
+            // keeps its partitions.
+            let users = entry
+                .usage
+                .lock()
+                .users(inner.num_nodes, owned, inner.policy.regime_lease);
+            (0..inner.policy.partitions.max(1))
+                .map(|partition| place(object, partition, &users))
+                .collect()
+        }
+        RegimeKind::Primary | RegimeKind::Replicated => vec![inner.node.0],
+    };
+    if old.regime == target && old.owners == owners {
+        return Ok(());
+    }
+    // Every owner has to hand its replica over, so one already known dead
+    // fails the switch before anything is withdrawn: once a dead owner's
+    // evidence has decayed every evaluation asks for a re-placement, which
+    // must not drain and re-install the surviving partitions each time.
+    if let Some(&dead) = old
+        .owners
+        .iter()
+        .find(|&&owner| is_dead(&inner.detector, NodeId(owner)))
+    {
+        return Err(RtsError::NodeDown(NodeId(dead)));
     }
     let others: Vec<NodeId> = (0..inner.num_nodes)
         .map(NodeId::from)
@@ -2439,6 +2507,7 @@ fn switch_regime(
         object,
         &old,
         target,
+        owners,
         logic.as_deref(),
         &others,
         &full,
@@ -2460,6 +2529,9 @@ fn switch_regime(
         owners,
     });
     RtsStats::bump(&inner.stats.regime_switches);
+    if regime == old.regime {
+        inner.replacements.inc();
+    }
     inner.handle.telemetry().record_traced(
         inner.node.0,
         FlightKind::RegimeSwitch,
@@ -2469,17 +2541,20 @@ fn switch_regime(
     Ok(())
 }
 
-/// Install the target regime's replicas under the next epoch and return
-/// what to publish. Remote install failures fall back to a primary copy
-/// at home under a further epoch — the merged state is in hand, so the
-/// fallback cannot fail remotely; an error return means nothing usable
-/// was installed and the caller re-installs the old regime.
+/// Install the target regime's replicas at `owners` under the next epoch
+/// and return what to publish. Remote install failures fall back to a
+/// primary copy at home under a further epoch — the merged state is in
+/// hand, so the fallback cannot fail remotely — except when the sharded
+/// regime was only being re-placed: its old owners were serving a moment
+/// ago and take their partitions back. An error return means nothing
+/// usable was installed and the caller re-installs the old regime.
 #[allow(clippy::too_many_arguments)]
 fn install_new_regime(
     inner: &Arc<Inner>,
     object: ObjectId,
     old: &RegimeTable,
     target: RegimeKind,
+    owners: Vec<u16>,
     logic: Option<&dyn orca_object::ShardLogic>,
     others: &[NodeId],
     full: &[u8],
@@ -2498,7 +2573,7 @@ fn install_new_regime(
                 dedup.clone(),
                 false,
             )?;
-            Ok((new_epoch, target, vec![inner.node.0]))
+            Ok((new_epoch, target, owners))
         }
         RegimeKind::Replicated => {
             install_slot(
@@ -2542,13 +2617,12 @@ fn install_new_regime(
                     inner.lease_counters.grants.inc();
                 }
             }
-            Ok((new_epoch, target, vec![inner.node.0]))
+            Ok((new_epoch, target, owners))
         }
         RegimeKind::Sharded => {
             let logic = logic.expect("sharded target implies shard logic");
-            let parts = inner.policy.partitions.max(1);
+            let parts = owners.len() as u32;
             let split = logic.split_state(full, parts)?;
-            let owners: Vec<u16> = (0..parts).map(|p| place(inner, object, p)).collect();
             let mut remote_installed: Vec<(u32, NodeId)> = Vec::new();
             let mut failed = false;
             for (partition, state) in split.iter().enumerate() {
@@ -2593,7 +2667,8 @@ fn install_new_regime(
             // ones with a best-effort drain (the epoch is never published,
             // so an unreachable node's leftover slot can take no
             // operation; it is only memory) — and fall back to a primary
-            // copy at home under a fresh epoch.
+            // copy at home under a fresh epoch, or, from a sharded regime,
+            // to the owners it had.
             {
                 let mut slots = inner.slots.write();
                 for partition in 0..parts {
@@ -2615,6 +2690,11 @@ fn install_new_regime(
                     },
                 );
             }
+            if old.regime == RegimeKind::Sharded {
+                return Err(RtsError::Communication(format!(
+                    "re-placement of {object} failed: a new owner refused its partition"
+                )));
+            }
             let fallback_epoch = new_epoch + 1;
             install_slot(
                 inner,
@@ -2629,14 +2709,6 @@ fn install_new_regime(
             Ok((fallback_epoch, RegimeKind::Primary, vec![inner.node.0]))
         }
     }
-}
-
-/// Owner of partition `partition` of `object` under the sharded regime:
-/// the same deterministic hashed spread the sharded RTS uses
-/// ([`orca_object::shard::spread_owner`]), so every node could compute
-/// the placement without coordination.
-fn place(inner: &Arc<Inner>, object: ObjectId, partition: u32) -> u16 {
-    spread_owner(object.0, partition, inner.num_nodes)
 }
 
 /// Put drained partitions back at their old owners (failed switch), so the
@@ -3455,6 +3527,362 @@ mod tests {
             rtses[0].inner.updates.reply_installs.get(),
             3 * PER_WRITER as u64
         );
+        shutdown_all(&rtses);
+    }
+
+    fn new_bank(rts: &AdaptiveRts) -> ObjectId {
+        rts.create_object(
+            Bank::TYPE_NAME,
+            &<Bank as ObjectType>::State::new().to_bytes(),
+        )
+        .unwrap()
+    }
+
+    /// Policy under which nothing reports: tests place by hand.
+    fn manual() -> AdaptivePolicy {
+        AdaptivePolicy {
+            report_every: u64::MAX,
+            ..AdaptivePolicy::eager()
+        }
+    }
+
+    /// Replace the home's evidence for `id` with `weights[node]` writes per
+    /// node and force a switch to the sharded regime over it (a
+    /// re-placement when the object is sharded already).
+    fn place_by(rts: &AdaptiveRts, id: ObjectId, weights: &[u64]) -> Result<(), RtsError> {
+        let home = rts.inner.homes.read().get(&id).cloned().unwrap();
+        *home.usage.lock() = UsageAggregate::of_writes(weights);
+        switch_regime(&rts.inner, id, &home, RegimeKind::Sharded)
+    }
+
+    /// Owners of `id`'s partitions as the home publishes them.
+    fn owners_of(rts: &AdaptiveRts, id: ObjectId) -> Vec<u16> {
+        let (_, _, owners) = rts.placement_of(id).unwrap();
+        owners.into_iter().map(|owner| owner.0).collect()
+    }
+
+    /// The tentpole's cost claim, counted on the wire: two of three nodes
+    /// write a table the third created and never touches again. The
+    /// partitions end up on the two writers, half of each writer's
+    /// operations stay local, and an operation costs about one message
+    /// (2 × ½ shipped + 2/64 usage reports) where the fixed spread over all
+    /// three nodes costs 1.25.
+    #[test]
+    fn partitions_follow_the_writers_and_half_the_writes_stay_local() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, AdaptivePolicy::default());
+        let id = new_bank(&rtses[0]);
+        let mut deposits = 0u64;
+        let mut write = |count: u64| {
+            for _ in 0..count {
+                deposit(&rtses[1 + (deposits % 2) as usize], id, deposits / 2, 1);
+                deposits += 1;
+            }
+        };
+        write(1024);
+        let (regime, _, owners) = rtses[1].placement_of(id).unwrap();
+        assert_eq!(regime, RegimeKind::Sharded);
+        assert_eq!(owners.len(), 4);
+        assert!(
+            !owners.contains(&NodeId(0)),
+            "the idle home owns a partition: {owners:?}"
+        );
+        assert!(owners.contains(&NodeId(1)) && owners.contains(&NodeId(2)));
+        let switches = rtses[0].stats().regime_switches;
+        let before = net.stats();
+        write(2000);
+        let per_op = net.stats().since(&before).total_messages() as f64 / 2000.0;
+        assert!(per_op <= 1.1, "{per_op} messages per operation");
+        assert_eq!(
+            rtses[0].stats().regime_switches,
+            switches,
+            "placement must not move under a steady load"
+        );
+        assert_eq!(bank_sum(&rtses[0], id), deposits as i64);
+        shutdown_all(&rtses);
+    }
+
+    /// The first evaluation can fire on one node's reports alone and put
+    /// every partition there; the next one, with the second node's reports
+    /// in, re-places — a switch to the same regime — and both own
+    /// partitions.
+    #[test]
+    fn thin_evidence_heals_at_the_next_evaluation() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, AdaptivePolicy::eager());
+        let id = new_bank(&rtses[0]);
+        for key in 0..16u64 {
+            deposit(&rtses[1], id, key, 1);
+        }
+        assert_eq!(
+            rtses[0].regime_of(id).unwrap(),
+            (RegimeKind::Sharded, 1),
+            "two reports of eight are an evaluation window"
+        );
+        assert_eq!(owners_of(&rtses[0], id), vec![1, 1, 1, 1]);
+        assert_eq!(rtses[0].inner.replacements.get(), 0);
+
+        for key in 0..16u64 {
+            deposit(&rtses[2], id, key, 1);
+        }
+        let (regime, epoch, owners) = rtses[2].placement_of(id).unwrap();
+        assert_eq!((regime, epoch), (RegimeKind::Sharded, 2));
+        for node in [NodeId(1), NodeId(2)] {
+            assert_eq!(owners.iter().filter(|o| **o == node).count(), 2);
+        }
+        assert_eq!(rtses[0].stats().regime_switches, 2);
+        assert_eq!(rtses[0].inner.replacements.get(), 1);
+        assert_eq!(bank_sum(&rtses[1], id), 32);
+        shutdown_all(&rtses);
+    }
+
+    /// The writers move from nodes {1, 2} to {0, 1}: node 0 joins at once;
+    /// node 2's decayed share runs out a few windows later, and once it has
+    /// also been silent for a regime lease its partitions leave — and then
+    /// nothing moves any more.
+    #[test]
+    fn workload_shift_moves_the_partitions_and_then_stops() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy::eager();
+        let rtses = start_all(&net, policy);
+        let id = new_bank(&rtses[0]);
+        let mut deposits = 0u64;
+        // One evaluation window of deposits, alternating over `nodes`.
+        let mut window = |nodes: [usize; 2]| {
+            for _ in 0..policy.evaluate_every {
+                deposit(&rtses[nodes[(deposits % 2) as usize]], id, deposits % 64, 1);
+                deposits += 1;
+            }
+        };
+        for _ in 0..8 {
+            window([1, 2]);
+        }
+        let settled = owners_of(&rtses[0], id);
+        assert!(settled.iter().all(|owner| [1, 2].contains(owner)));
+        assert!(settled.contains(&1) && settled.contains(&2));
+
+        let shifted = Instant::now();
+        let mut windows = 0;
+        while owners_of(&rtses[0], id).contains(&2) {
+            windows += 1;
+            assert!(
+                shifted.elapsed() < Duration::from_secs(10),
+                "node 2 still owns a partition"
+            );
+            window([0, 1]);
+        }
+        assert!(windows >= 4, "evicted on a share of an eighth or more");
+        assert!(
+            shifted.elapsed() >= policy.regime_lease / 2,
+            "evicted while its last report was fresh"
+        );
+        let moved = owners_of(&rtses[0], id);
+        assert!(moved.contains(&0) && moved.contains(&1));
+        let switches = rtses[0].stats().regime_switches;
+        for _ in 0..20 {
+            window([0, 1]);
+        }
+        assert_eq!(rtses[0].stats().regime_switches, switches);
+        assert_eq!(owners_of(&rtses[0], id), moved);
+        assert_eq!(bank_sum(&rtses[2], id), deposits as i64);
+        shutdown_all(&rtses);
+    }
+
+    /// Eight writers hammer a sharded bank while its partitions are moved
+    /// from one set of owners to the next. Every acknowledged deposit must
+    /// survive, exactly as across switches between regimes: it lands
+    /// before the drain's snapshot or is answered `StaleRegime` and retried
+    /// under the new epoch.
+    #[test]
+    fn re_placements_under_concurrent_writers_lose_nothing() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, manual());
+        let id = new_bank(&rtses[0]);
+        place_by(&rtses[0], id, &[1, 1, 1]).unwrap();
+        const DEPOSITS: i64 = 100;
+        let start = Arc::new(std::sync::Barrier::new(9));
+        let writers: Vec<_> = (0..8)
+            .map(|writer| {
+                let rts = rtses[writer % 3].clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..DEPOSITS {
+                        deposit(&rts, id, (i % 16) as u64, 1);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let rounds: [&[u64]; 8] = [
+            &[0, 1, 1],
+            &[1, 1, 0],
+            &[0, 0, 1],
+            &[1, 0, 1],
+            &[1, 1, 1],
+            &[0, 1, 0],
+            &[1, 0, 0],
+            &[0, 1, 1],
+        ];
+        for weights in rounds {
+            place_by(&rtses[0], id, weights).unwrap();
+            let users: Vec<u16> = (0..3u16).filter(|n| weights[*n as usize] > 0).collect();
+            let owners = owners_of(&rtses[0], id);
+            assert!(owners.iter().all(|owner| users.contains(owner)));
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(
+            bank_sum(&rtses[1], id),
+            8 * DEPOSITS,
+            "acknowledged writes were lost across re-placements"
+        );
+        assert_eq!(rtses[0].stats().regime_switches, 9);
+        assert_eq!(rtses[0].inner.replacements.get(), 8);
+        shutdown_all(&rtses);
+    }
+
+    /// The dedup window travels with a re-placed partition: a stamped write
+    /// applied at the old owner and re-presented at the new one is answered
+    /// its recorded reply, not applied again.
+    #[test]
+    fn dedup_window_survives_a_re_placement() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, manual());
+        let id = new_bank(&rtses[0]);
+        place_by(&rtses[0], id, &[0, 1, 0]).unwrap();
+        let key = 5u64;
+        let partition = orca_object::shard::shard_of_u64(key, 4);
+        let stamp = OpStamp { origin: 2, seq: 9 };
+        let op = BankOp::Deposit { key, amount: 7 }.to_bytes();
+        let present = |owner: usize, epoch: u64| {
+            let inner = &rtses[owner].inner;
+            match apply_at_slot(
+                inner,
+                id,
+                partition,
+                epoch,
+                &op,
+                Some(stamp),
+                NodeId(2),
+                false,
+            ) {
+                RegimeReply::Done(reply) => BankReply::from_bytes(&reply).unwrap(),
+                other => panic!("stamped write not answered: {other:?}"),
+            }
+        };
+        assert_eq!(present(1, 1), BankReply::Value(7));
+        place_by(&rtses[0], id, &[0, 0, 1]).unwrap();
+        assert_eq!(owners_of(&rtses[0], id), vec![2, 2, 2, 2]);
+        assert!(matches!(
+            apply_at_slot(
+                &rtses[1].inner,
+                id,
+                partition,
+                1,
+                &op,
+                Some(stamp),
+                NodeId(2),
+                false
+            ),
+            RegimeReply::StaleRegime
+        ));
+        assert_eq!(present(2, 2), BankReply::Value(7));
+        assert_eq!(bank_sum(&rtses[0], id), 7, "retry must not double-apply");
+        shutdown_all(&rtses);
+    }
+
+    /// A re-placement whose new owner cannot take its partition puts every
+    /// partition back where it was, under the epoch it had: the old owners
+    /// were serving a moment ago, so nothing collapses onto the home.
+    #[test]
+    fn failed_re_placement_leaves_the_old_owners_serving() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            op_timeout: Duration::from_millis(300),
+            ..manual()
+        };
+        let rtses = start_all(&net, policy);
+        let id = new_bank(&rtses[0]);
+        place_by(&rtses[0], id, &[1, 1, 0]).unwrap();
+        let placed = rtses[1].placement_of(id).unwrap();
+        for key in 0..16u64 {
+            deposit(&rtses[1], id, key, 1);
+        }
+        net.crash(NodeId(2));
+        assert!(place_by(&rtses[0], id, &[1, 1, 1]).is_err());
+        assert_eq!(rtses[1].placement_of(id).unwrap(), placed);
+        assert_eq!(rtses[0].stats().regime_switches, 1);
+        assert_eq!(rtses[0].inner.replacements.get(), 0);
+        for key in 0..16u64 {
+            assert_eq!(deposit(&rtses[1], id, key, 1), 2);
+        }
+        assert_eq!(bank_sum(&rtses[0], id), 32);
+        shutdown_all(&rtses);
+    }
+
+    /// A cached table is distrusted as soon as *any* of its owners is dead,
+    /// not only the first: with owners chosen by use no slot is special.
+    #[test]
+    fn cached_table_with_any_dead_owner_is_refetched() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            regime_lease: Duration::from_secs(10),
+            ..manual()
+        };
+        let rtses = start_all_recoverable(&net, policy, RecoveryConfig::fast());
+        let id = new_bank(&rtses[0]);
+        place_by(&rtses[0], id, &[0, 1, 1]).unwrap();
+        // Two users alternate: partition 1 lives on the one that does not
+        // own partition 0, and neither is the home.
+        let owners = owners_of(&rtses[0], id);
+        let victim = owners[1];
+        let client = &rtses[usize::from(owners[0])];
+        assert!(victim != owners[0] && victim != 0);
+        let key = (0..64u64)
+            .find(|key| orca_object::shard::shard_of_u64(*key, 4) == 1)
+            .unwrap();
+        assert_eq!(deposit(client, id, key, 1), 1);
+
+        // When the client last fetched the table (heartbeats share the
+        // wire, so messages cannot be counted here).
+        let fetched = |rts: &AdaptiveRts| {
+            let deadline = Instant::now() + policy.op_timeout;
+            rts.route_for(id, deadline).unwrap();
+            rts.inner.routes.lock().get(&id).expect("cached").1
+        };
+        let cached = fetched(client);
+        assert_eq!(fetched(client), cached, "long lease, every owner alive");
+        net.crash(NodeId(victim));
+        wait_for_view_epoch(client, 1);
+        assert!(
+            fetched(client) > cached,
+            "partition 1's owner died: the table must come from the home again"
+        );
+        shutdown_all(&rtses);
+    }
+
+    /// A partition on a dead node cannot be drained, so a re-placement away
+    /// from it is refused before it withdraws the partitions that still
+    /// serve.
+    #[test]
+    fn re_placement_with_a_dead_owner_withdraws_nothing() {
+        let net = Network::reliable(3);
+        let rtses = start_all_recoverable(&net, manual(), RecoveryConfig::fast());
+        let id = new_bank(&rtses[0]);
+        place_by(&rtses[0], id, &[0, 1, 1]).unwrap();
+        let placed = rtses[0].placement_of(id).unwrap();
+        net.crash(NodeId(2));
+        wait_for_view_epoch(&rtses[0], 1);
+        let drained = rtses[1].stats().copies_dropped;
+        assert_eq!(
+            place_by(&rtses[0], id, &[0, 1, 0]),
+            Err(RtsError::NodeDown(NodeId(2)))
+        );
+        assert_eq!(rtses[1].stats().copies_dropped, drained);
+        assert_eq!(rtses[0].placement_of(id).unwrap(), placed);
         shutdown_all(&rtses);
     }
 

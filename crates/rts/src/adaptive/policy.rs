@@ -17,10 +17,16 @@
 //! The aggregate is decayed (halved) after every evaluation
 //! ([`crate::AccessStats::decay_halve`]), so a stale burst loses half its
 //! weight per window and cannot pin a regime after the workload shifts.
+//!
+//! The same per-node counts decide *where* a sharded-regime object's
+//! partitions live ([`UsageAggregate::users`]): on the nodes that access
+//! it, spread evenly over them.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use orca_object::shard::spread_owner;
+use orca_object::ObjectId;
 use orca_wire::RegimeKind;
 
 use crate::stats::AccessStats;
@@ -137,11 +143,22 @@ pub(crate) fn pick_regime(
     }
 }
 
+/// Owner of partition `partition` of `object` under the sharded regime:
+/// the deterministic hashed spread the sharded RTS uses
+/// ([`orca_object::shard::spread_owner`]), over the nodes that use the
+/// object ([`UsageAggregate::users`]) instead of over all of them. With `k`
+/// of `N` nodes using an object evenly, `1 − 1/k` of the operations travel
+/// instead of `1 − 1/N`.
+pub(crate) fn place(object: ObjectId, partition: u32, users: &[u16]) -> u16 {
+    users[usize::from(spread_owner(object.0, partition, users.len()))]
+}
+
 /// The home node's decayed per-node usage aggregate for one object.
 #[derive(Default)]
 pub(crate) struct UsageAggregate {
-    /// Decayed read/write counts per reporting node.
-    per_node: HashMap<u16, AccessStats>,
+    /// Decayed read/write counts per reporting node, and when the node last
+    /// reported.
+    per_node: HashMap<u16, (AccessStats, Instant)>,
     /// Accesses reported since the last evaluation.
     since_eval: u64,
 }
@@ -156,24 +173,77 @@ impl UsageAggregate {
         writes: u64,
         evaluate_every: u64,
     ) -> bool {
-        let stats = self.per_node.entry(node).or_default();
+        let now = Instant::now();
+        let (stats, heard) = self
+            .per_node
+            .entry(node)
+            .or_insert_with(|| (AccessStats::default(), now));
         stats.record_reads(reads);
         stats.record_writes(writes);
+        *heard = now;
         self.since_eval += reads + writes;
         self.since_eval >= evaluate_every
     }
 
     /// Total decayed (reads, writes) over all reporting nodes.
     pub(crate) fn totals(&self) -> (u64, u64) {
-        self.per_node.values().fold((0, 0), |(r, w), stats| {
+        self.per_node.values().fold((0, 0), |(r, w), (stats, _)| {
             (r + stats.reads(), w + stats.writes())
         })
+    }
+
+    /// The nodes that use the object, sorted: the ones a sharded regime's
+    /// partitions are spread over. A node is a user when its share of the
+    /// decayed accesses is at least a quarter of an even share
+    /// (`1 / (4 · num_nodes)`); a node in `current_owners` stays one until
+    /// it falls below an eighth, so a node hovering at the threshold does
+    /// not move partitions back and forth — and, whatever its share, for as
+    /// long as its last report is younger than `grace`: windows are counted
+    /// in accesses, a busy object closes one every millisecond, and a node
+    /// whose reports were held up for a few of them (a descheduled thread
+    /// is enough) has stalled, not left. With no evidence every node is a
+    /// user.
+    ///
+    /// Membership, not seats in proportion to the counts: in a closed loop
+    /// the node that owns more partitions is faster and therefore reports
+    /// more, so a proportional split confirms whatever it last produced,
+    /// while an even spread over the users has one answer.
+    pub(crate) fn users(
+        &self,
+        num_nodes: usize,
+        current_owners: &[u16],
+        grace: Duration,
+    ) -> Vec<u16> {
+        // Counts arrive in reports off the wire: wide enough not to wrap.
+        let accesses = |stats: &AccessStats| u128::from(stats.reads()) + u128::from(stats.writes());
+        let total: u128 = self
+            .per_node
+            .values()
+            .map(|(stats, _)| accesses(stats))
+            .sum();
+        let mut users: Vec<u16> = self
+            .per_node
+            .iter()
+            .filter(|(node, (stats, heard))| {
+                let owner = current_owners.contains(node);
+                let per_even_share = if owner { 8 } else { 4 };
+                let accesses = accesses(stats);
+                let share = accesses > 0 && accesses * per_even_share * num_nodes as u128 >= total;
+                usize::from(**node) < num_nodes && (share || (owner && heard.elapsed() < grace))
+            })
+            .map(|(node, _)| *node)
+            .collect();
+        if users.is_empty() {
+            return (0..num_nodes as u16).collect();
+        }
+        users.sort_unstable();
+        users
     }
 
     /// Close the evaluation window: decay every node's counters and reset
     /// the evaluation trigger.
     pub(crate) fn end_window(&mut self) {
-        for stats in self.per_node.values() {
+        for (stats, _) in self.per_node.values() {
             stats.decay_halve();
         }
         self.since_eval = 0;
@@ -181,8 +251,26 @@ impl UsageAggregate {
 }
 
 #[cfg(test)]
+impl UsageAggregate {
+    /// An aggregate holding `weights[node]` decayed writes per node, each
+    /// reported just now; a node of weight zero was never heard from.
+    pub(crate) fn of_writes(weights: &[u64]) -> Self {
+        let mut usage = UsageAggregate::default();
+        for (node, &weight) in weights.iter().enumerate() {
+            if weight > 0 {
+                usage.report(node as u16, 0, weight, u64::MAX);
+            }
+        }
+        usage
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The share rule alone: no owner is kept for having reported lately.
+    const NO_GRACE: Duration = Duration::ZERO;
 
     #[test]
     fn regime_decision_rules() {
@@ -210,6 +298,137 @@ mod tests {
         assert_eq!(pick_regime(60, 40, true, 4, &policy), RegimeKind::Primary);
         // No evidence: primary.
         assert_eq!(pick_regime(0, 0, true, 4, &policy), RegimeKind::Primary);
+    }
+
+    fn owners_of(object: ObjectId, partitions: u32, users: &[u16]) -> Vec<u16> {
+        (0..partitions).map(|p| place(object, p, users)).collect()
+    }
+
+    #[test]
+    fn users_are_the_nodes_that_access_the_object() {
+        // No evidence: every node, which is the fixed hashed spread.
+        assert_eq!(
+            UsageAggregate::default().users(3, &[], NO_GRACE),
+            vec![0, 1, 2]
+        );
+        assert_eq!(
+            UsageAggregate::of_writes(&[0, 0, 0]).users(3, &[0], NO_GRACE),
+            vec![0, 1, 2]
+        );
+        // The idle creator of a table two other nodes write is not a user,
+        // whether or not it owns a partition today.
+        assert_eq!(
+            UsageAggregate::of_writes(&[0, 64, 64]).users(3, &[], NO_GRACE),
+            vec![1, 2]
+        );
+        assert_eq!(
+            UsageAggregate::of_writes(&[0, 64, 64]).users(3, &[0, 1, 2, 0], NO_GRACE),
+            vec![1, 2]
+        );
+        // One node's evidence alone places everything on that node.
+        assert_eq!(
+            UsageAggregate::of_writes(&[0, 64, 0]).users(3, &[], NO_GRACE),
+            vec![1]
+        );
+        // A count that decayed to nothing is no evidence of use.
+        let mut faded = UsageAggregate::of_writes(&[1, 64, 64]);
+        faded.end_window();
+        assert_eq!(faded.users(3, &[0], NO_GRACE), vec![1, 2]);
+        // A report naming a node outside the pool never places anything.
+        assert_eq!(
+            UsageAggregate::of_writes(&[0, 64, 64, 64]).users(3, &[], NO_GRACE),
+            vec![1, 2]
+        );
+    }
+
+    #[test]
+    fn users_join_at_a_quarter_share_and_owners_leave_below_an_eighth() {
+        // Three nodes: an even share is 1/3, joining takes 1/12 of the
+        // accesses, an owner stays down to 1/24.
+        let joins = UsageAggregate::of_writes(&[10, 55, 55]); // 10/120 = 1/12
+        assert_eq!(joins.users(3, &[], NO_GRACE), vec![0, 1, 2]);
+        let short = UsageAggregate::of_writes(&[9, 55, 56]); // 9/120 < 1/12
+        assert_eq!(short.users(3, &[], NO_GRACE), vec![1, 2]);
+        assert_eq!(
+            short.users(3, &[0, 1], NO_GRACE),
+            vec![0, 1, 2],
+            "an owner stays"
+        );
+        let stays = UsageAggregate::of_writes(&[5, 57, 58]); // 5/120 = 1/24
+        assert_eq!(stays.users(3, &[0, 1], NO_GRACE), vec![0, 1, 2]);
+        let leaves = UsageAggregate::of_writes(&[4, 58, 58]); // 4/120 < 1/24
+        assert_eq!(leaves.users(3, &[0, 1], NO_GRACE), vec![1, 2]);
+        // A 2 % trickle never joins.
+        assert_eq!(
+            UsageAggregate::of_writes(&[2, 49, 49]).users(3, &[], NO_GRACE),
+            vec![1, 2]
+        );
+
+        // A node oscillating between the two thresholds never changes the
+        // list, from either side.
+        for owned in [&[1u16, 2][..], &[0, 1, 2][..]] {
+            let mut owners: Vec<u16> = owned.to_vec();
+            let before = UsageAggregate::of_writes(&[6, 57, 57]).users(3, &owners, NO_GRACE);
+            for weight in [6u64, 9, 5, 8, 6, 9] {
+                let users =
+                    UsageAggregate::of_writes(&[weight, 57, 57]).users(3, &owners, NO_GRACE);
+                assert_eq!(users, before, "weight {weight} moved the list");
+                owners = users;
+            }
+        }
+    }
+
+    #[test]
+    fn an_owner_heard_from_lately_has_stalled_not_left() {
+        // Node 2's reports were held up for a handful of windows: its
+        // decayed share is gone, but the home heard from it a moment ago.
+        let mut usage = UsageAggregate::of_writes(&[0, 64, 64]);
+        for _ in 0..8 {
+            usage.report(1, 0, 128, u64::MAX);
+            usage.end_window();
+        }
+        let lease = Duration::from_secs(3600);
+        assert_eq!(usage.users(3, &[1, 2, 1, 2], lease), vec![1, 2]);
+        // The grace keeps owners, it admits nobody: a node that owns
+        // nothing joins on its share alone.
+        assert_eq!(usage.users(3, &[1, 1, 1, 1], lease), vec![1]);
+        // Once the silence has outlasted the grace, the share decides.
+        assert_eq!(usage.users(3, &[1, 2, 1, 2], NO_GRACE), vec![1]);
+    }
+
+    #[test]
+    fn owners_are_an_even_deterministic_spread_over_the_users() {
+        let object = ObjectId::compose(0, 1);
+        // (0, ½, ½) of three nodes: both users own two of four partitions.
+        let users = UsageAggregate::of_writes(&[0, 64, 64]).users(3, &[], NO_GRACE);
+        let owners = owners_of(object, 4, &users);
+        assert_eq!(owners.len(), 4);
+        assert!(owners.iter().all(|owner| users.contains(owner)));
+        for user in &users {
+            assert_eq!(owners.iter().filter(|o| *o == user).count(), 2);
+        }
+        // The same list presented again — now with hysteresis in play —
+        // gives the same vector, so a steady load never moves a partition.
+        let again = UsageAggregate::of_writes(&[0, 64, 64]).users(3, &owners, NO_GRACE);
+        assert_eq!(owners_of(object, 4, &again), owners);
+        // No evidence is the fixed sharded runtime's placement.
+        let everyone = UsageAggregate::default().users(3, &[], NO_GRACE);
+        let spread: Vec<u16> = (0..4).map(|p| spread_owner(object.0, p, 3)).collect();
+        assert_eq!(owners_of(object, 4, &everyone), spread);
+
+        // More users than partitions: some user owns nothing, and must not
+        // count as a change when the same evidence comes back (owner
+        // *vectors* are compared, never owner sets with user sets).
+        let crowd = UsageAggregate::of_writes(&[40, 40, 40, 40, 40, 40]);
+        let users = crowd.users(6, &[], NO_GRACE);
+        assert_eq!(users, vec![0, 1, 2, 3, 4, 5]);
+        let owners = owners_of(object, 4, &users);
+        let distinct: std::collections::BTreeSet<u16> = owners.iter().copied().collect();
+        assert_eq!(distinct.len(), 4, "consecutive partitions, distinct users");
+        assert_eq!(
+            owners_of(object, 4, &crowd.users(6, &owners, NO_GRACE)),
+            owners
+        );
     }
 
     #[test]

@@ -198,19 +198,14 @@ pub trait RuntimeSystem: Send + Sync {
     /// operations in flight while the runtime system coalesces pending
     /// operations into per-destination batches (see
     /// [`pipeline`] module for the ordering and failure
-    /// contracts). The default implementation is the blocking fallback:
-    /// it executes the operation synchronously and returns an
-    /// already-resolved handle, which is correct (but unpipelined) for any
-    /// runtime system.
+    /// contracts).
     fn invoke_async(
         &self,
         object: ObjectId,
         type_name: &str,
         kind: OpKind,
         op: &[u8],
-    ) -> PendingInvocation {
-        PendingInvocation::ready(self.invoke(object, type_name, kind, op))
-    }
+    ) -> PendingInvocation;
 
     /// Snapshot of this node's runtime-system statistics.
     fn stats(&self) -> RtsStatsSnapshot;

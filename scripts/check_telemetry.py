@@ -23,7 +23,12 @@ with the instruments the runtime promises to keep populated:
   alive. Services keep their workers, so a few hundred requests must have
   cost a handful of threads — `workers_spawned` at least 1 and at most a
   tenth of `requests` — every worker started must still be alive in the
-  gauges, and the happy-path run must have retired no mailbox.
+  gauges, and the happy-path run must have retired no mailbox;
+* the adaptive runtime's placement counters: `rts.adaptive.replacements`
+  (switches that kept the sharded regime and moved its partitions) must
+  exist, and — every re-placement being a regime switch — must not exceed
+  the `rts.node*.regime_switches` summed over the nodes, which the smoke
+  workload's adaptive phase makes non-zero.
 
 Usage: check_telemetry.py <snapshot.json>
 """
@@ -64,6 +69,10 @@ RPC_REQUESTS = "amoeba.rpc.requests"
 RPC_WORKERS_SPAWNED = "amoeba.rpc.workers_spawned"
 RPC_MAILBOXES_RETIRED = "amoeba.rpc.mailboxes_retired"
 RPC_WORKER_GAUGE = ("amoeba.rpc.node", ".workers")
+
+# Adaptive placement: re-placements are a subset of the regime switches.
+REPLACEMENTS = "rts.adaptive.replacements"
+REGIME_SWITCHES = ("rts.node", ".regime_switches")
 
 
 def fail(message):
@@ -130,6 +139,20 @@ def main():
         fail(f"no {prefix}N{suffix} gauge (got {sorted(doc['gauges'])})")
     if sum(alive.values()) != spawned:
         fail(f"rpc workers alive {alive} do not add up to the {spawned} started")
+
+    if REPLACEMENTS not in counters:
+        fail(f"counter {REPLACEMENTS!r} missing (got {sorted(counters)})")
+    prefix, suffix = REGIME_SWITCHES
+    switches = sum(
+        v for k, v in counters.items() if k.startswith(prefix) and k.endswith(suffix)
+    )
+    if switches == 0:
+        fail("no regime switch recorded: the adaptive phase never adapted")
+    if counters[REPLACEMENTS] > switches:
+        fail(
+            f"{counters[REPLACEMENTS]} re-placements but only {switches} regime "
+            "switches: every re-placement is a switch"
+        )
 
     hists = doc["histograms"]
     for name in REQUIRED_HISTOGRAMS:

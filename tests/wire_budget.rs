@@ -7,11 +7,16 @@
 //! partition, dedup stamp). The invocation benchmark reports the same
 //! bytes as `wire_bytes_per_op`; these budgets make a regression of the
 //! envelope or of a message head fail `cargo test`, not only the ledger.
+//!
+//! The adaptive runtime has a second lever, how many operations travel at
+//! all: its budget is the same remote `Put` times the share of them that
+//! leave the writer's node once the partitions sit where the writers are.
 
 use orca::amoeba::message::WIRE_HEADER_BYTES;
+use orca::amoeba::NodeId;
 use orca::core::objects::{KvTableObject, KvTableOp, KvTableReply, TableEntry};
 use orca::core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime};
-use orca::rts::WritePolicy;
+use orca::rts::{RegimeKind, WritePolicy};
 use orca::wire::Wire;
 
 /// Overhead budget of a remote write: 5 envelope + 1 tag + 2 object and
@@ -113,5 +118,57 @@ fn a_remote_put_on_primary_without_copies_costs_its_bytes_plus_fourteen() {
         Some(Vec::new()),
         "the budget is for an object without copies"
     );
+    runtime.shutdown();
+}
+
+/// The invocation benchmark's write workloads in miniature: node 0 creates
+/// the table and never touches it again, nodes 1 and 2 write 4 096 hashed
+/// keys in turn. The adaptive runtime shards the table and puts the
+/// partitions on the two writers, so half the `Put`s stay on their node
+/// (a spread over all three ships 0.61 of them); what is left per
+/// operation is that share of a remote `Put` plus the usage reports (two
+/// short messages every 64 accesses).
+#[test]
+fn adaptive_ships_half_the_puts_of_two_remote_writers() {
+    const KEYS: u64 = 4096;
+    let runtime = OrcaRuntime::start(OrcaConfig::adaptive(3), standard_registry());
+    let table = runtime
+        .create::<KvTableObject>(&Default::default())
+        .unwrap();
+    let mut puts = 0u64;
+    let mut write = |count: u64| {
+        for _ in 0..count {
+            let key = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(puts % KEYS + 1);
+            let ctx = runtime.context(1 + (puts % 2) as usize);
+            ctx.invoke(table, &put(key, (puts / KEYS) as i32))
+                .expect("put succeeds");
+            puts += 1;
+        }
+    };
+    // Adaptation: sixteen evaluation windows in, the table is sharded and
+    // its owners have stopped moving (asserted again after the measurement).
+    write(2048);
+    assert_eq!(runtime.object_regime(table.id()), Some(RegimeKind::Sharded));
+    let placement = runtime
+        .object_placement(table.id())
+        .expect("adaptive runtime");
+    assert!(
+        !placement.contains(&NodeId(0)),
+        "the idle creator owns a partition: {placement:?}"
+    );
+
+    let before = runtime.network_stats();
+    write(4000);
+    let spent = runtime.network_stats().since(&before);
+    let per_op = spent.total_wire_bytes() as f64 / 4000.0;
+    let reply_len = KvTableReply::Count(1).to_bytes().len() as u64;
+    let remote_put = 27 + reply_len + WRITE_OVERHEAD + 2 * WIRE_HEADER_BYTES as u64;
+    let budget = 0.55 * remote_put as f64 + 3.0;
+    assert!(
+        per_op <= budget,
+        "{per_op:.1} wire bytes per Put against a budget of {budget:.1}: \
+         placement {placement:?}"
+    );
+    assert_eq!(runtime.object_placement(table.id()), Some(placement));
     runtime.shutdown();
 }
