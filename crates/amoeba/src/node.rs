@@ -66,19 +66,14 @@ pub mod ports {
     pub const RTS_COPY: Port = 3;
     /// Membership / election control traffic.
     pub const MEMBERSHIP: Port = 4;
-    /// RPC service port used by the sharded runtime system's partition
-    /// owners (shard routing, owner-shipped operations, migration).
-    pub const RTS_SHARD: Port = 5;
-    /// RPC service port used by the adaptive runtime system (regime
-    /// routing, operations, regime-switch drain/install, mirror updates).
+    /// RPC service port used by the adaptive runtime system, pinned to the
+    /// sharded regime (`sharded`) or not: regime routing, operations,
+    /// regime-switch drain/install, mirror updates, partition backups and
+    /// their promotion.
     pub const RTS_ADAPTIVE: Port = 6;
     /// RPC service port of the crash-recovery protocol (copy queries,
     /// promotions, re-home announcements).
     pub const RECOVERY: Port = 7;
-    /// RPC service port for sharded-partition backup and recovery
-    /// traffic. Separate from [`RTS_SHARD`] so a backup apply never queues
-    /// behind the owner-shipped operations that wait for it.
-    pub const RTS_SHARD_BACKUP: Port = 8;
     /// First port usable by applications and tests.
     pub const USER_BASE: Port = 1000;
     /// First ephemeral port (allocated dynamically, e.g. for RPC replies).
@@ -110,10 +105,8 @@ mod tests {
             ports::RTS_PRIMARY,
             ports::RTS_COPY,
             ports::MEMBERSHIP,
-            ports::RTS_SHARD,
             ports::RTS_ADAPTIVE,
             ports::RECOVERY,
-            ports::RTS_SHARD_BACKUP,
         ];
         for (i, a) in ports.iter().enumerate() {
             for b in &ports[i + 1..] {

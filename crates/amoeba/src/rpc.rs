@@ -329,8 +329,6 @@ struct Service<F> {
     name: String,
     /// Workers listening on `requests`, or on their way back to it.
     listening: AtomicUsize,
-    /// Most workers the service may have.
-    cap: usize,
     /// Every worker started so far.
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     requests_taken: Counter,
@@ -342,12 +340,9 @@ impl<F> Service<F>
 where
     F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
 {
-    /// Put one more worker on the port, unless the service is at its cap.
+    /// Put one more worker on the port.
     fn add_worker(self: &Arc<Self>) {
         let mut workers = self.workers.lock();
-        if workers.len() >= self.cap {
-            return;
-        }
         self.listening.fetch_add(1, Ordering::SeqCst);
         self.spawned.inc();
         self.alive.add(1);
@@ -415,24 +410,10 @@ impl std::fmt::Debug for RpcServer {
 }
 
 impl RpcServer {
-    /// Start serving `service_port` on the node owning `handle`, one
-    /// request at a time.
+    /// Start serving `service_port` on the node owning `handle`.
     ///
     /// The handler receives the request body and the caller's node id and
-    /// returns the reply body. The service has a single worker and never
-    /// grows, so requests are handled in arrival order and a slow handler
-    /// delays subsequent requests to the same service (as it would on a
-    /// single-threaded Amoeba server thread). A handler that calls back
-    /// into its own service would wait for itself: use
-    /// [`RpcServer::serve_concurrent`] for those.
-    pub fn serve<F>(handle: NetworkHandle, service_port: Port, handler: F) -> RpcServer
-    where
-        F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
-    {
-        Self::start(handle, service_port, handler, 1, 1)
-    }
-
-    /// Like [`RpcServer::serve`], but with as many workers as there are
+    /// returns the reply body. The service has as many workers as there are
     /// handlers running at once, so that a handler which itself performs
     /// (nested) RPCs cannot stall unrelated requests — nor, calling back
     /// into this service, itself. The primary-copy and adaptive runtime
@@ -459,22 +440,9 @@ impl RpcServer {
         F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
     {
         assert!(workers > 0, "a service needs a worker to listen");
-        Self::start(handle, service_port, handler, workers, usize::MAX)
-    }
-
-    fn start<F>(
-        handle: NetworkHandle,
-        service_port: Port,
-        handler: F,
-        up_front: usize,
-        cap: usize,
-    ) -> RpcServer
-    where
-        F: Fn(&[u8], NodeId) -> Vec<u8> + Send + Sync + 'static,
-    {
         let node = handle.node();
         let bound = handle.bind(service_port);
-        let workers = Arc::new(Mutex::new(Vec::new()));
+        let started = Arc::new(Mutex::new(Vec::new()));
         let registry = handle.telemetry().registry();
         // Clients count retirements as they happen; naming the counter here
         // puts the whole census in a snapshot, zeros included.
@@ -484,19 +452,18 @@ impl RpcServer {
             handler,
             name: format!("rpc-{node}-{service_port}"),
             listening: AtomicUsize::new(0),
-            cap,
-            workers: Arc::clone(&workers),
+            workers: Arc::clone(&started),
             requests_taken: registry.counter(REQUESTS),
             spawned: registry.counter(WORKERS_SPAWNED),
             alive: registry.gauge(&workers_gauge(node)),
             handle,
         });
-        for _ in 0..up_front {
+        for _ in 0..workers {
             service.add_worker();
         }
         RpcServer {
             bound: Some(bound),
-            workers,
+            workers: started,
             node,
             port: service_port,
         }
@@ -554,11 +521,12 @@ mod tests {
     fn echo_rpc_round_trip() {
         let net = Network::reliable(2);
         let server_handle = net.handle(NodeId(1));
-        let _server = RpcServer::serve(server_handle, ports::USER_BASE, |body, caller| {
-            let mut reply = body.to_vec();
-            reply.push(caller.0 as u8);
-            reply
-        });
+        let _server =
+            RpcServer::serve_concurrent(server_handle, ports::USER_BASE, |body, caller| {
+                let mut reply = body.to_vec();
+                reply.push(caller.0 as u8);
+                reply
+            });
         let client = net.handle(NodeId(0));
         let reply = rpc_call(&client, NodeId(1), ports::USER_BASE, vec![1, 2, 3]).unwrap();
         assert_eq!(reply, vec![1, 2, 3, 0]);
@@ -567,10 +535,11 @@ mod tests {
     #[test]
     fn concurrent_clients_get_their_own_replies() {
         let net = Network::reliable(4);
-        let _server = RpcServer::serve(net.handle(NodeId(0)), ports::USER_BASE, |body, _| {
-            let value = u64::from_bytes(body).unwrap();
-            (value * 2).to_bytes()
-        });
+        let _server =
+            RpcServer::serve_concurrent(net.handle(NodeId(0)), ports::USER_BASE, |body, _| {
+                let value = u64::from_bytes(body).unwrap();
+                (value * 2).to_bytes()
+            });
         let mut threads = Vec::new();
         for node in 1..4u16 {
             let handle = net.handle(NodeId(node));
@@ -628,17 +597,19 @@ mod tests {
         // Two services that echo their input with a distinguishing suffix;
         // one of them answers slowly, so its reply arrives after replies
         // to requests issued later.
-        let _slow = RpcServer::serve(net.handle(NodeId(1)), ports::USER_BASE, |body, _| {
-            std::thread::sleep(Duration::from_millis(60));
-            let mut reply = body.to_vec();
-            reply.push(1);
-            reply
-        });
-        let _fast = RpcServer::serve(net.handle(NodeId(2)), ports::USER_BASE, |body, _| {
-            let mut reply = body.to_vec();
-            reply.push(2);
-            reply
-        });
+        let _slow =
+            RpcServer::serve_concurrent(net.handle(NodeId(1)), ports::USER_BASE, |body, _| {
+                std::thread::sleep(Duration::from_millis(60));
+                let mut reply = body.to_vec();
+                reply.push(1);
+                reply
+            });
+        let _fast =
+            RpcServer::serve_concurrent(net.handle(NodeId(2)), ports::USER_BASE, |body, _| {
+                let mut reply = body.to_vec();
+                reply.push(2);
+                reply
+            });
         let client = net.handle(NodeId(0));
         let mut multi = MultiRpc::new(&client);
         let slow_id = multi.send(NodeId(1), ports::USER_BASE, vec![10]).unwrap();
@@ -679,7 +650,8 @@ mod tests {
     #[test]
     fn server_shutdown_joins_thread() {
         let net = Network::reliable(1);
-        let server = RpcServer::serve(net.handle(NodeId(0)), ports::USER_BASE, |_, _| vec![]);
+        let server =
+            RpcServer::serve_concurrent(net.handle(NodeId(0)), ports::USER_BASE, |_, _| vec![]);
         server.shutdown();
     }
 
@@ -699,9 +671,10 @@ mod tests {
     #[test]
     fn a_malformed_request_is_dropped_and_the_service_lives_on() {
         let net = Network::reliable(2);
-        let _server = RpcServer::serve(net.handle(NodeId(1)), ports::USER_BASE, |body, _| {
-            body.to_vec()
-        });
+        let _server =
+            RpcServer::serve_concurrent(net.handle(NodeId(1)), ports::USER_BASE, |body, _| {
+                body.to_vec()
+            });
         let client = net.handle(NodeId(0));
         // A head cut short, and a mailbox number that overflows the port
         // space: neither is answered, neither takes the worker down.

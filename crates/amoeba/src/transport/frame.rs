@@ -19,10 +19,13 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: version 3 carries the RPC envelope of `orca_wire::envelope` and
-/// the single-operation messages whose operation is their tail (version 2
-/// brought the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 3;
+/// them: since version 4 a `sharded` node speaks `RegimeMsg` on
+/// `ports::RTS_ADAPTIVE` — partition backups and the holdings report
+/// included — where it spoke a vocabulary of its own on two ports (version 3
+/// brought the RPC envelope of `orca_wire::envelope` and the
+/// single-operation messages whose operation is their tail, version 2 the
+/// delta-coded operation batches and two-varint trace ids).
+pub const FRAME_VERSION: u8 = 4;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

@@ -194,7 +194,7 @@ fn a_client_dropped_with_every_reply_in_parks_its_mailbox_for_the_next() {
     // mailboxes a request stays at body + 3 (mailbox, call, no trace).
     let net = Network::reliable(2);
     let (client, server) = (net.handle(NodeId(0)), net.handle(NodeId(1)));
-    let rpc_server = RpcServer::serve(server, SERVICE, |body, _src| body.to_vec());
+    let rpc_server = RpcServer::serve_concurrent(server, SERVICE, |body, _src| body.to_vec());
     for round in 0..300u32 {
         let before = net.stats();
         let mut rpc = MultiRpc::new(&client);
@@ -275,8 +275,7 @@ fn notification_is_handled_once_and_never_answered() {
             body.to_vec()
         }
     }
-    let flavours: [Serve; 3] = [
-        |h, n| RpcServer::serve(h, SERVICE, count(n)),
+    let flavours: [Serve; 2] = [
         |h, n| RpcServer::serve_concurrent(h, SERVICE, count(n)),
         |h, n| RpcServer::serve_pooled(h, SERVICE, count(n), 2),
     ];

@@ -54,8 +54,7 @@ type Serve = fn(NetworkHandle) -> RpcServer;
 /// Ten thousand calls, one after the other, cost a service no thread
 /// beyond the ones its first call left it with.
 fn sequential_calls_start_no_threads() {
-    let flavours: [(&str, Serve); 3] = [
-        ("serve", |h| RpcServer::serve(h, SERVICE, echo)),
+    let flavours: [(&str, Serve); 2] = [
         ("serve_concurrent", |h| {
             RpcServer::serve_concurrent(h, SERVICE, echo)
         }),

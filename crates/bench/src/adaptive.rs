@@ -33,7 +33,7 @@ use orca_amoeba::NodeId;
 use orca_core::objects::{JobQueue, KvTable, TableEntry};
 use orca_core::{standard_registry, OrcaConfig, OrcaRuntime, RtsStrategy};
 use orca_perf::{CostModel, NodeLoad};
-use orca_rts::{AdaptivePolicy, RegimeKind};
+use orca_rts::{AdaptivePolicy, RegimeKind, RtsKind};
 
 /// Distinct keys the shared table holds.
 pub const TABLE_KEYS: u64 = 16;
@@ -224,8 +224,12 @@ fn run_one(
     // strategies).
     runtime.propose_regime(table.handle().id());
     runtime.propose_regime(queue.handle().id());
-    let table_regime = regime_name(runtime.object_regime(table.handle().id()));
-    let queue_regime = regime_name(runtime.object_regime(queue.handle().id()));
+    // A regime is a result only where it was a decision: `sharded` runs the
+    // same engine with the regime pinned.
+    let adapts = runtime.config().strategy.kind() == RtsKind::Adaptive;
+    let regime_of = |object| regime_name(runtime.object_regime(object).filter(|_| adapts));
+    let table_regime = regime_of(table.handle().id());
+    let queue_regime = regime_of(queue.handle().id());
 
     let net_before = runtime.network_stats();
     let rts_before = runtime.rts_stats();

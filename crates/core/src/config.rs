@@ -3,8 +3,7 @@
 use orca_amoeba::FaultConfig;
 use orca_group::GroupConfig;
 use orca_rts::{
-    AdaptivePolicy, BatchPolicy, RecoveryConfig, ReplicationPolicy, RtsKind, ShardPolicy,
-    WritePolicy,
+    AdaptivePolicy, BatchPolicy, RecoveryConfig, ReplicationPolicy, RtsKind, WritePolicy,
 };
 
 /// Which runtime system each node runs.
@@ -21,16 +20,17 @@ pub enum RtsStrategy {
         /// Dynamic replication thresholds.
         replication: ReplicationPolicy,
     },
-    /// The sharded runtime system (partitioned shardable objects with
-    /// owner-shipped operations; non-shardable objects fall back to
-    /// primary-copy semantics at their creating node).
+    /// The adaptive runtime system with every object's regime pinned to
+    /// sharded ([`AdaptivePolicy::sharded`]): shardable objects partitioned
+    /// over all nodes with owner-shipped operations, non-shardable objects
+    /// a single copy at their creating node.
     Sharded {
-        /// Partition count, placement, deadlines and rebalancing knobs.
-        policy: ShardPolicy,
+        /// Partitions per shardable object (at least one).
+        partitions: u32,
     },
     /// The adaptive runtime system: each object's regime (replicated /
     /// primary / sharded) is picked and changed at runtime from its
-    /// observed read/write mix.
+    /// observed read/write mix — unless the policy pins it.
     Adaptive {
         /// Thresholds, reporting cadence, leases and partition count.
         policy: AdaptivePolicy,
@@ -60,11 +60,10 @@ impl RtsStrategy {
         }
     }
 
-    /// Sharded strategy with `partitions` partitions per shardable object
-    /// and default placement/deadline knobs.
+    /// Sharded strategy with `partitions` partitions per shardable object.
     pub fn sharded(partitions: u32) -> Self {
         RtsStrategy::Sharded {
-            policy: ShardPolicy::with_partitions(partitions),
+            partitions: partitions.max(1),
         }
     }
 
@@ -88,6 +87,7 @@ impl RtsStrategy {
                 ..
             } => RtsKind::PrimaryUpdate,
             RtsStrategy::Sharded { .. } => RtsKind::Sharded,
+            RtsStrategy::Adaptive { policy } if policy.pin_sharded => RtsKind::Sharded,
             RtsStrategy::Adaptive { .. } => RtsKind::Adaptive,
         }
     }
@@ -240,15 +240,20 @@ mod tests {
         let config = OrcaConfig::sharded(8, 4);
         assert_eq!(config.processors, 8);
         assert_eq!(config.strategy.kind(), RtsKind::Sharded);
-        let RtsStrategy::Sharded { policy } = config.strategy else {
+        let RtsStrategy::Sharded { partitions } = config.strategy else {
             panic!("expected sharded strategy");
         };
-        assert_eq!(policy.partitions, 4);
+        assert_eq!(partitions, 4);
         // Partition counts are clamped to at least one.
-        let RtsStrategy::Sharded { policy } = RtsStrategy::sharded(0) else {
+        let RtsStrategy::Sharded { partitions } = RtsStrategy::sharded(0) else {
             panic!("expected sharded strategy");
         };
-        assert_eq!(policy.partitions, 1);
+        assert_eq!(partitions, 1);
+        // The long spelling: the adaptive runtime, its regime pinned.
+        let pinned = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::sharded(4),
+        };
+        assert_eq!(pinned.kind(), RtsKind::Sharded);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use orca_amoeba::transport::{SocketTransport, Transport};
 use orca_amoeba::{NetStatsSnapshot, NodeId};
 use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
 use orca_rts::{
-    AdaptiveRts, BroadcastRts, FailureDetector, PrimaryCopyRts, RegimeKind, RtsStatsSnapshot,
-    RuntimeSystem, ShardedRts, ViewSnapshot,
+    AdaptivePolicy, AdaptiveRts, BroadcastRts, FailureDetector, PrimaryCopyRts, RegimeKind,
+    RtsKind, RtsStatsSnapshot, RuntimeSystem, ViewSnapshot,
 };
 use orca_telemetry::{trace, FlightKind, HistHandle, Telemetry};
 use orca_wire::Wire;
@@ -22,7 +22,6 @@ use crate::{OrcaError, OrcaResult};
 pub(crate) enum NodeRts {
     Broadcast(BroadcastRts),
     Primary(PrimaryCopyRts),
-    Sharded(ShardedRts),
     Adaptive(AdaptiveRts),
 }
 
@@ -31,7 +30,6 @@ impl NodeRts {
         match self {
             NodeRts::Broadcast(rts) => Arc::new(rts.clone()),
             NodeRts::Primary(rts) => Arc::new(rts.clone()),
-            NodeRts::Sharded(rts) => Arc::new(rts.clone()),
             NodeRts::Adaptive(rts) => Arc::new(rts.clone()),
         }
     }
@@ -40,7 +38,6 @@ impl NodeRts {
         match self {
             NodeRts::Broadcast(rts) => rts.shutdown(),
             NodeRts::Primary(rts) => rts.shutdown(),
-            NodeRts::Sharded(rts) => rts.shutdown(),
             NodeRts::Adaptive(rts) => rts.shutdown(),
         }
     }
@@ -49,7 +46,6 @@ impl NodeRts {
         match self {
             NodeRts::Broadcast(rts) => rts.set_batch_policy(policy),
             NodeRts::Primary(rts) => rts.set_batch_policy(policy),
-            NodeRts::Sharded(rts) => rts.set_batch_policy(policy),
             NodeRts::Adaptive(rts) => rts.set_batch_policy(policy),
         }
     }
@@ -141,10 +137,10 @@ pub(crate) fn build_node_rts(
             config.recovery,
             detector,
         )),
-        RtsStrategy::Sharded { policy } => NodeRts::Sharded(ShardedRts::start_recoverable(
+        RtsStrategy::Sharded { partitions } => NodeRts::Adaptive(AdaptiveRts::start_recoverable(
             handle,
             registry.clone(),
-            *policy,
+            AdaptivePolicy::sharded(*partitions),
             config.recovery,
             detector,
         )),
@@ -565,13 +561,15 @@ impl OrcaRuntime {
             .unwrap_or(&self.rtses[0])
     }
 
-    /// Partition owners of `object` under the sharded runtime system (one
-    /// entry per partition, freshly read from the object's home node), or
-    /// `None` when another strategy is running. Used by tests and the
-    /// benchmark harness to observe shard placement.
+    /// Partition owners of `object` under the sharded strategy (one entry
+    /// per partition, freshly read from the object's home node), or `None`
+    /// when another strategy is running. Used by tests and the benchmark
+    /// harness to observe shard placement.
     pub fn shard_owners(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         match self.live_rts() {
-            NodeRts::Sharded(rts) => rts.route_owners(object).ok(),
+            NodeRts::Adaptive(rts) if rts.kind() == RtsKind::Sharded => {
+                rts.placement_of(object).ok().map(|(_, _, owners)| owners)
+            }
             _ => None,
         }
     }
@@ -589,25 +587,30 @@ impl OrcaRuntime {
     }
 
     /// Move one partition of `object` to node `dst` (sharded strategy
-    /// only; `None` when another strategy is running). The object's home
-    /// node coordinates the hand-off. Used by tests and the model checker
-    /// to force a shard hand-off at a chosen point in a workload.
+    /// only; `None` when another strategy is running). The object's
+    /// creating node, its home, performs the move as a switch to the same
+    /// regime. Used by tests and the model checker to force a shard to
+    /// change owners at a chosen point in a workload.
     pub fn migrate_shard(
         &self,
         object: ObjectId,
         partition: u32,
         dst: NodeId,
     ) -> Option<Result<(), orca_rts::RtsError>> {
-        match self.live_rts() {
-            NodeRts::Sharded(rts) => Some(rts.migrate(object, partition, dst)),
+        match &self.rtses[usize::from(object.creator_index())] {
+            NodeRts::Adaptive(rts) if rts.kind() == RtsKind::Sharded => {
+                Some(rts.migrate(object, partition, dst))
+            }
             _ => None,
         }
     }
 
     /// The regime currently serving `object` under the adaptive runtime
-    /// system (freshly read from the object's home node), or `None` when
-    /// another strategy is running. Used by tests and the benchmark
-    /// harness to observe adaptation.
+    /// system (freshly read from the object's home node; always
+    /// [`RegimeKind::Sharded`] under the sharded strategy, which is that
+    /// runtime with the regime pinned), or `None` when another strategy is
+    /// running. Used by tests and the benchmark harness to observe
+    /// adaptation.
     pub fn object_regime(&self, object: ObjectId) -> Option<RegimeKind> {
         match self.live_rts() {
             NodeRts::Adaptive(rts) => rts.regime_of(object).ok().map(|(regime, _)| regime),

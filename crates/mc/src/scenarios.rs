@@ -3,7 +3,7 @@
 //! Each scenario is a tiny distributed workload (2–3 nodes, a handful of
 //! operations) engineered so the interesting protocol machinery — total
 //! ordering, sequencer hand-over, dynamic replication races, crash
-//! promotion, shard hand-off, regime switching — runs *inside* the
+//! promotion, a shard changing owners, regime switching — runs *inside* the
 //! scheduled window, where the engine enumerates every delivery order.
 //! Workloads use distinct even-bit write deltas (`1 << (2*k)`) so the final
 //! counter value is a bitmask of applied writes: a lost acked write clears
@@ -644,19 +644,19 @@ impl Scenario for PrimaryLeaseRevoke {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Sharded: partition hand-off under concurrent operations.
+// 6. Sharded: a partition changing owners under concurrent operations.
 // ---------------------------------------------------------------------------
 
-/// Two nodes, a job queue split over two partitions (one per node). While
-/// node 1 keeps adding jobs, partition 0 migrates from node 0 to node 1 —
-/// the withdrawn-mark hand-off the sharded runtime uses to guarantee no
+/// Two nodes, a job queue split over two partitions. While node 1 keeps
+/// adding jobs, partition 0 moves from node 0 to node 1 — a switch to the
+/// same regime, whose withdrawn mark and epoch are what guarantee that no
 /// operation is lost or applied twice while ownership moves. After the
 /// dust settles the queue is closed and drained: every acked add must come
 /// out exactly once.
 ///
 /// Node 0's worker triggers the migration and *waits* for it, so node 0
 /// never has two threads sending concurrently (which would break canonical
-/// message identities); node 1's adds stay concurrent with the hand-off.
+/// message identities); node 1's adds stay concurrent with the move.
 pub struct ShardedHandoff {
     /// Exploration budgets.
     pub budget: McConfig,
@@ -685,9 +685,24 @@ impl Scenario for ShardedHandoff {
     }
 
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
-        let cfg = OrcaConfig::sharded(2, 2);
+        let mut cfg = OrcaConfig::sharded(2, 2);
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy {
+                // As in the adaptive scenario below: an add the move
+                // bounced waits the move out instead of re-fetching the
+                // table every 5 ms, a fresh message and a fresh subtree
+                // each time for as long as the scheduler holds the move.
+                stale_retry_delay: Duration::from_millis(300),
+                ..AdaptivePolicy::sharded(2)
+            },
+        };
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let queue = JobQueue::<i64>::create(rt.main()).map_err(|e| e.to_string())?;
+        // The workload is written for a partition 0 that starts on node 0;
+        // where the hash of the queue's id put it is not its business.
+        rt.migrate_shard(queue.handle().id(), 0, NodeId(0))
+            .expect("sharded strategy")
+            .map_err(|e| e.to_string())?;
         rt.network().set_scheduler(Some(exec.scheduler()));
 
         let migrate_start = Arc::new(AtomicBool::new(false));
@@ -698,7 +713,7 @@ impl Scenario for ShardedHandoff {
 
         // Job values are chosen by their shard hash: 5, 9, 21, 22 and 25
         // all land in partition 0 (the one that migrates from node 0 to
-        // node 1), so every add in the scenario races the hand-off itself.
+        // node 1), so every add in the scenario races the move itself.
         //
         // Worker 0 (on the migration-source node): add, hand off, add,
         // then close and drain once worker 1 is done adding.
@@ -733,7 +748,7 @@ impl Scenario for ShardedHandoff {
                 (acked, maybe, observed)
             })
         };
-        // Worker 1: waits for the hand-off to start, then fires adds at the
+        // Worker 1: waits for the move to start, then fires adds at the
         // *moving* partition — each one lands before the withdraw, between
         // withdraw and install, or after the new owner is live, and the
         // scheduler enumerates all of it.
@@ -807,7 +822,7 @@ impl Scenario for ShardedHandoff {
             .ok_or("no shard owners")?;
         if owners.first() != Some(&NodeId(1)) {
             return Err(format!(
-                "hand-off did not take effect: partition owners {owners:?}"
+                "the move did not take effect: partition owners {owners:?}"
             ));
         }
         check_jobs(&acked, &maybe, &observed)

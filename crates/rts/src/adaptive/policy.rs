@@ -40,9 +40,12 @@ pub struct AdaptivePolicy {
     /// Per-invocation deadline for shipped operations; a dropped reply
     /// surfaces [`crate::RtsError::Timeout`]. Guard retries restart it.
     pub op_timeout: Duration,
-    /// How long a cached regime table stays fresh. The lease bounds how
-    /// long a node can act on a retired regime when the explicit
-    /// drop/drain notifications were lost.
+    /// How long a cached replicated-regime table stays fresh: its reads
+    /// ask nobody, so the lease bounds how long a node can act on a retired
+    /// regime when the explicit drop notifications were lost. (A table of
+    /// the other regimes needs none — every operation is answered by an
+    /// owner, which refuses an outdated epoch.) Also how long a sharded
+    /// regime's owner keeps its partitions without being heard from.
     pub regime_lease: Duration,
     /// A node reports its per-object read/write counts to the object's
     /// home after this many local accesses.
@@ -78,6 +81,12 @@ pub struct AdaptivePolicy {
     /// lapsed (idle home) re-syncs from the home, which doubles as the
     /// renewal.
     pub read_lease_ms: u64,
+    /// Pin every object to the sharded regime — the `sharded` backend: an
+    /// object is created partitioned (a type that does not shard as one
+    /// partition at its creator), spread over all nodes, and stays so;
+    /// nothing is counted, reported or evaluated, and an owner changes
+    /// only by [`super::AdaptiveRts::migrate`] or by dying.
+    pub pin_sharded: bool,
 }
 
 impl Default for AdaptivePolicy {
@@ -94,6 +103,7 @@ impl Default for AdaptivePolicy {
             blocked_retry_delay: Duration::from_millis(20),
             stale_retry_delay: Duration::from_millis(5),
             read_lease_ms: 150,
+            pin_sharded: false,
         }
     }
 }
@@ -108,6 +118,16 @@ impl AdaptivePolicy {
             evaluate_every: 16,
             min_accesses: 12,
             regime_lease: Duration::from_millis(50),
+            ..AdaptivePolicy::default()
+        }
+    }
+
+    /// The regime pinned to sharded, `partitions` partitions per shardable
+    /// object.
+    pub fn sharded(partitions: u32) -> Self {
+        AdaptivePolicy {
+            partitions,
+            pin_sharded: true,
             ..AdaptivePolicy::default()
         }
     }
@@ -144,11 +164,11 @@ pub(crate) fn pick_regime(
 }
 
 /// Owner of partition `partition` of `object` under the sharded regime:
-/// the deterministic hashed spread the sharded RTS uses
-/// ([`orca_object::shard::spread_owner`]), over the nodes that use the
-/// object ([`UsageAggregate::users`]) instead of over all of them. With `k`
-/// of `N` nodes using an object evenly, `1 − 1/k` of the operations travel
-/// instead of `1 − 1/N`.
+/// the deterministic hashed spread
+/// ([`orca_object::shard::spread_owner`]) over the nodes that use the
+/// object ([`UsageAggregate::users`]) — all of them when nothing is known,
+/// which is where a pinned object stays. With `k` of `N` nodes using an
+/// object evenly, `1 − 1/k` of the operations travel instead of `1 − 1/N`.
 pub(crate) fn place(object: ObjectId, partition: u32, users: &[u16]) -> u16 {
     users[usize::from(spread_owner(object.0, partition, users.len()))]
 }

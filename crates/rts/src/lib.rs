@@ -19,46 +19,48 @@
 //!   ([`WritePolicy`]). Secondary copies are created and discarded
 //!   dynamically, driven by each node's read/write ratio for the object
 //!   ([`ReplicationPolicy`]).
-//! * [`ShardedRts`] — scales *writes*. Shardable objects are split into `N`
-//!   partitions hashed across nodes, each partition owned by one node;
-//!   operations are shipped point-to-point to the partition owner, so
-//!   writes to different partitions of the same object proceed in parallel
-//!   on different nodes. Hot partitions can migrate between owners. Types
-//!   without partitioning logic transparently fall back to primary-copy
-//!   semantics.
 //! * [`AdaptiveRts`] — makes the regime a *per-object, dynamic* property.
 //!   Each object is served, at any moment, in one of three regimes —
 //!   replicated with ordered updates (read-dominated), primary copy
-//!   (mixed), sharded (write-hot shardable) — and the object's home node
-//!   switches regimes at runtime from the decayed per-node read/write
-//!   counts every node reports. Nodes agree on the serving regime through
-//!   an epoch in the home's regime table (leased caches, `StaleRegime`
-//!   replies); a switch drains the old regime's replicas with the sharded
-//!   hand-off's withdrawn-mark discipline, merges partition states where
-//!   needed, and installs the new regime under the next epoch, so no
-//!   write is lost or double-applied across a change.
+//!   (mixed), sharded (write-hot shardable: `N` partitions hashed over the
+//!   nodes that use the object, each owned by one node, operations shipped
+//!   point-to-point to the partition owner, so writes to different
+//!   partitions proceed in parallel on different nodes) — and the object's
+//!   home node switches regimes at runtime from the decayed per-node
+//!   read/write counts every node reports. Nodes agree on the serving
+//!   regime through an epoch in the home's regime table (cached tables,
+//!   `StaleRegime` replies); a switch drains the old regime's replicas
+//!   under a withdrawn mark, merges partition states where needed, and
+//!   installs the new regime under the next epoch, so no write is lost or
+//!   double-applied across a change.
 //!
-//! The four trade consistency machinery against communication very
+//!   With the regime *pinned* ([`AdaptivePolicy::sharded`]) the same engine
+//!   is the **sharded** backend ([`RtsKind::Sharded`]): every object is
+//!   created partitioned over all nodes and stays so, nothing is counted
+//!   or evaluated, and types without partitioning logic are one partition
+//!   at their creating node.
+//!
+//! They trade consistency machinery against communication very
 //! differently:
 //!
 //! | RTS | Replication | Write path | Consistency |
 //! |-----|-------------|-----------|-------------|
 //! | broadcast | full (every node) | totally-ordered broadcast, applied everywhere | sequential, object-wide |
 //! | primary copy (invalidate / update) | primary + dynamic secondaries | RPC to primary, then invalidate or 2-phase update of secondaries | sequential, object-wide |
-//! | sharded | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
 //! | adaptive | per object: full mirrors, home copy, or partitions | per object: RPC to home (+ ordered update push to mirrors) or RPC to partition owner | sequential per object (per partition while sharded) |
+//! | sharded (adaptive, regime pinned) | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
 //! Of the standard object library, the job queue, key-value table, set and
 //! boolean array shard; the integer, boolean flag and barrier do not (they
-//! are single atomic values) and run under the sharded RTS with
-//! primary-copy fallback semantics (the adaptive RTS only ever offers them
-//! the replicated and primary regimes). With one partition the sharded RTS
-//! is observationally identical to the primary-copy RTS — the cross-RTS
+//! are single atomic values): pinned, they are a single copy at their
+//! creator, and left to adapt they are only ever offered the replicated
+//! and primary regimes. With one partition the sharded backend is
+//! observationally identical to the primary-copy RTS — the cross-RTS
 //! conformance suite (`tests/conformance.rs`) checks all of this, and runs
 //! the adaptive system with eager thresholds so regimes switch *during*
 //! the conformance workload.
 //!
-//! All four implement [`RuntimeSystem`], which is what the Orca layer
+//! All of them implement [`RuntimeSystem`], which is what the Orca layer
 //! (`orca-core`) programs against.
 
 #![warn(missing_docs)]
@@ -70,7 +72,8 @@ pub mod primary;
 pub mod recovery;
 #[doc(hidden)]
 pub mod sabotage;
-pub mod sharded;
+#[cfg(test)]
+mod sharded;
 pub mod stats;
 mod update;
 
@@ -81,7 +84,6 @@ pub use orca_wire::RegimeKind;
 pub use pipeline::{BatchPolicy, PendingInvocation};
 pub use primary::{PrimaryCopyRts, ReplicationPolicy, WritePolicy};
 pub use recovery::RecoveryConfig;
-pub use sharded::{ShardPlacement, ShardPolicy, ShardedRts};
 pub use stats::{AccessStats, RtsStats, RtsStatsSnapshot};
 
 use orca_amoeba::NodeId;
@@ -141,7 +143,8 @@ pub enum RtsKind {
     PrimaryInvalidate,
     /// Primary copy with two-phase updates of secondaries on writes.
     PrimaryUpdate,
-    /// Partitioned objects with owner-shipped operations.
+    /// Partitioned objects with owner-shipped operations: the adaptive
+    /// runtime with every object's regime pinned to sharded.
     Sharded,
     /// Per-object regimes (replicated / primary / sharded) picked and
     /// changed at runtime from each object's observed access mix.

@@ -2589,15 +2589,10 @@ mod tests {
             .collect()
     }
 
-    fn wait_for_view_epoch(rts: &PrimaryCopyRts, epoch: u64) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while rts.membership_view().expect("recovery enabled").epoch < epoch {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "failure never detected"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    fn wait_for_death(rtses: &[PrimaryCopyRts], killed: NodeId) {
+        crate::recovery::wait_for_deaths(rtses.len(), &[killed], &|node| {
+            rtses[node.index()].membership_view()
+        });
     }
 
     /// Tentpole: the primary dies; the freshest surviving secondary copy
@@ -2612,7 +2607,8 @@ mod tests {
             window: 1,
             ..ReplicationPolicy::default()
         };
-        let rtses = start_all_recoverable(&net, WritePolicy::Update, eager, RecoveryConfig::fast());
+        let rtses =
+            start_all_recoverable(&net, WritePolicy::Update, eager, crate::recovery::patient());
         let id = rtses[0]
             .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
@@ -2625,7 +2621,7 @@ mod tests {
         assert!(rtses[1].has_local_copy(id) && rtses[2].has_local_copy(id));
 
         net.crash(NodeId(0));
-        wait_for_view_epoch(&rtses[1], 1);
+        wait_for_death(&rtses, NodeId(0));
         // Survivors keep operating on the re-homed object; no acknowledged
         // write is lost.
         assert_eq!(add(&rtses[1], id, 1), 13);
@@ -2648,14 +2644,14 @@ mod tests {
             &net,
             WritePolicy::Update,
             ReplicationPolicy::never_replicate(),
-            RecoveryConfig::fast(),
+            crate::recovery::patient(),
         );
         let id = rtses[0]
             .create_object(Accumulator::TYPE_NAME, &3i64.to_bytes())
             .unwrap();
         assert_eq!(read(&rtses[1], id), 3);
         net.crash(NodeId(0));
-        wait_for_view_epoch(&rtses[1], 1);
+        wait_for_death(&rtses, NodeId(0));
         let started = std::time::Instant::now();
         let err = rtses[1]
             .invoke(
@@ -2707,7 +2703,7 @@ mod tests {
         assert_eq!(add(&rtses[1], id, 2), 2);
         // The default op timeout is 10 s; NodeDown must beat it by far.
         net.crash(NodeId(0));
-        wait_for_view_epoch(&rtses[1], 1);
+        wait_for_death(&rtses, NodeId(0));
         let started = std::time::Instant::now();
         let err = rtses[1]
             .invoke(
@@ -2898,7 +2894,8 @@ mod tests {
             read_lease_ms: 300,
             ..ReplicationPolicy::default()
         };
-        let rtses = start_all_recoverable(&net, WritePolicy::Update, eager, RecoveryConfig::fast());
+        let rtses =
+            start_all_recoverable(&net, WritePolicy::Update, eager, crate::recovery::patient());
         let id = rtses[0]
             .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
@@ -2908,7 +2905,7 @@ mod tests {
 
         let crashed = std::time::Instant::now();
         net.crash(NodeId(0));
-        wait_for_view_epoch(&rtses[1], 1);
+        wait_for_death(&rtses, NodeId(0));
         // The first write after promotion completes only after the fence:
         // promotion happens strictly after the crash, and the fence spans
         // the longest grant the dead primary could have had outstanding

@@ -11,14 +11,15 @@
 //!   freshest one to the new primary, and publishes the re-homing to all
 //!   survivors. An object with no surviving copy is declared *lost*
 //!   ([`crate::RtsError::ObjectLost`]).
-//! * **Sharded** — every partition is backed up on a second node (the
-//!   owner ships each completed write to its backup before
-//!   acknowledging); a dead owner's partitions are re-owned by promoting
-//!   their backups, and a dead *home* node's routing table is rebuilt by
-//!   the lowest live node from the survivors' reports.
-//! * **Adaptive** — a dead home node's object is regenerated from the
-//!   freshest surviving read mirror (replicated regime); without any
-//!   mirror it is lost.
+//! * **Adaptive**, and **sharded**, which is the adaptive runtime with its
+//!   regime pinned — every sharded-regime partition is backed up on a
+//!   second node (the owner ships each completed write to its backup
+//!   before acknowledging); a dead owner's partitions are re-owned by
+//!   promoting their backups, and a dead *home* node's regime table is
+//!   rebuilt by the lowest live node from what the survivors hold. A
+//!   replicated-regime object whose home died is regenerated from the
+//!   freshest surviving read mirror; a primary-regime object (one copy, at
+//!   home) is lost with it.
 //! * **Broadcast** — needs no per-object re-homing at all: every replica
 //!   is everywhere, and a dead *sequencer* is handled inside the group
 //!   layer by election + history replay.
@@ -198,6 +199,49 @@ pub fn recovery_rpc(
             RtsError::Timeout
         }),
         Err(other) => Err(RtsError::Communication(other.to_string())),
+    }
+}
+
+/// [`RecoveryConfig::fast`] for this crate's unit tests, which run a hundred
+/// at a time on whatever cores there are: 300 ms of silence before a node
+/// is declared dead, the limit `tests/recovery.rs` settled on. At `fast`'s
+/// 80 ms a starved heartbeat thread gets a live node declared dead —
+/// which fail-stop membership cannot take back, and which reads as
+/// `ObjectLost` somewhere else three calls later.
+#[cfg(test)]
+pub(crate) fn patient() -> RecoveryConfig {
+    RecoveryConfig {
+        suspect_after: 15,
+        ..RecoveryConfig::fast()
+    }
+}
+
+/// Wait until the view of every surviving node has dropped exactly the
+/// `killed` nodes. Panics, naming both, when a node is missing from a view
+/// without having been killed: on a loaded machine a detector can declare a
+/// live node dead, and a test that goes on after that fails somewhere else.
+#[cfg(test)]
+pub(crate) fn wait_for_deaths(
+    num_nodes: usize,
+    killed: &[NodeId],
+    view_of: &dyn Fn(NodeId) -> Option<ViewSnapshot>,
+) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let nodes = || (0..num_nodes).map(NodeId::from);
+    loop {
+        let mut detected = true;
+        for survivor in nodes().filter(|node| !killed.contains(node)) {
+            let view = view_of(survivor).expect("recovery enabled");
+            for node in nodes().filter(|node| !view.contains(*node)) {
+                assert!(killed.contains(&node), "{survivor} suspects live {node}");
+            }
+            detected &= killed.iter().all(|node| !view.contains(*node));
+        }
+        if detected {
+            return;
+        }
+        assert!(Instant::now() < deadline, "failure never detected");
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

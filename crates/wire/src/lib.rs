@@ -56,7 +56,6 @@ mod impls;
 pub mod lease;
 pub mod recovery;
 pub mod regime;
-pub mod shard;
 pub mod trace;
 
 pub use batch::{BatchOp, BatchOutcome, OpBatch, OpBatchEncoder, OpBatchIter, OpBatchView, OpRef};
@@ -66,8 +65,7 @@ pub use envelope::RequestHead;
 pub use error::{WireError, WireResult};
 pub use lease::{DedupWindow, LeaseGrant, LeaseMsg, OpStamp, DEDUP_WINDOW_PER_ORIGIN};
 pub use recovery::{CopyInfo, MembershipView, RecoveryMsg, RecoveryReply};
-pub use regime::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
-pub use shard::{ShardMsg, ShardPartId, ShardReply, ShardRouteTable};
+pub use regime::{Holdings, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 pub use trace::TraceId;
 
 /// A type that can be serialized to and deserialized from the wire format.

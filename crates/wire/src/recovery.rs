@@ -23,8 +23,7 @@
 //!    any orphaned object *without* a published new home is lost.
 //!
 //! [`RecoveryMsg::StateTransfer`] carries full object state when a
-//! promotion target needs it shipped (the sharded runtime system's backup
-//! promotion path re-uses it).
+//! promotion target needs it shipped.
 //!
 //! The vocabulary lives here, at the bottom of the stack, so the codecs are
 //! property-tested together with every other wire type and the byte counts

@@ -3,9 +3,10 @@
 //! The adaptive RTS (see `orca-rts`) serves every shared object in one of
 //! three *regimes* — full replication with ordered updates, primary copy at
 //! the home node, or hash-partitioned sharding — and changes an object's
-//! regime at runtime from its observed read/write mix. The object's home
-//! node (its creator, recoverable from the object id) owns the authoritative
-//! [`RegimeTable`]; every other node caches it with a lease and is told
+//! regime at runtime from its observed read/write mix (or, with the regime
+//! pinned, keeps every object sharded: the `sharded` backend). The object's
+//! home node (its creator, recoverable from the object id) owns the
+//! authoritative [`RegimeTable`]; every other node caches it and is told
 //! [`RegimeReply::StaleRegime`] when it acts on an outdated epoch.
 //!
 //! The message vocabulary lives here, at the bottom of the stack, so the
@@ -232,7 +233,9 @@ pub enum RegimeMsg {
         epoch: u64,
     },
     /// Home → every node (switch out of the replicated regime): discard the
-    /// read mirror so no node keeps serving pre-switch state.
+    /// read mirror so no node keeps serving pre-switch state. Partition
+    /// backups of the retired epoch are discarded with it (any switch of a
+    /// backed-up sharded regime), so none is left to be promoted later.
     DropMirror {
         /// Raw object id.
         object: u64,
@@ -288,12 +291,67 @@ pub enum RegimeMsg {
         /// the home grants leases.
         lease: Option<LeaseGrant>,
     },
-    /// Recovering home → survivor: report the freshest mirror state of
-    /// `object` you hold, so a node adopting the home role of a dead
-    /// creator can regenerate the object from a surviving mirror.
-    MirrorQuery {
+    /// Recovering home → survivor: report what you hold of `object` —
+    /// sharded-regime partitions, partition backups, a read mirror — so the
+    /// home (or the node adopting a dead creator's home role) can give
+    /// every partition a live owner again, or regenerate the object from a
+    /// mirror. Answered [`RegimeReply::Holdings`].
+    Holdings {
         /// Raw object id.
         object: u64,
+    },
+    /// Owner → backup node: apply a run of completed writes to the backup
+    /// of a sharded-regime partition, keeping it current so it can be
+    /// promoted if the owner dies. Shipped under the owner's replica mutex,
+    /// before the writes are acknowledged, so an acknowledged write
+    /// survives any single node failure. Anything but
+    /// [`RegimeReply::Ack`] asks for a [`RegimeMsg::InstallBackup`].
+    Backup {
+        /// Raw object id.
+        object: u64,
+        /// Epoch of the backed-up slot.
+        epoch: u64,
+        /// Partition of the slot.
+        partition: u32,
+        /// The owner replica's version after `ops[0]`: the run covers
+        /// `first_version ..= first_version + ops.len() - 1`, and the
+        /// backup applies exactly its unseen suffix — or, on a gap, nothing.
+        first_version: u64,
+        /// Encoded operations, in the order the owner applied them.
+        ops: Vec<Vec<u8>>,
+        /// Stamp and reply of the write, when the run is one stamped
+        /// (synchronously invoked) write: the backup's dedup window stays
+        /// as current as its replica.
+        stamped: Option<(OpStamp, Vec<u8>)>,
+    },
+    /// Owner → backup node: (re)install the full backup state of a
+    /// partition — after any install of the slot and after a missed
+    /// [`RegimeMsg::Backup`].
+    InstallBackup {
+        /// Raw object id.
+        object: u64,
+        /// Epoch of the backed-up slot.
+        epoch: u64,
+        /// Partition of the slot.
+        partition: u32,
+        /// Registered object type name.
+        type_name: String,
+        /// Encoded partition state.
+        state: Vec<u8>,
+        /// The owner replica's version `state` corresponds to.
+        version: u64,
+        /// The slot's dedup window as of `state`.
+        dedup: DedupWindow,
+    },
+    /// Recovering home → backup holder: the partition's owner died; make
+    /// your backup of `epoch` the authoritative slot.
+    PromoteBackup {
+        /// Raw object id.
+        object: u64,
+        /// Epoch the backup must belong to.
+        epoch: u64,
+        /// Partition to promote.
+        partition: u32,
     },
 }
 
@@ -445,9 +503,53 @@ impl Wire for RegimeMsg {
                 stamp.encode(enc);
                 enc.put_raw(op);
             }
-            RegimeMsg::MirrorQuery { object } => {
+            RegimeMsg::Holdings { object } => {
                 enc.put_u8(12);
                 object.encode(enc);
+            }
+            RegimeMsg::Backup {
+                object,
+                epoch,
+                partition,
+                first_version,
+                ops,
+                stamped,
+            } => {
+                enc.put_u8(15);
+                object.encode(enc);
+                epoch.encode(enc);
+                partition.encode(enc);
+                first_version.encode(enc);
+                ops.encode(enc);
+                stamped.encode(enc);
+            }
+            RegimeMsg::InstallBackup {
+                object,
+                epoch,
+                partition,
+                type_name,
+                state,
+                version,
+                dedup,
+            } => {
+                enc.put_u8(16);
+                object.encode(enc);
+                epoch.encode(enc);
+                partition.encode(enc);
+                type_name.encode(enc);
+                enc.put_bytes(state);
+                version.encode(enc);
+                dedup.encode(enc);
+            }
+            RegimeMsg::PromoteBackup {
+                object,
+                epoch,
+                partition,
+            } => {
+                enc.put_u8(17);
+                object.encode(enc);
+                epoch.encode(enc);
+                partition.encode(enc);
             }
         }
     }
@@ -519,7 +621,7 @@ impl Wire for RegimeMsg {
                 seq: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
             }),
-            12 => Ok(RegimeMsg::MirrorQuery {
+            12 => Ok(RegimeMsg::Holdings {
                 object: Wire::decode(dec)?,
             }),
             14 => Ok(RegimeMsg::WriteThrough {
@@ -528,11 +630,72 @@ impl Wire for RegimeMsg {
                 stamp: Wire::decode(dec)?,
                 op: dec.get_rest().to_vec(),
             }),
+            15 => Ok(RegimeMsg::Backup {
+                object: Wire::decode(dec)?,
+                epoch: Wire::decode(dec)?,
+                partition: Wire::decode(dec)?,
+                first_version: Wire::decode(dec)?,
+                ops: Wire::decode(dec)?,
+                stamped: Wire::decode(dec)?,
+            }),
+            16 => Ok(RegimeMsg::InstallBackup {
+                object: Wire::decode(dec)?,
+                epoch: Wire::decode(dec)?,
+                partition: Wire::decode(dec)?,
+                type_name: Wire::decode(dec)?,
+                state: dec.get_bytes()?,
+                version: Wire::decode(dec)?,
+                dedup: Wire::decode(dec)?,
+            }),
+            17 => Ok(RegimeMsg::PromoteBackup {
+                object: Wire::decode(dec)?,
+                epoch: Wire::decode(dec)?,
+                partition: Wire::decode(dec)?,
+            }),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeMsg",
                 tag: u64::from(tag),
             }),
         }
+    }
+}
+
+/// What one node holds of an object: the answer to
+/// [`RegimeMsg::Holdings`]. Partitions are `(partition, epoch, version)`;
+/// among holders of one partition the greater `(epoch, version)` is the
+/// fresher, so a backup a drain left behind never outranks its successor.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Holdings {
+    /// Registered type name of what is held (empty when nothing is).
+    pub type_name: String,
+    /// Sharded-regime partitions this node owns.
+    pub slots: Vec<(u32, u64, u64)>,
+    /// Partitions this node holds a backup of.
+    pub backups: Vec<(u32, u64, u64)>,
+    /// The read mirror held, as `(epoch, seq, state)`.
+    pub mirror: Option<(u64, u64, Vec<u8>)>,
+    /// Dedup window paired with the mirror's state (empty without one), so
+    /// an adopted home answers retried writes the dead home already
+    /// applied.
+    pub dedup: DedupWindow,
+}
+
+impl Wire for Holdings {
+    fn encode(&self, enc: &mut Encoder) {
+        self.type_name.encode(enc);
+        self.slots.encode(enc);
+        self.backups.encode(enc);
+        self.mirror.encode(enc);
+        self.dedup.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        Ok(Holdings {
+            type_name: Wire::decode(dec)?,
+            slots: Wire::decode(dec)?,
+            backups: Wire::decode(dec)?,
+            mirror: Wire::decode(dec)?,
+            dedup: Wire::decode(dec)?,
+        })
     }
 }
 
@@ -575,18 +738,12 @@ pub enum RegimeReply {
     Ack,
     /// The request failed.
     Error(String),
-    /// Reply to [`RegimeMsg::MirrorQuery`]: the freshest mirror this node
-    /// holds, or `None` when it has no copy of the object.
-    MirrorReport {
-        /// The mirror's `(epoch, seq, type_name, state)`, if one is held.
-        mirror: Option<(u64, u64, String, Vec<u8>)>,
-        /// Dedup window paired with the reported state (empty when no
-        /// mirror is held), so an adopted home answers retried writes the
-        /// dead home already applied.
-        dedup: DedupWindow,
-    },
-    /// The object's state did not survive the failure (no authoritative
-    /// copy and no mirror left); operations on it can never succeed.
+    /// Reply to [`RegimeMsg::Holdings`] (boxed: the rare reply is the
+    /// largest by far).
+    Holdings(Box<Holdings>),
+    /// The object's state did not survive the failure (a partition with no
+    /// owner and no backup left, or no authoritative copy and no mirror);
+    /// operations on it can never succeed.
     ObjectLost,
     /// Per-operation outcomes of an operation batch
     /// ([`RegimeMsg::OP_BATCH_TAG`]), in batch order.
@@ -640,10 +797,9 @@ impl Wire for RegimeReply {
                 enc.put_u8(7);
                 msg.encode(enc);
             }
-            RegimeReply::MirrorReport { mirror, dedup } => {
+            RegimeReply::Holdings(held) => {
                 enc.put_u8(8);
-                mirror.encode(enc);
-                dedup.encode(enc);
+                held.encode(enc);
             }
             RegimeReply::ObjectLost => enc.put_u8(9),
             RegimeReply::Batch(outcomes) => {
@@ -676,10 +832,7 @@ impl Wire for RegimeReply {
             }),
             6 => Ok(RegimeReply::Ack),
             7 => Ok(RegimeReply::Error(Wire::decode(dec)?)),
-            8 => Ok(RegimeReply::MirrorReport {
-                mirror: Wire::decode(dec)?,
-                dedup: Wire::decode(dec)?,
-            }),
+            8 => Ok(RegimeReply::Holdings(Wire::decode(dec)?)),
             9 => Ok(RegimeReply::ObjectLost),
             10 => Ok(RegimeReply::Batch(Wire::decode(dec)?)),
             11 => Ok(RegimeReply::Installed {
@@ -789,7 +942,29 @@ mod tests {
                 seq: 13,
                 lease: Some(grant()),
             },
-            RegimeMsg::MirrorQuery { object: 9 },
+            RegimeMsg::Holdings { object: 9 },
+            RegimeMsg::Backup {
+                object: 9,
+                epoch: 3,
+                partition: 2,
+                first_version: 8,
+                ops: vec![vec![1], vec![2, 3]],
+                stamped: Some((OpStamp { origin: 0, seq: 2 }, vec![6])),
+            },
+            RegimeMsg::InstallBackup {
+                object: 9,
+                epoch: 3,
+                partition: 2,
+                type_name: "orca.Set".into(),
+                state: vec![7; 4],
+                version: 12,
+                dedup: window(),
+            },
+            RegimeMsg::PromoteBackup {
+                object: 9,
+                epoch: 3,
+                partition: 2,
+            },
             RegimeMsg::WriteThrough {
                 object: 9,
                 epoch: 3,
@@ -823,14 +998,14 @@ mod tests {
             },
             RegimeReply::Ack,
             RegimeReply::Error("nope".into()),
-            RegimeReply::MirrorReport {
-                mirror: None,
-                dedup: DedupWindow::new(),
-            },
-            RegimeReply::MirrorReport {
-                mirror: Some((4, 17, "orca.Int".into(), vec![7])),
+            RegimeReply::Holdings(Box::default()),
+            RegimeReply::Holdings(Box::new(Holdings {
+                type_name: "orca.KvTable".into(),
+                slots: vec![(0, 4, 9)],
+                backups: vec![(1, 4, 3), (1, 3, 40)],
+                mirror: Some((4, 17, vec![7])),
                 dedup: window(),
-            },
+            })),
             RegimeReply::ObjectLost,
             RegimeReply::Installed {
                 reply: vec![5],

@@ -344,101 +344,84 @@ fn truncated_scalar_reports_unexpected_eof() {
     assert!(f64::from_bytes(&[0u8; 7]).is_err());
 }
 
-fn random_route_table(gen: &mut Gen) -> orca_wire::ShardRouteTable {
-    orca_wire::ShardRouteTable {
-        object: gen.next_u64(),
-        type_name: gen.string(),
-        sharded: gen.below(2) == 0,
-        version: gen.next_u64(),
-        owners: (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect(),
-    }
+fn random_parts(gen: &mut Gen) -> Vec<(u32, u64, u64)> {
+    (0..gen.below(6))
+        .map(|_| (gen.next_u64() as u32, gen.next_u64(), gen.next_u64()))
+        .collect()
 }
 
+/// The messages that keep a shard — one partition of a sharded-regime
+/// object — alive across its owner's death: backup shipping, promotion and
+/// the holdings report. None of them has a tail, so besides round-tripping,
+/// every strict prefix of an encoding and every unassigned tag must be
+/// rejected.
 #[test]
 fn shard_messages_round_trip() {
-    use orca_wire::{ShardMsg, ShardPartId, ShardReply};
+    use orca_wire::{Holdings, RegimeMsg, RegimeReply};
     let mut gen = Gen::new(0xDEC0DE0C);
     for case in 0..*CASES {
-        let shard = ShardPartId {
-            object: gen.next_u64(),
-            partition: gen.next_u64() as u32,
-        };
-        let msg = match gen.below(11) {
-            0 => ShardMsg::Route {
-                object: gen.next_u64(),
-            },
-            10 => ShardMsg::BackupBatch {
-                shard,
-                ops: (0..gen.below(6)).map(|_| gen.bytes(24)).collect(),
+        let object = gen.next_u64();
+        let epoch = gen.next_u64();
+        let partition = gen.next_u64() as u32;
+        let msg = match gen.below(4) {
+            0 => RegimeMsg::Holdings { object },
+            1 => RegimeMsg::Backup {
+                object,
+                epoch,
+                partition,
                 first_version: gen.next_u64(),
-            },
-            1 => ShardMsg::Op {
-                shard,
-                op: gen.bytes(48),
-                stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
-            },
-            2 => ShardMsg::Install {
-                shard,
-                type_name: gen.string(),
-                state: gen.bytes(48),
-                version: gen.next_u64(),
-                dedup: random_dedup(&mut gen),
-            },
-            3 => ShardMsg::Migrate {
-                shard,
-                dst: gen.next_u64() as u16,
-            },
-            4 => ShardMsg::Backup {
-                shard,
-                op: gen.bytes(48),
-                version: gen.next_u64(),
+                ops: (0..gen.below(6)).map(|_| gen.bytes(24)).collect(),
                 stamped: (gen.below(2) == 0).then(|| (random_stamp(&mut gen), gen.bytes(16))),
             },
-            5 => ShardMsg::InstallBackup {
-                shard,
+            2 => RegimeMsg::InstallBackup {
+                object,
+                epoch,
+                partition,
                 type_name: gen.string(),
                 state: gen.bytes(48),
                 version: gen.next_u64(),
                 dedup: random_dedup(&mut gen),
             },
-            6 => ShardMsg::PromoteBackup { shard },
-            7 => ShardMsg::ReportOwned {
-                object: gen.next_u64(),
-            },
-            _ => ShardMsg::HandOff {
-                shard,
-                dst: gen.next_u64() as u16,
+            _ => RegimeMsg::PromoteBackup {
+                object,
+                epoch,
+                partition,
             },
         };
         assert_roundtrip(&msg, case);
-        let reply = match gen.below(9) {
-            0 => ShardReply::Done(gen.bytes(48)),
-            1 => ShardReply::Blocked,
-            8 => ShardReply::Batch(
-                (0..gen.below(6))
-                    .map(|_| random_outcome(&mut gen))
-                    .collect(),
-            ),
-            2 => ShardReply::Route(random_route_table(&mut gen)),
-            3 => ShardReply::StaleRoute,
-            4 => ShardReply::Ack,
-            5 => ShardReply::Owned {
-                type_name: gen.string(),
-                owned: (0..gen.below(6))
-                    .map(|_| (gen.next_u64() as u32, gen.next_u64()))
-                    .collect(),
-                backups: (0..gen.below(6))
-                    .map(|_| (gen.next_u64() as u32, gen.next_u64()))
-                    .collect(),
-            },
-            6 => ShardReply::ObjectLost,
-            _ => ShardReply::Error(gen.string()),
-        };
+        let reply = RegimeReply::Holdings(Box::new(Holdings {
+            type_name: gen.string(),
+            slots: random_parts(&mut gen),
+            backups: random_parts(&mut gen),
+            mirror: (gen.below(2) == 0).then(|| (gen.next_u64(), gen.next_u64(), gen.bytes(48))),
+            dedup: random_dedup(&mut gen),
+        }));
         assert_roundtrip(&reply, case);
-        // Garbage decoding must error out, never panic.
-        let bytes = gen.bytes(32);
-        let _ = ShardMsg::from_bytes(&bytes);
-        let _ = ShardReply::from_bytes(&bytes);
+
+        let mut bytes = msg.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                RegimeMsg::from_bytes(&bytes[..cut]).is_err(),
+                "case {case}: {msg:?} cut to {cut} bytes decoded"
+            );
+        }
+        bytes[0] = 18 + gen.below(238) as u8;
+        assert!(
+            RegimeMsg::from_bytes(&bytes).is_err(),
+            "case {case}: bad tag"
+        );
+        let mut bytes = reply.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                RegimeReply::from_bytes(&bytes[..cut]).is_err(),
+                "case {case}: {reply:?} cut to {cut} bytes decoded"
+            );
+        }
+        bytes[0] = 12 + gen.below(244) as u8;
+        assert!(
+            RegimeReply::from_bytes(&bytes).is_err(),
+            "case {case}: bad tag"
+        );
     }
 }
 
@@ -472,7 +455,7 @@ fn regime_messages_round_trip() {
                 op: gen.bytes(48),
                 stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
             },
-            12 => RegimeMsg::MirrorQuery { object },
+            12 => RegimeMsg::Holdings { object },
             1 => RegimeMsg::Op {
                 object,
                 epoch,
@@ -556,14 +539,13 @@ fn regime_messages_round_trip() {
                 lease: (gen.below(2) == 0).then(|| random_lease(&mut gen)),
             },
             6 => RegimeReply::Ack,
-            7 => RegimeReply::MirrorReport {
-                mirror: if gen.below(2) == 0 {
-                    None
-                } else {
-                    Some((gen.next_u64(), gen.next_u64(), gen.string(), gen.bytes(48)))
-                },
+            7 => RegimeReply::Holdings(Box::new(orca_wire::Holdings {
+                type_name: gen.string(),
+                slots: random_parts(&mut gen),
+                backups: random_parts(&mut gen),
+                mirror: None,
                 dedup: random_dedup(&mut gen),
-            },
+            })),
             8 => RegimeReply::ObjectLost,
             _ => RegimeReply::Error(gen.string()),
         };
@@ -661,7 +643,7 @@ fn assert_tail<T: Wire + std::fmt::Debug>(bytes: &[u8], tail: &[u8], case: usize
 #[test]
 fn envelopes_and_tail_bodied_messages_round_trip() {
     use orca_wire::envelope::{frame_reply, split_reply};
-    use orca_wire::{RegimeMsg, RegimeReply, RequestHead, ShardMsg, ShardPartId, ShardReply};
+    use orca_wire::{RegimeMsg, RegimeReply, RequestHead};
     let mut gen = Gen::new(0x7A11_B0D1);
     for case in 0..*CASES {
         // The RPC envelope: head, then the body to the end, borrowed.
@@ -702,12 +684,6 @@ fn envelopes_and_tail_bodied_messages_round_trip() {
         let stamp = (gen.below(2) == 0).then(|| random_stamp(&mut gen));
         let (object, epoch) = (gen.next_u64(), gen.next_u64());
         let partition = gen.next_u64() as u32;
-        let shard_op = ShardMsg::Op {
-            shard: ShardPartId { object, partition },
-            op: op.clone(),
-            stamp,
-        };
-        assert_tail::<ShardMsg>(&shard_op.to_bytes(), &op, case);
         for msg in [
             RegimeMsg::Op {
                 object,
@@ -729,7 +705,6 @@ fn envelopes_and_tail_bodied_messages_round_trip() {
         ] {
             assert_tail::<RegimeMsg>(&msg.to_bytes(), &op, case);
         }
-        assert_tail::<ShardReply>(&ShardReply::Done(op.clone()).to_bytes(), &op, case);
         assert_tail::<RegimeReply>(&RegimeReply::Done(op.clone()).to_bytes(), &op, case);
         let installed = RegimeReply::Installed {
             reply: op.clone(),
@@ -942,11 +917,12 @@ fn batch_codec_round_trips_and_the_view_matches_the_owned_decode() {
 
 #[test]
 fn batch_requests_are_recognised_by_their_tag() {
-    use orca_wire::{OpBatchEncoder, OpBatchView, RegimeMsg, ShardMsg};
+    use orca_wire::{OpBatchEncoder, OpBatchView, RegimeMsg};
     let mut gen = Gen::new(0x0B5E_55ED);
     for case in 0..*CASES {
         let batch = random_batch(&mut gen);
-        let tag = [ShardMsg::OP_BATCH_TAG, RegimeMsg::OP_BATCH_TAG][gen.below(2)];
+        // The regime protocol's tag, or any other byte a protocol might pick.
+        let tag = [RegimeMsg::OP_BATCH_TAG, gen.next_u64() as u8][gen.below(2)];
         let mut enc = OpBatchEncoder::request(tag, gen.below(64));
         for op in &batch.ops {
             enc.push(op.as_op_ref());
@@ -957,8 +933,7 @@ fn batch_requests_are_recognised_by_their_tag() {
             .unwrap_or_else(|err| panic!("case {case}: {err}"));
         assert!(view.iter().eq(batch.ops.iter().map(|op| op.as_op_ref())));
         assert!(OpBatchView::from_request(tag ^ 1, &request).is_none());
-        // A batch request is not an owned message of either protocol.
-        assert!(ShardMsg::from_bytes(&request).is_err() || tag != ShardMsg::OP_BATCH_TAG);
+        // A batch request is not an owned message of the protocol.
         assert!(RegimeMsg::from_bytes(&request).is_err() || tag != RegimeMsg::OP_BATCH_TAG);
         // A truncated or trailing-garbage request is refused whole.
         if request.len() > 1 {
