@@ -156,6 +156,27 @@ fn main() {
         "the idle creator owns a partition: {placement:?}"
     );
     assert!(placement.contains(&NodeId(1)) && placement.contains(&NodeId(2)));
+    // A second object, mostly read, from the same two nodes: replicated,
+    // its copy on node 1, which used it first, and — re-placed once node
+    // 2's reports are in — a mirror on node 2; nothing on the creator.
+    let gauge = adaptive.create::<IntObject>(&0).unwrap();
+    for user in [1, 2] {
+        for op in 0..32 {
+            let ctx = adaptive.context(user);
+            let op = if op % 8 == 7 {
+                IntOp::Add(1)
+            } else {
+                IntOp::Value
+            };
+            ctx.invoke(gauge, &op).unwrap();
+        }
+    }
+    assert_eq!(
+        adaptive.object_regime(gauge.id()),
+        Some(RegimeKind::Replicated)
+    );
+    assert_eq!(adaptive.object_placement(gauge.id()), Some(vec![NodeId(1)]));
+    assert_eq!(adaptive.copy_holders(0, gauge.id()), Some(vec![NodeId(2)]));
     let adaptive_snap = adaptive.telemetry().registry().snapshot();
     merge_counters(&mut snapshot.counters, &adaptive_snap.counters, |name| {
         name.starts_with("rts.adaptive.") || name.ends_with(".regime_switches")

@@ -574,14 +574,18 @@ impl OrcaRuntime {
         }
     }
 
-    /// Nodes registered as secondary-copy holders at `node`'s primary
-    /// record of `object` (primary-copy strategy only; `None` otherwise,
-    /// empty when `node` is not the object's primary). Used by tests and
-    /// the model checker to time workloads against the fetch protocol's
-    /// registration point.
+    /// Nodes that hold a copy of `object` besides its authoritative one.
+    /// Primary-copy strategy: the secondary-copy holders registered at
+    /// `node`'s primary record (empty when `node` is not the object's
+    /// primary) — tests and the model checker time workloads against the
+    /// fetch protocol's registration point with it. Adaptive strategy: the
+    /// read mirrors the object's published table lists, as `node` reads it
+    /// from the home (empty outside the replicated regime). `None` under
+    /// the other strategies.
     pub fn copy_holders(&self, node: usize, object: ObjectId) -> Option<Vec<NodeId>> {
         match &self.rtses[node] {
             NodeRts::Primary(rts) => Some(rts.copy_holders(object)),
+            NodeRts::Adaptive(rts) => rts.copy_holders(object).ok(),
             _ => None,
         }
     }
@@ -620,8 +624,10 @@ impl OrcaRuntime {
 
     /// The node owning each authoritative replica of `object` under the
     /// adaptive runtime system — one per partition in the sharded regime,
-    /// the home otherwise (freshly read from the object's home node) — or
-    /// `None` when another strategy is running.
+    /// the single copy's owner otherwise: the home in the primary regime,
+    /// a node that writes the object in the replicated one (freshly read
+    /// from the object's home node) — or `None` when another strategy is
+    /// running.
     pub fn object_placement(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         match self.live_rts() {
             NodeRts::Adaptive(rts) => rts.placement_of(object).ok().map(|(_, _, owners)| owners),

@@ -902,6 +902,17 @@ impl Scenario for AdaptiveRegimeSwitch {
         };
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
+        // One report of node 1's is in before the schedule starts. The
+        // worker on the home finishes before any message is delivered, so
+        // its reports close the first window on their own — and a replicated
+        // regime places a mirror only where it knows of a reader: without
+        // this the switch would involve nobody but the home and race
+        // nothing.
+        for _ in 0..2 {
+            rt.context(1)
+                .invoke(handle, &IntOp::Value)
+                .map_err(|e| format!("usage-priming read failed: {e}"))?;
+        }
         rt.network().set_scheduler(Some(exec.scheduler()));
         let workers: Vec<_> = (0..2)
             .map(|node| {

@@ -26,6 +26,7 @@ mod tests {
             epoch: 0,
             regime: RegimeKind::Primary,
             owners: vec![2],
+            mirrors: Vec::new(),
         };
         assert_eq!(table_object(&table), object);
         // Raw u64 carriage matches ObjectId's own wire encoding.

@@ -8,12 +8,15 @@
 //! the same run are stuck with the same machinery. This fourth runtime
 //! system makes the regime a *per-object, dynamic* property:
 //!
-//! * **Replicated** — one authoritative copy at the object's home node plus
-//!   a read mirror on every node. Writes execute at home, which pushes
-//!   sequence-numbered updates to all mirrors (two-phase lock/unlock — the
+//! * **Replicated** — one authoritative copy at the object's *owner*, a
+//!   node that writes it, plus a read mirror on every other node that reads
+//!   it; the table names both. Writes execute at the owner, which pushes
+//!   sequence-numbered updates to its mirrors (two-phase lock/unlock — the
 //!   primary-copy update protocol's fan-out, shared in the `update`
 //!   module); a writer that holds a mirror writes *through* it and is left
-//!   out of the push. Reads are local. For read-dominated objects.
+//!   out of the push. Reads are local at the owner and at a mirror; a node
+//!   the table lists neither for ships them to the owner. For
+//!   read-dominated objects.
 //! * **Primary** — a single copy at the home node, all remote operations
 //!   shipped by RPC. For mixed or low-traffic objects (and the regime
 //!   every object starts in).
@@ -45,9 +48,11 @@
 //! is answered by an owner; only a replicated-regime table, whose reads ask
 //! nobody, also expires ([`AdaptivePolicy::regime_lease`]).
 //!
-//! The per-node counts also decide *where* a sharded-regime object lives:
-//! its partitions are spread over the nodes that use it (the rule is in
-//! the `policy` module), and when those change the partitions are
+//! The per-node counts also decide *where* an object lives (the rules are
+//! in the `policy` module): a sharded-regime object's partitions are spread
+//! over the nodes that use it; a replicated-regime object's copy sits on a
+//! node that writes it — it moves only when its owner stops writing — and
+//! its mirrors on the nodes that read it. When those change the object is
 //! re-placed by a switch to the same regime.
 //!
 //! ## The switch protocol (drain → merge → install → publish)
@@ -56,22 +61,26 @@
 //! or double-applied across the change:
 //!
 //! 1. **Drain.** The home withdraws every authoritative replica of the old
-//!    regime (its own directly, remote partition owners via
-//!    [`RegimeMsg::Drain`]). Withdrawal marks the slot under its replica
-//!    mutex and removes it: an in-flight operation that already cloned the
-//!    slot acquires the mutex, sees the mark, and is answered `StaleRegime`
-//!    instead of being applied to (and acknowledged against) an orphaned
-//!    replica — the caller retries under the new regime. Mirrors of a
-//!    retiring replicated regime are dropped first ([`RegimeMsg::DropMirror`])
-//!    so no node keeps serving pre-switch reads; the lease bounds the
-//!    staleness window if a drop notification is lost to a crash.
+//!    regime (its own directly, remote owners' via [`RegimeMsg::Drain`]).
+//!    Withdrawal marks the slot under its replica mutex and removes it: an
+//!    in-flight operation that already cloned the slot acquires the mutex,
+//!    sees the mark, and is answered `StaleRegime` instead of being applied
+//!    to (and acknowledged against) an orphaned replica — the caller
+//!    retries under the new regime. The owner of a retiring replicated
+//!    regime drops its mirrors ([`RegimeMsg::DropMirror`]) and settles the
+//!    leases it granted them before it hands the state over, so no node
+//!    keeps serving pre-switch reads; the regime lease bounds the staleness
+//!    window if a drop notification is lost to a crash.
 //! 2. **Merge.** Partition states of a retiring sharded regime are
 //!    recombined with the type's [`orca_object::ShardLogic::merge_states`].
 //! 3. **Install.** The new regime's replicas are installed under
-//!    `epoch + 1` ([`RegimeMsg::Install`] / [`RegimeMsg::Mirror`]). If a
-//!    remote install fails (crashed node), the switch falls back to a
-//!    primary copy at home under a further epoch — the merged state is in
-//!    hand, so the fallback cannot fail and no state is lost.
+//!    `epoch + 1` ([`RegimeMsg::Install`]); the node that installs a
+//!    replicated regime's copy primes the mirrors the table lists
+//!    ([`RegimeMsg::Mirror`]) and is their lease grantor from then on. If
+//!    a remote install fails (crashed node), a switch into a regime falls
+//!    back to a primary copy at home under a further epoch — the merged
+//!    state is in hand, so the fallback cannot fail and no state is lost —
+//!    and a re-placement goes back to the owners and epoch it had.
 //! 4. **Publish.** The home's table gets the new epoch; stale caches
 //!    recover through `StaleRegime` replies or lease expiry.
 //!
@@ -90,23 +99,26 @@
 //! once what it holds of the object ([`RegimeMsg::Holdings`]) and promotes,
 //! per orphaned partition, the backup of the table's epoch with the highest
 //! version; the partitions keep their epoch, and clients learn of the new
-//! owner because they distrust a cached table that names a dead one. When
-//! the *home* dies the lowest live node adopts the object on first contact
-//! with the same two steps: the newest epoch any survivor holds a part of
-//! is the object's, every partition of it must have a slot or a backup (how
-//! many there are follows from the policy every node runs), and a
-//! replicated-regime object is regenerated from its freshest read mirror
-//! instead. What leaves neither — a primary-regime copy, a partition whose
-//! owner and backup both died — is lost, explicitly
-//! ([`RtsError::ObjectLost`]).
+//! owner because they distrust a cached table that names a dead one. A
+//! replicated regime's copy has its mirrors for backups: when its owner
+//! dies the home regenerates it from the freshest one, as a primary copy of
+//! its own under the next epoch. When the *home* dies the lowest live node
+//! adopts the object on first contact with the same steps: the newest epoch
+//! any survivor holds a part of is the object's, every partition of it must
+//! have a slot or a backup (how many there are follows from the policy
+//! every node runs), a replicated-regime copy whose owner survives keeps
+//! serving under the epoch it has, and one that died with the home is
+//! regenerated from its freshest read mirror. What leaves none of these — a
+//! primary-regime copy, a partition whose owner and backup both died — is
+//! lost, explicitly ([`RtsError::ObjectLost`]).
 //!
 //! ## Residual windows
 //!
 //! Update pushes to mirrors and mirror drops are best-effort under node
 //! crashes (exactly like the primary-copy RTS's invalidation/update
 //! fan-out): a mirror that misses an update detects the sequence gap on the
-//! next update and re-syncs, and the regime lease bounds how long a node
-//! can act on a retired table. On a live network both paths are reliable.
+//! next update and re-syncs from the owner, and the regime lease bounds how
+//! long a node can act on a retired table. On a live network both paths are reliable.
 
 pub(crate) mod messages;
 mod policy;
@@ -138,7 +150,7 @@ use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
-use policy::{pick_regime, place, UsageAggregate};
+use policy::{pick_regime, place, Count, UsageAggregate};
 
 pub use policy::AdaptivePolicy;
 
@@ -150,7 +162,7 @@ const MIRROR_GUARD_WAIT: Duration = Duration::from_millis(100);
 /// unlock before re-checking.
 const MIRROR_LOCK_WAIT: Duration = Duration::from_millis(50);
 
-/// One authoritative replica (the home copy under the primary/replicated
+/// One authoritative replica (the single copy under the primary/replicated
 /// regimes, or one partition under the sharded regime) held by this node.
 struct Slot {
     replica: Mutex<Box<dyn AnyReplica>>,
@@ -164,20 +176,24 @@ struct Slot {
     /// silently lost across the switch.
     withdrawn: AtomicBool,
     /// The regime this slot serves, which is what a completed write owes
-    /// before it is acknowledged: under the replicated regime (the home
-    /// copy) a sequence-numbered update to every mirror, under the sharded
-    /// regime — with recovery enabled — a copy to the partition's backup.
+    /// before it is acknowledged: under the replicated regime a
+    /// sequence-numbered update to every mirror, under the sharded regime —
+    /// with recovery enabled — a copy to the partition's backup.
     regime: RegimeKind,
+    /// The nodes holding a read mirror of a replicated-regime slot, as the
+    /// table of its epoch lists them: primed when the slot was installed,
+    /// pushed every write, dropped when it is drained.
+    mirrors: Vec<u16>,
     /// Recently applied stamped writes and their replies (exactly-once
     /// across client retries; travels with the state through regime
     /// switches and adoption). Locked strictly after — and only while
     /// holding — the replica mutex.
     dedup: Mutex<DedupWindow>,
-    /// Read-lease bookkeeping of a replicated-regime home copy.
+    /// Read-lease bookkeeping of a replicated-regime slot.
     leases: Mutex<SlotLeases>,
 }
 
-/// Home-side read-lease state of one authoritative slot.
+/// Grantor-side read-lease state of one authoritative slot.
 #[derive(Default)]
 struct SlotLeases {
     /// Conservative expiry (on the grantor's clock, twice the holder-side
@@ -186,7 +202,7 @@ struct SlotLeases {
     /// completing.
     grants: HashMap<u16, Instant>,
     /// Writes may not execute before this instant. Set when this slot was
-    /// installed by home adoption: the dead home's outstanding grants are
+    /// regenerated from a mirror: the dead owner's outstanding grants are
     /// unknown, so the first write conservatively waits out a full grant
     /// span (reads need no fence — every valid lease covers a mirror that
     /// already contains every acknowledged write).
@@ -214,8 +230,8 @@ struct BackupState {
 /// One node's read mirror of a replicated-regime object: the copy the
 /// update protocol keeps current (its version is the sequence number of
 /// the last update applied), under this runtime's lease record. Reads
-/// serve locally only while the lease is valid; a lapsed lease forces a
-/// re-sync from the home (which doubles as the renewal).
+/// serve locally only while the lease is valid; a lapsed lease is renewed
+/// at the owner, which ships the state along only if the copy fell behind.
 type MirrorState = CopyState<MirrorLease>;
 
 /// A mirror with the condition variable its readers and writers park on.
@@ -286,8 +302,9 @@ struct Inner {
     /// Cached `rts.lease.*` telemetry counters (shared names with the
     /// primary-copy RTS).
     lease_counters: LeaseCounters,
-    /// `rts.adaptive.replacements`: switches that kept the sharded regime
-    /// and moved its partitions (a subset of `regime_switches`).
+    /// `rts.adaptive.replacements`: switches that kept the regime and moved
+    /// what it places by use — a sharded regime's partitions, a replicated
+    /// regime's owner or mirrors (a subset of `regime_switches`).
     replacements: Counter,
     /// This node's end of the two-phase update fan-out.
     updates: UpdateChannel,
@@ -496,17 +513,30 @@ impl AdaptiveRts {
 
     /// The regime currently serving `object`, its epoch and the owner of
     /// each of its authoritative replicas (one per partition under the
-    /// sharded regime, the home otherwise), freshly fetched from the home
-    /// node (bypassing this node's cache).
+    /// sharded regime, the one copy's otherwise), freshly fetched from the
+    /// home node (bypassing this node's cache).
     pub fn placement_of(
         &self,
         object: ObjectId,
     ) -> Result<(RegimeKind, u64, Vec<NodeId>), RtsError> {
-        self.inner.routes.lock().remove(&object);
-        let deadline = Instant::now() + self.inner.policy.op_timeout;
-        let table = self.route_for(object, deadline)?;
+        let table = self.fresh_table(object)?;
         let owners = table.owners.iter().map(|&owner| NodeId(owner)).collect();
         Ok((table.regime, table.epoch, owners))
+    }
+
+    /// The nodes the published table lists as holding a read mirror of
+    /// `object` (none outside the replicated regime), freshly fetched like
+    /// [`AdaptiveRts::placement_of`].
+    pub fn copy_holders(&self, object: ObjectId) -> Result<Vec<NodeId>, RtsError> {
+        let table = self.fresh_table(object)?;
+        Ok(table.mirrors.iter().map(|&mirror| NodeId(mirror)).collect())
+    }
+
+    /// The home's table of `object`, bypassing this node's cache.
+    fn fresh_table(&self, object: ObjectId) -> Result<Arc<RegimeTable>, RtsError> {
+        self.inner.routes.lock().remove(&object);
+        let deadline = Instant::now() + self.inner.policy.op_timeout;
+        self.route_for(object, deadline)
     }
 
     /// Ask the object's home node to re-evaluate its regime right now from
@@ -775,42 +805,38 @@ impl AdaptiveRts {
             };
             let me = self.inner.node.0;
             match table.regime {
-                RegimeKind::Primary => {
+                RegimeKind::Replicated
+                    if op.kind == OpKind::Read && table.mirrors.contains(&me) =>
+                {
+                    // Barrier before the local mirror read: this process's
+                    // earlier batched writes must be visible to it (the
+                    // owner pushes mirror updates before it acknowledges a
+                    // batch, so flushing first gives read-your-writes).
+                    self.flush_batches(&mut batches, &mut stale, slots, deadline);
+                    if stale.iter().any(|&s| ops[s].object == op.object) {
+                        stale.push(i);
+                        continue;
+                    }
+                    // Local mirror read (fetching/re-syncing as needed).
+                    slots[i] = match self.mirror_read(&table, &op.op, deadline) {
+                        Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
+                        Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
+                        Ok(PartOutcome::Stale) => {
+                            stale.push(i);
+                            continue;
+                        }
+                        Err(err) => RoundSlot::Ready(Err(err)),
+                    };
+                }
+                // One copy: every operation goes to its owner — under the
+                // replicated regime every write, and the reads of the owner
+                // and of a node the table lists no mirror for.
+                RegimeKind::Primary | RegimeKind::Replicated => {
                     batches.push(
                         NodeId(table.owners[0]),
                         i,
                         op.batched(0, table.epoch, &op.op),
                     );
-                }
-                RegimeKind::Replicated => {
-                    if op.kind == OpKind::Read && table.owners[0] != me {
-                        // Barrier before the local mirror read: this
-                        // process's earlier batched writes must be visible
-                        // to it (the home pushes mirror updates before it
-                        // acknowledges a batch, so flushing first gives
-                        // read-your-writes).
-                        self.flush_batches(&mut batches, &mut stale, slots, deadline);
-                        if stale.iter().any(|&s| ops[s].object == op.object) {
-                            stale.push(i);
-                            continue;
-                        }
-                        // Local mirror read (fetching/re-syncing as needed).
-                        slots[i] = match self.mirror_read(&table, &op.op, deadline) {
-                            Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
-                            Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
-                            Ok(PartOutcome::Stale) => {
-                                stale.push(i);
-                                continue;
-                            }
-                            Err(err) => RoundSlot::Ready(Err(err)),
-                        };
-                    } else {
-                        batches.push(
-                            NodeId(table.owners[0]),
-                            i,
-                            op.batched(0, table.epoch, &op.op),
-                        );
-                    }
                 }
                 RegimeKind::Sharded => {
                     let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
@@ -987,8 +1013,8 @@ impl AdaptiveRts {
         }
     }
 
-    /// Serve a replicated-regime read from the local mirror, fetching or
-    /// re-syncing it from the home when needed.
+    /// Serve a replicated-regime read from the mirror the table lists this
+    /// node for, fetching or re-syncing it from the owner when needed.
     fn mirror_read(
         &self,
         table: &RegimeTable,
@@ -999,23 +1025,19 @@ impl AdaptiveRts {
         loop {
             let mirror = mirror_entry(&self.inner, object);
             let mut state = mirror.state.lock();
-            if state.epoch != table.epoch || state.copy.is_none() {
-                drop(state);
-                if !self.fetch_mirror(object, table, &mirror, deadline)? {
-                    return Ok(PartOutcome::Stale);
-                }
-                continue;
-            }
-            if self.inner.leases_enabled() && !mirror_lease_valid(&self.inner, &state) {
-                // The lease lapsed (idle home) or the membership view moved
-                // under it. Re-sync from the home — the fresh snapshot
-                // carries a fresh grant, so the refetch doubles as the
-                // renewal.
+            let held = state.epoch == table.epoch && state.copy.is_some();
+            if !held || (self.inner.leases_enabled() && !mirror_lease_valid(&self.inner, &state)) {
+                // No copy of this epoch (a missed install, a copy dropped on
+                // a gap), or its lease lapsed (idle owner) or the
+                // membership view moved under it: ask the owner, naming the
+                // version of an unlocked copy — if that is current the
+                // grant alone comes back, not the state.
                 if Instant::now() >= deadline {
                     return Ok(PartOutcome::Stale);
                 }
+                let have = (held && !state.locked).then_some(state.version);
                 drop(state);
-                if !self.fetch_mirror(object, table, &mirror, deadline)? {
+                if !self.fetch_mirror(object, table, &mirror, have, deadline)? {
                     return Ok(PartOutcome::Stale);
                 }
                 continue;
@@ -1026,7 +1048,7 @@ impl AdaptiveRts {
                 // lock that never clears (the unlock was lost to a crash
                 // mid-push) must not wedge this mirror forever: once the
                 // deadline passes, discard the copy — the next read
-                // re-syncs a fresh, unlocked state from the home — and
+                // re-syncs a fresh, unlocked state from the owner — and
                 // hand back Stale so the caller's deadline check fails
                 // this invocation instead of hanging.
                 if Instant::now() >= deadline {
@@ -1058,13 +1080,14 @@ impl AdaptiveRts {
     }
 
     /// Ship a replicated-regime write *through* this node's mirror: mark it
-    /// pending, send [`RegimeMsg::WriteThrough`] — the home then pushes the
+    /// pending, send [`RegimeMsg::WriteThrough`] — the owner then pushes the
     /// update to the other mirrors only — and apply the operation here from
-    /// the acknowledgement ([`finish_write_through`]). `None` when this node
-    /// is the home or holds no installed mirror of the table's epoch; the
-    /// write then ships as a plain [`RegimeMsg::Op`]. The mark lasts one
-    /// attempt: a guard-blocked write retries through the invocation loop
-    /// and must not keep this node's readers waiting meanwhile.
+    /// the acknowledgement ([`finish_write_through`]). `None` when the table
+    /// lists no mirror here (the owner's own node included) or none of its
+    /// epoch is installed; the write then goes as a plain [`RegimeMsg::Op`].
+    /// The mark lasts one attempt: a guard-blocked write retries through the
+    /// invocation loop and must not keep this node's readers waiting
+    /// meanwhile.
     fn write_through(
         &self,
         table: &RegimeTable,
@@ -1072,8 +1095,8 @@ impl AdaptiveRts {
         stamp: Option<OpStamp>,
         deadline: Instant,
     ) -> Option<Result<PartOutcome, RtsError>> {
-        let home = NodeId(table.owners[0]);
-        if home == self.inner.node {
+        let owner = NodeId(table.owners[0]);
+        if !table.mirrors.contains(&self.inner.node.0) {
             return None;
         }
         let object = table_object(table);
@@ -1087,34 +1110,34 @@ impl AdaptiveRts {
             op: op.to_vec(),
             stamp,
         };
-        let answer = self.rpc(home, &msg, deadline);
-        Some(self.finish_write_through(&mirror, table.epoch, op, stamp, home, answer))
+        let answer = self.rpc(owner, &msg, deadline);
+        Some(self.finish_write_through(&mirror, table.epoch, op, stamp, owner, answer))
     }
 
-    /// Close one write-through attempt: tell the mirror what the home's
+    /// Close one write-through attempt: tell the mirror what the owner's
     /// answer means for it ([`WriteAck`]) — which also clears the attempt's
     /// pending mark — and turn the answer into the attempt's outcome.
     ///
     /// * `Installed` — the mirror applies the operation bytes still in hand
-    ///   at the sequence number the home applied them at.
+    ///   at the sequence number the owner applied them at.
     /// * `Blocked` / `StaleRegime` — nothing was applied under this epoch;
     ///   the mirror is as current as it was (a retired regime's mirror goes
     ///   with its `DropMirror`).
-    /// * A plain `Done` — the home answered a retry from its dedup window
+    /// * A plain `Done` — the owner answered a retry from its dedup window
     ///   (or serves no mirrors): the mirror may have missed the write and
     ///   is dropped.
     /// * An error or a timeout — the write may or may not have been
-    ///   applied. With the home alive the mirror is dropped; with the home
+    ///   applied. With the owner alive the mirror is dropped; with the owner
     ///   dead and re-homing on it is left *locked*, like a mirror caught
-    ///   mid-push: it still answers the adopter's `Holdings` query and may be
-    ///   the freshest state alive.
+    ///   mid-push: it still answers the `Holdings` query of whoever
+    ///   regenerates the object and may be the freshest state alive.
     fn finish_write_through(
         &self,
         mirror: &Mirror,
         epoch: u64,
         op: &[u8],
         stamp: Option<OpStamp>,
-        home: NodeId,
+        owner: NodeId,
         answer: Result<RegimeReply, RtsError>,
     ) -> Result<PartOutcome, RtsError> {
         let inner = &self.inner;
@@ -1138,7 +1161,7 @@ impl AdaptiveRts {
                 ))),
             ),
             Err(err) => {
-                if inner.recovery.rehome && is_dead(&inner.detector, home) {
+                if inner.recovery.rehome && is_dead(&inner.detector, owner) {
                     (WriteAck::AuthorityLost, Err(err))
                 } else {
                     (WriteAck::Unsynced, Err(err))
@@ -1149,21 +1172,35 @@ impl AdaptiveRts {
         outcome
     }
 
-    /// Fetch a fresh mirror state from the home. Returns false when the
-    /// home says the epoch is stale (caller re-fetches the table).
+    /// Fetch a fresh mirror state — or, when the copy at version `have` is
+    /// still current, a fresh lease alone — from the owner the table names.
+    /// Returns false when the owner says the table is stale (the epoch, or
+    /// this node's place in it; the caller re-fetches the table).
     fn fetch_mirror(
         &self,
         object: ObjectId,
         table: &RegimeTable,
         mirror: &Mirror,
+        have: Option<u64>,
         deadline: Instant,
     ) -> Result<bool, RtsError> {
         let msg = RegimeMsg::FetchMirror {
             object: object.0,
             epoch: table.epoch,
+            have,
         };
-        let home = current_home(&self.inner, object);
-        match self.rpc(home, &msg, deadline)? {
+        match self.rpc(NodeId(table.owners[0]), &msg, deadline)? {
+            RegimeReply::Renewed(grant) => {
+                // Good for the version it names and no other: an update
+                // that got here first locked the copy, and its unlock
+                // brings the lease.
+                let mut state = mirror.state.lock();
+                if state.epoch == table.epoch && state.copy.is_some() && state.version == grant.seq
+                {
+                    state.lease = mirror_lease(&self.inner, &grant, table.epoch);
+                }
+                Ok(true)
+            }
             RegimeReply::MirrorState {
                 state,
                 seq,
@@ -1284,28 +1321,26 @@ impl AdaptiveRts {
     ) -> Result<PartOutcome, RtsError> {
         let me = self.inner.node.0;
         match table.regime {
-            RegimeKind::Primary => {
-                self.record_invocation(table.owners[0] == me, kind);
-                self.slot_op(table, 0, op, stamp, deadline)
+            RegimeKind::Replicated if kind == OpKind::Read && table.mirrors.contains(&me) => {
+                self.mirror_read(table, op, deadline)
             }
-            RegimeKind::Replicated => match kind {
-                OpKind::Read => {
-                    if table.owners[0] == me {
-                        // The home reads its authoritative copy directly.
-                        RtsStats::bump(&self.inner.stats.local_reads);
-                        self.slot_op(table, 0, op, stamp, deadline)
-                    } else {
-                        self.mirror_read(table, op, deadline)
-                    }
+            // One copy, every operation executed at its owner. Under the
+            // replicated regime that is every write — through the writer's
+            // own mirror when the table lists one — and the reads of the
+            // owner and of a node the table lists no mirror for: shipped
+            // like a primary-regime read and counted like one, so a node
+            // that starts reading is a user at the next evaluation.
+            RegimeKind::Primary | RegimeKind::Replicated => {
+                self.record_invocation(table.owners[0] == me, kind);
+                let through = match kind {
+                    OpKind::Write => self.write_through(table, op, stamp, deadline),
+                    OpKind::Read => None,
+                };
+                match through {
+                    Some(outcome) => outcome,
+                    None => self.slot_op(table, 0, op, stamp, deadline),
                 }
-                OpKind::Write => {
-                    self.record_invocation(table.owners[0] == me, kind);
-                    match self.write_through(table, op, stamp, deadline) {
-                        Some(outcome) => outcome,
-                        None => self.slot_op(table, 0, op, stamp, deadline),
-                    }
-                }
-            },
+            }
             RegimeKind::Sharded => {
                 let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
                     // Pinned, a type that does not shard: one partition at
@@ -1370,6 +1405,7 @@ impl RuntimeSystem for AdaptiveRts {
             epoch: 0,
             regime,
             owners,
+            mirrors: Vec::new(),
         };
         install_slots(inner, &table, initial_state, &DedupWindow::new())?;
         inner.homes.write().insert(
@@ -1518,8 +1554,8 @@ impl RuntimeSystem for AdaptiveRts {
 /// The node currently playing home for `object`: its creator while alive,
 /// the adopter (lowest live node) once the creator is dead and re-homing
 /// is enabled. Every home-addressed path (routing, proposals, usage
-/// reports, mirror fetches, `All` fan-outs) resolves through this, so a
-/// recovered object keeps adapting instead of RPC-ing its dead creator.
+/// reports, `All` fan-outs) resolves through this, so a recovered object
+/// keeps adapting instead of RPC-ing its dead creator.
 fn current_home(inner: &Arc<Inner>, object: ObjectId) -> NodeId {
     let creator = NodeId(object.creator_index());
     if is_dead(&inner.detector, creator) && inner.recovery.rehome {
@@ -1622,18 +1658,12 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             type_name,
             state,
             dedup,
+            regime,
+            mirrors,
         } => {
-            // Only the sharded regime has slots away from the home.
             let key = (ObjectId(object), partition);
-            match install_slot(
-                inner,
-                key,
-                epoch,
-                &type_name,
-                &state,
-                dedup,
-                RegimeKind::Sharded,
-            ) {
+            let placed = (regime, &mirrors[..]);
+            match install_slot(inner, key, epoch, &type_name, &state, dedup, placed) {
                 Ok(()) => RegimeReply::Ack,
                 Err(err) => RegimeReply::Error(err.to_string()),
             }
@@ -1656,9 +1686,11 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             dedup,
             lease,
         ),
-        RegimeMsg::FetchMirror { object, epoch } => {
-            serve_fetch_mirror(inner, ObjectId(object), epoch, caller)
-        }
+        RegimeMsg::FetchMirror {
+            object,
+            epoch,
+            have,
+        } => serve_fetch_mirror(inner, ObjectId(object), epoch, have, caller),
         RegimeMsg::DropMirror { object, epoch } => {
             let object = ObjectId(object);
             let mirror = inner.mirrors.read().get(&object).cloned();
@@ -1666,6 +1698,9 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
                 let mut state = mirror.state.lock();
                 if state.epoch <= epoch {
                     state.discard();
+                    // A switch that is undone installs this epoch's copy
+                    // again, and its versions start over.
+                    (state.version, state.seen) = (0, 0);
                     mirror.unlocked.notify_all();
                 }
             }
@@ -1789,11 +1824,10 @@ fn of_object<T>(
 fn holdings(inner: &Arc<Inner>, object: ObjectId) -> Holdings {
     let mut held = Holdings::default();
     for (partition, slot) in of_object(&inner.slots, object) {
-        if slot.regime == RegimeKind::Sharded {
-            let replica = slot.replica.lock();
-            held.type_name = replica.type_name().to_string();
-            held.slots.push((partition, slot.epoch, replica.version()));
-        }
+        let replica = slot.replica.lock();
+        held.type_name = replica.type_name().to_string();
+        let part = (partition, slot.epoch, replica.version(), slot.regime);
+        held.slots.push(part);
     }
     for (partition, backup) in of_object(&inner.backups, object) {
         let state = backup.state.lock();
@@ -1858,27 +1892,23 @@ fn reown(
         .into_iter()
         .enumerate()
         .map(|(partition, owner)| {
-            let partition = partition as u32;
-            let version = |parts: &[(u32, u64, u64)]| {
-                let part = parts
-                    .iter()
-                    .find(|(p, e, _)| (*p, *e) == (partition, epoch));
-                part.map(|(_, _, version)| *version)
-            };
+            let at = (partition as u32, epoch);
             if owner.is_some() {
                 return owner;
             }
-            if let Some((node, _)) = held.iter().find(|(_, h)| version(&h.slots).is_some()) {
+            let serves = |h: &Holdings| h.slots.iter().any(|(p, e, ..)| (*p, *e) == at);
+            if let Some((node, _)) = held.iter().find(|(_, h)| serves(h)) {
                 return Some(node.0);
             }
-            let backups = held
-                .iter()
-                .filter_map(|(node, h)| version(&h.backups).map(|v| (v, *node)));
+            let backups = held.iter().filter_map(|(node, h)| {
+                let backup = h.backups.iter().find(|(p, e, _)| (*p, *e) == at);
+                backup.map(|(_, _, version)| (*version, *node))
+            });
             let (_, holder) = backups.max()?;
             let promote = RegimeMsg::PromoteBackup {
                 object: object.0,
                 epoch,
-                partition,
+                partition: at.0,
             };
             let promoted = if holder == inner.node {
                 dispatch(inner, promote, inner.node)
@@ -1895,8 +1925,8 @@ fn reown(
     owners
 }
 
-/// Re-own the partitions of sharded-regime objects this node is home of
-/// whose owners `view` no longer contains. Run on every view change.
+/// Give the objects this node is home of whose owners `view` no longer
+/// contains live ones again. Run on every view change.
 fn recover_home_objects(inner: &Arc<Inner>, view: &ViewSnapshot) {
     let homes: Vec<_> = inner
         .homes
@@ -1911,36 +1941,121 @@ fn recover_home_objects(inner: &Arc<Inner>, view: &ViewSnapshot) {
 }
 
 /// [`recover_home_objects`] for one object; the caller holds its switch
-/// lock. The partitions keep their epoch: a client learns of the new owner
-/// because it distrusts any table that names a dead one.
+/// lock. Orphaned partitions are re-owned and keep their epoch: a client
+/// learns of the new owner because it distrusts any table that names a dead
+/// one. A replicated regime's one copy is regenerated here, at the home,
+/// from the freshest mirror of the table's epoch.
 fn recover_object(inner: &Arc<Inner>, object: ObjectId, entry: &HomeObject, view: &ViewSnapshot) {
     let table = Arc::clone(&entry.table.lock());
     let live = |owner: &u16| view.contains(NodeId(*owner));
-    if table.regime != RegimeKind::Sharded || table.owners.iter().all(live) {
+    if table.owners.iter().all(live) {
         return;
     }
-    let owners = table.owners.iter().map(|o| live(o).then_some(*o)).collect();
     let held = survey(inner, object, view);
-    match reown(inner, object, table.epoch, owners, &held, view) {
-        Some(owners) => {
-            *entry.table.lock() = Arc::new(RegimeTable {
-                owners,
-                ..RegimeTable::clone(&table)
-            })
-        }
-        None => {
-            inner.lost.write().insert(object);
+    let recovered = if table.regime == RegimeKind::Sharded {
+        let owners = table.owners.iter().map(|o| live(o).then_some(*o)).collect();
+        let owners = reown(inner, object, table.epoch, owners, &held, view);
+        owners.map(|owners| RegimeTable {
+            owners,
+            ..RegimeTable::clone(&table)
+        })
+    } else {
+        let mirror = freshest_mirror(&held, Some(table.epoch));
+        mirror.and_then(|(epoch, mirror)| regenerate(inner, object, epoch, mirror).ok())
+    };
+    let Some(recovered) = recovered else {
+        inner.lost.write().insert(object);
+        return;
+    };
+    let regenerated = recovered.epoch != table.epoch;
+    *entry.table.lock() = Arc::new(recovered);
+    if regenerated {
+        drop_copies(inner, object, table.epoch, view.alive.iter().copied());
+    }
+}
+
+/// The freshest read mirror the survivors hold — of `epoch` alone, when the
+/// table that lists it is known — by `(epoch, version)`; a locked one counts
+/// like any other. Returns its epoch and its holder's report.
+fn freshest_mirror(held: &[(NodeId, Holdings)], epoch: Option<u64>) -> Option<(u64, &Holdings)> {
+    let mirrors = held.iter().filter_map(|(_, h)| {
+        let (held_epoch, seq, _) = h.mirror.as_ref()?;
+        let wanted = epoch.is_none_or(|epoch| epoch == *held_epoch);
+        wanted.then_some(((*held_epoch, *seq), h))
+    });
+    let freshest = mirrors.max_by_key(|(rank, _)| *rank);
+    freshest.map(|((epoch, _), h)| (epoch, h))
+}
+
+/// Regenerate a replicated-regime object whose owner died from `mirror`,
+/// the freshest one of `epoch`, into a primary-regime copy on this node —
+/// its home, or the node adopting that role — under `epoch + 1`, and return
+/// the table to publish. The report's dedup window pairs with exactly that
+/// mirror's snapshot, so it is taken whole and never merged with another
+/// mirror's.
+fn regenerate(
+    inner: &Arc<Inner>,
+    object: ObjectId,
+    epoch: u64,
+    mirror: &Holdings,
+) -> Result<RegimeTable, RtsError> {
+    let (_, _, state) = mirror.mirror.as_ref().expect("ranked by its mirror");
+    let key = (object, 0);
+    let (name, dedup) = (&mirror.type_name, mirror.dedup.clone());
+    let placed = (RegimeKind::Primary, &[][..]);
+    install_slot(inner, key, epoch + 1, name, state, dedup, placed)?;
+    if inner.leases_enabled() {
+        // The dead owner's grant ledger died with it. Fence the new slot
+        // for a full conservative grant span: the first write waits it out,
+        // so any lease the dead owner granted before crashing has lapsed
+        // before a write of the new regime can become visible.
+        if let Some(slot) = inner.slots.read().get(&key) {
+            slot.leases.lock().fence = Some(Instant::now() + inner.grant_span());
         }
     }
+    Ok(RegimeTable {
+        object: object.0,
+        type_name: mirror.type_name.clone(),
+        epoch: epoch + 1,
+        regime: RegimeKind::Primary,
+        owners: vec![inner.node.0],
+        mirrors: Vec::new(),
+    })
+}
+
+/// Have `nodes` — this one among them, perhaps — discard what they hold of
+/// `object` up to regime `epoch`, read mirror and partition backups, so
+/// nobody keeps serving (or promotes) what that regime left behind. Returns
+/// the nodes that did; the regime lease bounds a missed drop.
+fn drop_copies(
+    inner: &Arc<Inner>,
+    object: ObjectId,
+    epoch: u64,
+    nodes: impl Iterator<Item = NodeId>,
+) -> Vec<NodeId> {
+    let drop_msg = RegimeMsg::DropMirror {
+        object: object.0,
+        epoch,
+    };
+    let dropped = nodes.filter(|node| {
+        let reply = if *node == inner.node {
+            Ok(dispatch(inner, drop_msg.clone(), inner.node))
+        } else {
+            regime_rpc(inner, *node, &drop_msg)
+        };
+        matches!(reply, Ok(RegimeReply::Ack))
+    });
+    dropped.collect()
 }
 
 /// Take over a dead creator's object on this node (the adopter) from what
 /// the survivors hold of it. Its newest epoch decides: partitions (slots
 /// and backups of a sharded regime) are re-owned where they are and keep
-/// serving under that epoch; a read mirror (replicated regime) is
-/// regenerated into a primary copy here under a fresh one. An object that
-/// left neither — a primary-regime copy, a partition whose owner and backup
-/// both died — is lost.
+/// serving under that epoch, and so does a replicated regime's one copy
+/// when its owner is among the survivors; when only read mirrors are, the
+/// freshest is regenerated into a primary copy here under a fresh epoch.
+/// An object that left none of these — a primary-regime copy at the dead
+/// home, a partition whose owner and backup both died — is lost.
 fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>, RtsError> {
     let _adoption = inner.adoption.lock();
     if let Some(entry) = inner.homes.read().get(&object).cloned() {
@@ -1958,71 +2073,52 @@ fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>,
         inner.lost.write().insert(object);
         RtsError::ObjectLost(object)
     };
-    let parts = held.iter().flat_map(|(_, h)| {
-        h.slots
-            .iter()
-            .chain(&h.backups)
-            .map(move |part| (part.1, h))
+    // The newest epoch any survivor serves an authoritative part of — a
+    // slot, which names its regime, or a partition's backup — against the
+    // freshest mirror.
+    let parts = held.iter().flat_map(|(node, h)| {
+        let slots = h.slots.iter().map(|slot| (slot.1, slot.3));
+        let backups = h.backups.iter().map(|part| (part.1, RegimeKind::Sharded));
+        let parts = slots.chain(backups);
+        parts.map(move |(epoch, regime)| (epoch, regime, node.0, h))
     });
-    let partitioned = parts.max_by_key(|(epoch, _)| *epoch);
-    // A report's dedup window pairs with exactly that mirror's snapshot, so
-    // the adopter takes the winner's window whole and never merges windows
-    // across different mirrors.
-    let mirrors = held
-        .iter()
-        .filter_map(|(_, h)| h.mirror.as_ref().map(|(epoch, seq, _)| ((*epoch, *seq), h)));
-    let mirror = mirrors.max_by_key(|(rank, _)| *rank);
+    let newest = parts.max_by_key(|(epoch, ..)| *epoch);
+    let mirror = freshest_mirror(&held, None);
+    let newest = newest.filter(|(epoch, ..)| mirror.is_none_or(|(newer, _)| *epoch >= newer));
     // The table to publish and, adopted from a mirror, the epoch to retire.
-    let (table, retired) = match (partitioned, mirror) {
-        (Some((epoch, h)), mirror) if mirror.is_none_or(|((newer, _), _)| epoch > newer) => {
-            // Every node runs the same policy, so how many partitions a
-            // sharded-regime object has is known without the dead home.
-            let partitions = match inner.registry.shard_logic(&h.type_name) {
-                Some(_) => inner.policy.partitions.max(1) as usize,
-                None => 1,
+    let (table, retired) = match (newest, mirror) {
+        (Some((epoch, regime, owner, h)), _) => {
+            let (owners, mirrors) = if regime == RegimeKind::Sharded {
+                // Every node runs the same policy, so how many partitions a
+                // sharded-regime object has is known without the dead home.
+                let partitions = match inner.registry.shard_logic(&h.type_name) {
+                    Some(_) => inner.policy.partitions.max(1) as usize,
+                    None => 1,
+                };
+                let owners = reown(inner, object, epoch, vec![None; partitions], &held, &view);
+                (owners.ok_or_else(lost)?, Vec::new())
+            } else {
+                // One copy, and its owner outlived the home: it keeps
+                // serving where it is under the epoch it has — nothing is
+                // regenerated, no write fenced — and its mirrors are the
+                // survivors that hold one.
+                let mirrors = held.iter().filter(|(_, h)| {
+                    let mirror = h.mirror.as_ref();
+                    mirror.is_some_and(|(held_epoch, ..)| *held_epoch == epoch)
+                });
+                (vec![owner], mirrors.map(|(node, _)| node.0).collect())
             };
-            let owners = reown(inner, object, epoch, vec![None; partitions], &held, &view);
             let table = RegimeTable {
                 object: object.0,
                 type_name: h.type_name.clone(),
                 epoch,
-                regime: RegimeKind::Sharded,
-                owners: owners.ok_or_else(lost)?,
+                regime,
+                owners,
+                mirrors,
             };
             (table, None)
         }
-        (_, Some(((epoch, _), h))) => {
-            let (_, _, state) = h.mirror.as_ref().expect("ranked by its mirror");
-            let key = (object, 0);
-            let (name, dedup) = (&h.type_name, h.dedup.clone());
-            install_slot(
-                inner,
-                key,
-                epoch + 1,
-                name,
-                state,
-                dedup,
-                RegimeKind::Primary,
-            )?;
-            if inner.leases_enabled() {
-                // The dead home's grant ledger died with it. Fence the
-                // adopted slot for a full conservative grant span: the
-                // first write waits it out, so any lease the dead home
-                // granted before crashing has lapsed before an
-                // adopted-regime write can become visible.
-                if let Some(slot) = inner.slots.read().get(&key) {
-                    slot.leases.lock().fence = Some(Instant::now() + inner.grant_span());
-                }
-            }
-            let table = RegimeTable {
-                object: object.0,
-                type_name: h.type_name.clone(),
-                epoch: epoch + 1,
-                regime: RegimeKind::Primary,
-                owners: vec![inner.node.0],
-            };
-            (table, Some(epoch))
-        }
+        (None, Some((epoch, h))) => (regenerate(inner, object, epoch, h)?, Some(epoch)),
         _ => return Err(lost()),
     };
     let entry = Arc::new(HomeObject {
@@ -2032,20 +2128,7 @@ fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>,
     });
     inner.homes.write().insert(object, Arc::clone(&entry));
     if let Some(epoch) = retired {
-        // Retire surviving mirrors of the dead home's regime so nobody
-        // keeps serving pre-crash reads (best-effort; the regime lease
-        // bounds a missed drop).
-        let drop_msg = RegimeMsg::DropMirror {
-            object: object.0,
-            epoch,
-        };
-        for survivor in &view.alive {
-            if *survivor == inner.node {
-                let _ = dispatch(inner, drop_msg.clone(), inner.node);
-            } else {
-                let _ = regime_rpc(inner, *survivor, &drop_msg);
-            }
-        }
+        drop_copies(inner, object, epoch, view.alive.iter().copied());
     }
     Ok(entry)
 }
@@ -2178,16 +2261,10 @@ fn promote_backup(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> Regim
         return RegimeReply::StaleRegime;
     };
     let state = backup.state.lock();
-    let replica = &state.replica;
-    match install_slot(
-        inner,
-        key,
-        epoch,
-        replica.type_name(),
-        &replica.state_bytes(),
-        state.dedup.clone(),
-        RegimeKind::Sharded,
-    ) {
+    let (replica, dedup) = (&state.replica, state.dedup.clone());
+    let (name, bytes) = (replica.type_name(), replica.state_bytes());
+    let placed = (RegimeKind::Sharded, &[][..]);
+    match install_slot(inner, key, epoch, name, &bytes, dedup, placed) {
         Ok(()) => RegimeReply::Ack,
         Err(err) => RegimeReply::Error(err.to_string()),
     }
@@ -2286,8 +2363,8 @@ fn apply_at_slot(
 
 /// Execute an operation on `slot`, whose replica the caller has locked.
 /// What a completed write owes before it is acknowledged is paid while the
-/// mutex is still held, which keeps it in execution order. On the home copy
-/// of a replicated-regime object that is a push to every mirror; `through`
+/// mutex is still held, which keeps it in execution order. On the copy of a
+/// replicated-regime object that is a push to every mirror; `through`
 /// marks a write the caller ships through its own mirror: when it is
 /// freshly applied on a pushing slot, the caller is left out of the push
 /// and answered [`RegimeReply::Installed`]; in every other case (retry
@@ -2326,11 +2403,12 @@ fn apply_locked(
                 return RegimeReply::Done(reply.to_vec());
             }
         }
-        // Adoption fence: the dead home's outstanding read leases are
-        // unknown, so the first writes after adoption wait out a full
-        // grant span. Held under the replica mutex — the fence must also
-        // keep the home's own reads from observing the new write early,
-        // and it clears within one grant span of the install.
+        // Regeneration fence: the dead owner's outstanding read leases are
+        // unknown, so the first write of a copy regenerated from a mirror
+        // waits out a full grant span. Held under the replica mutex — the
+        // fence must also keep this node's own reads from observing the
+        // new write early, and it clears within one grant span of the
+        // install.
         let fence = slot.leases.lock().fence;
         if let Some(fence) = fence {
             let now = Instant::now();
@@ -2382,12 +2460,12 @@ fn apply_locked(
     }
 }
 
-/// Push one committed write to every mirror but `skip` — a writer bringing
-/// its own mirror up to date from the acknowledgement — in two phases:
-/// update-and-lock, then a one-way unlock ([`UpdateChannel::two_phase`]). Without
-/// read leases this is best-effort under crashes: a mirror that misses an
-/// update detects the sequence gap on the next one and re-syncs from the
-/// home. With leases enabled the unlock doubles as the lease renewal, and
+/// Push one committed write to every mirror of `slot` but `skip` — a writer
+/// bringing its own mirror up to date from the acknowledgement — and the
+/// dead, in two phases: update-and-lock, then a one-way unlock
+/// ([`UpdateChannel::two_phase`]). Without read leases this is best-effort
+/// under crashes: a mirror that misses an update detects the sequence gap
+/// on the next one and re-syncs from the owner. With leases enabled the unlock doubles as the lease renewal, and
 /// a mirror a push could not reach has its outstanding grant *settled* —
 /// the write waits out the grant's conservative expiry before it is
 /// acknowledged, so no node can still be serving leased reads of the
@@ -2396,7 +2474,7 @@ fn apply_locked(
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
 /// reply): a crashed node eats the remaining budget at most once, the
-/// rest of the push is skipped, and the home still answers the writer
+/// rest of the push is skipped, and the owner still answers the writer
 /// before *its* deadline expires — a committed write must not be reported
 /// as a timeout just because a mirror is unreachable.
 #[allow(clippy::too_many_arguments)]
@@ -2411,9 +2489,9 @@ fn push_update(
     skip: Option<NodeId>,
 ) {
     let deadline = Instant::now() + inner.policy.op_timeout / 2;
-    let others: Vec<NodeId> = (0..inner.num_nodes)
-        .map(NodeId::from)
-        .filter(|n| *n != inner.node && Some(*n) != skip && !is_dead(&inner.detector, *n))
+    let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
+    let others: Vec<NodeId> = mirrors
+        .filter(|n| Some(*n) != skip && !is_dead(&inner.detector, *n))
         .collect();
     // Each phase is encoded once and the bytes fanned out. The grant is
     // identical for all holders (validity counts from each holder's own
@@ -2485,12 +2563,12 @@ fn settle_failed_mirror_leases(inner: &Arc<Inner>, slot: &Slot, failed: &[NodeId
     }
 }
 
-/// Settle the grants a regime switch inherited from the drained home slot:
-/// a node whose `DropMirror` succeeded had its lease explicitly revoked; a
-/// live node whose drop was lost keeps serving leased reads of the retired
-/// copy until its grant runs out, so the switch sleeps that out before the
-/// new regime can accept a write.
-fn settle_switch_grants(inner: &Arc<Inner>, grants: &HashMap<u16, Instant>, dropped: &[NodeId]) {
+/// Settle the grants a drained replicated-regime slot leaves behind: a node
+/// whose `DropMirror` succeeded had its lease explicitly revoked; a live
+/// node whose drop was lost keeps serving leased reads of the retired copy
+/// until its grant runs out, so the drain sleeps that out before it hands
+/// over the state a new regime will accept writes on.
+fn settle_drained_grants(inner: &Inner, grants: &HashMap<u16, Instant>, dropped: &[NodeId]) {
     if !inner.leases_enabled() || grants.is_empty() {
         return;
     }
@@ -2578,27 +2656,22 @@ fn install_mirror(
     RegimeReply::Ack
 }
 
+/// Owner side of a mirror fetch: the slot's state and a lease over it, or
+/// the lease alone when the caller's copy, at version `have`, is current.
+/// Only a mirror the slot lists is served — the table is the truth: anyone
+/// else re-reads it and ships its reads, instead of fetching its way into
+/// the push set.
 fn serve_fetch_mirror(
     inner: &Arc<Inner>,
     object: ObjectId,
     epoch: u64,
+    have: Option<u64>,
     caller: NodeId,
 ) -> RegimeReply {
-    let entry = inner.homes.read().get(&object).cloned();
-    let Some(entry) = entry else {
-        return RegimeReply::Error(format!("not home of {object}"));
-    };
-    {
-        let table = entry.table.lock();
-        if table.epoch != epoch || table.regime != RegimeKind::Replicated {
-            return RegimeReply::StaleRegime;
-        }
-    }
-    let slot = inner.slots.read().get(&(object, 0)).cloned();
-    let Some(slot) = slot else {
+    let Some(slot) = slot_at(inner, (object, 0), epoch) else {
         return RegimeReply::StaleRegime;
     };
-    if slot.epoch != epoch {
+    if !slot.mirrors.contains(&caller.0) {
         return RegimeReply::StaleRegime;
     }
     let replica = slot.replica.lock();
@@ -2614,15 +2687,24 @@ fn serve_fetch_mirror(
             .lock()
             .grants
             .insert(caller.0, Instant::now() + inner.grant_span());
-        inner.lease_counters.grants.inc();
         inner.lease_grant(object, epoch, seq)
     });
-    let dedup = slot.dedup.lock().clone();
-    RegimeReply::MirrorState {
-        state: replica.state_bytes(),
-        seq,
-        dedup,
-        lease,
+    match lease {
+        Some(lease) if have == Some(seq) => {
+            inner.lease_counters.renewals.inc();
+            RegimeReply::Renewed(lease)
+        }
+        _ => {
+            if lease.is_some() {
+                inner.lease_counters.grants.inc();
+            }
+            RegimeReply::MirrorState {
+                state: replica.state_bytes(),
+                seq,
+                dedup: slot.dedup.lock().clone(),
+                lease,
+            }
+        }
     }
 }
 
@@ -2639,11 +2721,9 @@ fn serve_op_all(inner: &Arc<Inner>, object: ObjectId, op: &[u8], caller: NodeId)
     let _switch = entry.switch.lock();
     let table = entry.table.lock().clone();
     match table.regime {
-        RegimeKind::Primary | RegimeKind::Replicated => {
-            // Single authoritative copy at home: the whole-object op
-            // applies directly.
-            apply_at_slot(inner, object, 0, table.epoch, op, None, caller, false)
-        }
+        // Nobody routes to every partition of a single copy: the caller
+        // went by a retired sharded-regime table.
+        RegimeKind::Primary | RegimeKind::Replicated => RegimeReply::StaleRegime,
         RegimeKind::Sharded => {
             let Some(logic) = inner.registry.shard_logic(&table.type_name) else {
                 return RegimeReply::Error(format!("no shard logic for {}", table.type_name));
@@ -2729,6 +2809,15 @@ fn serve_op_all(inner: &Arc<Inner>, object: ObjectId, op: &[u8], caller: NodeId)
 /// serialized state plus the dedup window that describes exactly that
 /// state. Returns `None` when the slot is absent or belongs to a
 /// different epoch (duplicate or late drain).
+///
+/// The mirrors of a replicated-regime slot are retired with it, by the node
+/// that granted their leases, and *after* the withdrawal: a racing
+/// `FetchMirror` is answered `StaleRegime` and cannot resurrect one;
+/// existing mirrors serve the last committed state until their drop
+/// arrives, and no write can commit anywhere until the new regime
+/// publishes, so those reads stay consistent (best-effort under crashes;
+/// the regime lease bounds the window for a node whose drop was lost, and
+/// its read lease is waited out here).
 fn drain_local(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -2748,17 +2837,26 @@ fn drain_local(
     // answer StaleRegime instead of applying to the orphaned replica. The
     // dedup window is cloned under the same lock so it pairs with exactly
     // this snapshot.
-    let replica = slot.replica.lock();
-    slot.withdrawn.store(true, Ordering::Relaxed);
-    let dedup = slot.dedup.lock().clone();
+    let drained = {
+        let replica = slot.replica.lock();
+        slot.withdrawn.store(true, Ordering::Relaxed);
+        (replica.state_bytes(), slot.dedup.lock().clone())
+    };
     RtsStats::bump(&inner.stats.copies_dropped);
-    Some((replica.state_bytes(), dedup))
+    let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
+    let dropped = drop_copies(inner, object, epoch, mirrors);
+    let grants = std::mem::take(&mut slot.leases.lock().grants);
+    settle_drained_grants(inner, &grants, &dropped);
+    Some(drained)
 }
 
-/// Install an authoritative slot on this node. A sharded-regime slot is
-/// protected — its state shipped to the backup node — before it becomes
-/// visible, so no write can reach the backup ahead of the state it applies
-/// to.
+/// Install an authoritative slot on this node, `placed` = the regime it
+/// serves and its mirrors. A sharded-regime slot is protected — its state
+/// shipped to the backup node — before it becomes visible, so no write can
+/// reach the backup ahead of the state it applies to. The mirrors of a
+/// replicated-regime slot are primed here, wherever the slot is, each with
+/// a lease booked in the slot's own ledger — best-effort: a mirror that
+/// misses its install fetches on its first read.
 fn install_slot(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -2766,15 +2864,45 @@ fn install_slot(
     type_name: &str,
     state: &[u8],
     dedup: DedupWindow,
-    regime: RegimeKind,
+    (regime, mirrors): (RegimeKind, &[u16]),
 ) -> Result<(), RtsError> {
+    let replica = inner.registry.instantiate(type_name, state)?;
+    let mut leases = SlotLeases::default();
+    if !mirrors.is_empty() {
+        // Encoded once: the grant is the same for every mirror (validity
+        // counts from each holder's own receipt).
+        let seq = replica.version();
+        let lease = inner
+            .leases_enabled()
+            .then(|| inner.lease_grant(key.0, epoch, seq));
+        let prime = RegimeMsg::Mirror {
+            object: key.0 .0,
+            epoch,
+            type_name: type_name.to_string(),
+            state: state.to_vec(),
+            seq,
+            dedup: dedup.clone(),
+            lease,
+        }
+        .to_bytes();
+        for &mirror in mirrors {
+            let deadline = Instant::now() + inner.policy.op_timeout;
+            let primed = regime_rpc_raw(inner, NodeId(mirror), prime.clone(), deadline);
+            if lease.is_some() && matches!(primed, Ok(RegimeReply::Ack)) {
+                let expires = Instant::now() + inner.grant_span();
+                leases.grants.insert(mirror, expires);
+                inner.lease_counters.grants.inc();
+            }
+        }
+    }
     let slot = Slot {
-        replica: Mutex::new(inner.registry.instantiate(type_name, state)?),
+        replica: Mutex::new(replica),
         epoch,
         withdrawn: AtomicBool::new(false),
         regime,
+        mirrors: mirrors.to_vec(),
         dedup: Mutex::new(dedup),
-        leases: Mutex::new(SlotLeases::default()),
+        leases: Mutex::new(leases),
     };
     if regime == RegimeKind::Sharded {
         ship_backup_state(inner, key, &slot, &**slot.replica.lock());
@@ -2784,7 +2912,7 @@ fn install_slot(
 }
 
 /// Install the authoritative slots `table` names, cut from the
-/// whole-object state `full`: one copy at the home under the primary and
+/// whole-object state `full`: one copy at its owner under the primary and
 /// replicated regimes, one partition per owner under the sharded regime (a
 /// type that does not shard is one partition). When an owner cannot take
 /// its partition the partial install is discarded — local slots directly,
@@ -2808,27 +2936,7 @@ fn install_slots(
     let mut failure = None;
     for ((partition, &owner), state) in (0u32..).zip(&table.owners).zip(states) {
         let owner = NodeId(owner);
-        let done = if owner == inner.node {
-            let key = (object, partition);
-            let (name, dedup) = (&table.type_name, dedup.clone());
-            install_slot(inner, key, table.epoch, name, &state, dedup, table.regime)
-        } else {
-            let install = RegimeMsg::Install {
-                object: object.0,
-                epoch: table.epoch,
-                partition,
-                type_name: table.type_name.clone(),
-                state,
-                dedup: dedup.clone(),
-            };
-            match regime_rpc(inner, owner, &install) {
-                Ok(RegimeReply::Ack) => Ok(()),
-                Ok(other) => Err(RtsError::Communication(format!(
-                    "{owner} refused partition {partition} of {object}: {other:?}"
-                ))),
-                Err(err) => Err(err),
-            }
-        };
+        let done = install_at(inner, owner, table, partition, state, dedup.clone());
         match done {
             Ok(()) => installed.push((partition, owner)),
             Err(err) => {
@@ -2859,6 +2967,42 @@ fn install_slots(
         }
     }
     Err(failure)
+}
+
+/// Install partition `partition` of `table` — its state, the dedup window
+/// recorded against exactly that state, the regime and the mirrors the
+/// table names — at `owner`, this node or another.
+fn install_at(
+    inner: &Arc<Inner>,
+    owner: NodeId,
+    table: &RegimeTable,
+    partition: u32,
+    state: Vec<u8>,
+    dedup: DedupWindow,
+) -> Result<(), RtsError> {
+    let object = table_object(table);
+    if owner == inner.node {
+        let key = (object, partition);
+        let placed = (table.regime, &table.mirrors[..]);
+        let name = &table.type_name;
+        return install_slot(inner, key, table.epoch, name, &state, dedup, placed);
+    }
+    let install = RegimeMsg::Install {
+        object: object.0,
+        epoch: table.epoch,
+        partition,
+        type_name: table.type_name.clone(),
+        state,
+        dedup,
+        regime: table.regime,
+        mirrors: table.mirrors.clone(),
+    };
+    match regime_rpc(inner, owner, &install)? {
+        RegimeReply::Ack => Ok(()),
+        other => Err(RtsError::Communication(format!(
+            "{owner} refused partition {partition} of {object}: {other:?}"
+        ))),
+    }
 }
 
 /// Server-side regime RPC (switch and fan-out traffic), bounded by the
@@ -2901,8 +3045,8 @@ fn regime_rpc_raw(
 }
 
 /// Close a usage window at the home and switch the regime if the decayed
-/// evidence says a different one fits — or, for the sharded regime, the
-/// same one over different owners.
+/// evidence says a different one fits — or, for a regime that places by
+/// use, the same one over different nodes.
 fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>) {
     let (reads, writes) = {
         let mut usage = entry.usage.lock();
@@ -2919,10 +3063,10 @@ fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>
     };
     let shardable = inner.registry.shard_logic(&type_name).is_some();
     let target = pick_regime(reads, writes, shardable, inner.num_nodes, &inner.policy);
-    // Only the sharded regime places by use, so only it is worth a second
-    // look when the regime itself fits: the switch returns early unless the
-    // owners moved.
-    if target != current || target == RegimeKind::Sharded {
+    // The sharded and replicated regimes place by use, so they are worth a
+    // second look when the regime itself fits: the switch returns early
+    // unless the placement moved.
+    if target != current || target != RegimeKind::Primary {
         // A failed switch (crashed peer) leaves the old regime in place;
         // the next evaluation window simply proposes it again.
         let _ = switch_regime(inner, object, entry, target, None);
@@ -2935,7 +3079,8 @@ fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>
 /// been quiet for less than a regime lease — the time scale on which nodes
 /// learn of a placement at all — keeps its partitions.
 fn placement(inner: &Inner, object: ObjectId, usage: &UsageAggregate, owned: &[u16]) -> Vec<u16> {
-    let users = usage.users(inner.num_nodes, owned, inner.policy.regime_lease);
+    let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
+    let users = usage.users(Count::Accesses, nodes, owned, grace);
     (0..inner.policy.partitions.max(1))
         .map(|partition| place(object, partition, &users))
         .collect()
@@ -2943,11 +3088,13 @@ fn placement(inner: &Inner, object: ObjectId, usage: &UsageAggregate, owned: &[u
 
 /// Execute a regime switch: drain the old regime's replicas, merge their
 /// states, install the new regime under the next epoch, publish the table.
-/// The only path that changes the owner of a live partition: moving a
-/// sharded object's partitions to the nodes that use it now — or one of
-/// them where `moved` says, by hand — is a switch to the same regime
-/// (partitions that stay are re-installed where they were — handing single
-/// partitions over would be a second mechanism for a state this small).
+/// The only path that changes an owner or a mirror set of a live object:
+/// moving a sharded object's partitions to the nodes that use it now — or
+/// one of them where `moved` says, by hand — and a replicated object's copy
+/// to a node that writes it, its mirrors to the ones that read it, is a
+/// switch to the same regime (what stays is re-installed where it was —
+/// handing single partitions or mirrors over would be a second mechanism
+/// for a state this small).
 fn switch_regime(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -2962,20 +3109,34 @@ fn switch_regime(
         RegimeKind::Sharded => &old.owners,
         _ => &[],
     };
-    let owners: Vec<u16> = match (target, moved) {
+    let (owners, mirrors): (Vec<u16>, Vec<u16>) = match (target, moved) {
         (RegimeKind::Sharded, Some((partition, dst))) => {
             let mut owners = owned.to_vec();
             let owner = owners.get_mut(partition as usize).ok_or_else(|| {
                 RtsError::Communication(format!("no partition {partition} of {object}"))
             })?;
             *owner = dst.0;
-            owners
+            (owners, Vec::new())
         }
         (RegimeKind::Sharded, None) if logic.is_none() => return Ok(()),
-        (RegimeKind::Sharded, None) => placement(inner, object, &entry.usage.lock(), owned),
-        _ => vec![inner.node.0],
+        (RegimeKind::Sharded, None) => (
+            placement(inner, object, &entry.usage.lock(), owned),
+            Vec::new(),
+        ),
+        (RegimeKind::Replicated, _) => {
+            // Entering the regime, the copy is the home's and has no
+            // mirrors: where the rule leaves it when nothing is known.
+            let (owner, named) = match old.regime {
+                RegimeKind::Replicated => (old.owners[0], &old.mirrors[..]),
+                _ => (inner.node.0, &[][..]),
+            };
+            let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
+            let (owner, mirrors) = entry.usage.lock().replicate(nodes, owner, named, grace);
+            (vec![owner], mirrors)
+        }
+        (RegimeKind::Primary, _) => (vec![inner.node.0], Vec::new()),
     };
-    if old.regime == target && old.owners == owners {
+    if old.regime == target && old.owners == owners && old.mirrors == mirrors {
         return Ok(());
     }
     // Every owner has to hand its replica over, so one already known dead
@@ -2989,29 +3150,11 @@ fn switch_regime(
     {
         return Err(RtsError::NodeDown(NodeId(dead)));
     }
-    let others: Vec<NodeId> = (0..inner.num_nodes)
-        .map(NodeId::from)
-        .filter(|n| *n != inner.node)
-        .collect();
-
-    // Snapshot the outstanding read-lease grants before the drain removes
-    // the home slot: a mirror whose DropMirror is lost below may keep
-    // serving leased reads until its grant runs out, and the switch must
-    // wait that out before the new regime can accept writes.
-    let old_grants: HashMap<u16, Instant> = if old.regime == RegimeKind::Replicated {
-        inner
-            .slots
-            .read()
-            .get(&(object, 0))
-            .map(|slot| slot.leases.lock().grants.clone())
-            .unwrap_or_default()
-    } else {
-        HashMap::new()
-    };
 
     // Phase 1: drain every authoritative replica of the old regime. Each
     // drained state travels with the dedup window that was recorded
-    // against exactly that state.
+    // against exactly that state, and a replicated regime's owner retires
+    // its mirrors and their leases before it answers.
     let mut states: Vec<(Vec<u8>, DedupWindow)> = Vec::with_capacity(old.owners.len());
     for (partition, &owner) in old.owners.iter().enumerate() {
         let partition = partition as u32;
@@ -3040,40 +3183,19 @@ fn switch_regime(
             Err(err) => {
                 // Reinstall what was drained under the old epoch so the old
                 // regime keeps serving, and report the failed switch.
-                undo_drain(inner, object, &old, &states);
+                undo_drain(inner, &old, &states);
                 return Err(err);
             }
         }
     }
 
-    // Retire mirrors of a replicated regime *after* the drain: with the
-    // home slot withdrawn, a racing FetchMirror is answered StaleRegime
-    // and cannot resurrect a mirror; existing mirrors serve the last
-    // committed state until their drop arrives, and no write can commit
-    // anywhere until the new regime publishes, so those reads stay
-    // consistent (best-effort under crashes; the regime lease bounds the
-    // window for a node whose drop was lost). The backups of a sharded
-    // regime's slots are retired the same way, this node's included: a
-    // node whose drop was lost keeps one that is never promoted while the
-    // object's newer epoch leaves a trace among the survivors.
-    let backed_up = old.regime == RegimeKind::Sharded && inner.recovery.enabled;
-    if old.regime == RegimeKind::Replicated || backed_up {
-        let drop_msg = RegimeMsg::DropMirror {
-            object: object.0,
-            epoch: old.epoch,
-        };
-        let _ = dispatch(inner, drop_msg.clone(), inner.node);
-        let mut dropped: Vec<NodeId> = Vec::new();
-        for node in &others {
-            if matches!(regime_rpc(inner, *node, &drop_msg), Ok(RegimeReply::Ack)) {
-                dropped.push(*node);
-            }
-        }
-        // A successful drop is an explicit revoke; a failed drop to a live
-        // node leaves its grant outstanding, and the switch sleeps it out
-        // so no leased read of the retired copy can overlap a new-regime
-        // write.
-        settle_switch_grants(inner, &old_grants, &dropped);
+    // The backups of a sharded regime's slots are retired after the drain,
+    // this node's included: a node whose drop was lost keeps one that is
+    // never promoted while the object's newer epoch leaves a trace among
+    // the survivors.
+    if old.regime == RegimeKind::Sharded && inner.recovery.enabled {
+        let everyone = (0..inner.num_nodes).map(NodeId::from);
+        drop_copies(inner, object, old.epoch, everyone);
     }
 
     // Phase 2: merge the drained states into one whole-object state
@@ -3094,7 +3216,7 @@ fn switch_regime(
         match logic.merge_states(states.iter().map(|(state, _)| state.clone()).collect()) {
             Ok(full) => full,
             Err(err) => {
-                undo_drain(inner, object, &old, &states);
+                undo_drain(inner, &old, &states);
                 return Err(err.into());
             }
         }
@@ -3104,10 +3226,17 @@ fn switch_regime(
     // old regime from the drained states, so evaluate_object's invariant —
     // a failed switch leaves the old regime in place — holds on every
     // error path.
-    let new = match install_new_regime(inner, &old, target, owners, &others, &full, &dedup) {
+    let new = RegimeTable {
+        epoch: old.epoch + 1,
+        regime: target,
+        owners,
+        mirrors,
+        ..old.clone()
+    };
+    let new = match install_new_regime(inner, &old, new, &full, &dedup) {
         Ok(new) => new,
         Err(err) => {
-            undo_drain(inner, object, &old, &states);
+            undo_drain(inner, &old, &states);
             return Err(err);
         }
     };
@@ -3128,114 +3257,51 @@ fn switch_regime(
     Ok(())
 }
 
-/// Install the target regime's replicas at `owners` under the next epoch
-/// and return the table to publish. Remote install failures fall back to a
-/// primary copy at home under a further epoch — the merged state is in
-/// hand, so the fallback cannot fail remotely — except when the sharded
-/// regime was only being re-placed: its old owners were serving a moment
-/// ago and take their partitions back. An error return means nothing
+/// Install the replicas of `new` — the target regime at its owners, under
+/// the next epoch — and return the table to publish. Remote install
+/// failures fall back to a primary copy at home under a further epoch — the
+/// merged state is in hand, so the fallback cannot fail remotely — except
+/// when the regime was only being re-placed: its old owners were serving a
+/// moment ago and take their replicas back. An error return means nothing
 /// usable was installed and the caller re-installs the old regime.
 fn install_new_regime(
     inner: &Arc<Inner>,
     old: &RegimeTable,
-    target: RegimeKind,
-    owners: Vec<u16>,
-    others: &[NodeId],
+    new: RegimeTable,
     full: &[u8],
     dedup: &DedupWindow,
 ) -> Result<RegimeTable, RtsError> {
-    let new = RegimeTable {
-        epoch: old.epoch + 1,
-        regime: target,
-        owners,
-        ..old.clone()
-    };
     match install_slots(inner, &new, full, dedup) {
-        Ok(()) => {}
-        Err(_) if target == RegimeKind::Sharded && old.regime != target => {
+        Ok(()) => Ok(new),
+        Err(_) if old.regime != new.regime => {
             let fallback = RegimeTable {
                 epoch: new.epoch + 1,
                 regime: RegimeKind::Primary,
                 owners: vec![inner.node.0],
+                mirrors: Vec::new(),
                 ..new
             };
             install_slots(inner, &fallback, full, dedup)?;
-            return Ok(fallback);
+            Ok(fallback)
         }
-        Err(err) => return Err(err),
+        Err(err) => Err(err),
     }
-    if target == RegimeKind::Replicated {
-        // Best-effort eager mirrors; a node that misses its install
-        // fetches lazily on its first read. Each eager mirror gets a
-        // fresh lease alongside its copy.
-        let home_slot = inner.slots.read().get(&(table_object(&new), 0)).cloned();
-        for node in others {
-            let lease = inner
-                .leases_enabled()
-                .then(|| inner.lease_grant(table_object(&new), new.epoch, 0));
-            let reply = regime_rpc(
-                inner,
-                *node,
-                &RegimeMsg::Mirror {
-                    object: new.object,
-                    epoch: new.epoch,
-                    type_name: new.type_name.clone(),
-                    state: full.to_vec(),
-                    seq: 0,
-                    dedup: dedup.clone(),
-                    lease,
-                },
-            );
-            if lease.is_some() && matches!(reply, Ok(RegimeReply::Ack)) {
-                if let Some(slot) = &home_slot {
-                    slot.leases
-                        .lock()
-                        .grants
-                        .insert(node.0, Instant::now() + inner.grant_span());
-                }
-                inner.lease_counters.grants.inc();
-            }
-        }
-    }
-    Ok(new)
 }
 
 /// Put drained partitions back at their old owners (failed switch), so the
 /// old regime keeps serving without any lost state. Each partition's dedup
 /// window goes back with the state it was drained with.
-fn undo_drain(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    old: &RegimeTable,
-    states: &[(Vec<u8>, DedupWindow)],
-) {
-    for (partition, (state, dedup)) in states.iter().enumerate() {
-        let partition = partition as u32;
-        let owner = NodeId(old.owners[partition as usize]);
-        if owner == inner.node {
-            let key = (object, partition);
-            let (name, dedup) = (&old.type_name, dedup.clone());
-            let _ = install_slot(inner, key, old.epoch, name, state, dedup, old.regime);
-        } else {
-            let _ = regime_rpc(
-                inner,
-                owner,
-                &RegimeMsg::Install {
-                    object: object.0,
-                    epoch: old.epoch,
-                    partition,
-                    type_name: old.type_name.clone(),
-                    state: state.clone(),
-                    dedup: dedup.clone(),
-                },
-            );
-        }
+fn undo_drain(inner: &Arc<Inner>, old: &RegimeTable, states: &[(Vec<u8>, DedupWindow)]) {
+    for ((partition, &owner), (state, dedup)) in (0u32..).zip(&old.owners).zip(states) {
+        let (state, dedup) = (state.clone(), dedup.clone());
+        let _ = install_at(inner, NodeId(owner), old, partition, state, dedup);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_amoeba::message::WIRE_HEADER_BYTES;
     use orca_amoeba::network::Network;
     use orca_object::testing::{Accumulator, AccumulatorOp, Bank, BankOp, BankReply};
     use orca_object::ObjectType;
@@ -3340,7 +3406,10 @@ mod tests {
         assert_eq!(rtses[1].propose(id).unwrap(), RegimeKind::Replicated);
         let (regime, epoch) = rtses[2].regime_of(id).unwrap();
         assert_eq!(regime, RegimeKind::Replicated);
-        assert_eq!(epoch, 1);
+        // Node 0's sixteenth read switched the regime, when the only reader
+        // known was the owner itself: no mirror. Nodes 1 and 2 each joined
+        // when its own reads were reported — two re-placements.
+        assert_eq!(epoch, 3);
 
         // Reads now hit the local mirror.
         let before = rtses[1].stats().local_reads;
@@ -3831,36 +3900,51 @@ mod tests {
         shutdown_all(&rtses);
     }
 
-    /// A mirror whose lease lapsed (idle home) re-syncs from the home on
-    /// its next read; the fresh snapshot carries a fresh grant, so the
-    /// refetch doubles as the renewal and reads go local again.
+    /// A mirror whose lease lapsed (idle owner) asks the owner to renew it,
+    /// naming the version it holds: the grant alone comes back — a request
+    /// and a reply of a few bytes, not the state — and reads are leased
+    /// again. A mirror that fell behind meanwhile still gets the snapshot.
     #[test]
-    fn lapsed_mirror_lease_resyncs_and_renews() {
+    fn lapsed_mirror_lease_renews_without_the_state() {
         let net = Network::reliable(2);
         let policy = AdaptivePolicy {
+            op_timeout: Duration::from_millis(300),
             report_every: u64::MAX,
             regime_lease: Duration::from_secs(10),
             read_lease_ms: 100,
             ..AdaptivePolicy::eager()
         };
         let rtses = start_all(&net, policy);
-        let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &4i64.to_bytes())
-            .unwrap();
+        let accounts: <Bank as ObjectType>::State = (0..2_000).map(|key| (key << 40, 1)).collect();
+        let state = accounts.to_bytes();
+        assert!(state.len() >= 10_000, "{} bytes of state", state.len());
+        let id = rtses[0].create_object(Bank::TYPE_NAME, &state).unwrap();
         let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
         switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated, None).unwrap();
-        assert_eq!(read(&rtses[1], id), 4);
+        assert_eq!(bank_sum(&rtses[1], id), 2_000);
         let fetched = rtses[1].stats().copies_fetched;
         std::thread::sleep(Duration::from_millis(250));
-        assert_eq!(read(&rtses[1], id), 4);
-        assert!(
-            rtses[1].stats().copies_fetched > fetched,
-            "a lapsed lease must force a re-sync"
-        );
-        // The re-sync renewed the lease; the next read is leased again.
+        let before = net.stats();
+        assert_eq!(bank_sum(&rtses[1], id), 2_000);
+        let spent = net.stats().since(&before);
+        assert_eq!(spent.total_messages(), 2, "a request and a reply");
+        let payload = spent.total_wire_bytes() - 2 * WIRE_HEADER_BYTES as u64;
+        assert!(payload < 100, "{payload} payload bytes to renew a lease");
+        assert_eq!(rtses[1].stats().copies_fetched, fetched, "state re-shipped");
+        // The renewal took; the next read is leased again.
         let leased = rtses[1].inner.lease_counters.local_reads.get();
-        assert_eq!(read(&rtses[1], id), 4);
+        assert_eq!(bank_sum(&rtses[1], id), 2_000);
         assert!(rtses[1].inner.lease_counters.local_reads.get() > leased);
+        assert_eq!(net.stats().since(&before).total_messages(), 2);
+
+        // A write whose push cannot reach the mirror waits its grant out
+        // and leaves it a version behind: that renewal ships the state.
+        net.crash(NodeId(1));
+        assert_eq!(deposit(&rtses[0], id, 0, 5), 6);
+        net.recover(NodeId(1));
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(bank_sum(&rtses[1], id), 2_005);
+        assert_eq!(rtses[1].stats().copies_fetched, fetched + 1);
         shutdown_all(&rtses);
     }
 
@@ -4526,6 +4610,435 @@ mod tests {
         wait_for_death(&rtses, NodeId(2));
         let sum = rtses[1].invoke(id, Bank::TYPE_NAME, OpKind::Read, &BankOp::Sum.to_bytes());
         assert_eq!(sum, Err(RtsError::ObjectLost(id)));
+        shutdown_all(&rtses);
+    }
+
+    /// Replace the home's evidence for `id` with `reads[node]` reads and
+    /// `writes[node]` writes per node and force a switch to the replicated
+    /// regime over it (a re-placement when the object is replicated
+    /// already).
+    fn replicate_by(
+        rts: &AdaptiveRts,
+        id: ObjectId,
+        reads: &[u64],
+        writes: &[u64],
+    ) -> Result<(), RtsError> {
+        let home = rts.inner.homes.read().get(&id).cloned().unwrap();
+        *home.usage.lock() = UsageAggregate::of(reads, writes);
+        switch_regime(&rts.inner, id, &home, RegimeKind::Replicated, None)
+    }
+
+    /// Owner and mirrors of replicated-regime `id` as the home publishes
+    /// them.
+    fn replicated_at(rts: &AdaptiveRts, id: ObjectId) -> (u16, Vec<u16>) {
+        let (regime, _, owners) = rts.placement_of(id).unwrap();
+        assert_eq!(regime, RegimeKind::Replicated);
+        assert_eq!(owners.len(), 1);
+        let mirrors = rts.copy_holders(id).unwrap();
+        (
+            owners[0].0,
+            mirrors.into_iter().map(|node| node.0).collect(),
+        )
+    }
+
+    /// The slot of single-copy `id` on this node.
+    fn slot_of(rts: &AdaptiveRts, id: ObjectId) -> Option<Arc<Slot>> {
+        rts.inner.slots.read().get(&(id, 0)).cloned()
+    }
+
+    /// [`manual`] without the grace: a forced placement is what its evidence
+    /// says, however lately a node it names was heard from. (The lease is
+    /// also how long a replicated-regime table is cached: not at all.)
+    fn manual_exact() -> AdaptivePolicy {
+        AdaptivePolicy {
+            regime_lease: Duration::ZERO,
+            ..manual()
+        }
+    }
+
+    /// The tentpole's cost claim for a placed replicated regime, counted on
+    /// the wire — the ledger's read-mostly cell in miniature: node 0
+    /// creates a counter and never touches it, nodes 1 and 2 each read it
+    /// nine times for every write. The copy ends up on one of the two and
+    /// its one mirror on the other: the owner's write is Update + ack +
+    /// Unlock, the other's WriteThrough + Installed — 2.5 messages a write
+    /// and the usage reports, where a copy at the idle home costs five.
+    #[test]
+    fn replicated_object_moves_to_its_writers_and_mirrors_its_readers() {
+        let net = Network::reliable(3);
+        // Long leases: no renewal and no table re-fetch is counted below.
+        let policy = AdaptivePolicy {
+            regime_lease: Duration::from_secs(10),
+            read_lease_ms: 10_000,
+            ..AdaptivePolicy::default()
+        };
+        let rtses = start_all(&net, policy);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let mut writes = 0i64;
+        // Rounds of nine reads and a write, alternating over the two users;
+        // returns the writes so far.
+        let mut rounds = |count: i64| {
+            for _ in 0..count {
+                let rts = &rtses[1 + (writes % 2) as usize];
+                for _ in 0..9 {
+                    assert!(read(rts, id) >= writes - 1);
+                }
+                writes += 1;
+                assert_eq!(add(rts, id, 1), writes);
+            }
+            writes
+        };
+        rounds(100);
+        let (owner, mirrors) = replicated_at(&rtses[0], id);
+        assert!([1, 2].contains(&owner), "owner {owner}");
+        assert_eq!(
+            mirrors,
+            vec![3 - owner],
+            "the other user, not the idle home"
+        );
+        assert!(slot_of(&rtses[0], id).is_none());
+
+        let switches = rtses[0].stats().regime_switches;
+        let before = net.stats();
+        let written = rounds(400);
+        let per_write = net.stats().since(&before).total_messages() as f64 / 400.0;
+        assert!(per_write <= 2.9, "{per_write} messages per write");
+        // Reads are message-free at the owner and at its mirror alike (a
+        // flushed counter: no report falls due among them).
+        for rts in &rtses[1..] {
+            rts.flush_usage(id);
+        }
+        let before = net.stats();
+        for rts in &rtses[1..] {
+            for _ in 0..20 {
+                assert_eq!(read(rts, id), written);
+            }
+        }
+        assert_eq!(net.stats().since(&before).total_messages(), 0);
+        // Twenty more evaluation windows of the same load move nothing.
+        rounds(20 * policy.evaluate_every as i64 / 10);
+        assert_eq!(rtses[0].stats().regime_switches, switches);
+        assert_eq!(replicated_at(&rtses[0], id), (owner, mirrors));
+        shutdown_all(&rtses);
+    }
+
+    /// The table is the truth: a node it lists no mirror for ships its
+    /// reads to the owner — two messages, no snapshot — cannot fetch its
+    /// way into the push set, and is counted: once its reads are a share of
+    /// the object's, the next evaluation makes it a mirror.
+    #[test]
+    fn unlisted_reader_ships_its_reads_and_joins_at_the_next_evaluation() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, AdaptivePolicy::eager());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &3i64.to_bytes())
+            .unwrap();
+        replicate_by(&rtses[0], id, &[0, 50, 50], &[0, 5, 5]).unwrap();
+        assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
+        let (_, epoch) = rtses[0].regime_of(id).unwrap();
+
+        let fetched = rtses[0].stats().copies_fetched;
+        let shipped = rtses[0].stats().remote_reads;
+        let before = net.stats();
+        for _ in 0..4 {
+            assert_eq!(read(&rtses[0], id), 3);
+        }
+        assert_eq!(net.stats().since(&before).total_messages(), 8);
+        assert_eq!(rtses[0].stats().remote_reads, shipped + 4);
+        assert_eq!(rtses[0].stats().copies_fetched, fetched);
+        let fetch = RegimeMsg::FetchMirror {
+            object: id.0,
+            epoch,
+            have: None,
+        };
+        let refused = dispatch(&rtses[1].inner, fetch, NodeId(0));
+        assert!(matches!(refused, RegimeReply::StaleRegime), "{refused:?}");
+
+        // Twelve more reads make two reports of eight: a window.
+        for _ in 0..12 {
+            assert_eq!(read(&rtses[0], id), 3);
+        }
+        assert_eq!(replicated_at(&rtses[0], id), (1, vec![0, 2]));
+        assert_eq!(rtses[0].inner.replacements.get(), 1);
+        let before = net.stats();
+        assert_eq!(read(&rtses[0], id), 3);
+        assert_eq!(net.stats().since(&before).total_messages(), 0);
+        assert_eq!(rtses[0].stats().copies_fetched, fetched + 1, "primed");
+        // A write from the owner reaches the new mirror.
+        assert_eq!(add(&rtses[1], id, 4), 7);
+        assert_eq!(read(&rtses[0], id), 7);
+        shutdown_all(&rtses);
+    }
+
+    /// The first evaluation can fire on one node's reports alone: the copy
+    /// goes there and nothing is mirrored. The next one, with the second
+    /// node's reports in, adds the mirror — a switch to the same regime —
+    /// and leaves the owner where it is.
+    #[test]
+    fn thin_evidence_heals_for_the_replicated_regime() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, AdaptivePolicy::eager());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        // Two reports of seven reads and a write: an evaluation window.
+        let window = |rts: &AdaptiveRts| {
+            for _ in 0..2 {
+                for _ in 0..7 {
+                    read(rts, id);
+                }
+                add(rts, id, 1);
+            }
+        };
+        window(&rtses[1]);
+        assert_eq!(rtses[0].regime_of(id).unwrap(), (RegimeKind::Replicated, 1));
+        assert_eq!(replicated_at(&rtses[0], id), (1, vec![]));
+        assert_eq!(rtses[0].inner.replacements.get(), 0);
+
+        window(&rtses[2]);
+        assert_eq!(rtses[2].regime_of(id).unwrap(), (RegimeKind::Replicated, 2));
+        assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
+        assert_eq!(rtses[0].stats().regime_switches, 2);
+        assert_eq!(rtses[0].inner.replacements.get(), 1);
+        assert_eq!(read(&rtses[2], id), 4);
+        shutdown_all(&rtses);
+    }
+
+    /// A writer on each of the two users and a reader beside each, while
+    /// the copy is moved from one user to the other eight times. No
+    /// observation — a read, a write's reply — may fall below a value
+    /// already observed anywhere when it began (the real-time floor the
+    /// write-through model-checker scenarios hold), every acknowledged add
+    /// is there exactly once, and a stamped write presented again to the
+    /// new owner is answered from the window that moved with the state.
+    #[test]
+    fn replicated_re_placements_under_concurrent_writers_and_readers_lose_nothing() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, manual_exact());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let reads = [0, 50, 50];
+        replicate_by(&rtses[0], id, &reads, &[0, 5, 0]).unwrap();
+        let floor = Arc::new(std::sync::atomic::AtomicI64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = [(1, true), (1, false), (2, true), (2, false)]
+            .into_iter()
+            .map(|(node, writer)| {
+                let rts = rtses[node].clone();
+                let (floor, done) = (Arc::clone(&floor), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut added = 0i64;
+                    while !done.load(Ordering::SeqCst) {
+                        let before = floor.load(Ordering::SeqCst);
+                        let seen = if writer {
+                            added += 1;
+                            add(&rts, id, 1)
+                        } else {
+                            read(&rts, id)
+                        };
+                        assert!(seen >= before, "observed {seen} after {before}");
+                        floor.fetch_max(seen, Ordering::SeqCst);
+                    }
+                    added
+                })
+            })
+            .collect();
+        for round in 0..8u16 {
+            std::thread::sleep(Duration::from_millis(5));
+            let owner = 2 - round % 2;
+            let mut writes = [0, 0, 0];
+            writes[usize::from(owner)] = 5;
+            replicate_by(&rtses[0], id, &reads, &writes).unwrap();
+            assert_eq!(replicated_at(&rtses[0], id), (owner, vec![3 - owner]));
+        }
+        done.store(true, Ordering::SeqCst);
+        let added: i64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert!(added > 0);
+        for rts in &rtses {
+            assert_eq!(read(rts, id), added, "acknowledged adds lost or doubled");
+        }
+        assert_eq!(rtses[0].stats().regime_switches, 9);
+        assert_eq!(rtses[0].inner.replacements.get(), 8);
+
+        // The copy is on node 1; a stamped write lands there, the copy
+        // moves, and the same write is presented to the new owner.
+        let stamp = OpStamp { origin: 0, seq: 77 };
+        let op = AccumulatorOp::Add(10).to_bytes();
+        let present = |owner: usize| {
+            let (_, epoch) = rtses[0].regime_of(id).unwrap();
+            let inner = &rtses[owner].inner;
+            match apply_at_slot(inner, id, 0, epoch, &op, Some(stamp), NodeId(0), false) {
+                RegimeReply::Done(reply) => i64::from_bytes(&reply).unwrap(),
+                other => panic!("stamped write not answered: {other:?}"),
+            }
+        };
+        assert_eq!(present(1), added + 10);
+        replicate_by(&rtses[0], id, &reads, &[0, 0, 5]).unwrap();
+        assert_eq!(present(2), added + 10);
+        assert_eq!(
+            read(&rtses[1], id),
+            added + 10,
+            "retry must not double-apply"
+        );
+        shutdown_all(&rtses);
+    }
+
+    /// The owner is the grantor. After a move the new owner's ledger holds
+    /// the grants, booked when it primed its mirrors; the old owner's drain
+    /// revoked the ones it had given; and a write at the new owner whose
+    /// mirror cannot be reached waits that mirror's grant out.
+    #[test]
+    fn leases_move_with_the_owner() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            op_timeout: Duration::from_millis(300),
+            read_lease_ms: 400,
+            ..manual_exact()
+        };
+        let rtses = start_all(&net, policy);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let granted = |owner: usize| {
+            let slot = slot_of(&rtses[owner], id).expect("the copy is here");
+            let grants = slot.leases.lock().grants.clone();
+            grants
+        };
+        replicate_by(&rtses[0], id, &[0, 50, 50], &[0, 5, 0]).unwrap();
+        assert_eq!(granted(1).keys().collect::<Vec<_>>(), [&2]);
+        let revoked = rtses[1].inner.lease_counters.revokes.get();
+
+        replicate_by(&rtses[0], id, &[0, 50, 50], &[0, 0, 5]).unwrap();
+        assert_eq!(replicated_at(&rtses[0], id), (2, vec![1]));
+        assert!(slot_of(&rtses[1], id).is_none());
+        assert_eq!(rtses[1].inner.lease_counters.revokes.get(), revoked + 1);
+        assert_eq!(read(&rtses[1], id), 0);
+        let expires = granted(2)[&1];
+
+        // The mirror's node stops answering (nobody declares it dead): the
+        // push to it fails, and the write may not be acknowledged while
+        // the lease it holds could still be serving the old value.
+        net.crash(NodeId(1));
+        let waited = rtses[2].inner.lease_counters.revokes.get();
+        assert_eq!(add(&rtses[2], id, 1), 1);
+        assert!(Instant::now() >= expires, "acknowledged inside the grant");
+        assert_eq!(rtses[2].inner.lease_counters.revokes.get(), waited + 1);
+        shutdown_all(&rtses);
+    }
+
+    /// A re-placement whose new owner cannot take the copy puts it back
+    /// where it was, under the epoch it had, and primes its mirrors again:
+    /// the versions of that epoch start over, and a mirror that remembered
+    /// the old ones would refuse every snapshot of the copy it is given.
+    #[test]
+    fn failed_replicated_re_placement_goes_back_to_its_owner_and_mirrors() {
+        let net = Network::reliable(4);
+        let policy = AdaptivePolicy {
+            op_timeout: Duration::from_millis(300),
+            ..manual_exact()
+        };
+        let rtses = start_all(&net, policy);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let reads = [0, 50, 50];
+        replicate_by(&rtses[0], id, &reads, &[0, 5]).unwrap();
+        let placed = rtses[2].placement_of(id).unwrap();
+        for n in 1..=3 {
+            assert_eq!(add(&rtses[1], id, 1), n);
+            assert_eq!(read(&rtses[2], id), n);
+        }
+        net.crash(NodeId(3));
+        assert!(replicate_by(&rtses[0], id, &reads, &[0, 0, 0, 5]).is_err());
+        assert_eq!(rtses[2].placement_of(id).unwrap(), placed);
+        assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
+        assert_eq!(rtses[0].stats().regime_switches, 1);
+        // The mirror was primed again and is pushed to again.
+        let fetched = rtses[2].stats().copies_fetched;
+        assert_eq!(read(&rtses[2], id), 3);
+        assert_eq!(add(&rtses[1], id, 1), 4);
+        assert_eq!(read(&rtses[2], id), 4);
+        assert_eq!(rtses[2].stats().copies_fetched, fetched);
+        shutdown_all(&rtses);
+    }
+
+    /// A replicated-regime copy that lives off its home survives the home:
+    /// the adopter finds the owner among the survivors and publishes its
+    /// table again under the epoch it has — nothing is regenerated, no
+    /// write fenced — and reads and writes carry on.
+    #[test]
+    fn replicated_owner_off_its_home_survives_the_homes_death() {
+        let net = Network::reliable(3);
+        let rtses = start_all_recoverable(&net, manual_exact(), crate::recovery::patient());
+        let id = rtses[2]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        replicate_by(&rtses[2], id, &[50, 50, 0], &[0, 5, 0]).unwrap();
+        assert_eq!(replicated_at(&rtses[2], id), (1, vec![0]));
+        let (_, epoch) = rtses[2].regime_of(id).unwrap();
+        assert_eq!(add(&rtses[0], id, 4), 4);
+        assert_eq!(add(&rtses[1], id, 3), 7);
+        let slot = slot_of(&rtses[1], id).unwrap();
+
+        net.crash(NodeId(2));
+        wait_for_death(&rtses, NodeId(2));
+        assert_eq!(read(&rtses[0], id), 7);
+        assert_eq!(add(&rtses[0], id, 2), 9);
+        assert_eq!(add(&rtses[1], id, 1), 10);
+        assert_eq!(read(&rtses[0], id), 10);
+        assert_eq!(
+            rtses[0].regime_of(id).unwrap(),
+            (RegimeKind::Replicated, epoch)
+        );
+        assert_eq!(replicated_at(&rtses[1], id), (1, vec![0]));
+        let serving = slot_of(&rtses[1], id).unwrap();
+        assert!(Arc::ptr_eq(&slot, &serving), "the copy was regenerated");
+        assert!(serving.leases.lock().fence.is_none());
+        // The adopter is the home now: it can move the copy.
+        replicate_by(&rtses[0], id, &[50, 50], &[5, 0]).unwrap();
+        assert_eq!(replicated_at(&rtses[1], id), (0, vec![1]));
+        assert_eq!(read(&rtses[1], id), 10);
+        shutdown_all(&rtses);
+    }
+
+    /// The owner of a replicated-regime object dies, its home lives: the
+    /// home regenerates the object from the freshest mirror into a primary
+    /// copy of its own under the next epoch — the routine that adopts a
+    /// dead home's object — and no acknowledged write is missing. The dead
+    /// owner's grants are unknown, so the first write waits a grant span.
+    #[test]
+    fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            read_lease_ms: 150,
+            ..manual_exact()
+        };
+        let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        replicate_by(&rtses[0], id, &[50, 50, 50], &[0, 0, 5]).unwrap();
+        assert_eq!(replicated_at(&rtses[0], id), (2, vec![0, 1]));
+        let (_, epoch) = rtses[0].regime_of(id).unwrap();
+        assert_eq!(add(&rtses[0], id, 4), 4);
+        assert_eq!(add(&rtses[1], id, 3), 7);
+        assert_eq!(add(&rtses[2], id, 2), 9);
+
+        net.crash(NodeId(2));
+        wait_for_death(&rtses, NodeId(2));
+        assert_eq!(read(&rtses[1], id), 9);
+        let (regime, regenerated, owners) = rtses[1].placement_of(id).unwrap();
+        assert_eq!((regime, regenerated), (RegimeKind::Primary, epoch + 1));
+        assert_eq!(owners, vec![NodeId(0)]);
+        let slot = slot_of(&rtses[0], id).expect("regenerated at the home");
+        let armed = slot.leases.lock().fence.expect("the write fence is armed");
+        assert_eq!(add(&rtses[1], id, 1), 10);
+        assert!(Instant::now() >= armed, "a write inside the fence");
+        assert!(slot.leases.lock().fence.is_none());
+        assert_eq!(read(&rtses[0], id), 10);
         shutdown_all(&rtses);
     }
 

@@ -18,9 +18,12 @@
 //! ([`crate::AccessStats::decay_halve`]), so a stale burst loses half its
 //! weight per window and cannot pin a regime after the workload shifts.
 //!
-//! The same per-node counts decide *where* a sharded-regime object's
-//! partitions live ([`UsageAggregate::users`]): on the nodes that access
-//! it, spread evenly over them.
+//! The same per-node counts decide *where* an object lives
+//! ([`UsageAggregate::users`], by the count that matters): a sharded-regime
+//! object's partitions on the nodes that access it, spread evenly over them
+//! ([`place`]); a replicated-regime object's authoritative copy on a node
+//! that writes it and its mirrors on the nodes that read it
+//! ([`UsageAggregate::replicate`]).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -44,8 +47,9 @@ pub struct AdaptivePolicy {
     /// ask nobody, so the lease bounds how long a node can act on a retired
     /// regime when the explicit drop notifications were lost. (A table of
     /// the other regimes needs none — every operation is answered by an
-    /// owner, which refuses an outdated epoch.) Also how long a sharded
-    /// regime's owner keeps its partitions without being heard from.
+    /// owner, which refuses an outdated epoch.) Also how long a node the
+    /// table names — a sharded regime's partition owner, a replicated
+    /// regime's owner or mirror — keeps its place without being heard from.
     pub regime_lease: Duration,
     /// A node reports its per-object read/write counts to the object's
     /// home after this many local accesses.
@@ -70,7 +74,7 @@ pub struct AdaptivePolicy {
     /// operation waits out the switch instead of flooding the network
     /// with table re-fetches.
     pub stale_retry_delay: Duration,
-    /// Validity, in milliseconds, of the read leases the home of a
+    /// Validity, in milliseconds, of the read leases the owner of a
     /// replicated-regime object grants to its mirrors (0 disables leases).
     ///
     /// While a mirror's lease is valid it serves reads with **zero
@@ -78,8 +82,8 @@ pub struct AdaptivePolicy {
     /// could not reach a live mirror waits out that mirror's grant before
     /// completing, which keeps leased reads linearizable even though the
     /// mirror fan-out is otherwise best-effort. A mirror whose lease
-    /// lapsed (idle home) re-syncs from the home, which doubles as the
-    /// renewal.
+    /// lapsed (idle owner) asks the owner for a renewal, and gets the state
+    /// with it only if it fell behind.
     pub read_lease_ms: u64,
     /// Pin every object to the sharded regime — the `sharded` backend: an
     /// object is created partitioned (a type that does not shard as one
@@ -173,6 +177,30 @@ pub(crate) fn place(object: ObjectId, partition: u32, users: &[u16]) -> u16 {
     users[usize::from(spread_owner(object.0, partition, users.len()))]
 }
 
+/// Which of a node's decayed counts makes it a user
+/// ([`UsageAggregate::users`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Count {
+    /// Reads and writes: who a sharded regime's partitions serve.
+    Accesses,
+    /// Reads: who a replicated regime's mirrors serve.
+    Reads,
+    /// Writes: who its authoritative copy serves.
+    Writes,
+}
+
+impl Count {
+    /// Counts arrive in reports off the wire: wide enough not to wrap.
+    fn of(self, stats: &AccessStats) -> u128 {
+        let (reads, writes) = (u128::from(stats.reads()), u128::from(stats.writes()));
+        match self {
+            Count::Accesses => reads + writes,
+            Count::Reads => reads,
+            Count::Writes => writes,
+        }
+    }
+}
+
 /// The home node's decayed per-node usage aggregate for one object.
 #[derive(Default)]
 pub(crate) struct UsageAggregate {
@@ -212,17 +240,18 @@ impl UsageAggregate {
         })
     }
 
-    /// The nodes that use the object, sorted: the ones a sharded regime's
-    /// partitions are spread over. A node is a user when its share of the
-    /// decayed accesses is at least a quarter of an even share
-    /// (`1 / (4 · num_nodes)`); a node in `current_owners` stays one until
-    /// it falls below an eighth, so a node hovering at the threshold does
-    /// not move partitions back and forth — and, whatever its share, for as
-    /// long as its last report is younger than `grace`: windows are counted
-    /// in accesses, a busy object closes one every millisecond, and a node
-    /// whose reports were held up for a few of them (a descheduled thread
-    /// is enough) has stalled, not left. With no evidence every node is a
-    /// user.
+    /// The nodes that use the object, sorted, `by` the count that matters
+    /// to what is being placed: the ones a sharded regime's partitions are
+    /// spread over, a replicated regime's readers, its writers. A node is a
+    /// user when its share of the decayed count is at least a quarter of an
+    /// even share (`1 / (4 · num_nodes)`); a node in `current_owners` — the
+    /// nodes the published table names — stays one until it falls below an
+    /// eighth, so a node hovering at the threshold does not move anything
+    /// back and forth — and, whatever its share, for as long as its last
+    /// report is younger than `grace`: windows are counted in accesses, a
+    /// busy object closes one every millisecond, and a node whose reports
+    /// were held up for a few of them (a descheduled thread is enough) has
+    /// stalled, not left. With no evidence every node is a user.
     ///
     /// Membership, not seats in proportion to the counts: in a closed loop
     /// the node that owns more partitions is faster and therefore reports
@@ -230,24 +259,19 @@ impl UsageAggregate {
     /// while an even spread over the users has one answer.
     pub(crate) fn users(
         &self,
+        by: Count,
         num_nodes: usize,
         current_owners: &[u16],
         grace: Duration,
     ) -> Vec<u16> {
-        // Counts arrive in reports off the wire: wide enough not to wrap.
-        let accesses = |stats: &AccessStats| u128::from(stats.reads()) + u128::from(stats.writes());
-        let total: u128 = self
-            .per_node
-            .values()
-            .map(|(stats, _)| accesses(stats))
-            .sum();
+        let total: u128 = self.per_node.values().map(|(stats, _)| by.of(stats)).sum();
         let mut users: Vec<u16> = self
             .per_node
             .iter()
             .filter(|(node, (stats, heard))| {
                 let owner = current_owners.contains(node);
                 let per_even_share = if owner { 8 } else { 4 };
-                let accesses = accesses(stats);
+                let accesses = by.of(stats);
                 let share = accesses > 0 && accesses * per_even_share * num_nodes as u128 >= total;
                 usize::from(**node) < num_nodes && (share || (owner && heard.elapsed() < grace))
             })
@@ -258,6 +282,40 @@ impl UsageAggregate {
         }
         users.sort_unstable();
         users
+    }
+
+    /// Owner and mirrors (sorted, without the owner) of a replicated-regime
+    /// object, by use, given the `owner` and `mirrors` it has now — the
+    /// home and none when it enters the regime. Mirrors are the users by
+    /// reads. The owner stays while it is among the users by writes;
+    /// otherwise the copy moves to the one with the most decayed writes,
+    /// the lowest id among equals. Membership again, not "whoever writes
+    /// more": with the handful of writes a node reports per window a
+    /// proportional rule would flip on noise several times a second, and
+    /// every flip re-ships the state. Nothing known about writes keeps the
+    /// owner, nothing about reads puts a mirror everywhere — the placement
+    /// before there was a rule.
+    pub(crate) fn replicate(
+        &self,
+        num_nodes: usize,
+        owner: u16,
+        mirrors: &[u16],
+        grace: Duration,
+    ) -> (u16, Vec<u16>) {
+        let named: Vec<u16> = mirrors.iter().copied().chain([owner]).collect();
+        let writes = |node: &u16| self.per_node.get(node).map_or(0, |(s, _)| s.writes());
+        let writers = self.users(Count::Writes, num_nodes, &named, grace);
+        let busiest = writers
+            .iter()
+            .filter(|node| writes(node) > 0)
+            .max_by_key(|node| (writes(node), std::cmp::Reverse(**node)));
+        let owner = match busiest {
+            Some(&busiest) if !writers.contains(&owner) => busiest,
+            _ => owner,
+        };
+        let mut readers = self.users(Count::Reads, num_nodes, &named, grace);
+        readers.retain(|node| *node != owner);
+        (owner, readers)
     }
 
     /// Close the evaluation window: decay every node's counters and reset
@@ -271,23 +329,32 @@ impl UsageAggregate {
 }
 
 #[cfg(test)]
-impl UsageAggregate {
-    /// An aggregate holding `weights[node]` decayed writes per node, each
-    /// reported just now; a node of weight zero was never heard from.
-    pub(crate) fn of_writes(weights: &[u64]) -> Self {
-        let mut usage = UsageAggregate::default();
-        for (node, &weight) in weights.iter().enumerate() {
-            if weight > 0 {
-                usage.report(node as u16, 0, weight, u64::MAX);
-            }
-        }
-        usage
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UsageAggregate {
+        /// An aggregate holding `reads[node]` decayed reads and
+        /// `writes[node]` decayed writes per node (a missing entry is
+        /// zero), each reported just now; a node of no weight was never
+        /// heard from.
+        pub(crate) fn of(reads: &[u64], writes: &[u64]) -> Self {
+            let mut usage = UsageAggregate::default();
+            for node in 0..reads.len().max(writes.len()) {
+                let count = |counts: &[u64]| counts.get(node).copied().unwrap_or(0);
+                if count(reads) + count(writes) > 0 {
+                    usage.report(node as u16, count(reads), count(writes), u64::MAX);
+                }
+            }
+            // Evidence to place by, not a window about to close.
+            usage.since_eval = 0;
+            usage
+        }
+
+        /// [`UsageAggregate::of`] writes alone.
+        pub(crate) fn of_writes(weights: &[u64]) -> Self {
+            UsageAggregate::of(&[], weights)
+        }
+    }
 
     /// The share rule alone: no owner is kept for having reported lately.
     const NO_GRACE: Duration = Duration::ZERO;
@@ -328,35 +395,40 @@ mod tests {
     fn users_are_the_nodes_that_access_the_object() {
         // No evidence: every node, which is the fixed hashed spread.
         assert_eq!(
-            UsageAggregate::default().users(3, &[], NO_GRACE),
+            UsageAggregate::default().users(Count::Accesses, 3, &[], NO_GRACE),
             vec![0, 1, 2]
         );
         assert_eq!(
-            UsageAggregate::of_writes(&[0, 0, 0]).users(3, &[0], NO_GRACE),
+            UsageAggregate::of_writes(&[0, 0, 0]).users(Count::Accesses, 3, &[0], NO_GRACE),
             vec![0, 1, 2]
         );
         // The idle creator of a table two other nodes write is not a user,
         // whether or not it owns a partition today.
         assert_eq!(
-            UsageAggregate::of_writes(&[0, 64, 64]).users(3, &[], NO_GRACE),
+            UsageAggregate::of_writes(&[0, 64, 64]).users(Count::Accesses, 3, &[], NO_GRACE),
             vec![1, 2]
         );
         assert_eq!(
-            UsageAggregate::of_writes(&[0, 64, 64]).users(3, &[0, 1, 2, 0], NO_GRACE),
+            UsageAggregate::of_writes(&[0, 64, 64]).users(
+                Count::Accesses,
+                3,
+                &[0, 1, 2, 0],
+                NO_GRACE
+            ),
             vec![1, 2]
         );
         // One node's evidence alone places everything on that node.
         assert_eq!(
-            UsageAggregate::of_writes(&[0, 64, 0]).users(3, &[], NO_GRACE),
+            UsageAggregate::of_writes(&[0, 64, 0]).users(Count::Accesses, 3, &[], NO_GRACE),
             vec![1]
         );
         // A count that decayed to nothing is no evidence of use.
         let mut faded = UsageAggregate::of_writes(&[1, 64, 64]);
         faded.end_window();
-        assert_eq!(faded.users(3, &[0], NO_GRACE), vec![1, 2]);
+        assert_eq!(faded.users(Count::Accesses, 3, &[0], NO_GRACE), vec![1, 2]);
         // A report naming a node outside the pool never places anything.
         assert_eq!(
-            UsageAggregate::of_writes(&[0, 64, 64, 64]).users(3, &[], NO_GRACE),
+            UsageAggregate::of_writes(&[0, 64, 64, 64]).users(Count::Accesses, 3, &[], NO_GRACE),
             vec![1, 2]
         );
     }
@@ -366,21 +438,30 @@ mod tests {
         // Three nodes: an even share is 1/3, joining takes 1/12 of the
         // accesses, an owner stays down to 1/24.
         let joins = UsageAggregate::of_writes(&[10, 55, 55]); // 10/120 = 1/12
-        assert_eq!(joins.users(3, &[], NO_GRACE), vec![0, 1, 2]);
-        let short = UsageAggregate::of_writes(&[9, 55, 56]); // 9/120 < 1/12
-        assert_eq!(short.users(3, &[], NO_GRACE), vec![1, 2]);
         assert_eq!(
-            short.users(3, &[0, 1], NO_GRACE),
+            joins.users(Count::Accesses, 3, &[], NO_GRACE),
+            vec![0, 1, 2]
+        );
+        let short = UsageAggregate::of_writes(&[9, 55, 56]); // 9/120 < 1/12
+        assert_eq!(short.users(Count::Accesses, 3, &[], NO_GRACE), vec![1, 2]);
+        assert_eq!(
+            short.users(Count::Accesses, 3, &[0, 1], NO_GRACE),
             vec![0, 1, 2],
             "an owner stays"
         );
         let stays = UsageAggregate::of_writes(&[5, 57, 58]); // 5/120 = 1/24
-        assert_eq!(stays.users(3, &[0, 1], NO_GRACE), vec![0, 1, 2]);
+        assert_eq!(
+            stays.users(Count::Accesses, 3, &[0, 1], NO_GRACE),
+            vec![0, 1, 2]
+        );
         let leaves = UsageAggregate::of_writes(&[4, 58, 58]); // 4/120 < 1/24
-        assert_eq!(leaves.users(3, &[0, 1], NO_GRACE), vec![1, 2]);
+        assert_eq!(
+            leaves.users(Count::Accesses, 3, &[0, 1], NO_GRACE),
+            vec![1, 2]
+        );
         // A 2 % trickle never joins.
         assert_eq!(
-            UsageAggregate::of_writes(&[2, 49, 49]).users(3, &[], NO_GRACE),
+            UsageAggregate::of_writes(&[2, 49, 49]).users(Count::Accesses, 3, &[], NO_GRACE),
             vec![1, 2]
         );
 
@@ -388,10 +469,19 @@ mod tests {
         // list, from either side.
         for owned in [&[1u16, 2][..], &[0, 1, 2][..]] {
             let mut owners: Vec<u16> = owned.to_vec();
-            let before = UsageAggregate::of_writes(&[6, 57, 57]).users(3, &owners, NO_GRACE);
+            let before = UsageAggregate::of_writes(&[6, 57, 57]).users(
+                Count::Accesses,
+                3,
+                &owners,
+                NO_GRACE,
+            );
             for weight in [6u64, 9, 5, 8, 6, 9] {
-                let users =
-                    UsageAggregate::of_writes(&[weight, 57, 57]).users(3, &owners, NO_GRACE);
+                let users = UsageAggregate::of_writes(&[weight, 57, 57]).users(
+                    Count::Accesses,
+                    3,
+                    &owners,
+                    NO_GRACE,
+                );
                 assert_eq!(users, before, "weight {weight} moved the list");
                 owners = users;
             }
@@ -408,19 +498,29 @@ mod tests {
             usage.end_window();
         }
         let lease = Duration::from_secs(3600);
-        assert_eq!(usage.users(3, &[1, 2, 1, 2], lease), vec![1, 2]);
+        assert_eq!(
+            usage.users(Count::Accesses, 3, &[1, 2, 1, 2], lease),
+            vec![1, 2]
+        );
         // The grace keeps owners, it admits nobody: a node that owns
         // nothing joins on its share alone.
-        assert_eq!(usage.users(3, &[1, 1, 1, 1], lease), vec![1]);
+        assert_eq!(
+            usage.users(Count::Accesses, 3, &[1, 1, 1, 1], lease),
+            vec![1]
+        );
         // Once the silence has outlasted the grace, the share decides.
-        assert_eq!(usage.users(3, &[1, 2, 1, 2], NO_GRACE), vec![1]);
+        assert_eq!(
+            usage.users(Count::Accesses, 3, &[1, 2, 1, 2], NO_GRACE),
+            vec![1]
+        );
     }
 
     #[test]
     fn owners_are_an_even_deterministic_spread_over_the_users() {
         let object = ObjectId::compose(0, 1);
         // (0, ½, ½) of three nodes: both users own two of four partitions.
-        let users = UsageAggregate::of_writes(&[0, 64, 64]).users(3, &[], NO_GRACE);
+        let users =
+            UsageAggregate::of_writes(&[0, 64, 64]).users(Count::Accesses, 3, &[], NO_GRACE);
         let owners = owners_of(object, 4, &users);
         assert_eq!(owners.len(), 4);
         assert!(owners.iter().all(|owner| users.contains(owner)));
@@ -429,10 +529,11 @@ mod tests {
         }
         // The same list presented again — now with hysteresis in play —
         // gives the same vector, so a steady load never moves a partition.
-        let again = UsageAggregate::of_writes(&[0, 64, 64]).users(3, &owners, NO_GRACE);
+        let again =
+            UsageAggregate::of_writes(&[0, 64, 64]).users(Count::Accesses, 3, &owners, NO_GRACE);
         assert_eq!(owners_of(object, 4, &again), owners);
         // No evidence is the fixed sharded runtime's placement.
-        let everyone = UsageAggregate::default().users(3, &[], NO_GRACE);
+        let everyone = UsageAggregate::default().users(Count::Accesses, 3, &[], NO_GRACE);
         let spread: Vec<u16> = (0..4).map(|p| spread_owner(object.0, p, 3)).collect();
         assert_eq!(owners_of(object, 4, &everyone), spread);
 
@@ -440,15 +541,84 @@ mod tests {
         // count as a change when the same evidence comes back (owner
         // *vectors* are compared, never owner sets with user sets).
         let crowd = UsageAggregate::of_writes(&[40, 40, 40, 40, 40, 40]);
-        let users = crowd.users(6, &[], NO_GRACE);
+        let users = crowd.users(Count::Accesses, 6, &[], NO_GRACE);
         assert_eq!(users, vec![0, 1, 2, 3, 4, 5]);
         let owners = owners_of(object, 4, &users);
         let distinct: std::collections::BTreeSet<u16> = owners.iter().copied().collect();
         assert_eq!(distinct.len(), 4, "consecutive partitions, distinct users");
         assert_eq!(
-            owners_of(object, 4, &crowd.users(6, &owners, NO_GRACE)),
+            owners_of(
+                object,
+                4,
+                &crowd.users(Count::Accesses, 6, &owners, NO_GRACE)
+            ),
             owners
         );
+    }
+
+    /// One hour: any report made in this test is inside the grace.
+    const LONG_GRACE: Duration = Duration::from_secs(3600);
+
+    #[test]
+    fn a_replicated_object_is_owned_where_it_is_written_and_mirrored_where_it_is_read() {
+        // The ledger's read-mostly cell: the creator idle, two nodes at
+        // 90/10. Entering the regime (the copy is at the home, no mirrors):
+        // the owner is one of the two, the mirror the other, nothing on 0.
+        let usage = UsageAggregate::of(&[0, 58, 58], &[0, 6, 6]);
+        let placed = usage.replicate(3, 0, &[], NO_GRACE);
+        assert_eq!(placed, (1, vec![2]), "equal writers: the lowest id");
+        // The same evidence presented again moves nothing, with or without
+        // the grace: no switch under a steady load.
+        for grace in [NO_GRACE, LONG_GRACE] {
+            assert_eq!(usage.replicate(3, placed.0, &placed.1, grace), placed);
+        }
+        // Reads only: the owner stays, the mirrors are the readers.
+        let readers = UsageAggregate::of(&[0, 40, 40, 0], &[]);
+        assert_eq!(readers.replicate(4, 0, &[], NO_GRACE), (0, vec![1, 2]));
+        assert_eq!(readers.replicate(4, 3, &[0], NO_GRACE), (3, vec![1, 2]));
+        // No evidence: what a forced switch has always built.
+        let nothing = UsageAggregate::default();
+        assert_eq!(nothing.replicate(3, 0, &[], NO_GRACE), (0, vec![1, 2]));
+        assert_eq!(nothing.replicate(3, 2, &[1], LONG_GRACE), (2, vec![0, 1]));
+    }
+
+    #[test]
+    fn the_replicated_owner_is_sticky() {
+        // Out-written six to one, the owner is still a writer: it stays.
+        let lopsided = UsageAggregate::of_writes(&[0, 5, 30]);
+        assert_eq!(lopsided.replicate(3, 1, &[2], NO_GRACE).0, 1);
+        // It stopped writing (it still reads, so the home hears from it):
+        // inside the grace it has stalled, past it the copy moves.
+        let stopped = UsageAggregate::of(&[0, 10, 10], &[0, 0, 30]);
+        assert_eq!(stopped.replicate(3, 1, &[2], LONG_GRACE), (1, vec![2]));
+        assert_eq!(stopped.replicate(3, 1, &[2], NO_GRACE), (2, vec![1]));
+        // Silence alone moves nothing: only a writer can take the copy.
+        let silent = UsageAggregate::of(&[0, 0, 10], &[]);
+        assert_eq!(silent.replicate(3, 1, &[2], NO_GRACE), (1, vec![2]));
+        // Equal writers: the lowest id, whatever order the map iterates in
+        // (every aggregate hashes with its own keys).
+        for _ in 0..32 {
+            let tied = UsageAggregate::of_writes(&[0, 7, 7, 7]);
+            assert_eq!(tied.replicate(4, 0, &[], NO_GRACE).0, 1);
+        }
+    }
+
+    #[test]
+    fn trickle_readers_never_mirror_and_hovering_ones_never_move_the_list() {
+        // A 2 % reader ships its reads; it is not worth a push per write.
+        let trickle = UsageAggregate::of(&[2, 49, 49], &[0, 5, 5]);
+        assert_eq!(trickle.replicate(3, 1, &[2], NO_GRACE), (1, vec![2]));
+        // Between an eighth and a quarter of an even share (1/24 .. 1/12
+        // of the reads) a node stays what it is, from either side.
+        for mirrors in [&[2u16][..], &[0, 2][..]] {
+            let mut placed = (1, mirrors.to_vec());
+            for weight in [6u64, 9, 5, 8, 6, 9] {
+                let usage = UsageAggregate::of(&[weight, 57, 57], &[0, 6, 6]);
+                let again = usage.replicate(3, placed.0, &placed.1, NO_GRACE);
+                assert_eq!(again.1, mirrors, "weight {weight} moved the list");
+                placed = again;
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   ([`ReplicationPolicy`]).
 //! * [`AdaptiveRts`] — makes the regime a *per-object, dynamic* property.
 //!   Each object is served, at any moment, in one of three regimes —
-//!   replicated with ordered updates (read-dominated), primary copy
-//!   (mixed), sharded (write-hot shardable: `N` partitions hashed over the
+//!   replicated with ordered updates (read-dominated: the copy on a node
+//!   that writes the object, mirrors on the nodes that read it), primary
+//!   copy (mixed), sharded (write-hot shardable: `N` partitions hashed over the
 //!   nodes that use the object, each owned by one node, operations shipped
 //!   point-to-point to the partition owner, so writes to different
 //!   partitions proceed in parallel on different nodes) — and the object's
@@ -47,7 +48,7 @@
 //! |-----|-------------|-----------|-------------|
 //! | broadcast | full (every node) | totally-ordered broadcast, applied everywhere | sequential, object-wide |
 //! | primary copy (invalidate / update) | primary + dynamic secondaries | RPC to primary, then invalidate or 2-phase update of secondaries | sequential, object-wide |
-//! | adaptive | per object: full mirrors, home copy, or partitions | per object: RPC to home (+ ordered update push to mirrors) or RPC to partition owner | sequential per object (per partition while sharded) |
+//! | adaptive | per object: a copy where it is written + mirrors where it is read, home copy, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors) or RPC to partition owner | sequential per object (per partition while sharded) |
 //! | sharded (adaptive, regime pinned) | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
 //! Of the standard object library, the job queue, key-value table, set and

@@ -22,9 +22,6 @@
 //! 4. It closes the epoch ([`RecoveryMsg::Done`]) so survivors know that
 //!    any orphaned object *without* a published new home is lost.
 //!
-//! [`RecoveryMsg::StateTransfer`] carries full object state when a
-//! promotion target needs it shipped.
-//!
 //! The vocabulary lives here, at the bottom of the stack, so the codecs are
 //! property-tested together with every other wire type and the byte counts
 //! the network statistics accumulate for recovery traffic are real.
@@ -130,17 +127,6 @@ pub enum RecoveryMsg {
         /// ([`TraceId::NONE`] when untraced).
         trace: TraceId,
     },
-    /// Full-state shipment to a promotion target that lacks a local copy.
-    StateTransfer {
-        /// Raw object id.
-        object: u64,
-        /// Registered object type name.
-        type_name: String,
-        /// Version of the shipped state.
-        version: u64,
-        /// Encoded object state.
-        state: Vec<u8>,
-    },
     /// Coordinator → every survivor: `object` is now served by `new_home`
     /// (or permanently lost when `lost` is set — no copy survived).
     ReHome {
@@ -192,18 +178,6 @@ impl Wire for RecoveryMsg {
                 object.encode(enc);
                 trace.encode(enc);
             }
-            RecoveryMsg::StateTransfer {
-                object,
-                type_name,
-                version,
-                state,
-            } => {
-                enc.put_u8(4);
-                object.encode(enc);
-                type_name.encode(enc);
-                version.encode(enc);
-                enc.put_bytes(state);
-            }
             RecoveryMsg::ReHome {
                 epoch,
                 object,
@@ -241,12 +215,6 @@ impl Wire for RecoveryMsg {
                 epoch: Wire::decode(dec)?,
                 object: Wire::decode(dec)?,
                 trace: Wire::decode(dec)?,
-            }),
-            4 => Ok(RecoveryMsg::StateTransfer {
-                object: Wire::decode(dec)?,
-                type_name: Wire::decode(dec)?,
-                version: Wire::decode(dec)?,
-                state: dec.get_bytes()?,
             }),
             5 => Ok(RecoveryMsg::ReHome {
                 epoch: Wire::decode(dec)?,
@@ -342,12 +310,6 @@ mod tests {
                 epoch: 2,
                 object: (5u64 << 48) | 7,
                 trace: TraceId::mint(0, 1),
-            },
-            RecoveryMsg::StateTransfer {
-                object: 12,
-                type_name: "orca.KvTable".into(),
-                version: 44,
-                state: vec![1, 2, 3],
             },
             RecoveryMsg::ReHome {
                 epoch: 2,

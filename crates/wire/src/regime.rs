@@ -1,8 +1,9 @@
 //! Wire messages of the adaptive runtime system's regime protocol.
 //!
 //! The adaptive RTS (see `orca-rts`) serves every shared object in one of
-//! three *regimes* — full replication with ordered updates, primary copy at
-//! the home node, or hash-partitioned sharding — and changes an object's
+//! three *regimes* — replication with ordered updates on the nodes that read
+//! it, primary copy at the home node, or hash-partitioned sharding — and
+//! changes an object's
 //! regime at runtime from its observed read/write mix (or, with the regime
 //! pinned, keeps every object sharded: the `sharded` backend). The object's
 //! home node (its creator, recoverable from the object id) owns the
@@ -21,9 +22,11 @@ use crate::{Decoder, Encoder, Wire, WireError, WireResult};
 /// Which synchronization regime currently serves an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegimeKind {
-    /// One authoritative copy at the home node plus a read mirror on every
-    /// node; writes execute at home, which pushes sequence-numbered updates
-    /// to the mirrors. Reads are local. Best for read-dominated objects.
+    /// One authoritative copy at the *owner* — a node that writes the
+    /// object — plus a read mirror on every other node that reads it; writes
+    /// execute at the owner, which pushes sequence-numbered updates to the
+    /// mirrors. Reads are local there, shipped to the owner from anywhere
+    /// else. Best for read-dominated objects.
     Replicated,
     /// A single copy at the home node; all remote operations are shipped by
     /// RPC. Best for mixed or low-traffic objects.
@@ -82,10 +85,15 @@ pub struct RegimeTable {
     pub epoch: u64,
     /// The regime currently serving the object.
     pub regime: RegimeKind,
-    /// Owner node index per partition. For [`RegimeKind::Primary`] and
-    /// [`RegimeKind::Replicated`] this is a single entry (the home node);
-    /// for [`RegimeKind::Sharded`] one entry per partition.
+    /// Owner node index per partition: one entry per partition for
+    /// [`RegimeKind::Sharded`], a single entry otherwise — the home node
+    /// for [`RegimeKind::Primary`], the node holding the authoritative copy
+    /// for [`RegimeKind::Replicated`].
     pub owners: Vec<u16>,
+    /// The nodes holding a read mirror ([`RegimeKind::Replicated`] only,
+    /// sorted, never the owner). The table is the truth: a node it does not
+    /// list ships its reads to the owner like any primary-regime read.
+    pub mirrors: Vec<u16>,
 }
 
 impl RegimeTable {
@@ -102,6 +110,7 @@ impl Wire for RegimeTable {
         self.epoch.encode(enc);
         self.regime.encode(enc);
         self.owners.encode(enc);
+        self.mirrors.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         Ok(RegimeTable {
@@ -110,6 +119,7 @@ impl Wire for RegimeTable {
             epoch: Wire::decode(dec)?,
             regime: Wire::decode(dec)?,
             owners: Wire::decode(dec)?,
+            mirrors: Wire::decode(dec)?,
         })
     }
 }
@@ -187,7 +197,9 @@ pub enum RegimeMsg {
         partition: u32,
     },
     /// Home → new owner (regime switch, phase 2): install an authoritative
-    /// partition replica under the new epoch.
+    /// partition replica under the new epoch. The installer of a
+    /// replicated-regime slot primes the listed mirrors, a lease each, and
+    /// is their grantor from then on.
     Install {
         /// Raw object id.
         object: u64,
@@ -203,9 +215,14 @@ pub enum RegimeMsg {
         /// exactly-once dedup survives the regime switch with the state it
         /// describes.
         dedup: DedupWindow,
+        /// The regime the slot serves.
+        regime: RegimeKind,
+        /// The slot's read mirrors (replicated regime only).
+        mirrors: Vec<u16>,
     },
-    /// Home → every node (switch into the replicated regime): install a
-    /// read mirror primed with the given state and update sequence number.
+    /// Owner → listed mirror (a replicated-regime slot was installed):
+    /// install a read mirror primed with the given state and update
+    /// sequence number.
     Mirror {
         /// Raw object id.
         object: u64,
@@ -220,30 +237,35 @@ pub enum RegimeMsg {
         /// Dedup window paired with `state` (rides along so a mirror
         /// promoted by home adoption can answer retried writes).
         dedup: DedupWindow,
-        /// Read lease over the installed mirror, when the home grants
+        /// Read lease over the installed mirror, when the owner grants
         /// leases.
         lease: Option<LeaseGrant>,
     },
-    /// Client → home node: fetch a fresh mirror state (lazy re-sync after a
-    /// lost update or a missed mirror install).
+    /// Listed mirror → owner: fetch a fresh mirror state (lazy re-sync after
+    /// a lost update or a missed mirror install) or renew a lapsed lease.
     FetchMirror {
         /// Raw object id.
         object: u64,
         /// Epoch the client believes is current.
         epoch: u64,
+        /// Version of the caller's unlocked copy of that epoch, if it holds
+        /// one: an owner still at that version answers
+        /// [`RegimeReply::Renewed`] instead of shipping the state.
+        have: Option<u64>,
     },
-    /// Home → every node (switch out of the replicated regime): discard the
-    /// read mirror so no node keeps serving pre-switch state. Partition
-    /// backups of the retired epoch are discarded with it (any switch of a
-    /// backed-up sharded regime), so none is left to be promoted later.
+    /// Draining owner → its mirrors (a replicated-regime slot is retired):
+    /// discard the read mirror so no node keeps serving pre-switch state.
+    /// Home → every node: partition backups of the retired epoch are
+    /// discarded the same way (any switch of a backed-up sharded regime),
+    /// so none is left to be promoted later.
     DropMirror {
         /// Raw object id.
         object: u64,
         /// Epoch being retired.
         epoch: u64,
     },
-    /// Home → mirror holder: apply one sequence-numbered update (a write
-    /// that executed at home) and keep the mirror locked until the matching
+    /// Owner → mirror holder: apply one sequence-numbered update (a write
+    /// that executed at the owner) and keep the mirror locked until the matching
     /// [`RegimeMsg::Unlock`] arrives (two-phase, for sequential
     /// consistency).
     Update {
@@ -251,7 +273,7 @@ pub enum RegimeMsg {
         object: u64,
         /// Epoch of the replicated regime.
         epoch: u64,
-        /// Update sequence number (the home replica's write version).
+        /// Update sequence number (the owner replica's write version).
         seq: u64,
         /// Encoded write operation.
         op: Vec<u8>,
@@ -260,8 +282,8 @@ pub enum RegimeMsg {
         /// its copy.
         stamped: Option<(OpStamp, Vec<u8>)>,
     },
-    /// Mirror-holding client → home node: a replicated-regime write whose
-    /// sender holds an installed mirror and has marked it pending. The home
+    /// Mirror-holding client → owner: a replicated-regime write whose
+    /// sender holds an installed mirror and has marked it pending. The owner
     /// executes it like a partition-0 [`RegimeMsg::Op`] but leaves the
     /// sender out of both phases of the mirror push and answers
     /// [`RegimeReply::Installed`], from which the sender brings its own
@@ -276,7 +298,7 @@ pub enum RegimeMsg {
         /// Exactly-once identity of the write (see [`RegimeMsg::Op`]).
         stamp: Option<OpStamp>,
     },
-    /// Home → mirror holder: release the mirror locked by `seq`. A one-way
+    /// Owner → mirror holder: release the mirror locked by `seq`. A one-way
     /// notification — nothing is sent back — so it can be handled after a
     /// later [`RegimeMsg::Update`]; `seq` is what lets the holder ignore it
     /// then.
@@ -288,14 +310,15 @@ pub enum RegimeMsg {
         /// Update sequence number being released.
         seq: u64,
         /// Renewed read lease over the (now current again) mirror, when
-        /// the home grants leases.
+        /// the owner grants leases.
         lease: Option<LeaseGrant>,
     },
     /// Recovering home → survivor: report what you hold of `object` —
-    /// sharded-regime partitions, partition backups, a read mirror — so the
-    /// home (or the node adopting a dead creator's home role) can give
-    /// every partition a live owner again, or regenerate the object from a
-    /// mirror. Answered [`RegimeReply::Holdings`].
+    /// authoritative slots, partition backups, a read mirror — so the home
+    /// (or the node adopting a dead creator's home role) can give every
+    /// partition a live owner again, find a live replicated owner, or
+    /// regenerate the object from a mirror. Answered
+    /// [`RegimeReply::Holdings`].
     Holdings {
         /// Raw object id.
         object: u64,
@@ -428,6 +451,8 @@ impl Wire for RegimeMsg {
                 type_name,
                 state,
                 dedup,
+                regime,
+                mirrors,
             } => {
                 enc.put_u8(6);
                 object.encode(enc);
@@ -436,6 +461,8 @@ impl Wire for RegimeMsg {
                 type_name.encode(enc);
                 enc.put_bytes(state);
                 dedup.encode(enc);
+                regime.encode(enc);
+                mirrors.encode(enc);
             }
             RegimeMsg::Mirror {
                 object,
@@ -455,10 +482,15 @@ impl Wire for RegimeMsg {
                 dedup.encode(enc);
                 lease.encode(enc);
             }
-            RegimeMsg::FetchMirror { object, epoch } => {
+            RegimeMsg::FetchMirror {
+                object,
+                epoch,
+                have,
+            } => {
                 enc.put_u8(8);
                 object.encode(enc);
                 epoch.encode(enc);
+                have.encode(enc);
             }
             RegimeMsg::DropMirror { object, epoch } => {
                 enc.put_u8(9);
@@ -590,6 +622,8 @@ impl Wire for RegimeMsg {
                 type_name: Wire::decode(dec)?,
                 state: dec.get_bytes()?,
                 dedup: Wire::decode(dec)?,
+                regime: Wire::decode(dec)?,
+                mirrors: Wire::decode(dec)?,
             }),
             7 => Ok(RegimeMsg::Mirror {
                 object: Wire::decode(dec)?,
@@ -603,6 +637,7 @@ impl Wire for RegimeMsg {
             8 => Ok(RegimeMsg::FetchMirror {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
+                have: Wire::decode(dec)?,
             }),
             9 => Ok(RegimeMsg::DropMirror {
                 object: Wire::decode(dec)?,
@@ -661,15 +696,16 @@ impl Wire for RegimeMsg {
 }
 
 /// What one node holds of an object: the answer to
-/// [`RegimeMsg::Holdings`]. Partitions are `(partition, epoch, version)`;
-/// among holders of one partition the greater `(epoch, version)` is the
-/// fresher, so a backup a drain left behind never outranks its successor.
+/// [`RegimeMsg::Holdings`]. Partitions are `(partition, epoch, version)` —
+/// a slot also names the regime it serves; among holders of one partition
+/// the greater `(epoch, version)` is the fresher, so a backup a drain left
+/// behind never outranks its successor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Holdings {
     /// Registered type name of what is held (empty when nothing is).
     pub type_name: String,
-    /// Sharded-regime partitions this node owns.
-    pub slots: Vec<(u32, u64, u64)>,
+    /// Authoritative slots this node serves, of any regime.
+    pub slots: Vec<(u32, u64, u64, RegimeKind)>,
     /// Partitions this node holds a backup of.
     pub backups: Vec<(u32, u64, u64)>,
     /// The read mirror held, as `(epoch, seq, state)`.
@@ -730,10 +766,13 @@ pub enum RegimeReply {
         seq: u64,
         /// Dedup window paired with `state`.
         dedup: DedupWindow,
-        /// Read lease over the fetched mirror, when the home grants
+        /// Read lease over the fetched mirror, when the owner grants
         /// leases.
         lease: Option<LeaseGrant>,
     },
+    /// Reply to a [`RegimeMsg::FetchMirror`] whose sender's copy is
+    /// current: the renewed read lease alone.
+    Renewed(LeaseGrant),
     /// Acknowledgement with no payload.
     Ack,
     /// The request failed.
@@ -756,7 +795,7 @@ pub enum RegimeReply {
         reply: Vec<u8>,
         /// Update sequence number the write was applied at.
         seq: u64,
-        /// Renewed read lease over the sender's mirror, when the home
+        /// Renewed read lease over the sender's mirror, when the owner
         /// grants leases.
         lease: Option<LeaseGrant>,
     },
@@ -790,6 +829,10 @@ impl Wire for RegimeReply {
                 enc.put_bytes(state);
                 seq.encode(enc);
                 dedup.encode(enc);
+                lease.encode(enc);
+            }
+            RegimeReply::Renewed(lease) => {
+                enc.put_u8(12);
                 lease.encode(enc);
             }
             RegimeReply::Ack => enc.put_u8(6),
@@ -840,6 +883,7 @@ impl Wire for RegimeReply {
                 lease: Wire::decode(dec)?,
                 reply: dec.get_rest().to_vec(),
             }),
+            12 => Ok(RegimeReply::Renewed(Wire::decode(dec)?)),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeReply",
                 tag: u64::from(tag),
@@ -859,6 +903,7 @@ mod tests {
             epoch: 5,
             regime: RegimeKind::Sharded,
             owners: vec![0, 1, 2, 1],
+            mirrors: Vec::new(),
         }
     }
 
@@ -911,6 +956,8 @@ mod tests {
                 type_name: "orca.Set".into(),
                 state: vec![0; 8],
                 dedup: window(),
+                regime: RegimeKind::Replicated,
+                mirrors: vec![0, 2],
             },
             RegimeMsg::Mirror {
                 object: 9,
@@ -924,6 +971,7 @@ mod tests {
             RegimeMsg::FetchMirror {
                 object: 9,
                 epoch: 3,
+                have: Some(12),
             },
             RegimeMsg::DropMirror {
                 object: 9,
@@ -984,6 +1032,12 @@ mod tests {
         let replies = vec![
             RegimeReply::Done(vec![9]),
             RegimeReply::Blocked,
+            RegimeReply::Route(RegimeTable {
+                regime: RegimeKind::Replicated,
+                owners: vec![2],
+                mirrors: vec![1],
+                ..table.clone()
+            }),
             RegimeReply::Route(table),
             RegimeReply::StaleRegime,
             RegimeReply::State {
@@ -996,12 +1050,13 @@ mod tests {
                 dedup: window(),
                 lease: Some(grant()),
             },
+            RegimeReply::Renewed(grant()),
             RegimeReply::Ack,
             RegimeReply::Error("nope".into()),
             RegimeReply::Holdings(Box::default()),
             RegimeReply::Holdings(Box::new(Holdings {
                 type_name: "orca.KvTable".into(),
-                slots: vec![(0, 4, 9)],
+                slots: vec![(0, 4, 9, RegimeKind::Sharded)],
                 backups: vec![(1, 4, 3), (1, 3, 40)],
                 mirror: Some((4, 17, vec![7])),
                 dedup: window(),

@@ -350,11 +350,35 @@ fn random_parts(gen: &mut Gen) -> Vec<(u32, u64, u64)> {
         .collect()
 }
 
+fn random_regime(gen: &mut Gen) -> orca_wire::RegimeKind {
+    use orca_wire::RegimeKind;
+    [
+        RegimeKind::Replicated,
+        RegimeKind::Primary,
+        RegimeKind::Sharded,
+    ][gen.below(3)]
+}
+
+fn random_nodes(gen: &mut Gen) -> Vec<u16> {
+    (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect()
+}
+
+/// Slots as a [`orca_wire::Holdings`] reports them: a part and its regime.
+fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
+    let parts = random_parts(gen);
+    parts
+        .into_iter()
+        .map(|(partition, epoch, version)| (partition, epoch, version, random_regime(gen)))
+        .collect()
+}
+
 /// The messages that keep a shard — one partition of a sharded-regime
 /// object — alive across its owner's death: backup shipping, promotion and
-/// the holdings report. None of them has a tail, so besides round-tripping,
-/// every strict prefix of an encoding and every unassigned tag must be
-/// rejected.
+/// the holdings report; and the ones that place a replicated-regime object:
+/// an install naming its regime and mirrors, a mirror fetch naming the
+/// version held, the lease-only renewal, a table naming mirrors. None of
+/// them has a tail, so besides round-tripping, every strict prefix of an
+/// encoding and every unassigned tag must be rejected.
 #[test]
 fn shard_messages_round_trip() {
     use orca_wire::{Holdings, RegimeMsg, RegimeReply};
@@ -363,8 +387,23 @@ fn shard_messages_round_trip() {
         let object = gen.next_u64();
         let epoch = gen.next_u64();
         let partition = gen.next_u64() as u32;
-        let msg = match gen.below(4) {
+        let msg = match gen.below(6) {
             0 => RegimeMsg::Holdings { object },
+            4 => RegimeMsg::Install {
+                object,
+                epoch,
+                partition,
+                type_name: gen.string(),
+                state: gen.bytes(48),
+                dedup: random_dedup(&mut gen),
+                regime: random_regime(&mut gen),
+                mirrors: random_nodes(&mut gen),
+            },
+            5 => RegimeMsg::FetchMirror {
+                object,
+                epoch,
+                have: (gen.below(2) == 0).then(|| gen.next_u64()),
+            },
             1 => RegimeMsg::Backup {
                 object,
                 epoch,
@@ -389,13 +428,18 @@ fn shard_messages_round_trip() {
             },
         };
         assert_roundtrip(&msg, case);
-        let reply = RegimeReply::Holdings(Box::new(Holdings {
-            type_name: gen.string(),
-            slots: random_parts(&mut gen),
-            backups: random_parts(&mut gen),
-            mirror: (gen.below(2) == 0).then(|| (gen.next_u64(), gen.next_u64(), gen.bytes(48))),
-            dedup: random_dedup(&mut gen),
-        }));
+        let reply = match gen.below(3) {
+            0 => RegimeReply::Renewed(random_lease(&mut gen)),
+            1 => RegimeReply::Route(random_regime_table(&mut gen)),
+            _ => RegimeReply::Holdings(Box::new(Holdings {
+                type_name: gen.string(),
+                slots: random_slots(&mut gen),
+                backups: random_parts(&mut gen),
+                mirror: (gen.below(2) == 0)
+                    .then(|| (gen.next_u64(), gen.next_u64(), gen.bytes(48))),
+                dedup: random_dedup(&mut gen),
+            })),
+        };
         assert_roundtrip(&reply, case);
 
         let mut bytes = msg.to_bytes();
@@ -417,7 +461,7 @@ fn shard_messages_round_trip() {
                 "case {case}: {reply:?} cut to {cut} bytes decoded"
             );
         }
-        bytes[0] = 12 + gen.below(244) as u8;
+        bytes[0] = 13 + gen.below(243) as u8;
         assert!(
             RegimeReply::from_bytes(&bytes).is_err(),
             "case {case}: bad tag"
@@ -426,17 +470,13 @@ fn shard_messages_round_trip() {
 }
 
 fn random_regime_table(gen: &mut Gen) -> orca_wire::RegimeTable {
-    use orca_wire::RegimeKind;
     orca_wire::RegimeTable {
         object: gen.next_u64(),
         type_name: gen.string(),
         epoch: gen.next_u64(),
-        regime: match gen.below(3) {
-            0 => RegimeKind::Replicated,
-            1 => RegimeKind::Primary,
-            _ => RegimeKind::Sharded,
-        },
-        owners: (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect(),
+        regime: random_regime(gen),
+        owners: random_nodes(gen),
+        mirrors: random_nodes(gen),
     }
 }
 
@@ -486,6 +526,8 @@ fn regime_messages_round_trip() {
                 type_name: gen.string(),
                 state: gen.bytes(48),
                 dedup: random_dedup(&mut gen),
+                regime: random_regime(&mut gen),
+                mirrors: random_nodes(&mut gen),
             },
             7 => RegimeMsg::Mirror {
                 object,
@@ -496,7 +538,11 @@ fn regime_messages_round_trip() {
                 dedup: random_dedup(&mut gen),
                 lease: (gen.below(2) == 0).then(|| random_lease(&mut gen)),
             },
-            8 => RegimeMsg::FetchMirror { object, epoch },
+            8 => RegimeMsg::FetchMirror {
+                object,
+                epoch,
+                have: (gen.below(2) == 0).then(|| gen.next_u64()),
+            },
             9 => RegimeMsg::DropMirror { object, epoch },
             10 => RegimeMsg::Update {
                 object,
@@ -513,7 +559,8 @@ fn regime_messages_round_trip() {
             },
         };
         assert_roundtrip(&msg, case);
-        let reply = match gen.below(12) {
+        let reply = match gen.below(13) {
+            12 => RegimeReply::Renewed(random_lease(&mut gen)),
             11 => RegimeReply::Installed {
                 reply: gen.bytes(48),
                 seq: gen.next_u64(),
@@ -541,7 +588,7 @@ fn regime_messages_round_trip() {
             6 => RegimeReply::Ack,
             7 => RegimeReply::Holdings(Box::new(orca_wire::Holdings {
                 type_name: gen.string(),
-                slots: random_parts(&mut gen),
+                slots: random_slots(&mut gen),
                 backups: random_parts(&mut gen),
                 mirror: None,
                 dedup: random_dedup(&mut gen),
@@ -566,7 +613,7 @@ fn recovery_messages_round_trip() {
             epoch: gen.next_u64(),
             alive: (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect(),
         };
-        let msg = match gen.below(7) {
+        let msg = match gen.below(6) {
             0 => RecoveryMsg::Heartbeat {
                 node: gen.next_u64() as u16,
                 epoch: gen.next_u64(),
@@ -581,13 +628,7 @@ fn recovery_messages_round_trip() {
                 object: gen.next_u64(),
                 trace: random_trace(&mut gen),
             },
-            4 => RecoveryMsg::StateTransfer {
-                object: gen.next_u64(),
-                type_name: gen.string(),
-                version: gen.next_u64(),
-                state: gen.bytes(48),
-            },
-            5 => RecoveryMsg::ReHome {
+            4 => RecoveryMsg::ReHome {
                 epoch: gen.next_u64(),
                 object: gen.next_u64(),
                 new_home: gen.next_u64() as u16,

@@ -25,10 +25,12 @@ with the instruments the runtime promises to keep populated:
   tenth of `requests` — every worker started must still be alive in the
   gauges, and the happy-path run must have retired no mailbox;
 * the adaptive runtime's placement counters: `rts.adaptive.replacements`
-  (switches that kept the sharded regime and moved its partitions) must
-  exist, and — every re-placement being a regime switch — must not exceed
-  the `rts.node*.regime_switches` summed over the nodes, which the smoke
-  workload's adaptive phase makes non-zero.
+  (switches that kept the regime and moved what it places by use — a
+  sharded regime's partitions, a replicated regime's owner or mirrors)
+  must exist, and — every re-placement being a regime switch — must not
+  exceed the `rts.node*.regime_switches` summed over the nodes, which the
+  smoke workload's adaptive phase (a written table, a mostly-read counter)
+  makes non-zero.
 
 Usage: check_telemetry.py <snapshot.json>
 """

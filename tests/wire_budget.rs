@@ -10,7 +10,9 @@
 //!
 //! The adaptive runtime has a second lever, how many operations travel at
 //! all: its budget is the same remote `Put` times the share of them that
-//! leave the writer's node once the partitions sit where the writers are.
+//! leave the writer's node once the partitions sit where the writers are —
+//! and, for a table that is mostly read, a write's messages once the copy
+//! sits at one of its writers and its mirrors where it is read.
 
 use orca::amoeba::message::WIRE_HEADER_BYTES;
 use orca::amoeba::NodeId;
@@ -170,5 +172,74 @@ fn adaptive_ships_half_the_puts_of_two_remote_writers() {
          placement {placement:?}"
     );
     assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    runtime.shutdown();
+}
+
+/// The invocation benchmark's `read_mostly_tcp` in miniature: node 0
+/// creates a table of 4 096 keys and never touches it again, nodes 1 and 2
+/// each read it nine times for every `Put`. The adaptive runtime replicates
+/// the table, puts the copy on one of the two and its one mirror on the
+/// other: reads cost nothing, the owner's write an `Update`, its
+/// acknowledgement and an `Unlock`, the other's a `WriteThrough` and its
+/// `Installed` — 2.5 messages a write plus the usage reports, where the copy
+/// at the idle creator with a mirror on either user cost five (28.8 bytes
+/// an operation).
+#[test]
+fn adaptive_read_mostly_costs_a_mirror_push_not_a_detour() {
+    const KEYS: u64 = 4096;
+    let key = |slot: u64| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(slot % KEYS + 1);
+    let runtime = OrcaRuntime::start(OrcaConfig::adaptive(3), standard_registry());
+    let filled = (0..KEYS).map(|slot| match put(key(slot), 0) {
+        KvTableOp::Put { key, entry } => (key, entry),
+        _ => unreachable!("put builds a Put"),
+    });
+    let table = runtime.create::<KvTableObject>(&filled.collect()).unwrap();
+    let mut ops = 0u64;
+    // Every tenth operation of a node is a `Put`; the nodes take turns.
+    let mut run = |count: u64| {
+        for _ in 0..count {
+            let ctx = runtime.context(1 + (ops % 2) as usize);
+            let slot = ops.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 20;
+            let write = (ops / 2) % 10 == 9;
+            let reply = if write {
+                ctx.invoke(table, &put(key(slot), (ops / KEYS) as i32 + 1))
+            } else {
+                ctx.invoke(table, &KvTableOp::Get(key(slot)))
+            };
+            assert!(matches!(
+                (write, reply.expect("invocation succeeds")),
+                (true, KvTableReply::Count(_)) | (false, KvTableReply::Found(_))
+            ));
+            ops += 1;
+        }
+    };
+    // Adaptation: sixteen evaluation windows in, the table is replicated
+    // and its copies have stopped moving (asserted again after the
+    // measurement).
+    run(2048);
+    assert_eq!(
+        runtime.object_regime(table.id()),
+        Some(RegimeKind::Replicated)
+    );
+    let placement = runtime.object_placement(table.id()).expect("adaptive");
+    let mirrors = runtime.copy_holders(1, table.id()).expect("adaptive");
+    assert!(
+        !placement.contains(&NodeId(0)) && !mirrors.contains(&NodeId(0)),
+        "the idle creator holds a copy: owner {placement:?}, mirrors {mirrors:?}"
+    );
+    assert_eq!((placement.len(), mirrors.len()), (1, 1));
+
+    let before = runtime.network_stats();
+    run(4000);
+    let spent = runtime.network_stats().since(&before);
+    let per_op = spent.total_wire_bytes() as f64 / 4000.0;
+    let per_write = spent.total_messages() as f64 / 400.0;
+    assert!(
+        per_op <= 16.5 && per_write <= 2.9,
+        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write: \
+         owner {placement:?}, mirrors {mirrors:?}"
+    );
+    assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    assert_eq!(runtime.copy_holders(2, table.id()), Some(mirrors));
     runtime.shutdown();
 }
