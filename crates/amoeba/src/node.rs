@@ -59,21 +59,14 @@ pub mod ports {
 
     /// Group-communication (totally-ordered broadcast) protocol traffic.
     pub const GROUP: Port = 1;
-    /// RPC service port used by the point-to-point runtime system's object
-    /// managers.
-    pub const RTS_PRIMARY: Port = 2;
-    /// RPC service port used for object-copy fetches.
-    pub const RTS_COPY: Port = 3;
     /// Membership / election control traffic.
     pub const MEMBERSHIP: Port = 4;
-    /// RPC service port used by the adaptive runtime system, pinned to the
-    /// sharded regime (`sharded`) or not: regime routing, operations,
-    /// regime-switch drain/install, mirror updates, partition backups and
-    /// their promotion.
+    /// RPC service port of the point-to-point runtime system — the adaptive
+    /// one, its regime pinned (`primary`, `sharded`) or not: regime routing,
+    /// operations, regime-switch drain/install, mirror updates and
+    /// invalidations, partition backups, and re-homing after a crash
+    /// (holdings survey, backup promotion).
     pub const RTS_ADAPTIVE: Port = 6;
-    /// RPC service port of the crash-recovery protocol (copy queries,
-    /// promotions, re-home announcements).
-    pub const RECOVERY: Port = 7;
     /// First port usable by applications and tests.
     pub const USER_BASE: Port = 1000;
     /// First ephemeral port (allocated dynamically, e.g. for RPC replies).
@@ -100,14 +93,7 @@ mod tests {
 
     #[test]
     fn port_constants_are_distinct() {
-        let ports = [
-            ports::GROUP,
-            ports::RTS_PRIMARY,
-            ports::RTS_COPY,
-            ports::MEMBERSHIP,
-            ports::RTS_ADAPTIVE,
-            ports::RECOVERY,
-        ];
+        let ports = [ports::GROUP, ports::MEMBERSHIP, ports::RTS_ADAPTIVE];
         for (i, a) in ports.iter().enumerate() {
             for b in &ports[i + 1..] {
                 assert_ne!(a, b);

@@ -19,16 +19,20 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: since version 5 a `RegimeTable` names the mirrors of a replicated
-/// object, `Install` the slot's regime and mirrors, `Holdings` a regime per
-/// slot and `FetchMirror` the version its sender holds, and
-/// `RecoveryMsg::StateTransfer` is gone (version 4 put a `sharded` node on
+/// them: since version 6 a `primary` node speaks `RegimeMsg` on
+/// `ports::RTS_ADAPTIVE` where it spoke a vocabulary of its own — and a
+/// recovery coordinator's — on three ports, `Update` carries a run of
+/// operations and `DropMirror` the version of an invalidating write
+/// (version 5 made a `RegimeTable` name the mirrors of a replicated object,
+/// `Install` the slot's regime and mirrors, `Holdings` a regime per slot
+/// and `FetchMirror` the version its sender holds; version 4 put a
+/// `sharded` node on
 /// `RegimeMsg` and `ports::RTS_ADAPTIVE` — partition backups and the
 /// holdings report included — where it spoke a vocabulary of its own on two
 /// ports, version 3 brought the RPC envelope of `orca_wire::envelope` and
 /// the single-operation messages whose operation is their tail, version 2
 /// the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 5;
+pub const FRAME_VERSION: u8 = 6;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

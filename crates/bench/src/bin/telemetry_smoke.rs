@@ -27,7 +27,7 @@ use orca_core::objects::{
     IntObject, IntOp, JobQueue, JobQueueOp, KvTableObject, KvTableOp, TableEntry,
 };
 use orca_core::{standard_registry, BatchPolicy, OrcaConfig, OrcaRuntime, RtsStrategy};
-use orca_rts::{AdaptivePolicy, RegimeKind, ReplicationPolicy, WritePolicy};
+use orca_rts::{AdaptivePolicy, RegimeKind, WritePolicy};
 use orca_wire::Wire;
 
 /// Add the counters of `from` that `keep` selects onto those of `into`.
@@ -77,14 +77,14 @@ fn main() {
     // `rts.update.*` counters, merged into the same document for the
     // validator.
     let lease_cfg = OrcaConfig {
-        strategy: RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
-            replication: ReplicationPolicy {
-                fetch_ratio: 0.0,
-                drop_ratio: -1.0,
-                window: 1,
-                enabled: true,
+        strategy: RtsStrategy::Adaptive {
+            // The reader's copy is placed once, by the proposal below, and
+            // kept: nothing reports afterwards.
+            policy: AdaptivePolicy {
+                report_every: u64::MAX,
+                min_accesses: 8,
                 read_lease_ms: 60_000,
+                ..AdaptivePolicy::primary_copy(WritePolicy::Update)
             },
         },
         ..OrcaConfig::broadcast(2)
@@ -95,6 +95,8 @@ fn main() {
     for _ in 0..8 {
         reader.invoke(counter, &IntOp::Value).unwrap();
     }
+    leased.propose_regime(counter.id());
+    assert_eq!(leased.copy_holders(0, counter.id()), Some(vec![NodeId(1)]));
     // One write pushed to the reader's copy, one written through it.
     leased.main().invoke(counter, &IntOp::Add(1)).unwrap();
     reader.invoke(counter, &IntOp::Add(1)).unwrap();

@@ -2,9 +2,7 @@
 
 use orca_amoeba::FaultConfig;
 use orca_group::GroupConfig;
-use orca_rts::{
-    AdaptivePolicy, BatchPolicy, RecoveryConfig, ReplicationPolicy, RtsKind, WritePolicy,
-};
+use orca_rts::{AdaptivePolicy, BatchPolicy, RecoveryConfig, RtsKind, WritePolicy};
 
 /// Which runtime system each node runs.
 #[derive(Debug, Clone)]
@@ -13,12 +11,13 @@ pub enum RtsStrategy {
     /// over PB/BB totally-ordered broadcast).
     Broadcast(GroupConfig),
     /// The point-to-point runtime system (primary copy, invalidation or
-    /// two-phase update, dynamic replication).
+    /// two-phase update, dynamic replication): the adaptive runtime system
+    /// with every object's regime pinned to replicated
+    /// ([`AdaptivePolicy::primary_copy`]) — one authoritative copy on a node
+    /// that writes the object, secondary copies on the nodes that read it.
     PrimaryCopy {
         /// Write propagation protocol.
         policy: WritePolicy,
-        /// Dynamic replication thresholds.
-        replication: ReplicationPolicy,
     },
     /// The adaptive runtime system with every object's regime pinned to
     /// sharded ([`AdaptivePolicy::sharded`]): shardable objects partitioned
@@ -30,7 +29,8 @@ pub enum RtsStrategy {
     },
     /// The adaptive runtime system: each object's regime (replicated /
     /// primary / sharded) is picked and changed at runtime from its
-    /// observed read/write mix — unless the policy pins it.
+    /// observed read/write mix — unless the policy pins it, which is the
+    /// long spelling of the two strategies above.
     Adaptive {
         /// Thresholds, reporting cadence, leases and partition count.
         policy: AdaptivePolicy,
@@ -48,7 +48,6 @@ impl RtsStrategy {
     pub fn primary_update() -> Self {
         RtsStrategy::PrimaryCopy {
             policy: WritePolicy::Update,
-            replication: ReplicationPolicy::default(),
         }
     }
 
@@ -56,7 +55,6 @@ impl RtsStrategy {
     pub fn primary_invalidate() -> Self {
         RtsStrategy::PrimaryCopy {
             policy: WritePolicy::Invalidate,
-            replication: ReplicationPolicy::default(),
         }
     }
 
@@ -74,22 +72,22 @@ impl RtsStrategy {
         }
     }
 
+    /// The policy the adaptive runtime system runs this strategy under —
+    /// its own, or the one a pinned strategy is short for — or `None` for
+    /// the broadcast strategy, which is another runtime system.
+    pub fn adaptive_policy(&self) -> Option<AdaptivePolicy> {
+        match self {
+            RtsStrategy::Broadcast(_) => None,
+            RtsStrategy::PrimaryCopy { policy } => Some(AdaptivePolicy::primary_copy(*policy)),
+            RtsStrategy::Sharded { partitions } => Some(AdaptivePolicy::sharded(*partitions)),
+            RtsStrategy::Adaptive { policy } => Some(*policy),
+        }
+    }
+
     /// The [`RtsKind`] this strategy produces.
     pub fn kind(&self) -> RtsKind {
-        match self {
-            RtsStrategy::Broadcast(_) => RtsKind::Broadcast,
-            RtsStrategy::PrimaryCopy {
-                policy: WritePolicy::Invalidate,
-                ..
-            } => RtsKind::PrimaryInvalidate,
-            RtsStrategy::PrimaryCopy {
-                policy: WritePolicy::Update,
-                ..
-            } => RtsKind::PrimaryUpdate,
-            RtsStrategy::Sharded { .. } => RtsKind::Sharded,
-            RtsStrategy::Adaptive { policy } if policy.pin_sharded => RtsKind::Sharded,
-            RtsStrategy::Adaptive { .. } => RtsKind::Adaptive,
-        }
+        let policy = self.adaptive_policy();
+        policy.map_or(RtsKind::Broadcast, |policy| policy.kind())
     }
 }
 
@@ -158,10 +156,7 @@ impl OrcaConfig {
         OrcaConfig {
             processors,
             fault: FaultConfig::reliable(),
-            strategy: RtsStrategy::PrimaryCopy {
-                policy,
-                replication: ReplicationPolicy::default(),
-            },
+            strategy: RtsStrategy::PrimaryCopy { policy },
             recovery: RecoveryConfig::disabled(),
             batch: BatchPolicy::default(),
             transport: TransportConfig::Sim,
@@ -254,6 +249,10 @@ mod tests {
             policy: AdaptivePolicy::sharded(4),
         };
         assert_eq!(pinned.kind(), RtsKind::Sharded);
+        let pinned = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::primary_copy(WritePolicy::Invalidate),
+        };
+        assert_eq!(pinned.kind(), RtsKind::PrimaryInvalidate);
     }
 
     #[test]

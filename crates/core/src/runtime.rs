@@ -9,8 +9,8 @@ use orca_amoeba::transport::{SocketTransport, Transport};
 use orca_amoeba::{NetStatsSnapshot, NodeId};
 use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
 use orca_rts::{
-    AdaptivePolicy, AdaptiveRts, BroadcastRts, FailureDetector, PrimaryCopyRts, RegimeKind,
-    RtsKind, RtsStatsSnapshot, RuntimeSystem, ViewSnapshot,
+    AdaptiveRts, BroadcastRts, FailureDetector, RegimeKind, RtsKind, RtsStatsSnapshot,
+    RuntimeSystem, ViewSnapshot,
 };
 use orca_telemetry::{trace, FlightKind, HistHandle, Telemetry};
 use orca_wire::Wire;
@@ -21,7 +21,6 @@ use crate::{OrcaError, OrcaResult};
 
 pub(crate) enum NodeRts {
     Broadcast(BroadcastRts),
-    Primary(PrimaryCopyRts),
     Adaptive(AdaptiveRts),
 }
 
@@ -29,7 +28,6 @@ impl NodeRts {
     pub(crate) fn as_runtime(&self) -> Arc<dyn RuntimeSystem> {
         match self {
             NodeRts::Broadcast(rts) => Arc::new(rts.clone()),
-            NodeRts::Primary(rts) => Arc::new(rts.clone()),
             NodeRts::Adaptive(rts) => Arc::new(rts.clone()),
         }
     }
@@ -37,7 +35,6 @@ impl NodeRts {
     pub(crate) fn shutdown(&self) {
         match self {
             NodeRts::Broadcast(rts) => rts.shutdown(),
-            NodeRts::Primary(rts) => rts.shutdown(),
             NodeRts::Adaptive(rts) => rts.shutdown(),
         }
     }
@@ -45,7 +42,6 @@ impl NodeRts {
     pub(crate) fn set_batch_policy(&self, policy: orca_rts::BatchPolicy) {
         match self {
             NodeRts::Broadcast(rts) => rts.set_batch_policy(policy),
-            NodeRts::Primary(rts) => rts.set_batch_policy(policy),
             NodeRts::Adaptive(rts) => rts.set_batch_policy(policy),
         }
     }
@@ -126,31 +122,17 @@ pub(crate) fn build_node_rts(
             // inside the group layer.
             NodeRts::Broadcast(BroadcastRts::start(handle, registry.clone(), group.clone()))
         }
-        RtsStrategy::PrimaryCopy {
-            policy,
-            replication,
-        } => NodeRts::Primary(PrimaryCopyRts::start_recoverable(
-            handle,
-            registry.clone(),
-            *policy,
-            *replication,
-            config.recovery,
-            detector,
-        )),
-        RtsStrategy::Sharded { partitions } => NodeRts::Adaptive(AdaptiveRts::start_recoverable(
-            handle,
-            registry.clone(),
-            AdaptivePolicy::sharded(*partitions),
-            config.recovery,
-            detector,
-        )),
-        RtsStrategy::Adaptive { policy } => NodeRts::Adaptive(AdaptiveRts::start_recoverable(
-            handle,
-            registry.clone(),
-            *policy,
-            config.recovery,
-            detector,
-        )),
+        // Every point-to-point strategy is the one engine under a policy.
+        pointwise => {
+            let policy = pointwise.adaptive_policy();
+            NodeRts::Adaptive(AdaptiveRts::start_recoverable(
+                handle,
+                registry.clone(),
+                policy.expect("every strategy but broadcast runs the adaptive runtime system"),
+                config.recovery,
+                detector,
+            ))
+        }
     };
     rts.set_batch_policy(config.batch);
     rts
@@ -574,19 +556,15 @@ impl OrcaRuntime {
         }
     }
 
-    /// Nodes that hold a copy of `object` besides its authoritative one.
-    /// Primary-copy strategy: the secondary-copy holders registered at
-    /// `node`'s primary record (empty when `node` is not the object's
-    /// primary) — tests and the model checker time workloads against the
-    /// fetch protocol's registration point with it. Adaptive strategy: the
-    /// read mirrors the object's published table lists, as `node` reads it
-    /// from the home (empty outside the replicated regime). `None` under
-    /// the other strategies.
+    /// Nodes that hold a copy of `object` besides its authoritative one:
+    /// the read mirrors — the primary-copy strategy's secondary copies —
+    /// the object's published table lists, as `node` reads it from the home
+    /// (empty outside the replicated regime). `None` under the broadcast
+    /// strategy.
     pub fn copy_holders(&self, node: usize, object: ObjectId) -> Option<Vec<NodeId>> {
         match &self.rtses[node] {
-            NodeRts::Primary(rts) => Some(rts.copy_holders(object)),
             NodeRts::Adaptive(rts) => rts.copy_holders(object).ok(),
-            _ => None,
+            NodeRts::Broadcast(_) => None,
         }
     }
 
@@ -611,9 +589,10 @@ impl OrcaRuntime {
 
     /// The regime currently serving `object` under the adaptive runtime
     /// system (freshly read from the object's home node; always
-    /// [`RegimeKind::Sharded`] under the sharded strategy, which is that
-    /// runtime with the regime pinned), or `None` when another strategy is
-    /// running. Used by tests and the benchmark harness to observe
+    /// [`RegimeKind::Sharded`] under the sharded strategy and
+    /// [`RegimeKind::Replicated`] under the primary-copy one, which are
+    /// that runtime with the regime pinned), or `None` under the broadcast
+    /// strategy. Used by tests and the benchmark harness to observe
     /// adaptation.
     pub fn object_regime(&self, object: ObjectId) -> Option<RegimeKind> {
         match self.live_rts() {
@@ -626,8 +605,8 @@ impl OrcaRuntime {
     /// adaptive runtime system — one per partition in the sharded regime,
     /// the single copy's owner otherwise: the home in the primary regime,
     /// a node that writes the object in the replicated one (freshly read
-    /// from the object's home node) — or `None` when another strategy is
-    /// running.
+    /// from the object's home node) — or `None` under the broadcast
+    /// strategy.
     pub fn object_placement(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         match self.live_rts() {
             NodeRts::Adaptive(rts) => rts.placement_of(object).ok().map(|(_, _, owners)| owners),
@@ -635,8 +614,9 @@ impl OrcaRuntime {
         }
     }
 
-    /// Ask the home node of `object` to re-evaluate its regime now, after
-    /// flushing every node's unreported usage (adaptive strategy only).
+    /// Ask the home node of `object` to re-evaluate its regime — under the
+    /// primary-copy strategy, where its copies live — now, after flushing
+    /// every node's unreported usage (`None` under the broadcast strategy).
     /// Returns the — possibly freshly switched — regime.
     pub fn propose_regime(&self, object: ObjectId) -> Option<RegimeKind> {
         for (index, rts) in self.rtses.iter().enumerate() {

@@ -728,7 +728,14 @@ pub fn explore(scenario: &dyn Scenario) -> Report {
                 }),
             };
         }
-        if exec.divergence.is_some() {
+        if let Some(divergence) = &exec.divergence {
+            if std::env::var_os("ORCA_MC_DEBUG").is_some() {
+                let taken: Vec<Choice> = exec.steps.iter().map(|s| s.chosen).collect();
+                eprintln!(
+                    "mc-debug diverged: {divergence} after {}",
+                    format_trace(&taken)
+                );
+            }
             divergences += 1;
             continue;
         }

@@ -19,8 +19,8 @@
 //!   honest protocol never makes it send (the write-through scenarios'
 //!   readers only ever read their node's local copy).
 //! * **Object creation and priming run before the scheduler installs.**
-//!   Creation traffic is not what we're checking, and priming (fetching
-//!   secondary copies, accruing usage counts) sets up the protocol state
+//!   Creation traffic is not what we're checking, and priming (accruing
+//!   usage counts, placing secondary copies) sets up the protocol state
 //!   the scenario wants to attack.
 //! * **Timers are tuned way up or folded into the scenario.** A wall-clock
 //!   retransmit firing mid-schedule adds spurious choices; scenarios that
@@ -38,7 +38,7 @@ use orca_amoeba::NodeId;
 use orca_core::objects::{IntObject, IntOp, JobQueue};
 use orca_core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime, RtsStrategy};
 use orca_group::GroupConfig;
-use orca_rts::{AdaptivePolicy, RecoveryConfig, ReplicationPolicy, WritePolicy};
+use orca_rts::{AdaptivePolicy, RecoveryConfig, RegimeKind, WritePolicy};
 
 use crate::engine::{Execution, McConfig, Scenario};
 use crate::invariants::{check_counter, check_jobs, WorkerOutcome};
@@ -163,16 +163,59 @@ fn finish_counter(
     check_counter(&outcomes, &finals)
 }
 
-fn eager_replication() -> ReplicationPolicy {
-    ReplicationPolicy {
-        fetch_ratio: 0.0,
-        drop_ratio: -1.0,
-        window: 1,
-        enabled: true,
-        // The model checker virtualizes time; real-clock leases would
+/// The primary-copy backend as the `primary_*` scenarios run it: secondary
+/// copies are placed once, by the proposal that ends the priming
+/// ([`prime_copies`]), and kept.
+fn eager_replication(write: WritePolicy) -> AdaptivePolicy {
+    placed_once(AdaptivePolicy::primary_copy(write))
+}
+
+/// `policy` with nothing reporting or evaluating mid-run: evidence reaches
+/// the home only when `propose_regime` flushes it, so the regime and the
+/// copies stay put and every message in a schedule belongs to an operation.
+fn placed_once(policy: AdaptivePolicy) -> AdaptivePolicy {
+    AdaptivePolicy {
+        report_every: u64::MAX,
+        evaluate_every: u64::MAX,
+        min_accesses: 4,
+        regime_lease: Duration::from_secs(60),
+        // Stretch the bounce-retry cadence: while a switch or a re-homing
+        // holds an op back, a 5 ms retry loop floods the pool with table
+        // re-fetches (a fresh message each time — an infinite interleaving
+        // tree). At 300 ms a bounced op waits it out, yet still fires well
+        // inside the engine's progress-wait cap if it is the only activity
+        // left.
+        stale_retry_delay: Duration::from_millis(300),
+        blocked_retry_delay: Duration::from_millis(300),
+        // The model checker virtualizes time; real-clock read leases would
         // either never expire or stall explored schedules on sleeps.
         read_lease_ms: 0,
+        ..policy
     }
+}
+
+/// Put a copy of the counter on nodes 1 and 2 before the scheduler
+/// installs: reads make them readers, the proposal places a mirror on each,
+/// and a second round of reads warms every table cache and mirror.
+fn prime_copies(rt: &OrcaRuntime, handle: ObjectHandle<IntObject>) -> Result<(), String> {
+    let read = |what: &str| -> Result<(), String> {
+        for node in 1..rt.processors() {
+            for _ in 0..4 {
+                let read = rt.context(node).invoke(handle, &IntOp::Value);
+                read.map_err(|e| format!("{what} read failed: {e}"))?;
+            }
+        }
+        Ok(())
+    };
+    read("usage-priming")?;
+    if rt.propose_regime(handle.id()) != Some(RegimeKind::Replicated) {
+        return Err("priming did not put the counter in the replicated regime".into());
+    }
+    let holders = rt.copy_holders(0, handle.id()).unwrap_or_default();
+    if holders.len() != rt.processors() - 1 {
+        return Err(format!("priming left copies on {holders:?} only"));
+    }
+    read("mirror-priming")
 }
 
 // ---------------------------------------------------------------------------
@@ -332,13 +375,16 @@ impl Scenario for BroadcastEraReplay {
 // 3. Primary copy: fetch / two-phase-update race.
 // ---------------------------------------------------------------------------
 
-/// Two nodes, primary-copy with two-phase updates and *eager* dynamic
-/// replication: node 1's first read fetches a secondary copy while node 0
-/// (the primary) is pushing updates — the classic install-over-newer race.
-/// Version gating must keep every copy on the primary's version line; the
-/// `NO_VERSION_GATING` mutation makes node 1 install a stale snapshot over
-/// a fresher copy and blindly apply gapped updates, which surfaces here as
-/// a worker reading a value older than its own acked write.
+/// Two nodes, primary-copy with invalidation: node 1 is a listed copy holder
+/// whose copy a write has just invalidated — the steady state of that
+/// policy — so its first read fetches a fresh one while node 0 (the
+/// primary) keeps writing and invalidating: the classic install-over-newer
+/// race, a snapshot overtaken in flight by the invalidation of a write it
+/// does not contain. Version gating must keep every copy on the primary's
+/// version line; the `NO_VERSION_GATING` mutation makes node 1 install the
+/// stale snapshot and blindly apply its own write-through on top of it,
+/// which surfaces here as a worker reading a value older than its own acked
+/// write.
 pub struct PrimaryFetchRace {
     /// Exploration budgets.
     pub budget: McConfig,
@@ -367,46 +413,49 @@ impl Scenario for PrimaryFetchRace {
     }
 
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
-        let mut cfg = OrcaConfig::primary_copy(2, WritePolicy::Update);
-        cfg.strategy = RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
-            replication: eager_replication(),
+        let mut cfg = OrcaConfig::primary_copy(2, WritePolicy::Invalidate);
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: eager_replication(WritePolicy::Invalidate),
         };
         let rt = Arc::new(OrcaRuntime::start(cfg, standard_registry()));
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
+        // Node 1 is a copy holder, and a write that changes nothing takes
+        // its copy away again: from here every write of node 0 sends it an
+        // invalidation, and its next read a fetch.
+        prime_copies(&rt, handle)?;
+        rt.main()
+            .invoke(handle, &IntOp::Add(0))
+            .map_err(|e| format!("invalidating write failed: {e}"))?;
         rt.network().set_scheduler(Some(exec.scheduler()));
-        // Node 0's writes are local applies until node 1 holds a copy, so
-        // an unconstrained worker 0 finishes before the fetch even starts
-        // and the schedule degenerates to node 1's sequential RPCs. Gate
-        // worker 0 on the fetch being *served*: the primary registers
-        // node 1 as a copyholder while answering the fetch, so from here
-        // the snapshot install is still in flight and the writes push
-        // updates that race it.
+        // A fetch that arrives while a write holds the primary's object
+        // lock parks on it beside node 0's next write, and which of the two
+        // gets the lock is the operating system's choice, not the
+        // scheduler's. Gate worker 0 on the fetch being *served* — the
+        // reply is node 0's first message of the schedule: from here the
+        // snapshot install is still in flight and the writes send
+        // invalidations that race it.
+        let sent_by_primary = |rt: &OrcaRuntime| rt.network_stats().node(NodeId(0)).messages_sent();
+        let before = sent_by_primary(&rt);
         let probe = Arc::clone(&rt);
         let pushed = Arc::new(AtomicBool::new(false));
         let done = Arc::clone(&pushed);
         let w0 = rt.fork_on(0, "mc-w0", move |ctx| {
             let deadline = Instant::now() + Duration::from_secs(5);
-            while probe
-                .copy_holders(0, handle.id())
-                .is_some_and(|holders| holders.is_empty())
-                && Instant::now() < deadline
-            {
+            while sent_by_primary(&probe) == before && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_micros(200));
             }
             let out = counter_worker(ctx, handle, vec![Step::Write(1), Step::Write(1 << 2)]);
             done.store(true, Ordering::SeqCst);
             out
         });
-        // Node 1: the first read triggers the eager fetch, whose install
-        // races both pushes and both one-way unlocks. Its write waits for
-        // node 0's second acknowledgement — the unlocks may still be in
-        // flight — because a write shipped earlier parks on the primary's
-        // object lock, and whether it or node 0's next write gets the lock
-        // node 0 frees between its two writes is the operating system's
-        // choice, not the scheduler's: schedules would stop replaying. It
-        // goes through the copy if the fetch left one; the final read must
-        // see it.
+        // Node 1: the first read triggers the fetch, whose install races
+        // both invalidations. Its write waits for node 0's second
+        // acknowledgement because a write shipped earlier parks on the
+        // primary's object lock, and whether it or node 0's next write gets
+        // the lock node 0 frees between its two writes is the operating
+        // system's choice, not the scheduler's: schedules would stop
+        // replaying. It goes through the copy if the fetch left one; the
+        // final read must see it.
         let w1 = rt.fork_on(1, "mc-w1", move |ctx| {
             let mut out = WorkerOutcome::default();
             counter_steps(&ctx, handle, &[Step::Read], &mut out);
@@ -432,14 +481,15 @@ impl Scenario for PrimaryFetchRace {
 // ---------------------------------------------------------------------------
 
 /// Three nodes with crash recovery: the object's primary lives on node 0,
-/// nodes 1 and 2 hold eagerly fetched secondaries (primed before the
-/// scheduler installs). The search crashes node 0 at any point — including
+/// nodes 1 and 2 hold secondary copies (primed before the scheduler
+/// installs). The search crashes node 0 at any point — including
 /// mid-two-phase-push — and keeps scheduling while the survivors detect the
-/// death, agree on the freshest surviving copy and promote it. Writes that
-/// errored during the failover are maybe-applied; everything acked must
-/// survive, and survivors' copies must stay on the new primary's version
-/// line (the `REHOME_KEEPS_STALE_COPIES` mutation leaves an orphaned stale
-/// secondary behind, which a later local read exposes).
+/// death and the lowest of them regenerates the object from the freshest
+/// surviving copy. Writes that errored during the failover are
+/// maybe-applied; everything acked must survive, and no survivor may go on
+/// reading the copy the dead primary left it (the
+/// `REHOME_KEEPS_STALE_COPIES` mutation leaves such an orphan behind, which
+/// a later local read exposes).
 ///
 /// Retried writes are **exactly-once** even across the promotion: every
 /// sync write carries a per-origin `(origin, op_seq)` stamp, the dedup
@@ -481,26 +531,15 @@ impl Scenario for PrimaryPromotion {
 
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
         let mut cfg = OrcaConfig::primary_copy(3, WritePolicy::Update);
-        cfg.strategy = RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
-            replication: eager_replication(),
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: eager_replication(WritePolicy::Update),
         };
-        cfg.recovery = RecoveryConfig {
-            heartbeat_every: Duration::from_millis(25),
-            suspect_after: 12,
-            attempt_timeout: Duration::from_millis(250),
-            rehome_wait: Duration::from_secs(10),
-            ..RecoveryConfig::enabled()
-        };
+        cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        // Prime: both survivors fetch a secondary copy *before* scheduling
+        // Prime: both survivors hold a secondary copy *before* scheduling
         // starts, so the failover always has copies to choose from.
-        for node in [1, 2] {
-            rt.context(node)
-                .invoke(handle, &IntOp::Value)
-                .map_err(|e| format!("priming read failed: {e}"))?;
-        }
+        prime_copies(&rt, handle)?;
         rt.network().set_scheduler(Some(exec.scheduler()));
         let workers: Vec<_> = [1usize, 2]
             .iter()
@@ -530,23 +569,23 @@ impl Scenario for PrimaryPromotion {
 // 5. Primary copy: read-lease grant/revoke racing a write.
 // ---------------------------------------------------------------------------
 
-/// Three nodes, primary-copy with *leased* eager replication: node 0 holds
-/// the primary, nodes 1 and 2 prime leased secondary copies before the
+/// Three nodes, primary-copy with *leased* secondary copies: node 0 holds
+/// the primary, nodes 1 and 2 are primed with leased copies before the
 /// scheduler installs. Node 1 then serves zero-message local reads under
 /// its lease while node 0 writes — every write must push an update to each
-/// holder, re-lock and unlock the copies, and re-mint the holders' grants
+/// holder, re-lock and unlock the copies, and renew the holders' grants
 /// before it completes, so the search enumerates each leased read against
-/// every phase of the revocation hand-shake.
+/// every phase of that hand-shake.
 ///
 /// The search may crash node 2 (a pure lease *holder* — no worker) at any
 /// point. The crash exercises the failure-detector tie-in end to end: the
 /// primary's push to the dead holder fails and its grant is settled by the
 /// fail-stop declaration (a dead holder serves no reads), while the epoch
 /// bump invalidates node 1's held lease, forcing its next read through the
-/// renewal path — and when a concurrent write re-minted node 1's grant
-/// first, the stale renewal is answered with an explicit `Revoke` and the
-/// copy is dropped. A leased read that ever returns a value older than the
-/// reader's own acked write fails sequential consistency.
+/// renewal path — the grant alone when its copy is still at the primary's
+/// version, the state with it when a concurrent write got there first. A
+/// leased read that ever returns a value older than the reader's own acked
+/// write fails sequential consistency.
 ///
 /// Leases are deliberately much longer than the schedule (the model
 /// checker virtualizes time): no lease expires mid-schedule, so no
@@ -586,35 +625,24 @@ impl Scenario for PrimaryLeaseRevoke {
 
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
         let mut cfg = OrcaConfig::primary_copy(3, WritePolicy::Update);
-        cfg.strategy = RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
-            replication: ReplicationPolicy {
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy {
                 // Leases far past the schedule horizon: transitions come
                 // from writes, revokes and the epoch fence, never from a
                 // wall-clock expiry mid-schedule.
                 read_lease_ms: 60_000,
-                ..eager_replication()
+                ..eager_replication(WritePolicy::Update)
             },
         };
         // Recovery is enabled for the failure detector: lease validity is
         // fenced by the membership epoch, and settling a dead holder's
         // grant relies on the fail-stop declaration.
-        cfg.recovery = RecoveryConfig {
-            heartbeat_every: Duration::from_millis(25),
-            suspect_after: 12,
-            attempt_timeout: Duration::from_millis(250),
-            rehome_wait: Duration::from_secs(10),
-            ..RecoveryConfig::enabled()
-        };
+        cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        // Prime: both secondaries fetch a leased copy before scheduling
+        // Prime: both secondaries hold a leased copy before scheduling
         // starts, so every write in the schedule races outstanding grants.
-        for node in [1, 2] {
-            rt.context(node)
-                .invoke(handle, &IntOp::Value)
-                .map_err(|e| format!("priming read failed: {e}"))?;
-        }
+        prime_copies(&rt, handle)?;
         rt.network().set_scheduler(Some(exec.scheduler()));
         let w0 = rt.fork_on(0, "mc-w0", move |ctx| {
             counter_worker(
@@ -963,6 +991,10 @@ fn mc_recovery() -> RecoveryConfig {
     }
 }
 
+/// The operation deadline of the write-through scenarios: it bounds what the
+/// crashed node's processes can spend on their way out.
+const CRASHED_OP_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// What the processes of a write-through scenario share: the real-time
 /// floor of the counter, and the first observation that fell below it.
 ///
@@ -1135,7 +1167,7 @@ fn run_write_through(
 }
 
 /// Three nodes, primary-copy with two-phase updates: node 0 holds the
-/// primary, nodes 1 and 2 hold eagerly fetched copies (primed before the
+/// primary, nodes 1 and 2 hold secondary copies (primed before the
 /// scheduler installs) and each runs a writer and a reader. Every write is
 /// shipped *through* the writer's copy — marked pending, left out of the
 /// primary's push, brought up to date from the acknowledgement — so the
@@ -1150,7 +1182,9 @@ fn run_write_through(
 /// liveness, and the real-time floor of [`Witness`]. The
 /// `SKIP_WRITER_PENDING_MARK` mutation lets node 1's reader see the old
 /// value after node 2 has been unlocked on the new one; only the floor
-/// catches that.
+/// catches that. (It stays on the update policy: under invalidation the
+/// reader beside a writer would fetch its copy back — a second sending
+/// thread on its node.)
 pub struct PrimaryWriteThroughCopy {
     /// Exploration budgets.
     pub budget: McConfig,
@@ -1185,27 +1219,25 @@ impl Scenario for PrimaryWriteThroughCopy {
 
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
         let mut cfg = OrcaConfig::primary_copy(3, WritePolicy::Update);
-        cfg.strategy = RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
-            replication: eager_replication(),
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy {
+                op_timeout: CRASHED_OP_TIMEOUT,
+                ..eager_replication(WritePolicy::Update)
+            },
         };
         cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        for node in [1, 2] {
-            rt.context(node)
-                .invoke(handle, &IntOp::Value)
-                .map_err(|e| format!("priming read failed: {e}"))?;
-        }
+        prime_copies(&rt, handle)?;
         run_write_through(exec, &rt, handle)
     }
 }
 
-/// The same workload and checks as [`PrimaryWriteThroughCopy`] against the
-/// adaptive runtime's replicated regime: the counter is switched to
-/// `Replicated` and both mirrors primed before the scheduler installs, and
-/// usage reporting is off, so the regime stays put and every message in
-/// the schedule belongs to a write.
+/// The same workload and checks as [`PrimaryWriteThroughCopy`] on an object
+/// that *adapted* into the replicated regime instead of being created in
+/// it: the counter is switched to `Replicated` and both mirrors primed
+/// before the scheduler installs, and usage reporting is off, so the regime
+/// stays put and every message in the schedule belongs to a write.
 pub struct AdaptiveWriteThroughMirror {
     /// Exploration budgets.
     pub budget: McConfig,
@@ -1231,42 +1263,16 @@ impl Scenario for AdaptiveWriteThroughMirror {
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
         let mut cfg = OrcaConfig::adaptive(3);
         cfg.strategy = RtsStrategy::Adaptive {
-            policy: AdaptivePolicy {
-                // Evidence reaches the home only when `propose_regime`
-                // flushes it below; nothing reports or evaluates mid-run.
-                report_every: u64::MAX,
-                evaluate_every: u64::MAX,
-                min_accesses: 4,
+            policy: placed_once(AdaptivePolicy {
                 replicate_ratio: 1.5,
-                regime_lease: Duration::from_secs(60),
-                stale_retry_delay: Duration::from_millis(300),
-                blocked_retry_delay: Duration::from_millis(300),
-                // Bounds what the crashed node's processes can spend on
-                // their way out.
-                op_timeout: Duration::from_secs(3),
-                read_lease_ms: 0,
+                op_timeout: CRASHED_OP_TIMEOUT,
                 ..AdaptivePolicy::default()
-            },
+            }),
         };
         cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        let prime = |what: &str| -> Result<(), String> {
-            for node in [1, 2] {
-                for _ in 0..4 {
-                    rt.context(node)
-                        .invoke(handle, &IntOp::Value)
-                        .map_err(|e| format!("{what} read failed: {e}"))?;
-                }
-            }
-            Ok(())
-        };
-        prime("usage-priming")?;
-        if rt.propose_regime(handle.id()) != Some(orca_rts::RegimeKind::Replicated) {
-            return Err("priming did not switch the counter to the replicated regime".into());
-        }
-        // Warm each writer node's table cache and mirror.
-        prime("mirror-priming")?;
+        prime_copies(&rt, handle)?;
         run_write_through(exec, &rt, handle)
     }
 }

@@ -5,18 +5,20 @@
 //! fetches and drops secondary copies from each node's read/write ratio,
 //! §3.2.2), but which runtime system serves an application is a static,
 //! process-wide choice: a read-dominated table and a write-hot job queue in
-//! the same run are stuck with the same machinery. This fourth runtime
-//! system makes the regime a *per-object, dynamic* property:
+//! the same run are stuck with the same machinery. This runtime system —
+//! the one engine behind every point-to-point backend — makes the regime a
+//! *per-object, dynamic* property:
 //!
 //! * **Replicated** — one authoritative copy at the object's *owner*, a
 //!   node that writes it, plus a read mirror on every other node that reads
 //!   it; the table names both. Writes execute at the owner, which pushes
 //!   sequence-numbered updates to its mirrors (two-phase lock/unlock — the
-//!   primary-copy update protocol's fan-out, shared in the `update`
-//!   module); a writer that holds a mirror writes *through* it and is left
-//!   out of the push. Reads are local at the owner and at a mirror; a node
-//!   the table lists neither for ships them to the owner. For
-//!   read-dominated objects.
+//!   paper's update protocol, in the `update` module) or, under
+//!   [`WritePolicy::Invalidate`], has them discard their copies, to be
+//!   fetched again at the next read; a writer that holds a mirror writes
+//!   *through* it and is left out of either. Reads are local at the owner
+//!   and at a mirror; a node the table lists neither for ships them to the
+//!   owner. For read-dominated objects.
 //! * **Primary** — a single copy at the home node, all remote operations
 //!   shipped by RPC. For mixed or low-traffic objects (and the regime
 //!   every object starts in).
@@ -25,13 +27,20 @@
 //!   nodes that use it, operations shipped point-to-point to partition
 //!   owners. For write-hot shardable objects.
 //!
-//! With the regime *pinned* ([`AdaptivePolicy::sharded`]) this runtime
-//! system is the `sharded` backend: every object is created in the sharded
-//! regime — its partitions spread over all nodes, which is where the
-//! placement rule puts an object nobody has used yet; a type without
-//! partitioning logic as one partition at its creator — and stays there.
-//! Nothing below about counting, reporting and evaluating applies then, and
-//! nothing depends on the wall clock.
+//! With the regime *pinned* ([`AdaptivePolicy::pin`]) every object is
+//! created in that regime and stays there. Pinned to sharded
+//! ([`AdaptivePolicy::sharded`]) this runtime system is the `sharded`
+//! backend: an object's partitions are spread over all nodes, which is
+//! where the placement rule puts an object nobody has used yet; a type
+//! without partitioning logic is one partition at its creator. Nothing
+//! below about counting, reporting and evaluating applies then, and
+//! nothing depends on the wall clock. Pinned to replicated
+//! ([`AdaptivePolicy::primary_copy`]) it is the `primary` backend, the
+//! paper's point-to-point runtime system: one authoritative copy — created
+//! at the creator, without mirrors — and a *dynamic* set of secondary
+//! copies. Usage is counted, reported and evaluated as below, for where the
+//! object lives alone: the copy moves to a node that writes it, mirrors
+//! come and go where it is read.
 //!
 //! ## Who decides, and how nodes agree
 //!
@@ -78,7 +87,7 @@
 //!    replicated regime's copy primes the mirrors the table lists
 //!    ([`RegimeMsg::Mirror`]) and is their lease grantor from then on. If
 //!    a remote install fails (crashed node), a switch into a regime falls
-//!    back to a primary copy at home under a further epoch — the merged
+//!    back to a primary-regime copy at home under a further epoch — the merged
 //!    state is in hand, so the fallback cannot fail and no state is lost —
 //!    and a re-placement goes back to the owners and epoch it had.
 //! 4. **Publish.** The home's table gets the new epoch; stale caches
@@ -100,9 +109,12 @@
 //! per orphaned partition, the backup of the table's epoch with the highest
 //! version; the partitions keep their epoch, and clients learn of the new
 //! owner because they distrust a cached table that names a dead one. A
-//! replicated regime's copy has its mirrors for backups: when its owner
-//! dies the home regenerates it from the freshest one, as a primary copy of
-//! its own under the next epoch. When the *home* dies the lowest live node
+//! replicated regime's copy has its mirrors for backups — with re-homing
+//! on, a copy that would have none and has left its home keeps one there:
+//! when its owner dies the home regenerates it from the freshest one, as a
+//! single copy of its own under the next epoch (primary-regime, or, where
+//! that regime is pinned, replicated and without mirrors until the next
+//! evaluation). When the *home* dies the lowest live node
 //! adopts the object on first contact with the same steps: the newest epoch
 //! any survivor holds a part of is the object's, every partition of it must
 //! have a slot or a backup (how many there are follows from the policy
@@ -115,16 +127,16 @@
 //! ## Residual windows
 //!
 //! Update pushes to mirrors and mirror drops are best-effort under node
-//! crashes (exactly like the primary-copy RTS's invalidation/update
-//! fan-out): a mirror that misses an update detects the sequence gap on the
+//! crashes: a mirror that misses an update detects the sequence gap on the
 //! next update and re-syncs from the owner, and the regime lease bounds how
-//! long a node can act on a retired table. On a live network both paths are reliable.
+//! long a node can act on a retired table. On a live network both paths are
+//! reliable.
 
 pub(crate) mod messages;
 mod policy;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,12 +151,11 @@ use orca_telemetry::{trace, Counter, FlightKind};
 use orca_wire::{
     BatchOutcome, DedupWindow, Holdings, LeaseGrant, OpBatchView, OpRef, OpStamp, Wire,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::pipeline::{
     pending_pair, resolve_round, BatchPolicy, PendingBatches, Pipeline, QueuedOp, RoundSlot,
 };
-use crate::primary::LeaseCounters;
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
@@ -152,7 +163,7 @@ use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use policy::{pick_regime, place, Count, UsageAggregate};
 
-pub use policy::AdaptivePolicy;
+pub use policy::{AdaptivePolicy, WritePolicy};
 
 /// How long a guarded read parks on a mirror before re-validating the
 /// regime (protects against missed wake-ups and retired mirrors).
@@ -191,6 +202,72 @@ struct Slot {
     dedup: Mutex<DedupWindow>,
     /// Read-lease bookkeeping of a replicated-regime slot.
     leases: Mutex<SlotLeases>,
+    /// Requests of other nodes parked on the replica mutex
+    /// ([`Slot::lock_for`]).
+    parked: AtomicU32,
+}
+
+impl Slot {
+    /// True when a completed write on this slot is paid for with messages
+    /// ([`settle_writes`]) — while the replica mutex is held: a push to its
+    /// mirrors, a copy to its backup.
+    fn fans_out(&self, inner: &Inner) -> bool {
+        match self.regime {
+            RegimeKind::Replicated => !self.mirrors.is_empty(),
+            RegimeKind::Sharded => inner.recovery.enabled,
+            RegimeKind::Primary => false,
+        }
+    }
+
+    /// Lock the replica for a request of `caller`, which counts as parked
+    /// while it waits unless it is this node's own.
+    fn lock_for(&self, inner: &Inner, caller: NodeId) -> MutexGuard<'_, Box<dyn AnyReplica>> {
+        if caller == inner.node {
+            return self.replica.lock();
+        }
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let replica = self.replica.lock();
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        replica
+    }
+
+    /// Let the requests that parked while this node held the replica
+    /// across a fan-out take it before this node's next operation does.
+    /// The mutex is not fair: a thread that releases it and comes straight
+    /// back beats a waiter that has to be woken first, and a node that
+    /// writes its own copy in a loop holds the mutex for all but a
+    /// microsecond of every round trip — the other writers would wait for
+    /// as long as it goes on. (It also leaves the order of the two to the
+    /// requests' arrival, not to the operating system's scheduler, which a
+    /// replayed model-checker schedule depends on.) Bounded: a waiter that
+    /// is not on its way within a timer tick is not waited for.
+    fn yield_to_parked(&self) {
+        let patience = Instant::now() + Duration::from_millis(1);
+        while self.parked.load(Ordering::SeqCst) > 0 && Instant::now() < patience {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Telemetry counters of the lease protocol (`rts.lease.*`), cached so the
+/// leased read path does not take the registry lock per read.
+struct LeaseCounters {
+    grants: Counter,
+    renewals: Counter,
+    revokes: Counter,
+    local_reads: Counter,
+}
+
+impl LeaseCounters {
+    fn from_handle(handle: &NetworkHandle) -> Self {
+        let reg = handle.telemetry().registry();
+        LeaseCounters {
+            grants: reg.counter("rts.lease.grants"),
+            renewals: reg.counter("rts.lease.renewals"),
+            revokes: reg.counter("rts.lease.revokes"),
+            local_reads: reg.counter("rts.lease.local_reads"),
+        }
+    }
 }
 
 /// Grantor-side read-lease state of one authoritative slot.
@@ -240,8 +317,7 @@ type Mirror = HeldCopy<MirrorLease>;
 /// Holder-side record of the lease covering the local mirror.
 struct MirrorLease {
     /// Membership epoch of this node's failure detector at receipt; a
-    /// view change invalidates the lease regardless of the clock, exactly
-    /// like the primary-copy RTS's holder-side epoch check.
+    /// view change invalidates the lease regardless of the clock.
     detector_epoch: u64,
     /// Expiry on the holder's clock (`valid_ms` from receipt).
     expires: Instant,
@@ -299,8 +375,7 @@ struct Inner {
     /// Per-node monotonic sequence stamping synchronously-invoked writes
     /// with an exactly-once identity (see [`OpStamp`]).
     next_stamp: AtomicU64,
-    /// Cached `rts.lease.*` telemetry counters (shared names with the
-    /// primary-copy RTS).
+    /// Cached `rts.lease.*` telemetry counters.
     lease_counters: LeaseCounters,
     /// `rts.adaptive.replacements`: switches that kept the regime and moved
     /// what it places by use — a sharded regime's partitions, a replicated
@@ -387,6 +462,8 @@ impl std::fmt::Debug for AdaptiveRts {
     }
 }
 
+/// What the tests of the pinned backends (`sharded`, `primary`) look at and
+/// do that an application cannot.
 #[cfg(test)]
 impl AdaptiveRts {
     /// Partitions of `object` this node serves an authoritative slot of.
@@ -395,6 +472,50 @@ impl AdaptiveRts {
         let mut held: Vec<u32> = held.into_iter().map(|(partition, _)| partition).collect();
         held.sort_unstable();
         held
+    }
+
+    /// This node's mirror of `object`: whether it holds a copy, the copy's
+    /// version, whether it is locked, and its pending write-throughs.
+    pub(crate) fn mirror_of(&self, object: ObjectId) -> (bool, u64, bool, u32) {
+        let mirror = mirror_entry(&self.inner, object);
+        let state = mirror.state.lock();
+        let held = state.copy.is_some();
+        (held, state.version, state.locked, state.pending_writes)
+    }
+
+    /// Replace the evidence of `object`, whose home this node is, with
+    /// `reads[node]` reads and `writes[node]` writes per node and re-place
+    /// its replicated regime over it.
+    pub(crate) fn replicate_by(
+        &self,
+        object: ObjectId,
+        reads: &[u64],
+        writes: &[u64],
+    ) -> Result<(), RtsError> {
+        let home = self.inner.homes.read().get(&object).cloned().unwrap();
+        *home.usage.lock() = UsageAggregate::of(reads, writes);
+        switch_regime(&self.inner, object, &home, RegimeKind::Replicated, None)
+    }
+
+    /// Handle `msg` as if `caller` had sent it.
+    pub(crate) fn serve(&self, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
+        dispatch(&self.inner, msg, caller)
+    }
+
+    /// One attempt of a write of this node under a stamp of the caller's
+    /// choosing (a retry presents the stamp of the attempt it repeats).
+    pub(crate) fn write_stamped(
+        &self,
+        object: ObjectId,
+        op: &[u8],
+        stamp: OpStamp,
+    ) -> Result<Vec<u8>, RtsError> {
+        let deadline = Instant::now() + self.inner.policy.op_timeout;
+        let table = self.route_for(object, deadline)?;
+        match self.dispatch_client_op(&table, OpKind::Write, op, Some(stamp), deadline)? {
+            PartOutcome::Done(reply) => Ok(reply),
+            _ => Err(RtsError::Timeout),
+        }
     }
 }
 
@@ -673,7 +794,7 @@ impl AdaptiveRts {
     /// Count a local access and ship a usage report to the home every
     /// [`AdaptivePolicy::report_every`] accesses.
     fn note_access(&self, object: ObjectId, kind: OpKind) {
-        if self.inner.policy.pin_sharded {
+        if !self.inner.policy.counts_usage() {
             return;
         }
         let taken = {
@@ -760,7 +881,7 @@ impl AdaptiveRts {
         let deadline = Instant::now() + self.inner.policy.op_timeout;
         let mut slots: Vec<RoundSlot> = ops.iter().map(|_| RoundSlot::Todo).collect();
         let mut todo: Vec<usize> = (0..ops.len()).collect();
-        loop {
+        for pass in 0.. {
             todo = self.execute_pass(&ops, &todo, &mut slots, deadline);
             if todo.is_empty()
                 || Instant::now() >= deadline
@@ -771,7 +892,12 @@ impl AdaptiveRts {
             for &i in &todo {
                 self.inner.routes.lock().remove(&ops[i].object);
             }
-            std::thread::sleep(self.inner.policy.stale_retry_delay);
+            // What bounced a window off a slot already drained is most
+            // often a switch about to publish: the first re-fetch of the
+            // table goes out at once, the ones after it wait.
+            if pass > 0 {
+                std::thread::sleep(self.inner.policy.stale_retry_delay);
+            }
         }
         resolve_round(ops, slots);
     }
@@ -1055,6 +1181,12 @@ impl AdaptiveRts {
                     state.copy = None;
                     return Ok(PartOutcome::Stale);
                 }
+                // Nor wait for an unlock that died with the owner: the
+                // caller goes back to the home for whoever serves now.
+                let owner = NodeId(table.owners[0]);
+                if is_dead(&self.inner.detector, owner) {
+                    return Err(RtsError::NodeDown(owner));
+                }
                 mirror.unlocked.wait_for(&mut state, MIRROR_LOCK_WAIT);
                 continue;
             }
@@ -1111,7 +1243,7 @@ impl AdaptiveRts {
             stamp,
         };
         let answer = self.rpc(owner, &msg, deadline);
-        Some(self.finish_write_through(&mirror, table.epoch, op, stamp, owner, answer))
+        Some(self.finish_write_through(&mirror, table.epoch, op, stamp, answer))
     }
 
     /// Close one write-through attempt: tell the mirror what the owner's
@@ -1127,17 +1259,20 @@ impl AdaptiveRts {
     ///   (or serves no mirrors): the mirror may have missed the write and
     ///   is dropped.
     /// * An error or a timeout — the write may or may not have been
-    ///   applied. With the owner alive the mirror is dropped; with the owner
-    ///   dead and re-homing on it is left *locked*, like a mirror caught
-    ///   mid-push: it still answers the `Holdings` query of whoever
-    ///   regenerates the object and may be the freshest state alive.
+    ///   applied. Without re-homing the mirror is dropped. With it, the
+    ///   owner may have died under the write — a killed process resets its
+    ///   connections long before a detector counts it out — and the mirror
+    ///   may be the only copy left (a table nobody reads keeps just the one
+    ///   at its home): it is left *locked*, like a mirror caught mid-push. It
+    ///   serves no read, still answers the `Holdings` query of whoever
+    ///   regenerates the object, and under a live owner the next update —
+    ///   this node's own, or a pushed one — brings it back or finds the gap.
     fn finish_write_through(
         &self,
         mirror: &Mirror,
         epoch: u64,
         op: &[u8],
         stamp: Option<OpStamp>,
-        owner: NodeId,
         answer: Result<RegimeReply, RtsError>,
     ) -> Result<PartOutcome, RtsError> {
         let inner = &self.inner;
@@ -1160,13 +1295,8 @@ impl AdaptiveRts {
                     "unexpected WriteThrough reply {other:?}"
                 ))),
             ),
-            Err(err) => {
-                if inner.recovery.rehome && is_dead(&inner.detector, owner) {
-                    (WriteAck::AuthorityLost, Err(err))
-                } else {
-                    (WriteAck::Unsynced, Err(err))
-                }
-            }
+            Err(err) if inner.recovery.rehome => (WriteAck::AuthorityLost, Err(err)),
+            Err(err) => (WriteAck::Unsynced, Err(err)),
         };
         mirror.finish_write_through(&inner.updates, epoch, op, ack, inner.policy.op_timeout);
         outcome
@@ -1386,18 +1516,17 @@ impl RuntimeSystem for AdaptiveRts {
         let inner = &self.inner;
         let counter = inner.next_object.fetch_add(1, Ordering::Relaxed);
         let id = ObjectId::compose(inner.node.0, counter);
-        let (regime, owners) = if inner.policy.pin_sharded {
+        // Left to itself every object starts in the primary regime: a
+        // single copy at home is the cheapest regime to leave once the
+        // access mix is known. A pinned regime is the one it is created in:
+        // a replicated copy here, without mirrors — nobody has read it yet.
+        let regime = inner.policy.pin.unwrap_or(RegimeKind::Primary);
+        let owners = match inner.registry.shard_logic(type_name) {
             // The owners of an object nobody has used yet: every node's.
-            let owners = match inner.registry.shard_logic(type_name) {
-                Some(_) => placement(inner, id, &UsageAggregate::default(), &[]),
-                None => vec![inner.node.0],
-            };
-            (RegimeKind::Sharded, owners)
-        } else {
-            // Left to itself every object starts in the primary regime: a
-            // single copy at home is the cheapest regime to leave once the
-            // access mix is known.
-            (RegimeKind::Primary, vec![inner.node.0])
+            Some(_) if regime == RegimeKind::Sharded => {
+                placement(inner, id, &UsageAggregate::default(), &[])
+            }
+            _ => vec![inner.node.0],
         };
         let table = RegimeTable {
             object: id.0,
@@ -1439,6 +1568,8 @@ impl RuntimeSystem for AdaptiveRts {
             origin: self.inner.node.0,
             seq: self.inner.next_stamp.fetch_add(1, Ordering::Relaxed),
         });
+        // When this invocation first found the node it needs dead.
+        let mut orphaned: Option<Instant> = None;
         loop {
             if self.inner.stopped.load(Ordering::SeqCst) {
                 return Err(RtsError::Terminated);
@@ -1451,13 +1582,16 @@ impl RuntimeSystem for AdaptiveRts {
                 Err(RtsError::NodeDown(node)) if self.inner.recovery.rehome => {
                     // The home (or a partition owner) is dead; adoption or
                     // a regime fallback will re-home the object. Retry
-                    // until the deadline, then name the dead node. The
+                    // until the deadline — or for as long as a re-homing
+                    // is waited for — then name the dead node. The
                     // retry re-presents `stamp`, and the dedup window
                     // rides mirror updates and regime transfers, so a
                     // write the dead home already applied is answered its
                     // recorded reply — exactly once, not at-least-once.
                     self.inner.routes.lock().remove(&object);
-                    if Instant::now() >= deadline {
+                    let since = *orphaned.get_or_insert_with(Instant::now);
+                    let patience = since + self.inner.recovery.rehome_wait;
+                    if Instant::now() >= deadline.min(patience) {
                         return Err(RtsError::NodeDown(node));
                     }
                     std::thread::sleep(self.inner.policy.blocked_retry_delay);
@@ -1543,11 +1677,7 @@ impl RuntimeSystem for AdaptiveRts {
     }
 
     fn kind(&self) -> RtsKind {
-        if self.inner.policy.pin_sharded {
-            RtsKind::Sharded
-        } else {
-            RtsKind::Adaptive
-        }
+        self.inner.policy.kind()
     }
 }
 
@@ -1691,7 +1821,31 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             epoch,
             have,
         } => serve_fetch_mirror(inner, ObjectId(object), epoch, have, caller),
-        RegimeMsg::DropMirror { object, epoch } => {
+        RegimeMsg::DropMirror {
+            object,
+            epoch,
+            written: Some(version),
+        } => {
+            // A write invalidates the copy. The version is remembered even
+            // when no copy is installed yet: an invalidation that overtakes
+            // the fetch reply it races must still refuse that older
+            // snapshot, or the late install would serve stale reads.
+            let mirror = mirror_entry(inner, ObjectId(object));
+            let mut state = mirror.state.lock();
+            if epoch >= state.epoch {
+                state.enter_epoch(epoch);
+                state.seen = state.seen.max(version);
+                state.discard();
+                RtsStats::bump(&inner.stats.invalidations_received);
+                mirror.unlocked.notify_all();
+            }
+            RegimeReply::Ack
+        }
+        RegimeMsg::DropMirror {
+            object,
+            epoch,
+            written: None,
+        } => {
             let object = ObjectId(object);
             let mirror = inner.mirrors.read().get(&object).cloned();
             if let Some(mirror) = mirror {
@@ -1717,9 +1871,19 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             object,
             epoch,
             seq,
-            op,
+            ops,
             stamped,
-        } => apply_update(inner, ObjectId(object), epoch, seq, op, stamped),
+        } => {
+            // An update that beats the mirror install creates the (empty)
+            // entry, so its sequence number is remembered and a concurrent
+            // fetch cannot install an older snapshot as current.
+            let mirror = mirror_entry(inner, ObjectId(object));
+            let budget = inner.policy.op_timeout;
+            if mirror.apply_pushed(epoch, seq, &ops, stamped, budget) > 0 {
+                RtsStats::bump(&inner.stats.updates_applied);
+            }
+            RegimeReply::Ack
+        }
         RegimeMsg::Unlock {
             object,
             epoch,
@@ -1970,7 +2134,7 @@ fn recover_object(inner: &Arc<Inner>, object: ObjectId, entry: &HomeObject, view
     let regenerated = recovered.epoch != table.epoch;
     *entry.table.lock() = Arc::new(recovered);
     if regenerated {
-        drop_copies(inner, object, table.epoch, view.alive.iter().copied());
+        drop_copies(inner, object, table.epoch, None, view.alive.iter().copied());
     }
 }
 
@@ -1988,11 +2152,12 @@ fn freshest_mirror(held: &[(NodeId, Holdings)], epoch: Option<u64>) -> Option<(u
 }
 
 /// Regenerate a replicated-regime object whose owner died from `mirror`,
-/// the freshest one of `epoch`, into a primary-regime copy on this node —
-/// its home, or the node adopting that role — under `epoch + 1`, and return
-/// the table to publish. The report's dedup window pairs with exactly that
-/// mirror's snapshot, so it is taken whole and never merged with another
-/// mirror's.
+/// the freshest one of `epoch`, into a single copy on this node — its home,
+/// or the node adopting that role — under `epoch + 1`, and return the table
+/// to publish: a primary-regime copy, or, where that regime is pinned, a
+/// replicated one without mirrors, which the next evaluation places. The
+/// report's dedup window pairs with exactly that mirror's snapshot, so it
+/// is taken whole and never merged with another mirror's.
 fn regenerate(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -2002,8 +2167,21 @@ fn regenerate(
     let (_, _, state) = mirror.mirror.as_ref().expect("ranked by its mirror");
     let key = (object, 0);
     let (name, dedup) = (&mirror.type_name, mirror.dedup.clone());
-    let placed = (RegimeKind::Primary, &[][..]);
-    install_slot(inner, key, epoch + 1, name, state, dedup, placed)?;
+    let regime = match inner.policy.pin {
+        Some(RegimeKind::Replicated) => RegimeKind::Replicated,
+        _ => RegimeKind::Primary,
+    };
+    // Under the next epoch, which nothing the dead owner's regime left on
+    // the survivors answers to. (Sabotaged: under the epoch it had, every
+    // other node listed, so whoever kept a copy goes on reading it.)
+    let (epoch, mirrors) = match crate::sabotage::rehome_keeps_stale_copies() {
+        false => (epoch + 1, Vec::new()),
+        true => {
+            let others = (0..inner.num_nodes as u16).filter(|node| *node != inner.node.0);
+            (epoch, others.collect())
+        }
+    };
+    install_slot(inner, key, epoch, name, state, dedup, (regime, &[][..]))?;
     if inner.leases_enabled() {
         // The dead owner's grant ledger died with it. Fence the new slot
         // for a full conservative grant span: the first write waits it out,
@@ -2016,32 +2194,40 @@ fn regenerate(
     Ok(RegimeTable {
         object: object.0,
         type_name: mirror.type_name.clone(),
-        epoch: epoch + 1,
-        regime: RegimeKind::Primary,
+        epoch,
+        regime,
         owners: vec![inner.node.0],
-        mirrors: Vec::new(),
+        mirrors,
     })
 }
 
 /// Have `nodes` — this one among them, perhaps — discard what they hold of
 /// `object` up to regime `epoch`, read mirror and partition backups, so
-/// nobody keeps serving (or promotes) what that regime left behind. Returns
-/// the nodes that did; the regime lease bounds a missed drop.
+/// nobody keeps serving (or promotes) what that regime left behind — or,
+/// `written` naming the version of a write under the invalidation policy,
+/// their copy of the current one, to be fetched again. Returns the nodes
+/// that did; the regime lease bounds a missed drop. An invalidation runs
+/// under the budget of an update push, half the operation deadline for the
+/// whole fan-out: its writer is waiting.
 fn drop_copies(
     inner: &Arc<Inner>,
     object: ObjectId,
     epoch: u64,
+    written: Option<u64>,
     nodes: impl Iterator<Item = NodeId>,
 ) -> Vec<NodeId> {
     let drop_msg = RegimeMsg::DropMirror {
         object: object.0,
         epoch,
+        written,
     };
+    let budget = written.map(|_| Instant::now() + inner.policy.op_timeout / 2);
     let dropped = nodes.filter(|node| {
         let reply = if *node == inner.node {
             Ok(dispatch(inner, drop_msg.clone(), inner.node))
         } else {
-            regime_rpc(inner, *node, &drop_msg)
+            let deadline = budget.unwrap_or_else(|| Instant::now() + inner.policy.op_timeout);
+            regime_rpc_deadline(inner, *node, &drop_msg, deadline)
         };
         matches!(reply, Ok(RegimeReply::Ack))
     });
@@ -2053,7 +2239,7 @@ fn drop_copies(
 /// and backups of a sharded regime) are re-owned where they are and keep
 /// serving under that epoch, and so does a replicated regime's one copy
 /// when its owner is among the survivors; when only read mirrors are, the
-/// freshest is regenerated into a primary copy here under a fresh epoch.
+/// freshest is regenerated into a single copy here under a fresh epoch.
 /// An object that left none of these — a primary-regime copy at the dead
 /// home, a partition whose owner and backup both died — is lost.
 fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>, RtsError> {
@@ -2118,7 +2304,11 @@ fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>,
             };
             (table, None)
         }
-        (None, Some((epoch, h))) => (regenerate(inner, object, epoch, h)?, Some(epoch)),
+        (None, Some((epoch, h))) => {
+            let table = regenerate(inner, object, epoch, h)?;
+            let retired = (table.epoch != epoch).then_some(epoch);
+            (table, retired)
+        }
         _ => return Err(lost()),
     };
     let entry = Arc::new(HomeObject {
@@ -2128,7 +2318,7 @@ fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>,
     });
     inner.homes.write().insert(object, Arc::clone(&entry));
     if let Some(epoch) = retired {
-        drop_copies(inner, object, epoch, view.alive.iter().copied());
+        drop_copies(inner, object, epoch, None, view.alive.iter().copied());
     }
     Ok(entry)
 }
@@ -2272,11 +2462,11 @@ fn promote_backup(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> Regim
 
 /// Apply one received operation batch in issue order, through the same
 /// epoch-checked slot path as single operations. Runs of consecutive ops on
-/// one slot execute under a single hold of its replica lock, and a
-/// sharded-regime run's completed writes ship to the backup as **one**
-/// message before the run is acknowledged. Replicated-regime writes push
-/// their mirror updates per op (the slot's ordered update stream), so
-/// batching never reorders the mirror sequence.
+/// one slot execute under a single hold of its replica lock, and what the
+/// run's completed writes owe ([`settle_writes`]) is paid as **one** message
+/// per destination before the run is acknowledged: one run to the backup of
+/// a sharded-regime slot, one pushed run (or one invalidation) to each
+/// mirror of a replicated-regime one.
 fn apply_op_batch(inner: &Arc<Inner>, ops: &OpBatchView<'_>, caller: NodeId) -> Vec<BatchOutcome> {
     // One protocol-handling event for the whole message, one apply per op
     // — the accounting split the cost model relies on.
@@ -2293,7 +2483,7 @@ fn apply_op_batch(inner: &Arc<Inner>, ops: &OpBatchView<'_>, caller: NodeId) -> 
             outcomes.extend(run.map(|_| BatchOutcome::Stale));
             continue;
         };
-        let mut replica = slot.replica.lock();
+        let mut replica = slot.lock_for(inner, caller);
         let mut written = Vec::new();
         for op in run {
             RtsStats::bump(&inner.stats.batch_ops_applied);
@@ -2318,7 +2508,7 @@ fn apply_op_batch(inner: &Arc<Inner>, ops: &OpBatchView<'_>, caller: NodeId) -> 
             );
         }
         if !written.is_empty() {
-            ship_backup(inner, key, &slot, &**replica, written, None);
+            settle_writes(inner, key, &slot, &**replica, written, None, None);
         }
     }
     outcomes
@@ -2347,32 +2537,28 @@ fn apply_at_slot(
     let Some(slot) = slot_at(inner, key, epoch) else {
         return RegimeReply::StaleRegime;
     };
-    let mut replica = slot.replica.lock();
-    apply_locked(
-        inner,
-        key,
-        &slot,
-        &mut replica,
-        op,
-        stamp,
-        caller,
-        through,
-        None,
-    )
+    let reply = {
+        let mut replica = slot.lock_for(inner, caller);
+        let (replica, run) = (&mut replica, None);
+        apply_locked(inner, key, &slot, replica, op, stamp, caller, through, run)
+    };
+    if caller == inner.node && slot.fans_out(inner) {
+        slot.yield_to_parked();
+    }
+    reply
 }
 
 /// Execute an operation on `slot`, whose replica the caller has locked.
-/// What a completed write owes before it is acknowledged is paid while the
-/// mutex is still held, which keeps it in execution order. On the copy of a
-/// replicated-regime object that is a push to every mirror; `through`
+/// What a completed write owes before it is acknowledged
+/// ([`settle_writes`]) is paid while the mutex is still held, which keeps it
+/// in execution order — here, or, when the caller applies a `run` of a
+/// batch, by the caller, for the whole run it is appended to. `through`
 /// marks a write the caller ships through its own mirror: when it is
-/// freshly applied on a pushing slot, the caller is left out of the push
-/// and answered [`RegimeReply::Installed`]; in every other case (retry
-/// answered from the dedup window, slot without mirrors) the plain reply
-/// tells the caller its mirror is not being kept current. On a
-/// sharded-regime slot it is a copy to the backup — shipped here, or, when
-/// the caller applies a `run` of a batch, appended to it for the caller to
-/// ship as one.
+/// freshly applied on a replicated-regime slot, the caller is left out of
+/// what the write owes and answered [`RegimeReply::Installed`]; in every
+/// other case (retry answered from the dedup window, a slot of another
+/// regime) the plain reply tells the caller its mirror is not being kept
+/// current.
 #[allow(clippy::too_many_arguments)]
 fn apply_locked(
     inner: &Arc<Inner>,
@@ -2428,29 +2614,25 @@ fn apply_locked(
                 if let Some((stamp, reply)) = &stamped {
                     slot.dedup.lock().record(*stamp, reply.clone());
                 }
-                match (slot.regime, run) {
-                    (RegimeKind::Replicated, _) => {
-                        let seq = replica.version();
-                        let skip = through.then_some(caller);
-                        push_update(inner, slot, key.0, slot.epoch, seq, op, stamped, skip);
-                        if through {
-                            // The writer's renewal rides the
-                            // acknowledgement, booked like the others when
-                            // it is sent.
-                            let lease = inner.leases_enabled().then(|| {
-                                renew_mirror_grant(inner, slot, caller);
-                                inner.lease_grant(key.0, slot.epoch, seq)
-                            });
-                            return RegimeReply::Installed { reply, seq, lease };
-                        }
+                let through = through && slot.regime == RegimeKind::Replicated;
+                let owes = slot.fans_out(inner);
+                match run {
+                    Some(run) if owes => run.push(op.to_vec()),
+                    None if owes => {
+                        let (ops, skip) = (vec![op.to_vec()], through.then_some(caller));
+                        settle_writes(inner, key, slot, &**replica, ops, stamped, skip);
                     }
-                    (RegimeKind::Sharded, run) if inner.recovery.enabled => match run {
-                        Some(run) => run.push(op.to_vec()),
-                        None => {
-                            ship_backup(inner, key, slot, &**replica, vec![op.to_vec()], stamped)
-                        }
-                    },
                     _ => {}
+                }
+                if through {
+                    // The writer's renewal rides the acknowledgement,
+                    // booked like the others when it is sent.
+                    let seq = replica.version();
+                    let lease = inner.leases_enabled().then(|| {
+                        renew_mirror_grant(inner, slot, caller);
+                        inner.lease_grant(key.0, slot.epoch, seq)
+                    });
+                    return RegimeReply::Installed { reply, seq, lease };
                 }
             }
             RegimeReply::Done(reply)
@@ -2460,16 +2642,67 @@ fn apply_locked(
     }
 }
 
-/// Push one committed write to every mirror of `slot` but `skip` — a writer
-/// bringing its own mirror up to date from the acknowledgement — and the
-/// dead, in two phases: update-and-lock, then a one-way unlock
+/// Pay what the completed writes `ops` — one, or a batch's run, the last of
+/// which left `replica` at its current version — owe before they are
+/// acknowledged ([`Slot::fans_out`]). The caller holds the replica mutex.
+/// On a sharded-regime slot that is a copy to the partition's backup; on
+/// the copy of a replicated-regime object, whatever the write policy does
+/// to the mirrors, all but `skip` — a writer bringing its own mirror up to
+/// date from the acknowledgement — and the dead: a two-phase push of the
+/// run ([`push_update`]), or an invalidation naming its last version,
+/// which retires the copies with the `DropMirror` and grant settlement a
+/// drain uses and leaves the mirrors listed, to fetch at their next read.
+fn settle_writes(
+    inner: &Arc<Inner>,
+    key: (ObjectId, u32),
+    slot: &Slot,
+    replica: &dyn AnyReplica,
+    ops: Vec<Vec<u8>>,
+    stamped: Option<(OpStamp, Vec<u8>)>,
+    skip: Option<NodeId>,
+) {
+    match slot.regime {
+        RegimeKind::Replicated => {
+            let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
+            let others: Vec<NodeId> = mirrors
+                .filter(|n| Some(*n) != skip && !is_dead(&inner.detector, *n))
+                .collect();
+            if others.is_empty() {
+                return;
+            }
+            let last = replica.version();
+            match inner.policy.write {
+                WritePolicy::Update => {
+                    let first = last + 1 - ops.len() as u64;
+                    push_update(inner, slot, key.0, &others, first, ops, stamped);
+                }
+                WritePolicy::Invalidate => {
+                    let nodes = others.iter().copied();
+                    let dropped = drop_copies(inner, key.0, slot.epoch, Some(last), nodes);
+                    let grants: HashMap<u16, Instant> = {
+                        let mut leases = slot.leases.lock();
+                        let taken = |node: &NodeId| Some((node.0, leases.grants.remove(&node.0)?));
+                        others.iter().filter_map(taken).collect()
+                    };
+                    settle_dropped_grants(inner, &grants, &dropped);
+                }
+            }
+        }
+        RegimeKind::Sharded => ship_backup(inner, key, slot, replica, ops, stamped),
+        RegimeKind::Primary => {}
+    }
+}
+
+/// Push a run of committed writes — `ops[0]` left the replica at version
+/// `first` — to the mirrors `others` of `slot`, in two phases:
+/// update-and-lock, then a one-way unlock of the run's last version
 /// ([`UpdateChannel::two_phase`]). Without read leases this is best-effort
 /// under crashes: a mirror that misses an update detects the sequence gap
-/// on the next one and re-syncs from the owner. With leases enabled the unlock doubles as the lease renewal, and
-/// a mirror a push could not reach has its outstanding grant *settled* —
-/// the write waits out the grant's conservative expiry before it is
-/// acknowledged, so no node can still be serving leased reads of the
-/// pre-write state when the writer continues.
+/// on the next one and re-syncs from the owner. With leases enabled the
+/// unlock doubles as the lease renewal, and a mirror a push could not reach
+/// has its outstanding grant *settled* — the write waits out the grant's
+/// conservative expiry before it is acknowledged, so no node can still be
+/// serving leased reads of the pre-write state when the writer continues.
 ///
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
@@ -2477,45 +2710,40 @@ fn apply_locked(
 /// rest of the push is skipped, and the owner still answers the writer
 /// before *its* deadline expires — a committed write must not be reported
 /// as a timeout just because a mirror is unreachable.
-#[allow(clippy::too_many_arguments)]
 fn push_update(
     inner: &Arc<Inner>,
     slot: &Slot,
     object: ObjectId,
-    epoch: u64,
-    seq: u64,
-    op: &[u8],
+    others: &[NodeId],
+    first: u64,
+    ops: Vec<Vec<u8>>,
     stamped: Option<(OpStamp, Vec<u8>)>,
-    skip: Option<NodeId>,
 ) {
     let deadline = Instant::now() + inner.policy.op_timeout / 2;
-    let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
-    let others: Vec<NodeId> = mirrors
-        .filter(|n| Some(*n) != skip && !is_dead(&inner.detector, *n))
-        .collect();
+    let (epoch, last) = (slot.epoch, first + ops.len() as u64 - 1);
     // Each phase is encoded once and the bytes fanned out. The grant is
     // identical for all holders (validity counts from each holder's own
     // receipt), so that holds for the unlock too.
     let update = RegimeMsg::Update {
         object: object.0,
         epoch,
-        seq,
-        op: op.to_vec(),
+        seq: first,
+        ops,
         stamped,
     }
     .to_bytes();
     let lease = inner
         .leases_enabled()
-        .then(|| inner.lease_grant(object, epoch, seq));
+        .then(|| inner.lease_grant(object, epoch, last));
     let unlock = RegimeMsg::Unlock {
         object: object.0,
         epoch,
-        seq,
+        seq: last,
         lease,
     }
     .to_bytes();
     let failed = inner.updates.two_phase(
-        &others,
+        others,
         &update,
         |node, body| regime_rpc_raw(inner, node, body, deadline).is_ok(),
         |node| {
@@ -2563,12 +2791,13 @@ fn settle_failed_mirror_leases(inner: &Arc<Inner>, slot: &Slot, failed: &[NodeId
     }
 }
 
-/// Settle the grants a drained replicated-regime slot leaves behind: a node
-/// whose `DropMirror` succeeded had its lease explicitly revoked; a live
-/// node whose drop was lost keeps serving leased reads of the retired copy
-/// until its grant runs out, so the drain sleeps that out before it hands
-/// over the state a new regime will accept writes on.
-fn settle_drained_grants(inner: &Inner, grants: &HashMap<u16, Instant>, dropped: &[NodeId]) {
+/// Settle the grants of mirrors told to drop their copy — all of a drained
+/// replicated-regime slot's, or the ones a write invalidated: a node whose
+/// `DropMirror` succeeded had its lease explicitly revoked; a live node
+/// whose drop was lost keeps serving leased reads of the copy until its
+/// grant runs out, so the caller sleeps that out before it hands over the
+/// state a new regime will accept writes on, or acknowledges the write.
+fn settle_dropped_grants(inner: &Inner, grants: &HashMap<u16, Instant>, dropped: &[NodeId]) {
     if !inner.leases_enabled() || grants.is_empty() {
         return;
     }
@@ -2600,27 +2829,6 @@ fn mirror_entry(inner: &Arc<Inner>, object: ObjectId) -> Arc<Mirror> {
             .entry(object)
             .or_insert_with(|| Arc::new(Mirror::default())),
     )
-}
-
-/// Apply one sequence-numbered update to the local mirror. Out-of-order
-/// or raced updates invalidate the copy, which re-syncs lazily. An update
-/// that beats the mirror install creates the (empty) entry, so its
-/// sequence number is remembered and a concurrent fetch cannot install an
-/// older snapshot as current.
-fn apply_update(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    epoch: u64,
-    seq: u64,
-    op: Vec<u8>,
-    stamped: Option<(OpStamp, Vec<u8>)>,
-) -> RegimeReply {
-    let mirror = mirror_entry(inner, object);
-    let budget = inner.policy.op_timeout;
-    if mirror.apply_pushed(epoch, seq, &[op], stamped, budget) > 0 {
-        RtsStats::bump(&inner.stats.updates_applied);
-    }
-    RegimeReply::Ack
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2674,7 +2882,7 @@ fn serve_fetch_mirror(
     if !slot.mirrors.contains(&caller.0) {
         return RegimeReply::StaleRegime;
     }
-    let replica = slot.replica.lock();
+    let replica = slot.lock_for(inner, caller);
     if slot.withdrawn.load(Ordering::Relaxed) {
         return RegimeReply::StaleRegime;
     }
@@ -2844,9 +3052,9 @@ fn drain_local(
     };
     RtsStats::bump(&inner.stats.copies_dropped);
     let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
-    let dropped = drop_copies(inner, object, epoch, mirrors);
+    let dropped = drop_copies(inner, object, epoch, None, mirrors);
     let grants = std::mem::take(&mut slot.leases.lock().grants);
-    settle_drained_grants(inner, &grants, &dropped);
+    settle_dropped_grants(inner, &grants, &dropped);
     Some(drained)
 }
 
@@ -2903,6 +3111,7 @@ fn install_slot(
         mirrors: mirrors.to_vec(),
         dedup: Mutex::new(dedup),
         leases: Mutex::new(leases),
+        parked: AtomicU32::new(0),
     };
     if regime == RegimeKind::Sharded {
         ship_backup_state(inner, key, &slot, &**slot.replica.lock());
@@ -3048,6 +3257,9 @@ fn regime_rpc_raw(
 /// evidence says a different one fits — or, for a regime that places by
 /// use, the same one over different nodes.
 fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>) {
+    if !inner.policy.counts_usage() {
+        return;
+    }
     let (reads, writes) = {
         let mut usage = entry.usage.lock();
         let totals = usage.totals();
@@ -3061,8 +3273,11 @@ fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>
         let table = entry.table.lock();
         (table.regime, table.type_name.clone())
     };
-    let shardable = inner.registry.shard_logic(&type_name).is_some();
-    let target = pick_regime(reads, writes, shardable, inner.num_nodes, &inner.policy);
+    let target = inner.policy.pin.unwrap_or_else(|| {
+        let shardable = inner.registry.shard_logic(&type_name).is_some();
+        let nodes = inner.num_nodes;
+        pick_regime(reads, writes, shardable, nodes, current, &inner.policy)
+    });
     // The sharded and replicated regimes place by use, so they are worth a
     // second look when the regime itself fits: the switch returns early
     // unless the placement moved.
@@ -3131,7 +3346,13 @@ fn switch_regime(
                 _ => (inner.node.0, &[][..]),
             };
             let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
-            let (owner, mirrors) = entry.usage.lock().replicate(nodes, owner, named, grace);
+            let (owner, mut mirrors) = entry.usage.lock().replicate(nodes, owner, named, grace);
+            // A copy nobody reads would live on its one writer alone, and
+            // die with it: where a dead owner's copy is regenerated, one
+            // that leaves its home leaves a mirror there to do it from.
+            if inner.recovery.rehome && mirrors.is_empty() && owner != inner.node.0 {
+                mirrors.push(inner.node.0);
+            }
             (vec![owner], mirrors)
         }
         (RegimeKind::Primary, _) => (vec![inner.node.0], Vec::new()),
@@ -3195,7 +3416,7 @@ fn switch_regime(
     // the survivors.
     if old.regime == RegimeKind::Sharded && inner.recovery.enabled {
         let everyone = (0..inner.num_nodes).map(NodeId::from);
-        drop_copies(inner, object, old.epoch, everyone);
+        drop_copies(inner, object, old.epoch, None, everyone);
     }
 
     // Phase 2: merge the drained states into one whole-object state
@@ -4623,9 +4844,7 @@ mod tests {
         reads: &[u64],
         writes: &[u64],
     ) -> Result<(), RtsError> {
-        let home = rts.inner.homes.read().get(&id).cloned().unwrap();
-        *home.usage.lock() = UsageAggregate::of(reads, writes);
-        switch_regime(&rts.inner, id, &home, RegimeKind::Replicated, None)
+        rts.replicate_by(id, reads, writes)
     }
 
     /// Owner and mirrors of replicated-regime `id` as the home publishes

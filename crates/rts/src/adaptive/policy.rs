@@ -33,6 +33,19 @@ use orca_object::ObjectId;
 use orca_wire::RegimeKind;
 
 use crate::stats::AccessStats;
+use crate::RtsKind;
+
+/// How a completed write reaches the mirrors of a replicated-regime object
+/// (§3.2.2 of the paper: invalidate, or two-phase update).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WritePolicy {
+    /// Discard the mirrors' copies; a listed mirror fetches a fresh one at
+    /// its next read.
+    Invalidate,
+    /// Push the operation to every mirror with a two-phase
+    /// lock/update/unlock exchange.
+    Update,
+}
 
 /// Configuration of the adaptive runtime system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,12 +98,24 @@ pub struct AdaptivePolicy {
     /// lapsed (idle owner) asks the owner for a renewal, and gets the state
     /// with it only if it fell behind.
     pub read_lease_ms: u64,
-    /// Pin every object to the sharded regime — the `sharded` backend: an
-    /// object is created partitioned (a type that does not shard as one
-    /// partition at its creator), spread over all nodes, and stays so;
-    /// nothing is counted, reported or evaluated, and an owner changes
-    /// only by [`super::AdaptiveRts::migrate`] or by dying.
-    pub pin_sharded: bool,
+    /// How a completed write reaches a replicated-regime object's mirrors.
+    pub write: WritePolicy,
+    /// Serve every object in this regime, from its creation on, instead of
+    /// picking one from its access mix.
+    ///
+    /// * `Some(Sharded)` — the `sharded` backend: an object is created
+    ///   partitioned (a type that does not shard as one partition at its
+    ///   creator), spread over all nodes, and stays so; nothing is counted,
+    ///   reported or evaluated, and an owner changes only by
+    ///   [`super::AdaptiveRts::migrate`] or by dying.
+    /// * `Some(Replicated)` — the `primary` backend, the paper's
+    ///   point-to-point runtime system: one authoritative copy, created at
+    ///   the creator, and a dynamic set of secondary copies. Usage is
+    ///   counted and the object re-placed by it: the copy moves to a node
+    ///   that writes it, mirrors come and go where it is read.
+    /// * `Some(Primary)` — one copy at the creator and never another;
+    ///   nothing is counted.
+    pub pin: Option<RegimeKind>,
 }
 
 impl Default for AdaptivePolicy {
@@ -107,7 +132,8 @@ impl Default for AdaptivePolicy {
             blocked_retry_delay: Duration::from_millis(20),
             stale_retry_delay: Duration::from_millis(5),
             read_lease_ms: 150,
-            pin_sharded: false,
+            write: WritePolicy::Update,
+            pin: None,
         }
     }
 }
@@ -131,18 +157,53 @@ impl AdaptivePolicy {
     pub fn sharded(partitions: u32) -> Self {
         AdaptivePolicy {
             partitions,
-            pin_sharded: true,
+            pin: Some(RegimeKind::Sharded),
             ..AdaptivePolicy::default()
+        }
+    }
+
+    /// The regime pinned to replicated — primary copy — with the given
+    /// write policy.
+    pub fn primary_copy(write: WritePolicy) -> Self {
+        AdaptivePolicy {
+            write,
+            pin: Some(RegimeKind::Replicated),
+            ..AdaptivePolicy::default()
+        }
+    }
+
+    /// True when per-node usage is counted, reported and evaluated: to pick
+    /// a regime, or to place the pinned replicated one.
+    pub(crate) fn counts_usage(&self) -> bool {
+        matches!(self.pin, None | Some(RegimeKind::Replicated))
+    }
+
+    /// Which runtime system a node running this policy is.
+    pub fn kind(&self) -> RtsKind {
+        match (self.pin, self.write) {
+            (None, _) => RtsKind::Adaptive,
+            (Some(RegimeKind::Sharded), _) => RtsKind::Sharded,
+            (Some(_), WritePolicy::Update) => RtsKind::PrimaryUpdate,
+            (Some(_), WritePolicy::Invalidate) => RtsKind::PrimaryInvalidate,
         }
     }
 }
 
-/// Pick the regime that fits an observed read/write mix.
+/// How far the evidence must miss a regime's threshold before an object
+/// *leaves* that regime: entering takes the threshold, staying half of it —
+/// the band [`UsageAggregate::users`] gives a node the table names. Decayed
+/// counts are noisy, a mix that sits on a threshold crosses it every other
+/// window, and every switch re-ships the object's state.
+const LEAVE_FACTOR: f64 = 2.0;
+
+/// Pick the regime that fits an observed read/write mix, for an object now
+/// served in `current`.
 pub(crate) fn pick_regime(
     reads: u64,
     writes: u64,
     shardable: bool,
     num_nodes: usize,
+    current: RegimeKind,
     policy: &AdaptivePolicy,
 ) -> RegimeKind {
     let total = reads + writes;
@@ -154,14 +215,21 @@ pub(crate) fn pick_regime(
     } else {
         reads as f64 / writes as f64
     };
-    if ratio >= policy.replicate_ratio {
-        RegimeKind::Replicated
-    } else if shardable
+    // What a regime's evidence is held to: its threshold to enter, a
+    // `LEAVE_FACTOR`th of it to stay.
+    let bar = |regime: RegimeKind, threshold: f64| match current == regime {
+        true => threshold / LEAVE_FACTOR,
+        false => threshold,
+    };
+    let replicated = ratio >= bar(RegimeKind::Replicated, policy.replicate_ratio);
+    let sharded = shardable
         && num_nodes > 1
         && policy.partitions > 1
-        && writes as f64 >= policy.shard_write_fraction * total as f64
-    {
+        && writes as f64 >= bar(RegimeKind::Sharded, policy.shard_write_fraction) * total as f64;
+    if sharded && (current == RegimeKind::Sharded || !replicated) {
         RegimeKind::Sharded
+    } else if replicated {
+        RegimeKind::Replicated
     } else {
         RegimeKind::Primary
     }
@@ -201,12 +269,20 @@ impl Count {
     }
 }
 
+/// What the home knows of one node's use of an object.
+struct NodeUsage {
+    /// Decayed read/write counts.
+    stats: AccessStats,
+    /// When the node last reported.
+    heard: Instant,
+    /// When it last reported reads.
+    heard_reading: Option<Instant>,
+}
+
 /// The home node's decayed per-node usage aggregate for one object.
 #[derive(Default)]
 pub(crate) struct UsageAggregate {
-    /// Decayed read/write counts per reporting node, and when the node last
-    /// reported.
-    per_node: HashMap<u16, (AccessStats, Instant)>,
+    per_node: HashMap<u16, NodeUsage>,
     /// Accesses reported since the last evaluation.
     since_eval: u64,
 }
@@ -222,21 +298,25 @@ impl UsageAggregate {
         evaluate_every: u64,
     ) -> bool {
         let now = Instant::now();
-        let (stats, heard) = self
-            .per_node
-            .entry(node)
-            .or_insert_with(|| (AccessStats::default(), now));
-        stats.record_reads(reads);
-        stats.record_writes(writes);
-        *heard = now;
+        let usage = self.per_node.entry(node).or_insert_with(|| NodeUsage {
+            stats: AccessStats::default(),
+            heard: now,
+            heard_reading: None,
+        });
+        usage.stats.record_reads(reads);
+        usage.stats.record_writes(writes);
+        usage.heard = now;
+        if reads > 0 {
+            usage.heard_reading = Some(now);
+        }
         self.since_eval += reads + writes;
         self.since_eval >= evaluate_every
     }
 
     /// Total decayed (reads, writes) over all reporting nodes.
     pub(crate) fn totals(&self) -> (u64, u64) {
-        self.per_node.values().fold((0, 0), |(r, w), (stats, _)| {
-            (r + stats.reads(), w + stats.writes())
+        self.per_node.values().fold((0, 0), |(r, w), usage| {
+            (r + usage.stats.reads(), w + usage.stats.writes())
         })
     }
 
@@ -251,7 +331,11 @@ impl UsageAggregate {
     /// report is younger than `grace`: windows are counted in accesses, a
     /// busy object closes one every millisecond, and a node whose reports
     /// were held up for a few of them (a descheduled thread is enough) has
-    /// stalled, not left. With no evidence every node is a user.
+    /// stalled, not left. A reader is held to more: its last report *of
+    /// reads* — a mirror costs a push every write, and a node that goes on
+    /// reporting writes has not stalled, it has stopped reading. With no
+    /// evidence of any use at all every node is a user; with evidence, none
+    /// of it counted `by`, nobody is.
     ///
     /// Membership, not seats in proportion to the counts: in a closed loop
     /// the node that owns more partitions is faster and therefore reports
@@ -264,22 +348,31 @@ impl UsageAggregate {
         current_owners: &[u16],
         grace: Duration,
     ) -> Vec<u16> {
-        let total: u128 = self.per_node.values().map(|(stats, _)| by.of(stats)).sum();
+        let total_of = |by: Count| -> u128 {
+            let counts = self.per_node.values().map(|usage| by.of(&usage.stats));
+            counts.sum()
+        };
+        if total_of(Count::Accesses) == 0 {
+            return (0..num_nodes as u16).collect();
+        }
+        let total = total_of(by);
         let mut users: Vec<u16> = self
             .per_node
             .iter()
-            .filter(|(node, (stats, heard))| {
+            .filter(|(node, usage)| {
                 let owner = current_owners.contains(node);
                 let per_even_share = if owner { 8 } else { 4 };
-                let accesses = by.of(stats);
+                let accesses = by.of(&usage.stats);
                 let share = accesses > 0 && accesses * per_even_share * num_nodes as u128 >= total;
-                usize::from(**node) < num_nodes && (share || (owner && heard.elapsed() < grace))
+                let heard = match by {
+                    Count::Reads => usage.heard_reading,
+                    Count::Accesses | Count::Writes => Some(usage.heard),
+                };
+                let lately = heard.is_some_and(|heard| heard.elapsed() < grace);
+                usize::from(**node) < num_nodes && (share || (owner && lately))
             })
             .map(|(node, _)| *node)
             .collect();
-        if users.is_empty() {
-            return (0..num_nodes as u16).collect();
-        }
         users.sort_unstable();
         users
     }
@@ -293,8 +386,8 @@ impl UsageAggregate {
     /// more": with the handful of writes a node reports per window a
     /// proportional rule would flip on noise several times a second, and
     /// every flip re-ships the state. Nothing known about writes keeps the
-    /// owner, nothing about reads puts a mirror everywhere — the placement
-    /// before there was a rule.
+    /// owner; nothing known at all — a forced switch — puts a mirror
+    /// everywhere, the placement before there was a rule.
     pub(crate) fn replicate(
         &self,
         num_nodes: usize,
@@ -303,7 +396,7 @@ impl UsageAggregate {
         grace: Duration,
     ) -> (u16, Vec<u16>) {
         let named: Vec<u16> = mirrors.iter().copied().chain([owner]).collect();
-        let writes = |node: &u16| self.per_node.get(node).map_or(0, |(s, _)| s.writes());
+        let writes = |node: &u16| self.per_node.get(node).map_or(0, |u| u.stats.writes());
         let writers = self.users(Count::Writes, num_nodes, &named, grace);
         let busiest = writers
             .iter()
@@ -321,8 +414,8 @@ impl UsageAggregate {
     /// Close the evaluation window: decay every node's counters and reset
     /// the evaluation trigger.
     pub(crate) fn end_window(&mut self) {
-        for (stats, _) in self.per_node.values() {
-            stats.decay_halve();
+        for usage in self.per_node.values() {
+            usage.stats.decay_halve();
         }
         self.since_eval = 0;
     }
@@ -362,29 +455,71 @@ mod tests {
     #[test]
     fn regime_decision_rules() {
         let policy = AdaptivePolicy::default();
+        // What an object in the primary regime — where it has to clear a
+        // threshold to leave — is offered.
+        let pick = |reads, writes, shardable, nodes| {
+            pick_regime(
+                reads,
+                writes,
+                shardable,
+                nodes,
+                RegimeKind::Primary,
+                &policy,
+            )
+        };
         // Read-dominated: replicate (shardable or not).
-        assert_eq!(
-            pick_regime(90, 10, true, 4, &policy),
-            RegimeKind::Replicated
-        );
-        assert_eq!(
-            pick_regime(90, 10, false, 4, &policy),
-            RegimeKind::Replicated
-        );
-        assert_eq!(
-            pick_regime(50, 0, false, 4, &policy),
-            RegimeKind::Replicated
-        );
+        assert_eq!(pick(90, 10, true, 4), RegimeKind::Replicated);
+        assert_eq!(pick(90, 10, false, 4), RegimeKind::Replicated);
+        assert_eq!(pick(50, 0, false, 4), RegimeKind::Replicated);
         // Write-hot shardable: shard.
-        assert_eq!(pick_regime(10, 90, true, 4, &policy), RegimeKind::Sharded);
-        assert_eq!(pick_regime(50, 50, true, 4, &policy), RegimeKind::Sharded);
+        assert_eq!(pick(10, 90, true, 4), RegimeKind::Sharded);
+        assert_eq!(pick(50, 50, true, 4), RegimeKind::Sharded);
         // Write-hot but not shardable (or nothing to spread over): primary.
-        assert_eq!(pick_regime(10, 90, false, 4, &policy), RegimeKind::Primary);
-        assert_eq!(pick_regime(10, 90, true, 1, &policy), RegimeKind::Primary);
+        assert_eq!(pick(10, 90, false, 4), RegimeKind::Primary);
+        assert_eq!(pick(10, 90, true, 1), RegimeKind::Primary);
         // Mixed: primary.
-        assert_eq!(pick_regime(60, 40, true, 4, &policy), RegimeKind::Primary);
+        assert_eq!(pick(60, 40, true, 4), RegimeKind::Primary);
         // No evidence: primary.
-        assert_eq!(pick_regime(0, 0, true, 4, &policy), RegimeKind::Primary);
+        assert_eq!(pick(0, 0, true, 4), RegimeKind::Primary);
+    }
+
+    #[test]
+    fn a_mix_on_a_threshold_never_flaps() {
+        let policy = AdaptivePolicy::default();
+        let pick = |reads, writes, current| pick_regime(reads, writes, true, 3, current, &policy);
+        // Every read-modify-write loop is an even mix, which is the sharded
+        // regime's threshold exactly: decay noise puts the window on either
+        // side of it. Once sharded the object stays sharded.
+        for reads in [48, 52, 47, 53, 50, 60, 70] {
+            assert_eq!(pick(reads, 50, RegimeKind::Sharded), RegimeKind::Sharded);
+        }
+        // It leaves when the writes miss the threshold by half — which, at
+        // these thresholds, is where the replicated regime begins.
+        assert_eq!(pick(150, 50, RegimeKind::Sharded), RegimeKind::Sharded);
+        assert_eq!(pick(154, 50, RegimeKind::Sharded), RegimeKind::Replicated);
+        // Seen from the primary regime that lower bar means nothing: a
+        // count hovering around it never enters (a threshold of 0.8 here,
+        // so that its half is not where another regime begins).
+        let steep = AdaptivePolicy {
+            shard_write_fraction: 0.8,
+            ..policy
+        };
+        for writes in [38, 42, 37, 43, 40] {
+            let offered = pick_regime(60, writes, true, 3, RegimeKind::Primary, &steep);
+            assert_eq!(offered, RegimeKind::Primary, "{writes} writes");
+        }
+        // The replicated regime likewise: in at three reads a write, out
+        // below one and a half, and a ratio hovering at either bar moves
+        // nothing from the side it is on.
+        for reads in [148, 152, 147, 153, 76, 80, 75] {
+            let stays = pick(reads, 50, RegimeKind::Replicated);
+            assert_eq!(stays, RegimeKind::Replicated, "{reads} reads");
+        }
+        for reads in [73, 77, 72, 76, 74, 140, 149] {
+            assert_eq!(pick(reads, 50, RegimeKind::Primary), RegimeKind::Primary);
+        }
+        assert_eq!(pick(74, 50, RegimeKind::Replicated), RegimeKind::Primary);
+        assert_eq!(pick(40, 50, RegimeKind::Replicated), RegimeKind::Sharded);
     }
 
     fn owners_of(object: ObjectId, partitions: u32, users: &[u16]) -> Vec<u16> {
@@ -601,6 +736,34 @@ mod tests {
             let tied = UsageAggregate::of_writes(&[0, 7, 7, 7]);
             assert_eq!(tied.replicate(4, 0, &[], NO_GRACE).0, 1);
         }
+    }
+
+    #[test]
+    fn a_node_that_only_writes_keeps_no_mirror() {
+        // The ledger's write workloads under the replicated pin: nodes 1
+        // and 2 write in turns and read nothing. Evidence, none of it
+        // reads: no mirror anywhere — not even on the node the table names,
+        // which the home heard from (writing) a moment ago.
+        let writers = UsageAggregate::of_writes(&[0, 64, 64]);
+        for grace in [NO_GRACE, LONG_GRACE] {
+            assert_eq!(writers.replicate(3, 1, &[2], grace), (1, vec![]));
+            assert_eq!(writers.replicate(3, 0, &[], grace), (1, vec![]));
+        }
+        // A mirror whose reads stalled — decayed to nothing — but who was
+        // heard *reading* inside the grace stays; past it, it goes.
+        let mut stalled = UsageAggregate::of(&[0, 0, 4], &[0, 64, 64]);
+        for _ in 0..4 {
+            stalled.report(1, 0, 64, u64::MAX);
+            stalled.report(2, 0, 64, u64::MAX);
+            stalled.end_window();
+        }
+        assert_eq!(stalled.replicate(3, 1, &[2], LONG_GRACE), (1, vec![2]));
+        assert_eq!(stalled.replicate(3, 1, &[2], NO_GRACE), (1, vec![]));
+        // The grace keeps mirrors, it makes none.
+        assert_eq!(stalled.replicate(3, 1, &[], LONG_GRACE), (1, vec![]));
+        // No evidence at all — the forced switch — still mirrors everywhere.
+        let nothing = UsageAggregate::default();
+        assert_eq!(nothing.replicate(3, 1, &[], LONG_GRACE), (1, vec![0, 2]));
     }
 
     #[test]

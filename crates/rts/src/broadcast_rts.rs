@@ -368,8 +368,8 @@ impl BroadcastRts {
     /// Set the per-invocation deadline: how long a write (or create) waits
     /// for its own broadcast to come back before it is withdrawn and
     /// [`RtsError::Timeout`] is surfaced. Mirrors
-    /// `PrimaryCopyRts::set_op_timeout` and `AdaptivePolicy::op_timeout`, so
-    /// the conformance suite can exercise short deadlines on every backend.
+    /// `AdaptivePolicy::op_timeout`, so the conformance suite can exercise
+    /// short deadlines on every backend.
     pub fn set_op_timeout(&self, timeout: Duration) {
         self.inner
             .op_timeout_ms

@@ -2,8 +2,9 @@
 //!
 //! The runtime system (RTS) is the piece of system software that makes
 //! replicated shared data-objects look like they live in one big shared
-//! memory (§3.2 of the paper). Three very different runtime systems are
-//! implemented here behind one common interface:
+//! memory (§3.2 of the paper). Two very different runtime systems are
+//! implemented here behind one common interface — the paper's two, the
+//! second generalized:
 //!
 //! * [`BroadcastRts`] — used when the network supports (hardware)
 //!   broadcasting. Every object is fully replicated on all nodes. Read
@@ -12,18 +13,14 @@
 //!   totally-ordered reliable broadcast of `orca-group` and applied by every
 //!   node's object manager in exactly the same order, which yields
 //!   sequential consistency.
-//! * [`PrimaryCopyRts`] — used when there is no broadcast. Each object has a
-//!   primary copy on its creating node and zero or more secondary copies.
-//!   Writes are sent to the primary, which either **invalidates** all
-//!   secondaries or pushes a **two-phase update** to them
-//!   ([`WritePolicy`]). Secondary copies are created and discarded
-//!   dynamically, driven by each node's read/write ratio for the object
-//!   ([`ReplicationPolicy`]).
-//! * [`AdaptiveRts`] — makes the regime a *per-object, dynamic* property.
+//! * [`AdaptiveRts`] — used when there is no broadcast: operations travel
+//!   point to point. It makes the regime a *per-object, dynamic* property.
 //!   Each object is served, at any moment, in one of three regimes —
-//!   replicated with ordered updates (read-dominated: the copy on a node
-//!   that writes the object, mirrors on the nodes that read it), primary
-//!   copy (mixed), sharded (write-hot shardable: `N` partitions hashed over the
+//!   replicated (read-dominated: one authoritative copy on a node that
+//!   writes the object, mirrors on the nodes that read it; a write is sent
+//!   to the copy's owner, which either pushes a **two-phase update** to the
+//!   mirrors or **invalidates** them — [`WritePolicy`]), a single copy at
+//!   home (mixed), sharded (write-hot shardable: `N` partitions hashed over the
 //!   nodes that use the object, each owned by one node, operations shipped
 //!   point-to-point to the partition owner, so writes to different
 //!   partitions proceed in parallel on different nodes) — and the object's
@@ -35,11 +32,18 @@
 //!   installs the new regime under the next epoch, so no write is lost or
 //!   double-applied across a change.
 //!
-//!   With the regime *pinned* ([`AdaptivePolicy::sharded`]) the same engine
-//!   is the **sharded** backend ([`RtsKind::Sharded`]): every object is
-//!   created partitioned over all nodes and stays so, nothing is counted
-//!   or evaluated, and types without partitioning logic are one partition
-//!   at their creating node.
+//!   With the regime *pinned* ([`AdaptivePolicy::pin`]) the same engine is
+//!   two more backends. Pinned to replicated
+//!   ([`AdaptivePolicy::primary_copy`]) it is the paper's **primary copy**
+//!   runtime system ([`RtsKind::PrimaryUpdate`] /
+//!   [`RtsKind::PrimaryInvalidate`]): one copy per object, at its creator
+//!   until the object is used and then where it is written, and secondary
+//!   copies created and discarded dynamically, where it is read — from the
+//!   per-node read and write counts the object's home collects. Pinned to
+//!   sharded ([`AdaptivePolicy::sharded`]) it is the **sharded** backend
+//!   ([`RtsKind::Sharded`]): every object is created partitioned over all
+//!   nodes and stays so, nothing is counted or evaluated, and types
+//!   without partitioning logic are one partition at their creating node.
 //!
 //! They trade consistency machinery against communication very
 //! differently:
@@ -47,16 +51,16 @@
 //! | RTS | Replication | Write path | Consistency |
 //! |-----|-------------|-----------|-------------|
 //! | broadcast | full (every node) | totally-ordered broadcast, applied everywhere | sequential, object-wide |
-//! | primary copy (invalidate / update) | primary + dynamic secondaries | RPC to primary, then invalidate or 2-phase update of secondaries | sequential, object-wide |
-//! | adaptive | per object: a copy where it is written + mirrors where it is read, home copy, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors) or RPC to partition owner | sequential per object (per partition while sharded) |
-//! | sharded (adaptive, regime pinned) | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
+//! | adaptive | per object: a copy where it is written + mirrors where it is read, home copy, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors, or their invalidation) or RPC to partition owner | sequential per object (per partition while sharded) |
+//! | primary copy, update / invalidate (adaptive, pinned to replicated) | a copy where it is written + dynamic secondaries where it is read | RPC to the copy's owner, then 2-phase update or invalidation of the secondaries | sequential, object-wide |
+//! | sharded (adaptive, pinned to sharded) | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
 //! Of the standard object library, the job queue, key-value table, set and
 //! boolean array shard; the integer, boolean flag and barrier do not (they
 //! are single atomic values): pinned, they are a single copy at their
 //! creator, and left to adapt they are only ever offered the replicated
 //! and primary regimes. With one partition the sharded backend is
-//! observationally identical to the primary-copy RTS — the cross-RTS
+//! observationally identical to the primary-copy one — the cross-RTS
 //! conformance suite (`tests/conformance.rs`) checks all of this, and runs
 //! the adaptive system with eager thresholds so regimes switch *during*
 //! the conformance workload.
@@ -69,7 +73,8 @@
 pub mod adaptive;
 pub mod broadcast_rts;
 pub mod pipeline;
-pub mod primary;
+#[cfg(test)]
+mod primary;
 pub mod recovery;
 #[doc(hidden)]
 pub mod sabotage;
@@ -78,12 +83,11 @@ mod sharded;
 pub mod stats;
 mod update;
 
-pub use adaptive::{AdaptivePolicy, AdaptiveRts};
+pub use adaptive::{AdaptivePolicy, AdaptiveRts, WritePolicy};
 pub use broadcast_rts::BroadcastRts;
 pub use orca_group::{FailureConfig, FailureDetector, ViewSnapshot};
 pub use orca_wire::RegimeKind;
 pub use pipeline::{BatchPolicy, PendingInvocation};
-pub use primary::{PrimaryCopyRts, ReplicationPolicy, WritePolicy};
 pub use recovery::RecoveryConfig;
 pub use stats::{AccessStats, RtsStats, RtsStatsSnapshot};
 
@@ -140,9 +144,11 @@ pub enum RtsKind {
     /// Full replication with operation shipping over totally-ordered
     /// broadcast.
     Broadcast,
-    /// Primary copy with invalidation of secondaries on writes.
+    /// Primary copy with invalidation of secondaries on writes: the
+    /// adaptive runtime with every object's regime pinned to replicated.
     PrimaryInvalidate,
-    /// Primary copy with two-phase updates of secondaries on writes.
+    /// Primary copy with two-phase updates of secondaries on writes: the
+    /// same pin, the other write policy.
     PrimaryUpdate,
     /// Partitioned objects with owner-shipped operations: the adaptive
     /// runtime with every object's regime pinned to sharded.

@@ -6,20 +6,18 @@
 //! declared dead the backend runs its re-homing protocol so the dead
 //! node's objects keep being served by survivors:
 //!
-//! * **Primary copy** — a coordinator (the lowest live node) collects the
-//!   surviving secondary copies of every orphaned object, promotes the
-//!   freshest one to the new primary, and publishes the re-homing to all
-//!   survivors. An object with no surviving copy is declared *lost*
-//!   ([`crate::RtsError::ObjectLost`]).
-//! * **Adaptive**, and **sharded**, which is the adaptive runtime with its
-//!   regime pinned — every sharded-regime partition is backed up on a
+//! * **Adaptive** — and **primary copy** and **sharded**, which are the
+//!   adaptive runtime with its regime pinned to replicated and to sharded —
+//!   every sharded-regime partition is backed up on a
 //!   second node (the owner ships each completed write to its backup
 //!   before acknowledging); a dead owner's partitions are re-owned by
 //!   promoting their backups, and a dead *home* node's regime table is
 //!   rebuilt by the lowest live node from what the survivors hold. A
-//!   replicated-regime object whose home died is regenerated from the
-//!   freshest surviving read mirror; a primary-regime object (one copy, at
-//!   home) is lost with it.
+//!   replicated-regime object — a primary copy — keeps serving where it is
+//!   while its owner lives and is regenerated from the freshest surviving
+//!   read mirror when it does not; one that left no mirror, and a
+//!   primary-regime object (one copy, at home), is *lost* with its node
+//!   ([`crate::RtsError::ObjectLost`]).
 //! * **Broadcast** — needs no per-object re-homing at all: every replica
 //!   is everywhere, and a dead *sequencer* is handled inside the group
 //!   layer by election + history replay.

@@ -9,20 +9,23 @@
 //!
 //! Each sabotage re-introduces a real bug class:
 //!
-//! * [`NO_VERSION_GATING`] — copies (primary-copy secondaries; adaptive
-//!   mirrors run the same gate) stop checking update versions: a stale
+//! * [`NO_VERSION_GATING`] — copies (a replicated-regime object's mirrors,
+//!   the primary-copy backend's secondaries) stop checking update versions: a stale
 //!   fetched snapshot is installed even when a newer update overtook it
 //!   in flight, and updates — pushed ones and a writer's own acknowledged
 //!   write — are applied regardless of gaps. This is the pre-fix behavior
 //!   of the fetch/update race (a permanently stale secondary serving
 //!   local reads).
-//! * [`REHOME_KEEPS_STALE_COPIES`] — after a crash, survivors that are
-//!   not the new home keep their secondary copies instead of dropping
-//!   them; such a copy is frozen at the moment of the crash and serves
-//!   reads that miss every post-promotion write.
-//! * [`SKIP_WRITER_PENDING_MARK`] — a writer's pending mark on its own copy
-//!   (primary-copy secondary or adaptive mirror) no longer holds back local
-//!   reads while its write-through is in flight. The home left that copy
+//! * [`REHOME_KEEPS_STALE_COPIES`] — after a crash, the regeneration of a
+//!   replicated-regime object does not retire the dead owner's epoch: the
+//!   copy is rebuilt under the epoch it had, the survivors stay listed and
+//!   keep their mirrors of it instead of dropping them; such a copy is
+//!   frozen at the moment of the crash and serves reads that miss every
+//!   later write. (Dropping the copies alone is not what keeps them from
+//!   being read — the next epoch is: skipping the drop breaks nothing.)
+//! * [`SKIP_WRITER_PENDING_MARK`] — a writer's pending mark on its own
+//!   mirror no longer holds back local reads while its write-through is in
+//!   flight. The owner left that copy
 //!   out of the two-phase update, so it keeps serving the old value after
 //!   every other copy has been unlocked on the new one.
 
@@ -32,8 +35,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// snapshots install, gapped updates apply).
 pub static NO_VERSION_GATING: AtomicBool = AtomicBool::new(false);
 
-/// Survivors keep (instead of drop) their stale secondary copies when an
-/// object is re-homed after a crash.
+/// A regenerated object keeps its dead owner's epoch, and the survivors
+/// their stale mirrors of it.
 pub static REHOME_KEEPS_STALE_COPIES: AtomicBool = AtomicBool::new(false);
 
 /// Local reads ignore the pending mark of an in-flight write-through.

@@ -1,7 +1,7 @@
-//! The two-phase update protocol, shared by the primary-copy runtime system
-//! (update policy) and the adaptive one (replicated regime): the fan-out the
-//! authoritative copy runs ([`UpdateChannel`]) and the state machine of
-//! every other copy ([`HeldCopy`]).
+//! The two-phase update protocol of the replicated regime (the
+//! primary-copy backend's update policy): the fan-out the authoritative
+//! copy runs ([`UpdateChannel`]) and the state machine of every other copy
+//! ([`HeldCopy`]).
 //!
 //! A write that executed at the authoritative copy reaches every other
 //! copy in two phases (§3.2.2 of the paper): phase 1 ships the operation
@@ -112,15 +112,13 @@ impl UpdateChannel {
     }
 }
 
-/// One node's copy of an object as the update protocol sees it: the
-/// primary-copy runtime's secondary copy, the adaptive runtime's mirror.
-/// `L` is the backend's holder-side lease record.
+/// One node's copy of an object as the update protocol sees it: a
+/// replicated-regime object's mirror. `L` is the holder-side lease record.
 pub(crate) struct CopyState<L> {
     /// Valid local copy, if any.
     pub(crate) copy: Option<Box<dyn AnyReplica>>,
     /// Regime epoch the copy belongs to. Versions restart with each epoch,
-    /// and messages of another epoch never touch the copy. Primary-copy
-    /// objects live in one regime and stay at 0.
+    /// and messages of another epoch never touch the copy.
     pub(crate) epoch: u64,
     /// Version of `copy`: the authoritative replica's version the state
     /// corresponds to. Updates apply strictly in version order, so a copy
@@ -231,12 +229,13 @@ pub(crate) enum WriteAck<L> {
     NotApplied,
     /// The write may have been applied without this copy being kept
     /// current — a plain reply (this node is not listed as a holder, or a
-    /// retry was answered from the dedup window, without a version), an
-    /// error or a timeout with the authority alive: the copy is dropped.
+    /// retry was answered from the dedup window, without a version), or,
+    /// without re-homing, an error or a timeout: the copy is dropped.
     Unsynced,
-    /// The authority died under the write and re-homing is on: the copy is
-    /// left *locked*, the rule for a copy caught mid-push — it may be the
-    /// freshest one alive, and recovery resolves the lock either way.
+    /// The write failed without an answer and re-homing is on — the
+    /// authority may have died under it: the copy is left *locked*, the rule
+    /// for a copy caught mid-push — it may be the freshest one alive, and
+    /// recovery, or the live authority's next update, resolves the lock.
     AuthorityLost,
 }
 

@@ -178,8 +178,8 @@ pub struct BatchOp {
     pub id: u64,
     /// Raw object id (the `u64` inside `ObjectId`).
     pub object: u64,
-    /// Partition the (possibly narrowed) operation addresses. `0` for
-    /// unpartitioned runtime systems (broadcast, primary copy).
+    /// Partition the (possibly narrowed) operation addresses. `0` where the
+    /// object is not partitioned (broadcast; a single or replicated copy).
     pub partition: u32,
     /// Regime epoch the sender believes current (adaptive runtime system);
     /// `0` elsewhere.

@@ -3,16 +3,17 @@
 //! Two related protocol families live here, both threaded through the
 //! point-to-point runtime systems in `orca-rts`:
 //!
-//! * **Read leases** — a primary (or the adaptive replicated-regime home)
-//!   grants a time-bounded, epoch-stamped [`LeaseGrant`] to every node it
-//!   pushes a copy to. While the lease is valid the holder serves reads from
-//!   its local copy with *zero messages*; a write must renew, revoke or wait
-//!   out every outstanding grant before its effect becomes visible, so
-//!   leased reads stay linearizable. Validity is tied to the failure
-//!   detector's membership epoch: any membership change invalidates every
-//!   lease granted under the old epoch, so a crashed holder's lease dies
-//!   with the view and a re-homed primary only has to wait out the
-//!   wall-clock bound recovery already assumes.
+//! * **Read leases** — the owner of a replicated-regime object grants a
+//!   time-bounded [`LeaseGrant`] to every mirror it primes or pushes to; the
+//!   grant rides the messages that do so (`Mirror`, `Unlock`, `Installed`,
+//!   the fetch replies of [`crate::regime`]). While the lease is valid the
+//!   holder serves reads from its local copy with *zero messages*; a write
+//!   must renew, revoke or wait out every outstanding grant before its
+//!   effect becomes visible, so leased reads stay linearizable. The holder
+//!   also ties validity to its failure detector's membership epoch: any
+//!   membership change invalidates the leases it holds, so a regenerated
+//!   copy only has to wait out the wall-clock bound recovery already
+//!   assumes.
 //!
 //! * **Operation stamps** — every synchronously-invoked write carries an
 //!   [`OpStamp`] `(origin, seq)` identity. The executing replica records the
@@ -22,23 +23,22 @@
 //!   window instead of being applied a second time: exactly-once across
 //!   recovery, not at-least-once.
 
-use crate::{Decoder, Encoder, Wire, WireError, WireResult};
+use crate::{Decoder, Encoder, Wire, WireResult};
 
 /// A time-bounded permission to serve reads of one object locally.
 ///
 /// `valid_ms` is relative to receipt: the holder trusts its own clock for
-/// the countdown (exactly the wall-clock assumption recovery's rehome wait
-/// already makes), while `epoch` pins the membership view the grant was
-/// issued under — a holder whose failure-detector view has moved past
-/// `epoch` must treat the lease as expired regardless of the clock.
+/// the countdown (exactly the wall-clock assumption recovery already
+/// makes), while `epoch` pins the regime epoch of the copy the grant
+/// covers — a grant for another epoch's copy blesses nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseGrant {
     /// Raw object id the lease covers.
     pub object: u64,
-    /// Failure-detector membership epoch the grant was issued under.
+    /// Regime epoch of the copy the grant covers.
     pub epoch: u64,
-    /// Grant sequence number, unique per grantor; a revocation names the
-    /// grant it cancels.
+    /// Version of the copy the grant was issued for; a renewal is good for
+    /// that version and no other.
     pub seq: u64,
     /// Validity in milliseconds from receipt.
     pub valid_ms: u64,
@@ -58,78 +58,6 @@ impl Wire for LeaseGrant {
             seq: Wire::decode(dec)?,
             valid_ms: Wire::decode(dec)?,
         })
-    }
-}
-
-/// The lease sub-protocol messages.
-///
-/// Grants and renewals normally piggyback on the copy/update push traffic
-/// (a fetched copy arrives with a `Grant`, an unlock after a write carries
-/// a `Renew`), so the standalone messages only appear when a push failed
-/// and the writer needs an explicit `Revoke` before it may proceed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseMsg {
-    /// Grantor → holder: a fresh lease, issued alongside a new copy.
-    Grant(LeaseGrant),
-    /// Grantor → holder: replace the current lease (issued alongside an
-    /// update push; the holder's copy is current again).
-    Renew(LeaseGrant),
-    /// Grantor → holder: stop serving local reads under grant `seq` now.
-    Revoke {
-        /// Raw object id.
-        object: u64,
-        /// Sequence number of the grant being cancelled.
-        seq: u64,
-    },
-    /// Holder → grantor: grant `seq` is dead; the writer may proceed.
-    RevokeAck {
-        /// Raw object id.
-        object: u64,
-        /// Sequence number of the cancelled grant.
-        seq: u64,
-    },
-}
-
-impl Wire for LeaseMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            LeaseMsg::Grant(grant) => {
-                enc.put_u8(0);
-                grant.encode(enc);
-            }
-            LeaseMsg::Renew(grant) => {
-                enc.put_u8(1);
-                grant.encode(enc);
-            }
-            LeaseMsg::Revoke { object, seq } => {
-                enc.put_u8(2);
-                object.encode(enc);
-                seq.encode(enc);
-            }
-            LeaseMsg::RevokeAck { object, seq } => {
-                enc.put_u8(3);
-                object.encode(enc);
-                seq.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(LeaseMsg::Grant(Wire::decode(dec)?)),
-            1 => Ok(LeaseMsg::Renew(Wire::decode(dec)?)),
-            2 => Ok(LeaseMsg::Revoke {
-                object: Wire::decode(dec)?,
-                seq: Wire::decode(dec)?,
-            }),
-            3 => Ok(LeaseMsg::RevokeAck {
-                object: Wire::decode(dec)?,
-                seq: Wire::decode(dec)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "LeaseMsg",
-                tag: u64::from(tag),
-            }),
-        }
     }
 }
 
@@ -298,30 +226,20 @@ mod tests {
 
     #[test]
     fn all_lease_messages_round_trip() {
+        // What is left of the lease vocabulary rides other messages as an
+        // optional field: absent, or a grant.
         let mut gen = Gen(11);
         for _ in 0..200 {
-            let msgs = [
-                LeaseMsg::Grant(random_grant(&mut gen)),
-                LeaseMsg::Renew(random_grant(&mut gen)),
-                LeaseMsg::Revoke {
-                    object: gen.next(),
-                    seq: gen.next(),
-                },
-                LeaseMsg::RevokeAck {
-                    object: gen.next(),
-                    seq: gen.next(),
-                },
-            ];
-            for msg in msgs {
-                assert_eq!(LeaseMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
-            }
+            let carried = (gen.next() & 1 == 0).then(|| random_grant(&mut gen));
+            let bytes = carried.to_bytes();
+            assert_eq!(Option::<LeaseGrant>::from_bytes(&bytes).unwrap(), carried);
         }
-        assert!(LeaseMsg::from_bytes(&[42]).is_err());
+        assert!(Option::<LeaseGrant>::from_bytes(&[42]).is_err());
     }
 
     #[test]
     fn truncated_lease_messages_are_errors() {
-        let bytes = LeaseMsg::Grant(LeaseGrant {
+        let bytes = Some(LeaseGrant {
             object: 300,
             epoch: 2,
             seq: 9,
@@ -329,7 +247,8 @@ mod tests {
         })
         .to_bytes();
         for cut in 0..bytes.len() {
-            assert!(LeaseMsg::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            let cut_short = Option::<LeaseGrant>::from_bytes(&bytes[..cut]);
+            assert!(cut_short.is_err(), "cut {cut}");
         }
     }
 

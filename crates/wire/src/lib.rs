@@ -63,8 +63,8 @@ pub use decode::{Decoder, MAX_LEN};
 pub use encode::{uvarint_len, Encoder};
 pub use envelope::RequestHead;
 pub use error::{WireError, WireResult};
-pub use lease::{DedupWindow, LeaseGrant, LeaseMsg, OpStamp, DEDUP_WINDOW_PER_ORIGIN};
-pub use recovery::{CopyInfo, MembershipView, RecoveryMsg, RecoveryReply};
+pub use lease::{DedupWindow, LeaseGrant, OpStamp, DEDUP_WINDOW_PER_ORIGIN};
+pub use recovery::{MembershipView, RecoveryMsg};
 pub use regime::{Holdings, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 pub use trace::TraceId;
 

@@ -1,11 +1,12 @@
 //! Wire messages of the adaptive runtime system's regime protocol.
 //!
 //! The adaptive RTS (see `orca-rts`) serves every shared object in one of
-//! three *regimes* — replication with ordered updates on the nodes that read
-//! it, primary copy at the home node, or hash-partitioned sharding — and
-//! changes an object's
+//! three *regimes* — one copy where the object is written and mirrors,
+//! updated or invalidated, on the nodes that read it; a single copy at the
+//! home node; or hash-partitioned sharding — and changes an object's
 //! regime at runtime from its observed read/write mix (or, with the regime
-//! pinned, keeps every object sharded: the `sharded` backend). The object's
+//! pinned, keeps every object in one: the `primary` and `sharded`
+//! backends). The object's
 //! home node (its creator, recoverable from the object id) owns the
 //! authoritative [`RegimeTable`]; every other node caches it and is told
 //! [`RegimeReply::StaleRegime`] when it acts on an outdated epoch.
@@ -257,27 +258,36 @@ pub enum RegimeMsg {
     /// discard the read mirror so no node keeps serving pre-switch state.
     /// Home → every node: partition backups of the retired epoch are
     /// discarded the same way (any switch of a backed-up sharded regime),
-    /// so none is left to be promoted later.
+    /// so none is left to be promoted later. Owner → its mirrors under the
+    /// invalidation write policy: a write was applied, discard the copy and
+    /// fetch a fresh one at the next read.
     DropMirror {
         /// Raw object id.
         object: u64,
         /// Epoch being retired.
         epoch: u64,
+        /// Version of the write that invalidates the copy, which stays
+        /// listed: the holder remembers it, so an older snapshot still in
+        /// flight is refused. `None` when the slot is retired, and what the
+        /// holder remembers of the epoch's versions with it.
+        written: Option<u64>,
     },
-    /// Owner → mirror holder: apply one sequence-numbered update (a write
-    /// that executed at the owner) and keep the mirror locked until the matching
-    /// [`RegimeMsg::Unlock`] arrives (two-phase, for sequential
-    /// consistency).
+    /// Owner → mirror holder: apply a run of sequence-numbered updates
+    /// (writes that executed at the owner: one, or a batch's consecutive
+    /// writes as one message) and keep the mirror locked until the
+    /// [`RegimeMsg::Unlock`] of the run's last update arrives (two-phase,
+    /// for sequential consistency).
     Update {
         /// Raw object id.
         object: u64,
         /// Epoch of the replicated regime.
         epoch: u64,
-        /// Update sequence number (the owner replica's write version).
+        /// Update sequence number of `ops[0]` (the owner replica's version
+        /// after it); the holder applies exactly the run's unseen suffix.
         seq: u64,
-        /// Encoded write operation.
-        op: Vec<u8>,
-        /// When the pushed write was stamped, its exactly-once identity and
+        /// Encoded write operations, in the order the owner applied them.
+        ops: Vec<Vec<u8>>,
+        /// When the run is one stamped write, its exactly-once identity and
         /// recorded reply, so the mirror's dedup window stays as fresh as
         /// its copy.
         stamped: Option<(OpStamp, Vec<u8>)>,
@@ -492,23 +502,28 @@ impl Wire for RegimeMsg {
                 epoch.encode(enc);
                 have.encode(enc);
             }
-            RegimeMsg::DropMirror { object, epoch } => {
+            RegimeMsg::DropMirror {
+                object,
+                epoch,
+                written,
+            } => {
                 enc.put_u8(9);
                 object.encode(enc);
                 epoch.encode(enc);
+                written.encode(enc);
             }
             RegimeMsg::Update {
                 object,
                 epoch,
                 seq,
-                op,
+                ops,
                 stamped,
             } => {
                 enc.put_u8(10);
                 object.encode(enc);
                 epoch.encode(enc);
                 seq.encode(enc);
-                enc.put_bytes(op);
+                ops.encode(enc);
                 stamped.encode(enc);
             }
             RegimeMsg::Unlock {
@@ -642,12 +657,13 @@ impl Wire for RegimeMsg {
             9 => Ok(RegimeMsg::DropMirror {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
+                written: Wire::decode(dec)?,
             }),
             10 => Ok(RegimeMsg::Update {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 seq: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
+                ops: Wire::decode(dec)?,
                 stamped: Wire::decode(dec)?,
             }),
             11 => Ok(RegimeMsg::Unlock {
@@ -976,13 +992,26 @@ mod tests {
             RegimeMsg::DropMirror {
                 object: 9,
                 epoch: 3,
+                written: None,
+            },
+            RegimeMsg::DropMirror {
+                object: 9,
+                epoch: 3,
+                written: Some(14),
             },
             RegimeMsg::Update {
                 object: 9,
                 epoch: 3,
                 seq: 13,
-                op: vec![1],
+                ops: vec![vec![1]],
                 stamped: Some((OpStamp { origin: 1, seq: 7 }, vec![0])),
+            },
+            RegimeMsg::Update {
+                object: 9,
+                epoch: 3,
+                seq: 14,
+                ops: vec![vec![1, 2], vec![], vec![3]],
+                stamped: None,
             },
             RegimeMsg::Unlock {
                 object: 9,

@@ -376,9 +376,11 @@ fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
 /// object — alive across its owner's death: backup shipping, promotion and
 /// the holdings report; and the ones that place a replicated-regime object:
 /// an install naming its regime and mirrors, a mirror fetch naming the
-/// version held, the lease-only renewal, a table naming mirrors. None of
-/// them has a tail, so besides round-tripping, every strict prefix of an
-/// encoding and every unassigned tag must be rejected.
+/// version held, the lease-only renewal, a table naming mirrors; and the
+/// two a completed write sends its mirrors: a pushed run of updates, an
+/// invalidation naming the write's version. None of them has a tail, so
+/// besides round-tripping, every strict prefix of an encoding and every
+/// unassigned tag must be rejected.
 #[test]
 fn shard_messages_round_trip() {
     use orca_wire::{Holdings, RegimeMsg, RegimeReply};
@@ -387,8 +389,20 @@ fn shard_messages_round_trip() {
         let object = gen.next_u64();
         let epoch = gen.next_u64();
         let partition = gen.next_u64() as u32;
-        let msg = match gen.below(6) {
+        let msg = match gen.below(8) {
             0 => RegimeMsg::Holdings { object },
+            6 => RegimeMsg::Update {
+                object,
+                epoch,
+                seq: gen.next_u64(),
+                ops: (0..gen.below(6)).map(|_| gen.bytes(24)).collect(),
+                stamped: (gen.below(2) == 0).then(|| (random_stamp(&mut gen), gen.bytes(16))),
+            },
+            7 => RegimeMsg::DropMirror {
+                object,
+                epoch,
+                written: (gen.below(2) == 0).then(|| gen.next_u64()),
+            },
             4 => RegimeMsg::Install {
                 object,
                 epoch,
@@ -543,12 +557,16 @@ fn regime_messages_round_trip() {
                 epoch,
                 have: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
-            9 => RegimeMsg::DropMirror { object, epoch },
+            9 => RegimeMsg::DropMirror {
+                object,
+                epoch,
+                written: (gen.below(2) == 0).then(|| gen.next_u64()),
+            },
             10 => RegimeMsg::Update {
                 object,
                 epoch,
                 seq: gen.next_u64(),
-                op: gen.bytes(48),
+                ops: (0..gen.below(4)).map(|_| gen.bytes(48)).collect(),
                 stamped: (gen.below(2) == 0).then(|| (random_stamp(&mut gen), gen.bytes(16))),
             },
             _ => RegimeMsg::Unlock {
@@ -606,57 +624,33 @@ fn regime_messages_round_trip() {
 
 #[test]
 fn recovery_messages_round_trip() {
-    use orca_wire::{CopyInfo, MembershipView, RecoveryMsg, RecoveryReply};
+    use orca_wire::{MembershipView, RecoveryMsg};
     let mut gen = Gen::new(0x0EC0_4E11);
     for case in 0..*CASES {
         let view = MembershipView {
             epoch: gen.next_u64(),
             alive: (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect(),
         };
-        let msg = match gen.below(6) {
-            0 => RecoveryMsg::Heartbeat {
-                node: gen.next_u64() as u16,
-                epoch: gen.next_u64(),
-            },
-            1 => RecoveryMsg::ViewChange { view },
-            2 => RecoveryMsg::CopyQuery {
-                epoch: gen.next_u64(),
-                dead: (0..gen.below(8)).map(|_| gen.next_u64() as u16).collect(),
-            },
-            3 => RecoveryMsg::Promote {
-                epoch: gen.next_u64(),
-                object: gen.next_u64(),
-                trace: random_trace(&mut gen),
-            },
-            4 => RecoveryMsg::ReHome {
-                epoch: gen.next_u64(),
-                object: gen.next_u64(),
-                new_home: gen.next_u64() as u16,
-                lost: gen.below(2) == 0,
-                trace: random_trace(&mut gen),
-            },
-            _ => RecoveryMsg::Done {
-                epoch: gen.next_u64(),
-            },
+        assert_roundtrip(&view, case);
+        let beat = RecoveryMsg::Heartbeat {
+            node: gen.next_u64() as u16,
+            epoch: gen.next_u64(),
         };
-        assert_roundtrip(&msg, case);
-        let reply = match gen.below(3) {
-            0 => RecoveryReply::Ack,
-            1 => RecoveryReply::Report(
-                (0..gen.below(8))
-                    .map(|_| CopyInfo {
-                        object: gen.next_u64(),
-                        version: gen.next_u64(),
-                    })
-                    .collect(),
-            ),
-            _ => RecoveryReply::Error(gen.string()),
-        };
-        assert_roundtrip(&reply, case);
+        assert_roundtrip(&beat, case);
+        let mut bytes = beat.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                RecoveryMsg::from_bytes(&bytes[..cut]).is_err(),
+                "case {case}: {beat:?} cut to {cut} bytes decoded"
+            );
+        }
+        bytes[0] = 1 + gen.below(255) as u8;
+        assert!(
+            RecoveryMsg::from_bytes(&bytes).is_err(),
+            "case {case}: bad tag"
+        );
         // Garbage decoding must error out, never panic.
-        let bytes = gen.bytes(32);
-        let _ = RecoveryMsg::from_bytes(&bytes);
-        let _ = RecoveryReply::from_bytes(&bytes);
+        let _ = RecoveryMsg::from_bytes(&gen.bytes(32));
     }
 }
 

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use orca::amoeba::{FaultConfig, NodeId};
 use orca::core::objects::{KvTable, TableEntry};
 use orca::core::{standard_registry, OrcaConfig, OrcaRuntime, RecoveryConfig, RtsStrategy};
-use orca::rts::{AdaptivePolicy, RegimeKind, ReplicationPolicy, WritePolicy};
+use orca::rts::{AdaptivePolicy, RegimeKind, WritePolicy};
 
 /// Fault seed, overridable with `ORCA_SEED` so a reported failure
 /// reproduces with one environment variable (same plumbing as the
@@ -57,14 +57,17 @@ fn recovery_knobs() -> RecoveryConfig {
     }
 }
 
-/// Replication that fetches a copy on the first access and never drops it,
-/// so every survivor holds a promotable secondary when the primary dies.
-fn eager_replication() -> ReplicationPolicy {
-    ReplicationPolicy {
-        fetch_ratio: 0.0,
-        drop_ratio: -1.0,
-        window: 1,
-        ..ReplicationPolicy::default()
+/// The primary-copy backend — [`pinned_adaptive`] with the regime pinned to
+/// replicated — so every survivor that read the table holds a secondary
+/// copy to regenerate it from when the primary dies, and keeps it: nothing
+/// re-places the copies mid-workload.
+fn eager_replication(write: WritePolicy) -> RtsStrategy {
+    RtsStrategy::Adaptive {
+        policy: AdaptivePolicy {
+            pin: Some(RegimeKind::Replicated),
+            write,
+            ..pinned_adaptive()
+        },
     }
 }
 
@@ -98,13 +101,7 @@ fn filter_strategies(all: Vec<(&'static str, RtsStrategy)>) -> Vec<(&'static str
 fn strategies() -> Vec<(&'static str, RtsStrategy)> {
     filter_strategies(vec![
         ("broadcast", RtsStrategy::broadcast()),
-        (
-            "primary_update",
-            RtsStrategy::PrimaryCopy {
-                policy: WritePolicy::Update,
-                replication: eager_replication(),
-            },
-        ),
+        ("primary_update", eager_replication(WritePolicy::Update)),
         ("sharded", RtsStrategy::sharded(4)),
         (
             "adaptive",
@@ -289,13 +286,7 @@ fn chaotic_lane_crash_plus_loss_across_all_strategy_families() {
     let fault = FaultConfig::chaotic(seed);
     let all = filter_strategies(vec![
         ("broadcast", RtsStrategy::broadcast()),
-        (
-            "primary_update",
-            RtsStrategy::PrimaryCopy {
-                policy: WritePolicy::Update,
-                replication: eager_replication(),
-            },
-        ),
+        ("primary_update", eager_replication(WritePolicy::Update)),
         ("sharded", RtsStrategy::sharded(4)),
         (
             "adaptive",
@@ -305,10 +296,7 @@ fn chaotic_lane_crash_plus_loss_across_all_strategy_families() {
         ),
         (
             "primary_invalidate",
-            RtsStrategy::PrimaryCopy {
-                policy: WritePolicy::Invalidate,
-                replication: eager_replication(),
-            },
+            eager_replication(WritePolicy::Invalidate),
         ),
     ]);
     for (name, strategy) in all {
@@ -334,7 +322,6 @@ fn detect_only_surfaces_node_down_at_the_orca_layer() {
     let config = OrcaConfig {
         strategy: RtsStrategy::PrimaryCopy {
             policy: WritePolicy::Update,
-            replication: ReplicationPolicy::never_replicate(),
         },
         recovery: RecoveryConfig {
             heartbeat_every: Duration::from_millis(25),

@@ -12,7 +12,9 @@
 //! all: its budget is the same remote `Put` times the share of them that
 //! leave the writer's node once the partitions sit where the writers are —
 //! and, for a table that is mostly read, a write's messages once the copy
-//! sits at one of its writers and its mirrors where it is read.
+//! sits at one of its writers and its mirrors where it is read. The
+//! primary-copy backend is that runtime with the regime pinned to
+//! replicated, and is held to the same: its one copy follows its writers.
 
 use orca::amoeba::message::WIRE_HEADER_BYTES;
 use orca::amoeba::NodeId;
@@ -241,5 +243,151 @@ fn adaptive_read_mostly_costs_a_mirror_push_not_a_detour() {
     );
     assert_eq!(runtime.object_placement(table.id()), Some(placement));
     assert_eq!(runtime.copy_holders(2, table.id()), Some(mirrors));
+    runtime.shutdown();
+}
+
+/// One operation of the invocation benchmark's workloads in miniature, the
+/// `ops`-th overall: nodes 1 and 2 take turns, every operation a `Put` — or,
+/// `write` unset, a `Get` — of one of 4 096 hashed keys.
+fn miniature_op(runtime: &OrcaRuntime, table: ObjectHandle<KvTableObject>, ops: u64, write: bool) {
+    const KEYS: u64 = 4096;
+    let key = |slot: u64| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(slot % KEYS + 1);
+    let ctx = runtime.context(1 + (ops % 2) as usize);
+    let slot = ops.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 20;
+    let reply = if write {
+        ctx.invoke(table, &put(key(slot), (ops / KEYS) as i32 + 1))
+    } else {
+        ctx.invoke(table, &KvTableOp::Get(key(slot)))
+    };
+    assert!(matches!(
+        (write, reply.expect("invocation succeeds")),
+        (true, KvTableReply::Count(_)) | (false, KvTableReply::Found(_) | KvTableReply::Missing)
+    ));
+}
+
+/// The write workloads in miniature under the primary-copy backend: node 0
+/// creates the table and never touches it again, nodes 1 and 2 write it in
+/// turns. The copy moves to one of the two writers and nobody mirrors a
+/// table nobody reads: the owner's `Put`s stay on its node, the other's are
+/// one remote `Put` each — half a round trip an operation plus the usage
+/// reports, where the copy at its idle creator cost every operation a whole
+/// one (105.0 bytes, 2.00 messages).
+#[test]
+fn primary_copy_follows_its_writer() {
+    let config = OrcaConfig::primary_copy(3, WritePolicy::Update);
+    let runtime = OrcaRuntime::start(config, standard_registry());
+    let table = runtime
+        .create::<KvTableObject>(&Default::default())
+        .unwrap();
+    let mut puts = 0u64;
+    let mut write = |count: u64| {
+        for _ in 0..count {
+            miniature_op(&runtime, table, puts, true);
+            puts += 1;
+        }
+    };
+    // Adaptation: sixteen evaluation windows in, the copy has stopped
+    // moving (asserted again after the measurement).
+    write(2048);
+    assert_eq!(
+        runtime.object_regime(table.id()),
+        Some(RegimeKind::Replicated)
+    );
+    let placement = runtime.object_placement(table.id()).expect("one engine");
+    assert!(
+        placement == [NodeId(1)] || placement == [NodeId(2)],
+        "the copy is not on a writer: {placement:?}"
+    );
+    assert_eq!(runtime.copy_holders(1, table.id()), Some(Vec::new()));
+
+    let before = runtime.network_stats();
+    write(4000);
+    let spent = runtime.network_stats().since(&before);
+    let per_op = spent.total_wire_bytes() as f64 / 4000.0;
+    let messages = spent.total_messages() as f64 / 4000.0;
+    assert!(
+        per_op <= 58.0 && messages <= 1.1,
+        "{per_op:.1} wire bytes and {messages:.2} messages per Put: owner {placement:?}"
+    );
+    assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    assert_eq!(runtime.copy_holders(2, table.id()), Some(Vec::new()));
+    runtime.shutdown();
+}
+
+/// `read_mostly_tcp` in miniature under the primary-copy backend, which
+/// places a table that is mostly read as the adaptive runtime does: the
+/// copy on one of the two users, a secondary copy on the other, nothing on
+/// the idle creator — 2.5 messages a write plus the usage reports, where
+/// the copy at the creator with a secondary on either user cost five (27.1
+/// bytes an operation).
+#[test]
+fn primary_read_mostly_costs_a_mirror_push_not_a_detour() {
+    const KEYS: u64 = 4096;
+    let config = OrcaConfig::primary_copy(3, WritePolicy::Update);
+    let runtime = OrcaRuntime::start(config, standard_registry());
+    let key = |slot: u64| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(slot + 1);
+    let filled = (0..KEYS).map(|slot| match put(key(slot), 0) {
+        KvTableOp::Put { key, entry } => (key, entry),
+        _ => unreachable!("put builds a Put"),
+    });
+    let table = runtime.create::<KvTableObject>(&filled.collect()).unwrap();
+    let mut ops = 0u64;
+    let mut run = |count: u64| {
+        for _ in 0..count {
+            // Every tenth operation of a node is a `Put`.
+            miniature_op(&runtime, table, ops, (ops / 2) % 10 == 9);
+            ops += 1;
+        }
+    };
+    run(2048);
+    let placement = runtime.object_placement(table.id()).expect("one engine");
+    let mirrors = runtime.copy_holders(1, table.id()).expect("one engine");
+    assert!(
+        !placement.contains(&NodeId(0)) && !mirrors.contains(&NodeId(0)),
+        "the idle creator holds a copy: owner {placement:?}, mirrors {mirrors:?}"
+    );
+    assert_eq!((placement.len(), mirrors.len()), (1, 1));
+
+    let before = runtime.network_stats();
+    run(4000);
+    let spent = runtime.network_stats().since(&before);
+    let per_op = spent.total_wire_bytes() as f64 / 4000.0;
+    let per_write = spent.total_messages() as f64 / 400.0;
+    assert!(
+        per_op <= 16.5 && per_write <= 2.9,
+        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write: \
+         owner {placement:?}, mirrors {mirrors:?}"
+    );
+    assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    assert_eq!(runtime.copy_holders(2, table.id()), Some(mirrors));
+    runtime.shutdown();
+}
+
+/// Every read-modify-write loop is an even mix of reads and writes, which
+/// is the sharded regime's threshold exactly: decay noise puts every other
+/// window on the far side of it, and a regime left on such evidence is
+/// re-entered a window later — each time re-shipping the table (74 switches
+/// in these 12 000 operations, 714.6 bytes each, before regimes were given
+/// a band to stay in). The table settles.
+#[test]
+fn an_even_mix_settles() {
+    let runtime = OrcaRuntime::start(OrcaConfig::adaptive(3), standard_registry());
+    let table = runtime
+        .create::<KvTableObject>(&Default::default())
+        .unwrap();
+    for ops in 0u64..12_000 {
+        // A coin per operation, as the benchmark's clients toss one.
+        let coin = ops.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+        miniature_op(&runtime, table, ops, coin % 2 == 1);
+    }
+    let switches: u64 = runtime
+        .rts_stats()
+        .iter()
+        .map(|node| node.regime_switches)
+        .sum();
+    assert!(
+        switches <= 2,
+        "{switches} regime switches under a steady mix"
+    );
     runtime.shutdown();
 }
