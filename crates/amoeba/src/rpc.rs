@@ -131,14 +131,14 @@ pub fn rpc_notify(
     handle: &NetworkHandle,
     dst: NodeId,
     service_port: Port,
-    body: Vec<u8>,
+    body: impl AsRef<[u8]>,
 ) -> Result<(), RpcError> {
     let head = RequestHead {
         mailbox: NOTIFICATION,
         call: 0,
         trace: trace::current(),
     };
-    handle.send_reliable(dst, service_port, head.frame(&body))?;
+    handle.send_reliable(dst, service_port, head.frame(body.as_ref()))?;
     Ok(())
 }
 
@@ -173,7 +173,7 @@ pub fn rpc_call_abortable(
     handle: &NetworkHandle,
     dst: NodeId,
     service_port: Port,
-    body: Vec<u8>,
+    body: impl AsRef<[u8]>,
     timeout: Duration,
     poll: Duration,
     should_abort: &dyn Fn() -> bool,
@@ -242,7 +242,7 @@ impl MultiRpc {
         &mut self,
         dst: NodeId,
         service_port: Port,
-        body: Vec<u8>,
+        body: impl AsRef<[u8]>,
     ) -> Result<u64, RpcError> {
         let call = self.sent;
         let head = RequestHead {
@@ -251,7 +251,7 @@ impl MultiRpc {
             trace: trace::current(),
         };
         self.handle
-            .send_reliable(dst, service_port, head.frame(&body))?;
+            .send_reliable(dst, service_port, head.frame(body.as_ref()))?;
         self.sent += 1;
         Ok(call)
     }

@@ -19,11 +19,15 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: since version 6 a `primary` node speaks `RegimeMsg` on
+/// them: since version 7 a byte string is a length and its bytes wherever
+/// it is written (pushed and backed-up operations, job-queue states),
+/// `Update` says whether its mirror is held and carries the lease `Unlock`
+/// lost, a lease riding a message is its span alone, and `Unreached` exists
+/// (version 6 put a `primary` node on `RegimeMsg` and
 /// `ports::RTS_ADAPTIVE` where it spoke a vocabulary of its own — and a
-/// recovery coordinator's — on three ports, `Update` carries a run of
-/// operations and `DropMirror` the version of an invalidating write
-/// (version 5 made a `RegimeTable` name the mirrors of a replicated object,
+/// recovery coordinator's — on three ports, made `Update` carry a run of
+/// operations and `DropMirror` the version of an invalidating write;
+/// version 5 made a `RegimeTable` name the mirrors of a replicated object,
 /// `Install` the slot's regime and mirrors, `Holdings` a regime per slot
 /// and `FetchMirror` the version its sender holds; version 4 put a
 /// `sharded` node on
@@ -32,7 +36,7 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// ports, version 3 brought the RPC envelope of `orca_wire::envelope` and
 /// the single-operation messages whose operation is their tail, version 2
 /// the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 6;
+pub const FRAME_VERSION: u8 = 7;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

@@ -69,8 +69,8 @@ fn reply_for_a_different_request_is_stashed_not_lost() {
     both_backends(|client, server| {
         let server = echo_server_with_slow_requests(server, 150);
         let mut rpc = MultiRpc::new(&client);
-        let slow = rpc.send(NodeId(1), SERVICE, b"S-first".to_vec()).unwrap();
-        let fast = rpc.send(NodeId(1), SERVICE, b"fast".to_vec()).unwrap();
+        let slow = rpc.send(NodeId(1), SERVICE, b"S-first").unwrap();
+        let fast = rpc.send(NodeId(1), SERVICE, b"fast").unwrap();
         // Waiting for the slow request first forces the fast reply —
         // which arrives earlier — through the stash.
         let deadline = Instant::now() + DEADLINE;
@@ -108,13 +108,13 @@ fn stale_reply_from_a_timed_out_call_never_satisfies_a_newer_request() {
     both_backends(|client, server| {
         let server = echo_server_with_slow_requests(server, 300);
         let mut rpc = MultiRpc::new(&client);
-        let stale = rpc.send(NodeId(1), SERVICE, b"S-stale".to_vec()).unwrap();
+        let stale = rpc.send(NodeId(1), SERVICE, b"S-stale").unwrap();
         // Give up on the slow request long before its reply arrives.
         let result = rpc.wait(stale, Instant::now() + Duration::from_millis(50));
         assert!(matches!(result, Err(RpcError::Timeout)), "{result:?}");
         // A newer request on the same reply port must get *its* reply,
         // even though the stale one lands on the port first.
-        let fresh = rpc.send(NodeId(1), SERVICE, b"fresh".to_vec()).unwrap();
+        let fresh = rpc.send(NodeId(1), SERVICE, b"fresh").unwrap();
         let deadline = Instant::now() + DEADLINE;
         assert_eq!(rpc.wait(fresh, deadline).unwrap(), b"fresh");
         // The stale reply went to the stash keyed by its own id — still
@@ -284,7 +284,7 @@ fn notification_is_handled_once_and_never_answered() {
             let handled = Arc::new(AtomicU64::new(0));
             let rpc_server = serve(server.clone(), Arc::clone(&handled));
             let before = messages_sent(&client, &server);
-            rpc_notify(&client, NodeId(1), SERVICE, b"note".to_vec()).unwrap();
+            rpc_notify(&client, NodeId(1), SERVICE, b"note").unwrap();
             let deadline = Instant::now() + DEADLINE;
             while handled.load(Ordering::SeqCst) == 0 {
                 assert!(Instant::now() < deadline, "notification never handled");

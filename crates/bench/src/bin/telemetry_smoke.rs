@@ -87,17 +87,21 @@ fn main() {
                 ..AdaptivePolicy::primary_copy(WritePolicy::Update)
             },
         },
-        ..OrcaConfig::broadcast(2)
+        ..OrcaConfig::broadcast(3)
     };
     let leased = OrcaRuntime::start(lease_cfg, standard_registry());
     let counter = leased.create::<IntObject>(&0).unwrap();
     let reader = leased.context(1);
     for _ in 0..8 {
         reader.invoke(counter, &IntOp::Value).unwrap();
+        leased.context(2).invoke(counter, &IntOp::Value).unwrap();
     }
     leased.propose_regime(counter.id());
-    assert_eq!(leased.copy_holders(0, counter.id()), Some(vec![NodeId(1)]));
-    // One write pushed to the reader's copy, one written through it.
+    let holders = leased.copy_holders(0, counter.id());
+    assert_eq!(holders, Some(vec![NodeId(1), NodeId(2)]));
+    // One write pushed to both readers' copies — the first locked and
+    // unlocked one-way, the last never locked — and one written through a
+    // reader's own copy (and pushed to the other's alone: no unlock).
     leased.main().invoke(counter, &IntOp::Add(1)).unwrap();
     reader.invoke(counter, &IntOp::Add(1)).unwrap();
     for _ in 0..8 {

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use orca_amoeba::election::Membership;
 use orca_amoeba::network::NetworkHandle;
 use orca_amoeba::node::{ports, NodeId};
-use orca_wire::{MembershipView, RecoveryMsg, Wire};
+use orca_wire::{RecoveryMsg, Wire};
 use parking_lot::Mutex;
 
 /// Tunables of the heartbeat failure detector.
@@ -89,14 +89,6 @@ impl ViewSnapshot {
     /// True if `node` is alive in this view.
     pub fn contains(&self, node: NodeId) -> bool {
         self.alive.binary_search(&node).is_ok()
-    }
-
-    /// The wire representation of this view.
-    pub fn to_wire(&self) -> MembershipView {
-        MembershipView {
-            epoch: self.epoch,
-            alive: self.alive.iter().map(|n| n.0).collect(),
-        }
     }
 }
 

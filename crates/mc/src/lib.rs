@@ -40,5 +40,5 @@ pub use invariants::{check_counter, check_jobs, WorkerOutcome};
 pub use scenarios::{
     all_scenarios, AdaptiveRegimeSwitch, AdaptiveWriteThroughMirror, BroadcastEraReplay,
     BroadcastOrdering, PrimaryFetchRace, PrimaryLeaseRevoke, PrimaryPromotion,
-    PrimaryWriteThroughCopy, ShardedHandoff,
+    PrimaryWriteThroughCopy, ReplicatedOwnerPush, ShardedHandoff,
 };

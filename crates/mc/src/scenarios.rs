@@ -975,7 +975,8 @@ impl Scenario for AdaptiveRegimeSwitch {
 }
 
 // ---------------------------------------------------------------------------
-// 8 + 9. Writing through the writer's own copy (primary-copy and adaptive).
+// 8 – 10. The update protocol: writing through the writer's own copy
+// (primary-copy and adaptive), and the owner's push to two holders.
 // ---------------------------------------------------------------------------
 
 /// Failure-detector timing of the write-through scenarios, the crash lanes'
@@ -1115,23 +1116,24 @@ fn witnessed_reader(
     out
 }
 
-/// The workload both write-through scenarios run once their runtime is
-/// primed (node 0 authoritative, copies on nodes 1 and 2): a writer on
-/// each copy holder — every write goes through the writer's own copy —
-/// and a reader beside each writer, reading that same copy while the
-/// write is in flight.
-fn run_write_through(
+/// The workload the update-protocol scenarios run once their runtime is
+/// primed (node 0 authoritative, copies on nodes 1 and 2): a writer on each
+/// of `writers` — on a copy holder every write goes through the writer's
+/// own copy, on node 0 it is pushed to both — and a reader on each copy
+/// holder, reading that copy while the writes are in flight.
+fn run_witnessed(
     exec: &mut Execution<'_>,
     rt: &OrcaRuntime,
     handle: ObjectHandle<IntObject>,
+    writers: &[usize],
 ) -> Result<(), String> {
     let witness = Witness::new(rt.network());
     let stop = Arc::new(AtomicBool::new(false));
     rt.network().set_scheduler(Some(exec.scheduler()));
-    let writers: Vec<_> = [1usize, 2]
-        .iter()
-        .map(|&node| {
-            let base = 4 * (node - 1) as i64;
+    let writers: Vec<_> = (0i64..)
+        .zip(writers)
+        .map(|(nth, &node)| {
+            let base = 4 * nth;
             let steps = vec![
                 Step::Write(1 << base),
                 Step::Read,
@@ -1172,8 +1174,8 @@ fn run_write_through(
 /// shipped *through* the writer's copy — marked pending, left out of the
 /// primary's push, brought up to date from the acknowledgement — so the
 /// search interleaves each acknowledgement with the other holder's push
-/// and one-way unlock, the other writer's own write-through, and the
-/// reader polling the pending copy. It may crash node 2 (a copy holder,
+/// (the fan-out's only one, so never held and never unlocked), the other
+/// writer's own write-through, and the reader polling the pending copy. It may crash node 2 (a copy holder,
 /// writer and reader with it) at any point: the primary's push to it then
 /// fails into the failure detector and the survivors carry on.
 ///
@@ -1181,8 +1183,8 @@ fn run_write_through(
 /// write lost, none applied twice, convergence of the live nodes,
 /// liveness, and the real-time floor of [`Witness`]. The
 /// `SKIP_WRITER_PENDING_MARK` mutation lets node 1's reader see the old
-/// value after node 2 has been unlocked on the new one; only the floor
-/// catches that. (It stays on the update policy: under invalidation the
+/// value after node 2 has been pushed the new one; only the floor catches
+/// that. (It stays on the update policy: under invalidation the
 /// reader beside a writer would fetch its copy back — a second sending
 /// thread on its node.)
 pub struct PrimaryWriteThroughCopy {
@@ -1229,7 +1231,59 @@ impl Scenario for PrimaryWriteThroughCopy {
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
         prime_copies(&rt, handle)?;
-        run_write_through(exec, &rt, handle)
+        run_witnessed(exec, &rt, handle, &[1, 2])
+    }
+}
+
+/// The other half of the update protocol: the *owner* writes, and the
+/// fan-out has two holders. Node 0 holds the copy and runs the writer;
+/// nodes 1 and 2 hold mirrors (primed before the scheduler installs) and
+/// each runs a reader. Every write is pushed to node 1, which locks its
+/// mirror until the one-way unlock, and then to node 2 — the last holder,
+/// which is never locked: by the time it shows the new value the owner
+/// holds its replica mutex and node 1 is locked, so nobody can still serve
+/// the old one. The search interleaves both pushes, their
+/// acknowledgements and the unlock with the two readers, and may crash
+/// node 2 at any point (the fan-out is then node 1 alone, and unheld).
+///
+/// Checked as in [`PrimaryWriteThroughCopy`], the real-time floor above
+/// all: the `UNHELD_EVERY_PUSH` mutation lets node 1's reader see the new
+/// value while node 2, not yet pushed to, still serves the old one.
+pub struct ReplicatedOwnerPush {
+    /// Exploration budgets.
+    pub budget: McConfig,
+}
+
+impl Default for ReplicatedOwnerPush {
+    fn default() -> Self {
+        ReplicatedOwnerPush {
+            budget: PrimaryWriteThroughCopy::default().budget,
+        }
+    }
+}
+
+impl Scenario for ReplicatedOwnerPush {
+    fn name(&self) -> &'static str {
+        "replicated_owner_push"
+    }
+
+    fn config(&self) -> McConfig {
+        self.budget.clone()
+    }
+
+    fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
+        let mut cfg = OrcaConfig::primary_copy(3, WritePolicy::Update);
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: AdaptivePolicy {
+                op_timeout: CRASHED_OP_TIMEOUT,
+                ..eager_replication(WritePolicy::Update)
+            },
+        };
+        cfg.recovery = mc_recovery();
+        let rt = OrcaRuntime::start(cfg, standard_registry());
+        let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
+        prime_copies(&rt, handle)?;
+        run_witnessed(exec, &rt, handle, &[0])
     }
 }
 
@@ -1273,12 +1327,12 @@ impl Scenario for AdaptiveWriteThroughMirror {
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
         prime_copies(&rt, handle)?;
-        run_write_through(exec, &rt, handle)
+        run_witnessed(exec, &rt, handle, &[1, 2])
     }
 }
 
-/// All nine scenarios: one per protocol family, the three crash lanes, and
-/// the two write-through lanes.
+/// All ten scenarios: one per protocol family, the three crash lanes, and
+/// the three update-protocol lanes.
 pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(BroadcastOrdering::default()),
@@ -1290,5 +1344,6 @@ pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
         Box::new(AdaptiveRegimeSwitch::default()),
         Box::new(PrimaryWriteThroughCopy::default()),
         Box::new(AdaptiveWriteThroughMirror::default()),
+        Box::new(ReplicatedOwnerPush::default()),
     ]
 }

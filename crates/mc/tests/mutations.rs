@@ -16,6 +16,7 @@ use std::sync::Mutex;
 use orca_mc::{explore, replay_trace, Scenario, Violation};
 use orca_rts::sabotage::{
     SabotageGuard, NO_VERSION_GATING, REHOME_KEEPS_STALE_COPIES, SKIP_WRITER_PENDING_MARK,
+    UNHELD_EVERY_PUSH,
 };
 
 static LANE: Mutex<()> = Mutex::new(());
@@ -86,4 +87,16 @@ fn skipped_writer_pending_mark_is_caught_and_replays() {
             violation.message
         );
     }
+}
+
+#[test]
+fn unheld_every_push_is_caught_and_replays() {
+    let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _sabotage = SabotageGuard::enable(&UNHELD_EVERY_PUSH);
+    let violation = expect_caught(&orca_mc::ReplicatedOwnerPush::default());
+    assert!(
+        violation.message.contains("stale observation"),
+        "caught for the wrong reason: {}",
+        violation.message
+    );
 }

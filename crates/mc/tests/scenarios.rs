@@ -3,7 +3,7 @@
 //!
 //! The four crash-free scenarios (one per runtime-system family) must
 //! explore their full interleaving tree — `complete` in the report — within
-//! the state budget; the five crash scenarios may legitimately hit their
+//! the state budget; the six crash scenarios may legitimately hit their
 //! schedule budgets (crash-at-every-point multiplies the tree) and only
 //! assert no violation.
 //!
@@ -92,4 +92,9 @@ fn primary_write_through_copy_never_serves_a_stale_copy() {
 #[test]
 fn adaptive_write_through_mirror_never_serves_a_stale_mirror() {
     run(&orca_mc::AdaptiveWriteThroughMirror::default(), false);
+}
+
+#[test]
+fn replicated_owner_push_never_shows_the_old_value_after_the_new() {
+    run(&orca_mc::ReplicatedOwnerPush::default(), false);
 }

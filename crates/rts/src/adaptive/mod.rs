@@ -45,12 +45,12 @@
 //! ## Who decides, and how nodes agree
 //!
 //! Every node counts its own reads/writes per object and reports them to
-//! the object's home node every [`AdaptivePolicy::report_every`] accesses.
-//! The home folds the reports into a *decayed* per-node aggregate
-//! ([`crate::AccessStats::decay_halve`] — stale bursts lose half their
-//! weight per evaluation window, so they cannot pin a regime) and
-//! re-evaluates the regime every [`AdaptivePolicy::evaluate_every`]
-//! reported accesses. The home's [`RegimeTable`] is authoritative; other
+//! the object's home node every [`AdaptivePolicy::report_every`] accesses,
+//! one-way: no invocation waits for the home. The home folds the reports
+//! into a *decayed* per-node aggregate ([`crate::AccessStats::decay_halve`]
+//! — stale bursts lose half their weight per evaluation window, so they
+//! cannot pin a regime) and re-evaluates the regime every
+//! [`AdaptivePolicy::evaluate_every`] reported accesses. The home's [`RegimeTable`] is authoritative; other
 //! nodes cache it and carry its epoch in every shipped operation — a server
 //! that sees an outdated epoch answers `StaleRegime` and the client
 //! re-fetches. That check is the whole invalidation where every operation
@@ -142,7 +142,7 @@ use std::time::{Duration, Instant};
 
 use orca_amoeba::network::NetworkHandle;
 use orca_amoeba::node::ports;
-use orca_amoeba::rpc::RpcServer;
+use orca_amoeba::rpc::{rpc_notify, RpcServer};
 use orca_amoeba::NodeId;
 use orca_group::FailureDetector;
 use orca_object::ShardRoute;
@@ -200,7 +200,7 @@ struct Slot {
     /// switches and adoption). Locked strictly after — and only while
     /// holding — the replica mutex.
     dedup: Mutex<DedupWindow>,
-    /// Read-lease bookkeeping of a replicated-regime slot.
+    /// What a replicated-regime slot books about its mirrors.
     leases: Mutex<SlotLeases>,
     /// Requests of other nodes parked on the replica mutex
     /// ([`Slot::lock_for`]).
@@ -284,6 +284,11 @@ struct SlotLeases {
     /// span (reads need no fence — every valid lease covers a mirror that
     /// already contains every acknowledged write).
     fence: Option<Instant>,
+    /// Listed mirrors a push got no answer from, though nobody had declared
+    /// them dead: reported to the home once ([`RegimeMsg::Unreached`]), and
+    /// not told to drop their copy when the re-placement that asks for
+    /// drains this slot — they would not answer that either.
+    unreached: Vec<u16>,
 }
 
 /// A backup of a sharded-regime slot owned elsewhere: the owner ships every
@@ -409,29 +414,23 @@ impl Inner {
         self.detector.as_ref().map(|d| d.epoch()).unwrap_or(0)
     }
 
-    /// A lease grant over `object` under regime epoch `epoch`. The grant
-    /// value alone — recording the holder's conservative expiry in the
-    /// slot's grant table and bumping the grant/renewal counter happen at
-    /// the call sites, which know which holders actually received it.
-    fn lease_grant(&self, object: ObjectId, epoch: u64, seq: u64) -> LeaseGrant {
-        LeaseGrant {
-            object: object.0,
-            epoch,
-            seq,
-            valid_ms: self.policy.read_lease_ms,
-        }
+    /// The lease that rides a message to a mirror, when leases are granted:
+    /// its validity in milliseconds from receipt. The value alone — booking
+    /// it in the slot's grant table is the call site's, which knows who it
+    /// is sent to.
+    fn lease_span(&self) -> Option<u64> {
+        self.leases_enabled().then_some(self.policy.read_lease_ms)
     }
 }
 
-/// The mirror-side lease a received grant amounts to for a mirror of regime
-/// `epoch` (validity counted from receipt, on the holder's own clock and
-/// detector epoch). A grant for a different regime epoch covers a copy this
-/// mirror does not hold and must never bless the current one.
-fn mirror_lease(inner: &Inner, grant: &LeaseGrant, epoch: u64) -> Option<MirrorLease> {
-    (grant.epoch == epoch).then(|| MirrorLease {
+/// The mirror-side lease a received grant of `valid_ms` amounts to
+/// (validity counted from receipt, on the holder's own clock and detector
+/// epoch).
+fn mirror_lease(inner: &Inner, valid_ms: u64) -> MirrorLease {
+    MirrorLease {
         detector_epoch: inner.detector_epoch(),
-        expires: Instant::now() + Duration::from_millis(grant.valid_ms),
-    })
+        expires: Instant::now() + Duration::from_millis(valid_ms),
+    }
 }
 
 /// True while the mirror-side lease permits zero-message local reads.
@@ -695,13 +694,14 @@ impl AdaptiveRts {
     }
 
     /// Flush this node's unreported usage counters for `object` to its
-    /// home (tests and benchmarks use this before [`AdaptiveRts::propose`]
-    /// so decisions see all the evidence).
+    /// home and wait until it has them (tests and benchmarks use this
+    /// before [`AdaptiveRts::propose`] so decisions see all the evidence:
+    /// here, and only here, the report is sent as a call).
     pub fn flush_usage(&self, object: ObjectId) {
         let taken = self.inner.pending_usage.lock().remove(&object);
         if let Some((reads, writes)) = taken {
             if reads + writes > 0 {
-                self.send_report(object, reads, writes);
+                self.send_report(object, reads, writes, true);
             }
         }
     }
@@ -811,25 +811,33 @@ impl AdaptiveRts {
             }
         };
         if let Some((reads, writes)) = taken {
-            self.send_report(object, reads, writes);
+            self.send_report(object, reads, writes, false);
         }
     }
 
     /// Deliver a usage report to the home (directly when this node is the
-    /// home). Failures are ignored: a lost report only delays adaptation.
-    fn send_report(&self, object: ObjectId, reads: u64, writes: u64) {
+    /// home) — one message, nothing waited for, unless `acknowledged`: an
+    /// invocation never stalls on the home's evaluation. Failures are
+    /// ignored: a lost report only delays adaptation.
+    fn send_report(&self, object: ObjectId, reads: u64, writes: u64, acknowledged: bool) {
         let home = current_home(&self.inner, object);
         let msg = RegimeMsg::Report {
             object: object.0,
-            node: self.inner.node.0,
             reads,
             writes,
         };
         if home == self.inner.node {
             let _ = dispatch(&self.inner, msg, self.inner.node);
-        } else {
+        } else if acknowledged {
             let deadline = Instant::now() + self.inner.policy.op_timeout;
             let _ = self.rpc(home, &msg, deadline);
+        } else {
+            let _ = rpc_notify(
+                &self.inner.handle,
+                home,
+                ports::RTS_ADAPTIVE,
+                msg.to_bytes(),
+            );
         }
     }
 
@@ -1281,7 +1289,7 @@ impl AdaptiveRts {
                 let ack = WriteAck::Installed {
                     version: seq,
                     stamped: stamp.map(|stamp| (stamp, reply.clone())),
-                    lease: lease.and_then(|grant| mirror_lease(inner, &grant, epoch)),
+                    lease: lease.map(|valid_ms| mirror_lease(inner, valid_ms)),
                 };
                 (ack, Ok(PartOutcome::Done(reply)))
             }
@@ -1321,13 +1329,12 @@ impl AdaptiveRts {
         };
         match self.rpc(NodeId(table.owners[0]), &msg, deadline)? {
             RegimeReply::Renewed(grant) => {
-                // Good for the version it names and no other: an update
-                // that got here first locked the copy, and its unlock
-                // brings the lease.
+                // Good for the copy it names and no other: an update that
+                // got here first brought its own lease.
                 let mut state = mirror.state.lock();
-                if state.epoch == table.epoch && state.copy.is_some() && state.version == grant.seq
-                {
-                    state.lease = mirror_lease(&self.inner, &grant, table.epoch);
+                let named = (grant.epoch, grant.seq) == (state.epoch, state.version);
+                if named && state.epoch == table.epoch && state.copy.is_some() {
+                    state.lease = Some(mirror_lease(&self.inner, grant.valid_ms));
                 }
                 Ok(true)
             }
@@ -1337,22 +1344,8 @@ impl AdaptiveRts {
                 dedup,
                 lease,
             } => {
-                let replica = self.inner.registry.instantiate(&table.type_name, &state)?;
-                let mut guard = mirror.state.lock();
-                if guard.epoch > table.epoch {
-                    // The mirror moved on to a newer regime while this
-                    // fetch was in flight; installing the retired snapshot
-                    // would regress it. Treat the fetch as stale.
-                    return Ok(false);
-                }
-                guard.enter_epoch(table.epoch);
-                let lease = lease.and_then(|grant| mirror_lease(&self.inner, &grant, table.epoch));
-                // A snapshot an update raced ahead of is not installed; the
-                // caller fetches again.
-                if guard.install_snapshot(replica, seq, dedup, lease) {
-                    RtsStats::bump(&self.inner.stats.copies_fetched);
-                }
-                Ok(true)
+                let (inner, name) = (&self.inner, &table.type_name);
+                install_mirror(inner, object, table.epoch, name, &state, seq, dedup, lease)
             }
             RegimeReply::StaleRegime => Ok(false),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
@@ -1755,18 +1748,14 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
         }
         RegimeMsg::Report {
             object,
-            node,
             reads,
             writes,
         } => {
             let object = ObjectId(object);
             let entry = inner.homes.read().get(&object).cloned();
             if let Some(entry) = entry {
-                let due =
-                    entry
-                        .usage
-                        .lock()
-                        .report(node, reads, writes, inner.policy.evaluate_every);
+                let every = inner.policy.evaluate_every;
+                let due = entry.usage.lock().report(caller.0, reads, writes, every);
                 if due {
                     evaluate_object(inner, object, &entry);
                 }
@@ -1806,16 +1795,13 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             seq,
             dedup,
             lease,
-        } => install_mirror(
-            inner,
-            ObjectId(object),
-            epoch,
-            &type_name,
-            &state,
-            seq,
-            dedup,
-            lease,
-        ),
+        } => {
+            let object = ObjectId(object);
+            match install_mirror(inner, object, epoch, &type_name, &state, seq, dedup, lease) {
+                Ok(_) => RegimeReply::Ack,
+                Err(err) => RegimeReply::Error(err.to_string()),
+            }
+        }
         RegimeMsg::FetchMirror {
             object,
             epoch,
@@ -1871,32 +1857,41 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
             object,
             epoch,
             seq,
+            held,
             ops,
             stamped,
+            lease,
         } => {
             // An update that beats the mirror install creates the (empty)
             // entry, so its sequence number is remembered and a concurrent
-            // fetch cannot install an older snapshot as current.
+            // fetch cannot install an older snapshot as current. The update
+            // doubles as the lease renewal: it is what makes the mirror
+            // current again.
             let mirror = mirror_entry(inner, ObjectId(object));
+            let lease = lease.map(|valid_ms| mirror_lease(inner, valid_ms));
             let budget = inner.policy.op_timeout;
-            if mirror.apply_pushed(epoch, seq, &ops, stamped, budget) > 0 {
+            if mirror.apply_pushed(epoch, seq, held, &ops, stamped, lease, budget) > 0 {
                 RtsStats::bump(&inner.stats.updates_applied);
             }
             RegimeReply::Ack
         }
-        RegimeMsg::Unlock {
-            object,
-            epoch,
-            seq,
-            lease,
-        } => {
+        RegimeMsg::Unlock { object, epoch, seq } => {
             let mirror = inner.mirrors.read().get(&ObjectId(object)).cloned();
             if let Some(mirror) = mirror {
-                // The unlock doubles as the lease renewal: the mirror is
-                // current again (or will re-sync on its next read if it
-                // dropped the copy on a gap).
-                let lease = lease.and_then(|grant| mirror_lease(inner, &grant, epoch));
-                mirror.unlock(epoch, seq, lease);
+                mirror.unlock(epoch, seq);
+            }
+            RegimeReply::Ack
+        }
+        RegimeMsg::Unreached { object, node } => {
+            let object = ObjectId(object);
+            let entry = inner.homes.read().get(&object).cloned();
+            if let Some(entry) = entry {
+                entry.usage.lock().forget(node);
+                if entry.table.lock().regime == RegimeKind::Replicated {
+                    // A failed re-placement leaves the mirror listed; the
+                    // next evaluation tries again.
+                    let _ = switch_regime(inner, object, &entry, RegimeKind::Replicated, None);
+                }
             }
             RegimeReply::Ack
         }
@@ -2628,10 +2623,10 @@ fn apply_locked(
                     // The writer's renewal rides the acknowledgement,
                     // booked like the others when it is sent.
                     let seq = replica.version();
-                    let lease = inner.leases_enabled().then(|| {
+                    let lease = inner.lease_span();
+                    if lease.is_some() {
                         renew_mirror_grant(inner, slot, caller);
-                        inner.lease_grant(key.0, slot.epoch, seq)
-                    });
+                    }
                     return RegimeReply::Installed { reply, seq, lease };
                 }
             }
@@ -2677,14 +2672,9 @@ fn settle_writes(
                     push_update(inner, slot, key.0, &others, first, ops, stamped);
                 }
                 WritePolicy::Invalidate => {
-                    let nodes = others.iter().copied();
-                    let dropped = drop_copies(inner, key.0, slot.epoch, Some(last), nodes);
-                    let grants: HashMap<u16, Instant> = {
-                        let mut leases = slot.leases.lock();
-                        let taken = |node: &NodeId| Some((node.0, leases.grants.remove(&node.0)?));
-                        others.iter().filter_map(taken).collect()
-                    };
-                    settle_dropped_grants(inner, &grants, &dropped);
+                    let nodes = || others.iter().copied();
+                    let dropped = drop_copies(inner, key.0, slot.epoch, Some(last), nodes());
+                    settle_grants(inner, slot, nodes(), &dropped);
                 }
             }
         }
@@ -2695,14 +2685,18 @@ fn settle_writes(
 
 /// Push a run of committed writes — `ops[0]` left the replica at version
 /// `first` — to the mirrors `others` of `slot`, in two phases:
-/// update-and-lock, then a one-way unlock of the run's last version
+/// update-and-lock, then a one-way unlock of the run's last version — for
+/// all but the last of them, which is never locked
 /// ([`UpdateChannel::two_phase`]). Without read leases this is best-effort
 /// under crashes: a mirror that misses an update detects the sequence gap
 /// on the next one and re-syncs from the owner. With leases enabled the
-/// unlock doubles as the lease renewal, and a mirror a push could not reach
+/// update doubles as the lease renewal, and a mirror a push could not reach
 /// has its outstanding grant *settled* — the write waits out the grant's
 /// conservative expiry before it is acknowledged, so no node can still be
 /// serving leased reads of the pre-write state when the writer continues.
+/// A mirror that does not answer and is not known dead would cost every
+/// later write the same: the home is told, once, and re-places the object
+/// without it ([`RegimeMsg::Unreached`]).
 ///
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
@@ -2721,44 +2715,54 @@ fn push_update(
 ) {
     let deadline = Instant::now() + inner.policy.op_timeout / 2;
     let (epoch, last) = (slot.epoch, first + ops.len() as u64 - 1);
-    // Each phase is encoded once and the bytes fanned out. The grant is
-    // identical for all holders (validity counts from each holder's own
-    // receipt), so that holds for the unlock too.
-    let update = RegimeMsg::Update {
+    // Each phase is encoded once and the bytes fanned out: the lease is the
+    // same for all holders (validity counts from each holder's own receipt)
+    // and whether a holder is held is one byte, set in place.
+    let lease = inner.lease_span();
+    let room = ops.iter().map(|op| op.len() + 2).sum::<usize>();
+    let mut update = Vec::with_capacity(room + 48);
+    RegimeMsg::Update {
         object: object.0,
         epoch,
         seq: first,
+        held: true,
         ops,
         stamped,
+        lease,
     }
-    .to_bytes();
-    let lease = inner
-        .leases_enabled()
-        .then(|| inner.lease_grant(object, epoch, last));
+    .encode_into(&mut update);
     let unlock = RegimeMsg::Unlock {
         object: object.0,
         epoch,
         seq: last,
-        lease,
     }
     .to_bytes();
-    let failed = inner.updates.two_phase(
-        others,
-        &update,
-        |node, body| regime_rpc_raw(inner, node, body, deadline).is_ok(),
-        |node| {
-            if lease.is_some() {
-                renew_mirror_grant(inner, slot, node);
-            }
-            unlock.clone()
-        },
-    );
-    settle_failed_mirror_leases(inner, slot, &failed);
+    let push = |node, held| {
+        if lease.is_some() {
+            renew_mirror_grant(inner, slot, node);
+        }
+        RegimeMsg::hold_update(&mut update, held);
+        regime_rpc_raw(inner, node, &update, deadline).is_ok()
+    };
+    let failed = inner.updates.two_phase(others, push, &unlock);
+    settle_grants(inner, slot, failed.iter().copied(), &[]);
+    let alive = failed.iter().filter(|n| !is_dead(&inner.detector, **n));
+    for node in alive.map(|node| node.0) {
+        let unreached = &mut slot.leases.lock().unreached;
+        if !unreached.contains(&node) {
+            unreached.push(node);
+            let home = current_home(inner, object);
+            let object = object.0;
+            let report = RegimeMsg::Unreached { object, node }.to_bytes();
+            let _ = rpc_notify(&inner.handle, home, ports::RTS_ADAPTIVE, report);
+        }
+    }
 }
 
 /// Book a renewed lease for `holder`'s mirror, as it is sent: the holder
 /// counts validity from receipt, so the grantor's conservative expiry can
-/// only outlast it.
+/// only outlast it — and a push that is never acknowledged may still have
+/// delivered the lease, which is why it is booked before, not after.
 fn renew_mirror_grant(inner: &Inner, slot: &Slot, holder: NodeId) {
     slot.leases
         .lock()
@@ -2767,52 +2771,30 @@ fn renew_mirror_grant(inner: &Inner, slot: &Slot, holder: NodeId) {
     inner.lease_counters.renewals.inc();
 }
 
-/// Wait out the outstanding read-lease grants of mirrors an update push
-/// could not reach, then drop them from the grant table. A dead holder's
-/// grant is dropped immediately (its node cannot answer reads); an
-/// already-expired grant is skipped silently. No-op when leases are
-/// disabled — push failures then stay best-effort, exactly the legacy
-/// behavior.
-fn settle_failed_mirror_leases(inner: &Arc<Inner>, slot: &Slot, failed: &[NodeId]) {
-    if !inner.leases_enabled() || failed.is_empty() {
-        return;
-    }
-    for node in failed {
-        let grant = slot.leases.lock().grants.remove(&node.0);
-        let Some(expires) = grant else { continue };
-        if is_dead(&inner.detector, *node) {
+/// Take the read-lease grants of `holders` off `slot`'s ledger and settle
+/// them: the mirrors a push could not reach, the ones a write invalidated,
+/// or all of a drained slot's. A holder among `revoked` acknowledged a
+/// `DropMirror`, which is the revoke; a dead one cannot answer reads; any
+/// other may go on serving leased reads of the old state until its grant
+/// runs out, so the caller sleeps that out before it acknowledges the write
+/// or hands over the state a new regime will accept writes on. Without
+/// leases there is nothing to settle and a missed push or drop stays
+/// best-effort.
+fn settle_grants(
+    inner: &Inner,
+    slot: &Slot,
+    holders: impl Iterator<Item = NodeId>,
+    revoked: &[NodeId],
+) {
+    for node in holders {
+        let Some(expires) = slot.leases.lock().grants.remove(&node.0) else {
             continue;
-        }
-        let now = Instant::now();
-        if now < expires {
-            std::thread::sleep(expires - now);
+        };
+        let left = expires.saturating_duration_since(Instant::now());
+        if revoked.contains(&node) {
             inner.lease_counters.revokes.inc();
-        }
-    }
-}
-
-/// Settle the grants of mirrors told to drop their copy — all of a drained
-/// replicated-regime slot's, or the ones a write invalidated: a node whose
-/// `DropMirror` succeeded had its lease explicitly revoked; a live node
-/// whose drop was lost keeps serving leased reads of the copy until its
-/// grant runs out, so the caller sleeps that out before it hands over the
-/// state a new regime will accept writes on, or acknowledges the write.
-fn settle_dropped_grants(inner: &Inner, grants: &HashMap<u16, Instant>, dropped: &[NodeId]) {
-    if !inner.leases_enabled() || grants.is_empty() {
-        return;
-    }
-    for (&node, &expires) in grants {
-        let node = NodeId(node);
-        if dropped.contains(&node) {
-            inner.lease_counters.revokes.inc();
-            continue;
-        }
-        if is_dead(&inner.detector, node) {
-            continue;
-        }
-        let now = Instant::now();
-        if now < expires {
-            std::thread::sleep(expires - now);
+        } else if !is_dead(&inner.detector, node) && !left.is_zero() {
+            std::thread::sleep(left);
             inner.lease_counters.revokes.inc();
         }
     }
@@ -2831,6 +2813,11 @@ fn mirror_entry(inner: &Arc<Inner>, object: ObjectId) -> Arc<Mirror> {
     )
 }
 
+/// Install a snapshot of `object` at version `seq` of regime `epoch` — the
+/// owner primed it, or this node fetched it — as the local mirror, with the
+/// lease that came along. False when the mirror has moved on to a newer
+/// regime meanwhile: the retired snapshot would regress it. Nor is a
+/// snapshot installed that an update raced ahead of; the next read fetches.
 #[allow(clippy::too_many_arguments)]
 fn install_mirror(
     inner: &Arc<Inner>,
@@ -2840,28 +2827,21 @@ fn install_mirror(
     state_bytes: &[u8],
     seq: u64,
     dedup: DedupWindow,
-    lease: Option<LeaseGrant>,
-) -> RegimeReply {
-    let replica = match inner.registry.instantiate(type_name, state_bytes) {
-        Ok(replica) => replica,
-        Err(err) => return RegimeReply::Error(err.to_string()),
-    };
+    lease: Option<u64>,
+) -> Result<bool, RtsError> {
+    let replica = inner.registry.instantiate(type_name, state_bytes)?;
     let mirror = mirror_entry(inner, object);
     let mut state = mirror.state.lock();
     if epoch < state.epoch {
-        return RegimeReply::Ack;
+        return Ok(false);
     }
     state.enter_epoch(epoch);
-    let lease = lease.and_then(|grant| mirror_lease(inner, &grant, epoch));
+    let lease = lease.map(|valid_ms| mirror_lease(inner, valid_ms));
     if state.install_snapshot(replica, seq, dedup, lease) {
         RtsStats::bump(&inner.stats.copies_fetched);
-    } else {
-        // An update for this epoch raced ahead of the snapshot; leave the
-        // copy absent so the first read fetches a fresh one.
-        state.discard();
     }
     mirror.unlocked.notify_all();
-    RegimeReply::Ack
+    Ok(true)
 }
 
 /// Owner side of a mirror fetch: the slot's state and a lease over it, or
@@ -2887,20 +2867,28 @@ fn serve_fetch_mirror(
         return RegimeReply::StaleRegime;
     }
     let seq = replica.version();
-    let lease = inner.leases_enabled().then(|| {
-        // Record the conservative grant span before the reply leaves, so a
-        // write can never observe the mirror reading without a tracked
-        // grant to wait out.
-        slot.leases
-            .lock()
-            .grants
-            .insert(caller.0, Instant::now() + inner.grant_span());
-        inner.lease_grant(object, epoch, seq)
-    });
+    let lease = inner.lease_span();
+    {
+        let mut leases = slot.leases.lock();
+        if lease.is_some() {
+            // Record the conservative grant span before the reply leaves,
+            // so a write can never observe the mirror reading without a
+            // tracked grant to wait out.
+            let expires = Instant::now() + inner.grant_span();
+            leases.grants.insert(caller.0, expires);
+        }
+        // A mirror that asks is answering again.
+        leases.unreached.retain(|node| *node != caller.0);
+    }
     match lease {
-        Some(lease) if have == Some(seq) => {
+        Some(valid_ms) if have == Some(seq) => {
             inner.lease_counters.renewals.inc();
-            RegimeReply::Renewed(lease)
+            RegimeReply::Renewed(LeaseGrant {
+                object: object.0,
+                epoch,
+                seq,
+                valid_ms,
+            })
         }
         _ => {
             if lease.is_some() {
@@ -3051,10 +3039,11 @@ fn drain_local(
         (replica.state_bytes(), slot.dedup.lock().clone())
     };
     RtsStats::bump(&inner.stats.copies_dropped);
-    let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
-    let dropped = drop_copies(inner, object, epoch, None, mirrors);
-    let grants = std::mem::take(&mut slot.leases.lock().grants);
-    settle_dropped_grants(inner, &grants, &dropped);
+    let unreached = std::mem::take(&mut slot.leases.lock().unreached);
+    let mirrors = || slot.mirrors.iter().map(|&mirror| NodeId(mirror));
+    let answering = mirrors().filter(|node| !unreached.contains(&node.0));
+    let dropped = drop_copies(inner, object, epoch, None, answering);
+    settle_grants(inner, &slot, mirrors(), &dropped);
     Some(drained)
 }
 
@@ -3079,23 +3068,20 @@ fn install_slot(
     if !mirrors.is_empty() {
         // Encoded once: the grant is the same for every mirror (validity
         // counts from each holder's own receipt).
-        let seq = replica.version();
-        let lease = inner
-            .leases_enabled()
-            .then(|| inner.lease_grant(key.0, epoch, seq));
+        let lease = inner.lease_span();
         let prime = RegimeMsg::Mirror {
             object: key.0 .0,
             epoch,
             type_name: type_name.to_string(),
             state: state.to_vec(),
-            seq,
+            seq: replica.version(),
             dedup: dedup.clone(),
             lease,
         }
         .to_bytes();
         for &mirror in mirrors {
             let deadline = Instant::now() + inner.policy.op_timeout;
-            let primed = regime_rpc_raw(inner, NodeId(mirror), prime.clone(), deadline);
+            let primed = regime_rpc_raw(inner, NodeId(mirror), &prime, deadline);
             if lease.is_some() && matches!(primed, Ok(RegimeReply::Ack)) {
                 let expires = Instant::now() + inner.grant_span();
                 leases.grants.insert(mirror, expires);
@@ -3229,15 +3215,15 @@ fn regime_rpc_deadline(
     msg: &RegimeMsg,
     deadline: Instant,
 ) -> Result<RegimeReply, RtsError> {
-    regime_rpc_raw(inner, dst, msg.to_bytes(), deadline)
+    regime_rpc_raw(inner, dst, &msg.to_bytes(), deadline)
 }
 
 /// Like [`regime_rpc_deadline`] but takes the already-encoded request, so
-/// fan-outs (update pushes) encode once and ship clones of the bytes.
+/// fan-outs (update pushes) encode once and ship the same bytes.
 fn regime_rpc_raw(
     inner: &Arc<Inner>,
     dst: NodeId,
-    body: Vec<u8>,
+    body: &[u8],
     deadline: Instant,
 ) -> Result<RegimeReply, RtsError> {
     let reply = recovery_rpc(
@@ -3544,6 +3530,16 @@ mod tests {
     fn shutdown_all(rtses: &[AdaptiveRts]) {
         for rts in rtses {
             rts.shutdown();
+        }
+    }
+
+    /// Wait for what a usage report leads to. A report is one-way: the
+    /// invocation that sent it returns before the home has evaluated.
+    fn eventually(what: &str, holds: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !holds() {
+            assert!(Instant::now() < deadline, "never happened: {what}");
+            std::thread::sleep(Duration::from_millis(2));
         }
     }
 
@@ -4240,26 +4236,27 @@ mod tests {
         (rtses, id)
     }
 
-    /// The tentpole's cost claim for the replicated regime, counted on the
-    /// wire: with mirrors on both other nodes and the writer one of them a
-    /// write is WriteThrough + Update + ack + Unlock + Installed; under the
-    /// primary regime (no mirrors) it is the request and the reply.
+    /// The cost claim for the replicated regime, counted on the wire: with
+    /// mirrors on both other nodes and the writer one of them a write is
+    /// WriteThrough + Update + ack + Installed — the one mirror pushed to
+    /// is the last of its fan-out, and never locked; under the primary
+    /// regime (no mirrors) it is the request and the reply.
     #[test]
-    fn replicated_write_costs_five_messages_and_a_primary_regime_write_two() {
+    fn replicated_write_costs_four_messages_and_a_primary_regime_write_two() {
         let net = Network::reliable(3);
         let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
         let counters = &rtses[0].inner.updates;
         let renewals = rtses[0].inner.lease_counters.renewals.get();
         let before = net.stats();
         assert_eq!(add(&rtses[1], id, 3), 3);
-        assert_eq!(net.stats().since(&before).total_messages(), 5);
+        assert_eq!(net.stats().since(&before).total_messages(), 4);
         assert_eq!(counters.pushes.get(), 1);
-        assert_eq!(counters.unlock_notifies.get(), 1);
+        assert_eq!(counters.unlock_notifies.get(), 0);
         assert_eq!(counters.reply_installs.get(), 1);
         assert_eq!(
             rtses[0].inner.lease_counters.renewals.get(),
             renewals + 2,
-            "both mirrors' leases are renewed: one by the unlock, one by the reply"
+            "both mirrors' leases are renewed: one by the update, one by the reply"
         );
         // Both mirrors are current and serve reads locally.
         let before = net.stats();
@@ -4274,6 +4271,119 @@ mod tests {
         let before = net.stats();
         assert_eq!(add(&rtses[1], lonely, 1), 2);
         assert_eq!(net.stats().since(&before).total_messages(), 2);
+        shutdown_all(&rtses);
+    }
+
+    /// Run `write` on a cluster whose network holds every message, releasing
+    /// them one at a time, and return what `observe` saw each time a message
+    /// was waiting to be released — one entry a message. The protocol is
+    /// sequential up to its unlocks, so "a message is waiting" means the one
+    /// before it has been handled.
+    fn released_one_by_one<T>(
+        net: &Network,
+        write: impl FnOnce() + Send,
+        observe: impl Fn() -> T,
+    ) -> Vec<T> {
+        net.set_scheduler(Some(orca_amoeba::sched::SchedulerConfig::default()));
+        let mut seen = Vec::new();
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(write);
+            while !writer.is_finished() || !net.sched_pending().is_empty() {
+                if let Some(next) = net.sched_pending().first() {
+                    seen.push(observe());
+                    assert!(net.sched_release(next.id));
+                }
+                std::thread::yield_now();
+            }
+        });
+        net.set_scheduler(None);
+        seen
+    }
+
+    /// The fan-out with more than one mirror, on four nodes: `2 + 3k − 1`
+    /// messages — the owner's write with three mirrors is 3 pushes, 3
+    /// acknowledgements and 2 unlocks, a mirror's write-through with two
+    /// others 7 — and between the phases every mirror pushed to is locked
+    /// but the last, which never is.
+    #[test]
+    fn a_write_locks_every_mirror_it_pushes_to_but_the_last() {
+        let net = Network::reliable(4);
+        let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
+        let locked = || [1, 2, 3].map(|node: usize| rtses[node].mirror_of(id).2);
+        let unlocks = &rtses[0].inner.updates.unlock_notifies;
+
+        let seen = released_one_by_one(&net, || assert_eq!(add(&rtses[0], id, 3), 3), locked);
+        assert_eq!(seen.len(), 8);
+        // Waiting: Update, ack, Update, ack, Update, ack, then the unlocks.
+        let (f, t) = (false, true);
+        let phases = [
+            [f, f, f],
+            [t, f, f],
+            [t, f, f],
+            [t, t, f],
+            [t, t, f],
+            [t, t, f],
+        ];
+        assert_eq!(seen[..6], phases);
+        assert!(seen.iter().all(|locked| !locked[2]), "the last was locked");
+        assert_eq!(unlocks.get(), 2);
+        eventually("both unlocks land", || locked() == [f, f, f]);
+        for rts in &rtses {
+            assert_eq!(read(rts, id), 3);
+        }
+
+        // Node 1 writes through its mirror: nodes 2 and 3 are pushed to.
+        let seen = released_one_by_one(&net, || assert_eq!(add(&rtses[1], id, 1), 4), locked);
+        assert_eq!(seen.len(), 7);
+        // Waiting: WriteThrough, Update, ack, Update, ack, unlock, Installed.
+        assert_eq!(
+            seen[..5],
+            [[f, f, f], [f, f, f], [f, t, f], [f, t, f], [f, t, f]]
+        );
+        assert!(seen.iter().all(|locked| !locked[2]), "the last was locked");
+        assert_eq!(unlocks.get(), 3);
+        eventually("the unlock lands", || locked() == [f, f, f]);
+        for rts in &rtses {
+            assert_eq!(read(rts, id), 4);
+        }
+        shutdown_all(&rtses);
+    }
+
+    /// A mirror whose node stopped answering, with no detector to say so,
+    /// costs the write that finds out half its deadline — and no write
+    /// after it: the failed push has the home re-place the object without
+    /// the mirror, there and then, not at some later evaluation.
+    #[test]
+    fn an_unanswering_mirror_costs_one_write_its_push_budget_not_every_write() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            op_timeout: Duration::from_millis(600),
+            read_lease_ms: 0,
+            ..manual_exact()
+        };
+        let rtses = start_all(&net, policy);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        replicate_by(&rtses[0], id, &[0, 8, 8], &[8, 0, 0]).unwrap();
+        assert_eq!(replicated_at(&rtses[0], id), (0, vec![1, 2]));
+        assert_eq!(read(&rtses[1], id), 0);
+
+        net.crash(NodeId(2));
+        let started = Instant::now();
+        assert_eq!(add(&rtses[0], id, 1), 1);
+        assert!(started.elapsed() >= policy.op_timeout / 2);
+        eventually("the failed push re-places", || {
+            replicated_at(&rtses[0], id) == (0, vec![1])
+        });
+        assert_eq!(add(&rtses[0], id, 1), 2);
+        assert_eq!(add(&rtses[0], id, 1), 3);
+        assert!(
+            started.elapsed() < policy.op_timeout,
+            "three writes cost one push budget, not three"
+        );
+        assert_eq!(rtses[0].inner.replacements.get(), 1);
+        assert_eq!(read(&rtses[1], id), 3);
         shutdown_all(&rtses);
     }
 
@@ -4400,17 +4510,18 @@ mod tests {
         for key in 0..16u64 {
             deposit(&rtses[1], id, key, 1);
         }
-        assert_eq!(
-            rtses[0].regime_of(id).unwrap(),
-            (RegimeKind::Sharded, 1),
-            "two reports of eight are an evaluation window"
-        );
+        eventually("two reports of eight are an evaluation window", || {
+            rtses[0].regime_of(id).unwrap() == (RegimeKind::Sharded, 1)
+        });
         assert_eq!(owners_of(&rtses[0], id), vec![1, 1, 1, 1]);
         assert_eq!(rtses[0].inner.replacements.get(), 0);
 
         for key in 0..16u64 {
             deposit(&rtses[2], id, key, 1);
         }
+        eventually("the second node's reports re-place", || {
+            rtses[0].regime_of(id).unwrap().1 == 2
+        });
         let (regime, epoch, owners) = rtses[2].placement_of(id).unwrap();
         assert_eq!((regime, epoch), (RegimeKind::Sharded, 2));
         for node in [NodeId(1), NodeId(2)] {
@@ -4879,9 +4990,9 @@ mod tests {
     /// the wire — the ledger's read-mostly cell in miniature: node 0
     /// creates a counter and never touches it, nodes 1 and 2 each read it
     /// nine times for every write. The copy ends up on one of the two and
-    /// its one mirror on the other: the owner's write is Update + ack +
-    /// Unlock, the other's WriteThrough + Installed — 2.5 messages a write
-    /// and the usage reports, where a copy at the idle home costs five.
+    /// its one mirror on the other: the owner's write is Update + ack, the
+    /// other's WriteThrough + Installed — 2 messages a write and the
+    /// one-way usage reports, where a copy at the idle home costs four.
     #[test]
     fn replicated_object_moves_to_its_writers_and_mirrors_its_readers() {
         let net = Network::reliable(3);
@@ -4923,7 +5034,7 @@ mod tests {
         let before = net.stats();
         let written = rounds(400);
         let per_write = net.stats().since(&before).total_messages() as f64 / 400.0;
-        assert!(per_write <= 2.9, "{per_write} messages per write");
+        assert!(per_write <= 2.3, "{per_write} messages per write");
         // Reads are message-free at the owner and at its mirror alike (a
         // flushed counter: no report falls due among them).
         for rts in &rtses[1..] {
@@ -5012,11 +5123,16 @@ mod tests {
             }
         };
         window(&rtses[1]);
-        assert_eq!(rtses[0].regime_of(id).unwrap(), (RegimeKind::Replicated, 1));
+        eventually("two reports are an evaluation window", || {
+            rtses[0].regime_of(id).unwrap() == (RegimeKind::Replicated, 1)
+        });
         assert_eq!(replicated_at(&rtses[0], id), (1, vec![]));
         assert_eq!(rtses[0].inner.replacements.get(), 0);
 
         window(&rtses[2]);
+        eventually("the second node's reports re-place", || {
+            rtses[0].regime_of(id).unwrap().1 == 2
+        });
         assert_eq!(rtses[2].regime_of(id).unwrap(), (RegimeKind::Replicated, 2));
         assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
         assert_eq!(rtses[0].stats().regime_switches, 2);

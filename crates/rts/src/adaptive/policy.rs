@@ -313,6 +313,12 @@ impl UsageAggregate {
         self.since_eval >= evaluate_every
     }
 
+    /// Drop what `node` has reported: it stopped answering, and whatever it
+    /// goes on to use the object for it will report again.
+    pub(crate) fn forget(&mut self, node: u16) {
+        self.per_node.remove(&node);
+    }
+
     /// Total decayed (reads, writes) over all reporting nodes.
     pub(crate) fn totals(&self) -> (u64, u64) {
         self.per_node.values().fold((0, 0), |(r, w), usage| {

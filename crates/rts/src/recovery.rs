@@ -172,7 +172,7 @@ pub fn recovery_rpc(
     recovery: &RecoveryConfig,
     dst: NodeId,
     port: Port,
-    body: Vec<u8>,
+    body: &[u8],
     deadline: Instant,
 ) -> Result<Vec<u8>, RtsError> {
     if is_dead(detector, dst) {

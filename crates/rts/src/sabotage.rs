@@ -28,6 +28,10 @@
 //!   flight. The owner left that copy
 //!   out of the two-phase update, so it keeps serving the old value after
 //!   every other copy has been unlocked on the new one.
+//! * [`UNHELD_EVERY_PUSH`] — no holder of a two-phase update is ever
+//!   locked, as if every push were the fan-out's last: an earlier holder
+//!   serves the new value while a later one, not yet pushed to, still
+//!   serves the old.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -41,6 +45,13 @@ pub static REHOME_KEEPS_STALE_COPIES: AtomicBool = AtomicBool::new(false);
 
 /// Local reads ignore the pending mark of an in-flight write-through.
 pub static SKIP_WRITER_PENDING_MARK: AtomicBool = AtomicBool::new(false);
+
+/// Every push of an update fan-out is unheld, not just the last.
+pub static UNHELD_EVERY_PUSH: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn unheld_every_push() -> bool {
+    UNHELD_EVERY_PUSH.load(Ordering::SeqCst)
+}
 
 pub(crate) fn skip_writer_pending_mark() -> bool {
     SKIP_WRITER_PENDING_MARK.load(Ordering::SeqCst)

@@ -9,19 +9,31 @@
 //! wait on a locked copy, so nobody observes the new value while another
 //! copy could still serve the old one.
 //!
+//! The **last** holder a write is pushed to has nothing left to wait for,
+//! and is never locked. The authority serializes writes under its replica
+//! mutex and sends a write's unlocks before it applies the next, so when
+//! the last holder applies version `v` every other copy is blocked — the
+//! authority's (mutex held until the acknowledgement), a writing holder's
+//! (its pending mark), every earlier holder's (locked) — and whatever the
+//! last one serves from then on is the newest value any reader can have
+//! seen. With one other holder, the common placement, there is no phase 2
+//! at all.
+//!
 //! Phase 1 is an acknowledged RPC — the write may only complete once every
-//! copy has the operation. Phase 2 is a one-way notification
-//! ([`orca_amoeba::rpc::rpc_notify`]): nothing the writer waits for depends
-//! on *when* a holder unlocks, only on the unlock being on its way after
-//! every phase-1 acknowledgement is in. A notification can be handled
-//! after the next write's phase 1, so it names the version it unlocks and
-//! the holder ignores it when its copy has moved past that.
+//! copy has the operation — and carries the holder's renewed lease: the
+//! message that makes a copy current renews it. Phase 2 is a one-way
+//! notification ([`orca_amoeba::rpc::rpc_notify`]): nothing the writer
+//! waits for depends on *when* a holder unlocks, only on the unlock being
+//! on its way after every phase-1 acknowledgement is in. A notification can
+//! be handled after the next write's phase 1, so it names the version it
+//! unlocks and the holder ignores it when its copy has moved past that.
 //!
 //! The writer itself is never in the fan-out when it holds a copy: it marks
 //! its copy pending before sending ([`HeldCopy::mark_pending`]) and brings
 //! it up to date from the acknowledgement of its own write
-//! ([`HeldCopy::finish_write_through`]), so a write costs
-//! `2 + 3·(other holders)` messages.
+//! ([`HeldCopy::finish_write_through`]), so a write costs `2 + 3k − 1`
+//! messages with `k ≥ 1` other holders — request and reply, a push and its
+//! acknowledgement each, an unlock for all but the last — and 2 with none.
 //!
 //! Copies apply updates strictly in version order. An update — pushed, or a
 //! writer's own acknowledged one — that arrives *ahead* waits, bounded, for
@@ -76,34 +88,35 @@ impl UpdateChannel {
     /// return the holders that could not be reached, whose leases the
     /// caller must settle before the write completes.
     ///
-    /// `push` performs the acknowledged phase-1 RPC with the caller's
-    /// deadline rules and says whether the holder acknowledged. `unlock`
-    /// builds one holder's phase-2 message and books whatever lease it
-    /// renews *now*, at send time: the holder will count the lease from
-    /// receipt, so booking before sending can only make the grantor's
-    /// record outlast the holder's.
+    /// `push` performs one holder's acknowledged phase-1 RPC — `held` says
+    /// whether the holder is to lock its copy: all but the last are — with
+    /// the caller's deadline rules, books whatever lease it renews *now*,
+    /// at send time (the holder counts the lease from receipt, so booking
+    /// before sending can only make the grantor's record outlast the
+    /// holder's), and says whether the holder acknowledged. `unlock` is the
+    /// phase-2 message, the same for every holder that was locked.
     pub(crate) fn two_phase(
         &self,
         holders: &[NodeId],
-        phase1: &[u8],
-        push: impl Fn(NodeId, Vec<u8>) -> bool,
-        mut unlock: impl FnMut(NodeId) -> Vec<u8>,
+        mut push: impl FnMut(NodeId, bool) -> bool,
+        unlock: &[u8],
     ) -> Vec<NodeId> {
         let mut failed: Vec<NodeId> = Vec::new();
-        for holder in holders {
+        let held = holders.len().saturating_sub(1);
+        for (at, holder) in holders.iter().enumerate() {
             self.pushes.inc();
-            if !push(*holder, phase1.to_vec()) {
+            if !push(*holder, at < held && !sabotage::unheld_every_push()) {
                 failed.push(*holder);
             }
         }
-        for holder in holders {
+        for holder in &holders[..held] {
             if failed.contains(holder) {
                 continue;
             }
             self.unlock_notifies.inc();
-            if rpc_notify(&self.handle, *holder, self.port, unlock(*holder)).is_err() {
+            if rpc_notify(&self.handle, *holder, self.port, unlock).is_err() {
                 // The holder applied the update but the unlock never left;
-                // the grant just booked for it must not outlive this write
+                // the grant booked for it must not outlive this write
                 // unsettled.
                 failed.push(*holder);
             }
@@ -129,8 +142,8 @@ pub(crate) struct CopyState<L> {
     /// fetched snapshot older than this raced a concurrent update past it
     /// and is discarded instead of installed.
     pub(crate) seen: u64,
-    /// True between phase 1 (update applied) and phase 2 (unlock); local
-    /// reads wait while this is set.
+    /// True between phase 1 (a held update applied) and phase 2 (unlock);
+    /// local reads wait while this is set.
     pub(crate) locked: bool,
     /// Writes of this node currently being written *through* `copy`: sent
     /// to the authoritative copy, not yet installed here from its
@@ -211,6 +224,58 @@ impl<L> CopyState<L> {
         self.dedup = dedup;
         self.lease = lease;
         true
+    }
+
+    /// Apply the run `ops` — pushed by the authority, or this node's own
+    /// acknowledged write — whose first operation left the authoritative
+    /// replica at `first_version`; lock the copy if the run is `held`,
+    /// record the stamped reply and install the renewed `lease` riding it.
+    /// Exactly the unseen suffix is applied: a prefix up to the copy's
+    /// version is a duplicate (the copy was re-fetched meanwhile, from a
+    /// snapshot that contains it), and a run that is all duplicate changes
+    /// nothing — the lock least of all: it may be a later update's by now.
+    /// A gap, or an operation the copy cannot apply, drops the copy rather
+    /// than let it diverge. Returns how many operations were applied.
+    ///
+    /// A run that is not held *clears* a lock: the authority serializes
+    /// writes and sent the previous one's unlocks before it applied this
+    /// one, so a lock still standing is one whose unlock is in flight, and
+    /// will be ignored as stale when it arrives.
+    fn apply_run(
+        &mut self,
+        first_version: u64,
+        held: bool,
+        ops: &[impl AsRef<[u8]>],
+        stamped: Option<(OpStamp, Vec<u8>)>,
+        lease: Option<L>,
+    ) -> usize {
+        let last_version = first_version + ops.len() as u64 - 1;
+        self.seen = self.seen.max(last_version);
+        if self.copy.is_none() || last_version <= self.version {
+            return 0;
+        }
+        if first_version > self.version + 1 && !sabotage::no_version_gating() {
+            self.discard();
+            return 0;
+        }
+        let unseen = (self.version + 1).saturating_sub(first_version) as usize;
+        let copy = self.copy.as_mut().expect("checked above");
+        let mut apply = |op: &_| copy.apply_encoded(AsRef::as_ref(op)).is_ok();
+        let applied = ops[unseen..].iter().take_while(|op| apply(op)).count();
+        if unseen + applied < ops.len() {
+            self.discard();
+            return applied;
+        }
+        self.version = last_version;
+        self.locked = held;
+        if let Some((stamp, reply)) = stamped {
+            self.dedup.record(stamp, reply);
+        }
+        // A lease is installed only over a live copy.
+        if lease.is_some() {
+            self.lease = lease;
+        }
+        applied
     }
 }
 
@@ -298,19 +363,19 @@ impl<L> HeldCopy<L> {
         }
     }
 
-    /// Phase 1 at a holder: apply the pushed run `ops`, whose first
-    /// operation left the authoritative replica at `first_version`, and
-    /// lock the copy. Exactly the unseen suffix is applied (a prefix up to
-    /// the copy's version is a duplicate); a gap, or an operation the copy
-    /// cannot apply, drops it. An update that beats the snapshot install
-    /// still raises `seen`, so the older snapshot is not installed as
-    /// current. Returns how many operations were applied.
+    /// Phase 1 at a holder: apply the pushed run `ops`
+    /// ([`CopyState::apply_run`]), once its predecessor is in. An update
+    /// that beats the snapshot install still raises `seen`, so the older
+    /// snapshot is not installed as current.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_pushed(
         &self,
         epoch: u64,
         first_version: u64,
+        held: bool,
         ops: &[Vec<u8>],
         stamped: Option<(OpStamp, Vec<u8>)>,
+        lease: Option<L>,
         budget: Duration,
     ) -> usize {
         let mut state = self.state.lock();
@@ -318,58 +383,28 @@ impl<L> HeldCopy<L> {
             return 0;
         }
         state.enter_epoch(epoch);
-        let last_version = first_version + ops.len() as u64 - 1;
-        state.seen = state.seen.max(last_version);
+        state.seen = state.seen.max(first_version + ops.len() as u64 - 1);
         self.await_predecessor(&mut state, epoch, first_version, 0, budget);
-        let mut applied = 0;
         // The copy may have moved on to a newer regime during the wait.
-        if state.epoch == epoch && state.copy.is_some() {
-            let gated = !sabotage::no_version_gating();
-            if gated && first_version > state.version + 1 {
-                state.discard();
-            } else if !gated || last_version > state.version {
-                let start = if gated {
-                    (state.version + 1 - first_version) as usize
-                } else {
-                    0
-                };
-                let copy = state.copy.as_mut().expect("checked above");
-                let failed = ops[start..].iter().any(|op| {
-                    let ok = copy.apply_encoded(op).is_ok();
-                    applied += usize::from(ok);
-                    !ok
-                });
-                if failed {
-                    state.discard();
-                } else {
-                    state.version = last_version;
-                    state.locked = true;
-                    if let Some((stamp, reply)) = stamped {
-                        state.dedup.record(stamp, reply);
-                    }
-                }
-            }
-            // Otherwise the whole run is a duplicate push; ignore it.
-        }
-        // A write-through acknowledgement may be waiting for this install.
+        let applied = if state.epoch == epoch {
+            state.apply_run(first_version, held, ops, stamped, lease)
+        } else {
+            0
+        };
+        // A write-through acknowledgement may be waiting for this install,
+        // a reader for the new value.
         self.unlocked.notify_all();
         applied
     }
 
     /// Phase 2 at a holder: release the lock of the update that left the
-    /// copy at `version`, installing the renewed lease that rides it. The
-    /// notification is one-way, so it may be handled after a later update
-    /// locked the copy again; that update's own unlock is still to come
-    /// (and its lease supersedes this one), so a stale unlock is ignored.
-    /// A lease is installed only over a live copy — a grant for a copy that
-    /// was dropped mid-protocol must not authorize anything.
-    pub(crate) fn unlock(&self, epoch: u64, version: u64, lease: Option<L>) {
+    /// copy at `version`. The notification is one-way, so it may be handled
+    /// after a later update locked the copy again; that update's own unlock
+    /// is still to come, so a stale unlock is ignored.
+    pub(crate) fn unlock(&self, epoch: u64, version: u64) {
         let mut state = self.state.lock();
         if state.epoch == epoch && version >= state.version {
             state.locked = false;
-            if state.copy.is_some() && lease.is_some() {
-                state.lease = lease;
-            }
         }
         self.unlocked.notify_all();
     }
@@ -399,18 +434,17 @@ impl<L> HeldCopy<L> {
                 // two writers on this node; the earlier one's install is on
                 // its way.
                 self.await_predecessor(&mut state, epoch, version, 1, budget);
+                // Under the same strict gate as a pushed update, and never
+                // held: this write is acknowledged only after every other
+                // copy has it.
                 if state.epoch != epoch {
                     false
                 } else {
-                    match install_own_write(&mut state, op, version, stamped, lease) {
-                        Ok(applied) => {
-                            if applied {
-                                channel.reply_installs.inc();
-                            }
-                            false
-                        }
-                        Err(Unappliable) => state.discard(),
+                    let had = state.copy.is_some();
+                    if state.apply_run(version, false, &[op], stamped, lease) > 0 {
+                        channel.reply_installs.inc();
                     }
+                    had && state.copy.is_none()
                 }
             }
             WriteAck::NotApplied => false,
@@ -426,47 +460,4 @@ impl<L> HeldCopy<L> {
         self.unlocked.notify_all();
         dropped
     }
-}
-
-/// A copy that cannot take an update it must take: a gap (the predecessor
-/// never arrived) or an operation it fails to apply.
-struct Unappliable;
-
-/// Apply this node's own acknowledged write to its copy at `version`, under
-/// the same strict gate as a pushed update; `Ok(false)` when there is
-/// nothing to apply it to or the copy already contains it. On
-/// [`Unappliable`] the caller drops the copy rather than let it diverge.
-fn install_own_write<L>(
-    state: &mut CopyState<L>,
-    op: &[u8],
-    version: u64,
-    stamped: Option<(OpStamp, Vec<u8>)>,
-    lease: Option<L>,
-) -> Result<bool, Unappliable> {
-    state.seen = state.seen.max(version);
-    if version <= state.version {
-        // The copy was re-fetched meanwhile, from a snapshot that already
-        // contains this write.
-        return Ok(false);
-    }
-    let Some(copy) = state.copy.as_mut() else {
-        return Ok(false);
-    };
-    let in_order = version == state.version + 1 || sabotage::no_version_gating();
-    if !in_order || copy.apply_encoded(op).is_err() {
-        return Err(Unappliable);
-    }
-    state.version = version;
-    // The authority serializes writes: every earlier one had its unlocks
-    // sent before this one was applied, and this one is acknowledged only
-    // after every other copy has it. An unlock still in flight to this node
-    // is for an older version and will be ignored as stale.
-    state.locked = false;
-    if let Some((stamp, reply)) = stamped {
-        state.dedup.record(stamp, reply);
-    }
-    if lease.is_some() {
-        state.lease = lease;
-    }
-    Ok(true)
 }

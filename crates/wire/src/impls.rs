@@ -24,7 +24,7 @@ macro_rules! impl_wire_uint {
     };
 }
 
-impl_wire_uint!(u8, u16, u32);
+impl_wire_uint!(u16, u32);
 
 impl Wire for u64 {
     fn encode(&self, enc: &mut Encoder) {
@@ -164,6 +164,18 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
                 tag: u64::from(tag),
             }),
         }
+    }
+}
+
+/// A byte string is a length and the bytes. `u8` itself is deliberately not
+/// [`Wire`]: through the per-element path below every byte would be a
+/// varint, two bytes for each one of 0x80 and up.
+impl Wire for Vec<u8> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bytes(self);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        dec.get_bytes()
     }
 }
 
@@ -366,9 +378,9 @@ mod tests {
 
     #[test]
     fn tuples_and_arrays_round_trip() {
-        let t = (1u8, -5i32, "hi".to_string(), true);
+        let t = (1u16, -5i32, "hi".to_string(), true);
         assert_eq!(
-            <(u8, i32, String, bool)>::from_bytes(&t.to_bytes()).unwrap(),
+            <(u16, i32, String, bool)>::from_bytes(&t.to_bytes()).unwrap(),
             t
         );
         let arr = [1u16, 2, 3, 4];
@@ -377,8 +389,8 @@ mod tests {
 
     #[test]
     fn narrowing_decode_fails_cleanly() {
-        let big = 300u64;
-        assert!(u8::from_bytes(&big.to_bytes()).is_err());
+        let big = 70_000u64;
+        assert!(u16::from_bytes(&big.to_bytes()).is_err());
         let neg = -1i64;
         assert!(i8::from_bytes(&(-200i64).to_bytes()).is_err());
         assert_eq!(i64::from_bytes(&neg.to_bytes()).unwrap(), -1);

@@ -4,9 +4,10 @@
 //! point-to-point runtime systems in `orca-rts`:
 //!
 //! * **Read leases** — the owner of a replicated-regime object grants a
-//!   time-bounded [`LeaseGrant`] to every mirror it primes or pushes to; the
-//!   grant rides the messages that do so (`Mirror`, `Unlock`, `Installed`,
-//!   the fetch replies of [`crate::regime`]). While the lease is valid the
+//!   time-bounded lease to every mirror it primes or pushes to; its span
+//!   rides the messages that do so (`Mirror`, `Update`, `Installed`, the
+//!   fetch reply of [`crate::regime`]; a renewal that carries nothing else
+//!   is a [`LeaseGrant`] in full). While the lease is valid the
 //!   holder serves reads from its local copy with *zero messages*; a write
 //!   must renew, revoke or wait out every outstanding grant before its
 //!   effect becomes visible, so leased reads stay linearizable. The holder

@@ -64,7 +64,7 @@ pub use encode::{uvarint_len, Encoder};
 pub use envelope::RequestHead;
 pub use error::{WireError, WireResult};
 pub use lease::{DedupWindow, LeaseGrant, OpStamp, DEDUP_WINDOW_PER_ORIGIN};
-pub use recovery::{MembershipView, RecoveryMsg};
+pub use recovery::RecoveryMsg;
 pub use regime::{Holdings, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 pub use trace::TraceId;
 

@@ -6,9 +6,9 @@
 //! declared dead by every survivor independently. Because the failure
 //! detector's view transitions are a pure function of which nodes fell
 //! silent (the model is fail-stop: a dead node never returns), survivors
-//! converge on the same epoch'd [`MembershipView`] without any agreement
-//! protocol beyond the deterministic election rule of
-//! `orca-amoeba::election` (lowest live node id coordinates).
+//! converge on the same epoch'd view without any agreement protocol beyond
+//! the deterministic election rule of `orca-amoeba::election` (lowest live
+//! node id coordinates). Views never travel: each node derives its own.
 //!
 //! On top of the view, the runtime systems re-home objects whose
 //! authoritative copy lived on a dead node; that protocol is part of the
@@ -20,45 +20,6 @@
 //! the network statistics accumulate for membership traffic are real.
 
 use crate::{Decoder, Encoder, Wire, WireError, WireResult};
-
-/// One epoch of the group's membership: which nodes are believed alive.
-///
-/// The epoch is bumped every time a member is declared dead; because the
-/// model is fail-stop (no rejoin), views of a higher epoch always describe
-/// a subset of the members of lower epochs, and any two nodes that observed
-/// the same set of failures hold the identical view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipView {
-    /// Number of membership changes observed so far (0 = initial view).
-    pub epoch: u64,
-    /// Node indices believed alive, in ascending order.
-    pub alive: Vec<u16>,
-}
-
-impl MembershipView {
-    /// The recovery coordinator of this view: the lowest live node.
-    pub fn coordinator(&self) -> Option<u16> {
-        self.alive.first().copied()
-    }
-
-    /// True if `node` is alive in this view.
-    pub fn contains(&self, node: u16) -> bool {
-        self.alive.binary_search(&node).is_ok()
-    }
-}
-
-impl Wire for MembershipView {
-    fn encode(&self, enc: &mut Encoder) {
-        self.epoch.encode(enc);
-        self.alive.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(MembershipView {
-            epoch: Wire::decode(dec)?,
-            alive: Wire::decode(dec)?,
-        })
-    }
-}
 
 /// Requests of the membership protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,32 +62,10 @@ impl Wire for RecoveryMsg {
 mod tests {
     use super::*;
 
-    fn view() -> MembershipView {
-        MembershipView {
-            epoch: 3,
-            alive: vec![0, 2, 3],
-        }
-    }
-
-    #[test]
-    fn view_coordinator_and_contains() {
-        let view = view();
-        assert_eq!(view.coordinator(), Some(0));
-        assert!(view.contains(2));
-        assert!(!view.contains(1));
-        let empty = MembershipView {
-            epoch: 9,
-            alive: vec![],
-        };
-        assert_eq!(empty.coordinator(), None);
-    }
-
     #[test]
     fn all_requests_round_trip() {
         let beat = RecoveryMsg::Heartbeat { node: 3, epoch: 1 };
         assert_eq!(RecoveryMsg::from_bytes(&beat.to_bytes()).unwrap(), beat);
-        let view = view();
-        assert_eq!(MembershipView::from_bytes(&view.to_bytes()).unwrap(), view);
     }
 
     #[test]

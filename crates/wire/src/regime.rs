@@ -172,14 +172,13 @@ pub enum RegimeMsg {
         /// Raw object id.
         object: u64,
     },
-    /// Client → home node: report this node's read/write counts for the
+    /// Client → home node: report the sender's read/write counts for the
     /// object since its previous report. Feeds the decayed per-node usage
-    /// aggregate that drives regime decisions.
+    /// aggregate that drives regime decisions. A one-way notification:
+    /// nothing is sent back.
     Report {
         /// Raw object id.
         object: u64,
-        /// Reporting node index.
-        node: u16,
         /// Reads performed since the last report.
         reads: u64,
         /// Writes performed since the last report.
@@ -239,8 +238,10 @@ pub enum RegimeMsg {
         /// promoted by home adoption can answer retried writes).
         dedup: DedupWindow,
         /// Read lease over the installed mirror, when the owner grants
-        /// leases.
-        lease: Option<LeaseGrant>,
+        /// leases: its validity in milliseconds from receipt. (The message
+        /// names the object, epoch and version it covers; so does every
+        /// other carrier of a lease but [`RegimeReply::Renewed`].)
+        lease: Option<u64>,
     },
     /// Listed mirror → owner: fetch a fresh mirror state (lazy re-sync after
     /// a lost update or a missed mirror install) or renew a lapsed lease.
@@ -274,9 +275,11 @@ pub enum RegimeMsg {
     },
     /// Owner → mirror holder: apply a run of sequence-numbered updates
     /// (writes that executed at the owner: one, or a batch's consecutive
-    /// writes as one message) and keep the mirror locked until the
+    /// writes as one message). A `held` mirror stays locked until the
     /// [`RegimeMsg::Unlock`] of the run's last update arrives (two-phase,
-    /// for sequential consistency).
+    /// for sequential consistency); the last mirror of a fan-out is not
+    /// held — every other copy is blocked by then — and serves the new
+    /// value at once.
     Update {
         /// Raw object id.
         object: u64,
@@ -285,12 +288,18 @@ pub enum RegimeMsg {
         /// Update sequence number of `ops[0]` (the owner replica's version
         /// after it); the holder applies exactly the run's unseen suffix.
         seq: u64,
+        /// Lock the mirror until the unlock (see [`RegimeMsg::hold_update`]).
+        held: bool,
         /// Encoded write operations, in the order the owner applied them.
         ops: Vec<Vec<u8>>,
         /// When the run is one stamped write, its exactly-once identity and
         /// recorded reply, so the mirror's dedup window stays as fresh as
         /// its copy.
         stamped: Option<(OpStamp, Vec<u8>)>,
+        /// Renewed read lease over the mirror at the run's last version —
+        /// the message that makes a copy current renews its lease — when
+        /// the owner grants leases.
+        lease: Option<u64>,
     },
     /// Mirror-holding client → owner: a replicated-regime write whose
     /// sender holds an installed mirror and has marked it pending. The owner
@@ -319,9 +328,6 @@ pub enum RegimeMsg {
         epoch: u64,
         /// Update sequence number being released.
         seq: u64,
-        /// Renewed read lease over the (now current again) mirror, when
-        /// the owner grants leases.
-        lease: Option<LeaseGrant>,
     },
     /// Recovering home → survivor: report what you hold of `object` —
     /// authoritative slots, partition backups, a read mirror — so the home
@@ -386,6 +392,16 @@ pub enum RegimeMsg {
         /// Partition to promote.
         partition: u32,
     },
+    /// Owner → home node, one-way: a push to the listed mirror `node` went
+    /// unanswered though nobody has declared it dead. The home forgets what
+    /// that node reported and re-places the object now, instead of every
+    /// write paying the push's budget until an evaluation drops the mirror.
+    Unreached {
+        /// Raw object id.
+        object: u64,
+        /// The mirror that did not answer.
+        node: u16,
+    },
 }
 
 impl RegimeMsg {
@@ -400,6 +416,14 @@ impl RegimeMsg {
     /// [`crate::OpBatchEncoder::request`], servers apply it in place
     /// through [`crate::OpBatchView::from_request`].
     pub const OP_BATCH_TAG: u8 = 13;
+
+    /// Set the `held` flag of an encoded [`RegimeMsg::Update`] in place: a
+    /// fan-out encodes the run once and ships the same bytes to every
+    /// mirror, and the flag — the byte after the tag — is all that differs.
+    pub fn hold_update(update: &mut [u8], held: bool) {
+        debug_assert_eq!(update[0], 10, "not an Update");
+        update[1] = u8::from(held);
+    }
 }
 
 impl Wire for RegimeMsg {
@@ -434,13 +458,11 @@ impl Wire for RegimeMsg {
             }
             RegimeMsg::Report {
                 object,
-                node,
                 reads,
                 writes,
             } => {
                 enc.put_u8(4);
                 object.encode(enc);
-                node.encode(enc);
                 reads.encode(enc);
                 writes.encode(enc);
             }
@@ -516,27 +538,25 @@ impl Wire for RegimeMsg {
                 object,
                 epoch,
                 seq,
+                held,
                 ops,
                 stamped,
+                lease,
             } => {
                 enc.put_u8(10);
+                held.encode(enc);
                 object.encode(enc);
                 epoch.encode(enc);
                 seq.encode(enc);
                 ops.encode(enc);
                 stamped.encode(enc);
+                lease.encode(enc);
             }
-            RegimeMsg::Unlock {
-                object,
-                epoch,
-                seq,
-                lease,
-            } => {
+            RegimeMsg::Unlock { object, epoch, seq } => {
                 enc.put_u8(11);
                 object.encode(enc);
                 epoch.encode(enc);
                 seq.encode(enc);
-                lease.encode(enc);
             }
             RegimeMsg::WriteThrough {
                 object,
@@ -598,6 +618,11 @@ impl Wire for RegimeMsg {
                 epoch.encode(enc);
                 partition.encode(enc);
             }
+            RegimeMsg::Unreached { object, node } => {
+                enc.put_u8(18);
+                object.encode(enc);
+                node.encode(enc);
+            }
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
@@ -621,7 +646,6 @@ impl Wire for RegimeMsg {
             }),
             4 => Ok(RegimeMsg::Report {
                 object: Wire::decode(dec)?,
-                node: Wire::decode(dec)?,
                 reads: Wire::decode(dec)?,
                 writes: Wire::decode(dec)?,
             }),
@@ -660,17 +684,18 @@ impl Wire for RegimeMsg {
                 written: Wire::decode(dec)?,
             }),
             10 => Ok(RegimeMsg::Update {
+                held: Wire::decode(dec)?,
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 seq: Wire::decode(dec)?,
                 ops: Wire::decode(dec)?,
                 stamped: Wire::decode(dec)?,
+                lease: Wire::decode(dec)?,
             }),
             11 => Ok(RegimeMsg::Unlock {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 seq: Wire::decode(dec)?,
-                lease: Wire::decode(dec)?,
             }),
             12 => Ok(RegimeMsg::Holdings {
                 object: Wire::decode(dec)?,
@@ -702,6 +727,10 @@ impl Wire for RegimeMsg {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 partition: Wire::decode(dec)?,
+            }),
+            18 => Ok(RegimeMsg::Unreached {
+                object: Wire::decode(dec)?,
+                node: Wire::decode(dec)?,
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "RegimeMsg",
@@ -782,12 +811,13 @@ pub enum RegimeReply {
         seq: u64,
         /// Dedup window paired with `state`.
         dedup: DedupWindow,
-        /// Read lease over the fetched mirror, when the owner grants
-        /// leases.
-        lease: Option<LeaseGrant>,
+        /// Read lease over the fetched mirror (validity in milliseconds
+        /// from receipt), when the owner grants leases.
+        lease: Option<u64>,
     },
     /// Reply to a [`RegimeMsg::FetchMirror`] whose sender's copy is
-    /// current: the renewed read lease alone.
+    /// current: the renewed read lease alone — in full, since nothing else
+    /// in the reply says which version it is good for.
     Renewed(LeaseGrant),
     /// Acknowledgement with no payload.
     Ack,
@@ -811,9 +841,9 @@ pub enum RegimeReply {
         reply: Vec<u8>,
         /// Update sequence number the write was applied at.
         seq: u64,
-        /// Renewed read lease over the sender's mirror, when the owner
-        /// grants leases.
-        lease: Option<LeaseGrant>,
+        /// Renewed read lease over the sender's mirror (validity in
+        /// milliseconds from receipt), when the owner grants leases.
+        lease: Option<u64>,
     },
 }
 
@@ -956,7 +986,6 @@ mod tests {
             RegimeMsg::Propose { object: 9 },
             RegimeMsg::Report {
                 object: 9,
-                node: 4,
                 reads: 100,
                 writes: 3,
             },
@@ -982,7 +1011,7 @@ mod tests {
                 state: vec![7],
                 seq: 12,
                 dedup: DedupWindow::new(),
-                lease: Some(grant()),
+                lease: Some(150),
             },
             RegimeMsg::FetchMirror {
                 object: 9,
@@ -1003,22 +1032,26 @@ mod tests {
                 object: 9,
                 epoch: 3,
                 seq: 13,
+                held: false,
                 ops: vec![vec![1]],
                 stamped: Some((OpStamp { origin: 1, seq: 7 }, vec![0])),
+                lease: Some(150),
             },
             RegimeMsg::Update {
                 object: 9,
                 epoch: 3,
                 seq: 14,
-                ops: vec![vec![1, 2], vec![], vec![3]],
+                held: true,
+                ops: vec![vec![1, 2], vec![], vec![0x80, 0xff]],
                 stamped: None,
+                lease: None,
             },
             RegimeMsg::Unlock {
                 object: 9,
                 epoch: 3,
                 seq: 13,
-                lease: Some(grant()),
             },
+            RegimeMsg::Unreached { object: 9, node: 2 },
             RegimeMsg::Holdings { object: 9 },
             RegimeMsg::Backup {
                 object: 9,
@@ -1077,7 +1110,7 @@ mod tests {
                 state: vec![3],
                 seq: 8,
                 dedup: window(),
-                lease: Some(grant()),
+                lease: Some(150),
             },
             RegimeReply::Renewed(grant()),
             RegimeReply::Ack,
@@ -1094,7 +1127,7 @@ mod tests {
             RegimeReply::Installed {
                 reply: vec![5],
                 seq: 14,
-                lease: Some(grant()),
+                lease: Some(150),
             },
             RegimeReply::Batch(vec![
                 crate::batch::BatchOutcome::Done(vec![1]),
@@ -1103,6 +1136,28 @@ mod tests {
         ];
         for reply in replies {
             assert_eq!(RegimeReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
+        }
+    }
+
+    /// A fan-out flips the `held` flag in the encoded bytes; a pushed
+    /// operation costs its own bytes and one for its length.
+    #[test]
+    fn an_encoded_update_is_held_in_place_and_carries_its_operations_raw() {
+        let update = |held, op: Vec<u8>| RegimeMsg::Update {
+            object: 9,
+            epoch: 3,
+            seq: 13,
+            held,
+            ops: vec![op],
+            stamped: None,
+            lease: Some(150),
+        };
+        let mut bytes = update(true, vec![0xff; 27]).to_bytes();
+        assert_eq!(bytes.len(), update(true, Vec::new()).to_bytes().len() + 27);
+        for held in [false, true, false] {
+            RegimeMsg::hold_update(&mut bytes, held);
+            let decoded = RegimeMsg::from_bytes(&bytes).unwrap();
+            assert_eq!(decoded, update(held, vec![0xff; 27]));
         }
     }
 

@@ -15,9 +15,9 @@ with the instruments the runtime promises to keep populated:
   with grants and zero-message local reads actually recorded by the
   smoke workload's leased primary-copy phase;
 * the replicated-write counters (`rts.update.*`): all three present and
-  non-zero — that phase pushes one write to a copy holder (a push and a
-  one-way unlock) and writes one through the holder's own copy (an
-  install from the reply);
+  non-zero — that phase pushes one write to two copy holders (two pushes
+  and a one-way unlock: the last holder pushed to is never locked) and
+  writes one through a holder's own copy (an install from the reply);
 * the RPC layer's thread census (`amoeba.rpc.*`): requests served, worker
   threads started, mailboxes retired and the per-node gauges of workers
   alive. Services keep their workers, so a few hundred requests must have

@@ -181,11 +181,11 @@ fn adaptive_ships_half_the_puts_of_two_remote_writers() {
 /// creates a table of 4 096 keys and never touches it again, nodes 1 and 2
 /// each read it nine times for every `Put`. The adaptive runtime replicates
 /// the table, puts the copy on one of the two and its one mirror on the
-/// other: reads cost nothing, the owner's write an `Update`, its
-/// acknowledgement and an `Unlock`, the other's a `WriteThrough` and its
-/// `Installed` — 2.5 messages a write plus the usage reports, where the copy
-/// at the idle creator with a mirror on either user cost five (28.8 bytes
-/// an operation).
+/// other: reads cost nothing, the owner's write an `Update` and its
+/// acknowledgement — its one mirror is the last it pushes to, and never
+/// locked — the other's a `WriteThrough` and its `Installed`: 2 messages a
+/// write plus the one-way usage reports, where the copy at the idle creator
+/// with a mirror on either user cost five (28.8 bytes an operation).
 #[test]
 fn adaptive_read_mostly_costs_a_mirror_push_not_a_detour() {
     const KEYS: u64 = 4096;
@@ -236,10 +236,12 @@ fn adaptive_read_mostly_costs_a_mirror_push_not_a_detour() {
     let spent = runtime.network_stats().since(&before);
     let per_op = spent.total_wire_bytes() as f64 / 4000.0;
     let per_write = spent.total_messages() as f64 / 400.0;
+    let unlocks = runtime.network().telemetry().registry();
+    let unlocks = unlocks.counter("rts.update.unlock_notifies").get();
     assert!(
-        per_op <= 16.5 && per_write <= 2.9,
-        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write: \
-         owner {placement:?}, mirrors {mirrors:?}"
+        per_op <= 12.8 && per_write <= 2.3 && unlocks == 0,
+        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write, \
+         {unlocks} unlocks: owner {placement:?}, mirrors {mirrors:?}"
     );
     assert_eq!(runtime.object_placement(table.id()), Some(placement));
     assert_eq!(runtime.copy_holders(2, table.id()), Some(mirrors));
@@ -317,9 +319,9 @@ fn primary_copy_follows_its_writer() {
 /// `read_mostly_tcp` in miniature under the primary-copy backend, which
 /// places a table that is mostly read as the adaptive runtime does: the
 /// copy on one of the two users, a secondary copy on the other, nothing on
-/// the idle creator — 2.5 messages a write plus the usage reports, where
-/// the copy at the creator with a secondary on either user cost five (27.1
-/// bytes an operation).
+/// the idle creator — 2 messages a write, never an unlock, plus the one-way
+/// usage reports, where the copy at the creator with a secondary on either
+/// user cost five (27.1 bytes an operation).
 #[test]
 fn primary_read_mostly_costs_a_mirror_push_not_a_detour() {
     const KEYS: u64 = 4096;
@@ -353,10 +355,12 @@ fn primary_read_mostly_costs_a_mirror_push_not_a_detour() {
     let spent = runtime.network_stats().since(&before);
     let per_op = spent.total_wire_bytes() as f64 / 4000.0;
     let per_write = spent.total_messages() as f64 / 400.0;
+    let unlocks = runtime.network().telemetry().registry();
+    let unlocks = unlocks.counter("rts.update.unlock_notifies").get();
     assert!(
-        per_op <= 16.5 && per_write <= 2.9,
-        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write: \
-         owner {placement:?}, mirrors {mirrors:?}"
+        per_op <= 12.8 && per_write <= 2.3 && unlocks == 0,
+        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write, \
+         {unlocks} unlocks: owner {placement:?}, mirrors {mirrors:?}"
     );
     assert_eq!(runtime.object_placement(table.id()), Some(placement));
     assert_eq!(runtime.copy_holders(2, table.id()), Some(mirrors));
