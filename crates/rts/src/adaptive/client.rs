@@ -1,0 +1,1000 @@
+//! The client path: an invocation finds the object's regime table, is
+//! executed where the table says — this node's slot or mirror, or shipped to
+//! an owner — and is retried when a switch or a death got in the way; the
+//! asynchronous path batches the same routing per destination.
+
+use super::*;
+
+/// How long a guarded read parks on a mirror before re-validating the
+/// regime (protects against missed wake-ups and retired mirrors).
+const MIRROR_GUARD_WAIT: Duration = Duration::from_millis(100);
+
+/// How long a mirror read waits for an in-flight two-phase update to
+/// unlock before re-checking.
+const MIRROR_LOCK_WAIT: Duration = Duration::from_millis(50);
+
+/// Outcome of one attempt to execute (part of) an operation.
+pub(super) enum PartOutcome {
+    Done(Vec<u8>),
+    Blocked,
+    Stale,
+}
+
+impl AdaptiveRts {
+    /// Send a regime request to `dst`, bounded by `deadline`.
+    pub(super) fn rpc(
+        &self,
+        dst: NodeId,
+        msg: &RegimeMsg,
+        deadline: Instant,
+    ) -> Result<RegimeReply, RtsError> {
+        regime_rpc_deadline(&self.inner, dst, msg, deadline)
+    }
+
+    /// Regime table for `object`: authoritative at home, cached elsewhere.
+    /// When the creating node is dead, the home role falls to the lowest
+    /// live node, which re-assembles the object from what the survivors
+    /// hold of it on first contact.
+    pub(super) fn route_for(
+        &self,
+        object: ObjectId,
+        deadline: Instant,
+    ) -> Result<Arc<RegimeTable>, RtsError> {
+        if self.inner.is_lost(object) {
+            return Err(RtsError::ObjectLost(object));
+        }
+        let creator = NodeId(object.creator_index());
+        let home = if is_dead(&self.inner.detector, creator) && self.inner.recovery.rehome {
+            match self
+                .inner
+                .detector
+                .as_ref()
+                .and_then(|d| crate::recovery::recovery_home(&d.view()))
+            {
+                Some(adopter) => adopter,
+                None => return Err(RtsError::NodeDown(creator)),
+            }
+        } else {
+            creator
+        };
+        if home == self.inner.node {
+            if let Some(entry) = self.inner.homes.read().get(&object).cloned() {
+                return Ok(Arc::clone(&entry.table.lock()));
+            }
+            if home != creator {
+                let entry = adopt_object(&self.inner, object)?;
+                return Ok(Arc::clone(&entry.table.lock()));
+            }
+            return Err(RtsError::Object(ObjectError::NoSuchObject(object)));
+        }
+        if let Some((table, fetched)) = self.inner.routes.lock().get(&object) {
+            // Where every operation is answered by an owner, the owner's
+            // epoch check is the invalidation; only a replicated-regime
+            // table, whose reads ask nobody, has to expire. No slot is
+            // special: an operation for any partition whose owner died
+            // must re-fetch, not time out against a corpse.
+            let fresh = table.regime != RegimeKind::Replicated
+                || fetched.elapsed() < self.inner.policy.regime_lease;
+            if fresh
+                && !table
+                    .owners
+                    .iter()
+                    .any(|&owner| is_dead(&self.inner.detector, NodeId(owner)))
+            {
+                return Ok(Arc::clone(table));
+            }
+        }
+        match self.rpc(home, &RegimeMsg::Route { object: object.0 }, deadline)? {
+            RegimeReply::Route(table) => {
+                let table = Arc::new(table);
+                self.inner
+                    .routes
+                    .lock()
+                    .insert(object, (Arc::clone(&table), Instant::now()));
+                Ok(table)
+            }
+            RegimeReply::ObjectLost => {
+                self.inner.lost.write().insert(object);
+                Err(RtsError::ObjectLost(object))
+            }
+            RegimeReply::Error(msg) if home != creator => {
+                // The adopter may not have declared the creator dead yet;
+                // surface as NodeDown so the invocation loop retries.
+                let _ = msg;
+                Err(RtsError::NodeDown(creator))
+            }
+            RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
+            other => Err(RtsError::Communication(format!(
+                "unexpected Route reply {other:?}"
+            ))),
+        }
+    }
+
+    /// Count a local access and ship a usage report to the home every
+    /// [`AdaptivePolicy::report_every`] accesses.
+    fn note_access(&self, object: ObjectId, kind: OpKind) {
+        if !self.inner.policy.counts_usage() {
+            return;
+        }
+        let taken = {
+            let mut pending = self.inner.pending_usage.lock();
+            let entry = pending.entry(object).or_insert((0, 0));
+            match kind {
+                OpKind::Read => entry.0 += 1,
+                OpKind::Write => entry.1 += 1,
+            }
+            if entry.0 + entry.1 >= self.inner.policy.report_every {
+                pending.remove(&object)
+            } else {
+                None
+            }
+        };
+        if let Some((reads, writes)) = taken {
+            self.send_report(object, reads, writes, false);
+        }
+    }
+
+    /// Deliver a usage report to the home (directly when this node is the
+    /// home) — one message, nothing waited for, unless `acknowledged`: an
+    /// invocation never stalls on the home's evaluation. Failures are
+    /// ignored: a lost report only delays adaptation.
+    pub(super) fn send_report(
+        &self,
+        object: ObjectId,
+        reads: u64,
+        writes: u64,
+        acknowledged: bool,
+    ) {
+        let home = current_home(&self.inner, object);
+        let msg = RegimeMsg::Report {
+            object: object.0,
+            reads,
+            writes,
+        };
+        if home == self.inner.node {
+            let _ = dispatch(&self.inner, msg, self.inner.node);
+        } else if acknowledged {
+            let deadline = Instant::now() + self.inner.policy.op_timeout;
+            let _ = self.rpc(home, &msg, deadline);
+        } else {
+            let _ = rpc_notify(
+                &self.inner.handle,
+                home,
+                ports::RTS_ADAPTIVE,
+                msg.to_bytes(),
+            );
+        }
+    }
+
+    /// Set the batching knobs of the asynchronous invocation path (takes
+    /// effect from the next flusher round).
+    pub fn set_batch_policy(&self, policy: BatchPolicy) {
+        *self.inner.batch_policy.lock() = policy;
+    }
+
+    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
+    /// capture by the flusher and retry closures: capturing `self` directly
+    /// would create an `Arc` cycle (pipeline → closure → handle →
+    /// pipeline) and leak the runtime system.
+    fn detached(&self) -> AdaptiveRts {
+        AdaptiveRts {
+            inner: Arc::clone(&self.inner),
+            server: Arc::clone(&self.server),
+            pipeline: Arc::new(Mutex::new(None)),
+        }
+    }
+
+    /// The asynchronous-invocation pipeline, started on first use.
+    fn ensure_pipeline(&self) -> Arc<Pipeline> {
+        let mut guard = self.pipeline.lock();
+        if let Some(pipeline) = guard.as_ref() {
+            return Arc::clone(pipeline);
+        }
+        let rts = self.detached();
+        let pipeline = Arc::new(Pipeline::start(
+            format!("rts-pipe-{}", self.inner.node),
+            self.inner.node.0,
+            Arc::clone(self.inner.handle.telemetry()),
+            Arc::clone(&self.inner.batch_policy),
+            move |ops| rts.run_round(ops),
+        ));
+        *guard = Some(Arc::clone(&pipeline));
+        pipeline
+    }
+
+    /// Execute one flusher round. The adaptive system *inherits* batching
+    /// through the regime each object currently delegates to: slot-addressed
+    /// operations (the primary regime's home copy, replicated-regime
+    /// writes, `One`-routed sharded operations) coalesce into one
+    /// epoch-stamped operation-batch request per destination node; mirror
+    /// reads stay local; `All`/`Any` fan-outs act as barriers. Operations
+    /// bounced by a regime switch (`Stale`) retry in a follow-up pass.
+    /// Every handle resolves in issue order at the end of the round.
+    fn run_round(&self, ops: Vec<QueuedOp>) {
+        let deadline = Instant::now() + self.inner.policy.op_timeout;
+        let mut slots: Vec<RoundSlot> = ops.iter().map(|_| RoundSlot::Todo).collect();
+        let mut todo: Vec<usize> = (0..ops.len()).collect();
+        for pass in 0.. {
+            todo = self.execute_pass(&ops, &todo, &mut slots, deadline);
+            if todo.is_empty()
+                || Instant::now() >= deadline
+                || self.inner.stopped.load(Ordering::SeqCst)
+            {
+                break;
+            }
+            for &i in &todo {
+                self.inner.routes.lock().remove(&ops[i].object);
+            }
+            // What bounced a window off a slot already drained is most
+            // often a switch about to publish: the first re-fetch of the
+            // table goes out at once, the ones after it wait.
+            if pass > 0 {
+                std::thread::sleep(self.inner.policy.stale_retry_delay);
+            }
+        }
+        resolve_round(ops, slots);
+    }
+
+    /// One pass over the still-unexecuted operations of a round. Returns
+    /// the indices that must be retried (regime switch in flight), in
+    /// issue order.
+    fn execute_pass(
+        &self,
+        ops: &[QueuedOp],
+        todo: &[usize],
+        slots: &mut [RoundSlot],
+        deadline: Instant,
+    ) -> Vec<usize> {
+        let mut stale: Vec<usize> = Vec::new();
+        let mut batches = PendingBatches::new(RegimeMsg::OP_BATCH_TAG, ops);
+        for &i in todo {
+            let op = &ops[i];
+            // An earlier operation on this object bounced in this pass;
+            // executing a later one now would invert their effects.
+            if stale.iter().any(|&s| ops[s].object == op.object) {
+                stale.push(i);
+                continue;
+            }
+            let table = match self.route_for(op.object, deadline) {
+                Ok(table) => table,
+                Err(err) => {
+                    slots[i] = RoundSlot::Ready(Err(err));
+                    continue;
+                }
+            };
+            let me = self.inner.node.0;
+            match table.regime {
+                RegimeKind::Replicated
+                    if op.kind == OpKind::Read && table.mirrors.contains(&me) =>
+                {
+                    // Barrier before the local mirror read: this process's
+                    // earlier batched writes must be visible to it (the
+                    // owner pushes mirror updates before it acknowledges a
+                    // batch, so flushing first gives read-your-writes).
+                    self.flush_batches(&mut batches, &mut stale, slots, deadline);
+                    if stale.iter().any(|&s| ops[s].object == op.object) {
+                        stale.push(i);
+                        continue;
+                    }
+                    // Local mirror read (fetching/re-syncing as needed).
+                    slots[i] = match self.mirror_read(&table, &op.op, deadline) {
+                        Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
+                        Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
+                        Ok(PartOutcome::Stale) => {
+                            stale.push(i);
+                            continue;
+                        }
+                        Err(err) => RoundSlot::Ready(Err(err)),
+                    };
+                }
+                // One copy: every operation goes to its owner — under the
+                // replicated regime every write, and the reads of the owner
+                // and of a node the table lists no mirror for.
+                RegimeKind::Primary | RegimeKind::Replicated => {
+                    batches.push(
+                        NodeId(table.owners[0]),
+                        i,
+                        op.batched(0, table.epoch, &op.op),
+                    );
+                }
+                RegimeKind::Sharded => {
+                    let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
+                        // Pinned, a type that does not shard: one partition.
+                        batches.push(
+                            NodeId(table.owners[0]),
+                            i,
+                            op.batched(0, table.epoch, &op.op),
+                        );
+                        continue;
+                    };
+                    let routed =
+                        logic
+                            .route(&op.op, table.partitions())
+                            .and_then(|route| match route {
+                                ShardRoute::One(partition) => logic
+                                    .op_for(&op.op, partition, table.partitions())
+                                    .map(|part_op| (route, Some((partition, part_op)))),
+                                _ => Ok((route, None)),
+                            });
+                    match routed {
+                        Ok((ShardRoute::One(_), Some((partition, part_op)))) => {
+                            batches.push(
+                                NodeId(table.owners[partition as usize]),
+                                i,
+                                op.batched(partition, table.epoch, &part_op),
+                            );
+                        }
+                        Ok((route, _)) => {
+                            // Barrier: whole-object operations must order
+                            // against every batched operation before them.
+                            self.flush_batches(&mut batches, &mut stale, slots, deadline);
+                            if stale.iter().any(|&s| ops[s].object == op.object) {
+                                stale.push(i);
+                                continue;
+                            }
+                            slots[i] = match route {
+                                ShardRoute::Any => {
+                                    // Unstamped: the batched asynchronous
+                                    // path never re-presents an op across a
+                                    // node death.
+                                    match self.any_partition_op(
+                                        &table,
+                                        logic.as_ref(),
+                                        &op.op,
+                                        None,
+                                        deadline,
+                                    ) {
+                                        Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
+                                        Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
+                                        Ok(PartOutcome::Stale) => {
+                                            stale.push(i);
+                                            continue;
+                                        }
+                                        Err(err) => RoundSlot::Ready(Err(err)),
+                                    }
+                                }
+                                // `All`-routed operations run to completion
+                                // inline (the home's switch lock owns their
+                                // fan-out discipline).
+                                _ => RoundSlot::Ready(self.invoke(
+                                    op.object,
+                                    &table.type_name,
+                                    op.kind,
+                                    &op.op,
+                                )),
+                            };
+                        }
+                        Err(err) => slots[i] = RoundSlot::Ready(Err(err.into())),
+                    }
+                }
+            }
+        }
+        self.flush_batches(&mut batches, &mut stale, slots, deadline);
+        stale
+    }
+
+    /// Ship every pending per-destination batch through the shared
+    /// reply-demultiplexing flusher (see
+    /// [`crate::pipeline::flush_op_batches`] for the failure contract).
+    fn flush_batches(
+        &self,
+        batches: &mut PendingBatches,
+        stale: &mut Vec<usize>,
+        slots: &mut [RoundSlot],
+        deadline: Instant,
+    ) {
+        let inner = &self.inner;
+        crate::pipeline::flush_op_batches(
+            &inner.handle,
+            inner.node,
+            ports::RTS_ADAPTIVE,
+            &inner.stats,
+            &inner.detector,
+            batches,
+            stale,
+            slots,
+            deadline,
+            &|ops| apply_op_batch(inner, ops, inner.node),
+            &|bytes| match RegimeReply::from_bytes(bytes) {
+                Ok(RegimeReply::Batch(outcomes)) => Ok(outcomes),
+                Ok(other) => Err(format!("unexpected batch reply {other:?}")),
+                Err(err) => Err(format!("bad reply: {err}")),
+            },
+        );
+    }
+
+    /// Record invocation-level statistics once the routing decision is
+    /// known.
+    fn record_invocation(&self, all_local: bool, kind: OpKind) {
+        let stats = &self.inner.stats;
+        match kind {
+            OpKind::Read => {
+                if all_local {
+                    RtsStats::bump(&stats.local_reads);
+                } else {
+                    RtsStats::bump(&stats.remote_reads);
+                }
+            }
+            OpKind::Write => {
+                RtsStats::bump(&stats.writes);
+                if !all_local {
+                    RtsStats::bump(&stats.remote_writes);
+                }
+            }
+        }
+    }
+
+    /// Execute an (already partition-narrowed) operation on one
+    /// authoritative slot — locally if this node serves it, otherwise
+    /// shipped to the owner.
+    fn slot_op(
+        &self,
+        table: &RegimeTable,
+        partition: u32,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        deadline: Instant,
+    ) -> Result<PartOutcome, RtsError> {
+        let owner = NodeId(table.owners[partition as usize]);
+        let object = table_object(table);
+        let reply = if owner == self.inner.node {
+            apply_at_slot(
+                &self.inner,
+                object,
+                partition,
+                table.epoch,
+                op,
+                stamp,
+                self.inner.node,
+                false,
+            )
+        } else {
+            self.rpc(
+                owner,
+                &RegimeMsg::Op {
+                    object: object.0,
+                    epoch: table.epoch,
+                    partition,
+                    op: op.to_vec(),
+                    stamp,
+                },
+                deadline,
+            )?
+        };
+        match reply {
+            RegimeReply::Done(bytes) => Ok(PartOutcome::Done(bytes)),
+            RegimeReply::Blocked => Ok(PartOutcome::Blocked),
+            RegimeReply::StaleRegime => Ok(PartOutcome::Stale),
+            RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
+            other => Err(RtsError::Communication(format!(
+                "unexpected Op reply {other:?}"
+            ))),
+        }
+    }
+
+    /// Serve a replicated-regime read from the mirror the table lists this
+    /// node for, fetching or re-syncing it from the owner when needed.
+    fn mirror_read(
+        &self,
+        table: &RegimeTable,
+        op: &[u8],
+        deadline: Instant,
+    ) -> Result<PartOutcome, RtsError> {
+        let object = table_object(table);
+        loop {
+            let mirror = mirror_entry(&self.inner, object);
+            let mut state = mirror.state.lock();
+            let held = state.epoch == table.epoch && state.copy.is_some();
+            if !held || (self.inner.leases_enabled() && !mirror_lease_valid(&self.inner, &state)) {
+                // No copy of this epoch (a missed install, a copy dropped on
+                // a gap), or its lease lapsed (idle owner) or the
+                // membership view moved under it: ask the owner, naming the
+                // version of an unlocked copy — if that is current the
+                // grant alone comes back, not the state.
+                if Instant::now() >= deadline {
+                    return Ok(PartOutcome::Stale);
+                }
+                let have = (held && !state.locked).then_some(state.version);
+                drop(state);
+                if !self.fetch_mirror(object, table, &mirror, have, deadline)? {
+                    return Ok(PartOutcome::Stale);
+                }
+                continue;
+            }
+            if state.reads_blocked() {
+                // A two-phase update (or a write of this node through the
+                // mirror) is in flight; wait for its unlock. A
+                // lock that never clears (the unlock was lost to a crash
+                // mid-push) must not wedge this mirror forever: once the
+                // deadline passes, discard the copy — the next read
+                // re-syncs a fresh, unlocked state from the owner — and
+                // hand back Stale so the caller's deadline check fails
+                // this invocation instead of hanging.
+                if Instant::now() >= deadline {
+                    state.copy = None;
+                    return Ok(PartOutcome::Stale);
+                }
+                // Nor wait for an unlock that died with the owner: the
+                // caller goes back to the home for whoever serves now.
+                let owner = NodeId(table.owners[0]);
+                if is_dead(&self.inner.detector, owner) {
+                    return Err(RtsError::NodeDown(owner));
+                }
+                mirror.unlocked.wait_for(&mut state, MIRROR_LOCK_WAIT);
+                continue;
+            }
+            let copy = state.copy.as_mut().expect("checked above");
+            match copy.apply_encoded(op)? {
+                AppliedOutcome::Done(reply) => {
+                    RtsStats::bump(&self.inner.stats.local_reads);
+                    if self.inner.leases_enabled() {
+                        self.inner.lease_counters.local_reads.inc();
+                    }
+                    return Ok(PartOutcome::Done(reply));
+                }
+                AppliedOutcome::Blocked => {
+                    // Guarded read: wait for an update to change the mirror,
+                    // then hand control back so the caller re-validates the
+                    // regime (the guard's write may commit under a new one).
+                    // The caller accounts the guard retry.
+                    mirror.unlocked.wait_for(&mut state, MIRROR_GUARD_WAIT);
+                    return Ok(PartOutcome::Blocked);
+                }
+            }
+        }
+    }
+
+    /// Ship a replicated-regime write *through* this node's mirror: mark it
+    /// pending, send [`RegimeMsg::WriteThrough`] — the owner then pushes the
+    /// update to the other mirrors only — and apply the operation here from
+    /// the acknowledgement ([`finish_write_through`]). `None` when the table
+    /// lists no mirror here (the owner's own node included) or none of its
+    /// epoch is installed; the write then goes as a plain [`RegimeMsg::Op`].
+    /// The mark lasts one attempt: a guard-blocked write retries through the
+    /// invocation loop and must not keep this node's readers waiting
+    /// meanwhile.
+    fn write_through(
+        &self,
+        table: &RegimeTable,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        deadline: Instant,
+    ) -> Option<Result<PartOutcome, RtsError>> {
+        let owner = NodeId(table.owners[0]);
+        if !table.mirrors.contains(&self.inner.node.0) {
+            return None;
+        }
+        let object = table_object(table);
+        let mirror = mirror_entry(&self.inner, object);
+        if !mirror.mark_pending(table.epoch) {
+            return None;
+        }
+        let msg = RegimeMsg::WriteThrough {
+            object: object.0,
+            epoch: table.epoch,
+            op: op.to_vec(),
+            stamp,
+        };
+        let answer = self.rpc(owner, &msg, deadline);
+        Some(self.finish_write_through(&mirror, table.epoch, op, stamp, answer))
+    }
+
+    /// Close one write-through attempt: tell the mirror what the owner's
+    /// answer means for it ([`WriteAck`]) — which also clears the attempt's
+    /// pending mark — and turn the answer into the attempt's outcome.
+    ///
+    /// * `Installed` — the mirror applies the operation bytes still in hand
+    ///   at the sequence number the owner applied them at.
+    /// * `Blocked` / `StaleRegime` — nothing was applied under this epoch;
+    ///   the mirror is as current as it was (a retired regime's mirror goes
+    ///   with its `DropMirror`).
+    /// * A plain `Done` — the owner answered a retry from its dedup window
+    ///   (or serves no mirrors): the mirror may have missed the write and
+    ///   is dropped.
+    /// * An error or a timeout — the write may or may not have been
+    ///   applied. Without re-homing the mirror is dropped. With it, the
+    ///   owner may have died under the write — a killed process resets its
+    ///   connections long before a detector counts it out — and the mirror
+    ///   may be the only copy left (a table nobody reads keeps just the one
+    ///   at its home): it is left *locked*, like a mirror caught mid-push. It
+    ///   serves no read, still answers the `Holdings` query of whoever
+    ///   regenerates the object, and under a live owner the next update —
+    ///   this node's own, or a pushed one — brings it back or finds the gap.
+    fn finish_write_through(
+        &self,
+        mirror: &Mirror,
+        epoch: u64,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        answer: Result<RegimeReply, RtsError>,
+    ) -> Result<PartOutcome, RtsError> {
+        let inner = &self.inner;
+        let (ack, outcome) = match answer {
+            Ok(RegimeReply::Installed { reply, seq, lease }) => {
+                let ack = WriteAck::Installed {
+                    version: seq,
+                    stamped: stamp.map(|stamp| (stamp, reply.clone())),
+                    lease: lease.map(|valid_ms| mirror_lease(inner, valid_ms)),
+                };
+                (ack, Ok(PartOutcome::Done(reply)))
+            }
+            Ok(RegimeReply::Blocked) => (WriteAck::NotApplied, Ok(PartOutcome::Blocked)),
+            Ok(RegimeReply::StaleRegime) => (WriteAck::NotApplied, Ok(PartOutcome::Stale)),
+            Ok(RegimeReply::Done(reply)) => (WriteAck::Unsynced, Ok(PartOutcome::Done(reply))),
+            Ok(RegimeReply::Error(msg)) => (WriteAck::Unsynced, Err(RtsError::Communication(msg))),
+            Ok(other) => (
+                WriteAck::Unsynced,
+                Err(RtsError::Communication(format!(
+                    "unexpected WriteThrough reply {other:?}"
+                ))),
+            ),
+            Err(err) if inner.recovery.rehome => (WriteAck::AuthorityLost, Err(err)),
+            Err(err) => (WriteAck::Unsynced, Err(err)),
+        };
+        mirror.finish_write_through(&inner.updates, epoch, op, ack, inner.policy.op_timeout);
+        outcome
+    }
+
+    /// Fetch a fresh mirror state — or, when the copy at version `have` is
+    /// still current, a fresh lease alone — from the owner the table names.
+    /// Returns false when the owner says the table is stale (the epoch, or
+    /// this node's place in it; the caller re-fetches the table).
+    fn fetch_mirror(
+        &self,
+        object: ObjectId,
+        table: &RegimeTable,
+        mirror: &Mirror,
+        have: Option<u64>,
+        deadline: Instant,
+    ) -> Result<bool, RtsError> {
+        let msg = RegimeMsg::FetchMirror {
+            object: object.0,
+            epoch: table.epoch,
+            have,
+        };
+        match self.rpc(NodeId(table.owners[0]), &msg, deadline)? {
+            RegimeReply::Renewed(grant) => {
+                // Good for the copy it names and no other: an update that
+                // got here first brought its own lease.
+                let mut state = mirror.state.lock();
+                let named = (grant.epoch, grant.seq) == (state.epoch, state.version);
+                if named && state.epoch == table.epoch && state.copy.is_some() {
+                    state.lease = Some(mirror_lease(&self.inner, grant.valid_ms));
+                }
+                Ok(true)
+            }
+            RegimeReply::MirrorState {
+                state,
+                seq,
+                dedup,
+                lease,
+            } => {
+                let (inner, name) = (&self.inner, &table.type_name);
+                install_mirror(inner, object, table.epoch, name, &state, seq, dedup, lease)
+            }
+            RegimeReply::StaleRegime => Ok(false),
+            RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
+            other => Err(RtsError::Communication(format!(
+                "unexpected FetchMirror reply {other:?}"
+            ))),
+        }
+    }
+
+    /// Run an `Any`-routed operation: scan partitions (rotating start)
+    /// until one accepts. Safe to restart after a `StaleRegime`: every
+    /// non-accepted partition reply was a no-op.
+    fn any_partition_op(
+        &self,
+        table: &RegimeTable,
+        logic: &dyn orca_object::ShardLogic,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        deadline: Instant,
+    ) -> Result<PartOutcome, RtsError> {
+        let parts = table.partitions();
+        let start = (self.inner.node.index() as u64
+            + self.inner.any_seq.fetch_add(1, Ordering::Relaxed))
+            % u64::from(parts);
+        let mut last_pass = None;
+        let mut any_blocked = false;
+        for step in 0..parts {
+            let partition = ((start + u64::from(step)) % u64::from(parts)) as u32;
+            let part_op = logic.op_for(op, partition, parts)?;
+            match self.slot_op(table, partition, &part_op, stamp, deadline)? {
+                PartOutcome::Done(reply) => {
+                    if logic.accepts(op, &reply)? {
+                        return Ok(PartOutcome::Done(reply));
+                    }
+                    last_pass = Some(reply);
+                }
+                PartOutcome::Blocked => any_blocked = true,
+                PartOutcome::Stale => return Ok(PartOutcome::Stale),
+            }
+        }
+        if any_blocked {
+            Ok(PartOutcome::Blocked)
+        } else {
+            Ok(PartOutcome::Done(
+                last_pass.expect("scan visited at least one partition"),
+            ))
+        }
+    }
+
+    /// Run an `All`-routed operation through the home node, which fans it
+    /// out under its switch lock so no regime change can interleave with
+    /// the per-partition shares.
+    fn all_partitions_op(
+        &self,
+        table: &RegimeTable,
+        op: &[u8],
+        deadline: Instant,
+    ) -> Result<PartOutcome, RtsError> {
+        let object = table_object(table);
+        let home = current_home(&self.inner, object);
+        let reply = if home == self.inner.node {
+            serve_op_all(&self.inner, object, op, self.inner.node)
+        } else {
+            self.rpc(
+                home,
+                &RegimeMsg::OpAll {
+                    object: object.0,
+                    op: op.to_vec(),
+                },
+                deadline,
+            )?
+        };
+        match reply {
+            RegimeReply::Done(bytes) => Ok(PartOutcome::Done(bytes)),
+            RegimeReply::Blocked => Ok(PartOutcome::Blocked),
+            RegimeReply::StaleRegime => Ok(PartOutcome::Stale),
+            RegimeReply::ObjectLost => {
+                self.inner.lost.write().insert(object);
+                Err(RtsError::ObjectLost(object))
+            }
+            RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
+            other => Err(RtsError::Communication(format!(
+                "unexpected OpAll reply {other:?}"
+            ))),
+        }
+    }
+
+    /// Route one invocation under the current regime table.
+    pub(super) fn dispatch_client_op(
+        &self,
+        table: &RegimeTable,
+        kind: OpKind,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        deadline: Instant,
+    ) -> Result<PartOutcome, RtsError> {
+        let me = self.inner.node.0;
+        match table.regime {
+            RegimeKind::Replicated if kind == OpKind::Read && table.mirrors.contains(&me) => {
+                self.mirror_read(table, op, deadline)
+            }
+            // One copy, every operation executed at its owner. Under the
+            // replicated regime that is every write — through the writer's
+            // own mirror when the table lists one — and the reads of the
+            // owner and of a node the table lists no mirror for: shipped
+            // like a primary-regime read and counted like one, so a node
+            // that starts reading is a user at the next evaluation.
+            RegimeKind::Primary | RegimeKind::Replicated => {
+                self.record_invocation(table.owners[0] == me, kind);
+                let through = match kind {
+                    OpKind::Write => self.write_through(table, op, stamp, deadline),
+                    OpKind::Read => None,
+                };
+                match through {
+                    Some(outcome) => outcome,
+                    None => self.slot_op(table, 0, op, stamp, deadline),
+                }
+            }
+            RegimeKind::Sharded => {
+                let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
+                    // Pinned, a type that does not shard: one partition at
+                    // its creator, served like a primary copy.
+                    self.record_invocation(table.owners[0] == me, kind);
+                    return self.slot_op(table, 0, op, stamp, deadline);
+                };
+                let route = logic.route(op, table.partitions())?;
+                let all_local = match route {
+                    ShardRoute::One(p) => table.owners[p as usize] == me,
+                    ShardRoute::All | ShardRoute::Any => table.owners.iter().all(|&o| o == me),
+                };
+                self.record_invocation(all_local, kind);
+                match route {
+                    ShardRoute::One(partition) => {
+                        let part_op = logic.op_for(op, partition, table.partitions())?;
+                        self.slot_op(table, partition, &part_op, stamp, deadline)
+                    }
+                    ShardRoute::Any => {
+                        self.any_partition_op(table, logic.as_ref(), op, stamp, deadline)
+                    }
+                    // All-routed operations fan out at the home under its
+                    // switch lock; the shares of one logical op need
+                    // distinct stamps per partition, which the home mints —
+                    // not the client.
+                    ShardRoute::All => self.all_partitions_op(table, op, deadline),
+                }
+            }
+        }
+    }
+}
+
+impl RuntimeSystem for AdaptiveRts {
+    fn node(&self) -> NodeId {
+        self.inner.node
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes
+    }
+
+    fn create_object(&self, type_name: &str, initial_state: &[u8]) -> Result<ObjectId, RtsError> {
+        let inner = &self.inner;
+        let counter = inner.next_object.fetch_add(1, Ordering::Relaxed);
+        let id = ObjectId::compose(inner.node.0, counter);
+        // Left to itself every object starts in the primary regime: a
+        // single copy at home is the cheapest regime to leave once the
+        // access mix is known. A pinned regime is the one it is created in:
+        // a replicated copy here, without mirrors — nobody has read it yet.
+        let regime = inner.policy.pin.unwrap_or(RegimeKind::Primary);
+        let owners = match inner.registry.shard_logic(type_name) {
+            // The owners of an object nobody has used yet: every node's.
+            Some(_) if regime == RegimeKind::Sharded => {
+                placement(inner, id, &UsageAggregate::default(), &[])
+            }
+            _ => vec![inner.node.0],
+        };
+        let table = RegimeTable {
+            object: id.0,
+            type_name: type_name.to_string(),
+            epoch: 0,
+            regime,
+            owners,
+            mirrors: Vec::new(),
+        };
+        install_slots(inner, &table, initial_state, &DedupWindow::new())?;
+        inner.homes.write().insert(
+            id,
+            Arc::new(HomeObject {
+                table: Mutex::new(Arc::new(table)),
+                switch: Mutex::new(()),
+                usage: Mutex::new(UsageAggregate::default()),
+            }),
+        );
+        RtsStats::bump(&inner.stats.objects_created);
+        Ok(id)
+    }
+
+    fn invoke(
+        &self,
+        object: ObjectId,
+        _type_name: &str,
+        kind: OpKind,
+        op: &[u8],
+    ) -> Result<Vec<u8>, RtsError> {
+        let mut deadline = Instant::now() + self.inner.policy.op_timeout;
+        // Counted once per logical invocation, before the retry loop:
+        // guard-blocked and stale-regime retries must not masquerade as
+        // fresh accesses in the usage evidence driving regime decisions.
+        self.note_access(object, kind);
+        // Minted once per logical invocation and re-presented verbatim by
+        // every retry: a slot that already applied the write under this
+        // stamp answers its recorded reply instead of applying again.
+        let stamp = (kind == OpKind::Write).then(|| OpStamp {
+            origin: self.inner.node.0,
+            seq: self.inner.next_stamp.fetch_add(1, Ordering::Relaxed),
+        });
+        // When this invocation first found the node it needs dead.
+        let mut orphaned: Option<Instant> = None;
+        loop {
+            if self.inner.stopped.load(Ordering::SeqCst) {
+                return Err(RtsError::Terminated);
+            }
+            let attempt = self
+                .route_for(object, deadline)
+                .and_then(|table| self.dispatch_client_op(&table, kind, op, stamp, deadline));
+            let outcome = match attempt {
+                Ok(outcome) => outcome,
+                Err(RtsError::NodeDown(node)) if self.inner.recovery.rehome => {
+                    // The home (or a partition owner) is dead; adoption or
+                    // a regime fallback will re-home the object. Retry
+                    // until the deadline — or for as long as a re-homing
+                    // is waited for — then name the dead node. The
+                    // retry re-presents `stamp`, and the dedup window
+                    // rides mirror updates and regime transfers, so a
+                    // write the dead home already applied is answered its
+                    // recorded reply — exactly once, not at-least-once.
+                    self.inner.routes.lock().remove(&object);
+                    let since = *orphaned.get_or_insert_with(Instant::now);
+                    let patience = since + self.inner.recovery.rehome_wait;
+                    if Instant::now() >= deadline.min(patience) {
+                        return Err(RtsError::NodeDown(node));
+                    }
+                    std::thread::sleep(self.inner.policy.blocked_retry_delay);
+                    continue;
+                }
+                Err(err) => return Err(err),
+            };
+            match outcome {
+                PartOutcome::Done(reply) => return Ok(reply),
+                PartOutcome::Blocked => {
+                    // The guard was false: the replica answered, so the
+                    // transport is alive — restart the deadline and retry.
+                    RtsStats::bump(&self.inner.stats.guard_retries);
+                    std::thread::sleep(self.inner.policy.blocked_retry_delay);
+                    deadline = Instant::now() + self.inner.policy.op_timeout;
+                }
+                PartOutcome::Stale => {
+                    // A regime switch is (or was) in flight; re-fetch the
+                    // table. The deadline is *not* restarted: a regime that
+                    // never settles surfaces Timeout.
+                    self.inner.routes.lock().remove(&object);
+                    if Instant::now() >= deadline {
+                        return Err(RtsError::Timeout);
+                    }
+                    std::thread::sleep(self.inner.policy.stale_retry_delay);
+                }
+            }
+        }
+    }
+
+    fn invoke_async(
+        &self,
+        object: ObjectId,
+        _type_name: &str,
+        kind: OpKind,
+        op: &[u8],
+    ) -> PendingInvocation {
+        if self.inner.stopped.load(Ordering::SeqCst) {
+            return PendingInvocation::ready(Err(RtsError::Terminated));
+        }
+        if self.inner.is_lost(object) {
+            return PendingInvocation::ready(Err(RtsError::ObjectLost(object)));
+        }
+        if kind == OpKind::Write {
+            RtsStats::bump(&self.inner.stats.writes);
+        }
+        // The access evidence driving regime decisions counts logical
+        // invocations, exactly like the synchronous path.
+        self.note_access(object, kind);
+        let pipeline = self.ensure_pipeline();
+        let trace = trace::current();
+        // A guard-blocked op re-enters this same queue from wait(), so its
+        // re-execution keeps issue order instead of jumping ahead through
+        // the synchronous path.
+        let resubmit = {
+            let pipeline = Arc::clone(&pipeline);
+            let op = op.to_vec();
+            Arc::new(move |completer| {
+                pipeline.submit(QueuedOp {
+                    object,
+                    kind,
+                    op: op.clone(),
+                    trace,
+                    submitted: Instant::now(),
+                    completer,
+                })
+            })
+        };
+        let (handle, completer) = pending_pair(resubmit);
+        pipeline.submit(QueuedOp {
+            object,
+            kind,
+            op: op.to_vec(),
+            trace,
+            submitted: Instant::now(),
+            completer,
+        });
+        handle
+    }
+
+    fn stats(&self) -> RtsStatsSnapshot {
+        self.inner.stats.snapshot()
+    }
+
+    fn kind(&self) -> RtsKind {
+        self.inner.policy.kind()
+    }
+}
