@@ -26,7 +26,7 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// (version 6 put a `primary` node on `RegimeMsg` and
 /// `ports::RTS_ADAPTIVE` where it spoke a vocabulary of its own — and a
 /// recovery coordinator's — on three ports, made `Update` carry a run of
-/// operations and `DropMirror` the version of an invalidating write;
+/// operations and `DropCopies` the version of an invalidating write;
 /// version 5 made a `RegimeTable` name the mirrors of a replicated object,
 /// `Install` the slot's regime and mirrors, `Holdings` a regime per slot
 /// and `FetchMirror` the version its sender holds; version 4 put a

@@ -33,7 +33,7 @@ use orca_amoeba::NodeId;
 use orca_core::objects::{JobQueue, KvTable, TableEntry};
 use orca_core::{standard_registry, OrcaConfig, OrcaRuntime, RtsStrategy};
 use orca_perf::{CostModel, NodeLoad};
-use orca_rts::{AdaptivePolicy, RegimeKind, RtsKind};
+use orca_rts::{AdaptivePolicy, RegimeKind};
 
 /// Distinct keys the shared table holds.
 pub const TABLE_KEYS: u64 = 16;
@@ -109,9 +109,7 @@ pub fn strategies() -> Vec<(&'static str, RtsStrategy)> {
 /// rounding error next to the operations themselves.
 pub fn bench_policy() -> AdaptivePolicy {
     AdaptivePolicy {
-        report_every: 48,
-        evaluate_every: 96,
-        min_accesses: 24,
+        window: 48,
         ..AdaptivePolicy::default()
     }
 }
@@ -224,10 +222,7 @@ fn run_one(
     // strategies).
     runtime.propose_regime(table.handle().id());
     runtime.propose_regime(queue.handle().id());
-    // A regime is a result only where it was a decision: `sharded` runs the
-    // same engine with the regime pinned.
-    let adapts = runtime.config().strategy.kind() == RtsKind::Adaptive;
-    let regime_of = |object| regime_name(runtime.object_regime(object).filter(|_| adapts));
+    let regime_of = |object| regime_name(runtime.object_regime(object));
     let table_regime = regime_of(table.handle().id());
     let queue_regime = regime_of(queue.handle().id());
 
@@ -372,15 +367,17 @@ mod tests {
         assert_eq!(rows.len(), 12);
         assert!(rows.iter().all(|r| r.ops_per_sec > 0.0));
         assert!(rows.iter().all(|r| r.bottleneck_seconds > 0.0));
-        // Fixed strategies report no regimes; adaptive reports both.
-        assert!(rows
-            .iter()
-            .filter(|r| r.strategy != "adaptive")
-            .all(|r| r.table_regime == "-" && r.queue_regime == "-"));
-        assert!(rows
-            .iter()
-            .filter(|r| r.strategy == "adaptive")
-            .all(|r| r.table_regime != "-" && r.queue_regime != "-"));
+        // A pin reports the regime it pins, broadcast has none, and
+        // adaptive reports what it decided.
+        for row in &rows {
+            let regimes = [row.table_regime, row.queue_regime];
+            match row.strategy {
+                "broadcast" => assert_eq!(regimes, ["-"; 2]),
+                "update" => assert_eq!(regimes, ["replicated"; 2]),
+                "sharded" => assert_eq!(regimes, ["sharded"; 2]),
+                _ => assert!(!regimes.contains(&"-"), "{row:?}"),
+            }
+        }
         let json = to_json(&rows);
         assert!(json.contains("\"bench\": \"adaptive_mixed\""));
         assert!(json.contains("\"adaptive_vs_best_fixed\""));

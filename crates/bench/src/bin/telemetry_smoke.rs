@@ -81,8 +81,7 @@ fn main() {
             // The reader's copy is placed once, by the proposal below, and
             // kept: nothing reports afterwards.
             policy: AdaptivePolicy {
-                report_every: u64::MAX,
-                min_accesses: 8,
+                window: u64::MAX,
                 read_lease_ms: 60_000,
                 ..AdaptivePolicy::primary_copy(WritePolicy::Update)
             },

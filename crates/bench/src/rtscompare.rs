@@ -19,7 +19,7 @@ use orca_amoeba::NodeId;
 use orca_core::objects::{IntObject, IntOp};
 use orca_core::{OrcaConfig, OrcaRuntime, RtsStrategy};
 use orca_perf::{CostModel, NodeLoad};
-use orca_rts::{AdaptivePolicy, RegimeKind, RtsKind, WritePolicy};
+use orca_rts::{AdaptivePolicy, RtsKind, WritePolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,18 +147,13 @@ pub struct LeasedReadReport {
 }
 
 fn read_phase(nodes: usize, reads_per_node: usize, leased: bool) -> ReadPhase {
-    // The two sides are two pins of one engine: a copy at its creator and
-    // never another, or the primary-copy backend's leased secondaries.
-    // Leases and tables far outlast the phase and nothing reports during
-    // it, so no renewal, re-fetch or usage report perturbs the
-    // zero-message claim.
+    // The two sides are one policy: a copy at its creator that nothing was
+    // ever reported about, and so has no mirror, or — one proposal later —
+    // the primary-copy backend's leased secondaries. Leases and tables far
+    // outlast the phase and nothing reports during it, so no renewal,
+    // re-fetch or usage report perturbs the zero-message claim.
     let policy = AdaptivePolicy {
-        pin: Some(match leased {
-            true => RegimeKind::Replicated,
-            false => RegimeKind::Primary,
-        }),
-        report_every: u64::MAX,
-        min_accesses: 1,
+        window: u64::MAX,
         regime_lease: Duration::from_secs(60),
         read_lease_ms: 60_000,
         ..AdaptivePolicy::primary_copy(WritePolicy::Update)
@@ -169,15 +164,15 @@ fn read_phase(nodes: usize, reads_per_node: usize, leased: bool) -> ReadPhase {
     };
     let runtime = OrcaRuntime::start(config, orca_core::standard_registry());
     let counter = runtime.create::<IntObject>(&1).expect("create counter");
-    // Prime past one evaluation: every node reads, the home places a leased
-    // copy on each reader, and one more read each warms the table caches —
-    // the measured phase is pure steady-state reads.
+    // Prime past one evaluation: every node reads, the home — asked to —
+    // places a leased copy on each reader, and one more read each warms the
+    // table caches — the measured phase is pure steady-state reads.
     for round in 0..2 {
         for node in 0..nodes {
             let read = runtime.context(node).invoke(counter, &IntOp::Value);
             read.expect("priming read");
         }
-        if round == 0 {
+        if round == 0 && leased {
             runtime.propose_regime(counter.id());
         }
     }

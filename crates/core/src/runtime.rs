@@ -603,10 +603,9 @@ impl OrcaRuntime {
 
     /// The node owning each authoritative replica of `object` under the
     /// adaptive runtime system — one per partition in the sharded regime,
-    /// the single copy's owner otherwise: the home in the primary regime,
-    /// a node that writes the object in the replicated one (freshly read
-    /// from the object's home node) — or `None` under the broadcast
-    /// strategy.
+    /// the single copy's owner in the replicated one, a node that writes
+    /// the object (freshly read from the object's home node) — or `None`
+    /// under the broadcast strategy.
     pub fn object_placement(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         match self.live_rts() {
             NodeRts::Adaptive(rts) => rts.placement_of(object).ok().map(|(_, _, owners)| owners),

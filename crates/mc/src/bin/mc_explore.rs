@@ -9,6 +9,11 @@
 
 use orca_mc::{all_scenarios, explore, Report};
 
+/// The scenario that used to have a row, and why it no longer does.
+const RETIRED: &str = "{ \"scenario\": \"primary_write_through_copy\", \"why\": \"deleted, not \
+    re-pointed: it explored the tree of adaptive_write_through_mirror (64 schedules, 742 steps) \
+    under a pin to the regime every object now starts in\" }";
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -52,8 +57,9 @@ fn main() {
         .map(report_json)
         .collect::<Vec<_>>()
         .join(",\n");
-    let json =
-        format!("{{\n  \"benchmark\": \"model_check\",\n  \"scenarios\": [\n{body}\n  ]\n}}\n");
+    let json = format!(
+        "{{\n  \"benchmark\": \"model_check\",\n  \"scenarios\": [\n{body}\n  ],\n  \"retired\": [\n    {RETIRED}\n  ]\n}}\n"
+    );
     std::fs::write(&out, json).unwrap_or_else(|err| panic!("writing {out}: {err}"));
     println!("wrote {out}");
     let violations: Vec<&Report> = reports.iter().filter(|r| r.violation.is_some()).collect();

@@ -39,6 +39,6 @@ pub use engine::{
 pub use invariants::{check_counter, check_jobs, WorkerOutcome};
 pub use scenarios::{
     all_scenarios, AdaptiveRegimeSwitch, AdaptiveWriteThroughMirror, BroadcastEraReplay,
-    BroadcastOrdering, PrimaryFetchRace, PrimaryLeaseRevoke, PrimaryPromotion,
-    PrimaryWriteThroughCopy, ReplicatedOwnerPush, ShardedHandoff,
+    BroadcastOrdering, PrimaryFetchRace, PrimaryLeaseRevoke, PrimaryPromotion, ReplicatedOwnerPush,
+    ShardedHandoff,
 };

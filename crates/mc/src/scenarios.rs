@@ -175,9 +175,7 @@ fn eager_replication(write: WritePolicy) -> AdaptivePolicy {
 /// copies stay put and every message in a schedule belongs to an operation.
 fn placed_once(policy: AdaptivePolicy) -> AdaptivePolicy {
     AdaptivePolicy {
-        report_every: u64::MAX,
-        evaluate_every: u64::MAX,
-        min_accesses: 4,
+        window: u64::MAX,
         regime_lease: Duration::from_secs(60),
         // Stretch the bounce-retry cadence: while a switch or a re-homing
         // holds an op back, a 5 ms retry loop floods the pool with table
@@ -861,14 +859,14 @@ impl Scenario for ShardedHandoff {
 // 7. Adaptive: regime switch under concurrent operations.
 // ---------------------------------------------------------------------------
 
-/// Two nodes under the adaptive runtime with hair-trigger thresholds: the
-/// read-dominated workload makes the home re-evaluate the counter's regime
-/// *during* the schedule and switch primary → replicated, draining the old
-/// regime and installing mirrors under the next epoch while both workers
-/// keep reading and writing. Every interleaving of the drain/install
-/// hand-shake against in-flight operations must preserve sequential
-/// consistency — no write swallowed by a retiring regime, none applied in
-/// both.
+/// Two nodes under the adaptive runtime with a hair-trigger window: the
+/// workload makes the home re-evaluate the counter *during* the schedule
+/// and give its unmirrored copy a first mirror, on the other node — a
+/// switch: the copy is drained and installed again under the next epoch,
+/// its mirror primed, while both workers keep reading and writing. Every
+/// interleaving of the drain/install hand-shake against in-flight
+/// operations must preserve sequential consistency — no write swallowed by
+/// a retiring epoch, none applied in both.
 pub struct AdaptiveRegimeSwitch {
     /// Exploration budgets.
     pub budget: McConfig,
@@ -900,17 +898,10 @@ impl Scenario for AdaptiveRegimeSwitch {
         let mut cfg = OrcaConfig::adaptive(2);
         cfg.strategy = RtsStrategy::Adaptive {
             policy: AdaptivePolicy {
-                report_every: 2,
-                // Evaluate on the same cadence evidence becomes sufficient:
-                // with `evaluate_every` below `min_accesses` every window
-                // closes (and halves the decayed aggregate) before it can
-                // reach the threshold and the switch never fires.
-                evaluate_every: 4,
-                min_accesses: 4,
-                replicate_ratio: 1.5,
+                // A report every two accesses, an evaluation every four.
+                window: 2,
                 // The integer is not shardable, but keep the door shut
-                // explicitly: this scenario is about the primary →
-                // replicated switch.
+                // explicitly: this scenario is about the first mirror.
                 shard_write_fraction: 0.95,
                 regime_lease: Duration::from_secs(5),
                 // Stretch the bounce-retry cadence: while the switch holds
@@ -945,11 +936,11 @@ impl Scenario for AdaptiveRegimeSwitch {
         let workers: Vec<_> = (0..2)
             .map(|node| {
                 let base = 4 * node as i64;
-                // Read-heavy: the accumulated reports push the home over
-                // the replicate threshold mid-schedule (3:1 stays above
-                // `replicate_ratio` in every later window too, so the
-                // regime switches exactly once — no flapping, which would
-                // blow the interleaving tree past any budget).
+                // Read-heavy: node 1 is a reader in the window that closes
+                // mid-schedule and in every later one, and the home goes on
+                // writing, so the object is re-placed exactly once — no
+                // flapping, which would blow the interleaving tree past any
+                // budget.
                 let steps = vec![Step::Read, Step::Read, Step::Write(1 << base), Step::Read];
                 rt.fork_on(node, &format!("mc-w{node}"), move |ctx| {
                     counter_worker(ctx, handle, steps)
@@ -964,19 +955,19 @@ impl Scenario for AdaptiveRegimeSwitch {
         finish_counter(exec, &rt, workers, handle)?;
         // The scenario is pointless if the switch silently stopped firing
         // (a policy-tuning regression would degenerate every schedule to
-        // plain primary-copy traffic) — fail loudly instead.
-        match rt.object_regime(handle.id()) {
-            Some(orca_rts::RegimeKind::Replicated) => Ok(()),
+        // operations shipped to a single copy) — fail loudly instead.
+        match rt.copy_holders(0, handle.id()) {
+            Some(mirrors) if mirrors == [NodeId(1)] => Ok(()),
             other => Err(format!(
-                "regime switch never happened: object ended in {other:?}, expected Replicated"
+                "the switch never happened: mirrors ended as {other:?}, expected node 1"
             )),
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// 8 – 10. The update protocol: writing through the writer's own copy
-// (primary-copy and adaptive), and the owner's push to two holders.
+// 8 – 9. The update protocol: writing through the writer's own mirror, and
+// the owner's push to two holders.
 // ---------------------------------------------------------------------------
 
 /// Failure-detector timing of the write-through scenarios, the crash lanes'
@@ -1168,16 +1159,19 @@ fn run_witnessed(
     stale.map_or(Ok(()), Err)
 }
 
-/// Three nodes, primary-copy with two-phase updates: node 0 holds the
-/// primary, nodes 1 and 2 hold secondary copies (primed before the
-/// scheduler installs) and each runs a writer and a reader. Every write is
-/// shipped *through* the writer's copy — marked pending, left out of the
-/// primary's push, brought up to date from the acknowledgement — so the
-/// search interleaves each acknowledgement with the other holder's push
-/// (the fan-out's only one, so never held and never unlocked), the other
-/// writer's own write-through, and the reader polling the pending copy. It may crash node 2 (a copy holder,
-/// writer and reader with it) at any point: the primary's push to it then
-/// fails into the failure detector and the survivors carry on.
+/// Three nodes, an object that adapted into a mirrored copy: node 0 holds
+/// the copy, nodes 1 and 2 hold mirrors (placed by the one proposal that
+/// ends the priming, before the scheduler installs; usage reporting is off,
+/// so the placement stays put and every message in the schedule belongs to
+/// a write) and each runs a writer and a reader. Every write is shipped
+/// *through* the writer's mirror — marked pending, left out of the owner's
+/// push, brought up to date from the acknowledgement — so the search
+/// interleaves each acknowledgement with the other holder's push (the
+/// fan-out's only one, so never held and never unlocked), the other
+/// writer's own write-through, and the reader polling the pending copy. It
+/// may crash node 2 (a mirror holder, writer and reader with it) at any
+/// point: the owner's push to it then fails into the failure detector and
+/// the survivors carry on.
 ///
 /// Checked: sequential consistency over writers *and* readers, no acked
 /// write lost, none applied twice, convergence of the live nodes,
@@ -1187,14 +1181,14 @@ fn run_witnessed(
 /// that. (It stays on the update policy: under invalidation the
 /// reader beside a writer would fetch its copy back — a second sending
 /// thread on its node.)
-pub struct PrimaryWriteThroughCopy {
+pub struct AdaptiveWriteThroughMirror {
     /// Exploration budgets.
     pub budget: McConfig,
 }
 
-impl Default for PrimaryWriteThroughCopy {
+impl Default for AdaptiveWriteThroughMirror {
     fn default() -> Self {
-        PrimaryWriteThroughCopy {
+        AdaptiveWriteThroughMirror {
             budget: McConfig {
                 max_schedules: 64,
                 max_depth: 72,
@@ -1210,9 +1204,9 @@ impl Default for PrimaryWriteThroughCopy {
     }
 }
 
-impl Scenario for PrimaryWriteThroughCopy {
+impl Scenario for AdaptiveWriteThroughMirror {
     fn name(&self) -> &'static str {
-        "primary_write_through_copy"
+        "adaptive_write_through_mirror"
     }
 
     fn config(&self) -> McConfig {
@@ -1220,12 +1214,12 @@ impl Scenario for PrimaryWriteThroughCopy {
     }
 
     fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
-        let mut cfg = OrcaConfig::primary_copy(3, WritePolicy::Update);
+        let mut cfg = OrcaConfig::adaptive(3);
         cfg.strategy = RtsStrategy::Adaptive {
-            policy: AdaptivePolicy {
+            policy: placed_once(AdaptivePolicy {
                 op_timeout: CRASHED_OP_TIMEOUT,
-                ..eager_replication(WritePolicy::Update)
-            },
+                ..AdaptivePolicy::default()
+            }),
         };
         cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
@@ -1246,7 +1240,7 @@ impl Scenario for PrimaryWriteThroughCopy {
 /// acknowledgements and the unlock with the two readers, and may crash
 /// node 2 at any point (the fan-out is then node 1 alone, and unheld).
 ///
-/// Checked as in [`PrimaryWriteThroughCopy`], the real-time floor above
+/// Checked as in [`AdaptiveWriteThroughMirror`], the real-time floor above
 /// all: the `UNHELD_EVERY_PUSH` mutation lets node 1's reader see the new
 /// value while node 2, not yet pushed to, still serves the old one.
 pub struct ReplicatedOwnerPush {
@@ -1257,7 +1251,7 @@ pub struct ReplicatedOwnerPush {
 impl Default for ReplicatedOwnerPush {
     fn default() -> Self {
         ReplicatedOwnerPush {
-            budget: PrimaryWriteThroughCopy::default().budget,
+            budget: AdaptiveWriteThroughMirror::default().budget,
         }
     }
 }
@@ -1287,52 +1281,8 @@ impl Scenario for ReplicatedOwnerPush {
     }
 }
 
-/// The same workload and checks as [`PrimaryWriteThroughCopy`] on an object
-/// that *adapted* into the replicated regime instead of being created in
-/// it: the counter is switched to `Replicated` and both mirrors primed
-/// before the scheduler installs, and usage reporting is off, so the regime
-/// stays put and every message in the schedule belongs to a write.
-pub struct AdaptiveWriteThroughMirror {
-    /// Exploration budgets.
-    pub budget: McConfig,
-}
-
-impl Default for AdaptiveWriteThroughMirror {
-    fn default() -> Self {
-        AdaptiveWriteThroughMirror {
-            budget: PrimaryWriteThroughCopy::default().budget,
-        }
-    }
-}
-
-impl Scenario for AdaptiveWriteThroughMirror {
-    fn name(&self) -> &'static str {
-        "adaptive_write_through_mirror"
-    }
-
-    fn config(&self) -> McConfig {
-        self.budget.clone()
-    }
-
-    fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
-        let mut cfg = OrcaConfig::adaptive(3);
-        cfg.strategy = RtsStrategy::Adaptive {
-            policy: placed_once(AdaptivePolicy {
-                replicate_ratio: 1.5,
-                op_timeout: CRASHED_OP_TIMEOUT,
-                ..AdaptivePolicy::default()
-            }),
-        };
-        cfg.recovery = mc_recovery();
-        let rt = OrcaRuntime::start(cfg, standard_registry());
-        let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        prime_copies(&rt, handle)?;
-        run_witnessed(exec, &rt, handle, &[1, 2])
-    }
-}
-
-/// All ten scenarios: one per protocol family, the three crash lanes, and
-/// the three update-protocol lanes.
+/// All nine scenarios: one per protocol family, the three crash lanes, and
+/// the two update-protocol lanes.
 pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(BroadcastOrdering::default()),
@@ -1342,7 +1292,6 @@ pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
         Box::new(PrimaryLeaseRevoke::default()),
         Box::new(ShardedHandoff::default()),
         Box::new(AdaptiveRegimeSwitch::default()),
-        Box::new(PrimaryWriteThroughCopy::default()),
         Box::new(AdaptiveWriteThroughMirror::default()),
         Box::new(ReplicatedOwnerPush::default()),
     ]

@@ -76,17 +76,12 @@ fn skipping_era_replay_is_caught_and_replays() {
 fn skipped_writer_pending_mark_is_caught_and_replays() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&SKIP_WRITER_PENDING_MARK);
-    for scenario in [
-        &orca_mc::PrimaryWriteThroughCopy::default() as &dyn Scenario,
-        &orca_mc::AdaptiveWriteThroughMirror::default(),
-    ] {
-        let violation = expect_caught(scenario);
-        assert!(
-            violation.message.contains("stale observation"),
-            "caught for the wrong reason: {}",
-            violation.message
-        );
-    }
+    let violation = expect_caught(&orca_mc::AdaptiveWriteThroughMirror::default());
+    assert!(
+        violation.message.contains("stale observation"),
+        "caught for the wrong reason: {}",
+        violation.message
+    );
 }
 
 #[test]

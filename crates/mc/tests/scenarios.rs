@@ -85,11 +85,6 @@ fn primary_lease_revoke_keeps_leased_reads_linearizable() {
 }
 
 #[test]
-fn primary_write_through_copy_never_serves_a_stale_copy() {
-    run(&orca_mc::PrimaryWriteThroughCopy::default(), false);
-}
-
-#[test]
 fn adaptive_write_through_mirror_never_serves_a_stale_mirror() {
     run(&orca_mc::AdaptiveWriteThroughMirror::default(), false);
 }

@@ -85,6 +85,9 @@ impl AdaptiveRts {
             }
         }
         match self.rpc(home, &RegimeMsg::Route { object: object.0 }, deadline)? {
+            RegimeReply::Route(table) if !served(table.regime) => Err(RtsError::Communication(
+                format!("unknown regime {:?} of {object}", table.regime),
+            )),
             RegimeReply::Route(table) => {
                 let table = Arc::new(table);
                 self.inner
@@ -111,7 +114,7 @@ impl AdaptiveRts {
     }
 
     /// Count a local access and ship a usage report to the home every
-    /// [`AdaptivePolicy::report_every`] accesses.
+    /// [`AdaptivePolicy::window`] accesses.
     fn note_access(&self, object: ObjectId, kind: OpKind) {
         if !self.inner.policy.counts_usage() {
             return;
@@ -123,7 +126,7 @@ impl AdaptiveRts {
                 OpKind::Read => entry.0 += 1,
                 OpKind::Write => entry.1 += 1,
             }
-            if entry.0 + entry.1 >= self.inner.policy.report_every {
+            if entry.0 + entry.1 >= self.inner.policy.window {
                 pending.remove(&object)
             } else {
                 None
@@ -204,8 +207,8 @@ impl AdaptiveRts {
 
     /// Execute one flusher round. The adaptive system *inherits* batching
     /// through the regime each object currently delegates to: slot-addressed
-    /// operations (the primary regime's home copy, replicated-regime
-    /// writes, `One`-routed sharded operations) coalesce into one
+    /// operations (whatever a replicated-regime copy's owner executes,
+    /// `One`-routed sharded operations) coalesce into one
     /// epoch-stamped operation-batch request per destination node; mirror
     /// reads stay local; `All`/`Any` fan-outs act as barriers. Operations
     /// bounced by a regime switch (`Stale`) retry in a follow-up pass.
@@ -287,16 +290,6 @@ impl AdaptiveRts {
                         Err(err) => RoundSlot::Ready(Err(err)),
                     };
                 }
-                // One copy: every operation goes to its owner — under the
-                // replicated regime every write, and the reads of the owner
-                // and of a node the table lists no mirror for.
-                RegimeKind::Primary | RegimeKind::Replicated => {
-                    batches.push(
-                        NodeId(table.owners[0]),
-                        i,
-                        op.batched(0, table.epoch, &op.op),
-                    );
-                }
                 RegimeKind::Sharded => {
                     let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
                         // Pinned, a type that does not shard: one partition.
@@ -366,6 +359,16 @@ impl AdaptiveRts {
                         }
                         Err(err) => slots[i] = RoundSlot::Ready(Err(err.into())),
                     }
+                }
+                // One copy: every operation goes to its owner — every write,
+                // and the reads of the owner and of a node the table lists
+                // no mirror for.
+                _ => {
+                    batches.push(
+                        NodeId(table.owners[0]),
+                        i,
+                        op.batched(0, table.epoch, &op.op),
+                    );
                 }
             }
         }
@@ -587,7 +590,7 @@ impl AdaptiveRts {
     ///   at the sequence number the owner applied them at.
     /// * `Blocked` / `StaleRegime` — nothing was applied under this epoch;
     ///   the mirror is as current as it was (a retired regime's mirror goes
-    ///   with its `DropMirror`).
+    ///   with its `DropCopies`).
     /// * A plain `Done` — the owner answered a retry from its dedup window
     ///   (or serves no mirrors): the mirror may have missed the write and
     ///   is dropped.
@@ -772,27 +775,10 @@ impl AdaptiveRts {
             RegimeKind::Replicated if kind == OpKind::Read && table.mirrors.contains(&me) => {
                 self.mirror_read(table, op, deadline)
             }
-            // One copy, every operation executed at its owner. Under the
-            // replicated regime that is every write — through the writer's
-            // own mirror when the table lists one — and the reads of the
-            // owner and of a node the table lists no mirror for: shipped
-            // like a primary-regime read and counted like one, so a node
-            // that starts reading is a user at the next evaluation.
-            RegimeKind::Primary | RegimeKind::Replicated => {
-                self.record_invocation(table.owners[0] == me, kind);
-                let through = match kind {
-                    OpKind::Write => self.write_through(table, op, stamp, deadline),
-                    OpKind::Read => None,
-                };
-                match through {
-                    Some(outcome) => outcome,
-                    None => self.slot_op(table, 0, op, stamp, deadline),
-                }
-            }
             RegimeKind::Sharded => {
                 let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
                     // Pinned, a type that does not shard: one partition at
-                    // its creator, served like a primary copy.
+                    // its creator.
                     self.record_invocation(table.owners[0] == me, kind);
                     return self.slot_op(table, 0, op, stamp, deadline);
                 };
@@ -817,6 +803,22 @@ impl AdaptiveRts {
                     ShardRoute::All => self.all_partitions_op(table, op, deadline),
                 }
             }
+            // One copy, every operation executed at its owner: every write
+            // — through the writer's own mirror when the table lists one —
+            // and the reads of the owner and of a node the table lists no
+            // mirror for, shipped and counted, so a node that starts
+            // reading is a user at the next evaluation.
+            _ => {
+                self.record_invocation(table.owners[0] == me, kind);
+                let through = match kind {
+                    OpKind::Write => self.write_through(table, op, stamp, deadline),
+                    OpKind::Read => None,
+                };
+                match through {
+                    Some(outcome) => outcome,
+                    None => self.slot_op(table, 0, op, stamp, deadline),
+                }
+            }
         }
     }
 }
@@ -834,11 +836,9 @@ impl RuntimeSystem for AdaptiveRts {
         let inner = &self.inner;
         let counter = inner.next_object.fetch_add(1, Ordering::Relaxed);
         let id = ObjectId::compose(inner.node.0, counter);
-        // Left to itself every object starts in the primary regime: a
-        // single copy at home is the cheapest regime to leave once the
-        // access mix is known. A pinned regime is the one it is created in:
-        // a replicated copy here, without mirrors — nobody has read it yet.
-        let regime = inner.policy.pin.unwrap_or(RegimeKind::Primary);
+        // Unless pinned to sharded, an object starts as a replicated copy
+        // here, without mirrors: nobody has read it yet.
+        let regime = inner.policy.pin.unwrap_or(RegimeKind::Replicated);
         let owners = match inner.registry.shard_logic(type_name) {
             // The owners of an object nobody has used yet: every node's.
             Some(_) if regime == RegimeKind::Sharded => {

@@ -7,6 +7,13 @@
 use orca_object::ObjectId;
 pub use orca_wire::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 
+/// True for the regimes this engine serves. The wire vocabulary reserves
+/// one more name; a table or an install that carries it is refused like any
+/// unknown regime.
+pub(crate) fn served(regime: RegimeKind) -> bool {
+    matches!(regime, RegimeKind::Replicated | RegimeKind::Sharded)
+}
+
 /// The object a wire-level regime table refers to.
 pub(crate) fn table_object(table: &RegimeTable) -> ObjectId {
     ObjectId(table.object)
@@ -24,7 +31,7 @@ mod tests {
             object: object.0,
             type_name: "orca.Int".into(),
             epoch: 0,
-            regime: RegimeKind::Primary,
+            regime: RegimeKind::Replicated,
             owners: vec![2],
             mirrors: Vec::new(),
         };

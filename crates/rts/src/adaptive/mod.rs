@@ -18,10 +18,8 @@
 //!   fetched again at the next read; a writer that holds a mirror writes
 //!   *through* it and is left out of either. Reads are local at the owner
 //!   and at a mirror; a node the table lists neither for ships them to the
-//!   owner. For read-dominated objects.
-//! * **Primary** — a single copy at the home node, all remote operations
-//!   shipped by RPC. For mixed or low-traffic objects (and the regime
-//!   every object starts in).
+//!   owner. A copy nobody reads has no mirror and a write to it costs the
+//!   request and the reply: how every object starts, at its creator.
 //! * **Sharded** — the object is split with its type's partitioning logic
 //!   ([`orca_object::shard`]) into hash-partitioned slices spread over the
 //!   nodes that use it, operations shipped point-to-point to partition
@@ -36,21 +34,20 @@
 //! below about counting, reporting and evaluating applies then, and
 //! nothing depends on the wall clock. Pinned to replicated
 //! ([`AdaptivePolicy::primary_copy`]) it is the `primary` backend, the
-//! paper's point-to-point runtime system: one authoritative copy — created
-//! at the creator, without mirrors — and a *dynamic* set of secondary
-//! copies. Usage is counted, reported and evaluated as below, for where the
-//! object lives alone: the copy moves to a node that writes it, mirrors
-//! come and go where it is read.
+//! paper's point-to-point runtime system: one authoritative copy and a
+//! *dynamic* set of secondary copies. Usage is counted, reported and
+//! evaluated as below, for where the object lives alone: the copy moves to
+//! a node that writes it, mirrors come and go where it is read.
 //!
 //! ## Who decides, and how nodes agree
 //!
 //! Every node counts its own reads/writes per object and reports them to
-//! the object's home node every [`AdaptivePolicy::report_every`] accesses,
+//! the object's home node every [`AdaptivePolicy::window`] accesses,
 //! one-way: no invocation waits for the home. The home folds the reports
 //! into a *decayed* per-node aggregate ([`crate::AccessStats::decay_halve`]
 //! — stale bursts lose half their weight per evaluation window, so they
-//! cannot pin a regime) and re-evaluates the regime every
-//! [`AdaptivePolicy::evaluate_every`] reported accesses. The home's [`RegimeTable`] is authoritative; other
+//! cannot pin a regime) and re-evaluates the regime every two windows of
+//! reported accesses. The home's [`RegimeTable`] is authoritative; other
 //! nodes cache it and carry its epoch in every shipped operation — a server
 //! that sees an outdated epoch answers `StaleRegime` and the client
 //! re-fetches. That check is the whole invalidation where every operation
@@ -76,7 +73,7 @@
 //!    sees the mark, and is answered `StaleRegime` instead of being applied
 //!    to (and acknowledged against) an orphaned replica — the caller
 //!    retries under the new regime. The owner of a retiring replicated
-//!    regime drops its mirrors ([`RegimeMsg::DropMirror`]) and settles the
+//!    regime drops its mirrors ([`RegimeMsg::DropCopies`]) and settles the
 //!    leases it granted them before it hands the state over, so no node
 //!    keeps serving pre-switch reads; the regime lease bounds the staleness
 //!    window if a drop notification is lost to a crash.
@@ -87,9 +84,10 @@
 //!    replicated regime's copy primes the mirrors the table lists
 //!    ([`RegimeMsg::Mirror`]) and is their lease grantor from then on. If
 //!    a remote install fails (crashed node), a switch into a regime falls
-//!    back to a primary-regime copy at home under a further epoch — the merged
-//!    state is in hand, so the fallback cannot fail and no state is lost —
-//!    and a re-placement goes back to the owners and epoch it had.
+//!    back to a replicated copy at home, without mirrors, under a further
+//!    epoch — the merged state is in hand, so the fallback cannot fail and
+//!    no state is lost — and a re-placement goes back to the owners and
+//!    epoch it had.
 //! 4. **Publish.** The home's table gets the new epoch; stale caches
 //!    recover through `StaleRegime` replies or lease expiry.
 //!
@@ -110,19 +108,20 @@
 //! version; the partitions keep their epoch, and clients learn of the new
 //! owner because they distrust a cached table that names a dead one. A
 //! replicated regime's copy has its mirrors for backups — with re-homing
-//! on, a copy that would have none and has left its home keeps one there:
-//! when its owner dies the home regenerates it from the freshest one, as a
-//! single copy of its own under the next epoch (primary-regime, or, where
-//! that regime is pinned, replicated and without mirrors until the next
-//! evaluation). When the *home* dies the lowest live node
+//! on, a copy that would have none keeps one, at its home once it has left
+//! it and on the next live node while it is there: when its owner dies the
+//! home regenerates it from the freshest one, as a single copy of its own
+//! under the next epoch, without mirrors until the next evaluation. When
+//! the *home* dies the lowest live node
 //! adopts the object on first contact with the same steps: the newest epoch
 //! any survivor holds a part of is the object's, every partition of it must
 //! have a slot or a backup (how many there are follows from the policy
 //! every node runs), a replicated-regime copy whose owner survives keeps
 //! serving under the epoch it has, and one that died with the home is
-//! regenerated from its freshest read mirror. What leaves none of these — a
-//! primary-regime copy, a partition whose owner and backup both died — is
-//! lost, explicitly ([`RtsError::ObjectLost`]).
+//! regenerated from its freshest read mirror. What leaves none of these — an
+//! object its creator took along before a first evaluation placed it, a
+//! partition whose owner and backup both died — is lost, explicitly
+//! ([`RtsError::ObjectLost`]).
 //!
 //! ## Residual windows
 //!
@@ -168,7 +167,7 @@ use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
-use messages::{table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
+use messages::{served, table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use policy::{pick_regime, place, Count, UsageAggregate};
 // The role files share this file's vocabulary (`use super::*`), each other's
 // through it.

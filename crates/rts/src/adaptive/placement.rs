@@ -4,9 +4,11 @@
 
 use super::*;
 
-/// Close a usage window at the home and switch the regime if the decayed
-/// evidence says a different one fits — or, for a regime that places by
-/// use, the same one over different nodes.
+/// Close a usage window at the home — two windows of reports came in, or a
+/// proposal asks — and switch the regime if the decayed evidence says the
+/// other one fits, or the same one over different nodes: both place by use,
+/// and the switch returns early unless something moved. No evidence at all
+/// keeps what there is.
 pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>) {
     if !inner.policy.counts_usage() {
         return;
@@ -17,7 +19,7 @@ pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<
         usage.end_window();
         totals
     };
-    if reads + writes < inner.policy.min_accesses {
+    if reads + writes == 0 {
         return;
     }
     let (current, type_name) = {
@@ -29,14 +31,9 @@ pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<
         let nodes = inner.num_nodes;
         pick_regime(reads, writes, shardable, nodes, current, &inner.policy)
     });
-    // The sharded and replicated regimes place by use, so they are worth a
-    // second look when the regime itself fits: the switch returns early
-    // unless the placement moved.
-    if target != current || target != RegimeKind::Primary {
-        // A failed switch (crashed peer) leaves the old regime in place;
-        // the next evaluation window simply proposes it again.
-        let _ = switch_regime(inner, object, entry, target, None);
-    }
+    // A failed switch (crashed peer) leaves the old regime in place; the
+    // next evaluation window simply proposes it again.
+    let _ = switch_regime(inner, object, entry, target, None);
 }
 
 /// Owners of the partitions of sharded-regime `object`, by use: spread
@@ -94,24 +91,29 @@ pub(super) fn switch_regime(
             placement(inner, object, &entry.usage.lock(), owned),
             Vec::new(),
         ),
-        (RegimeKind::Replicated, _) => {
+        _ => {
             // Entering the regime, the copy is the home's and has no
             // mirrors: where the rule leaves it when nothing is known.
             let (owner, named) = match old.regime {
-                RegimeKind::Replicated => (old.owners[0], &old.mirrors[..]),
-                _ => (inner.node.0, &[][..]),
+                RegimeKind::Sharded => (inner.node.0, &[][..]),
+                _ => (old.owners[0], &old.mirrors[..]),
             };
             let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
             let (owner, mut mirrors) = entry.usage.lock().replicate(nodes, owner, named, grace);
             // A copy nobody reads would live on its one writer alone, and
-            // die with it: where a dead owner's copy is regenerated, one
-            // that leaves its home leaves a mirror there to do it from.
-            if inner.recovery.rehome && mirrors.is_empty() && owner != inner.node.0 {
-                mirrors.push(inner.node.0);
+            // die with it: where a dead owner's copy is regenerated it
+            // keeps one mirror to do it from — at its home once it has left
+            // it, and while it is there on the next live node, where a
+            // sharded slot's backup goes.
+            if inner.recovery.rehome && mirrors.is_empty() {
+                let keeper = match owner == inner.node.0 {
+                    true => backup_target(inner),
+                    false => Some(inner.node),
+                };
+                mirrors.extend(keeper.map(|node| node.0));
             }
             (vec![owner], mirrors)
         }
-        (RegimeKind::Primary, _) => (vec![inner.node.0], Vec::new()),
     };
     if old.regime == target && old.owners == owners && old.mirrors == mirrors {
         return Ok(());
@@ -236,8 +238,9 @@ pub(super) fn switch_regime(
 
 /// Install the replicas of `new` — the target regime at its owners, under
 /// the next epoch — and return the table to publish. Remote install
-/// failures fall back to a primary copy at home under a further epoch — the
-/// merged state is in hand, so the fallback cannot fail remotely — except
+/// failures fall back to a replicated copy at home, without mirrors, under a
+/// further epoch — the merged state is in hand, so the fallback cannot fail
+/// remotely — except
 /// when the regime was only being re-placed: its old owners were serving a
 /// moment ago and take their replicas back. An error return means nothing
 /// usable was installed and the caller re-installs the old regime.
@@ -253,7 +256,7 @@ fn install_new_regime(
         Err(_) if old.regime != new.regime => {
             let fallback = RegimeTable {
                 epoch: new.epoch + 1,
-                regime: RegimeKind::Primary,
+                regime: RegimeKind::Replicated,
                 owners: vec![inner.node.0],
                 mirrors: Vec::new(),
                 ..new
@@ -381,8 +384,8 @@ pub(super) fn install_slot(
 }
 
 /// Install the authoritative slots `table` names, cut from the
-/// whole-object state `full`: one copy at its owner under the primary and
-/// replicated regimes, one partition per owner under the sharded regime (a
+/// whole-object state `full`: one copy at its owner under the replicated
+/// regime, one partition per owner under the sharded regime (a
 /// type that does not shard is one partition). When an owner cannot take
 /// its partition the partial install is discarded — local slots directly,
 /// remote ones with a best-effort drain; the epoch is never published, so

@@ -1,18 +1,16 @@
-//! Regime decisions: when does an object replicate, stay primary, or shard?
+//! Regime decisions: does an object shard, or is it one copy with mirrors?
 //!
 //! Each object's home node accumulates per-node read/write counts (from the
-//! usage reports every node sends) into a decayed aggregate and, every
-//! [`AdaptivePolicy::evaluate_every`] reported accesses, re-derives the
-//! regime that fits the observed mix:
+//! usage reports every node sends, one per [`AdaptivePolicy::window`]
+//! accesses) into a decayed aggregate and, every two windows of reported
+//! accesses, re-derives the regime that fits the observed mix:
 //!
-//! * read-dominated (read/write ratio at or above
-//!   [`AdaptivePolicy::replicate_ratio`]) → **replicated** — reads become
-//!   local on every node, writes pay the update fan-out;
 //! * write-hot (write fraction at or above
 //!   [`AdaptivePolicy::shard_write_fraction`]) *and* the type shards →
 //!   **sharded** — writes spread over partition owners;
-//! * anything else → **primary** — one copy at home, the cheapest regime to
-//!   be wrong in.
+//! * anything else → **replicated** — one copy where the object is written,
+//!   a mirror wherever it is read: reads are local there, writes pay the
+//!   update fan-out, and a copy nobody reads has nobody to push to.
 //!
 //! The aggregate is decayed (halved) after every evaluation
 //! ([`crate::AccessStats::decay_halve`]), so a stale burst loses half its
@@ -59,22 +57,18 @@ pub struct AdaptivePolicy {
     /// How long a cached replicated-regime table stays fresh: its reads
     /// ask nobody, so the lease bounds how long a node can act on a retired
     /// regime when the explicit drop notifications were lost. (A table of
-    /// the other regimes needs none — every operation is answered by an
+    /// the sharded regime needs none — every operation is answered by an
     /// owner, which refuses an outdated epoch.) Also how long a node the
     /// table names — a sharded regime's partition owner, a replicated
     /// regime's owner or mirror — keeps its place without being heard from.
     pub regime_lease: Duration,
-    /// A node reports its per-object read/write counts to the object's
-    /// home after this many local accesses.
-    pub report_every: u64,
-    /// The home re-evaluates an object's regime after this many newly
-    /// reported accesses.
-    pub evaluate_every: u64,
-    /// Minimum decayed evidence (reads + writes) before a switch is
-    /// considered at all.
-    pub min_accesses: u64,
-    /// Read/write ratio at or above which an object becomes replicated.
-    pub replicate_ratio: f64,
+    /// The size of the evidence the regime follows: a node reports its
+    /// per-object read/write counts to the object's home every `window`
+    /// local accesses, and the home re-evaluates after `2 · window` newly
+    /// reported ones. An explicit [`super::AdaptiveRts::propose`] evaluates
+    /// whatever has been reported (nothing at all keeps the regime), so
+    /// `u64::MAX` leaves every decision to proposals.
+    pub window: u64,
     /// Write fraction (writes / total) at or above which a shardable
     /// object becomes sharded.
     pub shard_write_fraction: f64,
@@ -113,8 +107,6 @@ pub struct AdaptivePolicy {
     ///   the creator, and a dynamic set of secondary copies. Usage is
     ///   counted and the object re-placed by it: the copy moves to a node
     ///   that writes it, mirrors come and go where it is read.
-    /// * `Some(Primary)` — one copy at the creator and never another;
-    ///   nothing is counted.
     pub pin: Option<RegimeKind>,
 }
 
@@ -124,10 +116,7 @@ impl Default for AdaptivePolicy {
             partitions: 4,
             op_timeout: Duration::from_secs(10),
             regime_lease: Duration::from_millis(200),
-            report_every: 64,
-            evaluate_every: 128,
-            min_accesses: 64,
-            replicate_ratio: 3.0,
+            window: 64,
             shard_write_fraction: 0.5,
             blocked_retry_delay: Duration::from_millis(20),
             stale_retry_delay: Duration::from_millis(5),
@@ -144,9 +133,7 @@ impl AdaptivePolicy {
     /// runs actually exercise regime switches.
     pub fn eager() -> Self {
         AdaptivePolicy {
-            report_every: 8,
-            evaluate_every: 16,
-            min_accesses: 12,
+            window: 8,
             regime_lease: Duration::from_millis(50),
             ..AdaptivePolicy::default()
         }
@@ -175,7 +162,7 @@ impl AdaptivePolicy {
     /// True when per-node usage is counted, reported and evaluated: to pick
     /// a regime, or to place the pinned replicated one.
     pub(crate) fn counts_usage(&self) -> bool {
-        matches!(self.pin, None | Some(RegimeKind::Replicated))
+        self.pin != Some(RegimeKind::Sharded)
     }
 
     /// Which runtime system a node running this policy is.
@@ -189,15 +176,16 @@ impl AdaptivePolicy {
     }
 }
 
-/// How far the evidence must miss a regime's threshold before an object
-/// *leaves* that regime: entering takes the threshold, staying half of it —
+/// How far the evidence must miss the sharded regime's threshold before an
+/// object *leaves* it: entering takes the threshold, staying half of it —
 /// the band [`UsageAggregate::users`] gives a node the table names. Decayed
-/// counts are noisy, a mix that sits on a threshold crosses it every other
+/// counts are noisy, a mix that sits on the threshold crosses it every other
 /// window, and every switch re-ships the object's state.
 const LEAVE_FACTOR: f64 = 2.0;
 
 /// Pick the regime that fits an observed read/write mix, for an object now
-/// served in `current`.
+/// served in `current`: sharded when its type shards and the write share
+/// clears the bar, else replicated.
 pub(crate) fn pick_regime(
     reads: u64,
     writes: u64,
@@ -206,32 +194,15 @@ pub(crate) fn pick_regime(
     current: RegimeKind,
     policy: &AdaptivePolicy,
 ) -> RegimeKind {
-    let total = reads + writes;
-    if total == 0 {
-        return RegimeKind::Primary;
-    }
-    let ratio = if writes == 0 {
-        f64::INFINITY
-    } else {
-        reads as f64 / writes as f64
+    let bar = match current {
+        RegimeKind::Sharded => policy.shard_write_fraction / LEAVE_FACTOR,
+        _ => policy.shard_write_fraction,
     };
-    // What a regime's evidence is held to: its threshold to enter, a
-    // `LEAVE_FACTOR`th of it to stay.
-    let bar = |regime: RegimeKind, threshold: f64| match current == regime {
-        true => threshold / LEAVE_FACTOR,
-        false => threshold,
-    };
-    let replicated = ratio >= bar(RegimeKind::Replicated, policy.replicate_ratio);
-    let sharded = shardable
-        && num_nodes > 1
-        && policy.partitions > 1
-        && writes as f64 >= bar(RegimeKind::Sharded, policy.shard_write_fraction) * total as f64;
-    if sharded && (current == RegimeKind::Sharded || !replicated) {
+    let spreads = shardable && num_nodes > 1 && policy.partitions > 1;
+    if spreads && writes > 0 && writes as f64 >= bar * (reads + writes) as f64 {
         RegimeKind::Sharded
-    } else if replicated {
-        RegimeKind::Replicated
     } else {
-        RegimeKind::Primary
+        RegimeKind::Replicated
     }
 }
 
@@ -289,14 +260,8 @@ pub(crate) struct UsageAggregate {
 
 impl UsageAggregate {
     /// Fold one usage report in. Returns true if enough new evidence has
-    /// accumulated for an evaluation.
-    pub(crate) fn report(
-        &mut self,
-        node: u16,
-        reads: u64,
-        writes: u64,
-        evaluate_every: u64,
-    ) -> bool {
+    /// accumulated for an evaluation: two windows of it.
+    pub(crate) fn report(&mut self, node: u16, reads: u64, writes: u64, window: u64) -> bool {
         let now = Instant::now();
         let usage = self.per_node.entry(node).or_insert_with(|| NodeUsage {
             stats: AccessStats::default(),
@@ -310,7 +275,7 @@ impl UsageAggregate {
             usage.heard_reading = Some(now);
         }
         self.since_eval += reads + writes;
-        self.since_eval >= evaluate_every
+        self.since_eval >= window.saturating_mul(2)
     }
 
     /// Drop what `node` has reported: it stopped answering, and whatever it
@@ -461,32 +426,24 @@ mod tests {
     #[test]
     fn regime_decision_rules() {
         let policy = AdaptivePolicy::default();
-        // What an object in the primary regime — where it has to clear a
-        // threshold to leave — is offered.
+        // What an object in the replicated regime — where the sharded one
+        // has a threshold to clear — is offered.
         let pick = |reads, writes, shardable, nodes| {
-            pick_regime(
-                reads,
-                writes,
-                shardable,
-                nodes,
-                RegimeKind::Primary,
-                &policy,
-            )
+            let current = RegimeKind::Replicated;
+            pick_regime(reads, writes, shardable, nodes, current, &policy)
         };
-        // Read-dominated: replicate (shardable or not).
-        assert_eq!(pick(90, 10, true, 4), RegimeKind::Replicated);
-        assert_eq!(pick(90, 10, false, 4), RegimeKind::Replicated);
-        assert_eq!(pick(50, 0, false, 4), RegimeKind::Replicated);
         // Write-hot shardable: shard.
         assert_eq!(pick(10, 90, true, 4), RegimeKind::Sharded);
         assert_eq!(pick(50, 50, true, 4), RegimeKind::Sharded);
-        // Write-hot but not shardable (or nothing to spread over): primary.
-        assert_eq!(pick(10, 90, false, 4), RegimeKind::Primary);
-        assert_eq!(pick(10, 90, true, 1), RegimeKind::Primary);
-        // Mixed: primary.
-        assert_eq!(pick(60, 40, true, 4), RegimeKind::Primary);
-        // No evidence: primary.
-        assert_eq!(pick(0, 0, true, 4), RegimeKind::Primary);
+        // Everything else is one copy and whatever mirrors its readers are
+        // worth: read-dominated or mixed, write-hot but not shardable (or
+        // nothing to spread over), nothing known.
+        assert_eq!(pick(90, 10, true, 4), RegimeKind::Replicated);
+        assert_eq!(pick(50, 0, false, 4), RegimeKind::Replicated);
+        assert_eq!(pick(60, 40, true, 4), RegimeKind::Replicated);
+        assert_eq!(pick(10, 90, false, 4), RegimeKind::Replicated);
+        assert_eq!(pick(10, 90, true, 1), RegimeKind::Replicated);
+        assert_eq!(pick(0, 0, true, 4), RegimeKind::Replicated);
     }
 
     #[test]
@@ -499,33 +456,16 @@ mod tests {
         for reads in [48, 52, 47, 53, 50, 60, 70] {
             assert_eq!(pick(reads, 50, RegimeKind::Sharded), RegimeKind::Sharded);
         }
-        // It leaves when the writes miss the threshold by half — which, at
-        // these thresholds, is where the replicated regime begins.
+        // It leaves when the writes miss the threshold by half.
         assert_eq!(pick(150, 50, RegimeKind::Sharded), RegimeKind::Sharded);
         assert_eq!(pick(154, 50, RegimeKind::Sharded), RegimeKind::Replicated);
-        // Seen from the primary regime that lower bar means nothing: a
-        // count hovering around it never enters (a threshold of 0.8 here,
-        // so that its half is not where another regime begins).
-        let steep = AdaptivePolicy {
-            shard_write_fraction: 0.8,
-            ..policy
-        };
-        for writes in [38, 42, 37, 43, 40] {
-            let offered = pick_regime(60, writes, true, 3, RegimeKind::Primary, &steep);
-            assert_eq!(offered, RegimeKind::Primary, "{writes} writes");
+        // Seen from the replicated regime that lower bar means nothing: a
+        // count hovering around it never enters.
+        for writes in [26, 30, 25, 31, 28, 49] {
+            let offered = pick(50, writes, RegimeKind::Replicated);
+            assert_eq!(offered, RegimeKind::Replicated, "{writes} writes");
         }
-        // The replicated regime likewise: in at three reads a write, out
-        // below one and a half, and a ratio hovering at either bar moves
-        // nothing from the side it is on.
-        for reads in [148, 152, 147, 153, 76, 80, 75] {
-            let stays = pick(reads, 50, RegimeKind::Replicated);
-            assert_eq!(stays, RegimeKind::Replicated, "{reads} reads");
-        }
-        for reads in [73, 77, 72, 76, 74, 140, 149] {
-            assert_eq!(pick(reads, 50, RegimeKind::Primary), RegimeKind::Primary);
-        }
-        assert_eq!(pick(74, 50, RegimeKind::Replicated), RegimeKind::Primary);
-        assert_eq!(pick(40, 50, RegimeKind::Replicated), RegimeKind::Sharded);
+        assert_eq!(pick(50, 50, RegimeKind::Replicated), RegimeKind::Sharded);
     }
 
     fn owners_of(object: ObjectId, partitions: u32, users: &[u16]) -> Vec<u16> {
@@ -792,11 +732,12 @@ mod tests {
 
     #[test]
     fn usage_aggregate_windows_and_decays() {
-        let policy = AdaptivePolicy::default();
+        // Two windows of 64 reported accesses are an evaluation.
+        let window = AdaptivePolicy::default().window;
         let mut usage = UsageAggregate::default();
-        assert!(!usage.report(0, 30, 2, policy.evaluate_every));
-        assert!(!usage.report(1, 60, 4, policy.evaluate_every));
-        assert!(usage.report(2, 30, 2, policy.evaluate_every));
+        assert!(!usage.report(0, 30, 2, window));
+        assert!(!usage.report(1, 60, 4, window));
+        assert!(usage.report(2, 30, 2, window));
         assert_eq!(usage.totals(), (120, 8));
         usage.end_window();
         assert_eq!(usage.totals(), (60, 4));

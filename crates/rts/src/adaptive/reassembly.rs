@@ -222,8 +222,7 @@ fn freshest_mirror(held: &[(NodeId, Holdings)], epoch: Option<u64>) -> Option<(u
 /// Regenerate a replicated-regime object whose owner died from `mirror`,
 /// the freshest one of `epoch`, into a single copy on this node — its home,
 /// or the node adopting that role — under `epoch + 1`, and return the table
-/// to publish: a primary-regime copy, or, where that regime is pinned, a
-/// replicated one without mirrors, which the next evaluation places. The
+/// to publish: a copy without mirrors, which the next evaluation places. The
 /// report's dedup window pairs with exactly that mirror's snapshot, so it
 /// is taken whole and never merged with another mirror's.
 fn regenerate(
@@ -235,10 +234,6 @@ fn regenerate(
     let (_, _, state) = mirror.mirror.as_ref().expect("ranked by its mirror");
     let key = (object, 0);
     let (name, dedup) = (&mirror.type_name, mirror.dedup.clone());
-    let regime = match inner.policy.pin {
-        Some(RegimeKind::Replicated) => RegimeKind::Replicated,
-        _ => RegimeKind::Primary,
-    };
     // Under the next epoch, which nothing the dead owner's regime left on
     // the survivors answers to. (Sabotaged: under the epoch it had, every
     // other node listed, so whoever kept a copy goes on reading it.)
@@ -249,7 +244,8 @@ fn regenerate(
             (epoch, others.collect())
         }
     };
-    install_slot(inner, key, epoch, name, state, dedup, (regime, &[][..]))?;
+    let placed = (RegimeKind::Replicated, &[][..]);
+    install_slot(inner, key, epoch, name, state, dedup, placed)?;
     if inner.leases_enabled() {
         // The dead owner's grant ledger died with it. Fence the new slot
         // for a full conservative grant span: the first write waits it out,
@@ -263,7 +259,7 @@ fn regenerate(
         object: object.0,
         type_name: mirror.type_name.clone(),
         epoch,
-        regime,
+        regime: RegimeKind::Replicated,
         owners: vec![inner.node.0],
         mirrors,
     })
@@ -275,8 +271,9 @@ fn regenerate(
 /// serving under that epoch, and so does a replicated regime's one copy
 /// when its owner is among the survivors; when only read mirrors are, the
 /// freshest is regenerated into a single copy here under a fresh epoch.
-/// An object that left none of these — a primary-regime copy at the dead
-/// home, a partition whose owner and backup both died — is lost.
+/// An object that left none of these — a copy still at the dead home that
+/// nobody had used enough to give it a mirror, a partition whose owner and
+/// backup both died — is lost.
 pub(super) fn adopt_object(
     inner: &Arc<Inner>,
     object: ObjectId,

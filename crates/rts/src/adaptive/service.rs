@@ -65,8 +65,8 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             let object = ObjectId(object);
             let entry = inner.homes.read().get(&object).cloned();
             if let Some(entry) = entry {
-                let every = inner.policy.evaluate_every;
-                let due = entry.usage.lock().report(caller.0, reads, writes, every);
+                let window = inner.policy.window;
+                let due = entry.usage.lock().report(caller.0, reads, writes, window);
                 if due {
                     evaluate_object(inner, object, &entry);
                 }
@@ -91,6 +91,9 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             regime,
             mirrors,
         } => {
+            if !served(regime) {
+                return RegimeReply::Error(format!("unknown regime {regime:?}"));
+            }
             let key = (ObjectId(object), partition);
             let placed = (regime, &mirrors[..]);
             match install_slot(inner, key, epoch, &type_name, &state, dedup, placed) {
@@ -118,7 +121,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             epoch,
             have,
         } => serve_fetch_mirror(inner, ObjectId(object), epoch, have, caller),
-        RegimeMsg::DropMirror {
+        RegimeMsg::DropCopies {
             object,
             epoch,
             written: Some(version),
@@ -138,7 +141,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             }
             RegimeReply::Ack
         }
-        RegimeMsg::DropMirror {
+        RegimeMsg::DropCopies {
             object,
             epoch,
             written: None,
@@ -269,9 +272,6 @@ pub(super) fn serve_op_all(
     let _switch = entry.switch.lock();
     let table = entry.table.lock().clone();
     match table.regime {
-        // Nobody routes to every partition of a single copy: the caller
-        // went by a retired sharded-regime table.
-        RegimeKind::Primary | RegimeKind::Replicated => RegimeReply::StaleRegime,
         RegimeKind::Sharded => {
             let Some(logic) = inner.registry.shard_logic(&table.type_name) else {
                 return RegimeReply::Error(format!("no shard logic for {}", table.type_name));
@@ -350,6 +350,9 @@ pub(super) fn serve_op_all(
                 Err(err) => RegimeReply::Error(err.to_string()),
             }
         }
+        // Nobody routes to every partition of a single copy: the caller
+        // went by a retired sharded-regime table.
+        _ => RegimeReply::StaleRegime,
     }
 }
 

@@ -6,8 +6,8 @@
 
 use super::*;
 
-/// One authoritative replica (the single copy under the primary/replicated
-/// regimes, or one partition under the sharded regime) held by this node.
+/// One authoritative replica (the single copy under the replicated regime,
+/// or one partition under the sharded regime) held by this node.
 pub(super) struct Slot {
     pub(super) replica: Mutex<Box<dyn AnyReplica>>,
     /// Epoch of the regime this slot serves; operations stamped with any
@@ -46,9 +46,8 @@ impl Slot {
     /// mirrors, a copy to its backup.
     fn fans_out(&self, inner: &Inner) -> bool {
         match self.regime {
-            RegimeKind::Replicated => !self.mirrors.is_empty(),
             RegimeKind::Sharded => inner.recovery.enabled,
-            RegimeKind::Primary => false,
+            _ => !self.mirrors.is_empty(),
         }
     }
 
@@ -195,7 +194,7 @@ pub(super) fn drop_copies(
     written: Option<u64>,
     nodes: impl Iterator<Item = NodeId>,
 ) -> Vec<NodeId> {
-    let drop_msg = RegimeMsg::DropMirror {
+    let drop_msg = RegimeMsg::DropCopies {
         object: object.0,
         epoch,
         written,
@@ -544,7 +543,7 @@ fn apply_locked(
 /// to the mirrors, all but `skip` — a writer bringing its own mirror up to
 /// date from the acknowledgement — and the dead: a two-phase push of the
 /// run ([`push_update`]), or an invalidation naming its last version,
-/// which retires the copies with the `DropMirror` and grant settlement a
+/// which retires the copies with the `DropCopies` and grant settlement a
 /// drain uses and leaves the mirrors listed, to fetch at their next read.
 fn settle_writes(
     inner: &Arc<Inner>,
@@ -556,7 +555,8 @@ fn settle_writes(
     skip: Option<NodeId>,
 ) {
     match slot.regime {
-        RegimeKind::Replicated => {
+        RegimeKind::Sharded => ship_backup(inner, key, slot, replica, ops, stamped),
+        _ => {
             let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
             let others: Vec<NodeId> = mirrors
                 .filter(|n| Some(*n) != skip && !is_dead(&inner.detector, *n))
@@ -577,8 +577,6 @@ fn settle_writes(
                 }
             }
         }
-        RegimeKind::Sharded => ship_backup(inner, key, slot, replica, ops, stamped),
-        RegimeKind::Primary => {}
     }
 }
 
@@ -673,7 +671,7 @@ fn renew_mirror_grant(inner: &Inner, slot: &Slot, holder: NodeId) {
 /// Take the read-lease grants of `holders` off `slot`'s ledger and settle
 /// them: the mirrors a push could not reach, the ones a write invalidated,
 /// or all of a drained slot's. A holder among `revoked` acknowledged a
-/// `DropMirror`, which is the revoke; a dead one cannot answer reads; any
+/// `DropCopies`, which is the revoke; a dead one cannot answer reads; any
 /// other may go on serving leased reads of the old state until its grant
 /// runs out, so the caller sleeps that out before it acknowledges the write
 /// or hands over the state a new regime will accept writes on. Without

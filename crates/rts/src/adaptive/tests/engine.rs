@@ -10,7 +10,7 @@ use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
 use orca_wire::{DedupWindow, OpStamp, Wire};
 
 use super::client::PartOutcome;
-use super::messages::{RegimeKind, RegimeMsg, RegimeReply};
+use super::messages::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use super::placement::switch_regime;
 use super::policy::UsageAggregate;
 use super::reassembly::of_object;
@@ -152,19 +152,61 @@ fn bank_sum(rts: &AdaptiveRts, id: ObjectId) -> i64 {
 }
 
 #[test]
-fn starts_primary_and_round_trips_across_nodes() {
+fn starts_as_one_copy_at_its_creator_and_round_trips_across_nodes() {
     let net = Network::reliable(3);
     let rtses = start_all(&net, AdaptivePolicy::default());
     let id = rtses[0]
         .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
-    assert_eq!(rtses[1].regime_of(id).unwrap(), (RegimeKind::Primary, 0));
+    let placed = (RegimeKind::Replicated, 0, vec![NodeId(0)]);
+    assert_eq!(rtses[1].placement_of(id).unwrap(), placed);
+    assert!(rtses[1].copy_holders(id).unwrap().is_empty());
     assert_eq!(add(&rtses[1], id, 5), 5);
     assert_eq!(add(&rtses[2], id, 7), 12);
     assert_eq!(read(&rtses[0], id), 12);
     assert_eq!(read(&rtses[2], id), 12);
     assert!(rtses[2].stats().remote_reads >= 1);
     assert!(rtses[1].stats().remote_writes >= 1);
+    shutdown_all(&rtses);
+}
+
+/// The wire vocabulary reserves the name of a regime this engine no longer
+/// has (tag 1): an install that carries it is refused, and so is a table.
+#[test]
+fn a_regime_the_engine_does_not_serve_is_refused_off_the_wire() {
+    let net = Network::reliable(2);
+    let rtses = start_all(&net, AdaptivePolicy::default());
+    let reserved = RegimeKind::from_bytes(&[1]).unwrap();
+    assert!(![RegimeKind::Replicated, RegimeKind::Sharded].contains(&reserved));
+    let install = RegimeMsg::Install {
+        object: ObjectId::compose(1, 7).0,
+        epoch: 0,
+        partition: 0,
+        type_name: Accumulator::TYPE_NAME.to_string(),
+        state: 0i64.to_bytes(),
+        dedup: DedupWindow::new(),
+        regime: reserved,
+        mirrors: Vec::new(),
+    };
+    let refused = dispatch(&rtses[0].inner, install, NodeId(1));
+    assert!(matches!(refused, RegimeReply::Error(_)), "{refused:?}");
+    assert!(rtses[0].inner.slots.read().is_empty());
+
+    // Node 1 publishes such a table for an object of its own; node 0
+    // will not route by it.
+    let id = rtses[1]
+        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .unwrap();
+    let home = rtses[1].inner.homes.read().get(&id).cloned().unwrap();
+    let mut table = RegimeTable::clone(&home.table.lock());
+    table.regime = reserved;
+    *home.table.lock() = Arc::new(table);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let routed = rtses[0].route_for(id, deadline);
+    assert!(
+        matches!(routed, Err(RtsError::Communication(_))),
+        "{routed:?}"
+    );
     shutdown_all(&rtses);
 }
 
@@ -186,10 +228,10 @@ fn read_heavy_object_switches_to_replicated_and_reads_go_local() {
     assert_eq!(rtses[1].propose(id).unwrap(), RegimeKind::Replicated);
     let (regime, epoch) = rtses[2].regime_of(id).unwrap();
     assert_eq!(regime, RegimeKind::Replicated);
-    // Node 0's sixteenth read switched the regime, when the only reader
-    // known was the owner itself: no mirror. Nodes 1 and 2 each joined
+    // Node 0's sixteenth read closed a window when the only reader known
+    // was the owner itself: nothing to place. Nodes 1 and 2 each joined
     // when its own reads were reported — two re-placements.
-    assert_eq!(epoch, 3);
+    assert_eq!(epoch, 2);
 
     // Reads now hit the local mirror.
     let before = rtses[1].stats().local_reads;
@@ -250,7 +292,7 @@ fn write_hot_shardable_object_switches_to_sharded() {
 }
 
 #[test]
-fn write_hot_non_shardable_object_stays_primary() {
+fn write_hot_non_shardable_object_stays_one_copy() {
     let net = Network::reliable(2);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
@@ -262,7 +304,9 @@ fn write_hot_non_shardable_object_stays_primary() {
         }
         rts.flush_usage(id);
     }
-    assert_eq!(rtses[0].propose(id).unwrap(), RegimeKind::Primary);
+    assert_eq!(rtses[0].propose(id).unwrap(), RegimeKind::Replicated);
+    // Nobody reads it: no mirror, and its owner — a writer — keeps it.
+    assert_eq!(replicated_at(&rtses[0], id), (0, vec![]));
     assert_eq!(read(&rtses[1], id), 48);
     shutdown_all(&rtses);
 }
@@ -270,14 +314,14 @@ fn write_hot_non_shardable_object_stays_primary() {
 #[test]
 fn regime_switches_under_concurrent_writers_lose_nothing() {
     // Writers hammer a bank while its regime is forced back and forth
-    // between every pair of regimes. Every acknowledged deposit must
+    // between the regimes. Every acknowledged deposit must
     // survive: an op that races a drain either lands before the state
     // snapshot (and is part of the merged state) or is answered
     // StaleRegime and retried under the new regime.
     let net = Network::reliable(3);
     let policy = AdaptivePolicy {
         // Manual switching only: evaluations never fire on their own.
-        report_every: u64::MAX,
+        window: u64::MAX,
         ..AdaptivePolicy::eager()
     };
     let rtses = start_all(&net, policy);
@@ -304,9 +348,9 @@ fn regime_switches_under_concurrent_writers_lose_nothing() {
     for target in [
         RegimeKind::Sharded,
         RegimeKind::Replicated,
-        RegimeKind::Primary,
         RegimeKind::Sharded,
-        RegimeKind::Primary,
+        RegimeKind::Replicated,
+        RegimeKind::Sharded,
         RegimeKind::Replicated,
         RegimeKind::Sharded,
     ] {
@@ -329,7 +373,7 @@ fn regime_switches_under_concurrent_writers_lose_nothing() {
 fn blocked_guarded_read_survives_a_regime_switch() {
     let net = Network::reliable(2);
     let policy = AdaptivePolicy {
-        report_every: u64::MAX,
+        window: u64::MAX,
         ..AdaptivePolicy::eager()
     };
     let rtses = start_all(&net, policy);
@@ -510,16 +554,21 @@ fn home_crash_regenerates_object_from_surviving_mirror() {
     assert_eq!(read(&rtses[1], id), 10);
     assert_eq!(add(&rtses[1], id, 5), 15);
     assert_eq!(read(&rtses[0], id), 15);
-    let (regime, _) = rtses[1].regime_of(id).unwrap();
-    assert_eq!(regime, RegimeKind::Primary, "adoption restarts primary");
+    // Regenerated as one copy at the adopter, to be placed again by use.
+    assert_eq!(replicated_at(&rtses[1], id), (0, vec![]));
     // Adaptation stays alive after adoption: proposals (and usage
     // reports) address the adopter, not the dead creator.
-    assert_eq!(rtses[1].propose(id).unwrap(), RegimeKind::Primary);
+    rtses[1].flush_usage(id);
+    assert_eq!(rtses[1].propose(id).unwrap(), RegimeKind::Replicated);
+    // Node 1 is the one reader the adopter has heard of: it is a mirror
+    // again.
+    assert_eq!(replicated_at(&rtses[1], id), (0, vec![1]));
     shutdown_all(&rtses);
 }
 
-/// A primary-regime object (single copy at home, no mirrors) cannot
-/// survive its home: survivors get a fast, explicit `ObjectLost`.
+/// An object nobody has used enough for a first evaluation to place it
+/// (a single copy at home, no mirrors) cannot survive its home: survivors
+/// get a fast, explicit `ObjectLost`.
 #[test]
 fn home_crash_without_mirror_reports_object_lost() {
     let net = Network::reliable(2);
@@ -554,7 +603,7 @@ fn home_crash_without_mirror_reports_object_lost() {
 fn leased_mirror_reads_put_nothing_on_the_wire() {
     let net = Network::reliable(3);
     let policy = AdaptivePolicy {
-        report_every: u64::MAX,
+        window: u64::MAX,
         regime_lease: Duration::from_secs(10),
         read_lease_ms: 10_000,
         ..AdaptivePolicy::eager()
@@ -635,7 +684,7 @@ fn represented_stamped_write_applies_exactly_once() {
 fn dedup_window_survives_a_regime_switch() {
     let net = Network::reliable(2);
     let policy = AdaptivePolicy {
-        report_every: u64::MAX,
+        window: u64::MAX,
         ..AdaptivePolicy::eager()
     };
     let rtses = start_all(&net, policy);
@@ -685,7 +734,7 @@ fn lapsed_mirror_lease_renews_without_the_state() {
     let net = Network::reliable(2);
     let policy = AdaptivePolicy {
         op_timeout: Duration::from_millis(300),
-        report_every: u64::MAX,
+        window: u64::MAX,
         regime_lease: Duration::from_secs(10),
         read_lease_ms: 100,
         ..AdaptivePolicy::eager()
@@ -778,7 +827,7 @@ fn adoption_fences_writes_for_a_grant_span() {
 fn replicated_cluster(net: &Network, op_timeout: Duration) -> (Vec<AdaptiveRts>, ObjectId) {
     let policy = AdaptivePolicy {
         op_timeout,
-        report_every: u64::MAX,
+        window: u64::MAX,
         regime_lease: Duration::from_secs(10),
         read_lease_ms: 10_000,
         ..AdaptivePolicy::eager()
@@ -798,10 +847,10 @@ fn replicated_cluster(net: &Network, op_timeout: Duration) -> (Vec<AdaptiveRts>,
 /// The cost claim for the replicated regime, counted on the wire: with
 /// mirrors on both other nodes and the writer one of them a write is
 /// WriteThrough + Update + ack + Installed — the one mirror pushed to
-/// is the last of its fan-out, and never locked; under the primary
-/// regime (no mirrors) it is the request and the reply.
+/// is the last of its fan-out, and never locked; to a copy without mirrors
+/// it is the request and the reply.
 #[test]
-fn replicated_write_costs_four_messages_and_a_primary_regime_write_two() {
+fn replicated_write_costs_four_messages_and_an_unmirrored_write_two() {
     let net = Network::reliable(3);
     let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
     let counters = &rtses[0].inner.updates;
@@ -941,7 +990,7 @@ fn an_unanswering_mirror_costs_one_write_its_push_budget_not_every_write() {
         started.elapsed() < policy.op_timeout,
         "three writes cost one push budget, not three"
     );
-    assert_eq!(rtses[0].inner.replacements.get(), 1);
+    assert_eq!(rtses[0].inner.replacements.get(), 2);
     assert_eq!(read(&rtses[1], id), 3);
     shutdown_all(&rtses);
 }
@@ -996,7 +1045,7 @@ fn new_bank(rts: &AdaptiveRts) -> ObjectId {
 /// Policy under which nothing reports: tests place by hand.
 fn manual() -> AdaptivePolicy {
     AdaptivePolicy {
-        report_every: u64::MAX,
+        window: u64::MAX,
         ..AdaptivePolicy::eager()
     }
 }
@@ -1105,7 +1154,7 @@ fn workload_shift_moves_the_partitions_and_then_stops() {
     let mut deposits = 0u64;
     // One evaluation window of deposits, alternating over `nodes`.
     let mut window = |nodes: [usize; 2]| {
-        for _ in 0..policy.evaluate_every {
+        for _ in 0..2 * policy.window {
             deposit(&rtses[nodes[(deposits % 2) as usize]], id, deposits % 64, 1);
             deposits += 1;
         }
@@ -1481,9 +1530,10 @@ fn a_backup_a_drain_left_behind_is_never_promoted() {
     shutdown_all(&rtses);
 }
 
-/// An object that leaves the sharded regime for a single copy at its
-/// home leaves no backup behind: when the home dies it is lost, and
-/// said to be — not brought back as it was before the switch.
+/// An object that leaves the sharded regime for a single copy leaves no
+/// backup behind: when the home dies the adopter finds that copy — it keeps
+/// a mirror at the home it left, not on its own node — and not the
+/// partitions as they were before the switch.
 #[test]
 fn a_retired_sharded_regime_is_not_what_an_adopter_finds() {
     let net = Network::reliable(3);
@@ -1494,13 +1544,13 @@ fn a_retired_sharded_regime_is_not_what_an_adopter_finds() {
     place_by(&rtses[2], id, &[1, 0, 0]).unwrap();
     assert_eq!(deposit(&rtses[0], id, 1, 4), 4);
     let home = rtses[2].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[2].inner, id, &home, RegimeKind::Primary, None).unwrap();
+    switch_regime(&rtses[2].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    assert_eq!(replicated_at(&rtses[2], id), (0, vec![2]));
     assert_eq!(deposit(&rtses[0], id, 1, 4), 8);
 
     net.crash(NodeId(2));
     wait_for_death(&rtses, NodeId(2));
-    let sum = rtses[1].invoke(id, Bank::TYPE_NAME, OpKind::Read, &BankOp::Sum.to_bytes());
-    assert_eq!(sum, Err(RtsError::ObjectLost(id)));
+    assert_eq!(bank_sum(&rtses[1], id), 8);
     shutdown_all(&rtses);
 }
 
@@ -1607,7 +1657,7 @@ fn replicated_object_moves_to_its_writers_and_mirrors_its_readers() {
     }
     assert_eq!(net.stats().since(&before).total_messages(), 0);
     // Twenty more evaluation windows of the same load move nothing.
-    rounds(20 * policy.evaluate_every as i64 / 10);
+    rounds(20 * 2 * policy.window as i64 / 10);
     assert_eq!(rtses[0].stats().regime_switches, switches);
     assert_eq!(replicated_at(&rtses[0], id), (owner, mirrors));
     shutdown_all(&rtses);
@@ -1650,7 +1700,7 @@ fn unlisted_reader_ships_its_reads_and_joins_at_the_next_evaluation() {
         assert_eq!(read(&rtses[0], id), 3);
     }
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![0, 2]));
-    assert_eq!(rtses[0].inner.replacements.get(), 1);
+    assert_eq!(rtses[0].inner.replacements.get(), 2);
     let before = net.stats();
     assert_eq!(read(&rtses[0], id), 3);
     assert_eq!(net.stats().since(&before).total_messages(), 0);
@@ -1686,7 +1736,7 @@ fn thin_evidence_heals_for_the_replicated_regime() {
         rtses[0].regime_of(id).unwrap() == (RegimeKind::Replicated, 1)
     });
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![]));
-    assert_eq!(rtses[0].inner.replacements.get(), 0);
+    assert_eq!(rtses[0].inner.replacements.get(), 1);
 
     window(&rtses[2]);
     eventually("the second node's reports re-place", || {
@@ -1695,7 +1745,7 @@ fn thin_evidence_heals_for_the_replicated_regime() {
     assert_eq!(rtses[2].regime_of(id).unwrap(), (RegimeKind::Replicated, 2));
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
     assert_eq!(rtses[0].stats().regime_switches, 2);
-    assert_eq!(rtses[0].inner.replacements.get(), 1);
+    assert_eq!(rtses[0].inner.replacements.get(), 2);
     assert_eq!(read(&rtses[2], id), 4);
     shutdown_all(&rtses);
 }
@@ -1755,7 +1805,7 @@ fn replicated_re_placements_under_concurrent_writers_and_readers_lose_nothing() 
         assert_eq!(read(rts, id), added, "acknowledged adds lost or doubled");
     }
     assert_eq!(rtses[0].stats().regime_switches, 9);
-    assert_eq!(rtses[0].inner.replacements.get(), 8);
+    assert_eq!(rtses[0].inner.replacements.get(), 9);
 
     // The copy is on node 1; a stamped write lands there, the copy
     // moves, and the same write is presented to the new owner.
@@ -1898,8 +1948,29 @@ fn replicated_owner_off_its_home_survives_the_homes_death() {
     shutdown_all(&rtses);
 }
 
+/// A copy only its home uses has no reader to mirror it. With re-homing on
+/// it keeps a mirror all the same — on the next live node, where a sharded
+/// slot's backup goes — and is regenerated from it when the home dies.
+#[test]
+fn unread_copy_at_its_home_keeps_a_mirror_to_be_regenerated_from() {
+    let net = Network::reliable(3);
+    let rtses = start_all_recoverable(&net, manual_exact(), crate::recovery::patient());
+    let id = rtses[1]
+        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .unwrap();
+    replicate_by(&rtses[1], id, &[], &[0, 8, 0]).unwrap();
+    assert_eq!(replicated_at(&rtses[1], id), (1, vec![2]));
+    assert_eq!(add(&rtses[1], id, 5), 5);
+
+    net.crash(NodeId(1));
+    wait_for_death(&rtses, NodeId(1));
+    assert_eq!(read(&rtses[2], id), 5);
+    assert_eq!(replicated_at(&rtses[2], id), (0, vec![]));
+    shutdown_all(&rtses);
+}
+
 /// The owner of a replicated-regime object dies, its home lives: the
-/// home regenerates the object from the freshest mirror into a primary
+/// home regenerates the object from the freshest mirror into a single
 /// copy of its own under the next epoch — the routine that adopts a
 /// dead home's object — and no acknowledged write is missing. The dead
 /// owner's grants are unknown, so the first write waits a grant span.
@@ -1925,7 +1996,7 @@ fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
     wait_for_death(&rtses, NodeId(2));
     assert_eq!(read(&rtses[1], id), 9);
     let (regime, regenerated, owners) = rtses[1].placement_of(id).unwrap();
-    assert_eq!((regime, regenerated), (RegimeKind::Primary, epoch + 1));
+    assert_eq!((regime, regenerated), (RegimeKind::Replicated, epoch + 1));
     assert_eq!(owners, vec![NodeId(0)]);
     let slot = slot_of(&rtses[0], id).expect("regenerated at the home");
     let armed = slot.leases.lock().fence.expect("the write fence is armed");

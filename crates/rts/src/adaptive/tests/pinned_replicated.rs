@@ -3,8 +3,8 @@
 //! read, invalidation or a two-phase update on a write — is [`AdaptiveRts`]
 //! with its regime pinned to replicated ([`AdaptivePolicy::primary_copy`]);
 //! these tests hold it to what that runtime system promises. (How the copy
-//! and its mirrors are *placed* by use is tested in the `adaptive` module,
-//! and end to end in `tests/wire_budget.rs`.)
+//! and its mirrors are *placed* by use is tested in `engine.rs` beside this
+//! file, and end to end in `tests/wire_budget.rs`.)
 
 #[cfg(test)]
 mod tests {
@@ -56,11 +56,11 @@ mod tests {
         });
     }
 
-    /// One copy at the creator and never another: what the backend was with
-    /// its dynamic replication switched off.
+    /// One copy at the creator and never another: nothing is reported, so
+    /// nothing is ever placed.
     fn single_copy(write: WritePolicy) -> AdaptivePolicy {
         AdaptivePolicy {
-            pin: Some(RegimeKind::Primary),
+            window: u64::MAX,
             ..AdaptivePolicy::primary_copy(write)
         }
     }
@@ -79,7 +79,7 @@ mod tests {
     /// nothing reports, tables and leases outlast the test.
     fn sticky_copies() -> AdaptivePolicy {
         AdaptivePolicy {
-            report_every: u64::MAX,
+            window: u64::MAX,
             regime_lease: Duration::from_secs(10),
             read_lease_ms: 10_000,
             ..AdaptivePolicy::primary_copy(WritePolicy::Update)

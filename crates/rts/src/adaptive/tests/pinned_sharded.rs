@@ -1,7 +1,8 @@
 //! The `sharded` backend is [`AdaptiveRts`] with its regime pinned
 //! ([`AdaptivePolicy::sharded`]); these tests hold it to what a runtime
 //! system that only ever partitions promises. (Adaptation, and the sharded
-//! regime an object *adapts* into, are tested in the `adaptive` module.)
+//! regime an object *adapts* into, are tested in `engine.rs` beside this
+//! file.)
 
 #[cfg(test)]
 mod tests {

@@ -15,12 +15,12 @@
 //!   sequential consistency.
 //! * [`AdaptiveRts`] — used when there is no broadcast: operations travel
 //!   point to point. It makes the regime a *per-object, dynamic* property.
-//!   Each object is served, at any moment, in one of three regimes —
-//!   replicated (read-dominated: one authoritative copy on a node that
-//!   writes the object, mirrors on the nodes that read it; a write is sent
-//!   to the copy's owner, which either pushes a **two-phase update** to the
-//!   mirrors or **invalidates** them — [`WritePolicy`]), a single copy at
-//!   home (mixed), sharded (write-hot shardable: `N` partitions hashed over the
+//!   Each object is served, at any moment, in one of two regimes —
+//!   replicated (one authoritative copy on a node that writes the object,
+//!   mirrors on the nodes that read it, none where nobody does; a write is
+//!   sent to the copy's owner, which either pushes a **two-phase update**
+//!   to the mirrors or **invalidates** them — [`WritePolicy`]) or sharded
+//!   (write-hot shardable: `N` partitions hashed over the
 //!   nodes that use the object, each owned by one node, operations shipped
 //!   point-to-point to the partition owner, so writes to different
 //!   partitions proceed in parallel on different nodes) — and the object's
@@ -51,7 +51,7 @@
 //! | RTS | Replication | Write path | Consistency |
 //! |-----|-------------|-----------|-------------|
 //! | broadcast | full (every node) | totally-ordered broadcast, applied everywhere | sequential, object-wide |
-//! | adaptive | per object: a copy where it is written + mirrors where it is read, home copy, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors, or their invalidation) or RPC to partition owner | sequential per object (per partition while sharded) |
+//! | adaptive | per object: a copy where it is written + mirrors where it is read, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors, or their invalidation) or RPC to partition owner | sequential per object (per partition while sharded) |
 //! | primary copy, update / invalidate (adaptive, pinned to replicated) | a copy where it is written + dynamic secondaries where it is read | RPC to the copy's owner, then 2-phase update or invalidation of the secondaries | sequential, object-wide |
 //! | sharded (adaptive, pinned to sharded) | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
@@ -59,7 +59,7 @@
 //! boolean array shard; the integer, boolean flag and barrier do not (they
 //! are single atomic values): pinned, they are a single copy at their
 //! creator, and left to adapt they are only ever offered the replicated
-//! and primary regimes. With one partition the sharded backend is
+//! regime. With one partition the sharded backend is
 //! observationally identical to the primary-copy one — the cross-RTS
 //! conformance suite (`tests/conformance.rs`) checks all of this, and runs
 //! the adaptive system with eager thresholds so regimes switch *during*
@@ -157,7 +157,7 @@ pub enum RtsKind {
     /// Partitioned objects with owner-shipped operations: the adaptive
     /// runtime with every object's regime pinned to sharded.
     Sharded,
-    /// Per-object regimes (replicated / primary / sharded) picked and
+    /// Per-object regimes (replicated / sharded) picked and
     /// changed at runtime from each object's observed access mix.
     Adaptive,
 }

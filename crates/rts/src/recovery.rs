@@ -15,8 +15,9 @@
 //!   rebuilt by the lowest live node from what the survivors hold. A
 //!   replicated-regime object — a primary copy — keeps serving where it is
 //!   while its owner lives and is regenerated from the freshest surviving
-//!   read mirror when it does not; one that left no mirror, and a
-//!   primary-regime object (one copy, at home), is *lost* with its node
+//!   read mirror when it does not — from its first evaluation on it has
+//!   one, on the next live node if nobody reads it; an object its creator
+//!   took along before that is *lost* with its node
 //!   ([`crate::RtsError::ObjectLost`]).
 //! * **Broadcast** — needs no per-object re-homing at all: every replica
 //!   is everywhere, and a dead *sequencer* is handled inside the group

@@ -1,12 +1,11 @@
 //! Wire messages of the adaptive runtime system's regime protocol.
 //!
 //! The adaptive RTS (see `orca-rts`) serves every shared object in one of
-//! three *regimes* — one copy where the object is written and mirrors,
-//! updated or invalidated, on the nodes that read it; a single copy at the
-//! home node; or hash-partitioned sharding — and changes an object's
-//! regime at runtime from its observed read/write mix (or, with the regime
-//! pinned, keeps every object in one: the `primary` and `sharded`
-//! backends). The object's
+//! two *regimes* — one copy where the object is written and mirrors,
+//! updated or invalidated, on the nodes that read it; or hash-partitioned
+//! sharding — and changes an object's regime at runtime from its observed
+//! read/write mix (or, with the regime pinned, keeps every object in one:
+//! the `primary` and `sharded` backends). The object's
 //! home node (its creator, recoverable from the object id) owns the
 //! authoritative [`RegimeTable`]; every other node caches it and is told
 //! [`RegimeReply::StaleRegime`] when it acts on an outdated epoch.
@@ -27,10 +26,14 @@ pub enum RegimeKind {
     /// object — plus a read mirror on every other node that reads it; writes
     /// execute at the owner, which pushes sequence-numbered updates to the
     /// mirrors. Reads are local there, shipped to the owner from anywhere
-    /// else. Best for read-dominated objects.
+    /// else. A copy nobody reads has no mirror. For everything that is not
+    /// sharded.
     Replicated,
-    /// A single copy at the home node; all remote operations are shipped by
-    /// RPC. Best for mixed or low-traffic objects.
+    /// Reserved: the name and tag of a retired regime (a single copy pinned
+    /// to the home node — a replicated copy without mirrors, which may
+    /// move). `orca-rts` refuses a table or an install that carries it; its
+    /// only reader is `bench/ledger`, and it is deleted with that reader's
+    /// next `[benchmark]` change (ROADMAP item 8).
     Primary,
     /// The object is split into hash-partitioned slices, each owned by one
     /// node; operations ship point-to-point to the partition owner. Best
@@ -87,13 +90,12 @@ pub struct RegimeTable {
     /// The regime currently serving the object.
     pub regime: RegimeKind,
     /// Owner node index per partition: one entry per partition for
-    /// [`RegimeKind::Sharded`], a single entry otherwise — the home node
-    /// for [`RegimeKind::Primary`], the node holding the authoritative copy
-    /// for [`RegimeKind::Replicated`].
+    /// [`RegimeKind::Sharded`], a single entry — the node holding the
+    /// authoritative copy — for [`RegimeKind::Replicated`].
     pub owners: Vec<u16>,
     /// The nodes holding a read mirror ([`RegimeKind::Replicated`] only,
     /// sorted, never the owner). The table is the truth: a node it does not
-    /// list ships its reads to the owner like any primary-regime read.
+    /// list ships its reads to the owner.
     pub mirrors: Vec<u16>,
 }
 
@@ -134,7 +136,7 @@ pub enum RegimeMsg {
         object: u64,
     },
     /// Client → authoritative owner: execute an encoded operation on one
-    /// partition (partition 0 under the primary/replicated regimes). The
+    /// partition (partition 0 under the replicated regime). The
     /// epoch pins the regime the client routed under; a mismatch is
     /// answered [`RegimeReply::StaleRegime`]. Like every request that
     /// ships one operation, it carries the operation as its tail (after
@@ -262,7 +264,7 @@ pub enum RegimeMsg {
     /// so none is left to be promoted later. Owner → its mirrors under the
     /// invalidation write policy: a write was applied, discard the copy and
     /// fetch a fresh one at the next read.
-    DropMirror {
+    DropCopies {
         /// Raw object id.
         object: u64,
         /// Epoch being retired.
@@ -524,7 +526,7 @@ impl Wire for RegimeMsg {
                 epoch.encode(enc);
                 have.encode(enc);
             }
-            RegimeMsg::DropMirror {
+            RegimeMsg::DropCopies {
                 object,
                 epoch,
                 written,
@@ -678,7 +680,7 @@ impl Wire for RegimeMsg {
                 epoch: Wire::decode(dec)?,
                 have: Wire::decode(dec)?,
             }),
-            9 => Ok(RegimeMsg::DropMirror {
+            9 => Ok(RegimeMsg::DropCopies {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 written: Wire::decode(dec)?,
@@ -1018,12 +1020,12 @@ mod tests {
                 epoch: 3,
                 have: Some(12),
             },
-            RegimeMsg::DropMirror {
+            RegimeMsg::DropCopies {
                 object: 9,
                 epoch: 3,
                 written: None,
             },
-            RegimeMsg::DropMirror {
+            RegimeMsg::DropCopies {
                 object: 9,
                 epoch: 3,
                 written: Some(14),

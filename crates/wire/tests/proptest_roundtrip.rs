@@ -375,11 +375,7 @@ fn random_parts(gen: &mut Gen) -> Vec<(u32, u64, u64)> {
 
 fn random_regime(gen: &mut Gen) -> orca_wire::RegimeKind {
     use orca_wire::RegimeKind;
-    [
-        RegimeKind::Replicated,
-        RegimeKind::Primary,
-        RegimeKind::Sharded,
-    ][gen.below(3)]
+    [RegimeKind::Replicated, RegimeKind::Sharded][gen.below(2)]
 }
 
 fn random_nodes(gen: &mut Gen) -> Vec<u16> {
@@ -439,7 +435,7 @@ fn shard_messages_round_trip() {
                 object,
                 node: gen.next_u64() as u16,
             },
-            7 => RegimeMsg::DropMirror {
+            7 => RegimeMsg::DropCopies {
                 object,
                 epoch,
                 written: (gen.below(2) == 0).then(|| gen.next_u64()),
@@ -601,7 +597,7 @@ fn regime_messages_round_trip() {
                 epoch,
                 have: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
-            9 => RegimeMsg::DropMirror {
+            9 => RegimeMsg::DropCopies {
                 object,
                 epoch,
                 written: (gen.below(2) == 0).then(|| gen.next_u64()),

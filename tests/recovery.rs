@@ -71,15 +71,13 @@ fn eager_replication(write: WritePolicy) -> RtsStrategy {
     }
 }
 
-/// Adaptive policy that never switches regimes on its own (astronomical
-/// reporting thresholds) but accepts an explicit `propose_regime` once the
-/// priming reads are flushed — so the object is *deterministically* in the
-/// replicated regime (with mirrors to recover from) when the home dies.
+/// Adaptive policy under which nothing reports on its own: the explicit
+/// `propose_regime` that flushes the priming reads is the one evaluation —
+/// so the object *deterministically* has a mirror on every survivor to
+/// recover from when the home dies.
 fn pinned_adaptive() -> AdaptivePolicy {
     AdaptivePolicy {
-        report_every: u64::MAX / 4,
-        evaluate_every: u64::MAX / 4,
-        min_accesses: 16,
+        window: u64::MAX,
         ..AdaptivePolicy::default()
     }
 }
@@ -110,6 +108,15 @@ fn strategies() -> Vec<(&'static str, RtsStrategy)> {
             },
         ),
     ])
+}
+
+/// Wait until the membership view has moved past the kill.
+fn await_kill_detected(runtime: &OrcaRuntime) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while runtime.membership_view().expect("recovery enabled").epoch < 1 {
+        assert!(Instant::now() < deadline, "kill never detected");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn entry_for(key: u64) -> TableEntry {
@@ -314,6 +321,52 @@ fn chaotic_lane_crash_plus_loss_across_all_strategy_families() {
     }
 }
 
+/// A table two nodes use at 60 % reads is neither write-hot enough to shard
+/// nor — before copies without mirrors were allowed to move — read enough to
+/// be replicated: it sat in a single copy at its creator and died with it
+/// (`ObjectLost`). Placed by use it lives on one of its two users with a
+/// mirror on the other, and its creator's death changes nothing but who
+/// publishes its table.
+#[test]
+fn adaptive_object_in_mixed_use_survives_its_homes_death() {
+    let config = OrcaConfig {
+        recovery: recovery_knobs(),
+        ..OrcaConfig::adaptive(NODES)
+    };
+    let runtime = OrcaRuntime::start(config, standard_registry());
+    let table = KvTable::create(runtime.context(KILLED.index())).unwrap();
+    let mut written = Vec::new();
+    for op in 0..2048u64 {
+        let ctx = runtime.context(1 + (op % 2) as usize);
+        let coin = op.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+        if coin % 100 < 60 {
+            table.get(ctx, op / 3).unwrap();
+        } else {
+            assert!(table.put(ctx, op, entry_for(op)).unwrap());
+            written.push(op);
+        }
+    }
+    let id = table.handle().id();
+    assert_eq!(runtime.object_regime(id), Some(RegimeKind::Replicated));
+    let owner = runtime.object_placement(id).expect("adaptive");
+    assert!(
+        owner == [NodeId(1)] || owner == [NodeId(2)],
+        "the copy is not on a user: {owner:?}"
+    );
+
+    runtime.kill_node(KILLED);
+    await_kill_detected(&runtime);
+    for w in SURVIVORS {
+        let ctx = runtime.context(w);
+        assert_eq!(table.len(ctx).unwrap(), written.len() as u64, "node {w}");
+        for &key in &written {
+            assert_eq!(table.get(ctx, key).unwrap(), Some(entry_for(key)));
+        }
+    }
+    assert_eq!(runtime.object_placement(id), Some(owner));
+    runtime.shutdown();
+}
+
 /// The detect-only mode satisfies the fail-fast contract at the Orca
 /// layer too: with re-homing disabled, an operation against the killed
 /// node's object reports `NodeDown` well inside the operation deadline.
@@ -334,11 +387,7 @@ fn detect_only_surfaces_node_down_at_the_orca_layer() {
     let table = KvTable::create(runtime.context(1)).unwrap();
     assert!(table.put(runtime.context(0), 7, entry_for(7)).unwrap());
     runtime.kill_node(NodeId(1));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while runtime.membership_view().unwrap().epoch < 1 {
-        assert!(Instant::now() < deadline, "kill never detected");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    await_kill_detected(&runtime);
     let started = Instant::now();
     let err = table.put(runtime.context(0), 8, entry_for(8)).unwrap_err();
     assert_eq!(err, orca::rts::RtsError::NodeDown(NodeId(1)));

@@ -19,8 +19,8 @@
 use orca::amoeba::message::WIRE_HEADER_BYTES;
 use orca::amoeba::NodeId;
 use orca::core::objects::{KvTableObject, KvTableOp, KvTableReply, TableEntry};
-use orca::core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime};
-use orca::rts::{RegimeKind, WritePolicy};
+use orca::core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime, RtsStrategy};
+use orca::rts::{AdaptivePolicy, RegimeKind, WritePolicy};
 use orca::wire::Wire;
 
 /// Overhead budget of a remote write: 5 envelope + 1 tag + 2 object and
@@ -109,9 +109,16 @@ fn a_remote_put_on_sharded_costs_its_bytes_plus_fourteen() {
 
 #[test]
 fn a_remote_put_on_primary_without_copies_costs_its_bytes_plus_fourteen() {
-    // Writes alone never make node 1 fetch a copy, and the single read
-    // after them does not either: every operation ships to the primary.
-    let config = OrcaConfig::primary_copy(2, WritePolicy::Update);
+    // Nothing is ever reported, so the copy stays at its creator and has
+    // no mirror: every operation of node 1 ships to it.
+    let policy = AdaptivePolicy {
+        window: u64::MAX,
+        ..AdaptivePolicy::primary_copy(WritePolicy::Update)
+    };
+    let config = OrcaConfig {
+        strategy: RtsStrategy::Adaptive { policy },
+        ..OrcaConfig::primary_copy(2, WritePolicy::Update)
+    };
     let runtime = OrcaRuntime::start(config, standard_registry());
     let table = runtime
         .create::<KvTableObject>(&Default::default())
@@ -367,6 +374,12 @@ fn primary_read_mostly_costs_a_mirror_push_not_a_detour() {
     runtime.shutdown();
 }
 
+/// Regime switches so far, over all nodes.
+fn regime_switches(runtime: &OrcaRuntime) -> u64 {
+    let nodes = runtime.rts_stats();
+    nodes.iter().map(|node| node.regime_switches).sum()
+}
+
 /// Every read-modify-write loop is an even mix of reads and writes, which
 /// is the sharded regime's threshold exactly: decay noise puts every other
 /// window on the far side of it, and a regime left on such evidence is
@@ -384,14 +397,56 @@ fn an_even_mix_settles() {
         let coin = ops.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
         miniature_op(&runtime, table, ops, coin % 2 == 1);
     }
-    let switches: u64 = runtime
-        .rts_stats()
-        .iter()
-        .map(|node| node.regime_switches)
-        .sum();
+    let switches = regime_switches(&runtime);
     assert!(
         switches <= 2,
         "{switches} regime switches under a steady mix"
     );
     runtime.shutdown();
+}
+
+/// Between the two: 55 to 70 % reads are too many for the sharded regime
+/// and were too few for a mirror, so the table sat in a single copy at its
+/// idle creator and every operation of either user was a round trip (105
+/// bytes). A copy without mirrors is allowed to move: it settles on one of
+/// the two users — whose operations then stay on its node — with its one
+/// mirror on the other, whose reads stay on its own (51.7 bytes an
+/// operation at 55 % reads, 35.0 at 70 %).
+#[test]
+fn adaptive_mixed_reads_and_writes_live_at_a_writer() {
+    for reads_per_cent in [55, 70] {
+        let runtime = OrcaRuntime::start(OrcaConfig::adaptive(3), standard_registry());
+        let table = runtime
+            .create::<KvTableObject>(&Default::default())
+            .unwrap();
+        let mut ops = 0u64;
+        let mut run = |count: u64| {
+            for _ in 0..count {
+                let coin = ops.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                miniature_op(&runtime, table, ops, coin % 100 >= reads_per_cent);
+                ops += 1;
+            }
+        };
+        run(4096);
+        assert_eq!(
+            runtime.object_regime(table.id()),
+            Some(RegimeKind::Replicated)
+        );
+        let placement = runtime.object_placement(table.id()).expect("adaptive");
+        assert!(
+            placement == [NodeId(1)] || placement == [NodeId(2)],
+            "{reads_per_cent} % reads: the copy is not on a writer: {placement:?}"
+        );
+        let before = runtime.network_stats();
+        run(8000);
+        let spent = runtime.network_stats().since(&before);
+        let per_op = spent.total_wire_bytes() as f64 / 8000.0;
+        let switches = regime_switches(&runtime);
+        assert!(
+            per_op <= 58.0 && switches <= 2,
+            "{reads_per_cent} % reads: {per_op:.1} wire bytes per operation, \
+             {switches} switches: owner {placement:?}"
+        );
+        runtime.shutdown();
+    }
 }
