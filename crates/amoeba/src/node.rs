@@ -64,8 +64,8 @@ pub mod ports {
     /// RPC service port of the point-to-point runtime system — the adaptive
     /// one, its regime pinned (`primary`, `sharded`) or not: regime routing,
     /// operations, regime-switch drain/install, mirror updates and
-    /// invalidations, partition backups, and re-homing after a crash
-    /// (holdings survey, backup promotion).
+    /// invalidations, and re-homing after a crash (holdings survey,
+    /// promotion of a partition's mirror).
     pub const RTS_ADAPTIVE: Port = 6;
     /// First port usable by applications and tests.
     pub const USER_BASE: Port = 1000;

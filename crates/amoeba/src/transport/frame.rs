@@ -19,11 +19,14 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: since version 7 a byte string is a length and its bytes wherever
-/// it is written (pushed and backed-up operations, job-queue states),
-/// `Update` says whether its mirror is held and carries the lease `Unlock`
-/// lost, a lease riding a message is its span alone, and `Unreached` exists
-/// (version 6 put a `primary` node on `RegimeMsg` and
+/// them: since version 8 a sharded partition's second copy is a mirror —
+/// `Mirror` and `Update` name the partition they mirror as a last field a
+/// whole object's do not have, `Promote` replaces the three backup messages
+/// and `Holdings` lists kept partitions (version 7 made a byte string a
+/// length and its bytes wherever it is written — pushed operations,
+/// job-queue states — `Update` say whether its mirror is held and carry the
+/// lease `Unlock` lost, a lease riding a message its span alone, and added
+/// `Unreached`; version 6 put a `primary` node on `RegimeMsg` and
 /// `ports::RTS_ADAPTIVE` where it spoke a vocabulary of its own — and a
 /// recovery coordinator's — on three ports, made `Update` carry a run of
 /// operations and `DropCopies` the version of an invalidating write;
@@ -36,7 +39,7 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// ports, version 3 brought the RPC envelope of `orca_wire::envelope` and
 /// the single-operation messages whose operation is their tail, version 2
 /// the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 7;
+pub const FRAME_VERSION: u8 = 8;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

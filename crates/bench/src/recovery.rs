@@ -119,7 +119,7 @@ fn run_once(heartbeat: Duration, suspect_after: u32) -> RecoveryRow {
     }
     let detect = kill_at.elapsed();
     // Recovery: a write whose key hashes to a partition the dead node
-    // owned succeeds again (the probe retries until the promoted backup
+    // owned succeeds again (the probe retries until the promoted mirror
     // serves it). Any key works as a probe target for "the table is fully
     // writable again": the adopted home only answers once every partition
     // has a live owner.

@@ -44,19 +44,7 @@ impl AdaptiveRts {
             return Err(RtsError::ObjectLost(object));
         }
         let creator = NodeId(object.creator_index());
-        let home = if is_dead(&self.inner.detector, creator) && self.inner.recovery.rehome {
-            match self
-                .inner
-                .detector
-                .as_ref()
-                .and_then(|d| crate::recovery::recovery_home(&d.view()))
-            {
-                Some(adopter) => adopter,
-                None => return Err(RtsError::NodeDown(creator)),
-            }
-        } else {
-            creator
-        };
+        let home = current_home(&self.inner, object);
         if home == self.inner.node {
             if let Some(entry) = self.inner.homes.read().get(&object).cloned() {
                 return Ok(Arc::clone(&entry.table.lock()));
@@ -172,37 +160,7 @@ impl AdaptiveRts {
     /// Set the batching knobs of the asynchronous invocation path (takes
     /// effect from the next flusher round).
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.inner.batch_policy.lock() = policy;
-    }
-
-    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
-    /// capture by the flusher and retry closures: capturing `self` directly
-    /// would create an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    fn detached(&self) -> AdaptiveRts {
-        AdaptiveRts {
-            inner: Arc::clone(&self.inner),
-            server: Arc::clone(&self.server),
-            pipeline: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The asynchronous-invocation pipeline, started on first use.
-    fn ensure_pipeline(&self) -> Arc<Pipeline> {
-        let mut guard = self.pipeline.lock();
-        if let Some(pipeline) = guard.as_ref() {
-            return Arc::clone(pipeline);
-        }
-        let rts = self.detached();
-        let pipeline = Arc::new(Pipeline::start(
-            format!("rts-pipe-{}", self.inner.node),
-            self.inner.node.0,
-            Arc::clone(self.inner.handle.telemetry()),
-            Arc::clone(&self.inner.batch_policy),
-            move |ops| rts.run_round(ops),
-        ));
-        *guard = Some(Arc::clone(&pipeline));
-        pipeline
+        self.pipeline.set_policy(policy);
     }
 
     /// Execute one flusher round. The adaptive system *inherits* batching
@@ -485,7 +443,7 @@ impl AdaptiveRts {
     ) -> Result<PartOutcome, RtsError> {
         let object = table_object(table);
         loop {
-            let mirror = mirror_entry(&self.inner, object);
+            let mirror = mirror_entry(&self.inner, (object, None));
             let mut state = mirror.state.lock();
             let held = state.epoch == table.epoch && state.copy.is_some();
             if !held || (self.inner.leases_enabled() && !mirror_lease_valid(&self.inner, &state)) {
@@ -568,7 +526,7 @@ impl AdaptiveRts {
             return None;
         }
         let object = table_object(table);
-        let mirror = mirror_entry(&self.inner, object);
+        let mirror = mirror_entry(&self.inner, (object, None));
         if !mirror.mark_pending(table.epoch) {
             return None;
         }
@@ -672,8 +630,8 @@ impl AdaptiveRts {
                 dedup,
                 lease,
             } => {
-                let (inner, name) = (&self.inner, &table.type_name);
-                install_mirror(inner, object, table.epoch, name, &state, seq, dedup, lease)
+                let (inner, at, name) = (&self.inner, (object, None), &table.type_name);
+                install_mirror(inner, at, table.epoch, name, &state, seq, dedup, lease)
             }
             RegimeReply::StaleRegime => Ok(false),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
@@ -959,35 +917,13 @@ impl RuntimeSystem for AdaptiveRts {
         // The access evidence driving regime decisions counts logical
         // invocations, exactly like the synchronous path.
         self.note_access(object, kind);
-        let pipeline = self.ensure_pipeline();
-        let trace = trace::current();
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let resubmit = {
-            let pipeline = Arc::clone(&pipeline);
-            let op = op.to_vec();
-            Arc::new(move |completer| {
-                pipeline.submit(QueuedOp {
-                    object,
-                    kind,
-                    op: op.clone(),
-                    trace,
-                    submitted: Instant::now(),
-                    completer,
-                })
-            })
-        };
-        let (handle, completer) = pending_pair(resubmit);
-        pipeline.submit(QueuedOp {
-            object,
-            kind,
-            op: op.to_vec(),
-            trace,
-            submitted: Instant::now(),
-            completer,
-        });
-        handle
+        self.pipeline.submit(object, kind, op, |pipeline| {
+            let rts = AdaptiveRts {
+                pipeline,
+                ..self.clone()
+            };
+            move |ops| rts.run_round(ops)
+        })
     }
 
     fn stats(&self) -> RtsStatsSnapshot {

@@ -98,29 +98,30 @@
 //!
 //! ## Surviving a node's death
 //!
-//! With recovery enabled ([`RecoveryConfig`]) a sharded-regime slot — and
-//! no other — is backed up: its owner ships every completed write (a
-//! batch's run of them as one message) to the next live node *before*
-//! acknowledging it, and the full state whenever the slot is installed or
-//! the backup lost sync. When an owner dies the home asks every survivor
-//! once what it holds of the object ([`RegimeMsg::Holdings`]) and promotes,
-//! per orphaned partition, the backup of the table's epoch with the highest
-//! version; the partitions keep their epoch, and clients learn of the new
-//! owner because they distrust a cached table that names a dead one. A
-//! replicated regime's copy has its mirrors for backups — with re-homing
-//! on, a copy that would have none keeps one, at its home once it has left
-//! it and on the next live node while it is there: when its owner dies the
-//! home regenerates it from the freshest one, as a single copy of its own
-//! under the next epoch, without mirrors until the next evaluation. When
-//! the *home* dies the lowest live node
-//! adopts the object on first contact with the same steps: the newest epoch
-//! any survivor holds a part of is the object's, every partition of it must
-//! have a slot or a backup (how many there are follows from the policy
+//! With recovery enabled ([`RecoveryConfig`]) a sharded-regime slot keeps
+//! a mirror nobody reads on the next live node — its *keeper*: primed whole
+//! when the slot is installed or the keeper says it lost sync, pushed every
+//! completed write (a batch's run of them as one message) *before* it is
+//! acknowledged, the way a replicated copy's read mirrors are. When an
+//! owner dies the home asks every survivor once what it holds of the object
+//! ([`RegimeMsg::Holdings`]) and promotes, per orphaned partition, the
+//! mirror of the table's epoch with the highest version, in place
+//! ([`RegimeMsg::Promote`]); the partitions keep their epoch, and clients
+//! learn of the new owner because they distrust a cached table that names a
+//! dead one. A replicated regime's copy has the mirrors its readers hold —
+//! with re-homing on, a copy that would have none keeps one, at its home
+//! once it has left it and on the next live node while it is there: when
+//! its owner dies the home regenerates it from the freshest one, as a
+//! single copy of its own under the next epoch, without mirrors until the
+//! next evaluation. When the *home* dies the lowest live node adopts the
+//! object on first contact with the same steps: the newest epoch any
+//! survivor holds a part of is the object's, every partition of it must
+//! have a slot or a kept mirror (how many there are follows from the policy
 //! every node runs), a replicated-regime copy whose owner survives keeps
 //! serving under the epoch it has, and one that died with the home is
-//! regenerated from its freshest read mirror. What leaves none of these — an
-//! object its creator took along before a first evaluation placed it, a
-//! partition whose owner and backup both died — is lost, explicitly
+//! regenerated from its freshest read mirror. What leaves none of these —
+//! an object its creator took along before a first evaluation placed it, a
+//! partition whose owner and keeper both died — is lost, explicitly
 //! ([`RtsError::ObjectLost`]).
 //!
 //! ## Residual windows
@@ -154,14 +155,14 @@ use orca_amoeba::NodeId;
 use orca_group::FailureDetector;
 use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
-use orca_telemetry::{trace, Counter, FlightKind};
+use orca_telemetry::{Counter, FlightKind};
 use orca_wire::{
     BatchOutcome, DedupWindow, Holdings, LeaseGrant, OpBatchView, OpRef, OpStamp, Wire,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::pipeline::{
-    pending_pair, resolve_round, BatchPolicy, PendingBatches, Pipeline, QueuedOp, RoundSlot,
+    resolve_round, BatchPolicy, LazyPipeline, PendingBatches, QueuedOp, RoundSlot,
 };
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
@@ -197,10 +198,9 @@ struct Inner {
     policy: AdaptivePolicy,
     /// Authoritative replicas this node currently serves.
     slots: RwLock<HashMap<(ObjectId, u32), Arc<Slot>>>,
-    /// Backups of sharded-regime slots other nodes serve.
-    backups: RwLock<HashMap<(ObjectId, u32), Arc<BackupSlot>>>,
-    /// Read mirrors of replicated-regime objects.
-    mirrors: RwLock<HashMap<ObjectId, Arc<Mirror>>>,
+    /// Mirrors of slots other nodes serve: the copies this node reads of
+    /// replicated-regime objects, the ones it keeps of sharded partitions.
+    mirrors: RwLock<HashMap<MirrorKey, Arc<Mirror>>>,
     /// Authoritative tables of objects this node created.
     homes: RwLock<HashMap<ObjectId, Arc<HomeObject>>>,
     /// Leased cache of other objects' regime tables.
@@ -235,8 +235,6 @@ struct Inner {
     replacements: Counter,
     /// This node's end of the two-phase update fan-out.
     updates: UpdateChannel,
-    /// Batching knobs of the asynchronous path.
-    batch_policy: Arc<Mutex<BatchPolicy>>,
 }
 
 impl Inner {
@@ -277,7 +275,7 @@ pub struct AdaptiveRts {
     server: Arc<Mutex<Option<RpcServer>>>,
     /// Asynchronous-invocation pipeline, started lazily on first use and
     /// shared by all clones of this handle.
-    pipeline: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    pipeline: LazyPipeline,
 }
 
 impl std::fmt::Debug for AdaptiveRts {
@@ -296,10 +294,10 @@ impl AdaptiveRts {
     }
 
     /// Start the runtime system with crash recovery: every sharded-regime
-    /// slot is backed up on the next live node, and a dead owner's
-    /// partitions are re-owned by promoting their backups; when an object's
+    /// slot keeps a mirror on the next live node, and a dead owner's
+    /// partitions are re-owned by promoting those; when an object's
     /// home node dies, the lowest live node adopts the object — sharded
-    /// regime: from the slots and backups the survivors hold; replicated
+    /// regime: from the slots and mirrors the survivors hold; replicated
     /// regime: from the freshest surviving read mirror; an object that left
     /// neither is lost (see the `recovery` module docs).
     pub fn start_recoverable(
@@ -317,7 +315,6 @@ impl AdaptiveRts {
             registry,
             policy,
             slots: RwLock::new(HashMap::new()),
-            backups: RwLock::new(HashMap::new()),
             mirrors: RwLock::new(HashMap::new()),
             homes: RwLock::new(HashMap::new()),
             routes: Mutex::new(HashMap::new()),
@@ -337,7 +334,6 @@ impl AdaptiveRts {
                 .registry()
                 .counter("rts.adaptive.replacements"),
             updates: UpdateChannel::new(&handle, ports::RTS_ADAPTIVE),
-            batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
         });
         if recovery.rehome {
             if let Some(detector) = &inner.detector {
@@ -358,10 +354,11 @@ impl AdaptiveRts {
             RpcServer::serve_concurrent(handle, ports::RTS_ADAPTIVE, move |body, caller| {
                 serve_request(&service_inner, body, caller)
             });
+        let pipeline = LazyPipeline::new(inner.node, Arc::clone(inner.handle.telemetry()));
         AdaptiveRts {
             inner,
             server: Arc::new(Mutex::new(Some(server))),
-            pipeline: Arc::new(Mutex::new(None)),
+            pipeline,
         }
     }
 
@@ -371,9 +368,7 @@ impl AdaptiveRts {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
-        if let Some(pipeline) = self.pipeline.lock().take() {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
         if let Some(server) = self.server.lock().take() {
             server.shutdown();
         }

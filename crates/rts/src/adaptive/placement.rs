@@ -104,7 +104,7 @@ pub(super) fn switch_regime(
             // die with it: where a dead owner's copy is regenerated it
             // keeps one mirror to do it from — at its home once it has left
             // it, and while it is there on the next live node, where a
-            // sharded slot's backup goes.
+            // sharded slot's keeper goes.
             if inner.recovery.rehome && mirrors.is_empty() {
                 let keeper = match owner == inner.node.0 {
                     true => backup_target(inner),
@@ -168,10 +168,12 @@ pub(super) fn switch_regime(
         }
     }
 
-    // The backups of a sharded regime's slots are retired after the drain,
-    // this node's included: a node whose drop was lost keeps one that is
-    // never promoted while the object's newer epoch leaves a trace among
-    // the survivors.
+    // The keepers of a sharded regime's slots are retired once every drain
+    // has succeeded, this node's included — not by each drained owner: a
+    // drop is an object's, a keeper node holds several partitions, and a
+    // switch undone halfway must find the undrained ones still kept. A node
+    // whose drop was lost keeps a mirror that is never promoted while the
+    // object's newer epoch leaves a trace among the survivors.
     if old.regime == RegimeKind::Sharded && inner.recovery.enabled {
         let everyone = (0..inner.num_nodes).map(NodeId::from);
         drop_copies(inner, object, old.epoch, None, everyone);
@@ -322,65 +324,6 @@ pub(super) fn drain_local(
     let dropped = drop_copies(inner, object, epoch, None, answering);
     settle_grants(inner, &slot, mirrors(), &dropped);
     Some(drained)
-}
-
-/// Install an authoritative slot on this node, `placed` = the regime it
-/// serves and its mirrors. A sharded-regime slot is protected — its state
-/// shipped to the backup node — before it becomes visible, so no write can
-/// reach the backup ahead of the state it applies to. The mirrors of a
-/// replicated-regime slot are primed here, wherever the slot is, each with
-/// a lease booked in the slot's own ledger — best-effort: a mirror that
-/// misses its install fetches on its first read.
-pub(super) fn install_slot(
-    inner: &Arc<Inner>,
-    key: (ObjectId, u32),
-    epoch: u64,
-    type_name: &str,
-    state: &[u8],
-    dedup: DedupWindow,
-    (regime, mirrors): (RegimeKind, &[u16]),
-) -> Result<(), RtsError> {
-    let replica = inner.registry.instantiate(type_name, state)?;
-    let mut leases = SlotLeases::default();
-    if !mirrors.is_empty() {
-        // Encoded once: the grant is the same for every mirror (validity
-        // counts from each holder's own receipt).
-        let lease = inner.lease_span();
-        let prime = RegimeMsg::Mirror {
-            object: key.0 .0,
-            epoch,
-            type_name: type_name.to_string(),
-            state: state.to_vec(),
-            seq: replica.version(),
-            dedup: dedup.clone(),
-            lease,
-        }
-        .to_bytes();
-        for &mirror in mirrors {
-            let deadline = Instant::now() + inner.policy.op_timeout;
-            let primed = regime_rpc_raw(inner, NodeId(mirror), &prime, deadline);
-            if lease.is_some() && matches!(primed, Ok(RegimeReply::Ack)) {
-                let expires = Instant::now() + inner.grant_span();
-                leases.grants.insert(mirror, expires);
-                inner.lease_counters.grants.inc();
-            }
-        }
-    }
-    let slot = Slot {
-        replica: Mutex::new(replica),
-        epoch,
-        withdrawn: AtomicBool::new(false),
-        regime,
-        mirrors: mirrors.to_vec(),
-        dedup: Mutex::new(dedup),
-        leases: Mutex::new(leases),
-        parked: AtomicU32::new(0),
-    };
-    if regime == RegimeKind::Sharded {
-        ship_backup_state(inner, key, &slot, &**slot.replica.lock());
-    }
-    inner.slots.write().insert(key, Arc::new(slot));
-    Ok(())
 }
 
 /// Install the authoritative slots `table` names, cut from the

@@ -1,7 +1,8 @@
 //! Reassembly after a death: what the survivors hold of an object is
-//! surveyed once, orphaned partitions are re-owned from their backups, a
-//! replicated copy is regenerated from its freshest mirror, and a dead
-//! home's role is adopted by the lowest live node.
+//! surveyed once, an orphaned partition is re-owned by promoting its
+//! freshest mirror in place, a replicated copy is regenerated from its
+//! freshest mirror at the home, and a dead home's role is adopted by the
+//! lowest live node.
 
 use super::*;
 
@@ -18,13 +19,8 @@ pub(super) fn home_entry(
     if let Some(entry) = inner.homes.read().get(&object).cloned() {
         return Ok(entry);
     }
-    let creator = NodeId(object.creator_index());
-    let adopter = inner
-        .detector
-        .as_ref()
-        .filter(|d| !d.is_alive(creator))
-        .and_then(|d| crate::recovery::recovery_home(&d.view()));
-    if inner.recovery.rehome && adopter == Some(inner.node) {
+    // Only its adopter is home of an object it did not create.
+    if object.creator_index() != inner.node.0 && current_home(inner, object) == inner.node {
         adopt_object(inner, object)
     } else {
         Err(RtsError::Communication(format!("not home of {object}")))
@@ -33,11 +29,11 @@ pub(super) fn home_entry(
 
 /// The entries of `map` that belong to `object`, by partition — taken out
 /// of the map: what they hold is locked next, a replica mutex can be held
-/// across a backup RPC, and the map must not wait for that.
-pub(super) fn of_object<T>(
-    map: &RwLock<HashMap<(ObjectId, u32), Arc<T>>>,
+/// across a push to its mirrors, and the map must not wait for that.
+pub(super) fn of_object<P: Copy, T>(
+    map: &RwLock<HashMap<(ObjectId, P), Arc<T>>>,
     object: ObjectId,
-) -> Vec<(u32, Arc<T>)> {
+) -> Vec<(P, Arc<T>)> {
     let map = map.read();
     let entries = map.iter().filter(|((held, _), _)| *held == object);
     entries
@@ -56,19 +52,20 @@ pub(super) fn holdings(inner: &Arc<Inner>, object: ObjectId) -> Holdings {
         let part = (partition, slot.epoch, replica.version(), slot.regime);
         held.slots.push(part);
     }
-    for (partition, backup) in of_object(&inner.backups, object) {
-        let state = backup.state.lock();
-        held.type_name = state.replica.type_name().to_string();
-        held.backups.push((partition, backup.epoch, state.version));
-    }
-    if let Some(mirror) = inner.mirrors.read().get(&object) {
+    for (partition, mirror) in of_object(&inner.mirrors, object) {
         let state = mirror.state.lock();
-        if let Some(copy) = &state.copy {
-            held.type_name = copy.type_name().to_string();
-            held.mirror = Some((state.epoch, state.version, copy.state_bytes()));
-            // The window pairs with exactly this state; an adopter must
-            // never combine it with another mirror's snapshot.
-            held.dedup = state.dedup.clone();
+        let Some(copy) = &state.copy else {
+            continue;
+        };
+        held.type_name = copy.type_name().to_string();
+        match partition {
+            Some(partition) => held.keepers.push((partition, state.epoch, state.version)),
+            None => {
+                held.mirror = Some((state.epoch, state.version, copy.state_bytes()));
+                // The window pairs with exactly this state; an adopter must
+                // never combine it with another mirror's snapshot.
+                held.dedup = state.dedup.clone();
+            }
         }
     }
     held
@@ -102,8 +99,8 @@ fn survey(inner: &Arc<Inner>, object: ObjectId, view: &ViewSnapshot) -> Vec<(Nod
 
 /// Give every partition of sharded-regime `object` that has no owner in
 /// `owners` one among the survivors: the node that holds its slot of
-/// `epoch` (an earlier promotion) or else, promoted, the one that holds its
-/// freshest backup of that epoch. `None` when a partition left neither —
+/// `epoch` (an earlier promotion) or else, promoted, the one that keeps its
+/// freshest mirror of that epoch. `None` when a partition left neither —
 /// the object is lost. The second phase of a re-homing, written once for
 /// the live home and for the node that adopts a dead one's role.
 fn reown(
@@ -127,12 +124,12 @@ fn reown(
             if let Some((node, _)) = held.iter().find(|(_, h)| serves(h)) {
                 return Some(node.0);
             }
-            let backups = held.iter().filter_map(|(node, h)| {
-                let backup = h.backups.iter().find(|(p, e, _)| (*p, *e) == at);
-                backup.map(|(_, _, version)| (*version, *node))
+            let keepers = held.iter().filter_map(|(node, h)| {
+                let kept = h.keepers.iter().find(|(p, e, _)| (*p, *e) == at);
+                kept.map(|(_, _, version)| (*version, *node))
             });
-            let (_, holder) = backups.max()?;
-            let promote = RegimeMsg::PromoteBackup {
+            let (_, holder) = keepers.max()?;
+            let promote = RegimeMsg::Promote {
                 object: object.0,
                 epoch,
                 partition: at.0,
@@ -267,13 +264,13 @@ fn regenerate(
 
 /// Take over a dead creator's object on this node (the adopter) from what
 /// the survivors hold of it. Its newest epoch decides: partitions (slots
-/// and backups of a sharded regime) are re-owned where they are and keep
+/// and kept mirrors of a sharded regime) are re-owned where they are and keep
 /// serving under that epoch, and so does a replicated regime's one copy
 /// when its owner is among the survivors; when only read mirrors are, the
 /// freshest is regenerated into a single copy here under a fresh epoch.
 /// An object that left none of these — a copy still at the dead home that
 /// nobody had used enough to give it a mirror, a partition whose owner and
-/// backup both died — is lost.
+/// keeper both died — is lost.
 pub(super) fn adopt_object(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -294,13 +291,13 @@ pub(super) fn adopt_object(
         inner.lost.write().insert(object);
         RtsError::ObjectLost(object)
     };
-    // The newest epoch any survivor serves an authoritative part of — a
-    // slot, which names its regime, or a partition's backup — against the
-    // freshest mirror.
+    // The newest epoch any survivor holds a part of — a slot, which names
+    // its regime, or a partition's kept mirror — against the freshest
+    // mirror of a whole copy.
     let parts = held.iter().flat_map(|(node, h)| {
         let slots = h.slots.iter().map(|slot| (slot.1, slot.3));
-        let backups = h.backups.iter().map(|part| (part.1, RegimeKind::Sharded));
-        let parts = slots.chain(backups);
+        let kept = h.keepers.iter().map(|part| (part.1, RegimeKind::Sharded));
+        let parts = slots.chain(kept);
         parts.map(move |(epoch, regime)| (epoch, regime, node.0, h))
     });
     let newest = parts.max_by_key(|(epoch, ..)| *epoch);

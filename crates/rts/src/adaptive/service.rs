@@ -104,14 +104,15 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
         RegimeMsg::Mirror {
             object,
             epoch,
+            partition,
             type_name,
             state,
             seq,
             dedup,
             lease,
         } => {
-            let object = ObjectId(object);
-            match install_mirror(inner, object, epoch, &type_name, &state, seq, dedup, lease) {
+            let at = (ObjectId(object), partition);
+            match install_mirror(inner, at, epoch, &type_name, &state, seq, dedup, lease) {
                 Ok(_) => RegimeReply::Ack,
                 Err(err) => RegimeReply::Error(err.to_string()),
             }
@@ -130,7 +131,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             // when no copy is installed yet: an invalidation that overtakes
             // the fetch reply it races must still refuse that older
             // snapshot, or the late install would serve stale reads.
-            let mirror = mirror_entry(inner, ObjectId(object));
+            let mirror = mirror_entry(inner, (ObjectId(object), None));
             let mut state = mirror.state.lock();
             if epoch >= state.epoch {
                 state.enter_epoch(epoch);
@@ -146,9 +147,10 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             epoch,
             written: None,
         } => {
-            let object = ObjectId(object);
-            let mirror = inner.mirrors.read().get(&object).cloned();
-            if let Some(mirror) = mirror {
+            // A reader's mirror and the keepers of partitions alike: left
+            // behind, a retired sharded regime's would be all an adopter
+            // finds of an object that has since gone to a single copy.
+            for (_, mirror) in of_object(&inner.mirrors, ObjectId(object)) {
                 let mut state = mirror.state.lock();
                 if state.epoch <= epoch {
                     state.discard();
@@ -158,18 +160,12 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
                     mirror.unlocked.notify_all();
                 }
             }
-            // Backups of the retired epoch go with it: left behind, they
-            // would be all an adopter finds of an object that has since
-            // gone to a single copy at its home.
-            let retired =
-                |held: &ObjectId, backup: &BackupSlot| *held == object && backup.epoch <= epoch;
-            let mut backups = inner.backups.write();
-            backups.retain(|(held, _), backup| !retired(held, backup));
             RegimeReply::Ack
         }
         RegimeMsg::Update {
             object,
             epoch,
+            partition,
             seq,
             held,
             ops,
@@ -181,16 +177,17 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             // fetch cannot install an older snapshot as current. The update
             // doubles as the lease renewal: it is what makes the mirror
             // current again.
-            let mirror = mirror_entry(inner, ObjectId(object));
+            let mirror = mirror_entry(inner, (ObjectId(object), partition));
             let lease = lease.map(|valid_ms| mirror_lease(inner, valid_ms));
             let budget = inner.policy.op_timeout;
-            if mirror.apply_pushed(epoch, seq, held, &ops, stamped, lease, budget) > 0 {
+            let applied = mirror.apply_pushed(epoch, seq, held, &ops, stamped, lease, budget);
+            if applied.is_some_and(|ops| ops > 0) {
                 RtsStats::bump(&inner.stats.updates_applied);
             }
-            RegimeReply::Ack
+            applied.map_or(RegimeReply::StaleRegime, |_| RegimeReply::Ack)
         }
         RegimeMsg::Unlock { object, epoch, seq } => {
-            let mirror = inner.mirrors.read().get(&ObjectId(object)).cloned();
+            let mirror = inner.mirrors.read().get(&(ObjectId(object), None)).cloned();
             if let Some(mirror) = mirror {
                 mirror.unlock(epoch, seq);
             }
@@ -212,45 +209,11 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
         RegimeMsg::Holdings { object } => {
             RegimeReply::Holdings(Box::new(holdings(inner, ObjectId(object))))
         }
-        RegimeMsg::Backup {
+        RegimeMsg::Promote {
             object,
             epoch,
             partition,
-            first_version,
-            ops,
-            stamped,
-        } => {
-            let key = (ObjectId(object), partition);
-            apply_backup(inner, key, epoch, first_version, &ops, stamped)
-        }
-        RegimeMsg::InstallBackup {
-            object,
-            epoch,
-            partition,
-            type_name,
-            state,
-            version,
-            dedup,
-        } => match inner.registry.instantiate(&type_name, &state) {
-            Ok(replica) => {
-                let state = Mutex::new(BackupState {
-                    replica,
-                    version,
-                    dedup,
-                });
-                inner.backups.write().insert(
-                    (ObjectId(object), partition),
-                    Arc::new(BackupSlot { epoch, state }),
-                );
-                RegimeReply::Ack
-            }
-            Err(err) => RegimeReply::Error(err.to_string()),
-        },
-        RegimeMsg::PromoteBackup {
-            object,
-            epoch,
-            partition,
-        } => promote_backup(inner, (ObjectId(object), partition), epoch),
+        } => promote(inner, (ObjectId(object), partition), epoch),
     }
 }
 
@@ -312,7 +275,7 @@ pub(super) fn serve_op_all(
                         // The owner is dead, found so or found out: the
                         // operation waits for the promotion like one routed
                         // to that partition alone, and the share goes to the
-                        // promoted backup, whose window knows whether the
+                        // promoted mirror, whose window knows whether the
                         // owner had applied it.
                         (Err(RtsError::NodeDown(_)), Some(detector)) if inner.recovery.rehome => {
                             recover_object(inner, object, &entry, &detector.view());

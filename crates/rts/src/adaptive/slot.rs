@@ -1,8 +1,18 @@
-//! What a node holds of an object — authoritative slots, partition backups,
-//! read mirrors — and the owner's side of an operation: apply under the
-//! epoch and withdrawn-mark discipline, then pay what a completed write owes
-//! (an update push or an invalidation to the mirrors, a copy to the backup)
-//! and keep the read-lease ledger.
+//! What a node holds of an object — authoritative slots, and mirrors of
+//! slots served elsewhere — and the owner's side of an operation: apply
+//! under the epoch and withdrawn-mark discipline, then pay what a completed
+//! write owes its mirrors (an update push, or an invalidation) and keep the
+//! read-lease ledger.
+//!
+//! There is one kind of non-authoritative copy. A replicated-regime slot's
+//! mirrors are the nodes its table lists: they read their copy, under a
+//! lease. A sharded-regime slot, with recovery enabled, keeps one the table
+//! does not list — its *keeper*, on the next live node ([`backup_target`]):
+//! nobody reads it, so it is granted no lease and, being the only holder
+//! pushed to, never locked; it is there to be promoted when the owner dies.
+//! Both are primed with [`RegimeMsg::Mirror`], pushed every write with
+//! [`RegimeMsg::Update`] before the write is acknowledged, and retired with
+//! [`RegimeMsg::DropCopies`].
 
 use super::*;
 
@@ -19,15 +29,16 @@ pub(super) struct Slot {
     /// apply to the orphaned replica *after* the state snapshot and be
     /// silently lost across the switch.
     pub(super) withdrawn: AtomicBool,
-    /// The regime this slot serves, which is what a completed write owes
-    /// before it is acknowledged: under the replicated regime a
-    /// sequence-numbered update to every mirror, under the sharded regime —
-    /// with recovery enabled — a copy to the partition's backup.
+    /// The regime this slot serves.
     pub(super) regime: RegimeKind,
     /// The nodes holding a read mirror of a replicated-regime slot, as the
     /// table of its epoch lists them: primed when the slot was installed,
     /// pushed every write, dropped when it is drained.
     pub(super) mirrors: Vec<u16>,
+    /// `Some(partition)` on a sharded-regime slot with recovery enabled: it
+    /// keeps one mirror nobody lists or reads, addressed by its partition,
+    /// on whichever node [`backup_target`] names when a write is pushed.
+    pub(super) kept: Option<u32>,
     /// Recently applied stamped writes and their replies (exactly-once
     /// across client retries; travels with the state through regime
     /// switches and adoption). Locked strictly after — and only while
@@ -42,13 +53,24 @@ pub(super) struct Slot {
 
 impl Slot {
     /// True when a completed write on this slot is paid for with messages
-    /// ([`settle_writes`]) — while the replica mutex is held: a push to its
-    /// mirrors, a copy to its backup.
-    fn fans_out(&self, inner: &Inner) -> bool {
-        match self.regime {
-            RegimeKind::Sharded => inner.recovery.enabled,
-            _ => !self.mirrors.is_empty(),
-        }
+    /// to its mirrors ([`settle_writes`]), while the replica mutex is held.
+    fn fans_out(&self) -> bool {
+        self.kept.is_some() || !self.mirrors.is_empty()
+    }
+
+    /// The nodes that hold a mirror of this slot: the ones the table lists
+    /// and, now, its keeper.
+    pub(super) fn holders(&self, inner: &Inner) -> Vec<NodeId> {
+        let keeper = self.kept.and_then(|_| backup_target(inner));
+        let listed = self.mirrors.iter().map(|&mirror| NodeId(mirror));
+        listed.chain(keeper).collect()
+    }
+
+    /// The lease that rides a message to this slot's mirrors, when leases
+    /// are granted — to readers: a keeper is read by nobody and holds none,
+    /// so a push that fails to reach it leaves no grant to wait out.
+    fn lease_span(&self, inner: &Inner) -> Option<u64> {
+        inner.lease_span().filter(|_| self.kept.is_none())
     }
 
     /// Lock the replica for a request of `caller`, which counts as parked
@@ -123,30 +145,17 @@ pub(super) struct SlotLeases {
     pub(super) unreached: Vec<u16>,
 }
 
-/// A backup of a sharded-regime slot owned elsewhere: the owner ships every
-/// completed write here before acknowledging it, so a single owner failure
-/// loses no acknowledged write.
-pub(super) struct BackupSlot {
-    /// Epoch of the slot this backs up; a backup of any other epoch is
-    /// what a drain left behind and is never promoted.
-    pub(super) epoch: u64,
-    pub(super) state: Mutex<BackupState>,
-}
-
-pub(super) struct BackupState {
-    pub(super) replica: Box<dyn AnyReplica>,
-    /// Version of the owner's replica this state corresponds to.
-    pub(super) version: u64,
-    /// Dedup window, exactly as current as the replica.
-    pub(super) dedup: DedupWindow,
-}
-
-/// One node's read mirror of a replicated-regime object: the copy the
-/// update protocol keeps current (its version is the sequence number of
-/// the last update applied), under this runtime's lease record. Reads
-/// serve locally only while the lease is valid; a lapsed lease is renewed
-/// at the owner, which ships the state along only if the copy fell behind.
+/// One node's mirror of a slot served elsewhere: the copy the update
+/// protocol keeps current (its version is the sequence number of the last
+/// update applied), under this runtime's lease record. A reader's serves
+/// reads locally only while the lease is valid; a lapsed lease is renewed at
+/// the owner, which ships the state along only if the copy fell behind. A
+/// keeper's is never read.
 pub(super) type MirrorState = CopyState<MirrorLease>;
+
+/// What a mirror is a mirror of: an object's one copy (`None`) or one
+/// partition of it, as [`RegimeMsg::Mirror`] says.
+pub(super) type MirrorKey = (ObjectId, Option<u32>);
 
 /// A mirror with the condition variable its readers and writers park on.
 pub(super) type Mirror = HeldCopy<MirrorLease>;
@@ -179,8 +188,8 @@ pub(super) fn mirror_lease_valid(inner: &Inner, state: &MirrorState) -> bool {
         None => false,
     }
 }
-/// Have `nodes` — this one among them, perhaps — discard what they hold of
-/// `object` up to regime `epoch`, read mirror and partition backups, so
+/// Have `nodes` — this one among them, perhaps — discard the mirrors they
+/// hold of `object` up to regime `epoch`, a reader's and a keeper's alike, so
 /// nobody keeps serving (or promotes) what that regime left behind — or,
 /// `written` naming the version of a write under the invalidation policy,
 /// their copy of the current one, to be fetched again. Returns the nodes
@@ -212,9 +221,8 @@ pub(super) fn drop_copies(
     dropped.collect()
 }
 
-/// The node that backs up the sharded-regime slots this node serves: the
-/// next live node after it in index order. `None` with recovery off, or
-/// alone.
+/// Where the keeper of a sharded-regime slot this node serves goes: the next
+/// live node after it in index order. `None` with recovery off, or alone.
 pub(super) fn backup_target(inner: &Inner) -> Option<NodeId> {
     if !inner.recovery.enabled {
         return None;
@@ -224,124 +232,91 @@ pub(super) fn backup_target(inner: &Inner) -> Option<NodeId> {
         .find(|node| !is_dead(&inner.detector, *node))
 }
 
-/// Backup traffic waits one attempt slice, not an operation deadline: the
-/// owner holds its replica mutex, and an unreachable backup node is skipped
-/// — the next write re-targets the then-next live node.
-fn backup_rpc(inner: &Arc<Inner>, dst: NodeId, msg: &RegimeMsg) -> Result<RegimeReply, RtsError> {
-    regime_rpc_deadline(
-        inner,
-        dst,
-        msg,
-        Instant::now() + inner.recovery.attempt_timeout,
-    )
-}
-
-/// Ship a run of completed writes (one, with its stamp and reply, from the
-/// synchronous path) to the slot's backup, as one message. The caller
-/// still holds the replica mutex, so the backup sees writes in execution
-/// order and none is acknowledged before its backup exists. A backup that
-/// lost sync is re-installed from full state.
-fn ship_backup(
+/// Prime `nodes` with the whole state of `slot` ([`RegimeMsg::Mirror`],
+/// encoded once), whose replica the caller holds: a reader's copy comes with
+/// a lease, booked in the slot's ledger once acknowledged. Best-effort: a
+/// reader that misses it fetches at its first read, a keeper answers the
+/// next push `StaleRegime` and is primed again.
+fn prime_mirrors(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     slot: &Slot,
     replica: &dyn AnyReplica,
-    ops: Vec<Vec<u8>>,
-    stamped: Option<(OpStamp, Vec<u8>)>,
+    nodes: &[NodeId],
 ) {
-    let Some(target) = backup_target(inner) else {
+    if nodes.is_empty() {
         return;
-    };
-    let msg = RegimeMsg::Backup {
+    }
+    let lease = slot.lease_span(inner);
+    let deadline = Instant::now() + inner.policy.op_timeout;
+    let prime = RegimeMsg::Mirror {
         object: key.0 .0,
         epoch: slot.epoch,
-        partition: key.1,
-        first_version: replica.version() + 1 - ops.len() as u64,
-        ops,
-        stamped,
-    };
-    // An unreachable backup node is skipped; one that answers anything but
-    // an acknowledgement has lost sync.
-    if backup_rpc(inner, target, &msg).is_ok_and(|reply| reply != RegimeReply::Ack) {
-        ship_backup_state(inner, key, slot, replica);
+        partition: slot.kept,
+        type_name: replica.type_name().to_string(),
+        state: replica.state_bytes(),
+        seq: replica.version(),
+        dedup: slot.dedup.lock().clone(),
+        lease,
+    }
+    .to_bytes();
+    for &node in nodes {
+        let primed = regime_rpc_raw(inner, node, &prime, deadline);
+        if lease.is_some() && matches!(primed, Ok(RegimeReply::Ack)) {
+            let expires = Instant::now() + inner.grant_span();
+            slot.leases.lock().grants.insert(node.0, expires);
+            inner.lease_counters.grants.inc();
+        }
     }
 }
 
-/// Install (or refresh) the full backup state of a sharded-regime slot on
-/// its backup node.
-pub(super) fn ship_backup_state(
-    inner: &Arc<Inner>,
-    key: (ObjectId, u32),
-    slot: &Slot,
-    replica: &dyn AnyReplica,
-) {
-    let Some(target) = backup_target(inner) else {
-        return;
-    };
-    let install = RegimeMsg::InstallBackup {
-        object: key.0 .0,
-        epoch: slot.epoch,
-        partition: key.1,
-        type_name: replica.type_name().to_string(),
-        state: replica.state_bytes(),
-        version: replica.version(),
-        dedup: slot.dedup.lock().clone(),
-    };
-    let _ = backup_rpc(inner, target, &install);
-}
-
-/// Backup side of [`ship_backup`]: apply the unseen suffix of the run.
-/// Anything but an `Ack` makes the owner re-install the backup whole — a
-/// backup it never installed or of another epoch, a run that went missing
-/// before this one, an operation that does not complete here as it did at
-/// the owner.
-pub(super) fn apply_backup(
+/// Install an authoritative slot on this node, `placed` = the regime it
+/// serves and the mirrors its table lists. Its mirrors — those, and the
+/// keeper of a sharded-regime slot — are primed here, wherever the slot is,
+/// before it becomes visible: no write's push can reach a mirror ahead of
+/// the state it applies to.
+pub(super) fn install_slot(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     epoch: u64,
-    first_version: u64,
-    ops: &[Vec<u8>],
-    stamped: Option<(OpStamp, Vec<u8>)>,
-) -> RegimeReply {
-    let backup = inner.backups.read().get(&key).cloned();
-    let Some(backup) = backup.filter(|backup| backup.epoch == epoch) else {
-        return RegimeReply::StaleRegime;
+    type_name: &str,
+    state: &[u8],
+    dedup: DedupWindow,
+    (regime, mirrors): (RegimeKind, &[u16]),
+) -> Result<(), RtsError> {
+    let slot = Slot {
+        replica: Mutex::new(inner.registry.instantiate(type_name, state)?),
+        epoch,
+        withdrawn: AtomicBool::new(false),
+        regime,
+        mirrors: mirrors.to_vec(),
+        kept: (regime == RegimeKind::Sharded && inner.recovery.enabled).then_some(key.1),
+        dedup: Mutex::new(dedup),
+        leases: Mutex::default(),
+        parked: AtomicU32::new(0),
     };
-    let mut state = backup.state.lock();
-    if first_version > state.version + 1 {
-        return RegimeReply::StaleRegime;
-    }
-    let seen = (state.version + 1 - first_version) as usize;
-    for op in ops.iter().skip(seen) {
-        match state.replica.apply_encoded(op) {
-            Ok(AppliedOutcome::Done(_)) => state.version += 1,
-            Ok(AppliedOutcome::Blocked) | Err(_) => return RegimeReply::StaleRegime,
-        }
-    }
-    if let Some((stamp, reply)) = stamped {
-        state.dedup.record(stamp, reply);
-    }
-    RtsStats::bump(&inner.stats.updates_applied);
-    RegimeReply::Ack
+    let holders = slot.holders(inner);
+    prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
+    inner.slots.write().insert(key, Arc::new(slot));
+    Ok(())
 }
 
-/// Make this node's backup of `epoch` the authoritative slot (its owner
-/// died); the install re-protects it on the next live node before it
-/// serves a write.
-pub(super) fn promote_backup(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> RegimeReply {
-    let backup = {
-        let mut backups = inner.backups.write();
-        match backups.get(&key) {
-            Some(backup) if backup.epoch == epoch => backups.remove(&key),
-            _ => None,
-        }
-    };
-    let Some(backup) = backup else {
+/// Make this node's mirror of partition `key.1`, of `epoch`, the partition's
+/// authoritative slot — its owner died — in place and under the epoch its
+/// sibling partitions still serve; the install primes a new keeper on the
+/// next live node before the slot takes a write.
+pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> RegimeReply {
+    let mirror = inner.mirrors.read().get(&(key.0, Some(key.1))).cloned();
+    let kept = mirror.and_then(|mirror| {
+        let mut state = mirror.state.lock();
+        let of_epoch = state.epoch == epoch;
+        let copy = state.copy.take_if(|_| of_epoch)?;
+        Some((copy, std::mem::take(&mut state.dedup)))
+    });
+    let Some((copy, dedup)) = kept else {
         return RegimeReply::StaleRegime;
     };
-    let state = backup.state.lock();
-    let (replica, dedup) = (&state.replica, state.dedup.clone());
-    let (name, bytes) = (replica.type_name(), replica.state_bytes());
+    let (name, bytes) = (copy.type_name(), copy.state_bytes());
     let placed = (RegimeKind::Sharded, &[][..]);
     match install_slot(inner, key, epoch, name, &bytes, dedup, placed) {
         Ok(()) => RegimeReply::Ack,
@@ -353,9 +328,8 @@ pub(super) fn promote_backup(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u6
 /// epoch-checked slot path as single operations. Runs of consecutive ops on
 /// one slot execute under a single hold of its replica lock, and what the
 /// run's completed writes owe ([`settle_writes`]) is paid as **one** message
-/// per destination before the run is acknowledged: one run to the backup of
-/// a sharded-regime slot, one pushed run (or one invalidation) to each
-/// mirror of a replicated-regime one.
+/// per destination before the run is acknowledged: one pushed run (or one
+/// invalidation) to each mirror, a sharded-regime slot's keeper included.
 pub(super) fn apply_op_batch(
     inner: &Arc<Inner>,
     ops: &OpBatchView<'_>,
@@ -435,7 +409,7 @@ pub(super) fn apply_at_slot(
         let (replica, run) = (&mut replica, None);
         apply_locked(inner, key, &slot, replica, op, stamp, caller, through, run)
     };
-    if caller == inner.node && slot.fans_out(inner) {
+    if caller == inner.node && slot.fans_out() {
         slot.yield_to_parked();
     }
     reply
@@ -508,7 +482,7 @@ fn apply_locked(
                     slot.dedup.lock().record(*stamp, reply.clone());
                 }
                 let through = through && slot.regime == RegimeKind::Replicated;
-                let owes = slot.fans_out(inner);
+                let owes = slot.fans_out();
                 match run {
                     Some(run) if owes => run.push(op.to_vec()),
                     None if owes => {
@@ -521,7 +495,7 @@ fn apply_locked(
                     // The writer's renewal rides the acknowledgement,
                     // booked like the others when it is sent.
                     let seq = replica.version();
-                    let lease = inner.lease_span();
+                    let lease = slot.lease_span(inner);
                     if lease.is_some() {
                         renew_mirror_grant(inner, slot, caller);
                     }
@@ -536,15 +510,16 @@ fn apply_locked(
 }
 
 /// Pay what the completed writes `ops` — one, or a batch's run, the last of
-/// which left `replica` at its current version — owe before they are
-/// acknowledged ([`Slot::fans_out`]). The caller holds the replica mutex.
-/// On a sharded-regime slot that is a copy to the partition's backup; on
-/// the copy of a replicated-regime object, whatever the write policy does
-/// to the mirrors, all but `skip` — a writer bringing its own mirror up to
-/// date from the acknowledgement — and the dead: a two-phase push of the
-/// run ([`push_update`]), or an invalidation naming its last version,
-/// which retires the copies with the `DropCopies` and grant settlement a
-/// drain uses and leaves the mirrors listed, to fetch at their next read.
+/// which left `replica` at its current version — owe the slot's mirrors
+/// before they are acknowledged ([`Slot::fans_out`]). The caller holds the
+/// replica mutex. All of them but `skip` — a writer bringing its own mirror
+/// up to date from the acknowledgement — and the dead get what the write
+/// policy says: a two-phase push of the run ([`push_update`]), or an
+/// invalidation naming its last version, which retires the copies with the
+/// `DropCopies` and grant settlement a drain uses and leaves the mirrors
+/// listed, to fetch at their next read. A keeper fetches nothing — nobody
+/// reads it — and an invalidated one would protect nothing: it is always
+/// pushed to.
 fn settle_writes(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -554,46 +529,41 @@ fn settle_writes(
     stamped: Option<(OpStamp, Vec<u8>)>,
     skip: Option<NodeId>,
 ) {
-    match slot.regime {
-        RegimeKind::Sharded => ship_backup(inner, key, slot, replica, ops, stamped),
-        _ => {
-            let mirrors = slot.mirrors.iter().map(|&mirror| NodeId(mirror));
-            let others: Vec<NodeId> = mirrors
-                .filter(|n| Some(*n) != skip && !is_dead(&inner.detector, *n))
-                .collect();
-            if others.is_empty() {
-                return;
-            }
-            let last = replica.version();
-            match inner.policy.write {
-                WritePolicy::Update => {
-                    let first = last + 1 - ops.len() as u64;
-                    push_update(inner, slot, key.0, &others, first, ops, stamped);
-                }
-                WritePolicy::Invalidate => {
-                    let nodes = || others.iter().copied();
-                    let dropped = drop_copies(inner, key.0, slot.epoch, Some(last), nodes());
-                    settle_grants(inner, slot, nodes(), &dropped);
-                }
-            }
+    let mut others = slot.holders(inner);
+    others.retain(|n| Some(*n) != skip && !is_dead(&inner.detector, *n));
+    if others.is_empty() {
+        return;
+    }
+    match inner.policy.write {
+        WritePolicy::Invalidate if slot.kept.is_none() => {
+            let nodes = || others.iter().copied();
+            let written = Some(replica.version());
+            let dropped = drop_copies(inner, key.0, slot.epoch, written, nodes());
+            settle_grants(inner, slot, nodes(), &dropped);
         }
+        _ => push_update(inner, key, slot, replica, &others, ops, stamped),
     }
 }
 
-/// Push a run of committed writes — `ops[0]` left the replica at version
-/// `first` — to the mirrors `others` of `slot`, in two phases:
+/// Push a run of committed writes — the last of them left `replica` at its
+/// current version — to the mirrors `others` of `slot`, in two phases:
 /// update-and-lock, then a one-way unlock of the run's last version — for
 /// all but the last of them, which is never locked
-/// ([`UpdateChannel::two_phase`]). Without read leases this is best-effort
-/// under crashes: a mirror that misses an update detects the sequence gap
-/// on the next one and re-syncs from the owner. With leases enabled the
-/// update doubles as the lease renewal, and a mirror a push could not reach
-/// has its outstanding grant *settled* — the write waits out the grant's
+/// ([`UpdateChannel::two_phase`]): a keeper, the one holder of its slot,
+/// never is. Without read leases this is best-effort under crashes: a
+/// reader's mirror that misses an update detects the sequence gap on the
+/// next one and re-syncs from the owner. With leases enabled the update
+/// doubles as the lease renewal, and a mirror a push could not reach has its
+/// outstanding grant *settled* — the write waits out the grant's
 /// conservative expiry before it is acknowledged, so no node can still be
 /// serving leased reads of the pre-write state when the writer continues.
-/// A mirror that does not answer and is not known dead would cost every
-/// later write the same: the home is told, once, and re-places the object
-/// without it ([`RegimeMsg::Unreached`]).
+/// A listed mirror that does not answer and is not known dead would cost
+/// every later write the same: the home is told, once, and re-places the
+/// object without it ([`RegimeMsg::Unreached`]). A keeper that does not
+/// answer is skipped — the next write finds the then-next live node — and
+/// one that answers it could not take the run (`StaleRegime`: it never held
+/// a copy, holds one of another epoch, or missed a run) is primed whole,
+/// here, before the write is acknowledged.
 ///
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
@@ -603,25 +573,26 @@ fn settle_writes(
 /// as a timeout just because a mirror is unreachable.
 fn push_update(
     inner: &Arc<Inner>,
+    key: (ObjectId, u32),
     slot: &Slot,
-    object: ObjectId,
+    replica: &dyn AnyReplica,
     others: &[NodeId],
-    first: u64,
     ops: Vec<Vec<u8>>,
     stamped: Option<(OpStamp, Vec<u8>)>,
 ) {
     let deadline = Instant::now() + inner.policy.op_timeout / 2;
-    let (epoch, last) = (slot.epoch, first + ops.len() as u64 - 1);
+    let (object, epoch, last) = (key.0, slot.epoch, replica.version());
     // Each phase is encoded once and the bytes fanned out: the lease is the
     // same for all holders (validity counts from each holder's own receipt)
     // and whether a holder is held is one byte, set in place.
-    let lease = inner.lease_span();
+    let lease = slot.lease_span(inner);
     let room = ops.iter().map(|op| op.len() + 2).sum::<usize>();
     let mut update = Vec::with_capacity(room + 48);
     RegimeMsg::Update {
         object: object.0,
         epoch,
-        seq: first,
+        partition: slot.kept,
+        seq: last + 1 - ops.len() as u64,
         held: true,
         ops,
         stamped,
@@ -639,17 +610,21 @@ fn push_update(
             renew_mirror_grant(inner, slot, node);
         }
         RegimeMsg::hold_update(&mut update, held);
-        regime_rpc_raw(inner, node, &update, deadline).is_ok()
+        let reply = regime_rpc_raw(inner, node, &update, deadline);
+        if slot.kept.is_some() && matches!(reply, Ok(RegimeReply::StaleRegime)) {
+            prime_mirrors(inner, key, slot, replica, &[node]);
+        }
+        reply.is_ok()
     };
     let failed = inner.updates.two_phase(others, push, &unlock);
     settle_grants(inner, slot, failed.iter().copied(), &[]);
-    let alive = failed.iter().filter(|n| !is_dead(&inner.detector, **n));
-    for node in alive.map(|node| node.0) {
+    let listed = failed.iter().filter(|n| slot.mirrors.contains(&n.0));
+    for node in listed.filter(|n| !is_dead(&inner.detector, **n)) {
         let unreached = &mut slot.leases.lock().unreached;
-        if !unreached.contains(&node) {
-            unreached.push(node);
+        if !unreached.contains(&node.0) {
+            unreached.push(node.0);
             let home = current_home(inner, object);
-            let object = object.0;
+            let (object, node) = (object.0, node.0);
             let report = RegimeMsg::Unreached { object, node }.to_bytes();
             let _ = rpc_notify(&inner.handle, home, ports::RTS_ADAPTIVE, report);
         }
@@ -697,28 +672,24 @@ pub(super) fn settle_grants(
     }
 }
 
-/// This node's mirror entry for `object`, created empty on first use.
-pub(super) fn mirror_entry(inner: &Arc<Inner>, object: ObjectId) -> Arc<Mirror> {
-    if let Some(entry) = inner.mirrors.read().get(&object) {
+/// This node's mirror entry for `at`, created empty on first use.
+pub(super) fn mirror_entry(inner: &Arc<Inner>, at: MirrorKey) -> Arc<Mirror> {
+    if let Some(entry) = inner.mirrors.read().get(&at) {
         return Arc::clone(entry);
     }
-    let mut mirrors = inner.mirrors.write();
-    Arc::clone(
-        mirrors
-            .entry(object)
-            .or_insert_with(|| Arc::new(Mirror::default())),
-    )
+    Arc::clone(inner.mirrors.write().entry(at).or_default())
 }
 
-/// Install a snapshot of `object` at version `seq` of regime `epoch` — the
+/// Install a snapshot of `at` at version `seq` of regime `epoch` — the
 /// owner primed it, or this node fetched it — as the local mirror, with the
 /// lease that came along. False when the mirror has moved on to a newer
 /// regime meanwhile: the retired snapshot would regress it. Nor is a
-/// snapshot installed that an update raced ahead of; the next read fetches.
+/// reader's snapshot installed that an update raced ahead of; the next read
+/// fetches. (A keeper fetches nothing: its owner's prime is never raced.)
 #[allow(clippy::too_many_arguments)]
 pub(super) fn install_mirror(
     inner: &Arc<Inner>,
-    object: ObjectId,
+    at: MirrorKey,
     epoch: u64,
     type_name: &str,
     state_bytes: &[u8],
@@ -727,14 +698,14 @@ pub(super) fn install_mirror(
     lease: Option<u64>,
 ) -> Result<bool, RtsError> {
     let replica = inner.registry.instantiate(type_name, state_bytes)?;
-    let mirror = mirror_entry(inner, object);
+    let mirror = mirror_entry(inner, at);
     let mut state = mirror.state.lock();
     if epoch < state.epoch {
         return Ok(false);
     }
     state.enter_epoch(epoch);
     let lease = lease.map(|valid_ms| mirror_lease(inner, valid_ms));
-    if state.install_snapshot(replica, seq, dedup, lease) {
+    if state.install_snapshot(replica, seq, dedup, lease, at.1.is_some()) {
         RtsStats::bump(&inner.stats.copies_fetched);
     }
     mirror.unlocked.notify_all();

@@ -13,7 +13,7 @@ use super::client::PartOutcome;
 use super::messages::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use super::placement::switch_regime;
 use super::policy::UsageAggregate;
-use super::reassembly::of_object;
+use super::reassembly::{holdings, of_object};
 use super::service::dispatch;
 use super::slot::{apply_at_slot, mirror_entry, Slot};
 use super::{AdaptivePolicy, AdaptiveRts};
@@ -34,10 +34,29 @@ impl AdaptiveRts {
     /// This node's mirror of `object`: whether it holds a copy, the copy's
     /// version, whether it is locked, and its pending write-throughs.
     pub(crate) fn mirror_of(&self, object: ObjectId) -> (bool, u64, bool, u32) {
-        let mirror = mirror_entry(&self.inner, object);
+        let mirror = mirror_entry(&self.inner, (object, None));
         let state = mirror.state.lock();
         let held = state.copy.is_some();
         (held, state.version, state.locked, state.pending_writes)
+    }
+
+    /// The mirror this node keeps of `partition` of sharded `object`, when
+    /// it holds a copy: its epoch and version, whether it is locked, and
+    /// whether a lease came with it.
+    pub(crate) fn keeper_of(
+        &self,
+        object: ObjectId,
+        partition: u32,
+    ) -> Option<(u64, u64, bool, bool)> {
+        let mirror = mirror_entry(&self.inner, (object, Some(partition)));
+        let state = mirror.state.lock();
+        let kept = (
+            state.epoch,
+            state.version,
+            state.locked,
+            state.lease.is_some(),
+        );
+        state.copy.as_ref().map(|_| kept)
     }
 
     /// Replace the evidence of `object`, whose home this node is, with
@@ -1376,7 +1395,7 @@ fn cached_table_with_any_dead_owner_is_refetched() {
 /// A partition on a dead node cannot be drained, so a re-placement away
 /// from it is refused before it withdraws the partitions that still
 /// serve. (Detection only: with re-homing on, the dead owner's
-/// partitions are promoted from their backups and no owner is dead.)
+/// partitions are promoted from their keepers and no owner is dead.)
 #[test]
 fn re_placement_with_a_dead_owner_withdraws_nothing() {
     let net = Network::reliable(3);
@@ -1400,9 +1419,9 @@ fn re_placement_with_a_dead_owner_withdraws_nothing() {
     shutdown_all(&rtses);
 }
 
-/// An object that adapted into the sharded regime is backed up like a
+/// An object that adapted into the sharded regime is kept like a
 /// pinned one. A partition owner dies: every acknowledged write
-/// survives in the promoted backup, under the epoch it had, and a
+/// survives in the promoted keeper, under the epoch it had, and a
 /// stamped write the dead owner applied and acknowledged is answered
 /// from the promoted dedup window when it is presented again, not
 /// applied twice.
@@ -1434,7 +1453,7 @@ fn sharded_regime_survives_an_owners_death_exactly_once() {
     net.crash(NodeId(2));
     wait_for_death(&rtses, NodeId(2));
     // An ordinary write to the dead owner's partition waits for the
-    // promotion; then the table names the survivor that held the backup.
+    // promotion; then the table names the survivor that kept the mirror.
     assert_eq!(deposit(&rtses[1], id, key, 1), 8);
     let (regime, epoch, owners) = rtses[1].placement_of(id).unwrap();
     assert_eq!((regime, epoch), (RegimeKind::Sharded, 1));
@@ -1446,7 +1465,7 @@ fn sharded_regime_survives_an_owners_death_exactly_once() {
 
 /// The home of a sharded-regime object dies, a partition owner too (the
 /// same node): the lowest survivor re-assembles the table from the
-/// slots and backups the survivors hold, under the object's epoch, and
+/// slots and kept mirrors the survivors hold, under the object's epoch, and
 /// no acknowledged write is missing.
 #[test]
 fn sharded_regime_survives_its_homes_death() {
@@ -1470,10 +1489,10 @@ fn sharded_regime_survives_its_homes_death() {
     shutdown_all(&rtses);
 }
 
-/// A switch retires the backups of the epoch it drains. A node that
+/// A switch retires the kept mirrors of the epoch it drains. A node that
 /// missed that keeps one — and when an owner dies later, such a
 /// leftover is never what is promoted, however many more writes it has
-/// seen than the backup of the current epoch.
+/// seen than the mirror of the current epoch.
 #[test]
 fn a_backup_a_drain_left_behind_is_never_promoted() {
     let net = Network::reliable(3);
@@ -1484,34 +1503,34 @@ fn a_backup_a_drain_left_behind_is_never_promoted() {
         assert_eq!(deposit(&rtses[0], id, key, 1), 1);
     }
     let backed_up = |rts: &AdaptiveRts| {
-        let backups = rts.inner.backups.read();
-        let of_bank = backups.iter().filter(|((object, _), _)| *object == id);
-        of_bank
-            .map(|(_, backup)| backup.epoch)
+        let kept = holdings(&rts.inner, id).keepers;
+        kept.iter()
+            .map(|(_, epoch, _)| *epoch)
             .collect::<Vec<u64>>()
     };
     assert!(
         !backed_up(&rtses[0]).is_empty(),
-        "node 2's backups are here"
+        "node 2's keepers are here"
     );
     place_by(&rtses[0], id, &[1, 1, 0]).unwrap();
     for rts in &rtses {
         assert!(backed_up(rts).iter().all(|epoch| *epoch == 2));
     }
     // As if node 0 had missed the drop, for a partition node 1 owns now
-    // (its backup of this epoch is on node 2).
+    // (its keeper of this epoch is on node 2).
     let doomed = owners_of(&rtses[0], id)
         .iter()
         .position(|o| *o == 1)
         .unwrap();
-    let leftover = RegimeMsg::InstallBackup {
+    let leftover = RegimeMsg::Mirror {
         object: id.0,
         epoch: 1,
-        partition: doomed as u32,
+        partition: Some(doomed as u32),
         type_name: Bank::TYPE_NAME.to_string(),
         state: <Bank as ObjectType>::State::new().to_bytes(),
-        version: 1_000,
+        seq: 1_000,
         dedup: DedupWindow::new(),
+        lease: None,
     };
     let planted = dispatch(&rtses[0].inner, leftover, NodeId(2));
     assert!(matches!(planted, RegimeReply::Ack));
@@ -1531,7 +1550,7 @@ fn a_backup_a_drain_left_behind_is_never_promoted() {
 }
 
 /// An object that leaves the sharded regime for a single copy leaves no
-/// backup behind: when the home dies the adopter finds that copy — it keeps
+/// keeper behind: when the home dies the adopter finds that copy — it keeps
 /// a mirror at the home it left, not on its own node — and not the
 /// partitions as they were before the switch.
 #[test]
@@ -1539,7 +1558,7 @@ fn a_retired_sharded_regime_is_not_what_an_adopter_finds() {
     let net = Network::reliable(3);
     let rtses = start_all_recoverable(&net, manual(), crate::recovery::patient());
     let id = new_bank(&rtses[2]);
-    // Every partition on node 0, so every backup on node 1: all of the
+    // Every partition on node 0, so every keeper on node 1: all of the
     // sharded regime's state would outlive the home.
     place_by(&rtses[2], id, &[1, 0, 0]).unwrap();
     assert_eq!(deposit(&rtses[0], id, 1, 4), 4);
@@ -1950,7 +1969,7 @@ fn replicated_owner_off_its_home_survives_the_homes_death() {
 
 /// A copy only its home uses has no reader to mirror it. With re-homing on
 /// it keeps a mirror all the same — on the next live node, where a sharded
-/// slot's backup goes — and is regenerated from it when the home dies.
+/// slot's keeper goes — and is regenerated from it when the home dies.
 #[test]
 fn unread_copy_at_its_home_keeps_a_mirror_to_be_regenerated_from() {
     let net = Network::reliable(3);
@@ -2022,7 +2041,7 @@ fn timed_out_write_through_drops_the_mirror() {
         &AccumulatorOp::Add(9).to_bytes(),
     );
     assert_eq!(write, Err(RtsError::Timeout));
-    let mirror = mirror_entry(&rtses[1].inner, id);
+    let mirror = mirror_entry(&rtses[1].inner, (id, None));
     let state = mirror.state.lock();
     assert!(state.copy.is_none() && state.pending_writes == 0);
     drop(state);

@@ -287,6 +287,7 @@ mod tests {
         let late = RegimeMsg::Mirror {
             object: id.0,
             epoch,
+            partition: None,
             type_name: Accumulator::TYPE_NAME.to_string(),
             state,
             seq,
@@ -857,6 +858,7 @@ mod tests {
         let update = |seq, held| RegimeMsg::Update {
             object: id.0,
             epoch,
+            partition: None,
             seq,
             held,
             ops: vec![AccumulatorOp::Add(1).to_bytes()],

@@ -13,7 +13,7 @@ mod tests {
     use orca_object::shard::{shard_of_u64, spread_owner};
     use orca_object::testing::{Accumulator, AccumulatorOp, Bank, BankOp, BankReply};
     use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
-    use orca_wire::Wire;
+    use orca_wire::{OpStamp, RegimeMsg, RegimeReply, Wire};
 
     use crate::{AdaptivePolicy, AdaptiveRts, RecoveryConfig, RtsError, RtsKind, RuntimeSystem};
 
@@ -100,6 +100,13 @@ mod tests {
         let op = AccumulatorOp::Add(n).to_bytes();
         let reply = rts.invoke(id, Accumulator::TYPE_NAME, OpKind::Write, &op)?;
         Ok(i64::from_bytes(&reply).unwrap())
+    }
+
+    /// The partition of `parts` that `owner` serves, and a key of it.
+    fn partition_of(rts: &AdaptiveRts, id: ObjectId, owner: NodeId, parts: u32) -> (u32, u64) {
+        let partition = owners(rts, id).iter().position(|o| *o == owner);
+        let partition = partition.expect("spread placement gives every node a partition");
+        (partition as u32, key_in(partition, parts))
     }
 
     /// A key of the bank's partition `partition` of `parts`.
@@ -327,7 +334,7 @@ mod tests {
         shutdown_all(&rtses);
     }
 
-    /// With recovery off nothing is backed up: a remote write is its
+    /// With recovery off a slot keeps no mirror: a remote write is its
     /// request and its reply.
     #[test]
     fn without_recovery_a_remote_write_is_two_messages() {
@@ -345,9 +352,146 @@ mod tests {
         shutdown_all(&rtses);
     }
 
+    /// With recovery on it keeps one, on the next live node, pushed before
+    /// the write is acknowledged: request, push, acknowledgement, reply.
+    /// The keeper holds the run's version, unlocked — the one holder of a
+    /// fan-out is its last — and unleased, whatever the lease policy:
+    /// nobody reads it.
+    #[test]
+    fn a_keeper_is_pushed_every_write_unheld_and_unleased() {
+        let net = Network::reliable(3);
+        let rtses =
+            start_all_recoverable(&net, AdaptivePolicy::sharded(3), crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(1), 3);
+        // Heartbeats share the wire and only ever add to a count.
+        let quietest = (0..8).map(|_| {
+            let before = net.stats();
+            deposit(&rtses[0], id, key, 1);
+            net.stats().since(&before).total_messages()
+        });
+        assert_eq!(quietest.min(), Some(4));
+        assert_eq!(
+            rtses[2].keeper_of(id, partition),
+            Some((0, 8, false, false))
+        );
+        assert_eq!(rtses[0].keeper_of(id, partition), None);
+        shutdown_all(&rtses);
+    }
+
+    /// A push that finds its keeper's node gone sleeps out no grant — none
+    /// was made — and the next write keeps the partition on the then-next
+    /// live node, primed whole: `backup_target` is asked at every push. When
+    /// the owner dies too, that is the mirror promoted.
+    #[test]
+    fn a_dead_keeper_is_replaced_by_the_next_write() {
+        let net = Network::reliable(4);
+        let policy = AdaptivePolicy {
+            read_lease_ms: 5_000,
+            ..AdaptivePolicy::sharded(4)
+        };
+        let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(1), 4);
+        assert_eq!(deposit(&rtses[0], id, key, 10), 10);
+        assert!(rtses[2].keeper_of(id, partition).is_some());
+
+        net.crash(NodeId(2));
+        let started = Instant::now();
+        assert_eq!(deposit(&rtses[0], id, key, 5), 15);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a grant was waited out"
+        );
+        wait_for_death(&rtses, NodeId(2));
+        assert_eq!(deposit(&rtses[0], id, key, 1), 16);
+        assert_eq!(
+            rtses[3].keeper_of(id, partition),
+            Some((0, 3, false, false))
+        );
+
+        net.crash(NodeId(1));
+        crate::recovery::wait_for_deaths(4, &[NodeId(1), NodeId(2)], &|node| {
+            rtses[node.index()].membership_view()
+        });
+        assert_eq!(deposit(&rtses[0], id, key, 1), 17);
+        assert_eq!(owners(&rtses[0], id)[partition as usize], NodeId(3));
+        shutdown_all(&rtses);
+    }
+
+    /// A keeper that cannot take a pushed run — it lost its copy, or the
+    /// copy it has is a run behind — says so, and the owner primes it whole
+    /// before it acknowledges the write: what is promoted when the owner
+    /// dies is missing nothing.
+    #[test]
+    fn a_keeper_that_lost_sync_says_so_and_is_primed_before_the_ack() {
+        let net = Network::reliable(3);
+        let rtses =
+            start_all_recoverable(&net, AdaptivePolicy::sharded(3), crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(1), 3);
+        assert_eq!(deposit(&rtses[0], id, key, 10), 10);
+        let run = |seq| RegimeMsg::Update {
+            object: id.0,
+            epoch: 0,
+            partition: Some(partition),
+            seq,
+            held: false,
+            ops: vec![BankOp::Deposit { key, amount: 1 }.to_bytes()],
+            stamped: None,
+            lease: None,
+        };
+        // A run with a gap before it; and after the gap the copy is gone.
+        for refused in [run(3), run(2)] {
+            let reply = rtses[2].serve(refused, NodeId(1));
+            assert_eq!(reply, RegimeReply::StaleRegime);
+        }
+        assert_eq!(rtses[2].keeper_of(id, partition), None);
+        // Request, push, refusal, prime, acknowledgement, reply.
+        let before = net.stats();
+        assert_eq!(deposit(&rtses[0], id, key, 5), 15);
+        assert!(net.stats().since(&before).total_messages() >= 6);
+        assert_eq!(
+            rtses[2].keeper_of(id, partition),
+            Some((0, 2, false, false))
+        );
+
+        net.crash(NodeId(1));
+        wait_for_death(&rtses, NodeId(1));
+        assert_eq!(deposit(&rtses[0], id, key, 1), 16);
+        assert_eq!(owners(&rtses[0], id)[partition as usize], NodeId(2));
+        shutdown_all(&rtses);
+    }
+
+    /// A stamped write rides its push as it is recorded at the owner: when
+    /// the owner dies having applied and pushed it, the promoted keeper
+    /// answers the retry its recorded reply — exactly once across the
+    /// promotion.
+    #[test]
+    fn a_retry_across_a_promotion_is_answered_not_applied_again() {
+        let net = Network::reliable(3);
+        let rtses =
+            start_all_recoverable(&net, AdaptivePolicy::sharded(3), crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        let (_, key) = partition_of(&rtses[0], id, NodeId(1), 3);
+        let stamp = OpStamp { origin: 0, seq: 77 };
+        let op = BankOp::Deposit { key, amount: 5 }.to_bytes();
+        let attempt = || {
+            let reply = rtses[0].write_stamped(id, &op, stamp).unwrap();
+            BankReply::from_bytes(&reply).unwrap()
+        };
+        assert_eq!(attempt(), BankReply::Value(5));
+        net.crash(NodeId(1));
+        wait_for_death(&rtses, NodeId(1));
+        assert_eq!(bank_sum(&rtses[2], id), 5);
+        assert_eq!(attempt(), BankReply::Value(5));
+        assert_eq!(bank_sum(&rtses[0], id), 5);
+        shutdown_all(&rtses);
+    }
+
     /// A partition owner dies mid-stream. Every write it acknowledged was
-    /// synchronously backed up on a second node; the home promotes the
-    /// backup and survivors keep writing — nothing is lost.
+    /// pushed to its keeper first; the home promotes the keeper's mirror
+    /// and survivors keep writing — nothing is lost.
     #[test]
     fn owner_crash_promotes_backup_without_losing_acked_writes() {
         let net = Network::reliable(2);
@@ -365,7 +509,7 @@ mod tests {
 
         net.crash(NodeId(1));
         wait_for_death(&rtses, NodeId(1));
-        // The partition is promoted from its backup on node 0; acknowledged
+        // The partition is promoted from its mirror on node 0; acknowledged
         // state survived and writes keep working.
         assert_eq!(deposit(&rtses[0], id, key, 1), 16);
         assert_eq!(bank_sum(&rtses[0], id), 16);
@@ -376,7 +520,7 @@ mod tests {
 
     /// The *home* (creating) node dies. The lowest live node adopts the
     /// home role, rebuilds the table from what the survivors hold,
-    /// promotes the dead node's partitions from their backups, and clients
+    /// promotes the mirrors kept of the dead node's partitions, and clients
     /// re-route transparently.
     #[test]
     fn home_crash_is_adopted_by_lowest_survivor() {
@@ -414,7 +558,7 @@ mod tests {
     }
 
     /// A type that does not shard is one partition at its creator, and
-    /// backed up like any other: it survives its home's death, acknowledged
+    /// kept like any other: it survives its home's death, acknowledged
     /// writes and all.
     #[test]
     fn non_shardable_object_survives_its_homes_death() {
@@ -431,7 +575,7 @@ mod tests {
         wait_for_death(&rtses, NodeId(2));
         assert_eq!(add(&rtses[1], id, 1), Ok(8));
         assert_eq!(add(&rtses[0], id, 1), Ok(9));
-        // Its backup lived on the node after its creator.
+        // Its keeper was the node after its creator.
         assert_eq!(owners(&rtses[1], id), vec![NodeId(0)]);
         shutdown_all(&rtses);
     }

@@ -27,11 +27,10 @@ use orca_group::{Delivered, GroupConfig, GroupMember, GroupSender, GroupStatsSna
 use orca_object::{
     AnyReplica, AppliedOutcome, ObjectDescriptor, ObjectError, ObjectId, ObjectRegistry, OpKind,
 };
-use orca_telemetry::{trace, Telemetry};
 use orca_wire::{Decoder, Encoder, OpBatchEncoder, OpBatchView, Wire, WireError, WireResult};
 use parking_lot::{Condvar, Mutex};
 
-use crate::pipeline::{batch_capacity, pending_pair, BatchPolicy, Pipeline, QueuedOp};
+use crate::pipeline::{batch_capacity, BatchPolicy, LazyPipeline, QueuedOp};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 
@@ -149,7 +148,9 @@ impl Wire for RtsBroadcastMsg {
 #[derive(Debug, Clone)]
 enum InvocationResult {
     Done(Vec<u8>),
-    Blocked,
+    /// The guard was false at the replica version given — what the manager
+    /// evaluated it at, the replica mutex held.
+    Blocked(u64),
     Failed(ObjectError),
     /// The invocation's withdraw was ordered before the operation itself:
     /// the operation will be dropped by every manager, so it is guaranteed
@@ -223,12 +224,7 @@ struct Inner {
     /// Per-invocation deadline in milliseconds (see
     /// [`BroadcastRts::set_op_timeout`]).
     op_timeout_ms: AtomicU64,
-    /// Batching knobs of the asynchronous path.
-    batch_policy: Arc<Mutex<BatchPolicy>>,
     stats: Arc<RtsStats>,
-    /// Network-wide telemetry hub, captured before the group member
-    /// consumed the network handle (the handle is not stored here).
-    telemetry: Arc<Telemetry>,
     stopped: AtomicBool,
 }
 
@@ -245,7 +241,7 @@ pub struct BroadcastRts {
     manager: Arc<Mutex<Option<JoinHandle<()>>>>,
     /// Asynchronous-invocation pipeline, started lazily on first use and
     /// shared by all clones of this handle.
-    pipeline: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    pipeline: LazyPipeline,
 }
 
 impl std::fmt::Debug for BroadcastRts {
@@ -277,7 +273,8 @@ impl BroadcastRts {
     pub fn start(handle: NetworkHandle, registry: ObjectRegistry, group: GroupConfig) -> Self {
         let node = handle.node();
         let num_nodes = handle.num_nodes();
-        let telemetry = Arc::clone(handle.telemetry());
+        // Captured before the group member consumes the network handle.
+        let pipeline = LazyPipeline::new(node, Arc::clone(handle.telemetry()));
         let member = GroupMember::start(handle, group);
         let sender = member.sender();
         let inner = Arc::new(Inner {
@@ -293,9 +290,7 @@ impl BroadcastRts {
             next_invocation: AtomicU64::new(1),
             next_object: AtomicU64::new(1),
             op_timeout_ms: AtomicU64::new(DEFAULT_INVOCATION_TIMEOUT.as_millis() as u64),
-            batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
             stats: RtsStats::new_shared(),
-            telemetry,
             stopped: AtomicBool::new(false),
         });
         let manager_inner = Arc::clone(&inner);
@@ -306,7 +301,7 @@ impl BroadcastRts {
         BroadcastRts {
             inner,
             manager: Arc::new(Mutex::new(Some(manager))),
-            pipeline: Arc::new(Mutex::new(None)),
+            pipeline,
         }
     }
 
@@ -350,9 +345,7 @@ impl BroadcastRts {
         for tx in parked_batches {
             let _ = tx.send(BatchDelivery::Withdrawn);
         }
-        if let Some(pipeline) = self.pipeline.lock().take() {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
         if let Some(handle) = self.manager.lock().take() {
             let _ = handle.join();
         }
@@ -379,7 +372,7 @@ impl BroadcastRts {
     /// Set the batching knobs of the asynchronous invocation path (takes
     /// effect from the next flusher round).
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.inner.batch_policy.lock() = policy;
+        self.pipeline.set_policy(policy);
     }
 
     fn next_invocation(&self) -> (u64, crossbeam::channel::Receiver<InvocationResult>) {
@@ -472,36 +465,6 @@ impl BroadcastRts {
         }
     }
 
-    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
-    /// capture by the flusher and retry closures: capturing `self` directly
-    /// would create an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    fn detached(&self) -> BroadcastRts {
-        BroadcastRts {
-            inner: Arc::clone(&self.inner),
-            manager: Arc::clone(&self.manager),
-            pipeline: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The asynchronous-invocation pipeline, started on first use.
-    fn ensure_pipeline(&self) -> Arc<Pipeline> {
-        let mut guard = self.pipeline.lock();
-        if let Some(pipeline) = guard.as_ref() {
-            return Arc::clone(pipeline);
-        }
-        let rts = self.detached();
-        let pipeline = Arc::new(Pipeline::start(
-            format!("rts-pipe-{}", self.inner.node),
-            self.inner.node.0,
-            Arc::clone(&self.inner.telemetry),
-            Arc::clone(&self.inner.batch_policy),
-            move |ops| rts.run_round(ops),
-        ));
-        *guard = Some(Arc::clone(&pipeline));
-        pipeline
-    }
-
     /// Execute one flusher round: consecutive writes coalesce into one
     /// write-batch message (one total-order slot); a read waits
     /// for the preceding writes' slot to be consumed locally, then executes
@@ -589,7 +552,7 @@ impl BroadcastRts {
                     match result {
                         InvocationResult::Done(reply) => write.completer.complete(Ok(reply)),
                         InvocationResult::Failed(err) => write.completer.complete(Err(err.into())),
-                        InvocationResult::Blocked => write.completer.complete_blocked(),
+                        InvocationResult::Blocked(_) => write.completer.complete_blocked(),
                         InvocationResult::Withdrawn => {
                             write.completer.complete(Err(RtsError::Timeout))
                         }
@@ -687,18 +650,14 @@ impl BroadcastRts {
                         RtsError::Timeout
                     });
                 }
-                InvocationResult::Blocked => {
+                InvocationResult::Blocked(seen_version) => {
                     // Guard false everywhere. Wait until the local replica
                     // changes (or a timeout elapses) and re-issue.
                     if self.inner.stopped.load(Ordering::SeqCst) {
                         return Err(RtsError::Terminated);
                     }
                     RtsStats::bump(&self.inner.stats.guard_retries);
-                    let version = entry.replica.lock().version();
-                    let mut replica = entry.replica.lock();
-                    if replica.version() == version {
-                        entry.changed.wait_for(&mut replica, GUARD_REISSUE_INTERVAL);
-                    }
+                    await_change(&entry, seen_version);
                 }
             }
         }
@@ -749,7 +708,7 @@ impl RuntimeSystem for BroadcastRts {
             }
         };
         match result {
-            InvocationResult::Done(_) | InvocationResult::Blocked => {
+            InvocationResult::Done(_) | InvocationResult::Blocked(_) => {
                 RtsStats::bump(&self.inner.stats.objects_created);
                 Ok(id)
             }
@@ -791,35 +750,13 @@ impl RuntimeSystem for BroadcastRts {
         if kind == OpKind::Write {
             RtsStats::bump(&self.inner.stats.writes);
         }
-        let pipeline = self.ensure_pipeline();
-        let trace = trace::current();
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let resubmit = {
-            let pipeline = Arc::clone(&pipeline);
-            let op = op.to_vec();
-            Arc::new(move |completer| {
-                pipeline.submit(QueuedOp {
-                    object,
-                    kind,
-                    op: op.clone(),
-                    trace,
-                    submitted: Instant::now(),
-                    completer,
-                })
-            })
-        };
-        let (handle, completer) = pending_pair(resubmit);
-        pipeline.submit(QueuedOp {
-            object,
-            kind,
-            op: op.to_vec(),
-            trace,
-            submitted: Instant::now(),
-            completer,
-        });
-        handle
+        self.pipeline.submit(object, kind, op, |pipeline| {
+            let rts = BroadcastRts {
+                pipeline,
+                ..self.clone()
+            };
+            move |ops| rts.run_round(ops)
+        })
     }
 
     fn stats(&self) -> RtsStatsSnapshot {
@@ -884,7 +821,7 @@ fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
                 // the Timeout the origin reported stays truthful.
                 return;
             }
-            let result = apply_write(inner, origin, object, &op);
+            let result = apply_write(inner, object, &op, origin != inner.node);
             if origin == inner.node {
                 complete(inner, invocation, result);
             }
@@ -921,7 +858,7 @@ fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBat
     let mut results = Vec::with_capacity(ops.len());
     for op in ops {
         RtsStats::bump(&inner.stats.batch_ops_applied);
-        results.push(apply_batch_op(inner, ObjectId(op.object), op.op));
+        results.push(apply_write(inner, ObjectId(op.object), op.op, false));
     }
     if origin == inner.node {
         complete_batch(inner, batch, BatchDelivery::Applied(results));
@@ -947,12 +884,10 @@ fn install_object(inner: &Arc<Inner>, descriptor: &ObjectDescriptor) -> Invocati
     InvocationResult::Done(Vec::new())
 }
 
-fn apply_write(
-    inner: &Arc<Inner>,
-    origin: NodeId,
-    object: ObjectId,
-    op: &[u8],
-) -> InvocationResult {
+/// The bare ordered apply of one delivered write. `counted` bumps
+/// `updates_applied` — for another node's write that is a message of its
+/// own; a batch is counted once by its caller.
+fn apply_write(inner: &Arc<Inner>, object: ObjectId, op: &[u8], counted: bool) -> InvocationResult {
     let entry = {
         let objects = inner.objects.lock();
         match objects.get(&object) {
@@ -963,15 +898,29 @@ fn apply_write(
     let mut replica = entry.replica.lock();
     match replica.apply_encoded(op) {
         Ok(AppliedOutcome::Done(reply)) => {
-            if origin != inner.node {
+            if counted {
                 RtsStats::bump(&inner.stats.updates_applied);
             }
             entry.changed.notify_all();
             InvocationResult::Done(reply)
         }
-        Ok(AppliedOutcome::Blocked) => InvocationResult::Blocked,
+        Ok(AppliedOutcome::Blocked) => InvocationResult::Blocked(replica.version()),
         Err(err) => InvocationResult::Failed(err),
     }
+}
+
+/// Park a guard-blocked write until the replica of `entry` has moved past
+/// `seen_version`, the version its guard was found false at, or the re-issue
+/// interval is up. False when there was nothing to wait for: a write got in
+/// between the manager's evaluation and this call — the wake-up it sent
+/// is gone, and the guard may be true by now.
+fn await_change(entry: &ObjectEntry, seen_version: u64) -> bool {
+    let mut replica = entry.replica.lock();
+    let unchanged = replica.version() == seen_version;
+    if unchanged {
+        entry.changed.wait_for(&mut replica, GUARD_REISSUE_INTERVAL);
+    }
+    unchanged
 }
 
 fn complete(inner: &Arc<Inner>, invocation: u64, result: InvocationResult) {
@@ -983,27 +932,6 @@ fn complete(inner: &Arc<Inner>, invocation: u64, result: InvocationResult) {
 fn complete_batch(inner: &Arc<Inner>, batch: u64, delivery: BatchDelivery) {
     if let Some(tx) = inner.pending_batches.lock().remove(&batch) {
         let _ = tx.send(delivery);
-    }
-}
-
-/// Apply one op of a delivered batch (the per-message accounting happened
-/// at the caller; this is the bare ordered apply).
-fn apply_batch_op(inner: &Arc<Inner>, object: ObjectId, op: &[u8]) -> InvocationResult {
-    let entry = {
-        let objects = inner.objects.lock();
-        match objects.get(&object) {
-            Some(entry) => Arc::clone(entry),
-            None => return InvocationResult::Failed(ObjectError::NoSuchObject(object)),
-        }
-    };
-    let mut replica = entry.replica.lock();
-    match replica.apply_encoded(op) {
-        Ok(AppliedOutcome::Done(reply)) => {
-            entry.changed.notify_all();
-            InvocationResult::Done(reply)
-        }
-        Ok(AppliedOutcome::Blocked) => InvocationResult::Blocked,
-        Err(err) => InvocationResult::Failed(err),
     }
 }
 
@@ -1037,6 +965,25 @@ mod tests {
         for rts in &rtses {
             rts.shutdown();
         }
+    }
+
+    /// The guard's version travels with the `Blocked`: a write applied
+    /// between the manager's evaluation and the invocation's wait is seen,
+    /// and the wait — 200 ms for a wake-up that has already been — skipped.
+    #[test]
+    fn a_guarded_write_does_not_wait_for_a_change_that_has_happened() {
+        let replica = registry().instantiate(Accumulator::TYPE_NAME, &0i64.to_bytes());
+        let entry = ObjectEntry {
+            replica: Mutex::new(replica.unwrap()),
+            changed: Condvar::new(),
+        };
+        let evaluated_at = entry.replica.lock().version();
+        let add = AccumulatorOp::Add(1).to_bytes();
+        entry.replica.lock().apply_encoded(&add).unwrap();
+        assert!(
+            !await_change(&entry, evaluated_at),
+            "waited for a past change"
+        );
     }
 
     #[test]

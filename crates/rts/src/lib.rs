@@ -115,8 +115,8 @@ pub enum RtsError {
     /// [`RtsError::Timeout`]: the node is *known killed*, not just slow.
     NodeDown(NodeId),
     /// The object's state did not survive a node failure: its
-    /// authoritative copy lived on a dead node and no replica, mirror or
-    /// backup survived anywhere. Operations on it can never succeed.
+    /// authoritative copy lived on a dead node and no replica or mirror
+    /// survived anywhere. Operations on it can never succeed.
     ObjectLost(ObjectId),
 }
 

@@ -539,6 +539,95 @@ impl Pipeline {
     }
 }
 
+/// A runtime system's asynchronous path: its [`Pipeline`], started on the
+/// first asynchronous invocation and shared by all clones of the handle
+/// that holds this, and the batching knobs its flusher reads.
+#[derive(Clone)]
+pub(crate) struct LazyPipeline {
+    node: NodeId,
+    telemetry: Arc<Telemetry>,
+    policy: Arc<Mutex<BatchPolicy>>,
+    started: Arc<Mutex<Option<Arc<Pipeline>>>>,
+}
+
+impl LazyPipeline {
+    /// Nothing started yet, for `node`.
+    pub(crate) fn new(node: NodeId, telemetry: Arc<Telemetry>) -> Self {
+        LazyPipeline {
+            node,
+            telemetry,
+            policy: Arc::default(),
+            started: Arc::default(),
+        }
+    }
+
+    /// Set the batching knobs (takes effect from the next flusher round).
+    pub(crate) fn set_policy(&self, policy: BatchPolicy) {
+        *self.policy.lock() = policy;
+    }
+
+    /// Queue one operation and return its completion handle. The first call
+    /// starts the flusher, whose rounds `round` executes — built from a
+    /// clone of this cell that is fresh and empty, for the runtime-system
+    /// handle the closure captures to hold: capturing the handle that holds
+    /// *this* one would close an `Arc` cycle (pipeline → closure → handle →
+    /// pipeline) and leak the runtime system.
+    pub(crate) fn submit<R>(
+        &self,
+        object: ObjectId,
+        kind: OpKind,
+        op: &[u8],
+        round: impl FnOnce(LazyPipeline) -> R,
+    ) -> PendingInvocation
+    where
+        R: Fn(Vec<QueuedOp>) + Send + 'static,
+    {
+        let pipeline = {
+            let mut started = self.started.lock();
+            let start = || {
+                let detached = LazyPipeline {
+                    started: Arc::default(),
+                    ..self.clone()
+                };
+                let name = format!("rts-pipe-{}", self.node);
+                let (telemetry, policy) = (Arc::clone(&self.telemetry), Arc::clone(&self.policy));
+                Arc::new(Pipeline::start(
+                    name,
+                    self.node.0,
+                    telemetry,
+                    policy,
+                    round(detached),
+                ))
+            };
+            Arc::clone(started.get_or_insert_with(start))
+        };
+        let (op, trace) = (op.to_vec(), orca_telemetry::trace::current());
+        // A guard-blocked op re-enters this same queue from wait(), so its
+        // re-execution keeps issue order instead of jumping ahead through
+        // the synchronous path.
+        let enqueue: Arc<ResubmitFn> = Arc::new(move |completer| {
+            pipeline.submit(QueuedOp {
+                object,
+                kind,
+                op: op.clone(),
+                trace,
+                submitted: Instant::now(),
+                completer,
+            })
+        });
+        let (handle, completer) = pending_pair(Arc::clone(&enqueue));
+        enqueue(completer);
+        handle
+    }
+
+    /// Stop the flusher, if one was started ([`Pipeline::shutdown`]).
+    pub(crate) fn shutdown(&self) {
+        if let Some(pipeline) = self.started.lock().take() {
+            pipeline.shutdown();
+        }
+    }
+}
+
 fn flusher_loop<F>(inner: &Arc<PipelineInner>, node: u16, telemetry: &Arc<Telemetry>, round: F)
 where
     F: Fn(Vec<QueuedOp>),

@@ -8,10 +8,10 @@
 //!
 //! * **Adaptive** — and **primary copy** and **sharded**, which are the
 //!   adaptive runtime with its regime pinned to replicated and to sharded —
-//!   every sharded-regime partition is backed up on a
-//!   second node (the owner ships each completed write to its backup
+//!   every sharded-regime partition keeps a mirror on a
+//!   second node (the owner pushes each completed write to it
 //!   before acknowledging); a dead owner's partitions are re-owned by
-//!   promoting their backups, and a dead *home* node's regime table is
+//!   promoting those, and a dead *home* node's regime table is
 //!   rebuilt by the lowest live node from what the survivors hold. A
 //!   replicated-regime object — a primary copy — keeps serving where it is
 //!   while its owner lives and is regenerated from the freshest surviving
@@ -44,8 +44,8 @@ use crate::RtsError;
 /// `OrcaConfig::recovery` in `orca-core`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Master switch: when false, no failure detector runs, no backups are
-    /// shipped, and node failures surface as plain timeouts (the
+    /// Master switch: when false, no failure detector runs, no partition
+    /// keeps a mirror, and node failures surface as plain timeouts (the
     /// pre-recovery behavior).
     pub enabled: bool,
     /// When true, objects orphaned by a failure are re-homed onto

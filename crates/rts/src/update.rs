@@ -1,7 +1,8 @@
-//! The two-phase update protocol of the replicated regime (the
-//! primary-copy backend's update policy): the fan-out the authoritative
-//! copy runs ([`UpdateChannel`]) and the state machine of every other copy
-//! ([`HeldCopy`]).
+//! The two-phase update protocol (the primary-copy backend's update
+//! policy): the fan-out the authoritative copy runs ([`UpdateChannel`]) and
+//! the state machine of every other copy ([`HeldCopy`]) — a replicated
+//! object's read mirrors, and the one unread mirror a sharded partition
+//! keeps for its promotion, which is the fan-out of one below.
 //!
 //! A write that executed at the authoritative copy reaches every other
 //! copy in two phases (§3.2.2 of the paper): phase 1 ships the operation
@@ -126,7 +127,8 @@ impl UpdateChannel {
 }
 
 /// One node's copy of an object as the update protocol sees it: a
-/// replicated-regime object's mirror. `L` is the holder-side lease record.
+/// replicated-regime object's mirror, or the one a sharded-regime slot keeps
+/// for its promotion. `L` is the holder-side lease record.
 pub(crate) struct CopyState<L> {
     /// Valid local copy, if any.
     pub(crate) copy: Option<Box<dyn AnyReplica>>,
@@ -203,23 +205,32 @@ impl<L> CopyState<L> {
         }
     }
 
-    /// Install a fetched snapshot of the current epoch as the copy, unless
-    /// an update overtook it in flight (`seen` is past it): holding on to
-    /// the older state would serve stale reads and could be promoted by
-    /// recovery. False — and nothing changed — in that case.
+    /// Install a snapshot of the current epoch as the copy, unless an update
+    /// overtook it in flight (`seen` is past it): holding on to the older
+    /// state would serve stale reads and could be promoted by recovery.
+    /// False — and nothing changed — in that case. The gate is for copies
+    /// that are fetched while updates are pushed. Where the authority's
+    /// prime is all that ever installs the copy it is `unraced`, and its
+    /// word for the copy as of `version` whatever this holder remembers of
+    /// the epoch's versions: an install since undone started them over.
     pub(crate) fn install_snapshot(
         &mut self,
         replica: Box<dyn AnyReplica>,
         version: u64,
         dedup: DedupWindow,
         lease: Option<L>,
+        unraced: bool,
     ) -> bool {
-        if self.seen > version && !sabotage::no_version_gating() {
+        if !unraced && self.seen > version && !sabotage::no_version_gating() {
             return false;
         }
         self.copy = Some(replica);
         self.version = version;
-        self.seen = self.seen.max(version);
+        self.seen = if unraced {
+            version
+        } else {
+            self.seen.max(version)
+        };
         self.locked = false;
         self.dedup = dedup;
         self.lease = lease;
@@ -364,7 +375,11 @@ impl<L> HeldCopy<L> {
     }
 
     /// Phase 1 at a holder: apply the pushed run `ops`
-    /// ([`CopyState::apply_run`]), once its predecessor is in. An update
+    /// ([`CopyState::apply_run`]), once its predecessor is in, and return how
+    /// many operations that took — or `None` when the copy does not hold the
+    /// run's last version afterwards: there is none, it is of another epoch,
+    /// the run left a gap. (A reader fetches at its next read; a holder
+    /// nobody reads is primed again by the authority it tells.) An update
     /// that beats the snapshot install still raises `seen`, so the older
     /// snapshot is not installed as current.
     #[allow(clippy::too_many_arguments)]
@@ -377,13 +392,14 @@ impl<L> HeldCopy<L> {
         stamped: Option<(OpStamp, Vec<u8>)>,
         lease: Option<L>,
         budget: Duration,
-    ) -> usize {
+    ) -> Option<usize> {
         let mut state = self.state.lock();
         if ops.is_empty() || epoch < state.epoch {
-            return 0;
+            return None;
         }
         state.enter_epoch(epoch);
-        state.seen = state.seen.max(first_version + ops.len() as u64 - 1);
+        let last_version = first_version + ops.len() as u64 - 1;
+        state.seen = state.seen.max(last_version);
         self.await_predecessor(&mut state, epoch, first_version, 0, budget);
         // The copy may have moved on to a newer regime during the wait.
         let applied = if state.epoch == epoch {
@@ -394,7 +410,8 @@ impl<L> HeldCopy<L> {
         // A write-through acknowledgement may be waiting for this install,
         // a reader for the new value.
         self.unlocked.notify_all();
-        applied
+        let current = state.epoch == epoch && state.copy.is_some() && state.version >= last_version;
+        current.then_some(applied)
     }
 
     /// Phase 2 at a holder: release the lock of the update that left the

@@ -19,7 +19,7 @@
 //! * **Operation stamps** — every synchronously-invoked write carries an
 //!   [`OpStamp`] `(origin, seq)` identity. The executing replica records the
 //!   stamp and the reply it produced in a bounded per-origin
-//!   [`DedupWindow`] that is carried along in copy/backup state transfer,
+//!   [`DedupWindow`] that is carried along in every copy's state transfer,
 //!   so a write retried across a crash-and-promotion is answered from the
 //!   window instead of being applied a second time: exactly-once across
 //!   recovery, not at-least-once.
@@ -98,7 +98,7 @@ pub const DEDUP_WINDOW_PER_ORIGIN: usize = 32;
 /// replies they produced.
 ///
 /// The window is part of the replicated object state: it rides update
-/// pushes, copy fetches and backup shipping, and is carried into the
+/// pushes, mirror primes and fetches, and is carried into the
 /// promoted replica during recovery — which is exactly what turns a
 /// retried-across-promotion write from at-least-once into exactly-once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -12,7 +12,7 @@
 //!
 //! On top of the view, the runtime systems re-home objects whose
 //! authoritative copy lived on a dead node; that protocol is part of the
-//! regime vocabulary ([`crate::regime`]: holdings survey, backup promotion,
+//! regime vocabulary ([`crate::regime`]: holdings survey, promotion of a partition's mirror,
 //! regeneration from a mirror).
 //!
 //! The vocabulary lives here, at the bottom of the stack, so the codecs are

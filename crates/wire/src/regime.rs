@@ -5,7 +5,11 @@
 //! updated or invalidated, on the nodes that read it; or hash-partitioned
 //! sharding — and changes an object's regime at runtime from its observed
 //! read/write mix (or, with the regime pinned, keeps every object in one:
-//! the `primary` and `sharded` backends). The object's
+//! the `primary` and `sharded` backends). A second copy of anything is kept
+//! current one way — [`RegimeMsg::Mirror`] primes it, [`RegimeMsg::Update`]
+//! pushes it every write before the acknowledgement — whether its holder
+//! reads it (a replicated object's mirrors) or keeps it for a promotion
+//! (the *keeper* of a sharded partition, with recovery on). The object's
 //! home node (its creator, recoverable from the object id) owns the
 //! authoritative [`RegimeTable`]; every other node caches it and is told
 //! [`RegimeReply::StaleRegime`] when it acts on an outdated epoch.
@@ -222,14 +226,22 @@ pub enum RegimeMsg {
         /// The slot's read mirrors (replicated regime only).
         mirrors: Vec<u16>,
     },
-    /// Owner → listed mirror (a replicated-regime slot was installed):
-    /// install a read mirror primed with the given state and update
-    /// sequence number.
+    /// Owner → mirror holder: install a mirror primed with the given state
+    /// and update sequence number. Sent to the readers a replicated-regime
+    /// slot lists when it is installed, and to the keeper of a
+    /// sharded-regime slot then and whenever the keeper answers a
+    /// [`RegimeMsg::Update`] it could not apply.
     Mirror {
         /// Raw object id.
         object: u64,
-        /// Epoch of the replicated regime.
+        /// Epoch of the mirrored slot.
         epoch: u64,
+        /// What is mirrored. `None` — and nothing on the wire — is the one
+        /// copy of a replicated-regime object, whose holder the table lists
+        /// and reads it; `Some(p)`, the message's last field, is partition
+        /// `p` of a sharded-regime object, kept for a promotion and read by
+        /// nobody.
+        partition: Option<u32>,
         /// Registered object type name.
         type_name: String,
         /// Encoded full-object state.
@@ -259,11 +271,11 @@ pub enum RegimeMsg {
     },
     /// Draining owner → its mirrors (a replicated-regime slot is retired):
     /// discard the read mirror so no node keeps serving pre-switch state.
-    /// Home → every node: partition backups of the retired epoch are
-    /// discarded the same way (any switch of a backed-up sharded regime),
-    /// so none is left to be promoted later. Owner → its mirrors under the
-    /// invalidation write policy: a write was applied, discard the copy and
-    /// fetch a fresh one at the next read.
+    /// Home → every node: the keepers of a retired sharded regime's
+    /// partitions are discarded the same way (any switch of one with
+    /// recovery on), so none is left to be promoted later. Owner → its
+    /// mirrors under the invalidation write policy: a write was applied,
+    /// discard the copy and fetch a fresh one at the next read.
     DropCopies {
         /// Raw object id.
         object: u64,
@@ -277,16 +289,20 @@ pub enum RegimeMsg {
     },
     /// Owner → mirror holder: apply a run of sequence-numbered updates
     /// (writes that executed at the owner: one, or a batch's consecutive
-    /// writes as one message). A `held` mirror stays locked until the
-    /// [`RegimeMsg::Unlock`] of the run's last update arrives (two-phase,
-    /// for sequential consistency); the last mirror of a fan-out is not
-    /// held — every other copy is blocked by then — and serves the new
-    /// value at once.
+    /// writes as one message), sent before the writes are acknowledged. A
+    /// `held` mirror stays locked until the [`RegimeMsg::Unlock`] of the
+    /// run's last update arrives (two-phase, for sequential consistency);
+    /// the last mirror of a fan-out is not held — every other copy is
+    /// blocked by then — and serves the new value at once. A holder that
+    /// does not have the run's last version afterwards (no copy, another
+    /// epoch, a gap) answers [`RegimeReply::StaleRegime`].
     Update {
         /// Raw object id.
         object: u64,
-        /// Epoch of the replicated regime.
+        /// Epoch of the mirrored slot.
         epoch: u64,
+        /// What is mirrored, as in [`RegimeMsg::Mirror`].
+        partition: Option<u32>,
         /// Update sequence number of `ops[0]` (the owner replica's version
         /// after it); the holder applies exactly the run's unseen suffix.
         seq: u64,
@@ -332,7 +348,7 @@ pub enum RegimeMsg {
         seq: u64,
     },
     /// Recovering home → survivor: report what you hold of `object` —
-    /// authoritative slots, partition backups, a read mirror — so the home
+    /// authoritative slots, mirrors of partitions, a read mirror — so the home
     /// (or the node adopting a dead creator's home role) can give every
     /// partition a live owner again, find a live replicated owner, or
     /// regenerate the object from a mirror. Answered
@@ -341,55 +357,13 @@ pub enum RegimeMsg {
         /// Raw object id.
         object: u64,
     },
-    /// Owner → backup node: apply a run of completed writes to the backup
-    /// of a sharded-regime partition, keeping it current so it can be
-    /// promoted if the owner dies. Shipped under the owner's replica mutex,
-    /// before the writes are acknowledged, so an acknowledged write
-    /// survives any single node failure. Anything but
-    /// [`RegimeReply::Ack`] asks for a [`RegimeMsg::InstallBackup`].
-    Backup {
+    /// Recovering home → holder of the freshest mirror of a dead owner's
+    /// partition: make it the authoritative slot, in place, under the epoch
+    /// its sibling partitions still serve.
+    Promote {
         /// Raw object id.
         object: u64,
-        /// Epoch of the backed-up slot.
-        epoch: u64,
-        /// Partition of the slot.
-        partition: u32,
-        /// The owner replica's version after `ops[0]`: the run covers
-        /// `first_version ..= first_version + ops.len() - 1`, and the
-        /// backup applies exactly its unseen suffix — or, on a gap, nothing.
-        first_version: u64,
-        /// Encoded operations, in the order the owner applied them.
-        ops: Vec<Vec<u8>>,
-        /// Stamp and reply of the write, when the run is one stamped
-        /// (synchronously invoked) write: the backup's dedup window stays
-        /// as current as its replica.
-        stamped: Option<(OpStamp, Vec<u8>)>,
-    },
-    /// Owner → backup node: (re)install the full backup state of a
-    /// partition — after any install of the slot and after a missed
-    /// [`RegimeMsg::Backup`].
-    InstallBackup {
-        /// Raw object id.
-        object: u64,
-        /// Epoch of the backed-up slot.
-        epoch: u64,
-        /// Partition of the slot.
-        partition: u32,
-        /// Registered object type name.
-        type_name: String,
-        /// Encoded partition state.
-        state: Vec<u8>,
-        /// The owner replica's version `state` corresponds to.
-        version: u64,
-        /// The slot's dedup window as of `state`.
-        dedup: DedupWindow,
-    },
-    /// Recovering home → backup holder: the partition's owner died; make
-    /// your backup of `epoch` the authoritative slot.
-    PromoteBackup {
-        /// Raw object id.
-        object: u64,
-        /// Epoch the backup must belong to.
+        /// Epoch the mirror must belong to.
         epoch: u64,
         /// Partition to promote.
         partition: u32,
@@ -426,6 +400,19 @@ impl RegimeMsg {
         debug_assert_eq!(update[0], 10, "not an Update");
         update[1] = u8::from(held);
     }
+}
+
+/// The partition a mirror message names is its last field, written only
+/// when there is one: a message is a whole request, so a decoder that is not
+/// at its end has a partition left to read.
+fn put_partition(enc: &mut Encoder, partition: &Option<u32>) {
+    if let Some(partition) = partition {
+        partition.encode(enc);
+    }
+}
+
+fn get_partition(dec: &mut Decoder<'_>) -> WireResult<Option<u32>> {
+    (dec.remaining() > 0).then(|| Wire::decode(dec)).transpose()
 }
 
 impl Wire for RegimeMsg {
@@ -501,6 +488,7 @@ impl Wire for RegimeMsg {
             RegimeMsg::Mirror {
                 object,
                 epoch,
+                partition,
                 type_name,
                 state,
                 seq,
@@ -515,6 +503,7 @@ impl Wire for RegimeMsg {
                 seq.encode(enc);
                 dedup.encode(enc);
                 lease.encode(enc);
+                put_partition(enc, partition);
             }
             RegimeMsg::FetchMirror {
                 object,
@@ -539,6 +528,7 @@ impl Wire for RegimeMsg {
             RegimeMsg::Update {
                 object,
                 epoch,
+                partition,
                 seq,
                 held,
                 ops,
@@ -553,6 +543,7 @@ impl Wire for RegimeMsg {
                 ops.encode(enc);
                 stamped.encode(enc);
                 lease.encode(enc);
+                put_partition(enc, partition);
             }
             RegimeMsg::Unlock { object, epoch, seq } => {
                 enc.put_u8(11);
@@ -576,52 +567,18 @@ impl Wire for RegimeMsg {
                 enc.put_u8(12);
                 object.encode(enc);
             }
-            RegimeMsg::Backup {
+            RegimeMsg::Promote {
                 object,
                 epoch,
                 partition,
-                first_version,
-                ops,
-                stamped,
             } => {
                 enc.put_u8(15);
                 object.encode(enc);
                 epoch.encode(enc);
                 partition.encode(enc);
-                first_version.encode(enc);
-                ops.encode(enc);
-                stamped.encode(enc);
-            }
-            RegimeMsg::InstallBackup {
-                object,
-                epoch,
-                partition,
-                type_name,
-                state,
-                version,
-                dedup,
-            } => {
-                enc.put_u8(16);
-                object.encode(enc);
-                epoch.encode(enc);
-                partition.encode(enc);
-                type_name.encode(enc);
-                enc.put_bytes(state);
-                version.encode(enc);
-                dedup.encode(enc);
-            }
-            RegimeMsg::PromoteBackup {
-                object,
-                epoch,
-                partition,
-            } => {
-                enc.put_u8(17);
-                object.encode(enc);
-                epoch.encode(enc);
-                partition.encode(enc);
             }
             RegimeMsg::Unreached { object, node } => {
-                enc.put_u8(18);
+                enc.put_u8(16);
                 object.encode(enc);
                 node.encode(enc);
             }
@@ -674,6 +631,7 @@ impl Wire for RegimeMsg {
                 seq: Wire::decode(dec)?,
                 dedup: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
+                partition: get_partition(dec)?,
             }),
             8 => Ok(RegimeMsg::FetchMirror {
                 object: Wire::decode(dec)?,
@@ -693,6 +651,7 @@ impl Wire for RegimeMsg {
                 ops: Wire::decode(dec)?,
                 stamped: Wire::decode(dec)?,
                 lease: Wire::decode(dec)?,
+                partition: get_partition(dec)?,
             }),
             11 => Ok(RegimeMsg::Unlock {
                 object: Wire::decode(dec)?,
@@ -708,29 +667,12 @@ impl Wire for RegimeMsg {
                 stamp: Wire::decode(dec)?,
                 op: dec.get_rest().to_vec(),
             }),
-            15 => Ok(RegimeMsg::Backup {
-                object: Wire::decode(dec)?,
-                epoch: Wire::decode(dec)?,
-                partition: Wire::decode(dec)?,
-                first_version: Wire::decode(dec)?,
-                ops: Wire::decode(dec)?,
-                stamped: Wire::decode(dec)?,
-            }),
-            16 => Ok(RegimeMsg::InstallBackup {
-                object: Wire::decode(dec)?,
-                epoch: Wire::decode(dec)?,
-                partition: Wire::decode(dec)?,
-                type_name: Wire::decode(dec)?,
-                state: dec.get_bytes()?,
-                version: Wire::decode(dec)?,
-                dedup: Wire::decode(dec)?,
-            }),
-            17 => Ok(RegimeMsg::PromoteBackup {
+            15 => Ok(RegimeMsg::Promote {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 partition: Wire::decode(dec)?,
             }),
-            18 => Ok(RegimeMsg::Unreached {
+            16 => Ok(RegimeMsg::Unreached {
                 object: Wire::decode(dec)?,
                 node: Wire::decode(dec)?,
             }),
@@ -745,7 +687,7 @@ impl Wire for RegimeMsg {
 /// What one node holds of an object: the answer to
 /// [`RegimeMsg::Holdings`]. Partitions are `(partition, epoch, version)` —
 /// a slot also names the regime it serves; among holders of one partition
-/// the greater `(epoch, version)` is the fresher, so a backup a drain left
+/// the greater `(epoch, version)` is the fresher, so a mirror a drain left
 /// behind never outranks its successor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Holdings {
@@ -753,8 +695,8 @@ pub struct Holdings {
     pub type_name: String,
     /// Authoritative slots this node serves, of any regime.
     pub slots: Vec<(u32, u64, u64, RegimeKind)>,
-    /// Partitions this node holds a backup of.
-    pub backups: Vec<(u32, u64, u64)>,
+    /// Partitions of a sharded regime this node keeps a mirror of.
+    pub keepers: Vec<(u32, u64, u64)>,
     /// The read mirror held, as `(epoch, seq, state)`.
     pub mirror: Option<(u64, u64, Vec<u8>)>,
     /// Dedup window paired with the mirror's state (empty without one), so
@@ -767,7 +709,7 @@ impl Wire for Holdings {
     fn encode(&self, enc: &mut Encoder) {
         self.type_name.encode(enc);
         self.slots.encode(enc);
-        self.backups.encode(enc);
+        self.keepers.encode(enc);
         self.mirror.encode(enc);
         self.dedup.encode(enc);
     }
@@ -775,7 +717,7 @@ impl Wire for Holdings {
         Ok(Holdings {
             type_name: Wire::decode(dec)?,
             slots: Wire::decode(dec)?,
-            backups: Wire::decode(dec)?,
+            keepers: Wire::decode(dec)?,
             mirror: Wire::decode(dec)?,
             dedup: Wire::decode(dec)?,
         })
@@ -829,7 +771,7 @@ pub enum RegimeReply {
     /// largest by far).
     Holdings(Box<Holdings>),
     /// The object's state did not survive the failure (a partition with no
-    /// owner and no backup left, or no authoritative copy and no mirror);
+    /// owner and no mirror left, or no authoritative copy and no mirror);
     /// operations on it can never succeed.
     ObjectLost,
     /// Per-operation outcomes of an operation batch
@@ -1009,6 +951,7 @@ mod tests {
             RegimeMsg::Mirror {
                 object: 9,
                 epoch: 3,
+                partition: Some(0),
                 type_name: "orca.Int".into(),
                 state: vec![7],
                 seq: 12,
@@ -1033,6 +976,7 @@ mod tests {
             RegimeMsg::Update {
                 object: 9,
                 epoch: 3,
+                partition: None,
                 seq: 13,
                 held: false,
                 ops: vec![vec![1]],
@@ -1042,6 +986,7 @@ mod tests {
             RegimeMsg::Update {
                 object: 9,
                 epoch: 3,
+                partition: Some(2),
                 seq: 14,
                 held: true,
                 ops: vec![vec![1, 2], vec![], vec![0x80, 0xff]],
@@ -1055,24 +1000,7 @@ mod tests {
             },
             RegimeMsg::Unreached { object: 9, node: 2 },
             RegimeMsg::Holdings { object: 9 },
-            RegimeMsg::Backup {
-                object: 9,
-                epoch: 3,
-                partition: 2,
-                first_version: 8,
-                ops: vec![vec![1], vec![2, 3]],
-                stamped: Some((OpStamp { origin: 0, seq: 2 }, vec![6])),
-            },
-            RegimeMsg::InstallBackup {
-                object: 9,
-                epoch: 3,
-                partition: 2,
-                type_name: "orca.Set".into(),
-                state: vec![7; 4],
-                version: 12,
-                dedup: window(),
-            },
-            RegimeMsg::PromoteBackup {
+            RegimeMsg::Promote {
                 object: 9,
                 epoch: 3,
                 partition: 2,
@@ -1121,7 +1049,7 @@ mod tests {
             RegimeReply::Holdings(Box::new(Holdings {
                 type_name: "orca.KvTable".into(),
                 slots: vec![(0, 4, 9, RegimeKind::Sharded)],
-                backups: vec![(1, 4, 3), (1, 3, 40)],
+                keepers: vec![(1, 4, 3), (1, 3, 40)],
                 mirror: Some((4, 17, vec![7])),
                 dedup: window(),
             })),
@@ -1148,6 +1076,7 @@ mod tests {
         let update = |held, op: Vec<u8>| RegimeMsg::Update {
             object: 9,
             epoch: 3,
+            partition: None,
             seq: 13,
             held,
             ops: vec![op],

@@ -6,7 +6,7 @@
 //! operations, regime/shard operations, recovery coordination — so the
 //! telemetry layer can stitch the per-node flight-recorder events of one
 //! operation back into a single causal span tree: origin → sequencer /
-//! primary / owner → secondaries / backups / mirrors.
+//! primary / owner → secondaries / mirrors.
 //!
 //! In memory the id is a single `u64`: the high 16 bits hold
 //! `origin node + 1`, the low 48 bits a per-origin counter. Zero is

@@ -392,16 +392,20 @@ fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
 }
 
 /// The messages that keep a shard — one partition of a sharded-regime
-/// object — alive across its owner's death: backup shipping, promotion and
-/// the holdings report; and the ones that place a replicated-regime object:
+/// object — alive across its owner's death: the prime of its kept mirror,
+/// its promotion and the holdings report; and the ones that place a
+/// replicated-regime object:
 /// an install naming its regime and mirrors, a mirror fetch naming the
 /// version held, the lease-only renewal, a table naming mirrors, a usage
 /// report, the report of a mirror that did not answer; and the ones a
 /// completed write sends its mirrors: a pushed run of updates — held, or
 /// not — and its unlock, an invalidation naming the write's version. None
-/// of them has a tail, so
-/// besides round-tripping, every strict prefix of an encoding and every
-/// unassigned tag must be rejected.
+/// of them has a tail, so besides round-tripping, every unassigned tag must
+/// be rejected and every strict prefix of an encoding — but one: what a
+/// `Mirror` or an `Update` mirrors is its last field and written only when
+/// it is a partition, so the prefix that ends before it is the same message
+/// about the whole object, and costs the same bytes it cost before there
+/// was a partition to name.
 #[test]
 fn shard_messages_round_trip() {
     use orca_wire::{Holdings, RegimeMsg, RegimeReply};
@@ -410,11 +414,13 @@ fn shard_messages_round_trip() {
         let object = gen.next_u64();
         let epoch = gen.next_u64();
         let partition = gen.next_u64() as u32;
+        let mirrored = (gen.below(2) == 0).then_some(partition);
         let msg = match gen.below(11) {
             0 => RegimeMsg::Holdings { object },
             6 => RegimeMsg::Update {
                 object,
                 epoch,
+                partition: mirrored,
                 seq: gen.next_u64(),
                 held: gen.below(2) == 0,
                 ops: (0..gen.below(6)).map(|_| gen.bytes(24)).collect(),
@@ -455,24 +461,17 @@ fn shard_messages_round_trip() {
                 epoch,
                 have: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
-            1 => RegimeMsg::Backup {
+            1 | 2 => RegimeMsg::Mirror {
                 object,
                 epoch,
-                partition,
-                first_version: gen.next_u64(),
-                ops: (0..gen.below(6)).map(|_| gen.bytes(24)).collect(),
-                stamped: (gen.below(2) == 0).then(|| (random_stamp(&mut gen), gen.bytes(16))),
-            },
-            2 => RegimeMsg::InstallBackup {
-                object,
-                epoch,
-                partition,
+                partition: mirrored,
                 type_name: gen.string(),
                 state: gen.bytes(48),
-                version: gen.next_u64(),
+                seq: gen.next_u64(),
                 dedup: random_dedup(&mut gen),
+                lease: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
-            _ => RegimeMsg::PromoteBackup {
+            _ => RegimeMsg::Promote {
                 object,
                 epoch,
                 partition,
@@ -485,7 +484,7 @@ fn shard_messages_round_trip() {
             _ => RegimeReply::Holdings(Box::new(Holdings {
                 type_name: gen.string(),
                 slots: random_slots(&mut gen),
-                backups: random_parts(&mut gen),
+                keepers: random_parts(&mut gen),
                 mirror: (gen.below(2) == 0)
                     .then(|| (gen.next_u64(), gen.next_u64(), gen.bytes(48))),
                 dedup: random_dedup(&mut gen),
@@ -494,13 +493,25 @@ fn shard_messages_round_trip() {
         assert_roundtrip(&reply, case);
 
         let mut bytes = msg.to_bytes();
-        for cut in 0..bytes.len() {
+        let mut whole = msg.clone();
+        let unnamed = match &mut whole {
+            RegimeMsg::Update { partition, .. } | RegimeMsg::Mirror { partition, .. } => {
+                let named = partition.take();
+                named.map(|partition| bytes.len() - partition.to_bytes().len())
+            }
+            _ => None,
+        };
+        if let Some(cut) = unnamed {
+            assert_eq!(whole.to_bytes(), &bytes[..cut], "case {case}: {msg:?}");
+            assert_eq!(RegimeMsg::from_bytes(&bytes[..cut]).unwrap(), whole);
+        }
+        for cut in (0..bytes.len()).filter(|cut| Some(*cut) != unnamed) {
             assert!(
                 RegimeMsg::from_bytes(&bytes[..cut]).is_err(),
                 "case {case}: {msg:?} cut to {cut} bytes decoded"
             );
         }
-        bytes[0] = 19 + gen.below(237) as u8;
+        bytes[0] = 17 + gen.below(239) as u8;
         assert!(
             RegimeMsg::from_bytes(&bytes).is_err(),
             "case {case}: bad tag"
@@ -586,6 +597,7 @@ fn regime_messages_round_trip() {
             7 => RegimeMsg::Mirror {
                 object,
                 epoch,
+                partition: (gen.below(2) == 0).then(|| gen.next_u64() as u32),
                 type_name: gen.string(),
                 state: gen.bytes(48),
                 seq: gen.next_u64(),
@@ -605,6 +617,7 @@ fn regime_messages_round_trip() {
             10 => RegimeMsg::Update {
                 object,
                 epoch,
+                partition: (gen.below(2) == 0).then(|| gen.next_u64() as u32),
                 seq: gen.next_u64(),
                 held: gen.below(2) == 0,
                 ops: (0..gen.below(4)).map(|_| gen.bytes(48)).collect(),
@@ -648,7 +661,7 @@ fn regime_messages_round_trip() {
             7 => RegimeReply::Holdings(Box::new(orca_wire::Holdings {
                 type_name: gen.string(),
                 slots: random_slots(&mut gen),
-                backups: random_parts(&mut gen),
+                keepers: random_parts(&mut gen),
                 mirror: None,
                 dedup: random_dedup(&mut gen),
             })),

@@ -403,7 +403,7 @@ fn detect_only_surfaces_node_down_at_the_orca_layer() {
 ///
 /// Survivor workers stream distinct jobs into a sharded queue through the
 /// asynchronous path (windows of 8 in flight, coalesced into per-owner
-/// batches — including the synchronous backup-replica hop). Node 3, which
+/// batches — including the synchronous push to the partition's keeper). Node 3, which
 /// owns some partitions and backs up others, is killed mid-stream. A batch
 /// that dies with it reports a per-operation outcome: those futures resolve
 /// with an error (`NodeDown`/`Timeout`) and are simply not acknowledged —

@@ -20,7 +20,7 @@ use orca::amoeba::message::WIRE_HEADER_BYTES;
 use orca::amoeba::NodeId;
 use orca::core::objects::{KvTableObject, KvTableOp, KvTableReply, TableEntry};
 use orca::core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime, RtsStrategy};
-use orca::rts::{AdaptivePolicy, RegimeKind, WritePolicy};
+use orca::rts::{AdaptivePolicy, RecoveryConfig, RegimeKind, WritePolicy};
 use orca::wire::Wire;
 
 /// Overhead budget of a remote write: 5 envelope + 1 tag + 2 object and
@@ -104,6 +104,35 @@ fn a_remote_put_on_sharded_costs_its_bytes_plus_fourteen() {
         .create::<KvTableObject>(&Default::default())
         .unwrap();
     assert_budgets("sharded", &runtime, table);
+    runtime.shutdown();
+}
+
+/// With recovery on a partition keeps a mirror on the next live node, and
+/// a write is acknowledged once that has it: request, push, the push's
+/// acknowledgement, reply — one round trip more, what a backup cost before
+/// it was a mirror. (Heartbeats share the wire and only ever add to a
+/// count: the quietest of a few puts is the put.)
+#[test]
+fn a_remote_put_on_sharded_with_recovery_is_four_messages() {
+    let config = OrcaConfig {
+        recovery: RecoveryConfig::enabled(),
+        ..OrcaConfig::sharded(3, 3)
+    };
+    let runtime = OrcaRuntime::start(config, standard_registry());
+    let table = runtime
+        .create::<KvTableObject>(&Default::default())
+        .unwrap();
+    let ctx = runtime.context(1);
+    ctx.invoke(table, &KvTableOp::Len).expect("warm-up read");
+    let keys = (0..64u64).map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
+    let quietest = |key| {
+        (0..8)
+            .map(|_| cost(&runtime, ctx, table, &put(key, 1)).1)
+            .min()
+    };
+    let costs: Vec<u64> = keys.filter_map(quietest).collect();
+    assert!(costs.contains(&4), "a Put another node owns: {costs:?}");
+    assert!(costs.iter().all(|cost| [2, 4].contains(cost)), "{costs:?}");
     runtime.shutdown();
 }
 
