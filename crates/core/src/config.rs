@@ -21,8 +21,9 @@ pub enum RtsStrategy {
     },
     /// The adaptive runtime system with every object's regime pinned to
     /// sharded ([`AdaptivePolicy::sharded`]): shardable objects partitioned
-    /// over all nodes with owner-shipped operations, non-shardable objects
-    /// a single copy at their creating node.
+    /// over the nodes that use them (all nodes until they are used) with
+    /// owner-shipped operations, non-shardable objects a single copy at
+    /// their creating node.
     Sharded {
         /// Partitions per shardable object (at least one).
         partitions: u32,

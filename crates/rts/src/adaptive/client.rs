@@ -104,9 +104,6 @@ impl AdaptiveRts {
     /// Count a local access and ship a usage report to the home every
     /// [`AdaptivePolicy::window`] accesses.
     fn note_access(&self, object: ObjectId, kind: OpKind) {
-        if !self.inner.policy.counts_usage() {
-            return;
-        }
         let taken = {
             let mut pending = self.inner.pending_usage.lock();
             let entry = pending.entry(object).or_insert((0, 0));

@@ -26,18 +26,17 @@
 //!   owners. For write-hot shardable objects.
 //!
 //! With the regime *pinned* ([`AdaptivePolicy::pin`]) every object is
-//! created in that regime and stays there. Pinned to sharded
-//! ([`AdaptivePolicy::sharded`]) this runtime system is the `sharded`
-//! backend: an object's partitions are spread over all nodes, which is
-//! where the placement rule puts an object nobody has used yet; a type
-//! without partitioning logic is one partition at its creator. Nothing
-//! below about counting, reporting and evaluating applies then, and
-//! nothing depends on the wall clock. Pinned to replicated
-//! ([`AdaptivePolicy::primary_copy`]) it is the `primary` backend, the
-//! paper's point-to-point runtime system: one authoritative copy and a
-//! *dynamic* set of secondary copies. Usage is counted, reported and
-//! evaluated as below, for where the object lives alone: the copy moves to
-//! a node that writes it, mirrors come and go where it is read.
+//! created in that regime and stays there; a pin fixes the regime, not the
+//! placement. Usage is counted, reported and evaluated as below, for where
+//! the object lives alone. Pinned to sharded ([`AdaptivePolicy::sharded`])
+//! this runtime system is the `sharded` backend: an object's partitions
+//! start spread over all nodes, which is where the placement rule puts an
+//! object nobody has used yet, and then follow the nodes that access it; a
+//! type without partitioning logic is one partition at its creator. Pinned
+//! to replicated ([`AdaptivePolicy::primary_copy`]) it is the `primary`
+//! backend, the paper's point-to-point runtime system: one authoritative
+//! copy and a *dynamic* set of secondary copies — the copy moves to a node
+//! that writes it, mirrors come and go where it is read.
 //!
 //! ## Who decides, and how nodes agree
 //!

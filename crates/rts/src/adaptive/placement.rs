@@ -7,12 +7,10 @@ use super::*;
 /// Close a usage window at the home — two windows of reports came in, or a
 /// proposal asks — and switch the regime if the decayed evidence says the
 /// other one fits, or the same one over different nodes: both place by use,
-/// and the switch returns early unless something moved. No evidence at all
-/// keeps what there is.
+/// and the switch returns early unless something moved. Under a pin the
+/// target is the pinned regime, so an evaluation only re-places. No evidence
+/// at all keeps what there is.
 pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>) {
-    if !inner.policy.counts_usage() {
-        return;
-    }
     let (reads, writes) = {
         let mut usage = entry.usage.lock();
         let totals = usage.totals();
@@ -36,11 +34,11 @@ pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<
     let _ = switch_regime(inner, object, entry, target, None);
 }
 
-/// Owners of the partitions of sharded-regime `object`, by use: spread
-/// evenly over the nodes `usage` says access it — all of them when it says
-/// nothing, as for an object just created. An owner in `owned` that has
-/// been quiet for less than a regime lease — the time scale on which nodes
-/// learn of a placement at all — keeps its partitions.
+/// Owners of the partitions of sharded-regime `object`, pinned or not, by
+/// use: spread evenly over the nodes `usage` says access it — all of them
+/// when it says nothing, as for an object just created. An owner in `owned`
+/// that has been quiet for less than a regime lease — the time scale on
+/// which nodes learn of a placement at all — keeps its partitions.
 pub(super) fn placement(
     inner: &Inner,
     object: ObjectId,

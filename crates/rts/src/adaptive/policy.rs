@@ -95,18 +95,20 @@ pub struct AdaptivePolicy {
     /// How a completed write reaches a replicated-regime object's mirrors.
     pub write: WritePolicy,
     /// Serve every object in this regime, from its creation on, instead of
-    /// picking one from its access mix.
+    /// picking one from its access mix. A pin fixes the regime; placement is
+    /// always by use: usage is counted, reported and evaluated as without
+    /// one, and an evaluation re-places the object within its regime.
     ///
     /// * `Some(Sharded)` — the `sharded` backend: an object is created
     ///   partitioned (a type that does not shard as one partition at its
-    ///   creator), spread over all nodes, and stays so; nothing is counted,
-    ///   reported or evaluated, and an owner changes only by
-    ///   [`super::AdaptiveRts::migrate`] or by dying.
+    ///   creator) and spread over all nodes, where nobody's use has placed
+    ///   it yet; its partitions then follow the nodes that access it. A hand
+    ///   move ([`super::AdaptiveRts::migrate`]) lasts until the next
+    ///   evaluation.
     /// * `Some(Replicated)` — the `primary` backend, the paper's
     ///   point-to-point runtime system: one authoritative copy, created at
-    ///   the creator, and a dynamic set of secondary copies. Usage is
-    ///   counted and the object re-placed by it: the copy moves to a node
-    ///   that writes it, mirrors come and go where it is read.
+    ///   the creator, and a dynamic set of secondary copies: the copy moves
+    ///   to a node that writes it, mirrors come and go where it is read.
     pub pin: Option<RegimeKind>,
 }
 
@@ -159,12 +161,6 @@ impl AdaptivePolicy {
         }
     }
 
-    /// True when per-node usage is counted, reported and evaluated: to pick
-    /// a regime, or to place the pinned replicated one.
-    pub(crate) fn counts_usage(&self) -> bool {
-        self.pin != Some(RegimeKind::Sharded)
-    }
-
     /// Which runtime system a node running this policy is.
     pub fn kind(&self) -> RtsKind {
         match (self.pin, self.write) {
@@ -210,8 +206,9 @@ pub(crate) fn pick_regime(
 /// the deterministic hashed spread
 /// ([`orca_object::shard::spread_owner`]) over the nodes that use the
 /// object ([`UsageAggregate::users`]) — all of them when nothing is known,
-/// which is where a pinned object stays. With `k` of `N` nodes using an
-/// object evenly, `1 − 1/k` of the operations travel instead of `1 − 1/N`.
+/// which is where an object is created under the sharded pin. With `k` of
+/// `N` nodes using an object evenly, `1 − 1/k` of the operations travel
+/// instead of `1 − 1/N`, pinned or not.
 pub(crate) fn place(object: ObjectId, partition: u32, users: &[u16]) -> u16 {
     users[usize::from(spread_owner(object.0, partition, users.len()))]
 }

@@ -18,8 +18,13 @@ pub(super) fn serve_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> 
 
 pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
     match msg {
+        // A table asked for during a switch is the one it publishes: a caller
+        // that bounced off a drained slot would bounce off the retiring one.
         RegimeMsg::Route { object } => match home_entry(inner, ObjectId(object)) {
-            Ok(entry) => RegimeReply::Route(RegimeTable::clone(&entry.table.lock())),
+            Ok(entry) => {
+                let _switch = entry.switch.lock();
+                RegimeReply::Route(RegimeTable::clone(&entry.table.lock()))
+            }
             Err(RtsError::ObjectLost(_)) => RegimeReply::ObjectLost,
             Err(err) => RegimeReply::Error(err.to_string()),
         },

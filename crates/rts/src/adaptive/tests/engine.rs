@@ -1351,6 +1351,62 @@ fn failed_re_placement_leaves_the_old_owners_serving() {
     shutdown_all(&rtses);
 }
 
+/// A table asked for while a re-placement is in flight is the one the
+/// switch publishes, not the one it retires: a caller that bounced off a
+/// drained slot would only bounce again. Every message is held and released
+/// one at a time; the `Route` is released while the switch's first `Drain`
+/// is still held, so the switch cannot have published yet.
+#[test]
+fn a_route_during_a_switch_is_answered_with_the_next_epoch() {
+    let net = Network::reliable(3);
+    let rtses = start_all(&net, manual());
+    let id = new_bank(&rtses[0]);
+    place_by(&rtses[0], id, &[0, 1, 1]).unwrap();
+    let epoch = rtses[0].regime_of(id).unwrap().1;
+    let pending_from = |node: u16| {
+        let mut pending = net.sched_pending().into_iter();
+        pending.find(|held| held.id.src == NodeId(node))
+    };
+    let taken = net
+        .telemetry()
+        .registry()
+        .counter(orca_amoeba::rpc::REQUESTS);
+    net.set_scheduler(Some(orca_amoeba::sched::SchedulerConfig::default()));
+    let routed = std::thread::scope(|scope| {
+        let switch = scope.spawn(|| place_by(&rtses[0], id, &[1, 1, 0]));
+        // Nodes 1 and 2 own every partition: the switch starts by draining
+        // one of them, under its switch lock.
+        while pending_from(0).is_none() {
+            std::thread::yield_now();
+        }
+        let route = scope.spawn(|| rtses[2].regime_of(id));
+        let request = loop {
+            match pending_from(2) {
+                Some(held) => break held,
+                None => std::thread::yield_now(),
+            }
+        };
+        let before = taken.get();
+        assert!(net.sched_release(request.id));
+        // The home's worker has the request before the drain moves.
+        while taken.get() == before {
+            std::thread::yield_now();
+        }
+        while !switch.is_finished() || !route.is_finished() || !net.sched_pending().is_empty() {
+            if let Some(next) = net.sched_pending().first() {
+                assert!(net.sched_release(next.id));
+            }
+            std::thread::yield_now();
+        }
+        switch.join().unwrap().unwrap();
+        route.join().unwrap()
+    });
+    net.set_scheduler(None);
+    assert_eq!(routed.unwrap(), (RegimeKind::Sharded, epoch + 1));
+    assert_eq!(rtses[0].regime_of(id).unwrap().1, epoch + 1);
+    shutdown_all(&rtses);
+}
+
 /// A cached table is distrusted as soon as *any* of its owners is dead,
 /// not only the first: with owners chosen by use no slot is special.
 #[test]

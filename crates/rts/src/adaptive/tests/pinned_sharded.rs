@@ -142,7 +142,8 @@ mod tests {
         // that owns a partition served operations for others.
         assert!(rtses.iter().any(|rts| rts.stats().updates_applied > 0));
         assert!(rtses[1].stats().remote_writes > 0);
-        // Pinned: nothing was counted, so nothing moved.
+        // Fewer accesses than a report window: nothing reported, nothing
+        // moved.
         assert_eq!(rtses[0].regime_of(id).unwrap().1, 0);
         shutdown_all(&rtses);
     }
@@ -638,6 +639,95 @@ mod tests {
             started.elapsed() < Duration::from_secs(2),
             "NodeDown was not fail-fast"
         );
+        shutdown_all(&rtses);
+    }
+
+    /// A pin fixes the regime, not the placement. Two of three nodes write a
+    /// bank the third created and never touches again: its partitions
+    /// leave the idle home for the writers, as an object that adapted into
+    /// the sharded regime does, and half of each writer's operations stay
+    /// local — about one message an operation (2 × ½ shipped + 2/64 usage
+    /// reports) where the spread over all three nodes costs 1.25. A hand
+    /// move lasts until the next evaluation.
+    #[test]
+    fn pinned_partitions_follow_their_users() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, AdaptivePolicy::sharded(4));
+        let id = new_bank(&rtses[0]);
+        let mut deposits = 0u64;
+        let mut write = |count: u64| {
+            for _ in 0..count {
+                deposit(&rtses[1 + (deposits % 2) as usize], id, deposits / 2, 1);
+                deposits += 1;
+            }
+        };
+        write(1024);
+        let settled = owners(&rtses[1], id);
+        assert_eq!(settled.len(), 4);
+        assert!(
+            !settled.contains(&NodeId(0)),
+            "the idle home owns a partition: {settled:?}"
+        );
+        assert!(settled.contains(&NodeId(1)) && settled.contains(&NodeId(2)));
+        let switches = rtses[0].stats().regime_switches;
+        let before = net.stats();
+        write(2000);
+        let per_op = net.stats().since(&before).total_messages() as f64 / 2000.0;
+        assert!(per_op <= 1.1, "{per_op} messages per operation");
+        assert_eq!(
+            rtses[0].stats().regime_switches,
+            switches,
+            "placement must not move under a steady load"
+        );
+
+        rtses[0].migrate(id, 0, NodeId(0)).unwrap();
+        assert_eq!(owners(&rtses[0], id)[0], NodeId(0));
+        let moved = Instant::now();
+        while owners(&rtses[0], id).contains(&NodeId(0)) {
+            assert!(
+                moved.elapsed() < Duration::from_secs(10),
+                "the hand move outlived the evaluations after it"
+            );
+            write(128);
+        }
+        assert_eq!(owners(&rtses[0], id), settled);
+        assert_eq!(bank_sum(&rtses[0], id), deposits as i64);
+        shutdown_all(&rtses);
+    }
+
+    /// With `window: u64::MAX` nothing reports, so nothing moves — not the
+    /// spread an object is created with, not a hand move — until a proposal
+    /// decides on whatever was flushed.
+    #[test]
+    fn with_proposals_only_a_pinned_object_moves_when_proposed() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            window: u64::MAX,
+            ..AdaptivePolicy::sharded(4)
+        };
+        let rtses = start_all(&net, policy);
+        let id = new_bank(&rtses[0]);
+        let spread = owners(&rtses[0], id);
+        let write = |count: u64| {
+            for i in 0..count {
+                deposit(&rtses[1 + (i % 2) as usize], id, i / 2, 1);
+            }
+        };
+        write(512);
+        assert_eq!(rtses[0].regime_of(id).unwrap().1, 0);
+        assert_eq!(owners(&rtses[0], id), spread);
+        rtses[0].migrate(id, 0, NodeId(0)).unwrap();
+        write(512);
+        assert_eq!(rtses[0].regime_of(id).unwrap().1, 1);
+        assert_eq!(owners(&rtses[0], id)[0], NodeId(0));
+
+        for rts in &rtses {
+            rts.flush_usage(id);
+        }
+        rtses[1].propose(id).unwrap();
+        let placed = owners(&rtses[0], id);
+        assert!(!placed.contains(&NodeId(0)), "{placed:?}");
+        assert_eq!(bank_sum(&rtses[0], id), 1024);
         shutdown_all(&rtses);
     }
 

@@ -33,7 +33,8 @@
 //!   double-applied across a change.
 //!
 //!   With the regime *pinned* ([`AdaptivePolicy::pin`]) the same engine is
-//!   two more backends. Pinned to replicated
+//!   two more backends; a pin fixes the regime, and placement is by use as
+//!   without one. Pinned to replicated
 //!   ([`AdaptivePolicy::primary_copy`]) it is the paper's **primary copy**
 //!   runtime system ([`RtsKind::PrimaryUpdate`] /
 //!   [`RtsKind::PrimaryInvalidate`]): one copy per object, at its creator
@@ -42,7 +43,7 @@
 //!   per-node read and write counts the object's home collects. Pinned to
 //!   sharded ([`AdaptivePolicy::sharded`]) it is the **sharded** backend
 //!   ([`RtsKind::Sharded`]): every object is created partitioned over all
-//!   nodes and stays so, nothing is counted or evaluated, and types
+//!   nodes, and its partitions then move to the nodes that access it; types
 //!   without partitioning logic are one partition at their creating node.
 //!
 //! They trade consistency machinery against communication very
@@ -53,7 +54,7 @@
 //! | broadcast | full (every node) | totally-ordered broadcast, applied everywhere | sequential, object-wide |
 //! | adaptive | per object: a copy where it is written + mirrors where it is read, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors, or their invalidation) or RPC to partition owner | sequential per object (per partition while sharded) |
 //! | primary copy, update / invalidate (adaptive, pinned to replicated) | a copy where it is written + dynamic secondaries where it is read | RPC to the copy's owner, then 2-phase update or invalidation of the secondaries | sequential, object-wide |
-//! | sharded (adaptive, pinned to sharded) | partitioned, one owner per partition | point-to-point RPC to the partition owner | sequential *per partition* |
+//! | sharded (adaptive, pinned to sharded) | partitioned, one owner per partition, on the nodes that use it | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
 //! Of the standard object library, the job queue, key-value table, set and
 //! boolean array shard; the integer, boolean flag and barrier do not (they

@@ -13,8 +13,10 @@
 //! leave the writer's node once the partitions sit where the writers are —
 //! and, for a table that is mostly read, a write's messages once the copy
 //! sits at one of its writers and its mirrors where it is read. The
-//! primary-copy backend is that runtime with the regime pinned to
-//! replicated, and is held to the same: its one copy follows its writers.
+//! primary-copy and sharded backends are that runtime with the regime
+//! pinned, and are held to the same: a pin fixes the regime, not the
+//! placement — the one copy follows its writers, the partitions their
+//! users.
 
 use orca::amoeba::message::WIRE_HEADER_BYTES;
 use orca::amoeba::NodeId;
@@ -170,8 +172,20 @@ fn a_remote_put_on_primary_without_copies_costs_its_bytes_plus_fourteen() {
 /// short messages every 64 accesses).
 #[test]
 fn adaptive_ships_half_the_puts_of_two_remote_writers() {
+    ships_half_the_puts_of_two_remote_writers(OrcaConfig::adaptive(3));
+}
+
+/// The same under the sharded backend: a pin fixes the regime, not the
+/// placement, so the partitions leave the idle creator for the writers as
+/// the adaptive runtime's do.
+#[test]
+fn sharded_ships_half_the_puts_of_two_remote_writers() {
+    ships_half_the_puts_of_two_remote_writers(OrcaConfig::sharded(3, 4));
+}
+
+fn ships_half_the_puts_of_two_remote_writers(config: OrcaConfig) {
     const KEYS: u64 = 4096;
-    let runtime = OrcaRuntime::start(OrcaConfig::adaptive(3), standard_registry());
+    let runtime = OrcaRuntime::start(config, standard_registry());
     let table = runtime
         .create::<KvTableObject>(&Default::default())
         .unwrap();
@@ -189,9 +203,7 @@ fn adaptive_ships_half_the_puts_of_two_remote_writers() {
     // its owners have stopped moving (asserted again after the measurement).
     write(2048);
     assert_eq!(runtime.object_regime(table.id()), Some(RegimeKind::Sharded));
-    let placement = runtime
-        .object_placement(table.id())
-        .expect("adaptive runtime");
+    let placement = runtime.object_placement(table.id()).expect("one engine");
     assert!(
         !placement.contains(&NodeId(0)),
         "the idle creator owns a partition: {placement:?}"
