@@ -3,6 +3,8 @@
 //! an owner — and is retried when a switch or a death got in the way; the
 //! asynchronous path batches the same routing per destination.
 
+use std::borrow::Cow;
+
 use super::*;
 
 /// How long a guarded read parks on a mirror before re-validating the
@@ -18,6 +20,18 @@ pub(super) enum PartOutcome {
     Done(Vec<u8>),
     Blocked,
     Stale,
+}
+
+/// Where an operation runs under a regime table ([`AdaptiveRts::target`]).
+enum Target<'a> {
+    /// This node's mirror: a replicated-regime read where the table lists one.
+    Mirror,
+    /// One authoritative slot, with the operation narrowed to its partition.
+    Slot(u32, Cow<'a, [u8]>),
+    /// The first partition that accepts it, scanning.
+    Any(Arc<dyn orca_object::ShardLogic>),
+    /// Every partition, fanned out by the home under its switch lock.
+    All,
 }
 
 impl AdaptiveRts {
@@ -160,14 +174,14 @@ impl AdaptiveRts {
         self.pipeline.set_policy(policy);
     }
 
-    /// Execute one flusher round. The adaptive system *inherits* batching
-    /// through the regime each object currently delegates to: slot-addressed
-    /// operations (whatever a replicated-regime copy's owner executes,
-    /// `One`-routed sharded operations) coalesce into one
-    /// epoch-stamped operation-batch request per destination node; mirror
-    /// reads stay local; `All`/`Any` fan-outs act as barriers. Operations
-    /// bounced by a regime switch (`Stale`) retry in a follow-up pass.
-    /// Every handle resolves in issue order at the end of the round.
+    /// Execute one flusher round. Each operation is routed as a call is
+    /// ([`AdaptiveRts::target`]): a slot-addressed one (whatever a
+    /// replicated-regime copy's owner executes, `One`-routed sharded
+    /// operations) joins one epoch-stamped operation-batch request per
+    /// destination node; anything else — a mirror read, an `All`/`Any`
+    /// fan-out — is a barrier. Operations bounced by a regime switch
+    /// (`Stale`) retry in a follow-up pass. Every handle resolves in issue
+    /// order at the end of the round.
     fn run_round(&self, ops: Vec<QueuedOp>) {
         let deadline = Instant::now() + self.inner.policy.op_timeout;
         let mut slots: Vec<RoundSlot> = ops.iter().map(|_| RoundSlot::Todo).collect();
@@ -209,123 +223,47 @@ impl AdaptiveRts {
             let op = &ops[i];
             // An earlier operation on this object bounced in this pass;
             // executing a later one now would invert their effects.
-            if stale.iter().any(|&s| ops[s].object == op.object) {
+            let bounced = |stale: &[usize]| stale.iter().any(|&s| ops[s].object == op.object);
+            if bounced(&stale) {
                 stale.push(i);
                 continue;
             }
-            let table = match self.route_for(op.object, deadline) {
-                Ok(table) => table,
+            let routed = self.route_for(op.object, deadline).and_then(|table| {
+                let target = self.target(&table, op.kind, &op.op)?;
+                Ok((table, target))
+            });
+            let (table, target) = match routed {
+                Ok((table, Target::Slot(partition, part_op))) => {
+                    let owner = NodeId(table.owners[partition as usize]);
+                    batches.push(owner, i, op.batched(partition, table.epoch, &part_op));
+                    continue;
+                }
+                Ok(routed) => routed,
                 Err(err) => {
                     slots[i] = RoundSlot::Ready(Err(err));
                     continue;
                 }
             };
-            let me = self.inner.node.0;
-            match table.regime {
-                RegimeKind::Replicated
-                    if op.kind == OpKind::Read && table.mirrors.contains(&me) =>
-                {
-                    // Barrier before the local mirror read: this process's
-                    // earlier batched writes must be visible to it (the
-                    // owner pushes mirror updates before it acknowledges a
-                    // batch, so flushing first gives read-your-writes).
-                    self.flush_batches(&mut batches, &mut stale, slots, deadline);
-                    if stale.iter().any(|&s| ops[s].object == op.object) {
-                        stale.push(i);
-                        continue;
-                    }
-                    // Local mirror read (fetching/re-syncing as needed).
-                    slots[i] = match self.mirror_read(&table, &op.op, deadline) {
-                        Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
-                        Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
-                        Ok(PartOutcome::Stale) => {
-                            stale.push(i);
-                            continue;
-                        }
-                        Err(err) => RoundSlot::Ready(Err(err)),
-                    };
-                }
-                RegimeKind::Sharded => {
-                    let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
-                        // Pinned, a type that does not shard: one partition.
-                        batches.push(
-                            NodeId(table.owners[0]),
-                            i,
-                            op.batched(0, table.epoch, &op.op),
-                        );
-                        continue;
-                    };
-                    let routed =
-                        logic
-                            .route(&op.op, table.partitions())
-                            .and_then(|route| match route {
-                                ShardRoute::One(partition) => logic
-                                    .op_for(&op.op, partition, table.partitions())
-                                    .map(|part_op| (route, Some((partition, part_op)))),
-                                _ => Ok((route, None)),
-                            });
-                    match routed {
-                        Ok((ShardRoute::One(_), Some((partition, part_op)))) => {
-                            batches.push(
-                                NodeId(table.owners[partition as usize]),
-                                i,
-                                op.batched(partition, table.epoch, &part_op),
-                            );
-                        }
-                        Ok((route, _)) => {
-                            // Barrier: whole-object operations must order
-                            // against every batched operation before them.
-                            self.flush_batches(&mut batches, &mut stale, slots, deadline);
-                            if stale.iter().any(|&s| ops[s].object == op.object) {
-                                stale.push(i);
-                                continue;
-                            }
-                            slots[i] = match route {
-                                ShardRoute::Any => {
-                                    // Unstamped: the batched asynchronous
-                                    // path never re-presents an op across a
-                                    // node death.
-                                    match self.any_partition_op(
-                                        &table,
-                                        logic.as_ref(),
-                                        &op.op,
-                                        None,
-                                        deadline,
-                                    ) {
-                                        Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
-                                        Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
-                                        Ok(PartOutcome::Stale) => {
-                                            stale.push(i);
-                                            continue;
-                                        }
-                                        Err(err) => RoundSlot::Ready(Err(err)),
-                                    }
-                                }
-                                // `All`-routed operations run to completion
-                                // inline (the home's switch lock owns their
-                                // fan-out discipline).
-                                _ => RoundSlot::Ready(self.invoke(
-                                    op.object,
-                                    &table.type_name,
-                                    op.kind,
-                                    &op.op,
-                                )),
-                            };
-                        }
-                        Err(err) => slots[i] = RoundSlot::Ready(Err(err.into())),
-                    }
-                }
-                // One copy: every operation goes to its owner — every write,
-                // and the reads of the owner and of a node the table lists
-                // no mirror for.
-                _ => {
-                    batches.push(
-                        NodeId(table.owners[0]),
-                        i,
-                        op.batched(0, table.epoch, &op.op),
-                    );
-                }
+            // A barrier: a mirror read must see this process's earlier
+            // batched writes (the owner pushes to its mirrors before it
+            // acknowledges a batch), and a fan-out must order against every
+            // batched operation before it.
+            self.flush_batches(&mut batches, &mut stale, slots, deadline);
+            if bounced(&stale) {
+                stale.push(i);
+                continue;
             }
+            // Unstamped: the round never re-presents an operation across a
+            // node death (the failure contract of `crate::pipeline`).
+            slots[i] = match self.execute(&table, target, &op.op, None, deadline) {
+                Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
+                Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
+                Ok(PartOutcome::Stale) => {
+                    stale.push(i);
+                    continue;
+                }
+                Err(err) => RoundSlot::Ready(Err(err)),
+            };
         }
         self.flush_batches(&mut batches, &mut stale, slots, deadline);
         stale
@@ -361,9 +299,69 @@ impl AdaptiveRts {
         );
     }
 
+    /// Where an operation runs under `table`. A replicated-regime read is
+    /// local where the table lists a mirror; every other operation of one
+    /// copy — and of a pinned sharded type that does not shard — goes to
+    /// the single slot; a sharded one goes where the type's partitioning
+    /// logic routes it.
+    fn target<'a>(
+        &self,
+        table: &RegimeTable,
+        kind: OpKind,
+        op: &'a [u8],
+    ) -> Result<Target<'a>, RtsError> {
+        let logic = match table.regime {
+            RegimeKind::Replicated
+                if kind == OpKind::Read && table.mirrors.contains(&self.inner.node.0) =>
+            {
+                return Ok(Target::Mirror)
+            }
+            RegimeKind::Sharded => self.inner.registry.shard_logic(&table.type_name),
+            _ => None,
+        };
+        let Some(logic) = logic else {
+            return Ok(Target::Slot(0, Cow::Borrowed(op)));
+        };
+        let parts = table.partitions();
+        Ok(match logic.route(op, parts)? {
+            ShardRoute::One(partition) => {
+                Target::Slot(partition, Cow::Owned(logic.op_for(op, partition, parts)?))
+            }
+            ShardRoute::Any => Target::Any(logic),
+            ShardRoute::All => Target::All,
+        })
+    }
+
+    /// Execute `op` where `target` says, under `table`.
+    fn execute(
+        &self,
+        table: &RegimeTable,
+        target: Target<'_>,
+        op: &[u8],
+        stamp: Option<OpStamp>,
+        deadline: Instant,
+    ) -> Result<PartOutcome, RtsError> {
+        match target {
+            Target::Mirror => self.mirror_read(table, op, deadline),
+            Target::Slot(partition, part_op) => {
+                self.slot_op(table, partition, &part_op, stamp, deadline)
+            }
+            Target::Any(logic) => self.any_partition_op(table, logic.as_ref(), op, stamp, deadline),
+            // The shares of one logical operation need a stamp each, which
+            // the home mints — not the client.
+            Target::All => self.all_partitions_op(table, op, deadline),
+        }
+    }
+
     /// Record invocation-level statistics once the routing decision is
-    /// known.
-    fn record_invocation(&self, all_local: bool, kind: OpKind) {
+    /// known (a mirror read counts itself, when it is served).
+    fn record_invocation(&self, table: &RegimeTable, target: &Target<'_>, kind: OpKind) {
+        let local = |owner: &u16| *owner == self.inner.node.0;
+        let all_local = match target {
+            Target::Mirror => return,
+            Target::Slot(partition, _) => local(&table.owners[*partition as usize]),
+            Target::Any(_) | Target::All => table.owners.iter().all(local),
+        };
         let stats = &self.inner.stats;
         match kind {
             OpKind::Read => {
@@ -419,13 +417,22 @@ impl AdaptiveRts {
                 deadline,
             )?
         };
+        self.outcome(object, reply)
+    }
+
+    /// What an answer to an operation (`Op`, `OpAll`) means to it.
+    fn outcome(&self, object: ObjectId, reply: RegimeReply) -> Result<PartOutcome, RtsError> {
         match reply {
             RegimeReply::Done(bytes) => Ok(PartOutcome::Done(bytes)),
             RegimeReply::Blocked => Ok(PartOutcome::Blocked),
             RegimeReply::StaleRegime => Ok(PartOutcome::Stale),
+            RegimeReply::ObjectLost => {
+                self.inner.lost.write().insert(object);
+                Err(RtsError::ObjectLost(object))
+            }
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
             other => Err(RtsError::Communication(format!(
-                "unexpected Op reply {other:?}"
+                "unexpected reply {other:?} to an operation"
             ))),
         }
     }
@@ -701,22 +708,13 @@ impl AdaptiveRts {
                 deadline,
             )?
         };
-        match reply {
-            RegimeReply::Done(bytes) => Ok(PartOutcome::Done(bytes)),
-            RegimeReply::Blocked => Ok(PartOutcome::Blocked),
-            RegimeReply::StaleRegime => Ok(PartOutcome::Stale),
-            RegimeReply::ObjectLost => {
-                self.inner.lost.write().insert(object);
-                Err(RtsError::ObjectLost(object))
-            }
-            RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
-            other => Err(RtsError::Communication(format!(
-                "unexpected OpAll reply {other:?}"
-            ))),
-        }
+        self.outcome(object, reply)
     }
 
-    /// Route one invocation under the current regime table.
+    /// Route one invocation under the current regime table, count it, and
+    /// execute it. A write from a node the table lists a mirror for goes
+    /// *through* that mirror; a batched one never does (it goes to the
+    /// owner like any other slot-addressed operation of its round).
     pub(super) fn dispatch_client_op(
         &self,
         table: &RegimeTable,
@@ -725,56 +723,14 @@ impl AdaptiveRts {
         stamp: Option<OpStamp>,
         deadline: Instant,
     ) -> Result<PartOutcome, RtsError> {
-        let me = self.inner.node.0;
-        match table.regime {
-            RegimeKind::Replicated if kind == OpKind::Read && table.mirrors.contains(&me) => {
-                self.mirror_read(table, op, deadline)
-            }
-            RegimeKind::Sharded => {
-                let Some(logic) = self.inner.registry.shard_logic(&table.type_name) else {
-                    // Pinned, a type that does not shard: one partition at
-                    // its creator.
-                    self.record_invocation(table.owners[0] == me, kind);
-                    return self.slot_op(table, 0, op, stamp, deadline);
-                };
-                let route = logic.route(op, table.partitions())?;
-                let all_local = match route {
-                    ShardRoute::One(p) => table.owners[p as usize] == me,
-                    ShardRoute::All | ShardRoute::Any => table.owners.iter().all(|&o| o == me),
-                };
-                self.record_invocation(all_local, kind);
-                match route {
-                    ShardRoute::One(partition) => {
-                        let part_op = logic.op_for(op, partition, table.partitions())?;
-                        self.slot_op(table, partition, &part_op, stamp, deadline)
-                    }
-                    ShardRoute::Any => {
-                        self.any_partition_op(table, logic.as_ref(), op, stamp, deadline)
-                    }
-                    // All-routed operations fan out at the home under its
-                    // switch lock; the shares of one logical op need
-                    // distinct stamps per partition, which the home mints —
-                    // not the client.
-                    ShardRoute::All => self.all_partitions_op(table, op, deadline),
-                }
-            }
-            // One copy, every operation executed at its owner: every write
-            // — through the writer's own mirror when the table lists one —
-            // and the reads of the owner and of a node the table lists no
-            // mirror for, shipped and counted, so a node that starts
-            // reading is a user at the next evaluation.
-            _ => {
-                self.record_invocation(table.owners[0] == me, kind);
-                let through = match kind {
-                    OpKind::Write => self.write_through(table, op, stamp, deadline),
-                    OpKind::Read => None,
-                };
-                match through {
-                    Some(outcome) => outcome,
-                    None => self.slot_op(table, 0, op, stamp, deadline),
-                }
+        let target = self.target(table, kind, op)?;
+        self.record_invocation(table, &target, kind);
+        if kind == OpKind::Write {
+            if let Some(outcome) = self.write_through(table, op, stamp, deadline) {
+                return outcome;
             }
         }
+        self.execute(table, target, op, stamp, deadline)
     }
 }
 

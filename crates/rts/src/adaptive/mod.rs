@@ -43,9 +43,9 @@
 //! Every node counts its own reads/writes per object and reports them to
 //! the object's home node every [`AdaptivePolicy::window`] accesses,
 //! one-way: no invocation waits for the home. The home folds the reports
-//! into a *decayed* per-node aggregate ([`crate::AccessStats::decay_halve`]
-//! — stale bursts lose half their weight per evaluation window, so they
-//! cannot pin a regime) and re-evaluates the regime every two windows of
+//! into a *decayed* per-node aggregate (halved at every evaluation — stale
+//! bursts lose half their weight per window, so they cannot pin a regime)
+//! and re-evaluates the regime every two windows of
 //! reported accesses. The home's [`RegimeTable`] is authoritative; other
 //! nodes cache it and carry its epoch in every shipped operation — a server
 //! that sees an outdated epoch answers `StaleRegime` and the client

@@ -13,7 +13,7 @@
 //!   update fan-out, and a copy nobody reads has nobody to push to.
 //!
 //! The aggregate is decayed (halved) after every evaluation
-//! ([`crate::AccessStats::decay_halve`]), so a stale burst loses half its
+//! ([`UsageAggregate::end_window`]), so a stale burst loses half its
 //! weight per window and cannot pin a regime after the workload shifts.
 //!
 //! The same per-node counts decide *where* an object lives
@@ -30,7 +30,6 @@ use orca_object::shard::spread_owner;
 use orca_object::ObjectId;
 use orca_wire::RegimeKind;
 
-use crate::stats::AccessStats;
 use crate::RtsKind;
 
 /// How a completed write reaches the mirrors of a replicated-regime object
@@ -227,8 +226,8 @@ pub(crate) enum Count {
 
 impl Count {
     /// Counts arrive in reports off the wire: wide enough not to wrap.
-    fn of(self, stats: &AccessStats) -> u128 {
-        let (reads, writes) = (u128::from(stats.reads()), u128::from(stats.writes()));
+    fn of(self, usage: &NodeUsage) -> u128 {
+        let (reads, writes) = (u128::from(usage.reads), u128::from(usage.writes));
         match self {
             Count::Accesses => reads + writes,
             Count::Reads => reads,
@@ -239,8 +238,9 @@ impl Count {
 
 /// What the home knows of one node's use of an object.
 struct NodeUsage {
-    /// Decayed read/write counts.
-    stats: AccessStats,
+    /// Decayed read and write counts.
+    reads: u64,
+    writes: u64,
     /// When the node last reported.
     heard: Instant,
     /// When it last reported reads.
@@ -261,12 +261,13 @@ impl UsageAggregate {
     pub(crate) fn report(&mut self, node: u16, reads: u64, writes: u64, window: u64) -> bool {
         let now = Instant::now();
         let usage = self.per_node.entry(node).or_insert_with(|| NodeUsage {
-            stats: AccessStats::default(),
+            reads: 0,
+            writes: 0,
             heard: now,
             heard_reading: None,
         });
-        usage.stats.record_reads(reads);
-        usage.stats.record_writes(writes);
+        usage.reads = usage.reads.saturating_add(reads);
+        usage.writes = usage.writes.saturating_add(writes);
         usage.heard = now;
         if reads > 0 {
             usage.heard_reading = Some(now);
@@ -283,9 +284,9 @@ impl UsageAggregate {
 
     /// Total decayed (reads, writes) over all reporting nodes.
     pub(crate) fn totals(&self) -> (u64, u64) {
-        self.per_node.values().fold((0, 0), |(r, w), usage| {
-            (r + usage.stats.reads(), w + usage.stats.writes())
-        })
+        self.per_node
+            .values()
+            .fold((0, 0), |(r, w), usage| (r + usage.reads, w + usage.writes))
     }
 
     /// The nodes that use the object, sorted, `by` the count that matters
@@ -317,7 +318,7 @@ impl UsageAggregate {
         grace: Duration,
     ) -> Vec<u16> {
         let total_of = |by: Count| -> u128 {
-            let counts = self.per_node.values().map(|usage| by.of(&usage.stats));
+            let counts = self.per_node.values().map(|usage| by.of(usage));
             counts.sum()
         };
         if total_of(Count::Accesses) == 0 {
@@ -330,7 +331,7 @@ impl UsageAggregate {
             .filter(|(node, usage)| {
                 let owner = current_owners.contains(node);
                 let per_even_share = if owner { 8 } else { 4 };
-                let accesses = by.of(&usage.stats);
+                let accesses = by.of(usage);
                 let share = accesses > 0 && accesses * per_even_share * num_nodes as u128 >= total;
                 let heard = match by {
                     Count::Reads => usage.heard_reading,
@@ -364,7 +365,7 @@ impl UsageAggregate {
         grace: Duration,
     ) -> (u16, Vec<u16>) {
         let named: Vec<u16> = mirrors.iter().copied().chain([owner]).collect();
-        let writes = |node: &u16| self.per_node.get(node).map_or(0, |u| u.stats.writes());
+        let writes = |node: &u16| self.per_node.get(node).map_or(0, |u| u.writes);
         let writers = self.users(Count::Writes, num_nodes, &named, grace);
         let busiest = writers
             .iter()
@@ -379,11 +380,14 @@ impl UsageAggregate {
         (owner, readers)
     }
 
-    /// Close the evaluation window: decay every node's counters and reset
-    /// the evaluation trigger.
+    /// Close the evaluation window: halve every node's counts — a stale
+    /// burst loses half its weight per window instead of pinning the regime
+    /// forever, as a running total would, or being forgotten at once — and
+    /// reset the evaluation trigger.
     pub(crate) fn end_window(&mut self) {
-        for usage in self.per_node.values() {
-            usage.stats.decay_halve();
+        for usage in self.per_node.values_mut() {
+            usage.reads /= 2;
+            usage.writes /= 2;
         }
         self.since_eval = 0;
     }
@@ -749,5 +753,21 @@ mod tests {
             writes > reads * 4,
             "fresh writes must dominate: {reads}/{writes}"
         );
+
+        // Each window halves a node's counts, so the mix survives decay
+        // while the weight of an old burst fades until fresh evidence
+        // overturns it.
+        let mut burst = UsageAggregate::default();
+        burst.report(0, 40, 10, u64::MAX);
+        assert_eq!(burst.totals(), (40, 10));
+        burst.end_window();
+        assert_eq!(burst.totals(), (20, 5));
+        for _ in 0..3 {
+            burst.end_window();
+        }
+        assert_eq!(burst.totals(), (2, 0));
+        burst.report(0, 0, 16, u64::MAX);
+        let (reads, writes) = burst.totals();
+        assert!(writes > reads, "fresh writes dominate: {reads}/{writes}");
     }
 }

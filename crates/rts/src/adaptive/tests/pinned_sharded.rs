@@ -602,6 +602,24 @@ mod tests {
         shutdown_all(&rtses);
     }
 
+    /// A pipelined operation on every partition is a barrier of its round,
+    /// sent to the home once: one write, counted once.
+    #[test]
+    fn a_pipelined_all_routed_write_is_counted_once() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, AdaptivePolicy::sharded(3));
+        let id = new_bank(&rtses[0]);
+        deposit(&rtses[1], id, 1, 5);
+        let before = rtses[1].stats().writes;
+        let clear = BankOp::Clear.to_bytes();
+        let pending = rtses[1].invoke_async(id, Bank::TYPE_NAME, OpKind::Write, &clear);
+        let reply = BankReply::from_bytes(&pending.wait().unwrap()).unwrap();
+        assert_eq!(reply, BankReply::Value(0));
+        assert_eq!(rtses[1].stats().writes, before + 1);
+        assert_eq!(bank_sum(&rtses[0], id), 0);
+        shutdown_all(&rtses);
+    }
+
     /// With detection only (no re-homing), an operation shipped to a
     /// *killed* owner fails fast with `NodeDown` instead of waiting out the
     /// 10 s operation deadline.

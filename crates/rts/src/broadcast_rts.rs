@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Sender};
 use orca_amoeba::network::NetworkHandle;
 use orca_amoeba::NodeId;
-use orca_group::{Delivered, GroupConfig, GroupMember, GroupSender, GroupStatsSnapshot};
+use orca_group::{Delivered, GroupConfig, GroupMember, GroupSender};
 use orca_object::{
     AnyReplica, AppliedOutcome, ObjectDescriptor, ObjectError, ObjectId, ObjectRegistry, OpKind,
 };
@@ -143,8 +143,7 @@ impl Wire for RtsBroadcastMsg {
     }
 }
 
-/// Result delivered to a waiting invocation once its own broadcast has been
-/// applied locally.
+/// What applying one delivered operation came to on the local replica.
 #[derive(Debug, Clone)]
 enum InvocationResult {
     Done(Vec<u8>),
@@ -152,9 +151,16 @@ enum InvocationResult {
     /// evaluated it at, the replica mutex held.
     Blocked(u64),
     Failed(ObjectError),
-    /// The invocation's withdraw was ordered before the operation itself:
-    /// the operation will be dropped by every manager, so it is guaranteed
-    /// never to take effect.
+}
+
+/// What the local manager reports about one of this node's outstanding
+/// total-order slots (a create, a write or a write batch) once it has
+/// consumed it.
+enum Delivery {
+    /// The slot was applied; one result per operation, in order.
+    Applied(Vec<InvocationResult>),
+    /// Its withdraw was ordered first: every manager drops the slot, so
+    /// nothing in it ever takes effect.
     Withdrawn,
 }
 
@@ -197,15 +203,6 @@ struct ObjectEntry {
     changed: Condvar,
 }
 
-/// What the local manager reports back to the flusher about one of its own
-/// batches, once the batch's total-order slot has been consumed.
-enum BatchDelivery {
-    /// The batch was applied; one result per op, in batch order.
-    Applied(Vec<InvocationResult>),
-    /// The batch's withdraw was ordered first: no op applied anywhere.
-    Withdrawn,
-}
-
 struct Inner {
     node: NodeId,
     num_nodes: usize,
@@ -213,11 +210,10 @@ struct Inner {
     sender: GroupSender,
     objects: Mutex<HashMap<ObjectId, Arc<ObjectEntry>>>,
     object_created: Condvar,
-    pending: Mutex<HashMap<u64, Sender<InvocationResult>>>,
-    /// In-flight batches of this node's asynchronous pipeline, keyed by
-    /// batch id (same namespace as invocation ids, so the withdraw
-    /// protocol covers batches).
-    pending_batches: Mutex<HashMap<u64, Sender<BatchDelivery>>>,
+    /// This node's outstanding total-order slots, keyed by the id their
+    /// message carries (an invocation id, or a batch id: one namespace, so
+    /// one withdraw protocol covers both).
+    pending: Mutex<HashMap<u64, Sender<Delivery>>>,
     withdrawn: Mutex<WithdrawnOps>,
     next_invocation: AtomicU64,
     next_object: AtomicU64,
@@ -258,6 +254,9 @@ impl std::fmt::Debug for BroadcastRts {
 /// retransmission rounds.
 const DEFAULT_INVOCATION_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// How often a wait for an outstanding slot looks for a shutdown.
+const SLOT_WAIT_SLICE: Duration = Duration::from_millis(50);
+
 /// How long `invoke` waits for an object created elsewhere to appear locally.
 const OBJECT_WAIT_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -285,7 +284,6 @@ impl BroadcastRts {
             objects: Mutex::new(HashMap::new()),
             object_created: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
-            pending_batches: Mutex::new(HashMap::new()),
             withdrawn: Mutex::new(WithdrawnOps::default()),
             next_invocation: AtomicU64::new(1),
             next_object: AtomicU64::new(1),
@@ -305,24 +303,16 @@ impl BroadcastRts {
         }
     }
 
-    /// Snapshot of the underlying group member's protocol statistics is not
-    /// directly reachable from here (the member is owned by the manager
-    /// thread); the network-level statistics of `orca-amoeba` cover the
-    /// traffic. This returns the RTS-level statistics.
-    pub fn rts_stats(&self) -> RtsStatsSnapshot {
-        self.inner.stats.snapshot()
-    }
-
     /// Stop the object-manager thread and the group member, then wake every
     /// blocked invocation so it can observe the shutdown and return
     /// [`RtsError::Terminated`] instead of parking forever. Idempotent.
     pub fn shutdown(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
-        // Fail fast any invocations still parked on their pending-map
-        // channel — their broadcasts can never complete now, and with
-        // `stopped` set they surface Terminated instead of waiting out
-        // their full deadline.
-        let parked: Vec<Sender<InvocationResult>> = self
+        // Fail fast every slot still outstanding — a synchronous call's or
+        // the flusher's: it can never be delivered now, and with `stopped`
+        // set its waiter surfaces Terminated instead of waiting out its
+        // deadline. Then the flusher is free to stop.
+        let parked: Vec<Sender<Delivery>> = self
             .inner
             .pending
             .lock()
@@ -330,20 +320,7 @@ impl BroadcastRts {
             .map(|(_, tx)| tx)
             .collect();
         for tx in parked {
-            let _ = tx.send(InvocationResult::Withdrawn);
-        }
-        // Same for in-flight batches of the asynchronous pipeline, then
-        // stop the flusher (its waits re-check `stopped`, so the join is
-        // prompt).
-        let parked_batches: Vec<Sender<BatchDelivery>> = self
-            .inner
-            .pending_batches
-            .lock()
-            .drain()
-            .map(|(_, tx)| tx)
-            .collect();
-        for tx in parked_batches {
-            let _ = tx.send(BatchDelivery::Withdrawn);
+            let _ = tx.send(Delivery::Withdrawn);
         }
         self.pipeline.shutdown();
         if let Some(handle) = self.manager.lock().take() {
@@ -375,22 +352,66 @@ impl BroadcastRts {
         self.pipeline.set_policy(policy);
     }
 
-    fn next_invocation(&self) -> (u64, crossbeam::channel::Receiver<InvocationResult>) {
-        let invocation = self.inner.next_invocation.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(invocation, tx);
-        (invocation, rx)
-    }
-
-    fn broadcast(&self, msg: &RtsBroadcastMsg) -> Result<(), RtsError> {
-        self.broadcast_bytes(msg.to_bytes())
-    }
-
-    fn broadcast_bytes(&self, msg: Vec<u8>) -> Result<(), RtsError> {
+    fn broadcast(&self, msg: Vec<u8>) -> Result<(), RtsError> {
         self.inner
             .sender
             .broadcast(msg)
             .map_err(|err| RtsError::Communication(err.to_string()))
+    }
+
+    /// Occupy one slot of the total order — a create, a write or a write
+    /// batch — and wait for the local manager to consume it. `encode`
+    /// builds the message around the slot's id, and is called only when
+    /// the message is sent. The wait watches for a shutdown; at the
+    /// deadline the slot is withdrawn and waited for once more. The
+    /// withdraw rides the same total order, so exactly one of three things
+    /// comes back: the slot's results, however late (the operations
+    /// happened, and a timeout would lie); `Timeout`, the withdraw ordered
+    /// first and every manager dropping the slot; or nothing at all — the
+    /// group layer itself is dead (a crashed or partitioned node) — and
+    /// `Timeout` with the entry removed, the documented residual.
+    fn order(
+        &self,
+        encode: impl FnOnce(u64) -> Vec<u8>,
+    ) -> Result<Vec<InvocationResult>, RtsError> {
+        let inner = &self.inner;
+        let id = inner.next_invocation.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = bounded(1);
+        inner.pending.lock().insert(id, tx);
+        let stopped = || inner.stopped.load(Ordering::SeqCst);
+        let wait = || {
+            let deadline = Instant::now() + inner.op_timeout();
+            loop {
+                match rx.recv_timeout(SLOT_WAIT_SLICE) {
+                    Ok(delivery) => return Some(delivery),
+                    Err(_) if stopped() || Instant::now() >= deadline => return None,
+                    Err(_) => {}
+                }
+            }
+        };
+        // Checked after the insert: a shutdown that raced it has drained
+        // the table already, and would leave this slot waiting out its
+        // deadline.
+        let sent = match stopped() {
+            true => Err(RtsError::Terminated),
+            false => self.broadcast(encode(id)),
+        };
+        let mut delivery = None;
+        if sent.is_ok() {
+            delivery = wait();
+            let withdraw = || RtsBroadcastMsg::Withdraw { invocation: id }.to_bytes();
+            if delivery.is_none() && !stopped() && self.broadcast(withdraw()).is_ok() {
+                delivery = wait();
+            }
+        }
+        inner.pending.lock().remove(&id);
+        sent?;
+        // A delivery that raced the removal still sits in the channel.
+        match delivery.or_else(|| rx.try_recv().ok()) {
+            Some(Delivery::Applied(results)) => Ok(results),
+            _ if stopped() => Err(RtsError::Terminated),
+            _ => Err(RtsError::Timeout),
+        }
     }
 
     fn wait_for_object(&self, object: ObjectId) -> Result<Arc<ObjectEntry>, RtsError> {
@@ -431,37 +452,6 @@ impl BroadcastRts {
                     entry.changed.wait_for(&mut replica, GUARD_REISSUE_INTERVAL);
                 }
             }
-        }
-    }
-
-    /// A first wait for `invocation` timed out: broadcast a withdraw and
-    /// wait for the race to resolve in total order. Exactly one of three
-    /// things comes back: the operation's own (late) result — the write
-    /// happened, so it is returned instead of a lying timeout; `Withdrawn`
-    /// — every manager will drop the operation, so `Timeout` is truthful;
-    /// or nothing within the grace period — the group layer itself is dead
-    /// (crashed/partitioned node), the entry is removed so the pending map
-    /// cannot leak, and the residual is documented at the call site.
-    fn withdraw_invocation(
-        &self,
-        invocation: u64,
-        rx: &crossbeam::channel::Receiver<InvocationResult>,
-    ) -> InvocationResult {
-        let give_up = |inner: &Inner| {
-            inner.pending.lock().remove(&invocation);
-            // A completion that raced the removal still sits in the
-            // channel; honor it rather than discarding a real result.
-            rx.try_recv().unwrap_or(InvocationResult::Withdrawn)
-        };
-        if self
-            .broadcast(&RtsBroadcastMsg::Withdraw { invocation })
-            .is_err()
-        {
-            return give_up(&self.inner);
-        }
-        match rx.recv_timeout(self.inner.op_timeout()) {
-            Ok(result) => result,
-            Err(_) => give_up(&self.inner),
         }
     }
 
@@ -511,145 +501,58 @@ impl BroadcastRts {
     /// every handle (in batch order) once the local manager has applied —
     /// or withdrawn — the batch.
     fn send_write_batch(&self, writes: Vec<QueuedOp>) {
-        let fail_all = |writes: &[QueuedOp], err: RtsError| {
-            for write in writes {
-                write.completer.complete(Err(err.clone()));
+        let stats = &self.inner.stats;
+        let encode = |batch_id: u64| {
+            RtsStats::bump(&stats.broadcast_writes);
+            RtsStats::bump(&stats.batches_sent);
+            stats
+                .ops_batched
+                .fetch_add(writes.len() as u64, Ordering::Relaxed);
+            let mut msg = Vec::with_capacity(batch_capacity(&writes));
+            msg.push(RtsBroadcastMsg::WRITE_BATCH_TAG);
+            batch_id.encode_into(&mut msg);
+            let mut msg = OpBatchEncoder::new(msg);
+            for write in &writes {
+                msg.push(write.batched(0, 0, &write.op));
             }
+            msg.finish()
         };
-        if self.inner.stopped.load(Ordering::SeqCst) {
-            return fail_all(&writes, RtsError::Terminated);
-        }
-        let batch_id = self.inner.next_invocation.fetch_add(1, Ordering::Relaxed);
-        let mut msg = Vec::with_capacity(batch_capacity(&writes));
-        msg.push(RtsBroadcastMsg::WRITE_BATCH_TAG);
-        batch_id.encode_into(&mut msg);
-        let mut msg = OpBatchEncoder::new(msg);
-        for write in &writes {
-            msg.push(write.batched(0, 0, &write.op));
-        }
-        let (tx, rx) = bounded(1);
-        self.inner.pending_batches.lock().insert(batch_id, tx);
-        // Re-check after the insert so a racing shutdown's drain cannot
-        // strand this batch (mirrors the single-write discipline).
-        if self.inner.stopped.load(Ordering::SeqCst) {
-            self.inner.pending_batches.lock().remove(&batch_id);
-            return fail_all(&writes, RtsError::Terminated);
-        }
-        RtsStats::bump(&self.inner.stats.broadcast_writes);
-        RtsStats::bump(&self.inner.stats.batches_sent);
-        self.inner
-            .stats
-            .ops_batched
-            .fetch_add(writes.len() as u64, Ordering::Relaxed);
-        if let Err(err) = self.broadcast_bytes(msg.finish()) {
-            self.inner.pending_batches.lock().remove(&batch_id);
-            return fail_all(&writes, err);
-        }
-        match self.await_batch(batch_id, &rx, true) {
-            BatchDelivery::Applied(results) => {
+        match self.order(encode) {
+            Ok(results) => {
                 debug_assert_eq!(results.len(), writes.len());
                 for (write, result) in writes.iter().zip(results) {
                     match result {
                         InvocationResult::Done(reply) => write.completer.complete(Ok(reply)),
                         InvocationResult::Failed(err) => write.completer.complete(Err(err.into())),
                         InvocationResult::Blocked(_) => write.completer.complete_blocked(),
-                        InvocationResult::Withdrawn => {
-                            write.completer.complete(Err(RtsError::Timeout))
-                        }
                     }
                 }
             }
-            BatchDelivery::Withdrawn => {
-                let err = if self.inner.stopped.load(Ordering::SeqCst) {
-                    RtsError::Terminated
-                } else {
-                    RtsError::Timeout
-                };
-                fail_all(&writes, err);
-            }
-        }
-    }
-
-    /// Wait (in shutdown-aware slices) for the local manager to consume the
-    /// batch's slot. On deadline expiry, withdraw the batch — the race
-    /// resolves in total order exactly as for single writes — and wait once
-    /// more; if the group layer stays silent the batch is abandoned as
-    /// withdrawn (per-op `Timeout`, the documented residual).
-    fn await_batch(
-        &self,
-        batch_id: u64,
-        rx: &crossbeam::channel::Receiver<BatchDelivery>,
-        withdraw_on_timeout: bool,
-    ) -> BatchDelivery {
-        let deadline = Instant::now() + self.inner.op_timeout();
-        loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(delivery) => return delivery,
-                Err(_) => {
-                    if self.inner.stopped.load(Ordering::SeqCst) || Instant::now() >= deadline {
-                        break;
-                    }
+            Err(err) => {
+                for write in &writes {
+                    write.completer.complete(Err(err.clone()));
                 }
             }
         }
-        if withdraw_on_timeout
-            && !self.inner.stopped.load(Ordering::SeqCst)
-            && self
-                .broadcast(&RtsBroadcastMsg::Withdraw {
-                    invocation: batch_id,
-                })
-                .is_ok()
-        {
-            return self.await_batch(batch_id, rx, false);
-        }
-        self.inner.pending_batches.lock().remove(&batch_id);
-        // A delivery that raced the removal still sits in the channel;
-        // honor it rather than discarding real results.
-        rx.try_recv().unwrap_or(BatchDelivery::Withdrawn)
     }
 
     fn broadcast_write(&self, object: ObjectId, op: &[u8]) -> Result<Vec<u8>, RtsError> {
         RtsStats::bump(&self.inner.stats.writes);
         let entry = self.wait_for_object(object)?;
         loop {
-            let (invocation, rx) = self.next_invocation();
-            // Checked *after* the pending-map insert: a shutdown that
-            // raced the insert has already drained the map, so without
-            // this re-check the invocation would park for its full
-            // deadline instead of being woken promptly.
-            if self.inner.stopped.load(Ordering::SeqCst) {
-                self.inner.pending.lock().remove(&invocation);
-                return Err(RtsError::Terminated);
-            }
-            let msg = RtsBroadcastMsg::Write {
-                invocation,
-                object,
-                op: op.to_vec(),
-            };
-            RtsStats::bump(&self.inner.stats.broadcast_writes);
-            self.broadcast(&msg)?;
-            let result = match rx.recv_timeout(self.inner.op_timeout()) {
-                Ok(result) => result,
-                Err(_) => {
-                    if self.inner.stopped.load(Ordering::SeqCst) {
-                        self.inner.pending.lock().remove(&invocation);
-                        return Err(RtsError::Terminated);
-                    }
-                    self.withdraw_invocation(invocation, &rx)
+            let results = self.order(|invocation| {
+                RtsStats::bump(&self.inner.stats.broadcast_writes);
+                let op = op.to_vec();
+                RtsBroadcastMsg::Write {
+                    invocation,
+                    object,
+                    op,
                 }
-            };
-            match result {
+                .to_bytes()
+            })?;
+            match only(results) {
                 InvocationResult::Done(reply) => return Ok(reply),
                 InvocationResult::Failed(err) => return Err(err.into()),
-                InvocationResult::Withdrawn => {
-                    // Shutdown drains pending invocations with Withdrawn;
-                    // report the true cause.
-                    return Err(if self.inner.stopped.load(Ordering::SeqCst) {
-                        RtsError::Terminated
-                    } else {
-                        RtsError::Timeout
-                    });
-                }
                 InvocationResult::Blocked(seen_version) => {
                     // Guard false everywhere. Wait until the local replica
                     // changes (or a timeout elapses) and re-issue.
@@ -681,43 +584,24 @@ impl RuntimeSystem for BroadcastRts {
         }
         let counter = self.inner.next_object.fetch_add(1, Ordering::Relaxed);
         let id = ObjectId::compose(self.inner.node.0, counter);
-        let (invocation, rx) = self.next_invocation();
-        // Re-checked after the pending-map insert so a racing shutdown's
-        // drain cannot strand this invocation for its full deadline.
-        if self.inner.stopped.load(Ordering::SeqCst) {
-            self.inner.pending.lock().remove(&invocation);
-            return Err(RtsError::Terminated);
-        }
-        let msg = RtsBroadcastMsg::Create {
-            invocation,
-            descriptor: ObjectDescriptor {
-                id,
-                type_name: type_name.to_string(),
-                state: initial_state.to_vec(),
-            },
+        let descriptor = ObjectDescriptor {
+            id,
+            type_name: type_name.to_string(),
+            state: initial_state.to_vec(),
         };
-        self.broadcast(&msg)?;
-        let result = match rx.recv_timeout(self.inner.op_timeout()) {
-            Ok(result) => result,
-            Err(_) => {
-                if self.inner.stopped.load(Ordering::SeqCst) {
-                    self.inner.pending.lock().remove(&invocation);
-                    return Err(RtsError::Terminated);
-                }
-                self.withdraw_invocation(invocation, &rx)
+        let results = self.order(|invocation| {
+            RtsBroadcastMsg::Create {
+                invocation,
+                descriptor,
             }
-        };
-        match result {
+            .to_bytes()
+        })?;
+        match only(results) {
+            InvocationResult::Failed(err) => Err(err.into()),
             InvocationResult::Done(_) | InvocationResult::Blocked(_) => {
                 RtsStats::bump(&self.inner.stats.objects_created);
                 Ok(id)
             }
-            InvocationResult::Withdrawn => Err(if self.inner.stopped.load(Ordering::SeqCst) {
-                RtsError::Terminated
-            } else {
-                RtsError::Timeout
-            }),
-            InvocationResult::Failed(err) => Err(err.into()),
         }
     }
 
@@ -808,7 +692,7 @@ fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
             }
             let result = install_object(inner, &descriptor);
             if origin == inner.node {
-                complete(inner, invocation, result);
+                complete(inner, invocation, Delivery::Applied(vec![result]));
             }
         }
         RtsBroadcastMsg::Write {
@@ -823,7 +707,7 @@ fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
             }
             let result = apply_write(inner, object, &op, origin != inner.node);
             if origin == inner.node {
-                complete(inner, invocation, result);
+                complete(inner, invocation, Delivery::Applied(vec![result]));
             }
         }
         RtsBroadcastMsg::Withdraw { invocation } => {
@@ -832,8 +716,7 @@ fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
             // its withdraw is delivered first wins everywhere.
             inner.withdrawn.lock().mark((origin.0, invocation));
             if origin == inner.node {
-                complete(inner, invocation, InvocationResult::Withdrawn);
-                complete_batch(inner, invocation, BatchDelivery::Withdrawn);
+                complete(inner, invocation, Delivery::Withdrawn);
             }
         }
     }
@@ -844,9 +727,6 @@ fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBat
     if inner.withdrawn.lock().take(&(origin.0, batch)) {
         // Withdrawn before delivery: the whole batch is dropped by
         // every manager — no partial application anywhere.
-        if origin == inner.node {
-            complete_batch(inner, batch, BatchDelivery::Withdrawn);
-        }
         return;
     }
     // One protocol-handling event for the whole slot, then one apply per
@@ -861,7 +741,7 @@ fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBat
         results.push(apply_write(inner, ObjectId(op.object), op.op, false));
     }
     if origin == inner.node {
-        complete_batch(inner, batch, BatchDelivery::Applied(results));
+        complete(inner, batch, Delivery::Applied(results));
     }
 }
 
@@ -923,21 +803,18 @@ fn await_change(entry: &ObjectEntry, seen_version: u64) -> bool {
     unchanged
 }
 
-fn complete(inner: &Arc<Inner>, invocation: u64, result: InvocationResult) {
-    if let Some(tx) = inner.pending.lock().remove(&invocation) {
-        let _ = tx.send(result);
-    }
-}
-
-fn complete_batch(inner: &Arc<Inner>, batch: u64, delivery: BatchDelivery) {
-    if let Some(tx) = inner.pending_batches.lock().remove(&batch) {
+/// Resolve this node's outstanding slot `id`, if it is still waited for.
+fn complete(inner: &Arc<Inner>, id: u64, delivery: Delivery) {
+    if let Some(tx) = inner.pending.lock().remove(&id) {
         let _ = tx.send(delivery);
     }
 }
 
-/// Convenience: the group statistics type re-exported so callers of this
-/// module do not need to depend on `orca-group` directly for reporting.
-pub type GroupProtocolStats = GroupStatsSnapshot;
+/// The result of a slot that held one operation (a create or a write).
+fn only(results: Vec<InvocationResult>) -> InvocationResult {
+    let mut results = results.into_iter();
+    results.next().expect("one result per operation")
+}
 
 #[cfg(test)]
 mod tests {
@@ -1236,6 +1113,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, RtsError::Timeout);
         assert!(rtses[0].inner.pending.lock().is_empty());
+        // And a pipelined write's batch: the same slot, withdrawn the same way.
+        let add = AccumulatorOp::Add(7).to_bytes();
+        let pending = rtses[0].invoke_async(id, Accumulator::TYPE_NAME, OpKind::Write, &add);
+        assert_eq!(pending.wait(), Err(RtsError::Timeout));
+        assert!(rtses[0].inner.pending.lock().is_empty());
         net.recover(NodeId(0));
         shutdown_all(rtses);
     }
@@ -1400,7 +1282,8 @@ mod tests {
 
     /// Satellite regression: shutdown must wake a reader parked in
     /// `local_read`'s guard loop and surface `Terminated` instead of
-    /// letting it spin forever.
+    /// letting it spin forever — and a pipelined batch whose slot is still
+    /// outstanding, instead of letting it wait out its deadline.
     #[test]
     fn shutdown_wakes_blocked_guarded_reader() {
         let net = Network::reliable(2);
@@ -1419,15 +1302,22 @@ mod tests {
                 )
             })
         };
+        // Node 1's broadcasts go nowhere: its batch stays in flight.
+        net.crash(NodeId(1));
+        let add = AccumulatorOp::Add(1).to_bytes();
+        let batch = rtses[1].invoke_async(id, Accumulator::TYPE_NAME, OpKind::Write, &add);
         std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(batch.try_get(), None, "the batch was not in flight");
         let started = Instant::now();
         rtses[1].shutdown();
         let result = waiter.join().unwrap();
         assert_eq!(result.unwrap_err(), RtsError::Terminated);
+        assert_eq!(batch.wait(), Err(RtsError::Terminated));
         assert!(
             started.elapsed() < Duration::from_secs(2),
-            "blocked reader was not woken promptly"
+            "blocked reader or batch was not woken promptly"
         );
+        net.recover(NodeId(1));
         // New blocked operations fail fast after shutdown too.
         let err = rtses[1]
             .invoke(

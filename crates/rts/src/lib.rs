@@ -94,7 +94,7 @@ pub use orca_group::{FailureConfig, FailureDetector, ViewSnapshot};
 pub use orca_wire::RegimeKind;
 pub use pipeline::{BatchPolicy, PendingInvocation};
 pub use recovery::RecoveryConfig;
-pub use stats::{AccessStats, RtsStats, RtsStatsSnapshot};
+pub use stats::{RtsStats, RtsStatsSnapshot};
 
 use orca_amoeba::NodeId;
 use orca_object::{ObjectError, ObjectId, OpKind};

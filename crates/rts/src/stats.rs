@@ -1,15 +1,8 @@
-//! Runtime-system statistics.
-//!
-//! Two kinds of counters live here:
-//!
-//! * [`RtsStats`] — per-node counters of what the runtime system did on
-//!   behalf of the application (local reads, shipped writes, update messages
-//!   handled for other nodes' writes, copies fetched/dropped, guard retries).
-//!   The performance model combines these with the network statistics to
-//!   estimate per-node protocol handling time.
-//! * [`AccessStats`] — per-node, per-object read/write counts used by the
-//!   dynamic replication policy of the point-to-point runtime system
-//!   (fetch a copy when the read/write ratio is high, drop it when it falls).
+//! Runtime-system statistics: per-node counters of what the runtime system
+//! did on behalf of the application (local reads, shipped writes, update
+//! messages handled for other nodes' writes, copies fetched/dropped, guard
+//! retries). The performance model combines these with the network
+//! statistics to estimate per-node protocol handling time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -181,87 +174,6 @@ impl RtsStatsSnapshot {
     }
 }
 
-/// Read/write access counters for one object on one node, driving the
-/// dynamic replication decisions of §3.2.2.
-#[derive(Debug, Default)]
-pub struct AccessStats {
-    reads: AtomicU64,
-    writes: AtomicU64,
-}
-
-impl AccessStats {
-    /// Record a read access by the local node.
-    pub fn record_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a write access by the local node.
-    pub fn record_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a batch of read accesses (e.g. a usage report from another
-    /// node).
-    pub fn record_reads(&self, count: u64) {
-        self.reads.fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Record a batch of write accesses.
-    pub fn record_writes(&self, count: u64) {
-        self.writes.fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Windowed decay: halve both counters. Called at each decision point
-    /// by policies that want a moving, recency-weighted view of the access
-    /// mix — a stale burst loses half its weight per window instead of
-    /// pinning the read/write ratio forever (which a plain running total
-    /// would) or being forgotten entirely (which [`AccessStats::reset`]
-    /// would do).
-    pub fn decay_halve(&self) {
-        // Load-and-store halving: callers serialize decay under their own
-        // decision lock; concurrent `record_*` increments may be halved or
-        // spared by the race, which is harmless for a heuristic.
-        self.reads.store(self.reads() / 2, Ordering::Relaxed);
-        self.writes.store(self.writes() / 2, Ordering::Relaxed);
-    }
-
-    /// Total accesses recorded.
-    pub fn total(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed) + self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Reads recorded.
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Writes recorded.
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Read/write ratio; a node that only reads gets `f64::INFINITY`.
-    pub fn read_write_ratio(&self) -> f64 {
-        let reads = self.reads() as f64;
-        let writes = self.writes() as f64;
-        if writes == 0.0 {
-            if reads == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            reads / writes
-        }
-    }
-
-    /// Reset both counters (used at each replication-policy decision point).
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,40 +214,5 @@ mod tests {
         let swapped = before.since(&after);
         assert_eq!(swapped, RtsStatsSnapshot::default());
         assert_eq!(swapped.local_read_fraction(), 1.0);
-    }
-
-    #[test]
-    fn access_stats_ratio() {
-        let access = AccessStats::default();
-        assert_eq!(access.read_write_ratio(), 0.0);
-        access.record_read();
-        assert_eq!(access.read_write_ratio(), f64::INFINITY);
-        access.record_write();
-        access.record_read();
-        assert_eq!(access.reads(), 2);
-        assert_eq!(access.writes(), 1);
-        assert_eq!(access.total(), 3);
-        assert!((access.read_write_ratio() - 2.0).abs() < 1e-9);
-        access.reset();
-        assert_eq!(access.total(), 0);
-    }
-
-    #[test]
-    fn access_stats_windowed_decay() {
-        let access = AccessStats::default();
-        access.record_reads(40);
-        access.record_writes(10);
-        assert_eq!((access.reads(), access.writes()), (40, 10));
-        access.decay_halve();
-        assert_eq!((access.reads(), access.writes()), (20, 5));
-        // The ratio survives decay; the absolute weight of the old burst
-        // fades so fresh evidence can overturn it.
-        assert!((access.read_write_ratio() - 4.0).abs() < 1e-9);
-        access.decay_halve();
-        access.decay_halve();
-        access.decay_halve();
-        assert_eq!((access.reads(), access.writes()), (2, 0));
-        access.record_writes(16);
-        assert!(access.read_write_ratio() < 1.0, "fresh writes dominate");
     }
 }
