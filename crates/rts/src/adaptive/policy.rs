@@ -753,7 +753,10 @@ mod tests {
             writes > reads * 4,
             "fresh writes must dominate: {reads}/{writes}"
         );
+    }
 
+    #[test]
+    fn each_window_halves_a_nodes_usage_counts() {
         // Each window halves a node's counts, so the mix survives decay
         // while the weight of an old burst fades until fresh evidence
         // overturns it.
