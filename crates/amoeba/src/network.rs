@@ -126,7 +126,7 @@ impl NodeInbox {
 pub(crate) struct NetworkCore {
     config: NetworkConfig,
     inboxes: Vec<NodeInbox>,
-    stats: Arc<NetStats>,
+    stats: NetStats,
     telemetry: Arc<Telemetry>,
     injector: Mutex<FaultInjector>,
     next_ephemeral: AtomicU64,
@@ -378,25 +378,8 @@ impl Network {
         assert!(config.nodes > 0, "network needs at least one node");
         assert!(config.packet_payload > 0, "packet payload must be positive");
         let inboxes = (0..config.nodes).map(|_| NodeInbox::new()).collect();
-        let stats = Arc::new(NetStats::new(config.nodes));
         let telemetry = Telemetry::new(config.nodes);
-        // Absorb the raw network counters into the unified metrics
-        // namespace: one collector walks the per-node stats at snapshot
-        // time (it holds the counters, not the network, so no Arc cycle
-        // through the registry).
-        let collected = Arc::clone(&stats);
-        telemetry.registry().register_collector(move |c| {
-            for (index, snap) in collected.snapshot().per_node.iter().enumerate() {
-                let prefix = format!("net.node{index}");
-                c.counter(format!("{prefix}.p2p_sent"), snap.p2p_sent);
-                c.counter(format!("{prefix}.broadcasts_sent"), snap.broadcasts_sent);
-                c.counter(format!("{prefix}.bytes_sent"), snap.bytes_sent);
-                c.counter(format!("{prefix}.packets_sent"), snap.packets_sent);
-                c.counter(format!("{prefix}.interrupts"), snap.interrupts);
-                c.counter(format!("{prefix}.bytes_received"), snap.bytes_received);
-                c.counter(format!("{prefix}.dropped"), snap.dropped);
-            }
-        });
+        let stats = NetStats::new(telemetry.registry(), config.nodes);
         let injector = Mutex::new(FaultInjector::new(config.fault));
         Network {
             core: Arc::new(NetworkCore {

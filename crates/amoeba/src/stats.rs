@@ -14,124 +14,85 @@
 //! receive it, while every point-to-point transmission is counted once.
 //! An *interrupt* is one message copy delivered to one node.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use orca_telemetry::Registry;
 
 use crate::node::NodeId;
 
-/// Atomic per-node counters (internal representation).
-#[derive(Debug, Default)]
-pub struct NodeCounters {
-    /// Point-to-point messages this node transmitted.
-    pub p2p_sent: AtomicU64,
-    /// Broadcast messages this node transmitted.
-    pub broadcasts_sent: AtomicU64,
-    /// Bytes this node placed on the shared medium (headers included).
-    pub bytes_sent: AtomicU64,
-    /// Packets this node placed on the shared medium (after fragmentation).
-    pub packets_sent: AtomicU64,
-    /// Message copies delivered to this node (== interrupts taken).
-    pub interrupts: AtomicU64,
-    /// Bytes delivered to this node.
-    pub bytes_received: AtomicU64,
-    /// Copies destined to this node that the fault injector dropped.
-    pub dropped: AtomicU64,
+orca_telemetry::counter_set! {
+    /// One node's counters, `net.node<i>.<field>` in the registry.
+    pub struct NodeCounters => NodeStatsSnapshot {
+        /// Point-to-point messages this node transmitted.
+        p2p_sent,
+        /// Broadcast messages this node transmitted.
+        broadcasts_sent,
+        /// Bytes this node placed on the shared medium (headers included).
+        bytes_sent,
+        /// Packets this node placed on the shared medium (after fragmentation).
+        packets_sent,
+        /// Message copies delivered to this node (== interrupts taken).
+        interrupts,
+        /// Bytes delivered to this node.
+        bytes_received,
+        /// Copies destined to this node that the fault injector dropped.
+        dropped,
+    }
 }
 
 /// Live statistics for a whole network (one [`NodeCounters`] per node).
+///
+/// Every row is a set of registry handles, so two `NetStats` built on one
+/// registry share their counters: the transports of a loopback cluster,
+/// each recording only its own node's row, fill in one table between them.
 #[derive(Debug)]
 pub struct NetStats {
     nodes: Vec<NodeCounters>,
 }
 
 impl NetStats {
-    /// Create zeroed statistics for `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
+    /// Resolve the counters of `nodes` nodes in `registry`.
+    pub fn new(registry: &Registry, nodes: usize) -> Self {
         NetStats {
-            nodes: (0..nodes).map(|_| NodeCounters::default()).collect(),
+            nodes: (0..nodes)
+                .map(|index| NodeCounters::new(registry, &format!("net.node{index}")))
+                .collect(),
         }
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the network has no nodes (never the case in practice).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Access the counters of one node.
-    pub fn node(&self, node: NodeId) -> &NodeCounters {
-        &self.nodes[node.index()]
     }
 
     /// Record a point-to-point transmission by `src` of `bytes` wire bytes in
     /// `packets` packets.
     pub fn record_p2p_send(&self, src: NodeId, bytes: usize, packets: usize) {
-        let c = self.node(src);
-        c.p2p_sent.fetch_add(1, Ordering::Relaxed);
-        c.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        c.packets_sent.fetch_add(packets as u64, Ordering::Relaxed);
+        let c = &self.nodes[src.index()];
+        c.p2p_sent.inc();
+        c.bytes_sent.add(bytes as u64);
+        c.packets_sent.add(packets as u64);
     }
 
     /// Record a broadcast transmission by `src`.
     pub fn record_broadcast_send(&self, src: NodeId, bytes: usize, packets: usize) {
-        let c = self.node(src);
-        c.broadcasts_sent.fetch_add(1, Ordering::Relaxed);
-        c.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        c.packets_sent.fetch_add(packets as u64, Ordering::Relaxed);
+        let c = &self.nodes[src.index()];
+        c.broadcasts_sent.inc();
+        c.bytes_sent.add(bytes as u64);
+        c.packets_sent.add(packets as u64);
     }
 
     /// Record one message copy delivered to `dst`.
     pub fn record_delivery(&self, dst: NodeId, bytes: usize) {
-        let c = self.node(dst);
-        c.interrupts.fetch_add(1, Ordering::Relaxed);
-        c.bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
+        let c = &self.nodes[dst.index()];
+        c.interrupts.inc();
+        c.bytes_received.add(bytes as u64);
     }
 
     /// Record one message copy destined to `dst` that was dropped.
     pub fn record_drop(&self, dst: NodeId) {
-        self.node(dst).dropped.fetch_add(1, Ordering::Relaxed);
+        self.nodes[dst.index()].dropped.inc();
     }
 
     /// Take a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> NetStatsSnapshot {
         NetStatsSnapshot {
-            per_node: self
-                .nodes
-                .iter()
-                .map(|c| NodeStatsSnapshot {
-                    p2p_sent: c.p2p_sent.load(Ordering::Relaxed),
-                    broadcasts_sent: c.broadcasts_sent.load(Ordering::Relaxed),
-                    bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
-                    packets_sent: c.packets_sent.load(Ordering::Relaxed),
-                    interrupts: c.interrupts.load(Ordering::Relaxed),
-                    bytes_received: c.bytes_received.load(Ordering::Relaxed),
-                    dropped: c.dropped.load(Ordering::Relaxed),
-                })
-                .collect(),
+            per_node: self.nodes.iter().map(NodeCounters::snapshot).collect(),
         }
     }
-}
-
-/// Point-in-time copy of one node's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
-    /// Point-to-point messages sent.
-    pub p2p_sent: u64,
-    /// Broadcast messages sent.
-    pub broadcasts_sent: u64,
-    /// Bytes placed on the wire.
-    pub bytes_sent: u64,
-    /// Packets placed on the wire.
-    pub packets_sent: u64,
-    /// Message copies delivered (interrupts taken).
-    pub interrupts: u64,
-    /// Bytes delivered.
-    pub bytes_received: u64,
-    /// Copies dropped by fault injection.
-    pub dropped: u64,
 }
 
 impl NodeStatsSnapshot {
@@ -206,7 +167,7 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let stats = NetStats::new(3);
+        let stats = NetStats::new(&Registry::new(), 3);
         stats.record_p2p_send(NodeId(0), 100, 1);
         stats.record_broadcast_send(NodeId(1), 2000, 2);
         stats.record_delivery(NodeId(2), 100);
@@ -227,7 +188,7 @@ mod tests {
 
     #[test]
     fn since_computes_difference() {
-        let stats = NetStats::new(1);
+        let stats = NetStats::new(&Registry::new(), 1);
         stats.record_p2p_send(NodeId(0), 10, 1);
         let before = stats.snapshot();
         stats.record_p2p_send(NodeId(0), 30, 1);

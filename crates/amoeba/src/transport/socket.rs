@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::unbounded;
-use orca_telemetry::{FlightKind, Telemetry};
+use orca_telemetry::{Counter, FlightKind, Registry, Telemetry};
 use parking_lot::Mutex;
 
 use crate::message::Delivery;
@@ -80,20 +80,38 @@ impl SocketConfig {
     }
 }
 
-/// Per-transport counters surfaced through the telemetry registry under
-/// `transport.node{N}.*`.
-#[derive(Debug, Default)]
+/// Per-transport counters: registry handles named `transport.node{N}.*`.
+#[derive(Debug)]
 struct TransportCounters {
-    tcp_connects: AtomicU64,
-    tcp_accepts: AtomicU64,
-    tcp_frames_sent: AtomicU64,
-    tcp_frames_received: AtomicU64,
-    tcp_reconnects: AtomicU64,
-    tcp_send_failures: AtomicU64,
-    udp_datagrams_sent: AtomicU64,
-    udp_datagrams_received: AtomicU64,
-    broadcast_tcp_fallbacks: AtomicU64,
-    decode_errors: AtomicU64,
+    tcp_connects: Counter,
+    tcp_accepts: Counter,
+    tcp_frames_sent: Counter,
+    tcp_frames_received: Counter,
+    tcp_reconnects: Counter,
+    tcp_send_failures: Counter,
+    udp_datagrams_sent: Counter,
+    udp_datagrams_received: Counter,
+    broadcast_tcp_fallbacks: Counter,
+    decode_errors: Counter,
+}
+
+impl TransportCounters {
+    fn new(registry: &Registry, node: NodeId) -> TransportCounters {
+        let counter =
+            |name: &str| registry.counter(&format!("transport.node{}.{name}", node.index()));
+        TransportCounters {
+            tcp_connects: counter("tcp.connects"),
+            tcp_accepts: counter("tcp.accepts"),
+            tcp_frames_sent: counter("tcp.frames_sent"),
+            tcp_frames_received: counter("tcp.frames_received"),
+            tcp_reconnects: counter("tcp.reconnects"),
+            tcp_send_failures: counter("tcp.send_failures"),
+            udp_datagrams_sent: counter("udp.datagrams_sent"),
+            udp_datagrams_received: counter("udp.datagrams_received"),
+            broadcast_tcp_fallbacks: counter("broadcast_tcp_fallbacks"),
+            decode_errors: counter("decode_errors"),
+        }
+    }
 }
 
 struct SocketInner {
@@ -113,9 +131,9 @@ struct SocketInner {
     /// nowhere, incoming traffic is discarded.
     local_crash: AtomicBool,
     shutdown: AtomicBool,
-    stats: Arc<NetStats>,
+    stats: NetStats,
     telemetry: Arc<Telemetry>,
-    counters: Arc<TransportCounters>,
+    counters: TransportCounters,
     next_ephemeral: AtomicU64,
     connect_timeout: Duration,
 }
@@ -124,7 +142,7 @@ impl SocketInner {
     /// Route an incoming frame to the local demultiplexer.
     fn deliver_incoming(&self, frame: Frame) {
         if frame.dst != self.node {
-            self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+            self.counters.decode_errors.inc();
             return;
         }
         let msg = frame.into_message();
@@ -148,11 +166,6 @@ impl SocketInner {
         self.demux.deliver(msg);
     }
 
-    /// Deliver a frame this node sent to itself, with full accounting.
-    fn deliver_local(&self, frame: Frame) {
-        self.deliver_incoming(frame);
-    }
-
     /// Send one frame over the cached TCP connection to `dst`, reconnecting
     /// once on failure. Unreachable peers are a silent drop.
     fn tcp_send(&self, dst: NodeId, frame: &Frame) {
@@ -171,9 +184,9 @@ impl SocketInner {
                 match TcpStream::connect_timeout(&self.peers[dst.index()], self.connect_timeout) {
                     Ok(stream) => {
                         let _ = stream.set_nodelay(true);
-                        self.counters.tcp_connects.fetch_add(1, Ordering::Relaxed);
+                        self.counters.tcp_connects.inc();
                         if attempt > 0 {
-                            self.counters.tcp_reconnects.fetch_add(1, Ordering::Relaxed);
+                            self.counters.tcp_reconnects.inc();
                         }
                         *guard = Some(stream);
                     }
@@ -183,9 +196,7 @@ impl SocketInner {
             let stream = guard.as_mut().expect("connection just ensured");
             match stream.write_all(&buf) {
                 Ok(()) => {
-                    self.counters
-                        .tcp_frames_sent
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.counters.tcp_frames_sent.inc();
                     return;
                 }
                 Err(_) => {
@@ -196,9 +207,7 @@ impl SocketInner {
             }
         }
         drop(guard);
-        self.counters
-            .tcp_send_failures
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.tcp_send_failures.inc();
         self.record_send_drop(frame);
     }
 
@@ -210,9 +219,7 @@ impl SocketInner {
         }
         match self.udp.send_to(&frame.encode(), self.peers[dst.index()]) {
             Ok(_) => {
-                self.counters
-                    .udp_datagrams_sent
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.udp_datagrams_sent.inc();
             }
             Err(_) => self.record_send_drop(frame),
         }
@@ -311,54 +318,6 @@ impl BoundSocket {
             "node {node} outside peer list of {nodes}"
         );
         let telemetry = telemetry.unwrap_or_else(|| Telemetry::new(nodes));
-        let counters = Arc::new(TransportCounters::default());
-        {
-            // Surface the socket-layer counters in the metrics namespace.
-            let collected = Arc::clone(&counters);
-            let prefix = format!("transport.node{}", node.index());
-            telemetry.registry().register_collector(move |c| {
-                c.counter(
-                    format!("{prefix}.tcp.connects"),
-                    collected.tcp_connects.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.tcp.accepts"),
-                    collected.tcp_accepts.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.tcp.frames_sent"),
-                    collected.tcp_frames_sent.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.tcp.frames_received"),
-                    collected.tcp_frames_received.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.tcp.reconnects"),
-                    collected.tcp_reconnects.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.tcp.send_failures"),
-                    collected.tcp_send_failures.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.udp.datagrams_sent"),
-                    collected.udp_datagrams_sent.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.udp.datagrams_received"),
-                    collected.udp_datagrams_received.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.broadcast_tcp_fallbacks"),
-                    collected.broadcast_tcp_fallbacks.load(Ordering::Relaxed),
-                );
-                c.counter(
-                    format!("{prefix}.decode_errors"),
-                    collected.decode_errors.load(Ordering::Relaxed),
-                );
-            });
-        }
         let mut wake_addr = self
             .listener
             .local_addr()
@@ -381,9 +340,9 @@ impl BoundSocket {
             confirmed_dead: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             local_crash: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            stats: Arc::new(NetStats::new(nodes)),
+            stats: NetStats::new(telemetry.registry(), nodes),
+            counters: TransportCounters::new(telemetry.registry(), node),
             telemetry,
-            counters,
             // Ports are per-node namespaces, so every node counts from the
             // base: an RPC request names its reply port by its distance
             // from there, and a small distance is a one-byte varint.
@@ -420,7 +379,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<SocketInner>) {
         match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                inner.counters.tcp_accepts.fetch_add(1, Ordering::Relaxed);
+                inner.counters.tcp_accepts.inc();
                 if let Ok(clone) = stream.try_clone() {
                     inner.accepted.lock().push(clone);
                 }
@@ -453,7 +412,7 @@ fn tcp_reader(stream: TcpStream, inner: Arc<SocketInner>) {
         }
         let len = u32::from_be_bytes(len_buf) as usize;
         if !(FRAME_HEADER_BYTES..=MAX_TCP_FRAME).contains(&len) {
-            inner.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+            inner.counters.decode_errors.inc();
             return; // protocol corruption: drop the connection
         }
         // The payload is read into the buffer the frame will own.
@@ -463,14 +422,11 @@ fn tcp_reader(stream: TcpStream, inner: Arc<SocketInner>) {
         }
         match Frame::from_parts(&header, payload) {
             Ok(frame) => {
-                inner
-                    .counters
-                    .tcp_frames_received
-                    .fetch_add(1, Ordering::Relaxed);
+                inner.counters.tcp_frames_received.inc();
                 inner.deliver_incoming(frame);
             }
             Err(_) => {
-                inner.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                inner.counters.decode_errors.inc();
                 return;
             }
         }
@@ -487,14 +443,11 @@ fn udp_loop(inner: Arc<SocketInner>) {
         match inner.udp.recv_from(&mut buf) {
             Ok((len, _)) => match Frame::decode(&buf[..len]) {
                 Ok(frame) => {
-                    inner
-                        .counters
-                        .udp_datagrams_received
-                        .fetch_add(1, Ordering::Relaxed);
+                    inner.counters.udp_datagrams_received.inc();
                     inner.deliver_incoming(frame);
                 }
                 Err(_) => {
-                    inner.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    inner.counters.decode_errors.inc();
                 }
             },
             Err(err)
@@ -664,7 +617,7 @@ impl Transport for SocketTransport {
             payload,
         };
         if dst == self.inner.node {
-            self.inner.deliver_local(frame);
+            self.inner.deliver_incoming(frame);
         } else {
             self.inner.tcp_send(dst, &frame);
         }
@@ -687,7 +640,7 @@ impl Transport for SocketTransport {
             payload,
         };
         if dst == self.inner.node {
-            self.inner.deliver_local(frame);
+            self.inner.deliver_incoming(frame);
         } else if frame.payload.len() > MAX_UDP_PAYLOAD {
             // Too big for one datagram: ride the framed TCP path instead of
             // fragmenting (the delivery class is preserved).
@@ -722,12 +675,9 @@ impl Transport for SocketTransport {
                 payload: payload.clone(),
             };
             if dst == src {
-                self.inner.deliver_local(frame);
+                self.inner.deliver_incoming(frame);
             } else if oversize {
-                self.inner
-                    .counters
-                    .broadcast_tcp_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.broadcast_tcp_fallbacks.inc();
                 self.inner.tcp_send(dst, &frame);
             } else {
                 self.inner.udp_send(dst, &frame);
@@ -823,14 +773,7 @@ mod tests {
         let msg = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(msg.delivery, Delivery::Broadcast);
         assert_eq!(msg.payload, big);
-        assert!(
-            cluster[0]
-                .inner
-                .counters
-                .broadcast_tcp_fallbacks
-                .load(Ordering::Relaxed)
-                >= 1
-        );
+        assert!(cluster[0].inner.counters.broadcast_tcp_fallbacks.get() >= 1);
     }
 
     #[test]
@@ -860,7 +803,7 @@ mod tests {
         // The receiver counts the frame as undecodable and delivers nothing.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let errors = &cluster[1].inner.counters.decode_errors;
-        while errors.load(Ordering::Relaxed) == 0 {
+        while errors.get() == 0 {
             assert!(std::time::Instant::now() < deadline, "frame never read");
             std::thread::yield_now();
         }
@@ -931,5 +874,8 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(h[0].stats().node(NodeId(0)).p2p_sent >= 1);
         assert!(h[1].stats().node(NodeId(1)).interrupts >= 1);
+        // The rows live in the hub the cluster shares: node 1 reads node 0's.
+        let shared = h[1].telemetry().registry().snapshot();
+        assert!(shared.counters["net.node0.p2p_sent"] >= 1);
     }
 }

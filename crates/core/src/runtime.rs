@@ -1,6 +1,6 @@
 //! The Orca runtime: processor pool, per-node runtime systems, processes.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
 use orca_amoeba::network::{Network, NetworkConfig, NetworkHandle};
@@ -79,15 +79,9 @@ impl ClusterNet {
     pub(crate) fn stats(&self) -> NetStatsSnapshot {
         match self {
             ClusterNet::Sim(net) => net.stats(),
-            // Each transport fills in only its own node's row; merge them
-            // into the familiar one-row-per-node table.
-            ClusterNet::Socket { transports } => NetStatsSnapshot {
-                per_node: transports
-                    .iter()
-                    .enumerate()
-                    .map(|(index, t)| t.stats().per_node[index])
-                    .collect(),
-            },
+            // Each transport fills in only its own node's row of the table
+            // in the hub they share: any one of them reads every row.
+            ClusterNet::Socket { transports } => transports[0].stats(),
         }
     }
 
@@ -233,8 +227,8 @@ impl OrcaNode {
     /// Operations issued by one process on one object complete in issue
     /// order; a batch that dies with its destination reports a per-op
     /// error on each handle, never silently dropping (or re-sending) an
-    /// operation. Guarded operations whose guard is false resolve through
-    /// the blocking path on [`crate::InvocationFuture::wait`] — use the
+    /// operation. A guarded operation whose guard is false re-enters the
+    /// tail of the pipeline on [`crate::InvocationFuture::wait`] — use the
     /// synchronous [`OrcaNode::invoke`] for synchronization points.
     pub fn invoke_async<T: ObjectType>(
         &self,
@@ -381,30 +375,6 @@ impl OrcaRuntime {
                 sync_hist: Arc::clone(&sync_hist),
             })
             .collect();
-        // Snapshot every node's RTS counters into the registry on demand.
-        // Weak references keep the collector from pinning the runtime
-        // systems alive past shutdown (registry → closure → rts → network
-        // → telemetry → registry would otherwise cycle).
-        let weak_rtses: Vec<Weak<dyn RuntimeSystem>> = contexts
-            .iter()
-            .map(|ctx| Arc::downgrade(&ctx.rts))
-            .collect();
-        telemetry.registry().register_collector(move |c| {
-            for (index, weak) in weak_rtses.iter().enumerate() {
-                let Some(rts) = weak.upgrade() else { continue };
-                let snap = rts.stats();
-                let prefix = format!("rts.node{index}");
-                c.counter(format!("{prefix}.local_reads"), snap.local_reads);
-                c.counter(format!("{prefix}.remote_reads"), snap.remote_reads);
-                c.counter(format!("{prefix}.writes"), snap.writes);
-                c.counter(format!("{prefix}.broadcast_writes"), snap.broadcast_writes);
-                c.counter(format!("{prefix}.remote_writes"), snap.remote_writes);
-                c.counter(format!("{prefix}.updates_applied"), snap.updates_applied);
-                c.counter(format!("{prefix}.batches_sent"), snap.batches_sent);
-                c.counter(format!("{prefix}.ops_batched"), snap.ops_batched);
-                c.counter(format!("{prefix}.regime_switches"), snap.regime_switches);
-            }
-        });
         OrcaRuntime {
             config,
             net,
@@ -869,7 +839,7 @@ mod tests {
             worker.join();
         }
         assert_eq!(runtime.main().invoke(counter, &IntOp::Value).unwrap(), 15);
-        // The traffic really went over sockets: the merged per-node table
+        // The traffic really went over sockets: the shared per-node table
         // has every node's own row populated.
         assert!(runtime.network_stats().total_messages() > 0);
     }

@@ -37,7 +37,6 @@
 //!   eliminate that race — see docs/ARCHITECTURE.md.)
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,7 +116,7 @@ pub struct GroupMember {
     node: NodeId,
     cmd_tx: Sender<Command>,
     delivery_rx: Receiver<Delivered>,
-    stats: Arc<GroupStats>,
+    stats: GroupStats,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -137,10 +136,11 @@ impl GroupMember {
     /// owning the processor pool.
     pub fn start(handle: NetworkHandle, config: GroupConfig) -> GroupMember {
         let node = handle.node();
-        let stats = GroupStats::new_shared();
+        let prefix = format!("group.node{}", node.index());
+        let stats = GroupStats::new(handle.telemetry().registry(), &prefix);
         let (cmd_tx, cmd_rx) = unbounded();
         let (delivery_tx, delivery_rx) = unbounded();
-        let state_stats = Arc::clone(&stats);
+        let state_stats = stats.clone();
         let thread = std::thread::Builder::new()
             .name(format!("group-{node}"))
             .spawn(move || {
@@ -238,7 +238,7 @@ struct PendingSend {
 struct ProtocolState {
     handle: NetworkHandle,
     config: GroupConfig,
-    stats: Arc<GroupStats>,
+    stats: GroupStats,
     delivery_tx: Sender<Delivered>,
     membership: Membership,
     sequencer: NodeId,
@@ -287,7 +287,7 @@ impl ProtocolState {
     fn new(
         handle: NetworkHandle,
         config: GroupConfig,
-        stats: Arc<GroupStats>,
+        stats: GroupStats,
         delivery_tx: Sender<Delivered>,
     ) -> Self {
         let members = handle.node_ids();
@@ -364,8 +364,8 @@ impl ProtocolState {
         self.next_origin_seq += 1;
         let method = self.choose_method(payload.len());
         match method {
-            BroadcastMethod::Pb => GroupStats::bump(&self.stats.pb_sent),
-            BroadcastMethod::Bb => GroupStats::bump(&self.stats.bb_sent),
+            BroadcastMethod::Pb => self.stats.pb_sent.inc(),
+            BroadcastMethod::Bb => self.stats.bb_sent.inc(),
         }
         self.unacked.insert(
             id,
@@ -421,7 +421,7 @@ impl ProtocolState {
         }
         if let Some(&existing) = self.sequenced_ids.get(&id) {
             // Duplicate request (origin retransmitted): re-announce.
-            GroupStats::bump(&self.stats.duplicates_ignored);
+            self.stats.duplicates_ignored.inc();
             if let Some(entry) = self.history.get(existing) {
                 let msg = GroupMsg::SeqData {
                     global_seq: existing,
@@ -442,7 +442,7 @@ impl ProtocolState {
             },
         );
         self.sequenced_ids.insert(id, global_seq);
-        GroupStats::bump(&self.stats.sequenced);
+        self.stats.sequenced.inc();
         let msg = GroupMsg::SeqData {
             global_seq,
             id,
@@ -456,7 +456,7 @@ impl ProtocolState {
     /// by id or the backlog grows one copy per retry.
     fn defer(&mut self, id: MsgId, payload: Vec<u8>, accept: bool) {
         if self.deferred.iter().any(|(existing, _, _)| *existing == id) {
-            GroupStats::bump(&self.stats.duplicates_ignored);
+            self.stats.duplicates_ignored.inc();
             return;
         }
         self.deferred.push((id, payload, accept));
@@ -470,7 +470,7 @@ impl ProtocolState {
             return;
         }
         if let Some(&existing) = self.sequenced_ids.get(&id) {
-            GroupStats::bump(&self.stats.duplicates_ignored);
+            self.stats.duplicates_ignored.inc();
             let msg = GroupMsg::Accept {
                 global_seq: existing,
                 id,
@@ -483,7 +483,7 @@ impl ProtocolState {
         self.history
             .insert(global_seq, HistoryEntry { id, payload });
         self.sequenced_ids.insert(id, global_seq);
-        GroupStats::bump(&self.stats.sequenced);
+        self.stats.sequenced.inc();
         let msg = GroupMsg::Accept { global_seq, id };
         let _ = self.handle.broadcast(ports::GROUP, msg.to_bytes());
     }
@@ -529,7 +529,17 @@ impl ProtocolState {
                 self.receive_sequenced(global_seq, id, Some(payload));
             }
             GroupMsg::BbData { id, payload } => {
-                if !self.delivered_ids.contains(&id) {
+                // Its accept may have come first (a message too large for a
+                // datagram rides TCP, its accept UDP): then the data fills
+                // the number it waits at instead of waiting to be resent.
+                let accepted = self
+                    .pending_order
+                    .iter()
+                    .find(|(_, (waiting, data))| *waiting == id && data.is_none())
+                    .map(|(&global_seq, _)| global_seq);
+                if let Some(global_seq) = accepted {
+                    self.receive_sequenced(global_seq, id, Some(payload.clone()));
+                } else if !self.delivered_ids.contains(&id) {
                     self.bb_data.insert(id, payload.clone());
                 }
                 if self.is_sequencer() {
@@ -626,7 +636,7 @@ impl ProtocolState {
         let mut present = BTreeSet::new();
         for (global_seq, entry) in self.history.range(from, to) {
             present.insert(global_seq);
-            GroupStats::bump(&self.stats.retransmissions_served);
+            self.stats.retransmissions_served.inc();
             let msg = GroupMsg::SeqData {
                 global_seq,
                 id: entry.id,
@@ -694,7 +704,7 @@ impl ProtocolState {
             self.known_highest = global_seq;
         }
         if global_seq < self.next_deliver {
-            GroupStats::bump(&self.stats.duplicates_ignored);
+            self.stats.duplicates_ignored.inc();
             return;
         }
         // A message this member already delivered, re-sequenced under a new
@@ -702,7 +712,7 @@ impl ProtocolState {
         // that this member rode out with the *old* assignment): consume the
         // new number without delivering twice.
         if payload.is_some() && self.delivered_ids.contains(&id) {
-            GroupStats::bump(&self.stats.duplicates_ignored);
+            self.stats.duplicates_ignored.inc();
             self.skipped.insert(global_seq);
             self.try_deliver();
             return;
@@ -714,11 +724,11 @@ impl ProtocolState {
                 }
             }
             Some(_) => {
-                GroupStats::bump(&self.stats.duplicates_ignored);
+                self.stats.duplicates_ignored.inc();
             }
             None => {
                 if global_seq > self.next_deliver {
-                    GroupStats::bump(&self.stats.buffered_out_of_order);
+                    self.stats.buffered_out_of_order.inc();
                 }
                 self.pending_order.insert(global_seq, (id, payload));
             }
@@ -754,7 +764,7 @@ impl ProtocolState {
                 // was re-sequenced across a sequencer change-over and the
                 // new assignment was buffered before the old one arrived):
                 // consume the number silently.
-                GroupStats::bump(&self.stats.duplicates_ignored);
+                self.stats.duplicates_ignored.inc();
                 self.next_deliver += 1;
                 continue;
             }
@@ -776,7 +786,7 @@ impl ProtocolState {
             self.delivered_ids.insert(id);
             self.bb_data.remove(&id);
             self.unacked.remove(&id);
-            GroupStats::bump(&self.stats.delivered);
+            self.stats.delivered.inc();
             self.next_deliver += 1;
             let _ = self.delivery_tx.send(delivered);
         }
@@ -982,7 +992,7 @@ impl ProtocolState {
                 pending.attempts += 1;
                 (pending.payload.clone(), pending.method, pending.attempts)
             };
-            GroupStats::bump(&self.stats.send_retries);
+            self.stats.send_retries.inc();
             if attempts >= self.config.suspect_after {
                 suspect_sequencer = true;
             }
@@ -1058,7 +1068,7 @@ impl ProtocolState {
         // Ask for everything from the next expected number up to the highest
         // number known to exist; the sequencer ignores numbers it no longer
         // has.
-        GroupStats::bump(&self.stats.retransmit_requests);
+        self.stats.retransmit_requests.inc();
         let msg = GroupMsg::RetransmitRequest {
             from: self.next_deliver,
             to: highest,
@@ -1074,7 +1084,7 @@ impl ProtocolState {
 mod tests {
     use super::*;
     use orca_amoeba::network::{Network, NetworkConfig};
-    use orca_amoeba::FaultConfig;
+    use orca_amoeba::{FaultConfig, HeldDescriptor, SchedulerConfig};
 
     fn start_members(net: &Network, config: &GroupConfig) -> Vec<GroupMember> {
         net.node_ids()
@@ -1146,6 +1156,40 @@ mod tests {
         let stats = members[1].stats();
         assert_eq!(stats.pb_sent, 1);
         assert_eq!(stats.bb_sent, 1);
+        let counters = net.telemetry().registry().snapshot().counters;
+        assert_eq!(counters["group.node1.pb_sent"], stats.pb_sent);
+        assert_eq!(counters["group.node1.bb_sent"], stats.bb_sent);
+    }
+
+    #[test]
+    fn bb_data_overtaken_by_its_accept_is_delivered_on_arrival() {
+        let net = Network::reliable(2);
+        let members = start_members(&net, &GroupConfig::always_bb());
+        net.set_scheduler(Some(SchedulerConfig::default_for_mc()));
+        members[1].broadcast(vec![7; 2000]).unwrap();
+        // Hold node 1's copy of its own data; release everything else until
+        // the sequencer (node 0) has delivered, so its accept reaches node 1
+        // first. A resent copy would be held too: only the data can deliver.
+        let own_data = |held: &HeldDescriptor| {
+            held.id.src == NodeId(1) && held.id.dst == NodeId(1) && held.len >= 2000
+        };
+        let release_others = || {
+            for held in net.sched_pending().iter().filter(|held| !own_data(held)) {
+                net.sched_release(held.id);
+            }
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while members[0].try_recv().is_none() {
+            assert!(Instant::now() < deadline, "the sequencer never delivered");
+            release_others();
+            std::thread::yield_now();
+        }
+        release_others();
+        let data = net.sched_pending().into_iter().find(own_data).unwrap();
+        assert!(net.sched_release(data.id));
+        let delivered = members[1].recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(delivered.payload, vec![7; 2000]);
+        net.set_scheduler(None);
     }
 
     #[test]

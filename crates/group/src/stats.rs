@@ -1,84 +1,33 @@
 //! Per-member protocol statistics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Live counters of one group member's protocol activity.
-///
-/// These are the numbers behind the PB-vs-BB table (§3.1): how many messages
-/// went through each protocol, how many retransmissions were needed under
-/// message loss, and how much work (duplicates, out-of-order buffering) the
-/// member had to do.
-#[derive(Debug, Default)]
-pub struct GroupStats {
-    /// Application messages sent using the PB protocol.
-    pub pb_sent: AtomicU64,
-    /// Application messages sent using the BB protocol.
-    pub bb_sent: AtomicU64,
-    /// Messages delivered to the application (in total order).
-    pub delivered: AtomicU64,
-    /// Messages this member sequenced while acting as sequencer.
-    pub sequenced: AtomicU64,
-    /// Retransmission requests this member sent (gaps detected).
-    pub retransmit_requests: AtomicU64,
-    /// Retransmissions this member served from its history buffer.
-    pub retransmissions_served: AtomicU64,
-    /// Sender-side retries because an own message was not sequenced in time.
-    pub send_retries: AtomicU64,
-    /// Duplicate protocol messages that were ignored.
-    pub duplicates_ignored: AtomicU64,
-    /// Messages buffered out of order before they could be delivered.
-    pub buffered_out_of_order: AtomicU64,
-}
-
-impl GroupStats {
-    /// Create a zeroed, shareable statistics block.
-    pub fn new_shared() -> Arc<GroupStats> {
-        Arc::new(GroupStats::default())
+orca_telemetry::counter_set! {
+    /// Live counters of one group member's protocol activity,
+    /// `group.node<i>.<field>` in the registry.
+    ///
+    /// These are the numbers behind the PB-vs-BB table (§3.1): how many
+    /// messages went through each protocol, how many retransmissions were
+    /// needed under message loss, and how much work (duplicates,
+    /// out-of-order buffering) the member had to do.
+    pub struct GroupStats => GroupStatsSnapshot {
+        /// Application messages sent using the PB protocol.
+        pb_sent,
+        /// Application messages sent using the BB protocol.
+        bb_sent,
+        /// Messages delivered to the application (in total order).
+        delivered,
+        /// Messages this member sequenced while acting as sequencer.
+        sequenced,
+        /// Retransmission requests this member sent (gaps detected).
+        retransmit_requests,
+        /// Retransmissions this member served from its history buffer.
+        retransmissions_served,
+        /// Sender-side retries because an own message was not sequenced in time.
+        send_retries,
+        /// Duplicate protocol messages that were ignored.
+        duplicates_ignored,
+        /// Messages buffered out of order before they could be delivered.
+        buffered_out_of_order,
     }
-
-    /// Increment a counter by one.
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Take a point-in-time snapshot.
-    pub fn snapshot(&self) -> GroupStatsSnapshot {
-        GroupStatsSnapshot {
-            pb_sent: self.pb_sent.load(Ordering::Relaxed),
-            bb_sent: self.bb_sent.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            sequenced: self.sequenced.load(Ordering::Relaxed),
-            retransmit_requests: self.retransmit_requests.load(Ordering::Relaxed),
-            retransmissions_served: self.retransmissions_served.load(Ordering::Relaxed),
-            send_retries: self.send_retries.load(Ordering::Relaxed),
-            duplicates_ignored: self.duplicates_ignored.load(Ordering::Relaxed),
-            buffered_out_of_order: self.buffered_out_of_order.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`GroupStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupStatsSnapshot {
-    /// Application messages sent using the PB protocol.
-    pub pb_sent: u64,
-    /// Application messages sent using the BB protocol.
-    pub bb_sent: u64,
-    /// Messages delivered to the application.
-    pub delivered: u64,
-    /// Messages sequenced while acting as sequencer.
-    pub sequenced: u64,
-    /// Retransmission requests sent.
-    pub retransmit_requests: u64,
-    /// Retransmissions served from the history buffer.
-    pub retransmissions_served: u64,
-    /// Sender-side retries.
-    pub send_retries: u64,
-    /// Duplicate protocol messages ignored.
-    pub duplicates_ignored: u64,
-    /// Messages buffered out of order.
-    pub buffered_out_of_order: u64,
 }
 
 impl GroupStatsSnapshot {
@@ -116,14 +65,14 @@ impl GroupStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_telemetry::Registry;
 
     #[test]
     fn snapshot_reflects_bumps() {
-        let stats = GroupStats::new_shared();
-        GroupStats::bump(&stats.pb_sent);
-        GroupStats::bump(&stats.pb_sent);
-        GroupStats::bump(&stats.bb_sent);
-        GroupStats::bump(&stats.delivered);
+        let stats = GroupStats::new(&Registry::new(), "group.node0");
+        stats.pb_sent.add(2);
+        stats.bb_sent.inc();
+        stats.delivered.inc();
         let snap = stats.snapshot();
         assert_eq!(snap.pb_sent, 2);
         assert_eq!(snap.bb_sent, 1);
@@ -134,10 +83,10 @@ mod tests {
 
     #[test]
     fn since_saturates_instead_of_underflowing() {
-        let stats = GroupStats::new_shared();
-        GroupStats::bump(&stats.pb_sent);
+        let stats = GroupStats::new(&Registry::new(), "group.node0");
+        stats.pb_sent.inc();
         let before = stats.snapshot();
-        GroupStats::bump(&stats.bb_sent);
+        stats.bb_sent.inc();
         let after = stats.snapshot();
         let delta = after.since(&before);
         assert_eq!(delta.pb_sent, 0);

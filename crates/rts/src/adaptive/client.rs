@@ -366,15 +366,15 @@ impl AdaptiveRts {
         match kind {
             OpKind::Read => {
                 if all_local {
-                    RtsStats::bump(&stats.local_reads);
+                    stats.local_reads.inc();
                 } else {
-                    RtsStats::bump(&stats.remote_reads);
+                    stats.remote_reads.inc();
                 }
             }
             OpKind::Write => {
-                RtsStats::bump(&stats.writes);
+                stats.writes.inc();
                 if !all_local {
-                    RtsStats::bump(&stats.remote_writes);
+                    stats.remote_writes.inc();
                 }
             }
         }
@@ -491,7 +491,7 @@ impl AdaptiveRts {
             let copy = state.copy.as_mut().expect("checked above");
             match copy.apply_encoded(op)? {
                 AppliedOutcome::Done(reply) => {
-                    RtsStats::bump(&self.inner.stats.local_reads);
+                    self.inner.stats.local_reads.inc();
                     if self.inner.leases_enabled() {
                         self.inner.lease_counters.local_reads.inc();
                     }
@@ -774,7 +774,7 @@ impl RuntimeSystem for AdaptiveRts {
                 usage: Mutex::new(UsageAggregate::default()),
             }),
         );
-        RtsStats::bump(&inner.stats.objects_created);
+        inner.stats.objects_created.inc();
         Ok(id)
     }
 
@@ -833,7 +833,7 @@ impl RuntimeSystem for AdaptiveRts {
                 PartOutcome::Blocked => {
                     // The guard was false: the replica answered, so the
                     // transport is alive — restart the deadline and retry.
-                    RtsStats::bump(&self.inner.stats.guard_retries);
+                    self.inner.stats.guard_retries.inc();
                     std::thread::sleep(self.inner.policy.blocked_retry_delay);
                     deadline = Instant::now() + self.inner.policy.op_timeout;
                 }
@@ -865,7 +865,7 @@ impl RuntimeSystem for AdaptiveRts {
             return PendingInvocation::ready(Err(RtsError::ObjectLost(object)));
         }
         if kind == OpKind::Write {
-            RtsStats::bump(&self.inner.stats.writes);
+            self.inner.stats.writes.inc();
         }
         // The access evidence driving regime decisions counts logical
         // invocations, exactly like the synchronous path.

@@ -209,7 +209,7 @@ struct Inner {
     next_object: AtomicU64,
     /// Rotates the scan start of `Any`-routed operations.
     any_seq: AtomicU64,
-    stats: Arc<RtsStats>,
+    stats: RtsStats,
     /// Set by [`AdaptiveRts::shutdown`]; invocation retry loops observe it
     /// and return [`RtsError::Terminated`] instead of spinning forever
     /// (home-local guarded operations never touch the RPC server, so
@@ -320,7 +320,7 @@ impl AdaptiveRts {
             pending_usage: Mutex::new(HashMap::new()),
             next_object: AtomicU64::new(1),
             any_seq: AtomicU64::new(0),
-            stats: RtsStats::new_shared(),
+            stats: RtsStats::from_handle(&handle),
             stopped: AtomicBool::new(false),
             recovery,
             detector,

@@ -223,7 +223,7 @@ pub(super) fn switch_regime(
     // Phase 4: publish.
     let regime = new.regime;
     *entry.table.lock() = Arc::new(new);
-    RtsStats::bump(&inner.stats.regime_switches);
+    inner.stats.regime_switches.inc();
     if regime == old.regime {
         inner.replacements.inc();
     }
@@ -315,7 +315,7 @@ pub(super) fn drain_local(
         slot.withdrawn.store(true, Ordering::Relaxed);
         (replica.state_bytes(), slot.dedup.lock().clone())
     };
-    RtsStats::bump(&inner.stats.copies_dropped);
+    inner.stats.copies_dropped.inc();
     let unreached = std::mem::take(&mut slot.leases.lock().unreached);
     let mirrors = || slot.mirrors.iter().map(|&mirror| NodeId(mirror));
     let answering = mirrors().filter(|node| !unreached.contains(&node.0));

@@ -142,7 +142,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
                 state.enter_epoch(epoch);
                 state.seen = state.seen.max(version);
                 state.discard();
-                RtsStats::bump(&inner.stats.invalidations_received);
+                inner.stats.invalidations_received.inc();
                 mirror.unlocked.notify_all();
             }
             RegimeReply::Ack
@@ -187,7 +187,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             let budget = inner.policy.op_timeout;
             let applied = mirror.apply_pushed(epoch, seq, held, &ops, stamped, lease, budget);
             if applied.is_some_and(|ops| ops > 0) {
-                RtsStats::bump(&inner.stats.updates_applied);
+                inner.stats.updates_applied.inc();
             }
             applied.map_or(RegimeReply::StaleRegime, |_| RegimeReply::Ack)
         }

@@ -338,7 +338,7 @@ pub(super) fn apply_op_batch(
     // One protocol-handling event for the whole message, one apply per op
     // — the accounting split the cost model relies on.
     if caller != inner.node {
-        RtsStats::bump(&inner.stats.updates_applied);
+        inner.stats.updates_applied.inc();
     }
     let mut outcomes = Vec::with_capacity(ops.len());
     let mut ops = ops.iter().peekable();
@@ -353,7 +353,7 @@ pub(super) fn apply_op_batch(
         let mut replica = slot.lock_for(inner, caller);
         let mut written = Vec::new();
         for op in run {
-            RtsStats::bump(&inner.stats.batch_ops_applied);
+            inner.stats.batch_ops_applied.inc();
             inner.handle.telemetry().record(
                 inner.node.0,
                 FlightKind::Apply,
@@ -474,7 +474,7 @@ fn apply_locked(
     match replica.apply_encoded(op) {
         Ok(AppliedOutcome::Done(reply)) => {
             if caller != inner.node {
-                RtsStats::bump(&inner.stats.updates_applied);
+                inner.stats.updates_applied.inc();
             }
             if kind == OpKind::Write {
                 let stamped = stamp.map(|stamp| (stamp, reply.clone()));
@@ -706,7 +706,7 @@ pub(super) fn install_mirror(
     state.enter_epoch(epoch);
     let lease = lease.map(|valid_ms| mirror_lease(inner, valid_ms));
     if state.install_snapshot(replica, seq, dedup, lease, at.1.is_some()) {
-        RtsStats::bump(&inner.stats.copies_fetched);
+        inner.stats.copies_fetched.inc();
     }
     mirror.unlocked.notify_all();
     Ok(true)

@@ -220,7 +220,7 @@ struct Inner {
     /// Per-invocation deadline in milliseconds (see
     /// [`BroadcastRts::set_op_timeout`]).
     op_timeout_ms: AtomicU64,
-    stats: Arc<RtsStats>,
+    stats: RtsStats,
     stopped: AtomicBool,
 }
 
@@ -274,6 +274,7 @@ impl BroadcastRts {
         let num_nodes = handle.num_nodes();
         // Captured before the group member consumes the network handle.
         let pipeline = LazyPipeline::new(node, Arc::clone(handle.telemetry()));
+        let stats = RtsStats::from_handle(&handle);
         let member = GroupMember::start(handle, group);
         let sender = member.sender();
         let inner = Arc::new(Inner {
@@ -288,7 +289,7 @@ impl BroadcastRts {
             next_invocation: AtomicU64::new(1),
             next_object: AtomicU64::new(1),
             op_timeout_ms: AtomicU64::new(DEFAULT_INVOCATION_TIMEOUT.as_millis() as u64),
-            stats: RtsStats::new_shared(),
+            stats,
             stopped: AtomicBool::new(false),
         });
         let manager_inner = Arc::clone(&inner);
@@ -439,7 +440,7 @@ impl BroadcastRts {
         loop {
             match replica.apply_encoded(op)? {
                 AppliedOutcome::Done(reply) => {
-                    RtsStats::bump(&self.inner.stats.local_reads);
+                    self.inner.stats.local_reads.inc();
                     return Ok(reply);
                 }
                 AppliedOutcome::Blocked => {
@@ -448,7 +449,7 @@ impl BroadcastRts {
                     if self.inner.stopped.load(Ordering::SeqCst) {
                         return Err(RtsError::Terminated);
                     }
-                    RtsStats::bump(&self.inner.stats.guard_retries);
+                    self.inner.stats.guard_retries.inc();
                     entry.changed.wait_for(&mut replica, GUARD_REISSUE_INTERVAL);
                 }
             }
@@ -480,7 +481,8 @@ impl BroadcastRts {
 
     /// One non-blocking local read on behalf of the asynchronous path; a
     /// false guard resolves the handle `Blocked` (the caller's `wait()`
-    /// re-issues through the blocking path) instead of stalling the round.
+    /// re-enters it at the tail of the pipeline) instead of stalling the
+    /// round.
     fn async_local_read(&self, op: QueuedOp) {
         let entry = match self.wait_for_object(op.object) {
             Ok(entry) => entry,
@@ -489,7 +491,7 @@ impl BroadcastRts {
         let outcome = entry.replica.lock().apply_encoded(&op.op);
         match outcome {
             Ok(AppliedOutcome::Done(reply)) => {
-                RtsStats::bump(&self.inner.stats.local_reads);
+                self.inner.stats.local_reads.inc();
                 op.completer.complete(Ok(reply));
             }
             Ok(AppliedOutcome::Blocked) => op.completer.complete_blocked(),
@@ -503,11 +505,9 @@ impl BroadcastRts {
     fn send_write_batch(&self, writes: Vec<QueuedOp>) {
         let stats = &self.inner.stats;
         let encode = |batch_id: u64| {
-            RtsStats::bump(&stats.broadcast_writes);
-            RtsStats::bump(&stats.batches_sent);
-            stats
-                .ops_batched
-                .fetch_add(writes.len() as u64, Ordering::Relaxed);
+            stats.broadcast_writes.inc();
+            stats.batches_sent.inc();
+            stats.ops_batched.add(writes.len() as u64);
             let mut msg = Vec::with_capacity(batch_capacity(&writes));
             msg.push(RtsBroadcastMsg::WRITE_BATCH_TAG);
             batch_id.encode_into(&mut msg);
@@ -537,11 +537,11 @@ impl BroadcastRts {
     }
 
     fn broadcast_write(&self, object: ObjectId, op: &[u8]) -> Result<Vec<u8>, RtsError> {
-        RtsStats::bump(&self.inner.stats.writes);
+        self.inner.stats.writes.inc();
         let entry = self.wait_for_object(object)?;
         loop {
             let results = self.order(|invocation| {
-                RtsStats::bump(&self.inner.stats.broadcast_writes);
+                self.inner.stats.broadcast_writes.inc();
                 let op = op.to_vec();
                 RtsBroadcastMsg::Write {
                     invocation,
@@ -559,7 +559,7 @@ impl BroadcastRts {
                     if self.inner.stopped.load(Ordering::SeqCst) {
                         return Err(RtsError::Terminated);
                     }
-                    RtsStats::bump(&self.inner.stats.guard_retries);
+                    self.inner.stats.guard_retries.inc();
                     await_change(&entry, seen_version);
                 }
             }
@@ -599,7 +599,7 @@ impl RuntimeSystem for BroadcastRts {
         match only(results) {
             InvocationResult::Failed(err) => Err(err.into()),
             InvocationResult::Done(_) | InvocationResult::Blocked(_) => {
-                RtsStats::bump(&self.inner.stats.objects_created);
+                self.inner.stats.objects_created.inc();
                 Ok(id)
             }
         }
@@ -632,7 +632,7 @@ impl RuntimeSystem for BroadcastRts {
             return PendingInvocation::ready(Err(RtsError::Terminated));
         }
         if kind == OpKind::Write {
-            RtsStats::bump(&self.inner.stats.writes);
+            self.inner.stats.writes.inc();
         }
         self.pipeline.submit(object, kind, op, |pipeline| {
             let rts = BroadcastRts {
@@ -733,11 +733,11 @@ fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBat
     // op — the accounting split the cost model relies on
     // (`updates_applied` per message, `batch_ops_applied` per op).
     if origin != inner.node {
-        RtsStats::bump(&inner.stats.updates_applied);
+        inner.stats.updates_applied.inc();
     }
     let mut results = Vec::with_capacity(ops.len());
     for op in ops {
-        RtsStats::bump(&inner.stats.batch_ops_applied);
+        inner.stats.batch_ops_applied.inc();
         results.push(apply_write(inner, ObjectId(op.object), op.op, false));
     }
     if origin == inner.node {
@@ -779,7 +779,7 @@ fn apply_write(inner: &Arc<Inner>, object: ObjectId, op: &[u8], counted: bool) -
     match replica.apply_encoded(op) {
         Ok(AppliedOutcome::Done(reply)) => {
             if counted {
-                RtsStats::bump(&inner.stats.updates_applied);
+                inner.stats.updates_applied.inc();
             }
             entry.changed.notify_all();
             InvocationResult::Done(reply)
@@ -901,6 +901,13 @@ mod tests {
         let stats = rtses[2].stats();
         assert!(stats.local_reads >= 1);
         assert_eq!(stats.remote_reads, 0);
+        // Every field is in the network's registry, with no `OrcaRuntime`.
+        let counters = net.telemetry().registry().snapshot().counters;
+        let published = counters
+            .keys()
+            .filter(|name| name.starts_with("rts.node2."));
+        assert_eq!(published.count(), 15);
+        assert_eq!(counters["rts.node2.local_reads"], stats.local_reads);
         shutdown_all(rtses);
     }
 

@@ -390,10 +390,8 @@ pub(crate) fn flush_op_batches(
         request,
     } in batches.list.drain(..)
     {
-        RtsStats::bump(&stats.batches_sent);
-        stats
-            .ops_batched
-            .fetch_add(indices.len() as u64, Ordering::Relaxed);
+        stats.batches_sent.inc();
+        stats.ops_batched.add(indices.len() as u64);
         let request = request.finish();
         if owner == node {
             let ops = OpBatchView::from_request(batches.tag, &request)
@@ -401,7 +399,7 @@ pub(crate) fn flush_op_batches(
                 .expect("a batch this node just encoded");
             record_batch_outcomes(&indices, apply_local(&ops), slots, stale);
         } else {
-            RtsStats::bump(&stats.remote_writes);
+            stats.remote_writes.inc();
             match multi.send(owner, port, request) {
                 Ok(request) => waits.push((owner, indices, request)),
                 Err(err) => fail_indices(slots, &indices, RtsError::Communication(err.to_string())),

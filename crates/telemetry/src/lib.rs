@@ -6,9 +6,9 @@
 //! One [`Telemetry`] instance is owned by the simulated network and shared
 //! by every layer above it:
 //!
-//! * the **registry** ([`Registry`]) unifies the pre-existing per-layer
-//!   statistics structs (`NetStats`, `RtsStats`, group counters) behind a
-//!   single `snapshot()` with JSON and text-table export, and hands out
+//! * the **registry** ([`Registry`]) holds every counter of every layer
+//!   (`net.*`, `transport.*`, `group.*`, `rts.*`) as a named handle behind
+//!   a single `snapshot()` with JSON and text-table export, and hands out
 //!   latency histograms with p50/p90/p99/p999 extraction;
 //! * the **flight recorder** ([`flight::FlightRecorder`], one ring per
 //!   node) retains the last few thousand protocol events — sends,
@@ -36,7 +36,7 @@ use std::sync::Arc;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use hist::{Hist, HistSnapshot};
 pub use orca_wire::TraceId;
-pub use registry::{Collect, Counter, Gauge, HistHandle, Registry, RegistrySnapshot};
+pub use registry::{Counter, Gauge, HistHandle, Registry, RegistrySnapshot};
 pub use trace::{render_spans, span_tree, Span};
 
 /// The per-process observability hub: logical clock, metrics registry and

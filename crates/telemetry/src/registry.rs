@@ -1,20 +1,25 @@
 //! The metrics registry: named counters, gauges and histograms behind one
 //! `snapshot()`, with JSON and text-table export.
 //!
-//! Two kinds of sources feed a snapshot:
+//! Every number in the system is a handle created through
+//! [`Registry::counter`] / [`Registry::gauge`] / [`Registry::histogram`];
+//! recording is an atomic op on a shared `Arc`, so handles are cheap to
+//! clone into hot paths, and two handles of one name share one value. Each
+//! layer resolves its handles once, when it starts, from the registry of
+//! the network it runs on, so `Registry::snapshot()` is the one place every
+//! number can be read from. The per-node counter sets, declared with
+//! [`counter_set!`](crate::counter_set) (`<i>` is the node index):
 //!
-//! * **owned metrics** — handles created through [`Registry::counter`] /
-//!   [`Registry::gauge`] / [`Registry::histogram`]; recording is an atomic
-//!   op on a shared `Arc`, so handles are cheap to clone into hot paths;
-//! * **collectors** — closures registered with
-//!   [`Registry::register_collector`] that are polled at snapshot time.
-//!   The pre-existing statistics structs (`NetStats`, `RtsStats`, the
-//!   group layer's counters) are absorbed this way instead of being
-//!   rewritten: each layer registers one collector that walks its snapshot
-//!   and emits `name → value` pairs, so `Registry::snapshot()` is the one
-//!   place every number in the system can be read from.
+//! * `net.node<i>.*` — messages, bytes, packets, interrupts and drops
+//!   (`orca_amoeba::NetStats`);
+//! * `transport.node<i>.*` — the socket layer's frames, datagrams,
+//!   connections and decode errors;
+//! * `group.node<i>.*` — the group protocol's PB/BB sends, deliveries and
+//!   retransmissions (`orca_group::GroupStats`);
+//! * `rts.node<i>.*` — what a runtime system did for the application
+//!   (`orca_rts::RtsStats`).
 //!
-//! Metric names are dotted paths (`net.node3.msgs_sent`,
+//! Metric names are dotted paths (`net.node3.p2p_sent`,
 //! `rts.invoke.sync_ns`); the exports sort them, so related metrics group
 //! together without any registry-side hierarchy.
 
@@ -71,33 +76,65 @@ impl Gauge {
 /// A histogram handle (see [`crate::hist::Hist`]).
 pub type HistHandle = Arc<Hist>;
 
-/// Values a collector emits at snapshot time.
-#[derive(Debug, Default)]
-pub struct Collect {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, i64)>,
+/// Declare a set of counters published under one registry prefix, naming
+/// each field once: a struct of [`Counter`] handles whose `new(registry,
+/// prefix)` resolves every field as `<prefix>.<field>`, and a plain
+/// snapshot struct of the same fields that `snapshot()` fills in.
+///
+/// ```
+/// orca_telemetry::counter_set! {
+///     /// Live counters.
+///     pub struct Stats => StatsSnapshot {
+///         /// Messages sent.
+///         sent,
+///     }
+/// }
+/// let registry = orca_telemetry::Registry::new();
+/// Stats::new(&registry, "net.node0").sent.inc();
+/// assert_eq!(registry.counter("net.node0.sent").get(), 1);
+/// assert_eq!(Stats::new(&registry, "net.node0").snapshot().sent, 1);
+/// ```
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $live:ident => $snap:ident {
+            $( $(#[$doc:meta])* $field:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone)]
+        $vis struct $live {
+            $( $(#[$doc])* pub $field: $crate::Counter, )*
+        }
+
+        impl $live {
+            /// Resolve every counter of the set as `<prefix>.<field>`.
+            pub fn new(registry: &$crate::Registry, prefix: &str) -> $live {
+                $live {
+                    $( $field: registry.counter(&format!("{prefix}.{}", stringify!($field))), )*
+                }
+            }
+
+            /// Point-in-time snapshot.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $( $field: self.$field.get(), )* }
+            }
+        }
+
+        #[doc = concat!("Point-in-time copy of [`", stringify!($live), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snap {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+    };
 }
-
-impl Collect {
-    /// Emit one counter-style value.
-    pub fn counter(&mut self, name: impl Into<String>, value: u64) {
-        self.counters.push((name.into(), value));
-    }
-
-    /// Emit one gauge-style value.
-    pub fn gauge(&mut self, name: impl Into<String>, value: i64) {
-        self.gauges.push((name.into(), value));
-    }
-}
-
-type Collector = Box<dyn Fn(&mut Collect) + Send + Sync>;
 
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     hists: BTreeMap<String, HistHandle>,
-    collectors: Vec<Collector>,
 }
 
 /// The metrics registry. Cheap to clone (shared interior).
@@ -113,7 +150,6 @@ impl std::fmt::Debug for Registry {
             .field("counters", &inner.counters.len())
             .field("gauges", &inner.gauges.len())
             .field("hists", &inner.hists.len())
-            .field("collectors", &inner.collectors.len())
             .finish()
     }
 }
@@ -142,14 +178,7 @@ impl Registry {
         Arc::clone(inner.hists.entry(name.to_string()).or_default())
     }
 
-    /// Register a closure polled at every [`Registry::snapshot`]; it
-    /// absorbs an existing statistics struct into the unified namespace.
-    pub fn register_collector(&self, collector: impl Fn(&mut Collect) + Send + Sync + 'static) {
-        self.inner.lock().collectors.push(Box::new(collector));
-    }
-
-    /// One consistent-enough view of every metric in the system: owned
-    /// counters/gauges/histograms plus everything the collectors emit.
+    /// One consistent-enough view of every metric in the system.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let inner = self.inner.lock();
         let mut snap = RegistrySnapshot::default();
@@ -161,17 +190,6 @@ impl Registry {
         }
         for (name, hist) in &inner.hists {
             snap.hists.insert(name.clone(), hist.snapshot());
-        }
-        let mut collect = Collect::default();
-        for collector in &inner.collectors {
-            collector(&mut collect);
-        }
-        drop(inner);
-        for (name, value) in collect.counters {
-            snap.counters.insert(name, value);
-        }
-        for (name, value) in collect.gauges {
-            snap.gauges.insert(name, value);
         }
         snap
     }
@@ -314,20 +332,6 @@ mod tests {
         let h = reg.histogram("lat");
         h.record(10);
         assert_eq!(reg.histogram("lat").count(), 1);
-    }
-
-    #[test]
-    fn collectors_feed_snapshots() {
-        let reg = Registry::new();
-        reg.counter("own.count").add(7);
-        reg.register_collector(|c| {
-            c.counter("net.node0.sent", 42);
-            c.gauge("net.inflight", -3);
-        });
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["own.count"], 7);
-        assert_eq!(snap.counters["net.node0.sent"], 42);
-        assert_eq!(snap.gauges["net.inflight"], -3);
     }
 
     #[test]

@@ -5,8 +5,10 @@ The CI telemetry lane runs a tiny real workload and dumps the unified
 registry snapshot; this script asserts the document is well-formed JSON
 with the instruments the runtime promises to keep populated:
 
-* network and runtime-system counters absorbed from the legacy stats
-  structs (`net.*`, `rts.node*.*`);
+* the per-node counter sets every layer keeps as registry handles
+  (`net.*`, `group.node*.*`, `rts.node*.*`), not all zero, and every field
+  of `RtsStatsSnapshot` as `rts.node<i>.<field>` for each node of the run
+  (the nodes with `net.node<i>.*` rows);
 * the always-on latency histograms of the invocation paths
   (`rts.invoke.sync_ns`, `rts.pipeline.queue_ns`,
   `rts.pipeline.service_ns`), each non-empty with internally consistent
@@ -44,7 +46,27 @@ REQUIRED_HISTOGRAMS = [
     "rts.pipeline.service_ns",
 ]
 
-COUNTER_PREFIXES = ["net.", "rts.node"]
+COUNTER_PREFIXES = ["net.", "group.node", "rts.node"]
+
+# The fields of `RtsStatsSnapshot` (crates/rts/src/stats.rs), each published
+# as `rts.node<i>.<field>`.
+RTS_FIELDS = [
+    "local_reads",
+    "remote_reads",
+    "writes",
+    "broadcast_writes",
+    "remote_writes",
+    "updates_applied",
+    "invalidations_received",
+    "copies_fetched",
+    "copies_dropped",
+    "guard_retries",
+    "objects_created",
+    "regime_switches",
+    "batches_sent",
+    "ops_batched",
+    "batch_ops_applied",
+]
 
 # Read-lease protocol counters: the smoke workload's leased primary-copy
 # phase must grant leases and serve local reads under them; renewals and
@@ -102,7 +124,12 @@ def main():
         if not matching:
             fail(f"no counters with prefix {prefix!r} (got {sorted(counters)})")
         if all(counters[k] == 0 for k in matching):
-            fail(f"all {prefix!r} counters are zero: the collectors never ran")
+            fail(f"all {prefix!r} counters are zero: nothing recorded")
+    nodes = {k.split(".")[1] for k in counters if k.startswith("net.node")}
+    for node in sorted(nodes):
+        for field in RTS_FIELDS:
+            if f"rts.{node}.{field}" not in counters:
+                fail(f"counter 'rts.{node}.{field}' missing (got {sorted(counters)})")
 
     for name in LEASE_COUNTERS:
         if name not in counters:
