@@ -526,11 +526,11 @@ impl OrcaRuntime {
         }
     }
 
-    /// Nodes that hold a copy of `object` besides its authoritative one:
-    /// the read mirrors — the primary-copy strategy's secondary copies —
-    /// the object's published table lists, as `node` reads it from the home
-    /// (empty outside the replicated regime). `None` under the broadcast
-    /// strategy.
+    /// Nodes that hold a copy of `object` besides its authoritative ones:
+    /// the read mirrors — the primary-copy strategy's secondary copies, a
+    /// sharded object's mirrors of every partition a node does not own —
+    /// the object's published table lists, as `node` reads it from the home.
+    /// `None` under the broadcast strategy.
     pub fn copy_holders(&self, node: usize, object: ObjectId) -> Option<Vec<NodeId>> {
         match &self.rtses[node] {
             NodeRts::Adaptive(rts) => rts.copy_holders(object).ok(),

@@ -35,13 +35,79 @@ use std::time::{Duration, Instant};
 use orca_amoeba::network::Network;
 use orca_amoeba::process::ProcessHandle;
 use orca_amoeba::NodeId;
-use orca_core::objects::{IntObject, IntOp, JobQueue};
-use orca_core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime, RtsStrategy};
+use orca_core::objects::{
+    IntObject, IntOp, JobQueue, KvTableObject, KvTableOp, KvTableReply, TableEntry,
+};
+use orca_core::{
+    standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaResult, OrcaRuntime, RtsStrategy,
+};
 use orca_group::GroupConfig;
+use orca_object::ObjectId;
 use orca_rts::{AdaptivePolicy, RecoveryConfig, RegimeKind, WritePolicy};
 
 use crate::engine::{Execution, McConfig, Scenario};
 use crate::invariants::{check_counter, check_jobs, WorkerOutcome};
+
+/// What a counter scenario counts on: a value its workers add distinct
+/// deltas to and read.
+trait Counter: Copy + Send + 'static {
+    /// The object the value lives in.
+    fn id(&self) -> ObjectId;
+    /// Add `delta`; the value the write left.
+    fn add(&self, ctx: &OrcaNode, delta: i64) -> OrcaResult<i64>;
+    /// The value.
+    fn value(&self, ctx: &OrcaNode) -> OrcaResult<i64>;
+}
+
+impl Counter for ObjectHandle<IntObject> {
+    fn id(&self) -> ObjectId {
+        ObjectHandle::id(self)
+    }
+    fn add(&self, ctx: &OrcaNode, delta: i64) -> OrcaResult<i64> {
+        ctx.invoke(*self, &IntOp::Add(delta))
+    }
+    fn value(&self, ctx: &OrcaNode) -> OrcaResult<i64> {
+        ctx.invoke(*self, &IntOp::Value)
+    }
+}
+
+/// One key of a shared table as a counter: the value of its entry. One
+/// process writes it — on the node that serves the key, where reading the
+/// value sends nothing — by reading it and putting the sum, deeper than
+/// the entry it replaces.
+#[derive(Clone, Copy)]
+struct KvCounter {
+    table: ObjectHandle<KvTableObject>,
+    key: u64,
+}
+
+impl Counter for KvCounter {
+    fn id(&self) -> ObjectId {
+        self.table.id()
+    }
+    fn add(&self, ctx: &OrcaNode, delta: i64) -> OrcaResult<i64> {
+        let value = self.value(ctx)? + delta;
+        let entry = TableEntry {
+            depth: value as i32,
+            value,
+            aux: 0,
+        };
+        ctx.invoke(
+            self.table,
+            &KvTableOp::Put {
+                key: self.key,
+                entry,
+            },
+        )?;
+        Ok(value)
+    }
+    fn value(&self, ctx: &OrcaNode) -> OrcaResult<i64> {
+        Ok(match ctx.invoke(self.table, &KvTableOp::Get(self.key))? {
+            KvTableReply::Found(entry) => entry.value,
+            _ => 0,
+        })
+    }
+}
 
 /// One step of a counter worker's program.
 #[derive(Debug, Clone, Copy)]
@@ -52,32 +118,23 @@ enum Step {
     Read,
 }
 
-fn counter_worker(
-    ctx: OrcaNode,
-    handle: ObjectHandle<IntObject>,
-    steps: Vec<Step>,
-) -> WorkerOutcome {
+fn counter_worker(ctx: OrcaNode, counter: impl Counter, steps: Vec<Step>) -> WorkerOutcome {
     let mut out = WorkerOutcome::default();
-    counter_steps(&ctx, handle, &steps, &mut out);
+    counter_steps(&ctx, counter, &steps, &mut out);
     out
 }
 
 /// Run `steps` in order, appending to `out` (a worker that pauses between
 /// two stretches of its program calls this once per stretch).
-fn counter_steps(
-    ctx: &OrcaNode,
-    handle: ObjectHandle<IntObject>,
-    steps: &[Step],
-    out: &mut WorkerOutcome,
-) {
+fn counter_steps(ctx: &OrcaNode, counter: impl Counter, steps: &[Step], out: &mut WorkerOutcome) {
     for &step in steps {
         match step {
-            Step::Write(delta) => match ctx.invoke(handle, &IntOp::Add(delta)) {
+            Step::Write(delta) => match counter.add(ctx, delta) {
                 Ok(sum) => out.acked_write(delta, sum),
                 Err(_) => out.maybe_write(delta),
             },
             Step::Read => {
-                if let Ok(value) = ctx.invoke(handle, &IntOp::Value) {
+                if let Ok(value) = counter.value(ctx) {
                     out.read(value);
                 }
             }
@@ -94,7 +151,7 @@ fn counter_steps(
 /// "not converged within the budget" is.
 fn read_finals(
     rt: &OrcaRuntime,
-    handle: ObjectHandle<IntObject>,
+    counter: impl Counter,
     live: &[usize],
 ) -> Result<Vec<i64>, String> {
     let deadline = Instant::now() + Duration::from_secs(8);
@@ -104,7 +161,7 @@ fn read_finals(
         let mut vals = Vec::with_capacity(live.len());
         let mut err: Option<String> = None;
         for &node in live {
-            match rt.context(node).invoke(handle, &IntOp::Value) {
+            match counter.value(rt.context(node)) {
                 Ok(value) => vals.push(value),
                 Err(e) => {
                     err = Some(format!("final read on node {node} failed: {e}"));
@@ -143,7 +200,7 @@ fn finish_counter(
     exec: &Execution<'_>,
     rt: &OrcaRuntime,
     workers: Vec<ProcessHandle<WorkerOutcome>>,
-    handle: ObjectHandle<IntObject>,
+    counter: impl Counter,
 ) -> Result<(), String> {
     rt.network().set_scheduler(None);
     if !exec.settle(|| all_finished(&workers)) {
@@ -159,7 +216,7 @@ fn finish_counter(
     let live: Vec<usize> = (0..rt.processors())
         .filter(|&n| !rt.network().is_crashed(NodeId::from(n)))
         .collect();
-    let finals = read_finals(rt, handle, &live)?;
+    let finals = read_finals(rt, counter, &live)?;
     check_counter(&outcomes, &finals)
 }
 
@@ -195,21 +252,23 @@ fn placed_once(policy: AdaptivePolicy) -> AdaptivePolicy {
 /// Put a copy of the counter on nodes 1 and 2 before the scheduler
 /// installs: reads make them readers, the proposal places a mirror on each,
 /// and a second round of reads warms every table cache and mirror.
-fn prime_copies(rt: &OrcaRuntime, handle: ObjectHandle<IntObject>) -> Result<(), String> {
+fn prime_copies(rt: &OrcaRuntime, counter: impl Counter, regime: RegimeKind) -> Result<(), String> {
     let read = |what: &str| -> Result<(), String> {
         for node in 1..rt.processors() {
             for _ in 0..4 {
-                let read = rt.context(node).invoke(handle, &IntOp::Value);
+                let read = counter.value(rt.context(node));
                 read.map_err(|e| format!("{what} read failed: {e}"))?;
             }
         }
         Ok(())
     };
     read("usage-priming")?;
-    if rt.propose_regime(handle.id()) != Some(RegimeKind::Replicated) {
-        return Err("priming did not put the counter in the replicated regime".into());
+    if rt.propose_regime(counter.id()) != Some(regime) {
+        return Err(format!(
+            "priming did not put the counter in the {regime:?} regime"
+        ));
     }
-    let holders = rt.copy_holders(0, handle.id()).unwrap_or_default();
+    let holders = rt.copy_holders(0, counter.id()).unwrap_or_default();
     if holders.len() != rt.processors() - 1 {
         return Err(format!("priming left copies on {holders:?} only"));
     }
@@ -420,7 +479,7 @@ impl Scenario for PrimaryFetchRace {
         // Node 1 is a copy holder, and a write that changes nothing takes
         // its copy away again: from here every write of node 0 sends it an
         // invalidation, and its next read a fetch.
-        prime_copies(&rt, handle)?;
+        prime_copies(&rt, handle, RegimeKind::Replicated)?;
         rt.main()
             .invoke(handle, &IntOp::Add(0))
             .map_err(|e| format!("invalidating write failed: {e}"))?;
@@ -537,7 +596,7 @@ impl Scenario for PrimaryPromotion {
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
         // Prime: both survivors hold a secondary copy *before* scheduling
         // starts, so the failover always has copies to choose from.
-        prime_copies(&rt, handle)?;
+        prime_copies(&rt, handle, RegimeKind::Replicated)?;
         rt.network().set_scheduler(Some(exec.scheduler()));
         let workers: Vec<_> = [1usize, 2]
             .iter()
@@ -640,7 +699,7 @@ impl Scenario for PrimaryLeaseRevoke {
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
         // Prime: both secondaries hold a leased copy before scheduling
         // starts, so every write in the schedule races outstanding grants.
-        prime_copies(&rt, handle)?;
+        prime_copies(&rt, handle, RegimeKind::Replicated)?;
         rt.network().set_scheduler(Some(exec.scheduler()));
         let w0 = rt.fork_on(0, "mc-w0", move |ctx| {
             counter_worker(
@@ -1047,7 +1106,7 @@ impl Witness {
 /// returned after the crash) counts as maybe-applied.
 fn witnessed_worker(
     ctx: OrcaNode,
-    handle: ObjectHandle<IntObject>,
+    counter: impl Counter,
     steps: Vec<Step>,
     witness: Witness,
 ) -> WorkerOutcome {
@@ -1059,7 +1118,7 @@ fn witnessed_worker(
         }
         let floor = witness.floor();
         match step {
-            Step::Write(delta) => match ctx.invoke(handle, &IntOp::Add(delta)) {
+            Step::Write(delta) => match counter.add(&ctx, delta) {
                 Ok(sum) if !witness.crashed(me) => {
                     out.acked_write(delta, sum);
                     witness.observed(me, floor, sum);
@@ -1067,7 +1126,7 @@ fn witnessed_worker(
                 _ => out.maybe_write(delta),
             },
             Step::Read => {
-                if let Ok(value) = ctx.invoke(handle, &IntOp::Value) {
+                if let Ok(value) = counter.value(&ctx) {
                     if !witness.crashed(me) {
                         out.read(value);
                         witness.observed(me, floor, value);
@@ -1085,7 +1144,7 @@ fn witnessed_worker(
 /// its search small.
 fn witnessed_reader(
     ctx: OrcaNode,
-    handle: ObjectHandle<IntObject>,
+    counter: impl Counter,
     witness: Witness,
     stop: Arc<AtomicBool>,
 ) -> WorkerOutcome {
@@ -1093,7 +1152,7 @@ fn witnessed_reader(
     let mut out = WorkerOutcome::default();
     while !stop.load(Ordering::SeqCst) && !witness.crashed(me) {
         let floor = witness.floor();
-        if let Ok(value) = ctx.invoke(handle, &IntOp::Value) {
+        if let Ok(value) = counter.value(&ctx) {
             if witness.crashed(me) {
                 break;
             }
@@ -1115,7 +1174,7 @@ fn witnessed_reader(
 fn run_witnessed(
     exec: &mut Execution<'_>,
     rt: &OrcaRuntime,
-    handle: ObjectHandle<IntObject>,
+    counter: impl Counter,
     writers: &[usize],
 ) -> Result<(), String> {
     let witness = Witness::new(rt.network());
@@ -1133,7 +1192,7 @@ fn run_witnessed(
             ];
             let witness = witness.clone();
             rt.fork_on(node, &format!("mc-w{node}"), move |ctx| {
-                witnessed_worker(ctx, handle, steps, witness)
+                witnessed_worker(ctx, counter, steps, witness)
             })
         })
         .collect();
@@ -1142,7 +1201,7 @@ fn run_witnessed(
         .map(|&node| {
             let (witness, stop) = (witness.clone(), Arc::clone(&stop));
             rt.fork_on(node, &format!("mc-r{node}"), move |ctx| {
-                witnessed_reader(ctx, handle, witness, stop)
+                witnessed_reader(ctx, counter, witness, stop)
             })
         })
         .collect();
@@ -1154,7 +1213,7 @@ fn run_witnessed(
     stop.store(true, Ordering::SeqCst);
     driven?;
     let processes = writers.into_iter().chain(readers).collect();
-    finish_counter(exec, rt, processes, handle)?;
+    finish_counter(exec, rt, processes, counter)?;
     let stale = witness.stale.lock().unwrap().take();
     stale.map_or(Ok(()), Err)
 }
@@ -1224,7 +1283,7 @@ impl Scenario for AdaptiveWriteThroughMirror {
         cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        prime_copies(&rt, handle)?;
+        prime_copies(&rt, handle, RegimeKind::Replicated)?;
         run_witnessed(exec, &rt, handle, &[1, 2])
     }
 }
@@ -1276,13 +1335,80 @@ impl Scenario for ReplicatedOwnerPush {
         cfg.recovery = mc_recovery();
         let rt = OrcaRuntime::start(cfg, standard_registry());
         let handle = rt.create::<IntObject>(&0).map_err(|e| e.to_string())?;
-        prime_copies(&rt, handle)?;
+        prime_copies(&rt, handle, RegimeKind::Replicated)?;
         run_witnessed(exec, &rt, handle, &[0])
     }
 }
 
-/// All nine scenarios: one per protocol family, the three crash lanes, and
-/// the two update-protocol lanes.
+/// [`ReplicatedOwnerPush`] for a partition: a partition is a copy, and its
+/// readers' mirrors are pushed as a replicated object's are. Three nodes, a
+/// sharded table of two partitions; nodes 1 and 2 read it, so the one
+/// proposal that ends the priming gives each a mirror of every partition it
+/// does not own, and a hand move — which keeps the mirrors — puts the
+/// written key's partition on node 0. Node 0 writes that key (reading its
+/// value and putting the sum); readers on nodes 1 and 2 read their mirrors.
+/// Every write is pushed to node 2, held until the unlock, and then to
+/// node 1 — the partition's keeper too, pushed once and last — never held;
+/// node 2 may crash at any point.
+///
+/// Checked as in [`AdaptiveWriteThroughMirror`], the real-time floor above
+/// all: the `UNHELD_EVERY_PUSH` mutation lets node 2's reader see the new
+/// value while node 1, not yet pushed to, still serves the old one.
+pub struct ShardedPartitionMirror {
+    /// Exploration budgets.
+    pub budget: McConfig,
+}
+
+impl Default for ShardedPartitionMirror {
+    fn default() -> Self {
+        ShardedPartitionMirror {
+            budget: AdaptiveWriteThroughMirror::default().budget,
+        }
+    }
+}
+
+impl Scenario for ShardedPartitionMirror {
+    fn name(&self) -> &'static str {
+        "sharded_partition_mirror"
+    }
+
+    fn config(&self) -> McConfig {
+        self.budget.clone()
+    }
+
+    fn run(&self, exec: &mut Execution<'_>) -> Result<(), String> {
+        let mut cfg = OrcaConfig::sharded(3, 2);
+        cfg.strategy = RtsStrategy::Adaptive {
+            policy: placed_once(AdaptivePolicy {
+                op_timeout: CRASHED_OP_TIMEOUT,
+                ..AdaptivePolicy::sharded(2)
+            }),
+        };
+        cfg.recovery = mc_recovery();
+        let rt = OrcaRuntime::start(cfg, standard_registry());
+        let table = rt
+            .create::<KvTableObject>(&Default::default())
+            .map_err(|e| e.to_string())?;
+        let counter = KvCounter { table, key: 7 };
+        prime_copies(&rt, counter, RegimeKind::Sharded)?;
+        let partition = orca_object::shard::shard_of_u64(counter.key, 2);
+        let moved = rt.migrate_shard(table.id(), partition, NodeId(0));
+        moved.ok_or("not sharded")?.map_err(|e| e.to_string())?;
+        // The move re-installed every partition: the readers' tables and
+        // mirrors are warmed again before the schedule starts.
+        for node in 1..rt.processors() {
+            counter.value(rt.context(node)).map_err(|e| e.to_string())?;
+        }
+        let holders = rt.copy_holders(0, table.id()).unwrap_or_default();
+        if holders != [NodeId(1), NodeId(2)] {
+            return Err(format!("the move left mirrors on {holders:?}"));
+        }
+        run_witnessed(exec, &rt, counter, &[0])
+    }
+}
+
+/// All ten scenarios: one per protocol family, the three crash lanes, and
+/// the three update-protocol lanes.
 pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(BroadcastOrdering::default()),
@@ -1294,5 +1420,6 @@ pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
         Box::new(AdaptiveRegimeSwitch::default()),
         Box::new(AdaptiveWriteThroughMirror::default()),
         Box::new(ReplicatedOwnerPush::default()),
+        Box::new(ShardedPartitionMirror::default()),
     ]
 }

@@ -95,3 +95,15 @@ fn unheld_every_push_is_caught_and_replays() {
         violation.message
     );
 }
+
+#[test]
+fn unheld_every_push_is_caught_at_a_partition_mirror_too() {
+    let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _sabotage = SabotageGuard::enable(&UNHELD_EVERY_PUSH);
+    let violation = expect_caught(&orca_mc::ShardedPartitionMirror::default());
+    assert!(
+        violation.message.contains("stale observation"),
+        "caught for the wrong reason: {}",
+        violation.message
+    );
+}

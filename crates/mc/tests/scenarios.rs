@@ -93,3 +93,8 @@ fn adaptive_write_through_mirror_never_serves_a_stale_mirror() {
 fn replicated_owner_push_never_shows_the_old_value_after_the_new() {
     run(&orca_mc::ReplicatedOwnerPush::default(), false);
 }
+
+#[test]
+fn sharded_partition_mirror_never_shows_the_old_value_after_the_new() {
+    run(&orca_mc::ShardedPartitionMirror::default(), false);
+}

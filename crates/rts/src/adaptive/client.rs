@@ -24,8 +24,8 @@ pub(super) enum PartOutcome {
 
 /// Where an operation runs under a regime table ([`AdaptiveRts::target`]).
 enum Target<'a> {
-    /// This node's mirror: a replicated-regime read where the table lists one.
-    Mirror,
+    /// This node's mirror of one partition (0: the one copy), the op narrowed to it.
+    Mirror(u32, Cow<'a, [u8]>),
     /// One authoritative slot, with the operation narrowed to its partition.
     Slot(u32, Cow<'a, [u8]>),
     /// The first partition that accepts it, scanning.
@@ -71,12 +71,12 @@ impl AdaptiveRts {
         }
         if let Some((table, fetched)) = self.inner.routes.lock().get(&object) {
             // Where every operation is answered by an owner, the owner's
-            // epoch check is the invalidation; only a replicated-regime
-            // table, whose reads ask nobody, has to expire. No slot is
-            // special: an operation for any partition whose owner died
-            // must re-fetch, not time out against a corpse.
-            let fresh = table.regime != RegimeKind::Replicated
-                || fetched.elapsed() < self.inner.policy.regime_lease;
+            // epoch check is the invalidation; only a table that lists
+            // mirrors (or may: a replicated one) has to expire. No slot is
+            // special: an operation for any partition whose owner died must
+            // re-fetch, not time out against a corpse.
+            let expires = table.regime == RegimeKind::Replicated || !table.mirrors.is_empty();
+            let fresh = !expires || fetched.elapsed() < self.inner.policy.regime_lease;
             if fresh
                 && !table
                     .owners
@@ -299,11 +299,11 @@ impl AdaptiveRts {
         );
     }
 
-    /// Where an operation runs under `table`. A replicated-regime read is
-    /// local where the table lists a mirror; every other operation of one
-    /// copy — and of a pinned sharded type that does not shard — goes to
-    /// the single slot; a sharded one goes where the type's partitioning
-    /// logic routes it.
+    /// Where an operation runs under `table`. An operation of one copy —
+    /// and of a pinned sharded type that does not shard — goes to the single
+    /// slot; a sharded one goes where the type's partitioning logic routes
+    /// it. A read of one slot is local where the table lists a mirror here
+    /// and another node owns the slot.
     fn target<'a>(
         &self,
         table: &RegimeTable,
@@ -311,25 +311,25 @@ impl AdaptiveRts {
         op: &'a [u8],
     ) -> Result<Target<'a>, RtsError> {
         let logic = match table.regime {
-            RegimeKind::Replicated
-                if kind == OpKind::Read && table.mirrors.contains(&self.inner.node.0) =>
-            {
-                return Ok(Target::Mirror)
-            }
             RegimeKind::Sharded => self.inner.registry.shard_logic(&table.type_name),
             _ => None,
         };
-        let Some(logic) = logic else {
-            return Ok(Target::Slot(0, Cow::Borrowed(op)));
-        };
-        let parts = table.partitions();
-        Ok(match logic.route(op, parts)? {
-            ShardRoute::One(partition) => {
-                Target::Slot(partition, Cow::Owned(logic.op_for(op, partition, parts)?))
+        let (partition, op) = match logic {
+            None => (0, Cow::Borrowed(op)),
+            Some(logic) => {
+                let parts = table.partitions();
+                match logic.route(op, parts)? {
+                    ShardRoute::One(p) => (p, Cow::Owned(logic.op_for(op, p, parts)?)),
+                    ShardRoute::Any => return Ok(Target::Any(logic)),
+                    ShardRoute::All => return Ok(Target::All),
+                }
             }
-            ShardRoute::Any => Target::Any(logic),
-            ShardRoute::All => Target::All,
-        })
+        };
+        let (me, read) = (self.inner.node.0, kind == OpKind::Read);
+        if read && table.mirrors.contains(&me) && table.owners[partition as usize] != me {
+            return Ok(Target::Mirror(partition, op));
+        }
+        Ok(Target::Slot(partition, op))
     }
 
     /// Execute `op` where `target` says, under `table`.
@@ -342,7 +342,7 @@ impl AdaptiveRts {
         deadline: Instant,
     ) -> Result<PartOutcome, RtsError> {
         match target {
-            Target::Mirror => self.mirror_read(table, op, deadline),
+            Target::Mirror(p, part_op) => self.mirror_read(table, p, &part_op, deadline),
             Target::Slot(partition, part_op) => {
                 self.slot_op(table, partition, &part_op, stamp, deadline)
             }
@@ -358,7 +358,7 @@ impl AdaptiveRts {
     fn record_invocation(&self, table: &RegimeTable, target: &Target<'_>, kind: OpKind) {
         let local = |owner: &u16| *owner == self.inner.node.0;
         let all_local = match target {
-            Target::Mirror => return,
+            Target::Mirror(..) => return,
             Target::Slot(partition, _) => local(&table.owners[*partition as usize]),
             Target::Any(_) | Target::All => table.owners.iter().all(local),
         };
@@ -437,17 +437,18 @@ impl AdaptiveRts {
         }
     }
 
-    /// Serve a replicated-regime read from the mirror the table lists this
-    /// node for, fetching or re-syncing it from the owner when needed.
+    /// Serve a read of `partition` from this node's mirror, fetching or
+    /// re-syncing it from the partition's owner when needed.
     fn mirror_read(
         &self,
         table: &RegimeTable,
+        partition: u32,
         op: &[u8],
         deadline: Instant,
     ) -> Result<PartOutcome, RtsError> {
-        let object = table_object(table);
+        let owner = NodeId(table.owners[partition as usize]);
         loop {
-            let mirror = mirror_entry(&self.inner, (object, None));
+            let mirror = mirror_entry(&self.inner, mirror_key(table, partition));
             let mut state = mirror.state.lock();
             let held = state.epoch == table.epoch && state.copy.is_some();
             if !held || (self.inner.leases_enabled() && !mirror_lease_valid(&self.inner, &state)) {
@@ -461,7 +462,7 @@ impl AdaptiveRts {
                 }
                 let have = (held && !state.locked).then_some(state.version);
                 drop(state);
-                if !self.fetch_mirror(object, table, &mirror, have, deadline)? {
+                if !self.fetch_mirror(table, partition, &mirror, have, deadline)? {
                     return Ok(PartOutcome::Stale);
                 }
                 continue;
@@ -481,7 +482,6 @@ impl AdaptiveRts {
                 }
                 // Nor wait for an unlock that died with the owner: the
                 // caller goes back to the home for whoever serves now.
-                let owner = NodeId(table.owners[0]);
                 if is_dead(&self.inner.detector, owner) {
                     return Err(RtsError::NodeDown(owner));
                 }
@@ -509,34 +509,35 @@ impl AdaptiveRts {
         }
     }
 
-    /// Ship a replicated-regime write *through* this node's mirror: mark it
-    /// pending, send [`RegimeMsg::WriteThrough`] — the owner then pushes the
-    /// update to the other mirrors only — and apply the operation here from
-    /// the acknowledgement ([`finish_write_through`]). `None` when the table
-    /// lists no mirror here (the owner's own node included) or none of its
-    /// epoch is installed; the write then goes as a plain [`RegimeMsg::Op`].
-    /// The mark lasts one attempt: a guard-blocked write retries through the
-    /// invocation loop and must not keep this node's readers waiting
-    /// meanwhile.
+    /// Ship a write of `partition` *through* this node's mirror of it: mark
+    /// it pending, send [`RegimeMsg::WriteThrough`] — the owner then pushes
+    /// the update to the other mirrors only — and apply the operation here
+    /// from the acknowledgement ([`finish_write_through`]). `None` when the
+    /// table lists no mirror here, this node owns the partition, or no
+    /// mirror of the epoch is installed; the write then goes as a plain
+    /// [`RegimeMsg::Op`]. The mark lasts one attempt: a guard-blocked write
+    /// retries through the invocation loop and must not keep this node's
+    /// readers waiting meanwhile.
     fn write_through(
         &self,
         table: &RegimeTable,
+        partition: u32,
         op: &[u8],
         stamp: Option<OpStamp>,
         deadline: Instant,
     ) -> Option<Result<PartOutcome, RtsError>> {
-        let owner = NodeId(table.owners[0]);
-        if !table.mirrors.contains(&self.inner.node.0) {
+        let (me, owner) = (self.inner.node, NodeId(table.owners[partition as usize]));
+        if owner == me || !table.mirrors.contains(&me.0) {
             return None;
         }
-        let object = table_object(table);
-        let mirror = mirror_entry(&self.inner, (object, None));
+        let mirror = mirror_entry(&self.inner, mirror_key(table, partition));
         if !mirror.mark_pending(table.epoch) {
             return None;
         }
         let msg = RegimeMsg::WriteThrough {
-            object: object.0,
+            object: table.object,
             epoch: table.epoch,
+            partition,
             op: op.to_vec(),
             stamp,
         };
@@ -600,24 +601,26 @@ impl AdaptiveRts {
         outcome
     }
 
-    /// Fetch a fresh mirror state — or, when the copy at version `have` is
-    /// still current, a fresh lease alone — from the owner the table names.
-    /// Returns false when the owner says the table is stale (the epoch, or
+    /// Fetch a fresh state of this node's mirror of `partition` — or, when
+    /// the copy at version `have` is still current, a lease alone — from its
+    /// owner. False when the owner says the table is stale (the epoch, or
     /// this node's place in it; the caller re-fetches the table).
     fn fetch_mirror(
         &self,
-        object: ObjectId,
         table: &RegimeTable,
+        partition: u32,
         mirror: &Mirror,
         have: Option<u64>,
         deadline: Instant,
     ) -> Result<bool, RtsError> {
+        let at = mirror_key(table, partition);
         let msg = RegimeMsg::FetchMirror {
-            object: object.0,
+            object: table.object,
             epoch: table.epoch,
+            partition: at.1,
             have,
         };
-        match self.rpc(NodeId(table.owners[0]), &msg, deadline)? {
+        match self.rpc(NodeId(table.owners[partition as usize]), &msg, deadline)? {
             RegimeReply::Renewed(grant) => {
                 // Good for the copy it names and no other: an update that
                 // got here first brought its own lease.
@@ -634,8 +637,8 @@ impl AdaptiveRts {
                 dedup,
                 lease,
             } => {
-                let (inner, at, name) = (&self.inner, (object, None), &table.type_name);
-                install_mirror(inner, at, table.epoch, name, &state, seq, dedup, lease)
+                let (inner, epoch, name) = (&self.inner, table.epoch, &table.type_name);
+                install_mirror(inner, at, epoch, name, &state, seq, dedup, lease, true)
             }
             RegimeReply::StaleRegime => Ok(false),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
@@ -712,9 +715,9 @@ impl AdaptiveRts {
     }
 
     /// Route one invocation under the current regime table, count it, and
-    /// execute it. A write from a node the table lists a mirror for goes
-    /// *through* that mirror; a batched one never does (it goes to the
-    /// owner like any other slot-addressed operation of its round).
+    /// execute it. A write of one slot from a node the table lists a mirror
+    /// for goes *through* that mirror; a batched one never does (it goes to
+    /// the owner like any other slot-addressed operation of its round).
     pub(super) fn dispatch_client_op(
         &self,
         table: &RegimeTable,
@@ -725,8 +728,8 @@ impl AdaptiveRts {
     ) -> Result<PartOutcome, RtsError> {
         let target = self.target(table, kind, op)?;
         self.record_invocation(table, &target, kind);
-        if kind == OpKind::Write {
-            if let Some(outcome) = self.write_through(table, op, stamp, deadline) {
+        if let (OpKind::Write, Target::Slot(partition, part_op)) = (kind, &target) {
+            if let Some(outcome) = self.write_through(table, *partition, part_op, stamp, deadline) {
                 return outcome;
             }
         }

@@ -23,7 +23,8 @@
 //! * **Sharded** — the object is split with its type's partitioning logic
 //!   ([`orca_object::shard`]) into hash-partitioned slices spread over the
 //!   nodes that use it, operations shipped point-to-point to partition
-//!   owners. For write-hot shardable objects.
+//!   owners, but for a read of a node that mirrors the partition, local
+//!   under a lease (where reads pay for it). For write-hot shardable objects.
 //!
 //! With the regime *pinned* ([`AdaptivePolicy::pin`]) every object is
 //! created in that regime and stays there; a pin fixes the regime, not the
@@ -50,15 +51,15 @@
 //! nodes cache it and carry its epoch in every shipped operation — a server
 //! that sees an outdated epoch answers `StaleRegime` and the client
 //! re-fetches. That check is the whole invalidation where every operation
-//! is answered by an owner; only a replicated-regime table, whose reads ask
-//! nobody, also expires ([`AdaptivePolicy::regime_lease`]).
+//! is answered by an owner; only a table that lists mirrors (or may: a
+//! replicated one) also expires ([`AdaptivePolicy::regime_lease`]).
 //!
 //! The per-node counts also decide *where* an object lives (the rules are
 //! in the `policy` module): a sharded-regime object's partitions are spread
-//! over the nodes that use it; a replicated-regime object's copy sits on a
-//! node that writes it — it moves only when its owner stops writing — and
-//! its mirrors on the nodes that read it. When those change the object is
-//! re-placed by a switch to the same regime.
+//! over the nodes that use it, mirrored where reads pay; a replicated-regime
+//! object's copy sits on a node that writes it — it moves only when its
+//! owner stops writing — and its mirrors on the nodes that read it. When
+//! those change the object is re-placed by a switch to the same regime.
 //!
 //! ## The switch protocol (drain → merge → install → publish)
 //!
@@ -104,7 +105,7 @@
 //! acknowledged, the way a replicated copy's read mirrors are. When an
 //! owner dies the home asks every survivor once what it holds of the object
 //! ([`RegimeMsg::Holdings`]) and promotes, per orphaned partition, the
-//! mirror of the table's epoch with the highest version, in place
+//! freshest mirror of the table's epoch, a keeper's or a reader's, in place
 //! ([`RegimeMsg::Promote`]); the partitions keep their epoch, and clients
 //! learn of the new owner because they distrust a cached table that names a
 //! dead one. A replicated regime's copy has the mirrors its readers hold —
@@ -197,8 +198,8 @@ struct Inner {
     policy: AdaptivePolicy,
     /// Authoritative replicas this node currently serves.
     slots: RwLock<HashMap<(ObjectId, u32), Arc<Slot>>>,
-    /// Mirrors of slots other nodes serve: the copies this node reads of
-    /// replicated-regime objects, the ones it keeps of sharded partitions.
+    /// Mirrors of slots other nodes serve: the copies this node reads — of
+    /// a replicated object or a sharded partition — or keeps for a promotion.
     mirrors: RwLock<HashMap<MirrorKey, Arc<Mirror>>>,
     /// Authoritative tables of objects this node created.
     homes: RwLock<HashMap<ObjectId, Arc<HomeObject>>>,
@@ -402,8 +403,8 @@ impl AdaptiveRts {
     }
 
     /// The nodes the published table lists as holding a read mirror of
-    /// `object` (none outside the replicated regime), freshly fetched like
-    /// [`AdaptiveRts::placement_of`].
+    /// `object` — of its one copy, or of every partition they do not own —
+    /// freshly fetched like [`AdaptiveRts::placement_of`].
     pub fn copy_holders(&self, object: ObjectId) -> Result<Vec<NodeId>, RtsError> {
         let table = self.fresh_table(object)?;
         Ok(table.mirrors.iter().map(|&mirror| NodeId(mirror)).collect())

@@ -57,10 +57,10 @@ pub(super) fn placement(
 /// The only path that changes an owner or a mirror set of a live object:
 /// moving a sharded object's partitions to the nodes that use it now — or
 /// one of them where `moved` says, by hand — and a replicated object's copy
-/// to a node that writes it, its mirrors to the ones that read it, is a
-/// switch to the same regime (what stays is re-installed where it was —
-/// handing single partitions or mirrors over would be a second mechanism
-/// for a state this small).
+/// to a node that writes it, its mirrors (or a sharded one's) to the ones
+/// that read it, is a switch to the same regime (what stays is re-installed
+/// where it was — handing single partitions or mirrors over would be a
+/// second mechanism for a state this small).
 pub(super) fn switch_regime(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -71,10 +71,11 @@ pub(super) fn switch_regime(
     let _switch = entry.switch.lock();
     let old = RegimeTable::clone(&entry.table.lock());
     let logic = inner.registry.shard_logic(&old.type_name);
-    let owned: &[u16] = match old.regime {
-        RegimeKind::Sharded => &old.owners,
-        _ => &[],
+    let (owned, listed): (&[u16], &[u16]) = match old.regime {
+        RegimeKind::Sharded => (&old.owners, &old.mirrors),
+        _ => (&[], &[]),
     };
+    let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
     let (owners, mirrors): (Vec<u16>, Vec<u16>) = match (target, moved) {
         (RegimeKind::Sharded, Some((partition, dst))) => {
             let mut owners = owned.to_vec();
@@ -82,13 +83,14 @@ pub(super) fn switch_regime(
                 RtsError::Communication(format!("no partition {partition} of {object}"))
             })?;
             *owner = dst.0;
-            (owners, Vec::new())
+            (owners, listed.to_vec())
         }
         (RegimeKind::Sharded, None) if logic.is_none() => return Ok(()),
-        (RegimeKind::Sharded, None) => (
-            placement(inner, object, &entry.usage.lock(), owned),
-            Vec::new(),
-        ),
+        (RegimeKind::Sharded, None) => {
+            let usage = entry.usage.lock();
+            let mirrors = usage.partition_mirrors(nodes, listed, grace);
+            (placement(inner, object, &usage, owned), mirrors)
+        }
         _ => {
             // Entering the regime, the copy is the home's and has no
             // mirrors: where the rule leaves it when nothing is known.
@@ -96,7 +98,6 @@ pub(super) fn switch_regime(
                 RegimeKind::Sharded => (inner.node.0, &[][..]),
                 _ => (old.owners[0], &old.mirrors[..]),
             };
-            let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
             let (owner, mut mirrors) = entry.usage.lock().replicate(nodes, owner, named, grace);
             // A copy nobody reads would live on its one writer alone, and
             // die with it: where a dead owner's copy is regenerated it
@@ -174,7 +175,7 @@ pub(super) fn switch_regime(
     // object's newer epoch leaves a trace among the survivors.
     if old.regime == RegimeKind::Sharded && inner.recovery.enabled {
         let everyone = (0..inner.num_nodes).map(NodeId::from);
-        drop_copies(inner, object, old.epoch, None, everyone);
+        drop_copies(inner, (object, None), old.epoch, None, everyone);
     }
 
     // Phase 2: merge the drained states into one whole-object state
@@ -283,9 +284,10 @@ fn undo_drain(inner: &Arc<Inner>, old: &RegimeTable, states: &[(Vec<u8>, DedupWi
 /// state. Returns `None` when the slot is absent or belongs to a
 /// different epoch (duplicate or late drain).
 ///
-/// The mirrors of a replicated-regime slot are retired with it, by the node
-/// that granted their leases, and *after* the withdrawal: a racing
-/// `FetchMirror` is answered `StaleRegime` and cannot resurrect one;
+/// The mirrors the table lists of the slot are retired with it — a sharded
+/// partition's alone — by the node that granted their leases, and *after*
+/// the withdrawal: a racing `FetchMirror` is answered `StaleRegime` and
+/// cannot resurrect one;
 /// existing mirrors serve the last committed state until their drop
 /// arrives, and no write can commit anywhere until the new regime
 /// publishes, so those reads stay consistent (best-effort under crashes;
@@ -319,7 +321,7 @@ pub(super) fn drain_local(
     let unreached = std::mem::take(&mut slot.leases.lock().unreached);
     let mirrors = || slot.mirrors.iter().map(|&mirror| NodeId(mirror));
     let answering = mirrors().filter(|node| !unreached.contains(&node.0));
-    let dropped = drop_copies(inner, object, epoch, None, answering);
+    let dropped = drop_copies(inner, (object, slot.partition), epoch, None, answering);
     settle_grants(inner, &slot, mirrors(), &dropped);
     Some(drained)
 }

@@ -19,9 +19,10 @@
 //! The same per-node counts decide *where* an object lives
 //! ([`UsageAggregate::users`], by the count that matters): a sharded-regime
 //! object's partitions on the nodes that access it, spread evenly over them
-//! ([`place`]); a replicated-regime object's authoritative copy on a node
-//! that writes it and its mirrors on the nodes that read it
-//! ([`UsageAggregate::replicate`]).
+//! ([`place`]) and mirrored where reads pay for it
+//! ([`UsageAggregate::partition_mirrors`]); a replicated-regime object's
+//! authoritative copy on a node that writes it and its mirrors on the
+//! nodes that read it ([`UsageAggregate::replicate`]).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -53,13 +54,13 @@ pub struct AdaptivePolicy {
     /// Per-invocation deadline for shipped operations; a dropped reply
     /// surfaces [`crate::RtsError::Timeout`]. Guard retries restart it.
     pub op_timeout: Duration,
-    /// How long a cached replicated-regime table stays fresh: its reads
-    /// ask nobody, so the lease bounds how long a node can act on a retired
-    /// regime when the explicit drop notifications were lost. (A table of
-    /// the sharded regime needs none — every operation is answered by an
-    /// owner, which refuses an outdated epoch.) Also how long a node the
-    /// table names — a sharded regime's partition owner, a replicated
-    /// regime's owner or mirror — keeps its place without being heard from.
+    /// How long a cached table that lists mirrors — or of the replicated
+    /// regime — stays fresh: a mirror's reads ask nobody, so the lease bounds
+    /// how long a node can act on a retired regime when the explicit drop
+    /// notifications were lost (any other table's operations are answered by
+    /// an owner, which refuses an outdated epoch). Also how long a node the
+    /// table names — an owner, a mirror — keeps its place without being
+    /// heard from.
     pub regime_lease: Duration,
     /// The size of the evidence the regime follows: a node reports its
     /// per-object read/write counts to the object's home every `window`
@@ -80,8 +81,8 @@ pub struct AdaptivePolicy {
     /// operation waits out the switch instead of flooding the network
     /// with table re-fetches.
     pub stale_retry_delay: Duration,
-    /// Validity, in milliseconds, of the read leases the owner of a
-    /// replicated-regime object grants to its mirrors (0 disables leases).
+    /// Validity, in milliseconds, of the read leases an owner — of a copy or
+    /// a partition — grants to its mirrors (0 disables leases).
     ///
     /// While a mirror's lease is valid it serves reads with **zero
     /// messages**; every update push renews it, and a write whose push
@@ -101,9 +102,9 @@ pub struct AdaptivePolicy {
     /// * `Some(Sharded)` — the `sharded` backend: an object is created
     ///   partitioned (a type that does not shard as one partition at its
     ///   creator) and spread over all nodes, where nobody's use has placed
-    ///   it yet; its partitions then follow the nodes that access it. A hand
-    ///   move ([`super::AdaptiveRts::migrate`]) lasts until the next
-    ///   evaluation.
+    ///   it yet; its partitions then follow the nodes that access it, and
+    ///   are mirrored where reads pay for it. A hand move
+    ///   ([`super::AdaptiveRts::migrate`]) lasts until the next evaluation.
     /// * `Some(Replicated)` — the `primary` backend, the paper's
     ///   point-to-point runtime system: one authoritative copy, created at
     ///   the creator, and a dynamic set of secondary copies: the copy moves
@@ -378,6 +379,31 @@ impl UsageAggregate {
         let mut readers = self.users(Count::Reads, num_nodes, &named, grace);
         readers.retain(|node| *node != owner);
         (owner, readers)
+    }
+
+    /// The nodes that mirror every partition of a sharded-regime object they
+    /// do not own (sorted), given the ones the table lists: a mirror costs two
+    /// messages per write of another node and saves two per read, so a user
+    /// by reads joins at twice the others' decayed writes and, listed, stays
+    /// at once or while heard reading within `grace` ([`UsageAggregate::users`]).
+    pub(crate) fn partition_mirrors(
+        &self,
+        num_nodes: usize,
+        listed: &[u16],
+        grace: Duration,
+    ) -> Vec<u16> {
+        let (_, writes) = self.totals();
+        let pays = |node: &u16, usage: &NodeUsage| {
+            let (reads, others) = (u128::from(usage.reads), u128::from(writes - usage.writes));
+            let lately = usage.heard_reading.is_some_and(|at| at.elapsed() < grace);
+            match listed.contains(node) {
+                true => lately || reads >= others,
+                false => reads > 0 && reads >= 2 * others,
+            }
+        };
+        let mut readers = self.users(Count::Reads, num_nodes, listed, grace);
+        readers.retain(|node| self.per_node.get(node).is_some_and(|u| pays(node, u)));
+        readers
     }
 
     /// Close the evaluation window: halve every node's counts — a stale
@@ -729,6 +755,78 @@ mod tests {
                 placed = again;
             }
         }
+    }
+
+    #[test]
+    fn a_read_mostly_object_mirrors_its_partitions_on_its_readers() {
+        // The ledger's read-mostly cell under the sharded pin: the creator
+        // idle, two nodes at 90/10. Each reads nine times what the other
+        // writes: both mirror, the idle creator does not.
+        let usage = UsageAggregate::of(&[0, 58, 58], &[0, 6, 6]);
+        assert_eq!(usage.partition_mirrors(3, &[], NO_GRACE), vec![1, 2]);
+        // A pure reader beside a writer: the reader only.
+        let reader = UsageAggregate::of(&[0, 0, 40], &[0, 10, 0]);
+        assert_eq!(reader.partition_mirrors(3, &[], NO_GRACE), vec![2]);
+        // An even mix never mirrors: a node's reads are the other's writes.
+        let even = UsageAggregate::of(&[0, 32, 32], &[0, 32, 32]);
+        assert_eq!(even.partition_mirrors(3, &[], NO_GRACE), Vec::<u16>::new());
+        // No evidence — a forced switch — mirrors nothing.
+        let nothing = UsageAggregate::default();
+        assert_eq!(
+            nothing.partition_mirrors(3, &[], NO_GRACE),
+            Vec::<u16>::new()
+        );
+    }
+
+    #[test]
+    fn a_write_hot_object_read_at_a_trickle_mirrors_nothing() {
+        // Two writers; a third node reads a little. Its reads are a user's
+        // share, but a mirror would cost a push per write of the others for
+        // a round trip saved per read: none of them pays.
+        let trickle = UsageAggregate::of(&[0, 4, 4, 20], &[0, 40, 40, 0]);
+        assert_eq!(
+            trickle.users(Count::Reads, 4, &[], NO_GRACE),
+            vec![1, 2, 3],
+            "every reader is a user"
+        );
+        assert_eq!(
+            trickle.partition_mirrors(4, &[], NO_GRACE),
+            Vec::<u16>::new()
+        );
+        // Writes only: no reader, no mirror.
+        let writers = UsageAggregate::of_writes(&[0, 64, 64]);
+        assert_eq!(
+            writers.partition_mirrors(3, &[], NO_GRACE),
+            Vec::<u16>::new()
+        );
+    }
+
+    #[test]
+    fn a_listed_partition_mirror_survives_a_dip_from_twice_to_once() {
+        // Node 2 reads 30 against node 1's 10 writes (3x): it joins.
+        let joins = UsageAggregate::of(&[0, 0, 30], &[0, 10, 0]);
+        assert_eq!(joins.partition_mirrors(3, &[], NO_GRACE), vec![2]);
+        // Its reads dip to 1.5x, then 1x: unlisted it would not join, listed
+        // it stays — the band a node the table names gets.
+        for reads in [15, 10] {
+            let dipped = UsageAggregate::of(&[0, 0, reads], &[0, 10, 0]);
+            let none = Vec::<u16>::new();
+            assert_eq!(dipped.partition_mirrors(3, &[], NO_GRACE), none, "{reads}");
+            assert_eq!(
+                dipped.partition_mirrors(3, &[2], NO_GRACE),
+                vec![2],
+                "{reads}"
+            );
+        }
+        // Below the writes it goes — once it has not been heard reading for
+        // a grace: a reader whose count decayed while a switch stalled it
+        // has not left.
+        let below = UsageAggregate::of(&[0, 0, 9], &[0, 10, 0]);
+        let none = Vec::<u16>::new();
+        assert_eq!(below.partition_mirrors(3, &[2], NO_GRACE), none);
+        assert_eq!(below.partition_mirrors(3, &[2], LONG_GRACE), vec![2]);
+        // The grace keeps mirrors, it makes none.
+        assert_eq!(below.partition_mirrors(3, &[], LONG_GRACE), none);
     }
 
     #[test]

@@ -49,7 +49,10 @@ pub(super) fn holdings(inner: &Arc<Inner>, object: ObjectId) -> Holdings {
     for (partition, slot) in of_object(&inner.slots, object) {
         let replica = slot.replica.lock();
         held.type_name = replica.type_name().to_string();
-        let part = (partition, slot.epoch, replica.version(), slot.regime);
+        let regime = slot
+            .partition
+            .map_or(RegimeKind::Replicated, |_| RegimeKind::Sharded);
+        let part = (partition, slot.epoch, replica.version(), regime);
         held.slots.push(part);
     }
     for (partition, mirror) in of_object(&inner.mirrors, object) {
@@ -167,8 +170,10 @@ pub(super) fn recover_home_objects(inner: &Arc<Inner>, view: &ViewSnapshot) {
 /// [`recover_home_objects`] for one object; the caller holds its switch
 /// lock. Orphaned partitions are re-owned and keep their epoch: a client
 /// learns of the new owner because it distrusts any table that names a dead
-/// one. A replicated regime's one copy is regenerated here, at the home,
-/// from the freshest mirror of the table's epoch.
+/// one. The table lists no readers then — a promoted slot pushes to none —
+/// until the next evaluation places them again. A replicated regime's one
+/// copy is regenerated here, at the home, from the freshest mirror of the
+/// table's epoch.
 pub(super) fn recover_object(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -186,6 +191,7 @@ pub(super) fn recover_object(
         let owners = reown(inner, object, table.epoch, owners, &held, view);
         owners.map(|owners| RegimeTable {
             owners,
+            mirrors: Vec::new(),
             ..RegimeTable::clone(&table)
         })
     } else {
@@ -199,7 +205,8 @@ pub(super) fn recover_object(
     let regenerated = recovered.epoch != table.epoch;
     *entry.table.lock() = Arc::new(recovered);
     if regenerated {
-        drop_copies(inner, object, table.epoch, None, view.alive.iter().copied());
+        let alive = view.alive.iter().copied();
+        drop_copies(inner, (object, None), table.epoch, None, alive);
     }
 }
 
@@ -244,13 +251,7 @@ fn regenerate(
     let placed = (RegimeKind::Replicated, &[][..]);
     install_slot(inner, key, epoch, name, state, dedup, placed)?;
     if inner.leases_enabled() {
-        // The dead owner's grant ledger died with it. Fence the new slot
-        // for a full conservative grant span: the first write waits it out,
-        // so any lease the dead owner granted before crashing has lapsed
-        // before a write of the new regime can become visible.
-        if let Some(slot) = inner.slots.read().get(&key) {
-            slot.leases.lock().fence = Some(Instant::now() + inner.grant_span());
-        }
+        fence_writes(inner, key);
     }
     Ok(RegimeTable {
         object: object.0,
@@ -350,7 +351,8 @@ pub(super) fn adopt_object(
     });
     inner.homes.write().insert(object, Arc::clone(&entry));
     if let Some(epoch) = retired {
-        drop_copies(inner, object, epoch, None, view.alive.iter().copied());
+        let alive = view.alive.iter().copied();
+        drop_copies(inner, (object, None), epoch, None, alive);
     }
     Ok(entry)
 }

@@ -17,6 +17,7 @@ pub(super) fn serve_request(inner: &Arc<Inner>, body: &[u8], caller: NodeId) -> 
 }
 
 pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
+    let through = matches!(msg, RegimeMsg::WriteThrough { .. });
     match msg {
         // A table asked for during a switch is the one it publishes: a caller
         // that bounced off a drained slot would bounce off the retiring one.
@@ -28,28 +29,24 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             Err(RtsError::ObjectLost(_)) => RegimeReply::ObjectLost,
             Err(err) => RegimeReply::Error(err.to_string()),
         },
+        // A write through the caller's own mirror is executed like any.
         RegimeMsg::Op {
             object,
             epoch,
             partition,
             op,
             stamp,
-        } => apply_at_slot(
-            inner,
-            ObjectId(object),
-            partition,
-            epoch,
-            &op,
-            stamp,
-            caller,
-            false,
-        ),
-        RegimeMsg::WriteThrough {
+        }
+        | RegimeMsg::WriteThrough {
             object,
             epoch,
+            partition,
             op,
             stamp,
-        } => apply_at_slot(inner, ObjectId(object), 0, epoch, &op, stamp, caller, true),
+        } => {
+            let object = ObjectId(object);
+            apply_at_slot(inner, object, partition, epoch, &op, stamp, caller, through)
+        }
         RegimeMsg::OpAll { object, op } => serve_op_all(inner, ObjectId(object), &op, caller),
         RegimeMsg::Propose { object } => {
             let object = ObjectId(object);
@@ -116,8 +113,8 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             dedup,
             lease,
         } => {
-            let at = (ObjectId(object), partition);
-            match install_mirror(inner, at, epoch, &type_name, &state, seq, dedup, lease) {
+            let (at, name) = ((ObjectId(object), partition), &type_name);
+            match install_mirror(inner, at, epoch, name, &state, seq, dedup, lease, false) {
                 Ok(_) => RegimeReply::Ack,
                 Err(err) => RegimeReply::Error(err.to_string()),
             }
@@ -125,18 +122,20 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
         RegimeMsg::FetchMirror {
             object,
             epoch,
+            partition,
             have,
-        } => serve_fetch_mirror(inner, ObjectId(object), epoch, have, caller),
+        } => serve_fetch_mirror(inner, (ObjectId(object), partition), epoch, have, caller),
         RegimeMsg::DropCopies {
             object,
             epoch,
+            partition,
             written: Some(version),
         } => {
             // A write invalidates the copy. The version is remembered even
             // when no copy is installed yet: an invalidation that overtakes
             // the fetch reply it races must still refuse that older
             // snapshot, or the late install would serve stale reads.
-            let mirror = mirror_entry(inner, (ObjectId(object), None));
+            let mirror = mirror_entry(inner, (ObjectId(object), partition));
             let mut state = mirror.state.lock();
             if epoch >= state.epoch {
                 state.enter_epoch(epoch);
@@ -150,14 +149,15 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
         RegimeMsg::DropCopies {
             object,
             epoch,
+            partition,
             written: None,
         } => {
-            // A reader's mirror and the keepers of partitions alike: left
+            // Readers' mirrors and the keepers of partitions alike: left
             // behind, a retired sharded regime's would be all an adopter
             // finds of an object that has since gone to a single copy.
-            for (_, mirror) in of_object(&inner.mirrors, ObjectId(object)) {
+            for (p, mirror) in of_object(&inner.mirrors, ObjectId(object)) {
                 let mut state = mirror.state.lock();
-                if state.epoch <= epoch {
+                if state.epoch <= epoch && (partition.is_none() || p == partition) {
                     state.discard();
                     // A switch that is undone installs this epoch's copy
                     // again, and its versions start over.
@@ -191,8 +191,14 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             }
             applied.map_or(RegimeReply::StaleRegime, |_| RegimeReply::Ack)
         }
-        RegimeMsg::Unlock { object, epoch, seq } => {
-            let mirror = inner.mirrors.read().get(&(ObjectId(object), None)).cloned();
+        RegimeMsg::Unlock {
+            object,
+            epoch,
+            partition,
+            seq,
+        } => {
+            let at = (ObjectId(object), partition);
+            let mirror = inner.mirrors.read().get(&at).cloned();
             if let Some(mirror) = mirror {
                 mirror.unlock(epoch, seq);
             }
@@ -203,11 +209,10 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             let entry = inner.homes.read().get(&object).cloned();
             if let Some(entry) = entry {
                 entry.usage.lock().forget(node);
-                if entry.table.lock().regime == RegimeKind::Replicated {
-                    // A failed re-placement leaves the mirror listed; the
-                    // next evaluation tries again.
-                    let _ = switch_regime(inner, object, &entry, RegimeKind::Replicated, None);
-                }
+                // A failed re-placement leaves the mirror listed; the next
+                // evaluation tries again.
+                let regime = entry.table.lock().regime;
+                let _ = switch_regime(inner, object, &entry, regime, None);
             }
             RegimeReply::Ack
         }

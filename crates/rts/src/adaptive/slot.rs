@@ -4,14 +4,15 @@
 //! write owes its mirrors (an update push, or an invalidation) and keep the
 //! read-lease ledger.
 //!
-//! There is one kind of non-authoritative copy. A replicated-regime slot's
-//! mirrors are the nodes its table lists: they read their copy, under a
-//! lease. A sharded-regime slot, with recovery enabled, keeps one the table
-//! does not list — its *keeper*, on the next live node ([`backup_target`]):
-//! nobody reads it, so it is granted no lease and, being the only holder
-//! pushed to, never locked; it is there to be promoted when the owner dies.
-//! Both are primed with [`RegimeMsg::Mirror`], pushed every write with
-//! [`RegimeMsg::Update`] before the write is acknowledged, and retired with
+//! There is one kind of non-authoritative copy. A slot's mirrors are the
+//! nodes its table lists but its owner — of a replicated object's one copy,
+//! of each partition of a sharded one: they read it under a lease. With
+//! recovery on, a sharded-regime slot also keeps one its table need not
+//! list, its *keeper*, on the next live node ([`backup_target`]): granted no
+//! lease for being the keeper and, pushed to last, never locked, it is there
+//! to be promoted when the owner dies. All are primed with
+//! [`RegimeMsg::Mirror`], pushed every write with [`RegimeMsg::Update`]
+//! before the write is acknowledged, and retired with
 //! [`RegimeMsg::DropCopies`].
 
 use super::*;
@@ -29,22 +30,22 @@ pub(super) struct Slot {
     /// apply to the orphaned replica *after* the state snapshot and be
     /// silently lost across the switch.
     pub(super) withdrawn: AtomicBool,
-    /// The regime this slot serves.
-    pub(super) regime: RegimeKind,
-    /// The nodes holding a read mirror of a replicated-regime slot, as the
-    /// table of its epoch lists them: primed when the slot was installed,
+    /// The nodes holding a read mirror of this slot, as the table of its
+    /// epoch lists them, but this node: primed when the slot was installed,
     /// pushed every write, dropped when it is drained.
     pub(super) mirrors: Vec<u16>,
-    /// `Some(partition)` on a sharded-regime slot with recovery enabled: it
-    /// keeps one mirror nobody lists or reads, addressed by its partition,
-    /// on whichever node [`backup_target`] names when a write is pushed.
-    pub(super) kept: Option<u32>,
+    /// What the slot's mirrors mirror ([`RegimeMsg::Mirror`]): `None`, a
+    /// replicated regime's one copy; `Some(p)`, a sharded regime's partition.
+    pub(super) partition: Option<u32>,
+    /// Set on a sharded-regime slot with recovery on: it keeps one mirror
+    /// more, on whichever node [`backup_target`] names at a push.
+    pub(super) kept: bool,
     /// Recently applied stamped writes and their replies (exactly-once
     /// across client retries; travels with the state through regime
     /// switches and adoption). Locked strictly after — and only while
     /// holding — the replica mutex.
     pub(super) dedup: Mutex<DedupWindow>,
-    /// What a replicated-regime slot books about its mirrors.
+    /// What the slot books about its mirrors.
     pub(super) leases: Mutex<SlotLeases>,
     /// Requests of other nodes parked on the replica mutex
     /// ([`Slot::lock_for`]).
@@ -55,22 +56,29 @@ impl Slot {
     /// True when a completed write on this slot is paid for with messages
     /// to its mirrors ([`settle_writes`]), while the replica mutex is held.
     fn fans_out(&self) -> bool {
-        self.kept.is_some() || !self.mirrors.is_empty()
+        self.kept || !self.mirrors.is_empty()
+    }
+
+    /// True when the table lists `node` as a reader of this slot's mirror.
+    fn lists(&self, node: NodeId) -> bool {
+        self.mirrors.contains(&node.0)
     }
 
     /// The nodes that hold a mirror of this slot: the ones the table lists
-    /// and, now, its keeper.
+    /// and, now, its keeper — last, listed or not: the last holder of a push
+    /// is never held, so it can be primed again in the middle of one.
     pub(super) fn holders(&self, inner: &Inner) -> Vec<NodeId> {
-        let keeper = self.kept.and_then(|_| backup_target(inner));
-        let listed = self.mirrors.iter().map(|&mirror| NodeId(mirror));
-        listed.chain(keeper).collect()
+        let keeper = self.kept.then(|| backup_target(inner)).flatten();
+        let listed = self.mirrors.iter().map(|&m| NodeId(m));
+        let others = listed.filter(|m| Some(*m) != keeper);
+        others.chain(keeper).collect()
     }
 
     /// The lease that rides a message to this slot's mirrors, when leases
-    /// are granted — to readers: a keeper is read by nobody and holds none,
-    /// so a push that fails to reach it leaves no grant to wait out.
+    /// are granted and it lists readers — booked for them alone: a push that
+    /// fails to reach a keeper leaves no grant to wait out.
     fn lease_span(&self, inner: &Inner) -> Option<u64> {
-        inner.lease_span().filter(|_| self.kept.is_none())
+        inner.lease_span().filter(|_| !self.mirrors.is_empty())
     }
 
     /// Lock the replica for a request of `caller`, which counts as parked
@@ -132,11 +140,11 @@ pub(super) struct SlotLeases {
     /// whose push cannot reach a live mirror waits out that entry before
     /// completing.
     pub(super) grants: HashMap<u16, Instant>,
-    /// Writes may not execute before this instant. Set when this slot was
-    /// regenerated from a mirror: the dead owner's outstanding grants are
-    /// unknown, so the first write conservatively waits out a full grant
-    /// span (reads need no fence — every valid lease covers a mirror that
-    /// already contains every acknowledged write).
+    /// Writes may not execute before this instant ([`fence_writes`]): the
+    /// slot was regenerated or promoted from a mirror, the dead owner's
+    /// outstanding grants are unknown, so the first write conservatively
+    /// waits out a full grant span (reads need no fence — every valid lease
+    /// covers a mirror that already contains every acknowledged write).
     pub(super) fence: Option<Instant>,
     /// Listed mirrors a push got no answer from, though nobody had declared
     /// them dead: reported to the home once ([`RegimeMsg::Unreached`]), and
@@ -156,6 +164,12 @@ pub(super) type MirrorState = CopyState<MirrorLease>;
 /// What a mirror is a mirror of: an object's one copy (`None`) or one
 /// partition of it, as [`RegimeMsg::Mirror`] says.
 pub(super) type MirrorKey = (ObjectId, Option<u32>);
+
+/// The mirror of `partition` under `table` (`None` for the one copy's).
+pub(super) fn mirror_key(table: &RegimeTable, partition: u32) -> MirrorKey {
+    let sharded = table.regime == RegimeKind::Sharded;
+    (table_object(table), sharded.then_some(partition))
+}
 
 /// A mirror with the condition variable its readers and writers park on.
 pub(super) type Mirror = HeldCopy<MirrorLease>;
@@ -189,7 +203,7 @@ pub(super) fn mirror_lease_valid(inner: &Inner, state: &MirrorState) -> bool {
     }
 }
 /// Have `nodes` — this one among them, perhaps — discard the mirrors they
-/// hold of `object` up to regime `epoch`, a reader's and a keeper's alike, so
+/// hold of `at` up to regime `epoch`, a reader's and a keeper's alike, so
 /// nobody keeps serving (or promotes) what that regime left behind — or,
 /// `written` naming the version of a write under the invalidation policy,
 /// their copy of the current one, to be fetched again. Returns the nodes
@@ -198,7 +212,7 @@ pub(super) fn mirror_lease_valid(inner: &Inner, state: &MirrorState) -> bool {
 /// whole fan-out: its writer is waiting.
 pub(super) fn drop_copies(
     inner: &Arc<Inner>,
-    object: ObjectId,
+    (object, partition): MirrorKey,
     epoch: u64,
     written: Option<u64>,
     nodes: impl Iterator<Item = NodeId>,
@@ -206,6 +220,7 @@ pub(super) fn drop_copies(
     let drop_msg = RegimeMsg::DropCopies {
         object: object.0,
         epoch,
+        partition,
         written,
     };
     let budget = written.map(|_| Instant::now() + inner.policy.op_timeout / 2);
@@ -252,7 +267,7 @@ fn prime_mirrors(
     let prime = RegimeMsg::Mirror {
         object: key.0 .0,
         epoch: slot.epoch,
-        partition: slot.kept,
+        partition: slot.partition,
         type_name: replica.type_name().to_string(),
         state: replica.state_bytes(),
         seq: replica.version(),
@@ -262,7 +277,7 @@ fn prime_mirrors(
     .to_bytes();
     for &node in nodes {
         let primed = regime_rpc_raw(inner, node, &prime, deadline);
-        if lease.is_some() && matches!(primed, Ok(RegimeReply::Ack)) {
+        if lease.is_some() && slot.lists(node) && matches!(primed, Ok(RegimeReply::Ack)) {
             let expires = Instant::now() + inner.grant_span();
             slot.leases.lock().grants.insert(node.0, expires);
             inner.lease_counters.grants.inc();
@@ -271,10 +286,10 @@ fn prime_mirrors(
 }
 
 /// Install an authoritative slot on this node, `placed` = the regime it
-/// serves and the mirrors its table lists. Its mirrors — those, and the
-/// keeper of a sharded-regime slot — are primed here, wherever the slot is,
-/// before it becomes visible: no write's push can reach a mirror ahead of
-/// the state it applies to.
+/// serves and the mirrors its table lists. Its mirrors — those but this
+/// node, and the keeper of a sharded-regime slot — are primed here,
+/// wherever the slot is, before it becomes visible: no write's push can
+/// reach a mirror ahead of the state it applies to.
 pub(super) fn install_slot(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -284,13 +299,15 @@ pub(super) fn install_slot(
     dedup: DedupWindow,
     (regime, mirrors): (RegimeKind, &[u16]),
 ) -> Result<(), RtsError> {
+    let sharded = regime == RegimeKind::Sharded;
+    let others = mirrors.iter().filter(|mirror| **mirror != inner.node.0);
     let slot = Slot {
         replica: Mutex::new(inner.registry.instantiate(type_name, state)?),
         epoch,
         withdrawn: AtomicBool::new(false),
-        regime,
-        mirrors: mirrors.to_vec(),
-        kept: (regime == RegimeKind::Sharded && inner.recovery.enabled).then_some(key.1),
+        mirrors: others.copied().collect(),
+        partition: sharded.then_some(key.1),
+        kept: sharded && inner.recovery.enabled,
         dedup: Mutex::new(dedup),
         leases: Mutex::default(),
         parked: AtomicU32::new(0),
@@ -304,23 +321,37 @@ pub(super) fn install_slot(
 /// Make this node's mirror of partition `key.1`, of `epoch`, the partition's
 /// authoritative slot — its owner died — in place and under the epoch its
 /// sibling partitions still serve; the install primes a new keeper on the
-/// next live node before the slot takes a write.
+/// next live node before the slot takes a write. It lists no readers, and
+/// its first write waits out the grants a leased copy's dead owner made.
 pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> RegimeReply {
     let mirror = inner.mirrors.read().get(&(key.0, Some(key.1))).cloned();
     let kept = mirror.and_then(|mirror| {
         let mut state = mirror.state.lock();
-        let of_epoch = state.epoch == epoch;
+        let (of_epoch, leased) = (state.epoch == epoch, state.lease.is_some());
         let copy = state.copy.take_if(|_| of_epoch)?;
-        Some((copy, std::mem::take(&mut state.dedup)))
+        Some((copy, std::mem::take(&mut state.dedup), leased))
     });
-    let Some((copy, dedup)) = kept else {
+    let Some((copy, dedup, leased)) = kept else {
         return RegimeReply::StaleRegime;
     };
     let (name, bytes) = (copy.type_name(), copy.state_bytes());
     let placed = (RegimeKind::Sharded, &[][..]);
     match install_slot(inner, key, epoch, name, &bytes, dedup, placed) {
-        Ok(()) => RegimeReply::Ack,
+        Ok(()) => {
+            if leased {
+                fence_writes(inner, key);
+            }
+            RegimeReply::Ack
+        }
         Err(err) => RegimeReply::Error(err.to_string()),
+    }
+}
+
+/// Fence the first write of slot `key`, regenerated or promoted from a
+/// mirror, for a grant span: the dead owner's read leases lapse first.
+pub(super) fn fence_writes(inner: &Inner, key: (ObjectId, u32)) {
+    if let Some(slot) = inner.slots.read().get(&key) {
+        slot.leases.lock().fence = Some(Instant::now() + inner.grant_span());
     }
 }
 
@@ -421,11 +452,11 @@ pub(super) fn apply_at_slot(
 /// in execution order — here, or, when the caller applies a `run` of a
 /// batch, by the caller, for the whole run it is appended to. `through`
 /// marks a write the caller ships through its own mirror: when it is
-/// freshly applied on a replicated-regime slot, the caller is left out of
-/// what the write owes and answered [`RegimeReply::Installed`]; in every
-/// other case (retry answered from the dedup window, a slot of another
-/// regime) the plain reply tells the caller its mirror is not being kept
-/// current.
+/// freshly applied on a slot that lists the caller, the caller is left out
+/// of what the write owes and answered [`RegimeReply::Installed`]; in every
+/// other case (retry answered from the dedup window, a promoted slot that
+/// lists nobody) the plain reply tells the caller its mirror is not being
+/// kept current.
 #[allow(clippy::too_many_arguments)]
 fn apply_locked(
     inner: &Arc<Inner>,
@@ -481,7 +512,7 @@ fn apply_locked(
                 if let Some((stamp, reply)) = &stamped {
                     slot.dedup.lock().record(*stamp, reply.clone());
                 }
-                let through = through && slot.regime == RegimeKind::Replicated;
+                let through = through && slot.lists(caller);
                 let owes = slot.fans_out();
                 match run {
                     Some(run) if owes => run.push(op.to_vec()),
@@ -514,12 +545,12 @@ fn apply_locked(
 /// before they are acknowledged ([`Slot::fans_out`]). The caller holds the
 /// replica mutex. All of them but `skip` — a writer bringing its own mirror
 /// up to date from the acknowledgement — and the dead get what the write
-/// policy says: a two-phase push of the run ([`push_update`]), or an
-/// invalidation naming its last version, which retires the copies with the
-/// `DropCopies` and grant settlement a drain uses and leaves the mirrors
-/// listed, to fetch at their next read. A keeper fetches nothing — nobody
-/// reads it — and an invalidated one would protect nothing: it is always
-/// pushed to.
+/// policy says of a replicated-regime slot: a two-phase push of the run
+/// ([`push_update`]), or an invalidation naming its last version, which
+/// retires the copies with the `DropCopies` and grant settlement a drain
+/// uses and leaves the mirrors listed, to fetch at their next read. A
+/// sharded-regime slot's are always pushed to: an invalidated keeper would
+/// protect nothing.
 fn settle_writes(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -535,10 +566,10 @@ fn settle_writes(
         return;
     }
     match inner.policy.write {
-        WritePolicy::Invalidate if slot.kept.is_none() => {
+        WritePolicy::Invalidate if slot.partition.is_none() => {
             let nodes = || others.iter().copied();
             let written = Some(replica.version());
-            let dropped = drop_copies(inner, key.0, slot.epoch, written, nodes());
+            let dropped = drop_copies(inner, (key.0, None), slot.epoch, written, nodes());
             settle_grants(inner, slot, nodes(), &dropped);
         }
         _ => push_update(inner, key, slot, replica, &others, ops, stamped),
@@ -549,8 +580,8 @@ fn settle_writes(
 /// current version — to the mirrors `others` of `slot`, in two phases:
 /// update-and-lock, then a one-way unlock of the run's last version — for
 /// all but the last of them, which is never locked
-/// ([`UpdateChannel::two_phase`]): a keeper, the one holder of its slot,
-/// never is. Without read leases this is best-effort under crashes: a
+/// ([`UpdateChannel::two_phase`]): a keeper, pushed to last, never is.
+/// Without read leases this is best-effort under crashes: a
 /// reader's mirror that misses an update detects the sequence gap on the
 /// next one and re-syncs from the owner. With leases enabled the update
 /// doubles as the lease renewal, and a mirror a push could not reach has its
@@ -561,9 +592,10 @@ fn settle_writes(
 /// every later write the same: the home is told, once, and re-places the
 /// object without it ([`RegimeMsg::Unreached`]). A keeper that does not
 /// answer is skipped — the next write finds the then-next live node — and
-/// one that answers it could not take the run (`StaleRegime`: it never held
-/// a copy, holds one of another epoch, or missed a run) is primed whole,
-/// here, before the write is acknowledged.
+/// the last holder of a kept slot (its keeper, listed or not, unless that
+/// wrote or died) that answers it could not take the run (`StaleRegime`: no
+/// copy, another epoch, a missed run) is primed whole, here, before the
+/// write is acknowledged; another reader fetches at its next read.
 ///
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
@@ -591,7 +623,7 @@ fn push_update(
     RegimeMsg::Update {
         object: object.0,
         epoch,
-        partition: slot.kept,
+        partition: slot.partition,
         seq: last + 1 - ops.len() as u64,
         held: true,
         ops,
@@ -602,23 +634,25 @@ fn push_update(
     let unlock = RegimeMsg::Unlock {
         object: object.0,
         epoch,
+        partition: slot.partition,
         seq: last,
     }
     .to_bytes();
+    let keeper = others.last().copied().filter(|_| slot.kept);
     let push = |node, held| {
-        if lease.is_some() {
+        if lease.is_some() && slot.lists(node) {
             renew_mirror_grant(inner, slot, node);
         }
         RegimeMsg::hold_update(&mut update, held);
         let reply = regime_rpc_raw(inner, node, &update, deadline);
-        if slot.kept.is_some() && matches!(reply, Ok(RegimeReply::StaleRegime)) {
+        if Some(node) == keeper && matches!(reply, Ok(RegimeReply::StaleRegime)) {
             prime_mirrors(inner, key, slot, replica, &[node]);
         }
         reply.is_ok()
     };
     let failed = inner.updates.two_phase(others, push, &unlock);
     settle_grants(inner, slot, failed.iter().copied(), &[]);
-    let listed = failed.iter().filter(|n| slot.mirrors.contains(&n.0));
+    let listed = failed.iter().filter(|n| slot.lists(**n));
     for node in listed.filter(|n| !is_dead(&inner.detector, **n)) {
         let unreached = &mut slot.leases.lock().unreached;
         if !unreached.contains(&node.0) {
@@ -681,11 +715,12 @@ pub(super) fn mirror_entry(inner: &Arc<Inner>, at: MirrorKey) -> Arc<Mirror> {
 }
 
 /// Install a snapshot of `at` at version `seq` of regime `epoch` — the
-/// owner primed it, or this node fetched it — as the local mirror, with the
-/// lease that came along. False when the mirror has moved on to a newer
+/// owner primed it, or this node `fetched` it — as the local mirror, with
+/// the lease that came along. False when the mirror has moved on to a newer
 /// regime meanwhile: the retired snapshot would regress it. Nor is a
-/// reader's snapshot installed that an update raced ahead of; the next read
-/// fetches. (A keeper fetches nothing: its owner's prime is never raced.)
+/// snapshot installed that an update raced ahead of (the next read fetches
+/// again), unless the owner primed a partition: its word for the copy is
+/// unraced ([`CopyState::install_snapshot`]).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn install_mirror(
     inner: &Arc<Inner>,
@@ -696,6 +731,7 @@ pub(super) fn install_mirror(
     seq: u64,
     dedup: DedupWindow,
     lease: Option<u64>,
+    fetched: bool,
 ) -> Result<bool, RtsError> {
     let replica = inner.registry.instantiate(type_name, state_bytes)?;
     let mirror = mirror_entry(inner, at);
@@ -705,29 +741,29 @@ pub(super) fn install_mirror(
     }
     state.enter_epoch(epoch);
     let lease = lease.map(|valid_ms| mirror_lease(inner, valid_ms));
-    if state.install_snapshot(replica, seq, dedup, lease, at.1.is_some()) {
+    if state.install_snapshot(replica, seq, dedup, lease, !fetched && at.1.is_some()) {
         inner.stats.copies_fetched.inc();
     }
     mirror.unlocked.notify_all();
     Ok(true)
 }
 
-/// Owner side of a mirror fetch: the slot's state and a lease over it, or
-/// the lease alone when the caller's copy, at version `have`, is current.
-/// Only a mirror the slot lists is served — the table is the truth: anyone
-/// else re-reads it and ships its reads, instead of fetching its way into
-/// the push set.
+/// Owner side of a mirror fetch of `at`: the slot's state and a lease over
+/// it, or the lease alone when the caller's copy, at version `have`, is
+/// current. Only a mirror the slot lists is served — the table is the truth:
+/// anyone else re-reads it and ships its reads, instead of fetching its way
+/// into the push set.
 pub(super) fn serve_fetch_mirror(
     inner: &Arc<Inner>,
-    object: ObjectId,
+    (object, partition): MirrorKey,
     epoch: u64,
     have: Option<u64>,
     caller: NodeId,
 ) -> RegimeReply {
-    let Some(slot) = slot_at(inner, (object, 0), epoch) else {
+    let Some(slot) = slot_at(inner, (object, partition.unwrap_or(0)), epoch) else {
         return RegimeReply::StaleRegime;
     };
-    if !slot.mirrors.contains(&caller.0) {
+    if !slot.lists(caller) {
         return RegimeReply::StaleRegime;
     }
     let replica = slot.lock_for(inner, caller);

@@ -68,9 +68,30 @@ impl AdaptiveRts {
         reads: &[u64],
         writes: &[u64],
     ) -> Result<(), RtsError> {
+        self.place_by_use(object, RegimeKind::Replicated, reads, writes)
+    }
+
+    /// [`AdaptiveRts::replicate_by`] for the sharded regime: partitions and
+    /// their mirrors.
+    pub(crate) fn shard_by(
+        &self,
+        object: ObjectId,
+        reads: &[u64],
+        writes: &[u64],
+    ) -> Result<(), RtsError> {
+        self.place_by_use(object, RegimeKind::Sharded, reads, writes)
+    }
+
+    fn place_by_use(
+        &self,
+        object: ObjectId,
+        regime: RegimeKind,
+        reads: &[u64],
+        writes: &[u64],
+    ) -> Result<(), RtsError> {
         let home = self.inner.homes.read().get(&object).cloned().unwrap();
         *home.usage.lock() = UsageAggregate::of(reads, writes);
-        switch_regime(&self.inner, object, &home, RegimeKind::Replicated, None)
+        switch_regime(&self.inner, object, &home, regime, None)
     }
 
     /// Handle `msg` as if `caller` had sent it.
@@ -1765,6 +1786,7 @@ fn unlisted_reader_ships_its_reads_and_joins_at_the_next_evaluation() {
     let fetch = RegimeMsg::FetchMirror {
         object: id.0,
         epoch,
+        partition: None,
         have: None,
     };
     let refused = dispatch(&rtses[1].inner, fetch, NodeId(0));

@@ -271,6 +271,7 @@ mod tests {
         let fetch = RegimeMsg::FetchMirror {
             object: id.0,
             epoch,
+            partition: None,
             have: None,
         };
         let RegimeReply::MirrorState {
@@ -756,6 +757,7 @@ mod tests {
         let through = RegimeMsg::WriteThrough {
             object: id.0,
             epoch,
+            partition: 0,
             op: AccumulatorOp::Add(4).to_bytes(),
             stamp: Some(OpStamp { origin: 1, seq: 77 }),
         };
@@ -782,6 +784,7 @@ mod tests {
         let lost = RegimeMsg::WriteThrough {
             object: id.0,
             epoch,
+            partition: 0,
             op: op.clone(),
             stamp: Some(stamp),
         };
@@ -868,6 +871,7 @@ mod tests {
         let unlock = |seq| RegimeMsg::Unlock {
             object: id.0,
             epoch,
+            partition: None,
             seq,
         };
         let (_, base, ..) = rtses[1].mirror_of(id);

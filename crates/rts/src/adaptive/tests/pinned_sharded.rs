@@ -749,6 +749,144 @@ mod tests {
         shutdown_all(&rtses);
     }
 
+    fn balance(rts: &AdaptiveRts, id: ObjectId, key: u64) -> i64 {
+        let get = BankOp::Get(key).to_bytes();
+        let reply = rts.invoke(id, Bank::TYPE_NAME, OpKind::Read, &get).unwrap();
+        let BankReply::Value(v) = BankReply::from_bytes(&reply).unwrap();
+        v
+    }
+
+    /// Nothing reports, leases and tables outlast the test: every message
+    /// counted belongs to the operation that sent it.
+    fn placed_by_hand() -> AdaptivePolicy {
+        AdaptivePolicy {
+            window: u64::MAX,
+            regime_lease: Duration::from_secs(60),
+            read_lease_ms: 60_000,
+            ..AdaptivePolicy::sharded(4)
+        }
+    }
+
+    /// A partition is a copy: two nodes that read nine times what the other
+    /// writes own the partitions between them and mirror the ones they do
+    /// not own. A read is local wherever it lands; a write costs two
+    /// messages — at the owner a push and its acknowledgement, from the
+    /// mirror a write-through and its `Installed` — and no unlock, and the
+    /// other node's next read sees it.
+    #[test]
+    fn a_partition_mirror_is_read_locally_and_written_through() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net, placed_by_hand());
+        let id = new_bank(&rtses[0]);
+        rtses[0].shard_by(id, &[0, 36, 36], &[0, 4, 4]).unwrap();
+        assert_eq!(rtses[0].copy_holders(id).unwrap(), [NodeId(1), NodeId(2)]);
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(2), 4);
+        assert!(!owners(&rtses[0], id).contains(&NodeId(0)));
+        let unlocks = net.telemetry().registry();
+        let unlocks = unlocks.counter("rts.update.unlock_notifies");
+        let cost = |op: &dyn Fn() -> i64| {
+            let before = net.stats();
+            (op(), net.stats().since(&before).total_messages())
+        };
+        // A node's first read fetches its table, nothing after that.
+        for rts in &rtses[1..] {
+            balance(rts, id, key);
+        }
+        assert_eq!(cost(&|| balance(&rtses[1], id, key)), (0, 0));
+        assert_eq!(cost(&|| deposit(&rtses[1], id, key, 5)), (5, 2));
+        assert_eq!(cost(&|| balance(&rtses[2], id, key)), (5, 0));
+        assert_eq!(cost(&|| deposit(&rtses[2], id, key, 2)), (7, 2));
+        assert_eq!(cost(&|| balance(&rtses[1], id, key)), (7, 0));
+        assert_eq!(rtses[1].keeper_of(id, partition), Some((1, 2, false, true)));
+        assert_eq!(unlocks.get(), 0);
+        shutdown_all(&rtses);
+    }
+
+    /// A listed mirror holds every acknowledged write, so it is promoted
+    /// like a keeper when its partition's owner dies; the home then lists no
+    /// readers — the promoted slot pushes to none — and every acknowledged
+    /// write is there, applied once.
+    #[test]
+    fn a_listed_partition_mirror_is_promotable_like_a_keeper() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            window: u64::MAX,
+            ..AdaptivePolicy::sharded(4)
+        };
+        let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        rtses[0].shard_by(id, &[0, 36, 36], &[0, 4, 4]).unwrap();
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(2), 4);
+        let stamp = OpStamp { origin: 1, seq: 41 };
+        let op = BankOp::Deposit { key, amount: 5 }.to_bytes();
+        let written = rtses[1].write_stamped(id, &op, stamp).unwrap();
+        assert_eq!(
+            BankReply::from_bytes(&written).unwrap(),
+            BankReply::Value(5)
+        );
+        assert_eq!(balance(&rtses[1], id, key), 5);
+        assert!(rtses[1].keeper_of(id, partition).is_some());
+
+        net.crash(NodeId(2));
+        wait_for_death(&rtses, NodeId(2));
+        assert_eq!(deposit(&rtses[1], id, key, 1), 6);
+        let retried = rtses[1].write_stamped(id, &op, stamp).unwrap();
+        assert_eq!(
+            BankReply::from_bytes(&retried).unwrap(),
+            BankReply::Value(5)
+        );
+        assert!(!owners(&rtses[1], id).contains(&NodeId(2)));
+        assert_eq!(rtses[0].copy_holders(id).unwrap(), Vec::new());
+        assert_eq!(balance(&rtses[0], id, key), 6);
+        assert_eq!(balance(&rtses[1], id, key), 6);
+        shutdown_all(&rtses);
+    }
+
+    /// A keeper the table also lists as a reader is a keeper all the same:
+    /// when it has lost its copy — a missed prime, a run with a gap before
+    /// it, a read that gave up on it — it says so at the next push and is
+    /// primed whole before the write is acknowledged, so the write outlives
+    /// its owner.
+    #[test]
+    fn a_listed_keeper_that_lost_sync_is_primed_before_the_ack() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            window: u64::MAX,
+            ..AdaptivePolicy::sharded(4)
+        };
+        let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        rtses[0].shard_by(id, &[0, 36, 36], &[0, 4, 4]).unwrap();
+        // Node 1's partition: node 2 reads it and keeps it.
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(1), 4);
+        assert_eq!(rtses[0].copy_holders(id).unwrap(), [NodeId(1), NodeId(2)]);
+        let epoch = rtses[0].regime_of(id).unwrap().1;
+        let gap = RegimeMsg::Update {
+            object: id.0,
+            epoch,
+            partition: Some(partition),
+            seq: 3,
+            held: false,
+            ops: vec![BankOp::Deposit { key, amount: 1 }.to_bytes()],
+            stamped: None,
+            lease: None,
+        };
+        assert_eq!(rtses[2].serve(gap, NodeId(1)), RegimeReply::StaleRegime);
+        assert_eq!(rtses[2].keeper_of(id, partition), None);
+        assert_eq!(deposit(&rtses[0], id, key, 5), 5);
+        let kept = rtses[2].keeper_of(id, partition);
+        assert_eq!(
+            kept.map(|(epoch, version, ..)| (epoch, version)),
+            Some((epoch, 1))
+        );
+
+        net.crash(NodeId(1));
+        wait_for_death(&rtses, NodeId(1));
+        assert_eq!(deposit(&rtses[0], id, key, 1), 6);
+        assert_eq!(owners(&rtses[0], id)[partition as usize], NodeId(2));
+        shutdown_all(&rtses);
+    }
+
     #[test]
     fn placement_is_deterministic() {
         let net = Network::reliable(4);

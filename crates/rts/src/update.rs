@@ -1,8 +1,8 @@
 //! The two-phase update protocol (the primary-copy backend's update
 //! policy): the fan-out the authoritative copy runs ([`UpdateChannel`]) and
-//! the state machine of every other copy ([`HeldCopy`]) — a replicated
-//! object's read mirrors, and the one unread mirror a sharded partition
-//! keeps for its promotion, which is the fan-out of one below.
+//! the state machine of every other copy ([`HeldCopy`]) — the read mirrors
+//! of a replicated object or of a sharded partition, and the mirror nobody
+//! reads a sharded partition keeps for its promotion.
 //!
 //! A write that executed at the authoritative copy reaches every other
 //! copy in two phases (§3.2.2 of the paper): phase 1 ships the operation
@@ -126,9 +126,9 @@ impl UpdateChannel {
     }
 }
 
-/// One node's copy of an object as the update protocol sees it: a
-/// replicated-regime object's mirror, or the one a sharded-regime slot keeps
-/// for its promotion. `L` is the holder-side lease record.
+/// One node's copy of an object as the update protocol sees it: a mirror of
+/// a replicated-regime object or of a sharded partition, read or kept for a
+/// promotion. `L` is the holder-side lease record.
 pub(crate) struct CopyState<L> {
     /// Valid local copy, if any.
     pub(crate) copy: Option<Box<dyn AnyReplica>>,
@@ -209,10 +209,10 @@ impl<L> CopyState<L> {
     /// overtook it in flight (`seen` is past it): holding on to the older
     /// state would serve stale reads and could be promoted by recovery.
     /// False — and nothing changed — in that case. The gate is for copies
-    /// that are fetched while updates are pushed. Where the authority's
-    /// prime is all that ever installs the copy it is `unraced`, and its
-    /// word for the copy as of `version` whatever this holder remembers of
-    /// the epoch's versions: an install since undone started them over.
+    /// that are fetched while updates are pushed. An `unraced` snapshot —
+    /// the authority's own prime, which no write overtakes — is its word for
+    /// the copy as of `version` whatever this holder remembers of the
+    /// epoch's versions: an install since undone started them over.
     pub(crate) fn install_snapshot(
         &mut self,
         replica: Box<dyn AnyReplica>,

@@ -8,9 +8,9 @@
 //! the `primary` and `sharded` backends). A second copy of anything is kept
 //! current one way — [`RegimeMsg::Mirror`] primes it, [`RegimeMsg::Update`]
 //! pushes it every write before the acknowledgement — whether its holder
-//! reads it (a replicated object's mirrors) or keeps it for a promotion
-//! (the *keeper* of a sharded partition, with recovery on). The object's
-//! home node (its creator, recoverable from the object id) owns the
+//! reads it (a mirror of a replicated object or of a sharded partition) or
+//! keeps it for a promotion (a partition's *keeper*, with recovery on). The
+//! object's home node (its creator, recoverable from the object id) owns the
 //! authoritative [`RegimeTable`]; every other node caches it and is told
 //! [`RegimeReply::StaleRegime`] when it acts on an outdated epoch.
 //!
@@ -40,8 +40,8 @@ pub enum RegimeKind {
     /// next `[benchmark]` change (ROADMAP item 8).
     Primary,
     /// The object is split into hash-partitioned slices, each owned by one
-    /// node; operations ship point-to-point to the partition owner. Best
-    /// for write-hot shardable objects.
+    /// node; operations ship point-to-point to the partition owner, but a
+    /// read of a node that mirrors it. Best for write-hot shardable objects.
     Sharded,
 }
 
@@ -97,9 +97,9 @@ pub struct RegimeTable {
     /// [`RegimeKind::Sharded`], a single entry — the node holding the
     /// authoritative copy — for [`RegimeKind::Replicated`].
     pub owners: Vec<u16>,
-    /// The nodes holding a read mirror ([`RegimeKind::Replicated`] only,
-    /// sorted, never the owner). The table is the truth: a node it does not
-    /// list ships its reads to the owner.
+    /// The nodes holding a read mirror, sorted: of the one copy (never its
+    /// owner), or of every partition they do not own. The table is the
+    /// truth: a node it does not list ships its reads to the owner.
     pub mirrors: Vec<u16>,
 }
 
@@ -203,9 +203,9 @@ pub enum RegimeMsg {
         partition: u32,
     },
     /// Home → new owner (regime switch, phase 2): install an authoritative
-    /// partition replica under the new epoch. The installer of a
-    /// replicated-regime slot primes the listed mirrors, a lease each, and
-    /// is their grantor from then on.
+    /// partition replica under the new epoch. The installer primes the
+    /// listed mirrors but itself, a lease each, and is their grantor from
+    /// then on.
     Install {
         /// Raw object id.
         object: u64,
@@ -223,24 +223,23 @@ pub enum RegimeMsg {
         dedup: DedupWindow,
         /// The regime the slot serves.
         regime: RegimeKind,
-        /// The slot's read mirrors (replicated regime only).
+        /// The read mirrors the table lists (see [`RegimeTable::mirrors`]).
         mirrors: Vec<u16>,
     },
     /// Owner → mirror holder: install a mirror primed with the given state
-    /// and update sequence number. Sent to the readers a replicated-regime
-    /// slot lists when it is installed, and to the keeper of a
-    /// sharded-regime slot then and whenever the keeper answers a
-    /// [`RegimeMsg::Update`] it could not apply.
+    /// and update sequence number. Sent to the readers the table lists when
+    /// a slot is installed, and to the keeper of a sharded-regime slot then
+    /// and whenever the keeper answers a [`RegimeMsg::Update`] it could not
+    /// apply.
     Mirror {
         /// Raw object id.
         object: u64,
         /// Epoch of the mirrored slot.
         epoch: u64,
         /// What is mirrored. `None` — and nothing on the wire — is the one
-        /// copy of a replicated-regime object, whose holder the table lists
-        /// and reads it; `Some(p)`, the message's last field, is partition
-        /// `p` of a sharded-regime object, kept for a promotion and read by
-        /// nobody.
+        /// copy of a replicated-regime object; `Some(p)`, the message's last
+        /// field, is partition `p` of a sharded-regime object, read where
+        /// the table lists its holder, else kept for a promotion.
         partition: Option<u32>,
         /// Registered object type name.
         type_name: String,
@@ -264,23 +263,27 @@ pub enum RegimeMsg {
         object: u64,
         /// Epoch the client believes is current.
         epoch: u64,
+        /// What is mirrored, as in [`RegimeMsg::Mirror`].
+        partition: Option<u32>,
         /// Version of the caller's unlocked copy of that epoch, if it holds
         /// one: an owner still at that version answers
         /// [`RegimeReply::Renewed`] instead of shipping the state.
         have: Option<u64>,
     },
-    /// Draining owner → its mirrors (a replicated-regime slot is retired):
-    /// discard the read mirror so no node keeps serving pre-switch state.
-    /// Home → every node: the keepers of a retired sharded regime's
-    /// partitions are discarded the same way (any switch of one with
-    /// recovery on), so none is left to be promoted later. Owner → its
-    /// mirrors under the invalidation write policy: a write was applied,
-    /// discard the copy and fetch a fresh one at the next read.
+    /// Draining owner → its mirrors (a slot is retired): discard the read
+    /// mirror so no node keeps serving pre-switch state. Home → every node:
+    /// the keepers of a retired sharded regime's partitions are discarded
+    /// the same way (any switch of one with recovery on), so none is left to
+    /// be promoted later. Owner → its mirrors under the invalidation write
+    /// policy: a write was applied, discard the copy and fetch a fresh one
+    /// at the next read.
     DropCopies {
         /// Raw object id.
         object: u64,
         /// Epoch being retired.
         epoch: u64,
+        /// What is mirrored, as in [`RegimeMsg::Mirror`]; retiring, `None` is all.
+        partition: Option<u32>,
         /// Version of the write that invalidates the copy, which stays
         /// listed: the holder remembers it, so an older snapshot still in
         /// flight is refused. `None` when the slot is retired, and what the
@@ -319,18 +322,20 @@ pub enum RegimeMsg {
         /// the owner grants leases.
         lease: Option<u64>,
     },
-    /// Mirror-holding client → owner: a replicated-regime write whose
-    /// sender holds an installed mirror and has marked it pending. The owner
-    /// executes it like a partition-0 [`RegimeMsg::Op`] but leaves the
-    /// sender out of both phases of the mirror push and answers
-    /// [`RegimeReply::Installed`], from which the sender brings its own
-    /// mirror up to date — it already has the operation bytes in hand.
+    /// Mirror-holding client → owner: a write whose sender holds an
+    /// installed mirror of the partition and has marked it pending. The
+    /// owner executes it like a [`RegimeMsg::Op`], laid out the same way,
+    /// but leaves the sender out of both phases of the mirror push and
+    /// answers [`RegimeReply::Installed`], from which the sender brings its
+    /// own mirror up to date — it already has the operation bytes in hand.
     WriteThrough {
         /// Raw object id.
         object: u64,
         /// Epoch of the regime table the client routed under.
         epoch: u64,
-        /// Encoded write operation.
+        /// Target partition (0 under the replicated regime).
+        partition: u32,
+        /// Encoded (already partition-narrowed) write operation.
         op: Vec<u8>,
         /// Exactly-once identity of the write (see [`RegimeMsg::Op`]).
         stamp: Option<OpStamp>,
@@ -342,8 +347,10 @@ pub enum RegimeMsg {
     Unlock {
         /// Raw object id.
         object: u64,
-        /// Epoch of the replicated regime.
+        /// Epoch of the mirrored slot.
         epoch: u64,
+        /// What is mirrored, as in [`RegimeMsg::Mirror`].
+        partition: Option<u32>,
         /// Update sequence number being released.
         seq: u64,
     },
@@ -403,8 +410,8 @@ impl RegimeMsg {
 }
 
 /// The partition a mirror message names is its last field, written only
-/// when there is one: a message is a whole request, so a decoder that is not
-/// at its end has a partition left to read.
+/// when there is one (a replicated copy's message pays nothing for it): a
+/// message is a whole request, so a decoder not at its end has one to read.
 fn put_partition(enc: &mut Encoder, partition: &Option<u32>) {
     if let Some(partition) = partition {
         partition.encode(enc);
@@ -508,22 +515,26 @@ impl Wire for RegimeMsg {
             RegimeMsg::FetchMirror {
                 object,
                 epoch,
+                partition,
                 have,
             } => {
                 enc.put_u8(8);
                 object.encode(enc);
                 epoch.encode(enc);
                 have.encode(enc);
+                put_partition(enc, partition);
             }
             RegimeMsg::DropCopies {
                 object,
                 epoch,
+                partition,
                 written,
             } => {
                 enc.put_u8(9);
                 object.encode(enc);
                 epoch.encode(enc);
                 written.encode(enc);
+                put_partition(enc, partition);
             }
             RegimeMsg::Update {
                 object,
@@ -545,21 +556,29 @@ impl Wire for RegimeMsg {
                 lease.encode(enc);
                 put_partition(enc, partition);
             }
-            RegimeMsg::Unlock { object, epoch, seq } => {
+            RegimeMsg::Unlock {
+                object,
+                epoch,
+                partition,
+                seq,
+            } => {
                 enc.put_u8(11);
                 object.encode(enc);
                 epoch.encode(enc);
                 seq.encode(enc);
+                put_partition(enc, partition);
             }
             RegimeMsg::WriteThrough {
                 object,
                 epoch,
+                partition,
                 op,
                 stamp,
             } => {
                 enc.put_u8(14);
                 object.encode(enc);
                 epoch.encode(enc);
+                partition.encode(enc);
                 stamp.encode(enc);
                 enc.put_raw(op);
             }
@@ -637,11 +656,13 @@ impl Wire for RegimeMsg {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 have: Wire::decode(dec)?,
+                partition: get_partition(dec)?,
             }),
             9 => Ok(RegimeMsg::DropCopies {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 written: Wire::decode(dec)?,
+                partition: get_partition(dec)?,
             }),
             10 => Ok(RegimeMsg::Update {
                 held: Wire::decode(dec)?,
@@ -657,6 +678,7 @@ impl Wire for RegimeMsg {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
                 seq: Wire::decode(dec)?,
+                partition: get_partition(dec)?,
             }),
             12 => Ok(RegimeMsg::Holdings {
                 object: Wire::decode(dec)?,
@@ -664,6 +686,7 @@ impl Wire for RegimeMsg {
             14 => Ok(RegimeMsg::WriteThrough {
                 object: Wire::decode(dec)?,
                 epoch: Wire::decode(dec)?,
+                partition: Wire::decode(dec)?,
                 stamp: Wire::decode(dec)?,
                 op: dec.get_rest().to_vec(),
             }),
@@ -961,16 +984,19 @@ mod tests {
             RegimeMsg::FetchMirror {
                 object: 9,
                 epoch: 3,
+                partition: None,
                 have: Some(12),
             },
             RegimeMsg::DropCopies {
                 object: 9,
                 epoch: 3,
+                partition: None,
                 written: None,
             },
             RegimeMsg::DropCopies {
                 object: 9,
                 epoch: 3,
+                partition: None,
                 written: Some(14),
             },
             RegimeMsg::Update {
@@ -996,6 +1022,7 @@ mod tests {
             RegimeMsg::Unlock {
                 object: 9,
                 epoch: 3,
+                partition: None,
                 seq: 13,
             },
             RegimeMsg::Unreached { object: 9, node: 2 },
@@ -1008,6 +1035,7 @@ mod tests {
             RegimeMsg::WriteThrough {
                 object: 9,
                 epoch: 3,
+                partition: 0,
                 op: vec![1, 2],
                 stamp: Some(OpStamp { origin: 2, seq: 41 }),
             },

@@ -430,6 +430,7 @@ fn shard_messages_round_trip() {
             8 => RegimeMsg::Unlock {
                 object,
                 epoch,
+                partition: None,
                 seq: gen.next_u64(),
             },
             9 => RegimeMsg::Report {
@@ -444,6 +445,7 @@ fn shard_messages_round_trip() {
             7 => RegimeMsg::DropCopies {
                 object,
                 epoch,
+                partition: None,
                 written: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
             4 => RegimeMsg::Install {
@@ -459,6 +461,7 @@ fn shard_messages_round_trip() {
             5 => RegimeMsg::FetchMirror {
                 object,
                 epoch,
+                partition: None,
                 have: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
             1 | 2 => RegimeMsg::Mirror {
@@ -531,6 +534,114 @@ fn shard_messages_round_trip() {
     }
 }
 
+/// A sharded partition's readers fetch, are unlocked and are dropped with
+/// the messages a replicated copy's mirrors use, naming the partition as the
+/// last field — written only when there is one, so the message about the one
+/// copy is byte for byte the layout it had before partitions had readers.
+/// Every shape round-trips; every strict prefix of a message naming a
+/// partition fails to decode but the one that leaves the partition out,
+/// which is the same message about the whole object; an unassigned tag
+/// fails. A write-through is laid out like the operation it ships, its
+/// partition before its stamp and its tail.
+#[test]
+fn partition_mirror_messages_round_trip() {
+    use orca_wire::RegimeMsg;
+    let mut gen = Gen::new(0x9A27_1710);
+    for case in 0..*CASES {
+        let (object, epoch, seq) = (gen.next_u64(), gen.next_u64(), gen.next_u64());
+        let partition = gen.next_u64() as u32;
+        let have = (gen.below(2) == 0).then(|| gen.next_u64());
+        let written = (gen.below(2) == 0).then(|| gen.next_u64());
+        let layout = |tag: u8, last: &dyn Fn(&mut Encoder)| {
+            let mut enc = Encoder::new();
+            enc.put_u8(tag);
+            object.encode(&mut enc);
+            epoch.encode(&mut enc);
+            last(&mut enc);
+            enc.into_bytes()
+        };
+        let (whole, before) = match gen.below(3) {
+            0 => (
+                RegimeMsg::FetchMirror {
+                    object,
+                    epoch,
+                    partition: None,
+                    have,
+                },
+                layout(8, &|enc| have.encode(enc)),
+            ),
+            1 => (
+                RegimeMsg::DropCopies {
+                    object,
+                    epoch,
+                    partition: None,
+                    written,
+                },
+                layout(9, &|enc| written.encode(enc)),
+            ),
+            _ => (
+                RegimeMsg::Unlock {
+                    object,
+                    epoch,
+                    partition: None,
+                    seq,
+                },
+                layout(11, &|enc| seq.encode(enc)),
+            ),
+        };
+        assert_eq!(whole.to_bytes(), before, "case {case}: {whole:?}");
+        assert_roundtrip(&whole, case);
+
+        let mut named = whole.clone();
+        match &mut named {
+            RegimeMsg::FetchMirror { partition: p, .. }
+            | RegimeMsg::DropCopies { partition: p, .. }
+            | RegimeMsg::Unlock { partition: p, .. } => *p = Some(partition),
+            other => unreachable!("{other:?}"),
+        }
+        assert_roundtrip(&named, case);
+        let mut bytes = named.to_bytes();
+        assert!(bytes.starts_with(&before), "case {case}: {named:?}");
+        for cut in 0..bytes.len() {
+            let decoded = RegimeMsg::from_bytes(&bytes[..cut]);
+            match cut == before.len() {
+                true => assert_eq!(decoded.as_ref().ok(), Some(&whole), "case {case}"),
+                false => assert!(decoded.is_err(), "case {case}: {named:?} cut to {cut}"),
+            }
+        }
+        bytes[0] = 17 + gen.below(239) as u8;
+        assert!(
+            RegimeMsg::from_bytes(&bytes).is_err(),
+            "case {case}: bad tag"
+        );
+
+        let (op, stamp) = (
+            gen.bytes(48),
+            (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
+        );
+        let through = RegimeMsg::WriteThrough {
+            object,
+            epoch,
+            partition,
+            op: op.clone(),
+            stamp,
+        };
+        assert_roundtrip(&through, case);
+        let shipped = RegimeMsg::Op {
+            object,
+            epoch,
+            partition,
+            op,
+            stamp,
+        };
+        assert_eq!(
+            through.to_bytes()[1..],
+            shipped.to_bytes()[1..],
+            "case {case}"
+        );
+    }
+}
+
 fn random_regime_table(gen: &mut Gen) -> orca_wire::RegimeTable {
     orca_wire::RegimeTable {
         object: gen.next_u64(),
@@ -558,6 +669,7 @@ fn regime_messages_round_trip() {
             14 => RegimeMsg::WriteThrough {
                 object,
                 epoch,
+                partition: gen.next_u64() as u32,
                 op: gen.bytes(48),
                 stamp: (gen.below(2) == 0).then(|| random_stamp(&mut gen)),
             },
@@ -607,11 +719,13 @@ fn regime_messages_round_trip() {
             8 => RegimeMsg::FetchMirror {
                 object,
                 epoch,
+                partition: None,
                 have: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
             9 => RegimeMsg::DropCopies {
                 object,
                 epoch,
+                partition: None,
                 written: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
             10 => RegimeMsg::Update {
@@ -627,6 +741,7 @@ fn regime_messages_round_trip() {
             _ => RegimeMsg::Unlock {
                 object,
                 epoch,
+                partition: None,
                 seq: gen.next_u64(),
             },
         };
@@ -783,6 +898,7 @@ fn envelopes_and_tail_bodied_messages_round_trip() {
             RegimeMsg::WriteThrough {
                 object,
                 epoch,
+                partition,
                 op: op.clone(),
                 stamp,
             },

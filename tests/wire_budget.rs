@@ -415,6 +415,61 @@ fn primary_read_mostly_costs_a_mirror_push_not_a_detour() {
     runtime.shutdown();
 }
 
+/// `read_mostly_tcp` in miniature under the sharded backend. A partition is
+/// a copy like the replicated one: the partitions sit on the two users,
+/// and each mirrors every partition it does not own — its reads are nine
+/// times the other's writes, twice would do — so a read is local wherever
+/// it lands. A write costs what a replicated one does: at the partition's
+/// owner an `Update` and its acknowledgement, from the other node a
+/// `WriteThrough` and its `Installed`; never an unlock, nothing on the idle
+/// creator. Shipping the other node's half of the reads cost 52 bytes an
+/// operation.
+#[test]
+fn sharded_read_mostly_reads_its_partition_mirrors() {
+    const KEYS: u64 = 4096;
+    let runtime = OrcaRuntime::start(OrcaConfig::sharded(3, 4), standard_registry());
+    let key = |slot: u64| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(slot + 1);
+    let filled = (0..KEYS).map(|slot| match put(key(slot), 0) {
+        KvTableOp::Put { key, entry } => (key, entry),
+        _ => unreachable!("put builds a Put"),
+    });
+    let table = runtime.create::<KvTableObject>(&filled.collect()).unwrap();
+    let mut ops = 0u64;
+    let mut run = |count: u64| {
+        for _ in 0..count {
+            // Every tenth operation of a node is a `Put`.
+            miniature_op(&runtime, table, ops, (ops / 2) % 10 == 9);
+            ops += 1;
+        }
+    };
+    run(2048);
+    let placement = runtime.object_placement(table.id()).expect("one engine");
+    let mirrors = runtime.copy_holders(1, table.id()).expect("one engine");
+    assert!(
+        !placement.contains(&NodeId(0)) && !mirrors.contains(&NodeId(0)),
+        "the idle creator holds a copy: owners {placement:?}, mirrors {mirrors:?}"
+    );
+    assert_eq!(mirrors, [NodeId(1), NodeId(2)]);
+
+    let before = runtime.network_stats();
+    let unlocks = runtime.network().telemetry().registry();
+    let unlocks = unlocks.counter("rts.update.unlock_notifies");
+    let unlocked = unlocks.get();
+    run(4000);
+    let spent = runtime.network_stats().since(&before);
+    let per_op = spent.total_wire_bytes() as f64 / 4000.0;
+    let per_write = spent.total_messages() as f64 / 400.0;
+    let unlocked = unlocks.get() - unlocked;
+    assert!(
+        per_op <= 14.0 && per_write <= 2.3 && unlocked == 0,
+        "{per_op:.1} wire bytes per operation, {per_write:.2} messages per write, \
+         {unlocked} unlocks: owners {placement:?}, mirrors {mirrors:?}"
+    );
+    assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    assert_eq!(runtime.copy_holders(2, table.id()), Some(mirrors));
+    runtime.shutdown();
+}
+
 /// Regime switches so far, over all nodes.
 fn regime_switches(runtime: &OrcaRuntime) -> u64 {
     let nodes = runtime.rts_stats();
