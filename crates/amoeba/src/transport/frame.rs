@@ -19,10 +19,12 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: since version 9 a sharded partition has read mirrors — `FetchMirror`,
-/// `Unlock` and `DropCopies` name the partition as `Mirror` and `Update` do,
-/// and `WriteThrough` carries one before its operation, as `Op` does
-/// (version 8 made a sharded partition's second copy a mirror —
+/// them: since version 10 a batched operation whose trace is further on
+/// under its predecessor's origin says by how much (a skip bit in its
+/// flags), and a batch reply carries runs of equal outcomes (version 9 gave
+/// a sharded partition read mirrors — `FetchMirror`, `Unlock` and
+/// `DropCopies` name the partition as `Mirror` and `Update` do, and
+/// `WriteThrough` carries one before its operation, as `Op` does; version 8 made a sharded partition's second copy a mirror —
 /// `Mirror` and `Update` name the partition they mirror as a last field a
 /// whole object's do not have, `Promote` replaces the three backup messages
 /// and `Holdings` lists kept partitions; version 7 made a byte string a
@@ -42,7 +44,7 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// ports, version 3 brought the RPC envelope of `orca_wire::envelope` and
 /// the single-operation messages whose operation is their tail, version 2
 /// the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 9;
+pub const FRAME_VERSION: u8 = 10;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

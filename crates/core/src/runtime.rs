@@ -9,7 +9,7 @@ use orca_amoeba::transport::{SocketTransport, Transport};
 use orca_amoeba::{NetStatsSnapshot, NodeId};
 use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
 use orca_rts::{
-    AdaptiveRts, BroadcastRts, FailureDetector, RegimeKind, RtsKind, RtsStatsSnapshot,
+    AdaptiveRts, AsyncOp, BroadcastRts, FailureDetector, RegimeKind, RtsKind, RtsStatsSnapshot,
     RuntimeSystem, ViewSnapshot,
 };
 use orca_telemetry::{trace, FlightKind, HistHandle, Telemetry};
@@ -235,35 +235,42 @@ impl OrcaNode {
         handle: ObjectHandle<T>,
         op: &T::Op,
     ) -> crate::InvocationFuture<T> {
-        let kind = T::kind(op);
-        // The minted trace is current while the operation is submitted, so
-        // the queued op (and through it the wire batches and remote
-        // applies) inherits it; completion is recorded by the flusher.
-        let trace_id = self.telemetry.mint_trace(self.node.0);
-        let _span = trace::enter(trace_id);
-        self.telemetry.record(
-            self.node.0,
-            FlightKind::InvokeStart,
-            trace_id,
-            handle.id().0,
-            kind as u64,
-        );
-        let pending = self
-            .rts
-            .invoke_async(handle.id(), T::TYPE_NAME, kind, &op.to_bytes());
-        crate::InvocationFuture::new(pending)
+        let mut futures = self.invoke_many(handle, std::slice::from_ref(op));
+        futures.pop().expect("one future per operation")
     }
 
     /// Submit a whole slice of operations on one object asynchronously —
-    /// the bulk form of [`OrcaNode::invoke_async`]. The operations are
-    /// submitted (and complete) in slice order; under load they coalesce
-    /// into few wire batches.
+    /// the bulk form of [`OrcaNode::invoke_async`]. The slice enters the
+    /// runtime system's submission queue at once, so it ships as one round
+    /// (up to `BatchPolicy::max_batch` operations): one batch per
+    /// destination. The operations execute (and complete) in slice order.
     pub fn invoke_many<T: ObjectType>(
         &self,
         handle: ObjectHandle<T>,
         ops: &[T::Op],
     ) -> Vec<crate::InvocationFuture<T>> {
-        ops.iter().map(|op| self.invoke_async(handle, op)).collect()
+        // Every operation gets its own trace, which its batch entry and its
+        // remote apply carry; completion is recorded by the flusher.
+        let (node, object) = (self.node.0, handle.id().0);
+        let encoded: Vec<(OpKind, Vec<u8>, orca_wire::TraceId)> = ops
+            .iter()
+            .map(|op| {
+                let (kind, trace) = (T::kind(op), self.telemetry.mint_trace(node));
+                let start = FlightKind::InvokeStart;
+                self.telemetry
+                    .record(node, start, trace, object, kind as u64);
+                (kind, op.to_bytes(), trace)
+            })
+            .collect();
+        let submitted: Vec<AsyncOp<'_>> = encoded
+            .iter()
+            .map(|(kind, op, trace)| (*kind, op.as_slice(), *trace))
+            .collect();
+        let pending = self.rts.invoke_many(handle.id(), T::TYPE_NAME, &submitted);
+        pending
+            .into_iter()
+            .map(crate::InvocationFuture::new)
+            .collect()
     }
 
     /// Create a new shared object from this process's node.
@@ -819,6 +826,73 @@ mod tests {
             );
             runtime.shutdown();
         }
+    }
+
+    /// Under the default batching knobs — no flush delay — a window
+    /// submitted at once ships as one batch: to the sequencer's total order,
+    /// or to the node holding the one copy.
+    #[test]
+    fn an_invoke_many_window_is_one_batch() {
+        use orca_rts::{AdaptivePolicy, WritePolicy};
+        // Nothing is reported, so the copy stays at its creator, node 0.
+        let policy = AdaptivePolicy {
+            window: u64::MAX,
+            ..AdaptivePolicy::primary_copy(WritePolicy::Update)
+        };
+        let primary = OrcaConfig {
+            strategy: crate::RtsStrategy::Adaptive { policy },
+            ..OrcaConfig::primary_copy(3, WritePolicy::Update)
+        };
+        for config in [OrcaConfig::broadcast(3), primary] {
+            let kind = config.strategy.kind();
+            let runtime = OrcaRuntime::start(config, crate::standard_registry());
+            let counter = runtime.create::<IntObject>(&0).unwrap();
+            let ctx = runtime.context(1);
+            let ops: Vec<IntOp> = (1..=20).map(IntOp::Add).collect();
+            // The second window finds the flusher started and waiting.
+            for (window, sum) in [(0, 210), (1, 420)] {
+                let before = ctx.rts_stats();
+                let futures = ctx.invoke_many(counter, &ops);
+                let replies: Vec<i64> = futures.iter().map(|f| f.wait().unwrap()).collect();
+                assert_eq!(replies.last(), Some(&sum), "[{}]", kind.name());
+                let after = ctx.rts_stats();
+                assert_eq!(
+                    (
+                        after.batches_sent - before.batches_sent,
+                        after.ops_batched - before.ops_batched
+                    ),
+                    (1, 20),
+                    "[{}] batches and operations of window {window}",
+                    kind.name()
+                );
+            }
+            runtime.shutdown();
+        }
+    }
+
+    /// A pipelined read is counted where it executes — at this node or
+    /// shipped — once, like a synchronous one.
+    #[test]
+    fn pipelined_reads_are_counted_once_each() {
+        use crate::objects::{KvTableObject, KvTableOp};
+        let runtime = OrcaRuntime::start(OrcaConfig::sharded(3, 4), crate::standard_registry());
+        let table = runtime
+            .create::<KvTableObject>(&Default::default())
+            .unwrap();
+        let ctx = runtime.context(1);
+        let before = ctx.rts_stats();
+        let reads: Vec<KvTableOp> = (0..20u64)
+            .map(|key| KvTableOp::Get(key.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+            .collect();
+        for future in ctx.invoke_many(table, &reads) {
+            future.wait().unwrap();
+        }
+        let after = ctx.rts_stats();
+        let counted =
+            (after.local_reads + after.remote_reads) - (before.local_reads + before.remote_reads);
+        assert_eq!(counted, 20, "{after:?}");
+        assert!(after.remote_reads > before.remote_reads, "{after:?}");
+        runtime.shutdown();
     }
 
     #[test]

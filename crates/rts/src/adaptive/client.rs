@@ -186,8 +186,11 @@ impl AdaptiveRts {
         let deadline = Instant::now() + self.inner.policy.op_timeout;
         let mut slots: Vec<RoundSlot> = ops.iter().map(|_| RoundSlot::Todo).collect();
         let mut todo: Vec<usize> = (0..ops.len()).collect();
+        // A read is counted once, where it is first routed (a mirror read
+        // counts itself, when it is served), however many passes it takes.
+        let mut uncounted: Vec<bool> = ops.iter().map(|op| op.kind == OpKind::Read).collect();
         for pass in 0.. {
-            todo = self.execute_pass(&ops, &todo, &mut slots, deadline);
+            todo = self.execute_pass(&ops, &todo, &mut slots, &mut uncounted, deadline);
             if todo.is_empty()
                 || Instant::now() >= deadline
                 || self.inner.stopped.load(Ordering::SeqCst)
@@ -215,6 +218,7 @@ impl AdaptiveRts {
         ops: &[QueuedOp],
         todo: &[usize],
         slots: &mut [RoundSlot],
+        uncounted: &mut [bool],
         deadline: Instant,
     ) -> Vec<usize> {
         let mut stale: Vec<usize> = Vec::new();
@@ -230,6 +234,9 @@ impl AdaptiveRts {
             }
             let routed = self.route_for(op.object, deadline).and_then(|table| {
                 let target = self.target(&table, op.kind, &op.op)?;
+                if !matches!(target, Target::Mirror(..)) && std::mem::take(&mut uncounted[i]) {
+                    self.record_invocation(&table, &target, OpKind::Read);
+                }
                 Ok((table, target))
             });
             let (table, target) = match routed {
@@ -291,11 +298,6 @@ impl AdaptiveRts {
             slots,
             deadline,
             &|ops| apply_op_batch(inner, ops, inner.node),
-            &|bytes| match RegimeReply::from_bytes(bytes) {
-                Ok(RegimeReply::Batch(outcomes)) => Ok(outcomes),
-                Ok(other) => Err(format!("unexpected batch reply {other:?}")),
-                Err(err) => Err(format!("bad reply: {err}")),
-            },
         );
     }
 
@@ -854,26 +856,24 @@ impl RuntimeSystem for AdaptiveRts {
         }
     }
 
-    fn invoke_async(
+    fn invoke_many(
         &self,
         object: ObjectId,
         _type_name: &str,
-        kind: OpKind,
-        op: &[u8],
-    ) -> PendingInvocation {
+        ops: &[AsyncOp<'_>],
+    ) -> Vec<PendingInvocation> {
         if self.inner.stopped.load(Ordering::SeqCst) {
-            return PendingInvocation::ready(Err(RtsError::Terminated));
+            return all_failed(ops, RtsError::Terminated);
         }
-        if self.inner.is_lost(object) {
-            return PendingInvocation::ready(Err(RtsError::ObjectLost(object)));
+        for &(kind, ..) in ops {
+            if kind == OpKind::Write {
+                self.inner.stats.writes.inc();
+            }
+            // The access evidence driving regime decisions counts logical
+            // invocations, exactly like the synchronous path.
+            self.note_access(object, kind);
         }
-        if kind == OpKind::Write {
-            self.inner.stats.writes.inc();
-        }
-        // The access evidence driving regime decisions counts logical
-        // invocations, exactly like the synchronous path.
-        self.note_access(object, kind);
-        self.pipeline.submit(object, kind, op, |pipeline| {
+        self.pipeline.submit_many(object, ops, |pipeline| {
             let rts = AdaptiveRts {
                 pipeline,
                 ..self.clone()

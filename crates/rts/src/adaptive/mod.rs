@@ -157,17 +157,18 @@ use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
 use orca_telemetry::{Counter, FlightKind};
 use orca_wire::{
-    BatchOutcome, DedupWindow, Holdings, LeaseGrant, OpBatchView, OpRef, OpStamp, Wire,
+    BatchOutcome, BatchOutcomes, DedupWindow, Holdings, LeaseGrant, OpBatchView, OpRef, OpStamp,
+    Wire,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::pipeline::{
-    resolve_round, BatchPolicy, LazyPipeline, PendingBatches, QueuedOp, RoundSlot,
+    all_failed, resolve_round, BatchPolicy, LazyPipeline, PendingBatches, QueuedOp, RoundSlot,
 };
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
-use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
+use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{served, table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use policy::{pick_regime, place, Count, UsageAggregate};
 // The role files share this file's vocabulary (`use super::*`), each other's

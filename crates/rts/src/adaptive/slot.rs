@@ -365,20 +365,20 @@ pub(super) fn apply_op_batch(
     inner: &Arc<Inner>,
     ops: &OpBatchView<'_>,
     caller: NodeId,
-) -> Vec<BatchOutcome> {
+) -> BatchOutcomes {
     // One protocol-handling event for the whole message, one apply per op
     // — the accounting split the cost model relies on.
     if caller != inner.node {
         inner.stats.updates_applied.inc();
     }
-    let mut outcomes = Vec::with_capacity(ops.len());
+    let mut outcomes = BatchOutcomes::default();
     let mut ops = ops.iter().peekable();
     while let Some(first) = ops.peek().copied() {
         let address = |op: &OpRef<'_>| (op.object, op.partition, op.epoch);
         let run = std::iter::from_fn(|| ops.next_if(|op| address(op) == address(&first)));
         let key = (ObjectId(first.object), first.partition);
         let Some(slot) = slot_at(inner, key, first.epoch) else {
-            outcomes.extend(run.map(|_| BatchOutcome::Stale));
+            outcomes.push(run.count(), BatchOutcome::Stale);
             continue;
         };
         let mut replica = slot.lock_for(inner, caller);
@@ -396,6 +396,7 @@ pub(super) fn apply_op_batch(
             // bump; the per-message event was counted above.
             let (me, run) = (inner.node, Some(&mut written));
             outcomes.push(
+                1,
                 match apply_locked(inner, key, &slot, &mut replica, op.op, None, me, false, run) {
                     RegimeReply::Done(reply) => BatchOutcome::Done(reply),
                     RegimeReply::Blocked => BatchOutcome::Blocked,

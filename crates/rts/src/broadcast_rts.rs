@@ -30,9 +30,9 @@ use orca_object::{
 use orca_wire::{Decoder, Encoder, OpBatchEncoder, OpBatchView, Wire, WireError, WireResult};
 use parking_lot::{Condvar, Mutex};
 
-use crate::pipeline::{batch_capacity, BatchPolicy, LazyPipeline, QueuedOp};
+use crate::pipeline::{all_failed, batch_capacity, BatchPolicy, LazyPipeline, QueuedOp};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
-use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
+use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 
 /// Message shipped through the totally-ordered broadcast by this RTS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -621,20 +621,18 @@ impl RuntimeSystem for BroadcastRts {
         }
     }
 
-    fn invoke_async(
+    fn invoke_many(
         &self,
         object: ObjectId,
         _type_name: &str,
-        kind: OpKind,
-        op: &[u8],
-    ) -> PendingInvocation {
+        ops: &[AsyncOp<'_>],
+    ) -> Vec<PendingInvocation> {
         if self.inner.stopped.load(Ordering::SeqCst) {
-            return PendingInvocation::ready(Err(RtsError::Terminated));
+            return all_failed(ops, RtsError::Terminated);
         }
-        if kind == OpKind::Write {
-            self.inner.stats.writes.inc();
-        }
-        self.pipeline.submit(object, kind, op, |pipeline| {
+        let writes = ops.iter().filter(|(kind, ..)| *kind == OpKind::Write);
+        self.inner.stats.writes.add(writes.count() as u64);
+        self.pipeline.submit_many(object, ops, |pipeline| {
             let rts = BroadcastRts {
                 pipeline,
                 ..self.clone()
@@ -736,7 +734,7 @@ fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBat
         inner.stats.updates_applied.inc();
     }
     let mut results = Vec::with_capacity(ops.len());
-    for op in ops {
+    for op in ops.iter() {
         inner.stats.batch_ops_applied.inc();
         results.push(apply_write(inner, ObjectId(op.object), op.op, false));
     }

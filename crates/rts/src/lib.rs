@@ -98,6 +98,11 @@ pub use stats::{RtsStats, RtsStatsSnapshot};
 
 use orca_amoeba::NodeId;
 use orca_object::{ObjectError, ObjectId, OpKind};
+use orca_wire::TraceId;
+
+/// An asynchronously submitted operation: its read/write classification,
+/// its encoded bytes, and the trace of the invocation that issued it.
+pub type AsyncOp<'a> = (OpKind, &'a [u8], TraceId);
 
 /// Errors surfaced by the runtime systems.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,19 +213,31 @@ pub trait RuntimeSystem: Send + Sync {
         op: &[u8],
     ) -> Result<Vec<u8>, RtsError>;
 
-    /// Invoke an encoded operation *asynchronously*: submission returns a
-    /// completion handle immediately, letting one process keep many
-    /// operations in flight while the runtime system coalesces pending
-    /// operations into per-destination batches (see
-    /// [`pipeline`] module for the ordering and failure
-    /// contracts).
+    /// Submit encoded operations on one object *asynchronously*, in slice
+    /// order, and return their completion handles at once: the slice enters
+    /// the submission queue whole, and the runtime system ships it in as
+    /// few rounds as [`BatchPolicy::max_batch`] allows, one batch per
+    /// destination (see [`pipeline`] for the ordering and failure contracts).
+    fn invoke_many(
+        &self,
+        object: ObjectId,
+        type_name: &str,
+        ops: &[AsyncOp<'_>],
+    ) -> Vec<PendingInvocation>;
+
+    /// Invoke one encoded operation asynchronously, under the thread's
+    /// current trace: [`RuntimeSystem::invoke_many`] of one.
     fn invoke_async(
         &self,
         object: ObjectId,
         type_name: &str,
         kind: OpKind,
         op: &[u8],
-    ) -> PendingInvocation;
+    ) -> PendingInvocation {
+        let trace = orca_telemetry::trace::current();
+        let mut handles = self.invoke_many(object, type_name, &[(kind, op, trace)]);
+        handles.pop().expect("one handle per operation")
+    }
 
     /// Snapshot of this node's runtime-system statistics.
     fn stats(&self) -> RtsStatsSnapshot;

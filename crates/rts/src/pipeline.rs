@@ -5,13 +5,14 @@
 //! The paper's runtime systems block the invoking process on every
 //! operation, so throughput is bounded by round-trip latency. The
 //! asynchronous path decouples *invocation* from *completion*: a process
-//! submits an operation and receives a [`PendingInvocation`] handle
-//! immediately; the node's runtime system keeps a FIFO of submitted
-//! operations and a flusher thread that ships them in *batches* — one
-//! totally-ordered broadcast slot, one RPC to a primary, one RPC per
-//! partition owner — coalescing up to [`BatchPolicy::max_batch`] operations
-//! per destination message (group commit: while one round is in flight, the
-//! next round accumulates).
+//! submits a slice of operations and receives a [`PendingInvocation`]
+//! handle per operation immediately; the node's runtime system keeps a FIFO
+//! of submitted operations and a flusher thread that ships them in
+//! *batches* — one totally-ordered broadcast slot, one RPC to a primary,
+//! one RPC per partition owner — coalescing up to [`BatchPolicy::max_batch`]
+//! operations per round (group commit: while one round is in flight, the
+//! next round accumulates). A slice enters the queue whole, so a window of
+//! up to `max_batch` operations is one round.
 //!
 //! # Ordering contract
 //!
@@ -51,12 +52,14 @@ use orca_amoeba::{NodeId, Port};
 use orca_group::FailureDetector;
 use orca_object::{ObjectId, OpKind};
 use orca_telemetry::{FlightKind, Telemetry};
-use orca_wire::{BatchOutcome, OpBatchEncoder, OpBatchView, OpRef, TraceId};
+use orca_wire::{
+    BatchOutcome, BatchOutcomes, OpBatchEncoder, OpBatchView, OpRef, RegimeReply, TraceId, Wire,
+};
 use parking_lot::{Condvar, Mutex};
 
 use crate::recovery::is_dead;
 use crate::stats::RtsStats;
-use crate::RtsError;
+use crate::{AsyncOp, RtsError};
 
 /// Batching knobs of the asynchronous invocation path (`OrcaConfig::batch`).
 ///
@@ -68,9 +71,11 @@ pub struct BatchPolicy {
     /// operations coalesced into one destination message).
     pub max_batch: usize,
     /// How long a round waits for more submissions before it is cut when
-    /// fewer than `max_batch` operations are queued. Zero ships immediately
-    /// — under load the group-commit effect alone fills batches, because
-    /// submissions accumulate while the previous round is in flight.
+    /// fewer than `max_batch` operations are queued: for several processes
+    /// that submit single operations (a slice is queued whole). Zero ships
+    /// immediately — under load the group-commit effect alone fills
+    /// batches, because submissions accumulate while the previous round is
+    /// in flight.
     pub max_delay: Duration,
 }
 
@@ -78,16 +83,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 64,
-            max_delay: Duration::ZERO,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// Policy with the given round size and no delay.
-    pub fn with_max_batch(max_batch: usize) -> Self {
-        BatchPolicy {
-            max_batch: max_batch.max(1),
             max_delay: Duration::ZERO,
         }
     }
@@ -120,7 +115,7 @@ type ResubmitFn = dyn Fn(Completer) + Send + Sync;
 const BLOCKED_RESUBMIT_DELAY: Duration = Duration::from_millis(2);
 
 /// Completion handle of one asynchronous invocation
-/// (`RuntimeSystem::invoke_async`).
+/// (`RuntimeSystem::invoke_many`).
 ///
 /// Cheap to move; [`PendingInvocation::wait`] may be called any number of
 /// times (the result is cached).
@@ -143,8 +138,7 @@ impl std::fmt::Debug for PendingInvocation {
 }
 
 impl PendingInvocation {
-    /// An already-resolved handle (used by the synchronous fallback of
-    /// runtime systems without a native asynchronous path).
+    /// An already-resolved handle: a submission refused before it was queued.
     pub fn ready(result: Result<Vec<u8>, RtsError>) -> Self {
         PendingInvocation {
             shared: Arc::new(FutureShared {
@@ -240,6 +234,13 @@ pub(crate) fn pending_pair(resubmit: Arc<ResubmitFn>) -> (PendingInvocation, Com
     )
 }
 
+/// Handles of `ops`, every one already resolved with `err`.
+pub(crate) fn all_failed(ops: &[AsyncOp<'_>], err: RtsError) -> Vec<PendingInvocation> {
+    ops.iter()
+        .map(|_| PendingInvocation::ready(Err(err.clone())))
+        .collect()
+}
+
 /// Per-operation state a round executor fills in while it works through a
 /// FIFO prefix of the queue.
 pub(crate) enum RoundSlot {
@@ -268,25 +269,22 @@ pub(crate) fn resolve_round(ops: Vec<QueuedOp>, slots: Vec<RoundSlot>) {
 /// outcomes queue their index for the next pass.
 pub(crate) fn record_batch_outcomes(
     indices: &[usize],
-    outcomes: Vec<BatchOutcome>,
+    outcomes: BatchOutcomes,
     slots: &mut [RoundSlot],
     stale: &mut Vec<usize>,
 ) {
-    for (&i, outcome) in indices.iter().zip(outcomes) {
+    for (&i, outcome) in indices.iter().zip(outcomes.iter()) {
         match outcome {
-            BatchOutcome::Done(reply) => slots[i] = RoundSlot::Ready(Ok(reply)),
+            BatchOutcome::Done(reply) => slots[i] = RoundSlot::Ready(Ok(reply.clone())),
             BatchOutcome::Blocked => slots[i] = RoundSlot::Blocked,
             BatchOutcome::Stale => stale.push(i),
             BatchOutcome::Failed(msg) => {
-                slots[i] = RoundSlot::Ready(Err(RtsError::Communication(msg)))
+                slots[i] = RoundSlot::Ready(Err(RtsError::Communication(msg.clone())))
             }
         }
     }
     stale.sort_unstable();
 }
-
-/// Decodes a backend reply into per-op batch outcomes (or an error text).
-pub(crate) type BatchDecodeFn<'a> = &'a dyn Fn(&[u8]) -> Result<Vec<BatchOutcome>, String>;
 
 fn fail_indices(slots: &mut [RoundSlot], indices: &[usize], err: RtsError) {
     for &i in indices {
@@ -355,11 +353,10 @@ impl PendingBatches {
 
 /// Ship every pending per-destination batch — all in flight at once
 /// through one reply-demultiplexing RPC client — and record the per-op
-/// outcomes (`Stale` outcomes land in `stale` for the next pass). Generic
-/// over the backend's protocol: `apply_local` executes a batch addressed
-/// to this very node (read back from its own encoding, the same way a
-/// remote receiver reads it), `decode` extracts the per-op outcomes from a
-/// reply.
+/// outcomes (`Stale` outcomes land in `stale` for the next pass), which a
+/// reply carries as a [`RegimeReply::Batch`]. `apply_local` executes a
+/// batch addressed to this very node (read back from its own encoding, the
+/// same way a remote receiver reads it).
 ///
 /// A batch whose destination dies reports a per-operation outcome
 /// (`NodeDown` once the failure detector confirms the death, `Timeout`
@@ -376,8 +373,7 @@ pub(crate) fn flush_op_batches(
     stale: &mut Vec<usize>,
     slots: &mut [RoundSlot],
     deadline: Instant,
-    apply_local: &dyn Fn(&OpBatchView<'_>) -> Vec<BatchOutcome>,
-    decode: BatchDecodeFn<'_>,
+    apply_local: &dyn Fn(&OpBatchView<'_>) -> BatchOutcomes,
 ) {
     if batches.list.is_empty() {
         return;
@@ -415,20 +411,14 @@ pub(crate) fn flush_op_batches(
             RpcError::Timeout => RtsError::Timeout,
             other => RtsError::Communication(other.to_string()),
         }) {
-            Ok(bytes) => match decode(&bytes) {
-                Ok(outcomes) if outcomes.len() == indices.len() => {
+            Ok(bytes) => match RegimeReply::from_bytes(&bytes) {
+                Ok(RegimeReply::Batch(outcomes)) if outcomes.len() == indices.len() => {
                     record_batch_outcomes(&indices, outcomes, slots, stale)
                 }
-                Ok(outcomes) => fail_indices(
-                    slots,
-                    &indices,
-                    RtsError::Communication(format!(
-                        "batch reply arity mismatch: {} outcomes for {} ops",
-                        outcomes.len(),
-                        indices.len()
-                    )),
-                ),
-                Err(msg) => fail_indices(slots, &indices, RtsError::Communication(msg)),
+                reply => {
+                    let err = format!("no batch reply for {} ops: {reply:?}", indices.len());
+                    fail_indices(slots, &indices, RtsError::Communication(err))
+                }
             },
             Err(err) => fail_indices(slots, &indices, err),
         }
@@ -441,8 +431,8 @@ pub(crate) struct QueuedOp {
     pub object: ObjectId,
     /// Read/write classification (as supplied by the caller).
     pub kind: OpKind,
-    /// Encoded operation.
-    pub op: Vec<u8>,
+    /// Encoded operation (shared with the handle's resubmission).
+    pub op: Arc<[u8]>,
     /// Causal trace of the submitting invocation, carried into the batch
     /// messages so remote applies land in the same span.
     pub trace: TraceId,
@@ -513,13 +503,16 @@ impl Pipeline {
         }
     }
 
-    /// Enqueue one operation for the next round.
-    pub(crate) fn submit(&self, op: QueuedOp) {
+    /// Enqueue operations for the next round, all at once: a flusher that
+    /// wakes finds every one of them queued.
+    pub(crate) fn submit(&self, ops: impl IntoIterator<Item = QueuedOp>) {
         if self.inner.stopped.load(Ordering::SeqCst) {
-            op.completer.complete(Err(RtsError::Terminated));
+            for op in ops {
+                op.completer.complete(Err(RtsError::Terminated));
+            }
             return;
         }
-        self.inner.queue.lock().push_back(op);
+        self.inner.queue.lock().extend(ops);
         self.inner.available.notify_one();
     }
 
@@ -564,19 +557,19 @@ impl LazyPipeline {
         *self.policy.lock() = policy;
     }
 
-    /// Queue one operation and return its completion handle. The first call
-    /// starts the flusher, whose rounds `round` executes — built from a
-    /// clone of this cell that is fresh and empty, for the runtime-system
-    /// handle the closure captures to hold: capturing the handle that holds
-    /// *this* one would close an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    pub(crate) fn submit<R>(
+    /// Queue `ops` on `object`, in order and under one lock, and return
+    /// their completion handles. The first call starts the flusher, whose
+    /// rounds `round` executes — built from a clone of this cell that is
+    /// fresh and empty, for the runtime-system handle the closure captures
+    /// to hold: capturing the handle that holds *this* one would close an
+    /// `Arc` cycle (pipeline → closure → handle → pipeline) and leak the
+    /// runtime system.
+    pub(crate) fn submit_many<R>(
         &self,
         object: ObjectId,
-        kind: OpKind,
-        op: &[u8],
+        ops: &[AsyncOp<'_>],
         round: impl FnOnce(LazyPipeline) -> R,
-    ) -> PendingInvocation
+    ) -> Vec<PendingInvocation>
     where
         R: Fn(Vec<QueuedOp>) + Send + 'static,
     {
@@ -599,23 +592,34 @@ impl LazyPipeline {
             };
             Arc::clone(started.get_or_insert_with(start))
         };
-        let (op, trace) = (op.to_vec(), orca_telemetry::trace::current());
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let enqueue: Arc<ResubmitFn> = Arc::new(move |completer| {
-            pipeline.submit(QueuedOp {
-                object,
-                kind,
-                op: op.clone(),
-                trace,
-                submitted: Instant::now(),
-                completer,
+        let submitted = Instant::now();
+        let mut queued = Vec::with_capacity(ops.len());
+        let handles = ops
+            .iter()
+            .map(|&(kind, op, trace)| {
+                let op: Arc<[u8]> = Arc::from(op);
+                let queued_op = move |op, submitted, completer| QueuedOp {
+                    object,
+                    kind,
+                    op,
+                    trace,
+                    submitted,
+                    completer,
+                };
+                // A guard-blocked op re-enters this same queue from wait(),
+                // alone, so its re-execution keeps issue order instead of
+                // jumping ahead through the synchronous path.
+                let (pipeline, resubmitted) = (Arc::clone(&pipeline), Arc::clone(&op));
+                let (handle, completer) = pending_pair(Arc::new(move |completer| {
+                    let again = queued_op(Arc::clone(&resubmitted), Instant::now(), completer);
+                    pipeline.submit([again]);
+                }));
+                queued.push(queued_op(op, submitted, completer));
+                handle
             })
-        });
-        let (handle, completer) = pending_pair(Arc::clone(&enqueue));
-        enqueue(completer);
-        handle
+            .collect();
+        pipeline.submit(queued);
+        handles
     }
 
     /// Stop the flusher, if one was started ([`Pipeline::shutdown`]).
@@ -650,9 +654,9 @@ where
             let policy = *inner.policy.lock();
             let max_batch = policy.max_batch.max(1);
             if queue.len() < max_batch && !policy.max_delay.is_zero() {
-                // Let a bulk submission finish arriving before the round
-                // is cut (bounded by max_delay in total, not per wake-up,
-                // so a trickle of early notifies cannot shrink rounds).
+                // Let other processes' submissions arrive before the round is
+                // cut (bounded by max_delay in total, not per wake-up, so a
+                // trickle of early notifies cannot shrink rounds).
                 let cut_at = std::time::Instant::now() + policy.max_delay;
                 while queue.len() < max_batch && !inner.stopped.load(Ordering::SeqCst) {
                     let now = std::time::Instant::now();
@@ -738,6 +742,22 @@ mod tests {
         );
     }
 
+    /// A queued write whose bytes are `value`.
+    fn queued(value: u64, completer: Completer) -> QueuedOp {
+        QueuedOp {
+            object: ObjectId::compose(0, 1),
+            kind: OpKind::Write,
+            op: Arc::from(value.to_le_bytes()),
+            trace: TraceId::NONE,
+            submitted: Instant::now(),
+            completer,
+        }
+    }
+
+    fn value(op: &QueuedOp) -> u64 {
+        u64::from_le_bytes(op.op[..].try_into().unwrap())
+    }
+
     #[test]
     fn blocked_op_reexecutes_in_issue_order_not_ahead_of_the_queue() {
         // Round executor: op value 0 is guard-blocked on its first pass,
@@ -746,16 +766,18 @@ mod tests {
         let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let order_w = Arc::clone(&order);
         let first_pass = Arc::new(AtomicBool::new(true));
-        let policy = Arc::new(Mutex::new(BatchPolicy::with_max_batch(1)));
+        let policy = Arc::new(Mutex::new(BatchPolicy {
+            max_batch: 1,
+            ..BatchPolicy::default()
+        }));
         let telemetry = Telemetry::new(1);
         let pipeline = Pipeline::start("test-pipe".into(), 0, telemetry, policy, move |ops| {
             for op in ops {
-                let value = u64::from_le_bytes(op.op.clone().try_into().unwrap());
-                if value == 0 && first_pass.swap(false, Ordering::SeqCst) {
+                if value(&op) == 0 && first_pass.swap(false, Ordering::SeqCst) {
                     op.completer.complete_blocked();
                     continue;
                 }
-                order_w.lock().push(value);
+                order_w.lock().push(value(&op));
                 op.completer.complete(Ok(Vec::new()));
             }
         });
@@ -764,27 +786,10 @@ mod tests {
         for i in 0..3u64 {
             let resubmit: Arc<ResubmitFn> = {
                 let pipe = Arc::clone(&pipe);
-                let op = i.to_le_bytes().to_vec();
-                Arc::new(move |completer: Completer| {
-                    pipe.submit(QueuedOp {
-                        object: ObjectId::compose(0, 1),
-                        kind: OpKind::Write,
-                        op: op.clone(),
-                        trace: TraceId::NONE,
-                        submitted: Instant::now(),
-                        completer,
-                    })
-                })
+                Arc::new(move |completer: Completer| pipe.submit([queued(i, completer)]))
             };
             let (handle, completer) = pending_pair(resubmit);
-            pipe.submit(QueuedOp {
-                object: ObjectId::compose(0, 1),
-                kind: OpKind::Write,
-                op: i.to_le_bytes().to_vec(),
-                trace: TraceId::NONE,
-                submitted: Instant::now(),
-                completer,
-            });
+            pipe.submit([queued(i, completer)]);
             handles.push(handle);
         }
         for handle in &handles {
@@ -811,23 +816,14 @@ mod tests {
         let pipeline = Pipeline::start("test-pipe".into(), 0, telemetry, policy, move |ops| {
             rounds_w.lock().push(ops.len());
             for op in ops {
-                seen_w
-                    .lock()
-                    .push(u64::from_le_bytes(op.op.try_into().unwrap()));
+                seen_w.lock().push(value(&op));
                 op.completer.complete(Ok(Vec::new()));
             }
         });
         let mut handles = Vec::new();
         for i in 0..10u64 {
             let (handle, completer) = pending_pair(no_resubmit());
-            pipeline.submit(QueuedOp {
-                object: ObjectId::compose(0, 1),
-                kind: OpKind::Write,
-                op: i.to_le_bytes().to_vec(),
-                trace: TraceId::NONE,
-                submitted: Instant::now(),
-                completer,
-            });
+            pipeline.submit([queued(i, completer)]);
             handles.push(handle);
         }
         for handle in &handles {
@@ -838,14 +834,7 @@ mod tests {
         pipeline.shutdown();
         // Submissions after shutdown fail fast.
         let (handle, completer) = pending_pair(no_resubmit());
-        pipeline.submit(QueuedOp {
-            object: ObjectId::compose(0, 1),
-            kind: OpKind::Write,
-            op: vec![],
-            trace: TraceId::NONE,
-            submitted: Instant::now(),
-            completer,
-        });
+        pipeline.submit([queued(0, completer)]);
         assert_eq!(handle.wait(), Err(RtsError::Terminated));
     }
 }

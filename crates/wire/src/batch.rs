@@ -28,16 +28,24 @@
 //! operation and writes only the mispredictions:
 //!
 //! ```text
-//! ops   := count:varint op*
-//! op    := flags:u8 [id:varint] [object:varint] [partition:varint]
-//!          [epoch:varint] [trace:TraceId] len:varint bytes
+//! ops      := count:varint op*
+//! op       := flags:u8 [id:varint] [object:varint] [partition:varint]
+//!             [epoch:varint] [trace:TraceId | skip:varint] len:varint bytes
+//! outcomes := count:varint (run:varint outcome)*
 //! ```
 //!
 //! A set bit in `flags` says the field follows; a clear bit says it equals
 //! its prediction — `id` and a traced `trace` one more than the previous
 //! operation's (wrapping), everything else unchanged, all starting from
-//! zero / [`TraceId::NONE`]. The common case is two bytes of overhead per
-//! operation (flags and length); any sequence of values round-trips.
+//! zero / [`TraceId::NONE`]. A trace of the predicted origin further on than
+//! predicted — where an origin's operations alternate between destinations
+//! — is the `skip` bit and how far on (`skip ≥ 1`, one byte up to 127). The
+//! common case is two bytes of overhead per operation (flags and length);
+//! any sequence of values round-trips.
+//!
+//! A reply's outcomes ([`BatchOutcomes`]) are runs of equal ones, each
+//! `run ≥ 1` long, summing to `count`: a batch that all completed with the
+//! same reply costs one run.
 //!
 //! There is one encoding and three ways to touch it: the owned
 //! [`OpBatch`] / [`BatchOp`] (`Wire`, for tools and tests),
@@ -52,7 +60,8 @@ const HAS_OBJECT: u8 = 1 << 1;
 const HAS_PARTITION: u8 = 1 << 2;
 const HAS_EPOCH: u8 = 1 << 3;
 const HAS_TRACE: u8 = 1 << 4;
-const KNOWN_FLAGS: u8 = HAS_ID | HAS_OBJECT | HAS_PARTITION | HAS_EPOCH | HAS_TRACE;
+const HAS_SKIP: u8 = 1 << 5;
+const KNOWN_FLAGS: u8 = HAS_ID | HAS_OBJECT | HAS_PARTITION | HAS_EPOCH | HAS_TRACE | HAS_SKIP;
 
 /// One operation of a batch, borrowing its encoded bytes: what an
 /// [`OpBatchView`] yields and an [`OpBatchEncoder`] accepts.
@@ -97,13 +106,24 @@ impl Predictor {
         }
     }
 
+    /// How far past the predicted trace `trace` is, when it is further on
+    /// under the predicted origin.
+    fn skip_to(&self, trace: TraceId) -> Option<u64> {
+        let predicted = self.next_trace();
+        let same_origin = trace.origin() == predicted.origin();
+        (predicted.is_traced() && same_origin && trace.0 > predicted.0)
+            .then(|| trace.0 - predicted.0)
+    }
+
     fn encode(&mut self, enc: &mut Encoder, id: u64, op: OpRef<'_>) {
         let flag = |mispredicted: bool, bit: u8| if mispredicted { bit } else { 0 };
+        let skip = self.skip_to(op.trace);
         let flags = flag(id != self.next_id(), HAS_ID)
             | flag(op.object != self.object, HAS_OBJECT)
             | flag(op.partition != self.partition, HAS_PARTITION)
             | flag(op.epoch != self.epoch, HAS_EPOCH)
-            | flag(op.trace != self.next_trace(), HAS_TRACE);
+            | flag(skip.is_some(), HAS_SKIP)
+            | flag(skip.is_none() && op.trace != self.next_trace(), HAS_TRACE);
         enc.put_u8(flags);
         if flags & HAS_ID != 0 {
             enc.put_uvarint(id);
@@ -120,6 +140,9 @@ impl Predictor {
         if flags & HAS_TRACE != 0 {
             op.trace.encode(enc);
         }
+        if let Some(skip) = skip {
+            enc.put_uvarint(skip);
+        }
         enc.put_bytes(op.op);
         *self = Predictor {
             id,
@@ -134,7 +157,7 @@ impl Predictor {
     /// (`self.id` is the one the returned [`OpRef`] does not carry).
     fn decode<'a>(&mut self, dec: &mut Decoder<'a>) -> WireResult<OpRef<'a>> {
         let flags = dec.get_u8()?;
-        if flags & !KNOWN_FLAGS != 0 {
+        if flags & !KNOWN_FLAGS != 0 || flags & (HAS_TRACE | HAS_SKIP) == HAS_TRACE | HAS_SKIP {
             return Err(WireError::InvalidTag {
                 type_name: "BatchOp flags",
                 tag: u64::from(flags),
@@ -156,6 +179,16 @@ impl Predictor {
         }
         self.trace = if flags & HAS_TRACE != 0 {
             Wire::decode(dec)?
+        } else if flags & HAS_SKIP != 0 {
+            let skip = dec.get_uvarint()?;
+            let trace = TraceId(self.next_trace().0.wrapping_add(skip));
+            if self.skip_to(trace) != Some(skip) {
+                return Err(WireError::InvalidTag {
+                    type_name: "BatchOp trace skip",
+                    tag: skip,
+                });
+            }
+            trace
         } else {
             self.next_trace()
         };
@@ -201,18 +234,6 @@ impl BatchOp {
             trace: self.trace,
             op: &self.op,
         }
-    }
-}
-
-/// A lone operation is a batch's first: predicted from the zero state.
-impl Wire for BatchOp {
-    fn encode(&self, enc: &mut Encoder) {
-        Predictor::default().encode(enc, self.id, self.as_op_ref());
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        let mut prev = Predictor::default();
-        let op = prev.decode(dec)?;
-        Ok(owned(prev.id, op))
     }
 }
 
@@ -366,49 +387,12 @@ impl<'a> OpBatchView<'a> {
     }
 
     /// The operations, in issue order.
-    pub fn iter(&self) -> OpBatchIter<'a> {
-        OpBatchIter {
-            left: self.count,
-            dec: self.ops.clone(),
-            prev: Predictor::default(),
-        }
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = OpRef<'a>> + Clone {
+        let (mut dec, mut prev) = (self.ops.clone(), Predictor::default());
+        let checked = "OpBatchView::parse checked every operation";
+        (0..self.count).map(move |_| prev.decode(&mut dec).expect(checked))
     }
 }
-
-impl<'a> IntoIterator for &OpBatchView<'a> {
-    type Item = OpRef<'a>;
-    type IntoIter = OpBatchIter<'a>;
-    fn into_iter(self) -> OpBatchIter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over the operations of an [`OpBatchView`].
-#[derive(Debug, Clone)]
-pub struct OpBatchIter<'a> {
-    left: usize,
-    dec: Decoder<'a>,
-    prev: Predictor,
-}
-
-impl<'a> Iterator for OpBatchIter<'a> {
-    type Item = OpRef<'a>;
-
-    fn next(&mut self) -> Option<OpRef<'a>> {
-        self.left = self.left.checked_sub(1)?;
-        Some(
-            self.prev
-                .decode(&mut self.dec)
-                .expect("OpBatchView::parse checked every operation"),
-        )
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl ExactSizeIterator for OpBatchIter<'_> {}
 
 /// Outcome of one operation of a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -465,6 +449,64 @@ impl Wire for BatchOutcome {
     }
 }
 
+/// The outcomes of one batch, in batch order, as runs of equal outcomes:
+/// what a batch reply carries. Decoded, it takes no more memory than its
+/// bytes, however many operations its runs cover.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchOutcomes(Vec<(usize, BatchOutcome)>);
+
+impl BatchOutcomes {
+    /// Number of outcomes.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|(run, _)| run).sum()
+    }
+
+    /// True when there are none.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Append `run` copies of `outcome`.
+    pub fn push(&mut self, run: usize, outcome: BatchOutcome) {
+        match self.0.last_mut() {
+            Some((len, last)) if *last == outcome => *len += run,
+            _ => self.0.push((run, outcome)),
+        }
+    }
+
+    /// Every outcome, in batch order.
+    pub fn iter(&self) -> impl Iterator<Item = &BatchOutcome> {
+        let runs = self.0.iter();
+        runs.flat_map(|(run, outcome)| std::iter::repeat_n(outcome, *run))
+    }
+}
+
+impl Wire for BatchOutcomes {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_len(self.len());
+        for (run, outcome) in &self.0 {
+            enc.put_len(*run);
+            outcome.encode(enc);
+        }
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        let mut left = dec.get_len()?;
+        let mut outcomes = BatchOutcomes::default();
+        while left > 0 {
+            let run = dec.get_len()?;
+            if run == 0 || run > left {
+                return Err(WireError::InvalidTag {
+                    type_name: "BatchOutcomes run",
+                    tag: run as u64,
+                });
+            }
+            outcomes.push(run, Wire::decode(dec)?);
+            left -= run;
+        }
+        Ok(outcomes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,9 +539,6 @@ mod tests {
     fn batch_round_trips() {
         let b = batch();
         assert_eq!(OpBatch::from_bytes(&b.to_bytes()).unwrap(), b);
-        for op in &b.ops {
-            assert_eq!(BatchOp::from_bytes(&op.to_bytes()).unwrap(), *op);
-        }
         for outcome in [
             BatchOutcome::Done(vec![9]),
             BatchOutcome::Done(vec![]),
@@ -528,7 +567,7 @@ mod tests {
         }
         // Flag bits the format does not define, and a reply shorter than
         // its outcome claims.
-        assert!(BatchOp::from_bytes(&[0x20, 0]).is_err());
+        assert!(OpBatchView::from_bytes(&[1, 0x40, 0]).is_err());
         assert!(BatchOutcome::from_bytes(&[OUTCOME_DONE as u8 + 2, 1]).is_err());
     }
 
@@ -604,6 +643,99 @@ mod tests {
         // flags + length + payload per op.
         let budget = 2 + 7 + 3 + OPS * (2 + OP_BYTES);
         assert!(bytes.len() <= budget, "{} > {budget}", bytes.len());
+    }
+
+    /// The bytes of a batch of two `Put`-sized operations on one object
+    /// whose traces are `gap` apart.
+    fn two_ops_traced(gap: u64) -> Vec<u8> {
+        let mut enc = OpBatchEncoder::new(Vec::new());
+        for trace in [TraceId::mint(1, 1000), TraceId::mint(1, 1000 + gap)] {
+            enc.push(OpRef {
+                object: 7,
+                partition: 0,
+                epoch: 0,
+                trace,
+                op: &[5; 27],
+            });
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn a_trace_skip_of_up_to_127_costs_one_byte() {
+        let consecutive = two_ops_traced(1).len();
+        for skip in 1..=127 {
+            let bytes = two_ops_traced(1 + skip);
+            assert_eq!(bytes.len(), consecutive + 1, "skip {skip}");
+            let traces: Vec<TraceId> = OpBatchView::from_bytes(&bytes)
+                .unwrap()
+                .iter()
+                .map(|op| op.trace)
+                .collect();
+            assert_eq!(
+                traces,
+                [TraceId::mint(1, 1000), TraceId::mint(1, 1001 + skip)]
+            );
+        }
+        assert_eq!(two_ops_traced(129).len(), consecutive + 2);
+    }
+
+    #[test]
+    fn a_skip_outside_the_predicted_origin_is_refused() {
+        // A batch of two empty ops on object 7: the first traced t1.1000,
+        // the second `flags` and a skip past the predicted t1.1001.
+        let batch = |flags: u8, skip: u64| {
+            let mut enc = Encoder::new();
+            enc.put_len(2);
+            enc.put_raw(&[HAS_OBJECT | HAS_TRACE, 7, 2, 0xe8, 0x07, 0, flags]);
+            enc.put_uvarint(skip);
+            enc.put_u8(0);
+            enc.into_bytes()
+        };
+        let to_origin_end = (1u64 << 48) - 1 - 1001;
+        assert!(OpBatchView::from_bytes(&batch(HAS_SKIP, 1)).is_ok());
+        assert!(OpBatchView::from_bytes(&batch(HAS_SKIP, to_origin_end)).is_ok());
+        // A skip of nothing, one into the next origin, and one beside a
+        // full trace are not in the format; nor is one after an untraced op.
+        assert!(OpBatchView::from_bytes(&batch(HAS_SKIP, 0)).is_err());
+        assert!(OpBatchView::from_bytes(&batch(HAS_SKIP, to_origin_end + 1)).is_err());
+        assert!(OpBatchView::from_bytes(&batch(HAS_SKIP | HAS_TRACE, 1)).is_err());
+        assert!(OpBatchView::from_bytes(&[1, HAS_SKIP, 1, 0]).is_err());
+    }
+
+    #[test]
+    fn a_reply_of_equal_outcomes_is_one_run() {
+        let done = BatchOutcome::Done(vec![1, 1]);
+        let mut outcomes = BatchOutcomes::default();
+        for _ in 0..32 {
+            outcomes.push(1, done.clone());
+        }
+        assert_eq!(outcomes.len(), 32);
+        assert!(outcomes.iter().all(|outcome| *outcome == done));
+        assert_eq!(outcomes.encoded_len(), 1 + 1 + done.encoded_len());
+        assert_eq!(
+            BatchOutcomes::from_bytes(&outcomes.to_bytes()).unwrap(),
+            outcomes
+        );
+
+        let mut mixed = BatchOutcomes::default();
+        mixed.push(1, done.clone());
+        mixed.push(2, BatchOutcome::Stale);
+        mixed.push(1, done);
+        let bytes = mixed.to_bytes();
+        assert_eq!(BatchOutcomes::from_bytes(&bytes).unwrap(), mixed);
+        assert_eq!(mixed.iter().count(), 4);
+        for cut in 0..bytes.len() {
+            assert!(
+                BatchOutcomes::from_bytes(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        // A run of nothing, and a run past the count.
+        let stale = OUTCOME_STALE as u8;
+        assert!(BatchOutcomes::from_bytes(&[1, 0, stale, 1, stale]).is_err());
+        assert!(BatchOutcomes::from_bytes(&[2, 3, stale]).is_err());
+        assert!(BatchOutcomes::from_bytes(&[2, 2, stale]).is_ok());
     }
 
     #[test]

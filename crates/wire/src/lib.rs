@@ -58,7 +58,9 @@ pub mod recovery;
 pub mod regime;
 pub mod trace;
 
-pub use batch::{BatchOp, BatchOutcome, OpBatch, OpBatchEncoder, OpBatchIter, OpBatchView, OpRef};
+pub use batch::{
+    BatchOp, BatchOutcome, BatchOutcomes, OpBatch, OpBatchEncoder, OpBatchView, OpRef,
+};
 pub use decode::{Decoder, MAX_LEN};
 pub use encode::{uvarint_len, Encoder};
 pub use envelope::RequestHead;

@@ -798,8 +798,8 @@ pub enum RegimeReply {
     /// operations on it can never succeed.
     ObjectLost,
     /// Per-operation outcomes of an operation batch
-    /// ([`RegimeMsg::OP_BATCH_TAG`]), in batch order.
-    Batch(Vec<crate::batch::BatchOutcome>),
+    /// ([`RegimeMsg::OP_BATCH_TAG`]), in batch order, as runs of equal ones.
+    Batch(crate::batch::BatchOutcomes),
     /// A [`RegimeMsg::WriteThrough`] was applied and every *other* mirror
     /// brought up to date: the sender applies its own operation at `seq`.
     Installed {
@@ -1087,10 +1087,12 @@ mod tests {
                 seq: 14,
                 lease: Some(150),
             },
-            RegimeReply::Batch(vec![
-                crate::batch::BatchOutcome::Done(vec![1]),
-                crate::batch::BatchOutcome::Stale,
-            ]),
+            RegimeReply::Batch({
+                let mut outcomes = crate::batch::BatchOutcomes::default();
+                outcomes.push(2, crate::batch::BatchOutcome::Done(vec![1]));
+                outcomes.push(1, crate::batch::BatchOutcome::Stale);
+                outcomes
+            }),
         ];
         for reply in replies {
             assert_eq!(RegimeReply::from_bytes(&reply.to_bytes()).unwrap(), reply);

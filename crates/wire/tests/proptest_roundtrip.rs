@@ -753,11 +753,13 @@ fn regime_messages_round_trip() {
                 seq: gen.next_u64(),
                 lease: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
-            10 => RegimeReply::Batch(
-                (0..gen.below(6))
-                    .map(|_| random_outcome(&mut gen))
-                    .collect(),
-            ),
+            10 => {
+                let mut outcomes = orca_wire::BatchOutcomes::default();
+                for _ in 0..gen.below(6) {
+                    outcomes.push(1 + gen.below(3), random_outcome(&mut gen));
+                }
+                RegimeReply::Batch(outcomes)
+            }
             0 => RegimeReply::Done(gen.bytes(48)),
             1 => RegimeReply::Blocked,
             2 => RegimeReply::Route(random_regime_table(&mut gen)),
@@ -993,9 +995,7 @@ fn random_batch(gen: &mut Gen) -> orca_wire::OpBatch {
             if gen.below(2) == 0 {
                 op.epoch = prev.epoch;
             }
-            if gen.below(2) == 0 {
-                op.trace = orca_wire::TraceId(prev.trace.0.wrapping_add(1));
-            }
+            op.trace = related_trace(gen, prev.trace).unwrap_or(op.trace);
         }
         ops.push(op);
     }
@@ -1003,6 +1003,24 @@ fn random_batch(gen: &mut Gen) -> orca_wire::OpBatch {
         batch: edgy_u64(gen),
         ops,
     }
+}
+
+/// A trace after `prev` that the codec predicts (the next one), skips to
+/// (further on under the same origin, a little or a lot), or has to spell
+/// out (back, another origin, untraced) — or `None`, for an unrelated one.
+fn related_trace(gen: &mut Gen, prev: orca_wire::TraceId) -> Option<orca_wire::TraceId> {
+    use orca_wire::TraceId;
+    let origin = prev.origin().unwrap_or(0);
+    let trace = match gen.below(7) {
+        0 => TraceId(prev.0.wrapping_add(1)),
+        1 => TraceId(prev.0.wrapping_add(2 + gen.below(126) as u64)),
+        2 => TraceId::mint(origin, prev.seq().wrapping_add(gen.next_u64() >> 16)),
+        3 => TraceId(prev.0.wrapping_sub(gen.below(300) as u64)),
+        4 => TraceId::mint(origin.wrapping_add(1 + gen.below(3) as u16), prev.seq() + 1),
+        5 => TraceId::NONE,
+        _ => return None,
+    };
+    Some(trace)
 }
 
 fn random_outcome(gen: &mut Gen) -> orca_wire::BatchOutcome {
@@ -1059,9 +1077,6 @@ fn batch_codec_round_trips_and_the_view_matches_the_owned_decode() {
     for case in 0..*CASES {
         let batch = random_batch(&mut gen);
         assert_roundtrip(&batch, case);
-        for op in &batch.ops {
-            assert_roundtrip(op, case);
-        }
         let bytes = batch.to_bytes();
 
         // The borrowed view yields exactly the owned decode's operations.
@@ -1111,7 +1126,6 @@ fn batch_codec_round_trips_and_the_view_matches_the_owned_decode() {
             (Err(_), Err(_)) => {}
             (owned, seen) => panic!("case {case}: readers disagree: {owned:?} vs {seen:?}"),
         }
-        let _ = BatchOp::from_bytes(&garbage);
     }
 }
 
@@ -1180,5 +1194,45 @@ fn batch_outcomes_round_trip_and_survive_garbage() {
         let garbage = gen.bytes(32);
         let _ = BatchOutcome::from_bytes(&garbage);
         let _ = Vec::<BatchOutcome>::from_bytes(&garbage);
+    }
+}
+
+#[test]
+fn batch_outcome_runs_round_trip_and_refuse_what_is_not_a_run() {
+    use orca_wire::{BatchOutcome, BatchOutcomes};
+    let mut gen = Gen::new(0x0B47_4E55);
+    for case in 0..*CASES {
+        // Runs drawn from a small pool, so that neighbours are often equal.
+        let pool: Vec<BatchOutcome> = (0..3).map(|_| random_outcome(&mut gen)).collect();
+        let (mut expanded, mut outcomes) = (Vec::new(), BatchOutcomes::default());
+        for _ in 0..gen.below(6) {
+            let outcome = &pool[gen.below(pool.len())];
+            let run = [1, 2, 64, 300][gen.below(4)];
+            expanded.extend(std::iter::repeat_n(outcome.clone(), run));
+            outcomes.push(run, outcome.clone());
+        }
+        assert_roundtrip(&outcomes, case);
+        assert_eq!(outcomes.len(), expanded.len(), "case {case}");
+        assert!(outcomes.iter().eq(expanded.iter()), "case {case}");
+        let bytes = outcomes.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                BatchOutcomes::from_bytes(&bytes[..cut]).is_err(),
+                "case {case}: reply cut to {cut} bytes decoded"
+            );
+        }
+        // A run of no outcomes, and a run longer than what the count
+        // leaves, are refused.
+        let outcome = pool[0].to_bytes();
+        let count = 1 + gen.below(100);
+        for (run, ok) in [(0, false), (count + 1 + gen.below(9), false), (count, true)] {
+            let mut enc = Encoder::new();
+            enc.put_len(count);
+            enc.put_len(run);
+            enc.put_raw(&outcome);
+            let decoded = BatchOutcomes::from_bytes(&enc.into_bytes());
+            assert_eq!(decoded.is_ok(), ok, "case {case}: run {run} of {count}");
+        }
+        let _ = BatchOutcomes::from_bytes(&gen.bytes(32));
     }
 }

@@ -225,6 +225,63 @@ fn ships_half_the_puts_of_two_remote_writers(config: OrcaConfig) {
     runtime.shutdown();
 }
 
+/// The pipelined write workload in miniature: once the partitions sit on
+/// the two writers, nodes 1 and 2 take turns submitting 64-`Put` windows
+/// (`invoke_many`). A window is one round, so it costs one batch request
+/// to the other writer and its reply — about half the `Put`s and their
+/// bytes, a skip byte where consecutive ones went to different owners, one
+/// run of outcomes — plus a usage report; the other half stays on the
+/// node: 3 messages and 16.45 bytes an operation. A window cut into rounds
+/// as its operations trickled in, with a full trace on every `Put` whose
+/// predecessor went elsewhere and an outcome per operation in every reply,
+/// cost 5.28 messages and 19.74 bytes.
+#[test]
+fn sharded_pipelined_windows_are_one_batch_each() {
+    const KEYS: u64 = 4096;
+    const WINDOW: u64 = 64;
+    let runtime = OrcaRuntime::start(OrcaConfig::sharded(3, 4), standard_registry());
+    let table = runtime
+        .create::<KvTableObject>(&Default::default())
+        .unwrap();
+    let mut puts = 0u64;
+    let mut windows = |count: u64| {
+        for window in 0..count {
+            let ctx = runtime.context(1 + (window % 2) as usize);
+            let ops: Vec<KvTableOp> = (0..WINDOW)
+                .map(|i| {
+                    let key = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul((puts + i) % KEYS + 1);
+                    put(key, ((puts + i) / KEYS) as i32)
+                })
+                .collect();
+            for future in ctx.invoke_many(table, &ops) {
+                future.wait().expect("put succeeds");
+            }
+            puts += WINDOW;
+        }
+    };
+    // Adaptation, as for the synchronous writers.
+    windows(32);
+    let placement = runtime.object_placement(table.id()).expect("one engine");
+    assert!(
+        !placement.contains(&NodeId(0)),
+        "the idle creator owns a partition: {placement:?}"
+    );
+
+    const MEASURED: u64 = 64;
+    let before = runtime.network_stats();
+    windows(MEASURED);
+    let spent = runtime.network_stats().since(&before);
+    let per_op = spent.total_wire_bytes() as f64 / (MEASURED * WINDOW) as f64;
+    let per_window = spent.total_messages() as f64 / MEASURED as f64;
+    assert!(
+        per_op <= 16.8 && per_window <= 3.2,
+        "{per_op:.2} wire bytes per Put, {per_window:.2} messages per window: \
+         placement {placement:?}"
+    );
+    assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    runtime.shutdown();
+}
+
 /// The invocation benchmark's `read_mostly_tcp` in miniature: node 0
 /// creates a table of 4 096 keys and never touches it again, nodes 1 and 2
 /// each read it nine times for every `Put`. The adaptive runtime replicates
