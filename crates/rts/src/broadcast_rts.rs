@@ -1336,3 +1336,58 @@ mod tests {
         shutdown_all(rtses);
     }
 }
+
+#[cfg(test)]
+#[macro_use]
+#[path = "../../wire/tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+mod wire_layout {
+    use super::*;
+    use orca_wire::WireError;
+
+    golden_tests!(broadcast_msgs);
+
+    /// Every message this runtime system orders, with the hex bytes it
+    /// encodes to (see the wire crate's `tests/support/golden.rs`).
+    fn broadcast_msgs() -> Vec<(RtsBroadcastMsg, &'static str)> {
+        let write = |op: Vec<u8>| RtsBroadcastMsg::Write {
+            invocation: 300,
+            object: ObjectId::compose(1, 2),
+            op,
+        };
+        vec![
+            (
+                RtsBroadcastMsg::Create {
+                    invocation: 7,
+                    descriptor: ObjectDescriptor {
+                        id: ObjectId::compose(0, 1),
+                        type_name: "test.Accumulator".into(),
+                        state: vec![0],
+                    },
+                },
+                "00 07 01 10 74 65 73 74 2e 41 63 63 75 6d 75 6c 61 74 6f 72 01 00",
+            ),
+            (write(vec![]), "01 ac 02 82 80 80 80 80 80 40 00"),
+            (
+                write(vec![1, 0x80]),
+                "01 ac 02 82 80 80 80 80 80 40 02 01 80",
+            ),
+            (RtsBroadcastMsg::Withdraw { invocation: 300 }, "02 ac 02"),
+        ]
+    }
+
+    /// A write batch is its tag and an op batch, never an owned message.
+    #[test]
+    fn the_write_batch_tag_is_no_message() {
+        let batch = [RtsBroadcastMsg::WRITE_BATCH_TAG, 0, 0];
+        assert_eq!(
+            RtsBroadcastMsg::from_bytes(&batch),
+            Err(WireError::InvalidTag {
+                type_name: "RtsBroadcastMsg",
+                tag: 3,
+            })
+        );
+    }
+}
