@@ -1,16 +1,18 @@
 //! Message envelope delivered by the simulated network.
 
-use orca_wire::{Decoder, Encoder, Wire, WireResult};
+use orca_wire::{wire_type, Wire};
 
 use crate::node::{NodeId, Port};
 
-/// How a message reached the destination node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Point-to-point send addressed to exactly this node.
-    PointToPoint,
-    /// Hardware-style broadcast copied to every node on the network.
-    Broadcast,
+wire_type! {
+    /// How a message reached the destination node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Delivery {
+        /// Point-to-point send addressed to exactly this node.
+        POINT_TO_POINT_TAG = 0 => PointToPoint,
+        /// Hardware-style broadcast copied to every node on the network.
+        BROADCAST_TAG = 1 => Broadcast,
+    }
 }
 
 /// A message delivered to a node's inbox.
@@ -45,25 +47,6 @@ impl NetMessage {
 /// Fixed per-message header overhead charged by the statistics layer
 /// (Ethernet header + Amoeba FLIP-style header, rounded).
 pub const WIRE_HEADER_BYTES: usize = 32;
-
-impl Wire for Delivery {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            Delivery::PointToPoint => 0,
-            Delivery::Broadcast => 1,
-        });
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(Delivery::PointToPoint),
-            1 => Ok(Delivery::Broadcast),
-            tag => Err(orca_wire::WireError::InvalidTag {
-                type_name: "Delivery",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -24,33 +24,35 @@ use std::collections::BTreeSet;
 use orca_core::objects::{BoolArray, BoolFlag};
 use orca_core::{replicated_workers, ObjectHandle, OrcaNode, OrcaRuntime};
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::metrics::{ParallelRunReport, WorkerWork};
 
-/// A binary constraint between two variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Constraint {
-    /// `Va + offset < Vb`
-    Less {
-        /// Left variable.
-        a: u32,
-        /// Right variable.
-        b: u32,
-        /// Offset added to `Va`.
-        offset: i32,
-    },
-    /// `Va != Vb + offset`
-    NotEqual {
-        /// Left variable.
-        a: u32,
-        /// Right variable.
-        b: u32,
-        /// Offset added to `Vb`.
-        offset: i32,
-    },
+wire_type! {
+    /// A binary constraint between two variables.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Constraint {
+        /// `Va + offset < Vb`
+        LESS_TAG = 0 => Less {
+            /// Left variable.
+            a: u32,
+            /// Right variable.
+            b: u32,
+            /// Offset added to `Va`.
+            offset: i32,
+        },
+        /// `Va != Vb + offset`
+        NOT_EQUAL_TAG = 1 => NotEqual {
+            /// Left variable.
+            a: u32,
+            /// Right variable.
+            b: u32,
+            /// Offset added to `Vb`.
+            offset: i32,
+        },
+    }
 }
 
 impl Constraint {
@@ -67,43 +69,6 @@ impl Constraint {
         match self {
             Constraint::Less { offset, .. } => va + offset < vb,
             Constraint::NotEqual { offset, .. } => va != vb + offset,
-        }
-    }
-}
-
-impl Wire for Constraint {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Constraint::Less { a, b, offset } => {
-                enc.put_u8(0);
-                a.encode(enc);
-                b.encode(enc);
-                offset.encode(enc);
-            }
-            Constraint::NotEqual { a, b, offset } => {
-                enc.put_u8(1);
-                a.encode(enc);
-                b.encode(enc);
-                offset.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(Constraint::Less {
-                a: Wire::decode(dec)?,
-                b: Wire::decode(dec)?,
-                offset: Wire::decode(dec)?,
-            }),
-            1 => Ok(Constraint::NotEqual {
-                a: Wire::decode(dec)?,
-                b: Wire::decode(dec)?,
-                offset: Wire::decode(dec)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Constraint",
-                tag: u64::from(tag),
-            }),
         }
     }
 }
@@ -177,100 +142,38 @@ impl AcpInstance {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainObject;
 
-/// Operations of [`DomainObject`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DomainOp {
-    /// Remove `value` from variable `var`'s set (write). Returns the new set
-    /// size (0 means the problem has no solution).
-    RemoveValue {
-        /// Variable index.
-        var: u32,
-        /// Value to remove.
-        value: i32,
-    },
-    /// Return variable `var`'s current value set (read).
-    GetSet(u32),
-    /// Return the size of variable `var`'s set (read).
-    SizeOf(u32),
-    /// Return the sizes of all value sets (read) — used to extract the final
-    /// fixpoint.
-    AllSets,
-}
-
-impl Wire for DomainOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            DomainOp::RemoveValue { var, value } => {
-                enc.put_u8(0);
-                var.encode(enc);
-                value.encode(enc);
-            }
-            DomainOp::GetSet(var) => {
-                enc.put_u8(1);
-                var.encode(enc);
-            }
-            DomainOp::SizeOf(var) => {
-                enc.put_u8(2);
-                var.encode(enc);
-            }
-            DomainOp::AllSets => enc.put_u8(3),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(DomainOp::RemoveValue {
-                var: Wire::decode(dec)?,
-                value: Wire::decode(dec)?,
-            }),
-            1 => Ok(DomainOp::GetSet(Wire::decode(dec)?)),
-            2 => Ok(DomainOp::SizeOf(Wire::decode(dec)?)),
-            3 => Ok(DomainOp::AllSets),
-            tag => Err(WireError::InvalidTag {
-                type_name: "DomainOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`DomainObject`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum DomainOp {
+        /// Remove `value` from variable `var`'s set (write). Returns the new set
+        /// size (0 means the problem has no solution).
+        REMOVE_VALUE_TAG = 0 => RemoveValue {
+            /// Variable index.
+            var: u32,
+            /// Value to remove.
+            value: i32,
+        },
+        /// Return variable `var`'s current value set (read).
+        GET_SET_TAG = 1 => GetSet(u32),
+        /// Return the size of variable `var`'s set (read).
+        SIZE_OF_TAG = 2 => SizeOf(u32),
+        /// Return the sizes of all value sets (read) — used to extract the final
+        /// fixpoint.
+        ALL_SETS_TAG = 3 => AllSets,
     }
 }
 
-/// Reply type of [`DomainObject`] operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DomainReply {
-    /// New (or current) size of one set.
-    Size(u64),
-    /// One variable's value set.
-    Set(Vec<i32>),
-    /// Every variable's value set.
-    AllSets(Vec<Vec<i32>>),
-}
-
-impl Wire for DomainReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            DomainReply::Size(n) => {
-                enc.put_u8(0);
-                n.encode(enc);
-            }
-            DomainReply::Set(values) => {
-                enc.put_u8(1);
-                values.encode(enc);
-            }
-            DomainReply::AllSets(sets) => {
-                enc.put_u8(2);
-                sets.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(DomainReply::Size(Wire::decode(dec)?)),
-            1 => Ok(DomainReply::Set(Wire::decode(dec)?)),
-            2 => Ok(DomainReply::AllSets(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "DomainReply",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Reply type of [`DomainObject`] operations.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum DomainReply {
+        /// New (or current) size of one set.
+        SIZE_TAG = 0 => Size(u64),
+        /// One variable's value set.
+        SET_TAG = 1 => Set(Vec<i32>),
+        /// Every variable's value set.
+        ALL_SETS_TAG = 2 => AllSets(Vec<Vec<i32>>),
     }
 }
 
@@ -562,6 +465,7 @@ pub fn runtime(processors: usize) -> OrcaRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn sequential_fixpoint_is_arc_consistent() {

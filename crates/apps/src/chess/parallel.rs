@@ -5,7 +5,7 @@
 
 use orca_core::objects::{IntObject, IntOp, JobQueue, KvTable, SharedInt};
 use orca_core::{replicated_workers, ObjectHandle, OrcaRuntime};
-use orca_wire::{Decoder, Encoder, Wire, WireResult};
+use orca_wire::wire_type;
 
 use super::board::{Board, Move};
 use super::search::{search_root_move, LocalTables, SearchTables, SharedTables, MATE_SCORE};
@@ -22,25 +22,14 @@ pub enum TableMode {
     Shared,
 }
 
-/// One root-splitting job: search this root move to the given depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChessJob {
-    /// Encoded root move.
-    pub mv: u64,
-    /// Search depth.
-    pub depth: i32,
-}
-
-impl Wire for ChessJob {
-    fn encode(&self, enc: &mut Encoder) {
-        self.mv.encode(enc);
-        self.depth.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(ChessJob {
-            mv: Wire::decode(dec)?,
-            depth: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// One root-splitting job: search this root move to the given depth.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ChessJob {
+        /// Encoded root move.
+        pub mv: u64,
+        /// Search depth.
+        pub depth: i32,
     }
 }
 
@@ -165,6 +154,7 @@ mod tests {
     use super::super::search::{is_mate_score, search_position};
     use super::super::tactical_positions;
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn pack_orders_by_score() {

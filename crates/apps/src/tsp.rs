@@ -16,7 +16,7 @@
 
 use orca_core::objects::{JobQueue, SharedInt};
 use orca_core::{replicated_workers, OrcaRuntime};
-use orca_wire::{Decoder, Encoder, Wire, WireResult};
+use orca_wire::wire_type;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,13 +27,15 @@ use crate::metrics::{ParallelRunReport, WorkerWork};
 /// problem give 13 × 12 = 156 jobs, plenty for 16 workers.
 pub const JOB_PREFIX_DEPTH: usize = 2;
 
-/// A TSP instance: a symmetric distance matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TspInstance {
-    /// Number of cities.
-    pub cities: usize,
-    /// Flattened `cities × cities` distance matrix.
-    pub dist: Vec<i64>,
+wire_type! {
+    /// A TSP instance: a symmetric distance matrix.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TspInstance {
+        /// Number of cities.
+        pub cities: usize,
+        /// Flattened `cities × cities` distance matrix.
+        pub dist: Vec<i64>,
+    }
 }
 
 impl TspInstance {
@@ -94,38 +96,14 @@ impl TspInstance {
     }
 }
 
-impl Wire for TspInstance {
-    fn encode(&self, enc: &mut Encoder) {
-        self.cities.encode(enc);
-        self.dist.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(TspInstance {
-            cities: Wire::decode(dec)?,
-            dist: Wire::decode(dec)?,
-        })
-    }
-}
-
-/// A branch-and-bound job: a partial route starting at city 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TspJob {
-    /// Cities fixed so far, starting with 0.
-    pub prefix: Vec<u16>,
-    /// Length of the fixed part.
-    pub prefix_len: i64,
-}
-
-impl Wire for TspJob {
-    fn encode(&self, enc: &mut Encoder) {
-        self.prefix.encode(enc);
-        self.prefix_len.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(TspJob {
-            prefix: Wire::decode(dec)?,
-            prefix_len: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// A branch-and-bound job: a partial route starting at city 0.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TspJob {
+        /// Cities fixed so far, starting with 0.
+        pub prefix: Vec<u16>,
+        /// Length of the fixed part.
+        pub prefix_len: i64,
     }
 }
 
@@ -347,6 +325,7 @@ pub fn solve_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     fn brute_force(instance: &TspInstance) -> i64 {
         // Only for tiny instances in tests.

@@ -5,7 +5,7 @@
 //! until `n` processes have arrived.
 
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
@@ -15,42 +15,18 @@ use crate::OrcaResult;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrierObject;
 
-/// Operations of [`BarrierObject`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BarrierOp {
-    /// Register arrival (write); returns the number of arrivals so far.
-    Arrive,
-    /// Block until at least `n` processes have arrived (guarded read).
-    WaitFor(u64),
-    /// Number of arrivals so far (read).
-    Count,
-    /// Reset the barrier to zero arrivals (write).
-    Reset,
-}
-
-impl Wire for BarrierOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            BarrierOp::Arrive => enc.put_u8(0),
-            BarrierOp::WaitFor(n) => {
-                enc.put_u8(1);
-                n.encode(enc);
-            }
-            BarrierOp::Count => enc.put_u8(2),
-            BarrierOp::Reset => enc.put_u8(3),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(BarrierOp::Arrive),
-            1 => Ok(BarrierOp::WaitFor(Wire::decode(dec)?)),
-            2 => Ok(BarrierOp::Count),
-            3 => Ok(BarrierOp::Reset),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BarrierOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`BarrierObject`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BarrierOp {
+        /// Register arrival (write); returns the number of arrivals so far.
+        ARRIVE_TAG = 0 => Arrive,
+        /// Block until at least `n` processes have arrived (guarded read).
+        WAIT_FOR_TAG = 1 => WaitFor(u64),
+        /// Number of arrivals so far (read).
+        COUNT_TAG = 2 => Count,
+        /// Reset the barrier to zero arrivals (write).
+        RESET_TAG = 3 => Reset,
     }
 }
 
@@ -134,6 +110,7 @@ impl Barrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn arrivals_and_guard() {

@@ -8,7 +8,7 @@
 
 use orca_object::shard::{ShardRoute, ShardableType};
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
@@ -18,71 +18,31 @@ use crate::OrcaResult;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoolArrayObject;
 
-/// Operations of [`BoolArrayObject`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BoolArrayOp {
-    /// Set entry `index` to `value` (write); returns the new value.
-    Set {
-        /// Entry to modify.
-        index: u32,
-        /// New value.
-        value: bool,
-    },
-    /// Set several entries to `true` in one indivisible operation (write);
-    /// returns `true`. Used to mark all neighbours of a reduced variable.
-    SetAllOf {
-        /// Entries to set.
-        indices: Vec<u32>,
-    },
-    /// Read entry `index`.
-    Get(u32),
-    /// True if every entry is false (read).
-    AllFalse,
-    /// True if every entry is true (read).
-    AllTrue,
-    /// Number of entries that are true (read).
-    CountTrue,
-}
-
-impl Wire for BoolArrayOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            BoolArrayOp::Set { index, value } => {
-                enc.put_u8(0);
-                index.encode(enc);
-                value.encode(enc);
-            }
-            BoolArrayOp::SetAllOf { indices } => {
-                enc.put_u8(1);
-                indices.encode(enc);
-            }
-            BoolArrayOp::Get(index) => {
-                enc.put_u8(2);
-                index.encode(enc);
-            }
-            BoolArrayOp::AllFalse => enc.put_u8(3),
-            BoolArrayOp::AllTrue => enc.put_u8(4),
-            BoolArrayOp::CountTrue => enc.put_u8(5),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(BoolArrayOp::Set {
-                index: Wire::decode(dec)?,
-                value: Wire::decode(dec)?,
-            }),
-            1 => Ok(BoolArrayOp::SetAllOf {
-                indices: Wire::decode(dec)?,
-            }),
-            2 => Ok(BoolArrayOp::Get(Wire::decode(dec)?)),
-            3 => Ok(BoolArrayOp::AllFalse),
-            4 => Ok(BoolArrayOp::AllTrue),
-            5 => Ok(BoolArrayOp::CountTrue),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BoolArrayOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`BoolArrayObject`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum BoolArrayOp {
+        /// Set entry `index` to `value` (write); returns the new value.
+        SET_TAG = 0 => Set {
+            /// Entry to modify.
+            index: u32,
+            /// New value.
+            value: bool,
+        },
+        /// Set several entries to `true` in one indivisible operation (write);
+        /// returns `true`. Used to mark all neighbours of a reduced variable.
+        SET_ALL_OF_TAG = 1 => SetAllOf {
+            /// Entries to set.
+            indices: Vec<u32>,
+        },
+        /// Read entry `index`.
+        GET_TAG = 2 => Get(u32),
+        /// True if every entry is false (read).
+        ALL_FALSE_TAG = 3 => AllFalse,
+        /// True if every entry is true (read).
+        ALL_TRUE_TAG = 4 => AllTrue,
+        /// Number of entries that are true (read).
+        COUNT_TRUE_TAG = 5 => CountTrue,
     }
 }
 
@@ -259,6 +219,7 @@ impl BoolArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn semantics() {

@@ -5,7 +5,7 @@
 //! when it is true.
 
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
@@ -15,38 +15,16 @@ use crate::OrcaResult;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoolObject;
 
-/// Operations of [`BoolObject`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoolOp {
-    /// Return the current value (read).
-    Value,
-    /// Set the value (write); returns the new value.
-    Set(bool),
-    /// Block until the value is true, then return it (guarded read).
-    AwaitTrue,
-}
-
-impl Wire for BoolOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            BoolOp::Value => enc.put_u8(0),
-            BoolOp::Set(v) => {
-                enc.put_u8(1);
-                v.encode(enc);
-            }
-            BoolOp::AwaitTrue => enc.put_u8(2),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(BoolOp::Value),
-            1 => Ok(BoolOp::Set(Wire::decode(dec)?)),
-            2 => Ok(BoolOp::AwaitTrue),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BoolOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`BoolObject`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BoolOp {
+        /// Return the current value (read).
+        VALUE_TAG = 0 => Value,
+        /// Set the value (write); returns the new value.
+        SET_TAG = 1 => Set(bool),
+        /// Block until the value is true, then return it (guarded read).
+        AWAIT_TRUE_TAG = 2 => AwaitTrue,
     }
 }
 
@@ -120,6 +98,7 @@ impl BoolFlag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn semantics_and_codec() {

@@ -8,7 +8,7 @@
 //! conditions".
 
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
@@ -18,58 +18,23 @@ use crate::OrcaResult;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntObject;
 
-/// Operations of [`IntObject`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntOp {
-    /// Return the current value (read).
-    Value,
-    /// Overwrite the value (write); returns the new value.
-    Assign(i64),
-    /// Add to the value (write); returns the new value.
-    Add(i64),
-    /// Set the value to the minimum of the current value and the operand
-    /// (write); returns the resulting value. Used for branch-and-bound
-    /// bounds.
-    MinAssign(i64),
-    /// Block until the value is at most the operand, then return it (read
-    /// with a guard).
-    AwaitAtMost(i64),
-}
-
-impl Wire for IntOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            IntOp::Value => enc.put_u8(0),
-            IntOp::Assign(v) => {
-                enc.put_u8(1);
-                v.encode(enc);
-            }
-            IntOp::Add(v) => {
-                enc.put_u8(2);
-                v.encode(enc);
-            }
-            IntOp::MinAssign(v) => {
-                enc.put_u8(3);
-                v.encode(enc);
-            }
-            IntOp::AwaitAtMost(v) => {
-                enc.put_u8(4);
-                v.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(IntOp::Value),
-            1 => Ok(IntOp::Assign(Wire::decode(dec)?)),
-            2 => Ok(IntOp::Add(Wire::decode(dec)?)),
-            3 => Ok(IntOp::MinAssign(Wire::decode(dec)?)),
-            4 => Ok(IntOp::AwaitAtMost(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "IntOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`IntObject`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum IntOp {
+        /// Return the current value (read).
+        VALUE_TAG = 0 => Value,
+        /// Overwrite the value (write); returns the new value.
+        ASSIGN_TAG = 1 => Assign(i64),
+        /// Add to the value (write); returns the new value.
+        ADD_TAG = 2 => Add(i64),
+        /// Set the value to the minimum of the current value and the operand
+        /// (write); returns the resulting value. Used for branch-and-bound
+        /// bounds.
+        MIN_ASSIGN_TAG = 3 => MinAssign(i64),
+        /// Block until the value is at most the operand, then return it (read
+        /// with a guard).
+        AWAIT_AT_MOST_TAG = 4 => AwaitAtMost(i64),
     }
 }
 
@@ -164,6 +129,7 @@ impl SharedInt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn ops_round_trip() {

@@ -15,7 +15,7 @@ use std::marker::PhantomData;
 
 use orca_object::shard::{shard_of_bytes, ShardRoute, ShardableType};
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::{wire_type, Wire};
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
@@ -25,115 +25,48 @@ use crate::{OrcaError, OrcaResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobQueueObject;
 
-/// State of the queue: pending jobs plus the "no more jobs will be added"
-/// flag.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JobQueueState {
-    /// Jobs waiting to be executed (encoded).
-    pub jobs: VecDeque<Vec<u8>>,
-    /// True once the manager has promised not to add further jobs.
-    pub closed: bool,
-    /// Total number of jobs ever added (for statistics).
-    pub total_added: u64,
-}
-
-impl Wire for JobQueueState {
-    fn encode(&self, enc: &mut Encoder) {
-        self.jobs.encode(enc);
-        self.closed.encode(enc);
-        self.total_added.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(JobQueueState {
-            jobs: Wire::decode(dec)?,
-            closed: Wire::decode(dec)?,
-            total_added: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// State of the queue: pending jobs plus the "no more jobs will be added"
+    /// flag.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct JobQueueState {
+        /// Jobs waiting to be executed (encoded).
+        pub jobs: VecDeque<Vec<u8>>,
+        /// True once the manager has promised not to add further jobs.
+        pub closed: bool,
+        /// Total number of jobs ever added (for statistics).
+        pub total_added: u64,
     }
 }
 
-/// Operations of [`JobQueueObject`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobQueueOp {
-    /// Append a job (write); returns the queue length.
-    AddJob(Vec<u8>),
-    /// Append several jobs in one indivisible operation (write).
-    AddJobs(Vec<Vec<u8>>),
-    /// Declare that no further jobs will be added (write).
-    Close,
-    /// Take the next job (write, blocking): waits while the queue is empty
-    /// and not closed.
-    GetJob,
-    /// Number of pending jobs (read).
-    Len,
-}
-
-impl Wire for JobQueueOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            JobQueueOp::AddJob(job) => {
-                enc.put_u8(0);
-                enc.put_bytes(job);
-            }
-            JobQueueOp::AddJobs(jobs) => {
-                enc.put_u8(1);
-                jobs.encode(enc);
-            }
-            JobQueueOp::Close => enc.put_u8(2),
-            JobQueueOp::GetJob => enc.put_u8(3),
-            JobQueueOp::Len => enc.put_u8(4),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(JobQueueOp::AddJob(dec.get_bytes()?)),
-            1 => Ok(JobQueueOp::AddJobs(Wire::decode(dec)?)),
-            2 => Ok(JobQueueOp::Close),
-            3 => Ok(JobQueueOp::GetJob),
-            4 => Ok(JobQueueOp::Len),
-            tag => Err(WireError::InvalidTag {
-                type_name: "JobQueueOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`JobQueueObject`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum JobQueueOp {
+        /// Append a job (write); returns the queue length.
+        ADD_JOB_TAG = 0 => AddJob(Vec<u8>),
+        /// Append several jobs in one indivisible operation (write).
+        ADD_JOBS_TAG = 1 => AddJobs(Vec<Vec<u8>>),
+        /// Declare that no further jobs will be added (write).
+        CLOSE_TAG = 2 => Close,
+        /// Take the next job (write, blocking): waits while the queue is empty
+        /// and not closed.
+        GET_JOB_TAG = 3 => GetJob,
+        /// Number of pending jobs (read).
+        LEN_TAG = 4 => Len,
     }
 }
 
-/// Replies of [`JobQueueObject`] operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobQueueReply {
-    /// A job taken from the queue.
-    Job(Vec<u8>),
-    /// The queue is closed and empty: the worker should terminate.
-    NoMoreJobs,
-    /// Queue length (reply to `AddJob*`/`Len`/`Close`).
-    Len(u64),
-}
-
-impl Wire for JobQueueReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            JobQueueReply::Job(job) => {
-                enc.put_u8(0);
-                enc.put_bytes(job);
-            }
-            JobQueueReply::NoMoreJobs => enc.put_u8(1),
-            JobQueueReply::Len(n) => {
-                enc.put_u8(2);
-                n.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(JobQueueReply::Job(dec.get_bytes()?)),
-            1 => Ok(JobQueueReply::NoMoreJobs),
-            2 => Ok(JobQueueReply::Len(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "JobQueueReply",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Replies of [`JobQueueObject`] operations.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum JobQueueReply {
+        /// A job taken from the queue.
+        JOB_TAG = 0 => Job(Vec<u8>),
+        /// The queue is closed and empty: the worker should terminate.
+        NO_MORE_JOBS_TAG = 1 => NoMoreJobs,
+        /// Queue length (reply to `AddJob*`/`Len`/`Close`).
+        LEN_TAG = 2 => Len(u64),
     }
 }
 

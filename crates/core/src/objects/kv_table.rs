@@ -11,36 +11,23 @@ use std::collections::BTreeMap;
 
 use orca_object::shard::{shard_of_u64, ShardRoute, ShardableType};
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
 use crate::OrcaResult;
 
-/// One table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TableEntry {
-    /// Search depth the entry was computed at (entries from deeper searches
-    /// replace shallower ones).
-    pub depth: i32,
-    /// Stored value (evaluation score, bound, ...).
-    pub value: i64,
-    /// Auxiliary payload (bound flag, encoded best move, ...).
-    pub aux: u64,
-}
-
-impl Wire for TableEntry {
-    fn encode(&self, enc: &mut Encoder) {
-        self.depth.encode(enc);
-        self.value.encode(enc);
-        self.aux.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(TableEntry {
-            depth: Wire::decode(dec)?,
-            value: Wire::decode(dec)?,
-            aux: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// One table entry.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct TableEntry {
+        /// Search depth the entry was computed at (entries from deeper searches
+        /// replace shallower ones).
+        pub depth: i32,
+        /// Stored value (evaluation score, bound, ...).
+        pub value: i64,
+        /// Auxiliary payload (bound flag, encoded best move, ...).
+        pub aux: u64,
     }
 }
 
@@ -48,93 +35,37 @@ impl Wire for TableEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvTableObject;
 
-/// Operations of [`KvTableObject`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvTableOp {
-    /// Store an entry if it is at least as deep as the existing one (write);
-    /// returns 1 if the entry was stored.
-    Put {
-        /// Hash key.
-        key: u64,
-        /// Entry to store.
-        entry: TableEntry,
-    },
-    /// Look up a key (read).
-    Get(u64),
-    /// Number of entries (read).
-    Len,
-    /// Remove everything (write).
-    Clear,
-}
-
-impl Wire for KvTableOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            KvTableOp::Put { key, entry } => {
-                enc.put_u8(0);
-                key.encode(enc);
-                entry.encode(enc);
-            }
-            KvTableOp::Get(key) => {
-                enc.put_u8(1);
-                key.encode(enc);
-            }
-            KvTableOp::Len => enc.put_u8(2),
-            KvTableOp::Clear => enc.put_u8(3),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(KvTableOp::Put {
-                key: Wire::decode(dec)?,
-                entry: Wire::decode(dec)?,
-            }),
-            1 => Ok(KvTableOp::Get(Wire::decode(dec)?)),
-            2 => Ok(KvTableOp::Len),
-            3 => Ok(KvTableOp::Clear),
-            tag => Err(WireError::InvalidTag {
-                type_name: "KvTableOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`KvTableObject`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum KvTableOp {
+        /// Store an entry if it is at least as deep as the existing one (write);
+        /// returns 1 if the entry was stored.
+        PUT_TAG = 0 => Put {
+            /// Hash key.
+            key: u64,
+            /// Entry to store.
+            entry: TableEntry,
+        },
+        /// Look up a key (read).
+        GET_TAG = 1 => Get(u64),
+        /// Number of entries (read).
+        LEN_TAG = 2 => Len,
+        /// Remove everything (write).
+        CLEAR_TAG = 3 => Clear,
     }
 }
 
-/// Reply type of [`KvTableObject`] operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvTableReply {
-    /// Entry found for a `Get`.
-    Found(TableEntry),
-    /// Nothing stored under the key.
-    Missing,
-    /// Count reply (`Put`, `Len`, `Clear`).
-    Count(u64),
-}
-
-impl Wire for KvTableReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            KvTableReply::Found(entry) => {
-                enc.put_u8(0);
-                entry.encode(enc);
-            }
-            KvTableReply::Missing => enc.put_u8(1),
-            KvTableReply::Count(n) => {
-                enc.put_u8(2);
-                n.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(KvTableReply::Found(Wire::decode(dec)?)),
-            1 => Ok(KvTableReply::Missing),
-            2 => Ok(KvTableReply::Count(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "KvTableReply",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Reply type of [`KvTableObject`] operations.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum KvTableReply {
+        /// Entry found for a `Get`.
+        FOUND_TAG = 0 => Found(TableEntry),
+        /// Nothing stored under the key.
+        MISSING_TAG = 1 => Missing,
+        /// Count reply (`Put`, `Len`, `Clear`).
+        COUNT_TAG = 2 => Count(u64),
     }
 }
 
@@ -276,6 +207,7 @@ impl KvTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn put_respects_depth_priority() {

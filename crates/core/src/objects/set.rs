@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use orca_object::shard::{shard_of_u64, ShardRoute, ShardableType};
 use orca_object::{ObjectType, OpKind, OpOutcome};
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::handle::ObjectHandle;
 use crate::runtime::OrcaNode;
@@ -18,86 +18,31 @@ use crate::OrcaResult;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetObject;
 
-/// Operations of [`SetObject`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SetOp {
-    /// Insert one element (write); returns 1 if it was new.
-    Add(u64),
-    /// Insert several elements (write); returns how many were new.
-    AddAll(Vec<u64>),
-    /// Membership test (read).
-    Contains(u64),
-    /// Number of elements (read).
-    Len,
-    /// Return all elements (read).
-    Snapshot,
-}
-
-impl Wire for SetOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            SetOp::Add(v) => {
-                enc.put_u8(0);
-                v.encode(enc);
-            }
-            SetOp::AddAll(v) => {
-                enc.put_u8(1);
-                v.encode(enc);
-            }
-            SetOp::Contains(v) => {
-                enc.put_u8(2);
-                v.encode(enc);
-            }
-            SetOp::Len => enc.put_u8(3),
-            SetOp::Snapshot => enc.put_u8(4),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(SetOp::Add(Wire::decode(dec)?)),
-            1 => Ok(SetOp::AddAll(Wire::decode(dec)?)),
-            2 => Ok(SetOp::Contains(Wire::decode(dec)?)),
-            3 => Ok(SetOp::Len),
-            4 => Ok(SetOp::Snapshot),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SetOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`SetObject`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum SetOp {
+        /// Insert one element (write); returns 1 if it was new.
+        ADD_TAG = 0 => Add(u64),
+        /// Insert several elements (write); returns how many were new.
+        ADD_ALL_TAG = 1 => AddAll(Vec<u64>),
+        /// Membership test (read).
+        CONTAINS_TAG = 2 => Contains(u64),
+        /// Number of elements (read).
+        LEN_TAG = 3 => Len,
+        /// Return all elements (read).
+        SNAPSHOT_TAG = 4 => Snapshot,
     }
 }
 
-/// Reply type of [`SetObject`] operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SetReply {
-    /// Count (insertions, length or 0/1 membership).
-    Count(u64),
-    /// All elements, sorted.
-    Elements(Vec<u64>),
-}
-
-impl Wire for SetReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            SetReply::Count(n) => {
-                enc.put_u8(0);
-                n.encode(enc);
-            }
-            SetReply::Elements(v) => {
-                enc.put_u8(1);
-                v.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(SetReply::Count(Wire::decode(dec)?)),
-            1 => Ok(SetReply::Elements(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SetReply",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Reply type of [`SetObject`] operations.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum SetReply {
+        /// Count (insertions, length or 0/1 membership).
+        COUNT_TAG = 0 => Count(u64),
+        /// All elements, sorted.
+        ELEMENTS_TAG = 1 => Elements(Vec<u64>),
     }
 }
 
@@ -267,6 +212,7 @@ impl SharedSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn set_semantics() {

@@ -1,249 +1,118 @@
 //! Wire messages of the PB/BB broadcast protocols.
 
 use orca_amoeba::NodeId;
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
-/// Unique identifier of an application message, assigned by its origin.
-///
-/// The pair (origin node, per-origin sequence number) identifies a message
-/// independently of the global sequence number the sequencer later assigns,
-/// which is what makes retransmitted requests idempotent at the sequencer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MsgId {
-    /// Node that created the message.
-    pub origin: NodeId,
-    /// Per-origin sequence number (starts at 1).
-    pub origin_seq: u64,
-}
-
-impl Wire for MsgId {
-    fn encode(&self, enc: &mut Encoder) {
-        self.origin.encode(enc);
-        self.origin_seq.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(MsgId {
-            origin: Wire::decode(dec)?,
-            origin_seq: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// Unique identifier of an application message, assigned by its origin.
+    ///
+    /// The pair (origin node, per-origin sequence number) identifies a message
+    /// independently of the global sequence number the sequencer later assigns,
+    /// which is what makes retransmitted requests idempotent at the sequencer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct MsgId {
+        /// Node that created the message.
+        pub origin: NodeId,
+        /// Per-origin sequence number (starts at 1).
+        pub origin_seq: u64,
     }
 }
 
-/// Which of the two protocols carried a message (recorded for statistics and
-/// exposed to the benchmarks that reproduce §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BroadcastMethod {
-    /// Point-to-point to the sequencer, then broadcast by the sequencer.
-    Pb,
-    /// Broadcast by the origin, then a short Accept broadcast by the
-    /// sequencer.
-    Bb,
-}
-
-impl Wire for BroadcastMethod {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            BroadcastMethod::Pb => 0,
-            BroadcastMethod::Bb => 1,
-        });
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(BroadcastMethod::Pb),
-            1 => Ok(BroadcastMethod::Bb),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BroadcastMethod",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Which of the two protocols carried a message (recorded for statistics and
+    /// exposed to the benchmarks that reproduce §3.1).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BroadcastMethod {
+        /// Point-to-point to the sequencer, then broadcast by the sequencer.
+        PB_TAG = 0 => Pb,
+        /// Broadcast by the origin, then a short Accept broadcast by the
+        /// sequencer.
+        BB_TAG = 1 => Bb,
     }
 }
 
-/// Protocol messages exchanged on the group port.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GroupMsg {
-    /// PB, step 1: origin → sequencer (point-to-point). Carries the full
-    /// payload; the sequencer will assign a global sequence number and
-    /// broadcast it as [`GroupMsg::SeqData`].
-    RequestForBroadcast {
-        /// Message identity assigned by the origin.
-        id: MsgId,
-        /// Application payload.
-        payload: Vec<u8>,
-    },
-    /// PB, step 2 (and retransmission payload): sequencer → all. Carries the
-    /// global sequence number and the full payload.
-    SeqData {
-        /// Global total-order position (starts at 1).
-        global_seq: u64,
-        /// Message identity assigned by the origin.
-        id: MsgId,
-        /// Application payload.
-        payload: Vec<u8>,
-    },
-    /// BB, step 1: origin → all (broadcast). Carries the full payload but no
-    /// global sequence number yet; the message is only *official* once the
-    /// matching [`GroupMsg::Accept`] arrives.
-    BbData {
-        /// Message identity assigned by the origin.
-        id: MsgId,
-        /// Application payload.
-        payload: Vec<u8>,
-    },
-    /// BB, step 2: sequencer → all (broadcast). Very short: it binds an
-    /// already-broadcast [`GroupMsg::BbData`] to a global sequence number.
-    Accept {
-        /// Global total-order position.
-        global_seq: u64,
-        /// Identity of the BbData message being accepted.
-        id: MsgId,
-    },
-    /// Member → sequencer: "I am missing global sequence numbers
-    /// `from..=to`, please retransmit them from your history buffer."
-    RetransmitRequest {
-        /// First missing sequence number.
-        from: u64,
-        /// Last missing sequence number.
-        to: u64,
-    },
-    /// Announcement by a newly elected sequencer: global sequence numbers
-    /// resume from `next_seq`.
-    NewSequencer {
-        /// Node that took over as sequencer.
-        sequencer: NodeId,
-        /// Next sequence number the new sequencer will assign.
-        next_seq: u64,
-    },
-    /// Periodic status broadcast by the sequencer carrying the highest
-    /// sequence number assigned so far. Members that have not yet delivered
-    /// up to that number know they missed a broadcast and can ask for a
-    /// retransmission even when no further traffic arrives.
-    Status {
-        /// Highest global sequence number assigned so far.
-        highest_seq: u64,
-    },
-    /// Sequencer → member: the global sequence numbers `from..=to` were
-    /// abandoned in a sequencer change-over (the failed sequencer announced
-    /// them but no survivor ever received the data); deliver nothing for
-    /// them and advance past. Sent in response to a retransmission request
-    /// for numbers absent from every surviving history.
-    Skip {
-        /// First abandoned sequence number.
-        from: u64,
-        /// Last abandoned sequence number.
-        to: u64,
-    },
-}
-
-impl GroupMsg {
-    const TAG_REQUEST: u8 = 0;
-    const TAG_SEQ_DATA: u8 = 1;
-    const TAG_BB_DATA: u8 = 2;
-    const TAG_ACCEPT: u8 = 3;
-    const TAG_RETRANSMIT_REQ: u8 = 4;
-    const TAG_NEW_SEQUENCER: u8 = 5;
-    const TAG_STATUS: u8 = 6;
-    const TAG_SKIP: u8 = 7;
-}
-
-impl Wire for GroupMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            GroupMsg::RequestForBroadcast { id, payload } => {
-                enc.put_u8(Self::TAG_REQUEST);
-                id.encode(enc);
-                enc.put_bytes(payload);
-            }
-            GroupMsg::SeqData {
-                global_seq,
-                id,
-                payload,
-            } => {
-                enc.put_u8(Self::TAG_SEQ_DATA);
-                global_seq.encode(enc);
-                id.encode(enc);
-                enc.put_bytes(payload);
-            }
-            GroupMsg::BbData { id, payload } => {
-                enc.put_u8(Self::TAG_BB_DATA);
-                id.encode(enc);
-                enc.put_bytes(payload);
-            }
-            GroupMsg::Accept { global_seq, id } => {
-                enc.put_u8(Self::TAG_ACCEPT);
-                global_seq.encode(enc);
-                id.encode(enc);
-            }
-            GroupMsg::RetransmitRequest { from, to } => {
-                enc.put_u8(Self::TAG_RETRANSMIT_REQ);
-                from.encode(enc);
-                to.encode(enc);
-            }
-            GroupMsg::NewSequencer {
-                sequencer,
-                next_seq,
-            } => {
-                enc.put_u8(Self::TAG_NEW_SEQUENCER);
-                sequencer.encode(enc);
-                next_seq.encode(enc);
-            }
-            GroupMsg::Status { highest_seq } => {
-                enc.put_u8(Self::TAG_STATUS);
-                highest_seq.encode(enc);
-            }
-            GroupMsg::Skip { from, to } => {
-                enc.put_u8(Self::TAG_SKIP);
-                from.encode(enc);
-                to.encode(enc);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            Self::TAG_REQUEST => Ok(GroupMsg::RequestForBroadcast {
-                id: Wire::decode(dec)?,
-                payload: dec.get_bytes()?,
-            }),
-            Self::TAG_SEQ_DATA => Ok(GroupMsg::SeqData {
-                global_seq: Wire::decode(dec)?,
-                id: Wire::decode(dec)?,
-                payload: dec.get_bytes()?,
-            }),
-            Self::TAG_BB_DATA => Ok(GroupMsg::BbData {
-                id: Wire::decode(dec)?,
-                payload: dec.get_bytes()?,
-            }),
-            Self::TAG_ACCEPT => Ok(GroupMsg::Accept {
-                global_seq: Wire::decode(dec)?,
-                id: Wire::decode(dec)?,
-            }),
-            Self::TAG_RETRANSMIT_REQ => Ok(GroupMsg::RetransmitRequest {
-                from: Wire::decode(dec)?,
-                to: Wire::decode(dec)?,
-            }),
-            Self::TAG_NEW_SEQUENCER => Ok(GroupMsg::NewSequencer {
-                sequencer: Wire::decode(dec)?,
-                next_seq: Wire::decode(dec)?,
-            }),
-            Self::TAG_STATUS => Ok(GroupMsg::Status {
-                highest_seq: Wire::decode(dec)?,
-            }),
-            Self::TAG_SKIP => Ok(GroupMsg::Skip {
-                from: Wire::decode(dec)?,
-                to: Wire::decode(dec)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "GroupMsg",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Protocol messages exchanged on the group port.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum GroupMsg {
+        /// PB, step 1: origin → sequencer (point-to-point). Carries the full
+        /// payload; the sequencer will assign a global sequence number and
+        /// broadcast it as [`GroupMsg::SeqData`].
+        REQUEST_TAG = 0 => RequestForBroadcast {
+            /// Message identity assigned by the origin.
+            id: MsgId,
+            /// Application payload.
+            payload: Vec<u8>,
+        },
+        /// PB, step 2 (and retransmission payload): sequencer → all. Carries the
+        /// global sequence number and the full payload.
+        SEQ_DATA_TAG = 1 => SeqData {
+            /// Global total-order position (starts at 1).
+            global_seq: u64,
+            /// Message identity assigned by the origin.
+            id: MsgId,
+            /// Application payload.
+            payload: Vec<u8>,
+        },
+        /// BB, step 1: origin → all (broadcast). Carries the full payload but no
+        /// global sequence number yet; the message is only *official* once the
+        /// matching [`GroupMsg::Accept`] arrives.
+        BB_DATA_TAG = 2 => BbData {
+            /// Message identity assigned by the origin.
+            id: MsgId,
+            /// Application payload.
+            payload: Vec<u8>,
+        },
+        /// BB, step 2: sequencer → all (broadcast). Very short: it binds an
+        /// already-broadcast [`GroupMsg::BbData`] to a global sequence number.
+        ACCEPT_TAG = 3 => Accept {
+            /// Global total-order position.
+            global_seq: u64,
+            /// Identity of the BbData message being accepted.
+            id: MsgId,
+        },
+        /// Member → sequencer: "I am missing global sequence numbers
+        /// `from..=to`, please retransmit them from your history buffer."
+        RETRANSMIT_REQUEST_TAG = 4 => RetransmitRequest {
+            /// First missing sequence number.
+            from: u64,
+            /// Last missing sequence number.
+            to: u64,
+        },
+        /// Announcement by a newly elected sequencer: global sequence numbers
+        /// resume from `next_seq`.
+        NEW_SEQUENCER_TAG = 5 => NewSequencer {
+            /// Node that took over as sequencer.
+            sequencer: NodeId,
+            /// Next sequence number the new sequencer will assign.
+            next_seq: u64,
+        },
+        /// Periodic status broadcast by the sequencer carrying the highest
+        /// sequence number assigned so far. Members that have not yet delivered
+        /// up to that number know they missed a broadcast and can ask for a
+        /// retransmission even when no further traffic arrives.
+        STATUS_TAG = 6 => Status {
+            /// Highest global sequence number assigned so far.
+            highest_seq: u64,
+        },
+        /// Sequencer → member: the global sequence numbers `from..=to` were
+        /// abandoned in a sequencer change-over (the failed sequencer announced
+        /// them but no survivor ever received the data); deliver nothing for
+        /// them and advance past. Sent in response to a retransmission request
+        /// for numbers absent from every surviving history.
+        SKIP_TAG = 7 => Skip {
+            /// First abandoned sequence number.
+            from: u64,
+            /// Last abandoned sequence number.
+            to: u64,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     fn sample_id() -> MsgId {
         MsgId {

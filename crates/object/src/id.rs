@@ -1,6 +1,6 @@
 //! Object identifiers and descriptors.
 
-use orca_wire::{Decoder, Encoder, Wire, WireResult};
+use orca_wire::{wire_type, Decoder, Encoder, Wire, WireResult};
 
 /// Identifier of a shared data-object, unique within one running application.
 ///
@@ -42,30 +42,17 @@ impl Wire for ObjectId {
     }
 }
 
-/// Everything a node needs to instantiate a replica of an object it has never
-/// seen: the id, the registered type name, and the encoded initial state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectDescriptor {
-    /// Identifier of the object.
-    pub id: ObjectId,
-    /// Registered [`crate::ObjectType::TYPE_NAME`].
-    pub type_name: String,
-    /// Encoded state at creation (or transfer) time.
-    pub state: Vec<u8>,
-}
-
-impl Wire for ObjectDescriptor {
-    fn encode(&self, enc: &mut Encoder) {
-        self.id.encode(enc);
-        self.type_name.encode(enc);
-        enc.put_bytes(&self.state);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(ObjectDescriptor {
-            id: Wire::decode(dec)?,
-            type_name: Wire::decode(dec)?,
-            state: dec.get_bytes()?,
-        })
+wire_type! {
+    /// Everything a node needs to instantiate a replica of an object it has never
+    /// seen: the id, the registered type name, and the encoded initial state.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ObjectDescriptor {
+        /// Identifier of the object.
+        pub id: ObjectId,
+        /// Registered [`crate::ObjectType::TYPE_NAME`].
+        pub type_name: String,
+        /// Encoded state at creation (or transfer) time.
+        pub state: Vec<u8>,
     }
 }
 

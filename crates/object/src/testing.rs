@@ -4,7 +4,7 @@
 //! system crates and the integration tests need shared, well-understood
 //! object types to exercise replication with.
 
-use orca_wire::{Decoder, Encoder, Wire, WireError, WireResult};
+use orca_wire::wire_type;
 
 use crate::{ObjectType, OpKind, OpOutcome};
 
@@ -18,48 +18,18 @@ use crate::{ObjectType, OpKind, OpOutcome};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Accumulator;
 
-/// Operations of [`Accumulator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccumulatorOp {
-    /// Return the current value.
-    Read,
-    /// Add to the value, returning the new value.
-    Add(i64),
-    /// Overwrite the value.
-    Set(i64),
-    /// Block until the value is at least the operand, then return it.
-    AwaitAtLeast(i64),
-}
-
-impl Wire for AccumulatorOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            AccumulatorOp::Read => enc.put_u8(0),
-            AccumulatorOp::Add(n) => {
-                enc.put_u8(1);
-                n.encode(enc);
-            }
-            AccumulatorOp::Set(n) => {
-                enc.put_u8(2);
-                n.encode(enc);
-            }
-            AccumulatorOp::AwaitAtLeast(n) => {
-                enc.put_u8(3);
-                n.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(AccumulatorOp::Read),
-            1 => Ok(AccumulatorOp::Add(Wire::decode(dec)?)),
-            2 => Ok(AccumulatorOp::Set(Wire::decode(dec)?)),
-            3 => Ok(AccumulatorOp::AwaitAtLeast(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "AccumulatorOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`Accumulator`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum AccumulatorOp {
+        /// Return the current value.
+        READ_TAG = 0 => Read,
+        /// Add to the value, returning the new value.
+        ADD_TAG = 1 => Add(i64),
+        /// Overwrite the value.
+        SET_TAG = 2 => Set(i64),
+        /// Block until the value is at least the operand, then return it.
+        AWAIT_AT_LEAST_TAG = 3 => AwaitAtLeast(i64),
     }
 }
 
@@ -104,72 +74,27 @@ impl ObjectType for Accumulator {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventLog;
 
-/// Operations of [`EventLog`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventLogOp {
-    /// Append a value (write); returns the new length.
-    Append(u32),
-    /// Return the whole log (read).
-    Snapshot,
-    /// Return the length of the log (read).
-    Len,
-}
-
-impl Wire for EventLogOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            EventLogOp::Append(v) => {
-                enc.put_u8(0);
-                v.encode(enc);
-            }
-            EventLogOp::Snapshot => enc.put_u8(1),
-            EventLogOp::Len => enc.put_u8(2),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(EventLogOp::Append(Wire::decode(dec)?)),
-            1 => Ok(EventLogOp::Snapshot),
-            2 => Ok(EventLogOp::Len),
-            tag => Err(WireError::InvalidTag {
-                type_name: "EventLogOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`EventLog`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum EventLogOp {
+        /// Append a value (write); returns the new length.
+        APPEND_TAG = 0 => Append(u32),
+        /// Return the whole log (read).
+        SNAPSHOT_TAG = 1 => Snapshot,
+        /// Return the length of the log (read).
+        LEN_TAG = 2 => Len,
     }
 }
 
-/// Reply type of [`EventLog`] operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventLogReply {
-    /// New length after an append, or current length.
-    Len(u64),
-    /// Full contents of the log.
-    Contents(Vec<u32>),
-}
-
-impl Wire for EventLogReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            EventLogReply::Len(n) => {
-                enc.put_u8(0);
-                n.encode(enc);
-            }
-            EventLogReply::Contents(v) => {
-                enc.put_u8(1);
-                v.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(EventLogReply::Len(Wire::decode(dec)?)),
-            1 => Ok(EventLogReply::Contents(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "EventLogReply",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Reply type of [`EventLog`] operations.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum EventLogReply {
+        /// New length after an append, or current length.
+        LEN_TAG = 0 => Len(u64),
+        /// Full contents of the log.
+        CONTENTS_TAG = 1 => Contents(Vec<u32>),
     }
 }
 
@@ -202,6 +127,7 @@ impl ObjectType for EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_wire::Wire;
 
     #[test]
     fn accumulator_semantics() {
@@ -268,81 +194,32 @@ mod tests {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bank;
 
-/// Operations of [`Bank`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankOp {
-    /// Add `amount` to account `key`, returning the new balance (write).
-    Deposit {
-        /// Account key.
-        key: u64,
-        /// Amount to add.
-        amount: i64,
-    },
-    /// Return the balance of account `key`, 0 if absent (read).
-    Get(u64),
-    /// Return the total over all accounts (read).
-    Sum,
-    /// Remove every account (write); returns 0.
-    Clear,
-}
-
-impl Wire for BankOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            BankOp::Deposit { key, amount } => {
-                enc.put_u8(0);
-                key.encode(enc);
-                amount.encode(enc);
-            }
-            BankOp::Get(key) => {
-                enc.put_u8(1);
-                key.encode(enc);
-            }
-            BankOp::Sum => enc.put_u8(2),
-            BankOp::Clear => enc.put_u8(3),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(BankOp::Deposit {
-                key: Wire::decode(dec)?,
-                amount: Wire::decode(dec)?,
-            }),
-            1 => Ok(BankOp::Get(Wire::decode(dec)?)),
-            2 => Ok(BankOp::Sum),
-            3 => Ok(BankOp::Clear),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BankOp",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Operations of [`Bank`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BankOp {
+        /// Add `amount` to account `key`, returning the new balance (write).
+        DEPOSIT_TAG = 0 => Deposit {
+            /// Account key.
+            key: u64,
+            /// Amount to add.
+            amount: i64,
+        },
+        /// Return the balance of account `key`, 0 if absent (read).
+        GET_TAG = 1 => Get(u64),
+        /// Return the total over all accounts (read).
+        SUM_TAG = 2 => Sum,
+        /// Remove every account (write); returns 0.
+        CLEAR_TAG = 3 => Clear,
     }
 }
 
-/// Reply type of [`Bank`] operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankReply {
-    /// A balance or a sum.
-    Value(i64),
-}
-
-impl Wire for BankReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            BankReply::Value(v) => {
-                enc.put_u8(0);
-                v.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(BankReply::Value(Wire::decode(dec)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BankReply",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Reply type of [`Bank`] operations.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BankReply {
+        /// A balance or a sum.
+        VALUE_TAG = 0 => Value(i64),
     }
 }
 

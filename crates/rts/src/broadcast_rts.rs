@@ -27,58 +27,59 @@ use orca_group::{Delivered, GroupConfig, GroupMember, GroupSender};
 use orca_object::{
     AnyReplica, AppliedOutcome, ObjectDescriptor, ObjectError, ObjectId, ObjectRegistry, OpKind,
 };
-use orca_wire::{Decoder, Encoder, OpBatchEncoder, OpBatchView, Wire, WireError, WireResult};
+use orca_wire::{wire_type, Decoder, OpBatchEncoder, OpBatchView, Wire, WireResult};
 use parking_lot::{Condvar, Mutex};
 
 use crate::pipeline::{all_failed, batch_capacity, BatchPolicy, LazyPipeline, QueuedOp};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 
-/// Message shipped through the totally-ordered broadcast by this RTS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RtsBroadcastMsg {
-    /// Create a replica of a new object on every node.
-    Create {
-        /// Invocation id at the creating node (to unblock its `create_object`).
-        invocation: u64,
-        /// Object id, type name and encoded initial state.
-        descriptor: ObjectDescriptor,
-    },
-    /// Apply a write operation to the named object on every node.
-    Write {
-        /// Invocation id at the writing node (to return the reply).
-        invocation: u64,
-        /// Target object.
-        object: ObjectId,
-        /// Encoded operation.
-        op: Vec<u8>,
-    },
-    /// Withdraw a timed-out invocation of the sending node. Rides the same
-    /// total order as the operation it cancels, so every manager makes the
-    /// identical drop/apply decision: if the withdraw is delivered first,
-    /// the operation is dropped *everywhere* when (if ever) it arrives —
-    /// the at-most-once guarantee behind [`RtsError::Timeout`]. A batch id
-    /// may be withdrawn the same way, cancelling the whole batch
-    /// atomically.
-    Withdraw {
-        /// Invocation (or batch) id being withdrawn.
-        invocation: u64,
-    },
-}
-
-impl RtsBroadcastMsg {
-    /// Tag byte of the *write batch* message: a batch of write operations
-    /// in one total-order slot. Every manager applies the ops in batch
-    /// order, back to back, so the batch occupies one slot of the global
-    /// order and either applies as a whole or (when its withdraw was
-    /// ordered first) not at all.
-    ///
-    /// The message is this byte followed by an [`orca_wire::OpBatch`]
-    /// encoding (batch id, then operations) and is never an owned
-    /// `RtsBroadcastMsg`: the origin streams it out of its submission
-    /// queue ([`BroadcastRts::send_write_batch`]), managers apply it in
-    /// place ([`write_batch_of`]).
-    const WRITE_BATCH_TAG: u8 = 3;
+wire_type! {
+    /// Message shipped through the totally-ordered broadcast by this RTS.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum RtsBroadcastMsg {
+        /// Create a replica of a new object on every node.
+        CREATE_TAG = 0 => Create {
+            /// Invocation id at the creating node (to unblock its `create_object`).
+            invocation: u64,
+            /// Object id, type name and encoded initial state.
+            descriptor: ObjectDescriptor,
+        },
+        /// Apply a write operation to the named object on every node.
+        WRITE_TAG = 1 => Write {
+            /// Invocation id at the writing node (to return the reply).
+            invocation: u64,
+            /// Target object.
+            object: ObjectId,
+            /// Encoded operation.
+            op: Vec<u8>,
+        },
+        /// Withdraw a timed-out invocation of the sending node. Rides the same
+        /// total order as the operation it cancels, so every manager makes the
+        /// identical drop/apply decision: if the withdraw is delivered first,
+        /// the operation is dropped *everywhere* when (if ever) it arrives —
+        /// the at-most-once guarantee behind [`RtsError::Timeout`]. A batch id
+        /// may be withdrawn the same way, cancelling the whole batch
+        /// atomically.
+        WITHDRAW_TAG = 2 => Withdraw {
+            /// Invocation (or batch) id being withdrawn.
+            invocation: u64,
+        },
+    }
+    reserved {
+        /// Tag byte of the *write batch* message: a batch of write operations
+        /// in one total-order slot. Every manager applies the ops in batch
+        /// order, back to back, so the batch occupies one slot of the global
+        /// order and either applies as a whole or (when its withdraw was
+        /// ordered first) not at all.
+        ///
+        /// The message is this byte followed by an [`orca_wire::OpBatch`]
+        /// encoding (batch id, then operations) and is never an owned
+        /// `RtsBroadcastMsg`: the origin streams it out of its submission
+        /// queue ([`BroadcastRts::send_write_batch`]), managers apply it in
+        /// place ([`write_batch_of`]).
+        WRITE_BATCH_TAG = 3,
+    }
 }
 
 /// The batch id and operations of a delivered write batch, read in place;
@@ -92,55 +93,6 @@ fn write_batch_of(payload: &[u8]) -> Option<WireResult<(u64, OpBatchView<'_>)>> 
         dec.finish()?;
         Ok((id, ops))
     })
-}
-
-impl Wire for RtsBroadcastMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            RtsBroadcastMsg::Create {
-                invocation,
-                descriptor,
-            } => {
-                enc.put_u8(0);
-                invocation.encode(enc);
-                descriptor.encode(enc);
-            }
-            RtsBroadcastMsg::Write {
-                invocation,
-                object,
-                op,
-            } => {
-                enc.put_u8(1);
-                invocation.encode(enc);
-                object.encode(enc);
-                enc.put_bytes(op);
-            }
-            RtsBroadcastMsg::Withdraw { invocation } => {
-                enc.put_u8(2);
-                invocation.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(RtsBroadcastMsg::Create {
-                invocation: Wire::decode(dec)?,
-                descriptor: Wire::decode(dec)?,
-            }),
-            1 => Ok(RtsBroadcastMsg::Write {
-                invocation: Wire::decode(dec)?,
-                object: Wire::decode(dec)?,
-                op: dec.get_bytes()?,
-            }),
-            2 => Ok(RtsBroadcastMsg::Withdraw {
-                invocation: Wire::decode(dec)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "RtsBroadcastMsg",
-                tag: u64::from(tag),
-            }),
-        }
-    }
 }
 
 /// What applying one delivered operation came to on the local replica.

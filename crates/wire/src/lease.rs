@@ -24,65 +24,39 @@
 //!   window instead of being applied a second time: exactly-once across
 //!   recovery, not at-least-once.
 
-use crate::{Decoder, Encoder, Wire, WireResult};
+use crate::{wire_type, Decoder, Encoder, Wire, WireResult};
 
-/// A time-bounded permission to serve reads of one object locally.
-///
-/// `valid_ms` is relative to receipt: the holder trusts its own clock for
-/// the countdown (exactly the wall-clock assumption recovery already
-/// makes), while `epoch` pins the regime epoch of the copy the grant
-/// covers — a grant for another epoch's copy blesses nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseGrant {
-    /// Raw object id the lease covers.
-    pub object: u64,
-    /// Regime epoch of the copy the grant covers.
-    pub epoch: u64,
-    /// Version of the copy the grant was issued for; a renewal is good for
-    /// that version and no other.
-    pub seq: u64,
-    /// Validity in milliseconds from receipt.
-    pub valid_ms: u64,
-}
-
-impl Wire for LeaseGrant {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.epoch.encode(enc);
-        self.seq.encode(enc);
-        self.valid_ms.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(LeaseGrant {
-            object: Wire::decode(dec)?,
-            epoch: Wire::decode(dec)?,
-            seq: Wire::decode(dec)?,
-            valid_ms: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// A time-bounded permission to serve reads of one object locally.
+    ///
+    /// `valid_ms` is relative to receipt: the holder trusts its own clock for
+    /// the countdown (exactly the wall-clock assumption recovery already
+    /// makes), while `epoch` pins the regime epoch of the copy the grant
+    /// covers — a grant for another epoch's copy blesses nothing.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct LeaseGrant {
+        /// Raw object id the lease covers.
+        pub object: u64,
+        /// Regime epoch of the copy the grant covers.
+        pub epoch: u64,
+        /// Version of the copy the grant was issued for; a renewal is good for
+        /// that version and no other.
+        pub seq: u64,
+        /// Validity in milliseconds from receipt.
+        pub valid_ms: u64,
     }
 }
 
-/// Identity of one synchronously-invoked write: issuing node plus a
-/// per-node monotonically increasing sequence number. A client retry (after
-/// a timeout or a `NodeDown` during re-homing) re-sends the *same* stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OpStamp {
-    /// Node index of the issuing process.
-    pub origin: u16,
-    /// Per-origin sequence number.
-    pub seq: u64,
-}
-
-impl Wire for OpStamp {
-    fn encode(&self, enc: &mut Encoder) {
-        self.origin.encode(enc);
-        self.seq.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(OpStamp {
-            origin: Wire::decode(dec)?,
-            seq: Wire::decode(dec)?,
-        })
+wire_type! {
+    /// Identity of one synchronously-invoked write: issuing node plus a
+    /// per-node monotonically increasing sequence number. A client retry (after
+    /// a timeout or a `NodeDown` during re-homing) re-sends the *same* stamp.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct OpStamp {
+        /// Node index of the issuing process.
+        pub origin: u16,
+        /// Per-origin sequence number.
+        pub seq: u64,
     }
 }
 

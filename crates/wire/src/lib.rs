@@ -1,53 +1,55 @@
-//! Compact binary wire codec for the simulated Orca/Amoeba network.
+//! Compact binary wire codec of the Orca stack.
 //!
-//! Every message that crosses the simulated network is encoded with this
-//! codec, so the byte counts accumulated by the network statistics layer
-//! (and used by the performance model to regenerate the paper's figures)
-//! correspond to a real serialized representation rather than to in-memory
-//! object graphs.
+//! Every message a node sends — over the simulated network or over real
+//! sockets — and every shipped operation and object state is encoded with
+//! this codec, so the byte counts the network statistics accumulate (and
+//! the benchmark ledger reports per operation) are those of a real
+//! serialized representation rather than of in-memory object graphs.
 //!
 //! The format is deliberately simple:
 //!
 //! * unsigned integers are LEB128 varints,
 //! * signed integers are zig-zag encoded varints,
 //! * floats are little-endian IEEE-754,
-//! * byte strings and UTF-8 strings are length-prefixed — except a byte
-//!   string that is the *last* field of a top-level message, which is its
-//!   tail: it runs to the end of the payload ([`Decoder::get_rest`]),
+//! * byte strings and UTF-8 strings are length-prefixed,
 //! * sequences and maps are length-prefixed element lists,
-//! * `Option<T>` is a one-byte tag followed by the payload.
+//! * `Option<T>` is a one-byte tag followed by the payload,
+//! * an enum is a tag byte followed by its variant's fields.
 //!
-//! The [`Wire`] trait plays the role serde would normally play; it is kept
-//! dependency-free so the whole workspace only needs the crates allowed for
-//! this reproduction.
+//! The last field of a message may instead be its *tail* — a byte string
+//! without a length, running to the end of the payload
+//! ([`Decoder::get_rest`]) — or a *trailing option*, written only when it is
+//! `Some`. The [`Wire`] trait plays the role serde would normally play; it
+//! is kept dependency-free so the whole workspace only needs the crates
+//! allowed for this reproduction. A message type is declared once, its
+//! fields in wire order, with [`wire_type!`], which writes its codec.
 //!
 //! # Example
 //!
 //! ```
-//! use orca_wire::{Decoder, Encoder, Wire};
+//! use orca_wire::Wire;
 //!
-//! #[derive(Debug, PartialEq)]
-//! struct Job { id: u64, route: Vec<u16>, bound: i64 }
-//!
-//! impl Wire for Job {
-//!     fn encode(&self, enc: &mut Encoder) {
-//!         self.id.encode(enc);
-//!         self.route.encode(enc);
-//!         self.bound.encode(enc);
-//!     }
-//!     fn decode(dec: &mut Decoder<'_>) -> orca_wire::WireResult<Self> {
-//!         Ok(Job { id: Wire::decode(dec)?, route: Wire::decode(dec)?, bound: Wire::decode(dec)? })
+//! orca_wire::wire_type! {
+//!     /// A branch-and-bound job.
+//!     #[derive(Debug, PartialEq)]
+//!     pub struct Job {
+//!         pub id: u64,
+//!         pub route: Vec<u16>,
+//!         pub bound: i64,
 //!     }
 //! }
 //!
 //! let job = Job { id: 7, route: vec![1, 2, 3], bound: -42 };
 //! let bytes = job.to_bytes();
+//! assert_eq!(bytes, [7, 3, 1, 2, 3, 83]);
 //! assert_eq!(Job::from_bytes(&bytes).unwrap(), job);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod batch;
+#[doc(hidden)]
+pub mod declare;
 mod decode;
 mod encode;
 pub mod envelope;
@@ -72,8 +74,8 @@ pub use trace::TraceId;
 
 /// A type that can be serialized to and deserialized from the wire format.
 ///
-/// All messages exchanged through the simulated network, all shipped
-/// operations, and all replicated object states implement this trait.
+/// All messages the nodes exchange, all shipped operations, and all
+/// replicated object states implement this trait.
 pub trait Wire: Sized {
     /// Append the encoding of `self` to the encoder.
     fn encode(&self, enc: &mut Encoder);

@@ -19,48 +19,27 @@
 //! property-tested together with every other wire type and the byte counts
 //! the network statistics accumulate for membership traffic are real.
 
-use crate::{Decoder, Encoder, Wire, WireError, WireResult};
+use crate::wire_type;
 
-/// Requests of the membership protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryMsg {
-    /// Periodic liveness announcement, broadcast on the membership port.
-    Heartbeat {
-        /// Sending node index.
-        node: u16,
-        /// The sender's current view epoch (diagnostic; views converge
-        /// through silence detection, not through epoch gossip).
-        epoch: u64,
-    },
-}
-
-impl Wire for RecoveryMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            RecoveryMsg::Heartbeat { node, epoch } => {
-                enc.put_u8(0);
-                node.encode(enc);
-                epoch.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        match dec.get_u8()? {
-            0 => Ok(RecoveryMsg::Heartbeat {
-                node: Wire::decode(dec)?,
-                epoch: Wire::decode(dec)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "RecoveryMsg",
-                tag: u64::from(tag),
-            }),
-        }
+wire_type! {
+    /// Requests of the membership protocol.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum RecoveryMsg {
+        /// Periodic liveness announcement, broadcast on the membership port.
+        HEARTBEAT_TAG = 0 => Heartbeat {
+            /// Sending node index.
+            node: u16,
+            /// The sender's current view epoch (diagnostic; views converge
+            /// through silence detection, not through epoch gossip).
+            epoch: u64,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Wire;
 
     #[test]
     fn all_requests_round_trip() {

@@ -568,7 +568,7 @@ fn partition_mirror_messages_round_trip() {
                     partition: None,
                     have,
                 },
-                layout(8, &|enc| have.encode(enc)),
+                layout(RegimeMsg::FETCH_MIRROR_TAG, &|enc| have.encode(enc)),
             ),
             1 => (
                 RegimeMsg::DropCopies {
@@ -577,7 +577,7 @@ fn partition_mirror_messages_round_trip() {
                     partition: None,
                     written,
                 },
-                layout(9, &|enc| written.encode(enc)),
+                layout(RegimeMsg::DROP_COPIES_TAG, &|enc| written.encode(enc)),
             ),
             _ => (
                 RegimeMsg::Unlock {
@@ -586,7 +586,7 @@ fn partition_mirror_messages_round_trip() {
                     partition: None,
                     seq,
                 },
-                layout(11, &|enc| seq.encode(enc)),
+                layout(RegimeMsg::UNLOCK_TAG, &|enc| seq.encode(enc)),
             ),
         };
         assert_eq!(whole.to_bytes(), before, "case {case}: {whole:?}");
