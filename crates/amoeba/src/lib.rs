@@ -19,8 +19,6 @@
 //!   system.
 //! * [`process`] — processor-pool bookkeeping and spawning of "Orca
 //!   processes" (OS threads bound to a simulated node).
-//! * [`segment`] — a tiny memory-segment manager mirroring Amoeba's
-//!   memory-management primitives.
 //! * [`election`] — sequencer election among the live members of a group.
 //! * [`transport`] — the seam that makes everything above the packet layer
 //!   generic over a [`transport::Transport`] backend: the simulated network
@@ -40,7 +38,6 @@ pub mod process;
 pub mod rng;
 pub mod rpc;
 pub mod sched;
-pub mod segment;
 pub mod stats;
 pub mod transport;
 

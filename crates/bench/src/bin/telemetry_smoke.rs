@@ -11,12 +11,13 @@
 //! replicated write's messages went: pushes, one-way unlocks, writes
 //! installed from their own reply) and the RPC layer's thread census
 //! (`amoeba.rpc.*`: a few hundred requests served by the handful of
-//! workers the services keep) merged into the same document. A third,
-//! adaptive runtime — two of three nodes writing a table the third created
-//! — contributes `rts.node*.regime_switches` and
-//! `rts.adaptive.replacements` (the table shards, and its partitions move
-//! to the writers). `scripts/check_telemetry.py` validates the emitted
-//! document.
+//! workers the services keep) merged into the same document. A sharded
+//! runtime — two of three nodes writing a table the third created — and an
+//! adaptive one — a counter two nodes mostly read — contribute
+//! `rts.node*.regime_switches` and `rts.adaptive.replacements` (the
+//! table's partitions move to the writers, the counter's copy to a reader
+//! and a mirror to the other). `scripts/check_telemetry.py` validates the
+//! emitted document.
 //!
 //! Usage: `telemetry_smoke [output.json]`
 
@@ -125,18 +126,20 @@ fn main() {
     }
     leased.shutdown();
     // Neither runtime above ever switches a regime. Two of three nodes
-    // writing a table the third created make the adaptive runtime shard it
-    // and place the partitions on the writers — on node 1 alone at first,
-    // whose reports fill the first evaluation window, then re-placed over
-    // both.
-    let adaptive_cfg = OrcaConfig {
+    // writing a table the third created make the sharded runtime place its
+    // partitions on the writers — on node 1 alone at first, whose reports
+    // fill the first evaluation window, then re-placed over both.
+    let sharded_cfg = OrcaConfig {
         strategy: RtsStrategy::Adaptive {
-            policy: AdaptivePolicy::eager(),
+            policy: AdaptivePolicy {
+                pin: Some(RegimeKind::Sharded),
+                ..AdaptivePolicy::eager()
+            },
         },
-        ..OrcaConfig::adaptive(3)
+        ..OrcaConfig::sharded(3, 4)
     };
-    let adaptive = OrcaRuntime::start(adaptive_cfg, standard_registry());
-    let table = adaptive
+    let sharded = OrcaRuntime::start(sharded_cfg, standard_registry());
+    let table = sharded
         .create::<KvTableObject>(&Default::default())
         .unwrap();
     for key in 0..256u64 {
@@ -146,24 +149,34 @@ fn main() {
             aux: key,
         };
         let writer = if key < 16 { 1 } else { 1 + (key % 2) as usize };
-        adaptive
+        sharded
             .context(writer)
             .invoke(table, &KvTableOp::Put { key, entry })
             .unwrap();
     }
-    assert_eq!(
-        adaptive.object_regime(table.id()),
-        Some(RegimeKind::Sharded)
-    );
-    let placement = adaptive.object_placement(table.id()).unwrap();
+    assert_eq!(sharded.object_regime(table.id()), Some(RegimeKind::Sharded));
+    let placement = sharded.object_placement(table.id()).unwrap();
     assert!(
         !placement.contains(&NodeId(0)),
         "the idle creator owns a partition: {placement:?}"
     );
     assert!(placement.contains(&NodeId(1)) && placement.contains(&NodeId(2)));
-    // A second object, mostly read, from the same two nodes: replicated,
-    // its copy on node 1, which used it first, and — re-placed once node
-    // 2's reports are in — a mirror on node 2; nothing on the creator.
+    let placements =
+        |name: &str| name.starts_with("rts.adaptive.") || name.ends_with(".regime_switches");
+    let sharded_snap = sharded.telemetry().registry().snapshot();
+    merge_counters(&mut snapshot.counters, &sharded_snap.counters, placements);
+    sharded.shutdown();
+    // An object mostly read by two nodes under the adaptive runtime:
+    // replicated, its copy on node 1, which used it first, and — re-placed
+    // once node 2's reports are in — a mirror on node 2; nothing on the
+    // creator.
+    let adaptive_cfg = OrcaConfig {
+        strategy: RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::eager(),
+        },
+        ..OrcaConfig::adaptive(3)
+    };
+    let adaptive = OrcaRuntime::start(adaptive_cfg, standard_registry());
     let gauge = adaptive.create::<IntObject>(&0).unwrap();
     for user in [1, 2] {
         for op in 0..32 {
@@ -183,9 +196,7 @@ fn main() {
     assert_eq!(adaptive.object_placement(gauge.id()), Some(vec![NodeId(1)]));
     assert_eq!(adaptive.copy_holders(0, gauge.id()), Some(vec![NodeId(2)]));
     let adaptive_snap = adaptive.telemetry().registry().snapshot();
-    merge_counters(&mut snapshot.counters, &adaptive_snap.counters, |name| {
-        name.starts_with("rts.adaptive.") || name.ends_with(".regime_switches")
-    });
+    merge_counters(&mut snapshot.counters, &adaptive_snap.counters, placements);
     adaptive.shutdown();
     let events = runtime.telemetry().flight_events().len();
     if let Some(dir) = std::path::Path::new(&out).parent() {

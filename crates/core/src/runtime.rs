@@ -720,14 +720,13 @@ mod tests {
             queue.add(runtime.main(), &job).unwrap();
         }
         queue.close(runtime.main()).unwrap();
-        // Every object starts primary; the write-hot queue is proposed
-        // into the sharded regime once the evidence is in.
+        // Every object starts one copy at its creator; the write-hot queue
+        // stays there once the evidence is in: its one writer holds it, and
+        // partitions would ship three quarters of its writes.
         let proposed = runtime.propose_regime(queue.handle().id()).unwrap();
-        assert_eq!(proposed, orca_rts::RegimeKind::Sharded);
-        assert_eq!(
-            runtime.object_regime(queue.handle().id()),
-            Some(orca_rts::RegimeKind::Sharded)
-        );
+        assert_eq!(proposed, orca_rts::RegimeKind::Replicated);
+        let placement = runtime.object_placement(queue.handle().id());
+        assert_eq!(placement, Some(vec![NodeId(0)]));
         let mut workers = Vec::new();
         for w in 0..3 {
             workers.push(runtime.fork_on(w, "drain", move |ctx| {

@@ -959,9 +959,6 @@ impl Scenario for AdaptiveRegimeSwitch {
             policy: AdaptivePolicy {
                 // A report every two accesses, an evaluation every four.
                 window: 2,
-                // The integer is not shardable, but keep the door shut
-                // explicitly: this scenario is about the first mirror.
-                shard_write_fraction: 0.95,
                 regime_lease: Duration::from_secs(5),
                 // Stretch the bounce-retry cadence: while the switch holds
                 // an op Stale, a 5 ms retry loop floods the pool with table

@@ -771,12 +771,14 @@ impl RuntimeSystem for AdaptiveRts {
             mirrors: Vec::new(),
         };
         install_slots(inner, &table, initial_state, &DedupWindow::new())?;
+        let mut usage = UsageAggregate::default();
+        usage.state = initial_state.len();
         inner.homes.write().insert(
             id,
             Arc::new(HomeObject {
                 table: Mutex::new(Arc::new(table)),
                 switch: Mutex::new(()),
-                usage: Mutex::new(UsageAggregate::default()),
+                usage: Mutex::new(usage),
             }),
         );
         inner.stats.objects_created.inc();

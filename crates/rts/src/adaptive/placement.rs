@@ -1,37 +1,101 @@
-//! Placement: the home closes a usage window, decides regime and owners,
-//! and carries the change out — drain, merge, install, publish — undoing a
+//! Placement: the home closes a usage window, prices where the object could
+//! live and carries a move out — drain, merge, install, publish — undoing a
 //! drain when an install fails.
 
 use super::*;
 
 /// Close a usage window at the home — two windows of reports came in, or a
-/// proposal asks — and switch the regime if the decayed evidence says the
-/// other one fits, or the same one over different nodes: both place by use,
-/// and the switch returns early unless something moved. Under a pin the
-/// target is the pinned regime, so an evaluation only re-places. No evidence
-/// at all keeps what there is.
-pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Arc<HomeObject>) {
-    let (reads, writes) = {
-        let mut usage = entry.usage.lock();
-        let totals = usage.totals();
-        usage.end_window();
-        totals
-    };
-    if reads + writes == 0 {
-        return;
+/// proposal asks — and move the object where the evidence says it costs
+/// least ([`UsageAggregate::choose`]), in another regime or over other nodes
+/// in the same one. Priced are each regime's [`rule`] placement (the pinned
+/// one's alone; unpinned, partitions all on one node are a copy there, which
+/// is `replicate`'s to place) and the current placement while it may stay
+/// (unpinned, or where the pin's rule keeps its owners), each also with one
+/// mirror fewer. No evidence at all keeps what there is.
+pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &HomeObject) {
+    let _switch = entry.switch.lock();
+    let old = RegimeTable::clone(&entry.table.lock());
+    let mut usage = entry.usage.lock();
+    if usage.totals() == (0, 0) {
+        return usage.end_window();
     }
-    let (current, type_name) = {
-        let table = entry.table.lock();
-        (table.regime, table.type_name.clone())
-    };
-    let target = inner.policy.pin.unwrap_or_else(|| {
-        let shardable = inner.registry.shard_logic(&type_name).is_some();
-        let nodes = inner.num_nodes;
-        pick_regime(reads, writes, shardable, nodes, current, &inner.policy)
-    });
-    // A failed switch (crashed peer) leaves the old regime in place; the
+    let pin = inner.policy.pin;
+    let both = [RegimeKind::Replicated, RegimeKind::Sharded];
+    let regimes = pin.as_ref().map_or(&both[..], std::slice::from_ref);
+    let mut ruled = Vec::new();
+    for regime in regimes {
+        ruled.extend(rule(inner, object, &usage, &old, *regime));
+    }
+    let one_node = |t: &RegimeTable| t.owners.windows(2).all(|w| w[0] == w[1]);
+    ruled.retain(|t| pin.is_some() || t.regime == RegimeKind::Replicated || !one_node(t));
+    let keeps = |placed: &RegimeTable| (placed.regime, &placed.owners) == (old.regime, &old.owners);
+    if pin.is_none() || ruled.iter().any(keeps) {
+        ruled.insert(0, old.clone());
+    }
+    let mut candidates = ruled.clone();
+    for placed in &ruled {
+        for at in 0..placed.mirrors.len() {
+            let mut fewer = placed.clone();
+            fewer.mirrors.remove(at);
+            candidates.push(kept(inner, fewer));
+        }
+    }
+    let chosen = usage.choose(&old, &candidates, inner.node.0, inner.policy.write);
+    usage.end_window();
+    drop(usage);
+    // A failed switch (crashed peer) leaves the old placement in place; the
     // next evaluation window simply proposes it again.
-    let _ = switch_regime(inner, object, entry, target, None);
+    if let Some((placed, budget)) = chosen {
+        let _ = carry_out(inner, object, entry, &old, placed, budget);
+    }
+}
+
+/// Where the membership rules put `object`, placed as `old`, in `regime`:
+/// a sharded regime's partitions on the nodes that use it ([`placement`]),
+/// mirrored on the ones that read it; a replicated regime's copy on a node
+/// that writes it — where it is, or entering the regime at its first
+/// partition's owner, while that node writes — and its mirrors on the ones
+/// that read it. `None` for the sharded regime of a type that does not shard.
+fn rule(
+    inner: &Inner,
+    object: ObjectId,
+    usage: &UsageAggregate,
+    old: &RegimeTable,
+    regime: RegimeKind,
+) -> Option<RegimeTable> {
+    let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
+    let same = old.regime == regime;
+    let listed = if same { &old.mirrors[..] } else { &[] };
+    let (owners, mirrors) = match regime {
+        RegimeKind::Sharded => {
+            inner.registry.shard_logic(&old.type_name)?;
+            let owned = if same { &old.owners[..] } else { &[] };
+            let mirrors = usage.users(Count::Reads, nodes, listed, grace);
+            (placement(inner, object, usage, owned), mirrors)
+        }
+        _ => {
+            let (owner, mirrors) = usage.replicate(nodes, old.owners[0], listed, grace);
+            (vec![owner], mirrors)
+        }
+    };
+    let mut placed = old.clone();
+    (placed.regime, placed.owners, placed.mirrors) = (regime, owners, mirrors);
+    Some(kept(inner, placed))
+}
+
+/// `placed`, with the mirror an unread replicated copy keeps where a dead
+/// owner's copy is regenerated, not to die with its one writer: at its home,
+/// or, while it is there, on the next live node.
+fn kept(inner: &Inner, mut placed: RegimeTable) -> RegimeTable {
+    let lone = placed.regime == RegimeKind::Replicated && placed.mirrors.is_empty();
+    if inner.recovery.rehome && lone {
+        let keeper = match placed.owners[0] == inner.node.0 {
+            true => backup_target(inner),
+            false => Some(inner.node),
+        };
+        placed.mirrors.extend(keeper.map(|node| node.0));
+    }
+    placed
 }
 
 /// Owners of the partitions of sharded-regime `object`, pinned or not, by
@@ -52,15 +116,8 @@ pub(super) fn placement(
         .collect()
 }
 
-/// Execute a regime switch: drain the old regime's replicas, merge their
-/// states, install the new regime under the next epoch, publish the table.
-/// The only path that changes an owner or a mirror set of a live object:
-/// moving a sharded object's partitions to the nodes that use it now — or
-/// one of them where `moved` says, by hand — and a replicated object's copy
-/// to a node that writes it, its mirrors (or a sharded one's) to the ones
-/// that read it, is a switch to the same regime (what stays is re-installed
-/// where it was — handing single partitions or mirrors over would be a
-/// second mechanism for a state this small).
+/// Switch `object` to `target` regime, placed by its rule ([`rule`]) — or
+/// move partition `moved.0` of a sharded one to node `moved.1`, by hand.
 pub(super) fn switch_regime(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -70,51 +127,40 @@ pub(super) fn switch_regime(
 ) -> Result<(), RtsError> {
     let _switch = entry.switch.lock();
     let old = RegimeTable::clone(&entry.table.lock());
-    let logic = inner.registry.shard_logic(&old.type_name);
-    let (owned, listed): (&[u16], &[u16]) = match old.regime {
-        RegimeKind::Sharded => (&old.owners, &old.mirrors),
-        _ => (&[], &[]),
-    };
-    let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
-    let (owners, mirrors): (Vec<u16>, Vec<u16>) = match (target, moved) {
-        (RegimeKind::Sharded, Some((partition, dst))) => {
-            let mut owners = owned.to_vec();
-            let owner = owners.get_mut(partition as usize).ok_or_else(|| {
+    let placed = match moved {
+        Some((partition, dst)) => {
+            let mut placed = old.clone();
+            let owner = placed.owners.get_mut(partition as usize);
+            let owner = owner.filter(|_| old.regime == RegimeKind::Sharded);
+            *owner.ok_or_else(|| {
                 RtsError::Communication(format!("no partition {partition} of {object}"))
-            })?;
-            *owner = dst.0;
-            (owners, listed.to_vec())
+            })? = dst.0;
+            placed
         }
-        (RegimeKind::Sharded, None) if logic.is_none() => return Ok(()),
-        (RegimeKind::Sharded, None) => {
-            let usage = entry.usage.lock();
-            let mirrors = usage.partition_mirrors(nodes, listed, grace);
-            (placement(inner, object, &usage, owned), mirrors)
-        }
-        _ => {
-            // Entering the regime, the copy is the home's and has no
-            // mirrors: where the rule leaves it when nothing is known.
-            let (owner, named) = match old.regime {
-                RegimeKind::Sharded => (inner.node.0, &[][..]),
-                _ => (old.owners[0], &old.mirrors[..]),
-            };
-            let (owner, mut mirrors) = entry.usage.lock().replicate(nodes, owner, named, grace);
-            // A copy nobody reads would live on its one writer alone, and
-            // die with it: where a dead owner's copy is regenerated it
-            // keeps one mirror to do it from — at its home once it has left
-            // it, and while it is there on the next live node, where a
-            // sharded slot's keeper goes.
-            if inner.recovery.rehome && mirrors.is_empty() {
-                let keeper = match owner == inner.node.0 {
-                    true => backup_target(inner),
-                    false => Some(inner.node),
-                };
-                mirrors.extend(keeper.map(|node| node.0));
-            }
-            (vec![owner], mirrors)
-        }
+        None => match rule(inner, object, &entry.usage.lock(), &old, target) {
+            Some(placed) => placed,
+            None => return Ok(()),
+        },
     };
-    if old.regime == target && old.owners == owners && old.mirrors == mirrors {
+    carry_out(inner, object, entry, &old, placed, None)
+}
+
+/// Execute a switch to `placed`, with the switch lock held and `old` read
+/// under it: drain the old regime's replicas, merge their states, install
+/// the new regime under the next epoch, publish the table — or, with a
+/// `budget` ([`UsageAggregate::choose`]) the merged state shows it exceeds,
+/// put the drained replicas back. The only path that changes an owner or a
+/// mirror set of a live object: what stays is re-installed where it was.
+fn carry_out(
+    inner: &Arc<Inner>,
+    object: ObjectId,
+    entry: &HomeObject,
+    old: &RegimeTable,
+    placed: RegimeTable,
+    budget: Option<f64>,
+) -> Result<(), RtsError> {
+    let logic = inner.registry.shard_logic(&old.type_name);
+    if placed == *old {
         return Ok(());
     }
     // Every owner has to hand its replica over, so one already known dead
@@ -161,7 +207,7 @@ pub(super) fn switch_regime(
             Err(err) => {
                 // Reinstall what was drained under the old epoch so the old
                 // regime keeps serving, and report the failed switch.
-                undo_drain(inner, &old, &states);
+                undo_drain(inner, old, &states);
                 return Err(err);
             }
         }
@@ -196,27 +242,29 @@ pub(super) fn switch_regime(
         match logic.merge_states(states.iter().map(|(state, _)| state.clone()).collect()) {
             Ok(full) => full,
             Err(err) => {
-                undo_drain(inner, &old, &states);
+                undo_drain(inner, old, &states);
                 return Err(err.into());
             }
         }
     };
 
+    entry.usage.lock().state = full.len();
+    let cost = switch_cost(old, &placed, inner.node.0, full.len());
+    if budget.is_some_and(|budget| cost > budget) {
+        undo_drain(inner, old, &states);
+        return Ok(());
+    }
+
     // Phase 3: install the new regime. Any failure here re-installs the
-    // old regime from the drained states, so evaluate_object's invariant —
+    // old regime from the drained states, so the invariant —
     // a failed switch leaves the old regime in place — holds on every
     // error path.
-    let new = RegimeTable {
-        epoch: old.epoch + 1,
-        regime: target,
-        owners,
-        mirrors,
-        ..old.clone()
-    };
-    let new = match install_new_regime(inner, &old, new, &full, &dedup) {
+    let mut new = placed;
+    new.epoch = old.epoch + 1;
+    let new = match install_new_regime(inner, old, new, &full, &dedup) {
         Ok(new) => new,
         Err(err) => {
-            undo_drain(inner, &old, &states);
+            undo_drain(inner, old, &states);
             return Err(err);
         }
     };

@@ -44,7 +44,7 @@ wire_type! {
         PRIMARY_TAG = 1 => Primary,
         /// The object is split into hash-partitioned slices, each owned by one
         /// node; operations ship point-to-point to the partition owner, but a
-        /// read of a node that mirrors it. Best for write-hot shardable objects.
+        /// read of a node that mirrors it: spreads a shardable object's load.
         SHARDED_TAG = 2 => Sharded,
     }
 }

@@ -66,12 +66,12 @@ fn strategies() -> Vec<(&'static str, RtsStrategy)> {
         // must not change any observable either.
         ("sharded", RtsStrategy::sharded(1)),
         ("sharded_multi", RtsStrategy::sharded(4)),
-        // With default thresholds the adaptive system stays in the primary
-        // regime for a run this short; the eager variant reports,
-        // evaluates and switches after very little evidence, so regime
-        // changes happen *during* the run — while workers are mid-drain
-        // and the fault injector is dropping packets — and must not change
-        // any observable.
+        // With the default window the adaptive system hardly moves an
+        // object in a run this short; the eager variant reports, evaluates
+        // and moves after very little evidence, so switches happen
+        // *during* the run — while workers are mid-drain and the fault
+        // injector is dropping packets — and must not change any
+        // observable.
         ("adaptive", RtsStrategy::adaptive()),
         (
             "adaptive_eager",

@@ -20,7 +20,7 @@
 
 use orca::amoeba::message::WIRE_HEADER_BYTES;
 use orca::amoeba::NodeId;
-use orca::core::objects::{KvTableObject, KvTableOp, KvTableReply, TableEntry};
+use orca::core::objects::{IntObject, IntOp, KvTableObject, KvTableOp, KvTableReply, TableEntry};
 use orca::core::{standard_registry, ObjectHandle, OrcaConfig, OrcaNode, OrcaRuntime, RtsStrategy};
 use orca::rts::{AdaptivePolicy, RecoveryConfig, RegimeKind, WritePolicy};
 use orca::wire::Wire;
@@ -165,25 +165,27 @@ fn a_remote_put_on_primary_without_copies_costs_its_bytes_plus_fourteen() {
 
 /// The invocation benchmark's write workloads in miniature: node 0 creates
 /// the table and never touches it again, nodes 1 and 2 write 4 096 hashed
-/// keys in turn. The adaptive runtime shards the table and puts the
-/// partitions on the two writers, so half the `Put`s stay on their node
-/// (a spread over all three ships 0.61 of them); what is left per
-/// operation is that share of a remote `Put` plus the usage reports (two
-/// short messages every 64 accesses).
+/// keys in turn. The adaptive runtime moves the copy to one of the two
+/// writers, mirrored nowhere — partitions on both would cost as many
+/// messages, never fewer — so half the `Put`s stay on their node (a spread
+/// over all three ships 0.61 of them); what is left per operation is that
+/// share of a remote `Put` plus the usage reports (two short messages every
+/// 64 accesses).
 #[test]
 fn adaptive_ships_half_the_puts_of_two_remote_writers() {
-    ships_half_the_puts_of_two_remote_writers(OrcaConfig::adaptive(3));
+    let config = OrcaConfig::adaptive(3);
+    ships_half_the_puts_of_two_remote_writers(config, RegimeKind::Replicated);
 }
 
 /// The same under the sharded backend: a pin fixes the regime, not the
-/// placement, so the partitions leave the idle creator for the writers as
-/// the adaptive runtime's do.
+/// placement, so the partitions leave the idle creator for the writers.
 #[test]
 fn sharded_ships_half_the_puts_of_two_remote_writers() {
-    ships_half_the_puts_of_two_remote_writers(OrcaConfig::sharded(3, 4));
+    let config = OrcaConfig::sharded(3, 4);
+    ships_half_the_puts_of_two_remote_writers(config, RegimeKind::Sharded);
 }
 
-fn ships_half_the_puts_of_two_remote_writers(config: OrcaConfig) {
+fn ships_half_the_puts_of_two_remote_writers(config: OrcaConfig, regime: RegimeKind) {
     const KEYS: u64 = 4096;
     let runtime = OrcaRuntime::start(config, standard_registry());
     let table = runtime
@@ -199,15 +201,17 @@ fn ships_half_the_puts_of_two_remote_writers(config: OrcaConfig) {
             puts += 1;
         }
     };
-    // Adaptation: sixteen evaluation windows in, the table is sharded and
-    // its owners have stopped moving (asserted again after the measurement).
+    // Adaptation: sixteen evaluation windows in, the table has left the
+    // idle creator for the writers and stopped moving (asserted again after
+    // the measurement).
     write(2048);
-    assert_eq!(runtime.object_regime(table.id()), Some(RegimeKind::Sharded));
+    assert_eq!(runtime.object_regime(table.id()), Some(regime));
     let placement = runtime.object_placement(table.id()).expect("one engine");
     assert!(
         !placement.contains(&NodeId(0)),
         "the idle creator owns a partition: {placement:?}"
     );
+    assert_eq!(runtime.copy_holders(1, table.id()), Some(Vec::new()));
 
     let before = runtime.network_stats();
     write(4000);
@@ -533,12 +537,14 @@ fn regime_switches(runtime: &OrcaRuntime) -> u64 {
     nodes.iter().map(|node| node.regime_switches).sum()
 }
 
-/// Every read-modify-write loop is an even mix of reads and writes, which
-/// is the sharded regime's threshold exactly: decay noise puts every other
-/// window on the far side of it, and a regime left on such evidence is
-/// re-entered a window later — each time re-shipping the table (74 switches
-/// in these 12 000 operations, 714.6 bytes each, before regimes were given
-/// a band to stay in). The table settles.
+/// Every read-modify-write loop is an even mix of reads and writes, on
+/// which a copy with a mirror, one without and partitions all cost the
+/// same: decay noise makes each of them the cheapest in turn, and a
+/// placement left on such evidence is re-entered a window later — each time
+/// re-shipping the table (74 switches in these 12 000 operations, 714.6
+/// bytes each, under a write-share threshold without a band). A move waits
+/// until its saving has paid for it, which noise never does: the table
+/// settles.
 #[test]
 fn an_even_mix_settles() {
     let runtime = OrcaRuntime::start(OrcaConfig::adaptive(3), standard_registry());
@@ -602,4 +608,55 @@ fn adaptive_mixed_reads_and_writes_live_at_a_writer() {
         );
         runtime.shutdown();
     }
+}
+
+/// A counter — a type that does not shard — written hot and read at a
+/// trickle: node 0 creates it and never touches it again, node 1 makes 70 %
+/// of the operations, all writes, nodes 2 and 3 each 15 %, all reads. A
+/// mirror costs every write an update and its acknowledgement (and an
+/// unlock, for all but the last) to save a round trip per read of a node
+/// that reads a fifth as often: the copy sits at its writer, unmirrored, and
+/// the reads ship — 0.6 messages an operation and the usage reports, where
+/// two mirrors kept at the readers cost 3.5.
+fn trickle_read_counter_ships_its_reads(config: OrcaConfig) {
+    let runtime = OrcaRuntime::start(config, standard_registry());
+    let counter = runtime.create::<IntObject>(&0).unwrap();
+    let mut ops = 0u64;
+    let mut run = |count: u64| {
+        for _ in 0..count {
+            let coin = ops.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            let (node, op) = match coin % 100 {
+                0..=69 => (1, IntOp::Add(1)),
+                70..=84 => (2, IntOp::Value),
+                _ => (3, IntOp::Value),
+            };
+            runtime
+                .context(node)
+                .invoke(counter, &op)
+                .expect("invocation succeeds");
+            ops += 1;
+        }
+    };
+    // Adaptation: the copy leaves the idle creator for its writer, and the
+    // mirrors the readers would first be given do not pay.
+    run(2048);
+    let placement = runtime.object_placement(counter.id()).expect("one engine");
+    let mirrors = runtime.copy_holders(1, counter.id()).expect("one engine");
+    assert_eq!((placement, mirrors), (vec![NodeId(1)], vec![]));
+
+    let before = runtime.network_stats();
+    run(4000);
+    let messages = runtime.network_stats().since(&before).total_messages() as f64 / 4000.0;
+    assert!(messages <= 1.0, "{messages:.2} messages per operation");
+    runtime.shutdown();
+}
+
+#[test]
+fn adaptive_trickle_read_counter_ships_its_reads() {
+    trickle_read_counter_ships_its_reads(OrcaConfig::adaptive(4));
+}
+
+#[test]
+fn primary_trickle_read_counter_ships_its_reads() {
+    trickle_read_counter_ships_its_reads(OrcaConfig::primary_copy(4, WritePolicy::Update));
 }
