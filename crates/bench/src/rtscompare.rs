@@ -164,16 +164,13 @@ fn read_phase(nodes: usize, reads_per_node: usize, leased: bool) -> ReadPhase {
     };
     let runtime = OrcaRuntime::start(config, orca_core::standard_registry());
     let counter = runtime.create::<IntObject>(&1).expect("create counter");
-    // Prime past one evaluation: every node reads — four times, more than
-    // priming its copy costs — the home, asked to, places a leased copy on
-    // each reader, and one more read each warms the table caches — the
-    // measured phase is pure steady-state reads.
+    // Prime past one evaluation: every node reads, the home — asked to —
+    // places a leased copy on each reader, and one more read each warms the
+    // table caches — the measured phase is pure steady-state reads.
     for round in 0..2 {
         for node in 0..nodes {
-            for _ in 0..if round == 0 { 4 } else { 1 } {
-                let read = runtime.context(node).invoke(counter, &IntOp::Value);
-                read.expect("priming read");
-            }
+            let read = runtime.context(node).invoke(counter, &IntOp::Value);
+            read.expect("priming read");
         }
         if round == 0 && leased {
             runtime.propose_regime(counter.id());

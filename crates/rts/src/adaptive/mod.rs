@@ -10,74 +10,129 @@
 //! the one engine behind every point-to-point backend — makes the regime a
 //! *per-object, dynamic* property:
 //!
-//! * **Replicated** — one authoritative copy at the object's *owner* and a
-//!   read mirror on each node the table lists. Writes execute at the owner,
+//! * **Replicated** — one authoritative copy at the object's *owner*, a node
+//!   that writes it, plus a read mirror on every other node that reads it
+//!   where the mirror pays; the table names both. Writes execute at the owner,
 //!   which pushes sequence-numbered updates to its mirrors (two-phase
-//!   lock/unlock, the `update` module) or, under [`WritePolicy::Invalidate`],
-//!   has them discard their copies; a writer that holds a mirror writes
-//!   *through* it and is left out. Reads are local at the owner and at a
-//!   mirror, shipped to the owner elsewhere. Every object starts so, at its
-//!   creator, without mirrors.
+//!   lock/unlock — the paper's update protocol, in the `update` module) or,
+//!   under [`WritePolicy::Invalidate`], has them discard their copies, to be
+//!   fetched again at the next read; a writer that holds a mirror writes
+//!   *through* it and is left out of either. Reads are local at the owner and
+//!   at a mirror; a node the table lists neither for ships them to the owner.
+//!   A copy nobody reads has no mirror and a write to it costs the request and
+//!   the reply: how every object starts, at its creator.
 //! * **Sharded** — the object is split with its type's partitioning logic
 //!   ([`orca_object::shard`]) into hash-partitioned slices spread over the
 //!   nodes that use it, operations shipped point-to-point to partition
 //!   owners, but for a read of a node that mirrors the partition, local
-//!   under a lease.
+//!   under a lease (where reads pay for it). For a shardable object that
+//!   three or more nodes write: it spreads their load.
 //!
-//! A *pin* ([`AdaptivePolicy::pin`]) fixes the regime, not the placement.
-//! Pinned to sharded ([`AdaptivePolicy::sharded`]) this is the `sharded`
-//! backend, the way to spread *load*: partitions start over all nodes and
-//! follow the nodes that access them. Pinned to replicated
-//! ([`AdaptivePolicy::primary_copy`]) it is the `primary` backend, the
-//! paper's: the copy follows its writers, mirrors come and go where they pay.
+//! With the regime *pinned* ([`AdaptivePolicy::pin`]) every object is
+//! created in that regime and stays there; a pin fixes the regime, not the
+//! placement. Usage is counted, reported and evaluated as below, for where
+//! the object lives alone. Pinned to sharded ([`AdaptivePolicy::sharded`])
+//! this runtime system is the `sharded` backend: an object's partitions
+//! start spread over all nodes, which is where the placement rule puts an
+//! object nobody has used yet, and then follow the nodes that access it; a
+//! type without partitioning logic is one partition at its creator. Pinned
+//! to replicated ([`AdaptivePolicy::primary_copy`]) it is the `primary`
+//! backend, the paper's point-to-point runtime system: one authoritative
+//! copy and a *dynamic* set of secondary copies — the copy moves to a node
+//! that writes it, mirrors come and go where it is read.
 //!
 //! ## Who decides, and how nodes agree
 //!
 //! Every node counts its own reads/writes per object and reports them to
 //! the object's home node every [`AdaptivePolicy::window`] accesses,
 //! one-way: no invocation waits for the home. The home folds the reports
-//! into *decayed* per-node counts (halved at every evaluation, so a stale
-//! burst cannot pin a placement) and, every two windows of reported
-//! accesses, prices candidate placements in messages — the current one,
-//! each regime's membership rule's, each with a mirror fewer — and moves the
-//! object to the cheapest once the saving has paid for the move (the
-//! `policy` module). On writes alone sharding never beats a copy at the
-//! busiest writer, so unpinned a write-hot object lives there.
+//! into a *decayed* per-node aggregate (halved at every evaluation — stale
+//! bursts lose half their weight per window, so they cannot pin a regime) and
+//! re-evaluates the placement every two windows of reported accesses. The
+//! home's [`RegimeTable`] is authoritative; other nodes cache it and carry its
+//! epoch in every shipped operation — a server that sees an outdated epoch
+//! answers `StaleRegime` and the client re-fetches. That check is the whole
+//! invalidation where every operation is answered by an owner; only a table
+//! that lists mirrors (or may: a replicated one) also expires
+//! ([`AdaptivePolicy::regime_lease`]).
 //!
-//! The home's [`RegimeTable`] is authoritative; other nodes cache it and
-//! carry its epoch in every shipped operation — a server that sees an
-//! outdated epoch answers `StaleRegime` and the client re-fetches. That
-//! check is the whole invalidation where every operation is answered by an
-//! owner; only a table that lists mirrors (or may: a replicated one) also
-//! expires ([`AdaptivePolicy::regime_lease`]).
+//! The per-node counts decide the regime and *where* an object lives (the
+//! `policy` module): the home prices candidate placements — the current one,
+//! each regime's membership rule's, each with a mirror fewer — in messages
+//! by the formulas the wire budgets pin, in all and at the busiest node, and
+//! moves the object to the cheapest once the saving has paid for the move;
+//! a move within the regime is a switch to the same regime.
 //!
 //! ## The switch protocol (drain → merge → install → publish)
 //!
-//! Every move drains each authoritative replica of the old placement
-//! ([`RegimeMsg::Drain`]): the slot is marked withdrawn under its replica
-//! mutex and removed, so an in-flight operation that already cloned it is
-//! answered `StaleRegime` and retried, never applied to an orphan; its owner
-//! retires its mirrors and settles their leases first. Partition states are
-//! merged ([`orca_object::ShardLogic::merge_states`]), the new placement
-//! installed under `epoch + 1` ([`RegimeMsg::Install`]; the installer primes
-//! the listed mirrors, [`RegimeMsg::Mirror`]) and the table published. A
-//! failed remote install falls back to a copy at home, or, re-placing, to the
-//! owners it had: no state is lost. `All`-routed operations run at the home
-//! under its switch lock ([`RegimeMsg::OpAll`]), never beside a switch.
+//! A withdrawn mark on every retiring replica makes sure no write is lost
+//! or double-applied across the change:
+//!
+//! 1. **Drain.** The home withdraws every authoritative replica of the old
+//!    regime (its own directly, remote owners' via [`RegimeMsg::Drain`]).
+//!    Withdrawal marks the slot under its replica mutex and removes it: an
+//!    in-flight operation that already cloned the slot acquires the mutex,
+//!    sees the mark, and is answered `StaleRegime` instead of being applied
+//!    to (and acknowledged against) an orphaned replica — the caller
+//!    retries under the new regime. The owner of a retiring replicated
+//!    regime drops its mirrors ([`RegimeMsg::DropCopies`]) and settles the
+//!    leases it granted them before it hands the state over, so no node
+//!    keeps serving pre-switch reads; the regime lease bounds the staleness
+//!    window if a drop notification is lost to a crash.
+//! 2. **Merge.** Partition states of a retiring sharded regime are
+//!    recombined with the type's [`orca_object::ShardLogic::merge_states`].
+//! 3. **Install.** The new regime's replicas are installed under
+//!    `epoch + 1` ([`RegimeMsg::Install`]); the node that installs a
+//!    replicated regime's copy primes the mirrors the table lists
+//!    ([`RegimeMsg::Mirror`]) and is their lease grantor from then on. If
+//!    a remote install fails (crashed node), a switch into a regime falls
+//!    back to a replicated copy at home, without mirrors, under a further
+//!    epoch — the merged state is in hand, so the fallback cannot fail and
+//!    no state is lost — and a re-placement goes back to the owners and
+//!    epoch it had.
+//! 4. **Publish.** The home's table gets the new epoch; stale caches
+//!    recover through `StaleRegime` replies or lease expiry.
+//!
+//! Multi-partition (`All`-routed) operations are forwarded to the home and
+//! executed under its switch lock ([`RegimeMsg::OpAll`]), so a switch can
+//! never interleave with the per-partition shares of a non-idempotent
+//! batch (which a client-side retry would re-apply).
 //!
 //! ## Surviving a node's death
 //!
-//! With recovery enabled ([`RecoveryConfig`]) a sharded slot keeps a mirror
-//! nobody reads on the next live node — its *keeper*, pushed every write
-//! before the acknowledgement — and a replicated copy nobody reads keeps one
-//! mirror. When an owner dies the home asks the survivors what they hold
-//! ([`RegimeMsg::Holdings`]) and promotes the freshest mirror of the table's
-//! epoch in place ([`RegimeMsg::Promote`]), or regenerates a replicated copy
-//! from it. When the *home* dies the lowest live node adopts the object the
-//! same way. What leaves none of these is lost, explicitly
-//! ([`RtsError::ObjectLost`]). Pushes and drops are best-effort under
-//! crashes: a mirror that misses an update re-syncs at the next, and the
-//! regime lease bounds how long a node acts on a retired table.
+//! With recovery enabled ([`RecoveryConfig`]) a sharded-regime slot keeps
+//! a mirror nobody reads on the next live node — its *keeper*: primed whole
+//! when the slot is installed or the keeper says it lost sync, pushed every
+//! completed write (a batch's run of them as one message) *before* it is
+//! acknowledged, the way a replicated copy's read mirrors are. When an
+//! owner dies the home asks every survivor once what it holds of the object
+//! ([`RegimeMsg::Holdings`]) and promotes, per orphaned partition, the
+//! freshest mirror of the table's epoch, a keeper's or a reader's, in place
+//! ([`RegimeMsg::Promote`]); the partitions keep their epoch, and clients
+//! learn of the new owner because they distrust a cached table that names a
+//! dead one. A replicated regime's copy has the mirrors its readers hold —
+//! with re-homing on, a copy that would have none keeps one, at its home
+//! once it has left it and on the next live node while it is there: when
+//! its owner dies the home regenerates it from the freshest one, as a
+//! single copy of its own under the next epoch, without mirrors until the
+//! next evaluation. When the *home* dies the lowest live node adopts the
+//! object on first contact with the same steps: the newest epoch any
+//! survivor holds a part of is the object's, every partition of it must
+//! have a slot or a kept mirror (how many there are follows from the policy
+//! every node runs), a replicated-regime copy whose owner survives keeps
+//! serving under the epoch it has, and one that died with the home is
+//! regenerated from its freshest read mirror. What leaves none of these —
+//! an object its creator took along before a first evaluation placed it, a
+//! partition whose owner and keeper both died — is lost, explicitly
+//! ([`RtsError::ObjectLost`]).
+//!
+//! ## Residual windows
+//!
+//! Update pushes to mirrors and mirror drops are best-effort under node
+//! crashes: a mirror that misses an update detects the sequence gap on the
+//! next update and re-syncs from the owner, and the regime lease bounds how
+//! long a node can act on a retired table. On a live network both paths are
+//! reliable.
 
 mod client;
 pub(crate) mod messages;
@@ -117,7 +172,7 @@ use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{served, table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
-use policy::{place, switch_cost, Count, UsageAggregate};
+use policy::{place, Count, UsageAggregate};
 // The role files share this file's vocabulary (`use super::*`), each other's
 // through it.
 use {placement::*, reassembly::*, service::*, slot::*};
@@ -373,7 +428,7 @@ impl AdaptiveRts {
         if home == self.inner.node {
             let entry = self.inner.homes.read().get(&object).cloned();
             let entry = entry.ok_or(RtsError::Object(ObjectError::NoSuchObject(object)))?;
-            evaluate_object(&self.inner, object, &entry);
+            evaluate_object(&self.inner, object, &entry, true);
             return Ok(entry.table.lock().regime);
         }
         let deadline = Instant::now() + self.inner.policy.op_timeout;
@@ -395,8 +450,16 @@ impl AdaptiveRts {
         if dst.index() >= self.inner.num_nodes {
             return Err(RtsError::Communication(format!("no such node {dst}")));
         }
-        let moved = Some((partition, dst));
-        switch_regime(&self.inner, object, &entry, RegimeKind::Sharded, moved)
+        let _switch = entry.switch.lock();
+        let old = RegimeTable::clone(&entry.table.lock());
+        let mut placed = old.clone();
+        let owner = placed.owners.get_mut(partition as usize);
+        *owner
+            .filter(|_| old.regime == RegimeKind::Sharded)
+            .ok_or_else(|| {
+                RtsError::Communication(format!("no partition {partition} of {object}"))
+            })? = dst.0;
+        carry_out(&self.inner, object, &entry, &old, placed)
     }
 
     /// Flush this node's unreported usage counters for `object` to its

@@ -6,28 +6,37 @@ use super::*;
 
 /// Close a usage window at the home — two windows of reports came in, or a
 /// proposal asks — and move the object where the evidence says it costs
-/// least ([`UsageAggregate::choose`]), in another regime or over other nodes
-/// in the same one. Priced are each regime's [`rule`] placement (the pinned
-/// one's alone; unpinned, partitions all on one node are a copy there, which
-/// is `replicate`'s to place) and the current placement while it may stay
-/// (unpinned, or where the pin's rule keeps its owners), each also with one
-/// mirror fewer. No evidence at all keeps what there is.
-pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &HomeObject) {
+/// least ([`UsageAggregate::choose`]; a proposal moves it at once), in
+/// another regime or over other nodes in the same one. Priced are each
+/// regime's [`rule`] placement (the pinned one's alone; unpinned, partitions
+/// only where three or more nodes write: with two a copy at the busier one
+/// costs no more, in messages or at the busiest node) and the current
+/// placement while it may stay (unpinned, or where the pin's rule keeps its
+/// owners), each also with one mirror fewer. No evidence at all keeps what
+/// there is.
+pub(super) fn evaluate_object(
+    inner: &Arc<Inner>,
+    object: ObjectId,
+    entry: &HomeObject,
+    proposed: bool,
+) {
     let _switch = entry.switch.lock();
     let old = RegimeTable::clone(&entry.table.lock());
     let mut usage = entry.usage.lock();
+    let (pin, nodes, grace) = (inner.policy.pin, inner.num_nodes, inner.policy.regime_lease);
     if usage.totals() == (0, 0) {
         return usage.end_window();
     }
-    let pin = inner.policy.pin;
+    let spread = pin.is_some() || usage.users(Count::Writes, nodes, &[], grace).len() >= 3;
     let both = [RegimeKind::Replicated, RegimeKind::Sharded];
     let regimes = pin.as_ref().map_or(&both[..], std::slice::from_ref);
     let mut ruled = Vec::new();
-    for regime in regimes {
+    for regime in regimes
+        .iter()
+        .filter(|r| spread || **r == RegimeKind::Replicated)
+    {
         ruled.extend(rule(inner, object, &usage, &old, *regime));
     }
-    let one_node = |t: &RegimeTable| t.owners.windows(2).all(|w| w[0] == w[1]);
-    ruled.retain(|t| pin.is_some() || t.regime == RegimeKind::Replicated || !one_node(t));
     let keeps = |placed: &RegimeTable| (placed.regime, &placed.owners) == (old.regime, &old.owners);
     if pin.is_none() || ruled.iter().any(keeps) {
         ruled.insert(0, old.clone());
@@ -40,23 +49,24 @@ pub(super) fn evaluate_object(inner: &Arc<Inner>, object: ObjectId, entry: &Home
             candidates.push(kept(inner, fewer));
         }
     }
-    let chosen = usage.choose(&old, &candidates, inner.node.0, inner.policy.write);
+    let write = inner.policy.write;
+    let chosen = usage.choose(&old, &candidates, inner.node.0, write, proposed);
     usage.end_window();
     drop(usage);
     // A failed switch (crashed peer) leaves the old placement in place; the
     // next evaluation window simply proposes it again.
-    if let Some((placed, budget)) = chosen {
-        let _ = carry_out(inner, object, entry, &old, placed, budget);
+    if let Some(placed) = chosen {
+        let _ = carry_out(inner, object, entry, &old, placed);
     }
 }
 
 /// Where the membership rules put `object`, placed as `old`, in `regime`:
 /// a sharded regime's partitions on the nodes that use it ([`placement`]),
 /// mirrored on the ones that read it; a replicated regime's copy on a node
-/// that writes it — where it is, or entering the regime at its first
-/// partition's owner, while that node writes — and its mirrors on the ones
-/// that read it. `None` for the sharded regime of a type that does not shard.
-fn rule(
+/// that writes it — where it is, or entering the regime at the home, while
+/// the home writes — and its mirrors on the ones that read it. `None` for
+/// the sharded regime of a type that does not shard.
+pub(super) fn rule(
     inner: &Inner,
     object: ObjectId,
     usage: &UsageAggregate,
@@ -74,7 +84,8 @@ fn rule(
             (placement(inner, object, usage, owned), mirrors)
         }
         _ => {
-            let (owner, mirrors) = usage.replicate(nodes, old.owners[0], listed, grace);
+            let owner = if same { old.owners[0] } else { inner.node.0 };
+            let (owner, mirrors) = usage.replicate(nodes, owner, listed, grace);
             (vec![owner], mirrors)
         }
     };
@@ -116,48 +127,18 @@ pub(super) fn placement(
         .collect()
 }
 
-/// Switch `object` to `target` regime, placed by its rule ([`rule`]) — or
-/// move partition `moved.0` of a sharded one to node `moved.1`, by hand.
-pub(super) fn switch_regime(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    entry: &Arc<HomeObject>,
-    target: RegimeKind,
-    moved: Option<(u32, NodeId)>,
-) -> Result<(), RtsError> {
-    let _switch = entry.switch.lock();
-    let old = RegimeTable::clone(&entry.table.lock());
-    let placed = match moved {
-        Some((partition, dst)) => {
-            let mut placed = old.clone();
-            let owner = placed.owners.get_mut(partition as usize);
-            let owner = owner.filter(|_| old.regime == RegimeKind::Sharded);
-            *owner.ok_or_else(|| {
-                RtsError::Communication(format!("no partition {partition} of {object}"))
-            })? = dst.0;
-            placed
-        }
-        None => match rule(inner, object, &entry.usage.lock(), &old, target) {
-            Some(placed) => placed,
-            None => return Ok(()),
-        },
-    };
-    carry_out(inner, object, entry, &old, placed, None)
-}
-
 /// Execute a switch to `placed`, with the switch lock held and `old` read
 /// under it: drain the old regime's replicas, merge their states, install
-/// the new regime under the next epoch, publish the table — or, with a
-/// `budget` ([`UsageAggregate::choose`]) the merged state shows it exceeds,
-/// put the drained replicas back. The only path that changes an owner or a
-/// mirror set of a live object: what stays is re-installed where it was.
-fn carry_out(
+/// the new regime under the next epoch, publish the table. The only path
+/// that changes an owner or a mirror set of a live object: what stays is
+/// re-installed where it was — handing single partitions or mirrors over
+/// would be a second mechanism for a state this small.
+pub(super) fn carry_out(
     inner: &Arc<Inner>,
     object: ObjectId,
     entry: &HomeObject,
     old: &RegimeTable,
     placed: RegimeTable,
-    budget: Option<f64>,
 ) -> Result<(), RtsError> {
     let logic = inner.registry.shard_logic(&old.type_name);
     if placed == *old {
@@ -248,12 +229,8 @@ fn carry_out(
         }
     };
 
+    // The state the next move ships, as its price counts it.
     entry.usage.lock().state = full.len();
-    let cost = switch_cost(old, &placed, inner.node.0, full.len());
-    if budget.is_some_and(|budget| cost > budget) {
-        undo_drain(inner, old, &states);
-        return Ok(());
-    }
 
     // Phase 3: install the new regime. Any failure here re-installs the
     // old regime from the drained states, so the invariant —

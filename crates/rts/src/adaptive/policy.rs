@@ -12,17 +12,19 @@
 //! mirrors on the nodes that read it ([`UsageAggregate::replicate`]), the
 //! partitions of a type that shards over the nodes that access it, mirrored
 //! on those that read it ([`place`], [`UsageAggregate::users`]), and each
-//! with one mirror fewer. [`UsageAggregate::choose`] moves to the cheapest
-//! once the saving, summed over the evaluations in a row that showed one,
-//! exceeds what the switch costs ([`switch_cost`]): amortisation is the
-//! regime's band, and a mix on which placements cost the same never moves.
+//! with one mirror fewer. [`UsageAggregate::choose`] moves to the cheapest,
+//! in all and at the busiest node, once the saving, summed over the
+//! evaluations in a row that showed one, exceeds what the switch costs
+//! ([`switch_cost`]): amortisation is the regime's band.
 //!
 //! A finding follows: with hash placement, sharding never beats a copy at the
 //! busiest writer on messages — partitions spread over the writers cost a
 //! write `2 · (1 − owned / P)`, a copy at the busiest writer `2 · (1 − its
-//! share)`, never more. The sharded pin ([`AdaptivePolicy::sharded`]) stays
-//! the way to spread *load*; per-partition counts, a partition at its
-//! dominant accessor, are where sharding could pay.
+//! share)`, never more. But a copy's owner is an end of every message, and
+//! partitions over three or more writers share them out: only then are they
+//! offered unpinned. The sharded pin ([`AdaptivePolicy::sharded`]) spreads
+//! any object; per-partition counts, a partition at its dominant accessor,
+//! are where sharding could pay in messages too.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -67,7 +69,8 @@ pub struct AdaptivePolicy {
     /// per-object read/write counts to the object's home every `window`
     /// local accesses, and the home re-evaluates after `2 · window` newly
     /// reported ones. An explicit [`super::AdaptiveRts::propose`] evaluates
-    /// what has been reported, so `u64::MAX` leaves every move to proposals.
+    /// what has been reported and moves to the cheapest placement at once,
+    /// so `u64::MAX` leaves every move to proposals.
     pub window: u64,
     /// How long a caller sleeps before retrying an operation whose guard
     /// was false at the replica, or whose destination is being re-homed.
@@ -95,11 +98,12 @@ pub struct AdaptivePolicy {
     /// by use as without a pin, but the pinned regime's owners are taken as
     /// its rule gives them, and only its mirror sets are priced.
     ///
-    /// * `Some(Sharded)` — the `sharded` backend, the way to spread load: an
-    ///   object is created partitioned over all nodes (a type that does not
-    ///   shard as one partition at its creator); its partitions then follow
-    ///   the nodes that access it. A hand move
-    ///   ([`super::AdaptiveRts::migrate`]) lasts until the next evaluation.
+    /// * `Some(Sharded)` — the `sharded` backend, the way to spread load
+    ///   whatever the writers: an object is created partitioned over all
+    ///   nodes (a type that does not shard as one partition at its
+    ///   creator); its partitions then follow the nodes that access it. A
+    ///   hand move ([`super::AdaptiveRts::migrate`]) lasts until the next
+    ///   evaluation.
     /// * `Some(Replicated)` — the `primary` backend, the paper's
     ///   point-to-point runtime system: the copy moves to a node that writes
     ///   it, mirrors come and go where they pay.
@@ -167,34 +171,62 @@ impl AdaptivePolicy {
 
 /// Messages the accesses `usage` counts cost where the table `placed` puts
 /// an object, by the formulas the wire budgets pin, per partition (the one
-/// copy is one) with a node's accesses spread evenly over them. A read is
-/// free at the owner or a mirror, a request and a reply elsewhere. A write
-/// is a request and a reply unless its writer owns the partition, plus
-/// `3m − 1` for the `m > 0` mirrors pushed to — an update and its
-/// acknowledgement each, an unlock for all but the last; a writer's own
-/// mirror writes through and is left out. Under [`WritePolicy::Invalidate`]
-/// a replicated copy's mirror is dropped instead (a request and an
-/// acknowledgement) and fetches again at its next read.
-pub(crate) fn cost(placed: &RegimeTable, usage: &UsageAggregate, write: WritePolicy) -> f64 {
+/// copy is one) with a node's accesses spread evenly over them; the most of
+/// them any one node sends or receives; and their variance, the counts
+/// taken as Poisson. A read is free at the owner or a mirror, a request and
+/// a reply elsewhere. A write is a request and a reply unless its writer
+/// owns the partition, plus `3m − 1` for the `m > 0` mirrors pushed to — an
+/// update and its acknowledgement each, an unlock for all but the last; a
+/// writer's own mirror writes through and is left out. Under
+/// [`WritePolicy::Invalidate`] a replicated copy's mirror is dropped instead
+/// (a request and an acknowledgement) and fetches again at its next read.
+pub(crate) fn cost(
+    placed: &RegimeTable,
+    usage: &UsageAggregate,
+    write: WritePolicy,
+) -> (f64, f64, f64) {
     let drops = write == WritePolicy::Invalidate && placed.regime == RegimeKind::Replicated;
-    let (all_writes, mut messages) = (usage.totals().1 as f64, 0.0);
-    let mirrors = &placed.mirrors[..];
+    let all_writes = usage.totals().1 as f64;
+    let (mirrors, partitions) = (&placed.mirrors[..], placed.owners.len() as f64);
+    let (mut messages, mut variance, mut per_node) = (0.0, 0.0, HashMap::new());
+    // `count` accesses at `each` messages apiece, `ends` sending or receiving
+    // `share` of each.
+    let mut add = |count: f64, each: f64, ends: &[(u16, f64)]| {
+        messages += each * count / partitions;
+        variance += each * each * count / partitions;
+        for &(end, share) in ends {
+            *per_node.entry(end).or_insert(0.0) += share * count / partitions;
+        }
+    };
     for &owner in &placed.owners {
         for (&node, usage) in &usage.per_node {
             let (reads, writes) = (usage.reads as f64, usage.writes as f64);
-            let pushed = mirrors.iter().filter(|&&m| m != owner && m != node);
-            let push = (3 * pushed.count()).saturating_sub(1) * usize::from(!drops);
+            let pushed = mirrors
+                .iter()
+                .filter(|&&m| m != owner && m != node && !drops);
+            let pushed: Vec<u16> = pushed.copied().collect();
+            let push = (3 * pushed.len()).saturating_sub(1) as f64;
+            let share = push / pushed.len().max(1) as f64;
+            let mut ends: Vec<(u16, f64)> = pushed.iter().map(|&m| (m, share)).collect();
+            ends.push((owner, push));
             let ship = if node == owner { 0.0 } else { 2.0 };
+            ends.extend([(owner, ship), (node, ship)]);
+            add(writes, ship + push, &ends);
             let mirror = ship > 0.0 && mirrors.contains(&node);
-            let read = if mirror { 0.0 } else { ship };
-            messages += read * reads + (ship + push as f64) * writes;
-            if drops && mirror {
+            if !mirror {
+                add(reads, ship, &[(owner, ship), (node, ship)]);
+            } else if drops {
                 let others = all_writes - writes;
-                messages += 2.0 * (others + reads.min(others));
+                add(
+                    others + reads.min(others),
+                    2.0,
+                    &[(owner, 2.0), (node, 2.0)],
+                );
             }
         }
     }
-    messages / placed.owners.len() as f64
+    let busiest = per_node.into_values().fold(0.0, f64::max);
+    (messages, busiest, variance)
 }
 
 /// Messages a switch from `from` to `to` costs, carried out by the home
@@ -202,7 +234,7 @@ pub(crate) fn cost(placed: &RegimeTable, usage: &UsageAggregate, write: WritePol
 /// to drain every old owner and install every new one but the home, and to
 /// prime every mirror of every partition, plus the state at one message per
 /// [`WIRE_HEADER_BYTES`].
-pub(crate) fn switch_cost(from: &RegimeTable, to: &RegimeTable, home: u16, state: usize) -> f64 {
+fn switch_cost(from: &RegimeTable, to: &RegimeTable, home: u16, state: usize) -> f64 {
     let remote = |owners: &[u16]| owners.iter().filter(|owner| **owner != home).count();
     let primes = to.owners.iter();
     let primes = primes.map(|owner| to.mirrors.iter().filter(|m| *m != owner).count());
@@ -265,8 +297,10 @@ pub(crate) struct UsageAggregate {
     /// The object's state in bytes when the home last had it whole.
     pub(crate) state: usize,
     /// Messages the current placement has cost beyond the cheapest, summed
-    /// over the evaluations in a row that showed a saving.
+    /// over the evaluations in a row that showed a saving, and the saving
+    /// the last of them showed.
     regret: f64,
+    shown: f64,
 }
 
 impl UsageAggregate {
@@ -394,31 +428,62 @@ impl UsageAggregate {
     /// The placement to switch to from `current`, if any: the cheapest of
     /// `candidates` ([`cost`]), the first of equals, `current` on a tie. A
     /// move away from a `current` that is itself a candidate (not where a
-    /// pin's rule moved its owners) waits until the saving, summed over the
-    /// evaluations in a row that showed one, exceeds [`switch_cost`], and
-    /// comes with that sum: what the move may cost once its state is known.
+    /// pin's rule moved its owners), unless `at_once` (a proposal), waits
+    /// until the saving, summed over the evaluations in a row that showed
+    /// one, exceeds [`switch_cost`]. A saving within the noise of the two
+    /// placements — a standard deviation of the messages of each — is a tie:
+    /// decayed counts are samples, and on a mix where placements cost the
+    /// same one of them is the cheapest by a little in most windows, more
+    /// than what moving a small object costs.
     pub(crate) fn choose(
         &mut self,
         current: &RegimeTable,
         candidates: &[RegimeTable],
         home: u16,
         write: WritePolicy,
-    ) -> Option<(RegimeTable, Option<f64>)> {
-        let priced = |placed: &RegimeTable| cost(placed, self, write);
+        at_once: bool,
+    ) -> Option<RegimeTable> {
+        // The mean of a placement's messages and of its busiest node's, which
+        // bound how fast the object is served: a copy's owner is an end of
+        // every message, so a copy is priced at its cost, while partitions
+        // over three or more nodes that write evenly cost as many messages as
+        // a copy at one of them but share them out.
+        let priced = |placed: &RegimeTable| {
+            let (messages, busiest, variance) = cost(placed, self, write);
+            ((messages + busiest) / 2.0, variance.sqrt())
+        };
         let best = candidates
             .iter()
-            .min_by(|a, b| priced(a).total_cmp(&priced(b)))?;
-        let saving = priced(current) - priced(best);
-        if !candidates.contains(current) {
-            self.regret = 0.0;
-            return Some((best.clone(), None));
+            .min_by(|a, b| priced(a).0.total_cmp(&priced(b).0))?;
+        if at_once || !candidates.contains(current) {
+            (self.regret, self.shown) = (0.0, 0.0);
+            return Some(best.clone());
         }
-        let regret = self.regret + saving;
-        self.regret = if saving > 0.0 { regret } else { 0.0 };
+        let ((now, noise), (then, its_noise)) = (priced(current), priced(best));
+        let saving = if now - then > noise + its_noise {
+            now - then
+        } else {
+            0.0
+        };
+        // A regime change counts what this evaluation and the one before both
+        // showed: it bounces every operation and re-ships every partition, and
+        // one window's burst — a thread scheduled ahead of the others — is
+        // half of what the next evaluation sees.
+        let counted = match best.regime == current.regime {
+            true => saving,
+            false => saving.min(self.shown),
+        };
+        self.shown = saving;
+        self.regret = if counted > 0.0 {
+            self.regret + counted
+        } else {
+            0.0
+        };
         if self.regret <= switch_cost(current, best, home, self.state) {
             return None;
         }
-        Some((best.clone(), Some(std::mem::take(&mut self.regret))))
+        (self.regret, self.shown) = (0.0, 0.0);
+        Some(best.clone())
     }
 
     /// Close the evaluation window: halve every node's counts — a stale
@@ -488,7 +553,7 @@ mod tests {
 
     /// Messages per window of `placed` under the update policy.
     fn priced(placed: RegimeTable, usage: &UsageAggregate) -> f64 {
-        cost(&placed, usage, WritePolicy::Update)
+        cost(&placed, usage, WritePolicy::Update).0
     }
 
     #[test]
@@ -519,7 +584,7 @@ mod tests {
         assert_eq!(priced(replicated(0, &[1, 2]), &readers), 48.0);
         // Invalidation drops the other's mirror at every write (2) and it
         // fetches again at its next read (2); its own writes ship.
-        let invalidated = cost(&replicated(1, &[2]), &readers, WritePolicy::Invalidate);
+        let invalidated = cost(&replicated(1, &[2]), &readers, WritePolicy::Invalidate).0;
         assert_eq!(invalidated, 6.0 * 4.0 + 6.0 * 2.0);
 
         // Write-hot, read at a trickle (the counter of the `wire_budget`
@@ -557,10 +622,10 @@ mod tests {
         // Every read-modify-write loop is an even mix, on which a copy with a
         // mirror, one without and partitions all cost the same: decay noise
         // makes one of them the cheapest by a few messages in most windows.
-        // A switch re-ships the table (a thousand 28-byte entries here), and
-        // what a window of noise saves never adds up to that in a row.
-        let mut usage = UsageAggregate::of(&[0, 64, 64], &[0, 64, 64]);
-        usage.state = 28_000;
+        // A switch re-ships a table (a thousand 28-byte entries here), and
+        // what a window of noise saves never adds up to that in a row; a
+        // counter's 8 bytes cost a switch a few messages, less than the noise,
+        // and a saving within a standard deviation of either side is a tie.
         let current = replicated(1, &[2]);
         let others = [
             replicated(1, &[]),
@@ -568,17 +633,33 @@ mod tests {
             sharded(&[1, 2, 1, 2], &[]),
         ];
         let candidates: Vec<RegimeTable> = [current.clone()].into_iter().chain(others).collect();
-        let mut seed = 7;
-        let mut cheaper = 0;
-        for _ in 0..500 {
-            usage.end_window();
-            even_window(&mut usage, &mut seed);
-            let best = candidates.iter().map(|c| priced(c.clone(), &usage));
-            cheaper += usize::from(best.fold(f64::MAX, f64::min) < priced(current.clone(), &usage));
-            let chosen = usage.choose(&current, &candidates, 0, WritePolicy::Update);
-            assert_eq!(chosen, None, "a steady even mix moved the table");
+        let mut moves = Vec::new();
+        for state in [28_000, 8] {
+            let mut usage = UsageAggregate::of(&[0, 64, 64], &[0, 64, 64]);
+            usage.state = state;
+            let mut seed = 7;
+            let mut cheaper = 0;
+            for window in 0..500 {
+                usage.end_window();
+                even_window(&mut usage, &mut seed);
+                let best = candidates.iter().map(|c| priced(c.clone(), &usage));
+                cheaper +=
+                    usize::from(best.fold(f64::MAX, f64::min) < priced(current.clone(), &usage));
+                if let Some(placed) =
+                    usage.choose(&current, &candidates, 0, WritePolicy::Update, false)
+                {
+                    moves.push((state, window, placed));
+                }
+            }
+            assert!(cheaper > 100, "the noise is there: {cheaper} windows");
         }
-        assert!(cheaper > 100, "the noise is there: {cheaper} windows");
+        assert_eq!(
+            moves.len(),
+            0,
+            "a steady even mix moved the object: {moves:?}"
+        );
+        let mut usage = UsageAggregate::of(&[0, 64, 64], &[0, 64, 64]);
+        usage.state = 28_000;
         // A clear saving does move it: the reads stop, so the mirror costs
         // every write and saves less and less as the reads decay. The move
         // waits until the savings in a row pay for re-shipping the table
@@ -588,17 +669,21 @@ mod tests {
             usage.end_window();
             usage.report(1, 0, 64, u64::MAX);
             usage.report(2, 0, 64, u64::MAX);
-            if let Some((placed, _)) = usage.choose(&current, &candidates, 0, WritePolicy::Update) {
+            if let Some(placed) = usage.choose(&current, &candidates, 0, WritePolicy::Update, false)
+            {
                 moved = Some((window, placed));
                 break;
             }
         }
         assert_eq!(moved, Some((5, replicated(1, &[]))));
         // Where the current placement is no candidate — a pin's rule moved
-        // its owners — the cheapest is taken at once.
+        // its owners — the cheapest is taken at once, and so it is when a
+        // proposal asks.
         let elsewhere = [replicated(2, &[]), replicated(2, &[1])];
-        let forced = usage.choose(&current, &elsewhere, 0, WritePolicy::Update);
-        assert_eq!(forced, Some((replicated(2, &[]), None)));
+        let forced = usage.choose(&current, &elsewhere, 0, WritePolicy::Update, false);
+        assert_eq!(forced, Some(replicated(2, &[])));
+        let proposed = usage.choose(&current, &candidates, 0, WritePolicy::Update, true);
+        assert_eq!(proposed, Some(replicated(1, &[])));
     }
 
     /// The finding: with hash placement, sharding never beats a copy at the
@@ -946,7 +1031,7 @@ mod tests {
 
     #[test]
     fn a_listed_partition_mirror_survives_a_dip_from_twice_to_once() {
-        // Node 2 reads 30 against node 1's 10 writes: its mirror pays, 30
+        // Node 2 reads 30 against node 1's 10 writes: its mirror pays, 40
         // messages a window.
         let current = sharded(&[1, 1, 1, 1], &[2]);
         let candidates = [current.clone(), sharded(&[1, 1, 1, 1], &[])];
@@ -962,9 +1047,25 @@ mod tests {
         for reads in [15, 10, 9, 9, 9] {
             usage = UsageAggregate::of(&[0, 0, reads], &[0, 10, 0]);
             usage.state = 28_000;
-            let chosen = usage.choose(&current, &candidates, 0, WritePolicy::Update);
+            let chosen = usage.choose(&current, &candidates, 0, WritePolicy::Update, false);
             assert_eq!(chosen, None, "{reads} reads");
         }
+        // Its reads stall — decay to nothing while node 1 goes on writing:
+        // heard reading within the grace, the listed mirror is still a
+        // candidate the rule offers; past it, it is not.
+        let mut stalled = UsageAggregate::of(&[0, 0, 9], &[0, 10, 0]);
+        for _ in 0..5 {
+            stalled.report(1, 0, 10, u64::MAX);
+            stalled.end_window();
+        }
+        assert_eq!(stalled.totals().0, 0);
+        let listed = |usage: &UsageAggregate, mirrors: &[u16], grace| {
+            usage.users(Count::Reads, 3, mirrors, grace)
+        };
+        assert_eq!(listed(&stalled, &[2], LONG_GRACE), vec![2]);
+        assert!(listed(&stalled, &[2], NO_GRACE).is_empty());
+        // The grace keeps mirrors, it makes none.
+        assert!(listed(&stalled, &[], LONG_GRACE).is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             let entry = inner.homes.read().get(&object).cloned();
             match entry {
                 Some(entry) => {
-                    evaluate_object(inner, object, &entry);
+                    evaluate_object(inner, object, &entry, true);
                     RegimeReply::Route(RegimeTable::clone(&entry.table.lock()))
                 }
                 None => RegimeReply::Error(format!("not home of {object}")),
@@ -70,7 +70,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
                 let window = inner.policy.window;
                 let due = entry.usage.lock().report(caller.0, reads, writes, window);
                 if due {
-                    evaluate_object(inner, object, &entry);
+                    evaluate_object(inner, object, &entry, false);
                 }
             }
             RegimeReply::Ack
@@ -208,11 +208,10 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             let object = ObjectId(object);
             let entry = inner.homes.read().get(&object).cloned();
             if let Some(entry) = entry {
+                // Re-placed at once without it; a failed re-placement leaves
+                // the mirror listed, and the next evaluation tries again.
                 entry.usage.lock().forget(node);
-                // A failed re-placement leaves the mirror listed; the next
-                // evaluation tries again.
-                let regime = entry.table.lock().regime;
-                let _ = switch_regime(inner, object, &entry, regime, None);
+                evaluate_object(inner, object, &entry, true);
             }
             RegimeReply::Ack
         }

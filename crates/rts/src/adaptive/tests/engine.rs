@@ -11,14 +11,31 @@ use orca_wire::{DedupWindow, OpStamp, Wire};
 
 use super::client::PartOutcome;
 use super::messages::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
-use super::placement::switch_regime;
+use super::placement::{carry_out, rule};
 use super::policy::UsageAggregate;
 use super::reassembly::{holdings, of_object};
 use super::service::dispatch;
 use super::slot::{apply_at_slot, mirror_entry, Slot};
 use super::{AdaptivePolicy, AdaptiveRts};
+use super::{HomeObject, Inner};
 use crate::recovery::RecoveryConfig;
 use crate::{RtsError, RuntimeSystem};
+
+/// Switch `object` to `target` regime at once, placed by the regime's rule
+/// ([`rule`]): a forced switch, as no evaluation would make it.
+fn switch_regime(
+    inner: &Arc<Inner>,
+    object: ObjectId,
+    entry: &HomeObject,
+    target: RegimeKind,
+) -> Result<(), RtsError> {
+    let _switch = entry.switch.lock();
+    let old = RegimeTable::clone(&entry.table.lock());
+    let placed = rule(inner, object, &entry.usage.lock(), &old, target);
+    placed.map_or(Ok(()), |placed| {
+        carry_out(inner, object, entry, &old, placed)
+    })
+}
 
 /// What the tests of the pinned backends (`sharded`, `primary`) look at and
 /// do that an application cannot.
@@ -91,7 +108,7 @@ impl AdaptiveRts {
     ) -> Result<(), RtsError> {
         let home = self.inner.homes.read().get(&object).cloned().unwrap();
         *home.usage.lock() = UsageAggregate::of(reads, writes);
-        switch_regime(&self.inner, object, &home, regime, None)
+        switch_regime(&self.inner, object, &home, regime)
     }
 
     /// Handle `msg` as if `caller` had sent it.
@@ -305,10 +322,16 @@ fn write_hot_shardable_object_switches_to_sharded() {
         }
         rts.flush_usage(id);
     }
-    // Partitions over four equal writers cost what a copy at one of them
-    // does, never less, so the switch is made by hand, placed by that use.
-    rtses[0].shard_by(id, &[], &[16, 16, 16, 16]).unwrap();
-    assert_eq!(rtses[0].regime_of(id).unwrap().0, RegimeKind::Sharded);
+    assert_eq!(rtses[0].propose(id).unwrap(), RegimeKind::Sharded);
+    // Writes keep working and spread over partition owners.
+    for key in 0..16u64 {
+        deposit(&rtses[1], id, key, 1);
+    }
+    let expected: i64 = (1..=4i64).sum::<i64>() * 16 + 16;
+    for rts in &rtses {
+        assert_eq!(bank_sum(rts, id), expected);
+    }
+    assert!(rtses.iter().any(|rts| rts.stats().updates_applied > 0));
     // The sharded slots really are distributed.
     let distinct: std::collections::BTreeSet<u16> = rtses
         .iter()
@@ -321,17 +344,6 @@ fn write_hot_shardable_object_switches_to_sharded() {
                 .collect::<Vec<_>>()
         })
         .collect();
-    // Writes keep working and spread over partition owners (node 1's own
-    // evaluations may meanwhile put the bank back in one copy at it, the
-    // busiest writer now: what the evidence says).
-    for key in 0..16u64 {
-        deposit(&rtses[1], id, key, 1);
-    }
-    let expected: i64 = (1..=4i64).sum::<i64>() * 16 + 16;
-    for rts in &rtses {
-        assert_eq!(bank_sum(rts, id), expected);
-    }
-    assert!(rtses.iter().any(|rts| rts.stats().updates_applied > 0));
     assert!(distinct.len() > 1, "partitions should span nodes");
     shutdown_all(&rtses);
 }
@@ -399,7 +411,7 @@ fn regime_switches_under_concurrent_writers_lose_nothing() {
         RegimeKind::Replicated,
         RegimeKind::Sharded,
     ] {
-        switch_regime(&rtses[0].inner, id, &home, target, None).unwrap();
+        switch_regime(&rtses[0].inner, id, &home, target).unwrap();
         std::thread::sleep(Duration::from_millis(10));
     }
     for writer in writers {
@@ -443,7 +455,7 @@ fn blocked_guarded_read_survives_a_regime_switch() {
     // Switch to replicated while the reader is parked, then satisfy
     // the guard from the other node.
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(add(&rtses[0], id, 60), 60);
     assert_eq!(waiter.join().unwrap(), 60);
@@ -670,7 +682,7 @@ fn leased_mirror_reads_put_nothing_on_the_wire() {
         .create_object(Accumulator::TYPE_NAME, &7i64.to_bytes())
         .unwrap();
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     // The switch pushed eager mirrors with leases alongside.
     assert!(rtses[0].inner.lease_counters.grants.get() >= 1);
     // Warm node 1's regime-table cache, then measure.
@@ -763,7 +775,7 @@ fn dedup_window_survives_a_regime_switch() {
         panic!("stamped write failed");
     };
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     let (_, epoch) = rtses[0].regime_of(id).unwrap();
     let RegimeReply::Done(reply) = apply_at_slot(
         &rtses[0].inner,
@@ -802,7 +814,7 @@ fn lapsed_mirror_lease_renews_without_the_state() {
     assert!(state.len() >= 10_000, "{} bytes of state", state.len());
     let id = rtses[0].create_object(Bank::TYPE_NAME, &state).unwrap();
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     assert_eq!(bank_sum(&rtses[1], id), 2_000);
     let fetched = rtses[1].stats().copies_fetched;
     std::thread::sleep(Duration::from_millis(250));
@@ -894,7 +906,7 @@ fn replicated_cluster(net: &Network, op_timeout: Duration) -> (Vec<AdaptiveRts>,
         .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     for rts in &rtses {
         assert_eq!(read(rts, id), 0);
     }
@@ -1113,7 +1125,7 @@ fn manual() -> AdaptivePolicy {
 fn place_by(rts: &AdaptiveRts, id: ObjectId, weights: &[u64]) -> Result<(), RtsError> {
     let home = rts.inner.homes.read().get(&id).cloned().unwrap();
     *home.usage.lock() = UsageAggregate::of_writes(weights);
-    switch_regime(&rts.inner, id, &home, RegimeKind::Sharded, None)
+    switch_regime(&rts.inner, id, &home, RegimeKind::Sharded)
 }
 
 /// Owners of `id`'s partitions as the home publishes them.
@@ -1664,7 +1676,7 @@ fn a_retired_sharded_regime_is_not_what_an_adopter_finds() {
     place_by(&rtses[2], id, &[1, 0, 0]).unwrap();
     assert_eq!(deposit(&rtses[0], id, 1, 4), 4);
     let home = rtses[2].inner.homes.read().get(&id).cloned().unwrap();
-    switch_regime(&rtses[2].inner, id, &home, RegimeKind::Replicated, None).unwrap();
+    switch_regime(&rtses[2].inner, id, &home, RegimeKind::Replicated).unwrap();
     assert_eq!(replicated_at(&rtses[2], id), (0, vec![2]));
     assert_eq!(deposit(&rtses[0], id, 1, 4), 8);
 

@@ -13,23 +13,39 @@
 //!   totally-ordered reliable broadcast of `orca-group` and applied by every
 //!   node's object manager in exactly the same order, which yields
 //!   sequential consistency.
-//! * [`AdaptiveRts`] — used when operations travel point to point. Each
-//!   object is served in one of two regimes — replicated (one authoritative
-//!   copy, mirrors where they pay; a write is sent to the copy's owner,
-//!   which either pushes a **two-phase update** to the mirrors or
-//!   **invalidates** them — [`WritePolicy`]) or sharded (`N` partitions
-//!   hashed over the nodes that use the object, each owned by one node) —
-//!   and its home node places it, regime and nodes, where the read/write
-//!   counts every node reports say it costs the fewest messages, switching
-//!   at runtime without losing or double-applying a write ([`adaptive`]).
-//!   Pinned ([`AdaptivePolicy::pin`]) the same engine is two more backends,
-//!   placed by use all the same: to replicated
-//!   ([`AdaptivePolicy::primary_copy`]) the paper's **primary copy**
+//! * [`AdaptiveRts`] — used when there is no broadcast: operations travel
+//!   point to point. It makes the regime a *per-object, dynamic* property.
+//!   Each object is served, at any moment, in one of two regimes —
+//!   replicated (one authoritative copy on a node that writes the object,
+//!   mirrors on the nodes that read it, none where nobody does; a write is
+//!   sent to the copy's owner, which either pushes a **two-phase update**
+//!   to the mirrors or **invalidates** them — [`WritePolicy`]) or sharded
+//!   (a shardable object three or more nodes write: `N` partitions hashed
+//!   over the nodes that use the object, each owned by one node, operations
+//!   shipped point-to-point to the partition owner, so writes to different
+//!   partitions proceed in parallel on different nodes) — and the object's
+//!   home node places it, regime and nodes, at runtime where the decayed
+//!   per-node read/write counts every node reports say it costs the fewest
+//!   messages. Nodes agree on the serving
+//!   regime through an epoch in the home's regime table (cached tables,
+//!   `StaleRegime` replies); a switch drains the old regime's replicas
+//!   under a withdrawn mark, merges partition states where needed, and
+//!   installs the new regime under the next epoch, so no write is lost or
+//!   double-applied across a change.
+//!
+//!   With the regime *pinned* ([`AdaptivePolicy::pin`]) the same engine is
+//!   two more backends; a pin fixes the regime, and placement is by use as
+//!   without one. Pinned to replicated
+//!   ([`AdaptivePolicy::primary_copy`]) it is the paper's **primary copy**
 //!   runtime system ([`RtsKind::PrimaryUpdate`] /
-//!   [`RtsKind::PrimaryInvalidate`]), secondary copies created and discarded
-//!   dynamically; to sharded ([`AdaptivePolicy::sharded`]) the **sharded**
-//!   backend ([`RtsKind::Sharded`]), every object created partitioned over
-//!   all nodes, its partitions then moving to the nodes that access it.
+//!   [`RtsKind::PrimaryInvalidate`]): one copy per object, at its creator
+//!   until the object is used and then where it is written, and secondary
+//!   copies created and discarded dynamically, where it is read — from the
+//!   per-node read and write counts the object's home collects. Pinned to
+//!   sharded ([`AdaptivePolicy::sharded`]) it is the **sharded** backend
+//!   ([`RtsKind::Sharded`]): every object is created partitioned over all
+//!   nodes, and its partitions then move to the nodes that access it; types
+//!   without partitioning logic are one partition at their creating node.
 //!
 //! They trade consistency machinery against communication very
 //! differently:
@@ -37,18 +53,19 @@
 //! | RTS | Replication | Write path | Consistency |
 //! |-----|-------------|-----------|-------------|
 //! | broadcast | full (every node) | totally-ordered broadcast, applied everywhere | sequential, object-wide |
-//! | adaptive | per object, where it costs the fewest messages: a copy + mirrors where they pay, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors, or their invalidation) or RPC to partition owner | sequential per object (per partition while sharded) |
+//! | adaptive | per object: a copy where it is written + mirrors where it is read, or partitions | per object: RPC to the copy's owner (+ ordered update push to its mirrors, or their invalidation) or RPC to partition owner | sequential per object (per partition while sharded) |
 //! | primary copy, update / invalidate (adaptive, pinned to replicated) | a copy where it is written + dynamic secondaries where it is read | RPC to the copy's owner, then 2-phase update or invalidation of the secondaries | sequential, object-wide |
 //! | sharded (adaptive, pinned to sharded) | partitioned, one owner per partition, on the nodes that use it | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
 //! Of the standard object library, the job queue, key-value table, set and
 //! boolean array shard; the integer, boolean flag and barrier do not (they
-//! are single atomic values): pinned to sharded they are a single copy at
-//! their creator, and left to adapt they are only ever priced replicated.
-//! With one partition the sharded backend is observationally identical to
-//! the primary-copy one — the cross-RTS conformance suite
-//! (`tests/conformance.rs`) checks all of this, and runs the adaptive
-//! system eagerly so objects move *during* the conformance workload.
+//! are single atomic values): pinned, they are a single copy at their
+//! creator, and left to adapt they are only ever offered the replicated
+//! regime. With one partition the sharded backend is
+//! observationally identical to the primary-copy one — the cross-RTS
+//! conformance suite (`tests/conformance.rs`) checks all of this, and runs
+//! the adaptive system eagerly so objects move *during* the conformance
+//! workload.
 //!
 //! All of them implement [`RuntimeSystem`], which is what the Orca layer
 //! (`orca-core`) programs against.
