@@ -70,7 +70,7 @@ pub enum RpcError {
     /// The reply could not be decoded.
     BadReply(String),
     /// The caller's abort predicate fired while waiting for the reply
-    /// (see [`rpc_call_abortable`] — typically the destination was
+    /// (see [`MultiRpc::wait_abortable`] — typically the destination was
     /// declared dead by a failure detector).
     Aborted,
 }
@@ -152,7 +152,9 @@ pub fn rpc_call(
     rpc_call_timeout(handle, dst, service_port, body, DEFAULT_RPC_TIMEOUT)
 }
 
-/// Perform a blocking RPC with an explicit timeout.
+/// Perform a blocking RPC with an explicit timeout. The request is sent
+/// exactly **once** (so a non-idempotent operation is never re-executed by
+/// a slow server); a timeout only gives up on the *reply*.
 pub fn rpc_call_timeout(
     handle: &NetworkHandle,
     dst: NodeId,
@@ -160,29 +162,11 @@ pub fn rpc_call_timeout(
     body: Vec<u8>,
     timeout: Duration,
 ) -> Result<Vec<u8>, RpcError> {
-    rpc_call_abortable(handle, dst, service_port, body, timeout, timeout, &|| false)
-}
-
-/// Like [`rpc_call_timeout`], but the wait is sliced into `poll`-sized
-/// chunks and `should_abort` is consulted between slices. The request is
-/// sent exactly **once** (so a non-idempotent operation is never
-/// re-executed by a slow server); aborting only gives up on the *reply*.
-/// Used by the recovery-aware runtime systems to stop waiting on a node
-/// the failure detector has since declared dead.
-pub fn rpc_call_abortable(
-    handle: &NetworkHandle,
-    dst: NodeId,
-    service_port: Port,
-    body: impl AsRef<[u8]>,
-    timeout: Duration,
-    poll: Duration,
-    should_abort: &dyn Fn() -> bool,
-) -> Result<Vec<u8>, RpcError> {
     // A plain call is a client of one request; dropping it parks the
     // mailbox, or retires it when the wait ended without the reply.
     let mut rpc = MultiRpc::new(handle);
     let call = rpc.send(dst, service_port, body)?;
-    rpc.wait_abortable(call, Instant::now() + timeout, poll, should_abort)
+    rpc.wait_abortable(call, Instant::now() + timeout, timeout, &|| false)
 }
 
 /// A client for *multiple outstanding* RPCs sharing one reply mailbox.

@@ -98,10 +98,10 @@ impl ObjectType for BoolArrayObject {
 /// the aggregate reads (`AllFalse`, `AllTrue`, `CountTrue`) gather over all
 /// partitions.
 impl ShardableType for BoolArrayObject {
-    fn split_state(state: &Self::State, parts: u32) -> Vec<Self::State> {
+    fn split_state(state: Self::State, parts: u32) -> Vec<Self::State> {
         let parts = parts.max(1) as usize;
         let mut split = vec![Vec::new(); parts];
-        for (index, &value) in state.iter().enumerate() {
+        for (index, value) in state.into_iter().enumerate() {
             split[index % parts].push(value);
         }
         split
@@ -279,7 +279,7 @@ mod tests {
         let len = 10usize;
         let parts = 3u32;
         let mut flat = vec![false; len];
-        let mut split = BoolArrayObject::split_state(&flat, parts);
+        let mut split = BoolArrayObject::split_state(flat.clone(), parts);
         assert_eq!(split.iter().map(Vec::len).sum::<usize>(), len);
         // merge_states is the exact inverse of the round-robin split.
         assert_eq!(BoolArrayObject::merge_states(split.clone()), flat);

@@ -128,7 +128,7 @@ impl ObjectType for JobQueueObject {
 /// not across partitions — the replicated worker paradigm never relied on
 /// global FIFO order anyway (workers race for jobs).
 impl ShardableType for JobQueueObject {
-    fn split_state(state: &Self::State, parts: u32) -> Vec<Self::State> {
+    fn split_state(state: Self::State, parts: u32) -> Vec<Self::State> {
         let parts = parts.max(1);
         let mut split: Vec<JobQueueState> = (0..parts)
             .map(|_| JobQueueState {
@@ -136,9 +136,9 @@ impl ShardableType for JobQueueObject {
                 ..JobQueueState::default()
             })
             .collect();
-        for job in &state.jobs {
-            let sub = &mut split[shard_of_bytes(job, parts) as usize];
-            sub.jobs.push_back(job.clone());
+        for job in state.jobs {
+            let sub = &mut split[shard_of_bytes(&job, parts) as usize];
+            sub.jobs.push_back(job);
             sub.total_added += 1;
         }
         // Preserve the total_added sum even when it exceeds the pending
@@ -385,7 +385,7 @@ mod tests {
         JobQueueObject::apply(&mut state, &JobQueueOp::GetJob);
         JobQueueObject::apply(&mut state, &JobQueueOp::Close);
 
-        let split = JobQueueObject::split_state(&state, 4);
+        let split = JobQueueObject::split_state(state.clone(), 4);
         assert_eq!(split.len(), 4);
         assert_eq!(
             split.iter().map(|s| s.jobs.len()).sum::<usize>(),
@@ -418,7 +418,7 @@ mod tests {
         assert!(merged.closed);
 
         // Single-partition split is the identity.
-        assert_eq!(JobQueueObject::split_state(&state, 1), vec![state]);
+        assert_eq!(JobQueueObject::split_state(state.clone(), 1), vec![state]);
     }
 
     #[test]

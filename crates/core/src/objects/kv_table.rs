@@ -112,12 +112,14 @@ impl ObjectType for KvTableObject {
 /// disjoint key ranges and `Put`/`Get` are single-partition operations —
 /// writes to different keys proceed in parallel at different owners.
 impl ShardableType for KvTableObject {
-    fn split_state(state: &Self::State, parts: u32) -> Vec<Self::State> {
-        let mut split = vec![Self::State::new(); parts.max(1) as usize];
-        for (&key, &entry) in state {
-            split[shard_of_u64(key, parts) as usize].insert(key, entry);
+    fn split_state(state: Self::State, parts: u32) -> Vec<Self::State> {
+        // Each partition's entries come out sorted, so its map is built in
+        // bulk.
+        let mut split = vec![Vec::new(); parts.max(1) as usize];
+        for (key, entry) in state {
+            split[shard_of_u64(key, parts) as usize].push((key, entry));
         }
-        split
+        split.into_iter().map(Self::State::from_iter).collect()
     }
 
     fn merge_states(parts: Vec<Self::State>) -> Self::State {
@@ -258,7 +260,7 @@ mod tests {
     fn shard_split_is_disjoint_and_route_consistent() {
         let entry = TableEntry::default();
         let state: BTreeMap<u64, TableEntry> = (0..32u64).map(|k| (k, entry)).collect();
-        let split = KvTableObject::split_state(&state, 4);
+        let split = KvTableObject::split_state(state.clone(), 4);
         assert_eq!(split.len(), 4);
         assert_eq!(split.iter().map(BTreeMap::len).sum::<usize>(), 32);
         assert_eq!(KvTableObject::merge_states(split.clone()), state);
@@ -290,7 +292,7 @@ mod tests {
             KvTableReply::Count(0)
         );
         // Single-partition split is the identity.
-        assert_eq!(KvTableObject::split_state(&state, 1), vec![state]);
+        assert_eq!(KvTableObject::split_state(state.clone(), 1), vec![state]);
     }
 
     #[test]

@@ -78,12 +78,14 @@ impl ObjectType for SetObject {
 /// so `Add`/`Contains` are single-partition operations; `Len` and
 /// `Snapshot` gather over all partitions.
 impl ShardableType for SetObject {
-    fn split_state(state: &Self::State, parts: u32) -> Vec<Self::State> {
-        let mut split = vec![Self::State::new(); parts.max(1) as usize];
-        for &value in state {
-            split[shard_of_u64(value, parts) as usize].insert(value);
+    fn split_state(state: Self::State, parts: u32) -> Vec<Self::State> {
+        // Each partition's elements come out sorted, so its set is built in
+        // bulk.
+        let mut split = vec![Vec::new(); parts.max(1) as usize];
+        for value in state {
+            split[shard_of_u64(value, parts) as usize].push(value);
         }
-        split
+        split.into_iter().map(Self::State::from_iter).collect()
     }
 
     fn merge_states(parts: Vec<Self::State>) -> Self::State {
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn shard_split_routes_and_gathers() {
         let state: BTreeSet<u64> = (0..32).collect();
-        let split = SetObject::split_state(&state, 4);
+        let split = SetObject::split_state(state.clone(), 4);
         assert_eq!(split.iter().map(BTreeSet::len).sum::<usize>(), 32);
         assert_eq!(SetObject::merge_states(split.clone()), state);
         for (p, sub) in split.iter().enumerate() {

@@ -56,9 +56,13 @@ pub enum ShardRoute {
 /// relies on this to prove the sharded runtime system equivalent to the
 /// primary-copy one.
 pub trait ShardableType: ObjectType {
-    /// Split an initial state into `parts` partition states. Must return
-    /// exactly `parts` elements whose union is the original state.
-    fn split_state(state: &Self::State, parts: u32) -> Vec<Self::State>;
+    /// Split a state into `parts` partition states, moving its entries.
+    /// Must return exactly `parts` elements whose union is the original
+    /// state, and be the inverse of [`ShardableType::merge_states`] on what
+    /// it returns: `split_state(merge_states(parts), n) == parts` — so a
+    /// runtime system may move drained partitions as they are instead of
+    /// merging and splitting them again.
+    fn split_state(state: Self::State, parts: u32) -> Vec<Self::State>;
 
     /// Recombine partition states (given in partition order) into one
     /// whole-object state — the inverse of [`ShardableType::split_state`]:
@@ -148,7 +152,7 @@ impl<T: ShardableType> ShardAdapter<T> {
 impl<T: ShardableType> ShardLogic for ShardAdapter<T> {
     fn split_state(&self, state: &[u8], parts: u32) -> Result<Vec<Vec<u8>>, ObjectError> {
         let state = T::State::from_bytes(state).map_err(codec::<T::State>)?;
-        let split = T::split_state(&state, parts);
+        let split = T::split_state(state, parts);
         debug_assert_eq!(split.len(), parts as usize, "split_state arity");
         Ok(split.iter().map(Wire::to_bytes).collect())
     }

@@ -257,9 +257,9 @@ impl ObjectType for Bank {
 }
 
 impl crate::shard::ShardableType for Bank {
-    fn split_state(state: &Self::State, parts: u32) -> Vec<Self::State> {
+    fn split_state(state: Self::State, parts: u32) -> Vec<Self::State> {
         let mut split = vec![Self::State::new(); parts.max(1) as usize];
-        for (&key, &balance) in state {
+        for (key, balance) in state {
             split[crate::shard::shard_of_u64(key, parts) as usize].insert(key, balance);
         }
         split

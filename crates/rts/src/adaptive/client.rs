@@ -42,7 +42,7 @@ impl AdaptiveRts {
         msg: &RegimeMsg,
         deadline: Instant,
     ) -> Result<RegimeReply, RtsError> {
-        regime_rpc_deadline(&self.inner, dst, msg, deadline)
+        regime_rpc_raw(&self.inner, dst, &msg.to_bytes(), deadline)
     }
 
     /// Regime table for `object`: authoritative at home, cached elsewhere.
@@ -770,7 +770,8 @@ impl RuntimeSystem for AdaptiveRts {
             owners,
             mirrors: Vec::new(),
         };
-        install_slots(inner, &table, initial_state, &DedupWindow::new())?;
+        let states = cut(inner, &table, initial_state)?;
+        install_slots(inner, &table, states, &DedupWindow::new())?;
         let mut usage = UsageAggregate::default();
         usage.state = initial_state.len();
         inner.homes.write().insert(
@@ -806,6 +807,7 @@ impl RuntimeSystem for AdaptiveRts {
         });
         // When this invocation first found the node it needs dead.
         let mut orphaned: Option<Instant> = None;
+        let mut bounced = false;
         loop {
             if self.inner.stopped.load(Ordering::SeqCst) {
                 return Err(RtsError::Terminated);
@@ -847,12 +849,17 @@ impl RuntimeSystem for AdaptiveRts {
                 PartOutcome::Stale => {
                     // A regime switch is (or was) in flight; re-fetch the
                     // table. The deadline is *not* restarted: a regime that
-                    // never settles surfaces Timeout.
+                    // never settles surfaces Timeout. The home answers a
+                    // `Route` once its switch is done, so the first re-fetch
+                    // goes out at once, as a pipelined round's does; the
+                    // ones after it wait.
                     self.inner.routes.lock().remove(&object);
                     if Instant::now() >= deadline {
                         return Err(RtsError::Timeout);
                     }
-                    std::thread::sleep(self.inner.policy.stale_retry_delay);
+                    if std::mem::replace(&mut bounced, true) {
+                        std::thread::sleep(self.inner.policy.stale_retry_delay);
+                    }
                 }
             }
         }

@@ -63,34 +63,34 @@
 //! moves the object to the cheapest once the saving has paid for the move;
 //! a move within the regime is a switch to the same regime.
 //!
-//! ## The switch protocol (drain → merge → install → publish)
+//! ## The switch protocol (drain → install → publish)
 //!
 //! A withdrawn mark on every retiring replica makes sure no write is lost
 //! or double-applied across the change:
 //!
 //! 1. **Drain.** The home withdraws every authoritative replica of the old
-//!    regime (its own directly, remote owners' via [`RegimeMsg::Drain`]).
-//!    Withdrawal marks the slot under its replica mutex and removes it: an
-//!    in-flight operation that already cloned the slot acquires the mutex,
-//!    sees the mark, and is answered `StaleRegime` instead of being applied
-//!    to (and acknowledged against) an orphaned replica — the caller
-//!    retries under the new regime. The owner of a retiring replicated
-//!    regime drops its mirrors ([`RegimeMsg::DropCopies`]) and settles the
-//!    leases it granted them before it hands the state over, so no node
-//!    keeps serving pre-switch reads; the regime lease bounds the staleness
-//!    window if a drop notification is lost to a crash.
-//! 2. **Merge.** Partition states of a retiring sharded regime are
-//!    recombined with the type's [`orca_object::ShardLogic::merge_states`].
-//! 3. **Install.** The new regime's replicas are installed under
-//!    `epoch + 1` ([`RegimeMsg::Install`]); the node that installs a
-//!    replicated regime's copy primes the mirrors the table lists
-//!    ([`RegimeMsg::Mirror`]) and is their lease grantor from then on. If
-//!    a remote install fails (crashed node), a switch into a regime falls
-//!    back to a replicated copy at home, without mirrors, under a further
-//!    epoch — the merged state is in hand, so the fallback cannot fail and
-//!    no state is lost — and a re-placement goes back to the owners and
-//!    epoch it had.
-//! 4. **Publish.** The home's table gets the new epoch; stale caches
+//!    regime ([`RegimeMsg::Drain`], to every owner at once, its own served
+//!    while the others travel). Withdrawal marks the slot under its replica
+//!    mutex and removes it: an in-flight operation that already cloned the
+//!    slot acquires the mutex, sees the mark, and is answered `StaleRegime`
+//!    instead of being applied to (and acknowledged against) an orphaned
+//!    replica — the caller retries under the new regime. The owner of a
+//!    retiring replicated regime drops its mirrors ([`RegimeMsg::DropCopies`])
+//!    and settles the leases it granted them before it hands the state over,
+//!    so no node keeps serving pre-switch reads; the regime lease bounds the
+//!    staleness window if a drop notification is lost to a crash.
+//! 2. **Install.** The new regime's replicas are installed under
+//!    `epoch + 1` ([`RegimeMsg::Install`], at every owner at once): as
+//!    drained when the regime and its partition count stay, else cut from
+//!    the drained states merged ([`orca_object::ShardLogic::merge_states`]).
+//!    The node that installs a replicated regime's copy primes the mirrors
+//!    the table lists ([`RegimeMsg::Mirror`]) and is their lease grantor
+//!    from then on. If a remote install fails (crashed node), a switch into
+//!    a regime falls back to a replicated copy at home, without mirrors,
+//!    under a further epoch — the merged state is in hand, so the fallback
+//!    cannot fail and no state is lost — and a re-placement goes back to
+//!    the owners and epoch it had.
+//! 3. **Publish.** The home's table gets the new epoch; stale caches
 //!    recover through `StaleRegime` replies or lease expiry.
 //!
 //! Multi-partition (`All`-routed) operations are forwarded to the home and
@@ -152,7 +152,7 @@ use std::time::{Duration, Instant};
 
 use orca_amoeba::network::NetworkHandle;
 use orca_amoeba::node::ports;
-use orca_amoeba::rpc::{rpc_notify, RpcServer};
+use orca_amoeba::rpc::{rpc_notify, MultiRpc, RpcError, RpcServer};
 use orca_amoeba::NodeId;
 use orca_group::FailureDetector;
 use orca_object::ShardRoute;
@@ -167,7 +167,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use crate::pipeline::{
     all_failed, resolve_round, BatchPolicy, LazyPipeline, PendingBatches, QueuedOp, RoundSlot,
 };
-use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
+use crate::recovery::{is_dead, RecoveryConfig};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
 use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};

@@ -128,9 +128,10 @@ pub(super) fn placement(
 }
 
 /// Execute a switch to `placed`, with the switch lock held and `old` read
-/// under it: drain the old regime's replicas, merge their states, install
-/// the new regime under the next epoch, publish the table. The only path
-/// that changes an owner or a mirror set of a live object: what stays is
+/// under it: drain the old regime's replicas, install the new regime under
+/// the next epoch — each partition as drained while the regime and its
+/// partition count stay — and publish the table. The only path that
+/// changes an owner or a mirror set of a live object: what stays is
 /// re-installed where it was — handing single partitions or mirrors over
 /// would be a second mechanism for a state this small.
 pub(super) fn carry_out(
@@ -140,7 +141,6 @@ pub(super) fn carry_out(
     old: &RegimeTable,
     placed: RegimeTable,
 ) -> Result<(), RtsError> {
-    let logic = inner.registry.shard_logic(&old.type_name);
     if placed == *old {
         return Ok(());
     }
@@ -159,39 +159,21 @@ pub(super) fn carry_out(
     // Phase 1: drain every authoritative replica of the old regime. Each
     // drained state travels with the dedup window that was recorded
     // against exactly that state, and a replicated regime's owner retires
-    // its mirrors and their leases before it answers.
-    let mut states: Vec<(Vec<u8>, DedupWindow)> = Vec::with_capacity(old.owners.len());
-    for (partition, &owner) in old.owners.iter().enumerate() {
-        let partition = partition as u32;
-        let drained = if NodeId(owner) == inner.node {
-            drain_local(inner, object, partition, old.epoch)
-                .ok_or_else(|| RtsError::Communication(format!("slot {partition} already gone")))
-        } else {
-            match regime_rpc(
-                inner,
-                NodeId(owner),
-                &RegimeMsg::Drain {
-                    object: object.0,
-                    epoch: old.epoch,
-                    partition,
-                },
-            ) {
-                Ok(RegimeReply::State { state, dedup }) => Ok((state, dedup)),
-                Ok(other) => Err(RtsError::Communication(format!(
-                    "unexpected Drain reply {other:?}"
-                ))),
-                Err(err) => Err(err),
-            }
-        };
-        match drained {
-            Ok(state) => states.push(state),
-            Err(err) => {
-                // Reinstall what was drained under the old epoch so the old
-                // regime keeps serving, and report the failed switch.
-                undo_drain(inner, old, &states);
-                return Err(err);
-            }
-        }
+    // its mirrors and their leases before it answers. All go out at once;
+    // when one fails, what was drained goes back under the old epoch.
+    let drains = (0u32..).zip(&old.owners);
+    let drains = drains.map(|(partition, &owner)| (NodeId(owner), drain(old, partition)));
+    let drained: Vec<_> = regime_fan_out(inner, drains.collect())
+        .into_iter()
+        .map(|reply| match reply? {
+            RegimeReply::State { state, dedup } => Ok((state, dedup)),
+            other => Err(unexpected("Drain", other)),
+        })
+        .collect();
+    if let Some(err) = drained.iter().find_map(|drained| drained.as_ref().err()) {
+        let err = err.clone();
+        undo_drain(inner, old, &drained);
+        return Err(err);
     }
 
     // The keepers of a sharded regime's slots are retired once every drain
@@ -205,43 +187,28 @@ pub(super) fn carry_out(
         drop_copies(inner, (object, None), old.epoch, None, everyone);
     }
 
-    // Phase 2: merge the drained states into one whole-object state
-    // (`states` stays alive so any later failure can re-install the old
-    // regime — a drained object must never be lost). The dedup windows
-    // merge alongside: lookups are by stamp, so an entry recorded at one
-    // partition is simply inert at another.
+    // Phase 2: install the new regime (`drained` stays alive so any later
+    // failure can re-install the old regime — a drained object must never
+    // be lost). The dedup windows merge: lookups are by stamp, so an entry
+    // recorded at one partition is simply inert at another. The state the
+    // next move ships, as its price counts it, is what was drained.
+    let states = || drained.iter().flatten().map(|(state, _)| state.clone());
     let mut dedup = DedupWindow::new();
-    for (_, window) in &states {
+    for (_, window) in drained.iter().flatten() {
         dedup.merge(window);
     }
-    let full = if states.len() == 1 {
-        states[0].0.clone()
-    } else {
-        let logic = logic
-            .as_ref()
-            .expect("multi-partition regime implies shard logic");
-        match logic.merge_states(states.iter().map(|(state, _)| state.clone()).collect()) {
-            Ok(full) => full,
-            Err(err) => {
-                undo_drain(inner, old, &states);
-                return Err(err.into());
-            }
-        }
-    };
-
-    // The state the next move ships, as its price counts it.
-    entry.usage.lock().state = full.len();
-
-    // Phase 3: install the new regime. Any failure here re-installs the
-    // old regime from the drained states, so the invariant —
-    // a failed switch leaves the old regime in place — holds on every
-    // error path.
+    entry.usage.lock().state = drained.iter().flatten().map(|(state, _)| state.len()).sum();
     let mut new = placed;
     new.epoch = old.epoch + 1;
-    let new = match install_new_regime(inner, old, new, &full, &dedup) {
+    let installed = if (new.regime, new.owners.len()) == (old.regime, old.owners.len()) {
+        install_slots(inner, &new, states().collect(), &dedup).map(|()| new)
+    } else {
+        install_new_regime(inner, old, new, states().collect(), &dedup)
+    };
+    let new = match installed {
         Ok(new) => new,
         Err(err) => {
-            undo_drain(inner, old, &states);
+            undo_drain(inner, old, &drained);
             return Err(err);
         }
     };
@@ -262,22 +229,25 @@ pub(super) fn carry_out(
     Ok(())
 }
 
-/// Install the replicas of `new` — the target regime at its owners, under
-/// the next epoch — and return the table to publish. Remote install
-/// failures fall back to a replicated copy at home, without mirrors, under a
-/// further epoch — the merged state is in hand, so the fallback cannot fail
-/// remotely — except
-/// when the regime was only being re-placed: its old owners were serving a
-/// moment ago and take their replicas back. An error return means nothing
-/// usable was installed and the caller re-installs the old regime.
+/// Install the replicas of `new` — another regime than the drained one, at
+/// its owners under the next epoch — cut from the drained `states`
+/// (partition order) merged into one whole-object state, and return the
+/// table to publish. A failed install falls back to a replicated
+/// copy at home, without mirrors, under a further epoch — the merged state
+/// is in hand, so the fallback cannot fail remotely. An error return means
+/// nothing usable was installed and the caller re-installs the old regime.
 fn install_new_regime(
     inner: &Arc<Inner>,
     old: &RegimeTable,
     new: RegimeTable,
-    full: &[u8],
+    mut states: Vec<Vec<u8>>,
     dedup: &DedupWindow,
 ) -> Result<RegimeTable, RtsError> {
-    match install_slots(inner, &new, full, dedup) {
+    let full = match inner.registry.shard_logic(&old.type_name) {
+        Some(logic) if states.len() > 1 => logic.merge_states(states)?,
+        _ => states.remove(0),
+    };
+    match cut(inner, &new, &full).and_then(|parts| install_slots(inner, &new, parts, dedup)) {
         Ok(()) => Ok(new),
         Err(_) if old.regime != new.regime => {
             let fallback = RegimeTable {
@@ -287,20 +257,61 @@ fn install_new_regime(
                 mirrors: Vec::new(),
                 ..new
             };
-            install_slots(inner, &fallback, full, dedup)?;
+            install_slots(inner, &fallback, vec![full], dedup)?;
             Ok(fallback)
         }
         Err(err) => Err(err),
     }
 }
 
+/// The whole-object state `full` cut into the partitions `table` names: one
+/// copy under the replicated regime, one state per owner under the sharded
+/// regime (a type that does not shard is one partition). A type nobody
+/// registered is refused here, before anything is installed.
+pub(super) fn cut(
+    inner: &Inner,
+    table: &RegimeTable,
+    full: &[u8],
+) -> Result<Vec<Vec<u8>>, RtsError> {
+    match inner.registry.shard_logic(&table.type_name) {
+        Some(logic) if table.regime == RegimeKind::Sharded => {
+            Ok(logic.split_state(full, table.partitions())?)
+        }
+        _ if !inner.registry.contains(&table.type_name) => {
+            Err(ObjectError::UnknownType(table.type_name.clone()).into())
+        }
+        _ => Ok(vec![full.to_vec()]),
+    }
+}
+
+/// The error of a `what` request answered `reply`.
+fn unexpected(what: &str, reply: RegimeReply) -> RtsError {
+    RtsError::Communication(format!("{what} answered {reply:?}"))
+}
+
+/// The request that withdraws partition `partition` of `table`'s object.
+fn drain(table: &RegimeTable, partition: u32) -> RegimeMsg {
+    let (object, epoch) = (table.object, table.epoch);
+    RegimeMsg::Drain {
+        object,
+        epoch,
+        partition,
+    }
+}
+
+/// A drained partition: its state and the dedup window recorded against it.
+type Drained = (Vec<u8>, DedupWindow);
+
 /// Put drained partitions back at their old owners (failed switch), so the
 /// old regime keeps serving without any lost state. Each partition's dedup
-/// window goes back with the state it was drained with.
-fn undo_drain(inner: &Arc<Inner>, old: &RegimeTable, states: &[(Vec<u8>, DedupWindow)]) {
-    for ((partition, &owner), (state, dedup)) in (0u32..).zip(&old.owners).zip(states) {
-        let (state, dedup) = (state.clone(), dedup.clone());
-        let _ = install_at(inner, NodeId(owner), old, partition, state, dedup);
+/// window goes back with the state it was drained with; a partition that
+/// was not drained is where it was.
+fn undo_drain(inner: &Arc<Inner>, old: &RegimeTable, drained: &[Result<Drained, RtsError>]) {
+    for ((partition, &owner), drained) in (0u32..).zip(&old.owners).zip(drained) {
+        if let Ok((state, dedup)) = drained {
+            let install = install_msg(old, partition, state.clone(), dedup.clone());
+            let _ = regime_fan_out(inner, vec![(NodeId(owner), install)]);
+        }
     }
 }
 
@@ -351,84 +362,64 @@ pub(super) fn drain_local(
     Some(drained)
 }
 
-/// Install the authoritative slots `table` names, cut from the
-/// whole-object state `full`: one copy at its owner under the replicated
-/// regime, one partition per owner under the sharded regime (a
-/// type that does not shard is one partition). When an owner cannot take
-/// its partition the partial install is discarded — local slots directly,
-/// remote ones with a best-effort drain; the epoch is never published, so
-/// an unreachable node's leftover slot can take no operation — and the
-/// error returned.
+/// Install the authoritative slots `table` names, partition `i` at owner
+/// `i` with `states[i]`: one copy at its owner under the replicated regime,
+/// one partition per owner under the sharded regime (a type that does not
+/// shard is one partition). Every install goes out at once. When an owner
+/// cannot take its partition the partial install is discarded — local
+/// slots directly, remote ones with a best-effort drain; the epoch is never
+/// published, so an unreachable node's leftover slot can take no
+/// operation — and the first error returned.
 pub(super) fn install_slots(
     inner: &Arc<Inner>,
     table: &RegimeTable,
-    full: &[u8],
+    states: Vec<Vec<u8>>,
     dedup: &DedupWindow,
 ) -> Result<(), RtsError> {
     let object = table_object(table);
-    let states = match inner.registry.shard_logic(&table.type_name) {
-        Some(logic) if table.regime == RegimeKind::Sharded => {
-            logic.split_state(full, table.partitions())?
-        }
-        _ => vec![full.to_vec()],
-    };
-    let mut installed: Vec<(u32, NodeId)> = Vec::new();
-    let mut failure = None;
-    for ((partition, &owner), state) in (0u32..).zip(&table.owners).zip(states) {
-        let owner = NodeId(owner);
-        let done = install_at(inner, owner, table, partition, state, dedup.clone());
-        match done {
-            Ok(()) => installed.push((partition, owner)),
-            Err(err) => {
-                failure = Some(err);
-                break;
-            }
-        }
-    }
-    let Some(failure) = failure else {
+    let owners = || (0u32..).zip(&table.owners);
+    let installs = owners().zip(states).map(|((partition, &owner), state)| {
+        let install = install_msg(table, partition, state, dedup.clone());
+        (NodeId(owner), install)
+    });
+    let done: Vec<_> = regime_fan_out(inner, installs.collect())
+        .into_iter()
+        .map(|reply| match reply? {
+            RegimeReply::Ack => Ok(()),
+            other => Err(unexpected("Install", other)),
+        })
+        .collect();
+    let Some(failure) = done.iter().find_map(|done| done.clone().err()) else {
         return Ok(());
     };
-    for (partition, owner) in installed {
-        if owner == inner.node {
+    for ((partition, &owner), _) in owners().zip(&done).filter(|(_, done)| done.is_ok()) {
+        let key = (object, partition);
+        if NodeId(owner) == inner.node {
             let mut slots = inner.slots.write();
             if slots
-                .get(&(object, partition))
+                .get(&key)
                 .is_some_and(|slot| slot.epoch == table.epoch)
             {
-                slots.remove(&(object, partition));
+                slots.remove(&key);
             }
         } else {
-            let drain = RegimeMsg::Drain {
-                object: object.0,
-                epoch: table.epoch,
-                partition,
-            };
-            let _ = regime_rpc(inner, owner, &drain);
+            let _ = regime_rpc(inner, NodeId(owner), &drain(table, partition));
         }
     }
     Err(failure)
 }
 
-/// Install partition `partition` of `table` — its state, the dedup window
-/// recorded against exactly that state, the regime and the mirrors the
-/// table names — at `owner`, this node or another.
-fn install_at(
-    inner: &Arc<Inner>,
-    owner: NodeId,
+/// The message that installs partition `partition` of `table` — its state,
+/// the dedup window recorded against exactly that state, the regime and the
+/// mirrors the table names.
+fn install_msg(
     table: &RegimeTable,
     partition: u32,
     state: Vec<u8>,
     dedup: DedupWindow,
-) -> Result<(), RtsError> {
-    let object = table_object(table);
-    if owner == inner.node {
-        let key = (object, partition);
-        let placed = (table.regime, &table.mirrors[..]);
-        let name = &table.type_name;
-        return install_slot(inner, key, table.epoch, name, &state, dedup, placed);
-    }
-    let install = RegimeMsg::Install {
-        object: object.0,
+) -> RegimeMsg {
+    RegimeMsg::Install {
+        object: table.object,
         epoch: table.epoch,
         partition,
         type_name: table.type_name.clone(),
@@ -436,11 +427,5 @@ fn install_at(
         dedup,
         regime: table.regime,
         mirrors: table.mirrors.clone(),
-    };
-    match regime_rpc(inner, owner, &install)? {
-        RegimeReply::Ack => Ok(()),
-        other => Err(RtsError::Communication(format!(
-            "{owner} refused partition {partition} of {object}: {other:?}"
-        ))),
     }
 }

@@ -335,38 +335,88 @@ pub(super) fn regime_rpc(
     dst: NodeId,
     msg: &RegimeMsg,
 ) -> Result<RegimeReply, RtsError> {
-    regime_rpc_deadline(inner, dst, msg, Instant::now() + inner.policy.op_timeout)
-}
-
-/// Server-side regime RPC bounded by an explicit shared deadline: a
-/// fan-out whose early legs stall (crashed peer) skips the remaining
-/// legs instead of multiplying the stall.
-pub(super) fn regime_rpc_deadline(
-    inner: &Arc<Inner>,
-    dst: NodeId,
-    msg: &RegimeMsg,
-    deadline: Instant,
-) -> Result<RegimeReply, RtsError> {
+    let deadline = Instant::now() + inner.policy.op_timeout;
     regime_rpc_raw(inner, dst, &msg.to_bytes(), deadline)
 }
 
-/// Like [`regime_rpc_deadline`] but takes the already-encoded request, so
-/// fan-outs (update pushes) encode once and ship the same bytes.
+/// Server-side regime RPC of an already-encoded request — fan-outs (update
+/// pushes) encode once and ship the same bytes — bounded by an explicit
+/// deadline a fan-out shares ([`regime_rpcs`]).
 pub(super) fn regime_rpc_raw(
     inner: &Arc<Inner>,
     dst: NodeId,
     body: &[u8],
     deadline: Instant,
 ) -> Result<RegimeReply, RtsError> {
-    let reply = recovery_rpc(
-        &inner.handle,
-        &inner.detector,
-        &inner.recovery,
-        dst,
-        ports::RTS_ADAPTIVE,
-        body,
-        deadline,
-    )?;
-    RegimeReply::from_bytes(&reply)
-        .map_err(|err| RtsError::Communication(format!("bad reply: {err}")))
+    let (_, mut reply) = regime_rpcs(inner, vec![(dst, body)], deadline, || ());
+    reply.remove(0)
+}
+
+/// A regime message to each node of `legs` at once, this node's own
+/// dispatched here while the others travel, all awaited within one
+/// operation deadline ([`regime_rpcs`]); replies in leg order.
+pub(super) fn regime_fan_out(
+    inner: &Arc<Inner>,
+    legs: Vec<(NodeId, RegimeMsg)>,
+) -> Vec<Result<RegimeReply, RtsError>> {
+    let deadline = Instant::now() + inner.policy.op_timeout;
+    let here: Vec<bool> = legs.iter().map(|(node, _)| *node == inner.node).collect();
+    let (local, remote): (Vec<_>, Vec<_>) = legs.into_iter().partition(|leg| leg.0 == inner.node);
+    let requests = remote.iter().map(|(node, msg)| (*node, msg.to_bytes()));
+    let serve = || -> Vec<_> {
+        local
+            .into_iter()
+            .map(|(node, msg)| dispatch(inner, msg, node))
+            .collect()
+    };
+    let (served, replies) = regime_rpcs(inner, requests.collect(), deadline, serve);
+    let (mut served, mut replies) = (served.into_iter().map(Ok), replies.into_iter());
+    let next = |here| if here { served.next() } else { replies.next() };
+    here.into_iter().filter_map(next).collect()
+}
+
+/// Regime RPCs of encoded requests, all sent at once over one client before
+/// `meanwhile` runs, then awaited by one shared `deadline`; replies in
+/// request order. Each request goes out exactly once — none to a node
+/// already declared dead ([`RtsError::NodeDown`]) or past the deadline, so a
+/// fan-out whose early legs stalled skips the rest — and the wait re-checks
+/// the failure detector every [`RecoveryConfig::attempt_timeout`], to stop
+/// waiting on a corpse as soon as it is declared.
+fn regime_rpcs<B: AsRef<[u8]>, T>(
+    inner: &Arc<Inner>,
+    requests: Vec<(NodeId, B)>,
+    deadline: Instant,
+    meanwhile: impl FnOnce() -> T,
+) -> (T, Vec<Result<RegimeReply, RtsError>>) {
+    let (detector, mut multi) = (&inner.detector, MultiRpc::new(&inner.handle));
+    let mut send = |dst, body: B| match () {
+        _ if is_dead(detector, dst) => Err(RtsError::NodeDown(dst)),
+        _ if Instant::now() >= deadline => Err(RtsError::Timeout),
+        _ => multi
+            .send(dst, ports::RTS_ADAPTIVE, body)
+            .map_err(|err| RtsError::Communication(err.to_string())),
+    };
+    let sent: Vec<_> = requests
+        .into_iter()
+        .map(|(dst, body)| (dst, send(dst, body)))
+        .collect();
+    let done = meanwhile();
+    let poll = detector
+        .as_ref()
+        .map_or(Duration::MAX, |_| inner.recovery.attempt_timeout);
+    let mut wait = |dst, call| {
+        let dead = || is_dead(detector, dst);
+        let reply = multi
+            .wait_abortable(call, deadline, poll, &dead)
+            .map_err(|err| match err {
+                RpcError::Aborted => RtsError::NodeDown(dst),
+                RpcError::Timeout if dead() => RtsError::NodeDown(dst),
+                RpcError::Timeout => RtsError::Timeout,
+                other => RtsError::Communication(other.to_string()),
+            })?;
+        RegimeReply::from_bytes(&reply)
+            .map_err(|err| RtsError::Communication(format!("bad reply: {err}")))
+    };
+    let replies = sent.into_iter().map(|(dst, call)| wait(dst, call?));
+    (done, replies.collect())
 }

@@ -229,7 +229,7 @@ pub(super) fn drop_copies(
             Ok(dispatch(inner, drop_msg.clone(), inner.node))
         } else {
             let deadline = budget.unwrap_or_else(|| Instant::now() + inner.policy.op_timeout);
-            regime_rpc_deadline(inner, *node, &drop_msg, deadline)
+            regime_rpc_raw(inner, *node, &drop_msg.to_bytes(), deadline)
         };
         matches!(reply, Ok(RegimeReply::Ack))
     });

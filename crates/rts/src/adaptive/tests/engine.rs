@@ -427,6 +427,63 @@ fn regime_switches_under_concurrent_writers_lose_nothing() {
 }
 
 #[test]
+fn a_synchronous_write_bounced_by_a_switch_re_fetches_its_table_at_once() {
+    // The home answers a table asked for during a switch once the switch
+    // is done, so a write bounced by one re-fetches at once: a bounce
+    // costs a round trip, not `stale_retry_delay`.
+    let net = Network::reliable(3);
+    let policy = AdaptivePolicy {
+        window: u64::MAX,
+        stale_retry_delay: Duration::from_secs(30),
+        ..AdaptivePolicy::eager()
+    };
+    let rtses = start_all(&net, policy);
+    let id = rtses[0]
+        .create_object(
+            Bank::TYPE_NAME,
+            &<Bank as ObjectType>::State::new().to_bytes(),
+        )
+        .unwrap();
+    // Nodes 1 and 2 learn the table of the copy at node 0.
+    deposit(&rtses[1], id, 1, 1);
+    deposit(&rtses[2], id, 2, 1);
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (rts, stop) = (rtses[1].clone(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let (mut writes, mut slowest) = (0, Duration::ZERO);
+            while !stop.load(Ordering::Relaxed) {
+                let started = Instant::now();
+                deposit(&rts, id, writes % 16, 1);
+                slowest = slowest.max(started.elapsed());
+                writes += 1;
+            }
+            (writes, slowest)
+        })
+    };
+    std::thread::sleep(Duration::from_millis(20));
+    let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
+    switch_regime(&rtses[0].inner, id, &home, RegimeKind::Sharded).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    stop.store(true, Ordering::Relaxed);
+    let (writes, slowest) = writer.join().unwrap();
+    assert!(
+        slowest < Duration::from_secs(1),
+        "a racing write took {slowest:?}"
+    );
+    // Node 2's table is the one the switch retired: its write bounces.
+    let started = Instant::now();
+    deposit(&rtses[2], id, 3, 1);
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "a bounced write took {took:?}"
+    );
+    assert_eq!(bank_sum(&rtses[0], id), 3 + writes as i64);
+    shutdown_all(&rtses);
+}
+
+#[test]
 fn blocked_guarded_read_survives_a_regime_switch() {
     let net = Network::reliable(2);
     let policy = AdaptivePolicy {

@@ -30,15 +30,11 @@
 //! operation deadline — the distinguishable "killed, not slow" error.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use orca_amoeba::network::NetworkHandle;
-use orca_amoeba::node::Port;
-use orca_amoeba::rpc::{rpc_call_abortable, RpcError};
 use orca_amoeba::NodeId;
 use orca_group::{FailureConfig, FailureDetector, ViewSnapshot};
-
-use crate::RtsError;
 
 /// Knobs of the crash-recovery subsystem (surfaced as
 /// `OrcaConfig::recovery` in `orca-core`).
@@ -160,47 +156,6 @@ pub fn is_dead(detector: &Option<Arc<FailureDetector>>, node: NodeId) -> bool {
         .unwrap_or(false)
 }
 
-/// Recovery-aware RPC: refuses to call a node already declared dead
-/// ([`RtsError::NodeDown`]), sends the request exactly once, and — while
-/// waiting for the reply — re-checks the failure detector every
-/// [`RecoveryConfig::attempt_timeout`] so the caller stops waiting on a
-/// corpse as soon as it is declared, instead of sleeping out the full
-/// deadline. Without a detector this degrades to a plain deadline-bounded
-/// call.
-pub fn recovery_rpc(
-    handle: &NetworkHandle,
-    detector: &Option<Arc<FailureDetector>>,
-    recovery: &RecoveryConfig,
-    dst: NodeId,
-    port: Port,
-    body: &[u8],
-    deadline: Instant,
-) -> Result<Vec<u8>, RtsError> {
-    if is_dead(detector, dst) {
-        return Err(RtsError::NodeDown(dst));
-    }
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(RtsError::Timeout);
-    }
-    let poll = if recovery.enabled && detector.is_some() {
-        recovery.attempt_timeout.min(remaining)
-    } else {
-        remaining
-    };
-    let dead = || is_dead(detector, dst);
-    match rpc_call_abortable(handle, dst, port, body, remaining, poll, &dead) {
-        Ok(bytes) => Ok(bytes),
-        Err(RpcError::Aborted) => Err(RtsError::NodeDown(dst)),
-        Err(RpcError::Timeout) => Err(if dead() {
-            RtsError::NodeDown(dst)
-        } else {
-            RtsError::Timeout
-        }),
-        Err(other) => Err(RtsError::Communication(other.to_string())),
-    }
-}
-
 /// [`RecoveryConfig::fast`] for this crate's unit tests, which run a hundred
 /// at a time on whatever cores there are: 300 ms of silence before a node
 /// is declared dead, the limit `tests/recovery.rs` settled on. At `fast`'s
@@ -225,7 +180,7 @@ pub(crate) fn wait_for_deaths(
     killed: &[NodeId],
     view_of: &dyn Fn(NodeId) -> Option<ViewSnapshot>,
 ) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let nodes = || (0..num_nodes).map(NodeId::from);
     loop {
         let mut detected = true;
@@ -239,7 +194,10 @@ pub(crate) fn wait_for_deaths(
         if detected {
             return;
         }
-        assert!(Instant::now() < deadline, "failure never detected");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "failure never detected"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }

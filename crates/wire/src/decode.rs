@@ -65,24 +65,27 @@ impl<'a> Decoder<'a> {
         self.take(n)
     }
 
-    /// Read a LEB128 varint into a `u64`.
+    /// Read a LEB128 varint into a `u64`, in one pass over the slice: at
+    /// most ten bytes, the tenth carrying bit 63 alone. A failed read leaves
+    /// the cursor past the bytes it looked at.
     pub fn get_uvarint(&mut self) -> WireResult<u64> {
-        let mut value: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.get_u8()?;
-            if shift == 63 && byte > 1 {
+        let mut value = 0u64;
+        for (at, &byte) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if at == 9 && byte > 1 {
+                self.pos += 10;
                 return Err(WireError::VarintOverflow);
             }
-            value |= u64::from(byte & 0x7f) << shift;
+            value |= u64::from(byte & 0x7f) << (7 * at);
             if byte & 0x80 == 0 {
+                self.pos += at + 1;
                 return Ok(value);
             }
-            shift += 7;
-            if shift > 63 {
-                return Err(WireError::VarintOverflow);
-            }
         }
+        self.pos = self.buf.len();
+        Err(WireError::UnexpectedEof {
+            needed: 1,
+            remaining: 0,
+        })
     }
 
     /// Read a zig-zag encoded varint into an `i64`.

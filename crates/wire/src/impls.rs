@@ -231,15 +231,14 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
             value.encode(enc);
         }
     }
+    /// The entries are collected and the map built in bulk: an encoded map
+    /// is sorted, so the build sorts nothing. A repeated key keeps its last
+    /// value.
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         let len = dec.get_len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..len {
-            let key = K::decode(dec)?;
-            let value = V::decode(dec)?;
-            out.insert(key, value);
-        }
-        Ok(out)
+        (0..len)
+            .map(|_| Ok((K::decode(dec)?, V::decode(dec)?)))
+            .collect()
     }
 }
 
@@ -270,13 +269,10 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
             item.encode(enc);
         }
     }
+    /// Collected and built in bulk, as a map is.
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         let len = dec.get_len()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..len {
-            out.insert(T::decode(dec)?);
-        }
-        Ok(out)
+        (0..len).map(|_| T::decode(dec)).collect()
     }
 }
 

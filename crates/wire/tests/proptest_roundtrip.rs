@@ -92,6 +92,89 @@ fn unsigned_ints_round_trip() {
     }
 }
 
+/// The byte-at-a-time LEB128 read the one-pass `get_uvarint` replaced:
+/// the value, or the error, and where the cursor stops either way.
+fn reference_uvarint(bytes: &[u8]) -> (WireResult<u64>, usize) {
+    let (mut value, mut shift) = (0u64, 0u32);
+    for (at, &byte) in bytes.iter().enumerate() {
+        if shift == 63 && byte > 1 {
+            return (Err(orca_wire::WireError::VarintOverflow), at + 1);
+        }
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return (Ok(value), at + 1);
+        }
+        shift += 7;
+    }
+    let eof = orca_wire::WireError::UnexpectedEof {
+        needed: 1,
+        remaining: 0,
+    };
+    (Err(eof), bytes.len())
+}
+
+#[test]
+fn one_pass_uvarint_agrees_with_the_byte_at_a_time_read() {
+    let mut gen = Gen::new(0xDEC0DE1A);
+    for case in 0..*CASES * 4 {
+        let mut bytes = {
+            let mut enc = Encoder::new();
+            enc.put_uvarint(gen.next_u64() >> gen.below(64));
+            enc.into_bytes()
+        };
+        match gen.below(5) {
+            // Truncated: a strict prefix of a valid encoding.
+            0 => bytes.truncate(gen.below(bytes.len())),
+            // Overlong: the value padded with continuation bytes, up to
+            // and past the ten a u64 may take.
+            1 => {
+                let last = bytes.pop().unwrap();
+                bytes.push(last | 0x80);
+                bytes.extend(std::iter::repeat_n(0x80, gen.below(10)));
+                bytes.push(0);
+            }
+            // Overflowing: a tenth byte carrying more than bit 63.
+            2 => {
+                bytes = vec![0xff; 9];
+                bytes.push(2 + gen.below(254) as u8);
+            }
+            // Random bytes, biased to continuation bits.
+            3 => {
+                bytes = (0..gen.below(14))
+                    .map(|_| gen.next_u64() as u8 | 0x80)
+                    .collect()
+            }
+            _ => {}
+        }
+        bytes.extend(gen.bytes(3));
+        let mut dec = Decoder::new(&bytes);
+        let got = dec.get_uvarint();
+        let (want, at) = reference_uvarint(&bytes);
+        assert_eq!(got, want, "case {case}: {bytes:02x?}");
+        assert_eq!(dec.position(), at, "case {case}: {bytes:02x?}");
+    }
+}
+
+#[test]
+fn a_repeated_map_key_or_set_item_keeps_the_last() {
+    let mut enc = Encoder::new();
+    enc.put_len(4);
+    for (key, value) in [(3u16, "c"), (1, "a"), (3, "z"), (2, "b")] {
+        key.encode(&mut enc);
+        value.to_string().encode(&mut enc);
+    }
+    let map = BTreeMap::<u16, String>::from_bytes(&enc.into_bytes()).unwrap();
+    let want = [(1, "a"), (2, "b"), (3, "z")].map(|(key, value)| (key, value.to_string()));
+    assert_eq!(map, BTreeMap::from(want));
+    let mut enc = Encoder::new();
+    enc.put_len(4);
+    for item in [9u32, 4, 9, 1] {
+        item.encode(&mut enc);
+    }
+    let set = BTreeSet::<u32>::from_bytes(&enc.into_bytes()).unwrap();
+    assert_eq!(set, BTreeSet::from([1, 4, 9]));
+}
+
 #[test]
 fn signed_ints_round_trip() {
     let mut gen = Gen::new(0xDEC0DE02);

@@ -11,6 +11,49 @@ struct State<T> {
     receivers: usize,
     /// `None` for unbounded channels.
     capacity: Option<usize>,
+    /// Parked `select!`s watching this channel, fired by a send and by the
+    /// last sender's drop.
+    watchers: Vec<Arc<Signal>>,
+}
+
+impl<T> State<T> {
+    fn wake_watchers(&self) {
+        for signal in &self.watchers {
+            signal.fire();
+        }
+    }
+}
+
+/// What a parked [`select!`](crate::select) waits on: fired by any of the
+/// channels it watches. Not part of crossbeam's API; the macro's plumbing.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct Signal {
+    fired: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl Signal {
+    fn fire(&self) {
+        *self.fired.lock().expect("signal lock") = true;
+        self.cond.notify_one();
+    }
+
+    /// Wait until fired or until `deadline`.
+    pub fn wait_until(&self, deadline: Instant) {
+        let mut fired = self.fired.lock().expect("signal lock");
+        while !*fired {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            fired = self
+                .cond
+                .wait_timeout(fired, deadline - now)
+                .expect("signal lock")
+                .0;
+        }
+    }
 }
 
 struct Shared<T> {
@@ -29,6 +72,7 @@ impl<T> Shared<T> {
                 senders: 1,
                 receivers: 1,
                 capacity,
+                watchers: Vec::new(),
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -154,6 +198,7 @@ impl<T> Sender<T> {
             if !full {
                 state.queue.push_back(value);
                 self.shared.readable.notify_one();
+                state.wake_watchers();
                 return Ok(());
             }
             state = self.shared.writable.wait(state).expect("channel lock");
@@ -240,6 +285,24 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Have a send (or the last sender's drop) fire `signal`; true when a
+    /// receive would not block already. The `select!` plumbing.
+    #[doc(hidden)]
+    pub fn watch(&self, signal: &Arc<Signal>) -> bool {
+        let mut state = self.shared.state.lock().expect("channel lock");
+        state.watchers.push(Arc::clone(signal));
+        !state.queue.is_empty() || state.senders == 0
+    }
+
+    /// Stop firing `signal`.
+    #[doc(hidden)]
+    pub fn unwatch(&self, signal: &Arc<Signal>) {
+        let mut state = self.shared.state.lock().expect("channel lock");
+        state
+            .watchers
+            .retain(|watcher| !Arc::ptr_eq(watcher, signal));
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -266,6 +329,7 @@ impl<T> Drop for Sender<T> {
         state.senders -= 1;
         if state.senders == 0 {
             self.shared.readable.notify_all();
+            state.wake_watchers();
         }
     }
 }
@@ -292,11 +356,12 @@ impl<T> fmt::Debug for Receiver<T> {
     }
 }
 
-/// Polling implementation of the crossbeam `select!` shape used in this
-/// workspace: any number of `recv(rx) -> binding => expr` arms followed by a
-/// `default(timeout) => expr` arm. Each ready check uses `try_recv`; between
-/// rounds the caller sleeps briefly, so latency is bounded by the poll
-/// interval (200 µs) rather than being wakeup-exact.
+/// The crossbeam `select!` shape used in this workspace: any number of
+/// `recv(rx) -> binding => expr` arms followed by a `default(timeout) =>
+/// expr` arm. Each ready check uses `try_recv`; when no arm is ready the
+/// caller parks on a signal every watched channel fires — on a send, or
+/// when its last sender drops — so it wakes on the first message, as the
+/// real crate does, or at the timeout.
 #[macro_export]
 macro_rules! select {
     ( $( recv($rx:expr) -> $name:ident => $body:expr , )+ default($timeout:expr) => $default:expr $(,)? ) => {{
@@ -327,7 +392,15 @@ macro_rules! select {
                     __done = true;
                     $default
                 } else {
-                    ::std::thread::sleep(::std::time::Duration::from_micros(200));
+                    let __signal = ::std::sync::Arc::new($crate::channel::Signal::default());
+                    // `watch` registers the signal and looks under the
+                    // channel lock: a send before it is seen, one after it
+                    // fires the signal.
+                    let __ready = false $( | ($rx).watch(&__signal) )+;
+                    if !__ready {
+                        __signal.wait_until(__deadline);
+                    }
+                    $( ($rx).unwatch(&__signal); )+
                 }
             }
         }
@@ -341,7 +414,6 @@ pub use crate::select;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn send_recv_fifo() {
@@ -401,6 +473,56 @@ mod tests {
         }
         handle.join().unwrap();
         assert_eq!(sum, 4950);
+    }
+
+    /// A `select!` that parks with a long default, on two channels, and the
+    /// arm `feed` makes ready from another thread after a while: what it
+    /// returned, and how long it took.
+    fn parked_select(
+        feed: impl FnOnce(Sender<u8>, Sender<u8>) + Send + 'static,
+    ) -> (Option<Result<u8, RecvError>>, Duration) {
+        let (tx_a, rx_a) = unbounded::<u8>();
+        let (tx_b, rx_b) = unbounded::<u8>();
+        let feeder = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            feed(tx_a, tx_b);
+        });
+        let started = Instant::now();
+        let mut got = None;
+        crate::select! {
+            recv(rx_a) -> msg => got = Some(msg),
+            recv(rx_b) -> msg => got = Some(msg),
+            default(Duration::from_secs(10)) => {}
+        }
+        let waited = started.elapsed();
+        feeder.join().unwrap();
+        (got, waited)
+    }
+
+    #[test]
+    fn a_parked_select_wakes_on_a_send_from_another_thread() {
+        let (got, waited) = parked_select(|tx_a, tx_b| {
+            tx_b.send(5).unwrap();
+            // Keep the other channel connected until the select has woken.
+            std::thread::sleep(Duration::from_millis(50));
+            drop(tx_a);
+        });
+        assert_eq!(got, Some(Ok(5)));
+        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
+    }
+
+    #[test]
+    fn a_parked_select_wakes_when_every_sender_drops() {
+        let (got, waited) = parked_select(|tx_a, tx_b| {
+            let spare = tx_a.clone();
+            drop(tx_a);
+            drop(spare);
+            // Keep the other channel's sender until the select has woken.
+            std::thread::sleep(Duration::from_millis(50));
+            drop(tx_b);
+        });
+        assert_eq!(got, Some(Err(RecvError)));
+        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
     }
 
     #[test]
