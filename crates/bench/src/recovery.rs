@@ -72,7 +72,6 @@ fn run_once(heartbeat: Duration, suspect_after: u32) -> RecoveryRow {
         recovery: RecoveryConfig {
             heartbeat_every: heartbeat,
             suspect_after,
-            attempt_timeout: Duration::from_millis(100),
             rehome_wait: Duration::from_secs(10),
             ..RecoveryConfig::enabled()
         },

@@ -1027,13 +1027,11 @@ impl Scenario for AdaptiveRegimeSwitch {
 // ---------------------------------------------------------------------------
 
 /// Failure-detector timing of the write-through scenarios, the crash lanes'
-/// own: detection well inside the settle budget, attempt slices short
-/// enough to notice it.
+/// own: detection well inside the settle budget.
 fn mc_recovery() -> RecoveryConfig {
     RecoveryConfig {
         heartbeat_every: Duration::from_millis(25),
         suspect_after: 12,
-        attempt_timeout: Duration::from_millis(250),
         rehome_wait: Duration::from_secs(10),
         ..RecoveryConfig::enabled()
     }

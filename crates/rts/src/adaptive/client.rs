@@ -9,7 +9,7 @@ use super::*;
 
 /// How long a guarded read parks on a mirror before re-validating the
 /// regime (protects against missed wake-ups and retired mirrors).
-const MIRROR_GUARD_WAIT: Duration = Duration::from_millis(100);
+pub(super) const MIRROR_GUARD_WAIT: Duration = Duration::from_millis(100);
 
 /// How long a mirror read waits for an in-flight two-phase update to
 /// unlock before re-checking.
@@ -35,16 +35,6 @@ enum Target<'a> {
 }
 
 impl AdaptiveRts {
-    /// Send a regime request to `dst`, bounded by `deadline`.
-    pub(super) fn rpc(
-        &self,
-        dst: NodeId,
-        msg: &RegimeMsg,
-        deadline: Instant,
-    ) -> Result<RegimeReply, RtsError> {
-        regime_rpc_raw(&self.inner, dst, &msg.to_bytes(), deadline)
-    }
-
     /// Regime table for `object`: authoritative at home, cached elsewhere.
     /// When the creating node is dead, the home role falls to the lowest
     /// live node, which re-assembles the object from what the survivors
@@ -86,7 +76,8 @@ impl AdaptiveRts {
                 return Ok(Arc::clone(table));
             }
         }
-        match self.rpc(home, &RegimeMsg::Route { object: object.0 }, deadline)? {
+        let route = RegimeMsg::Route { object: object.0 };
+        match regime_fan_out(&self.inner, [(home, route)], deadline).remove(0)? {
             RegimeReply::Route(table) if !served(table.regime) => Err(RtsError::Communication(
                 format!("unknown regime {:?} of {object}", table.regime),
             )),
@@ -136,8 +127,8 @@ impl AdaptiveRts {
         }
     }
 
-    /// Deliver a usage report to the home (directly when this node is the
-    /// home) — one message, nothing waited for, unless `acknowledged`: an
+    /// Deliver a usage report to the home (served in place when this node is
+    /// the home) — one message, nothing waited for, unless `acknowledged`: an
     /// invocation never stalls on the home's evaluation. Failures are
     /// ignored: a lost report only delays adaptation.
     pub(super) fn send_report(
@@ -153,18 +144,12 @@ impl AdaptiveRts {
             reads,
             writes,
         };
-        if home == self.inner.node {
-            let _ = dispatch(&self.inner, msg, self.inner.node);
-        } else if acknowledged {
+        if acknowledged || home == self.inner.node {
             let deadline = Instant::now() + self.inner.policy.op_timeout;
-            let _ = self.rpc(home, &msg, deadline);
+            let _ = regime_fan_out(&self.inner, [(home, msg)], deadline);
         } else {
-            let _ = rpc_notify(
-                &self.inner.handle,
-                home,
-                ports::RTS_ADAPTIVE,
-                msg.to_bytes(),
-            );
+            let (handle, port) = (&self.inner.handle, ports::RTS_ADAPTIVE);
+            let _ = rpc_notify(handle, home, port, msg.to_bytes());
         }
     }
 
@@ -222,7 +207,7 @@ impl AdaptiveRts {
         deadline: Instant,
     ) -> Vec<usize> {
         let mut stale: Vec<usize> = Vec::new();
-        let mut batches = PendingBatches::new(RegimeMsg::OP_BATCH_TAG, ops);
+        let mut batches = PendingBatches::new(ops);
         for &i in todo {
             let op = &ops[i];
             // An earlier operation on this object bounced in this pass;
@@ -261,8 +246,10 @@ impl AdaptiveRts {
                 continue;
             }
             // Unstamped: the round never re-presents an operation across a
-            // node death (the failure contract of `crate::pipeline`).
-            slots[i] = match self.execute(&table, target, &op.op, None, deadline) {
+            // node death (the failure contract of `crate::pipeline`); nor
+            // does it park on a guard (its ordering contract).
+            let (stamp, park) = (None, Duration::ZERO);
+            slots[i] = match self.execute(&table, target, &op.op, stamp, deadline, park) {
                 Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
                 Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
                 Ok(PartOutcome::Stale) => {
@@ -276,9 +263,14 @@ impl AdaptiveRts {
         stale
     }
 
-    /// Ship every pending per-destination batch through the shared
-    /// reply-demultiplexing flusher (see
-    /// [`crate::pipeline::flush_op_batches`] for the failure contract).
+    /// Ship every pending per-destination batch at once ([`regime_rpcs`]),
+    /// this node's own applied while the others travel — read back from its
+    /// encoding, as a receiver reads it — and record the per-op outcomes
+    /// (`Stale` ones land in `stale` for the next pass). A batch whose
+    /// destination dies reports a per-operation outcome (`NodeDown` once the
+    /// failure detector confirms the death, `Timeout` otherwise) and is
+    /// **never re-sent**: the destination may have applied any prefix before
+    /// crashing, so a blind retry could double-apply.
     fn flush_batches(
         &self,
         batches: &mut PendingBatches,
@@ -287,18 +279,46 @@ impl AdaptiveRts {
         deadline: Instant,
     ) {
         let inner = &self.inner;
-        crate::pipeline::flush_op_batches(
-            &inner.handle,
-            inner.node,
-            ports::RTS_ADAPTIVE,
-            &inner.stats,
-            &inner.detector,
-            batches,
-            stale,
-            slots,
-            deadline,
-            &|ops| apply_op_batch(inner, ops, inner.node),
-        );
+        let (mut local, mut remote, mut requests) = (None, Vec::new(), Vec::new());
+        for (dest, indices, request) in batches.take() {
+            inner.stats.batches_sent.inc();
+            inner.stats.ops_batched.add(indices.len() as u64);
+            if dest == inner.node {
+                local = Some((indices, request));
+            } else {
+                inner.stats.remote_writes.inc();
+                remote.push(indices);
+                requests.push((dest, request));
+            }
+        }
+        let apply = || {
+            local.map(|(indices, request)| {
+                let ops = OpBatchView::from_request(RegimeMsg::OP_BATCH_TAG, &request)
+                    .expect("request begins with its tag")
+                    .expect("a batch this node just encoded");
+                (indices, apply_op_batch(inner, &ops, inner.node))
+            })
+        };
+        let (applied, replies) = regime_rpcs(inner, requests, deadline, apply);
+        if let Some((indices, outcomes)) = applied {
+            record_batch_outcomes(&indices, outcomes, slots, stale);
+        }
+        for (indices, reply) in remote.into_iter().zip(replies) {
+            let err = match reply {
+                Ok(RegimeReply::Batch(outcomes)) if outcomes.len() == indices.len() => {
+                    record_batch_outcomes(&indices, outcomes, slots, stale);
+                    continue;
+                }
+                Ok(reply) => RtsError::Communication(format!(
+                    "no batch reply for {} ops: {reply:?}",
+                    indices.len()
+                )),
+                Err(err) => err,
+            };
+            for &i in &indices {
+                slots[i] = RoundSlot::Ready(Err(err.clone()));
+            }
+        }
     }
 
     /// Where an operation runs under `table`. An operation of one copy —
@@ -334,7 +354,8 @@ impl AdaptiveRts {
         Ok(Target::Slot(partition, op))
     }
 
-    /// Execute `op` where `target` says, under `table`.
+    /// Execute `op` where `target` says, under `table`; a guarded mirror
+    /// read parks up to `park` on its guard ([`AdaptiveRts::mirror_read`]).
     fn execute(
         &self,
         table: &RegimeTable,
@@ -342,9 +363,10 @@ impl AdaptiveRts {
         op: &[u8],
         stamp: Option<OpStamp>,
         deadline: Instant,
+        park: Duration,
     ) -> Result<PartOutcome, RtsError> {
         match target {
-            Target::Mirror(p, part_op) => self.mirror_read(table, p, &part_op, deadline),
+            Target::Mirror(p, part_op) => self.mirror_read(table, p, &part_op, deadline, park),
             Target::Slot(partition, part_op) => {
                 self.slot_op(table, partition, &part_op, stamp, deadline)
             }
@@ -395,29 +417,18 @@ impl AdaptiveRts {
     ) -> Result<PartOutcome, RtsError> {
         let owner = NodeId(table.owners[partition as usize]);
         let object = table_object(table);
-        let reply = if owner == self.inner.node {
-            apply_at_slot(
-                &self.inner,
-                object,
-                partition,
-                table.epoch,
-                op,
-                stamp,
-                self.inner.node,
-                false,
-            )
+        let (me, epoch) = (self.inner.node, table.epoch);
+        let reply = if owner == me {
+            apply_at_slot(&self.inner, object, partition, epoch, op, stamp, me, false)
         } else {
-            self.rpc(
-                owner,
-                &RegimeMsg::Op {
-                    object: object.0,
-                    epoch: table.epoch,
-                    partition,
-                    op: op.to_vec(),
-                    stamp,
-                },
-                deadline,
-            )?
+            let msg = RegimeMsg::Op {
+                object: object.0,
+                epoch,
+                partition,
+                op: op.to_vec(),
+                stamp,
+            };
+            regime_fan_out(&self.inner, [(owner, msg)], deadline).remove(0)?
         };
         self.outcome(object, reply)
     }
@@ -440,13 +451,17 @@ impl AdaptiveRts {
     }
 
     /// Serve a read of `partition` from this node's mirror, fetching or
-    /// re-syncing it from the partition's owner when needed.
+    /// re-syncing it from the partition's owner when needed. A read whose
+    /// guard is false waits up to `park` for an update to change the mirror:
+    /// a call does, a pipelined round does not — later operations of its
+    /// window do not wait for the guard.
     fn mirror_read(
         &self,
         table: &RegimeTable,
         partition: u32,
         op: &[u8],
         deadline: Instant,
+        park: Duration,
     ) -> Result<PartOutcome, RtsError> {
         let owner = NodeId(table.owners[partition as usize]);
         loop {
@@ -495,7 +510,7 @@ impl AdaptiveRts {
                 AppliedOutcome::Done(reply) => {
                     self.inner.stats.local_reads.inc();
                     if self.inner.leases_enabled() {
-                        self.inner.lease_counters.local_reads.inc();
+                        self.inner.lease.local_reads.inc();
                     }
                     return Ok(PartOutcome::Done(reply));
                 }
@@ -504,7 +519,7 @@ impl AdaptiveRts {
                     // then hand control back so the caller re-validates the
                     // regime (the guard's write may commit under a new one).
                     // The caller accounts the guard retry.
-                    mirror.unlocked.wait_for(&mut state, MIRROR_GUARD_WAIT);
+                    mirror.unlocked.wait_for(&mut state, park);
                     return Ok(PartOutcome::Blocked);
                 }
             }
@@ -543,7 +558,7 @@ impl AdaptiveRts {
             op: op.to_vec(),
             stamp,
         };
-        let answer = self.rpc(owner, &msg, deadline);
+        let answer = regime_fan_out(&self.inner, [(owner, msg)], deadline).remove(0);
         Some(self.finish_write_through(&mirror, table.epoch, op, stamp, answer))
     }
 
@@ -570,7 +585,7 @@ impl AdaptiveRts {
     ///   this node's own, or a pushed one — brings it back or finds the gap.
     fn finish_write_through(
         &self,
-        mirror: &Mirror,
+        mirror: &HeldCopy,
         epoch: u64,
         op: &[u8],
         stamp: Option<OpStamp>,
@@ -599,7 +614,8 @@ impl AdaptiveRts {
             Err(err) if inner.recovery.rehome => (WriteAck::AuthorityLost, Err(err)),
             Err(err) => (WriteAck::Unsynced, Err(err)),
         };
-        mirror.finish_write_through(&inner.updates, epoch, op, ack, inner.policy.op_timeout);
+        let installs = &inner.update.reply_installs;
+        mirror.finish_write_through(installs, epoch, op, ack, inner.policy.op_timeout);
         outcome
     }
 
@@ -611,7 +627,7 @@ impl AdaptiveRts {
         &self,
         table: &RegimeTable,
         partition: u32,
-        mirror: &Mirror,
+        mirror: &HeldCopy,
         have: Option<u64>,
         deadline: Instant,
     ) -> Result<bool, RtsError> {
@@ -622,7 +638,8 @@ impl AdaptiveRts {
             partition: at.1,
             have,
         };
-        match self.rpc(NodeId(table.owners[partition as usize]), &msg, deadline)? {
+        let owner = NodeId(table.owners[partition as usize]);
+        match regime_fan_out(&self.inner, [(owner, msg)], deadline).remove(0)? {
             RegimeReply::Renewed(grant) => {
                 // Good for the copy it names and no other: an update that
                 // got here first brought its own lease.
@@ -701,18 +718,11 @@ impl AdaptiveRts {
     ) -> Result<PartOutcome, RtsError> {
         let object = table_object(table);
         let home = current_home(&self.inner, object);
-        let reply = if home == self.inner.node {
-            serve_op_all(&self.inner, object, op, self.inner.node)
-        } else {
-            self.rpc(
-                home,
-                &RegimeMsg::OpAll {
-                    object: object.0,
-                    op: op.to_vec(),
-                },
-                deadline,
-            )?
+        let msg = RegimeMsg::OpAll {
+            object: object.0,
+            op: op.to_vec(),
         };
+        let reply = regime_fan_out(&self.inner, [(home, msg)], deadline).remove(0)?;
         self.outcome(object, reply)
     }
 
@@ -735,7 +745,7 @@ impl AdaptiveRts {
                 return outcome;
             }
         }
-        self.execute(table, target, op, stamp, deadline)
+        self.execute(table, target, op, stamp, deadline, MIRROR_GUARD_WAIT)
     }
 }
 

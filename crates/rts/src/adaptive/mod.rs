@@ -157,7 +157,7 @@ use orca_amoeba::NodeId;
 use orca_group::FailureDetector;
 use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
-use orca_telemetry::{Counter, FlightKind};
+use orca_telemetry::FlightKind;
 use orca_wire::{
     BatchOutcome, BatchOutcomes, DedupWindow, Holdings, LeaseGrant, OpBatchView, OpRef, OpStamp,
     Wire,
@@ -165,11 +165,12 @@ use orca_wire::{
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::pipeline::{
-    all_failed, resolve_round, BatchPolicy, LazyPipeline, PendingBatches, QueuedOp, RoundSlot,
+    all_failed, record_batch_outcomes, resolve_round, BatchPolicy, LazyPipeline, PendingBatches,
+    QueuedOp, RoundSlot,
 };
 use crate::recovery::{is_dead, RecoveryConfig};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
-use crate::update::{CopyState, HeldCopy, UpdateChannel, WriteAck};
+use crate::update::{two_phase, CopyState, HeldCopy, MirrorLease, UpdateStats, WriteAck};
 use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{served, table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use policy::{place, Count, UsageAggregate};
@@ -203,7 +204,7 @@ struct Inner {
     slots: RwLock<HashMap<(ObjectId, u32), Arc<Slot>>>,
     /// Mirrors of slots other nodes serve: the copies this node reads — of
     /// a replicated object or a sharded partition — or keeps for a promotion.
-    mirrors: RwLock<HashMap<MirrorKey, Arc<Mirror>>>,
+    mirrors: RwLock<HashMap<MirrorKey, Arc<HeldCopy>>>,
     /// Authoritative tables of objects this node created.
     homes: RwLock<HashMap<ObjectId, Arc<HomeObject>>>,
     /// Leased cache of other objects' regime tables.
@@ -230,14 +231,22 @@ struct Inner {
     /// Per-node monotonic sequence stamping synchronously-invoked writes
     /// with an exactly-once identity (see [`OpStamp`]).
     next_stamp: AtomicU64,
-    /// Cached `rts.lease.*` telemetry counters.
-    lease_counters: LeaseCounters,
-    /// `rts.adaptive.replacements`: switches that kept the regime and moved
-    /// what it places by use — a sharded regime's partitions, a replicated
-    /// regime's owner or mirrors (a subset of `regime_switches`).
-    replacements: Counter,
-    /// This node's end of the two-phase update fan-out.
-    updates: UpdateChannel,
+    /// `rts.lease.*`: the read-lease protocol.
+    lease: LeaseStats,
+    /// `rts.update.*`: where the two-phase update fan-out's messages went.
+    update: UpdateStats,
+    /// `rts.adaptive.*`: what placement did.
+    adaptive: AdaptiveStats,
+}
+
+orca_telemetry::counter_set! {
+    /// What the adaptive engine's placement did, `rts.adaptive.<field>`.
+    struct AdaptiveStats => AdaptiveStatsSnapshot {
+        /// Switches that kept the regime and moved what it places by use — a
+        /// sharded regime's partitions, a replicated regime's owner or
+        /// mirrors (a subset of `regime_switches`).
+        replacements,
+    }
 }
 
 impl Inner {
@@ -311,6 +320,7 @@ impl AdaptiveRts {
         detector: Option<Arc<FailureDetector>>,
     ) -> Self {
         let detector = crate::recovery::ensure_detector(&handle, &recovery, detector);
+        let metrics = handle.telemetry().registry();
         let inner = Arc::new(Inner {
             node: handle.node(),
             num_nodes: handle.num_nodes(),
@@ -331,12 +341,9 @@ impl AdaptiveRts {
             lost: RwLock::new(HashSet::new()),
             adoption: Mutex::new(()),
             next_stamp: AtomicU64::new(1),
-            lease_counters: LeaseCounters::from_handle(&handle),
-            replacements: handle
-                .telemetry()
-                .registry()
-                .counter("rts.adaptive.replacements"),
-            updates: UpdateChannel::new(&handle, ports::RTS_ADAPTIVE),
+            lease: LeaseStats::new(metrics, "rts.lease"),
+            update: UpdateStats::new(metrics, "rts.update"),
+            adaptive: AdaptiveStats::new(metrics, "rts.adaptive"),
         });
         if recovery.rehome {
             if let Some(detector) = &inner.detector {
@@ -425,15 +432,13 @@ impl AdaptiveRts {
     /// Returns the — possibly freshly switched — regime.
     pub fn propose(&self, object: ObjectId) -> Result<RegimeKind, RtsError> {
         let home = current_home(&self.inner, object);
-        if home == self.inner.node {
-            let entry = self.inner.homes.read().get(&object).cloned();
-            let entry = entry.ok_or(RtsError::Object(ObjectError::NoSuchObject(object)))?;
-            evaluate_object(&self.inner, object, &entry, true);
-            return Ok(entry.table.lock().regime);
-        }
         let deadline = Instant::now() + self.inner.policy.op_timeout;
-        match self.rpc(home, &RegimeMsg::Propose { object: object.0 }, deadline)? {
+        let propose = RegimeMsg::Propose { object: object.0 };
+        match regime_fan_out(&self.inner, [(home, propose)], deadline).remove(0)? {
             RegimeReply::Route(table) => Ok(table.regime),
+            RegimeReply::Error(_) if home == self.inner.node => {
+                Err(RtsError::Object(ObjectError::NoSuchObject(object)))
+            }
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
             other => Err(RtsError::Communication(format!(
                 "unexpected Propose reply {other:?}"

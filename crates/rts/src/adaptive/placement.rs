@@ -163,7 +163,8 @@ pub(super) fn carry_out(
     // when one fails, what was drained goes back under the old epoch.
     let drains = (0u32..).zip(&old.owners);
     let drains = drains.map(|(partition, &owner)| (NodeId(owner), drain(old, partition)));
-    let drained: Vec<_> = regime_fan_out(inner, drains.collect())
+    let deadline = Instant::now() + inner.policy.op_timeout;
+    let drained: Vec<_> = regime_fan_out(inner, drains, deadline)
         .into_iter()
         .map(|reply| match reply? {
             RegimeReply::State { state, dedup } => Ok((state, dedup)),
@@ -218,7 +219,7 @@ pub(super) fn carry_out(
     *entry.table.lock() = Arc::new(new);
     inner.stats.regime_switches.inc();
     if regime == old.regime {
-        inner.replacements.inc();
+        inner.adaptive.replacements.inc();
     }
     inner.handle.telemetry().record_traced(
         inner.node.0,
@@ -310,7 +311,8 @@ fn undo_drain(inner: &Arc<Inner>, old: &RegimeTable, drained: &[Result<Drained, 
     for ((partition, &owner), drained) in (0u32..).zip(&old.owners).zip(drained) {
         if let Ok((state, dedup)) = drained {
             let install = install_msg(old, partition, state.clone(), dedup.clone());
-            let _ = regime_fan_out(inner, vec![(NodeId(owner), install)]);
+            let deadline = Instant::now() + inner.policy.op_timeout;
+            let _ = regime_fan_out(inner, [(NodeId(owner), install)], deadline);
         }
     }
 }
@@ -382,7 +384,8 @@ pub(super) fn install_slots(
         let install = install_msg(table, partition, state, dedup.clone());
         (NodeId(owner), install)
     });
-    let done: Vec<_> = regime_fan_out(inner, installs.collect())
+    let deadline = Instant::now() + inner.policy.op_timeout;
+    let done: Vec<_> = regime_fan_out(inner, installs, deadline)
         .into_iter()
         .map(|reply| match reply? {
             RegimeReply::Ack => Ok(()),
@@ -403,7 +406,9 @@ pub(super) fn install_slots(
                 slots.remove(&key);
             }
         } else {
-            let _ = regime_rpc(inner, NodeId(owner), &drain(table, partition));
+            let drain = drain(table, partition);
+            let deadline = Instant::now() + inner.policy.op_timeout;
+            let _ = regime_fan_out(inner, [(NodeId(owner), drain)], deadline);
         }
     }
     Err(failure)

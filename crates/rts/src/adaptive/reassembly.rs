@@ -85,10 +85,8 @@ fn survey(inner: &Arc<Inner>, object: ObjectId, view: &ViewSnapshot) -> Vec<(Nod
         .alive
         .iter()
         .filter_map(|&node| {
-            if node == inner.node {
-                return Some((node, holdings(inner, object)));
-            }
-            match regime_rpc(inner, node, &query) {
+            let deadline = Instant::now() + inner.policy.op_timeout;
+            match regime_fan_out(inner, [(node, query.clone())], deadline).remove(0) {
                 Ok(RegimeReply::Holdings(held)) => Some((node, *held)),
                 _ => None,
             }
@@ -137,12 +135,9 @@ fn reown(
                 epoch,
                 partition: at.0,
             };
-            let promoted = if holder == inner.node {
-                dispatch(inner, promote, inner.node)
-            } else {
-                regime_rpc(inner, holder, &promote).ok()?
-            };
-            matches!(promoted, RegimeReply::Ack).then_some(holder.0)
+            let deadline = Instant::now() + inner.policy.op_timeout;
+            let promoted = regime_fan_out(inner, [(holder, promote)], deadline);
+            matches!(promoted[..], [Ok(RegimeReply::Ack)]).then_some(holder.0)
         })
         .collect();
     let telemetry = inner.handle.telemetry();

@@ -228,12 +228,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
 
 /// Execute an `All`-routed operation at the home, under the switch lock,
 /// so its per-partition shares can never interleave with a regime change.
-pub(super) fn serve_op_all(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    op: &[u8],
-    caller: NodeId,
-) -> RegimeReply {
+fn serve_op_all(inner: &Arc<Inner>, object: ObjectId, op: &[u8], caller: NodeId) -> RegimeReply {
     let entry = match home_entry(inner, object) {
         Ok(entry) => entry,
         Err(RtsError::ObjectLost(_)) => return RegimeReply::ObjectLost,
@@ -266,6 +261,7 @@ pub(super) fn serve_op_all(
                     let table = Arc::clone(&entry.table.lock());
                     let owner = NodeId(table.owners[partition as usize]);
                     let epoch = table.epoch;
+                    // The home's own share is applied for the caller.
                     let sent = if owner == inner.node {
                         Ok(apply_at_slot(
                             inner, object, partition, epoch, &share, stamp, caller, false,
@@ -278,7 +274,8 @@ pub(super) fn serve_op_all(
                             op: share.clone(),
                             stamp,
                         };
-                        regime_rpc(inner, owner, &request)
+                        let deadline = Instant::now() + inner.policy.op_timeout;
+                        regime_fan_out(inner, [(owner, request)], deadline).remove(0)
                     };
                     match (sent, &inner.detector) {
                         // The owner is dead, found so or found out: the
@@ -328,51 +325,29 @@ pub(super) fn serve_op_all(
     }
 }
 
-/// Server-side regime RPC (switch and fan-out traffic), bounded by the
-/// policy deadline.
-pub(super) fn regime_rpc(
-    inner: &Arc<Inner>,
-    dst: NodeId,
-    msg: &RegimeMsg,
-) -> Result<RegimeReply, RtsError> {
-    let deadline = Instant::now() + inner.policy.op_timeout;
-    regime_rpc_raw(inner, dst, &msg.to_bytes(), deadline)
-}
-
-/// Server-side regime RPC of an already-encoded request — fan-outs (update
-/// pushes) encode once and ship the same bytes — bounded by an explicit
-/// deadline a fan-out shares ([`regime_rpcs`]).
-pub(super) fn regime_rpc_raw(
-    inner: &Arc<Inner>,
-    dst: NodeId,
-    body: &[u8],
-    deadline: Instant,
-) -> Result<RegimeReply, RtsError> {
-    let (_, mut reply) = regime_rpcs(inner, vec![(dst, body)], deadline, || ());
-    reply.remove(0)
-}
-
-/// A regime message to each node of `legs` at once, this node's own
-/// dispatched here while the others travel, all awaited within one
-/// operation deadline ([`regime_rpcs`]); replies in leg order.
+/// Regime messages to each node of `legs` at once, this node's own
+/// dispatched here while the others travel ([`regime_rpcs`]), all awaited
+/// by one `deadline`; replies in leg order. A single call is a fan-out of
+/// one, and one to this node puts nothing on the network.
 pub(super) fn regime_fan_out(
     inner: &Arc<Inner>,
-    legs: Vec<(NodeId, RegimeMsg)>,
+    legs: impl IntoIterator<Item = (NodeId, RegimeMsg)>,
+    deadline: Instant,
 ) -> Vec<Result<RegimeReply, RtsError>> {
-    let deadline = Instant::now() + inner.policy.op_timeout;
-    let here: Vec<bool> = legs.iter().map(|(node, _)| *node == inner.node).collect();
-    let (local, remote): (Vec<_>, Vec<_>) = legs.into_iter().partition(|leg| leg.0 == inner.node);
-    let requests = remote.iter().map(|(node, msg)| (*node, msg.to_bytes()));
-    let serve = || -> Vec<_> {
-        local
-            .into_iter()
-            .map(|(node, msg)| dispatch(inner, msg, node))
-            .collect()
-    };
-    let (served, replies) = regime_rpcs(inner, requests.collect(), deadline, serve);
-    let (mut served, mut replies) = (served.into_iter().map(Ok), replies.into_iter());
-    let next = |here| if here { served.next() } else { replies.next() };
-    here.into_iter().filter_map(next).collect()
+    let (mut local, mut remote) = (Vec::new(), Vec::new());
+    for (at, (node, msg)) in legs.into_iter().enumerate() {
+        match node == inner.node {
+            true => local.push((at, msg)),
+            false => remote.push((node, msg.to_bytes())),
+        }
+    }
+    let serve = |(at, msg)| (at, dispatch(inner, msg, inner.node));
+    let serve_all = || local.into_iter().map(serve).collect::<Vec<_>>();
+    let (served, mut replies) = regime_rpcs(inner, remote, deadline, serve_all);
+    for (at, reply) in served {
+        replies.insert(at, Ok(reply));
+    }
+    replies
 }
 
 /// Regime RPCs of encoded requests, all sent at once over one client before
@@ -380,14 +355,17 @@ pub(super) fn regime_fan_out(
 /// request order. Each request goes out exactly once — none to a node
 /// already declared dead ([`RtsError::NodeDown`]) or past the deadline, so a
 /// fan-out whose early legs stalled skips the rest — and the wait re-checks
-/// the failure detector every [`RecoveryConfig::attempt_timeout`], to stop
-/// waiting on a corpse as soon as it is declared.
-fn regime_rpcs<B: AsRef<[u8]>, T>(
+/// the failure detector every heartbeat, to stop waiting on a corpse as
+/// soon as it is declared (no death is declared faster).
+pub(super) fn regime_rpcs<B: AsRef<[u8]>, T>(
     inner: &Arc<Inner>,
     requests: Vec<(NodeId, B)>,
     deadline: Instant,
     meanwhile: impl FnOnce() -> T,
 ) -> (T, Vec<Result<RegimeReply, RtsError>>) {
+    if requests.is_empty() {
+        return (meanwhile(), Vec::new());
+    }
     let (detector, mut multi) = (&inner.detector, MultiRpc::new(&inner.handle));
     let mut send = |dst, body: B| match () {
         _ if is_dead(detector, dst) => Err(RtsError::NodeDown(dst)),
@@ -403,7 +381,7 @@ fn regime_rpcs<B: AsRef<[u8]>, T>(
     let done = meanwhile();
     let poll = detector
         .as_ref()
-        .map_or(Duration::MAX, |_| inner.recovery.attempt_timeout);
+        .map_or(Duration::MAX, |d| d.config().heartbeat_every);
     let mut wait = |dst, call| {
         let dead = || is_dead(detector, dst);
         let reply = multi

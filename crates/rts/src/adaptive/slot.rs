@@ -111,24 +111,18 @@ impl Slot {
     }
 }
 
-/// Telemetry counters of the lease protocol (`rts.lease.*`), cached so the
-/// leased read path does not take the registry lock per read.
-pub(super) struct LeaseCounters {
-    pub(super) grants: Counter,
-    pub(super) renewals: Counter,
-    pub(super) revokes: Counter,
-    pub(super) local_reads: Counter,
-}
-
-impl LeaseCounters {
-    pub(super) fn from_handle(handle: &NetworkHandle) -> Self {
-        let reg = handle.telemetry().registry();
-        LeaseCounters {
-            grants: reg.counter("rts.lease.grants"),
-            renewals: reg.counter("rts.lease.renewals"),
-            revokes: reg.counter("rts.lease.revokes"),
-            local_reads: reg.counter("rts.lease.local_reads"),
-        }
+orca_telemetry::counter_set! {
+    /// The read-lease protocol, `rts.lease.<field>` in the registry.
+    pub(super) struct LeaseStats => LeaseStatsSnapshot {
+        /// Leases granted with a copy's state (a prime or a fetch).
+        grants,
+        /// Leases renewed without the state (a push, an acknowledgement, a
+        /// fetch by a current copy).
+        renewals,
+        /// Grants settled: revoked by a drop, or waited out.
+        revokes,
+        /// Reads served by a leased mirror.
+        local_reads,
     }
 }
 
@@ -153,14 +147,6 @@ pub(super) struct SlotLeases {
     pub(super) unreached: Vec<u16>,
 }
 
-/// One node's mirror of a slot served elsewhere: the copy the update
-/// protocol keeps current (its version is the sequence number of the last
-/// update applied), under this runtime's lease record. A reader's serves
-/// reads locally only while the lease is valid; a lapsed lease is renewed at
-/// the owner, which ships the state along only if the copy fell behind. A
-/// keeper's is never read.
-pub(super) type MirrorState = CopyState<MirrorLease>;
-
 /// What a mirror is a mirror of: an object's one copy (`None`) or one
 /// partition of it, as [`RegimeMsg::Mirror`] says.
 pub(super) type MirrorKey = (ObjectId, Option<u32>);
@@ -169,18 +155,6 @@ pub(super) type MirrorKey = (ObjectId, Option<u32>);
 pub(super) fn mirror_key(table: &RegimeTable, partition: u32) -> MirrorKey {
     let sharded = table.regime == RegimeKind::Sharded;
     (table_object(table), sharded.then_some(partition))
-}
-
-/// A mirror with the condition variable its readers and writers park on.
-pub(super) type Mirror = HeldCopy<MirrorLease>;
-
-/// Holder-side record of the lease covering the local mirror.
-pub(super) struct MirrorLease {
-    /// Membership epoch of this node's failure detector at receipt; a
-    /// view change invalidates the lease regardless of the clock.
-    pub(super) detector_epoch: u64,
-    /// Expiry on the holder's clock (`valid_ms` from receipt).
-    pub(super) expires: Instant,
 }
 
 /// The mirror-side lease a received grant of `valid_ms` amounts to
@@ -194,7 +168,7 @@ pub(super) fn mirror_lease(inner: &Inner, valid_ms: u64) -> MirrorLease {
 }
 
 /// True while the mirror-side lease permits zero-message local reads.
-pub(super) fn mirror_lease_valid(inner: &Inner, state: &MirrorState) -> bool {
+pub(super) fn mirror_lease_valid(inner: &Inner, state: &CopyState) -> bool {
     match &state.lease {
         Some(lease) => {
             Instant::now() < lease.expires && inner.detector_epoch() == lease.detector_epoch
@@ -225,13 +199,9 @@ pub(super) fn drop_copies(
     };
     let budget = written.map(|_| Instant::now() + inner.policy.op_timeout / 2);
     let dropped = nodes.filter(|node| {
-        let reply = if *node == inner.node {
-            Ok(dispatch(inner, drop_msg.clone(), inner.node))
-        } else {
-            let deadline = budget.unwrap_or_else(|| Instant::now() + inner.policy.op_timeout);
-            regime_rpc_raw(inner, *node, &drop_msg.to_bytes(), deadline)
-        };
-        matches!(reply, Ok(RegimeReply::Ack))
+        let deadline = budget.unwrap_or_else(|| Instant::now() + inner.policy.op_timeout);
+        let reply = regime_fan_out(inner, [(*node, drop_msg.clone())], deadline);
+        matches!(reply[..], [Ok(RegimeReply::Ack)])
     });
     dropped.collect()
 }
@@ -276,11 +246,11 @@ fn prime_mirrors(
     }
     .to_bytes();
     for &node in nodes {
-        let primed = regime_rpc_raw(inner, node, &prime, deadline);
-        if lease.is_some() && slot.lists(node) && matches!(primed, Ok(RegimeReply::Ack)) {
+        let (_, primed) = regime_rpcs(inner, vec![(node, &prime)], deadline, || ());
+        if lease.is_some() && slot.lists(node) && matches!(primed[..], [Ok(RegimeReply::Ack)]) {
             let expires = Instant::now() + inner.grant_span();
             slot.leases.lock().grants.insert(node.0, expires);
-            inner.lease_counters.grants.inc();
+            inner.lease.grants.inc();
         }
     }
 }
@@ -581,7 +551,7 @@ fn settle_writes(
 /// current version — to the mirrors `others` of `slot`, in two phases:
 /// update-and-lock, then a one-way unlock of the run's last version — for
 /// all but the last of them, which is never locked
-/// ([`UpdateChannel::two_phase`]): a keeper, pushed to last, never is.
+/// ([`two_phase`]): a keeper, pushed to last, never is.
 /// Without read leases this is best-effort under crashes: a
 /// reader's mirror that misses an update detects the sequence gap on the
 /// next one and re-syncs from the owner. With leases enabled the update
@@ -645,13 +615,13 @@ fn push_update(
             renew_mirror_grant(inner, slot, node);
         }
         RegimeMsg::hold_update(&mut update, held);
-        let reply = regime_rpc_raw(inner, node, &update, deadline);
-        if Some(node) == keeper && matches!(reply, Ok(RegimeReply::StaleRegime)) {
+        let (_, reply) = regime_rpcs(inner, vec![(node, &update)], deadline, || ());
+        if Some(node) == keeper && matches!(reply[..], [Ok(RegimeReply::StaleRegime)]) {
             prime_mirrors(inner, key, slot, replica, &[node]);
         }
-        reply.is_ok()
+        matches!(reply[..], [Ok(_)])
     };
-    let failed = inner.updates.two_phase(others, push, &unlock);
+    let failed = two_phase(&inner.handle, &inner.update, others, push, &unlock);
     settle_grants(inner, slot, failed.iter().copied(), &[]);
     let listed = failed.iter().filter(|n| slot.lists(**n));
     for node in listed.filter(|n| !is_dead(&inner.detector, **n)) {
@@ -675,7 +645,7 @@ fn renew_mirror_grant(inner: &Inner, slot: &Slot, holder: NodeId) {
         .lock()
         .grants
         .insert(holder.0, Instant::now() + inner.grant_span());
-    inner.lease_counters.renewals.inc();
+    inner.lease.renewals.inc();
 }
 
 /// Take the read-lease grants of `holders` off `slot`'s ledger and settle
@@ -699,16 +669,16 @@ pub(super) fn settle_grants(
         };
         let left = expires.saturating_duration_since(Instant::now());
         if revoked.contains(&node) {
-            inner.lease_counters.revokes.inc();
+            inner.lease.revokes.inc();
         } else if !is_dead(&inner.detector, node) && !left.is_zero() {
             std::thread::sleep(left);
-            inner.lease_counters.revokes.inc();
+            inner.lease.revokes.inc();
         }
     }
 }
 
 /// This node's mirror entry for `at`, created empty on first use.
-pub(super) fn mirror_entry(inner: &Arc<Inner>, at: MirrorKey) -> Arc<Mirror> {
+pub(super) fn mirror_entry(inner: &Arc<Inner>, at: MirrorKey) -> Arc<HeldCopy> {
     if let Some(entry) = inner.mirrors.read().get(&at) {
         return Arc::clone(entry);
     }
@@ -787,7 +757,7 @@ pub(super) fn serve_fetch_mirror(
     }
     match lease {
         Some(valid_ms) if have == Some(seq) => {
-            inner.lease_counters.renewals.inc();
+            inner.lease.renewals.inc();
             RegimeReply::Renewed(LeaseGrant {
                 object: object.0,
                 epoch,
@@ -797,7 +767,7 @@ pub(super) fn serve_fetch_mirror(
         }
         _ => {
             if lease.is_some() {
-                inner.lease_counters.grants.inc();
+                inner.lease.grants.inc();
             }
             RegimeReply::MirrorState {
                 state: replica.state_bytes(),

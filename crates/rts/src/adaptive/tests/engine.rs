@@ -6,15 +6,15 @@ use orca_amoeba::message::WIRE_HEADER_BYTES;
 use orca_amoeba::network::Network;
 use orca_amoeba::NodeId;
 use orca_object::testing::{Accumulator, AccumulatorOp, Bank, BankOp, BankReply};
-use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
-use orca_wire::{DedupWindow, OpStamp, Wire};
+use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind, ShardRoute};
+use orca_wire::{DedupWindow, OpStamp, TraceId, Wire};
 
-use super::client::PartOutcome;
+use super::client::{PartOutcome, MIRROR_GUARD_WAIT};
 use super::messages::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use super::placement::{carry_out, rule};
 use super::policy::UsageAggregate;
 use super::reassembly::{holdings, of_object};
-use super::service::dispatch;
+use super::service::{dispatch, regime_fan_out};
 use super::slot::{apply_at_slot, mirror_entry, Slot};
 use super::{AdaptivePolicy, AdaptiveRts};
 use super::{HomeObject, Inner};
@@ -741,17 +741,17 @@ fn leased_mirror_reads_put_nothing_on_the_wire() {
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
     switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     // The switch pushed eager mirrors with leases alongside.
-    assert!(rtses[0].inner.lease_counters.grants.get() >= 1);
+    assert!(rtses[0].inner.lease.grants.get() >= 1);
     // Warm node 1's regime-table cache, then measure.
     assert_eq!(read(&rtses[1], id), 7);
     let before = net.stats();
-    let leased_before = rtses[1].inner.lease_counters.local_reads.get();
+    let leased_before = rtses[1].inner.lease.local_reads.get();
     for _ in 0..20 {
         assert_eq!(read(&rtses[1], id), 7);
     }
     let sent = net.stats().since(&before).node(NodeId(1)).messages_sent();
     assert_eq!(sent, 0, "leased reads must be message-free");
-    assert!(rtses[1].inner.lease_counters.local_reads.get() >= leased_before + 20);
+    assert!(rtses[1].inner.lease.local_reads.get() >= leased_before + 20);
     shutdown_all(&rtses);
 }
 
@@ -883,9 +883,9 @@ fn lapsed_mirror_lease_renews_without_the_state() {
     assert!(payload < 100, "{payload} payload bytes to renew a lease");
     assert_eq!(rtses[1].stats().copies_fetched, fetched, "state re-shipped");
     // The renewal took; the next read is leased again.
-    let leased = rtses[1].inner.lease_counters.local_reads.get();
+    let leased = rtses[1].inner.lease.local_reads.get();
     assert_eq!(bank_sum(&rtses[1], id), 2_000);
-    assert!(rtses[1].inner.lease_counters.local_reads.get() > leased);
+    assert!(rtses[1].inner.lease.local_reads.get() > leased);
     assert_eq!(net.stats().since(&before).total_messages(), 2);
 
     // A write whose push cannot reach the mirror waits its grant out
@@ -979,8 +979,8 @@ fn replicated_cluster(net: &Network, op_timeout: Duration) -> (Vec<AdaptiveRts>,
 fn replicated_write_costs_four_messages_and_an_unmirrored_write_two() {
     let net = Network::reliable(3);
     let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
-    let counters = &rtses[0].inner.updates;
-    let renewals = rtses[0].inner.lease_counters.renewals.get();
+    let counters = &rtses[0].inner.update;
+    let renewals = rtses[0].inner.lease.renewals.get();
     let before = net.stats();
     assert_eq!(add(&rtses[1], id, 3), 3);
     assert_eq!(net.stats().since(&before).total_messages(), 4);
@@ -988,7 +988,7 @@ fn replicated_write_costs_four_messages_and_an_unmirrored_write_two() {
     assert_eq!(counters.unlock_notifies.get(), 0);
     assert_eq!(counters.reply_installs.get(), 1);
     assert_eq!(
-        rtses[0].inner.lease_counters.renewals.get(),
+        rtses[0].inner.lease.renewals.get(),
         renewals + 2,
         "both mirrors' leases are renewed: one by the update, one by the reply"
     );
@@ -1044,7 +1044,7 @@ fn a_write_locks_every_mirror_it_pushes_to_but_the_last() {
     let net = Network::reliable(4);
     let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
     let locked = || [1, 2, 3].map(|node: usize| rtses[node].mirror_of(id).2);
-    let unlocks = &rtses[0].inner.updates.unlock_notifies;
+    let unlocks = &rtses[0].inner.update.unlock_notifies;
 
     let seen = released_one_by_one(&net, || assert_eq!(add(&rtses[0], id, 3), 3), locked);
     assert_eq!(seen.len(), 8);
@@ -1116,7 +1116,7 @@ fn an_unanswering_mirror_costs_one_write_its_push_budget_not_every_write() {
         started.elapsed() < policy.op_timeout,
         "three writes cost one push budget, not three"
     );
-    assert_eq!(rtses[0].inner.replacements.get(), 2);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 2);
     assert_eq!(read(&rtses[1], id), 3);
     shutdown_all(&rtses);
 }
@@ -1154,9 +1154,117 @@ fn concurrent_write_throughs_keep_every_mirror_and_converge() {
         assert_eq!(rts.stats().copies_fetched, fetched, "mirror re-fetched");
     }
     assert_eq!(
-        rtses[0].inner.updates.reply_installs.get(),
+        rtses[0].inner.update.reply_installs.get(),
         3 * PER_WRITER as u64
     );
+    shutdown_all(&rtses);
+}
+
+/// A guarded read in a pipelined window resolves `Blocked` at once, so the
+/// operations behind it do not wait for its guard; re-entered behind them,
+/// it finds the guard true. (A call parks on the mirror instead.)
+#[test]
+fn a_pipelined_guarded_mirror_read_does_not_hold_up_its_window() {
+    let net = Network::reliable(3);
+    let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
+    let (guarded, add) = (AccumulatorOp::AwaitAtLeast(1), AccumulatorOp::Add(1));
+    let (guarded, add) = (guarded.to_bytes(), add.to_bytes());
+    let window = [
+        (OpKind::Read, &guarded[..], TraceId::NONE),
+        (OpKind::Write, &add[..], TraceId::NONE),
+    ];
+    let started = Instant::now();
+    let handles = rtses[1].invoke_many(id, Accumulator::TYPE_NAME, &window);
+    assert_eq!(i64::from_bytes(&handles[1].wait().unwrap()).unwrap(), 1);
+    let took = started.elapsed();
+    assert!(
+        took < MIRROR_GUARD_WAIT,
+        "the write waited {took:?} for a guard"
+    );
+    assert_eq!(i64::from_bytes(&handles[0].wait().unwrap()).unwrap(), 1);
+    shutdown_all(&rtses);
+}
+
+/// A typed call to this node is served in place, with nothing on the wire;
+/// a fan-out answers in leg order, this node's leg among the others'.
+#[test]
+fn a_call_to_this_node_puts_nothing_on_the_wire() {
+    let net = Network::reliable(3);
+    let rtses = start_all(&net, manual());
+    let id = rtses[0]
+        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .unwrap();
+    let holdings = |node| (NodeId(node), RegimeMsg::Holdings { object: id.0 });
+    let slots = |legs: Vec<_>| -> Vec<usize> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let replies = regime_fan_out(&rtses[0].inner, legs, deadline);
+        let held = |reply| match reply {
+            Ok(RegimeReply::Holdings(held)) => held.slots.len(),
+            other => panic!("answered {other:?}"),
+        };
+        replies.into_iter().map(held).collect()
+    };
+    let before = net.stats();
+    assert_eq!(slots(vec![holdings(0)]), [1]);
+    assert_eq!(net.stats().since(&before).total_messages(), 0);
+    assert_eq!(
+        slots(vec![holdings(1), holdings(0), holdings(2)]),
+        [0, 1, 0]
+    );
+    assert_eq!(net.stats().since(&before).total_messages(), 4);
+    shutdown_all(&rtses);
+}
+
+/// A pipelined window with a batch for a node already declared dead: that
+/// batch's operations resolve `NodeDown` without a frame sent to the node,
+/// and this node's own batch of the round applies all the same.
+#[test]
+fn a_batch_for_a_declared_dead_owner_is_never_sent() {
+    let net = Network::reliable(3);
+    // Detection alone, its heartbeats seconds apart: the death is declared
+    // by hand, and nothing else goes to that node meanwhile.
+    let recovery = RecoveryConfig {
+        heartbeat_every: Duration::from_secs(2),
+        suspect_after: 1000,
+        ..RecoveryConfig::detect_only()
+    };
+    let policy = AdaptivePolicy {
+        window: u64::MAX,
+        ..AdaptivePolicy::sharded(2)
+    };
+    let rtses = start_all_recoverable(&net, policy, recovery);
+    let id = new_bank(&rtses[0]);
+    rtses[0].migrate(id, 0, NodeId(0)).unwrap();
+    rtses[0].migrate(id, 1, NodeId(1)).unwrap();
+    let logic = rtses[0]
+        .inner
+        .registry
+        .shard_logic(Bank::TYPE_NAME)
+        .unwrap();
+    let deposit_to = |partition| {
+        let deposit = |key| BankOp::Deposit { key, amount: 5 }.to_bytes();
+        let routed =
+            |op: &Vec<u8>| matches!(logic.route(op, 2), Ok(ShardRoute::One(p)) if p == partition);
+        (0..).map(deposit).find(routed).unwrap()
+    };
+    let (here, there) = (deposit_to(0), deposit_to(1));
+    rtses[0]
+        .inner
+        .detector
+        .as_ref()
+        .unwrap()
+        .declare_dead(NodeId(1));
+    let (before, served) = (net.stats(), rtses[1].stats().updates_applied);
+    let window = [
+        (OpKind::Write, &here[..], TraceId::NONE),
+        (OpKind::Write, &there[..], TraceId::NONE),
+    ];
+    let handles = rtses[0].invoke_many(id, Bank::TYPE_NAME, &window);
+    assert_eq!(handles[1].wait(), Err(RtsError::NodeDown(NodeId(1))));
+    let BankReply::Value(balance) = BankReply::from_bytes(&handles[0].wait().unwrap()).unwrap();
+    assert_eq!(balance, 5);
+    assert_eq!(net.stats().since(&before).node(NodeId(1)).interrupts, 0);
+    assert_eq!(rtses[1].stats().updates_applied, served);
     shutdown_all(&rtses);
 }
 
@@ -1252,7 +1360,7 @@ fn thin_evidence_heals_at_the_next_evaluation() {
         rtses[0].regime_of(id).unwrap() == (RegimeKind::Sharded, 1)
     });
     assert_eq!(owners_of(&rtses[0], id), vec![1, 1, 1, 1]);
-    assert_eq!(rtses[0].inner.replacements.get(), 1);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 1);
 
     for key in 0..16u64 {
         deposit(&rtses[2], id, key, 1);
@@ -1266,7 +1374,7 @@ fn thin_evidence_heals_at_the_next_evaluation() {
         assert_eq!(owners.iter().filter(|o| **o == node).count(), 2);
     }
     assert_eq!(rtses[0].stats().regime_switches, 2);
-    assert_eq!(rtses[0].inner.replacements.get(), 2);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 2);
     assert_eq!(bank_sum(&rtses[1], id), 32);
     shutdown_all(&rtses);
 }
@@ -1382,7 +1490,7 @@ fn re_placements_under_concurrent_writers_lose_nothing() {
         "acknowledged writes were lost across re-placements"
     );
     assert_eq!(rtses[0].stats().regime_switches, 9);
-    assert_eq!(rtses[0].inner.replacements.get(), 8);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 8);
     shutdown_all(&rtses);
 }
 
@@ -1457,7 +1565,7 @@ fn failed_re_placement_leaves_the_old_owners_serving() {
     assert!(place_by(&rtses[0], id, &[1, 1, 1]).is_err());
     assert_eq!(rtses[1].placement_of(id).unwrap(), placed);
     assert_eq!(rtses[0].stats().regime_switches, 1);
-    assert_eq!(rtses[0].inner.replacements.get(), 0);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 0);
     for key in 0..16u64 {
         assert_eq!(deposit(&rtses[1], id, key, 1), 2);
     }
@@ -1897,7 +2005,7 @@ fn unlisted_reader_ships_its_reads_and_joins_at_the_next_evaluation() {
         assert_eq!(read(&rtses[0], id), 3);
     }
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![0, 2]));
-    assert_eq!(rtses[0].inner.replacements.get(), 2);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 2);
     let before = net.stats();
     assert_eq!(read(&rtses[0], id), 3);
     assert_eq!(net.stats().since(&before).total_messages(), 0);
@@ -1933,7 +2041,7 @@ fn thin_evidence_heals_for_the_replicated_regime() {
         rtses[0].regime_of(id).unwrap() == (RegimeKind::Replicated, 1)
     });
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![]));
-    assert_eq!(rtses[0].inner.replacements.get(), 1);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 1);
 
     window(&rtses[2]);
     eventually("the second node's reports re-place", || {
@@ -1942,7 +2050,7 @@ fn thin_evidence_heals_for_the_replicated_regime() {
     assert_eq!(rtses[2].regime_of(id).unwrap(), (RegimeKind::Replicated, 2));
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
     assert_eq!(rtses[0].stats().regime_switches, 2);
-    assert_eq!(rtses[0].inner.replacements.get(), 2);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 2);
     assert_eq!(read(&rtses[2], id), 4);
     shutdown_all(&rtses);
 }
@@ -2002,7 +2110,7 @@ fn replicated_re_placements_under_concurrent_writers_and_readers_lose_nothing() 
         assert_eq!(read(rts, id), added, "acknowledged adds lost or doubled");
     }
     assert_eq!(rtses[0].stats().regime_switches, 9);
-    assert_eq!(rtses[0].inner.replacements.get(), 9);
+    assert_eq!(rtses[0].inner.adaptive.replacements.get(), 9);
 
     // The copy is on node 1; a stamped write lands there, the copy
     // moves, and the same write is presented to the new owner.
@@ -2050,12 +2158,12 @@ fn leases_move_with_the_owner() {
     };
     replicate_by(&rtses[0], id, &[0, 50, 50], &[0, 5, 0]).unwrap();
     assert_eq!(granted(1).keys().collect::<Vec<_>>(), [&2]);
-    let revoked = rtses[1].inner.lease_counters.revokes.get();
+    let revoked = rtses[1].inner.lease.revokes.get();
 
     replicate_by(&rtses[0], id, &[0, 50, 50], &[0, 0, 5]).unwrap();
     assert_eq!(replicated_at(&rtses[0], id), (2, vec![1]));
     assert!(slot_of(&rtses[1], id).is_none());
-    assert_eq!(rtses[1].inner.lease_counters.revokes.get(), revoked + 1);
+    assert_eq!(rtses[1].inner.lease.revokes.get(), revoked + 1);
     assert_eq!(read(&rtses[1], id), 0);
     let expires = granted(2)[&1];
 
@@ -2063,10 +2171,10 @@ fn leases_move_with_the_owner() {
     // push to it fails, and the write may not be acknowledged while
     // the lease it holds could still be serving the old value.
     net.crash(NodeId(1));
-    let waited = rtses[2].inner.lease_counters.revokes.get();
+    let waited = rtses[2].inner.lease.revokes.get();
     assert_eq!(add(&rtses[2], id, 1), 1);
     assert!(Instant::now() >= expires, "acknowledged inside the grant");
-    assert_eq!(rtses[2].inner.lease_counters.revokes.get(), waited + 1);
+    assert_eq!(rtses[2].inner.lease.revokes.get(), waited + 1);
     shutdown_all(&rtses);
 }
 

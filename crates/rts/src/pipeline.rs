@@ -1,6 +1,5 @@
 //! Pipelined asynchronous invocations: completion handles, the per-node
-//! submission queue, and the batching knobs shared by all four runtime
-//! systems.
+//! submission queue, and the batching knobs shared by the runtime systems.
 //!
 //! The paper's runtime systems block the invoking process on every
 //! operation, so throughput is bounded by round-trip latency. The
@@ -8,8 +7,8 @@
 //! submits a slice of operations and receives a [`PendingInvocation`]
 //! handle per operation immediately; the node's runtime system keeps a FIFO
 //! of submitted operations and a flusher thread that ships them in
-//! *batches* — one totally-ordered broadcast slot, one RPC to a primary,
-//! one RPC per partition owner — coalescing up to [`BatchPolicy::max_batch`]
+//! *batches* — one totally-ordered broadcast slot, one RPC per destination
+//! node — coalescing up to [`BatchPolicy::max_batch`]
 //! operations per round (group commit: while one round is in flight, the
 //! next round accumulates). A slice enters the queue whole, so a window of
 //! up to `max_batch` operations is one round.
@@ -38,7 +37,9 @@
 //! [`RtsError::NodeDown`] / [`RtsError::Timeout`] — no operation is
 //! silently dropped, and the asynchronous path never re-sends an operation
 //! across a node failure on its own (the destination may have applied it
-//! before crashing), so no acknowledged operation is ever doubly applied.
+//! before crashing), so no acknowledged operation is ever doubly applied. A
+//! batch for a node already declared dead is not sent: its operations
+//! resolve `NodeDown` at once, and the rest of the round goes on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,19 +47,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use orca_amoeba::network::NetworkHandle;
-use orca_amoeba::rpc::{MultiRpc, RpcError};
-use orca_amoeba::{NodeId, Port};
-use orca_group::FailureDetector;
+use orca_amoeba::NodeId;
 use orca_object::{ObjectId, OpKind};
 use orca_telemetry::{FlightKind, Telemetry};
-use orca_wire::{
-    BatchOutcome, BatchOutcomes, OpBatchEncoder, OpBatchView, OpRef, RegimeReply, TraceId, Wire,
-};
+use orca_wire::{BatchOutcome, BatchOutcomes, OpBatchEncoder, OpRef, RegimeMsg, TraceId};
 use parking_lot::{Condvar, Mutex};
 
-use crate::recovery::is_dead;
-use crate::stats::RtsStats;
 use crate::{AsyncOp, RtsError};
 
 /// Batching knobs of the asynchronous invocation path (`OrcaConfig::batch`).
@@ -286,12 +280,6 @@ pub(crate) fn record_batch_outcomes(
     stale.sort_unstable();
 }
 
-fn fail_indices(slots: &mut [RoundSlot], indices: &[usize], err: RtsError) {
-    for &i in indices {
-        slots[i] = RoundSlot::Ready(Err(err.clone()));
-    }
-}
-
 /// Size of a request that batches all of `ops`: their bytes, the codec's
 /// two bytes per operation and one to spare, and a first operation's
 /// unpredicted fields.
@@ -311,8 +299,6 @@ struct DestBatch {
 /// Operations are encoded as they are routed — out of the submission queue
 /// into the message that ships them — so nothing is cloned on the way.
 pub(crate) struct PendingBatches {
-    /// The backend's batch-request tag byte.
-    tag: u8,
     /// Operations in the round, and the size of a request that held them
     /// all: what each destination's buffers are created with, so that
     /// they do not regrow op by op.
@@ -323,9 +309,8 @@ pub(crate) struct PendingBatches {
 
 impl PendingBatches {
     /// No batches yet, for a pass over (some of) the operations of `round`.
-    pub(crate) fn new(tag: u8, round: &[QueuedOp]) -> Self {
+    pub(crate) fn new(round: &[QueuedOp]) -> Self {
         PendingBatches {
-            tag,
             round_ops: round.len(),
             round_bytes: batch_capacity(round),
             list: Vec::new(),
@@ -340,7 +325,7 @@ impl PendingBatches {
                 self.list.push(DestBatch {
                     dest,
                     indices: Vec::with_capacity(self.round_ops),
-                    request: OpBatchEncoder::request(self.tag, self.round_bytes),
+                    request: OpBatchEncoder::request(RegimeMsg::OP_BATCH_TAG, self.round_bytes),
                 });
                 self.list.len() - 1
             }
@@ -349,79 +334,12 @@ impl PendingBatches {
         batch.indices.push(index);
         batch.request.push(op);
     }
-}
 
-/// Ship every pending per-destination batch — all in flight at once
-/// through one reply-demultiplexing RPC client — and record the per-op
-/// outcomes (`Stale` outcomes land in `stale` for the next pass), which a
-/// reply carries as a [`RegimeReply::Batch`]. `apply_local` executes a
-/// batch addressed to this very node (read back from its own encoding, the
-/// same way a remote receiver reads it).
-///
-/// A batch whose destination dies reports a per-operation outcome
-/// (`NodeDown` once the failure detector confirms the death, `Timeout`
-/// otherwise) and is **never re-sent** — the destination may have applied
-/// any prefix before crashing, so a blind retry could double-apply.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn flush_op_batches(
-    handle: &NetworkHandle,
-    node: NodeId,
-    port: Port,
-    stats: &RtsStats,
-    detector: &Option<Arc<FailureDetector>>,
-    batches: &mut PendingBatches,
-    stale: &mut Vec<usize>,
-    slots: &mut [RoundSlot],
-    deadline: Instant,
-    apply_local: &dyn Fn(&OpBatchView<'_>) -> BatchOutcomes,
-) {
-    if batches.list.is_empty() {
-        return;
-    }
-    let mut multi = MultiRpc::new(handle);
-    let mut waits: Vec<(NodeId, Vec<usize>, u64)> = Vec::new();
-    for DestBatch {
-        dest: owner,
-        indices,
-        request,
-    } in batches.list.drain(..)
-    {
-        stats.batches_sent.inc();
-        stats.ops_batched.add(indices.len() as u64);
-        let request = request.finish();
-        if owner == node {
-            let ops = OpBatchView::from_request(batches.tag, &request)
-                .expect("request begins with its tag")
-                .expect("a batch this node just encoded");
-            record_batch_outcomes(&indices, apply_local(&ops), slots, stale);
-        } else {
-            stats.remote_writes.inc();
-            match multi.send(owner, port, request) {
-                Ok(request) => waits.push((owner, indices, request)),
-                Err(err) => fail_indices(slots, &indices, RtsError::Communication(err.to_string())),
-            }
-        }
-    }
-    for (owner, indices, request) in waits {
-        let should_abort = || is_dead(detector, owner);
-        let reply =
-            multi.wait_abortable(request, deadline, Duration::from_millis(10), &should_abort);
-        match reply.map_err(|err| match err {
-            RpcError::Aborted => RtsError::NodeDown(owner),
-            RpcError::Timeout => RtsError::Timeout,
-            other => RtsError::Communication(other.to_string()),
-        }) {
-            Ok(bytes) => match RegimeReply::from_bytes(&bytes) {
-                Ok(RegimeReply::Batch(outcomes)) if outcomes.len() == indices.len() => {
-                    record_batch_outcomes(&indices, outcomes, slots, stale)
-                }
-                reply => {
-                    let err = format!("no batch reply for {} ops: {reply:?}", indices.len());
-                    fail_indices(slots, &indices, RtsError::Communication(err))
-                }
-            },
-            Err(err) => fail_indices(slots, &indices, err),
-        }
+    /// Take every batch: its destination, the round indices of its
+    /// operations and its finished request.
+    pub(crate) fn take(&mut self) -> impl Iterator<Item = (NodeId, Vec<usize>, Vec<u8>)> + '_ {
+        let finish = |batch: DestBatch| (batch.dest, batch.indices, batch.request.finish());
+        self.list.drain(..).map(finish)
     }
 }
 

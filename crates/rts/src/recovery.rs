@@ -48,15 +48,11 @@ pub struct RecoveryConfig {
     /// survivors; when false the detector only provides fail-fast
     /// [`crate::RtsError::NodeDown`] errors.
     pub rehome: bool,
-    /// Heartbeat interval of the failure detector.
+    /// Heartbeat interval of the failure detector, and how often a request
+    /// waiting on a node re-checks whether it has been declared dead.
     pub heartbeat_every: Duration,
     /// Heartbeat intervals of silence before a node is declared dead.
     pub suspect_after: u32,
-    /// Per-attempt cap on RPCs while recovery is enabled: a call to a node
-    /// that has (or may have) died is re-tried in slices of this length so
-    /// the caller re-checks the membership view between attempts instead
-    /// of sleeping through its whole deadline on a corpse.
-    pub attempt_timeout: Duration,
     /// How long an invocation blocked on a dead node waits for the
     /// re-homing protocol to publish a new home before giving up with
     /// [`crate::RtsError::NodeDown`].
@@ -77,7 +73,6 @@ impl RecoveryConfig {
             rehome: false,
             heartbeat_every: Duration::from_millis(50),
             suspect_after: 6,
-            attempt_timeout: Duration::from_secs(1),
             rehome_wait: Duration::from_secs(5),
         }
     }
@@ -101,15 +96,13 @@ impl RecoveryConfig {
         }
     }
 
-    /// Full recovery with aggressive timing for tests (fast heartbeats,
-    /// short attempt slices).
+    /// Full recovery with aggressive timing for tests (fast heartbeats).
     pub fn fast() -> Self {
         RecoveryConfig {
             enabled: true,
             rehome: true,
             heartbeat_every: Duration::from_millis(20),
             suspect_after: 4,
-            attempt_timeout: Duration::from_millis(250),
             rehome_wait: Duration::from_secs(10),
         }
     }
@@ -212,9 +205,17 @@ mod tests {
         assert!(RecoveryConfig::enabled().rehome);
         let detect = RecoveryConfig::detect_only();
         assert!(detect.enabled && !detect.rehome);
-        let fast = RecoveryConfig::fast();
-        assert!(fast.enabled && fast.rehome);
-        assert!(fast.failure_config().heartbeat_every <= Duration::from_millis(20));
+        // Five knobs: a request's wait re-checks the detector once a
+        // heartbeat, with no interval of its own.
+        let fast = RecoveryConfig {
+            enabled: true,
+            rehome: true,
+            heartbeat_every: Duration::from_millis(20),
+            suspect_after: 4,
+            rehome_wait: Duration::from_secs(10),
+        };
+        assert_eq!(RecoveryConfig::fast(), fast);
+        assert_eq!(fast.failure_config().heartbeat_every, fast.heartbeat_every);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! Each sabotage re-introduces a real bug class:
 //!
-//! * [`NO_VERSION_GATING`] — copies (a replicated-regime object's mirrors,
-//!   the primary-copy backend's secondaries) stop checking update versions: a stale
+//! * [`NO_VERSION_GATING`] — copies (the mirrors of a replicated-regime
+//!   object or of a sharded partition) stop checking update versions: a stale
 //!   fetched snapshot is installed even when a newer update overtook it
 //!   in flight, and updates — pushed ones and a writer's own acknowledged
 //!   write — are applied regardless of gaps. This is the pre-fix behavior

@@ -1,8 +1,8 @@
-//! The two-phase update protocol (the primary-copy backend's update
-//! policy): the fan-out the authoritative copy runs ([`UpdateChannel`]) and
-//! the state machine of every other copy ([`HeldCopy`]) — the read mirrors
-//! of a replicated object or of a sharded partition, and the mirror nobody
-//! reads a sharded partition keeps for its promotion.
+//! The two-phase update protocol (the replicated regime's update policy):
+//! the fan-out the authoritative copy runs ([`two_phase`]) and the state
+//! machine of every other copy ([`HeldCopy`]) — the read mirrors of a
+//! replicated object or of a sharded partition, and the mirror nobody reads
+//! a sharded partition keeps for its promotion.
 //!
 //! A write that executed at the authoritative copy reaches every other
 //! copy in two phases (§3.2.2 of the paper): phase 1 ships the operation
@@ -45,7 +45,7 @@
 use std::time::{Duration, Instant};
 
 use orca_amoeba::network::NetworkHandle;
-use orca_amoeba::node::Port;
+use orca_amoeba::node::ports;
 use orca_amoeba::rpc::rpc_notify;
 use orca_amoeba::NodeId;
 use orca_object::AnyReplica;
@@ -55,81 +55,76 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::sabotage;
 
-/// The authoritative side's handle on the protocol: where its messages go
-/// and the `rts.update.*` counters that say where a write's messages went.
-pub(crate) struct UpdateChannel {
-    handle: NetworkHandle,
-    /// Service port of the backend's copies.
-    port: Port,
-    /// Acknowledged phase-1 pushes sent to other copy holders.
-    pub(crate) pushes: Counter,
-    /// One-way phase-2 unlock notifications sent.
-    pub(crate) unlock_notifies: Counter,
-    /// Own writes this node installed into its copy from the write's
-    /// acknowledgement (the push and unlock that did not have to be sent).
-    pub(crate) reply_installs: Counter,
+orca_telemetry::counter_set! {
+    /// Where a write's messages went, `rts.update.<field>` in the registry.
+    pub(crate) struct UpdateStats => UpdateStatsSnapshot {
+        /// Acknowledged phase-1 pushes sent to other copy holders.
+        pushes,
+        /// One-way phase-2 unlock notifications sent.
+        unlock_notifies,
+        /// Own writes this node installed into its copy from the write's
+        /// acknowledgement (the push and unlock that did not have to be sent).
+        reply_installs,
+    }
 }
 
-impl UpdateChannel {
-    /// Bind `handle` and `port`, resolving (or creating) the counters in
-    /// the node's telemetry registry.
-    pub(crate) fn new(handle: &NetworkHandle, port: Port) -> Self {
-        let reg = handle.telemetry().registry();
-        UpdateChannel {
-            handle: handle.clone(),
-            port,
-            pushes: reg.counter("rts.update.pushes"),
-            unlock_notifies: reg.counter("rts.update.unlock_notifies"),
-            reply_installs: reg.counter("rts.update.reply_installs"),
+/// Run both phases for one already-applied write against `holders` (which
+/// excludes a writer that writes through its own copy), the unlocks sent
+/// from `handle` to the adaptive engine's port, and return the holders that
+/// could not be reached, whose leases the caller must settle before the
+/// write completes.
+///
+/// `push` performs one holder's acknowledged phase-1 RPC — `held` says
+/// whether the holder is to lock its copy: all but the last are — with the
+/// caller's deadline rules, books whatever lease it renews *now*, at send
+/// time (the holder counts the lease from receipt, so booking before sending
+/// can only make the grantor's record outlast the holder's), and says
+/// whether the holder acknowledged. `unlock` is the phase-2 message, the
+/// same for every holder that was locked.
+pub(crate) fn two_phase(
+    handle: &NetworkHandle,
+    stats: &UpdateStats,
+    holders: &[NodeId],
+    mut push: impl FnMut(NodeId, bool) -> bool,
+    unlock: &[u8],
+) -> Vec<NodeId> {
+    let mut failed: Vec<NodeId> = Vec::new();
+    let held = holders.len().saturating_sub(1);
+    for (at, holder) in holders.iter().enumerate() {
+        stats.pushes.inc();
+        if !push(*holder, at < held && !sabotage::unheld_every_push()) {
+            failed.push(*holder);
         }
     }
+    for holder in &holders[..held] {
+        if failed.contains(holder) {
+            continue;
+        }
+        stats.unlock_notifies.inc();
+        if rpc_notify(handle, *holder, ports::RTS_ADAPTIVE, unlock).is_err() {
+            // The holder applied the update but the unlock never left; the
+            // grant booked for it must not outlive this write unsettled.
+            failed.push(*holder);
+        }
+    }
+    failed
+}
 
-    /// Run both phases for one already-applied write against `holders`
-    /// (which excludes a writer that writes through its own copy) and
-    /// return the holders that could not be reached, whose leases the
-    /// caller must settle before the write completes.
-    ///
-    /// `push` performs one holder's acknowledged phase-1 RPC — `held` says
-    /// whether the holder is to lock its copy: all but the last are — with
-    /// the caller's deadline rules, books whatever lease it renews *now*,
-    /// at send time (the holder counts the lease from receipt, so booking
-    /// before sending can only make the grantor's record outlast the
-    /// holder's), and says whether the holder acknowledged. `unlock` is the
-    /// phase-2 message, the same for every holder that was locked.
-    pub(crate) fn two_phase(
-        &self,
-        holders: &[NodeId],
-        mut push: impl FnMut(NodeId, bool) -> bool,
-        unlock: &[u8],
-    ) -> Vec<NodeId> {
-        let mut failed: Vec<NodeId> = Vec::new();
-        let held = holders.len().saturating_sub(1);
-        for (at, holder) in holders.iter().enumerate() {
-            self.pushes.inc();
-            if !push(*holder, at < held && !sabotage::unheld_every_push()) {
-                failed.push(*holder);
-            }
-        }
-        for holder in &holders[..held] {
-            if failed.contains(holder) {
-                continue;
-            }
-            self.unlock_notifies.inc();
-            if rpc_notify(&self.handle, *holder, self.port, unlock).is_err() {
-                // The holder applied the update but the unlock never left;
-                // the grant booked for it must not outlive this write
-                // unsettled.
-                failed.push(*holder);
-            }
-        }
-        failed
-    }
+/// Holder-side record of the read lease covering a copy: a reader's mirror
+/// serves reads locally only while it is valid, and a lapsed one is renewed
+/// at the owner, which ships the state along only if the copy fell behind.
+pub(crate) struct MirrorLease {
+    /// Membership epoch of this node's failure detector at receipt; a
+    /// view change invalidates the lease regardless of the clock.
+    pub(crate) detector_epoch: u64,
+    /// Expiry on the holder's clock (`valid_ms` from receipt).
+    pub(crate) expires: Instant,
 }
 
 /// One node's copy of an object as the update protocol sees it: a mirror of
 /// a replicated-regime object or of a sharded partition, read or kept for a
-/// promotion. `L` is the holder-side lease record.
-pub(crate) struct CopyState<L> {
+/// promotion.
+pub(crate) struct CopyState {
     /// Valid local copy, if any.
     pub(crate) copy: Option<Box<dyn AnyReplica>>,
     /// Regime epoch the copy belongs to. Versions restart with each epoch,
@@ -160,10 +155,10 @@ pub(crate) struct CopyState<L> {
     /// copy answer retries of writes the dead authority already applied.
     pub(crate) dedup: DedupWindow,
     /// Read lease over `copy`, when leases are enabled; goes with the copy.
-    pub(crate) lease: Option<L>,
+    pub(crate) lease: Option<MirrorLease>,
 }
 
-impl<L> Default for CopyState<L> {
+impl Default for CopyState {
     fn default() -> Self {
         CopyState {
             copy: None,
@@ -178,7 +173,7 @@ impl<L> Default for CopyState<L> {
     }
 }
 
-impl<L> CopyState<L> {
+impl CopyState {
     /// Local reads must wait: an update's unlock is outstanding, or a write
     /// of this node is being written through the copy.
     pub(crate) fn reads_blocked(&self) -> bool {
@@ -218,7 +213,7 @@ impl<L> CopyState<L> {
         replica: Box<dyn AnyReplica>,
         version: u64,
         dedup: DedupWindow,
-        lease: Option<L>,
+        lease: Option<MirrorLease>,
         unraced: bool,
     ) -> bool {
         if !unraced && self.seen > version && !sabotage::no_version_gating() {
@@ -258,7 +253,7 @@ impl<L> CopyState<L> {
         held: bool,
         ops: &[impl AsRef<[u8]>],
         stamped: Option<(OpStamp, Vec<u8>)>,
-        lease: Option<L>,
+        lease: Option<MirrorLease>,
     ) -> usize {
         let last_version = first_version + ops.len() as u64 - 1;
         self.seen = self.seen.max(last_version);
@@ -292,13 +287,13 @@ impl<L> CopyState<L> {
 
 /// How the authoritative copy answered a write shipped through this node's
 /// copy, reduced to what the copy must do about it.
-pub(crate) enum WriteAck<L> {
+pub(crate) enum WriteAck {
     /// Applied at `version`, every other copy has it: apply the operation
     /// bytes still in hand, record the stamped reply, install the lease.
     Installed {
         version: u64,
         stamped: Option<(OpStamp, Vec<u8>)>,
-        lease: Option<L>,
+        lease: Option<MirrorLease>,
     },
     /// Nothing was applied (false guard, retired regime): the copy is as
     /// current as it was.
@@ -316,14 +311,14 @@ pub(crate) enum WriteAck<L> {
 }
 
 /// A [`CopyState`] with the condition variable its waiters park on.
-pub(crate) struct HeldCopy<L> {
-    pub(crate) state: Mutex<CopyState<L>>,
+pub(crate) struct HeldCopy {
+    pub(crate) state: Mutex<CopyState>,
     /// Signalled whenever `state` changes in a way a waiter may care about:
     /// unlock, install, copy dropped, pending mark cleared.
     pub(crate) unlocked: Condvar,
 }
 
-impl<L> Default for HeldCopy<L> {
+impl Default for HeldCopy {
     fn default() -> Self {
         HeldCopy {
             state: Mutex::new(CopyState::default()),
@@ -332,7 +327,7 @@ impl<L> Default for HeldCopy<L> {
     }
 }
 
-impl<L> HeldCopy<L> {
+impl HeldCopy {
     /// Mark the copy pending for a write about to be shipped through it;
     /// false when there is no installed copy of `epoch` to write through.
     /// Every mark is cleared by one [`HeldCopy::finish_write_through`].
@@ -354,7 +349,7 @@ impl<L> HeldCopy<L> {
     /// before the authority moved on, so they are never what is missing).
     fn await_predecessor(
         &self,
-        state: &mut MutexGuard<'_, CopyState<L>>,
+        state: &mut MutexGuard<'_, CopyState>,
         epoch: u64,
         version: u64,
         own_marks: u32,
@@ -390,7 +385,7 @@ impl<L> HeldCopy<L> {
         held: bool,
         ops: &[Vec<u8>],
         stamped: Option<(OpStamp, Vec<u8>)>,
-        lease: Option<L>,
+        lease: Option<MirrorLease>,
         budget: Duration,
     ) -> Option<usize> {
         let mut state = self.state.lock();
@@ -430,14 +425,14 @@ impl<L> HeldCopy<L> {
     /// `epoch`: act on the acknowledgement as [`WriteAck`] describes, then
     /// clear the attempt's pending mark — only then, so the mark covers the
     /// predecessor wait inside the install and no reader slips in on the
-    /// old value. Leaves the copy either current or not serving reads;
-    /// true when it had to be dropped.
+    /// old value; an install counts in `installs`. Leaves the copy either
+    /// current or not serving reads; true when it had to be dropped.
     pub(crate) fn finish_write_through(
         &self,
-        channel: &UpdateChannel,
+        installs: &Counter,
         epoch: u64,
         op: &[u8],
-        ack: WriteAck<L>,
+        ack: WriteAck,
         budget: Duration,
     ) -> bool {
         let mut state = self.state.lock();
@@ -459,7 +454,7 @@ impl<L> HeldCopy<L> {
                 } else {
                     let had = state.copy.is_some();
                     if state.apply_run(version, false, &[op], stamped, lease) > 0 {
-                        channel.reply_installs.inc();
+                        installs.inc();
                     }
                     had && state.copy.is_none()
                 }

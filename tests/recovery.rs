@@ -51,7 +51,6 @@ fn recovery_knobs() -> RecoveryConfig {
         // starved past the limit would *falsely* kill a survivor — which
         // fail-stop membership cannot take back.
         suspect_after: 12,
-        attempt_timeout: Duration::from_millis(250),
         rehome_wait: Duration::from_secs(10),
         ..RecoveryConfig::enabled()
     }
