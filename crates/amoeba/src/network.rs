@@ -492,11 +492,6 @@ impl Network {
         }
     }
 
-    /// True while a schedule driver is installed.
-    pub fn scheduler_installed(&self) -> bool {
-        self.core.sched.lock().is_some()
-    }
-
     /// Descriptors of all currently held messages, in canonical order.
     /// Empty when no scheduler is installed.
     pub fn sched_pending(&self) -> Vec<HeldDescriptor> {

@@ -241,7 +241,6 @@ fn placed_once(policy: AdaptivePolicy) -> AdaptivePolicy {
         // inside the engine's progress-wait cap if it is the only activity
         // left.
         stale_retry_delay: Duration::from_millis(300),
-        blocked_retry_delay: Duration::from_millis(300),
         // The model checker virtualizes time; real-clock read leases would
         // either never expire or stall explored schedules on sleeps.
         read_lease_ms: 0,
@@ -967,7 +966,6 @@ impl Scenario for AdaptiveRegimeSwitch {
                 // switch, yet still fires well inside the engine's
                 // progress-wait cap if it is the only activity left.
                 stale_retry_delay: Duration::from_millis(300),
-                blocked_retry_delay: Duration::from_millis(300),
                 // The model checker virtualizes time; real-clock read
                 // leases would either never expire or stall explored
                 // schedules on sleeps.

@@ -7,13 +7,9 @@ use std::borrow::Cow;
 
 use super::*;
 
-/// How long a guarded read parks on a mirror before re-validating the
-/// regime (protects against missed wake-ups and retired mirrors).
-pub(super) const MIRROR_GUARD_WAIT: Duration = Duration::from_millis(100);
-
-/// How long a mirror read waits for an in-flight two-phase update to
-/// unlock before re-checking.
-const MIRROR_LOCK_WAIT: Duration = Duration::from_millis(50);
+/// How long a call whose guard was false on a partition of a sharded object,
+/// which parks no call, waits before it tries again.
+const PARTITION_RESCAN: Duration = Duration::from_millis(20);
 
 /// Outcome of one attempt to execute (part of) an operation.
 pub(super) enum PartOutcome {
@@ -93,12 +89,9 @@ impl AdaptiveRts {
                 self.inner.lost.write().insert(object);
                 Err(RtsError::ObjectLost(object))
             }
-            RegimeReply::Error(msg) if home != creator => {
-                // The adopter may not have declared the creator dead yet;
-                // surface as NodeDown so the invocation loop retries.
-                let _ = msg;
-                Err(RtsError::NodeDown(creator))
-            }
+            // The adopter may not have declared the creator dead yet;
+            // surface as NodeDown so the invocation loop retries.
+            RegimeReply::Error(_) if home != creator => Err(RtsError::NodeDown(creator)),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
             other => Err(RtsError::Communication(format!(
                 "unexpected Route reply {other:?}"
@@ -248,7 +241,7 @@ impl AdaptiveRts {
             // Unstamped: the round never re-presents an operation across a
             // node death (the failure contract of `crate::pipeline`); nor
             // does it park on a guard (its ordering contract).
-            let (stamp, park) = (None, Duration::ZERO);
+            let (stamp, park) = (None, false);
             slots[i] = match self.execute(&table, target, &op.op, stamp, deadline, park) {
                 Ok(PartOutcome::Done(reply)) => RoundSlot::Ready(Ok(reply)),
                 Ok(PartOutcome::Blocked) => RoundSlot::Blocked,
@@ -355,7 +348,7 @@ impl AdaptiveRts {
     }
 
     /// Execute `op` where `target` says, under `table`; a guarded mirror
-    /// read parks up to `park` on its guard ([`AdaptiveRts::mirror_read`]).
+    /// read `park`s on its guard ([`AdaptiveRts::mirror_read`]).
     fn execute(
         &self,
         table: &RegimeTable,
@@ -363,7 +356,7 @@ impl AdaptiveRts {
         op: &[u8],
         stamp: Option<OpStamp>,
         deadline: Instant,
-        park: Duration,
+        park: bool,
     ) -> Result<PartOutcome, RtsError> {
         match target {
             Target::Mirror(p, part_op) => self.mirror_read(table, p, &part_op, deadline, park),
@@ -452,18 +445,20 @@ impl AdaptiveRts {
 
     /// Serve a read of `partition` from this node's mirror, fetching or
     /// re-syncing it from the partition's owner when needed. A read whose
-    /// guard is false waits up to `park` for an update to change the mirror:
-    /// a call does, a pipelined round does not — later operations of its
-    /// window do not wait for the guard.
+    /// guard is false waits — if it may `park`: a pipelined round's may not
+    /// hold up its window — for the mirror to change, its lease to lapse or
+    /// the deadline, then validates the mirror and evaluates it again.
     fn mirror_read(
         &self,
         table: &RegimeTable,
         partition: u32,
         op: &[u8],
         deadline: Instant,
-        park: Duration,
+        park: bool,
     ) -> Result<PartOutcome, RtsError> {
         let owner = NodeId(table.owners[partition as usize]);
+        let dead = || is_dead(&self.inner.detector, owner);
+        let stopped = || self.inner.stopped.load(Ordering::SeqCst);
         loop {
             let mirror = mirror_entry(&self.inner, mirror_key(table, partition));
             let mut state = mirror.state.lock();
@@ -484,45 +479,44 @@ impl AdaptiveRts {
                 }
                 continue;
             }
-            if state.reads_blocked() {
+            if !state.reads_blocked() {
+                let copy = state.copy.as_mut().expect("checked above");
+                match copy.apply_encoded(op)? {
+                    AppliedOutcome::Done(reply) => {
+                        self.inner.stats.local_reads.inc();
+                        if self.inner.leases_enabled() {
+                            self.inner.lease.local_reads.inc();
+                        }
+                        return Ok(PartOutcome::Done(reply));
+                    }
+                    AppliedOutcome::Blocked if !park || Instant::now() >= deadline || stopped() => {
+                        return Ok(PartOutcome::Blocked)
+                    }
+                    AppliedOutcome::Blocked => self.inner.stats.guard_retries.inc(),
+                }
+            } else if Instant::now() >= deadline || stopped() {
                 // A two-phase update (or a write of this node through the
-                // mirror) is in flight; wait for its unlock. A
+                // mirror) is in flight, and reads wait for its unlock. A
                 // lock that never clears (the unlock was lost to a crash
                 // mid-push) must not wedge this mirror forever: once the
                 // deadline passes, discard the copy — the next read
                 // re-syncs a fresh, unlocked state from the owner — and
                 // hand back Stale so the caller's deadline check fails
                 // this invocation instead of hanging.
-                if Instant::now() >= deadline {
-                    state.copy = None;
-                    return Ok(PartOutcome::Stale);
-                }
-                // Nor wait for an unlock that died with the owner: the
-                // caller goes back to the home for whoever serves now.
-                if is_dead(&self.inner.detector, owner) {
-                    return Err(RtsError::NodeDown(owner));
-                }
-                mirror.unlocked.wait_for(&mut state, MIRROR_LOCK_WAIT);
-                continue;
+                state.copy = None;
+                return Ok(PartOutcome::Stale);
             }
-            let copy = state.copy.as_mut().expect("checked above");
-            match copy.apply_encoded(op)? {
-                AppliedOutcome::Done(reply) => {
-                    self.inner.stats.local_reads.inc();
-                    if self.inner.leases_enabled() {
-                        self.inner.lease.local_reads.inc();
-                    }
-                    return Ok(PartOutcome::Done(reply));
-                }
-                AppliedOutcome::Blocked => {
-                    // Guarded read: wait for an update to change the mirror,
-                    // then hand control back so the caller re-validates the
-                    // regime (the guard's write may commit under a new one).
-                    // The caller accounts the guard retry.
-                    mirror.unlocked.wait_for(&mut state, park);
-                    return Ok(PartOutcome::Blocked);
-                }
+            // Wait for the unlock, or for a change that may make the guard
+            // true, or for the lease to lapse — not for an owner that died:
+            // the caller goes back to the home for whoever serves now.
+            if dead() {
+                return Err(RtsError::NodeDown(owner));
             }
+            let moment = |s: &CopyState| (s.epoch, s.version, s.copy.is_some(), s.reads_blocked());
+            let (seen, lease) = (moment(&state), state.lease.as_ref());
+            let until = lease.map_or(deadline, |lease| lease.expires.min(deadline));
+            let unchanged = |state: &CopyState| moment(state) == seen && !dead() && !stopped();
+            crate::await_change(&mirror.unlocked, &mut state, Some(until), unchanged);
         }
     }
 
@@ -533,8 +527,8 @@ impl AdaptiveRts {
     /// table lists no mirror here, this node owns the partition, or no
     /// mirror of the epoch is installed; the write then goes as a plain
     /// [`RegimeMsg::Op`]. The mark lasts one attempt: a guard-blocked write
-    /// retries through the invocation loop and must not keep this node's
-    /// readers waiting meanwhile.
+    /// is not parked at the owner, whose answer the node's readers would
+    /// wait for, and is re-sent as a plain operation, which is.
     fn write_through(
         &self,
         table: &RegimeTable,
@@ -728,8 +722,8 @@ impl AdaptiveRts {
 
     /// Route one invocation under the current regime table, count it, and
     /// execute it. A write of one slot from a node the table lists a mirror
-    /// for goes *through* that mirror; a batched one never does (it goes to
-    /// the owner like any other slot-addressed operation of its round).
+    /// for goes *through* that mirror unless its guard was false (`blocked`);
+    /// a batched one never does: it goes to the owner like any other.
     pub(super) fn dispatch_client_op(
         &self,
         table: &RegimeTable,
@@ -737,15 +731,16 @@ impl AdaptiveRts {
         op: &[u8],
         stamp: Option<OpStamp>,
         deadline: Instant,
+        blocked: bool,
     ) -> Result<PartOutcome, RtsError> {
         let target = self.target(table, kind, op)?;
         self.record_invocation(table, &target, kind);
-        if let (OpKind::Write, Target::Slot(partition, part_op)) = (kind, &target) {
+        if let (OpKind::Write, Target::Slot(partition, part_op), false) = (kind, &target, blocked) {
             if let Some(outcome) = self.write_through(table, *partition, part_op, stamp, deadline) {
                 return outcome;
             }
         }
-        self.execute(table, target, op, stamp, deadline, MIRROR_GUARD_WAIT)
+        self.execute(table, target, op, stamp, deadline, true)
     }
 }
 
@@ -815,62 +810,60 @@ impl RuntimeSystem for AdaptiveRts {
             origin: self.inner.node.0,
             seq: self.inner.next_stamp.fetch_add(1, Ordering::Relaxed),
         });
-        // When this invocation first found the node it needs dead.
-        let mut orphaned: Option<Instant> = None;
-        let mut bounced = false;
+        // Since its last answer from a live copy: when this invocation first
+        // found the node it needs dead, and whether a table sent it astray.
+        let (mut orphaned, mut bounced, mut blocked) = (None, false, false);
         loop {
             if self.inner.stopped.load(Ordering::SeqCst) {
                 return Err(RtsError::Terminated);
             }
-            let attempt = self
-                .route_for(object, deadline)
-                .and_then(|table| self.dispatch_client_op(&table, kind, op, stamp, deadline));
-            let outcome = match attempt {
-                Ok(outcome) => outcome,
+            let attempt = self.route_for(object, deadline).and_then(|table| {
+                let sent = self.dispatch_client_op(&table, kind, op, stamp, deadline, blocked);
+                Ok((sent?, table))
+            });
+            let (give_up, err) = match attempt {
+                Ok((PartOutcome::Done(reply), _)) => return Ok(reply),
+                Ok((PartOutcome::Blocked, table)) => {
+                    // The guard was false and its copy waited for a change (a
+                    // partition does not, so its caller pauses): re-sent at
+                    // once as an operation that parks, deadline restarted.
+                    let logic = || self.inner.registry.shard_logic(&table.type_name);
+                    if table.regime == RegimeKind::Sharded && logic().is_some() {
+                        self.inner.stats.guard_retries.inc();
+                        std::thread::sleep(PARTITION_RESCAN);
+                    }
+                    (orphaned, bounced, blocked) = (None, false, true);
+                    deadline = Instant::now() + self.inner.policy.op_timeout;
+                    continue;
+                }
+                // A regime switch is (or was) in flight; the deadline stands:
+                // a regime that never settles surfaces Timeout.
+                Ok((PartOutcome::Stale, _)) => (deadline, RtsError::Timeout),
+                Err(_) if self.inner.stopped.load(Ordering::SeqCst) => {
+                    return Err(RtsError::Terminated)
+                }
+                // The home (or a partition owner) is dead; adoption or a
+                // regime fallback will re-home the object: retried until the
+                // deadline, or for as long as a re-homing is waited for. The
+                // retry re-presents `stamp`, and the dedup window rides
+                // mirror updates and regime transfers, so a write the dead
+                // home already applied is answered its recorded reply —
+                // exactly once, not at-least-once.
                 Err(RtsError::NodeDown(node)) if self.inner.recovery.rehome => {
-                    // The home (or a partition owner) is dead; adoption or
-                    // a regime fallback will re-home the object. Retry
-                    // until the deadline — or for as long as a re-homing
-                    // is waited for — then name the dead node. The
-                    // retry re-presents `stamp`, and the dedup window
-                    // rides mirror updates and regime transfers, so a
-                    // write the dead home already applied is answered its
-                    // recorded reply — exactly once, not at-least-once.
-                    self.inner.routes.lock().remove(&object);
                     let since = *orphaned.get_or_insert_with(Instant::now);
                     let patience = since + self.inner.recovery.rehome_wait;
-                    if Instant::now() >= deadline.min(patience) {
-                        return Err(RtsError::NodeDown(node));
-                    }
-                    std::thread::sleep(self.inner.policy.blocked_retry_delay);
-                    continue;
+                    (deadline.min(patience), RtsError::NodeDown(node))
                 }
                 Err(err) => return Err(err),
             };
-            match outcome {
-                PartOutcome::Done(reply) => return Ok(reply),
-                PartOutcome::Blocked => {
-                    // The guard was false: the replica answered, so the
-                    // transport is alive — restart the deadline and retry.
-                    self.inner.stats.guard_retries.inc();
-                    std::thread::sleep(self.inner.policy.blocked_retry_delay);
-                    deadline = Instant::now() + self.inner.policy.op_timeout;
-                }
-                PartOutcome::Stale => {
-                    // A regime switch is (or was) in flight; re-fetch the
-                    // table. The deadline is *not* restarted: a regime that
-                    // never settles surfaces Timeout. The home answers a
-                    // `Route` once its switch is done, so the first re-fetch
-                    // goes out at once, as a pipelined round's does; the
-                    // ones after it wait.
-                    self.inner.routes.lock().remove(&object);
-                    if Instant::now() >= deadline {
-                        return Err(RtsError::Timeout);
-                    }
-                    if std::mem::replace(&mut bounced, true) {
-                        std::thread::sleep(self.inner.policy.stale_retry_delay);
-                    }
-                }
+            // Either way the table is re-fetched: at once — the home answers
+            // a `Route` once its switch is done — and after a pause on a repeat.
+            self.inner.routes.lock().remove(&object);
+            if Instant::now() >= give_up {
+                return Err(err);
+            }
+            if std::mem::replace(&mut bounced, true) {
+                std::thread::sleep(self.inner.policy.stale_retry_delay);
             }
         }
     }

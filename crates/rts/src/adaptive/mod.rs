@@ -162,7 +162,7 @@ use orca_wire::{
     BatchOutcome, BatchOutcomes, DedupWindow, Holdings, LeaseGrant, OpBatchView, OpRef, OpStamp,
     Wire,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::pipeline::{
     all_failed, record_batch_outcomes, resolve_round, BatchPolicy, LazyPipeline, PendingBatches,
@@ -278,6 +278,15 @@ impl Inner {
     fn lease_span(&self) -> Option<u64> {
         self.leases_enabled().then_some(self.policy.read_lease_ms)
     }
+
+    /// Wake what waits on this node's mirrors — for a dead owner, for a
+    /// shutdown — under the lock it waits with.
+    fn wake_mirrors(&self) {
+        for mirror in self.mirrors.read().values() {
+            let _state = mirror.state.lock();
+            mirror.unlocked.notify_all();
+        }
+    }
 }
 
 /// Handle to one node's adaptive runtime system. Cheap to clone.
@@ -345,17 +354,18 @@ impl AdaptiveRts {
             update: UpdateStats::new(metrics, "rts.update"),
             adaptive: AdaptiveStats::new(metrics, "rts.adaptive"),
         });
-        if recovery.rehome {
-            if let Some(detector) = &inner.detector {
-                let home_inner = Arc::clone(&inner);
-                detector.on_failure(Box::new(move |_dead, view| {
+        if let Some(detector) = &inner.detector {
+            let home_inner = Arc::clone(&inner);
+            detector.on_failure(Box::new(move |_dead, view| {
+                home_inner.wake_mirrors();
+                if home_inner.recovery.rehome {
                     let inner = Arc::clone(&home_inner);
                     std::thread::Builder::new()
                         .name(format!("regime-recovery-{}", inner.node))
                         .spawn(move || recover_home_objects(&inner, &view))
                         .expect("spawn regime recovery thread");
-                }));
-            }
+                }
+            }));
         }
         let service_inner = Arc::clone(&inner);
         // Regime switches and `All` fan-outs hold a handler across nested
@@ -373,11 +383,15 @@ impl AdaptiveRts {
     }
 
     /// Stop the RPC service of this node and fail any invocation still in
-    /// its retry loop with [`RtsError::Terminated`] (all waits in the loop
-    /// are bounded, so blocked guards observe the flag promptly).
-    /// Idempotent.
+    /// its retry loop with [`RtsError::Terminated`]; a call parked here on a
+    /// guard is woken first: the service waits for its workers. Idempotent.
     pub fn shutdown(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
+        for slot in self.inner.slots.read().values() {
+            let _replica = slot.replica.lock();
+            slot.changed.notify_all();
+        }
+        self.inner.wake_mirrors();
         self.pipeline.shutdown();
         if let Some(server) = self.server.lock().take() {
             server.shutdown();

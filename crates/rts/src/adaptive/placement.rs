@@ -353,6 +353,7 @@ pub(super) fn drain_local(
     let drained = {
         let replica = slot.replica.lock();
         slot.withdrawn.store(true, Ordering::Relaxed);
+        slot.changed.notify_all();
         (replica.state_bytes(), slot.dedup.lock().clone())
     };
     inner.stats.copies_dropped.inc();

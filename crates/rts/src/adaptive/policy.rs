@@ -55,7 +55,7 @@ pub struct AdaptivePolicy {
     /// the sharded regime.
     pub partitions: u32,
     /// Per-invocation deadline for shipped operations; a dropped reply
-    /// surfaces [`crate::RtsError::Timeout`]. Guard retries restart it.
+    /// surfaces [`crate::RtsError::Timeout`]. A guard wait restarts it.
     pub op_timeout: Duration,
     /// How long a cached table that lists mirrors — or of the replicated
     /// regime — stays fresh: a mirror's reads ask nobody, so the lease bounds
@@ -72,14 +72,11 @@ pub struct AdaptivePolicy {
     /// what has been reported and moves to the cheapest placement at once,
     /// so `u64::MAX` leaves every move to proposals.
     pub window: u64,
-    /// How long a caller sleeps before retrying an operation whose guard
-    /// was false at the replica, or whose destination is being re-homed.
-    pub blocked_retry_delay: Duration,
-    /// How long a caller sleeps before re-fetching the regime table after
-    /// an operation bounced off a regime switch in flight. Model-checking
-    /// scenarios stretch this past their schedule horizon so a bounced
-    /// operation waits out the switch instead of flooding the network
-    /// with table re-fetches.
+    /// How long a caller sleeps before re-fetching the regime table again
+    /// after an operation bounced off a regime switch in flight, or off a
+    /// dead node while the object is re-homed. Model-checking scenarios
+    /// stretch this past their schedule horizon so a bounced operation waits
+    /// out the switch instead of flooding the network with table re-fetches.
     pub stale_retry_delay: Duration,
     /// Validity, in milliseconds, of the read leases an owner — of a copy or
     /// a partition — grants to its mirrors (0 disables leases).
@@ -117,7 +114,6 @@ impl Default for AdaptivePolicy {
             op_timeout: Duration::from_secs(10),
             regime_lease: Duration::from_millis(200),
             window: 64,
-            blocked_retry_delay: Duration::from_millis(20),
             stale_retry_delay: Duration::from_millis(5),
             read_lease_ms: 150,
             write: WritePolicy::Update,

@@ -356,7 +356,7 @@ pub(super) fn regime_fan_out(
 /// already declared dead ([`RtsError::NodeDown`]) or past the deadline, so a
 /// fan-out whose early legs stalled skips the rest — and the wait re-checks
 /// the failure detector every heartbeat, to stop waiting on a corpse as
-/// soon as it is declared (no death is declared faster).
+/// soon as it is declared (no death is declared faster), or this node stops.
 pub(super) fn regime_rpcs<B: AsRef<[u8]>, T>(
     inner: &Arc<Inner>,
     requests: Vec<(NodeId, B)>,
@@ -379,14 +379,14 @@ pub(super) fn regime_rpcs<B: AsRef<[u8]>, T>(
         .map(|(dst, body)| (dst, send(dst, body)))
         .collect();
     let done = meanwhile();
-    let poll = detector
-        .as_ref()
-        .map_or(Duration::MAX, |d| d.config().heartbeat_every);
+    let poll = inner.recovery.heartbeat_every;
     let mut wait = |dst, call| {
         let dead = || is_dead(detector, dst);
+        let stopped = || inner.stopped.load(Ordering::SeqCst);
         let reply = multi
-            .wait_abortable(call, deadline, poll, &dead)
+            .wait_abortable(call, deadline, poll, &|| dead() || stopped())
             .map_err(|err| match err {
+                _ if stopped() => RtsError::Terminated,
                 RpcError::Aborted => RtsError::NodeDown(dst),
                 RpcError::Timeout if dead() => RtsError::NodeDown(dst),
                 RpcError::Timeout => RtsError::Timeout,

@@ -50,6 +50,9 @@ pub(super) struct Slot {
     /// Requests of other nodes parked on the replica mutex
     /// ([`Slot::lock_for`]).
     pub(super) parked: AtomicU32,
+    /// Signalled under the replica mutex when the replica changes, for the
+    /// calls [`apply_at_slot`] parks on a false guard.
+    pub(super) changed: Condvar,
 }
 
 impl Slot {
@@ -281,6 +284,7 @@ pub(super) fn install_slot(
         dedup: Mutex::new(dedup),
         leases: Mutex::default(),
         parked: AtomicU32::new(0),
+        changed: Condvar::new(),
     };
     let holders = slot.holders(inner);
     prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
@@ -390,7 +394,10 @@ fn slot_at(inner: &Inner, key: (ObjectId, u32), epoch: u64) -> Option<Arc<Slot>>
 }
 
 /// Execute an operation on a locally-served authoritative slot, honoring
-/// the epoch and withdrawn-mark discipline ([`apply_locked`]).
+/// the epoch and withdrawn-mark discipline ([`apply_locked`]). A false guard
+/// waits for the replica to change, up to a drain, a shutdown or half the
+/// deadline (`Blocked`) — not on one partition of many, which an `Any` scan
+/// moves past, nor in a write through a mirror, whose mark holds its reads.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn apply_at_slot(
     inner: &Arc<Inner>,
@@ -406,10 +413,29 @@ pub(super) fn apply_at_slot(
     let Some(slot) = slot_at(inner, key, epoch) else {
         return RegimeReply::StaleRegime;
     };
+    let (mut until, stopped) = (None, || inner.stopped.load(Ordering::SeqCst));
     let reply = {
-        let mut replica = slot.lock_for(inner, caller);
-        let (replica, run) = (&mut replica, None);
-        apply_locked(inner, key, &slot, replica, op, stamp, caller, through, run)
+        let replica = &mut slot.lock_for(inner, caller);
+        loop {
+            let seen = replica.version();
+            let reply = apply_locked(inner, key, &slot, replica, op, stamp, caller, through, None);
+            let logic = || inner.registry.shard_logic(replica.type_name());
+            let whole = || slot.partition.is_none() || logic().is_none();
+            if !matches!(reply, RegimeReply::Blocked) || through || !whole() {
+                break reply;
+            }
+            if stopped() {
+                break RegimeReply::Error(format!("{} shut down", inner.node));
+            }
+            inner.stats.guard_retries.inc();
+            let until = *until.get_or_insert_with(|| Instant::now() + inner.policy.op_timeout / 2);
+            let moved = crate::await_change(&slot.changed, replica, Some(until), |r| {
+                r.version() == seen && !slot.withdrawn.load(Ordering::Relaxed) && !stopped()
+            });
+            if !moved {
+                break reply;
+            }
+        }
     };
     if caller == inner.node && slot.fans_out() {
         slot.yield_to_parked();
@@ -464,13 +490,9 @@ fn apply_locked(
         // fence must also keep this node's own reads from observing the
         // new write early, and it clears within one grant span of the
         // install.
-        let fence = slot.leases.lock().fence;
+        let fence = slot.leases.lock().fence.take();
         if let Some(fence) = fence {
-            let now = Instant::now();
-            if now < fence {
-                std::thread::sleep(fence - now);
-            }
-            slot.leases.lock().fence = None;
+            std::thread::sleep(fence.saturating_duration_since(Instant::now()));
         }
     }
     match replica.apply_encoded(op) {
@@ -479,6 +501,7 @@ fn apply_locked(
                 inner.stats.updates_applied.inc();
             }
             if kind == OpKind::Write {
+                slot.changed.notify_all();
                 let stamped = stamp.map(|stamp| (stamp, reply.clone()));
                 if let Some((stamp, reply)) = &stamped {
                     slot.dedup.lock().record(*stamp, reply.clone());

@@ -9,7 +9,7 @@ use orca_object::testing::{Accumulator, AccumulatorOp, Bank, BankOp, BankReply};
 use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind, ShardRoute};
 use orca_wire::{DedupWindow, OpStamp, TraceId, Wire};
 
-use super::client::{PartOutcome, MIRROR_GUARD_WAIT};
+use super::client::PartOutcome;
 use super::messages::{RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use super::placement::{carry_out, rule};
 use super::policy::UsageAggregate;
@@ -126,7 +126,7 @@ impl AdaptiveRts {
     ) -> Result<Vec<u8>, RtsError> {
         let deadline = Instant::now() + self.inner.policy.op_timeout;
         let table = self.route_for(object, deadline)?;
-        match self.dispatch_client_op(&table, OpKind::Write, op, Some(stamp), deadline)? {
+        match self.dispatch_client_op(&table, OpKind::Write, op, Some(stamp), deadline, false)? {
             PartOutcome::Done(reply) => Ok(reply),
             _ => Err(RtsError::Timeout),
         }
@@ -516,7 +516,9 @@ fn blocked_guarded_read_survives_a_regime_switch() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(add(&rtses[0], id, 60), 60);
     assert_eq!(waiter.join().unwrap(), 60);
-    assert!(rtses[1].stats().guard_retries >= 1);
+    // Counted where the guard waited: at the copy's owner.
+    let waits: u64 = rtses.iter().map(|rts| rts.stats().guard_retries).sum();
+    assert!(waits >= 1);
     shutdown_all(&rtses);
 }
 
@@ -1178,11 +1180,120 @@ fn a_pipelined_guarded_mirror_read_does_not_hold_up_its_window() {
     assert_eq!(i64::from_bytes(&handles[1].wait().unwrap()).unwrap(), 1);
     let took = started.elapsed();
     assert!(
-        took < MIRROR_GUARD_WAIT,
+        took < Duration::from_millis(100),
         "the write waited {took:?} for a guard"
     );
     assert_eq!(i64::from_bytes(&handles[0].wait().unwrap()).unwrap(), 1);
     shutdown_all(&rtses);
+}
+
+/// Start a guarded read of `id` on `rts` that blocks until `id` reaches
+/// `at_least`, on its own thread.
+fn await_at_least(
+    rts: &AdaptiveRts,
+    id: ObjectId,
+    at_least: i64,
+) -> std::thread::JoinHandle<Result<Vec<u8>, RtsError>> {
+    let (rts, op) = (
+        rts.clone(),
+        AccumulatorOp::AwaitAtLeast(at_least).to_bytes(),
+    );
+    std::thread::spawn(move || rts.invoke(id, Accumulator::TYPE_NAME, OpKind::Read, &op))
+}
+
+/// A guarded read on a leased mirror waits on the mirror for the update
+/// that makes its guard true — one wait, however long it blocks — instead
+/// of handing the guard back to a retry loop.
+#[test]
+fn a_blocked_guard_on_a_leased_mirror_waits_once() {
+    let net = Network::reliable(3);
+    let (rtses, id) = replicated_cluster(&net, Duration::from_secs(10));
+    let before = net.stats();
+    let waiter = await_at_least(&rtses[1], id, 1);
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(add(&rtses[2], id, 1), 1);
+    assert_eq!(
+        i64::from_bytes(&waiter.join().unwrap().unwrap()).unwrap(),
+        1
+    );
+    let waits: Vec<u64> = rtses.iter().map(|rts| rts.stats().guard_retries).collect();
+    assert_eq!(waits, [0, 1, 0]);
+    // The reader read its mirror: all it sent was its acknowledgement of the
+    // update that woke it.
+    assert_eq!(
+        net.stats().since(&before).node(NodeId(1)).messages_sent(),
+        1
+    );
+    shutdown_all(&rtses);
+}
+
+/// A call parked on a guard — at a remote owner, or on a mirror — is let
+/// go when either end shuts down: the caller's wait ends with its node, and
+/// the owner answers what it parked before its service stops. A mirror
+/// learns of its owner's end from the failure detector.
+#[test]
+fn a_blocked_guard_ends_when_either_node_shuts_down() {
+    let prompt = |what: &str, shut: &AdaptiveRts, waiter: std::thread::JoinHandle<_>| {
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!waiter.is_finished(), "{what}: the guard did not block");
+        let started = Instant::now();
+        shut.shutdown();
+        let result: Result<Vec<u8>, RtsError> = waiter.join().unwrap();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "{what}: let go after {took:?}"
+        );
+        result.unwrap_err()
+    };
+    // Parked at the owner, node 0: no mirror, no detector.
+    for shut in [0, 1] {
+        let net = Network::reliable(2);
+        let rtses = start_all(&net, manual());
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let err = prompt(
+            "at the owner",
+            &rtses[shut],
+            await_at_least(&rtses[1], id, 1),
+        );
+        if shut == 1 {
+            assert_eq!(err, RtsError::Terminated);
+        }
+        shutdown_all(&rtses);
+    }
+    // Parked on node 1's mirror, its lease long: its own shutdown wakes it,
+    // and its owner's is a death the detector declares.
+    let detector = RecoveryConfig {
+        heartbeat_every: Duration::from_millis(20),
+        suspect_after: 15,
+        ..RecoveryConfig::detect_only()
+    };
+    for shut in [1, 0] {
+        let net = Network::reliable(2);
+        let policy = AdaptivePolicy {
+            regime_lease: Duration::from_secs(10),
+            read_lease_ms: 10_000,
+            ..manual()
+        };
+        let rtses = start_all_recoverable(&net, policy, detector);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
+        switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
+        assert_eq!(read(&rtses[1], id), 0);
+        assert!(rtses[1].mirror_of(id).0, "no mirror at node 1");
+        let err = prompt(
+            "on a mirror",
+            &rtses[shut],
+            await_at_least(&rtses[1], id, 1),
+        );
+        let expected = [RtsError::NodeDown(NodeId(0)), RtsError::Terminated];
+        assert_eq!(err, expected[shut]);
+        shutdown_all(&rtses);
+    }
 }
 
 /// A typed call to this node is served in place, with nothing on the wire;
@@ -2309,6 +2420,63 @@ fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
     assert!(Instant::now() >= armed, "a write inside the fence");
     assert!(slot.leases.lock().fence.is_none());
     assert_eq!(read(&rtses[0], id), 10);
+    shutdown_all(&rtses);
+}
+
+/// How long a call waits for a re-homing is counted from the death that
+/// sent it astray, not from the first one it ever saw: a guard that waits
+/// out `rehome_wait` at the regenerated copy, moved on to another owner,
+/// outlives that owner's death too.
+#[test]
+fn a_second_death_after_a_long_guard_wait_is_waited_out() {
+    let net = Network::reliable(4);
+    let policy = AdaptivePolicy {
+        op_timeout: Duration::from_secs(2),
+        ..manual_exact()
+    };
+    let recovery = RecoveryConfig {
+        rehome_wait: Duration::from_millis(500),
+        ..crate::recovery::patient()
+    };
+    let rtses = start_all_recoverable(&net, policy, recovery);
+    let id = rtses[0]
+        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .unwrap();
+    replicate_by(&rtses[0], id, &[0, 0, 50, 0], &[0, 0, 0, 5]).unwrap();
+    assert_eq!(replicated_at(&rtses[0], id), (3, vec![2]));
+    let waiter = await_at_least(&rtses[1], id, 1);
+
+    // The owner dies; the copy is regenerated at the home, where the guard
+    // waits longer than a re-homing is waited for: a park there runs out,
+    // and the call is answered `Blocked` and sent again.
+    std::thread::sleep(Duration::from_millis(100));
+    net.crash(NodeId(3));
+    wait_for_death(&rtses, NodeId(3));
+    eventually("the copy is regenerated", || {
+        rtses[0].placement_of(id).unwrap().2 == [NodeId(0)]
+    });
+    std::thread::sleep(policy.op_timeout / 2 + Duration::from_millis(300));
+    assert!(policy.op_timeout / 2 > recovery.rehome_wait);
+
+    // The copy moves on, and its new owner dies too.
+    replicate_by(&rtses[0], id, &[50, 0, 0, 0], &[0, 0, 5, 0]).unwrap();
+    assert_eq!(replicated_at(&rtses[0], id), (2, vec![0]));
+    std::thread::sleep(Duration::from_millis(100));
+    net.crash(NodeId(2));
+    crate::recovery::wait_for_deaths(4, &[NodeId(2), NodeId(3)], &|node| {
+        rtses[node.index()].membership_view()
+    });
+    eventually("the copy is regenerated again", || {
+        rtses[0].placement_of(id).unwrap().2 == [NodeId(0)]
+    });
+    assert!(
+        !waiter.is_finished(),
+        "the call gave up: {:?}",
+        waiter.join()
+    );
+    assert_eq!(add(&rtses[0], id, 1), 1);
+    let reply = waiter.join().unwrap().unwrap();
+    assert_eq!(i64::from_bytes(&reply).unwrap(), 1);
     shutdown_all(&rtses);
 }
 

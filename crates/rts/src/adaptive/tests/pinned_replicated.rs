@@ -505,7 +505,47 @@ mod tests {
         std::thread::sleep(Duration::from_millis(80));
         add(&rtses[0], id, 10);
         assert_eq!(waiter.join().unwrap(), 10);
-        assert!(rtses[1].stats().guard_retries >= 1);
+        // Counted where the guard waited: at the copy's owner.
+        let waits: u64 = rtses.iter().map(|rts| rts.stats().guard_retries).sum();
+        assert!(waits >= 1);
+        shutdown_all(&rtses);
+    }
+
+    /// A guarded call waits at the copy that decided it, not in a retry
+    /// loop: blocked for 300 ms at a remote owner, it is one request, parked
+    /// there until a write changes the copy, and its reply — where a caller
+    /// that polled would send a request every few milliseconds.
+    #[test]
+    fn a_blocked_guard_at_a_remote_owner_sends_one_request_not_a_poll() {
+        let net = Network::reliable(2);
+        let rtses = start_all(&net, single_copy(WritePolicy::Update));
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        assert_eq!(read(&rtses[1], id), 0); // fetches the table
+        let before = net.stats();
+        let waiter = {
+            let rts = rtses[1].clone();
+            std::thread::spawn(move || {
+                let op = AccumulatorOp::AwaitAtLeast(1).to_bytes();
+                let reply = rts.invoke(id, Accumulator::TYPE_NAME, OpKind::Read, &op);
+                (i64::from_bytes(&reply.unwrap()).unwrap(), Instant::now())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(300));
+        let written = Instant::now();
+        assert_eq!(add(&rtses[0], id, 3), 3);
+        let (seen, woken) = waiter.join().unwrap();
+        assert_eq!(seen, 3);
+        let sent = net.stats().since(&before).node(NodeId(1)).messages_sent();
+        assert!(sent <= 2, "the blocked call sent {sent} messages");
+        let late = woken.duration_since(written);
+        assert!(
+            late < Duration::from_millis(100),
+            "woken {late:?} after the write"
+        );
+        let waits: u64 = rtses.iter().map(|rts| rts.stats().guard_retries).sum();
+        assert_eq!(waits, 1, "one wait, at the owner");
         shutdown_all(&rtses);
     }
 

@@ -12,7 +12,8 @@
 //! Blocking operations (guards) are handled the way the Orca RTS does it: a
 //! delivered operation whose guard is false changes nothing — on any replica,
 //! since they are all in the same state — and the invoking node re-issues the
-//! operation when its local replica changes.
+//! operation when its local replica has moved past the version the guard was
+//! evaluated at; a read waits for the same on the replica it read.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +33,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::pipeline::{all_failed, batch_capacity, BatchPolicy, LazyPipeline, QueuedOp};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
-use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem};
+use crate::{await_change, AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 
 wire_type! {
     /// Message shipped through the totally-ordered broadcast by this RTS.
@@ -206,15 +207,8 @@ impl std::fmt::Debug for BroadcastRts {
 /// retransmission rounds.
 const DEFAULT_INVOCATION_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How often a wait for an outstanding slot looks for a shutdown.
-const SLOT_WAIT_SLICE: Duration = Duration::from_millis(50);
-
 /// How long `invoke` waits for an object created elsewhere to appear locally.
 const OBJECT_WAIT_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long a blocked (guarded) operation waits for a local change before
-/// re-issuing its broadcast anyway (protects against missed wake-ups).
-const GUARD_REISSUE_INTERVAL: Duration = Duration::from_millis(200);
 
 impl BroadcastRts {
     /// Start the broadcast runtime system on the node owning `handle`.
@@ -280,10 +274,11 @@ impl BroadcastRts {
             let _ = handle.join();
         }
         // Wake readers parked on `wait_for_object` and on per-object guard
-        // condvars; their wait loops re-check `stopped`.
+        // condvars, under the locks they wait with; their waits see `stopped`.
+        let objects = self.inner.objects.lock();
         self.inner.object_created.notify_all();
-        let entries: Vec<Arc<ObjectEntry>> = self.inner.objects.lock().values().cloned().collect();
-        for entry in entries {
+        for entry in objects.values() {
+            let _replica = entry.replica.lock();
             entry.changed.notify_all();
         }
     }
@@ -315,7 +310,7 @@ impl BroadcastRts {
     /// Occupy one slot of the total order — a create, a write or a write
     /// batch — and wait for the local manager to consume it. `encode`
     /// builds the message around the slot's id, and is called only when
-    /// the message is sent. The wait watches for a shutdown; at the
+    /// the message is sent. A shutdown resolves the wait (withdrawn); at the
     /// deadline the slot is withdrawn and waited for once more. The
     /// withdraw rides the same total order, so exactly one of three things
     /// comes back: the slot's results, however late (the operations
@@ -332,16 +327,7 @@ impl BroadcastRts {
         let (tx, rx) = bounded(1);
         inner.pending.lock().insert(id, tx);
         let stopped = || inner.stopped.load(Ordering::SeqCst);
-        let wait = || {
-            let deadline = Instant::now() + inner.op_timeout();
-            loop {
-                match rx.recv_timeout(SLOT_WAIT_SLICE) {
-                    Ok(delivery) => return Some(delivery),
-                    Err(_) if stopped() || Instant::now() >= deadline => return None,
-                    Err(_) => {}
-                }
-            }
-        };
+        let wait = || rx.recv_timeout(inner.op_timeout()).ok();
         // Checked after the insert: a shutdown that raced it has drained
         // the table already, and would leave this slot waiting out its
         // deadline.
@@ -368,44 +354,54 @@ impl BroadcastRts {
     }
 
     fn wait_for_object(&self, object: ObjectId) -> Result<Arc<ObjectEntry>, RtsError> {
-        let deadline = Instant::now() + OBJECT_WAIT_TIMEOUT;
-        let mut objects = self.inner.objects.lock();
-        loop {
-            if let Some(entry) = objects.get(&object) {
-                return Ok(Arc::clone(entry));
-            }
-            if self.inner.stopped.load(Ordering::SeqCst) {
-                return Err(RtsError::Terminated);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RtsError::Object(ObjectError::NoSuchObject(object)));
-            }
-            self.inner
-                .object_created
-                .wait_for(&mut objects, deadline - now);
+        let stopped = || self.inner.stopped.load(Ordering::SeqCst);
+        let objects = &mut self.inner.objects.lock();
+        let until = Some(Instant::now() + OBJECT_WAIT_TIMEOUT);
+        let missing = |objects: &HashMap<_, _>| !objects.contains_key(&object) && !stopped();
+        await_change(&self.inner.object_created, objects, until, missing);
+        match objects.get(&object) {
+            Some(entry) => Ok(Arc::clone(entry)),
+            None if stopped() => Err(RtsError::Terminated),
+            None => Err(RtsError::Object(ObjectError::NoSuchObject(object))),
         }
     }
 
-    fn local_read(&self, entry: &ObjectEntry, op: &[u8]) -> Result<Vec<u8>, RtsError> {
-        let mut replica = entry.replica.lock();
+    /// A read of object `id` on the local replica. A false guard waits for the
+    /// replica to move past the version it was false at if the read may
+    /// `park`; a pipelined round's read may not: it is `None`, resolved
+    /// `Blocked` (the caller's `wait()` re-enters it at the tail of the
+    /// pipeline), instead of stalling the round.
+    fn local_read(&self, id: ObjectId, op: &[u8], park: bool) -> Result<Option<Vec<u8>>, RtsError> {
+        let entry = self.wait_for_object(id)?;
         loop {
+            let mut replica = entry.replica.lock();
             match replica.apply_encoded(op)? {
                 AppliedOutcome::Done(reply) => {
                     self.inner.stats.local_reads.inc();
-                    return Ok(reply);
+                    return Ok(Some(reply));
                 }
-                AppliedOutcome::Blocked => {
-                    // After shutdown no write can ever make the guard true;
-                    // fail instead of parking forever.
-                    if self.inner.stopped.load(Ordering::SeqCst) {
-                        return Err(RtsError::Terminated);
-                    }
-                    self.inner.stats.guard_retries.inc();
-                    entry.changed.wait_for(&mut replica, GUARD_REISSUE_INTERVAL);
-                }
+                AppliedOutcome::Blocked if !park => return Ok(None),
+                AppliedOutcome::Blocked => {}
             }
+            let seen = replica.version();
+            drop(replica);
+            self.blocked(&entry, seen)?;
         }
+    }
+
+    /// Wait for the replica of `entry` to move past `seen`, the version a
+    /// guard was found false at; `Terminated` at shutdown, after which no
+    /// write can make the guard true.
+    fn blocked(&self, entry: &ObjectEntry, seen: u64) -> Result<(), RtsError> {
+        let stopped = || self.inner.stopped.load(Ordering::SeqCst);
+        if stopped() {
+            return Err(RtsError::Terminated);
+        }
+        self.inner.stats.guard_retries.inc();
+        await_change(&entry.changed, &mut entry.replica.lock(), None, |r| {
+            r.version() == seen && !stopped()
+        });
+        Ok(())
     }
 
     /// Execute one flusher round: consecutive writes coalesce into one
@@ -422,32 +418,16 @@ impl BroadcastRts {
                     if !writes.is_empty() {
                         self.send_write_batch(std::mem::take(&mut writes));
                     }
-                    self.async_local_read(op);
+                    match self.local_read(op.object, &op.op, false) {
+                        Ok(Some(reply)) => op.completer.complete(Ok(reply)),
+                        Ok(None) => op.completer.complete_blocked(),
+                        Err(err) => op.completer.complete(Err(err)),
+                    }
                 }
             }
         }
         if !writes.is_empty() {
             self.send_write_batch(writes);
-        }
-    }
-
-    /// One non-blocking local read on behalf of the asynchronous path; a
-    /// false guard resolves the handle `Blocked` (the caller's `wait()`
-    /// re-enters it at the tail of the pipeline) instead of stalling the
-    /// round.
-    fn async_local_read(&self, op: QueuedOp) {
-        let entry = match self.wait_for_object(op.object) {
-            Ok(entry) => entry,
-            Err(err) => return op.completer.complete(Err(err)),
-        };
-        let outcome = entry.replica.lock().apply_encoded(&op.op);
-        match outcome {
-            Ok(AppliedOutcome::Done(reply)) => {
-                self.inner.stats.local_reads.inc();
-                op.completer.complete(Ok(reply));
-            }
-            Ok(AppliedOutcome::Blocked) => op.completer.complete_blocked(),
-            Err(err) => op.completer.complete(Err(err.into())),
         }
     }
 
@@ -505,15 +485,9 @@ impl BroadcastRts {
             match only(results) {
                 InvocationResult::Done(reply) => return Ok(reply),
                 InvocationResult::Failed(err) => return Err(err.into()),
-                InvocationResult::Blocked(seen_version) => {
-                    // Guard false everywhere. Wait until the local replica
-                    // changes (or a timeout elapses) and re-issue.
-                    if self.inner.stopped.load(Ordering::SeqCst) {
-                        return Err(RtsError::Terminated);
-                    }
-                    self.inner.stats.guard_retries.inc();
-                    await_change(&entry, seen_version);
-                }
+                // Guard false everywhere: re-issued once the local replica
+                // has moved past the version it was false at.
+                InvocationResult::Blocked(seen) => self.blocked(&entry, seen)?,
             }
         }
     }
@@ -566,8 +540,8 @@ impl RuntimeSystem for BroadcastRts {
     ) -> Result<Vec<u8>, RtsError> {
         match kind {
             OpKind::Read => {
-                let entry = self.wait_for_object(object)?;
-                self.local_read(&entry, op)
+                let read = self.local_read(object, op, true).transpose();
+                read.expect("a call waits for its guard")
             }
             OpKind::Write => self.broadcast_write(object, op),
         }
@@ -739,20 +713,6 @@ fn apply_write(inner: &Arc<Inner>, object: ObjectId, op: &[u8], counted: bool) -
     }
 }
 
-/// Park a guard-blocked write until the replica of `entry` has moved past
-/// `seen_version`, the version its guard was found false at, or the re-issue
-/// interval is up. False when there was nothing to wait for: a write got in
-/// between the manager's evaluation and this call — the wake-up it sent
-/// is gone, and the guard may be true by now.
-fn await_change(entry: &ObjectEntry, seen_version: u64) -> bool {
-    let mut replica = entry.replica.lock();
-    let unchanged = replica.version() == seen_version;
-    if unchanged {
-        entry.changed.wait_for(&mut replica, GUARD_REISSUE_INTERVAL);
-    }
-    unchanged
-}
-
 /// Resolve this node's outstanding slot `id`, if it is still waited for.
 fn complete(inner: &Arc<Inner>, id: u64, delivery: Delivery) {
     if let Some(tx) = inner.pending.lock().remove(&id) {
@@ -796,7 +756,8 @@ mod tests {
 
     /// The guard's version travels with the `Blocked`: a write applied
     /// between the manager's evaluation and the invocation's wait is seen,
-    /// and the wait — 200 ms for a wake-up that has already been — skipped.
+    /// and the wait — forever, for a wake-up that has already been —
+    /// skipped.
     #[test]
     fn a_guarded_write_does_not_wait_for_a_change_that_has_happened() {
         let replica = registry().instantiate(Accumulator::TYPE_NAME, &0i64.to_bytes());
@@ -807,10 +768,10 @@ mod tests {
         let evaluated_at = entry.replica.lock().version();
         let add = AccumulatorOp::Add(1).to_bytes();
         entry.replica.lock().apply_encoded(&add).unwrap();
-        assert!(
-            !await_change(&entry, evaluated_at),
-            "waited for a past change"
-        );
+        let mut replica = entry.replica.lock();
+        assert!(await_change(&entry.changed, &mut replica, None, |r| r
+            .version()
+            == evaluated_at));
     }
 
     #[test]

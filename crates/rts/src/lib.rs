@@ -247,6 +247,24 @@ pub trait RuntimeSystem: Send + Sync {
     fn kind(&self) -> RtsKind;
 }
 
+/// The one wait for a copy to change, in both engines — a false guard's above
+/// all: park on `changed`, the condition variable of the mutex `copy` holds,
+/// while `unchanged` says the copy is as it was, until `until` if given. True
+/// when it changed.
+pub(crate) fn await_change<T>(
+    changed: &parking_lot::Condvar,
+    copy: &mut parking_lot::MutexGuard<'_, T>,
+    until: Option<std::time::Instant>,
+    unchanged: impl Fn(&T) -> bool,
+) -> bool {
+    let now = std::time::Instant::now;
+    while unchanged(copy) && until.is_none_or(|until| now() < until) {
+        let left = until.map(|until| until.saturating_duration_since(now()));
+        changed.wait_for(copy, left.unwrap_or(std::time::Duration::MAX));
+    }
+    !unchanged(copy)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@
 //! submitted since, never jumping the queue through the synchronous path —
 //! while later operations do not wait for its guard. Pipelining is for
 //! non-blocking operations; synchronization points should use the
-//! synchronous API, which waits for the guard instead of polling it.
+//! synchronous API, which waits at the copy that evaluated the guard.
 //!
 //! # Failure contract
 //!

@@ -49,7 +49,7 @@ pub struct RecoveryConfig {
     /// [`crate::RtsError::NodeDown`] errors.
     pub rehome: bool,
     /// Heartbeat interval of the failure detector, and how often a request
-    /// waiting on a node re-checks whether it has been declared dead.
+    /// waiting on a node re-checks whether it is dead or this node stopped.
     pub heartbeat_every: Duration,
     /// Heartbeat intervals of silence before a node is declared dead.
     pub suspect_after: u32,

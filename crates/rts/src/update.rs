@@ -355,18 +355,11 @@ impl HeldCopy {
         own_marks: u32,
         budget: Duration,
     ) {
-        let deadline = Instant::now() + budget;
-        while state.epoch == epoch
-            && state.copy.is_some()
-            && version > state.version + 1
-            && state.pending_writes > own_marks
-        {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return;
-            }
-            self.unlocked.wait_for(state, remaining);
-        }
+        let behind = |state: &CopyState| {
+            let coming = state.epoch == epoch && state.copy.is_some();
+            coming && version > state.version + 1 && state.pending_writes > own_marks
+        };
+        crate::await_change(&self.unlocked, state, Some(Instant::now() + budget), behind);
     }
 
     /// Phase 1 at a holder: apply the pushed run `ops`

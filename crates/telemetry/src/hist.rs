@@ -89,11 +89,6 @@ impl Hist {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Record a `std::time::Duration` in nanoseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

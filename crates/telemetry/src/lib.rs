@@ -71,11 +71,6 @@ impl Telemetry {
         &self.registry
     }
 
-    /// Number of per-node flight recorders.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Draw the next logical timestamp (also advances sim time for
     /// callers that only need ordering, not an event).
     pub fn tick(&self) -> u64 {

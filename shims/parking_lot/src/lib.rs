@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Mutual exclusion primitive (subset of `parking_lot::Mutex`).
@@ -100,23 +101,31 @@ impl WaitTimeoutResult {
 
 /// Condition variable usable with [`MutexGuard`] (subset of
 /// `parking_lot::Condvar`).
+///
+/// As in parking_lot, a notification nobody waits for costs an atomic load,
+/// not a system call: a waiter is counted before it gives up the mutex, so
+/// a notifier that changed the awaited state under that mutex sees it.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let std_guard = guard.inner.take().expect("guard active");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let std_guard = self
             .inner
             .wait(std_guard)
             .unwrap_or_else(|_| panic!("mutex poisoned"));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(std_guard);
     }
 
@@ -126,22 +135,30 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let std_guard = guard.inner.take().expect("guard active");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (std_guard, result) = self
             .inner
             .wait_timeout(std_guard, timeout)
             .unwrap_or_else(|_| panic!("mutex poisoned"));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(std_guard);
         WaitTimeoutResult(result.timed_out())
     }
 
     pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
+        let waiting = self.waiters.load(Ordering::SeqCst) > 0;
+        if waiting {
+            self.inner.notify_one();
+        }
+        waiting
     }
 
     pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
+        let waiting = self.waiters.load(Ordering::SeqCst);
+        if waiting > 0 {
+            self.inner.notify_all();
+        }
+        waiting
     }
 }
 
