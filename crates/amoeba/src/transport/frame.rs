@@ -100,6 +100,13 @@ impl Frame {
     /// Encode the frame into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the encoded frame to `buf` (after a stream's length prefix,
+    /// say), copying the payload once.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
         buf.push(FRAME_VERSION);
         buf.push(match self.delivery {
@@ -110,7 +117,6 @@ impl Frame {
         buf.extend_from_slice(&self.dst.0.to_be_bytes());
         buf.extend_from_slice(&self.port.to_be_bytes());
         buf.extend_from_slice(&self.payload);
-        buf
     }
 
     /// Decode a frame from a full buffer (one TCP message body or one UDP

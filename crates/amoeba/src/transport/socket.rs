@@ -26,6 +26,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::unbounded;
@@ -125,6 +126,9 @@ struct SocketInner {
     conns: Vec<Mutex<Option<TcpStream>>>,
     /// Accepted inbound streams, kept so shutdown can unblock their readers.
     accepted: Mutex<Vec<TcpStream>>,
+    /// The accept, datagram and connection-reader threads, joined at
+    /// shutdown.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     /// Peers the failure detector has confirmed dead (fail-stop: sticky).
     confirmed_dead: Vec<AtomicBool>,
     /// Local crash simulation for in-process loopback clusters: sends go
@@ -173,10 +177,11 @@ impl SocketInner {
             self.record_send_drop(frame);
             return;
         }
-        let body = frame.encode();
-        let mut buf = Vec::with_capacity(4 + body.len());
-        buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&body);
+        // The length prefix and the frame, in one buffer.
+        let len = frame.encoded_len();
+        let mut buf = Vec::with_capacity(4 + len);
+        buf.extend_from_slice(&(len as u32).to_be_bytes());
+        frame.encode_into(&mut buf);
 
         let mut guard = self.conns[dst.index()].lock();
         for attempt in 0..2 {
@@ -337,6 +342,7 @@ impl BoundSocket {
             demux: PortDemux::new(),
             conns: (0..nodes).map(|_| Mutex::new(None)).collect(),
             accepted: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
             confirmed_dead: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             local_crash: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -350,18 +356,23 @@ impl BoundSocket {
             connect_timeout,
         });
 
+        // Held while both loops start, so the accept loop's first reader
+        // queues behind them: the accept loop is the first thread listed.
+        let mut threads = inner.threads.lock();
         let accept_inner = Arc::clone(&inner);
         let listener = self.listener;
-        std::thread::Builder::new()
+        let accept = std::thread::Builder::new()
             .name(format!("orca-accept-{}", node.index()))
             .spawn(move || accept_loop(listener, accept_inner))
             .expect("spawn accept thread");
 
         let udp_inner = Arc::clone(&inner);
-        std::thread::Builder::new()
+        let udp = std::thread::Builder::new()
             .name(format!("orca-udp-{}", node.index()))
             .spawn(move || udp_loop(udp_inner))
             .expect("spawn udp thread");
+        threads.extend([accept, udp]);
+        drop(threads);
 
         Arc::new(SocketTransport { inner })
     }
@@ -389,9 +400,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<SocketInner>) {
                     return;
                 }
                 let reader_inner = Arc::clone(&inner);
-                let _ = std::thread::Builder::new()
+                let reader = std::thread::Builder::new()
                     .name(format!("orca-tcp-{}", reader_inner.node.index()))
                     .spawn(move || tcp_reader(stream, reader_inner));
+                inner.threads.lock().extend(reader);
             }
             // Out of descriptors, or the like: do not spin on it.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
@@ -441,6 +453,8 @@ fn udp_loop(inner: Arc<SocketInner>) {
     let mut buf = vec![0u8; 65536];
     while !inner.shutdown.load(Ordering::SeqCst) {
         match inner.udp.recv_from(&mut buf) {
+            // Shutdown's wake-up call.
+            Ok(_) if inner.shutdown.load(Ordering::SeqCst) => return,
             Ok((len, _)) => match Frame::decode(&buf[..len]) {
                 Ok(frame) => {
                     inner.counters.udp_datagrams_received.inc();
@@ -538,15 +552,27 @@ impl SocketTransport {
             .record_traced(self.inner.node.0, FlightKind::Crash, 0, 0);
     }
 
-    /// Stop the background threads and close every socket. Idempotent;
-    /// also run when the last handle to the transport is dropped.
+    /// Stop the background threads, close every socket, and join the
+    /// threads (all but the calling one) before returning. Idempotent; also
+    /// run when the last handle to the transport is dropped.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         // The accept loop sees the flag as soon as this connection wakes
-        // it, and exits (closing the listener) without serving it.
+        // it, and exits (closing the listener) without serving it; the
+        // datagram loop as soon as a datagram to itself does.
         let _ = TcpStream::connect_timeout(&self.inner.wake_addr, self.inner.connect_timeout);
+        let _ = self.inner.udp.send_to(&[], self.inner.wake_addr);
+        let me = std::thread::current().id();
+        let join = |thread: JoinHandle<()>| {
+            if thread.thread().id() != me {
+                let _ = thread.join();
+            }
+        };
+        // The accept loop first: once it is gone, no reader starts.
+        let accept = self.inner.threads.lock().remove(0);
+        join(accept);
         for stream in self.inner.accepted.lock().drain(..) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
@@ -555,6 +581,8 @@ impl SocketTransport {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         }
+        let threads = std::mem::take(&mut *self.inner.threads.lock());
+        threads.into_iter().for_each(join);
     }
 }
 

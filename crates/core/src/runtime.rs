@@ -7,7 +7,7 @@ use orca_amoeba::network::{Network, NetworkConfig, NetworkHandle};
 use orca_amoeba::process::{ProcessHandle, ProcessorPool};
 use orca_amoeba::transport::{SocketTransport, Transport};
 use orca_amoeba::{NetStatsSnapshot, NodeId};
-use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
+use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind, Replica};
 use orca_rts::{
     AdaptiveRts, AsyncOp, BroadcastRts, FailureDetector, RegimeKind, RtsKind, RtsStatsSnapshot,
     RuntimeSystem, ViewSnapshot,
@@ -273,9 +273,12 @@ impl OrcaNode {
             .collect()
     }
 
-    /// Create a new shared object from this process's node.
+    /// Create a new shared object from this process's node. The runtime
+    /// system gets the state as a value, and encodes it only for the nodes
+    /// it ships to.
     pub fn create<T: ObjectType>(&self, initial: &T::State) -> OrcaResult<ObjectHandle<T>> {
-        let id = self.rts.create_object(T::TYPE_NAME, &initial.to_bytes())?;
+        let replica = Box::new(Replica::<T>::new(initial.clone()));
+        let id = self.rts.create_object(replica)?;
         Ok(ObjectHandle::from_id(id))
     }
 

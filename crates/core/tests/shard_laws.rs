@@ -4,6 +4,10 @@
 //! runtime system move drained partitions as they are when the partition
 //! count stays, instead of merging them and cutting the whole again.
 //!
+//! Every state and partition here is sized too: its `encoded_len`, the
+//! size pass a home prices an object's first move by, is exactly the
+//! length of its bytes — for the integer's state as well.
+//!
 //! Driven by a seeded SplitMix64 generator, like the wire property tests:
 //! every case is reproducible from its index.
 
@@ -11,9 +15,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 
 use orca_core::objects::{
-    BoolArrayObject, JobQueueObject, JobQueueState, KvTableObject, SetObject, TableEntry,
+    BoolArrayObject, IntObject, JobQueueObject, JobQueueState, KvTableObject, SetObject, TableEntry,
 };
 use orca_object::shard::{shard_of_u64, ShardableType};
+use orca_object::ObjectType;
+use orca_wire::Wire;
 
 const CASES: usize = 256;
 
@@ -33,15 +39,23 @@ impl Gen {
     }
 }
 
+/// The size pass of a state counts exactly the bytes its encoding writes.
+fn exact_len<T: ObjectType>(state: &T::State, case: usize) {
+    let (counted, written) = (state.encoded_len(), state.to_bytes().len());
+    assert_eq!(counted, written, "case {case}: {} state size", T::TYPE_NAME);
+}
+
 /// Both laws for `state` cut into 1–5 partitions, the first up to `same`:
 /// what a state means, for a type that does not promise every detail back.
 fn laws<T: ShardableType>(state: T::State, case: usize, same: fn(T::State) -> T::State)
 where
     T::State: PartialEq + Debug,
 {
+    exact_len::<T>(&state, case);
     for parts in 1..=5u32 {
         let split = T::split_state(state.clone(), parts);
         assert_eq!(split.len(), parts as usize, "case {case}, {parts} parts");
+        split.iter().for_each(|part| exact_len::<T>(part, case));
         let merged = T::merge_states(split.clone());
         let (got, want) = (same(merged.clone()), same(state.clone()));
         assert_eq!(
@@ -113,6 +127,17 @@ fn job_queue_splits_and_merges_back() {
             state.jobs.make_contiguous().sort();
             state
         });
+    }
+}
+
+#[test]
+fn an_integer_state_is_sized_exactly() {
+    let mut gen = Gen(0x5EED_0006);
+    for case in 0..CASES {
+        exact_len::<IntObject>(&(gen.next() as i64 >> gen.below(64)), case);
+    }
+    for edge in [0, -1, 63, -64, 64, i64::MIN, i64::MAX] {
+        exact_len::<IntObject>(&edge, 0);
     }
 }
 

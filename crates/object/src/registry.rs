@@ -64,6 +64,16 @@ impl ObjectRegistry {
         self.factories.contains_key(type_name)
     }
 
+    /// `Ok` if `type_name` has been registered, else
+    /// [`ObjectError::UnknownType`]: what a runtime system answers a create
+    /// of a type its node cannot instantiate.
+    pub fn require(&self, type_name: &str) -> Result<(), ObjectError> {
+        match self.contains(type_name) {
+            true => Ok(()),
+            false => Err(ObjectError::UnknownType(type_name.to_string())),
+        }
+    }
+
     /// Partitioning logic of `type_name`, if it was registered as shardable.
     pub fn shard_logic(&self, type_name: &str) -> Option<Arc<dyn ShardLogic>> {
         self.shard_logic.get(type_name).cloned()

@@ -1,5 +1,7 @@
 //! Replicas: one node's copy of a shared data-object.
 
+use std::any::Any;
+
 use orca_wire::Wire;
 
 use crate::{ObjectError, ObjectType, OpKind, OpOutcome};
@@ -22,6 +24,10 @@ impl AppliedOutcome {
 
 /// Type-erased interface to a replica, used by the runtime systems so they
 /// can manage objects of arbitrary types and ship encoded operations.
+///
+/// An object's initial state reaches its runtime system as one of these —
+/// a value, built from the state the creating process holds — and is
+/// encoded only for the nodes it ships to.
 pub trait AnyReplica: Send + Sync {
     /// Registered type name of the object.
     fn type_name(&self) -> &'static str;
@@ -39,9 +45,17 @@ pub trait AnyReplica: Send + Sync {
     /// re-fetches in the primary-copy runtime system).
     fn state_bytes(&self) -> Vec<u8>;
 
+    /// Size of the encoded state, counted without encoding it (a size
+    /// pass, [`Wire::encoded_len`]): exactly `state_bytes().len()`.
+    fn state_len(&self) -> usize;
+
     /// Overwrite the state from an encoded representation (used when
     /// installing a fetched copy).
     fn set_state_bytes(&mut self, bytes: &[u8]) -> Result<(), ObjectError>;
+
+    /// The replica as [`Any`], for typed code to take back what it built
+    /// (a partitioning of its state, say).
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 
     /// Monotonic counter of completed write operations on this replica.
     fn version(&self) -> u64;
@@ -65,6 +79,11 @@ impl<T: ObjectType> Replica<T> {
         let state =
             T::State::from_bytes(bytes).map_err(|err| ObjectError::Codec(err.to_string()))?;
         Ok(Replica::new(state))
+    }
+
+    /// Take the typed state out of the replica.
+    pub fn into_state(self) -> T::State {
+        self.state
     }
 
     /// Borrow the typed state (used by tests and by local reads in the typed
@@ -105,11 +124,19 @@ impl<T: ObjectType> AnyReplica for Replica<T> {
         self.state.to_bytes()
     }
 
+    fn state_len(&self) -> usize {
+        self.state.encoded_len()
+    }
+
     fn set_state_bytes(&mut self, bytes: &[u8]) -> Result<(), ObjectError> {
         self.state =
             T::State::from_bytes(bytes).map_err(|err| ObjectError::Codec(err.to_string()))?;
         self.version += 1;
         Ok(())
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
     }
 
     fn version(&self) -> u64 {
@@ -161,6 +188,7 @@ mod tests {
         let mut source = Replica::<Accumulator>::new(0);
         source.apply(&AccumulatorOp::Add(42));
         let bytes = source.state_bytes();
+        assert_eq!(source.state_len(), bytes.len());
         let mut target = Replica::<Accumulator>::new(0);
         target.set_state_bytes(&bytes).unwrap();
         assert_eq!(*target.state(), 42);

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use orca_wire::Wire;
 
-use crate::{ObjectError, ObjectType, OpOutcome};
+use crate::{AnyReplica, ObjectError, ObjectType, OpOutcome, Replica};
 
 /// How an operation maps onto the partitions of a sharded object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +97,16 @@ pub trait ShardableType: ObjectType {
 /// Type-erased partitioning logic, operating on encoded states, operations
 /// and replies. This is what the runtime system stores and calls.
 pub trait ShardLogic: Send + Sync {
-    /// Split an encoded state into `parts` encoded partition states.
+    /// Split a replica's state into `parts` partition replicas, in memory:
+    /// nothing is encoded or decoded. `whole` must be of this logic's type.
+    fn split_replica(
+        &self,
+        whole: Box<dyn AnyReplica>,
+        parts: u32,
+    ) -> Result<Vec<Box<dyn AnyReplica>>, ObjectError>;
+
+    /// Split an encoded state into `parts` encoded partition states:
+    /// [`ShardLogic::split_replica`] of the replica it decodes to.
     fn split_state(&self, state: &[u8], parts: u32) -> Result<Vec<Vec<u8>>, ObjectError>;
 
     /// Recombine encoded partition states (partition order) into one
@@ -150,11 +159,25 @@ impl<T: ShardableType> ShardAdapter<T> {
 }
 
 impl<T: ShardableType> ShardLogic for ShardAdapter<T> {
-    fn split_state(&self, state: &[u8], parts: u32) -> Result<Vec<Vec<u8>>, ObjectError> {
-        let state = T::State::from_bytes(state).map_err(codec::<T::State>)?;
-        let split = T::split_state(state, parts);
+    fn split_replica(
+        &self,
+        whole: Box<dyn AnyReplica>,
+        parts: u32,
+    ) -> Result<Vec<Box<dyn AnyReplica>>, ObjectError> {
+        let name = whole.type_name();
+        let whole = whole.into_any().downcast::<Replica<T>>().map_err(|_| {
+            ObjectError::Codec(format!("a {name} replica split as {}", T::TYPE_NAME))
+        })?;
+        let split = T::split_state(whole.into_state(), parts);
         debug_assert_eq!(split.len(), parts as usize, "split_state arity");
-        Ok(split.iter().map(Wire::to_bytes).collect())
+        let replica = |state| Box::new(Replica::<T>::new(state)) as Box<dyn AnyReplica>;
+        Ok(split.into_iter().map(replica).collect())
+    }
+
+    fn split_state(&self, state: &[u8], parts: u32) -> Result<Vec<Vec<u8>>, ObjectError> {
+        let whole = T::State::from_bytes(state).map_err(codec::<T::State>)?;
+        let split = self.split_replica(Box::new(Replica::<T>::new(whole)), parts)?;
+        Ok(split.iter().map(|part| part.state_bytes()).collect())
     }
 
     fn merge_states(&self, parts: Vec<Vec<u8>>) -> Result<Vec<u8>, ObjectError> {
@@ -320,6 +343,23 @@ mod tests {
             BankReply::from_bytes(&combined).unwrap(),
             BankReply::Value((0..8i64).sum())
         );
+    }
+
+    #[test]
+    fn a_replica_splits_in_memory_as_its_bytes_split() {
+        let logic = ShardAdapter::<Bank>::shared();
+        let state: <Bank as ObjectType>::State = (0..9u64).map(|k| (k, 2)).collect();
+        let whole = Box::new(Replica::<Bank>::new(state.clone()));
+        let parts = logic.split_replica(whole, 4).unwrap();
+        let bytes: Vec<_> = parts.iter().map(|part| part.state_bytes()).collect();
+        assert_eq!(bytes, logic.split_state(&state.to_bytes(), 4).unwrap());
+        assert!(parts.iter().all(|part| part.type_name() == Bank::TYPE_NAME));
+        // A replica of another type is refused, not split.
+        let other = Box::new(Replica::<crate::testing::Accumulator>::new(1));
+        assert!(matches!(
+            logic.split_replica(other, 2),
+            Err(ObjectError::Codec(_))
+        ));
     }
 
     #[test]

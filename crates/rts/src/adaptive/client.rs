@@ -753,19 +753,20 @@ impl RuntimeSystem for AdaptiveRts {
         self.inner.num_nodes
     }
 
-    fn create_object(&self, type_name: &str, initial_state: &[u8]) -> Result<ObjectId, RtsError> {
-        let inner = &self.inner;
+    fn create_object(&self, initial: Box<dyn AnyReplica>) -> Result<ObjectId, RtsError> {
+        let (inner, type_name) = (&self.inner, initial.type_name());
+        inner.registry.require(type_name)?;
         let counter = inner.next_object.fetch_add(1, Ordering::Relaxed);
         let id = ObjectId::compose(inner.node.0, counter);
         // Unless pinned to sharded, an object starts as a replicated copy
         // here, without mirrors: nobody has read it yet.
         let regime = inner.policy.pin.unwrap_or(RegimeKind::Replicated);
-        let owners = match inner.registry.shard_logic(type_name) {
+        let sharded = regime == RegimeKind::Sharded;
+        let logic = inner.registry.shard_logic(type_name).filter(|_| sharded);
+        let owners = match logic {
             // The owners of an object nobody has used yet: every node's.
-            Some(_) if regime == RegimeKind::Sharded => {
-                placement(inner, id, &UsageAggregate::default(), &[])
-            }
-            _ => vec![inner.node.0],
+            Some(_) => placement(inner, id, &UsageAggregate::default(), &[]),
+            None => vec![inner.node.0],
         };
         let table = RegimeTable {
             object: id.0,
@@ -775,10 +776,15 @@ impl RuntimeSystem for AdaptiveRts {
             owners,
             mirrors: Vec::new(),
         };
-        let states = cut(inner, &table, initial_state)?;
-        install_slots(inner, &table, states, &DedupWindow::new())?;
+        // Priced by a size pass, split in memory, encoded for other nodes.
         let mut usage = UsageAggregate::default();
-        usage.state = initial_state.len();
+        usage.state = initial.state_len();
+        let parts = match logic {
+            Some(logic) => logic.split_replica(initial, table.partitions())?,
+            None => vec![initial],
+        };
+        let parts = parts.into_iter().map(Part::Value);
+        install_slots(inner, &table, parts, &DedupWindow::new())?;
         inner.homes.write().insert(
             id,
             Arc::new(HomeObject {

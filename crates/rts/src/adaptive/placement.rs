@@ -202,7 +202,7 @@ pub(super) fn carry_out(
     let mut new = placed;
     new.epoch = old.epoch + 1;
     let installed = if (new.regime, new.owners.len()) == (old.regime, old.owners.len()) {
-        install_slots(inner, &new, states().collect(), &dedup).map(|()| new)
+        install_slots(inner, &new, states().map(Part::Bytes), &dedup).map(|()| new)
     } else {
         install_new_regime(inner, old, new, states().collect(), &dedup)
     };
@@ -258,7 +258,7 @@ fn install_new_regime(
                 mirrors: Vec::new(),
                 ..new
             };
-            install_slots(inner, &fallback, vec![full], dedup)?;
+            install_slots(inner, &fallback, vec![Part::Bytes(full)], dedup)?;
             Ok(fallback)
         }
         Err(err) => Err(err),
@@ -267,22 +267,14 @@ fn install_new_regime(
 
 /// The whole-object state `full` cut into the partitions `table` names: one
 /// copy under the replicated regime, one state per owner under the sharded
-/// regime (a type that does not shard is one partition). A type nobody
-/// registered is refused here, before anything is installed.
-pub(super) fn cut(
-    inner: &Inner,
-    table: &RegimeTable,
-    full: &[u8],
-) -> Result<Vec<Vec<u8>>, RtsError> {
-    match inner.registry.shard_logic(&table.type_name) {
-        Some(logic) if table.regime == RegimeKind::Sharded => {
-            Ok(logic.split_state(full, table.partitions())?)
-        }
-        _ if !inner.registry.contains(&table.type_name) => {
-            Err(ObjectError::UnknownType(table.type_name.clone()).into())
-        }
-        _ => Ok(vec![full.to_vec()]),
-    }
+/// regime (a type that does not shard is one partition).
+fn cut(inner: &Inner, table: &RegimeTable, full: &[u8]) -> Result<Vec<Part>, RtsError> {
+    let sharded = table.regime == RegimeKind::Sharded;
+    let parts = match inner.registry.shard_logic(&table.type_name) {
+        Some(logic) if sharded => logic.split_state(full, table.partitions())?,
+        _ => vec![full.to_vec()],
+    };
+    Ok(parts.into_iter().map(Part::Bytes).collect())
 }
 
 /// The error of a `what` request answered `reply`.
@@ -366,7 +358,7 @@ pub(super) fn drain_local(
 }
 
 /// Install the authoritative slots `table` names, partition `i` at owner
-/// `i` with `states[i]`: one copy at its owner under the replicated regime,
+/// `i` with `parts[i]`: one copy at its owner under the replicated regime,
 /// one partition per owner under the sharded regime (a type that does not
 /// shard is one partition). Every install goes out at once. When an owner
 /// cannot take its partition the partial install is discarded — local
@@ -376,21 +368,35 @@ pub(super) fn drain_local(
 pub(super) fn install_slots(
     inner: &Arc<Inner>,
     table: &RegimeTable,
-    states: Vec<Vec<u8>>,
+    parts: impl IntoIterator<Item = Part>,
     dedup: &DedupWindow,
 ) -> Result<(), RtsError> {
     let object = table_object(table);
     let owners = || (0u32..).zip(&table.owners);
-    let installs = owners().zip(states).map(|((partition, &owner), state)| {
+    let (placed, mut legs, mut local) = ((table.regime, &table.mirrors[..]), vec![], vec![]);
+    for ((partition, &owner), part) in owners().zip(parts) {
+        let state = match part {
+            Part::Value(value) if NodeId(owner) == inner.node => {
+                let key = (object, partition);
+                install_slot(inner, key, table.epoch, value, dedup.clone(), placed);
+                local.push(partition);
+                continue;
+            }
+            Part::Value(value) => value.state_bytes(),
+            Part::Bytes(state) => state,
+        };
         let install = install_msg(table, partition, state, dedup.clone());
-        (NodeId(owner), install)
-    });
+        legs.push((NodeId(owner), install));
+    }
     let deadline = Instant::now() + inner.policy.op_timeout;
-    let done: Vec<_> = regime_fan_out(inner, installs, deadline)
-        .into_iter()
-        .map(|reply| match reply? {
-            RegimeReply::Ack => Ok(()),
-            other => Err(unexpected("Install", other)),
+    let mut replies = regime_fan_out(inner, legs, deadline).into_iter();
+    let done: Vec<_> = owners()
+        .map(|(partition, _)| match local.contains(&partition) {
+            true => Ok(()),
+            false => match replies.next().expect("a reply per install")? {
+                RegimeReply::Ack => Ok(()),
+                other => Err(unexpected("Install", other)),
+            },
         })
         .collect();
     let Some(failure) = done.iter().find_map(|done| done.clone().err()) else {
@@ -413,6 +419,12 @@ pub(super) fn install_slots(
         }
     }
     Err(failure)
+}
+
+/// A partition's state for [`install_slots`]: a value, or the bytes of a move.
+pub(super) enum Part {
+    Value(Box<dyn AnyReplica>),
+    Bytes(Vec<u8>),
 }
 
 /// The message that installs partition `partition` of `table` — its state,

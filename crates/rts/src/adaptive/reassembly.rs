@@ -244,7 +244,8 @@ fn regenerate(
         }
     };
     let placed = (RegimeKind::Replicated, &[][..]);
-    install_slot(inner, key, epoch, name, state, dedup, placed)?;
+    let replica = inner.registry.instantiate(name, state)?;
+    install_slot(inner, key, epoch, replica, dedup, placed);
     if inner.leases_enabled() {
         fence_writes(inner, key);
     }

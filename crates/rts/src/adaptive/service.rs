@@ -98,8 +98,11 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             }
             let key = (ObjectId(object), partition);
             let placed = (regime, &mirrors[..]);
-            match install_slot(inner, key, epoch, &type_name, &state, dedup, placed) {
-                Ok(()) => RegimeReply::Ack,
+            match inner.registry.instantiate(&type_name, &state) {
+                Ok(replica) => {
+                    install_slot(inner, key, epoch, replica, dedup, placed);
+                    RegimeReply::Ack
+                }
                 Err(err) => RegimeReply::Error(err.to_string()),
             }
         }

@@ -258,24 +258,23 @@ fn prime_mirrors(
     }
 }
 
-/// Install an authoritative slot on this node, `placed` = the regime it
-/// serves and the mirrors its table lists. Its mirrors — those but this
-/// node, and the keeper of a sharded-regime slot — are primed here,
-/// wherever the slot is, before it becomes visible: no write's push can
-/// reach a mirror ahead of the state it applies to.
+/// Install an authoritative slot holding `replica` (a created value, or
+/// decoded off the wire) on this node, `placed` = its regime and the mirrors
+/// its table lists. Its mirrors — those but this node, and the keeper of a
+/// sharded-regime slot — are primed here, before it becomes visible: no
+/// write's push can reach a mirror ahead of the state it applies to.
 pub(super) fn install_slot(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     epoch: u64,
-    type_name: &str,
-    state: &[u8],
+    replica: Box<dyn AnyReplica>,
     dedup: DedupWindow,
     (regime, mirrors): (RegimeKind, &[u16]),
-) -> Result<(), RtsError> {
+) {
     let sharded = regime == RegimeKind::Sharded;
     let others = mirrors.iter().filter(|mirror| **mirror != inner.node.0);
     let slot = Slot {
-        replica: Mutex::new(inner.registry.instantiate(type_name, state)?),
+        replica: Mutex::new(replica),
         epoch,
         withdrawn: AtomicBool::new(false),
         mirrors: others.copied().collect(),
@@ -289,7 +288,6 @@ pub(super) fn install_slot(
     let holders = slot.holders(inner);
     prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
     inner.slots.write().insert(key, Arc::new(slot));
-    Ok(())
 }
 
 /// Make this node's mirror of partition `key.1`, of `epoch`, the partition's
@@ -310,8 +308,9 @@ pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> R
     };
     let (name, bytes) = (copy.type_name(), copy.state_bytes());
     let placed = (RegimeKind::Sharded, &[][..]);
-    match install_slot(inner, key, epoch, name, &bytes, dedup, placed) {
-        Ok(()) => {
+    match inner.registry.instantiate(name, &bytes) {
+        Ok(replica) => {
+            install_slot(inner, key, epoch, replica, dedup, placed);
             if leased {
                 fence_writes(inner, key);
             }

@@ -19,6 +19,7 @@ use super::slot::{apply_at_slot, mirror_entry, Slot};
 use super::{AdaptivePolicy, AdaptiveRts};
 use super::{HomeObject, Inner};
 use crate::recovery::RecoveryConfig;
+use crate::tests::CreateEncoded;
 use crate::{RtsError, RuntimeSystem};
 
 /// Switch `object` to `target` regime at once, placed by the regime's rule
@@ -213,7 +214,7 @@ fn starts_as_one_copy_at_its_creator_and_round_trips_across_nodes() {
     let net = Network::reliable(3);
     let rtses = start_all(&net, AdaptivePolicy::default());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let placed = (RegimeKind::Replicated, 0, vec![NodeId(0)]);
     assert_eq!(rtses[1].placement_of(id).unwrap(), placed);
@@ -252,7 +253,7 @@ fn a_regime_the_engine_does_not_serve_is_refused_off_the_wire() {
     // Node 1 publishes such a table for an object of its own; node 0
     // will not route by it.
     let id = rtses[1]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let home = rtses[1].inner.homes.read().get(&id).cloned().unwrap();
     let mut table = RegimeTable::clone(&home.table.lock());
@@ -272,7 +273,7 @@ fn read_heavy_object_switches_to_replicated_and_reads_go_local() {
     let net = Network::reliable(3);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &1i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &1i64.to_bytes())
         .unwrap();
     // A read burst from every node pushes the ratio over the
     // replicate threshold.
@@ -311,7 +312,7 @@ fn write_hot_shardable_object_switches_to_sharded() {
     let net = Network::reliable(4);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
-        .create_object(
+        .create_encoded(
             Bank::TYPE_NAME,
             &<Bank as ObjectType>::State::new().to_bytes(),
         )
@@ -353,7 +354,7 @@ fn write_hot_non_shardable_object_stays_one_copy() {
     let net = Network::reliable(2);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     for rts in &rtses {
         for _ in 0..24 {
@@ -383,7 +384,7 @@ fn regime_switches_under_concurrent_writers_lose_nothing() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(
+        .create_encoded(
             Bank::TYPE_NAME,
             &<Bank as ObjectType>::State::new().to_bytes(),
         )
@@ -439,7 +440,7 @@ fn a_synchronous_write_bounced_by_a_switch_re_fetches_its_table_at_once() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(
+        .create_encoded(
             Bank::TYPE_NAME,
             &<Bank as ObjectType>::State::new().to_bytes(),
         )
@@ -492,7 +493,7 @@ fn blocked_guarded_read_survives_a_regime_switch() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let waiter = {
         let rts = rtses[1].clone();
@@ -527,7 +528,7 @@ fn workload_shift_reverses_a_regime_decision() {
     let net = Network::reliable(2);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
-        .create_object(
+        .create_encoded(
             Bank::TYPE_NAME,
             &<Bank as ObjectType>::State::new().to_bytes(),
         )
@@ -574,7 +575,7 @@ fn shutdown_wakes_blocked_invocation() {
     let net = Network::reliable(2);
     let rtses = start_all(&net, AdaptivePolicy::default());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     // Home-local guarded read: never touches the RPC server, so only
     // the stopped flag can wake it.
@@ -609,7 +610,7 @@ fn dropped_reply_surfaces_timeout_not_hang() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     net.crash(NodeId(0));
     let started = Instant::now();
@@ -656,7 +657,7 @@ fn home_crash_regenerates_object_from_surviving_mirror() {
     // Created at node 2, so its death orphans the object while node 0
     // (the adopter) and node 1 survive.
     let id = rtses[2]
-        .create_object(Accumulator::TYPE_NAME, &1i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &1i64.to_bytes())
         .unwrap();
     for rts in &rtses {
         for _ in 0..24 {
@@ -702,7 +703,7 @@ fn home_crash_without_mirror_reports_object_lost() {
     let net = Network::reliable(2);
     let rtses = start_all_recoverable(&net, AdaptivePolicy::default(), crate::recovery::patient());
     let id = rtses[1]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     assert_eq!(add(&rtses[0], id, 3), 3);
     net.crash(NodeId(1));
@@ -738,7 +739,7 @@ fn leased_mirror_reads_put_nothing_on_the_wire() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &7i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &7i64.to_bytes())
         .unwrap();
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
     switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
@@ -765,7 +766,7 @@ fn represented_stamped_write_applies_exactly_once() {
     let net = Network::reliable(2);
     let rtses = start_all(&net, AdaptivePolicy::default());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let stamp = OpStamp { origin: 1, seq: 77 };
     let op = AccumulatorOp::Add(5).to_bytes();
@@ -817,7 +818,7 @@ fn dedup_window_survives_a_regime_switch() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let stamp = OpStamp { origin: 1, seq: 3 };
     let op = AccumulatorOp::Add(9).to_bytes();
@@ -871,7 +872,7 @@ fn lapsed_mirror_lease_renews_without_the_state() {
     let accounts: <Bank as ObjectType>::State = (0..2_000).map(|key| (key << 40, 1)).collect();
     let state = accounts.to_bytes();
     assert!(state.len() >= 10_000, "{} bytes of state", state.len());
-    let id = rtses[0].create_object(Bank::TYPE_NAME, &state).unwrap();
+    let id = rtses[0].create_encoded(Bank::TYPE_NAME, &state).unwrap();
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
     switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
     assert_eq!(bank_sum(&rtses[1], id), 2_000);
@@ -914,7 +915,7 @@ fn adoption_fences_writes_for_a_grant_span() {
     };
     let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
     let id = rtses[2]
-        .create_object(Accumulator::TYPE_NAME, &1i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &1i64.to_bytes())
         .unwrap();
     for rts in &rtses {
         for _ in 0..24 {
@@ -962,7 +963,7 @@ fn replicated_cluster(net: &Network, op_timeout: Duration) -> (Vec<AdaptiveRts>,
     };
     let rtses = start_all(net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
     switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
@@ -1001,7 +1002,7 @@ fn replicated_write_costs_four_messages_and_an_unmirrored_write_two() {
     assert_eq!(net.stats().since(&before).total_messages(), 0);
 
     let lonely = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     assert_eq!(add(&rtses[1], lonely, 1), 1); // fetches the table
     let before = net.stats();
@@ -1099,7 +1100,7 @@ fn an_unanswering_mirror_costs_one_write_its_push_budget_not_every_write() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[0], id, &[0, 8, 8], &[8, 0, 0]).unwrap();
     assert_eq!(replicated_at(&rtses[0], id), (0, vec![1, 2]));
@@ -1251,7 +1252,7 @@ fn a_blocked_guard_ends_when_either_node_shuts_down() {
         let net = Network::reliable(2);
         let rtses = start_all(&net, manual());
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         let err = prompt(
             "at the owner",
@@ -1279,7 +1280,7 @@ fn a_blocked_guard_ends_when_either_node_shuts_down() {
         };
         let rtses = start_all_recoverable(&net, policy, detector);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         let home = rtses[0].inner.homes.read().get(&id).cloned().unwrap();
         switch_regime(&rtses[0].inner, id, &home, RegimeKind::Replicated).unwrap();
@@ -1303,7 +1304,7 @@ fn a_call_to_this_node_puts_nothing_on_the_wire() {
     let net = Network::reliable(3);
     let rtses = start_all(&net, manual());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let holdings = |node| (NodeId(node), RegimeMsg::Holdings { object: id.0 });
     let slots = |legs: Vec<_>| -> Vec<usize> {
@@ -1380,7 +1381,7 @@ fn a_batch_for_a_declared_dead_owner_is_never_sent() {
 }
 
 fn new_bank(rts: &AdaptiveRts) -> ObjectId {
-    rts.create_object(
+    rts.create_encoded(
         Bank::TYPE_NAME,
         &<Bank as ObjectType>::State::new().to_bytes(),
     )
@@ -2021,7 +2022,7 @@ fn replicated_object_moves_to_its_writers_and_mirrors_its_readers() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let mut writes = 0i64;
     // Rounds of nine reads and a write, alternating over the two users;
@@ -2080,7 +2081,7 @@ fn unlisted_reader_ships_its_reads_and_joins_at_the_next_evaluation() {
     let net = Network::reliable(3);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &3i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &3i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[0], id, &[0, 50, 50], &[0, 5, 5]).unwrap();
     assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
@@ -2136,7 +2137,7 @@ fn thin_evidence_heals_for_the_replicated_regime() {
     let net = Network::reliable(3);
     let rtses = start_all(&net, AdaptivePolicy::eager());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     // Two reports of seven reads and a write: an evaluation window.
     let window = |rts: &AdaptiveRts| {
@@ -2178,7 +2179,7 @@ fn replicated_re_placements_under_concurrent_writers_and_readers_lose_nothing() 
     let net = Network::reliable(3);
     let rtses = start_all(&net, manual_exact());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let reads = [0, 50, 50];
     replicate_by(&rtses[0], id, &reads, &[0, 5, 0]).unwrap();
@@ -2260,7 +2261,7 @@ fn leases_move_with_the_owner() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let granted = |owner: usize| {
         let slot = slot_of(&rtses[owner], id).expect("the copy is here");
@@ -2302,7 +2303,7 @@ fn failed_replicated_re_placement_goes_back_to_its_owner_and_mirrors() {
     };
     let rtses = start_all(&net, policy);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     let reads = [0, 50, 50];
     replicate_by(&rtses[0], id, &reads, &[0, 5]).unwrap();
@@ -2334,7 +2335,7 @@ fn replicated_owner_off_its_home_survives_the_homes_death() {
     let net = Network::reliable(3);
     let rtses = start_all_recoverable(&net, manual_exact(), crate::recovery::patient());
     let id = rtses[2]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[2], id, &[50, 50, 0], &[0, 5, 0]).unwrap();
     assert_eq!(replicated_at(&rtses[2], id), (1, vec![0]));
@@ -2372,7 +2373,7 @@ fn unread_copy_at_its_home_keeps_a_mirror_to_be_regenerated_from() {
     let net = Network::reliable(3);
     let rtses = start_all_recoverable(&net, manual_exact(), crate::recovery::patient());
     let id = rtses[1]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[1], id, &[], &[0, 8, 0]).unwrap();
     assert_eq!(replicated_at(&rtses[1], id), (1, vec![2]));
@@ -2399,7 +2400,7 @@ fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
     };
     let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[0], id, &[50, 50, 50], &[0, 0, 5]).unwrap();
     assert_eq!(replicated_at(&rtses[0], id), (2, vec![0, 1]));
@@ -2440,7 +2441,7 @@ fn a_second_death_after_a_long_guard_wait_is_waited_out() {
     };
     let rtses = start_all_recoverable(&net, policy, recovery);
     let id = rtses[0]
-        .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[0], id, &[0, 0, 50, 0], &[0, 0, 0, 5]).unwrap();
     assert_eq!(replicated_at(&rtses[0], id), (3, vec![2]));

@@ -17,6 +17,7 @@ mod tests {
     use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
     use orca_wire::{OpStamp, RegimeKind, RegimeMsg, RegimeReply, Wire};
 
+    use crate::tests::CreateEncoded;
     use crate::{
         AdaptivePolicy, AdaptiveRts, RecoveryConfig, RtsError, RtsKind, RuntimeSystem, WritePolicy,
     };
@@ -91,7 +92,7 @@ mod tests {
     /// every mirror warm.
     fn mirrored(rtses: &[AdaptiveRts], initial: i64, reads: &[u64]) -> ObjectId {
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &initial.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &initial.to_bytes())
             .unwrap();
         rtses[0].replicate_by(id, reads, &[]).unwrap();
         let mirrors: Vec<NodeId> = (1..reads.len())
@@ -159,7 +160,7 @@ mod tests {
             assert_eq!(rtses[0].kind(), kind);
             assert_eq!(AdaptivePolicy::primary_copy(write).kind(), kind);
             let id = rtses[0]
-                .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+                .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
                 .unwrap();
             assert_eq!(add(&rtses[1], id, 5), 5);
             assert_eq!(add(&rtses[2], id, 7), 12);
@@ -176,7 +177,7 @@ mod tests {
         let net = Network::reliable(2);
         let rtses = start_all(&net, eager(WritePolicy::Update));
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &1i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &1i64.to_bytes())
             .unwrap();
         assert_eq!(
             rtses[1].placement_of(id).unwrap(),
@@ -308,7 +309,7 @@ mod tests {
         let net = Network::reliable(4);
         let rtses = start_all(&net, eager(WritePolicy::Update));
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         let mut handles = Vec::new();
         for rts in &rtses {
@@ -332,7 +333,7 @@ mod tests {
         let policy = eager(WritePolicy::Update);
         let rtses = start_all(&net, policy);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
 
         // Transition 1: a window of reads makes node 1 a reader, and a
@@ -381,7 +382,7 @@ mod tests {
         };
         let rtses = start_all(&net, policy);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         assert_eq!(add(&rtses[1], id, 3), 3);
 
@@ -440,7 +441,7 @@ mod tests {
         let policy = single_copy(WritePolicy::Update);
         let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &3i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &3i64.to_bytes())
             .unwrap();
         assert_eq!(read(&rtses[1], id), 3);
         net.crash(NodeId(0));
@@ -469,7 +470,7 @@ mod tests {
         let policy = AdaptivePolicy::primary_copy(WritePolicy::Update);
         let rtses = start_all_recoverable(&net, policy, detect_only);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         assert_eq!(add(&rtses[1], id, 2), 2);
         // The default op timeout is 10 s; NodeDown must beat it by far.
@@ -492,7 +493,7 @@ mod tests {
         let net = Network::reliable(2);
         let rtses = start_all(&net, AdaptivePolicy::primary_copy(WritePolicy::Update));
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         let waiter = {
             let rts = rtses[1].clone();
@@ -520,7 +521,7 @@ mod tests {
         let net = Network::reliable(2);
         let rtses = start_all(&net, single_copy(WritePolicy::Update));
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         assert_eq!(read(&rtses[1], id), 0); // fetches the table
         let before = net.stats();
@@ -702,7 +703,7 @@ mod tests {
         assert_eq!(net.stats().since(&before).total_messages(), 0);
 
         let lonely = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         assert_eq!(add(&rtses[1], lonely, 1), 1); // fetches the table
         let before = net.stats();

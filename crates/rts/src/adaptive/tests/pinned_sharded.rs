@@ -15,6 +15,7 @@ mod tests {
     use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind};
     use orca_wire::{OpStamp, RegimeMsg, RegimeReply, Wire};
 
+    use crate::tests::CreateEncoded;
     use crate::{AdaptivePolicy, AdaptiveRts, RecoveryConfig, RtsError, RtsKind, RuntimeSystem};
 
     fn registry() -> ObjectRegistry {
@@ -54,7 +55,7 @@ mod tests {
     }
 
     fn new_bank(rts: &AdaptiveRts) -> ObjectId {
-        rts.create_object(
+        rts.create_encoded(
             Bank::TYPE_NAME,
             &<Bank as ObjectType>::State::new().to_bytes(),
         )
@@ -165,7 +166,7 @@ mod tests {
         let net = Network::reliable(3);
         let rtses = start_all(&net, AdaptivePolicy::sharded(4));
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         // The fallback keeps the single replica at the creating node.
         assert_eq!(rtses[0].held_partitions(id), vec![0]);
@@ -303,7 +304,7 @@ mod tests {
         let rtses = start_all(&net, policy);
         // Fallback object at node 0; crash node 0 and invoke from node 1.
         let acc = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         // Sharded object with a partition owned by node 1, home at node 0;
         // crash node 1 and write to its partition.
@@ -567,7 +568,7 @@ mod tests {
         let rtses =
             start_all_recoverable(&net, AdaptivePolicy::sharded(4), crate::recovery::patient());
         let id = rtses[2]
-            .create_object(Accumulator::TYPE_NAME, &1i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &1i64.to_bytes())
             .unwrap();
         assert_eq!(add(&rtses[1], id, 4), Ok(5));
         assert_eq!(add(&rtses[2], id, 2), Ok(7));

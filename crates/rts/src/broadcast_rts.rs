@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use orca_amoeba::network::NetworkHandle;
 use orca_amoeba::NodeId;
 use orca_group::{Delivered, GroupConfig, GroupMember, GroupSender};
@@ -167,6 +167,8 @@ struct Inner {
     /// message carries (an invocation id, or a batch id: one namespace, so
     /// one withdraw protocol covers both).
     pending: Mutex<HashMap<u64, Sender<Delivery>>>,
+    /// This node's outstanding creates' initial states, by slot id.
+    created: Mutex<HashMap<u64, Box<dyn AnyReplica>>>,
     withdrawn: Mutex<WithdrawnOps>,
     next_invocation: AtomicU64,
     next_object: AtomicU64,
@@ -183,11 +185,14 @@ impl Inner {
     }
 }
 
+/// The group member and the manager thread draining its deliveries.
+type Manager = Arc<Mutex<Option<(GroupMember, JoinHandle<()>)>>>;
+
 /// Handle to one node's broadcast runtime system. Cheap to clone.
 #[derive(Clone)]
 pub struct BroadcastRts {
     inner: Arc<Inner>,
-    manager: Arc<Mutex<Option<JoinHandle<()>>>>,
+    manager: Manager,
     /// Asynchronous-invocation pipeline, started lazily on first use and
     /// shared by all clones of this handle.
     pipeline: LazyPipeline,
@@ -231,6 +236,7 @@ impl BroadcastRts {
             objects: Mutex::new(HashMap::new()),
             object_created: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
+            created: Mutex::new(HashMap::new()),
             withdrawn: Mutex::new(WithdrawnOps::default()),
             next_invocation: AtomicU64::new(1),
             next_object: AtomicU64::new(1),
@@ -238,14 +244,14 @@ impl BroadcastRts {
             stats,
             stopped: AtomicBool::new(false),
         });
-        let manager_inner = Arc::clone(&inner);
+        let (manager_inner, deliveries) = (Arc::clone(&inner), member.deliveries().clone());
         let manager = std::thread::Builder::new()
             .name(format!("rts-mgr-{node}"))
-            .spawn(move || manager_loop(manager_inner, member))
+            .spawn(move || manager_loop(manager_inner, deliveries))
             .expect("spawn rts manager thread");
         BroadcastRts {
             inner,
-            manager: Arc::new(Mutex::new(Some(manager))),
+            manager: Arc::new(Mutex::new(Some((member, manager)))),
             pipeline,
         }
     }
@@ -259,19 +265,15 @@ impl BroadcastRts {
         // the flusher's: it can never be delivered now, and with `stopped`
         // set its waiter surfaces Terminated instead of waiting out its
         // deadline. Then the flusher is free to stop.
-        let parked: Vec<Sender<Delivery>> = self
-            .inner
-            .pending
-            .lock()
-            .drain()
-            .map(|(_, tx)| tx)
-            .collect();
-        for tx in parked {
+        let parked: Vec<_> = self.inner.pending.lock().drain().collect();
+        for (_, tx) in parked {
             let _ = tx.send(Delivery::Withdrawn);
         }
         self.pipeline.shutdown();
-        if let Some(handle) = self.manager.lock().take() {
-            let _ = handle.join();
+        // The stopped member closes the queue the manager waits on.
+        if let Some((member, manager)) = self.manager.lock().take() {
+            member.shutdown();
+            let _ = manager.join();
         }
         // Wake readers parked on `wait_for_object` and on per-object guard
         // condvars, under the locks they wait with; their waits see `stopped`.
@@ -502,27 +504,28 @@ impl RuntimeSystem for BroadcastRts {
         self.inner.num_nodes
     }
 
-    fn create_object(&self, type_name: &str, initial_state: &[u8]) -> Result<ObjectId, RtsError> {
-        if !self.inner.registry.contains(type_name) {
-            return Err(RtsError::Object(ObjectError::UnknownType(
-                type_name.to_string(),
-            )));
-        }
+    fn create_object(&self, initial: Box<dyn AnyReplica>) -> Result<ObjectId, RtsError> {
+        self.inner.registry.require(initial.type_name())?;
         let counter = self.inner.next_object.fetch_add(1, Ordering::Relaxed);
         let id = ObjectId::compose(self.inner.node.0, counter);
+        // Encoded once, for the other nodes: this one installs `initial`.
         let descriptor = ObjectDescriptor {
             id,
-            type_name: type_name.to_string(),
-            state: initial_state.to_vec(),
+            type_name: initial.type_name().to_string(),
+            state: initial.state_bytes(),
         };
+        let mut slot = 0;
         let results = self.order(|invocation| {
+            slot = invocation;
+            self.inner.created.lock().insert(invocation, initial);
             RtsBroadcastMsg::Create {
                 invocation,
                 descriptor,
             }
             .to_bytes()
-        })?;
-        match only(results) {
+        });
+        self.inner.created.lock().remove(&slot);
+        match only(results?) {
             InvocationResult::Failed(err) => Err(err.into()),
             InvocationResult::Done(_) | InvocationResult::Blocked(_) => {
                 self.inner.stats.objects_created.inc();
@@ -577,17 +580,11 @@ impl RuntimeSystem for BroadcastRts {
 }
 
 /// The object manager: applies delivered operations in total order.
-fn manager_loop(inner: Arc<Inner>, member: GroupMember) {
-    loop {
+fn manager_loop(inner: Arc<Inner>, deliveries: Receiver<Delivered>) {
+    while let Ok(delivered) = deliveries.recv() {
         if inner.stopped.load(Ordering::SeqCst) {
-            member.shutdown();
             return;
         }
-        let delivered = match member.recv_timeout(Duration::from_millis(50)) {
-            Ok(delivered) => delivered,
-            Err(orca_group::GroupError::Timeout) => continue,
-            Err(_) => return,
-        };
         handle_delivery(&inner, delivered);
     }
 }
@@ -614,7 +611,16 @@ fn handle_delivery(inner: &Arc<Inner>, delivered: Delivered) {
                 // Withdrawn before delivery: dropped by every manager.
                 return;
             }
-            let result = install_object(inner, &descriptor);
+            // The creator installs its value; a create given up on is decoded.
+            let mine = (origin == inner.node).then(|| inner.created.lock().remove(&invocation));
+            let decoded = || {
+                inner
+                    .registry
+                    .instantiate(&descriptor.type_name, &descriptor.state)
+            };
+            let install = |replica| install_object(inner, descriptor.id, replica);
+            let replica = mine.flatten().map_or_else(decoded, Ok);
+            let result = replica.map_or_else(InvocationResult::Failed, install);
             if origin == inner.node {
                 complete(inner, invocation, Delivery::Applied(vec![result]));
             }
@@ -669,16 +675,13 @@ fn apply_write_batch(inner: &Arc<Inner>, origin: NodeId, batch: u64, ops: &OpBat
     }
 }
 
-fn install_object(inner: &Arc<Inner>, descriptor: &ObjectDescriptor) -> InvocationResult {
-    let replica = match inner
-        .registry
-        .instantiate(&descriptor.type_name, &descriptor.state)
-    {
-        Ok(replica) => replica,
-        Err(err) => return InvocationResult::Failed(err),
-    };
+fn install_object(
+    inner: &Arc<Inner>,
+    id: ObjectId,
+    replica: Box<dyn AnyReplica>,
+) -> InvocationResult {
     let mut objects = inner.objects.lock();
-    objects.entry(descriptor.id).or_insert_with(|| {
+    objects.entry(id).or_insert_with(|| {
         Arc::new(ObjectEntry {
             replica: Mutex::new(replica),
             changed: Condvar::new(),
@@ -734,6 +737,8 @@ mod tests {
     use orca_object::testing::{Accumulator, AccumulatorOp, EventLog, EventLogOp, EventLogReply};
     use orca_object::ObjectType;
 
+    use crate::tests::CreateEncoded;
+
     fn registry() -> ObjectRegistry {
         let mut registry = ObjectRegistry::new();
         registry.register::<Accumulator>();
@@ -774,12 +779,31 @@ mod tests {
             == evaluated_at));
     }
 
+    /// A manager waits for its next delivery without a poll: shutdown wakes
+    /// it, so a cluster stops at once instead of a poll interval per node.
+    #[test]
+    fn shutdown_does_not_wait_out_a_poll() {
+        let net = Network::reliable(3);
+        let rtses = start_all(&net);
+        let id = rtses[0]
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        let add = AccumulatorOp::Add(1).to_bytes();
+        rtses[1]
+            .invoke(id, Accumulator::TYPE_NAME, OpKind::Write, &add)
+            .unwrap();
+        let started = Instant::now();
+        shutdown_all(rtses);
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(40), "shutdown took {took:?}");
+    }
+
     #[test]
     fn create_read_write_roundtrip() {
         let net = Network::reliable(3);
         let rtses = start_all(&net);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         // Write from node 1, read from node 2.
         let reply = rtses[1]
@@ -827,7 +851,7 @@ mod tests {
         let net = Network::reliable(4);
         let rtses = start_all(&net);
         let id = rtses[0]
-            .create_object(EventLog::TYPE_NAME, &Vec::<u32>::new().to_bytes())
+            .create_encoded(EventLog::TYPE_NAME, &Vec::<u32>::new().to_bytes())
             .unwrap();
         let mut handles = Vec::new();
         for (i, rts) in rtses.iter().enumerate() {
@@ -885,7 +909,7 @@ mod tests {
         let net = Network::reliable(2);
         let rtses = start_all(&net);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         // AwaitAtLeast is a read op in the test object; use it on node 1
         // while node 0 eventually performs the awaited write.
@@ -928,7 +952,7 @@ mod tests {
         let net = Network::new(NetworkConfig::with_fault(3, fault));
         let rtses = start_all(&net);
         let id = rtses[1]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         for i in 0..10 {
             let rts = &rtses[i % 3];
@@ -956,8 +980,10 @@ mod tests {
     fn unknown_type_and_unknown_object_errors() {
         let net = Network::reliable(1);
         let rtses = start_all(&net);
+        let unregistered =
+            orca_object::Replica::<orca_object::testing::Bank>::new(Default::default());
         assert!(matches!(
-            rtses[0].create_object("NotRegistered", &[]),
+            rtses[0].create_object(Box::new(unregistered)),
             Err(RtsError::Object(ObjectError::UnknownType(_)))
         ));
         shutdown_all(rtses);
@@ -994,7 +1020,7 @@ mod tests {
         let net = Network::reliable(2);
         let rtses = start_all(&net);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         // Crash the writing node: its broadcasts (and withdraws) go
         // nowhere, so the invocation can only time out.
@@ -1027,7 +1053,7 @@ mod tests {
         assert_eq!(i64::from_bytes(&reply).unwrap(), 0);
         // Creates through a dead network clean up the same way.
         let err = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap_err();
         assert_eq!(err, RtsError::Timeout);
         assert!(rtses[0].inner.pending.lock().is_empty());
@@ -1050,7 +1076,7 @@ mod tests {
         let net = Network::reliable(1);
         let rtses = start_all(&net);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         let inner = &rtses[0].inner;
         let deliver = |seq: u64, msg: &RtsBroadcastMsg| {
@@ -1132,7 +1158,7 @@ mod tests {
             .map(|n| BroadcastRts::start(net.handle(n), registry(), group.clone()))
             .collect();
         let id = rtses[0]
-            .create_object(EventLog::TYPE_NAME, &Vec::<u32>::new().to_bytes())
+            .create_encoded(EventLog::TYPE_NAME, &Vec::<u32>::new().to_bytes())
             .unwrap();
         const APPENDS: u32 = 20;
         let writers: Vec<_> = [1usize, 2]
@@ -1207,7 +1233,7 @@ mod tests {
         let net = Network::reliable(2);
         let rtses = start_all(&net);
         let id = rtses[0]
-            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
             .unwrap();
         let waiter = {
             let rts = rtses[1].clone();

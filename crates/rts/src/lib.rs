@@ -6,46 +6,25 @@
 //! implemented here behind one common interface — the paper's two, the
 //! second generalized:
 //!
-//! * [`BroadcastRts`] — used when the network supports (hardware)
-//!   broadcasting. Every object is fully replicated on all nodes. Read
-//!   operations execute on the local replica without any communication;
-//!   write operations are shipped (operation code + parameters) through the
-//!   totally-ordered reliable broadcast of `orca-group` and applied by every
-//!   node's object manager in exactly the same order, which yields
-//!   sequential consistency.
+//! * [`BroadcastRts`] — used when the network broadcasts: every object is
+//!   replicated on every node, reads are local, and writes are shipped as
+//!   operations through the totally-ordered broadcast of `orca-group` and
+//!   applied everywhere in the same order (sequential consistency).
 //! * [`AdaptiveRts`] — used when there is no broadcast: operations travel
-//!   point to point. It makes the regime a *per-object, dynamic* property.
-//!   Each object is served, at any moment, in one of two regimes —
-//!   replicated (one authoritative copy on a node that writes the object,
-//!   mirrors on the nodes that read it, none where nobody does; a write is
-//!   sent to the copy's owner, which either pushes a **two-phase update**
-//!   to the mirrors or **invalidates** them — [`WritePolicy`]) or sharded
-//!   (a shardable object three or more nodes write: `N` partitions hashed
-//!   over the nodes that use the object, each owned by one node, operations
-//!   shipped point-to-point to the partition owner, so writes to different
-//!   partitions proceed in parallel on different nodes) — and the object's
-//!   home node places it, regime and nodes, at runtime where the decayed
-//!   per-node read/write counts every node reports say it costs the fewest
-//!   messages. Nodes agree on the serving
-//!   regime through an epoch in the home's regime table (cached tables,
-//!   `StaleRegime` replies); a switch drains the old regime's replicas
-//!   under a withdrawn mark, merges partition states where needed, and
-//!   installs the new regime under the next epoch, so no write is lost or
-//!   double-applied across a change.
-//!
-//!   With the regime *pinned* ([`AdaptivePolicy::pin`]) the same engine is
-//!   two more backends; a pin fixes the regime, and placement is by use as
-//!   without one. Pinned to replicated
-//!   ([`AdaptivePolicy::primary_copy`]) it is the paper's **primary copy**
-//!   runtime system ([`RtsKind::PrimaryUpdate`] /
-//!   [`RtsKind::PrimaryInvalidate`]): one copy per object, at its creator
-//!   until the object is used and then where it is written, and secondary
-//!   copies created and discarded dynamically, where it is read — from the
-//!   per-node read and write counts the object's home collects. Pinned to
-//!   sharded ([`AdaptivePolicy::sharded`]) it is the **sharded** backend
-//!   ([`RtsKind::Sharded`]): every object is created partitioned over all
-//!   nodes, and its partitions then move to the nodes that access it; types
-//!   without partitioning logic are one partition at their creating node.
+//!   point to point, and the regime is a *per-object, dynamic* property. An
+//!   object is replicated (one authoritative copy where it is written,
+//!   mirrors where it is read, kept current by a **two-phase update** or
+//!   **invalidated** — [`WritePolicy`]) or sharded (partitions owned by the
+//!   nodes that use it, so writes to different partitions proceed in
+//!   parallel), and its home node moves it, regime and nodes, to where the
+//!   usage every node reports says it costs the fewest messages; the
+//!   [`adaptive`] module tells how nodes agree on a switch and lose no write
+//!   across it. With the regime pinned ([`AdaptivePolicy::pin`]) the same
+//!   engine is two more backends: pinned to replicated
+//!   ([`AdaptivePolicy::primary_copy`]) the paper's **primary copy** runtime
+//!   system ([`RtsKind::PrimaryUpdate`] / [`RtsKind::PrimaryInvalidate`]),
+//!   pinned to sharded ([`AdaptivePolicy::sharded`]) the **sharded** backend
+//!   ([`RtsKind::Sharded`]).
 //!
 //! They trade consistency machinery against communication very
 //! differently:
@@ -58,14 +37,11 @@
 //! | sharded (adaptive, pinned to sharded) | partitioned, one owner per partition, on the nodes that use it | point-to-point RPC to the partition owner | sequential *per partition* |
 //!
 //! Of the standard object library, the job queue, key-value table, set and
-//! boolean array shard; the integer, boolean flag and barrier do not (they
-//! are single atomic values): pinned, they are a single copy at their
-//! creator, and left to adapt they are only ever offered the replicated
-//! regime. With one partition the sharded backend is
-//! observationally identical to the primary-copy one — the cross-RTS
-//! conformance suite (`tests/conformance.rs`) checks all of this, and runs
-//! the adaptive system eagerly so objects move *during* the conformance
-//! workload.
+//! boolean array shard; the integer, boolean flag and barrier (single atomic
+//! values) are one copy under either pin. With one partition the sharded
+//! backend is observationally the primary-copy one: the cross-RTS
+//! conformance suite (`tests/conformance.rs`) checks all of this, the
+//! adaptive system run eagerly so objects move *during* the workload.
 //!
 //! All of them implement [`RuntimeSystem`], which is what the Orca layer
 //! (`orca-core`) programs against.
@@ -98,7 +74,7 @@ pub use recovery::RecoveryConfig;
 pub use stats::{RtsStats, RtsStatsSnapshot};
 
 use orca_amoeba::NodeId;
-use orca_object::{ObjectError, ObjectId, OpKind};
+use orca_object::{AnyReplica, ObjectError, ObjectId, OpKind};
 use orca_wire::TraceId;
 
 /// An asynchronously submitted operation: its read/write classification,
@@ -192,10 +168,11 @@ pub trait RuntimeSystem: Send + Sync {
     /// Number of nodes participating in the application.
     fn num_nodes(&self) -> usize;
 
-    /// Create a shared object of registered type `type_name` with the given
-    /// encoded initial state. Returns its id once the object is usable on
-    /// this node (and, for the broadcast RTS, on every node).
-    fn create_object(&self, type_name: &str, initial_state: &[u8]) -> Result<ObjectId, RtsError>;
+    /// Create a shared object of a registered type from its initial state,
+    /// which arrives as a value — a replica of the state the creating
+    /// process holds — and is encoded only for the nodes it ships to.
+    /// Returns its id once the object is usable on this node.
+    fn create_object(&self, initial: Box<dyn AnyReplica>) -> Result<ObjectId, RtsError>;
 
     /// Invoke an encoded operation on an object, blocking until it completes
     /// (including waiting for a blocking operation's guard to become true).
@@ -268,6 +245,21 @@ pub(crate) fn await_change<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_object::testing::{Accumulator, Bank, EventLog};
+    use orca_object::ObjectRegistry;
+
+    /// `create_object` of an encoded initial state, for the unit tests:
+    /// instantiated first, the way a state that arrives off the wire is.
+    pub(crate) trait CreateEncoded: RuntimeSystem {
+        fn create_encoded(&self, type_name: &str, state: &[u8]) -> Result<ObjectId, RtsError> {
+            let mut registry = ObjectRegistry::new();
+            registry.register::<Accumulator>().register::<EventLog>();
+            registry.register_sharded::<Bank>();
+            self.create_object(registry.instantiate(type_name, state)?)
+        }
+    }
+
+    impl<R: RuntimeSystem + ?Sized> CreateEncoded for R {}
 
     #[test]
     fn kind_names() {

@@ -6,20 +6,30 @@
 #[derive(Debug, Default, Clone)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// `Some` in a size pass ([`Encoder::counting`]): bytes counted, none kept.
+    counted: Option<usize>,
 }
 
 impl Encoder {
     /// Create an empty encoder.
     pub fn new() -> Self {
-        Encoder { buf: Vec::new() }
+        Encoder::from_vec(Vec::new())
+    }
+
+    /// An encoder that counts what it is given and writes none of it: the
+    /// size pass of [`Wire::encoded_len`](crate::Wire::encoded_len).
+    pub fn counting() -> Self {
+        let counted = Some(0);
+        Encoder {
+            counted,
+            ..Self::new()
+        }
     }
 
     /// Create an encoder with a pre-allocated capacity (useful for messages
     /// whose approximate size is known, e.g. bulk state transfers).
     pub fn with_capacity(capacity: usize) -> Self {
-        Encoder {
-            buf: Vec::with_capacity(capacity),
-        }
+        Encoder::from_vec(Vec::with_capacity(capacity))
     }
 
     /// Wrap an existing buffer, appending to whatever it already holds.
@@ -28,22 +38,17 @@ impl Encoder {
     /// one scratch buffer across many messages (see `Wire::encode_into`)
     /// instead of allocating per message.
     pub fn from_vec(buf: Vec<u8>) -> Self {
-        Encoder { buf }
+        Encoder { buf, counted: None }
     }
 
-    /// Forget everything written so far, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Number of bytes written so far.
+    /// Number of bytes written (or counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// True if nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consume the encoder, returning the encoded bytes.
@@ -58,25 +63,28 @@ impl Encoder {
 
     /// Append a single raw byte.
     pub fn put_u8(&mut self, value: u8) {
-        self.buf.push(value);
+        self.put_raw(&[value]);
     }
 
     /// Append raw bytes verbatim (no length prefix).
     pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        match &mut self.counted {
+            Some(counted) => *counted += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// Append an unsigned integer as a LEB128 varint.
     pub fn put_uvarint(&mut self, mut value: u64) {
-        loop {
-            let byte = (value & 0x7f) as u8;
-            value >>= 7;
-            if value == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
+        if let Some(counted) = &mut self.counted {
+            *counted += (70 - (value | 1).leading_zeros() as usize) / 7;
+            return;
         }
+        while value >= 0x80 {
+            self.buf.push(value as u8 | 0x80);
+            value >>= 7;
+        }
+        self.buf.push(value as u8);
     }
 
     /// Append a signed integer as a zig-zag encoded varint.
@@ -87,23 +95,23 @@ impl Encoder {
 
     /// Append an `f64` as 8 little-endian bytes.
     pub fn put_f64(&mut self, value: f64) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
+        self.put_raw(&value.to_le_bytes());
     }
 
     /// Append an `f32` as 4 little-endian bytes.
     pub fn put_f32(&mut self, value: f32) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
+        self.put_raw(&value.to_le_bytes());
     }
 
     /// Append a boolean as a single byte (0 or 1).
     pub fn put_bool(&mut self, value: bool) {
-        self.buf.push(u8::from(value));
+        self.put_u8(u8::from(value));
     }
 
     /// Append a length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_uvarint(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
+        self.put_raw(bytes);
     }
 
     /// Append a length-prefixed UTF-8 string.
@@ -115,16 +123,6 @@ impl Encoder {
     pub fn put_len(&mut self, len: usize) {
         self.put_uvarint(len as u64);
     }
-}
-
-/// Number of bytes a value occupies when encoded as an unsigned varint.
-pub fn uvarint_len(mut value: u64) -> usize {
-    let mut len = 1;
-    while value >= 0x80 {
-        value >>= 7;
-        len += 1;
-    }
-    len
 }
 
 #[cfg(test)]
@@ -143,12 +141,29 @@ mod tests {
     }
 
     #[test]
-    fn uvarint_len_matches_encoding() {
+    fn a_varint_is_counted_as_written() {
         for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX] {
-            let mut enc = Encoder::new();
-            enc.put_uvarint(v);
-            assert_eq!(uvarint_len(v), enc.len(), "value {v}");
+            let (mut written, mut counted) = (Encoder::new(), Encoder::counting());
+            written.put_uvarint(v);
+            counted.put_uvarint(v);
+            assert_eq!(counted.len(), written.len(), "value {v}");
         }
+    }
+
+    #[test]
+    fn a_counting_encoder_counts_what_a_writing_one_writes() {
+        let (mut written, mut counted) = (Encoder::new(), Encoder::counting());
+        for enc in [&mut written, &mut counted] {
+            enc.put_uvarint(300);
+            enc.put_ivarint(-65);
+            enc.put_str("state");
+            enc.put_f64(0.5);
+            enc.put_f32(0.25);
+            enc.put_bool(true);
+            enc.put_raw(&[1, 2]);
+        }
+        assert_eq!(counted.len(), written.len());
+        assert!(counted.as_slice().is_empty() && !counted.is_empty());
     }
 
     #[test]

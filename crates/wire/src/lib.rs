@@ -64,7 +64,7 @@ pub use batch::{
     BatchOp, BatchOutcome, BatchOutcomes, OpBatch, OpBatchEncoder, OpBatchView, OpRef,
 };
 pub use decode::{Decoder, MAX_LEN};
-pub use encode::{uvarint_len, Encoder};
+pub use encode::Encoder;
 pub use envelope::RequestHead;
 pub use error::{WireError, WireResult};
 pub use lease::{DedupWindow, LeaseGrant, OpStamp, DEDUP_WINDOW_PER_ORIGIN};
@@ -112,9 +112,10 @@ pub trait Wire: Sized {
         Ok(value)
     }
 
-    /// Number of bytes the encoding of `self` occupies.
+    /// Number of bytes the encoding of `self` occupies, counted by a size
+    /// pass ([`Encoder::counting`]) that writes none of them.
     fn encoded_len(&self) -> usize {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::counting();
         self.encode(&mut enc);
         enc.len()
     }

@@ -5,6 +5,10 @@
 //! runs a fixed number of random cases and is fully reproducible. On failure
 //! the assert message carries the case index, which together with the fixed
 //! seed pins down the failing input exactly.
+//!
+//! Every value round-tripped here is also sized: its `encoded_len`, a size
+//! pass that writes nothing, is exactly the length of its bytes
+//! (`assert_exact_len`) — the number a home prices an object's first move by.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -62,13 +66,18 @@ impl Gen {
     }
 }
 
-fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T, case: usize) {
-    let bytes = value.to_bytes();
+/// The size pass counts exactly the bytes the encoding writes.
+fn assert_exact_len<T: Wire + std::fmt::Debug>(value: &T, case: usize) {
     assert_eq!(
-        bytes.len(),
         value.encoded_len(),
+        value.to_bytes().len(),
         "case {case}: encoded_len mismatch for {value:?}"
     );
+}
+
+fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T, case: usize) {
+    let bytes = value.to_bytes();
+    assert_exact_len(value, case);
     let back = T::from_bytes(&bytes);
     assert_eq!(
         back.as_ref().ok(),
@@ -195,6 +204,7 @@ fn floats_round_trip() {
     let mut gen = Gen::new(0xDEC0DE03);
     for case in 0..*CASES {
         let v = f64::from_bits(gen.next_u64());
+        assert_exact_len(&v, case);
         let back = f64::from_bytes(&v.to_bytes()).unwrap();
         if v.is_nan() {
             assert!(back.is_nan(), "case {case}: NaN did not survive");
@@ -202,6 +212,7 @@ fn floats_round_trip() {
             assert_eq!(back.to_bits(), v.to_bits(), "case {case}");
         }
         let single = f32::from_bits(gen.next_u64() as u32);
+        assert_exact_len(&single, case);
         let back32 = f32::from_bytes(&single.to_bytes()).unwrap();
         if single.is_nan() {
             assert!(back32.is_nan(), "case {case}: NaN f32 did not survive");
@@ -212,6 +223,7 @@ fn floats_round_trip() {
     for edge in [f64::MIN, f64::MAX, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
         // Compare bit patterns: -0.0 == +0.0 under IEEE comparison, so a
         // plain assert_eq! could not detect sign loss for the signed zero.
+        assert_exact_len(&edge, 0);
         let back = f64::from_bytes(&edge.to_bytes()).unwrap();
         assert_eq!(back.to_bits(), edge.to_bits(), "edge {edge:?}");
     }
@@ -276,7 +288,7 @@ fn sequences_round_trip() {
 #[test]
 fn byte_strings_are_a_length_and_the_bytes() {
     let mut gen = Gen::new(0xDEC0DE0B);
-    let plain = |n: usize| orca_wire::uvarint_len(n as u64) + n;
+    let plain = |n: usize| (n as u64).encoded_len() + n;
     for case in 0..*CASES {
         let mut bytes = gen.bytes(300);
         if case % 4 == 0 {
@@ -288,7 +300,7 @@ fn byte_strings_are_a_length_and_the_bytes() {
         assert_eq!(nested.to_bytes().len(), 1 + 2 * plain(n) + 1, "case {case}");
         assert_roundtrip(&nested, case);
         let stamped = Some((gen.next_u64() as u16, bytes));
-        let head = 1 + orca_wire::uvarint_len(u64::from(stamped.as_ref().unwrap().0));
+        let head = 1 + stamped.as_ref().unwrap().0.encoded_len();
         assert_eq!(stamped.to_bytes().len(), head + plain(n), "case {case}");
         assert_roundtrip(&stamped, case);
     }
@@ -311,9 +323,11 @@ fn maps_and_sets_round_trip() {
         let hmap: HashMap<u32, u64> = (0..gen.below(8))
             .map(|_| (gen.next_u64() as u32, gen.next_u64()))
             .collect();
+        assert_exact_len(&hmap, case);
         let back = HashMap::<u32, u64>::from_bytes(&hmap.to_bytes()).unwrap();
         assert_eq!(back, hmap, "case {case}");
         let hset: HashSet<String> = (0..gen.below(8)).map(|_| gen.string()).collect();
+        assert_exact_len(&hset, case);
         let back = HashSet::<String>::from_bytes(&hset.to_bytes()).unwrap();
         assert_eq!(back, hset, "case {case}");
     }
@@ -988,14 +1002,17 @@ fn envelopes_and_tail_bodied_messages_round_trip() {
                 stamp,
             },
         ] {
+            assert_exact_len(&msg, case);
             assert_tail::<RegimeMsg>(&msg.to_bytes(), &op, case);
         }
+        assert_exact_len(&RegimeReply::Done(op.clone()), case);
         assert_tail::<RegimeReply>(&RegimeReply::Done(op.clone()).to_bytes(), &op, case);
         let installed = RegimeReply::Installed {
             reply: op.clone(),
             seq: gen.next_u64(),
             lease: (gen.below(2) == 0).then(|| gen.next_u64()),
         };
+        assert_exact_len(&installed, case);
         assert_tail::<RegimeReply>(&installed.to_bytes(), &op, case);
     }
 }
@@ -1260,7 +1277,7 @@ fn batch_outcomes_round_trip_and_survive_garbage() {
             assert_roundtrip(outcome, case);
             if let BatchOutcome::Done(reply) = outcome {
                 // The tag rides in the length: no byte of its own.
-                let len_bytes = orca_wire::uvarint_len(reply.len() as u64 + 3);
+                let len_bytes = (reply.len() as u64 + 3).encoded_len();
                 assert_eq!(outcome.encoded_len(), reply.len() + len_bytes);
             }
         }
