@@ -6,9 +6,9 @@
 //! schedule re-executes the whole scenario from scratch (CHESS-style). One
 //! execution works like this:
 //!
-//! 1. The scenario builds an [`orca_core::OrcaRuntime`], installs a
-//!    [`SchedulerConfig`] on its network (parking every non-passthrough
-//!    message in the held pool) and forks one worker process per node.
+//! 1. The scenario's [`Script`] builds an [`orca_core::OrcaRuntime`],
+//!    installs a [`SchedulerConfig`] on its network (parking every
+//!    non-passthrough message in the held pool) and forks its processes.
 //! 2. [`Execution::drive`] repeatedly waits for the network to *quiesce*
 //!    (the delivery-activity counter stays stable for
 //!    [`McConfig::quiesce_idle`]), enumerates the current [`Choice`] set —
@@ -18,7 +18,7 @@
 //!    message to appear if a timer has not produced it yet); past the
 //!    prefix it deterministically picks the smallest choice and records the
 //!    full choice set for later backtracking.
-//! 3. When the workers finish and the held pool is empty the scenario
+//! 3. When the processes finish and the held pool is empty the script
 //!    checks its invariants on the joined histories.
 //!
 //! [`explore`] wraps this in a depth-first search: after each execution it
@@ -48,6 +48,8 @@ use orca_amoeba::network::Network;
 use orca_amoeba::sched::HeldDescriptor;
 use orca_amoeba::{MsgId, NodeId, SchedulerConfig};
 use orca_telemetry::Telemetry;
+
+use crate::scenarios::Script;
 
 /// One scheduling decision.
 ///
@@ -189,9 +191,9 @@ pub struct StepRecord {
 
 /// One execution of a scenario under engine control.
 ///
-/// Created by [`explore`] / [`replay_trace`]; scenarios receive it in
-/// their `run` method and call [`Execution::drive`] after installing the
-/// scheduler and forking their workers.
+/// Created by [`explore`] / [`replay_trace`] for one run of a [`Script`],
+/// which calls [`Execution::drive`] after installing the scheduler and
+/// forking its processes.
 pub struct Execution<'a> {
     cfg: &'a McConfig,
     plan: Vec<Choice>,
@@ -257,11 +259,6 @@ impl<'a> Execution<'a> {
             passthrough_tail: false,
             telemetry: None,
         }
-    }
-
-    /// The budgets this execution runs under.
-    pub fn config(&self) -> &McConfig {
-        self.cfg
     }
 
     /// The scheduler configuration scenarios should install: hold
@@ -504,40 +501,6 @@ impl<'a> Execution<'a> {
         }
         None
     }
-
-    /// Poll `finished` until it returns true or the settle budget runs
-    /// out. Scenarios call this after [`Execution::drive`] so a worker
-    /// stuck in a protocol-level livelock (a real violation) cannot hang
-    /// the whole test process; on timeout the caller should shut the
-    /// runtime down (failing the stuck invocations) and report a liveness
-    /// violation.
-    pub fn settle<F: Fn() -> bool>(&self, finished: F) -> bool {
-        let started = Instant::now();
-        loop {
-            if finished() {
-                return true;
-            }
-            if started.elapsed() >= self.cfg.settle {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-}
-
-/// A model-checking scenario: a small distributed workload plus its
-/// invariants.
-pub trait Scenario {
-    /// Stable name (used by `ORCA_MC_SCENARIO` and in reports).
-    fn name(&self) -> &'static str;
-
-    /// The exploration budgets this scenario runs under.
-    fn config(&self) -> McConfig;
-
-    /// Execute the workload once under `exec`'s control and check every
-    /// invariant on the outcome. Returns `Err` with a human-readable
-    /// message on violation.
-    fn run(&self, exec: &mut Execution<'_>) -> Result<(), String>;
 }
 
 /// A violation found by exploration.
@@ -605,13 +568,13 @@ impl Report {
 }
 
 /// Re-execute one schedule from a trace string and report the outcome.
-pub fn replay_trace(scenario: &dyn Scenario, trace: &str) -> Report {
-    let cfg = scenario.config();
+pub fn replay_trace(script: &Script, trace: &str) -> Report {
+    let cfg = script.budget.clone();
     let plan = match parse_trace(trace) {
         Ok(plan) => plan,
         Err(err) => {
             return Report {
-                scenario: scenario.name().to_string(),
+                scenario: script.name.to_string(),
                 schedules: 0,
                 total_steps: 0,
                 deepest: 0,
@@ -631,12 +594,12 @@ pub fn replay_trace(scenario: &dyn Scenario, trace: &str) -> Report {
     let mut visited = HashSet::new();
     let mut pruned = 0u64;
     let mut exec = Execution::new(&cfg, plan, &mut visited, &mut pruned);
-    let result = scenario.run(&mut exec);
+    let result = script.run(Some(&mut exec));
     let steps = exec.steps.len();
     let diverged = exec.divergence.is_some();
     let flight = exec.telemetry.take().map(|t| t.flight_dump());
     Report {
-        scenario: scenario.name().to_string(),
+        scenario: script.name.to_string(),
         schedules: 1,
         total_steps: steps as u64,
         deepest: steps,
@@ -658,14 +621,14 @@ pub fn replay_trace(scenario: &dyn Scenario, trace: &str) -> Report {
 /// Honors `ORCA_MC_TRACE` (replay exactly one schedule instead of
 /// exploring), gated by `ORCA_MC_SCENARIO` when several scenarios run in
 /// one process.
-pub fn explore(scenario: &dyn Scenario) -> Report {
+pub fn explore(script: &Script) -> Report {
     if let Ok(trace) = std::env::var("ORCA_MC_TRACE") {
         let wanted = std::env::var("ORCA_MC_SCENARIO").ok();
-        if wanted.as_deref().is_none_or(|w| w == scenario.name()) {
-            return replay_trace(scenario, &trace);
+        if wanted.as_deref().is_none_or(|w| w == script.name) {
+            return replay_trace(script, &trace);
         }
     }
-    let cfg = scenario.config();
+    let cfg = script.budget.clone();
     let mut visited: HashSet<u64> = HashSet::new();
     let mut pruned = 0u64;
     let mut stack: Vec<Vec<Choice>> = vec![Vec::new()];
@@ -698,7 +661,7 @@ pub fn explore(scenario: &dyn Scenario) -> Report {
         schedules += 1;
         let prefix_len = plan.len();
         let mut exec = Execution::new(&cfg, plan, &mut visited, &mut pruned);
-        let result = scenario.run(&mut exec);
+        let result = script.run(Some(&mut exec));
         total_steps += exec.steps.len() as u64;
         deepest = deepest.max(exec.steps.len());
         if exec.depth_exhausted {
@@ -708,11 +671,11 @@ pub fn explore(scenario: &dyn Scenario) -> Report {
             let trace = format_trace(&exec.steps.iter().map(|s| s.chosen).collect::<Vec<_>>());
             let flight = exec.telemetry.take().map(|t| t.flight_dump());
             let replay_confirmed = {
-                let sub = replay_trace(scenario, &trace);
+                let sub = replay_trace(script, &trace);
                 sub.violation.is_some()
             };
             return Report {
-                scenario: scenario.name().to_string(),
+                scenario: script.name.to_string(),
                 schedules,
                 total_steps,
                 deepest,
@@ -759,7 +722,7 @@ pub fn explore(scenario: &dyn Scenario) -> Report {
     }
 
     Report {
-        scenario: scenario.name().to_string(),
+        scenario: script.name.to_string(),
         schedules,
         total_steps,
         deepest,

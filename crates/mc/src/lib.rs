@@ -6,7 +6,8 @@
 //! every non-passthrough message parks in a held pool and the driver picks
 //! which one to deliver (or drop) next, and when to fail-stop a node. This
 //! crate builds a CHESS-style *stateless* bounded model checker on top of
-//! that seam: small scenarios (2–3 nodes, a handful of operations) are
+//! that seam: small scenarios (2–3 nodes, a handful of operations), each a
+//! row of one table ([`Script`], [`all_scenarios`]), are
 //! re-executed once per schedule while a depth-first search enumerates
 //! delivery interleavings, pruned by a collapsed-state fingerprint and
 //! capped by schedule/depth/state budgets. Every terminal state is checked
@@ -34,11 +35,7 @@ pub mod scenarios;
 
 pub use engine::{
     explore, format_trace, parse_trace, replay_trace, Choice, Execution, McConfig, Report,
-    Scenario, StepRecord, Violation,
+    StepRecord, Violation,
 };
 pub use invariants::{check_counter, check_jobs, WorkerOutcome};
-pub use scenarios::{
-    all_scenarios, AdaptiveRegimeSwitch, AdaptiveWriteThroughMirror, BroadcastEraReplay,
-    BroadcastOrdering, PrimaryFetchRace, PrimaryLeaseRevoke, PrimaryPromotion, ReplicatedOwnerPush,
-    ShardedHandoff, ShardedPartitionMirror,
-};
+pub use scenarios::{all_scenarios, script, Script, RENAMED};

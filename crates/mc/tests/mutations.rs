@@ -13,7 +13,7 @@
 
 use std::sync::Mutex;
 
-use orca_mc::{explore, replay_trace, Scenario, Violation};
+use orca_mc::{explore, replay_trace, script, Script, Violation};
 use orca_rts::sabotage::{
     SabotageGuard, NO_VERSION_GATING, REHOME_KEEPS_STALE_COPIES, SKIP_WRITER_PENDING_MARK,
     UNHELD_EVERY_PUSH,
@@ -21,8 +21,8 @@ use orca_rts::sabotage::{
 
 static LANE: Mutex<()> = Mutex::new(());
 
-fn expect_caught(scenario: &dyn Scenario) -> Violation {
-    let report = explore(scenario);
+fn expect_caught(script: &Script) -> Violation {
+    let report = explore(script);
     eprintln!("{}", report.summary());
     let violation = report.violation.unwrap_or_else(|| {
         panic!(
@@ -42,11 +42,10 @@ fn expect_caught(scenario: &dyn Scenario) -> Violation {
 fn missing_version_gating_is_caught_and_replays() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&NO_VERSION_GATING);
-    let mut scenario = orca_mc::PrimaryFetchRace::default();
-    scenario.budget.max_schedules = 768;
-    let violation = expect_caught(&scenario);
+    let script = script("replicated_fetch_race");
+    let violation = expect_caught(&script);
     // And once more by hand, the way a developer would from the CLI.
-    let replay = replay_trace(&scenario, &violation.trace);
+    let replay = replay_trace(&script, &violation.trace);
     assert!(
         replay.violation.is_some(),
         "trace replay lost the violation: {}",
@@ -58,25 +57,25 @@ fn missing_version_gating_is_caught_and_replays() {
 fn rehome_keeping_stale_copies_is_caught_and_replays() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&REHOME_KEEPS_STALE_COPIES);
-    let mut scenario = orca_mc::PrimaryPromotion::default();
-    scenario.budget.max_schedules = 512;
-    expect_caught(&scenario);
+    let mut script = script("replicated_promotion");
+    script.budget.max_schedules = 512;
+    expect_caught(&script);
 }
 
 #[test]
 fn skipping_era_replay_is_caught_and_replays() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&orca_group::sabotage::SKIP_ERA_REPLAY);
-    let mut scenario = orca_mc::BroadcastEraReplay::default();
-    scenario.budget.max_schedules = 384;
-    expect_caught(&scenario);
+    let mut script = script("broadcast_era_replay");
+    script.budget.max_schedules = 384;
+    expect_caught(&script);
 }
 
 #[test]
 fn skipped_writer_pending_mark_is_caught_and_replays() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&SKIP_WRITER_PENDING_MARK);
-    let violation = expect_caught(&orca_mc::AdaptiveWriteThroughMirror::default());
+    let violation = expect_caught(&script("adaptive_write_through_mirror"));
     assert!(
         violation.message.contains("stale observation"),
         "caught for the wrong reason: {}",
@@ -88,7 +87,7 @@ fn skipped_writer_pending_mark_is_caught_and_replays() {
 fn unheld_every_push_is_caught_and_replays() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&UNHELD_EVERY_PUSH);
-    let violation = expect_caught(&orca_mc::ReplicatedOwnerPush::default());
+    let violation = expect_caught(&script("replicated_owner_push"));
     assert!(
         violation.message.contains("stale observation"),
         "caught for the wrong reason: {}",
@@ -100,7 +99,7 @@ fn unheld_every_push_is_caught_and_replays() {
 fn unheld_every_push_is_caught_at_a_partition_mirror_too() {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _sabotage = SabotageGuard::enable(&UNHELD_EVERY_PUSH);
-    let violation = expect_caught(&orca_mc::ShardedPartitionMirror::default());
+    let violation = expect_caught(&script("sharded_partition_mirror"));
     assert!(
         violation.message.contains("stale observation"),
         "caught for the wrong reason: {}",

@@ -1,11 +1,11 @@
 //! Honest-protocol lanes: exhaustively explore each scenario and assert no
 //! schedule violates the invariants.
 //!
-//! The four crash-free scenarios (one per runtime-system family) must
-//! explore their full interleaving tree — `complete` in the report — within
-//! the state budget; the six crash scenarios may legitimately hit their
-//! schedule budgets (crash-at-every-point multiplies the tree) and only
-//! assert no violation.
+//! A row that can neither crash a node nor drop a message (one per
+//! runtime-system family) must explore its full interleaving tree —
+//! `complete` in the report — within the state budget; the crash rows may
+//! legitimately hit their schedule budgets (crash-at-every-point multiplies
+//! the tree) and only assert no violation.
 //!
 //! Scenarios share the process-global network clock and run one at a time
 //! behind a mutex: the engine's quiescence detection measures wall time,
@@ -14,13 +14,14 @@
 
 use std::sync::Mutex;
 
-use orca_mc::{explore, Report, Scenario};
+use orca_mc::{explore, script, Report};
 
 static LANE: Mutex<()> = Mutex::new(());
 
-fn run(scenario: &dyn Scenario, must_be_complete: bool) -> Report {
+fn run(name: &str) -> Report {
     let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let report = explore(scenario);
+    let script = script(name);
+    let report = explore(&script);
     eprintln!("{}", report.summary());
     if let Some(violation) = &report.violation {
         panic!(
@@ -38,7 +39,8 @@ fn run(scenario: &dyn Scenario, must_be_complete: bool) -> Report {
         report.scenario,
         report.summary()
     );
-    if must_be_complete {
+    let faultless = script.budget.crash_candidates.is_empty() && script.budget.max_drops == 0;
+    if faultless {
         assert!(
             report.complete,
             "{}: expected exhaustive exploration within budget: {}",
@@ -51,50 +53,55 @@ fn run(scenario: &dyn Scenario, must_be_complete: bool) -> Report {
 
 #[test]
 fn broadcast_ordering_holds_under_all_interleavings() {
-    run(&orca_mc::BroadcastOrdering::default(), true);
+    run("broadcast_ordering");
 }
 
 #[test]
-fn primary_fetch_race_holds_under_all_interleavings() {
-    run(&orca_mc::PrimaryFetchRace::default(), true);
+fn replicated_fetch_race_holds_under_all_interleavings() {
+    run("replicated_fetch_race");
 }
 
 #[test]
-fn sharded_handoff_loses_and_duplicates_nothing() {
-    run(&orca_mc::ShardedHandoff::default(), true);
+fn sharded_partition_move_loses_and_duplicates_nothing() {
+    run("sharded_partition_move");
 }
 
 #[test]
 fn adaptive_regime_switch_holds_under_all_interleavings() {
-    run(&orca_mc::AdaptiveRegimeSwitch::default(), true);
+    run("adaptive_regime_switch");
 }
 
 #[test]
 fn broadcast_era_replay_survives_sequencer_crash_everywhere() {
-    run(&orca_mc::BroadcastEraReplay::default(), false);
+    run("broadcast_era_replay");
 }
 
 #[test]
-fn primary_promotion_survives_home_crash_everywhere() {
-    run(&orca_mc::PrimaryPromotion::default(), false);
+fn replicated_promotion_survives_home_crash_everywhere() {
+    run("replicated_promotion");
 }
 
 #[test]
-fn primary_lease_revoke_keeps_leased_reads_linearizable() {
-    run(&orca_mc::PrimaryLeaseRevoke::default(), false);
+fn replicated_lease_revoke_keeps_leased_reads_linearizable() {
+    run("replicated_lease_revoke");
 }
 
 #[test]
 fn adaptive_write_through_mirror_never_serves_a_stale_mirror() {
-    run(&orca_mc::AdaptiveWriteThroughMirror::default(), false);
+    run("adaptive_write_through_mirror");
 }
 
 #[test]
 fn replicated_owner_push_never_shows_the_old_value_after_the_new() {
-    run(&orca_mc::ReplicatedOwnerPush::default(), false);
+    run("replicated_owner_push");
 }
 
 #[test]
 fn sharded_partition_mirror_never_shows_the_old_value_after_the_new() {
-    run(&orca_mc::ShardedPartitionMirror::default(), false);
+    run("sharded_partition_mirror");
+}
+
+#[test]
+fn sharded_keeper_promotion_loses_and_duplicates_nothing() {
+    run("sharded_keeper_promotion");
 }
