@@ -19,9 +19,11 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: since version 10 a batched operation whose trace is further on
-/// under its predecessor's origin says by how much (a skip bit in its
-/// flags), and a batch reply carries runs of equal outcomes (version 9 gave
+/// them: since version 11 a re-placement re-stamps a partition whose owner
+/// stays (`RegimeMsg::Restamp`) and a broadcast write carries its operation
+/// as its tail (version 10 said by how much a batched operation's trace is
+/// further on under its predecessor's origin — a skip bit in its flags —
+/// and made a batch reply runs of equal outcomes; version 9 gave
 /// a sharded partition read mirrors — `FetchMirror`, `Unlock` and
 /// `DropCopies` name the partition as `Mirror` and `Update` do, and
 /// `WriteThrough` carries one before its operation, as `Op` does; version 8 made a sharded partition's second copy a mirror —
@@ -44,7 +46,7 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// ports, version 3 brought the RPC envelope of `orca_wire::envelope` and
 /// the single-operation messages whose operation is their tail, version 2
 /// the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 10;
+pub const FRAME_VERSION: u8 = 11;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

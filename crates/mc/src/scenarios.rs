@@ -558,7 +558,9 @@ pub fn all_scenarios() -> Vec<Script> {
         // proposal that ends the priming gives each a mirror of every
         // partition it does not own, and a hand move — which keeps the
         // mirrors, and after which the readers warm their tables again —
-        // puts the written key's partition on node 0. Every write is pushed
+        // puts the written key's partition on node 0 and the other on node
+        // 1, so that node 2 owns nothing: the crash is a reader's (an owner's
+        // is `sharded_keeper_promotion`'s). Every write is pushed
         // to node 2, held until the unlock, and then to node 1 — the
         // partition's keeper too, pushed once and last — never held; node 2
         // may crash at any point. `UNHELD_EVERY_PUSH` lets node 2's reader
@@ -571,6 +573,7 @@ pub fn all_scenarios() -> Vec<Script> {
             setup: vec![
                 Prime(RegimeKind::Sharded),
                 Move(shard_of_u64(7, 2), 0),
+                Move(1 - shard_of_u64(7, 2), 1),
                 Op(1, Read),
                 Op(2, Read),
                 Setup::Expect(Expect::Holders(&[1, 2])),
@@ -601,6 +604,28 @@ pub fn all_scenarios() -> Vec<Script> {
                 (Node(0), &[Add(5), Add(9), Await("added"), Drain]),
                 (Node(1), &[Add(21), Add(25), Signal("added")]),
             ],
+            ..Script::default()
+        },
+        // A re-placement under a writer: two nodes with recovery, a job queue
+        // of two partitions, partition 0 on node 1 and partition 1 (jobs 3,
+        // 4) on the home, node 0. The home moves partition 0 to itself —
+        // drained and installed — and re-stamps partition 1, whose owner
+        // stays, then has it prime its keeper on node 1 under the next epoch,
+        // while node 1 adds job 4 to it. Every acked add must come out of the
+        // final drain exactly once. (A writer on a moving partition, its
+        // sibling re-stamped, is `sharded_partition_move`.)
+        Script {
+            name: "sharded_replacement_under_writers",
+            budget: budget(512, 72),
+            config: recovering(2, placed_once(AdaptivePolicy::sharded(2))),
+            object: Object::Jobs,
+            setup: vec![Move(0, 1), Move(1, 0)],
+            processes: vec![
+                (Node(1), &[Add(3), Signal("go"), Add(4), Signal("a")]),
+                (Driver, &[Await("go"), Migrate(0, 0), Signal("moved")]),
+                (Node(0), &[Await("moved"), Await("a"), Drain]),
+            ],
+            post: Some(Expect::Owner(0, 0)),
             ..Script::default()
         },
     ]

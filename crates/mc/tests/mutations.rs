@@ -15,8 +15,8 @@ use std::sync::Mutex;
 
 use orca_mc::{explore, replay_trace, script, Script, Violation};
 use orca_rts::sabotage::{
-    SabotageGuard, NO_VERSION_GATING, REHOME_KEEPS_STALE_COPIES, SKIP_WRITER_PENDING_MARK,
-    UNHELD_EVERY_PUSH,
+    SabotageGuard, NO_VERSION_GATING, REHOME_KEEPS_STALE_COPIES, RESTAMP_LEAVES_OLD_SLOT,
+    SKIP_WRITER_PENDING_MARK, UNHELD_EVERY_PUSH,
 };
 
 static LANE: Mutex<()> = Mutex::new(());
@@ -102,6 +102,18 @@ fn unheld_every_push_is_caught_at_a_partition_mirror_too() {
     let violation = expect_caught(&script("sharded_partition_mirror"));
     assert!(
         violation.message.contains("stale observation"),
+        "caught for the wrong reason: {}",
+        violation.message
+    );
+}
+
+#[test]
+fn a_restamp_leaving_the_old_slot_serving_is_caught_and_replays() {
+    let _lane = LANE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _sabotage = SabotageGuard::enable(&RESTAMP_LEAVES_OLD_SLOT);
+    let violation = expect_caught(&script("sharded_replacement_under_writers"));
+    assert!(
+        violation.message.contains("lost"),
         "caught for the wrong reason: {}",
         violation.message
     );

@@ -105,3 +105,8 @@ fn sharded_partition_mirror_never_shows_the_old_value_after_the_new() {
 fn sharded_keeper_promotion_loses_and_duplicates_nothing() {
     run("sharded_keeper_promotion");
 }
+
+#[test]
+fn sharded_replacement_under_writers_loses_and_duplicates_nothing() {
+    run("sharded_replacement_under_writers");
+}

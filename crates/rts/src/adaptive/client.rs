@@ -783,7 +783,7 @@ impl RuntimeSystem for AdaptiveRts {
             Some(logic) => logic.split_replica(initial, table.partitions())?,
             None => vec![initial],
         };
-        let parts = parts.into_iter().map(Part::Value);
+        let parts = (0..).zip(parts.into_iter().map(Part::Value));
         install_slots(inner, &table, parts, &DedupWindow::new())?;
         inner.homes.write().insert(
             id,

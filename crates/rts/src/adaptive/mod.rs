@@ -63,33 +63,36 @@
 //! moves the object to the cheapest once the saving has paid for the move;
 //! a move within the regime is a switch to the same regime.
 //!
-//! ## The switch protocol (drain → install → publish)
+//! ## The switch protocol (withdraw → install → publish)
 //!
 //! A withdrawn mark on every retiring replica makes sure no write is lost
 //! or double-applied across the change:
 //!
-//! 1. **Drain.** The home withdraws every authoritative replica of the old
-//!    regime ([`RegimeMsg::Drain`], to every owner at once, its own served
-//!    while the others travel). Withdrawal marks the slot under its replica
-//!    mutex and removes it: an in-flight operation that already cloned the
-//!    slot acquires the mutex, sees the mark, and is answered `StaleRegime`
-//!    instead of being applied to (and acknowledged against) an orphaned
-//!    replica — the caller retries under the new regime. The owner of a
-//!    retiring replicated regime drops its mirrors ([`RegimeMsg::DropCopies`])
-//!    and settles the leases it granted them before it hands the state over,
-//!    so no node keeps serving pre-switch reads; the regime lease bounds the
-//!    staleness window if a drop notification is lost to a crash.
-//! 2. **Install.** The new regime's replicas are installed under
-//!    `epoch + 1` ([`RegimeMsg::Install`], at every owner at once): as
-//!    drained when the regime and its partition count stay, else cut from
-//!    the drained states merged ([`orca_object::ShardLogic::merge_states`]).
-//!    The node that installs a replicated regime's copy primes the mirrors
-//!    the table lists ([`RegimeMsg::Mirror`]) and is their lease grantor
-//!    from then on. If a remote install fails (crashed node), a switch into
-//!    a regime falls back to a replicated copy at home, without mirrors,
-//!    under a further epoch — the merged state is in hand, so the fallback
-//!    cannot fail and no state is lost — and a re-placement goes back to
-//!    the owners and epoch it had.
+//! 1. **Withdraw.** The home withdraws every authoritative replica of the
+//!    old regime, at every owner at once, its own served while the others
+//!    travel: it drains it ([`RegimeMsg::Drain`]) — or, where a
+//!    re-placement leaves a partition with its owner, re-stamps it there (an
+//!    [`RegimeMsg::Install`] naming the epoch it comes `from`): served on
+//!    under `epoch + 1` from the replica it holds, nothing shipped.
+//!    Withdrawal marks the slot under its replica mutex and removes it: an
+//!    in-flight operation that already cloned the slot acquires the mutex,
+//!    sees the mark, and is answered `StaleRegime` instead of being applied
+//!    to (and acknowledged against) an orphaned replica — the caller
+//!    retries under the new regime. The owner drops the slot's mirrors
+//!    ([`RegimeMsg::DropCopies`]) and settles the leases it granted them
+//!    before it answers, so no node keeps serving pre-switch reads; the
+//!    regime lease bounds the staleness window if a drop is lost to a crash.
+//! 2. **Install.** What was drained is installed under `epoch + 1`
+//!    ([`RegimeMsg::Install`], at every owner at once): as drained when the
+//!    regime and its partition count stay, else cut from the drained states
+//!    merged ([`orca_object::ShardLogic::merge_states`]). The installer
+//!    primes the mirrors the table lists ([`RegimeMsg::Mirror`]) and is
+//!    their lease grantor from then on; a re-stamped slot primes its own
+//!    once every install has succeeded. If a remote install fails (crashed
+//!    node), a switch into a regime falls back to a replicated copy at home,
+//!    without mirrors, under a further epoch — the merged state is in hand,
+//!    so the fallback cannot fail and no state is lost — and a re-placement
+//!    goes back to the owners and epoch it had.
 //! 3. **Publish.** The home's table gets the new epoch; stale caches
 //!    recover through `StaleRegime` replies or lease expiry.
 //!
@@ -169,11 +172,12 @@ use crate::pipeline::{
     QueuedOp, RoundSlot,
 };
 use crate::recovery::{is_dead, RecoveryConfig};
+use crate::sabotage;
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::update::{two_phase, CopyState, HeldCopy, MirrorLease, UpdateStats, WriteAck};
 use crate::{AsyncOp, PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{served, table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
-use policy::{place, Count, UsageAggregate};
+use policy::{stable_place, Count, UsageAggregate};
 // The role files share this file's vocabulary (`use super::*`), each other's
 // through it.
 use {placement::*, reassembly::*, service::*, slot::*};

@@ -109,11 +109,9 @@ fn kept(inner: &Inner, mut placed: RegimeTable) -> RegimeTable {
     placed
 }
 
-/// Owners of the partitions of sharded-regime `object`, pinned or not, by
-/// use: spread evenly over the nodes `usage` says access it — all of them
-/// when it says nothing, as for an object just created. An owner in `owned`
-/// that has been quiet for less than a regime lease — the time scale on
-/// which nodes learn of a placement at all — keeps its partitions.
+/// Owners of the partitions of sharded-regime `object`, now `owned`, by use
+/// ([`stable_place`] over [`UsageAggregate::users`]): an owner quiet for
+/// less than a regime lease is still a user.
 pub(super) fn placement(
     inner: &Inner,
     object: ObjectId,
@@ -122,18 +120,16 @@ pub(super) fn placement(
 ) -> Vec<u16> {
     let (nodes, grace) = (inner.num_nodes, inner.policy.regime_lease);
     let users = usage.users(Count::Accesses, nodes, owned, grace);
-    (0..inner.policy.partitions.max(1))
-        .map(|partition| place(object, partition, &users))
-        .collect()
+    stable_place(object, inner.policy.partitions.max(1), &users, owned)
 }
 
 /// Execute a switch to `placed`, with the switch lock held and `old` read
-/// under it: drain the old regime's replicas, install the new regime under
-/// the next epoch — each partition as drained while the regime and its
-/// partition count stay — and publish the table. The only path that
-/// changes an owner or a mirror set of a live object: what stays is
-/// re-installed where it was — handing single partitions or mirrors over
-/// would be a second mechanism for a state this small.
+/// under it — the only path that changes an owner or a mirror set of a live
+/// object: withdraw the old replicas, set up the new ones under the next
+/// epoch, publish. While the regime and its partition count stay, a
+/// partition whose owner stays is re-stamped there ([`withdraw`]), nothing
+/// shipped, and one that moves is installed as drained; else the new regime
+/// is cut from the merged states.
 pub(super) fn carry_out(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -147,7 +143,7 @@ pub(super) fn carry_out(
     // Every owner has to hand its replica over, so one already known dead
     // fails the switch before anything is withdrawn: once a dead owner's
     // evidence has decayed every evaluation asks for a re-placement, which
-    // must not drain and re-install the surviving partitions each time.
+    // must not withdraw and re-install the surviving partitions each time.
     if let Some(&dead) = old
         .owners
         .iter()
@@ -155,25 +151,33 @@ pub(super) fn carry_out(
     {
         return Err(RtsError::NodeDown(NodeId(dead)));
     }
+    let mut new = placed;
+    new.epoch = old.epoch + 1;
+    let same = (new.regime, new.owners.len()) == (old.regime, old.owners.len());
 
-    // Phase 1: drain every authoritative replica of the old regime. Each
-    // drained state travels with the dedup window that was recorded
-    // against exactly that state, and a replicated regime's owner retires
-    // its mirrors and their leases before it answers. All go out at once;
-    // when one fails, what was drained goes back under the old epoch.
-    let drains = (0u32..).zip(&old.owners);
-    let drains = drains.map(|(partition, &owner)| (NodeId(owner), drain(old, partition)));
+    // Phase 1: withdraw every old replica at once — re-stamped where its
+    // owner stays, else drained with the dedup window recorded against
+    // exactly its state; an owner retires the slot's mirrors and their leases
+    // before it answers. When one fails, what was withdrawn goes back.
+    let legs = (0u32..).zip(&old.owners).map(|(partition, &owner)| {
+        let msg = match same && new.owners[partition as usize] == owner {
+            true => restamp(&new, partition, old.epoch),
+            false => drain(old, partition),
+        };
+        (NodeId(owner), msg)
+    });
     let deadline = Instant::now() + inner.policy.op_timeout;
-    let drained: Vec<_> = regime_fan_out(inner, drains, deadline)
+    let withdrawn: Vec<_> = regime_fan_out(inner, legs, deadline)
         .into_iter()
         .map(|reply| match reply? {
-            RegimeReply::State { state, dedup } => Ok((state, dedup)),
+            RegimeReply::State { state, dedup } => Ok(Some((state, dedup))),
+            RegimeReply::Ack => Ok(None),
             other => Err(unexpected("Drain", other)),
         })
         .collect();
-    if let Some(err) = drained.iter().find_map(|drained| drained.as_ref().err()) {
+    if let Some(Err(err)) = withdrawn.iter().find(|withdrawn| withdrawn.is_err()) {
         let err = err.clone();
-        undo_drain(inner, old, &drained);
+        undo(inner, old, &withdrawn);
         return Err(err);
     }
 
@@ -188,31 +192,47 @@ pub(super) fn carry_out(
         drop_copies(inner, (object, None), old.epoch, None, everyone);
     }
 
-    // Phase 2: install the new regime (`drained` stays alive so any later
-    // failure can re-install the old regime — a drained object must never
-    // be lost). The dedup windows merge: lookups are by stamp, so an entry
-    // recorded at one partition is simply inert at another. The state the
-    // next move ships, as its price counts it, is what was drained.
-    let states = || drained.iter().flatten().map(|(state, _)| state.clone());
-    let mut dedup = DedupWindow::new();
-    for (_, window) in drained.iter().flatten() {
-        dedup.merge(window);
+    // Phase 2: install what was drained (`withdrawn` stays alive so any
+    // later failure can put the old regime back). The dedup windows merge:
+    // lookups are by stamp, so an entry recorded at one partition is inert
+    // at another. A move is priced by the state the home last had whole.
+    let (mut dedup, mut drained) = (DedupWindow::new(), Vec::new());
+    for (partition, withdrawn) in (0u32..).zip(&withdrawn) {
+        if let Ok(Some((state, window))) = withdrawn {
+            dedup.merge(window);
+            drained.push((partition, state.clone()));
+        }
     }
-    entry.usage.lock().state = drained.iter().flatten().map(|(state, _)| state.len()).sum();
-    let mut new = placed;
-    new.epoch = old.epoch + 1;
-    let installed = if (new.regime, new.owners.len()) == (old.regime, old.owners.len()) {
-        install_slots(inner, &new, states().map(Part::Bytes), &dedup).map(|()| new)
-    } else {
-        install_new_regime(inner, old, new, states().collect(), &dedup)
+    if drained.len() == withdrawn.len() {
+        entry.usage.lock().state = drained.iter().map(|(_, state)| state.len()).sum();
+    }
+    let installed = match same {
+        true => {
+            let moved = drained.into_iter().map(|(p, s)| (p, Part::Bytes(s)));
+            install_slots(inner, &new, moved, &dedup).map(|()| new)
+        }
+        false => {
+            let states = drained.into_iter().map(|(_, state)| state).collect();
+            install_new_regime(inner, old, new, states, &dedup)
+        }
     };
     let new = match installed {
         Ok(new) => new,
         Err(err) => {
-            undo_drain(inner, old, &drained);
+            undo(inner, old, &withdrawn);
             return Err(err);
         }
     };
+
+    // Phase 3: the re-stamped slots prime their mirrors and keepers (again
+    // in place) once nothing can undo them: a copy refuses an older epoch.
+    let primes = (0u32..)
+        .zip(&withdrawn)
+        .filter(|(_, withdrawn)| matches!(withdrawn, Ok(None)));
+    let primes = primes.map(|(p, _)| (NodeId(new.owners[p as usize]), restamp(&new, p, new.epoch)));
+    if !new.mirrors.is_empty() || (new.regime == RegimeKind::Sharded && inner.recovery.enabled) {
+        let _ = regime_fan_out(inner, primes, Instant::now() + inner.policy.op_timeout);
+    }
 
     // Phase 4: publish.
     let regime = new.regime;
@@ -258,7 +278,7 @@ fn install_new_regime(
                 mirrors: Vec::new(),
                 ..new
             };
-            install_slots(inner, &fallback, vec![Part::Bytes(full)], dedup)?;
+            install_slots(inner, &fallback, [(0, Part::Bytes(full))], dedup)?;
             Ok(fallback)
         }
         Err(err) => Err(err),
@@ -268,13 +288,13 @@ fn install_new_regime(
 /// The whole-object state `full` cut into the partitions `table` names: one
 /// copy under the replicated regime, one state per owner under the sharded
 /// regime (a type that does not shard is one partition).
-fn cut(inner: &Inner, table: &RegimeTable, full: &[u8]) -> Result<Vec<Part>, RtsError> {
+fn cut(inner: &Inner, table: &RegimeTable, full: &[u8]) -> Result<Vec<(u32, Part)>, RtsError> {
     let sharded = table.regime == RegimeKind::Sharded;
     let parts = match inner.registry.shard_logic(&table.type_name) {
         Some(logic) if sharded => logic.split_state(full, table.partitions())?,
         _ => vec![full.to_vec()],
     };
-    Ok(parts.into_iter().map(Part::Bytes).collect())
+    Ok((0..).zip(parts.into_iter().map(Part::Bytes)).collect())
 }
 
 /// The error of a `what` request answered `reply`.
@@ -295,129 +315,144 @@ fn drain(table: &RegimeTable, partition: u32) -> RegimeMsg {
 /// A drained partition: its state and the dedup window recorded against it.
 type Drained = (Vec<u8>, DedupWindow);
 
-/// Put drained partitions back at their old owners (failed switch), so the
-/// old regime keeps serving without any lost state. Each partition's dedup
-/// window goes back with the state it was drained with; a partition that
-/// was not drained is where it was.
-fn undo_drain(inner: &Arc<Inner>, old: &RegimeTable, drained: &[Result<Drained, RtsError>]) {
-    for ((partition, &owner), drained) in (0u32..).zip(&old.owners).zip(drained) {
-        if let Ok((state, dedup)) = drained {
-            let install = install_msg(old, partition, state.clone(), dedup.clone());
-            let deadline = Instant::now() + inner.policy.op_timeout;
-            let _ = regime_fan_out(inner, [(NodeId(owner), install)], deadline);
-        }
+/// Put the old regime back after a failed switch, without any lost state:
+/// a drained partition is installed again at its old owner with the dedup
+/// window it was drained with, a re-stamped one re-stamped back; one that
+/// was neither is where it was.
+fn undo(inner: &Arc<Inner>, old: &RegimeTable, withdrawn: &[Result<Option<Drained>, RtsError>]) {
+    for ((partition, &owner), withdrawn) in (0u32..).zip(&old.owners).zip(withdrawn) {
+        let msg = match withdrawn {
+            Ok(Some((state, dedup))) => install_msg(old, partition, state.clone(), dedup.clone()),
+            Ok(None) => restamp(old, partition, old.epoch + 1),
+            Err(_) => continue,
+        };
+        let deadline = Instant::now() + inner.policy.op_timeout;
+        regime_fan_out(inner, [(NodeId(owner), msg)], deadline);
     }
 }
 
-/// Withdraw a locally-served slot for a regime switch and return its
-/// serialized state plus the dedup window that describes exactly that
-/// state. Returns `None` when the slot is absent or belongs to a
-/// different epoch (duplicate or late drain).
-///
-/// The mirrors the table lists of the slot are retired with it — a sharded
-/// partition's alone — by the node that granted their leases, and *after*
-/// the withdrawal: a racing `FetchMirror` is answered `StaleRegime` and
-/// cannot resurrect one;
-/// existing mirrors serve the last committed state until their drop
-/// arrives, and no write can commit anywhere until the new regime
-/// publishes, so those reads stay consistent (best-effort under crashes;
-/// the regime lease bounds the window for a node whose drop was lost, and
-/// its read lease is waited out here).
-pub(super) fn drain_local(
+/// Withdraw the slot this node serves for `key` under `epoch` for a switch
+/// and answer its state and the dedup window recorded against exactly it —
+/// or, `restamp`ed (its owner stays), serve it on under the epoch and
+/// placement given, on its replica and window, and answer `Ack`;
+/// `StaleRegime` without such a slot. Its listed mirrors are dropped after
+/// the withdrawal (a racing `FetchMirror` is refused), serving the last
+/// committed state till then (no write commits before the new regime
+/// publishes; a lost drop is bounded by the regime lease, a read lease
+/// waited out here). A re-stamp to a newer epoch primes nothing, or an undone
+/// one could not bring the copies back: [`carry_out`] has it primed later.
+pub(super) fn withdraw(
     inner: &Arc<Inner>,
-    object: ObjectId,
-    partition: u32,
+    key: (ObjectId, u32),
     epoch: u64,
-) -> Option<(Vec<u8>, DedupWindow)> {
+    restamp: Option<(u64, Placed<'_>)>,
+) -> RegimeReply {
+    let found = restamp.and_then(|(to, placed)| Some((to, placed, slot_at(inner, key, epoch)?)));
+    match found {
+        // Re-stamped to the epoch it serves: primed in place.
+        Some((to, _, slot)) if to == epoch => {
+            let holders = slot.holders(inner);
+            prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
+            return RegimeReply::Ack;
+        }
+        // Sabotaged: a copy, and the slot serves on until the copy replaces it.
+        Some((to, (regime, mirrors, _), slot))
+            if sabotage::on(&sabotage::RESTAMP_LEAVES_OLD_SLOT) =>
+        {
+            let (replica, registry) = (slot.replica.lock(), &inner.registry);
+            let copy = registry.instantiate(replica.type_name(), &replica.state_bytes());
+            let (copy, dedup) = (copy.expect("its own state"), slot.dedup.lock().clone());
+            let (copy, placed) = (Mutex::new(copy), (regime, mirrors, true));
+            drop(replica);
+            install_slot(inner, key, to, copy, dedup, placed);
+            return RegimeReply::Ack;
+        }
+        _ => {}
+    }
     let slot = {
         let mut slots = inner.slots.write();
-        match slots.get(&(object, partition)) {
-            Some(slot) if slot.epoch == epoch => slots.remove(&(object, partition)),
-            _ => None,
-        }
-    }?;
-    // Mark the slot withdrawn in the same critical section that snapshots
-    // the state: an operation that cloned the slot out of `slots` before
-    // the removal above will acquire this mutex later, see the mark and
-    // answer StaleRegime instead of applying to the orphaned replica. The
-    // dedup window is cloned under the same lock so it pairs with exactly
-    // this snapshot.
-    let drained = {
-        let replica = slot.replica.lock();
+        let of_epoch = slots.get(&key).is_some_and(|slot| slot.epoch == epoch);
+        of_epoch.then(|| slots.remove(&key)).flatten()
+    };
+    let Some(slot) = slot else {
+        return RegimeReply::StaleRegime;
+    };
+    // Mark the slot withdrawn under its replica mutex: an operation that
+    // cloned the slot out of `slots` before the removal above will acquire
+    // the mutex later, see the mark and answer StaleRegime instead of
+    // applying to a replica that is being handed over. Nothing changes the
+    // replica through this slot from here on, so the dedup window taken
+    // under the same lock pairs with the state it has.
+    let dedup = {
+        let _replica = slot.replica.lock();
         slot.withdrawn.store(true, Ordering::Relaxed);
         slot.changed.notify_all();
-        (replica.state_bytes(), slot.dedup.lock().clone())
+        std::mem::take(&mut *slot.dedup.lock())
     };
-    inner.stats.copies_dropped.inc();
     let unreached = std::mem::take(&mut slot.leases.lock().unreached);
     let mirrors = || slot.mirrors.iter().map(|&mirror| NodeId(mirror));
     let answering = mirrors().filter(|node| !unreached.contains(&node.0));
-    let dropped = drop_copies(inner, (object, slot.partition), epoch, None, answering);
+    let dropped = drop_copies(inner, (key.0, slot.partition), epoch, None, answering);
     settle_grants(inner, &slot, mirrors(), &dropped);
-    Some(drained)
+    let Some((to, placed)) = restamp else {
+        inner.stats.copies_dropped.inc();
+        let state = slot.replica.lock().state_bytes();
+        return RegimeReply::State { state, dedup };
+    };
+    install_slot(inner, key, to, Arc::clone(&slot.replica), dedup, placed);
+    RegimeReply::Ack
 }
 
-/// Install the authoritative slots `table` names, partition `i` at owner
-/// `i` with `parts[i]`: one copy at its owner under the replicated regime,
-/// one partition per owner under the sharded regime (a type that does not
-/// shard is one partition). Every install goes out at once. When an owner
-/// cannot take its partition the partial install is discarded — local
-/// slots directly, remote ones with a best-effort drain; the epoch is never
-/// published, so an unreachable node's leftover slot can take no
-/// operation — and the first error returned.
+/// Install the authoritative slots `table` names, `parts` of them — each
+/// with its partition, at that partition's owner: one copy under the
+/// replicated regime, one partition per owner under the sharded regime (a
+/// type that does not shard is one partition). Every install goes out at
+/// once. When an owner cannot take its partition the partial install is
+/// drained again, best-effort — the epoch is never published, so an
+/// unreachable node's leftover slot can take no operation — and the first
+/// error returned.
 pub(super) fn install_slots(
     inner: &Arc<Inner>,
     table: &RegimeTable,
-    parts: impl IntoIterator<Item = Part>,
+    parts: impl IntoIterator<Item = (u32, Part)>,
     dedup: &DedupWindow,
 ) -> Result<(), RtsError> {
     let object = table_object(table);
-    let owners = || (0u32..).zip(&table.owners);
-    let (placed, mut legs, mut local) = ((table.regime, &table.mirrors[..]), vec![], vec![]);
-    for ((partition, &owner), part) in owners().zip(parts) {
+    let placed = (table.regime, &table.mirrors[..], true);
+    let owner = |partition: u32| NodeId(table.owners[partition as usize]);
+    let (mut legs, mut remote, mut installed) = (vec![], vec![], vec![]);
+    for (partition, part) in parts {
         let state = match part {
-            Part::Value(value) if NodeId(owner) == inner.node => {
-                let key = (object, partition);
+            Part::Value(value) if owner(partition) == inner.node => {
+                let (key, value) = ((object, partition), Mutex::new(value));
                 install_slot(inner, key, table.epoch, value, dedup.clone(), placed);
-                local.push(partition);
+                installed.push(partition);
                 continue;
             }
             Part::Value(value) => value.state_bytes(),
             Part::Bytes(state) => state,
         };
+        remote.push(partition);
         let install = install_msg(table, partition, state, dedup.clone());
-        legs.push((NodeId(owner), install));
+        legs.push((owner(partition), install));
     }
     let deadline = Instant::now() + inner.policy.op_timeout;
-    let mut replies = regime_fan_out(inner, legs, deadline).into_iter();
-    let done: Vec<_> = owners()
-        .map(|(partition, _)| match local.contains(&partition) {
-            true => Ok(()),
-            false => match replies.next().expect("a reply per install")? {
-                RegimeReply::Ack => Ok(()),
-                other => Err(unexpected("Install", other)),
-            },
-        })
-        .collect();
-    let Some(failure) = done.iter().find_map(|done| done.clone().err()) else {
-        return Ok(());
-    };
-    for ((partition, &owner), _) in owners().zip(&done).filter(|(_, done)| done.is_ok()) {
-        let key = (object, partition);
-        if NodeId(owner) == inner.node {
-            let mut slots = inner.slots.write();
-            if slots
-                .get(&key)
-                .is_some_and(|slot| slot.epoch == table.epoch)
-            {
-                slots.remove(&key);
-            }
-        } else {
-            let drain = drain(table, partition);
-            let deadline = Instant::now() + inner.policy.op_timeout;
-            let _ = regime_fan_out(inner, [(NodeId(owner), drain)], deadline);
+    let mut failure = None;
+    for (partition, reply) in remote
+        .into_iter()
+        .zip(regime_fan_out(inner, legs, deadline))
+    {
+        match reply {
+            Ok(RegimeReply::Ack) => installed.push(partition),
+            Ok(other) => failure = failure.or(Some(unexpected("Install", other))),
+            Err(err) => failure = failure.or(Some(err)),
         }
     }
+    let Some(failure) = failure else {
+        return Ok(());
+    };
+    let drains = installed.into_iter().map(|p| (owner(p), drain(table, p)));
+    let _ = regime_fan_out(inner, drains, Instant::now() + inner.policy.op_timeout);
     Err(failure)
 }
 
@@ -445,5 +480,17 @@ fn install_msg(
         dedup,
         regime: table.regime,
         mirrors: table.mirrors.clone(),
+        from: None,
     }
+}
+
+/// The message that re-stamps the slot of partition `partition` its owner
+/// serves under epoch `from` for `table`: no state; primed only when `from`
+/// is not older than the table (after an install or when undoing one).
+fn restamp(table: &RegimeTable, partition: u32, from: u64) -> RegimeMsg {
+    let mut msg = install_msg(table, partition, Vec::new(), DedupWindow::new());
+    if let RegimeMsg::Install { from: at, .. } = &mut msg {
+        *at = Some(from);
+    }
+    msg
 }

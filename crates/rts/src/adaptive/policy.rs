@@ -249,6 +249,35 @@ pub(crate) fn place(object: ObjectId, partition: u32, users: &[u16]) -> u16 {
     users[usize::from(spread_owner(object.0, partition, users.len()))]
 }
 
+/// Owners of the `parts` partitions of `object`, now `owned`, over `users`,
+/// moving as few as an even spread allows: a partition stays with an owner
+/// that is a user within its even share — ⌊parts / users⌋, one more for the
+/// first `parts mod users` to reach it — the lowest-numbered first; the rest
+/// go to the user holding the fewest, the lowest id among equals.
+pub(crate) fn stable_place(object: ObjectId, parts: u32, users: &[u16], owned: &[u16]) -> Vec<u16> {
+    if owned.len() != parts as usize {
+        return (0..parts).map(|p| place(object, p, users)).collect();
+    }
+    let (share, mut more) = (owned.len() / users.len(), owned.len() % users.len());
+    let mut held: HashMap<u16, usize> = users.iter().map(|&user| (user, 0)).collect();
+    let (mut owners, mut moving) = (owned.to_vec(), Vec::new());
+    for (at, owner) in owned.iter().enumerate() {
+        match held.get_mut(owner) {
+            Some(n) if *n < share || (*n == share && more > 0) => {
+                more -= usize::from(*n == share);
+                *n += 1;
+            }
+            _ => moving.push(at),
+        }
+    }
+    for at in moving {
+        let fewest = held.iter_mut().min_by_key(|(user, n)| (**n, **user));
+        let (&user, n) = fewest.expect("a user");
+        (owners[at], *n) = (user, *n + 1);
+    }
+    owners
+}
+
 /// Which of a node's decayed counts makes it a user
 /// ([`UsageAggregate::users`]).
 #[derive(Clone, Copy)]
@@ -714,6 +743,59 @@ mod tests {
 
     fn owners_of(object: ObjectId, partitions: u32, users: &[u16]) -> Vec<u16> {
         (0..partitions).map(|p| place(object, p, users)).collect()
+    }
+
+    /// A re-placement keeps every owner that is still a user within its
+    /// even share: the ledger's first sharded re-placement moves the one
+    /// partition of the idle home, not all four.
+    #[test]
+    fn a_stable_placement_moves_only_what_leaves_the_even_spread() {
+        let object = ObjectId::compose(0, 1);
+        assert_eq!(
+            stable_place(object, 4, &[1, 2], &[1, 2, 0, 1]),
+            [1, 2, 2, 1]
+        );
+        // Within their shares, users keep everything.
+        assert_eq!(
+            stable_place(object, 4, &[1, 2], &[2, 1, 2, 1]),
+            [2, 1, 2, 1]
+        );
+        assert_eq!(
+            stable_place(object, 4, &[0, 1, 2], &[0, 1, 0, 2]),
+            [0, 1, 0, 2]
+        );
+        // An owner above its share gives up its excess, the highest-numbered
+        // partitions, to the users holding the fewest, lowest id first.
+        assert_eq!(
+            stable_place(object, 4, &[1, 2], &[1, 1, 1, 1]),
+            [1, 1, 2, 2]
+        );
+        assert_eq!(
+            stable_place(object, 4, &[0, 1, 2], &[0, 0, 0, 1]),
+            [0, 0, 2, 1]
+        );
+        // A new user takes a partition from an owner above the even share
+        // (4 over 3 users: one owner of two, two of one).
+        assert_eq!(
+            stable_place(object, 4, &[0, 1, 2], &[0, 1, 0, 1]),
+            [0, 1, 0, 2]
+        );
+        assert_eq!(stable_place(object, 2, &[0, 1, 2], &[0, 0]), [0, 1]);
+        // A partition of a node that is no user goes, whatever it held.
+        assert_eq!(stable_place(object, 3, &[0, 2], &[1, 1, 1]), [0, 2, 0]);
+    }
+
+    /// With no owners — an object created, or entering the sharded regime —
+    /// the placement is the hashed spread, as before.
+    #[test]
+    fn a_placement_without_owners_is_the_hashed_spread() {
+        for case in 0..64u16 {
+            let object = ObjectId::compose(case % 3, u64::from(case));
+            for users in [&[0, 1, 2][..], &[1, 2], &[2]] {
+                let spread = owners_of(object, 4, users);
+                assert_eq!(stable_place(object, 4, users, &[]), spread);
+            }
+        }
     }
 
     #[test]

@@ -236,16 +236,16 @@ fn regenerate(
     // Under the next epoch, which nothing the dead owner's regime left on
     // the survivors answers to. (Sabotaged: under the epoch it had, every
     // other node listed, so whoever kept a copy goes on reading it.)
-    let (epoch, mirrors) = match crate::sabotage::rehome_keeps_stale_copies() {
+    let (epoch, mirrors) = match sabotage::on(&sabotage::REHOME_KEEPS_STALE_COPIES) {
         false => (epoch + 1, Vec::new()),
         true => {
             let others = (0..inner.num_nodes as u16).filter(|node| *node != inner.node.0);
             (epoch, others.collect())
         }
     };
-    let placed = (RegimeKind::Replicated, &[][..]);
+    let placed = (RegimeKind::Replicated, &[][..], true);
     let replica = inner.registry.instantiate(name, state)?;
-    install_slot(inner, key, epoch, replica, dedup, placed);
+    install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);
     if inner.leases_enabled() {
         fence_writes(inner, key);
     }

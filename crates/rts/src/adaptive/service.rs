@@ -79,10 +79,7 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             object,
             epoch,
             partition,
-        } => match drain_local(inner, ObjectId(object), partition, epoch) {
-            Some((state, dedup)) => RegimeReply::State { state, dedup },
-            None => RegimeReply::StaleRegime,
-        },
+        } => withdraw(inner, (ObjectId(object), partition), epoch, None),
         RegimeMsg::Install {
             object,
             epoch,
@@ -92,15 +89,19 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             dedup,
             regime,
             mirrors,
+            from,
         } => {
             if !served(regime) {
                 return RegimeReply::Error(format!("unknown regime {regime:?}"));
             }
             let key = (ObjectId(object), partition);
-            let placed = (regime, &mirrors[..]);
+            let placed = (regime, &mirrors[..], from.is_none_or(|from| from >= epoch));
+            if let Some(from) = from {
+                return withdraw(inner, key, from, Some((epoch, placed)));
+            }
             match inner.registry.instantiate(&type_name, &state) {
                 Ok(replica) => {
-                    install_slot(inner, key, epoch, replica, dedup, placed);
+                    install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);
                     RegimeReply::Ack
                 }
                 Err(err) => RegimeReply::Error(err.to_string()),

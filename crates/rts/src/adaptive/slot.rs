@@ -20,7 +20,8 @@ use super::*;
 /// One authoritative replica (the single copy under the replicated regime,
 /// or one partition under the sharded regime) held by this node.
 pub(super) struct Slot {
-    pub(super) replica: Mutex<Box<dyn AnyReplica>>,
+    /// Shared with the slot it re-stamps, if any ([`withdraw`]).
+    pub(super) replica: Arc<Mutex<Box<dyn AnyReplica>>>,
     /// Epoch of the regime this slot serves; operations stamped with any
     /// other epoch are answered `StaleRegime`.
     pub(super) epoch: u64,
@@ -225,7 +226,7 @@ pub(super) fn backup_target(inner: &Inner) -> Option<NodeId> {
 /// a lease, booked in the slot's ledger once acknowledged. Best-effort: a
 /// reader that misses it fetches at its first read, a keeper answers the
 /// next push `StaleRegime` and is primed again.
-fn prime_mirrors(
+pub(super) fn prime_mirrors(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     slot: &Slot,
@@ -258,23 +259,26 @@ fn prime_mirrors(
     }
 }
 
-/// Install an authoritative slot holding `replica` (a created value, or
-/// decoded off the wire) on this node, `placed` = its regime and the mirrors
-/// its table lists. Its mirrors — those but this node, and the keeper of a
-/// sharded-regime slot — are primed here, before it becomes visible: no
-/// write's push can reach a mirror ahead of the state it applies to.
+/// A slot's regime, the mirrors its table lists and whether to prime them.
+pub(super) type Placed<'a> = (RegimeKind, &'a [u16], bool);
+
+/// Install an authoritative slot holding `replica` (a created value, decoded
+/// off the wire, or a re-stamped slot's) on this node, `placed` = its regime,
+/// the mirrors its table lists and whether to prime them — those but this
+/// node, and the keeper of a sharded-regime slot — here, before it becomes
+/// visible: no write's push can reach a mirror ahead of the state it has.
 pub(super) fn install_slot(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     epoch: u64,
-    replica: Box<dyn AnyReplica>,
+    replica: impl Into<Arc<Mutex<Box<dyn AnyReplica>>>>,
     dedup: DedupWindow,
-    (regime, mirrors): (RegimeKind, &[u16]),
+    (regime, mirrors, prime): Placed<'_>,
 ) {
     let sharded = regime == RegimeKind::Sharded;
     let others = mirrors.iter().filter(|mirror| **mirror != inner.node.0);
     let slot = Slot {
-        replica: Mutex::new(replica),
+        replica: replica.into(),
         epoch,
         withdrawn: AtomicBool::new(false),
         mirrors: others.copied().collect(),
@@ -285,7 +289,7 @@ pub(super) fn install_slot(
         parked: AtomicU32::new(0),
         changed: Condvar::new(),
     };
-    let holders = slot.holders(inner);
+    let holders = if prime { slot.holders(inner) } else { vec![] };
     prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
     inner.slots.write().insert(key, Arc::new(slot));
 }
@@ -307,10 +311,10 @@ pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> R
         return RegimeReply::StaleRegime;
     };
     let (name, bytes) = (copy.type_name(), copy.state_bytes());
-    let placed = (RegimeKind::Sharded, &[][..]);
+    let placed = (RegimeKind::Sharded, &[][..], true);
     match inner.registry.instantiate(name, &bytes) {
         Ok(replica) => {
-            install_slot(inner, key, epoch, replica, dedup, placed);
+            install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);
             if leased {
                 fence_writes(inner, key);
             }
@@ -387,7 +391,7 @@ pub(super) fn apply_op_batch(
 }
 
 /// The slot this node serves for `key` under `epoch`, if it does.
-fn slot_at(inner: &Inner, key: (ObjectId, u32), epoch: u64) -> Option<Arc<Slot>> {
+pub(super) fn slot_at(inner: &Inner, key: (ObjectId, u32), epoch: u64) -> Option<Arc<Slot>> {
     let slots = inner.slots.read();
     slots.get(&key).filter(|slot| slot.epoch == epoch).cloned()
 }

@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 use orca_amoeba::message::WIRE_HEADER_BYTES;
 use orca_amoeba::network::Network;
 use orca_amoeba::NodeId;
+use orca_object::shard::shard_of_u64;
 use orca_object::testing::{Accumulator, AccumulatorOp, Bank, BankOp, BankReply};
 use orca_object::{ObjectId, ObjectRegistry, ObjectType, OpKind, ShardRoute};
 use orca_wire::{DedupWindow, OpStamp, TraceId, Wire};
@@ -245,6 +246,7 @@ fn a_regime_the_engine_does_not_serve_is_refused_off_the_wire() {
         dedup: DedupWindow::new(),
         regime: reserved,
         mirrors: Vec::new(),
+        from: None,
     };
     let refused = dispatch(&rtses[0].inner, install, NodeId(1));
     assert!(matches!(refused, RegimeReply::Error(_)), "{refused:?}");
@@ -1685,6 +1687,52 @@ fn failed_re_placement_leaves_the_old_owners_serving() {
     shutdown_all(&rtses);
 }
 
+/// A re-placement undone because an owner did not answer leaves the
+/// partitions it re-stamped mirrored as they were: a re-stamp primes its
+/// mirrors only once nothing can undo the switch (a prime moves a copy to
+/// the next epoch, and a copy refuses a prime of an older one), and the
+/// re-stamp that undoes it primes them again under the epoch they had. A
+/// reader of a partition of a live owner goes on reading its mirror.
+#[test]
+fn an_undone_re_stamp_leaves_its_mirrors_reading_locally() {
+    let net = Network::reliable(3);
+    let policy = AdaptivePolicy {
+        op_timeout: Duration::from_millis(300),
+        regime_lease: Duration::from_secs(10),
+        read_lease_ms: 0,
+        ..manual()
+    };
+    let rtses = start_all(&net, policy);
+    let id = new_bank(&rtses[0]);
+    let (reads, writes) = (&[0, 64][..], &[64, 64, 64][..]);
+    rtses[0]
+        .place_by_use(id, RegimeKind::Sharded, reads, writes)
+        .unwrap();
+    let (_, epoch, owners) = rtses[0].placement_of(id).unwrap();
+    assert_eq!(rtses[0].copy_holders(id).unwrap(), vec![NodeId(1)]);
+    assert!(owners.contains(&NodeId(2)), "{owners:?}");
+    let key = (0..64u64)
+        .find(|key| owners[shard_of_u64(*key, 4) as usize] == NodeId(0))
+        .expect("a key of node 0");
+    assert_eq!(deposit(&rtses[1], id, key, 5), 5);
+
+    net.crash(NodeId(2));
+    let more = &[0, 64, 64][..];
+    assert!(rtses[0]
+        .place_by_use(id, RegimeKind::Sharded, more, writes)
+        .is_err());
+    assert_eq!(rtses[0].placement_of(id).unwrap().1, epoch);
+    let before = net.stats();
+    let get = BankOp::Get(key).to_bytes();
+    let read = rtses[1]
+        .invoke(id, Bank::TYPE_NAME, OpKind::Read, &get)
+        .unwrap();
+    assert_eq!(BankReply::from_bytes(&read).unwrap(), BankReply::Value(5));
+    let sent = net.stats().since(&before).node(NodeId(1)).messages_sent();
+    assert_eq!(sent, 0, "node 1 read its mirror of a partition of node 0");
+    shutdown_all(&rtses);
+}
+
 /// A table asked for while a re-placement is in flight is the one the
 /// switch publishes, not the one it retires: a caller that bounced off a
 /// drained slot would only bounce again. Every message is held and released
@@ -2244,6 +2292,42 @@ fn replicated_re_placements_under_concurrent_writers_and_readers_lose_nothing() 
         added + 10,
         "retry must not double-apply"
     );
+    shutdown_all(&rtses);
+}
+
+/// A re-placement that keeps the owner and changes only the mirrors is a
+/// re-stamp: the home asks the owner to serve its copy under the next epoch
+/// and the owner primes the new mirror. No copy travels between the owner
+/// and the home, which is neither owner nor mirror: it sends one small
+/// request and gets an acknowledgement.
+#[test]
+fn a_replicated_re_placement_of_mirrors_ships_no_copy_to_or_from_its_owner() {
+    let net = Network::reliable(3);
+    let rtses = start_all(&net, manual_exact());
+    let id = new_bank(&rtses[0]);
+    for key in 0..256u64 {
+        deposit(&rtses[1], id, key, 1);
+    }
+    rtses[0]
+        .place_by_use(id, RegimeKind::Replicated, &[0], &[0, 64])
+        .unwrap();
+    assert_eq!(replicated_at(&rtses[0], id), (1, vec![]));
+    let state = slot_of(&rtses[1], id).unwrap().replica.lock().state_len() as u64;
+    assert!(state > 500, "a state of {state} B");
+    let (before, dropped) = (net.stats(), rtses[1].stats().copies_dropped);
+    rtses[0]
+        .place_by_use(id, RegimeKind::Replicated, &[0, 0, 64], &[0, 64])
+        .unwrap();
+    assert_eq!(replicated_at(&rtses[0], id), (1, vec![2]));
+    let home = net.stats().since(&before).node(NodeId(0));
+    assert!(home.bytes_sent < state / 4, "the home sent {home:?}");
+    assert!(
+        home.bytes_received < state / 4,
+        "the home received {home:?}"
+    );
+    assert_eq!(rtses[1].stats().copies_dropped, dropped, "nothing drained");
+    assert_eq!(bank_sum(&rtses[2], id), 256);
+    assert_eq!(deposit(&rtses[1], id, 0, 1), 2);
     shutdown_all(&rtses);
 }
 

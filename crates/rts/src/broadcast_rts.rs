@@ -52,8 +52,8 @@ wire_type! {
             invocation: u64,
             /// Target object.
             object: ObjectId,
-            /// Encoded operation.
-            op: Vec<u8>,
+            /// Encoded operation, to the end of the payload.
+            op: Vec<u8> as tail,
         },
         /// Withdraw a timed-out invocation of the sending node. Rides the same
         /// total order as the operation it cancels, so every manager makes the
@@ -1308,11 +1308,9 @@ mod wire_layout {
                 },
                 "00 07 01 10 74 65 73 74 2e 41 63 63 75 6d 75 6c 61 74 6f 72 01 00",
             ),
-            (write(vec![]), "01 ac 02 82 80 80 80 80 80 40 00"),
-            (
-                write(vec![1, 0x80]),
-                "01 ac 02 82 80 80 80 80 80 40 02 01 80",
-            ),
+            (write(vec![]), "01 ac 02 82 80 80 80 80 80 40"),
+            (write(vec![1]), "01 ac 02 82 80 80 80 80 80 40 01"),
+            (write(vec![1, 0x80]), "01 ac 02 82 80 80 80 80 80 40 01 80"),
             (RtsBroadcastMsg::Withdraw { invocation: 300 }, "02 ac 02"),
         ]
     }

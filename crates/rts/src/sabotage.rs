@@ -32,6 +32,10 @@
 //!   locked, as if every push were the fan-out's last: an earlier holder
 //!   serves the new value while a later one, not yet pushed to, still
 //!   serves the old.
+//! * [`RESTAMP_LEAVES_OLD_SLOT`] — a re-placement re-stamps a partition
+//!   whose owner stays by installing a copy under the next epoch, and the
+//!   old-epoch slot serves on until the copy replaces it: a write it takes
+//!   meanwhile is acknowledged and lost.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -49,20 +53,12 @@ pub static SKIP_WRITER_PENDING_MARK: AtomicBool = AtomicBool::new(false);
 /// Every push of an update fan-out is unheld, not just the last.
 pub static UNHELD_EVERY_PUSH: AtomicBool = AtomicBool::new(false);
 
-pub(crate) fn unheld_every_push() -> bool {
-    UNHELD_EVERY_PUSH.load(Ordering::SeqCst)
-}
+/// A re-stamp copies the slot and leaves the old-epoch one serving.
+pub static RESTAMP_LEAVES_OLD_SLOT: AtomicBool = AtomicBool::new(false);
 
-pub(crate) fn skip_writer_pending_mark() -> bool {
-    SKIP_WRITER_PENDING_MARK.load(Ordering::SeqCst)
-}
-
-pub(crate) fn no_version_gating() -> bool {
-    NO_VERSION_GATING.load(Ordering::SeqCst)
-}
-
-pub(crate) fn rehome_keeps_stale_copies() -> bool {
-    REHOME_KEEPS_STALE_COPIES.load(Ordering::SeqCst)
+/// True while `switch` is on.
+pub(crate) fn on(switch: &AtomicBool) -> bool {
+    switch.load(Ordering::SeqCst)
 }
 
 /// RAII guard that enables one sabotage switch and restores it on drop, so

@@ -53,7 +53,7 @@ use orca_telemetry::Counter;
 use orca_wire::{DedupWindow, OpStamp};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::sabotage;
+use crate::sabotage::{on, NO_VERSION_GATING, SKIP_WRITER_PENDING_MARK, UNHELD_EVERY_PUSH};
 
 orca_telemetry::counter_set! {
     /// Where a write's messages went, `rts.update.<field>` in the registry.
@@ -92,7 +92,7 @@ pub(crate) fn two_phase(
     let held = holders.len().saturating_sub(1);
     for (at, holder) in holders.iter().enumerate() {
         stats.pushes.inc();
-        if !push(*holder, at < held && !sabotage::unheld_every_push()) {
+        if !push(*holder, at < held && !on(&UNHELD_EVERY_PUSH)) {
             failed.push(*holder);
         }
     }
@@ -177,7 +177,7 @@ impl CopyState {
     /// Local reads must wait: an update's unlock is outstanding, or a write
     /// of this node is being written through the copy.
     pub(crate) fn reads_blocked(&self) -> bool {
-        self.locked || (self.pending_writes > 0 && !sabotage::skip_writer_pending_mark())
+        self.locked || (self.pending_writes > 0 && !on(&SKIP_WRITER_PENDING_MARK))
     }
 
     /// Give up the copy (it can no longer be kept current) and what went
@@ -216,7 +216,7 @@ impl CopyState {
         lease: Option<MirrorLease>,
         unraced: bool,
     ) -> bool {
-        if !unraced && self.seen > version && !sabotage::no_version_gating() {
+        if !unraced && self.seen > version && !on(&NO_VERSION_GATING) {
             return false;
         }
         self.copy = Some(replica);
@@ -260,7 +260,7 @@ impl CopyState {
         if self.copy.is_none() || last_version <= self.version {
             return 0;
         }
-        if first_version > self.version + 1 && !sabotage::no_version_gating() {
+        if first_version > self.version + 1 && !on(&NO_VERSION_GATING) {
             self.discard();
             return 0;
         }

@@ -6,8 +6,10 @@
 //! words — and recording is lock-free: a `fetch_add` on the write cursor
 //! claims a slot, the slot's contents are published under a per-slot
 //! sequence word (a seqlock), and readers that race a writer simply skip
-//! the slot being overwritten. The buffer never allocates after
-//! construction and never blocks a protocol thread, so it is safe to leave
+//! the slot being overwritten. The ring is [`CHUNKS`] chunks of slots, each
+//! allocated the first time a record lands in it — a cluster starts without
+//! faulting in memory its quiet nodes never write — so the buffer allocates
+//! each chunk once and never blocks a protocol thread: it is safe to leave
 //! on in every test and benchmark; when an invariant fires, the last
 //! `CAPACITY` events per node are the black box that explains how the
 //! system got there.
@@ -18,12 +20,20 @@
 //! event streams.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use orca_wire::TraceId;
 
 /// Events per node the recorder retains (a power of two; older events are
 /// overwritten).
 pub const CAPACITY: usize = 4096;
+
+/// Chunks of the ring, each `CAPACITY / CHUNKS` slots, allocated on first
+/// use.
+pub const CHUNKS: usize = 16;
+
+/// Slots per chunk.
+const CHUNK: usize = CAPACITY / CHUNKS;
 
 /// What happened. Kept small and closed: every variant is a protocol-level
 /// event some debugging session has wanted.
@@ -140,7 +150,7 @@ impl std::fmt::Display for FlightEvent {
 ///
 /// The sequence word is even when the slot is stable and odd while a
 /// writer is mid-publish; a reader retries (here: skips) a slot whose
-/// sequence changed under it.
+/// sequence changed under it. It is 0 only in a slot never written.
 struct Slot {
     seq: AtomicU64,
     t: AtomicU64,
@@ -155,7 +165,7 @@ impl Slot {
         Slot {
             seq: AtomicU64::new(0),
             t: AtomicU64::new(0),
-            node_kind: AtomicU64::new(u64::MAX),
+            node_kind: AtomicU64::new(0),
             trace: AtomicU64::new(0),
             a: AtomicU64::new(0),
             b: AtomicU64::new(0),
@@ -165,7 +175,7 @@ impl Slot {
 
 /// Fixed-size lock-free ring buffer of [`FlightEvent`]s for one node.
 pub struct FlightRecorder {
-    slots: Vec<Slot>,
+    chunks: [OnceLock<Box<[Slot]>>; CHUNKS],
     cursor: AtomicU64,
 }
 
@@ -173,7 +183,7 @@ impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("recorded", &self.cursor.load(Ordering::Relaxed))
-            .field("capacity", &self.slots.len())
+            .field("capacity", &CAPACITY)
             .finish()
     }
 }
@@ -185,10 +195,11 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An empty recorder with the default [`CAPACITY`].
+    /// An empty recorder with the default [`CAPACITY`]; no chunk is
+    /// allocated yet.
     pub fn new() -> FlightRecorder {
         FlightRecorder {
-            slots: (0..CAPACITY).map(|_| Slot::new()).collect(),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
             cursor: AtomicU64::new(0),
         }
     }
@@ -199,10 +210,13 @@ impl FlightRecorder {
     }
 
     /// Record one event. Lock-free: claims a slot with one `fetch_add`
-    /// and publishes under the slot's sequence word.
+    /// and publishes under the slot's sequence word (the first record in a
+    /// chunk allocates it).
     pub fn record(&self, event: FlightEvent) {
-        let claim = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(claim as usize) & (CAPACITY - 1)];
+        let claim = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % CAPACITY;
+        let chunk =
+            self.chunks[claim / CHUNK].get_or_init(|| (0..CHUNK).map(|_| Slot::new()).collect());
+        let slot = &chunk[claim % CHUNK];
         // Odd sequence = write in progress. Two writers lapping each other
         // on one slot is only possible after CAPACITY interleaving records;
         // the second writer's values win, which is the ring semantics.
@@ -219,18 +233,21 @@ impl FlightRecorder {
     }
 
     /// The retained events, oldest first (by the slot's recorded sim
-    /// time). Slots being concurrently rewritten are skipped.
+    /// time). Slots being concurrently rewritten, never written or in a
+    /// chunk never allocated are skipped.
     pub fn events(&self) -> Vec<FlightEvent> {
         let mut out = Vec::new();
-        for slot in &self.slots {
+        for slot in self
+            .chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|c| c.iter())
+        {
             let before = slot.seq.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                continue; // mid-write
+            if before & 1 == 1 || before == 0 {
+                continue; // mid-write, or never written
             }
             let node_kind = slot.node_kind.load(Ordering::Relaxed);
-            if node_kind == u64::MAX {
-                continue; // never written
-            }
             let event = FlightEvent {
                 t: slot.t.load(Ordering::Relaxed),
                 node: (node_kind >> 8) as u16,
@@ -297,6 +314,18 @@ mod tests {
         // The oldest 100 events were overwritten.
         assert_eq!(events.first().unwrap().t, 100);
         assert_eq!(events.last().unwrap().t, total - 1);
+    }
+
+    #[test]
+    fn a_chunk_is_allocated_when_a_record_first_lands_in_it() {
+        let rec = FlightRecorder::new();
+        let allocated =
+            |rec: &FlightRecorder| rec.chunks.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!((allocated(&rec), rec.events().len()), (0, 0));
+        for t in 0..=CHUNK as u64 {
+            rec.record(ev(t, FlightKind::Send));
+        }
+        assert_eq!((allocated(&rec), rec.events().len()), (2, CHUNK + 1));
     }
 
     #[test]

@@ -217,8 +217,37 @@ fn regime_msgs() -> Vec<(RegimeMsg, &'static str)> {
                 dedup: window(),
                 regime: RegimeKind::Replicated,
                 mirrors: vec![0, 2],
+                from: None,
             },
             "06 09 03 01 08 6f 72 63 61 2e 53 65 74 02 00 00 01 03 0b 02 01 02 00 02 00 02",
+        ),
+        (
+            RegimeMsg::Install {
+                object: 9,
+                epoch: 4,
+                partition: 1,
+                type_name: "orca.Set".into(),
+                state: vec![],
+                dedup: DedupWindow::new(),
+                regime: RegimeKind::Sharded,
+                mirrors: vec![2],
+                from: None,
+            },
+            "06 09 04 01 08 6f 72 63 61 2e 53 65 74 00 00 02 01 02",
+        ),
+        (
+            RegimeMsg::Install {
+                object: 9,
+                epoch: 4,
+                partition: 1,
+                type_name: "orca.Set".into(),
+                state: vec![],
+                dedup: DedupWindow::new(),
+                regime: RegimeKind::Sharded,
+                mirrors: vec![2],
+                from: Some(3),
+            },
+            "06 09 04 01 08 6f 72 63 61 2e 53 65 74 00 00 02 01 02 03",
         ),
         (
             mirror(None),

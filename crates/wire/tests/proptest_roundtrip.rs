@@ -492,7 +492,8 @@ fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
 /// object — alive across its owner's death: the prime of its kept mirror,
 /// its promotion and the holdings report; and the ones that place a
 /// replicated-regime object:
-/// an install naming its regime and mirrors, a mirror fetch naming the
+/// an install naming its regime and mirrors, or re-stamping the slot its
+/// owner serves, a mirror fetch naming the
 /// version held, the lease-only renewal, a table naming mirrors, a usage
 /// report, the report of a mirror that did not answer; and the ones a
 /// completed write sends its mirrors: a pushed run of updates — held, or
@@ -502,7 +503,8 @@ fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
 /// `Mirror` or an `Update` mirrors is its last field and written only when
 /// it is a partition, so the prefix that ends before it is the same message
 /// about the whole object, and costs the same bytes it cost before there
-/// was a partition to name.
+/// was a partition to name; so is the epoch an `Install` re-stamps from,
+/// and the prefix without it an install.
 #[test]
 fn shard_messages_round_trip() {
     use orca_wire::{Holdings, RegimeMsg, RegimeReply};
@@ -554,6 +556,7 @@ fn shard_messages_round_trip() {
                 dedup: random_dedup(&mut gen),
                 regime: random_regime(&mut gen),
                 mirrors: random_nodes(&mut gen),
+                from: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
             5 => RegimeMsg::FetchMirror {
                 object,
@@ -598,6 +601,10 @@ fn shard_messages_round_trip() {
             RegimeMsg::Update { partition, .. } | RegimeMsg::Mirror { partition, .. } => {
                 let named = partition.take();
                 named.map(|partition| bytes.len() - partition.to_bytes().len())
+            }
+            RegimeMsg::Install { from, .. } => {
+                let named = from.take();
+                named.map(|from| bytes.len() - from.to_bytes().len())
             }
             _ => None,
         };
@@ -802,6 +809,7 @@ fn regime_messages_round_trip() {
                 dedup: random_dedup(&mut gen),
                 regime: random_regime(&mut gen),
                 mirrors: random_nodes(&mut gen),
+                from: (gen.below(2) == 0).then(|| gen.next_u64()),
             },
             7 => RegimeMsg::Mirror {
                 object,

@@ -44,6 +44,14 @@ fn put(key: u64, depth: i32) -> KvTableOp {
     }
 }
 
+/// The entry [`put`] stores under `key`.
+fn put_entry(key: u64) -> TableEntry {
+    match put(key, 0) {
+        KvTableOp::Put { entry, .. } => entry,
+        _ => unreachable!("a Put"),
+    }
+}
+
 /// Messages and payload bytes (wire bytes less the per-message header the
 /// statistics layer charges) one invocation from `ctx` costs.
 fn cost(
@@ -226,6 +234,60 @@ fn ships_half_the_puts_of_two_remote_writers(config: OrcaConfig, regime: RegimeK
          placement {placement:?}"
     );
     assert_eq!(runtime.object_placement(table.id()), Some(placement));
+    runtime.shutdown();
+}
+
+/// The benchmark's first sharded re-placement in miniature: node 0 creates
+/// a table of 4 096 keys in 4 partitions, spread over all three nodes, and
+/// never touches it again; nodes 1 and 2 write it, and a proposal places
+/// the partitions on the two writers. Only the idle creator's partition
+/// moves — the writers keep theirs, re-stamped where they are — so the
+/// switch puts one partition's state on the wire and a few small messages.
+/// Draining all four to the creator and installing them again cost the
+/// whole table twice over.
+#[test]
+fn a_sharded_re_placement_ships_only_the_partition_that_moves() {
+    const KEYS: u64 = 4096;
+    let policy = AdaptivePolicy {
+        window: u64::MAX,
+        ..AdaptivePolicy::sharded(4)
+    };
+    let config = OrcaConfig {
+        strategy: RtsStrategy::Adaptive { policy },
+        ..OrcaConfig::sharded(3, 4)
+    };
+    let runtime = OrcaRuntime::start(config, standard_registry());
+    let initial: std::collections::BTreeMap<u64, TableEntry> = (0..KEYS)
+        .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1))
+        .map(|key| (key, put_entry(key)))
+        .collect();
+    let table = runtime.create::<KvTableObject>(&initial).unwrap();
+    let created = runtime.object_placement(table.id()).expect("one engine");
+    assert!(created.contains(&NodeId(0)), "spread over all: {created:?}");
+    for (at, &key) in initial.keys().enumerate().take(64) {
+        let ctx = runtime.context(1 + at % 2);
+        ctx.invoke(table, &put(key, 1)).expect("put succeeds");
+    }
+
+    let before = runtime.network_stats();
+    runtime.propose_regime(table.id());
+    let spent = runtime.network_stats().since(&before);
+    let placed = runtime.object_placement(table.id()).expect("one engine");
+    assert!(!placed.contains(&NodeId(0)), "the idle creator: {placed:?}");
+    let moved = created.iter().zip(&placed).filter(|(a, b)| a != b).count();
+    let idle = created.iter().filter(|owner| **owner == NodeId(0)).count();
+    assert_eq!(
+        moved, idle,
+        "{created:?} -> {placed:?}: only the creator's move"
+    );
+    let partition = initial.to_bytes().len() as u64 / 4;
+    let budget = moved as u64 * partition * 5 / 4 + 1024;
+    assert!(
+        spent.total_wire_bytes() <= budget,
+        "{created:?} -> {placed:?}: {} wire bytes in {} messages, budget {budget}",
+        spent.total_wire_bytes(),
+        spent.total_messages()
+    );
     runtime.shutdown();
 }
 
