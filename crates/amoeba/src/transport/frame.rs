@@ -20,7 +20,8 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
 /// them: since version 11 a re-placement re-stamps a partition whose owner
-/// stays (`RegimeMsg::Restamp`) and a broadcast write carries its operation
+/// stays (an `Install` naming the epoch it comes `from`) and a broadcast
+/// write carries its operation
 /// as its tail (version 10 said by how much a batched operation's trace is
 /// further on under its predecessor's origin — a skip bit in its flags —
 /// and made a batch reply runs of equal outcomes; version 9 gave

@@ -110,3 +110,8 @@ fn sharded_keeper_promotion_loses_and_duplicates_nothing() {
 fn sharded_replacement_under_writers_loses_and_duplicates_nothing() {
     run("sharded_replacement_under_writers");
 }
+
+#[test]
+fn sharded_replacement_across_a_death_loses_and_duplicates_nothing() {
+    run("sharded_replacement_across_a_death");
+}

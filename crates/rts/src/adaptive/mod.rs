@@ -63,36 +63,32 @@
 //! moves the object to the cheapest once the saving has paid for the move;
 //! a move within the regime is a switch to the same regime.
 //!
-//! ## The switch protocol (withdraw → install → publish)
+//! ## The switch protocol (drain → install → publish)
 //!
 //! A withdrawn mark on every retiring replica makes sure no write is lost
 //! or double-applied across the change:
 //!
-//! 1. **Withdraw.** The home withdraws every authoritative replica of the
-//!    old regime, at every owner at once, its own served while the others
-//!    travel: it drains it ([`RegimeMsg::Drain`]) — or, where a
-//!    re-placement leaves a partition with its owner, re-stamps it there (an
-//!    [`RegimeMsg::Install`] naming the epoch it comes `from`): served on
-//!    under `epoch + 1` from the replica it holds, nothing shipped.
-//!    Withdrawal marks the slot under its replica mutex and removes it: an
-//!    in-flight operation that already cloned the slot acquires the mutex,
-//!    sees the mark, and is answered `StaleRegime` instead of being applied
-//!    to (and acknowledged against) an orphaned replica — the caller
-//!    retries under the new regime. The owner drops the slot's mirrors
-//!    ([`RegimeMsg::DropCopies`]) and settles the leases it granted them
-//!    before it answers, so no node keeps serving pre-switch reads; the
-//!    regime lease bounds the staleness window if a drop is lost to a crash.
-//! 2. **Install.** What was drained is installed under `epoch + 1`
-//!    ([`RegimeMsg::Install`], at every owner at once): as drained when the
-//!    regime and its partition count stay, else cut from the drained states
-//!    merged ([`orca_object::ShardLogic::merge_states`]). The installer
-//!    primes the mirrors the table lists ([`RegimeMsg::Mirror`]) and is
-//!    their lease grantor from then on; a re-stamped slot primes its own
-//!    once every install has succeeded. If a remote install fails (crashed
-//!    node), a switch into a regime falls back to a replicated copy at home,
-//!    without mirrors, under a further epoch — the merged state is in hand,
-//!    so the fallback cannot fail and no state is lost — and a re-placement
-//!    goes back to the owners and epoch it had.
+//! 1. **Drain.** The home withdraws every authoritative replica of the old
+//!    regime that moves ([`RegimeMsg::Drain`], to every owner at once, its
+//!    own served while the others travel). Withdrawal marks the slot under
+//!    its replica mutex and removes it: an in-flight operation that already
+//!    cloned the slot acquires the mutex, sees the mark, and is answered
+//!    `StaleRegime` — the caller retries under the new regime. The owner
+//!    drops the slot's mirrors ([`RegimeMsg::DropCopies`]) and settles the
+//!    leases it granted them before it hands the state over; the regime
+//!    lease bounds the staleness if a drop is lost to a crash.
+//! 2. **Install.** The new regime's replicas are installed under
+//!    `epoch + 1` ([`RegimeMsg::Install`], at every owner at once): as
+//!    drained when the regime and its partition count stay — a partition
+//!    whose owner stays is withdrawn and served on there from the replica it
+//!    holds (an `Install` naming the epoch it comes `from`) — else cut from
+//!    the drained states merged ([`orca_object::ShardLogic::merge_states`]).
+//!    The installer primes the mirrors the table lists ([`RegimeMsg::Mirror`])
+//!    and is their lease grantor from then on. If a remote install fails, a
+//!    switch into a regime falls back to a replicated copy at home, without
+//!    mirrors, under a further epoch — the merged state is in hand, so the
+//!    fallback cannot fail — and a re-placement goes back to the owners and
+//!    epoch it had, its re-stamps re-stamped back.
 //! 3. **Publish.** The home's table gets the new epoch; stale caches
 //!    recover through `StaleRegime` replies or lease expiry.
 //!

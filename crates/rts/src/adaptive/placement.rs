@@ -125,11 +125,8 @@ pub(super) fn placement(
 
 /// Execute a switch to `placed`, with the switch lock held and `old` read
 /// under it — the only path that changes an owner or a mirror set of a live
-/// object: withdraw the old replicas, set up the new ones under the next
-/// epoch, publish. While the regime and its partition count stay, a
-/// partition whose owner stays is re-stamped there ([`withdraw`]), nothing
-/// shipped, and one that moves is installed as drained; else the new regime
-/// is cut from the merged states.
+/// object: drain what moves, install it under the next epoch — re-stamping
+/// in place ([`withdraw`]) a partition whose owner stays — and publish.
 pub(super) fn carry_out(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -154,87 +151,69 @@ pub(super) fn carry_out(
     let mut new = placed;
     new.epoch = old.epoch + 1;
     let same = (new.regime, new.owners.len()) == (old.regime, old.owners.len());
+    let stays = |p: &u32| same && new.owners[*p as usize] == old.owners[*p as usize];
+    let (kept, moved): (Vec<u32>, Vec<u32>) = (0..old.owners.len() as u32).partition(stays);
 
-    // Phase 1: withdraw every old replica at once — re-stamped where its
-    // owner stays, else drained with the dedup window recorded against
-    // exactly its state; an owner retires the slot's mirrors and their leases
-    // before it answers. When one fails, what was withdrawn goes back.
-    let legs = (0u32..).zip(&old.owners).map(|(partition, &owner)| {
-        let msg = match same && new.owners[partition as usize] == owner {
-            true => restamp(&new, partition, old.epoch),
-            false => drain(old, partition),
-        };
-        (NodeId(owner), msg)
-    });
+    // Phase 1: drain the replicas that move, all at once, each with the
+    // dedup window recorded against exactly its state; an owner retires the
+    // slot's mirrors and their leases before it answers. The ones that stay
+    // serve on. When one fails, what was drained goes back.
+    let owner = |p: u32| NodeId(old.owners[p as usize]);
+    let drains = moved.iter().map(|&p| (owner(p), drain(old, p)));
     let deadline = Instant::now() + inner.policy.op_timeout;
-    let withdrawn: Vec<_> = regime_fan_out(inner, legs, deadline)
+    let drained: Vec<_> = regime_fan_out(inner, drains, deadline)
         .into_iter()
         .map(|reply| match reply? {
-            RegimeReply::State { state, dedup } => Ok(Some((state, dedup))),
-            RegimeReply::Ack => Ok(None),
+            RegimeReply::State { state, dedup } => Ok((state, dedup)),
             other => Err(unexpected("Drain", other)),
         })
         .collect();
-    if let Some(Err(err)) = withdrawn.iter().find(|withdrawn| withdrawn.is_err()) {
+    if let Some(err) = drained.iter().find_map(|drained| drained.as_ref().err()) {
         let err = err.clone();
-        undo(inner, old, &withdrawn);
+        undo(inner, old, moved.iter().zip(&drained), &[]);
         return Err(err);
     }
 
-    // The keepers of a sharded regime's slots are retired once every drain
-    // has succeeded, this node's included — not by each drained owner: a
-    // drop is an object's, a keeper node holds several partitions, and a
-    // switch undone halfway must find the undrained ones still kept. A node
-    // whose drop was lost keeps a mirror that is never promoted while the
-    // object's newer epoch leaves a trace among the survivors.
+    // Phase 2: install what was drained and re-stamp what stays, all at once
+    // (`drained` stays alive so any later failure can put the old regime
+    // back). The dedup windows merge: lookups are by stamp, so an entry
+    // recorded at one partition is inert at another. A move is priced by the
+    // whole state.
+    let states = || drained.iter().flatten().map(|(state, _)| state.clone());
+    let mut dedup = DedupWindow::new();
+    for (_, window) in drained.iter().flatten() {
+        dedup.merge(window);
+    }
+    if kept.is_empty() {
+        entry.usage.lock().state = drained.iter().flatten().map(|(state, _)| state.len()).sum();
+    }
+    let installed = if same {
+        let moves = moved.iter().copied().zip(states().map(Part::Bytes));
+        let parts = moves.chain(kept.iter().map(|&p| (p, Part::Kept(old.epoch))));
+        install_slots(inner, &new, parts, &dedup).map(|()| new)
+    } else {
+        install_new_regime(inner, old, new, states().collect(), &dedup)
+    };
+    let new = match installed {
+        Ok(new) => new,
+        Err(err) => {
+            undo(inner, old, moved.iter().zip(&drained), &kept);
+            return Err(err);
+        }
+    };
+
+    // The keepers of a sharded regime's slots are retired once the new
+    // regime is in place, this node's included — not by each drained owner:
+    // a drop is an object's, and a switch undone halfway must find them
+    // still kept. A node whose drop was lost keeps a mirror that is never
+    // promoted while the object's newer epoch leaves a trace among the
+    // survivors.
     if old.regime == RegimeKind::Sharded && inner.recovery.enabled {
         let everyone = (0..inner.num_nodes).map(NodeId::from);
         drop_copies(inner, (object, None), old.epoch, None, everyone);
     }
 
-    // Phase 2: install what was drained (`withdrawn` stays alive so any
-    // later failure can put the old regime back). The dedup windows merge:
-    // lookups are by stamp, so an entry recorded at one partition is inert
-    // at another. A move is priced by the state the home last had whole.
-    let (mut dedup, mut drained) = (DedupWindow::new(), Vec::new());
-    for (partition, withdrawn) in (0u32..).zip(&withdrawn) {
-        if let Ok(Some((state, window))) = withdrawn {
-            dedup.merge(window);
-            drained.push((partition, state.clone()));
-        }
-    }
-    if drained.len() == withdrawn.len() {
-        entry.usage.lock().state = drained.iter().map(|(_, state)| state.len()).sum();
-    }
-    let installed = match same {
-        true => {
-            let moved = drained.into_iter().map(|(p, s)| (p, Part::Bytes(s)));
-            install_slots(inner, &new, moved, &dedup).map(|()| new)
-        }
-        false => {
-            let states = drained.into_iter().map(|(_, state)| state).collect();
-            install_new_regime(inner, old, new, states, &dedup)
-        }
-    };
-    let new = match installed {
-        Ok(new) => new,
-        Err(err) => {
-            undo(inner, old, &withdrawn);
-            return Err(err);
-        }
-    };
-
-    // Phase 3: the re-stamped slots prime their mirrors and keepers (again
-    // in place) once nothing can undo them: a copy refuses an older epoch.
-    let primes = (0u32..)
-        .zip(&withdrawn)
-        .filter(|(_, withdrawn)| matches!(withdrawn, Ok(None)));
-    let primes = primes.map(|(p, _)| (NodeId(new.owners[p as usize]), restamp(&new, p, new.epoch)));
-    if !new.mirrors.is_empty() || (new.regime == RegimeKind::Sharded && inner.recovery.enabled) {
-        let _ = regime_fan_out(inner, primes, Instant::now() + inner.policy.op_timeout);
-    }
-
-    // Phase 4: publish.
+    // Phase 3: publish.
     let regime = new.regime;
     *entry.table.lock() = Arc::new(new);
     inner.stats.regime_switches.inc();
@@ -317,58 +296,41 @@ type Drained = (Vec<u8>, DedupWindow);
 
 /// Put the old regime back after a failed switch, without any lost state:
 /// a drained partition is installed again at its old owner with the dedup
-/// window it was drained with, a re-stamped one re-stamped back; one that
-/// was neither is where it was.
-fn undo(inner: &Arc<Inner>, old: &RegimeTable, withdrawn: &[Result<Option<Drained>, RtsError>]) {
-    for ((partition, &owner), withdrawn) in (0u32..).zip(&old.owners).zip(withdrawn) {
-        let msg = match withdrawn {
-            Ok(Some((state, dedup))) => install_msg(old, partition, state.clone(), dedup.clone()),
-            Ok(None) => restamp(old, partition, old.epoch + 1),
-            Err(_) => continue,
-        };
-        let deadline = Instant::now() + inner.policy.op_timeout;
-        regime_fan_out(inner, [(NodeId(owner), msg)], deadline);
-    }
+/// window it was drained with, a `kept` one re-stamped back; the rest are
+/// where they were.
+fn undo<'a>(
+    inner: &Arc<Inner>,
+    old: &RegimeTable,
+    drained: impl Iterator<Item = (&'a u32, &'a Result<Drained, RtsError>)>,
+    kept: &[u32],
+) {
+    let installs = drained.filter_map(|(&p, drained)| {
+        let (state, dedup) = drained.as_ref().ok()?;
+        Some((p, install_msg(old, p, state.clone(), dedup.clone(), None)))
+    });
+    let restamps = kept.iter().map(|&p| {
+        let from = Some(old.epoch + 1);
+        (p, install_msg(old, p, Vec::new(), DedupWindow::new(), from))
+    });
+    let legs = installs.chain(restamps);
+    let legs = legs.map(|(p, msg)| (NodeId(old.owners[p as usize]), msg));
+    regime_fan_out(inner, legs, Instant::now() + inner.policy.op_timeout);
 }
 
 /// Withdraw the slot this node serves for `key` under `epoch` for a switch
-/// and answer its state and the dedup window recorded against exactly it —
-/// or, `restamp`ed (its owner stays), serve it on under the epoch and
-/// placement given, on its replica and window, and answer `Ack`;
-/// `StaleRegime` without such a slot. Its listed mirrors are dropped after
-/// the withdrawal (a racing `FetchMirror` is refused), serving the last
-/// committed state till then (no write commits before the new regime
-/// publishes; a lost drop is bounded by the regime lease, a read lease
-/// waited out here). A re-stamp to a newer epoch primes nothing, or an undone
-/// one could not bring the copies back: [`carry_out`] has it primed later.
+/// and answer its state and the dedup window recorded against exactly it,
+/// or, `restamp`ed, serve it on under the epoch and placement given and
+/// answer `Ack`; `StaleRegime` without such a slot. Its listed mirrors are
+/// dropped after the withdrawal (a racing `FetchMirror` is refused), serving
+/// the last committed state till then (no write commits before the new
+/// regime publishes; a lost drop is bounded by the regime lease, a read
+/// lease waited out here).
 pub(super) fn withdraw(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     epoch: u64,
-    restamp: Option<(u64, Placed<'_>)>,
+    restamp: Option<(u64, (RegimeKind, &[u16]))>,
 ) -> RegimeReply {
-    let found = restamp.and_then(|(to, placed)| Some((to, placed, slot_at(inner, key, epoch)?)));
-    match found {
-        // Re-stamped to the epoch it serves: primed in place.
-        Some((to, _, slot)) if to == epoch => {
-            let holders = slot.holders(inner);
-            prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
-            return RegimeReply::Ack;
-        }
-        // Sabotaged: a copy, and the slot serves on until the copy replaces it.
-        Some((to, (regime, mirrors, _), slot))
-            if sabotage::on(&sabotage::RESTAMP_LEAVES_OLD_SLOT) =>
-        {
-            let (replica, registry) = (slot.replica.lock(), &inner.registry);
-            let copy = registry.instantiate(replica.type_name(), &replica.state_bytes());
-            let (copy, dedup) = (copy.expect("its own state"), slot.dedup.lock().clone());
-            let (copy, placed) = (Mutex::new(copy), (regime, mirrors, true));
-            drop(replica);
-            install_slot(inner, key, to, copy, dedup, placed);
-            return RegimeReply::Ack;
-        }
-        _ => {}
-    }
     let slot = {
         let mut slots = inner.slots.write();
         let of_epoch = slots.get(&key).is_some_and(|slot| slot.epoch == epoch);
@@ -391,8 +353,15 @@ pub(super) fn withdraw(
     };
     let unreached = std::mem::take(&mut slot.leases.lock().unreached);
     let mirrors = || slot.mirrors.iter().map(|&mirror| NodeId(mirror));
-    let answering = mirrors().filter(|node| !unreached.contains(&node.0));
-    let dropped = drop_copies(inner, (key.0, slot.partition), epoch, None, answering);
+    // Re-stamped back, its keeper too drops the newer copy for the older one.
+    let back = restamp.is_some_and(|(to, _)| to < epoch);
+    let mut holders = if back {
+        slot.holders(inner)
+    } else {
+        mirrors().collect()
+    };
+    holders.retain(|node| !unreached.contains(&node.0));
+    let dropped = drop_copies(inner, (key.0, slot.partition), epoch, None, holders);
     settle_grants(inner, &slot, mirrors(), &dropped);
     let Some((to, placed)) = restamp else {
         inner.stats.copies_dropped.inc();
@@ -403,14 +372,12 @@ pub(super) fn withdraw(
     RegimeReply::Ack
 }
 
-/// Install the authoritative slots `table` names, `parts` of them — each
-/// with its partition, at that partition's owner: one copy under the
-/// replicated regime, one partition per owner under the sharded regime (a
-/// type that does not shard is one partition). Every install goes out at
-/// once. When an owner cannot take its partition the partial install is
-/// drained again, best-effort — the epoch is never published, so an
-/// unreachable node's leftover slot can take no operation — and the first
-/// error returned.
+/// Install the authoritative slots `table` names, `parts` of them, each at
+/// its partition's owner — a kept one re-stamped where it is — all at once.
+/// When an owner cannot take its partition the installs are drained again,
+/// best-effort (the epoch is never published, so an unreachable node's
+/// leftover slot can take no operation), the re-stamps left for the caller
+/// to undo, and the first error returned.
 pub(super) fn install_slots(
     inner: &Arc<Inner>,
     table: &RegimeTable,
@@ -418,31 +385,31 @@ pub(super) fn install_slots(
     dedup: &DedupWindow,
 ) -> Result<(), RtsError> {
     let object = table_object(table);
-    let placed = (table.regime, &table.mirrors[..], true);
+    let placed = (table.regime, &table.mirrors[..]);
     let owner = |partition: u32| NodeId(table.owners[partition as usize]);
-    let (mut legs, mut remote, mut installed) = (vec![], vec![], vec![]);
+    let (mut legs, mut sent, mut installed) = (vec![], vec![], vec![]);
     for (partition, part) in parts {
-        let state = match part {
+        let (state, from) = match part {
             Part::Value(value) if owner(partition) == inner.node => {
                 let (key, value) = ((object, partition), Mutex::new(value));
                 install_slot(inner, key, table.epoch, value, dedup.clone(), placed);
                 installed.push(partition);
                 continue;
             }
-            Part::Value(value) => value.state_bytes(),
-            Part::Bytes(state) => state,
+            Part::Value(value) => (value.state_bytes(), None),
+            Part::Bytes(state) => (state, None),
+            Part::Kept(from) => (Vec::new(), Some(from)),
         };
-        remote.push(partition);
-        let install = install_msg(table, partition, state, dedup.clone());
+        sent.push((partition, from.is_some()));
+        let dedup = from.map_or_else(|| dedup.clone(), |_| DedupWindow::new());
+        let install = install_msg(table, partition, state, dedup, from);
         legs.push((owner(partition), install));
     }
     let deadline = Instant::now() + inner.policy.op_timeout;
     let mut failure = None;
-    for (partition, reply) in remote
-        .into_iter()
-        .zip(regime_fan_out(inner, legs, deadline))
-    {
+    for ((partition, kept), reply) in sent.into_iter().zip(regime_fan_out(inner, legs, deadline)) {
         match reply {
+            Ok(RegimeReply::Ack) if kept => {}
             Ok(RegimeReply::Ack) => installed.push(partition),
             Ok(other) => failure = failure.or(Some(unexpected("Install", other))),
             Err(err) => failure = failure.or(Some(err)),
@@ -456,20 +423,23 @@ pub(super) fn install_slots(
     Err(failure)
 }
 
-/// A partition's state for [`install_slots`]: a value, or the bytes of a move.
+/// A partition for [`install_slots`]: a value, the bytes of a move, or one
+/// whose owner keeps it, serving it under the epoch given.
 pub(super) enum Part {
     Value(Box<dyn AnyReplica>),
     Bytes(Vec<u8>),
+    Kept(u64),
 }
 
-/// The message that installs partition `partition` of `table` — its state,
-/// the dedup window recorded against exactly that state, the regime and the
-/// mirrors the table names.
+/// The message that installs partition `partition` of `table` with its state
+/// and the dedup window recorded against exactly it — or re-stamps it `from`
+/// the epoch its owner serves it under.
 fn install_msg(
     table: &RegimeTable,
     partition: u32,
     state: Vec<u8>,
     dedup: DedupWindow,
+    from: Option<u64>,
 ) -> RegimeMsg {
     RegimeMsg::Install {
         object: table.object,
@@ -480,17 +450,6 @@ fn install_msg(
         dedup,
         regime: table.regime,
         mirrors: table.mirrors.clone(),
-        from: None,
+        from,
     }
-}
-
-/// The message that re-stamps the slot of partition `partition` its owner
-/// serves under epoch `from` for `table`: no state; primed only when `from`
-/// is not older than the table (after an install or when undoing one).
-fn restamp(table: &RegimeTable, partition: u32, from: u64) -> RegimeMsg {
-    let mut msg = install_msg(table, partition, Vec::new(), DedupWindow::new());
-    if let RegimeMsg::Install { from: at, .. } = &mut msg {
-        *at = Some(from);
-    }
-    msg
 }

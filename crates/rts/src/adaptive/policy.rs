@@ -238,25 +238,15 @@ fn switch_cost(from: &RegimeTable, to: &RegimeTable, home: u16, state: usize) ->
     (2 * messages + state / WIRE_HEADER_BYTES) as f64
 }
 
-/// Owner of partition `partition` of `object` under the sharded regime:
-/// the deterministic hashed spread
-/// ([`orca_object::shard::spread_owner`]) over the nodes that use the
-/// object ([`UsageAggregate::users`]) — all of them when nothing is known,
-/// which is where an object is created under the sharded pin. With `k` of
-/// `N` nodes using an object evenly, `1 − 1/k` of the operations travel
-/// instead of `1 − 1/N`, pinned or not.
-pub(crate) fn place(object: ObjectId, partition: u32, users: &[u16]) -> u16 {
-    users[usize::from(spread_owner(object.0, partition, users.len()))]
-}
-
-/// Owners of the `parts` partitions of `object`, now `owned`, over `users`,
-/// moving as few as an even spread allows: a partition stays with an owner
-/// that is a user within its even share — ⌊parts / users⌋, one more for the
-/// first `parts mod users` to reach it — the lowest-numbered first; the rest
-/// go to the user holding the fewest, the lowest id among equals.
+/// Owners of the `parts` partitions of sharded-regime `object`, now `owned`,
+/// over its `users`: with no owners the hashed spread ([`spread_owner`]);
+/// else a partition stays with an owner that is a user within its even share
+/// — ⌊parts / users⌋, one more for the first `parts mod users` to reach it —
+/// the lowest-numbered first; the rest go to the user holding the fewest.
 pub(crate) fn stable_place(object: ObjectId, parts: u32, users: &[u16], owned: &[u16]) -> Vec<u16> {
     if owned.len() != parts as usize {
-        return (0..parts).map(|p| place(object, p, users)).collect();
+        let spread = |p| users[usize::from(spread_owner(object.0, p, users.len()))];
+        return (0..parts).map(spread).collect();
     }
     let (share, mut more) = (owned.len() / users.len(), owned.len() % users.len());
     let mut held: HashMap<u16, usize> = users.iter().map(|&user| (user, 0)).collect();
@@ -730,7 +720,7 @@ mod tests {
                 users.push((mask % nodes as u64) as u16);
             }
             let object = ObjectId::compose(0, case);
-            let owners: Vec<u16> = (0..partitions).map(|p| place(object, p, &users)).collect();
+            let owners = owners_of(object, partitions, &users);
             let busiest = (0..nodes).max_by_key(|&n| writes[n]).unwrap() as u16;
             let copy = priced(replicated(busiest, &[]), &usage);
             let spread = priced(sharded(&owners, &[]), &usage);
@@ -742,7 +732,8 @@ mod tests {
     }
 
     fn owners_of(object: ObjectId, partitions: u32, users: &[u16]) -> Vec<u16> {
-        (0..partitions).map(|p| place(object, p, users)).collect()
+        let spread = |p| users[usize::from(spread_owner(object.0, p, users.len()))];
+        (0..partitions).map(spread).collect()
     }
 
     /// A re-placement keeps every owner that is still a user within its

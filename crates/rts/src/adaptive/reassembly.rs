@@ -125,11 +125,13 @@ fn reown(
             if let Some((node, _)) = held.iter().find(|(_, h)| serves(h)) {
                 return Some(node.0);
             }
+            // Or of the next, a re-stamp an undone switch could not take back.
             let keepers = held.iter().filter_map(|(node, h)| {
-                let kept = h.keepers.iter().find(|(p, e, _)| (*p, *e) == at);
-                kept.map(|(_, _, version)| (*version, *node))
+                let next = |e: &u64| (epoch..=epoch + 1).contains(e);
+                let kept = h.keepers.iter().find(|(p, e, _)| *p == at.0 && next(e));
+                kept.map(|(_, e, version)| (*e == epoch, *version, *node))
             });
-            let (_, holder) = keepers.max()?;
+            let (_, _, holder) = keepers.max()?;
             let promote = RegimeMsg::Promote {
                 object: object.0,
                 epoch,
@@ -243,7 +245,7 @@ fn regenerate(
             (epoch, others.collect())
         }
     };
-    let placed = (RegimeKind::Replicated, &[][..], true);
+    let placed = (RegimeKind::Replicated, &[][..]);
     let replica = inner.registry.instantiate(name, state)?;
     install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);
     if inner.leases_enabled() {

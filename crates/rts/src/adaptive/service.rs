@@ -95,9 +95,17 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
                 return RegimeReply::Error(format!("unknown regime {regime:?}"));
             }
             let key = (ObjectId(object), partition);
-            let placed = (regime, &mirrors[..], from.is_none_or(|from| from >= epoch));
+            let placed = (regime, &mirrors[..]);
             if let Some(from) = from {
-                return withdraw(inner, key, from, Some((epoch, placed)));
+                // Sabotaged: a copy replaces the slot once primed; it serves on till then.
+                let sabotaged = sabotage::on(&sabotage::RESTAMP_LEAVES_OLD_SLOT);
+                let Some(old) = slot_at(inner, key, from).filter(|_| sabotaged) else {
+                    return withdraw(inner, key, from, Some((epoch, placed)));
+                };
+                let (state, dedup) = (old.replica.lock().state_bytes(), old.dedup.lock().clone());
+                let copy = Mutex::new(inner.registry.instantiate(&type_name, &state).unwrap());
+                install_slot(inner, key, epoch, copy, dedup, placed);
+                return RegimeReply::Ack;
             }
             match inner.registry.instantiate(&type_name, &state) {
                 Ok(replica) => {
@@ -163,9 +171,10 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
                 let mut state = mirror.state.lock();
                 if state.epoch <= epoch && (partition.is_none() || p == partition) {
                     state.discard();
-                    // A switch that is undone installs this epoch's copy
-                    // again, and its versions start over.
+                    // A switch that is undone primes this epoch, or the
+                    // one before, again: versions start over before it.
                     (state.version, state.seen) = (0, 0);
+                    state.epoch = state.epoch.min(epoch.saturating_sub(1));
                     mirror.unlocked.notify_all();
                 }
             }

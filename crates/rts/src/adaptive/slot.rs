@@ -20,7 +20,6 @@ use super::*;
 /// One authoritative replica (the single copy under the replicated regime,
 /// or one partition under the sharded regime) held by this node.
 pub(super) struct Slot {
-    /// Shared with the slot it re-stamps, if any ([`withdraw`]).
     pub(super) replica: Arc<Mutex<Box<dyn AnyReplica>>>,
     /// Epoch of the regime this slot serves; operations stamped with any
     /// other epoch are answered `StaleRegime`.
@@ -193,7 +192,7 @@ pub(super) fn drop_copies(
     (object, partition): MirrorKey,
     epoch: u64,
     written: Option<u64>,
-    nodes: impl Iterator<Item = NodeId>,
+    nodes: impl IntoIterator<Item = NodeId>,
 ) -> Vec<NodeId> {
     let drop_msg = RegimeMsg::DropCopies {
         object: object.0,
@@ -202,7 +201,7 @@ pub(super) fn drop_copies(
         written,
     };
     let budget = written.map(|_| Instant::now() + inner.policy.op_timeout / 2);
-    let dropped = nodes.filter(|node| {
+    let dropped = nodes.into_iter().filter(|node| {
         let deadline = budget.unwrap_or_else(|| Instant::now() + inner.policy.op_timeout);
         let reply = regime_fan_out(inner, [(*node, drop_msg.clone())], deadline);
         matches!(reply[..], [Ok(RegimeReply::Ack)])
@@ -226,7 +225,7 @@ pub(super) fn backup_target(inner: &Inner) -> Option<NodeId> {
 /// a lease, booked in the slot's ledger once acknowledged. Best-effort: a
 /// reader that misses it fetches at its first read, a keeper answers the
 /// next push `StaleRegime` and is primed again.
-pub(super) fn prime_mirrors(
+fn prime_mirrors(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     slot: &Slot,
@@ -259,13 +258,10 @@ pub(super) fn prime_mirrors(
     }
 }
 
-/// A slot's regime, the mirrors its table lists and whether to prime them.
-pub(super) type Placed<'a> = (RegimeKind, &'a [u16], bool);
-
 /// Install an authoritative slot holding `replica` (a created value, decoded
-/// off the wire, or a re-stamped slot's) on this node, `placed` = its regime,
-/// the mirrors its table lists and whether to prime them — those but this
-/// node, and the keeper of a sharded-regime slot — here, before it becomes
+/// off the wire, or a re-stamped slot's) on this node, `placed` = its regime
+/// and the mirrors its table lists. Its mirrors — those but this node, and
+/// the keeper of a sharded-regime slot — are primed here, before it becomes
 /// visible: no write's push can reach a mirror ahead of the state it has.
 pub(super) fn install_slot(
     inner: &Arc<Inner>,
@@ -273,7 +269,7 @@ pub(super) fn install_slot(
     epoch: u64,
     replica: impl Into<Arc<Mutex<Box<dyn AnyReplica>>>>,
     dedup: DedupWindow,
-    (regime, mirrors, prime): Placed<'_>,
+    (regime, mirrors): (RegimeKind, &[u16]),
 ) {
     let sharded = regime == RegimeKind::Sharded;
     let others = mirrors.iter().filter(|mirror| **mirror != inner.node.0);
@@ -289,12 +285,13 @@ pub(super) fn install_slot(
         parked: AtomicU32::new(0),
         changed: Condvar::new(),
     };
-    let holders = if prime { slot.holders(inner) } else { vec![] };
+    let holders = slot.holders(inner);
     prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
     inner.slots.write().insert(key, Arc::new(slot));
 }
 
-/// Make this node's mirror of partition `key.1`, of `epoch`, the partition's
+/// Make this node's mirror of partition `key.1`, of `epoch` (or of the next,
+/// which an undone switch could not take back), the partition's
 /// authoritative slot — its owner died — in place and under the epoch its
 /// sibling partitions still serve; the install primes a new keeper on the
 /// next live node before the slot takes a write. It lists no readers, and
@@ -303,7 +300,8 @@ pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> R
     let mirror = inner.mirrors.read().get(&(key.0, Some(key.1))).cloned();
     let kept = mirror.and_then(|mirror| {
         let mut state = mirror.state.lock();
-        let (of_epoch, leased) = (state.epoch == epoch, state.lease.is_some());
+        let of_epoch = (epoch..=epoch + 1).contains(&state.epoch);
+        let leased = state.lease.is_some();
         let copy = state.copy.take_if(|_| of_epoch)?;
         Some((copy, std::mem::take(&mut state.dedup), leased))
     });
@@ -311,7 +309,7 @@ pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> R
         return RegimeReply::StaleRegime;
     };
     let (name, bytes) = (copy.type_name(), copy.state_bytes());
-    let placed = (RegimeKind::Sharded, &[][..], true);
+    let placed = (RegimeKind::Sharded, &[][..]);
     match inner.registry.instantiate(name, &bytes) {
         Ok(replica) => {
             install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);

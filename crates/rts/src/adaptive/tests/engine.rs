@@ -1688,11 +1688,11 @@ fn failed_re_placement_leaves_the_old_owners_serving() {
 }
 
 /// A re-placement undone because an owner did not answer leaves the
-/// partitions it re-stamped mirrored as they were: a re-stamp primes its
-/// mirrors only once nothing can undo the switch (a prime moves a copy to
-/// the next epoch, and a copy refuses a prime of an older one), and the
-/// re-stamp that undoes it primes them again under the epoch they had. A
-/// reader of a partition of a live owner goes on reading its mirror.
+/// partitions it re-stamped mirrored as they were: the re-stamp primed its
+/// mirrors under the next epoch, and the re-stamp that undoes it drops
+/// those copies (a drop leaves a copy before the epoch it retires) and
+/// primes them again under the epoch they had. A reader of a partition of
+/// a live owner goes on reading its mirror.
 #[test]
 fn an_undone_re_stamp_leaves_its_mirrors_reading_locally() {
     let net = Network::reliable(3);
@@ -1854,6 +1854,45 @@ fn re_placement_with_a_dead_owner_withdraws_nothing() {
     );
     assert_eq!(rtses[1].stats().copies_dropped, drained);
     assert_eq!(rtses[0].placement_of(id).unwrap(), placed);
+    shutdown_all(&rtses);
+}
+
+/// A switch undone after a kept owner re-stamped its partition and died —
+/// so that nobody could re-stamp it back — leaves the partition's newest
+/// state in its keeper, primed under the next epoch: recovery promotes that
+/// keeper under the epoch the table still has, and the acknowledged
+/// deposit survives.
+#[test]
+fn a_keeper_of_the_next_epoch_stands_in_for_a_re_stamp_not_taken_back() {
+    let net = Network::reliable(3);
+    let rtses = start_all_recoverable(&net, manual(), crate::recovery::patient());
+    let id = new_bank(&rtses[0]);
+    place_by(&rtses[0], id, &[0, 1, 1]).unwrap();
+    let (_, epoch, owners) = rtses[0].placement_of(id).unwrap();
+    let partition = owners.iter().position(|owner| *owner == NodeId(2)).unwrap() as u32;
+    let key = (0..64u64)
+        .find(|key| shard_of_u64(*key, 4) == partition)
+        .unwrap();
+    assert_eq!(deposit(&rtses[0], id, key, 5), 5);
+    let restamp = RegimeMsg::Install {
+        object: id.0,
+        epoch: epoch + 1,
+        partition,
+        type_name: Bank::TYPE_NAME.to_string(),
+        state: Vec::new(),
+        dedup: DedupWindow::new(),
+        regime: RegimeKind::Sharded,
+        mirrors: Vec::new(),
+        from: Some(epoch),
+    };
+    let restamped = dispatch(&rtses[2].inner, restamp, NodeId(0));
+    assert!(matches!(restamped, RegimeReply::Ack), "{restamped:?}");
+    net.crash(NodeId(2));
+    wait_for_death(&rtses, NodeId(2));
+    assert_eq!(deposit(&rtses[0], id, key, 1), 6);
+    let (_, recovered, owners) = rtses[0].placement_of(id).unwrap();
+    assert_eq!(recovered, epoch);
+    assert!(!owners.contains(&NodeId(2)), "{owners:?}");
     shutdown_all(&rtses);
 }
 

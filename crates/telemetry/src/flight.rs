@@ -3,14 +3,16 @@
 //!
 //! Every node of the simulated network gets one [`FlightRecorder`]. An
 //! event is five words — sim-time, node + kind, trace id, two argument
-//! words — and recording is lock-free: a `fetch_add` on the write cursor
-//! claims a slot, the slot's contents are published under a per-slot
-//! sequence word (a seqlock), and readers that race a writer simply skip
-//! the slot being overwritten. The ring is [`CHUNKS`] chunks of slots, each
-//! allocated the first time a record lands in it — a cluster starts without
-//! faulting in memory its quiet nodes never write — so the buffer allocates
-//! each chunk once and never blocks a protocol thread: it is safe to leave
-//! on in every test and benchmark; when an invariant fires, the last
+//! words: a `fetch_add` on the write cursor claims a slot, the slot's
+//! contents are published under a per-slot sequence word (a seqlock), and
+//! readers that race a writer simply skip the slot being overwritten. The
+//! ring is [`CHUNKS`] chunks of slots, each allocated the first time a
+//! record lands in it — a cluster starts without faulting in memory its
+//! quiet nodes never write. That first record allocates the chunk on the
+//! protocol thread, and a recorder racing it into the same chunk waits for
+//! the allocation; after that, recording into the chunk is lock-free and
+//! never allocates. It is safe to leave on in every test and benchmark;
+//! when an invariant fires, the last
 //! `CAPACITY` events per node are the black box that explains how the
 //! system got there.
 //!
@@ -173,7 +175,8 @@ impl Slot {
     }
 }
 
-/// Fixed-size lock-free ring buffer of [`FlightEvent`]s for one node.
+/// Fixed-capacity ring buffer of [`FlightEvent`]s for one node, its chunks
+/// allocated on first use.
 pub struct FlightRecorder {
     chunks: [OnceLock<Box<[Slot]>>; CHUNKS],
     cursor: AtomicU64,
@@ -209,9 +212,10 @@ impl FlightRecorder {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Record one event. Lock-free: claims a slot with one `fetch_add`
-    /// and publishes under the slot's sequence word (the first record in a
-    /// chunk allocates it).
+    /// Record one event: claims a slot with one `fetch_add` and publishes
+    /// under the slot's sequence word. The first record in a chunk allocates
+    /// it, and a record racing that one into the chunk waits for it; every
+    /// other record is lock-free.
     pub fn record(&self, event: FlightEvent) {
         let claim = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % CAPACITY;
         let chunk =

@@ -168,9 +168,9 @@ wire_type! {
             partition: u32,
         },
         /// Home → new owner (regime switch, phase 2): install an authoritative
-        /// partition replica under the new epoch — or, `from` given, re-stamp
-        /// the one the owner serves (phase 1). The installer primes the listed
-        /// mirrors but itself, a lease each, and is their grantor from then on.
+        /// partition replica under the new epoch. The installer primes the
+        /// listed mirrors but itself, a lease each, and is their grantor from
+        /// then on.
         INSTALL_TAG = 6 => Install {
             /// Raw object id.
             object: u64,
@@ -190,9 +190,7 @@ wire_type! {
             regime: RegimeKind,
             /// The read mirrors the table lists (see [`RegimeTable::mirrors`]).
             mirrors: Vec<u16>,
-            /// Written for a re-stamp only — a partition its owner keeps: the
-            /// epoch of the slot it serves, withdrawn and installed again on its
-            /// replica and window (`state`, `dedup` empty), primed if not older.
+            /// Re-stamp the owner's slot of this epoch instead (`state` empty).
             from: Option<u64> as trailing,
         },
         /// Owner → mirror holder: install a mirror primed with the given state
