@@ -32,7 +32,7 @@ pub mod testing;
 
 pub use id::{ObjectDescriptor, ObjectId};
 pub use registry::ObjectRegistry;
-pub use replica::{AnyReplica, AppliedOutcome, Replica};
+pub use replica::{AnyReplica, AppliedOutcome, Gated, Replica};
 pub use shard::{ShardAdapter, ShardLogic, ShardRoute, ShardableType};
 
 use orca_wire::Wire;

@@ -22,6 +22,15 @@ impl AppliedOutcome {
     }
 }
 
+/// What became of an operation handed to [`AnyReplica::apply_gated`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Gated {
+    /// The gate answered it with this reply; nothing was applied.
+    Answered(Vec<u8>),
+    /// It was applied: its kind, and the outcome.
+    Applied(OpKind, AppliedOutcome),
+}
+
 /// Type-erased interface to a replica, used by the runtime systems so they
 /// can manage objects of arbitrary types and ship encoded operations.
 ///
@@ -32,14 +41,21 @@ pub trait AnyReplica: Send + Sync {
     /// Registered type name of the object.
     fn type_name(&self) -> &'static str;
 
-    /// Classify an encoded operation without applying it.
-    fn op_kind(&self, op: &[u8]) -> Result<OpKind, ObjectError>;
-
     /// Apply an encoded operation, returning the encoded reply.
     ///
     /// Write operations that complete bump the replica's version; blocked
     /// operations and reads leave it unchanged.
     fn apply_encoded(&mut self, op: &[u8]) -> Result<AppliedOutcome, ObjectError>;
+
+    /// Decode an encoded operation once, show its kind to `gate`, and apply
+    /// it — unless the gate answers it instead (a retried write, with the
+    /// reply recorded when it was first applied). The gate may also wait
+    /// before it lets the operation through.
+    fn apply_gated(
+        &mut self,
+        op: &[u8],
+        gate: &mut dyn FnMut(OpKind) -> Option<Vec<u8>>,
+    ) -> Result<Gated, ObjectError>;
 
     /// Encode the current state (used for copy transfers and invalidation
     /// re-fetches in the primary-copy runtime system).
@@ -107,17 +123,30 @@ impl<T: ObjectType> AnyReplica for Replica<T> {
         T::TYPE_NAME
     }
 
-    fn op_kind(&self, op: &[u8]) -> Result<OpKind, ObjectError> {
-        let op = T::Op::from_bytes(op).map_err(|err| ObjectError::Codec(err.to_string()))?;
-        Ok(T::kind(&op))
+    fn apply_encoded(&mut self, op: &[u8]) -> Result<AppliedOutcome, ObjectError> {
+        match self.apply_gated(op, &mut |_| None)? {
+            Gated::Applied(_, outcome) => Ok(outcome),
+            Gated::Answered(_) => unreachable!("an open gate answers nothing"),
+        }
     }
 
-    fn apply_encoded(&mut self, op: &[u8]) -> Result<AppliedOutcome, ObjectError> {
+    fn apply_gated(
+        &mut self,
+        op: &[u8],
+        gate: &mut dyn FnMut(OpKind) -> Option<Vec<u8>>,
+    ) -> Result<Gated, ObjectError> {
         let op = T::Op::from_bytes(op).map_err(|err| ObjectError::Codec(err.to_string()))?;
-        match self.apply(&op) {
-            OpOutcome::Done(reply) => Ok(AppliedOutcome::Done(reply.to_bytes())),
-            OpOutcome::Blocked => Ok(AppliedOutcome::Blocked),
+        let kind = T::kind(&op);
+        if let Some(reply) = gate(kind) {
+            return Ok(Gated::Answered(reply));
         }
+        Ok(Gated::Applied(
+            kind,
+            match self.apply(&op) {
+                OpOutcome::Done(reply) => AppliedOutcome::Done(reply.to_bytes()),
+                OpOutcome::Blocked => AppliedOutcome::Blocked,
+            },
+        ))
     }
 
     fn state_bytes(&self) -> Vec<u8> {
@@ -164,11 +193,21 @@ mod tests {
     fn encoded_apply_round_trips_reply() {
         let mut replica = Replica::<Accumulator>::new(10);
         let op = AccumulatorOp::Add(7).to_bytes();
-        assert_eq!(replica.op_kind(&op).unwrap(), OpKind::Write);
         match replica.apply_encoded(&op).unwrap() {
             AppliedOutcome::Done(reply) => assert_eq!(i64::from_bytes(&reply).unwrap(), 17),
             AppliedOutcome::Blocked => panic!("unexpected block"),
         }
+        // A gate sees the kind; answering, it leaves the replica untouched.
+        let mut seen = None;
+        let gated = replica.apply_gated(&op, &mut |kind| {
+            seen = Some(kind);
+            None
+        });
+        assert_eq!(seen, Some(OpKind::Write));
+        assert!(matches!(gated.unwrap(), Gated::Applied(OpKind::Write, _)));
+        let gated = replica.apply_gated(&op, &mut |_| Some(vec![9]));
+        assert_eq!(gated.unwrap(), Gated::Answered(vec![9]));
+        assert_eq!((*replica.state(), replica.version()), (24, 2));
     }
 
     #[test]
@@ -203,9 +242,7 @@ mod tests {
             replica.apply_encoded(&[0xff, 1, 2]),
             Err(ObjectError::Codec(_))
         ));
-        assert!(matches!(
-            replica.op_kind(&[0xff]),
-            Err(ObjectError::Codec(_))
-        ));
+        let gated = replica.apply_gated(&[0xff], &mut |_| panic!("no kind to show"));
+        assert!(matches!(gated, Err(ObjectError::Codec(_))));
     }
 }

@@ -18,6 +18,29 @@ pub(super) enum PartOutcome {
     Stale,
 }
 
+/// When a call gives up: an instant, or a [`Due`] one.
+pub(super) trait Deadline: Copy {
+    fn at(self) -> Instant;
+}
+
+impl Deadline for Instant {
+    fn at(self) -> Instant {
+        self
+    }
+}
+
+/// A deadline a span after it is first asked for: a synchronous call's,
+/// which a call this node answers never asks for.
+struct Due(std::cell::Cell<Option<Instant>>, Duration);
+
+impl Deadline for &Due {
+    fn at(self) -> Instant {
+        let at = self.0.get().unwrap_or_else(|| Instant::now() + self.1);
+        self.0.set(Some(at));
+        at
+    }
+}
+
 /// Where an operation runs under a regime table ([`AdaptiveRts::target`]).
 enum Target<'a> {
     /// This node's mirror of one partition (0: the one copy), the op narrowed to it.
@@ -38,7 +61,7 @@ impl AdaptiveRts {
     pub(super) fn route_for(
         &self,
         object: ObjectId,
-        deadline: Instant,
+        deadline: impl Deadline,
     ) -> Result<Arc<RegimeTable>, RtsError> {
         if self.inner.is_lost(object) {
             return Err(RtsError::ObjectLost(object));
@@ -57,10 +80,14 @@ impl AdaptiveRts {
         }
         if let Some((table, fetched)) = self.inner.routes.lock().get(&object) {
             // Where every operation is answered by an owner, the owner's
-            // epoch check is the invalidation; only a table that lists
-            // mirrors (or may: a replicated one) has to expire. No slot is
-            // special: an operation for any partition whose owner died must
-            // re-fetch, not time out against a corpse.
+            // epoch check is the invalidation (all there is where this node
+            // owns every slot); only a table that lists mirrors (or may: a
+            // replicated one) has to expire. No slot is special: an
+            // operation for any partition whose owner died must re-fetch,
+            // not time out against a corpse.
+            if table.owners.iter().all(|&owner| owner == self.inner.node.0) {
+                return Ok(Arc::clone(table));
+            }
             let expires = table.regime == RegimeKind::Replicated || !table.mirrors.is_empty();
             let fresh = !expires || fetched.elapsed() < self.inner.policy.regime_lease;
             if fresh
@@ -73,7 +100,7 @@ impl AdaptiveRts {
             }
         }
         let route = RegimeMsg::Route { object: object.0 };
-        match regime_fan_out(&self.inner, [(home, route)], deadline).remove(0)? {
+        match regime_fan_out(&self.inner, [(home, route)], deadline.at()).remove(0)? {
             RegimeReply::Route(table) if !served(table.regime) => Err(RtsError::Communication(
                 format!("unknown regime {:?} of {object}", table.regime),
             )),
@@ -93,9 +120,7 @@ impl AdaptiveRts {
             // surface as NodeDown so the invocation loop retries.
             RegimeReply::Error(_) if home != creator => Err(RtsError::NodeDown(creator)),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
-            other => Err(RtsError::Communication(format!(
-                "unexpected Route reply {other:?}"
-            ))),
+            other => Err(unexpected("Route", other)),
         }
     }
 
@@ -355,18 +380,18 @@ impl AdaptiveRts {
         target: Target<'_>,
         op: &[u8],
         stamp: Option<OpStamp>,
-        deadline: Instant,
+        deadline: impl Deadline,
         park: bool,
     ) -> Result<PartOutcome, RtsError> {
         match target {
-            Target::Mirror(p, part_op) => self.mirror_read(table, p, &part_op, deadline, park),
+            Target::Mirror(p, part_op) => self.mirror_read(table, p, &part_op, deadline.at(), park),
             Target::Slot(partition, part_op) => {
                 self.slot_op(table, partition, &part_op, stamp, deadline)
             }
             Target::Any(logic) => self.any_partition_op(table, logic.as_ref(), op, stamp, deadline),
             // The shares of one logical operation need a stamp each, which
             // the home mints — not the client.
-            Target::All => self.all_partitions_op(table, op, deadline),
+            Target::All => self.all_partitions_op(table, op, deadline.at()),
         }
     }
 
@@ -406,7 +431,7 @@ impl AdaptiveRts {
         partition: u32,
         op: &[u8],
         stamp: Option<OpStamp>,
-        deadline: Instant,
+        deadline: impl Deadline,
     ) -> Result<PartOutcome, RtsError> {
         let owner = NodeId(table.owners[partition as usize]);
         let object = table_object(table);
@@ -421,7 +446,7 @@ impl AdaptiveRts {
                 op: op.to_vec(),
                 stamp,
             };
-            regime_fan_out(&self.inner, [(owner, msg)], deadline).remove(0)?
+            regime_fan_out(&self.inner, [(owner, msg)], deadline.at()).remove(0)?
         };
         self.outcome(object, reply)
     }
@@ -437,9 +462,7 @@ impl AdaptiveRts {
                 Err(RtsError::ObjectLost(object))
             }
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
-            other => Err(RtsError::Communication(format!(
-                "unexpected reply {other:?} to an operation"
-            ))),
+            other => Err(unexpected("an operation", other)),
         }
     }
 
@@ -535,7 +558,7 @@ impl AdaptiveRts {
         partition: u32,
         op: &[u8],
         stamp: Option<OpStamp>,
-        deadline: Instant,
+        deadline: impl Deadline,
     ) -> Option<Result<PartOutcome, RtsError>> {
         let (me, owner) = (self.inner.node, NodeId(table.owners[partition as usize]));
         if owner == me || !table.mirrors.contains(&me.0) {
@@ -552,7 +575,7 @@ impl AdaptiveRts {
             op: op.to_vec(),
             stamp,
         };
-        let answer = regime_fan_out(&self.inner, [(owner, msg)], deadline).remove(0);
+        let answer = regime_fan_out(&self.inner, [(owner, msg)], deadline.at()).remove(0);
         Some(self.finish_write_through(&mirror, table.epoch, op, stamp, answer))
     }
 
@@ -599,12 +622,7 @@ impl AdaptiveRts {
             Ok(RegimeReply::StaleRegime) => (WriteAck::NotApplied, Ok(PartOutcome::Stale)),
             Ok(RegimeReply::Done(reply)) => (WriteAck::Unsynced, Ok(PartOutcome::Done(reply))),
             Ok(RegimeReply::Error(msg)) => (WriteAck::Unsynced, Err(RtsError::Communication(msg))),
-            Ok(other) => (
-                WriteAck::Unsynced,
-                Err(RtsError::Communication(format!(
-                    "unexpected WriteThrough reply {other:?}"
-                ))),
-            ),
+            Ok(other) => (WriteAck::Unsynced, Err(unexpected("WriteThrough", other))),
             Err(err) if inner.recovery.rehome => (WriteAck::AuthorityLost, Err(err)),
             Err(err) => (WriteAck::Unsynced, Err(err)),
         };
@@ -655,9 +673,7 @@ impl AdaptiveRts {
             }
             RegimeReply::StaleRegime => Ok(false),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
-            other => Err(RtsError::Communication(format!(
-                "unexpected FetchMirror reply {other:?}"
-            ))),
+            other => Err(unexpected("FetchMirror", other)),
         }
     }
 
@@ -670,7 +686,7 @@ impl AdaptiveRts {
         logic: &dyn orca_object::ShardLogic,
         op: &[u8],
         stamp: Option<OpStamp>,
-        deadline: Instant,
+        deadline: impl Deadline,
     ) -> Result<PartOutcome, RtsError> {
         let parts = table.partitions();
         let start = (self.inner.node.index() as u64
@@ -730,7 +746,7 @@ impl AdaptiveRts {
         kind: OpKind,
         op: &[u8],
         stamp: Option<OpStamp>,
-        deadline: Instant,
+        deadline: impl Deadline,
         blocked: bool,
     ) -> Result<PartOutcome, RtsError> {
         let target = self.target(table, kind, op)?;
@@ -804,7 +820,9 @@ impl RuntimeSystem for AdaptiveRts {
         kind: OpKind,
         op: &[u8],
     ) -> Result<Vec<u8>, RtsError> {
-        let mut deadline = Instant::now() + self.inner.policy.op_timeout;
+        // Taken when a leg leaves the node or a retry starts.
+        let span = self.inner.policy.op_timeout;
+        let mut deadline = Due(Default::default(), span);
         // Counted once per logical invocation, before the retry loop:
         // guard-blocked and stale-regime retries must not masquerade as
         // fresh accesses in the usage evidence driving regime decisions.
@@ -823,8 +841,8 @@ impl RuntimeSystem for AdaptiveRts {
             if self.inner.stopped.load(Ordering::SeqCst) {
                 return Err(RtsError::Terminated);
             }
-            let attempt = self.route_for(object, deadline).and_then(|table| {
-                let sent = self.dispatch_client_op(&table, kind, op, stamp, deadline, blocked);
+            let attempt = self.route_for(object, &deadline).and_then(|table| {
+                let sent = self.dispatch_client_op(&table, kind, op, stamp, &deadline, blocked);
                 Ok((sent?, table))
             });
             let (give_up, err) = match attempt {
@@ -839,12 +857,12 @@ impl RuntimeSystem for AdaptiveRts {
                         std::thread::sleep(PARTITION_RESCAN);
                     }
                     (orphaned, bounced, blocked) = (None, false, true);
-                    deadline = Instant::now() + self.inner.policy.op_timeout;
+                    deadline = Due(Default::default(), span);
                     continue;
                 }
                 // A regime switch is (or was) in flight; the deadline stands:
                 // a regime that never settles surfaces Timeout.
-                Ok((PartOutcome::Stale, _)) => (deadline, RtsError::Timeout),
+                Ok((PartOutcome::Stale, _)) => (deadline.at(), RtsError::Timeout),
                 Err(_) if self.inner.stopped.load(Ordering::SeqCst) => {
                     return Err(RtsError::Terminated)
                 }
@@ -858,7 +876,7 @@ impl RuntimeSystem for AdaptiveRts {
                 Err(RtsError::NodeDown(node)) if self.inner.recovery.rehome => {
                     let since = *orphaned.get_or_insert_with(Instant::now);
                     let patience = since + self.inner.recovery.rehome_wait;
-                    (deadline.min(patience), RtsError::NodeDown(node))
+                    (deadline.at().min(patience), RtsError::NodeDown(node))
                 }
                 Err(err) => return Err(err),
             };

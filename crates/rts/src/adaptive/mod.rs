@@ -437,8 +437,7 @@ impl AdaptiveRts {
     /// The home's table of `object`, bypassing this node's cache.
     fn fresh_table(&self, object: ObjectId) -> Result<Arc<RegimeTable>, RtsError> {
         self.inner.routes.lock().remove(&object);
-        let deadline = Instant::now() + self.inner.policy.op_timeout;
-        self.route_for(object, deadline)
+        self.route_for(object, Instant::now() + self.inner.policy.op_timeout)
     }
 
     /// Ask the object's home node to re-evaluate its regime right now from
@@ -454,9 +453,7 @@ impl AdaptiveRts {
                 Err(RtsError::Object(ObjectError::NoSuchObject(object)))
             }
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
-            other => Err(RtsError::Communication(format!(
-                "unexpected Propose reply {other:?}"
-            ))),
+            other => Err(unexpected("Propose", other)),
         }
     }
 
@@ -487,10 +484,8 @@ impl AdaptiveRts {
     /// here, and only here, the report is sent as a call).
     pub fn flush_usage(&self, object: ObjectId) {
         let taken = self.inner.pending_usage.lock().remove(&object);
-        if let Some((reads, writes)) = taken {
-            if reads + writes > 0 {
-                self.send_report(object, reads, writes, true);
-            }
+        if let Some((reads, writes)) = taken.filter(|(reads, writes)| reads + writes > 0) {
+            self.send_report(object, reads, writes, true);
         }
     }
 }

@@ -277,7 +277,7 @@ fn cut(inner: &Inner, table: &RegimeTable, full: &[u8]) -> Result<Vec<(u32, Part
 }
 
 /// The error of a `what` request answered `reply`.
-fn unexpected(what: &str, reply: RegimeReply) -> RtsError {
+pub(super) fn unexpected(what: &str, reply: RegimeReply) -> RtsError {
     RtsError::Communication(format!("{what} answered {reply:?}"))
 }
 

@@ -16,6 +16,7 @@
 //! [`RegimeMsg::DropCopies`].
 
 use super::*;
+use orca_object::Gated;
 
 /// One authoritative replica (the single copy under the replicated regime,
 /// or one partition under the sharded regime) held by this node.
@@ -107,6 +108,9 @@ impl Slot {
     /// replayed model-checker schedule depends on.) Bounded: a waiter that
     /// is not on its way within a timer tick is not waited for.
     fn yield_to_parked(&self) {
+        if self.parked.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let patience = Instant::now() + Duration::from_millis(1);
         while self.parked.load(Ordering::SeqCst) > 0 && Instant::now() < patience {
             std::thread::yield_now();
@@ -472,46 +476,46 @@ fn apply_locked(
         // waiting for the lock; applying now would lose the write.
         return RegimeReply::StaleRegime;
     }
-    let kind = match replica.op_kind(op) {
-        Ok(kind) => kind,
-        Err(err) => return RegimeReply::Error(err.to_string()),
-    };
-    if kind == OpKind::Write {
+    // The op is decoded once; a write shows its kind to this gate first.
+    let mut gate = |kind| {
+        if kind == OpKind::Read {
+            return None;
+        }
         // Exactly-once: a retried stamped write the slot (or the state it
         // was regenerated from) already applied is answered its recorded
         // reply without applying again.
-        if let Some(stamp) = stamp {
-            if let Some(reply) = slot.dedup.lock().lookup(stamp) {
-                return RegimeReply::Done(reply.to_vec());
+        let recorded = stamp.and_then(|stamp| slot.dedup.lock().lookup(stamp).map(<[u8]>::to_vec));
+        if recorded.is_none() {
+            // Regeneration fence: the dead owner's outstanding read leases
+            // are unknown, so the first write of a copy regenerated from a
+            // mirror waits out a full grant span. Held under the replica
+            // mutex — the fence must also keep this node's own reads from
+            // observing the new write early, and it clears within one grant
+            // span of the install.
+            let fence = slot.leases.lock().fence.take();
+            if let Some(fence) = fence {
+                std::thread::sleep(fence.saturating_duration_since(Instant::now()));
             }
         }
-        // Regeneration fence: the dead owner's outstanding read leases are
-        // unknown, so the first write of a copy regenerated from a mirror
-        // waits out a full grant span. Held under the replica mutex — the
-        // fence must also keep this node's own reads from observing the
-        // new write early, and it clears within one grant span of the
-        // install.
-        let fence = slot.leases.lock().fence.take();
-        if let Some(fence) = fence {
-            std::thread::sleep(fence.saturating_duration_since(Instant::now()));
-        }
-    }
-    match replica.apply_encoded(op) {
-        Ok(AppliedOutcome::Done(reply)) => {
+        recorded
+    };
+    match replica.apply_gated(op, &mut gate) {
+        Ok(Gated::Answered(reply)) => RegimeReply::Done(reply),
+        Ok(Gated::Applied(kind, AppliedOutcome::Done(reply))) => {
             if caller != inner.node {
                 inner.stats.updates_applied.inc();
             }
             if kind == OpKind::Write {
                 slot.changed.notify_all();
-                let stamped = stamp.map(|stamp| (stamp, reply.clone()));
-                if let Some((stamp, reply)) = &stamped {
-                    slot.dedup.lock().record(*stamp, reply.clone());
+                if let Some(stamp) = stamp {
+                    slot.dedup.lock().record(stamp, reply.clone());
                 }
                 let through = through && slot.lists(caller);
                 let owes = slot.fans_out();
                 match run {
                     Some(run) if owes => run.push(op.to_vec()),
                     None if owes => {
+                        let stamped = stamp.map(|stamp| (stamp, reply.clone()));
                         let (ops, skip) = (vec![op.to_vec()], through.then_some(caller));
                         settle_writes(inner, key, slot, &**replica, ops, stamped, skip);
                     }
@@ -530,7 +534,7 @@ fn apply_locked(
             }
             RegimeReply::Done(reply)
         }
-        Ok(AppliedOutcome::Blocked) => RegimeReply::Blocked,
+        Ok(Gated::Applied(_, AppliedOutcome::Blocked)) => RegimeReply::Blocked,
         Err(err) => RegimeReply::Error(err.to_string()),
     }
 }

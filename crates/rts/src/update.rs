@@ -124,6 +124,7 @@ pub(crate) struct MirrorLease {
 /// One node's copy of an object as the update protocol sees it: a mirror of
 /// a replicated-regime object or of a sharded partition, read or kept for a
 /// promotion.
+#[derive(Default)]
 pub(crate) struct CopyState {
     /// Valid local copy, if any.
     pub(crate) copy: Option<Box<dyn AnyReplica>>,
@@ -156,21 +157,6 @@ pub(crate) struct CopyState {
     pub(crate) dedup: DedupWindow,
     /// Read lease over `copy`, when leases are enabled; goes with the copy.
     pub(crate) lease: Option<MirrorLease>,
-}
-
-impl Default for CopyState {
-    fn default() -> Self {
-        CopyState {
-            copy: None,
-            epoch: 0,
-            version: 0,
-            seen: 0,
-            locked: false,
-            pending_writes: 0,
-            dedup: DedupWindow::new(),
-            lease: None,
-        }
-    }
 }
 
 impl CopyState {
@@ -311,20 +297,12 @@ pub(crate) enum WriteAck {
 }
 
 /// A [`CopyState`] with the condition variable its waiters park on.
+#[derive(Default)]
 pub(crate) struct HeldCopy {
     pub(crate) state: Mutex<CopyState>,
     /// Signalled whenever `state` changes in a way a waiter may care about:
     /// unlock, install, copy dropped, pending mark cleared.
     pub(crate) unlocked: Condvar,
-}
-
-impl Default for HeldCopy {
-    fn default() -> Self {
-        HeldCopy {
-            state: Mutex::new(CopyState::default()),
-            unlocked: Condvar::new(),
-        }
-    }
 }
 
 impl HeldCopy {

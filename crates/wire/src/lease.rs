@@ -24,6 +24,8 @@
 //!   window instead of being applied a second time: exactly-once across
 //!   recovery, not at-least-once.
 
+use std::collections::VecDeque;
+
 use crate::{wire_type, Decoder, Encoder, Wire, WireResult};
 
 wire_type! {
@@ -75,11 +77,18 @@ pub const DEDUP_WINDOW_PER_ORIGIN: usize = 32;
 /// pushes, mirror primes and fetches, and is carried into the
 /// promoted replica during recovery — which is exactly what turns a
 /// retried-across-promotion write from at-least-once into exactly-once.
+/// One ring per origin of its writes in arrival order, with the newest
+/// seq among them: a stamp newer than that — the common one, but for a retry
+/// or a merge — misses a lookup and is appended by a record without a scan.
+/// On the wire, `(origin, seq, reply)` triples, ring after ring.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DedupWindow {
-    /// `(origin, seq, reply)` triples in arrival order per origin.
-    entries: Vec<(u16, u64, Vec<u8>)>,
+    /// `(origin, newest seq, ring)`, origins in the order they first recorded.
+    origins: Vec<(u16, u64, Ring)>,
 }
+
+/// One origin's last [`DEDUP_WINDOW_PER_ORIGIN`] `(seq, reply)` pairs.
+type Ring = VecDeque<(u64, Vec<u8>)>;
 
 impl DedupWindow {
     /// An empty window.
@@ -90,76 +99,73 @@ impl DedupWindow {
     /// The recorded reply of `stamp`, if this replica (or any replica whose
     /// state was merged into it) already applied the write.
     pub fn lookup(&self, stamp: OpStamp) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .find(|(origin, seq, _)| *origin == stamp.origin && *seq == stamp.seq)
-            .map(|(_, _, reply)| reply.as_slice())
+        let (_, newest, ring) = self.origins.iter().find(|(o, ..)| *o == stamp.origin)?;
+        let recorded = (stamp.seq <= *newest).then(|| ring.iter().rfind(|e| e.0 == stamp.seq));
+        recorded.flatten().map(|(_, reply)| reply.as_slice())
     }
 
     /// Record that `stamp` was applied and produced `reply`, evicting the
     /// origin's oldest entry beyond [`DEDUP_WINDOW_PER_ORIGIN`].
     pub fn record(&mut self, stamp: OpStamp, reply: Vec<u8>) {
-        if self.lookup(stamp).is_some() {
+        let origins = &mut self.origins;
+        let at = origins
+            .iter()
+            .position(|(o, ..)| *o == stamp.origin)
+            .unwrap_or_else(|| {
+                origins.push((stamp.origin, 0, VecDeque::new()));
+                origins.len() - 1
+            });
+        let (_, newest, ring) = &mut origins[at];
+        if stamp.seq <= *newest && ring.iter().any(|e| e.0 == stamp.seq) {
             return;
         }
-        let of_origin = self
-            .entries
-            .iter()
-            .filter(|(origin, _, _)| *origin == stamp.origin)
-            .count();
-        if of_origin >= DEDUP_WINDOW_PER_ORIGIN {
-            if let Some(pos) = self
-                .entries
-                .iter()
-                .position(|(origin, _, _)| *origin == stamp.origin)
-            {
-                self.entries.remove(pos);
-            }
+        ring.push_back((stamp.seq, reply));
+        *newest = stamp.seq.max(*newest);
+        if ring.len() > DEDUP_WINDOW_PER_ORIGIN && ring.pop_front().map(|e| e.0) == Some(*newest) {
+            *newest = ring.iter().map(|e| e.0).max().unwrap_or(0);
         }
-        self.entries.push((stamp.origin, stamp.seq, reply));
     }
 
     /// Fold another replica's window in (used when recovery merges state
     /// from several survivors). Existing entries win.
     pub fn merge(&mut self, other: &DedupWindow) {
-        for (origin, seq, reply) in &other.entries {
-            let stamp = OpStamp {
-                origin: *origin,
-                seq: *seq,
-            };
-            if self.lookup(stamp).is_none() {
-                self.record(stamp, reply.clone());
-            }
+        for (origin, seq, reply) in other.entries() {
+            self.record(OpStamp { origin, seq }, reply.to_vec());
         }
+    }
+
+    /// Every `(origin, seq, reply)`, ring after ring, each in arrival order.
+    fn entries(&self) -> impl Iterator<Item = (u16, u64, &[u8])> {
+        let rings = self.origins.iter();
+        rings.flat_map(|(o, _, ring)| ring.iter().map(|(seq, reply)| (*o, *seq, &reply[..])))
     }
 
     /// Number of remembered writes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.origins.iter().map(|(.., ring)| ring.len()).sum()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.origins.is_empty()
     }
 }
 
 impl Wire for DedupWindow {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_len(self.entries.len());
-        for (origin, seq, reply) in &self.entries {
-            origin.encode(enc);
-            seq.encode(enc);
+        enc.put_len(self.len());
+        for (origin, seq, reply) in self.entries() {
+            (origin, seq).encode(enc);
             enc.put_bytes(reply);
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        let len = dec.get_len()?;
-        let mut entries = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            entries.push((Wire::decode(dec)?, Wire::decode(dec)?, dec.get_bytes()?));
+        let mut window = DedupWindow::new();
+        for _ in 0..dec.get_len()? {
+            let (origin, seq) = Wire::decode(dec)?;
+            window.record(OpStamp { origin, seq }, dec.get_bytes()?);
         }
-        Ok(DedupWindow { entries })
+        Ok(window)
     }
 }
 

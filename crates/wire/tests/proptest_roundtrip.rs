@@ -1344,3 +1344,115 @@ fn batch_outcome_runs_round_trip_and_refuse_what_is_not_a_run() {
         let _ = BatchOutcomes::from_bytes(&gen.bytes(32));
     }
 }
+
+/// The exactly-once window as it was specified before it kept one ring per
+/// origin: one list in arrival order, the last `DEDUP_WINDOW_PER_ORIGIN` of
+/// each origin, an entry already there wins.
+#[derive(Default)]
+struct WindowModel(Vec<(u16, u64, Vec<u8>)>);
+
+impl WindowModel {
+    fn lookup(&self, stamp: orca_wire::OpStamp) -> Option<&[u8]> {
+        let mut entries = self.0.iter();
+        let found = entries.find(|(origin, seq, _)| (*origin, *seq) == (stamp.origin, stamp.seq));
+        found.map(|(.., reply)| reply.as_slice())
+    }
+
+    fn record(&mut self, stamp: orca_wire::OpStamp, reply: Vec<u8>) {
+        if self.lookup(stamp).is_some() {
+            return;
+        }
+        let of_origin = self.0.iter().filter(|e| e.0 == stamp.origin);
+        if of_origin.count() >= orca_wire::DEDUP_WINDOW_PER_ORIGIN {
+            let oldest = self.0.iter().position(|e| e.0 == stamp.origin);
+            self.0.remove(oldest.expect("counted"));
+        }
+        self.0.push((stamp.origin, stamp.seq, reply));
+    }
+
+    fn merge(&mut self, other: &WindowModel) {
+        for (origin, seq, reply) in &other.0 {
+            let stamp = orca_wire::OpStamp {
+                origin: *origin,
+                seq: *seq,
+            };
+            self.record(stamp, reply.clone());
+        }
+    }
+
+    /// The wire form the model's window was sent in: its triples in
+    /// arrival order, origins interleaved.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_len(self.0.len());
+        for (origin, seq, reply) in &self.0 {
+            origin.encode(&mut enc);
+            seq.encode(&mut enc);
+            enc.put_bytes(reply);
+        }
+        enc.into_bytes()
+    }
+}
+
+#[test]
+fn the_dedup_window_agrees_with_its_model() {
+    use orca_wire::{DedupWindow, OpStamp};
+    let mut gen = Gen::new(0xDED0);
+    for case in 0..*CASES {
+        let origins = 1 + gen.below(4) as u16;
+        // Two replicas' windows, each beside its model, and each origin's
+        // next fresh sequence number.
+        let mut windows = [DedupWindow::new(), DedupWindow::new()];
+        let mut models = [WindowModel::default(), WindowModel::default()];
+        let mut next = [0u64; 4];
+        for step in 0..gen.below(160) {
+            let at = gen.below(2);
+            let origin = gen.below(origins as usize) as u16;
+            // Mostly the origin's next write; now and then a retry of an
+            // older one, or a stamp not issued yet.
+            let seq = match gen.below(8) {
+                0 => gen.next_u64() % (next[origin as usize] + 1),
+                1 => next[origin as usize] + gen.below(3) as u64,
+                _ => {
+                    next[origin as usize] += 1 + gen.below(2) as u64;
+                    next[origin as usize]
+                }
+            };
+            let stamp = OpStamp { origin, seq };
+            match gen.below(10) {
+                0 => {
+                    let (into, from) = (at, 1 - at);
+                    let other = windows[from].clone();
+                    windows[into].merge(&other);
+                    let other = std::mem::take(&mut models[from]);
+                    models[into].merge(&other);
+                    models[from] = other;
+                }
+                1..=6 => {
+                    let reply = gen.bytes(6);
+                    windows[at].record(stamp, reply.clone());
+                    models[at].record(stamp, reply);
+                }
+                _ => {}
+            }
+            let (window, model) = (&windows[at], &models[at]);
+            let what = format!("case {case} step {step}: {stamp:?}");
+            assert_eq!(window.lookup(stamp), model.lookup(stamp), "{what}");
+            assert_eq!(window.len(), model.0.len(), "{what}");
+        }
+        for (window, model) in windows.iter().zip(&models) {
+            assert_roundtrip(window, case);
+            // The window reads the interleaved form as well.
+            let read = DedupWindow::from_bytes(&model.to_bytes()).expect("decodes");
+            for (origin, seq, reply) in &model.0 {
+                let stamp = OpStamp {
+                    origin: *origin,
+                    seq: *seq,
+                };
+                assert_eq!(window.lookup(stamp), Some(&reply[..]), "case {case}");
+                assert_eq!(read.lookup(stamp), Some(&reply[..]), "case {case}");
+            }
+            assert_eq!(read.len(), model.0.len(), "case {case}");
+        }
+    }
+}
