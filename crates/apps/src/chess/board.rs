@@ -1,10 +1,14 @@
 //! Chess board representation and move generation for Oracol.
 //!
 //! A compact 8×8 mailbox board with pseudo-legal move generation plus a
-//! legality filter (own king may not be left in check). Castling and
-//! en-passant are omitted — Oracol solves tactical positions ("mate in N",
-//! material-winning combinations), for which these rules are irrelevant; the
-//! simplification is recorded in DESIGN.md.
+//! legality filter (own king may not be left in check).
+//!
+//! The rules are simplified where the paper's Oracol workload does not need
+//! them: castling and en-passant are omitted, and a pawn promotes to a queen
+//! only. Oracol solves tactical positions ("mate in N", material-winning
+//! combinations), which these rules do not decide; what the reproduction
+//! measures is the shape of the search and its shared tables, not full
+//! chess.
 
 /// Piece kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

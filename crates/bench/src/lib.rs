@@ -1,33 +1,28 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! Each experiment of §3–§4 has one module here and one `cargo bench` target
-//! in `benches/`; `src/bin/experiments.rs` runs everything and prints the
-//! regenerated tables.
+//! Each experiment of §3–§4 has one module here and one named section of
+//! `src/bin/experiments.rs`, which prints every section, or only those named
+//! on its command line.
 //!
-//! | Experiment | Paper | Module |
-//! |------------|-------|--------|
-//! | TSP speedup (Fig. 2) | §4.1 | [`speedup::tsp_speedup`] |
-//! | ACP speedup (Fig. 3) | §4.2 | [`speedup::acp_speedup`] |
-//! | Chess speedup + shared-vs-local tables | §4.3 | [`speedup::chess_speedup`], [`speedup::chess_tables`] |
-//! | ATPG speedup + fault simulation | §4.4 | [`speedup::atpg_speedup`] |
-//! | PB vs BB broadcast protocols | §3.1 | [`protocols::pb_vs_bb`] |
-//! | Invalidation vs update vs broadcast RTS | §3.2.2 | [`rtscompare::rts_comparison`] |
-//! | Sharded RTS write throughput vs partitions | beyond the paper | [`sharded::sharded_throughput`] |
-//! | Adaptive RTS vs every fixed regime | beyond the paper | [`adaptive::adaptive_comparison`] |
-//! | Crash-recovery latency vs heartbeat settings | beyond the paper | [`recovery::recovery_sweep`] |
+//! | Experiment | Paper | Module | Section |
+//! |------------|-------|--------|---------|
+//! | PB vs BB broadcast protocols | §3.1 | [`protocols::pb_vs_bb`] | `pb_vs_bb` |
+//! | Invalidation vs update vs broadcast RTS | §3.2.2 | [`rtscompare::rts_comparison`] | `update_vs_invalidate` |
+//! | TSP speedup (Fig. 2) | §4.1 | [`speedup::tsp_speedup`] | `fig2_tsp_speedup` |
+//! | ACP speedup (Fig. 3) | §4.2 | [`speedup::acp_speedup`] | `fig3_acp_speedup` |
+//! | Chess speedup + shared-vs-local tables | §4.3 | [`speedup::chess_speedup`], [`speedup::chess_tables`] | `chess_speedup`, `chess_tables` |
+//! | ATPG speedup + fault simulation | §4.4 | [`speedup::atpg_speedup`] | `atpg_speedup` |
 //!
-//! All experiments run the real protocol stack in-process and feed the
-//! measured work and communication counts into the calibrated cost model of
-//! `orca-perf` (see DESIGN.md §3 for why wall-clock time on the build machine
-//! is not used).
+//! All of them run the real protocol stack in-process and feed the measured
+//! work and communication counts into the calibrated cost model of
+//! `orca-perf` (ROADMAP aim 1 says why the figures use the model rather than
+//! wall-clock time on the build machine). Beyond the paper, [`recovery`] and
+//! [`tcp`] are wall-clock sweeps, each with its own bench target.
 
-pub mod adaptive;
 pub mod loads;
-pub mod pipeline;
 pub mod protocols;
 pub mod recovery;
 pub mod rtscompare;
-pub mod sharded;
 pub mod speedup;
 pub mod tcp;
 

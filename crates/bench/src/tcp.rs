@@ -1,13 +1,12 @@
 //! Wall-clock pipeline-depth sweep over the real socket transport.
 //!
-//! Every other experiment in this harness measures protocol *events* and
-//! feeds them to the calibrated cost model, because the simulated network
+//! The paper's experiments in this harness measure protocol *events* and
+//! feed them to the calibrated cost model, because the simulated network
 //! has no real latency. The socket transport does: an in-process loopback
 //! cluster ([`orca_core::TransportConfig::SocketLoopback`]) sends every
 //! inter-node message through real TCP/UDP sockets, so here — and only
-//! here — the wall clock is the measurement. The sweep drives the same
-//! JobQueue write workload as the simulated pipeline bench
-//! ([`crate::pipeline`]) at pipeline depths {1, 4, 16, 64}: at depth 1 a
+//! here — the wall clock is the measurement. The sweep drives a JobQueue
+//! write workload at pipeline depths {1, 4, 16, 64}: at depth 1 a
 //! writer pays one socket round-trip per operation, at depth 16 the
 //! batching layer coalesces a window into one framed TCP message per
 //! destination, and the measured throughput shows how much of the
@@ -22,8 +21,8 @@ use orca_core::{
 };
 use orca_wire::Wire;
 
-/// Flusher wait, matching the simulated pipeline sweep so the coalescing
-/// behavior is comparable.
+/// How long a flusher round waits for more submissions, so a depth-`D`
+/// window reliably coalesces into one batch instead of racing the flusher.
 const FLUSH_DELAY: Duration = Duration::from_micros(500);
 
 /// One point of the sweep. All timing fields are real wall-clock numbers
@@ -50,9 +49,13 @@ pub struct TcpRow {
     pub udp_datagrams: u64,
 }
 
-/// The strategies the sweep covers (same set as the simulated sweep).
+/// The strategies the sweep covers.
 pub fn strategies() -> Vec<(&'static str, RtsStrategy)> {
-    crate::pipeline::strategies()
+    vec![
+        ("broadcast", RtsStrategy::broadcast()),
+        ("primary_update", RtsStrategy::primary_update()),
+        ("sharded", RtsStrategy::sharded(4)),
+    ]
 }
 
 /// Run the JobQueue write workload over loopback sockets once per

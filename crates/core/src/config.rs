@@ -10,28 +10,14 @@ pub enum RtsStrategy {
     /// The broadcast runtime system (full replication, operation shipping
     /// over PB/BB totally-ordered broadcast).
     Broadcast(GroupConfig),
-    /// The point-to-point runtime system (primary copy, invalidation or
-    /// two-phase update, dynamic replication): the adaptive runtime system
-    /// with every object's regime pinned to replicated
-    /// ([`AdaptivePolicy::primary_copy`]) — one authoritative copy on a node
-    /// that writes the object, secondary copies on the nodes that read it.
-    PrimaryCopy {
-        /// Write propagation protocol.
-        policy: WritePolicy,
-    },
-    /// The adaptive runtime system with every object's regime pinned to
-    /// sharded ([`AdaptivePolicy::sharded`]): shardable objects partitioned
-    /// over the nodes that use them (all nodes until they are used) with
-    /// owner-shipped operations, non-shardable objects a single copy at
-    /// their creating node.
-    Sharded {
-        /// Partitions per shardable object (at least one).
-        partitions: u32,
-    },
-    /// The adaptive runtime system: each object's regime (replicated /
-    /// primary / sharded) is picked and changed at runtime from its
-    /// observed read/write mix — unless the policy pins it, which is the
-    /// long spelling of the two strategies above.
+    /// The adaptive runtime system: each object's regime (replicated or
+    /// sharded) and placement are picked and changed at runtime from its
+    /// observed use — unless the policy pins the regime. The
+    /// point-to-point runtime system of the paper (primary copy, invalidation
+    /// or two-phase update, dynamic replication) is this one with every
+    /// regime pinned to replicated ([`AdaptivePolicy::primary_copy`],
+    /// [`RtsStrategy::primary_update`]); the sharded runtime system pins it
+    /// to sharded ([`AdaptivePolicy::sharded`], [`RtsStrategy::sharded`]).
     Adaptive {
         /// Thresholds, reporting cadence, leases and partition count.
         policy: AdaptivePolicy,
@@ -47,22 +33,25 @@ impl RtsStrategy {
     /// Primary-copy strategy with two-phase updates (the paper's usual
     /// better-performing point-to-point variant).
     pub fn primary_update() -> Self {
-        RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
+        RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::primary_copy(WritePolicy::Update),
         }
     }
 
     /// Primary-copy strategy with invalidation.
     pub fn primary_invalidate() -> Self {
-        RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Invalidate,
+        RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::primary_copy(WritePolicy::Invalidate),
         }
     }
 
-    /// Sharded strategy with `partitions` partitions per shardable object.
+    /// Sharded strategy with `partitions` partitions per shardable object
+    /// (at least one): shardable objects partitioned over the nodes that use
+    /// them with owner-shipped operations, non-shardable objects a single
+    /// copy at their creating node.
     pub fn sharded(partitions: u32) -> Self {
-        RtsStrategy::Sharded {
-            partitions: partitions.max(1),
+        RtsStrategy::Adaptive {
+            policy: AdaptivePolicy::sharded(partitions.max(1)),
         }
     }
 
@@ -73,14 +62,11 @@ impl RtsStrategy {
         }
     }
 
-    /// The policy the adaptive runtime system runs this strategy under —
-    /// its own, or the one a pinned strategy is short for — or `None` for
-    /// the broadcast strategy, which is another runtime system.
+    /// The policy the adaptive runtime system runs this strategy under, or
+    /// `None` for the broadcast strategy, which is another runtime system.
     pub fn adaptive_policy(&self) -> Option<AdaptivePolicy> {
         match self {
             RtsStrategy::Broadcast(_) => None,
-            RtsStrategy::PrimaryCopy { policy } => Some(AdaptivePolicy::primary_copy(*policy)),
-            RtsStrategy::Sharded { partitions } => Some(AdaptivePolicy::sharded(*partitions)),
             RtsStrategy::Adaptive { policy } => Some(*policy),
         }
     }
@@ -157,7 +143,9 @@ impl OrcaConfig {
         OrcaConfig {
             processors,
             fault: FaultConfig::reliable(),
-            strategy: RtsStrategy::PrimaryCopy { policy },
+            strategy: RtsStrategy::Adaptive {
+                policy: AdaptivePolicy::primary_copy(policy),
+            },
             recovery: RecoveryConfig::disabled(),
             batch: BatchPolicy::default(),
             transport: TransportConfig::Sim,
@@ -236,16 +224,11 @@ mod tests {
         let config = OrcaConfig::sharded(8, 4);
         assert_eq!(config.processors, 8);
         assert_eq!(config.strategy.kind(), RtsKind::Sharded);
-        let RtsStrategy::Sharded { partitions } = config.strategy else {
-            panic!("expected sharded strategy");
-        };
-        assert_eq!(partitions, 4);
+        let partitions = |strategy: &RtsStrategy| strategy.adaptive_policy().unwrap().partitions;
+        assert_eq!(partitions(&config.strategy), 4);
         // Partition counts are clamped to at least one.
-        let RtsStrategy::Sharded { partitions } = RtsStrategy::sharded(0) else {
-            panic!("expected sharded strategy");
-        };
-        assert_eq!(partitions, 1);
-        // The long spelling: the adaptive runtime, its regime pinned.
+        assert_eq!(partitions(&RtsStrategy::sharded(0)), 1);
+        // Spelled out: the adaptive runtime, its regime pinned.
         let pinned = RtsStrategy::Adaptive {
             policy: AdaptivePolicy::sharded(4),
         };

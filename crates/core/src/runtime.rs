@@ -117,16 +117,13 @@ pub(crate) fn build_node_rts(
             NodeRts::Broadcast(BroadcastRts::start(handle, registry.clone(), group.clone()))
         }
         // Every point-to-point strategy is the one engine under a policy.
-        pointwise => {
-            let policy = pointwise.adaptive_policy();
-            NodeRts::Adaptive(AdaptiveRts::start_recoverable(
-                handle,
-                registry.clone(),
-                policy.expect("every strategy but broadcast runs the adaptive runtime system"),
-                config.recovery,
-                detector,
-            ))
-        }
+        RtsStrategy::Adaptive { policy } => NodeRts::Adaptive(AdaptiveRts::start_recoverable(
+            handle,
+            registry.clone(),
+            *policy,
+            config.recovery,
+            detector,
+        )),
     };
     rts.set_batch_policy(config.batch);
     rts

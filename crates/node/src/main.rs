@@ -334,25 +334,26 @@ fn run_counter_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orca_rts::RtsKind;
 
     #[test]
     fn strategy_specs_parse() {
-        assert!(matches!(
-            parse_strategy("broadcast").unwrap(),
-            RtsStrategy::Broadcast(_)
-        ));
-        assert!(matches!(
-            parse_strategy("primary_update").unwrap(),
-            RtsStrategy::PrimaryCopy { .. }
-        ));
-        assert!(matches!(
-            parse_strategy("sharded:8").unwrap(),
-            RtsStrategy::Sharded { .. }
-        ));
-        assert!(matches!(
-            parse_strategy("sharded").unwrap(),
-            RtsStrategy::Sharded { .. }
-        ));
+        let kind = |spec| parse_strategy(spec).unwrap().kind();
+        assert_eq!(kind("broadcast"), RtsKind::Broadcast);
+        assert_eq!(kind("primary_update"), RtsKind::PrimaryUpdate);
+        assert_eq!(kind("primary_invalidate"), RtsKind::PrimaryInvalidate);
+        assert_eq!(kind("adaptive"), RtsKind::Adaptive);
+        assert_eq!(kind("sharded:8"), RtsKind::Sharded);
+        assert_eq!(kind("sharded"), RtsKind::Sharded);
+        let partitions = |spec| {
+            parse_strategy(spec)
+                .unwrap()
+                .adaptive_policy()
+                .unwrap()
+                .partitions
+        };
+        assert_eq!(partitions("sharded:8"), 8);
+        assert_eq!(partitions("sharded"), 4);
         assert!(parse_strategy("bogus").is_err());
         assert!(parse_strategy("sharded:x").is_err());
     }

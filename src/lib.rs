@@ -21,21 +21,24 @@
 //!   read/write operations, guards, and type-erased replicas.
 //! * [`rts`] — the runtime systems that keep replicas sequentially
 //!   consistent: the broadcast RTS (full replication, operation shipping) and
-//!   the primary-copy RTS (invalidation and two-phase update protocols,
-//!   dynamic replication).
+//!   the adaptive RTS, which places each object replicated or sharded by its
+//!   observed use. Pinned to replicated it is the paper's primary-copy RTS
+//!   (invalidation and two-phase update protocols, dynamic replication);
+//!   pinned to sharded, the sharded RTS.
 //! * [`core`] — the Orca programming model: runtime, `fork`-style process
 //!   creation, typed object handles and a standard object library.
 //! * [`apps`] — the four applications evaluated in the paper (TSP, arc
 //!   consistency, chess, ATPG) in sequential and Orca-parallel form.
-//! * [`perf`] — the calibrated performance model used to regenerate the
-//!   paper's speedup figures from measured work and communication counts.
+//!
+//! The calibrated 1993 cost model (`orca_perf`) is not re-exported: it
+//! serves only the paper's figures, which `orca_bench`'s `experiments`
+//! binary regenerates.
 
 pub use orca_amoeba as amoeba;
 pub use orca_apps as apps;
 pub use orca_core as core;
 pub use orca_group as group;
 pub use orca_object as object;
-pub use orca_perf as perf;
 pub use orca_rts as rts;
 pub use orca_telemetry as telemetry;
 pub use orca_wire as wire;

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use orca::amoeba::{FaultConfig, NodeId};
 use orca::core::objects::{KvTable, TableEntry};
 use orca::core::{standard_registry, OrcaConfig, OrcaRuntime, RecoveryConfig, RtsStrategy};
-use orca::rts::{AdaptivePolicy, RegimeKind, WritePolicy};
+use orca::rts::{AdaptivePolicy, RegimeKind, RtsKind, WritePolicy};
 
 /// Fault seed, overridable with `ORCA_SEED` so a reported failure
 /// reproduces with one environment variable (same plumbing as the
@@ -138,7 +138,12 @@ fn run_crash_scenario_on(name: &str, strategy: RtsStrategy, fault: FaultConfig, 
         fault,
         ..OrcaConfig::broadcast(NODES)
     };
-    let adaptive = matches!(config.strategy, RtsStrategy::Adaptive { .. });
+    // The strategies whose table settles replicated: primary copy and
+    // adaptive.
+    let replicated = !matches!(
+        config.strategy.kind(),
+        RtsKind::Broadcast | RtsKind::Sharded
+    );
     let runtime = OrcaRuntime::start(config, standard_registry());
     // Usually created on the doomed node: its death orphans whatever
     // authority the strategy placed there.
@@ -152,7 +157,7 @@ fn run_crash_scenario_on(name: &str, strategy: RtsStrategy, fault: FaultConfig, 
             assert_eq!(table.get(runtime.context(w), 0).unwrap(), None);
         }
     }
-    if adaptive {
+    if replicated {
         let regime = runtime.propose_regime(table.handle().id()).unwrap();
         assert_eq!(
             regime,
@@ -372,9 +377,7 @@ fn adaptive_object_in_mixed_use_survives_its_homes_death() {
 #[test]
 fn detect_only_surfaces_node_down_at_the_orca_layer() {
     let config = OrcaConfig {
-        strategy: RtsStrategy::PrimaryCopy {
-            policy: WritePolicy::Update,
-        },
+        strategy: RtsStrategy::primary_update(),
         recovery: RecoveryConfig {
             heartbeat_every: Duration::from_millis(25),
             suspect_after: 8,
