@@ -26,12 +26,11 @@
 //! *simulation* — fault injection, crash/recover, the model-checking
 //! schedule driver — stays on [`Network`] itself.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use orca_telemetry::{FlightKind, Telemetry};
 use parking_lot::Mutex;
 
@@ -40,7 +39,7 @@ use crate::message::{Delivery, NetMessage, WIRE_HEADER_BYTES};
 use crate::node::{ports, NodeId, Port};
 use crate::sched::{HeldDescriptor, MsgId, SchedState, SchedulerConfig};
 use crate::stats::{NetStats, NetStatsSnapshot};
-use crate::transport::{SimTransport, Transport, TransportKind};
+use crate::transport::{PortDemux, SimTransport, Transport, TransportKind};
 
 /// Configuration of a simulated network.
 #[derive(Debug, Clone)]
@@ -102,10 +101,8 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 struct NodeInbox {
-    /// Bound ports and their delivery channels.
-    bound: Mutex<HashMap<Port, Sender<NetMessage>>>,
-    /// Messages that arrived for a port before it was bound.
-    pending: Mutex<HashMap<Port, Vec<NetMessage>>>,
+    /// Bound ports, and messages that arrived for a port before its bind.
+    ports: PortDemux,
     /// Messages held back by the reordering fault, keyed by port.
     holdback: Mutex<Vec<NetMessage>>,
     /// True when the node is simulated as crashed.
@@ -115,8 +112,7 @@ struct NodeInbox {
 impl NodeInbox {
     fn new() -> Self {
         NodeInbox {
-            bound: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            ports: PortDemux::new(),
             holdback: Mutex::new(Vec::new()),
             crashed: AtomicBool::new(false),
         }
@@ -169,18 +165,7 @@ impl NetworkCore {
             u64::from(msg.src.0),
             wire_bytes as u64,
         );
-        let bound = inbox.bound.lock();
-        let msg = if let Some(tx) = bound.get(&msg.port) {
-            match tx.send(msg) {
-                Ok(()) => return,
-                Err(err) => err.0,
-            }
-        } else {
-            msg
-        };
-        drop(bound);
-        // Port not bound (yet) or receiver dropped concurrently: buffer it.
-        inbox.pending.lock().entry(msg.port).or_default().push(msg);
+        inbox.ports.deliver(msg);
     }
 
     /// Deliver a message released from the held pool: a release models a
@@ -204,20 +189,9 @@ impl NetworkCore {
     /// Bind `port` on `node`, returning the receiving end.
     pub(crate) fn bind_on(self: &Arc<Self>, node: NodeId, port: Port) -> PortReceiver {
         let (tx, rx) = unbounded();
-        let inbox = &self.inboxes[node.index()];
-        {
-            let mut bound = inbox.bound.lock();
-            bound.insert(port, tx.clone());
-        }
-        // Flush messages that arrived before the bind.
-        let pending = inbox.pending.lock().remove(&port).unwrap_or_default();
-        for msg in pending {
-            let _ = tx.send(msg);
-        }
+        self.inboxes[node.index()].ports.bind(port, tx);
         let core = Arc::clone(self);
-        let unbind = move || {
-            core.inboxes[node.index()].bound.lock().remove(&port);
-        };
+        let unbind = move || core.inboxes[node.index()].ports.unbind(port);
         PortReceiver::new(node, port, rx, Box::new(unbind))
     }
 

@@ -19,10 +19,13 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// Current frame format version. Bumped whenever a payload codec changes
 /// incompatibly, so that a mixed-version cluster refuses the other
 /// version's frames ([`FrameError::BadVersion`]) instead of mis-decoding
-/// them: since version 11 a re-placement re-stamps a partition whose owner
-/// stays (an `Install` naming the epoch it comes `from`) and a broadcast
-/// write carries its operation
-/// as its tail (version 10 said by how much a batched operation's trace is
+/// them: since version 12 a `Holdings` report names the mirrors of a copy
+/// as it names a partition's, by what they mirror and `(epoch, version)`,
+/// with no state, and each slot with the readers it lists, and `Promote`
+/// names what it promotes as `Mirror` does
+/// (version 11 made a re-placement re-stamp a partition whose owner stays —
+/// an `Install` naming the epoch it comes `from` — and a broadcast write
+/// carry its operation as its tail; version 10 said by how much a batched operation's trace is
 /// further on under its predecessor's origin — a skip bit in its flags —
 /// and made a batch reply runs of equal outcomes; version 9 gave
 /// a sharded partition read mirrors — `FetchMirror`, `Unlock` and
@@ -47,7 +50,7 @@ pub const FRAME_MAGIC: u32 = 0x4F52_4341;
 /// ports, version 3 brought the RPC envelope of `orca_wire::envelope` and
 /// the single-operation messages whose operation is their tail, version 2
 /// the delta-coded operation batches and two-varint trace ids).
-pub const FRAME_VERSION: u8 = 11;
+pub const FRAME_VERSION: u8 = 12;
 
 /// Fixed header size: magic (4) + version (1) + delivery (1) + src (2) +
 /// dst (2) + port (8).

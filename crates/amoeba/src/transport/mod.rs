@@ -107,9 +107,10 @@ pub trait Transport: Send + Sync {
     fn is_crashed(&self, node: NodeId) -> bool;
 }
 
-/// Shared port-demultiplexing table used by transport backends: bound ports
-/// deliver into a channel, traffic for unbound ports is buffered until the
-/// bind (so higher layers need not orchestrate start-up order).
+/// The port-demultiplexing table of one node, on either transport — a
+/// simulated node's inbox and a socket endpoint alike: bound ports deliver
+/// into a channel, traffic for unbound ports is buffered until the bind (so
+/// higher layers need not orchestrate start-up order).
 pub(crate) struct PortDemux {
     bound:
         parking_lot::Mutex<std::collections::HashMap<Port, crossbeam::channel::Sender<NetMessage>>>,

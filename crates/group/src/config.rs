@@ -30,9 +30,6 @@ pub struct GroupConfig {
     pub tick: Duration,
     /// Maximum number of entries kept in the sequencer's history buffer.
     pub history_limit: usize,
-    /// Consecutive failed retransmission rounds after which the sequencer is
-    /// suspected to have crashed and an election is run.
-    pub suspect_after: u32,
 }
 
 impl Default for GroupConfig {
@@ -43,7 +40,6 @@ impl Default for GroupConfig {
             retransmit_timeout: Duration::from_millis(100),
             tick: Duration::from_millis(20),
             history_limit: 65_536,
-            suspect_after: 20,
         }
     }
 }

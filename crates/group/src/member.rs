@@ -232,7 +232,6 @@ struct PendingSend {
     payload: Vec<u8>,
     method: BroadcastMethod,
     last_sent: Instant,
-    attempts: u32,
 }
 
 struct ProtocolState {
@@ -373,7 +372,6 @@ impl ProtocolState {
                 payload: payload.clone(),
                 method,
                 last_sent: Instant::now(),
-                attempts: 0,
             },
         );
         self.transmit(id, &payload, method);
@@ -891,11 +889,14 @@ impl ProtocolState {
     }
 
     fn check_sequencer_alive(&mut self) {
-        // The transport's fail-stop oracle: the simulated kernel exposes
-        // crash state directly (a perfect failure detector), the socket
-        // backend reports failure-detector verdicts. The retry path below
-        // raises suspicion after repeated fruitless retransmissions but
-        // also defers to this confirmation before deposing anyone.
+        // The transport's fail-stop oracle, consulted every tick and the one
+        // trigger of a failover: the simulated kernel exposes crash state
+        // directly (a perfect failure detector), the socket backend reports
+        // failure-detector verdicts. Fruitless retransmissions alone never
+        // depose anyone: failing over on suspicion marks a live node failed
+        // in the local membership — which is sticky, so two members that
+        // each suspect the other's (live, merely resyncing) sequencer would
+        // elect each other in a cycle and livelock the group.
         if self.handle.is_crashed(self.sequencer) {
             self.fail_sequencer();
         }
@@ -916,12 +917,6 @@ impl ProtocolState {
             u64::from(new_sequencer.0),
             self.next_global_seq,
         );
-        // Fruitless-retry counts were evidence against the old incumbent;
-        // the new sequencer starts with a clean slate (otherwise it is
-        // suspected on its very first unacked retry).
-        for pending in self.unacked.values_mut() {
-            pending.attempts = 0;
-        }
         if self.is_sequencer() {
             if crate::sabotage::skip_era_replay() {
                 // Sabotaged failover (model-checker self-test): resume from
@@ -984,28 +979,14 @@ impl ProtocolState {
             .filter(|(_, pending)| now.duration_since(pending.last_sent) >= timeout)
             .map(|(&id, _)| id)
             .collect();
-        let mut suspect_sequencer = false;
         for id in due {
-            let (payload, method, attempts) = {
+            let (payload, method) = {
                 let pending = self.unacked.get_mut(&id).expect("due id present");
                 pending.last_sent = now;
-                pending.attempts += 1;
-                (pending.payload.clone(), pending.method, pending.attempts)
+                (pending.payload.clone(), pending.method)
             };
             self.stats.send_retries.inc();
-            if attempts >= self.config.suspect_after {
-                suspect_sequencer = true;
-            }
             self.transmit(id, &payload, method);
-        }
-        // Fruitless retransmissions raise *suspicion*; the failure
-        // detector decides. Failing over on suspicion alone marks a live
-        // node failed in the local membership — which is sticky, so two
-        // members that each suspect the other's (live, merely resyncing)
-        // sequencer elect each other in a cycle and livelock the group.
-        // Under fail-stop semantics only a confirmed crash deposes.
-        if suspect_sequencer && !self.is_sequencer() && self.handle.is_crashed(self.sequencer) {
-            self.fail_sequencer();
         }
     }
 

@@ -239,12 +239,11 @@ fn recovering(nodes: usize, policy: AdaptivePolicy) -> OrcaConfig {
     }
 }
 
-/// The broadcast runtime on `nodes` nodes with these group timers.
-fn broadcast(nodes: usize, retransmit_timeout: Duration, suspect_after: u32) -> OrcaConfig {
+/// The broadcast runtime on `nodes` nodes with this retransmission timer.
+fn broadcast(nodes: usize, retransmit_timeout: Duration) -> OrcaConfig {
     OrcaConfig {
         strategy: RtsStrategy::Broadcast(GroupConfig {
             retransmit_timeout,
-            suspect_after,
             ..GroupConfig::default()
         }),
         ..OrcaConfig::broadcast(nodes)
@@ -292,7 +291,7 @@ pub fn all_scenarios() -> Vec<Script> {
         Script {
             name: "broadcast_ordering",
             budget: budget(2048, 48),
-            config: broadcast(2, Duration::from_secs(5), 10_000),
+            config: broadcast(2, Duration::from_secs(5)),
             processes: vec![
                 (Node(0), &[Write(1), Read, Write(4), Read]),
                 (Node(1), &[Write(16), Read, Write(64), Read]),
@@ -305,9 +304,10 @@ pub fn all_scenarios() -> Vec<Script> {
         // to real-time passthrough, where retransmission, election and the
         // new sequencer's era replay must converge every survivor on one
         // history — no sequence number reused, no acked write lost, no
-        // double apply. Recovery runs in real time: retransmission kicks in
-        // after 250 ms and two silent rounds trigger the election, so a
-        // failover completes in well under the settle budget.
+        // double apply. Recovery runs in real time: each member deposes the
+        // dead sequencer at its next timer tick and retransmission kicks in
+        // after 250 ms, so a failover completes in well under the settle
+        // budget.
         //
         // One write + one read per worker, not two: the schedules that
         // expose failover bugs crash the sequencer *early*, while its
@@ -321,7 +321,7 @@ pub fn all_scenarios() -> Vec<Script> {
                 max_drops: 1,
                 ..crashing(0, 56, 40)
             },
-            config: broadcast(3, ms(250), 2),
+            config: broadcast(3, ms(250)),
             processes: vec![(Node(1), &[Write(1), Read]), (Node(2), &[Write(16), Read])],
             ..Script::default()
         },
@@ -364,12 +364,13 @@ pub fn all_scenarios() -> Vec<Script> {
         // installs, so the failover always has copies to choose from). The
         // search crashes node 0 at any point — including mid-two-phase-push
         // — and keeps scheduling while the survivors detect the death and
-        // the lowest of them regenerates the object from the freshest
-        // surviving copy. Writes that errored during the failover are
-        // maybe-applied; everything acked must survive, and no survivor may
-        // go on reading the copy the dead owner left it (the
-        // `REHOME_KEEPS_STALE_COPIES` mutation leaves such an orphan
-        // behind, which a later local read exposes).
+        // the lowest of them adopts the object and promotes the freshest
+        // surviving copy in place (node 1 is also node 0's keeper). Writes
+        // that errored during the failover are maybe-applied; everything
+        // acked must survive, and no survivor may go on reading the copy
+        // the dead owner left it (it stays behind, unlisted; the
+        // `REHOME_KEEPS_STALE_COPIES` mutation lists it, which a later read
+        // exposes).
         //
         // Retried writes are **exactly-once** even across the promotion:
         // every sync write carries a per-origin `(origin, op_seq)` stamp,
@@ -530,15 +531,15 @@ pub fn all_scenarios() -> Vec<Script> {
             ..Script::default()
         },
         // The other half of the update protocol: the *owner* writes, and
-        // the fan-out has two holders. Every write is pushed to node 1,
+        // the fan-out has two holders. Every write is pushed to node 2,
         // which locks its mirror until the one-way unlock, and then to node
-        // 2 — the last holder, which is never locked: by the time it shows
-        // the new value the owner holds its replica mutex and node 1 is
-        // locked, so nobody can still serve the old one. The search may
-        // crash node 2 at any point (the fan-out is then node 1 alone, and
-        // unheld). The `UNHELD_EVERY_PUSH` mutation lets node 1's reader see
-        // the new value while node 2, not yet pushed to, still serves the
-        // old one.
+        // 1 — node 0's keeper as well as a reader, so the last holder, which
+        // is never locked: by the time it shows the new value the owner
+        // holds its replica mutex and node 2 is locked, so nobody can still
+        // serve the old one. The search may crash node 2 at any point (the
+        // fan-out is then node 1 alone, and unheld). The `UNHELD_EVERY_PUSH`
+        // mutation lets node 2's reader see the new value while node 1, not
+        // yet pushed to, still serves the old one.
         Script {
             name: "replicated_owner_push",
             budget: crashing(2, 64, 72),

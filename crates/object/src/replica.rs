@@ -75,6 +75,10 @@ pub trait AnyReplica: Send + Sync {
 
     /// Monotonic counter of completed write operations on this replica.
     fn version(&self) -> u64;
+
+    /// Carry the counter on from `version` (a copy promoted to the
+    /// authoritative replica goes on from the version it had reached).
+    fn set_version(&mut self, version: u64);
 }
 
 /// A concrete replica of an object of type `T`.
@@ -170,6 +174,10 @@ impl<T: ObjectType> AnyReplica for Replica<T> {
 
     fn version(&self) -> u64 {
         self.version
+    }
+
+    fn set_version(&mut self, version: u64) {
+        self.version = version;
     }
 }
 

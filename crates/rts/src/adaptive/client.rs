@@ -595,11 +595,12 @@ impl AdaptiveRts {
     ///   applied. Without re-homing the mirror is dropped. With it, the
     ///   owner may have died under the write — a killed process resets its
     ///   connections long before a detector counts it out — and the mirror
-    ///   may be the only copy left (a table nobody reads keeps just the one
-    ///   at its home): it is left *locked*, like a mirror caught mid-push. It
-    ///   serves no read, still answers the `Holdings` query of whoever
-    ///   regenerates the object, and under a live owner the next update —
-    ///   this node's own, or a pushed one — brings it back or finds the gap.
+    ///   may be the slot's keeper, which the push left out, and so the one
+    ///   copy of every acknowledged write left: it is left *locked*, like a
+    ///   mirror caught mid-push. It serves no read, still answers the
+    ///   `Holdings` query of whoever promotes a mirror of the slot, and under
+    ///   a live owner the next update — this node's own, or a pushed one —
+    ///   brings it back or finds the gap.
     fn finish_write_through(
         &self,
         mirror: &HeldCopy,

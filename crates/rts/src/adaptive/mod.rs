@@ -20,7 +20,8 @@
 //!   *through* it and is left out of either. Reads are local at the owner and
 //!   at a mirror; a node the table lists neither for ships them to the owner.
 //!   A copy nobody reads has no mirror and a write to it costs the request and
-//!   the reply: how every object starts, at its creator.
+//!   the reply (with recovery on, and the push to its keeper): how every
+//!   object starts, at its creator.
 //! * **Sharded** — the object is split with its type's partitioning logic
 //!   ([`orca_object::shard`]) into hash-partitioned slices spread over the
 //!   nodes that use it, operations shipped point-to-point to partition
@@ -99,31 +100,28 @@
 //!
 //! ## Surviving a node's death
 //!
-//! With recovery enabled ([`RecoveryConfig`]) a sharded-regime slot keeps
-//! a mirror nobody reads on the next live node — its *keeper*: primed whole
-//! when the slot is installed or the keeper says it lost sync, pushed every
-//! completed write (a batch's run of them as one message) *before* it is
-//! acknowledged, the way a replicated copy's read mirrors are. When an
+//! With recovery enabled ([`RecoveryConfig`]) every slot — a replicated
+//! object's copy or a partition, from the moment it is installed or created
+//! — keeps a mirror nobody reads on the next live node, its *keeper*: primed
+//! whole when the slot is installed or the keeper says it lost sync, pushed
+//! every completed write (a batch's run of them as one message) *before* it
+//! is acknowledged, the way the readers' mirrors are — even under
+//! [`WritePolicy::Invalidate`], which invalidates the readers alone. When an
 //! owner dies the home asks every survivor once what it holds of the object
-//! ([`RegimeMsg::Holdings`]) and promotes, per orphaned partition, the
-//! freshest mirror of the table's epoch, a keeper's or a reader's, in place
-//! ([`RegimeMsg::Promote`]); the partitions keep their epoch, and clients
-//! learn of the new owner because they distrust a cached table that names a
-//! dead one. A replicated regime's copy has the mirrors its readers hold —
-//! with re-homing on, a copy that would have none keeps one, at its home
-//! once it has left it and on the next live node while it is there: when
-//! its owner dies the home regenerates it from the freshest one, as a
-//! single copy of its own under the next epoch, without mirrors until the
-//! next evaluation. When the *home* dies the lowest live node adopts the
-//! object on first contact with the same steps: the newest epoch any
-//! survivor holds a part of is the object's, every partition of it must
-//! have a slot or a kept mirror (how many there are follows from the policy
-//! every node runs), a replicated-regime copy whose owner survives keeps
-//! serving under the epoch it has, and one that died with the home is
-//! regenerated from its freshest read mirror. What leaves none of these —
-//! an object its creator took along before a first evaluation placed it, a
-//! partition whose owner and keeper both died — is lost, explicitly
-//! ([`RtsError::ObjectLost`]).
+//! ([`RegimeMsg::Holdings`]: keys and versions, no state, and the readers
+//! each slot lists) and promotes the freshest mirror of each orphaned slot
+//! of the table's epoch, a keeper's or a reader's, in place
+//! ([`RegimeMsg::Promote`]), its versions carrying on from the mirror's; the
+//! slots keep their epoch, the table lists no readers until the next
+//! evaluation, and clients learn of the new owner because they distrust a
+//! cached table that names a dead one. When the *home* dies the lowest live
+//! node adopts the object on first contact with the same steps: the newest
+//! epoch any survivor holds a part of is the object's, every slot that
+//! outlived the home keeps its owner and the readers it lists, and every
+//! slot of it must have a live owner or a mirror (how
+//! many partitions there are follows from the policy every node runs). What
+//! leaves none — a slot whose owner and keeper both died — is lost,
+//! explicitly ([`RtsError::ObjectLost`]).
 //!
 //! ## Residual windows
 //!
@@ -314,13 +312,12 @@ impl AdaptiveRts {
         Self::start_recoverable(handle, registry, policy, RecoveryConfig::disabled(), None)
     }
 
-    /// Start the runtime system with crash recovery: every sharded-regime
-    /// slot keeps a mirror on the next live node, and a dead owner's
-    /// partitions are re-owned by promoting those; when an object's
-    /// home node dies, the lowest live node adopts the object — sharded
-    /// regime: from the slots and mirrors the survivors hold; replicated
-    /// regime: from the freshest surviving read mirror; an object that left
-    /// neither is lost (see the `recovery` module docs).
+    /// Start the runtime system with crash recovery: every slot keeps a
+    /// mirror on the next live node, and a dead owner's slots are re-owned
+    /// by promoting the freshest mirror of each; when an object's home node
+    /// dies, the lowest live node adopts the object from the slots and
+    /// mirrors the survivors hold; a slot that left neither is lost (see the
+    /// `recovery` module docs).
     pub fn start_recoverable(
         handle: NetworkHandle,
         registry: ObjectRegistry,

@@ -46,7 +46,7 @@ pub(super) fn evaluate_object(
         for at in 0..placed.mirrors.len() {
             let mut fewer = placed.clone();
             fewer.mirrors.remove(at);
-            candidates.push(kept(inner, fewer));
+            candidates.push(fewer);
         }
     }
     let write = inner.policy.write;
@@ -91,22 +91,7 @@ pub(super) fn rule(
     };
     let mut placed = old.clone();
     (placed.regime, placed.owners, placed.mirrors) = (regime, owners, mirrors);
-    Some(kept(inner, placed))
-}
-
-/// `placed`, with the mirror an unread replicated copy keeps where a dead
-/// owner's copy is regenerated, not to die with its one writer: at its home,
-/// or, while it is there, on the next live node.
-fn kept(inner: &Inner, mut placed: RegimeTable) -> RegimeTable {
-    let lone = placed.regime == RegimeKind::Replicated && placed.mirrors.is_empty();
-    if inner.recovery.rehome && lone {
-        let keeper = match placed.owners[0] == inner.node.0 {
-            true => backup_target(inner),
-            false => Some(inner.node),
-        };
-        placed.mirrors.extend(keeper.map(|node| node.0));
-    }
-    placed
+    Some(placed)
 }
 
 /// Owners of the partitions of sharded-regime `object`, now `owned`, by use
@@ -202,13 +187,12 @@ pub(super) fn carry_out(
         }
     };
 
-    // The keepers of a sharded regime's slots are retired once the new
-    // regime is in place, this node's included — not by each drained owner:
-    // a drop is an object's, and a switch undone halfway must find them
-    // still kept. A node whose drop was lost keeps a mirror that is never
-    // promoted while the object's newer epoch leaves a trace among the
-    // survivors.
-    if old.regime == RegimeKind::Sharded && inner.recovery.enabled {
+    // The keepers of the old regime's slots are retired once the new regime
+    // is in place, this node's included — not by each drained owner: a drop
+    // is an object's, and a switch undone halfway must find them still
+    // kept. A node whose drop was lost keeps a mirror that is never promoted
+    // while the object's newer epoch leaves a trace among the survivors.
+    if inner.recovery.enabled {
         let everyone = (0..inner.num_nodes).map(NodeId::from);
         drop_copies(inner, (object, None), old.epoch, None, everyone);
     }

@@ -1,8 +1,7 @@
 //! Reassembly after a death: what the survivors hold of an object is
-//! surveyed once, an orphaned partition is re-owned by promoting its
-//! freshest mirror in place, a replicated copy is regenerated from its
-//! freshest mirror at the home, and a dead home's role is adopted by the
-//! lowest live node.
+//! surveyed once, an orphaned slot — a replicated object's copy or a
+//! partition — is re-owned by promoting its freshest mirror in place, and a
+//! dead home's role is adopted by the lowest live node.
 
 use super::*;
 
@@ -41,9 +40,10 @@ pub(super) fn of_object<P: Copy, T>(
         .collect()
 }
 
-/// What this node holds of `object`, for a recovering home. Locked mirrors
-/// report too: the lock only means an update's unlock phase is outstanding,
-/// and the applied update may be the freshest state alive.
+/// What this node holds of `object`, for a recovering home — by key and
+/// `(epoch, version)`, no state, and the readers each slot lists. Locked
+/// mirrors report too: the lock only means an update's unlock phase is
+/// outstanding, and the applied update may be the freshest state alive.
 pub(super) fn holdings(inner: &Arc<Inner>, object: ObjectId) -> Holdings {
     let mut held = Holdings::default();
     for (partition, slot) in of_object(&inner.slots, object) {
@@ -52,23 +52,15 @@ pub(super) fn holdings(inner: &Arc<Inner>, object: ObjectId) -> Holdings {
         let regime = slot
             .partition
             .map_or(RegimeKind::Replicated, |_| RegimeKind::Sharded);
-        let part = (partition, slot.epoch, replica.version(), regime);
-        held.slots.push(part);
+        let (version, readers) = (replica.version(), slot.mirrors.clone());
+        held.slots
+            .push((partition, slot.epoch, version, regime, readers));
     }
     for (partition, mirror) in of_object(&inner.mirrors, object) {
         let state = mirror.state.lock();
-        let Some(copy) = &state.copy else {
-            continue;
-        };
-        held.type_name = copy.type_name().to_string();
-        match partition {
-            Some(partition) => held.keepers.push((partition, state.epoch, state.version)),
-            None => {
-                held.mirror = Some((state.epoch, state.version, copy.state_bytes()));
-                // The window pairs with exactly this state; an adopter must
-                // never combine it with another mirror's snapshot.
-                held.dedup = state.dedup.clone();
-            }
+        if let Some(copy) = &state.copy {
+            held.type_name = copy.type_name().to_string();
+            held.mirrors.push((partition, state.epoch, state.version));
         }
     }
     held
@@ -98,22 +90,27 @@ fn survey(inner: &Arc<Inner>, object: ObjectId, view: &ViewSnapshot) -> Vec<(Nod
     held
 }
 
-/// Give every partition of sharded-regime `object` that has no owner in
-/// `owners` one among the survivors: the node that holds its slot of
-/// `epoch` (an earlier promotion) or else, promoted, the one that keeps its
-/// freshest mirror of that epoch. `None` when a partition left neither —
-/// the object is lost. The second phase of a re-homing, written once for
+/// Give every slot of `object` — the one copy of a replicated regime, each
+/// partition of a sharded one — that has no owner in `owners` one among the
+/// survivors: the node that serves it under `epoch` (an earlier promotion,
+/// or a slot that outlived its home) or else, promoted, the one that holds
+/// its freshest mirror of that epoch, a reader's or a keeper's. Returns the
+/// owners and the readers the recovered table lists — the ones the
+/// surviving slots list, or none once a slot was promoted: a promoted slot
+/// pushes to none — or `None` when a slot left neither a slot nor a mirror,
+/// and the object is lost. The second phase of a re-homing, written once for
 /// the live home and for the node that adopts a dead one's role.
 fn reown(
     inner: &Arc<Inner>,
     object: ObjectId,
-    epoch: u64,
+    (epoch, regime): (u64, RegimeKind),
     owners: Vec<Option<u16>>,
     held: &[(NodeId, Holdings)],
     view: &ViewSnapshot,
-) -> Option<Vec<u16>> {
+) -> Option<(Vec<u16>, Vec<u16>)> {
     let started = Instant::now();
-    let owners = owners
+    let mut listed = Some(Vec::new());
+    let owners: Vec<u16> = owners
         .into_iter()
         .enumerate()
         .map(|(partition, owner)| {
@@ -121,32 +118,49 @@ fn reown(
             if owner.is_some() {
                 return owner;
             }
-            let serves = |h: &Holdings| h.slots.iter().any(|(p, e, ..)| (*p, *e) == at);
-            if let Some((node, _)) = held.iter().find(|(_, h)| serves(h)) {
+            let served = held.iter().find_map(|(node, h)| {
+                let slot = h.slots.iter().find(|(p, e, ..)| (*p, *e) == at)?;
+                Some((node, &slot.4))
+            });
+            if let Some((node, readers)) = served {
+                if let Some(listed) = &mut listed {
+                    listed.extend(readers.iter().filter(|r| view.contains(NodeId(**r))));
+                }
                 return Some(node.0);
             }
             // Or of the next, a re-stamp an undone switch could not take back.
-            let keepers = held.iter().filter_map(|(node, h)| {
-                let next = |e: &u64| (epoch..=epoch + 1).contains(e);
-                let kept = h.keepers.iter().find(|(p, e, _)| *p == at.0 && next(e));
+            let key = (regime == RegimeKind::Sharded).then_some(at.0);
+            let next = |e: &u64| (epoch..=epoch + 1).contains(e);
+            let holders = held.iter().filter_map(|(node, h)| {
+                let kept = h.mirrors.iter().find(|(p, e, _)| *p == key && next(e));
                 kept.map(|(_, e, version)| (*e == epoch, *version, *node))
             });
-            let (_, _, holder) = keepers.max()?;
+            let (_, _, holder) = holders.max()?;
             let promote = RegimeMsg::Promote {
                 object: object.0,
                 epoch,
-                partition: at.0,
+                partition: key,
             };
             let deadline = Instant::now() + inner.policy.op_timeout;
             let promoted = regime_fan_out(inner, [(holder, promote)], deadline);
+            listed = None;
             matches!(promoted[..], [Ok(RegimeReply::Ack)]).then_some(holder.0)
         })
-        .collect();
+        .collect::<Option<_>>()?;
+    let mut listed = listed.unwrap_or_default();
+    // Sabotaged: every surviving holder is listed, unprimed.
+    if sabotage::on(&sabotage::REHOME_KEEPS_STALE_COPIES) {
+        let holders = held.iter().filter(|(_, h)| !h.mirrors.is_empty());
+        listed.extend(holders.map(|(node, _)| node.0));
+    }
+    listed.sort_unstable();
+    listed.dedup();
+    listed.retain(|node| !owners.contains(node));
     let telemetry = inner.handle.telemetry();
     telemetry.record_traced(inner.node.0, FlightKind::RehomePhase, view.epoch, 2);
     let rehome = telemetry.registry().histogram("rts.recovery.rehome_ns");
     rehome.record(started.elapsed().as_nanos() as u64);
-    owners
+    Some((owners, listed))
 }
 
 /// Give the objects this node is home of whose owners `view` no longer
@@ -165,12 +179,10 @@ pub(super) fn recover_home_objects(inner: &Arc<Inner>, view: &ViewSnapshot) {
 }
 
 /// [`recover_home_objects`] for one object; the caller holds its switch
-/// lock. Orphaned partitions are re-owned and keep their epoch: a client
-/// learns of the new owner because it distrusts any table that names a dead
-/// one. The table lists no readers then — a promoted slot pushes to none —
-/// until the next evaluation places them again. A replicated regime's one
-/// copy is regenerated here, at the home, from the freshest mirror of the
-/// table's epoch.
+/// lock. Orphaned slots are re-owned ([`reown`]) and keep their epoch: a
+/// client learns of the new owner because it distrusts any table that names
+/// a dead one. The table lists no readers then, until the next evaluation
+/// places them again.
 pub(super) fn recover_object(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -183,93 +195,26 @@ pub(super) fn recover_object(
         return;
     }
     let held = survey(inner, object, view);
-    let recovered = if table.regime == RegimeKind::Sharded {
-        let owners = table.owners.iter().map(|o| live(o).then_some(*o)).collect();
-        let owners = reown(inner, object, table.epoch, owners, &held, view);
-        owners.map(|owners| RegimeTable {
-            owners,
-            mirrors: Vec::new(),
-            ..RegimeTable::clone(&table)
-        })
-    } else {
-        let mirror = freshest_mirror(&held, Some(table.epoch));
-        mirror.and_then(|(epoch, mirror)| regenerate(inner, object, epoch, mirror).ok())
-    };
-    let Some(recovered) = recovered else {
+    let owners = table.owners.iter().map(|o| live(o).then_some(*o)).collect();
+    let regime = (table.epoch, table.regime);
+    let Some((owners, mirrors)) = reown(inner, object, regime, owners, &held, view) else {
         inner.lost.write().insert(object);
         return;
     };
-    let regenerated = recovered.epoch != table.epoch;
-    *entry.table.lock() = Arc::new(recovered);
-    if regenerated {
-        let alive = view.alive.iter().copied();
-        drop_copies(inner, (object, None), table.epoch, None, alive);
-    }
-}
-
-/// The freshest read mirror the survivors hold — of `epoch` alone, when the
-/// table that lists it is known — by `(epoch, version)`; a locked one counts
-/// like any other. Returns its epoch and its holder's report.
-fn freshest_mirror(held: &[(NodeId, Holdings)], epoch: Option<u64>) -> Option<(u64, &Holdings)> {
-    let mirrors = held.iter().filter_map(|(_, h)| {
-        let (held_epoch, seq, _) = h.mirror.as_ref()?;
-        let wanted = epoch.is_none_or(|epoch| epoch == *held_epoch);
-        wanted.then_some(((*held_epoch, *seq), h))
-    });
-    let freshest = mirrors.max_by_key(|(rank, _)| *rank);
-    freshest.map(|((epoch, _), h)| (epoch, h))
-}
-
-/// Regenerate a replicated-regime object whose owner died from `mirror`,
-/// the freshest one of `epoch`, into a single copy on this node — its home,
-/// or the node adopting that role — under `epoch + 1`, and return the table
-/// to publish: a copy without mirrors, which the next evaluation places. The
-/// report's dedup window pairs with exactly that mirror's snapshot, so it
-/// is taken whole and never merged with another mirror's.
-fn regenerate(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    epoch: u64,
-    mirror: &Holdings,
-) -> Result<RegimeTable, RtsError> {
-    let (_, _, state) = mirror.mirror.as_ref().expect("ranked by its mirror");
-    let key = (object, 0);
-    let (name, dedup) = (&mirror.type_name, mirror.dedup.clone());
-    // Under the next epoch, which nothing the dead owner's regime left on
-    // the survivors answers to. (Sabotaged: under the epoch it had, every
-    // other node listed, so whoever kept a copy goes on reading it.)
-    let (epoch, mirrors) = match sabotage::on(&sabotage::REHOME_KEEPS_STALE_COPIES) {
-        false => (epoch + 1, Vec::new()),
-        true => {
-            let others = (0..inner.num_nodes as u16).filter(|node| *node != inner.node.0);
-            (epoch, others.collect())
-        }
-    };
-    let placed = (RegimeKind::Replicated, &[][..]);
-    let replica = inner.registry.instantiate(name, state)?;
-    install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);
-    if inner.leases_enabled() {
-        fence_writes(inner, key);
-    }
-    Ok(RegimeTable {
-        object: object.0,
-        type_name: mirror.type_name.clone(),
-        epoch,
-        regime: RegimeKind::Replicated,
-        owners: vec![inner.node.0],
+    *entry.table.lock() = Arc::new(RegimeTable {
+        owners,
         mirrors,
-    })
+        ..RegimeTable::clone(&table)
+    });
 }
 
 /// Take over a dead creator's object on this node (the adopter) from what
-/// the survivors hold of it. Its newest epoch decides: partitions (slots
-/// and kept mirrors of a sharded regime) are re-owned where they are and keep
-/// serving under that epoch, and so does a replicated regime's one copy
-/// when its owner is among the survivors; when only read mirrors are, the
-/// freshest is regenerated into a single copy here under a fresh epoch.
-/// An object that left none of these — a copy still at the dead home that
-/// nobody had used enough to give it a mirror, a partition whose owner and
-/// keeper both died — is lost.
+/// the survivors hold of it. Its newest epoch decides, and every slot of it
+/// is re-owned ([`reown`]) where it is and keeps serving under that epoch: a
+/// slot that outlived the home keeps its owner and the readers it lists —
+/// nothing is promoted, no write fenced — and one that died with it is
+/// promoted from its freshest mirror. An object with a slot that left
+/// neither — a partition whose owner and keeper both died — is lost.
 pub(super) fn adopt_object(
     inner: &Arc<Inner>,
     object: ObjectId,
@@ -291,56 +236,31 @@ pub(super) fn adopt_object(
         RtsError::ObjectLost(object)
     };
     // The newest epoch any survivor holds a part of — a slot, which names
-    // its regime, or a partition's kept mirror — against the freshest
-    // mirror of a whole copy.
-    let parts = held.iter().flat_map(|(node, h)| {
+    // its regime, or a mirror, whose key does.
+    let parts = held.iter().flat_map(|(_, h)| {
         let slots = h.slots.iter().map(|slot| (slot.1, slot.3));
-        let kept = h.keepers.iter().map(|part| (part.1, RegimeKind::Sharded));
-        let parts = slots.chain(kept);
-        parts.map(move |(epoch, regime)| (epoch, regime, node.0, h))
+        let regime = |p: Option<u32>| p.map_or(RegimeKind::Replicated, |_| RegimeKind::Sharded);
+        let mirrors = h.mirrors.iter().map(move |m| (m.1, regime(m.0)));
+        let parts = slots.chain(mirrors);
+        parts.map(move |(epoch, regime)| (epoch, regime, h))
     });
-    let newest = parts.max_by_key(|(epoch, ..)| *epoch);
-    let mirror = freshest_mirror(&held, None);
-    let newest = newest.filter(|(epoch, ..)| mirror.is_none_or(|(newer, _)| *epoch >= newer));
-    // The table to publish and, adopted from a mirror, the epoch to retire.
-    let (table, retired) = match (newest, mirror) {
-        (Some((epoch, regime, owner, h)), _) => {
-            let (owners, mirrors) = if regime == RegimeKind::Sharded {
-                // Every node runs the same policy, so how many partitions a
-                // sharded-regime object has is known without the dead home.
-                let partitions = match inner.registry.shard_logic(&h.type_name) {
-                    Some(_) => inner.policy.partitions.max(1) as usize,
-                    None => 1,
-                };
-                let owners = reown(inner, object, epoch, vec![None; partitions], &held, &view);
-                (owners.ok_or_else(lost)?, Vec::new())
-            } else {
-                // One copy, and its owner outlived the home: it keeps
-                // serving where it is under the epoch it has — nothing is
-                // regenerated, no write fenced — and its mirrors are the
-                // survivors that hold one.
-                let mirrors = held.iter().filter(|(_, h)| {
-                    let mirror = h.mirror.as_ref();
-                    mirror.is_some_and(|(held_epoch, ..)| *held_epoch == epoch)
-                });
-                (vec![owner], mirrors.map(|(node, _)| node.0).collect())
-            };
-            let table = RegimeTable {
-                object: object.0,
-                type_name: h.type_name.clone(),
-                epoch,
-                regime,
-                owners,
-                mirrors,
-            };
-            (table, None)
-        }
-        (None, Some((epoch, h))) => {
-            let table = regenerate(inner, object, epoch, h)?;
-            let retired = (table.epoch != epoch).then_some(epoch);
-            (table, retired)
-        }
-        _ => return Err(lost()),
+    let (epoch, regime, h) = parts.max_by_key(|(epoch, ..)| *epoch).ok_or_else(lost)?;
+    // Every node runs the same policy, so how many partitions a
+    // sharded-regime object has is known without the dead home.
+    let slots = match inner.registry.shard_logic(&h.type_name) {
+        Some(_) if regime == RegimeKind::Sharded => inner.policy.partitions.max(1) as usize,
+        _ => 1,
+    };
+    let owners = vec![None; slots];
+    let reowned = reown(inner, object, (epoch, regime), owners, &held, &view);
+    let (owners, mirrors) = reowned.ok_or_else(lost)?;
+    let table = RegimeTable {
+        object: object.0,
+        type_name: h.type_name.clone(),
+        epoch,
+        regime,
+        owners,
+        mirrors,
     };
     let entry = Arc::new(HomeObject {
         table: Mutex::new(Arc::new(table)),
@@ -348,9 +268,5 @@ pub(super) fn adopt_object(
         usage: Mutex::new(UsageAggregate::default()),
     });
     inner.homes.write().insert(object, Arc::clone(&entry));
-    if let Some(epoch) = retired {
-        let alive = view.alive.iter().copied();
-        drop_copies(inner, (object, None), epoch, None, alive);
-    }
     Ok(entry)
 }

@@ -164,9 +164,10 @@ pub(super) fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> Re
             partition,
             written: None,
         } => {
-            // Readers' mirrors and the keepers of partitions alike: left
-            // behind, a retired sharded regime's would be all an adopter
-            // finds of an object that has since gone to a single copy.
+            // Readers' mirrors and keepers alike: left behind, a retired
+            // regime's would be what an adopter finds of an object that has
+            // since moved on, and a promoted slot's stale siblings could
+            // outrank its keeper.
             for (p, mirror) in of_object(&inner.mirrors, ObjectId(object)) {
                 let mut state = mirror.state.lock();
                 if state.epoch <= epoch && (partition.is_none() || p == partition) {

@@ -7,10 +7,10 @@
 //! There is one kind of non-authoritative copy. A slot's mirrors are the
 //! nodes its table lists but its owner — of a replicated object's one copy,
 //! of each partition of a sharded one: they read it under a lease. With
-//! recovery on, a sharded-regime slot also keeps one its table need not
-//! list, its *keeper*, on the next live node ([`backup_target`]): granted no
-//! lease for being the keeper and, pushed to last, never locked, it is there
-//! to be promoted when the owner dies. All are primed with
+//! recovery on, every slot also keeps one its table need not list, its
+//! *keeper*, on the next live node ([`backup_target`]): granted no lease for
+//! being the keeper and, pushed to last, never locked, it is there to be
+//! promoted when the owner dies. All are primed with
 //! [`RegimeMsg::Mirror`], pushed every write with [`RegimeMsg::Update`]
 //! before the write is acknowledged, and retired with
 //! [`RegimeMsg::DropCopies`].
@@ -38,8 +38,8 @@ pub(super) struct Slot {
     /// What the slot's mirrors mirror ([`RegimeMsg::Mirror`]): `None`, a
     /// replicated regime's one copy; `Some(p)`, a sharded regime's partition.
     pub(super) partition: Option<u32>,
-    /// Set on a sharded-regime slot with recovery on: it keeps one mirror
-    /// more, on whichever node [`backup_target`] names at a push.
+    /// Set on every slot with recovery on: it keeps one mirror more, on
+    /// whichever node [`backup_target`] names at a push.
     pub(super) kept: bool,
     /// Recently applied stamped writes and their replies (exactly-once
     /// across client retries; travels with the state through regime
@@ -72,10 +72,15 @@ impl Slot {
     /// and, now, its keeper — last, listed or not: the last holder of a push
     /// is never held, so it can be primed again in the middle of one.
     pub(super) fn holders(&self, inner: &Inner) -> Vec<NodeId> {
-        let keeper = self.kept.then(|| backup_target(inner)).flatten();
+        let keeper = self.keeper(inner);
         let listed = self.mirrors.iter().map(|&m| NodeId(m));
         let others = listed.filter(|m| Some(*m) != keeper);
         others.chain(keeper).collect()
+    }
+
+    /// Where this slot's keeper goes now, if it keeps one.
+    fn keeper(&self, inner: &Inner) -> Option<NodeId> {
+        self.kept.then(|| backup_target(inner)).flatten()
     }
 
     /// The lease that rides a message to this slot's mirrors, when leases
@@ -141,9 +146,9 @@ pub(super) struct SlotLeases {
     /// whose push cannot reach a live mirror waits out that entry before
     /// completing.
     pub(super) grants: HashMap<u16, Instant>,
-    /// Writes may not execute before this instant ([`fence_writes`]): the
-    /// slot was regenerated or promoted from a mirror, the dead owner's
-    /// outstanding grants are unknown, so the first write conservatively
+    /// Writes may not execute before this instant: the slot was promoted
+    /// from a mirror ([`promote`]), the dead owner's outstanding grants are
+    /// unknown, so the first write conservatively
     /// waits out a full grant span (reads need no fence — every valid lease
     /// covers a mirror that already contains every acknowledged write).
     pub(super) fence: Option<Instant>,
@@ -213,8 +218,9 @@ pub(super) fn drop_copies(
     dropped.collect()
 }
 
-/// Where the keeper of a sharded-regime slot this node serves goes: the next
-/// live node after it in index order. `None` with recovery off, or alone.
+/// Where the keeper of a slot this node serves goes — a replicated object's
+/// copy or a partition alike: the next live node after it in index order.
+/// `None` with recovery off, or alone.
 pub(super) fn backup_target(inner: &Inner) -> Option<NodeId> {
     if !inner.recovery.enabled {
         return None;
@@ -265,8 +271,9 @@ fn prime_mirrors(
 /// Install an authoritative slot holding `replica` (a created value, decoded
 /// off the wire, or a re-stamped slot's) on this node, `placed` = its regime
 /// and the mirrors its table lists. Its mirrors — those but this node, and
-/// the keeper of a sharded-regime slot — are primed here, before it becomes
-/// visible: no write's push can reach a mirror ahead of the state it has.
+/// its keeper — are primed here, before it becomes visible: no write's push
+/// can reach a mirror ahead of the state it has. An object is created this
+/// way too, so it has a keeper before its creator returns it.
 pub(super) fn install_slot(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -283,7 +290,7 @@ pub(super) fn install_slot(
         withdrawn: AtomicBool::new(false),
         mirrors: others.copied().collect(),
         partition: sharded.then_some(key.1),
-        kept: sharded && inner.recovery.enabled,
+        kept: inner.recovery.enabled,
         dedup: Mutex::new(dedup),
         leases: Mutex::default(),
         parked: AtomicU32::new(0),
@@ -294,44 +301,37 @@ pub(super) fn install_slot(
     inner.slots.write().insert(key, Arc::new(slot));
 }
 
-/// Make this node's mirror of partition `key.1`, of `epoch` (or of the next,
-/// which an undone switch could not take back), the partition's
-/// authoritative slot — its owner died — in place and under the epoch its
-/// sibling partitions still serve; the install primes a new keeper on the
-/// next live node before the slot takes a write. It lists no readers, and
-/// its first write waits out the grants a leased copy's dead owner made.
-pub(super) fn promote(inner: &Arc<Inner>, key: (ObjectId, u32), epoch: u64) -> RegimeReply {
-    let mirror = inner.mirrors.read().get(&(key.0, Some(key.1))).cloned();
+/// Make this node's mirror `at` — of a replicated object's copy or of one
+/// partition — of `epoch` (or of the next, which an undone switch could not
+/// take back) the authoritative slot, its owner dead, in place and under the
+/// epoch the table has. Its versions carry on from the mirror's, so a copy
+/// of the slot left on another survivor never outranks the keeper the
+/// install primes, nor keeps it from taking the prime. It lists no readers.
+/// A mirror that held a lease — a reader's, or a keeper's pushed beside
+/// leased readers — was promoted from a slot that granted them: its first
+/// write waits out a grant span, as a reader that has not heard of the death
+/// yet may still be serving one.
+pub(super) fn promote(inner: &Arc<Inner>, at: MirrorKey, epoch: u64) -> RegimeReply {
+    let mirror = inner.mirrors.read().get(&at).cloned();
     let kept = mirror.and_then(|mirror| {
         let mut state = mirror.state.lock();
         let of_epoch = (epoch..=epoch + 1).contains(&state.epoch);
         let leased = state.lease.is_some();
-        let copy = state.copy.take_if(|_| of_epoch)?;
+        let mut copy = state.copy.take_if(|_| of_epoch)?;
+        copy.set_version(state.version);
         Some((copy, std::mem::take(&mut state.dedup), leased))
     });
     let Some((copy, dedup, leased)) = kept else {
         return RegimeReply::StaleRegime;
     };
-    let (name, bytes) = (copy.type_name(), copy.state_bytes());
-    let placed = (RegimeKind::Sharded, &[][..]);
-    match inner.registry.instantiate(name, &bytes) {
-        Ok(replica) => {
-            install_slot(inner, key, epoch, Mutex::new(replica), dedup, placed);
-            if leased {
-                fence_writes(inner, key);
-            }
-            RegimeReply::Ack
-        }
-        Err(err) => RegimeReply::Error(err.to_string()),
-    }
-}
-
-/// Fence the first write of slot `key`, regenerated or promoted from a
-/// mirror, for a grant span: the dead owner's read leases lapse first.
-pub(super) fn fence_writes(inner: &Inner, key: (ObjectId, u32)) {
-    if let Some(slot) = inner.slots.read().get(&key) {
+    let regime = at.1.map_or(RegimeKind::Replicated, |_| RegimeKind::Sharded);
+    let key = (at.0, at.1.unwrap_or(0));
+    install_slot(inner, key, epoch, Mutex::new(copy), dedup, (regime, &[]));
+    let slot = inner.slots.read().get(&key).cloned();
+    if let Some(slot) = slot.filter(|_| leased) {
         slot.leases.lock().fence = Some(Instant::now() + inner.grant_span());
     }
+    RegimeReply::Ack
 }
 
 /// Apply one received operation batch in issue order, through the same
@@ -339,7 +339,7 @@ pub(super) fn fence_writes(inner: &Inner, key: (ObjectId, u32)) {
 /// one slot execute under a single hold of its replica lock, and what the
 /// run's completed writes owe ([`settle_writes`]) is paid as **one** message
 /// per destination before the run is acknowledged: one pushed run (or one
-/// invalidation) to each mirror, a sharded-regime slot's keeper included.
+/// invalidation) to each mirror, the slot's keeper included.
 pub(super) fn apply_op_batch(
     inner: &Arc<Inner>,
     ops: &OpBatchView<'_>,
@@ -481,13 +481,13 @@ fn apply_locked(
         if kind == OpKind::Read {
             return None;
         }
-        // Exactly-once: a retried stamped write the slot (or the state it
-        // was regenerated from) already applied is answered its recorded
+        // Exactly-once: a retried stamped write the slot (or the mirror it
+        // was promoted from) already applied is answered its recorded
         // reply without applying again.
         let recorded = stamp.and_then(|stamp| slot.dedup.lock().lookup(stamp).map(<[u8]>::to_vec));
         if recorded.is_none() {
-            // Regeneration fence: the dead owner's outstanding read leases
-            // are unknown, so the first write of a copy regenerated from a
+            // Promotion fence: the dead owner's outstanding read leases
+            // are unknown, so the first write of a slot promoted from a
             // mirror waits out a full grant span. Held under the replica
             // mutex — the fence must also keep this node's own reads from
             // observing the new write early, and it clears within one grant
@@ -544,12 +544,13 @@ fn apply_locked(
 /// before they are acknowledged ([`Slot::fans_out`]). The caller holds the
 /// replica mutex. All of them but `skip` — a writer bringing its own mirror
 /// up to date from the acknowledgement — and the dead get what the write
-/// policy says of a replicated-regime slot: a two-phase push of the run
-/// ([`push_update`]), or an invalidation naming its last version, which
-/// retires the copies with the `DropCopies` and grant settlement a drain
-/// uses and leaves the mirrors listed, to fetch at their next read. A
-/// sharded-regime slot's are always pushed to: an invalidated keeper would
-/// protect nothing.
+/// policy says of a replicated-regime slot's readers: a two-phase push of
+/// the run ([`push_update`]), or an invalidation naming its last version,
+/// which retires the copies with the `DropCopies` and grant settlement a
+/// drain uses and leaves the mirrors listed, to fetch at their next read. A
+/// keeper — the last holder of a kept slot — and a sharded-regime slot's
+/// readers are always pushed to: an invalidated keeper would protect
+/// nothing.
 fn settle_writes(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -566,10 +567,15 @@ fn settle_writes(
     }
     match inner.policy.write {
         WritePolicy::Invalidate if slot.partition.is_none() => {
-            let nodes = || others.iter().copied();
+            let keeper = slot.keeper(inner);
+            let (kept, readers): (Vec<_>, _) = others.into_iter().partition(|n| Some(*n) == keeper);
+            let nodes = || readers.iter().copied();
             let written = Some(replica.version());
             let dropped = drop_copies(inner, (key.0, None), slot.epoch, written, nodes());
             settle_grants(inner, slot, nodes(), &dropped);
+            if !kept.is_empty() {
+                push_update(inner, key, slot, replica, &kept, ops, stamped);
+            }
         }
         _ => push_update(inner, key, slot, replica, &others, ops, stamped),
     }

@@ -78,6 +78,13 @@ impl AdaptiveRts {
         state.copy.as_ref().map(|_| kept)
     }
 
+    /// Until when the first write of this node's slot of `partition` of
+    /// `object` is fenced, if it is.
+    pub(crate) fn write_fence(&self, object: ObjectId, partition: u32) -> Option<Instant> {
+        let slot = self.inner.slots.read().get(&(object, partition)).cloned();
+        slot.and_then(|slot| slot.leases.lock().fence)
+    }
+
     /// Replace the evidence of `object`, whose home this node is, with
     /// `reads[node]` reads and `writes[node]` writes per node and re-place
     /// its replicated regime over it.
@@ -648,12 +655,12 @@ fn wait_for_death(rtses: &[AdaptiveRts], killed: NodeId) {
     });
 }
 
-/// Tentpole: the home of a replicated-regime object dies; the lowest
-/// live node regenerates the object from the freshest surviving read
-/// mirror, so every acknowledged write survives (the two-phase update
-/// push put them on all mirrors before acknowledging).
+/// The home of a replicated-regime object dies, its owner with it; the
+/// lowest live node adopts the object and promotes the freshest surviving
+/// mirror in place, so every acknowledged write survives (the two-phase
+/// update push put them on all mirrors before acknowledging).
 #[test]
-fn home_crash_regenerates_object_from_surviving_mirror() {
+fn home_crash_promotes_a_surviving_mirror() {
     let net = Network::reliable(3);
     let rtses = start_all_recoverable(&net, AdaptivePolicy::eager(), crate::recovery::patient());
     // Created at node 2, so its death orphans the object while node 0
@@ -673,6 +680,7 @@ fn home_crash_regenerates_object_from_surviving_mirror() {
     assert_eq!(read(&rtses[0], id), 1);
     assert_eq!(read(&rtses[1], id), 1);
     assert_eq!(add(&rtses[0], id, 9), 10);
+    let placed = rtses[0].regime_of(id).unwrap();
 
     net.crash(NodeId(2));
     wait_for_death(&rtses, NodeId(2));
@@ -681,8 +689,11 @@ fn home_crash_regenerates_object_from_surviving_mirror() {
     assert_eq!(read(&rtses[1], id), 10);
     assert_eq!(add(&rtses[1], id, 5), 15);
     assert_eq!(read(&rtses[0], id), 15);
-    // Regenerated as one copy at the adopter, to be placed again by use.
-    assert_eq!(replicated_at(&rtses[1], id), (0, vec![]));
+    // Promoted where it was — node 1's mirror and node 0's (the keeper)
+    // were equally fresh, the higher node id breaks the tie — under the
+    // epoch it had, listing no readers until it is placed again by use.
+    assert_eq!(rtses[1].regime_of(id).unwrap(), placed);
+    assert_eq!(replicated_at(&rtses[1], id), (1, vec![]));
     // Adaptation stays alive after adoption: proposals (and usage
     // reports) address the adopter, not the dead creator.
     for _ in 0..8 {
@@ -691,25 +702,28 @@ fn home_crash_regenerates_object_from_surviving_mirror() {
     rtses[1].flush_usage(id);
     assert_eq!(rtses[1].propose(id).unwrap(), RegimeKind::Replicated);
     // Node 1 is the one user the adopter has heard of, reading and
-    // writing: the copy moves there, and the adopter keeps the mirror a
-    // copy nobody else reads keeps to be regenerated from.
-    assert_eq!(replicated_at(&rtses[1], id), (1, vec![0]));
+    // writing: the copy stays there, its keeper unlisted.
+    assert_eq!(replicated_at(&rtses[1], id), (1, vec![]));
     shutdown_all(&rtses);
 }
 
-/// An object nobody has used enough for a first evaluation to place it
-/// (a single copy at home, no mirrors) cannot survive its home: survivors
-/// get a fast, explicit `ObjectLost`.
+/// A slot whose owner and keeper both die leaves nothing to promote:
+/// survivors get a fast, explicit `ObjectLost`.
 #[test]
-fn home_crash_without_mirror_reports_object_lost() {
-    let net = Network::reliable(2);
+fn home_and_keeper_crash_reports_object_lost() {
+    let net = Network::reliable(3);
     let rtses = start_all_recoverable(&net, AdaptivePolicy::default(), crate::recovery::patient());
     let id = rtses[1]
         .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     assert_eq!(add(&rtses[0], id, 3), 3);
+    // The copy's keeper is the node after its owner.
+    assert!(rtses[2].mirror_of(id).0, "no keeper on node 2");
     net.crash(NodeId(1));
-    wait_for_death(&rtses, NodeId(1));
+    net.crash(NodeId(2));
+    crate::recovery::wait_for_deaths(3, &[NodeId(1), NodeId(2)], &|node| {
+        rtses[node.index()].membership_view()
+    });
     let started = Instant::now();
     let err = rtses[0]
         .invoke(
@@ -905,9 +919,9 @@ fn lapsed_mirror_lease_renews_without_the_state() {
 }
 
 /// Recovery fences adopted state: the adopter cannot know which leases
-/// the dead home granted, so the adopted slot starts under a
+/// the dead home granted, so the promoted slot starts under a
 /// conservative fence that the first write waits out (reads are
-/// exempt — they serve the regenerated committed state).
+/// exempt — they serve the promoted committed state).
 #[test]
 fn adoption_fences_writes_for_a_grant_span() {
     let net = Network::reliable(3);
@@ -931,16 +945,11 @@ fn adoption_fences_writes_for_a_grant_span() {
 
     net.crash(NodeId(2));
     wait_for_death(&rtses, NodeId(2));
-    // A read adopts the object on node 0 (lowest live) and is served
-    // without waiting for the fence.
+    // A read adopts the object on node 0 (lowest live), which promotes a
+    // mirror in place, and is served without waiting for the fence.
     assert_eq!(read(&rtses[1], id), 1);
-    let slot = rtses[0]
-        .inner
-        .slots
-        .read()
-        .get(&(id, 0))
-        .cloned()
-        .expect("node 0 adopted the object");
+    let (_, _, owners) = rtses[0].placement_of(id).unwrap();
+    let slot = slot_of(&rtses[owners[0].index()], id).expect("a mirror was promoted");
     assert!(
         slot.leases.lock().fence.is_some(),
         "adoption must arm the write fence"
@@ -1980,7 +1989,7 @@ fn a_backup_a_drain_left_behind_is_never_promoted() {
         assert_eq!(deposit(&rtses[0], id, key, 1), 1);
     }
     let backed_up = |rts: &AdaptiveRts| {
-        let kept = holdings(&rts.inner, id).keepers;
+        let kept = holdings(&rts.inner, id).mirrors;
         kept.iter()
             .map(|(_, epoch, _)| *epoch)
             .collect::<Vec<u64>>()
@@ -2027,9 +2036,9 @@ fn a_backup_a_drain_left_behind_is_never_promoted() {
 }
 
 /// An object that leaves the sharded regime for a single copy leaves no
-/// keeper behind: when the home dies the adopter finds that copy — it keeps
-/// a mirror at the home it left, not on its own node — and not the
-/// partitions as they were before the switch.
+/// keeper behind: when the home dies the adopter finds that copy — its
+/// keeper is on the next live node, unlisted — and not the partitions as
+/// they were before the switch.
 #[test]
 fn a_retired_sharded_regime_is_not_what_an_adopter_finds() {
     let net = Network::reliable(3);
@@ -2041,7 +2050,7 @@ fn a_retired_sharded_regime_is_not_what_an_adopter_finds() {
     assert_eq!(deposit(&rtses[0], id, 1, 4), 4);
     let home = rtses[2].inner.homes.read().get(&id).cloned().unwrap();
     switch_regime(&rtses[2].inner, id, &home, RegimeKind::Replicated).unwrap();
-    assert_eq!(replicated_at(&rtses[2], id), (0, vec![2]));
+    assert_eq!(replicated_at(&rtses[2], id), (0, vec![]));
     assert_eq!(deposit(&rtses[0], id, 1, 4), 8);
 
     net.crash(NodeId(2));
@@ -2451,8 +2460,9 @@ fn failed_replicated_re_placement_goes_back_to_its_owner_and_mirrors() {
 
 /// A replicated-regime copy that lives off its home survives the home:
 /// the adopter finds the owner among the survivors and publishes its
-/// table again under the epoch it has — nothing is regenerated, no
-/// write fenced — and reads and writes carry on.
+/// table again under the epoch it has, listing the readers the owner's slot
+/// lists — nothing is promoted, no write fenced — and reads and writes
+/// carry on.
 #[test]
 fn replicated_owner_off_its_home_survives_the_homes_death() {
     let net = Network::reliable(3);
@@ -2479,7 +2489,7 @@ fn replicated_owner_off_its_home_survives_the_homes_death() {
     );
     assert_eq!(replicated_at(&rtses[1], id), (1, vec![0]));
     let serving = slot_of(&rtses[1], id).unwrap();
-    assert!(Arc::ptr_eq(&slot, &serving), "the copy was regenerated");
+    assert!(Arc::ptr_eq(&slot, &serving), "the copy was promoted");
     assert!(serving.leases.lock().fence.is_none());
     // The adopter is the home now: it can move the copy.
     replicate_by(&rtses[0], id, &[50, 50], &[5, 0]).unwrap();
@@ -2488,34 +2498,36 @@ fn replicated_owner_off_its_home_survives_the_homes_death() {
     shutdown_all(&rtses);
 }
 
-/// A copy only its home uses has no reader to mirror it. With re-homing on
-/// it keeps a mirror all the same — on the next live node, where a sharded
-/// slot's keeper goes — and is regenerated from it when the home dies.
+/// A copy only its home uses has no reader to mirror it, and its table
+/// lists none. With recovery on it has its keeper all the same — on the
+/// next live node, unlisted, where a partition's keeper goes — and is
+/// promoted from it when the home dies.
 #[test]
-fn unread_copy_at_its_home_keeps_a_mirror_to_be_regenerated_from() {
+fn unread_copy_at_its_home_is_promoted_from_its_keeper() {
     let net = Network::reliable(3);
     let rtses = start_all_recoverable(&net, manual_exact(), crate::recovery::patient());
     let id = rtses[1]
         .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
         .unwrap();
     replicate_by(&rtses[1], id, &[], &[0, 8, 0]).unwrap();
-    assert_eq!(replicated_at(&rtses[1], id), (1, vec![2]));
+    assert_eq!(replicated_at(&rtses[1], id), (1, vec![]));
     assert_eq!(add(&rtses[1], id, 5), 5);
+    assert_eq!(rtses[2].mirror_of(id), (true, 1, false, 0));
 
     net.crash(NodeId(1));
     wait_for_death(&rtses, NodeId(1));
     assert_eq!(read(&rtses[2], id), 5);
-    assert_eq!(replicated_at(&rtses[2], id), (0, vec![]));
+    assert_eq!(replicated_at(&rtses[2], id), (2, vec![]));
     shutdown_all(&rtses);
 }
 
-/// The owner of a replicated-regime object dies, its home lives: the
-/// home regenerates the object from the freshest mirror into a single
-/// copy of its own under the next epoch — the routine that adopts a
-/// dead home's object — and no acknowledged write is missing. The dead
-/// owner's grants are unknown, so the first write waits a grant span.
+/// The owner of a replicated-regime object dies, its home lives: the home
+/// promotes the freshest mirror in place, under the epoch the copy had —
+/// the routine that adopts a dead home's object — and no acknowledged
+/// write is missing. The dead owner's grants are unknown, so the first
+/// write waits a grant span.
 #[test]
-fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
+fn dead_replicated_owner_is_promoted_from_the_freshest_mirror() {
     let net = Network::reliable(3);
     let policy = AdaptivePolicy {
         read_lease_ms: 150,
@@ -2535,10 +2547,11 @@ fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
     net.crash(NodeId(2));
     wait_for_death(&rtses, NodeId(2));
     assert_eq!(read(&rtses[1], id), 9);
-    let (regime, regenerated, owners) = rtses[1].placement_of(id).unwrap();
-    assert_eq!((regime, regenerated), (RegimeKind::Replicated, epoch + 1));
-    assert_eq!(owners, vec![NodeId(0)]);
-    let slot = slot_of(&rtses[0], id).expect("regenerated at the home");
+    // Node 0 (the keeper) and node 1 were equally fresh: the higher id wins.
+    let (regime, promoted, owners) = rtses[1].placement_of(id).unwrap();
+    assert_eq!((regime, promoted), (RegimeKind::Replicated, epoch));
+    assert_eq!(owners, vec![NodeId(1)]);
+    let slot = slot_of(&rtses[1], id).expect("promoted in place");
     let armed = slot.leases.lock().fence.expect("the write fence is armed");
     assert_eq!(add(&rtses[1], id, 1), 10);
     assert!(Instant::now() >= armed, "a write inside the fence");
@@ -2549,8 +2562,7 @@ fn dead_replicated_owner_is_regenerated_from_the_freshest_mirror() {
 
 /// How long a call waits for a re-homing is counted from the death that
 /// sent it astray, not from the first one it ever saw: a guard that waits
-/// out `rehome_wait` at the regenerated copy, moved on to another owner,
-/// outlives that owner's death too.
+/// out `rehome_wait` at the promoted copy outlives that owner's death too.
 #[test]
 fn a_second_death_after_a_long_guard_wait_is_waited_out() {
     let net = Network::reliable(4);
@@ -2570,19 +2582,20 @@ fn a_second_death_after_a_long_guard_wait_is_waited_out() {
     assert_eq!(replicated_at(&rtses[0], id), (3, vec![2]));
     let waiter = await_at_least(&rtses[1], id, 1);
 
-    // The owner dies; the copy is regenerated at the home, where the guard
-    // waits longer than a re-homing is waited for: a park there runs out,
-    // and the call is answered `Blocked` and sent again.
+    // The owner dies; the copy is promoted at its reader, node 2 (as fresh
+    // as its keeper, node 0, and of the higher id), where the guard waits
+    // longer than a re-homing is waited for: a park there runs out, and the
+    // call is answered `Blocked` and sent again.
     std::thread::sleep(Duration::from_millis(100));
     net.crash(NodeId(3));
     wait_for_death(&rtses, NodeId(3));
-    eventually("the copy is regenerated", || {
-        rtses[0].placement_of(id).unwrap().2 == [NodeId(0)]
+    eventually("the copy is promoted", || {
+        rtses[0].placement_of(id).unwrap().2 == [NodeId(2)]
     });
     std::thread::sleep(policy.op_timeout / 2 + Duration::from_millis(300));
     assert!(policy.op_timeout / 2 > recovery.rehome_wait);
 
-    // The copy moves on, and its new owner dies too.
+    // The copy is mirrored again, and its owner dies too.
     replicate_by(&rtses[0], id, &[50, 0, 0, 0], &[0, 0, 5, 0]).unwrap();
     assert_eq!(replicated_at(&rtses[0], id), (2, vec![0]));
     std::thread::sleep(Duration::from_millis(100));
@@ -2590,7 +2603,7 @@ fn a_second_death_after_a_long_guard_wait_is_waited_out() {
     crate::recovery::wait_for_deaths(4, &[NodeId(2), NodeId(3)], &|node| {
         rtses[node.index()].membership_view()
     });
-    eventually("the copy is regenerated again", || {
+    eventually("the copy is promoted again", || {
         rtses[0].placement_of(id).unwrap().2 == [NodeId(0)]
     });
     assert!(

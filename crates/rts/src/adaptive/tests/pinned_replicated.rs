@@ -401,13 +401,13 @@ mod tests {
         shutdown_all(&rtses);
     }
 
-    /// The primary dies; the object is regenerated from the freshest
-    /// surviving secondary copy, every acknowledged write survives, and
-    /// survivors keep reading and writing the object.
+    /// The primary dies; the freshest surviving secondary copy is promoted
+    /// in place, every acknowledged write survives, and survivors keep
+    /// reading and writing the object.
     #[test]
     fn primary_crash_rehomes_object_onto_survivor_copy() {
         let net = Network::reliable(3);
-        // (The first write after the regeneration waits out a grant span.)
+        // (The first write after the promotion waits out a grant span.)
         let policy = AdaptivePolicy {
             read_lease_ms: 50,
             ..sticky_copies()
@@ -433,27 +433,99 @@ mod tests {
         shutdown_all(&rtses);
     }
 
-    /// With no secondary copy anywhere, a dead primary means the object is
-    /// gone: survivors get a fast, explicit `ObjectLost` — never a hang.
+    /// A copy is created with its keeper: killing its creator right after
+    /// `create_object` returns — nobody has read it, nothing placed it, no
+    /// node but the creator lists it — loses nothing. The keeper is promoted
+    /// in place and serves the value the object was created with.
     #[test]
-    fn primary_crash_without_copies_reports_object_lost() {
-        let net = Network::reliable(2);
+    fn primary_crash_right_after_create_loses_nothing() {
+        for write in [WritePolicy::Update, WritePolicy::Invalidate] {
+            let net = Network::reliable(2);
+            let policy = single_copy(write);
+            let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+            let id = rtses[0]
+                .create_encoded(Accumulator::TYPE_NAME, &3i64.to_bytes())
+                .unwrap();
+            net.crash(NodeId(0));
+            wait_for_death(&rtses, NodeId(0));
+            assert_eq!(read(&rtses[1], id), 3);
+            assert_eq!(add(&rtses[1], id, 1), 4);
+            assert_eq!(rtses[1].placement_of(id).unwrap().2, vec![NodeId(1)]);
+            shutdown_all(&rtses);
+        }
+    }
+
+    /// With its keeper dead too, a dead primary means the object is gone:
+    /// survivors get a fast, explicit `ObjectLost` — never a hang.
+    #[test]
+    fn primary_crash_with_its_keeper_reports_object_lost() {
+        let net = Network::reliable(3);
         let policy = single_copy(WritePolicy::Update);
         let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
         let id = rtses[0]
             .create_encoded(Accumulator::TYPE_NAME, &3i64.to_bytes())
             .unwrap();
-        assert_eq!(read(&rtses[1], id), 3);
+        assert_eq!(read(&rtses[2], id), 3);
         net.crash(NodeId(0));
-        wait_for_death(&rtses, NodeId(0));
+        net.crash(NodeId(1));
+        crate::recovery::wait_for_deaths(3, &[NodeId(0), NodeId(1)], &|node| {
+            rtses[node.index()].membership_view()
+        });
         let started = Instant::now();
-        assert_eq!(try_add(&rtses[1], id, 1), Err(RtsError::ObjectLost(id)));
+        assert_eq!(try_add(&rtses[2], id, 1), Err(RtsError::ObjectLost(id)));
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "ObjectLost was not fast"
         );
         // The verdict is sticky and immediate afterwards.
-        assert_eq!(try_read(&rtses[1], id), Err(RtsError::ObjectLost(id)));
+        assert_eq!(try_read(&rtses[2], id), Err(RtsError::ObjectLost(id)));
+        shutdown_all(&rtses);
+    }
+
+    /// A promoted copy carries on from the version its mirror had reached,
+    /// so a stale copy of the same epoch left on a survivor — a drop that
+    /// never arrived — neither keeps the new keeper from taking its prime
+    /// nor outranks it at a second death: no acknowledged write is lost.
+    #[test]
+    fn a_stale_copy_left_on_a_survivor_never_outranks_the_keeper() {
+        let net = Network::reliable(4);
+        let policy = single_copy(WritePolicy::Update);
+        let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+        let id = rtses[0]
+            .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        for value in 1..=5 {
+            assert_eq!(add(&rtses[0], id, 1), value);
+        }
+        // Node 1 keeps the copy at version 5; node 2 holds one of the same
+        // epoch left at version 3.
+        assert_eq!(rtses[1].mirror_of(id), (true, 5, false, 0));
+        let (_, epoch) = rtses[0].regime_of(id).unwrap();
+        let stale = RegimeMsg::Mirror {
+            object: id.0,
+            epoch,
+            partition: None,
+            type_name: Accumulator::TYPE_NAME.to_string(),
+            state: 3i64.to_bytes(),
+            seq: 3,
+            dedup: Default::default(),
+            lease: None,
+        };
+        assert_eq!(rtses[2].serve(stale, NodeId(0)), RegimeReply::Ack);
+        assert_eq!(rtses[2].mirror_of(id), (true, 3, false, 0));
+
+        net.crash(NodeId(0));
+        wait_for_death(&rtses, NodeId(0));
+        assert_eq!(add(&rtses[3], id, 1), 6);
+        assert_eq!(rtses[2].regime_of(id).unwrap().1, epoch);
+        assert_eq!(rtses[2].mirror_of(id), (true, 6, false, 0));
+
+        net.crash(NodeId(1));
+        crate::recovery::wait_for_deaths(4, &[NodeId(0), NodeId(1)], &|node| {
+            rtses[node.index()].membership_view()
+        });
+        assert_eq!(read(&rtses[3], id), 6);
+        assert_eq!(add(&rtses[3], id, 1), 7);
         shutdown_all(&rtses);
     }
 
@@ -643,7 +715,7 @@ mod tests {
         shutdown_all(&rtses);
     }
 
-    /// Lease-grantor crash: the regenerated copy serves reads immediately
+    /// Lease-grantor crash: the promoted copy serves reads immediately
     /// but fences *writes* until every grant the dead primary could have
     /// issued has expired, so stale leased copies elsewhere can never
     /// observe a value the new era wrote.
@@ -661,10 +733,10 @@ mod tests {
         let crashed = Instant::now();
         net.crash(NodeId(0));
         wait_for_death(&rtses, NodeId(0));
-        // The first write after the regeneration completes only after the
-        // fence: regeneration happens strictly after the crash, and the
+        // The first write after the promotion completes only after the
+        // fence: promotion happens strictly after the crash, and the
         // fence spans the longest grant the dead primary could have had
-        // outstanding (2 × read_lease_ms = 600 ms past regeneration).
+        // outstanding (2 × read_lease_ms = 600 ms past promotion).
         assert_eq!(add(&rtses[2], id, 1), 6);
         assert!(
             crashed.elapsed() >= Duration::from_millis(550),

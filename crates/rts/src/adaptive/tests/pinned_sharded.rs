@@ -559,6 +559,27 @@ mod tests {
         shutdown_all(&rtses);
     }
 
+    /// A partition is created with its keeper: killing the creator right
+    /// after `create_object` returns — before any operation — loses nothing
+    /// of the state the object was created with, whichever partitions the
+    /// creator owned.
+    #[test]
+    fn home_crash_right_after_create_loses_nothing() {
+        let net = Network::reliable(3);
+        let rtses =
+            start_all_recoverable(&net, AdaptivePolicy::sharded(3), crate::recovery::patient());
+        let accounts: <Bank as ObjectType>::State = (0..12).map(|key| (key, 1)).collect();
+        let id = rtses[2]
+            .create_encoded(Bank::TYPE_NAME, &accounts.to_bytes())
+            .unwrap();
+        net.crash(NodeId(2));
+        wait_for_death(&rtses, NodeId(2));
+        assert_eq!(bank_sum(&rtses[0], id), 12);
+        assert_eq!(deposit(&rtses[1], id, 0, 1), 2);
+        assert!(!owners(&rtses[0], id).contains(&NodeId(2)));
+        shutdown_all(&rtses);
+    }
+
     /// A type that does not shard is one partition at its creator, and
     /// kept like any other: it survives its home's death, acknowledged
     /// writes and all.
@@ -840,6 +861,49 @@ mod tests {
         assert_eq!(rtses[0].copy_holders(id).unwrap(), Vec::new());
         assert_eq!(balance(&rtses[0], id, key), 6);
         assert_eq!(balance(&rtses[1], id, key), 6);
+        shutdown_all(&rtses);
+    }
+
+    /// A keeper ranks beside the readers: as fresh as a leased reader and on
+    /// the higher node id, it is what is promoted when the owner dies. The
+    /// reader's lease may outlive the owner on a node that has not heard of
+    /// the death yet; the keeper's mirror holds the lease that rode every
+    /// push beside it (booked for the reader alone), so the promoted slot's
+    /// first write waits out a grant span.
+    #[test]
+    fn a_keeper_outranking_a_leased_reader_is_promoted_with_its_first_write_fenced() {
+        let net = Network::reliable(3);
+        let policy = AdaptivePolicy {
+            window: u64::MAX,
+            read_lease_ms: 150,
+            ..AdaptivePolicy::sharded(4)
+        };
+        let rtses = start_all_recoverable(&net, policy, crate::recovery::patient());
+        let id = new_bank(&rtses[0]);
+        rtses[0].shard_by(id, &[36, 0, 0], &[0, 4, 4]).unwrap();
+        // Node 1's partition: node 0 reads it under a lease, node 2 keeps it.
+        assert_eq!(rtses[0].copy_holders(id).unwrap(), [NodeId(0)]);
+        let (partition, key) = partition_of(&rtses[0], id, NodeId(1), 4);
+        assert_eq!(deposit(&rtses[1], id, key, 5), 5);
+        assert_eq!(balance(&rtses[0], id, key), 5);
+        let (_, read, ..) = rtses[0].keeper_of(id, partition).unwrap();
+        let (_, kept, ..) = rtses[2].keeper_of(id, partition).unwrap();
+        assert_eq!(read, kept, "the reader and the keeper are equally fresh");
+
+        net.crash(NodeId(1));
+        wait_for_death(&rtses, NodeId(1));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while owners(&rtses[0], id)[partition as usize] != NodeId(2) {
+            assert!(Instant::now() < deadline, "the keeper was not promoted");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let fenced = rtses[2]
+            .write_fence(id, partition)
+            .expect("the write fence is armed");
+        assert_eq!(deposit(&rtses[0], id, key, 1), 6);
+        assert!(Instant::now() >= fenced, "a write inside the fence");
+        assert_eq!(rtses[2].write_fence(id, partition), None);
+        assert_eq!(balance(&rtses[0], id, key), 6);
         shutdown_all(&rtses);
     }
 

@@ -8,17 +8,13 @@
 //!
 //! * **Adaptive** — and **primary copy** and **sharded**, which are the
 //!   adaptive runtime with its regime pinned to replicated and to sharded —
-//!   every sharded-regime partition keeps a mirror on a
-//!   second node (the owner pushes each completed write to it
-//!   before acknowledging); a dead owner's partitions are re-owned by
-//!   promoting those, and a dead *home* node's regime table is
-//!   rebuilt by the lowest live node from what the survivors hold. A
-//!   replicated-regime object — a primary copy — keeps serving where it is
-//!   while its owner lives and is regenerated from the freshest surviving
-//!   read mirror when it does not — from its first evaluation on it has
-//!   one, on the next live node if nobody reads it; an object its creator
-//!   took along before that is *lost* with its node
-//!   ([`crate::RtsError::ObjectLost`]).
+//!   every slot, a replicated object's copy or a partition, keeps a mirror
+//!   on a second node from the moment it is created (the owner pushes each
+//!   completed write to it before acknowledging); a dead owner's slots are
+//!   re-owned by promoting the freshest mirror of each in place, and a dead
+//!   *home* node's regime table is rebuilt by the lowest live node from
+//!   what the survivors hold. A slot whose owner and keeper both died is
+//!   *lost* ([`crate::RtsError::ObjectLost`]).
 //! * **Broadcast** — needs no per-object re-homing at all: every replica
 //!   is everywhere, and a dead *sequencer* is handled inside the group
 //!   layer by election + history replay.
@@ -40,8 +36,8 @@ use orca_group::{FailureConfig, FailureDetector, ViewSnapshot};
 /// `OrcaConfig::recovery` in `orca-core`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Master switch: when false, no failure detector runs, no partition
-    /// keeps a mirror, and node failures surface as plain timeouts (the
+    /// Master switch: when false, no failure detector runs, no slot keeps
+    /// a mirror, and node failures surface as plain timeouts (the
     /// pre-recovery behavior).
     pub enabled: bool,
     /// When true, objects orphaned by a failure are re-homed onto

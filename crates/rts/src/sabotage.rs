@@ -16,13 +16,14 @@
 //!   write — are applied regardless of gaps. This is the pre-fix behavior
 //!   of the fetch/update race (a permanently stale secondary serving
 //!   local reads).
-//! * [`REHOME_KEEPS_STALE_COPIES`] — after a crash, the regeneration of a
-//!   replicated-regime object does not retire the dead owner's epoch: the
-//!   copy is rebuilt under the epoch it had, the survivors stay listed and
-//!   keep their mirrors of it instead of dropping them; such a copy is
-//!   frozen at the moment of the crash and serves reads that miss every
-//!   later write. (Dropping the copies alone is not what keeps them from
-//!   being read — the next epoch is: skipping the drop breaks nothing.)
+//! * [`REHOME_KEEPS_STALE_COPIES`] — after a crash, the recovered table of
+//!   a promoted slot — a replicated-regime copy or a partition — lists every
+//!   other survivor that holds a mirror of it as a reader, though the
+//!   promoted slot neither primes nor pushes them: such a copy is frozen at
+//!   the moment of the crash, and a reader the table sends to it misses
+//!   every later write. (Unlisted, the copy left behind is harmless: nobody
+//!   reads it, and a promoted slot's versions carry on from its mirror's, so
+//!   it never outranks the keeper.)
 //! * [`SKIP_WRITER_PENDING_MARK`] — a writer's pending mark on its own
 //!   mirror no longer holds back local reads while its write-through is in
 //!   flight. The owner left that copy
@@ -43,8 +44,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// snapshots install, gapped updates apply).
 pub static NO_VERSION_GATING: AtomicBool = AtomicBool::new(false);
 
-/// A regenerated object keeps its dead owner's epoch, and the survivors
-/// their stale mirrors of it.
+/// The recovered table of a promoted slot lists the survivors that hold a
+/// stale mirror of it.
 pub static REHOME_KEEPS_STALE_COPIES: AtomicBool = AtomicBool::new(false);
 
 /// Local reads ignore the pending mark of an in-flight write-through.

@@ -291,8 +291,10 @@ pub(crate) enum WriteAck {
     Unsynced,
     /// The write failed without an answer and re-homing is on — the
     /// authority may have died under it: the copy is left *locked*, the rule
-    /// for a copy caught mid-push — it may be the freshest one alive, and
-    /// recovery, or the live authority's next update, resolves the lock.
+    /// for a copy caught mid-push. It holds every acknowledged write and may
+    /// be the slot's keeper, which a write through it leaves out of the
+    /// push: recovery may promote it, or the live authority's next update
+    /// resolves the lock.
     AuthorityLost,
 }
 

@@ -12,7 +12,7 @@
 //!   must renew, revoke or wait out every outstanding grant before its
 //!   effect becomes visible, so leased reads stay linearizable. The holder
 //!   also ties validity to its failure detector's membership epoch: any
-//!   membership change invalidates the leases it holds, so a regenerated
+//!   membership change invalidates the leases it holds, so a promoted
 //!   copy only has to wait out the wall-clock bound recovery already
 //!   assumes.
 //!

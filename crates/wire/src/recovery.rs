@@ -12,8 +12,8 @@
 //!
 //! On top of the view, the runtime systems re-home objects whose
 //! authoritative copy lived on a dead node; that protocol is part of the
-//! regime vocabulary ([`crate::regime`]: holdings survey, promotion of a partition's mirror,
-//! regeneration from a mirror).
+//! regime vocabulary ([`crate::regime`]: holdings survey, promotion of the
+//! freshest mirror of a dead owner's slot).
 //!
 //! The vocabulary lives here, at the bottom of the stack, so the codecs are
 //! property-tested together with every other wire type and the byte counts

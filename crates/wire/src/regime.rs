@@ -9,7 +9,7 @@
 //! current one way — [`RegimeMsg::Mirror`] primes it, [`RegimeMsg::Update`]
 //! pushes it every write before the acknowledgement — whether its holder
 //! reads it (a mirror of a replicated object or of a sharded partition) or
-//! keeps it for a promotion (a partition's *keeper*, with recovery on). The
+//! keeps it for a promotion (a slot's *keeper*, with recovery on). The
 //! object's home node (its creator, recoverable from the object id) owns the
 //! authoritative [`RegimeTable`]; every other node caches it and is told
 //! [`RegimeReply::StaleRegime`] when it acts on an outdated epoch.
@@ -195,9 +195,8 @@ wire_type! {
         },
         /// Owner → mirror holder: install a mirror primed with the given state
         /// and update sequence number. Sent to the readers the table lists when
-        /// a slot is installed, and to the keeper of a sharded-regime slot then
-        /// and whenever the keeper answers a [`RegimeMsg::Update`] it could not
-        /// apply.
+        /// a slot is installed, and to the slot's keeper then and whenever the
+        /// keeper answers a [`RegimeMsg::Update`] it could not apply.
         MIRROR_TAG = 7 => Mirror {
             /// Raw object id.
             object: u64,
@@ -239,11 +238,12 @@ wire_type! {
         },
         /// Draining owner → its mirrors (a slot is retired): discard the read
         /// mirror so no node keeps serving pre-switch state. Home → every node:
-        /// the keepers of a retired sharded regime's partitions are discarded
-        /// the same way (any switch of one with recovery on), so none is left to
-        /// be promoted later. Owner → its mirrors under the invalidation write
-        /// policy: a write was applied, discard the copy and fetch a fresh one
-        /// at the next read.
+        /// the keepers of a retired regime's slots are discarded the same way
+        /// (any switch with recovery on), so none is left to be promoted later;
+        /// and, before a promotion, every other holder's mirror of the slot.
+        /// Owner → its listed readers under the invalidation write policy: a
+        /// write was applied, discard the copy and fetch a fresh one at the
+        /// next read.
         DROP_COPIES_TAG = 9 => DropCopies {
             /// Raw object id.
             object: u64,
@@ -322,25 +322,23 @@ wire_type! {
             partition: Option<u32> as trailing,
         },
         /// Recovering home → survivor: report what you hold of `object` —
-        /// authoritative slots, mirrors of partitions, a read mirror — so the home
-        /// (or the node adopting a dead creator's home role) can give every
-        /// partition a live owner again, find a live replicated owner, or
-        /// regenerate the object from a mirror. Answered
-        /// [`RegimeReply::Holdings`].
+        /// authoritative slots, mirrors of its copy or of its partitions — so
+        /// the home (or the node adopting a dead creator's home role) can give
+        /// every slot a live owner again. Answered [`RegimeReply::Holdings`].
         HOLDINGS_TAG = 12 => Holdings {
             /// Raw object id.
             object: u64,
         },
         /// Recovering home → holder of the freshest mirror of a dead owner's
-        /// partition: make it the authoritative slot, in place, under the epoch
-        /// its sibling partitions still serve.
+        /// slot: make it the authoritative slot, in place, under the epoch the
+        /// table has.
         PROMOTE_TAG = 15 => Promote {
             /// Raw object id.
             object: u64,
             /// Epoch the mirror must belong to.
             epoch: u64,
-            /// Partition to promote.
-            partition: u32,
+            /// What is mirrored, as in [`RegimeMsg::Mirror`].
+            partition: Option<u32> as trailing,
         },
         /// Owner → home node, one-way: a push to the listed mirror `node` went
         /// unanswered though nobody has declared it dead. The home forgets what
@@ -380,24 +378,20 @@ impl RegimeMsg {
 
 wire_type! {
     /// What one node holds of an object: the answer to
-    /// [`RegimeMsg::Holdings`]. Partitions are `(partition, epoch, version)` —
-    /// a slot also names the regime it serves; among holders of one partition
-    /// the greater `(epoch, version)` is the fresher, so a mirror a drain left
-    /// behind never outranks its successor.
+    /// [`RegimeMsg::Holdings`], no state among it. Each holding is
+    /// `(partition, epoch, version)` — a slot also names the regime it
+    /// serves and the readers it lists; among holders of one slot the greater
+    /// `(epoch, version)` is the fresher, so a mirror a drain left behind
+    /// never outranks its successor.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct Holdings {
         /// Registered type name of what is held (empty when nothing is).
         pub type_name: String,
         /// Authoritative slots this node serves, of any regime.
-        pub slots: Vec<(u32, u64, u64, RegimeKind)>,
-        /// Partitions of a sharded regime this node keeps a mirror of.
-        pub keepers: Vec<(u32, u64, u64)>,
-        /// The read mirror held, as `(epoch, seq, state)`.
-        pub mirror: Option<(u64, u64, Vec<u8>)>,
-        /// Dedup window paired with the mirror's state (empty without one), so
-        /// an adopted home answers retried writes the dead home already
-        /// applied.
-        pub dedup: DedupWindow,
+        pub slots: Vec<(u32, u64, u64, RegimeKind, Vec<u16>)>,
+        /// Mirrors this node holds, read or kept, by what they mirror (as in
+        /// [`RegimeMsg::Mirror`]: `None`, the one copy).
+        pub mirrors: Vec<(Option<u32>, u64, u64)>,
     }
 }
 
@@ -597,7 +591,12 @@ mod tests {
             RegimeMsg::Promote {
                 object: 9,
                 epoch: 3,
-                partition: 2,
+                partition: Some(2),
+            },
+            RegimeMsg::Promote {
+                object: 9,
+                epoch: 3,
+                partition: None,
             },
             RegimeMsg::WriteThrough {
                 object: 9,
@@ -643,10 +642,8 @@ mod tests {
             RegimeReply::Holdings(Box::default()),
             RegimeReply::Holdings(Box::new(Holdings {
                 type_name: "orca.KvTable".into(),
-                slots: vec![(0, 4, 9, RegimeKind::Sharded)],
-                keepers: vec![(1, 4, 3), (1, 3, 40)],
-                mirror: Some((4, 17, vec![7])),
-                dedup: window(),
+                slots: vec![(0, 4, 9, RegimeKind::Sharded, vec![1, 3])],
+                mirrors: vec![(Some(1), 4, 3), (Some(1), 3, 40), (None, 4, 17)],
             })),
             RegimeReply::ObjectLost,
             RegimeReply::Installed {

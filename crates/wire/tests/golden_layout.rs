@@ -70,10 +70,8 @@ fn replicated_table() -> RegimeTable {
 fn full_holdings() -> Holdings {
     Holdings {
         type_name: "orca.KvTable".into(),
-        slots: vec![(0, 4, 9, RegimeKind::Sharded)],
-        keepers: vec![(1, 4, 3), (1, 3, 40)],
-        mirror: Some((4, 17, vec![7])),
-        dedup: window(),
+        slots: vec![(0, 4, 9, RegimeKind::Sharded, vec![1, 3])],
+        mirrors: vec![(Some(1), 4, 3), (Some(1), 3, 40), (None, 4, 17)],
     }
 }
 
@@ -298,16 +296,24 @@ fn regime_msgs() -> Vec<(RegimeMsg, &'static str)> {
             RegimeMsg::Promote {
                 object: 9,
                 epoch: 3,
-                partition: 2,
+                partition: Some(2),
             },
             "0f 09 03 02",
+        ),
+        (
+            RegimeMsg::Promote {
+                object: 9,
+                epoch: 3,
+                partition: None,
+            },
+            "0f 09 03",
         ),
         (RegimeMsg::Unreached { object: 9, node: 2 }, "10 09 02"),
     ]
 }
 
 fn holdings() -> Vec<(Holdings, &'static str)> {
-    vec![(Holdings::default(), "00 00 00 00 00"), (full_holdings(), "0c 6f 72 63 61 2e 4b 76 54 61 62 6c 65 01 00 04 09 02 02 01 04 03 01 03 28 01 04 11 01 07 01 03 0b 02 01 02")]
+    vec![(Holdings::default(), "00 00 00"), (full_holdings(), "0c 6f 72 63 61 2e 4b 76 54 61 62 6c 65 01 00 04 09 02 02 01 03 03 01 01 04 03 01 01 03 28 00 04 11")]
 }
 
 fn installed(reply: Vec<u8>) -> RegimeReply {
@@ -358,8 +364,8 @@ fn regime_replies() -> Vec<(RegimeReply, &'static str)> {
         (RegimeReply::Renewed(grant()), "0c 09 03 04 96 01"),
         (RegimeReply::Ack, "06"),
         (RegimeReply::Error("nope".into()), "07 04 6e 6f 70 65"),
-        (RegimeReply::Holdings(Box::default()), "08 00 00 00 00 00"),
-        (RegimeReply::Holdings(Box::new(full_holdings())), "08 0c 6f 72 63 61 2e 4b 76 54 61 62 6c 65 01 00 04 09 02 02 01 04 03 01 03 28 01 04 11 01 07 01 03 0b 02 01 02"),
+        (RegimeReply::Holdings(Box::default()), "08 00 00 00"),
+        (RegimeReply::Holdings(Box::new(full_holdings())), "08 0c 6f 72 63 61 2e 4b 76 54 61 62 6c 65 01 00 04 09 02 02 01 03 03 01 01 04 03 01 01 03 28 00 04 11"),
         (RegimeReply::ObjectLost, "09"),
         (RegimeReply::Batch(outcomes), "0a 03 02 04 01 01 01"),
         (installed(vec![]), "0b 0e 01 96 01"),

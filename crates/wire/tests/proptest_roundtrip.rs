@@ -479,18 +479,29 @@ fn random_nodes(gen: &mut Gen) -> Vec<u16> {
     (0..gen.below(16)).map(|_| gen.next_u64() as u16).collect()
 }
 
-/// Slots as a [`orca_wire::Holdings`] reports them: a part and its regime.
-fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
+/// Mirrors as a [`orca_wire::Holdings`] reports them: of a partition, or of
+/// the one copy.
+fn random_mirrors(gen: &mut Gen) -> Vec<(Option<u32>, u64, u64)> {
     let parts = random_parts(gen);
-    parts
-        .into_iter()
-        .map(|(partition, epoch, version)| (partition, epoch, version, random_regime(gen)))
-        .collect()
+    let of = |(partition, epoch, version)| (Some(partition).filter(|p| p % 2 == 0), epoch, version);
+    parts.into_iter().map(of).collect()
 }
 
-/// The messages that keep a shard — one partition of a sharded-regime
-/// object — alive across its owner's death: the prime of its kept mirror,
-/// its promotion and the holdings report; and the ones that place a
+/// Slots as a [`orca_wire::Holdings`] reports them: a part, its regime and
+/// the readers it lists.
+fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind, Vec<u16>)> {
+    let parts = random_parts(gen);
+    let slot = |(partition, epoch, version)| {
+        let regime = random_regime(gen);
+        (partition, epoch, version, regime, random_nodes(gen))
+    };
+    parts.into_iter().map(slot).collect()
+}
+
+/// The messages that keep a slot — a replicated-regime object's copy or one
+/// partition of a sharded-regime object — alive across its owner's death:
+/// the prime of its kept mirror, its promotion and the holdings report; and
+/// the ones that place a
 /// replicated-regime object:
 /// an install naming its regime and mirrors, or re-stamping the slot its
 /// owner serves, a mirror fetch naming the
@@ -500,7 +511,7 @@ fn random_slots(gen: &mut Gen) -> Vec<(u32, u64, u64, orca_wire::RegimeKind)> {
 /// not — and its unlock, an invalidation naming the write's version. None
 /// of them has a tail, so besides round-tripping, every unassigned tag must
 /// be rejected and every strict prefix of an encoding — but one: what a
-/// `Mirror` or an `Update` mirrors is its last field and written only when
+/// `Mirror`, an `Update` or a `Promote` names is its last field and written only when
 /// it is a partition, so the prefix that ends before it is the same message
 /// about the whole object, and costs the same bytes it cost before there
 /// was a partition to name; so is the epoch an `Install` re-stamps from,
@@ -577,7 +588,7 @@ fn shard_messages_round_trip() {
             _ => RegimeMsg::Promote {
                 object,
                 epoch,
-                partition,
+                partition: mirrored,
             },
         };
         assert_roundtrip(&msg, case);
@@ -587,10 +598,7 @@ fn shard_messages_round_trip() {
             _ => RegimeReply::Holdings(Box::new(Holdings {
                 type_name: gen.string(),
                 slots: random_slots(&mut gen),
-                keepers: random_parts(&mut gen),
-                mirror: (gen.below(2) == 0)
-                    .then(|| (gen.next_u64(), gen.next_u64(), gen.bytes(48))),
-                dedup: random_dedup(&mut gen),
+                mirrors: random_mirrors(&mut gen),
             })),
         };
         assert_roundtrip(&reply, case);
@@ -598,7 +606,9 @@ fn shard_messages_round_trip() {
         let mut bytes = msg.to_bytes();
         let mut whole = msg.clone();
         let unnamed = match &mut whole {
-            RegimeMsg::Update { partition, .. } | RegimeMsg::Mirror { partition, .. } => {
+            RegimeMsg::Update { partition, .. }
+            | RegimeMsg::Mirror { partition, .. }
+            | RegimeMsg::Promote { partition, .. } => {
                 let named = partition.take();
                 named.map(|partition| bytes.len() - partition.to_bytes().len())
             }
@@ -883,9 +893,7 @@ fn regime_messages_round_trip() {
             7 => RegimeReply::Holdings(Box::new(orca_wire::Holdings {
                 type_name: gen.string(),
                 slots: random_slots(&mut gen),
-                keepers: random_parts(&mut gen),
-                mirror: None,
-                dedup: random_dedup(&mut gen),
+                mirrors: random_mirrors(&mut gen),
             })),
             8 => RegimeReply::ObjectLost,
             _ => RegimeReply::Error(gen.string()),

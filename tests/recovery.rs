@@ -58,8 +58,9 @@ fn recovery_knobs() -> RecoveryConfig {
 
 /// The primary-copy backend — [`pinned_adaptive`] with the regime pinned to
 /// replicated — so every survivor that read the table holds a secondary
-/// copy to regenerate it from when the primary dies, and keeps it: nothing
-/// re-places the copies mid-workload.
+/// copy, and keeps it: nothing re-places the copies mid-workload. The copy's
+/// keeper, pushed every write under either write policy, is what is
+/// promoted when the primary dies, if no reader is as fresh.
 fn eager_replication(write: WritePolicy) -> RtsStrategy {
     RtsStrategy::Adaptive {
         policy: AdaptivePolicy {
@@ -128,10 +129,8 @@ fn entry_for(key: u64) -> TableEntry {
 
 /// Run the crash scenario under one strategy and check every invariant.
 /// `fault` perturbs all unreliable traffic for the whole run (the chaotic
-/// lane combines it with the kill); `create_on` picks the node whose death
-/// the object must survive — every strategy but primary-invalidate places
-/// the object on the doomed node.
-fn run_crash_scenario_on(name: &str, strategy: RtsStrategy, fault: FaultConfig, create_on: usize) {
+/// lane combines it with the kill).
+fn run_crash_scenario_on(name: &str, strategy: RtsStrategy, fault: FaultConfig) {
     let config = OrcaConfig {
         strategy,
         recovery: recovery_knobs(),
@@ -145,9 +144,9 @@ fn run_crash_scenario_on(name: &str, strategy: RtsStrategy, fault: FaultConfig, 
         RtsKind::Broadcast | RtsKind::Sharded
     );
     let runtime = OrcaRuntime::start(config, standard_registry());
-    // Usually created on the doomed node: its death orphans whatever
-    // authority the strategy placed there.
-    let table = KvTable::create(runtime.context(create_on)).unwrap();
+    // Created on the doomed node: its death orphans whatever authority the
+    // strategy placed there.
+    let table = KvTable::create(runtime.context(KILLED.index())).unwrap();
 
     // Priming: every surviving node reads the table, which builds the
     // secondary copies (primary strategy) and the usage evidence plus
@@ -276,7 +275,7 @@ fn run_crash_scenario_on(name: &str, strategy: RtsStrategy, fault: FaultConfig, 
 #[test]
 fn crash_mid_workload_all_strategies_keep_every_acknowledged_write() {
     for (name, strategy) in strategies() {
-        run_crash_scenario_on(name, strategy, FaultConfig::reliable(), KILLED.index());
+        run_crash_scenario_on(name, strategy, FaultConfig::reliable());
     }
 }
 
@@ -284,13 +283,6 @@ fn crash_mid_workload_all_strategies_keep_every_acknowledged_write() {
 /// kill, across all five strategy families. Loss, duplication and
 /// reordering stress the very protocols recovery rides on (heartbeats,
 /// group retransmission, re-homing RPC) while a node dies under them.
-///
-/// Primary-invalidate is the one family whose crash recovery legitimately
-/// cannot promise promotion: writes invalidate every secondary, so at the
-/// moment of death no survivor may hold a promotable copy. Its lane
-/// therefore keeps the object on a surviving node and exercises loss +
-/// crash around it (membership churn, aborted RPCs) rather than
-/// promotion-after-crash.
 #[test]
 fn chaotic_lane_crash_plus_loss_across_all_strategy_families() {
     let seed = fault_seed(0xC4A05);
@@ -311,17 +303,8 @@ fn chaotic_lane_crash_plus_loss_across_all_strategy_families() {
         ),
     ]);
     for (name, strategy) in all {
-        let create_on = if name == "primary_invalidate" {
-            SURVIVORS[0]
-        } else {
-            KILLED.index()
-        };
-        run_crash_scenario_on(
-            &format!("{name} (chaotic, ORCA_SEED={seed})"),
-            strategy,
-            fault,
-            create_on,
-        );
+        let name = format!("{name} (chaotic, ORCA_SEED={seed})");
+        run_crash_scenario_on(&name, strategy, fault);
     }
 }
 
