@@ -30,16 +30,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use orca_telemetry::{FlightKind, Telemetry};
 use parking_lot::Mutex;
 
 use crate::fault::{FaultAction, FaultConfig, FaultInjector};
-use crate::message::{Delivery, NetMessage, WIRE_HEADER_BYTES};
-use crate::node::{ports, NodeId, Port};
+use crate::message::{NetMessage, WIRE_HEADER_BYTES};
+use crate::node::{NodeId, Port};
 use crate::sched::{HeldDescriptor, MsgId, SchedState, SchedulerConfig};
 use crate::stats::{NetStats, NetStatsSnapshot};
-use crate::transport::{PortDemux, SimTransport, Transport, TransportKind};
+use crate::transport::{Endpoint, SimTransport, Transport, TransportKind};
 
 /// Configuration of a simulated network.
 #[derive(Debug, Clone)]
@@ -48,33 +48,23 @@ pub struct NetworkConfig {
     pub nodes: usize,
     /// Fault injection applied to unreliable traffic.
     pub fault: FaultConfig,
-    /// Maximum payload bytes per packet (Ethernet-style MTU). Messages larger
-    /// than this are accounted as multiple packets. The paper's dynamic PB/BB
-    /// choice switches protocol at one packet.
-    pub packet_payload: usize,
 }
 
 impl NetworkConfig {
-    /// A reliable network with `nodes` nodes and Ethernet-like packets.
+    /// A reliable network with `nodes` nodes.
     pub fn reliable(nodes: usize) -> Self {
-        NetworkConfig {
-            nodes,
-            fault: FaultConfig::reliable(),
-            packet_payload: DEFAULT_PACKET_PAYLOAD,
-        }
+        NetworkConfig::with_fault(nodes, FaultConfig::reliable())
     }
 
     /// A network with the given fault configuration.
     pub fn with_fault(nodes: usize, fault: FaultConfig) -> Self {
-        NetworkConfig {
-            nodes,
-            fault,
-            packet_payload: DEFAULT_PACKET_PAYLOAD,
-        }
+        NetworkConfig { nodes, fault }
     }
 }
 
-/// Default packet payload (10 Mb/s Ethernet MTU minus headers).
+/// Payload bytes per packet (10 Mb/s Ethernet MTU minus headers), on either
+/// backend: a larger message is counted as several packets. The paper's
+/// dynamic PB/BB choice switches protocol at one packet.
 pub const DEFAULT_PACKET_PAYLOAD: usize = 1480;
 
 /// Errors surfaced by the network layer.
@@ -100,32 +90,20 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-struct NodeInbox {
-    /// Bound ports, and messages that arrived for a port before its bind.
-    ports: PortDemux,
+/// One simulated node: its endpoint, and what the simulator adds to it.
+struct SimNode {
+    endpoint: Endpoint,
     /// Messages held back by the reordering fault, keyed by port.
     holdback: Mutex<Vec<NetMessage>>,
     /// True when the node is simulated as crashed.
     crashed: AtomicBool,
 }
 
-impl NodeInbox {
-    fn new() -> Self {
-        NodeInbox {
-            ports: PortDemux::new(),
-            holdback: Mutex::new(Vec::new()),
-            crashed: AtomicBool::new(false),
-        }
-    }
-}
-
 pub(crate) struct NetworkCore {
     config: NetworkConfig,
-    inboxes: Vec<NodeInbox>,
-    stats: NetStats,
+    nodes: Vec<SimNode>,
     telemetry: Arc<Telemetry>,
     injector: Mutex<FaultInjector>,
-    next_ephemeral: AtomicU64,
     /// Installed schedule driver (model checking); `None` in normal runs.
     sched: Mutex<Option<SchedState>>,
     /// Monotone counter of delivery events (enqueues, holds, drops), used
@@ -134,139 +112,42 @@ pub(crate) struct NetworkCore {
 }
 
 impl NetworkCore {
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.config.nodes
-    }
-
-    pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    pub(crate) fn stats_snapshot(&self) -> NetStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    pub(crate) fn alloc_ephemeral_port(&self) -> Port {
-        self.next_ephemeral.fetch_add(1, Ordering::Relaxed)
+    pub(crate) fn endpoint(&self, node: NodeId) -> &Endpoint {
+        &self.nodes[node.index()].endpoint
     }
 
     pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
-        self.inboxes[node.index()].crashed.load(Ordering::SeqCst)
+        self.nodes[node.index()].crashed.load(Ordering::SeqCst)
     }
 
     fn enqueue(&self, dst: NodeId, msg: NetMessage) {
         self.activity.fetch_add(1, Ordering::SeqCst);
-        let inbox = &self.inboxes[dst.index()];
-        let wire_bytes = msg.wire_size();
-        self.stats.record_delivery(dst, wire_bytes);
-        self.telemetry.record_traced(
-            dst.0,
-            FlightKind::Deliver,
-            u64::from(msg.src.0),
-            wire_bytes as u64,
-        );
-        inbox.ports.deliver(msg);
+        self.endpoint(dst).deliver(msg);
+    }
+
+    /// A copy lost on its way to `dst`, counted there.
+    fn discard(&self, dst: NodeId, msg: &NetMessage) {
+        self.activity.fetch_add(1, Ordering::SeqCst);
+        self.endpoint(dst).discard(msg.src, msg.payload.len());
     }
 
     /// Deliver a message released from the held pool: a release models a
     /// packet that was already on the wire, so a crash of the *source* after
     /// the send does not stop it, but a crashed *destination* discards it.
     fn deliver_released(&self, dst: NodeId, msg: NetMessage) {
-        if self.inboxes[dst.index()].crashed.load(Ordering::SeqCst) {
-            self.activity.fetch_add(1, Ordering::SeqCst);
-            self.stats.record_drop(dst);
-            self.telemetry.record_traced(
-                dst.0,
-                FlightKind::Drop,
-                u64::from(msg.src.0),
-                msg.wire_size() as u64,
-            );
-            return;
+        if self.is_crashed(dst) {
+            self.discard(dst, &msg);
+        } else {
+            self.enqueue(dst, msg);
         }
-        self.enqueue(dst, msg);
     }
 
-    /// Bind `port` on `node`, returning the receiving end.
-    pub(crate) fn bind_on(self: &Arc<Self>, node: NodeId, port: Port) -> PortReceiver {
-        let (tx, rx) = unbounded();
-        self.inboxes[node.index()].ports.bind(port, tx);
-        let core = Arc::clone(self);
-        let unbind = move || core.inboxes[node.index()].ports.unbind(port);
-        PortReceiver::new(node, port, rx, Box::new(unbind))
-    }
-
-    /// Point-to-point transmission from `src`.
-    pub(crate) fn transmit_from(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        port: Port,
-        payload: Vec<u8>,
-        delivery: Delivery,
-        reliable: bool,
-    ) -> Result<(), NetError> {
-        if dst.index() >= self.config.nodes {
-            return Err(NetError::NoSuchNode(dst));
-        }
-        if self.inboxes[src.index()].crashed.load(Ordering::SeqCst) {
-            return Ok(()); // a crashed node's transmissions go nowhere
-        }
-        let wire_bytes = payload.len() + WIRE_HEADER_BYTES;
-        let packets = packets_for(payload.len(), self.config.packet_payload);
-        self.stats.record_p2p_send(src, wire_bytes, packets);
-        self.telemetry
-            .record_traced(src.0, FlightKind::Send, u64::from(dst.0), wire_bytes as u64);
-        let msg = NetMessage {
-            src,
-            port,
-            delivery,
-            payload,
-        };
-        self.deliver(dst, msg, reliable);
-        Ok(())
-    }
-
-    /// Hardware-style broadcast from `src` to every node (including `src`).
-    pub(crate) fn broadcast_from(
-        &self,
-        src: NodeId,
-        port: Port,
-        payload: Vec<u8>,
-    ) -> Result<(), NetError> {
-        if self.inboxes[src.index()].crashed.load(Ordering::SeqCst) {
-            return Ok(()); // a crashed node's transmissions go nowhere
-        }
-        let wire_bytes = payload.len() + WIRE_HEADER_BYTES;
-        let packets = packets_for(payload.len(), self.config.packet_payload);
-        self.stats.record_broadcast_send(src, wire_bytes, packets);
-        // One Send event for the whole broadcast (a = u64::MAX marks "all
-        // nodes"), matching the once-on-the-wire accounting above.
-        self.telemetry
-            .record_traced(src.0, FlightKind::Send, u64::MAX, wire_bytes as u64);
-        for dst_index in 0..self.config.nodes {
-            let dst = NodeId::from(dst_index);
-            let msg = NetMessage {
-                src,
-                port,
-                delivery: Delivery::Broadcast,
-                payload: payload.clone(),
-            };
-            self.deliver(dst, msg, false);
-        }
-        Ok(())
-    }
-
-    fn deliver(&self, dst: NodeId, msg: NetMessage, reliable: bool) {
-        let inbox = &self.inboxes[dst.index()];
-        if inbox.crashed.load(Ordering::SeqCst) {
-            self.activity.fetch_add(1, Ordering::SeqCst);
-            self.stats.record_drop(dst);
-            self.telemetry.record_traced(
-                dst.0,
-                FlightKind::Drop,
-                u64::from(msg.src.0),
-                msg.wire_size() as u64,
-            );
+    /// Move one message to `dst`: discarded there if it is crashed, held by
+    /// an installed scheduler, or else perturbed by one fault-injector draw
+    /// (unreliable traffic only).
+    pub(crate) fn transmit(&self, dst: NodeId, msg: NetMessage, reliable: bool) {
+        if self.is_crashed(dst) {
+            self.discard(dst, &msg);
             return;
         }
         // Schedule-driver seam: while a scheduler is installed, hold
@@ -291,16 +172,7 @@ impl NetworkCore {
             self.injector.lock().decide()
         };
         match action {
-            FaultAction::Drop => {
-                self.activity.fetch_add(1, Ordering::SeqCst);
-                self.stats.record_drop(dst);
-                self.telemetry.record_traced(
-                    dst.0,
-                    FlightKind::Drop,
-                    u64::from(msg.src.0),
-                    msg.wire_size() as u64,
-                );
-            }
+            FaultAction::Drop => self.discard(dst, &msg),
             FaultAction::Deliver => {
                 self.enqueue(dst, msg);
                 self.release_holdback(dst);
@@ -312,14 +184,14 @@ impl NetworkCore {
             }
             FaultAction::HoldBack => {
                 self.activity.fetch_add(1, Ordering::SeqCst);
-                inbox.holdback.lock().push(msg);
+                self.nodes[dst.index()].holdback.lock().push(msg);
             }
         }
     }
 
     fn release_holdback(&self, dst: NodeId) {
         let held: Vec<NetMessage> = {
-            let mut holdback = self.inboxes[dst.index()].holdback.lock();
+            let mut holdback = self.nodes[dst.index()].holdback.lock();
             std::mem::take(&mut *holdback)
         };
         for msg in held {
@@ -350,19 +222,27 @@ impl Network {
     /// Create a network from a configuration.
     pub fn new(config: NetworkConfig) -> Self {
         assert!(config.nodes > 0, "network needs at least one node");
-        assert!(config.packet_payload > 0, "packet payload must be positive");
-        let inboxes = (0..config.nodes).map(|_| NodeInbox::new()).collect();
         let telemetry = Telemetry::new(config.nodes);
-        let stats = NetStats::new(telemetry.registry(), config.nodes);
+        let stats = Arc::new(NetStats::new(telemetry.registry(), config.nodes));
+        let nodes = (0..config.nodes)
+            .map(|index| SimNode {
+                endpoint: Endpoint::new(
+                    index.into(),
+                    config.nodes,
+                    Arc::clone(&stats),
+                    Arc::clone(&telemetry),
+                ),
+                holdback: Mutex::new(Vec::new()),
+                crashed: AtomicBool::new(false),
+            })
+            .collect();
         let injector = Mutex::new(FaultInjector::new(config.fault));
         Network {
             core: Arc::new(NetworkCore {
                 config,
-                inboxes,
-                stats,
+                nodes,
                 telemetry,
                 injector,
-                next_ephemeral: AtomicU64::new(ports::EPHEMERAL_BASE),
                 sched: Mutex::new(None),
                 activity: AtomicU64::new(0),
             }),
@@ -397,7 +277,8 @@ impl Network {
 
     /// Snapshot of all statistics counters.
     pub fn stats(&self) -> NetStatsSnapshot {
-        self.core.stats.snapshot()
+        // Every node's endpoint counts in one shared table.
+        self.core.endpoint(NodeId(0)).stats.snapshot()
     }
 
     /// The observability hub shared by every layer running on this
@@ -409,7 +290,7 @@ impl Network {
     /// Simulate a crash of `node`: all traffic to and from it is discarded
     /// until [`Network::recover`] is called.
     pub fn crash(&self, node: NodeId) {
-        self.core.inboxes[node.index()]
+        self.core.nodes[node.index()]
             .crashed
             .store(true, Ordering::SeqCst);
         self.core
@@ -419,7 +300,7 @@ impl Network {
 
     /// Undo a simulated crash.
     pub fn recover(&self, node: NodeId) {
-        self.core.inboxes[node.index()]
+        self.core.nodes[node.index()]
             .crashed
             .store(false, Ordering::SeqCst);
         self.core
@@ -438,12 +319,6 @@ impl Network {
             .into_iter()
             .filter(|n| !self.is_crashed(*n))
             .collect()
-    }
-
-    /// Number of packets a message of `payload_len` bytes occupies on the
-    /// wire (header included, at least one packet).
-    pub fn packets_for(&self, payload_len: usize) -> usize {
-        packets_for(payload_len, self.core.config.packet_payload)
     }
 
     /// Install (`Some`) or uninstall (`None`) a schedule driver.
@@ -512,14 +387,7 @@ impl Network {
         }
         let entry = state.take(id).expect("entry just found");
         drop(sched);
-        self.core.activity.fetch_add(1, Ordering::SeqCst);
-        self.core.stats.record_drop(entry.dst);
-        self.core.telemetry.record_traced(
-            entry.dst.0,
-            FlightKind::Drop,
-            u64::from(entry.msg.src.0),
-            entry.msg.wire_size() as u64,
-        );
+        self.core.discard(entry.dst, &entry.msg);
         true
     }
 
@@ -531,11 +399,12 @@ impl Network {
     }
 }
 
-/// Number of packets a message of `payload_len` payload bytes occupies given a
-/// per-packet payload capacity.
-pub fn packets_for(payload_len: usize, packet_payload: usize) -> usize {
+/// Number of [`DEFAULT_PACKET_PAYLOAD`]-byte packets a message of
+/// `payload_len` payload bytes occupies on the wire (header included, at
+/// least one packet).
+pub fn packets_for(payload_len: usize) -> usize {
     let total = payload_len + WIRE_HEADER_BYTES;
-    total.div_ceil(packet_payload).max(1)
+    total.div_ceil(DEFAULT_PACKET_PAYLOAD).max(1)
 }
 
 /// Per-node endpoint of the network.
@@ -752,6 +621,8 @@ impl Drop for PortReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Delivery;
+    use crate::node::ports;
 
     #[test]
     fn point_to_point_delivery() {
@@ -849,10 +720,11 @@ mod tests {
 
     #[test]
     fn packets_for_fragmentation() {
-        assert_eq!(packets_for(0, 1480), 1);
-        assert_eq!(packets_for(1000, 1480), 1);
-        assert_eq!(packets_for(1480, 1480), 2);
-        assert_eq!(packets_for(10_000, 1480), 7);
+        assert_eq!(DEFAULT_PACKET_PAYLOAD, 1480);
+        assert_eq!(packets_for(0), 1);
+        assert_eq!(packets_for(1000), 1);
+        assert_eq!(packets_for(1480), 2);
+        assert_eq!(packets_for(10_000), 7);
     }
 
     #[test]

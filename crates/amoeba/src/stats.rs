@@ -33,7 +33,12 @@ orca_telemetry::counter_set! {
         interrupts,
         /// Bytes delivered to this node.
         bytes_received,
-        /// Copies destined to this node that the fault injector dropped.
+        /// Message copies this node discarded. A drop counts on the row of
+        /// the node that discarded the copy: the sender's, when the copy
+        /// never left (a socket peer confirmed dead or unreachable); the
+        /// destination's, when it was lost in or after flight (a crashed
+        /// destination, the fault injector, a model-checker drop, a crashed
+        /// or closing socket endpoint).
         dropped,
     }
 }
@@ -82,9 +87,10 @@ impl NetStats {
         c.bytes_received.add(bytes as u64);
     }
 
-    /// Record one message copy destined to `dst` that was dropped.
-    pub fn record_drop(&self, dst: NodeId) {
-        self.nodes[dst.index()].dropped.inc();
+    /// Record one message copy `node` discarded
+    /// ([`NodeCounters::dropped`]).
+    pub fn record_drop(&self, node: NodeId) {
+        self.nodes[node.index()].dropped.inc();
     }
 
     /// Take a consistent-enough snapshot of all counters.
@@ -150,7 +156,7 @@ impl NetStatsSnapshot {
         self.per_node.iter().map(|n| n.interrupts).sum()
     }
 
-    /// Total copies dropped by fault injection.
+    /// Total copies dropped, wherever they were discarded.
     pub fn total_dropped(&self) -> u64 {
         self.per_node.iter().map(|n| n.dropped).sum()
     }

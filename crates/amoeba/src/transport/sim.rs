@@ -1,20 +1,19 @@
 //! The default transport backend: a per-node view onto the deterministic
 //! in-process simulated network.
 //!
-//! All behavior (fault injection, crash semantics, the model-checking
-//! schedule driver, statistics and telemetry accounting) lives in
-//! [`crate::network::Network`]'s core; this type only pins the source node,
-//! so the seam refactor leaves the simulator bit-for-bit deterministic.
+//! The view pins its node's [`Endpoint`], which counts and delivers on both
+//! backends alike. Its move of a message is the simulator's: the model
+//! checker's scheduler hold, one fault-injector draw per copy, holdback and
+//! the crashed destination's drop, all in [`crate::network::Network`]'s
+//! core, which draws for the copies in the order the seam moves them — so
+//! a seeded run is bit-for-bit reproducible.
 
 use std::sync::Arc;
 
-use orca_telemetry::Telemetry;
-
-use crate::message::Delivery;
-use crate::network::{NetError, NetworkCore, PortReceiver};
-use crate::node::{NodeId, Port};
-use crate::stats::NetStatsSnapshot;
-use crate::transport::{Transport, TransportKind};
+use crate::message::NetMessage;
+use crate::network::NetworkCore;
+use crate::node::NodeId;
+use crate::transport::{Endpoint, Transport, TransportKind};
 
 /// One node's endpoint of the simulated network.
 pub struct SimTransport {
@@ -29,49 +28,19 @@ impl SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.core.num_nodes()
-    }
-
     fn kind(&self) -> TransportKind {
         TransportKind::Sim
     }
 
-    fn telemetry(&self) -> &Arc<Telemetry> {
-        self.core.telemetry()
-    }
-
-    fn stats(&self) -> NetStatsSnapshot {
-        self.core.stats_snapshot()
-    }
-
-    fn alloc_ephemeral_port(&self) -> Port {
-        self.core.alloc_ephemeral_port()
-    }
-
-    fn bind(&self, port: Port) -> PortReceiver {
-        self.core.bind_on(self.node, port)
-    }
-
-    fn send_reliable(&self, dst: NodeId, port: Port, payload: Vec<u8>) -> Result<(), NetError> {
-        self.core
-            .transmit_from(self.node, dst, port, payload, Delivery::PointToPoint, true)
-    }
-
-    fn send(&self, dst: NodeId, port: Port, payload: Vec<u8>) -> Result<(), NetError> {
-        self.core
-            .transmit_from(self.node, dst, port, payload, Delivery::PointToPoint, false)
-    }
-
-    fn broadcast(&self, port: Port, payload: Vec<u8>) -> Result<(), NetError> {
-        self.core.broadcast_from(self.node, port, payload)
-    }
-
     fn is_crashed(&self, node: NodeId) -> bool {
         self.core.is_crashed(node)
+    }
+
+    fn endpoint(&self) -> &Endpoint {
+        self.core.endpoint(self.node)
+    }
+
+    fn transmit(&self, dst: NodeId, msg: NetMessage, reliable: bool) {
+        self.core.transmit(dst, msg, reliable);
     }
 }

@@ -11,11 +11,16 @@
 //!   fall back to TCP per peer (keeping their delivery class), so the
 //!   group layer's large state transfers still arrive.
 //!
-//! Send semantics mirror the simulator: `Ok(())` means "accepted", not
-//! "delivered". A peer that cannot be reached (crashed process, refused
-//! connection) is a silent drop — higher layers already own end-to-end
-//! recovery. The fail-stop oracle [`Transport::is_crashed`] reports only
-//! *confirmed* deaths, fed by the failure detector through
+//! The seam counts every send once and hands this backend one copy per
+//! destination ([`Transport::transmit`]); what this module adds is the
+//! choice of socket, the connection cache, the reader threads and the
+//! `transport.node<i>.*` counters. Send semantics mirror the simulator:
+//! `Ok(())` means "accepted", not "delivered". A peer that cannot be
+//! reached (confirmed dead, refused connection) is a silent drop, counted
+//! on the sender's row; a copy that reaches a crashed or closing endpoint
+//! is counted on its row — higher layers already own end-to-end recovery.
+//! The fail-stop oracle [`Transport::is_crashed`] reports only *confirmed*
+//! deaths, fed by the failure detector through
 //! [`SocketTransport::confirm_dead`].
 //!
 //! One [`SocketTransport`] serves one node, usually one OS process
@@ -24,20 +29,18 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
 use orca_telemetry::{Counter, FlightKind, Registry, Telemetry};
 use parking_lot::Mutex;
 
-use crate::message::Delivery;
-use crate::network::{packets_for, NetError, PortReceiver, DEFAULT_PACKET_PAYLOAD};
-use crate::node::{ports, NodeId, Port};
-use crate::stats::{NetStats, NetStatsSnapshot};
-use crate::transport::{Frame, PortDemux, Transport, TransportKind, FRAME_HEADER_BYTES};
+use crate::message::{Delivery, NetMessage};
+use crate::node::NodeId;
+use crate::stats::NetStats;
+use crate::transport::{Endpoint, Frame, Transport, TransportKind, FRAME_HEADER_BYTES};
 
 /// Largest payload routed over UDP; bigger frames fall back to framed TCP
 /// (a UDP datagram tops out at 65507 bytes, minus our frame header and
@@ -56,6 +59,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// one `read` per buffer-full instead of two per frame.
 const TCP_READ_BUFFER: usize = 64 * 1024;
 
+/// Cap on establishing a TCP connection to a peer.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Static cluster bootstrap configuration: who am I, where does everybody
 /// (including me) listen.
 #[derive(Debug, Clone)]
@@ -66,18 +72,12 @@ pub struct SocketConfig {
     /// this process's own bind address. Every process of a cluster must use
     /// the same list in the same order.
     pub peers: Vec<SocketAddr>,
-    /// Cap on establishing a TCP connection to a peer.
-    pub connect_timeout: Duration,
 }
 
 impl SocketConfig {
-    /// Configuration with the default connect timeout.
+    /// The configuration of `node` in the cluster listening at `peers`.
     pub fn new(node: NodeId, peers: Vec<SocketAddr>) -> Self {
-        SocketConfig {
-            node,
-            peers,
-            connect_timeout: Duration::from_secs(1),
-        }
+        SocketConfig { node, peers }
     }
 }
 
@@ -116,12 +116,11 @@ impl TransportCounters {
 }
 
 struct SocketInner {
-    node: NodeId,
+    endpoint: Endpoint,
     peers: Vec<SocketAddr>,
     /// Where shutdown connects to wake the accept loop out of `accept()`.
     wake_addr: SocketAddr,
     udp: UdpSocket,
-    demux: PortDemux,
     /// Cached outbound TCP connection per peer.
     conns: Vec<Mutex<Option<TcpStream>>>,
     /// Accepted inbound streams, kept so shutdown can unblock their readers.
@@ -135,46 +134,34 @@ struct SocketInner {
     /// nowhere, incoming traffic is discarded.
     local_crash: AtomicBool,
     shutdown: AtomicBool,
-    stats: NetStats,
-    telemetry: Arc<Telemetry>,
     counters: TransportCounters,
-    next_ephemeral: AtomicU64,
-    connect_timeout: Duration,
 }
 
 impl SocketInner {
-    /// Route an incoming frame to the local demultiplexer.
-    fn deliver_incoming(&self, frame: Frame) {
-        if frame.dst != self.node {
+    /// Route a frame a reader thread received to this node.
+    fn receive(&self, frame: Frame) {
+        if frame.dst != self.endpoint.node {
             self.counters.decode_errors.inc();
             return;
         }
-        let msg = frame.into_message();
+        self.arrive(frame.into_message());
+    }
+
+    /// A message for this node, from a peer or from itself: discarded here
+    /// while the endpoint is crashed or closing.
+    fn arrive(&self, msg: NetMessage) {
         if self.shutdown.load(Ordering::SeqCst) || self.local_crash.load(Ordering::SeqCst) {
-            self.stats.record_drop(self.node);
-            self.telemetry.record_traced(
-                self.node.0,
-                FlightKind::Drop,
-                u64::from(msg.src.0),
-                msg.wire_size() as u64,
-            );
-            return;
+            self.endpoint.discard(msg.src, msg.payload.len());
+        } else {
+            self.endpoint.deliver(msg);
         }
-        self.stats.record_delivery(self.node, msg.wire_size());
-        self.telemetry.record_traced(
-            self.node.0,
-            FlightKind::Deliver,
-            u64::from(msg.src.0),
-            msg.wire_size() as u64,
-        );
-        self.demux.deliver(msg);
     }
 
     /// Send one frame over the cached TCP connection to `dst`, reconnecting
     /// once on failure. Unreachable peers are a silent drop.
     fn tcp_send(&self, dst: NodeId, frame: &Frame) {
         if self.confirmed_dead[dst.index()].load(Ordering::SeqCst) {
-            self.record_send_drop(frame);
+            self.endpoint.discard(dst, frame.payload.len());
             return;
         }
         // The length prefix and the frame, in one buffer.
@@ -186,7 +173,7 @@ impl SocketInner {
         let mut guard = self.conns[dst.index()].lock();
         for attempt in 0..2 {
             if guard.is_none() {
-                match TcpStream::connect_timeout(&self.peers[dst.index()], self.connect_timeout) {
+                match TcpStream::connect_timeout(&self.peers[dst.index()], CONNECT_TIMEOUT) {
                     Ok(stream) => {
                         let _ = stream.set_nodelay(true);
                         self.counters.tcp_connects.inc();
@@ -213,44 +200,21 @@ impl SocketInner {
         }
         drop(guard);
         self.counters.tcp_send_failures.inc();
-        self.record_send_drop(frame);
+        self.endpoint.discard(dst, frame.payload.len());
     }
 
     /// Send one frame as a UDP datagram; errors are silent drops.
     fn udp_send(&self, dst: NodeId, frame: &Frame) {
-        if self.confirmed_dead[dst.index()].load(Ordering::SeqCst) {
-            self.record_send_drop(frame);
-            return;
+        let sent = !self.confirmed_dead[dst.index()].load(Ordering::SeqCst)
+            && self
+                .udp
+                .send_to(&frame.encode(), self.peers[dst.index()])
+                .is_ok();
+        if sent {
+            self.counters.udp_datagrams_sent.inc();
+        } else {
+            self.endpoint.discard(dst, frame.payload.len());
         }
-        match self.udp.send_to(&frame.encode(), self.peers[dst.index()]) {
-            Ok(_) => {
-                self.counters.udp_datagrams_sent.inc();
-            }
-            Err(_) => self.record_send_drop(frame),
-        }
-    }
-
-    /// Account a frame this process failed to hand to the network.
-    fn record_send_drop(&self, frame: &Frame) {
-        self.stats.record_drop(self.node);
-        self.telemetry.record_traced(
-            self.node.0,
-            FlightKind::Drop,
-            u64::from(frame.dst.0),
-            (frame.payload.len() + crate::message::WIRE_HEADER_BYTES) as u64,
-        );
-    }
-
-    fn record_p2p_send(&self, payload_len: usize, dst: NodeId) {
-        let wire_bytes = payload_len + crate::message::WIRE_HEADER_BYTES;
-        let packets = packets_for(payload_len, DEFAULT_PACKET_PAYLOAD);
-        self.stats.record_p2p_send(self.node, wire_bytes, packets);
-        self.telemetry.record_traced(
-            self.node.0,
-            FlightKind::Send,
-            u64::from(dst.0),
-            wire_bytes as u64,
-        );
     }
 }
 
@@ -313,7 +277,6 @@ impl BoundSocket {
     pub fn start(
         self,
         peers: Vec<SocketAddr>,
-        connect_timeout: Duration,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Arc<SocketTransport> {
         let node = self.node;
@@ -335,25 +298,22 @@ impl BoundSocket {
             });
         }
         let inner = Arc::new(SocketInner {
-            node,
+            counters: TransportCounters::new(telemetry.registry(), node),
+            endpoint: Endpoint::new(
+                node,
+                nodes,
+                Arc::new(NetStats::new(telemetry.registry(), nodes)),
+                telemetry,
+            ),
             peers,
             wake_addr,
             udp: self.udp,
-            demux: PortDemux::new(),
             conns: (0..nodes).map(|_| Mutex::new(None)).collect(),
             accepted: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
             confirmed_dead: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             local_crash: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            stats: NetStats::new(telemetry.registry(), nodes),
-            counters: TransportCounters::new(telemetry.registry(), node),
-            telemetry,
-            // Ports are per-node namespaces, so every node counts from the
-            // base: an RPC request names its reply port by its distance
-            // from there, and a small distance is a one-byte varint.
-            next_ephemeral: AtomicU64::new(ports::EPHEMERAL_BASE),
-            connect_timeout,
         });
 
         // Held while both loops start, so the accept loop's first reader
@@ -382,6 +342,7 @@ impl BoundSocket {
 /// peer's first frame is served the moment it connects;
 /// [`SocketTransport::shutdown`] wakes it with a connection of its own.
 fn accept_loop(listener: TcpListener, inner: Arc<SocketInner>) {
+    let node = inner.endpoint.node;
     loop {
         let accepted = listener.accept();
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -401,7 +362,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<SocketInner>) {
                 }
                 let reader_inner = Arc::clone(&inner);
                 let reader = std::thread::Builder::new()
-                    .name(format!("orca-tcp-{}", reader_inner.node.index()))
+                    .name(format!("orca-tcp-{}", node.index()))
                     .spawn(move || tcp_reader(stream, reader_inner));
                 inner.threads.lock().extend(reader);
             }
@@ -435,7 +396,7 @@ fn tcp_reader(stream: TcpStream, inner: Arc<SocketInner>) {
         match Frame::from_parts(&header, payload) {
             Ok(frame) => {
                 inner.counters.tcp_frames_received.inc();
-                inner.deliver_incoming(frame);
+                inner.receive(frame);
             }
             Err(_) => {
                 inner.counters.decode_errors.inc();
@@ -458,7 +419,7 @@ fn udp_loop(inner: Arc<SocketInner>) {
             Ok((len, _)) => match Frame::decode(&buf[..len]) {
                 Ok(frame) => {
                     inner.counters.udp_datagrams_received.inc();
-                    inner.deliver_incoming(frame);
+                    inner.receive(frame);
                 }
                 Err(_) => {
                     inner.counters.decode_errors.inc();
@@ -480,7 +441,7 @@ pub struct SocketTransport {
 impl std::fmt::Debug for SocketTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketTransport")
-            .field("node", &self.inner.node)
+            .field("node", &self.inner.endpoint.node)
             .field("peers", &self.inner.peers)
             .finish()
     }
@@ -495,7 +456,7 @@ impl SocketTransport {
             .get(config.node.index())
             .ok_or_else(|| std::io::Error::other("node id outside peer list"))?;
         let bound = BoundSocket::bind(config.node, addr)?;
-        Ok(bound.start(config.peers, config.connect_timeout, None))
+        Ok(bound.start(config.peers, None))
     }
 
     /// Build an `n`-node cluster of socket transports inside this process,
@@ -513,13 +474,7 @@ impl SocketTransport {
         let telemetry = Telemetry::new(n);
         Ok(bound
             .into_iter()
-            .map(|socket| {
-                socket.start(
-                    peers.clone(),
-                    Duration::from_secs(1),
-                    Some(Arc::clone(&telemetry)),
-                )
-            })
+            .map(|socket| socket.start(peers.clone(), Some(Arc::clone(&telemetry))))
             .collect())
     }
 
@@ -547,9 +502,10 @@ impl SocketTransport {
     /// [`crate::network::Network::crash`] for this one node.
     pub fn crash_local(&self) {
         self.inner.local_crash.store(true, Ordering::SeqCst);
-        self.inner
+        let endpoint = &self.inner.endpoint;
+        endpoint
             .telemetry
-            .record_traced(self.inner.node.0, FlightKind::Crash, 0, 0);
+            .record_traced(endpoint.node.0, FlightKind::Crash, 0, 0);
     }
 
     /// Stop the background threads, close every socket, and join the
@@ -562,7 +518,7 @@ impl SocketTransport {
         // The accept loop sees the flag as soon as this connection wakes
         // it, and exits (closing the listener) without serving it; the
         // datagram loop as soon as a datagram to itself does.
-        let _ = TcpStream::connect_timeout(&self.inner.wake_addr, self.inner.connect_timeout);
+        let _ = TcpStream::connect_timeout(&self.inner.wake_addr, CONNECT_TIMEOUT);
         let _ = self.inner.udp.send_to(&[], self.inner.wake_addr);
         let me = std::thread::current().id();
         let join = |thread: JoinHandle<()>| {
@@ -593,133 +549,45 @@ impl Drop for SocketTransport {
 }
 
 impl Transport for SocketTransport {
-    fn node(&self) -> NodeId {
-        self.inner.node
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.inner.peers.len()
-    }
-
     fn kind(&self) -> TransportKind {
         TransportKind::Socket
     }
 
-    fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.inner.telemetry
-    }
-
-    fn stats(&self) -> NetStatsSnapshot {
-        self.inner.stats.snapshot()
-    }
-
-    fn alloc_ephemeral_port(&self) -> Port {
-        self.inner.next_ephemeral.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn bind(&self, port: Port) -> PortReceiver {
-        let (tx, rx) = unbounded();
-        self.inner.demux.bind(port, tx);
-        let inner = Arc::clone(&self.inner);
-        PortReceiver::new(
-            self.inner.node,
-            port,
-            rx,
-            Box::new(move || inner.demux.unbind(port)),
-        )
-    }
-
-    fn send_reliable(&self, dst: NodeId, port: Port, payload: Vec<u8>) -> Result<(), NetError> {
-        if dst.index() >= self.inner.peers.len() {
-            return Err(NetError::NoSuchNode(dst));
-        }
-        if self.inner.local_crash.load(Ordering::SeqCst) {
-            return Ok(()); // a crashed node's transmissions go nowhere
-        }
-        self.inner.record_p2p_send(payload.len(), dst);
-        let frame = Frame {
-            src: self.inner.node,
-            dst,
-            port,
-            delivery: Delivery::PointToPoint,
-            payload,
-        };
-        if dst == self.inner.node {
-            self.inner.deliver_incoming(frame);
-        } else {
-            self.inner.tcp_send(dst, &frame);
-        }
-        Ok(())
-    }
-
-    fn send(&self, dst: NodeId, port: Port, payload: Vec<u8>) -> Result<(), NetError> {
-        if dst.index() >= self.inner.peers.len() {
-            return Err(NetError::NoSuchNode(dst));
-        }
-        if self.inner.local_crash.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        self.inner.record_p2p_send(payload.len(), dst);
-        let frame = Frame {
-            src: self.inner.node,
-            dst,
-            port,
-            delivery: Delivery::PointToPoint,
-            payload,
-        };
-        if dst == self.inner.node {
-            self.inner.deliver_incoming(frame);
-        } else if frame.payload.len() > MAX_UDP_PAYLOAD {
-            // Too big for one datagram: ride the framed TCP path instead of
-            // fragmenting (the delivery class is preserved).
-            self.inner.tcp_send(dst, &frame);
-        } else {
-            self.inner.udp_send(dst, &frame);
-        }
-        Ok(())
-    }
-
-    fn broadcast(&self, port: Port, payload: Vec<u8>) -> Result<(), NetError> {
-        if self.inner.local_crash.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let src = self.inner.node;
-        let wire_bytes = payload.len() + crate::message::WIRE_HEADER_BYTES;
-        let packets = packets_for(payload.len(), DEFAULT_PACKET_PAYLOAD);
-        self.inner
-            .stats
-            .record_broadcast_send(src, wire_bytes, packets);
-        self.inner
-            .telemetry
-            .record_traced(src.0, FlightKind::Send, u64::MAX, wire_bytes as u64);
-        let oversize = payload.len() > MAX_UDP_PAYLOAD;
-        for index in 0..self.inner.peers.len() {
-            let dst = NodeId::from(index);
-            let frame = Frame {
-                src,
-                dst,
-                port,
-                delivery: Delivery::Broadcast,
-                payload: payload.clone(),
-            };
-            if dst == src {
-                self.inner.deliver_incoming(frame);
-            } else if oversize {
-                self.inner.counters.broadcast_tcp_fallbacks.inc();
-                self.inner.tcp_send(dst, &frame);
-            } else {
-                self.inner.udp_send(dst, &frame);
-            }
-        }
-        Ok(())
-    }
-
     fn is_crashed(&self, node: NodeId) -> bool {
-        if node == self.inner.node {
+        if node == self.inner.endpoint.node {
             return self.inner.local_crash.load(Ordering::SeqCst);
         }
         node.index() < self.inner.peers.len()
             && self.inner.confirmed_dead[node.index()].load(Ordering::SeqCst)
+    }
+
+    fn endpoint(&self) -> &Endpoint {
+        &self.inner.endpoint
+    }
+
+    /// This node's own copies arrive in place; a peer's go over TCP when
+    /// reliable or too big for one datagram (a broadcast copy so sent
+    /// counts as a fallback, and keeps its delivery class), else over UDP.
+    fn transmit(&self, dst: NodeId, msg: NetMessage, reliable: bool) {
+        if dst == self.inner.endpoint.node {
+            return self.inner.arrive(msg);
+        }
+        let oversize = msg.payload.len() > MAX_UDP_PAYLOAD;
+        if oversize && msg.delivery == Delivery::Broadcast {
+            self.inner.counters.broadcast_tcp_fallbacks.inc();
+        }
+        let frame = Frame {
+            src: msg.src,
+            dst,
+            port: msg.port,
+            delivery: msg.delivery,
+            payload: msg.payload,
+        };
+        if reliable || oversize {
+            self.inner.tcp_send(dst, &frame);
+        } else {
+            self.inner.udp_send(dst, &frame);
+        }
     }
 }
 
@@ -727,6 +595,7 @@ impl Transport for SocketTransport {
 mod tests {
     use super::*;
     use crate::network::NetworkHandle;
+    use crate::node::ports;
 
     fn handles(transports: &[Arc<SocketTransport>]) -> Vec<NetworkHandle> {
         transports

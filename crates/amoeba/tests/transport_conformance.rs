@@ -17,13 +17,18 @@
 //!   socket backend falls back to TCP framing);
 //! * ephemeral ports are distinct per node;
 //! * healthy nodes are never reported crashed, and the sender's own
-//!   statistics row records its sends.
+//!   statistics row records its sends;
+//! * a fixed mix of sends is counted identically: the same statistics on
+//!   every node's row, one `Send` flight event per send and one `Deliver`
+//!   per delivered copy.
 
 use std::time::Duration;
 
 use orca_amoeba::network::{Network, NetworkHandle, PortReceiver};
 use orca_amoeba::node::{ports, NodeId};
-use orca_amoeba::transport::SocketTransport;
+use orca_amoeba::stats::NodeStatsSnapshot;
+use orca_amoeba::transport::{SocketTransport, MAX_UDP_PAYLOAD};
+use orca_telemetry::FlightKind;
 
 const NODES: usize = 3;
 const RECV_WAIT: Duration = Duration::from_secs(10);
@@ -168,5 +173,59 @@ fn healthy_nodes_are_not_reported_crashed_and_sends_are_counted() {
         // The sender's own statistics row must have recorded the send on
         // both backends (the socket backend only fills its own row).
         assert!(handle.stats().node(NodeId(0)).p2p_sent >= 1);
+    });
+}
+
+#[test]
+fn one_mix_of_sends_is_counted_alike_on_both_backends() {
+    both_backends(|cluster| {
+        let port = ports::USER_BASE + 5;
+        let handles: Vec<_> = (0..NODES).map(|n| cluster.handle(n)).collect();
+        let receivers: Vec<_> = handles.iter().map(|h| h.bind(port)).collect();
+        let oversize = MAX_UDP_PAYLOAD + 1;
+        handles[0]
+            .send_reliable(NodeId(1), port, vec![1; 10])
+            .unwrap();
+        handles[0]
+            .send_reliable(NodeId(0), port, vec![2; 5])
+            .unwrap();
+        handles[0].send(NodeId(2), port, vec![3; 7]).unwrap();
+        handles[1].send(NodeId(1), port, vec![4; 3]).unwrap();
+        handles[2].broadcast(port, vec![5; 20]).unwrap();
+        handles[1].send(NodeId(0), port, vec![6; oversize]).unwrap();
+        // Copies delivered: node 0 gets three, node 1 three, node 2 two.
+        for (rx, copies) in receivers.iter().zip([3, 3, 2]) {
+            for _ in 0..copies {
+                recv_payload(rx);
+            }
+        }
+        // Wire bytes are payload + 32; a packet carries 1,480 of them.
+        let row = |p2p, broadcasts, sent: u64, packets, interrupts, received| NodeStatsSnapshot {
+            p2p_sent: p2p,
+            broadcasts_sent: broadcasts,
+            bytes_sent: sent,
+            packets_sent: packets,
+            interrupts,
+            bytes_received: received,
+            dropped: 0,
+        };
+        let big = oversize as u64 + 32;
+        let expected = [
+            row(3, 0, 42 + 37 + 39, 3, 3, 37 + 52 + big),
+            row(2, 0, 35 + big, 1 + big.div_ceil(1480), 3, 42 + 35 + 52),
+            row(0, 1, 52, 1, 2, 39 + 52),
+        ];
+        assert_eq!(handles[0].stats().per_node, expected);
+
+        let events = handles[0].telemetry().flight_events();
+        let count = |node: usize, kind| {
+            let of =
+                |e: &&orca_telemetry::FlightEvent| usize::from(e.node) == node && e.kind == kind;
+            events.iter().filter(of).count()
+        };
+        let sends: Vec<_> = (0..NODES).map(|n| count(n, FlightKind::Send)).collect();
+        let delivers: Vec<_> = (0..NODES).map(|n| count(n, FlightKind::Deliver)).collect();
+        assert_eq!(sends, [3, 2, 1]);
+        assert_eq!(delivers, [3, 3, 2]);
     });
 }

@@ -2,6 +2,9 @@
 
 use std::time::Duration;
 
+use orca_amoeba::message::WIRE_HEADER_BYTES;
+use orca_amoeba::network::DEFAULT_PACKET_PAYLOAD;
+
 /// Which broadcast protocol to use for outgoing messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MethodPolicy {
@@ -14,32 +17,34 @@ pub enum MethodPolicy {
     AlwaysBb,
 }
 
+/// Largest payload (bytes) still sent with PB under [`MethodPolicy::Auto`]:
+/// what one network packet ([`DEFAULT_PACKET_PAYLOAD`]) carries beside the
+/// network's per-message header. The paper switches protocols at one packet.
+pub const PB_MAX_PAYLOAD: usize = DEFAULT_PACKET_PAYLOAD - WIRE_HEADER_BYTES;
+
+/// How often the protocol thread wakes up to check timers even when no
+/// traffic arrives.
+pub const TICK: Duration = Duration::from_millis(20);
+
+/// Most entries a member keeps in its history buffer: what it can still
+/// retransmit, and the messages whose ids it remembers.
+pub const HISTORY_LIMIT: usize = 65_536;
+
 /// Tunables of one group member.
 #[derive(Debug, Clone)]
 pub struct GroupConfig {
     /// Protocol selection policy.
     pub method: MethodPolicy,
-    /// Largest payload (bytes) still sent with PB under [`MethodPolicy::Auto`].
-    /// The paper switches protocols at one network packet.
-    pub pb_max_payload: usize,
     /// How long a sender waits for its own message to come back sequenced
     /// before retransmitting the request.
     pub retransmit_timeout: Duration,
-    /// How often the protocol thread wakes up to check timers even when no
-    /// traffic arrives.
-    pub tick: Duration,
-    /// Maximum number of entries kept in the sequencer's history buffer.
-    pub history_limit: usize,
 }
 
 impl Default for GroupConfig {
     fn default() -> Self {
         GroupConfig {
             method: MethodPolicy::Auto,
-            pb_max_payload: 1448, // one Ethernet packet minus protocol headers
             retransmit_timeout: Duration::from_millis(100),
-            tick: Duration::from_millis(20),
-            history_limit: 65_536,
         }
     }
 }
@@ -70,8 +75,8 @@ mod tests {
     fn default_matches_paper_choices() {
         let config = GroupConfig::default();
         assert_eq!(config.method, MethodPolicy::Auto);
-        assert!(config.pb_max_payload <= 1480);
-        assert!(config.retransmit_timeout > config.tick);
+        assert_eq!(PB_MAX_PAYLOAD, 1448);
+        assert!(config.retransmit_timeout > TICK);
     }
 
     #[test]

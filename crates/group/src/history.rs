@@ -3,10 +3,11 @@
 //! Every message the sequencer assigns a global sequence number to is stored
 //! here so that members which missed the broadcast can ask for a
 //! retransmission. The buffer is bounded; when it overflows, the oldest
-//! entries are discarded (in the real system the sequencer additionally
-//! tracks acknowledgements so it never discards an entry some member still
-//! needs — the simulation relies on the generous default limit instead, and
-//! reports how many entries were ever discarded).
+//! entry is discarded and handed back, so the member forgets its id too (in
+//! the real system the sequencer additionally tracks acknowledgements so it
+//! never discards an entry some member still needs — the simulation relies
+//! on the generous limit instead, and reports how many entries were ever
+//! discarded).
 
 use std::collections::BTreeMap;
 
@@ -40,15 +41,15 @@ impl HistoryBuffer {
         }
     }
 
-    /// Store a sequenced message.
-    pub fn insert(&mut self, global_seq: u64, entry: HistoryEntry) {
+    /// Store a sequenced message; when that overfills the buffer, the
+    /// oldest entry is discarded and returned.
+    pub fn insert(&mut self, global_seq: u64, entry: HistoryEntry) -> Option<(u64, HistoryEntry)> {
         self.entries.insert(global_seq, entry);
-        while self.entries.len() > self.limit {
-            if let Some((&oldest, _)) = self.entries.iter().next() {
-                self.entries.remove(&oldest);
-                self.discarded += 1;
-            }
+        if self.entries.len() <= self.limit {
+            return None;
         }
+        self.discarded += 1;
+        self.entries.pop_first()
     }
 
     /// Look up a sequenced message for retransmission.
@@ -125,8 +126,14 @@ mod tests {
     #[test]
     fn overflow_discards_oldest() {
         let mut buffer = HistoryBuffer::new(3);
-        for seq in 1..=5 {
-            buffer.insert(seq, entry(seq));
+        for seq in 1..=3 {
+            assert_eq!(buffer.insert(seq, entry(seq)), None);
+        }
+        for seq in 4..=5 {
+            assert_eq!(
+                buffer.insert(seq, entry(seq)),
+                Some((seq - 3, entry(seq - 3)))
+            );
         }
         assert_eq!(buffer.len(), 3);
         assert_eq!(buffer.discarded(), 2);

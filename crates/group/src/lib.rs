@@ -38,7 +38,7 @@ pub mod messages;
 pub mod sabotage;
 pub mod stats;
 
-pub use config::{GroupConfig, MethodPolicy};
+pub use config::{GroupConfig, MethodPolicy, HISTORY_LIMIT, PB_MAX_PAYLOAD, TICK};
 pub use failure::{FailureConfig, FailureDetector, ViewSnapshot};
 pub use member::{Delivered, GroupError, GroupMember, GroupSender};
 pub use messages::{BroadcastMethod, GroupMsg, MsgId};

@@ -47,7 +47,7 @@ use orca_amoeba::node::{ports, NodeId};
 use orca_amoeba::NetMessage;
 use orca_wire::Wire;
 
-use crate::config::{GroupConfig, MethodPolicy};
+use crate::config::{GroupConfig, MethodPolicy, HISTORY_LIMIT, PB_MAX_PAYLOAD, TICK};
 use crate::history::{HistoryBuffer, HistoryEntry};
 use crate::messages::{BroadcastMethod, GroupMsg, MsgId};
 use crate::stats::{GroupStats, GroupStatsSnapshot};
@@ -249,6 +249,12 @@ struct ProtocolState {
     /// delivery advances past them without handing anything up.
     skipped: BTreeSet<u64>,
     bb_data: HashMap<MsgId, Vec<u8>>,
+    /// Ids of the messages in `history` this member delivered: a
+    /// re-sequenced duplicate of one consumes its number undelivered. An id
+    /// is forgotten as the history evicts its entry, as no duplicate of a
+    /// message that old can arrive: an origin retransmits only until its
+    /// own delivery (`unacked` is cleared there), and a re-sequenced
+    /// duplicate arises only inside a failover's resync window.
     delivered_ids: HashSet<MsgId>,
     gap_since: Option<Instant>,
     /// Highest global sequence number this member knows to exist (from data,
@@ -264,6 +270,9 @@ struct ProtocolState {
     /// newly elected sequencer can serve retransmissions and replay the old
     /// sequencer's era.
     history: HistoryBuffer,
+    /// The number each message in `history` was sequenced under, to answer
+    /// a retransmitted request with it; forgotten with the entry, like
+    /// `delivered_ids`.
     sequenced_ids: HashMap<MsgId, u64>,
     /// Set while a newly elected sequencer waits for survivors to replay
     /// sequence numbers it may have missed; sequencing duties arriving in
@@ -292,7 +301,6 @@ impl ProtocolState {
         let members = handle.node_ids();
         let membership = Membership::new(&members);
         let sequencer = membership.sequencer().expect("non-empty group");
-        let history_limit = config.history_limit;
         ProtocolState {
             handle,
             config,
@@ -311,7 +319,7 @@ impl ProtocolState {
             next_origin_seq: 1,
             unacked: HashMap::new(),
             next_global_seq: 1,
-            history: HistoryBuffer::new(history_limit),
+            history: HistoryBuffer::new(HISTORY_LIMIT),
             sequenced_ids: HashMap::new(),
             resync_until: None,
             deferred: Vec::new(),
@@ -331,7 +339,7 @@ impl ProtocolState {
                     Ok(msg) => self.handle_net(msg),
                     Err(_) => return,
                 },
-                default(self.config.tick) => {}
+                default(TICK) => {}
             }
             self.check_timers();
         }
@@ -346,7 +354,7 @@ impl ProtocolState {
             MethodPolicy::AlwaysPb => BroadcastMethod::Pb,
             MethodPolicy::AlwaysBb => BroadcastMethod::Bb,
             MethodPolicy::Auto => {
-                if payload_len <= self.config.pb_max_payload {
+                if payload_len <= PB_MAX_PAYLOAD {
                     BroadcastMethod::Pb
                 } else {
                     BroadcastMethod::Bb
@@ -432,14 +440,8 @@ impl ProtocolState {
         }
         let global_seq = self.next_global_seq;
         self.next_global_seq += 1;
-        self.history.insert(
-            global_seq,
-            HistoryEntry {
-                id,
-                payload: payload.clone(),
-            },
-        );
         self.sequenced_ids.insert(id, global_seq);
+        self.remember(global_seq, id, payload.clone());
         self.stats.sequenced.inc();
         let msg = GroupMsg::SeqData {
             global_seq,
@@ -478,9 +480,8 @@ impl ProtocolState {
         }
         let global_seq = self.next_global_seq;
         self.next_global_seq += 1;
-        self.history
-            .insert(global_seq, HistoryEntry { id, payload });
         self.sequenced_ids.insert(id, global_seq);
+        self.remember(global_seq, id, payload);
         self.stats.sequenced.inc();
         let msg = GroupMsg::Accept { global_seq, id };
         let _ = self.handle.broadcast(ports::GROUP, msg.to_bytes());
@@ -684,16 +685,22 @@ impl ProtocolState {
     fn adopt_sequenced(&mut self, global_seq: u64, id: MsgId, payload: &[u8]) {
         if let std::collections::hash_map::Entry::Vacant(vacant) = self.sequenced_ids.entry(id) {
             vacant.insert(global_seq);
-            self.history.insert(
-                global_seq,
-                HistoryEntry {
-                    id,
-                    payload: payload.to_vec(),
-                },
-            );
+            self.remember(global_seq, id, payload.to_vec());
         }
         if global_seq >= self.next_global_seq {
             self.next_global_seq = global_seq + 1;
+        }
+    }
+
+    /// Keep a sequenced message in the history, its id booked first; the
+    /// entry that makes room takes its ids along.
+    fn remember(&mut self, global_seq: u64, id: MsgId, payload: Vec<u8>) {
+        let entry = HistoryEntry { id, payload };
+        if let Some((seq, evicted)) = self.history.insert(global_seq, entry) {
+            self.delivered_ids.remove(&evicted.id);
+            if self.sequenced_ids.get(&evicted.id) == Some(&seq) {
+                self.sequenced_ids.remove(&evicted.id);
+            }
         }
     }
 
@@ -769,19 +776,13 @@ impl ProtocolState {
             // Every member (not just the sequencer) remembers what it
             // delivered, so a newly elected sequencer can replay and serve
             // the failed sequencer's era from its own buffer.
-            self.history.insert(
-                self.next_deliver,
-                HistoryEntry {
-                    id,
-                    payload: payload.clone(),
-                },
-            );
+            self.delivered_ids.insert(id);
+            self.remember(self.next_deliver, id, payload.clone());
             let delivered = Delivered {
                 global_seq: self.next_deliver,
                 id,
                 payload,
             };
-            self.delivered_ids.insert(id);
             self.bb_data.remove(&id);
             self.unacked.remove(&id);
             self.stats.delivered.inc();
@@ -1229,6 +1230,35 @@ mod tests {
             assert_eq!(delivered.payload, b"after");
             assert_eq!(delivered.global_seq, 2);
         }
+    }
+
+    #[test]
+    fn delivered_and_sequenced_ids_are_forgotten_with_the_history() {
+        // One member's protocol state, driven by hand: node 0 sequences and
+        // delivers node 1's messages. Node 0 is crashed, so the broadcasts
+        // the sequencing sends go nowhere, and the delivery queue is closed.
+        let net = Network::reliable(2);
+        net.crash(NodeId(0));
+        let stats = GroupStats::new(net.telemetry().registry(), "group.node0");
+        let delivery_tx = unbounded().0;
+        let handle = net.handle(NodeId(0));
+        let mut state = ProtocolState::new(handle, GroupConfig::default(), stats, delivery_tx);
+        let id = |origin_seq| MsgId {
+            origin: NodeId(1),
+            origin_seq,
+        };
+        let total = HISTORY_LIMIT as u64 + 100;
+        for origin_seq in 1..=total {
+            state.sequence_data(id(origin_seq), vec![1]);
+            state.receive_sequenced(origin_seq, id(origin_seq), Some(vec![1]));
+        }
+        assert_eq!(state.next_deliver, total + 1);
+        assert_eq!(state.history.len(), HISTORY_LIMIT);
+        assert_eq!(state.delivered_ids.len(), HISTORY_LIMIT);
+        assert_eq!(state.sequenced_ids.len(), HISTORY_LIMIT);
+        // A request still in the history is answered with its number.
+        assert_eq!(state.sequenced_ids.get(&id(total)), Some(&total));
+        assert!(!state.sequenced_ids.contains_key(&id(100)));
     }
 
     #[test]

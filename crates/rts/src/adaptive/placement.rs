@@ -340,7 +340,7 @@ pub(super) fn withdraw(
     // Re-stamped back, its keeper too drops the newer copy for the older one.
     let back = restamp.is_some_and(|(to, _)| to < epoch);
     let mut holders = if back {
-        slot.holders(inner)
+        slot.holders(backup_target(inner))
     } else {
         mirrors().collect()
     };

@@ -38,9 +38,6 @@ pub(super) struct Slot {
     /// What the slot's mirrors mirror ([`RegimeMsg::Mirror`]): `None`, a
     /// replicated regime's one copy; `Some(p)`, a sharded regime's partition.
     pub(super) partition: Option<u32>,
-    /// Set on every slot with recovery on: it keeps one mirror more, on
-    /// whichever node [`backup_target`] names at a push.
-    pub(super) kept: bool,
     /// Recently applied stamped writes and their replies (exactly-once
     /// across client retries; travels with the state through regime
     /// switches and adoption). Locked strictly after — and only while
@@ -59,8 +56,8 @@ pub(super) struct Slot {
 impl Slot {
     /// True when a completed write on this slot is paid for with messages
     /// to its mirrors ([`settle_writes`]), while the replica mutex is held.
-    fn fans_out(&self) -> bool {
-        self.kept || !self.mirrors.is_empty()
+    fn fans_out(&self, inner: &Inner) -> bool {
+        inner.recovery.enabled || !self.mirrors.is_empty()
     }
 
     /// True when the table lists `node` as a reader of this slot's mirror.
@@ -69,18 +66,13 @@ impl Slot {
     }
 
     /// The nodes that hold a mirror of this slot: the ones the table lists
-    /// and, now, its keeper — last, listed or not: the last holder of a push
-    /// is never held, so it can be primed again in the middle of one.
-    pub(super) fn holders(&self, inner: &Inner) -> Vec<NodeId> {
-        let keeper = self.keeper(inner);
+    /// and its `keeper` ([`backup_target`]: with recovery on, every slot
+    /// keeps one mirror more) — last, listed or not: the last holder of a
+    /// push is never held, so it can be primed again in the middle of one.
+    pub(super) fn holders(&self, keeper: Option<NodeId>) -> Vec<NodeId> {
         let listed = self.mirrors.iter().map(|&m| NodeId(m));
         let others = listed.filter(|m| Some(*m) != keeper);
         others.chain(keeper).collect()
-    }
-
-    /// Where this slot's keeper goes now, if it keeps one.
-    fn keeper(&self, inner: &Inner) -> Option<NodeId> {
-        self.kept.then(|| backup_target(inner)).flatten()
     }
 
     /// The lease that rides a message to this slot's mirrors, when leases
@@ -290,13 +282,12 @@ pub(super) fn install_slot(
         withdrawn: AtomicBool::new(false),
         mirrors: others.copied().collect(),
         partition: sharded.then_some(key.1),
-        kept: inner.recovery.enabled,
         dedup: Mutex::new(dedup),
         leases: Mutex::default(),
         parked: AtomicU32::new(0),
         changed: Condvar::new(),
     };
-    let holders = slot.holders(inner);
+    let holders = slot.holders(backup_target(inner));
     prime_mirrors(inner, key, &slot, &**slot.replica.lock(), &holders);
     inner.slots.write().insert(key, Arc::new(slot));
 }
@@ -442,7 +433,7 @@ pub(super) fn apply_at_slot(
             }
         }
     };
-    if caller == inner.node && slot.fans_out() {
+    if caller == inner.node && slot.fans_out(inner) {
         slot.yield_to_parked();
     }
     reply
@@ -511,7 +502,7 @@ fn apply_locked(
                     slot.dedup.lock().record(stamp, reply.clone());
                 }
                 let through = through && slot.lists(caller);
-                let owes = slot.fans_out();
+                let owes = slot.fans_out(inner);
                 match run {
                     Some(run) if owes => run.push(op.to_vec()),
                     None if owes => {
@@ -547,10 +538,10 @@ fn apply_locked(
 /// policy says of a replicated-regime slot's readers: a two-phase push of
 /// the run ([`push_update`]), or an invalidation naming its last version,
 /// which retires the copies with the `DropCopies` and grant settlement a
-/// drain uses and leaves the mirrors listed, to fetch at their next read. A
-/// keeper — the last holder of a kept slot — and a sharded-regime slot's
-/// readers are always pushed to: an invalidated keeper would protect
-/// nothing.
+/// drain uses and leaves the mirrors listed, to fetch at their next read.
+/// The keeper ([`backup_target`], found once per settlement) and a
+/// sharded-regime slot's readers are always pushed to: an invalidated
+/// keeper would protect nothing.
 fn settle_writes(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
@@ -560,24 +551,24 @@ fn settle_writes(
     stamped: Option<(OpStamp, Vec<u8>)>,
     skip: Option<NodeId>,
 ) {
-    let mut others = slot.holders(inner);
+    let keeper = backup_target(inner);
+    let mut others = slot.holders(keeper);
     others.retain(|n| Some(*n) != skip && !is_dead(&inner.detector, *n));
     if others.is_empty() {
         return;
     }
     match inner.policy.write {
         WritePolicy::Invalidate if slot.partition.is_none() => {
-            let keeper = slot.keeper(inner);
             let (kept, readers): (Vec<_>, _) = others.into_iter().partition(|n| Some(*n) == keeper);
             let nodes = || readers.iter().copied();
             let written = Some(replica.version());
             let dropped = drop_copies(inner, (key.0, None), slot.epoch, written, nodes());
             settle_grants(inner, slot, nodes(), &dropped);
             if !kept.is_empty() {
-                push_update(inner, key, slot, replica, &kept, ops, stamped);
+                push_update(inner, key, slot, replica, &kept, keeper, ops, stamped);
             }
         }
-        _ => push_update(inner, key, slot, replica, &others, ops, stamped),
+        _ => push_update(inner, key, slot, replica, &others, keeper, ops, stamped),
     }
 }
 
@@ -597,10 +588,11 @@ fn settle_writes(
 /// every later write the same: the home is told, once, and re-places the
 /// object without it ([`RegimeMsg::Unreached`]). A keeper that does not
 /// answer is skipped — the next write finds the then-next live node — and
-/// the last holder of a kept slot (its keeper, listed or not, unless that
+/// the `keeper` the caller found (listed or not; not among `others` when it
 /// wrote or died) that answers it could not take the run (`StaleRegime`: no
 /// copy, another epoch, a missed run) is primed whole, here, before the
-/// write is acknowledged; another reader fetches at its next read.
+/// write is acknowledged; a listed reader so answering fetches at its next
+/// read.
 ///
 /// The fan-out runs under a budget of half the operation deadline (the
 /// replica mutex is held throughout, and the writer is waiting on this
@@ -608,12 +600,14 @@ fn settle_writes(
 /// rest of the push is skipped, and the owner still answers the writer
 /// before *its* deadline expires — a committed write must not be reported
 /// as a timeout just because a mirror is unreachable.
+#[allow(clippy::too_many_arguments)]
 fn push_update(
     inner: &Arc<Inner>,
     key: (ObjectId, u32),
     slot: &Slot,
     replica: &dyn AnyReplica,
     others: &[NodeId],
+    keeper: Option<NodeId>,
     ops: Vec<Vec<u8>>,
     stamped: Option<(OpStamp, Vec<u8>)>,
 ) {
@@ -643,7 +637,6 @@ fn push_update(
         seq: last,
     }
     .to_bytes();
-    let keeper = others.last().copied().filter(|_| slot.kept);
     let push = |node, held| {
         if lease.is_some() && slot.lists(node) {
             renew_mirror_grant(inner, slot, node);

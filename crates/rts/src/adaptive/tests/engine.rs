@@ -707,6 +707,40 @@ fn home_crash_promotes_a_surviving_mirror() {
     shutdown_all(&rtses);
 }
 
+/// The keeper is found by identity: when it writes through its own listed
+/// mirror it is not pushed to, and the listed reader pushed last in its
+/// stead is not taken for it — a reader without its copy answers the push
+/// `StaleRegime` and fetches at its next read, unprimed.
+#[test]
+fn a_listed_reader_pushed_last_is_not_primed_as_the_keeper() {
+    let net = Network::reliable(3);
+    let rtses = start_all_recoverable(&net, manual(), crate::recovery::patient());
+    let id = rtses[0]
+        .create_encoded(Accumulator::TYPE_NAME, &0i64.to_bytes())
+        .unwrap();
+    replicate_by(&rtses[0], id, &[200, 200, 200], &[5, 5, 0]).unwrap();
+    // Node 0 owns the copy; its keeper, node 1, is listed beside node 2.
+    assert_eq!(replicated_at(&rtses[0], id), (0, vec![1, 2]));
+    let (_, epoch) = rtses[0].regime_of(id).unwrap();
+    let (held, version, ..) = rtses[2].mirror_of(id);
+    assert!(held, "node 2 was primed");
+    let drop = RegimeMsg::DropCopies {
+        object: id.0,
+        epoch,
+        partition: None,
+        written: Some(version),
+    };
+    assert_eq!(rtses[2].serve(drop, NodeId(0)), RegimeReply::Ack);
+    assert!(!rtses[2].mirror_of(id).0, "node 2 dropped its copy");
+    assert_eq!(add(&rtses[1], id, 4), 4);
+    assert!(
+        !rtses[2].mirror_of(id).0,
+        "a listed reader primed as the keeper"
+    );
+    assert_eq!(read(&rtses[2], id), 4);
+    shutdown_all(&rtses);
+}
+
 /// A slot whose owner and keeper both die leaves nothing to promote:
 /// survivors get a fast, explicit `ObjectLost`.
 #[test]

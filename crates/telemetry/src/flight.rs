@@ -42,12 +42,14 @@ const CHUNK: usize = CAPACITY / CHUNKS;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FlightKind {
-    /// A message left this node (`a` = destination, `b` = payload bytes).
+    /// A message left this node (`a` = destination, `u64::MAX` for a
+    /// broadcast; `b` = wire bytes).
     Send = 0,
     /// A message was delivered to this node (`a` = source, `b` = bytes).
     Deliver = 1,
-    /// A message addressed to this node was dropped by fault injection or
-    /// the scheduler (`a` = source, `b` = bytes).
+    /// This node discarded a message copy: one it could not send (`a` =
+    /// destination) or one lost on its way here or on arrival (`a` =
+    /// source); `b` = bytes.
     Drop = 2,
     /// This node crashed (fail-stop).
     Crash = 3,

@@ -14,7 +14,10 @@ ROADMAP item 2 is an argument about these numbers; the `check` CI job holds
 `crates/rts` + `crates/wire` to what the last PR reached, so the engine
 cannot quietly grow back, and every file of `crates/rts/src` to a size a
 reader can hold. It holds `crates/bench` to what retiring the modeled
-benches left (item 8).
+benches left (item 8), and `crates/amoeba` to what one node end for both
+transports left: the two backends share their accounting, ports and sends
+through `transport::Endpoint`, so a copy of them growing back in a backend
+shows here.
 """
 
 import argparse
